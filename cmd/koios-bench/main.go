@@ -6,7 +6,7 @@
 //
 //	koios-bench -exp table2                 # one experiment
 //	koios-bench -exp all -scale 0.25        # everything, quarter scale
-//	koios-bench -exp throughput             # serving QPS/latency + sim cache
+//	koios-bench -exp throughput             # serving QPS/latency, batch ≡ serial
 //	koios-bench -list                       # available experiments
 //	koios-bench -perf-json fresh.json       # record a perf baseline
 //	koios-bench -perf-json fresh.json -perf-compare BENCH_tokenintern.json

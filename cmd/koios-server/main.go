@@ -14,9 +14,8 @@
 //
 // Serving throughput (DESIGN.md §9): searches run through a bounded worker
 // pool (-workers; queries beyond it queue), each query gets a -query-timeout,
-// repeated similarity computations hit the cross-query cache (-sim-cache),
 // and POST /v1/search/batch answers many queries against one snapshot.
-// GET /v1/info reports queue depth, latency percentiles, and cache hit rate.
+// GET /v1/info reports queue depth and latency percentiles.
 //
 // Multi-tenant serving (DESIGN.md §14): one process serves N named
 // collections. POST /v1/collections creates one (optionally with a quota),
@@ -97,7 +96,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS). NOTE: before the throughput subsystem this flag meant per-partition verification workers — that setting is now -verify-workers")
 		verifyW  = flag.Int("verify-workers", 4, "verification workers per partition inside one search (formerly -workers)")
 		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
-		simCache = flag.Int("sim-cache", 0, "cross-query similarity cache entries (0 = default ~1M, negative = disabled)")
 		seal     = flag.Int("seal", 256, "memtable sets buffered before sealing a segment")
 		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before compaction")
 		maxQueue = flag.Int("max-queue", 0, "worker-pool queue depth beyond which searches are shed with 429 (0 = 8 × search workers)")
@@ -139,7 +137,7 @@ func main() {
 		Partitions:  *parts,
 		Workers:     *verifyW,
 		ExactScores: true,
-	}, segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync, SimCacheSize: *simCache},
+	}, segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync},
 		collection.Quota{
 			MaxSets:     *defMaxSets,
 			MaxBytes:    *defMaxBytes,

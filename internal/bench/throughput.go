@@ -15,18 +15,15 @@ import (
 	"repro/internal/index"
 	"repro/internal/segment"
 	"repro/internal/sets"
-	"repro/internal/sim"
 )
 
 // Throughput measures the serving stack of DESIGN.md §9: query throughput
-// (QPS) and latency percentiles versus worker count, the cross-query
-// similarity cache's effect on throughput and its hit rate, and the batch
-// search path. It doubles as a correctness smoke: batch results must be
-// byte-identical to per-query searches on every dataset kind, and the sim
-// cache must actually hit on a repeating workload — both failures return an
-// error so CI can gate on them.
+// (QPS) and latency percentiles versus worker count, and the batch search
+// path. It doubles as a correctness smoke: batch results must be
+// byte-identical to per-query searches on every dataset kind — a divergence
+// returns an error so CI can gate on it.
 func (r *Runner) Throughput() error {
-	r.header("Serving throughput: batch search, sim cache, worker pool")
+	r.header("Serving throughput: batch search, worker pool")
 	// Every measurement below runs the serving configuration — one
 	// partition and one verification worker per query (see managerFor) —
 	// regardless of the runner's global partition count in the header.
@@ -37,7 +34,7 @@ func (r *Runner) Throughput() error {
 	// amortization, never a different search).
 	for _, kind := range datagen.Kinds() {
 		b := r.bundleFor(kind)
-		m := r.managerFor(b, 0)
+		m := r.managerFor(b)
 		queries := benchQueries(b)
 		batch, _, err := m.SearchBatch(ctx, queries, 0, 4)
 		if err != nil {
@@ -56,14 +53,13 @@ func (r *Runner) Throughput() error {
 			kind, len(queries))
 	}
 
-	// QPS and latency vs worker count, cache warm (one full pass first so
-	// every worker configuration runs at the same hit rate). On a
+	// QPS and latency vs worker count, after one full warm-up pass. On a
 	// single-core box the curve is flat by construction — the printed
 	// GOMAXPROCS says so.
 	r.printf("  (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
 	for _, kind := range []datagen.Kind{datagen.Twitter, datagen.OpenData} {
 		b := r.bundleFor(kind)
-		m := r.managerFor(b, 0)
+		m := r.managerFor(b)
 		queries := benchQueries(b)
 		workload := buildWorkload(queries, 120)
 		for _, q := range queries {
@@ -79,88 +75,16 @@ func (r *Runner) Throughput() error {
 			r.printf("  %-8s workers %2d: %7.1f qps   p50 %8s  p95 %8s  p99 %8s\n",
 				kind, workers, qps, p50.Round(time.Microsecond), p95.Round(time.Microsecond), p99.Round(time.Microsecond))
 		}
-
-		// Cache size sweep at fixed concurrency: disabled, small (forcing
-		// evictions), and default. Fresh managers so each starts cold.
-		for _, cache := range []struct {
-			label string
-			size  int
-		}{
-			{"off", -1},
-			{"4k entries", 4096},
-			{"default", 0},
-		} {
-			mc := r.managerFor(b, cache.size)
-			qps, _, _, _, err := serveWorkload(ctx, mc, workload, 4)
-			if err != nil {
-				return fmt.Errorf("throughput: %s cache %s: %w", kind, cache.label, err)
-			}
-			st := mc.SimCacheStats()
-			r.printf("  %-8s cache %-10s %7.1f qps   hit rate %5.1f%%  (hits %d, misses %d, evictions %d, entries %d)\n",
-				kind, cache.label+":", qps, 100*st.HitRate(), st.Hits, st.Misses, st.Evictions, st.Entries)
-			if cache.size >= 0 && st.Hits == 0 {
-				return fmt.Errorf("throughput: %s: sim cache recorded zero hits on a repeating workload", kind)
-			}
-		}
-	}
-
-	// Function-scan source: with an expensive element similarity (edit
-	// distance, O(len²) per pair vs a 32-dim dot product) every retrieval
-	// scans the dictionary, and the cache's per-pair probe is far cheaper
-	// than the recomputation — this is where cross-query caching pays off
-	// hardest.
-	{
-		b := r.bundleFor(datagen.Twitter)
-		queries := benchQueries(b)
-		workload := buildWorkload(queries, 2*len(queries))
-		for _, cache := range []struct {
-			label string
-			size  int
-		}{
-			{"off", -1},
-			{"default", 0},
-		} {
-			m := r.managerFuncFor(b, cache.size)
-			qps, _, _, _, err := serveWorkload(ctx, m, workload, 4)
-			if err != nil {
-				return fmt.Errorf("throughput: edit-sim cache %s: %w", cache.label, err)
-			}
-			st := m.SimCacheStats()
-			r.printf("  %-8s edit-sim cache %-8s %7.1f qps   hit rate %5.1f%%  (hits %d, misses %d)\n",
-				datagen.Twitter, cache.label+":", qps, 100*st.HitRate(), st.Hits, st.Misses)
-			if cache.size >= 0 && st.Hits == 0 {
-				return fmt.Errorf("throughput: edit-sim: sim cache recorded zero hits on a repeating workload")
-			}
-		}
 	}
 	return nil
-}
-
-// managerFuncFor is managerFor with a function-scan source (normalized edit
-// similarity) instead of the vector index.
-func (r *Runner) managerFuncFor(b *bundle, cacheSize int) *segment.Manager {
-	return segment.NewManager(b.ds.Repo.Sets(), func(dict *sets.Dictionary) index.NeighborSource {
-		src := index.NewDynamicFunc(dict, sim.EditSimilarity{})
-		if r.cfg.NoKernelFilters {
-			src.SetKernelFilters(false)
-		}
-		return src
-	}, core.Options{
-		K:               r.cfg.K,
-		Alpha:           r.cfg.Alpha,
-		Partitions:      1,
-		Workers:         1,
-		DisableSandwich: r.cfg.NoKernelFilters,
-	}.WithDefaults(), segment.Config{ForegroundCompaction: true, SimCacheSize: cacheSize})
 }
 
 // managerFor builds a segmented manager over the bundle's full dataset in
 // the serving configuration: one partition and one verification worker per
 // query, because under a worker pool the parallelism comes from concurrent
 // queries — intra-query fan-out would oversubscribe the cores and flatten
-// the QPS-vs-workers curve. cacheSize tunes the sim cache (0 default,
-// negative disabled).
-func (r *Runner) managerFor(b *bundle, cacheSize int) *segment.Manager {
+// the QPS-vs-workers curve.
+func (r *Runner) managerFor(b *bundle) *segment.Manager {
 	return segment.NewManager(b.ds.Repo.Sets(), func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, b.ds.Model.Vector)
 	}, core.Options{
@@ -168,7 +92,7 @@ func (r *Runner) managerFor(b *bundle, cacheSize int) *segment.Manager {
 		Alpha:      r.cfg.Alpha,
 		Partitions: 1,
 		Workers:    1,
-	}.WithDefaults(), segment.Config{ForegroundCompaction: true, SimCacheSize: cacheSize})
+	}.WithDefaults(), segment.Config{ForegroundCompaction: true})
 }
 
 // benchQueries extracts the element slices of the bundle's benchmark.
@@ -182,7 +106,7 @@ func benchQueries(b *bundle) [][]string {
 
 // buildWorkload replays the query set in a deterministic shuffled order
 // until it holds about n entries — the repeating traffic shape a served
-// collection sees, which is what gives the sim cache its hits.
+// collection sees.
 func buildWorkload(queries [][]string, n int) [][]string {
 	rng := rand.New(rand.NewSource(42))
 	out := make([][]string, 0, n)

@@ -134,28 +134,17 @@ type qEdge struct {
 // edgeCache is the per-query edge cache in CSR layout, indexed by interned
 // token ID: token t's edges occupy arena[offsets[t-1]:offsets[t]] (0-based
 // for t = 0). Built in two flat allocations from the materialized stream —
-// no per-token slices, no string keys.
-//
-// When the token stream was cut off before exhaustion (DESIGN.md §10), the
-// CSR arena is missing every edge with similarity in [α, s_cut); comp then
-// overrides edges with full lists recomputed on demand through the pure
-// pair similarity — bit-identical to what the drained stream would have
-// cached, because the source's retrieval is exhaustive w.r.t. that
-// similarity (index.CompleteScorer).
+// no per-token slices, no string keys. A search that cut the token stream
+// drains the unconsumed tail into the tuple arena first (DESIGN.md §10), so
+// the cache always holds every α-edge the source retrieved.
 type edgeCache struct {
 	offsets []int32
 	arena   []qEdge
-	comp    *edgeCompleter
 }
 
 // edges returns the α-edges of a token ID. Every repository token ID is a
-// valid index (set elements define the vocabulary). After a stream cut-off
-// the truncated CSR prefix is bypassed entirely: every consulted token goes
-// through on-demand completion.
+// valid index (set elements define the vocabulary).
 func (c *edgeCache) edges(tid int32) []qEdge {
-	if c.comp != nil {
-		return c.comp.edges(tid)
-	}
 	lo := int32(0)
 	if tid > 0 {
 		lo = c.offsets[tid-1]

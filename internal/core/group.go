@@ -189,10 +189,11 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	var (
 		tuples []streamTuple
 		cache  *edgeCache
-		comp   *edgeCompleter
 		cut    bool
 	)
-	if scorer, lazy := g.lazyEligible(opts); lazy {
+	// The cut-off's "no unseen set survives" argument is the Lemma 2
+	// first-sight filter, so disabling the iUB disables it too.
+	if !opts.DisableLazy && !opts.DisableIUB {
 		st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
 		var cutLevel float64
 		var at cutPoint
@@ -205,27 +206,18 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			return nil, stats, ctx.Err()
 		}
 		thetaCut := theta.Load()
-		if cut && scorer == nil {
-			// Stream-drain edge completion: finish the stream into the
-			// arena for cache building only — the refiners never see the
-			// tail, and it arrives unordered. For the scan-style sources
-			// every remaining neighbor was computed during the probes
-			// anyway, so this costs appends, not similarity evaluations or
-			// sorting.
+		if cut {
+			// Edge completion: finish the stream into the arena for cache
+			// building only — the refiners never see the tail, and it
+			// arrives unordered. Every lazy source computes its whole scan
+			// when the cursor is created, so this costs appends, not
+			// similarity evaluations or sorting.
 			tuples = lead.drainStream(st, tuples, sc, g.LiveTokens)
 		}
 		stats.StreamRetrieved = st.Retrieved()
 		cache = lead.buildEdgeCache(tuples, sc)
 		stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*16 +
 			int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
-		if cut && scorer != nil {
-			// Scored edge completion: survivors' edge lists are recomputed
-			// on demand through the pure pair similarity — every evaluation
-			// a cross-query cache hit in this configuration — so the stream
-			// tail is never even retrieved.
-			comp = newEdgeCompleter(lead.repo, query, qids, skip, scorer, opts.Alpha)
-			cache.comp = comp
-		}
 		// Survivors: on a cut, reconstruct the eager outcome — phase one
 		// replays every alive candidate's full-stream bounds and rebuilds
 		// the final global θlb through the per-partition Llb lists; phase

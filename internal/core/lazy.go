@@ -8,84 +8,13 @@ import (
 	"sync"
 
 	"repro/internal/index"
-	"repro/internal/sets"
 )
 
 // This file implements the lazy token stream of DESIGN.md §10: the pump
 // that feeds the partition refiners block by block, the θlb-driven cut-off
-// condition, and the two pieces that keep a truncated search byte-identical
-// to the eager pipeline — on-demand edge completion and the full-stream
-// bound replay for the surviving candidate pool.
-
-// edgeCompleter recomputes a token's complete α-edge list through the
-// source's pure pair similarity (index.CompleteScorer). A cut-off search
-// consults it for every token the post-processing phase touches: survivor
-// tokens may be missing edges with similarity in [α, s_cut) from the
-// truncated CSR cache, and the scorer reproduces each of them bit-for-bit
-// (same similarity function, same floats, same α comparison), so exact
-// verification scores cannot differ from the eager pipeline's. Lists are
-// memoized; safe for concurrent use by the parallel verifiers.
-type edgeCompleter struct {
-	query  []string
-	qids   []int32 // post-demotion interned IDs (-1 = no identity edge)
-	skip   []bool  // probe-masked elements contribute no edges at all
-	repo   *sets.Repository
-	scorer index.CompleteScorer
-	alpha  float64
-
-	mu    sync.Mutex
-	lists map[int32][]qEdge
-}
-
-func newEdgeCompleter(repo *sets.Repository, query []string, qids []int32, skip []bool, scorer index.CompleteScorer, alpha float64) *edgeCompleter {
-	return &edgeCompleter{
-		query: query, qids: qids, skip: skip,
-		repo: repo, scorer: scorer, alpha: alpha,
-		lists: make(map[int32][]qEdge),
-	}
-}
-
-// edges returns the complete α-edge list of a token ID, computing and
-// memoizing it on first use. The identity edge (if the token is a query
-// element) comes first, the probed edges follow in query order — verify
-// consumes edge lists order-insensitively, and the bound replay imposes its
-// own stream order. The O(|Q|) scoring runs outside the mutex so parallel
-// replayers and verifiers never serialize on it; racing computes of the
-// same token are safe (the values are deterministic) and the first stored
-// list wins.
-func (c *edgeCompleter) edges(tid int32) []qEdge {
-	c.mu.Lock()
-	l, ok := c.lists[tid]
-	c.mu.Unlock()
-	if ok {
-		return l
-	}
-	tok := c.repo.Token(tid)
-	var out []qEdge
-	for i := range c.query {
-		if c.qids[i] == tid {
-			// The identity tuple of the matching query element (§V): always
-			// emitted, similarity 1, no probe involved.
-			out = append(out, qEdge{qIdx: int32(i), sim: 1})
-		}
-	}
-	for i, q := range c.query {
-		if c.qids[i] == tid || q == tok || (c.skip != nil && c.skip[i]) {
-			continue
-		}
-		if s := c.scorer.PairSim(q, tok); s >= c.alpha {
-			out = append(out, qEdge{qIdx: int32(i), sim: s})
-		}
-	}
-	c.mu.Lock()
-	if l, ok := c.lists[tid]; ok {
-		out = l
-	} else {
-		c.lists[tid] = out
-	}
-	c.mu.Unlock()
-	return out
-}
+// condition, and the full-stream bound replay for the surviving candidate
+// pool that keeps a truncated search byte-identical to the eager pipeline
+// (the edge cache is completed by draining the stream; see SearchContext).
 
 // replayEv is one candidate edge event, carrying its global-stream-order
 // sort key: the identity phase (all identity tuples, in query order)
@@ -187,9 +116,9 @@ func (at cutPoint) consumed(identity bool, qIdx int32, sim float64, tok string) 
 // same order, accumulating the same float additions in the same sequence.
 // The values are therefore bit-identical to what the eager pipeline's
 // refiner hands to post-processing, and the work is proportional to the
-// candidate's TAIL edges, not its full edge lists. edgesOf is either the
-// drained CSR cache or the scored on-demand completer; qids are the
-// (post-demotion) query element token IDs, which identify identity edges.
+// candidate's TAIL edges, not its full edge lists. edgesOf is the drained
+// CSR cache; qids are the (post-demotion) query element token IDs, which
+// identify identity edges.
 //
 // Past the cut no tuple can affect any other candidate (DESIGN.md §10), so
 // per-candidate continuation is exact.
@@ -301,23 +230,6 @@ func (r *partRefiner) tailBounds(local int32, qN int, edgesOf func(int32) []qEdg
 		mRem--
 	}
 	return lb, ub
-}
-
-// lazyEligible reports whether this search can run the cut-off pipeline —
-// the caller did not disable it and the first-sight UB filter is active
-// (the cut-off's "no unseen set survives" argument is the Lemma 2 filter).
-// The scorer, when non-nil, selects scored on-demand edge completion over
-// the default stream-drain completion (see the cut handling in
-// SearchContext): it is only returned when the source retrieves
-// exhaustively w.r.t. a pure pair similarity AND memoizes pairs in a
-// shared cross-query cache, which makes completion a sequence of cache
-// hits instead of recomputations.
-func (g *Group) lazyEligible(opts Options) (scorer index.CompleteScorer, lazy bool) {
-	if opts.DisableLazy || opts.DisableIUB {
-		return nil, false
-	}
-	scorer, _ = index.ScoredCompletion(g.lead().src)
-	return scorer, true
 }
 
 // lazyPoolCap bounds the candidate pool size at which a cut is taken: the

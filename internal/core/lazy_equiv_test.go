@@ -110,18 +110,14 @@ func TestLazyCutRandomPrefixes(t *testing.T) {
 }
 
 // TestLazyApproximateSourceEquivalence pins the cut-off's contract for
-// approximate sources: an IVF index cannot complete edge lists through a
-// pair scorer (index.ScoredCompletion refuses — recomputing would invent
-// edges the index never retrieved), so a cut search must fall back to
-// stream-drain completion, which re-emits the source's own retrieval and
-// therefore reproduces that source's eager results byte for byte. The
-// configuration is chosen so cuts actually fire.
+// approximate sources: a cut search completes its edge cache by draining
+// the stream, which re-emits the IVF index's own retrieval (recomputing
+// pairs would invent edges the index never retrieved) and therefore
+// reproduces that source's eager results byte for byte. The configuration
+// is chosen so cuts actually fire.
 func TestLazyApproximateSourceEquivalence(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.03)
 	src := index.NewIVF(ds.Repo.Vocabulary(), ds.Model.Vector, 8, 4, 1)
-	if _, ok := index.ScoredCompletion(src); ok {
-		t.Fatal("IVF must not offer scored completion")
-	}
 	lazyEng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.6})
 	eagerEng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.6, DisableLazy: true})
 	cuts := 0
@@ -137,7 +133,7 @@ func TestLazyApproximateSourceEquivalence(t *testing.T) {
 		}
 	}
 	if cuts == 0 {
-		t.Fatal("no cut fired over the approximate source — the drain fallback is untested")
+		t.Fatal("no cut fired over the approximate source — drain completion is untested")
 	}
 }
 

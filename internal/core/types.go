@@ -54,9 +54,8 @@ type Options struct {
 	// and restores the eager materialize-everything pipeline. The cut-off
 	// needs the first-sight UB filter, so DisableIUB implies it. Results
 	// are byte-identical either way, for exact and approximate sources
-	// alike: stream-drain edge completion re-emits the source's own
-	// retrieval, and the scored alternative is only selected for sources
-	// that retrieve exhaustively (index.ScoredCompletion).
+	// alike: a cut search completes its edge cache by draining the stream,
+	// which re-emits the source's own retrieval.
 	DisableLazy bool
 	// LazyBlock is the lazy pump's block size in stream tuples — the
 	// granularity at which the cut-off condition is evaluated. Smaller

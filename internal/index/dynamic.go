@@ -2,6 +2,7 @@ package index
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sets"
 	"repro/internal/sim"
@@ -15,14 +16,6 @@ import (
 // inserts (deletes need no index support).
 type Syncer interface {
 	Sync()
-}
-
-// SimCached marks a NeighborSource that can consult a shared cross-query
-// similarity cache (sim.PairCache, DESIGN.md §9). The segment manager wires
-// one cache into the source it builds; sources without the hook simply
-// recompute every similarity.
-type SimCached interface {
-	SetSimCache(*sim.PairCache)
 }
 
 // QueryVocabBound marks a NeighborSource whose retrieval requires the query
@@ -44,7 +37,6 @@ type QueryVocabBound interface {
 type DynamicFunc struct {
 	dict      *sets.Dictionary
 	fn        sim.Func
-	cache     *sim.PairCache
 	noFilters bool
 }
 
@@ -53,88 +45,32 @@ func NewDynamicFunc(dict *sets.Dictionary, fn sim.Func) *DynamicFunc {
 	return &DynamicFunc{dict: dict, fn: fn}
 }
 
-// SetSimCache implements SimCached: subsequent scans consult (and fill) the
-// shared pair cache instead of re-evaluating the similarity function.
-func (f *DynamicFunc) SetSimCache(c *sim.PairCache) { f.cache = c }
-
-// SimCacheAttached reports whether a shared pair cache is wired in —
-// scored edge completion (DESIGN.md §10) is only worthwhile when it is.
-func (f *DynamicFunc) SimCacheAttached() bool { return f.cache != nil }
-
 // SetKernelFilters toggles the admission filters of the kernel scan path
 // (on by default). Off retains the batched kernel but evaluates every pair —
 // the A/B axis behind koios-bench -no-kernel-filters.
 func (f *DynamicFunc) SetKernelFilters(on bool) { f.noFilters = !on }
 
 // scan appends every dictionary token (except the query itself) with
-// similarity ≥ alpha to buf, unsorted, memoizing through the pair cache
-// when one is attached. Functions exposing a prepared kernel run the batched
-// kernel scan: the admission bound is consulted before the cache, so pairs
-// provably below α are neither evaluated nor ever admitted to the cache.
+// similarity ≥ alpha to buf, unsorted. Functions exposing a prepared kernel
+// run the batched kernel scan.
 func (f *DynamicFunc) scan(q string, alpha float64, buf []Neighbor) []Neighbor {
-	cache := f.cache
-	qid := int32(-1)
-	if cache != nil {
-		qid = f.dict.Lookup(q)
-	}
-	var hits, misses int64
 	snapshot := f.dict.Snapshot()
 	if k := sim.NewKernel(f.fn, q); k != nil {
-		var cached func(vi int) (float64, bool)
-		var computed func(id int32, s float64)
-		if cache != nil && qid >= 0 {
-			cached = func(vi int) (float64, bool) {
-				s, ok := cache.Lookup(qid, int32(vi))
-				if ok {
-					hits++
-				}
-				return s, ok
-			}
-			computed = func(id int32, s float64) {
-				misses++
-				cache.Put(qid, id, s)
-			}
-		}
-		buf = kernelScan(k, snapshot, q, alpha, f.noFilters,
-			func(vi int) int32 { return int32(vi) }, cached, computed, buf)
-		if cache != nil && qid >= 0 {
-			cache.AddLookups(hits, misses)
-		}
-		return buf
+		return kernelScan(k, snapshot, q, alpha, f.noFilters, buf)
 	}
 	for vi, tok := range snapshot {
 		if tok == q {
 			continue
 		}
-		var s float64
-		if cache != nil && qid >= 0 {
-			var ok bool
-			if s, ok = cache.Lookup(qid, int32(vi)); ok {
-				hits++
-			} else {
-				misses++
-				s = f.fn.Sim(q, tok)
-				cache.Put(qid, int32(vi), s)
-			}
-		} else {
-			s = f.fn.Sim(q, tok)
-		}
-		if s >= alpha {
+		if s := f.fn.Sim(q, tok); s >= alpha {
 			buf = append(buf, Neighbor{Token: tok, Sim: s, ID: int32(vi)})
 		}
-	}
-	if cache != nil && qid >= 0 {
-		cache.AddLookups(hits, misses)
 	}
 	return buf
 }
 
 // Neighbors implements NeighborSource over the dictionary's current
-// snapshot. With a pair cache attached, each (query token, vocabulary
-// token) evaluation is memoized by ID pair — sound because dictionary IDs
-// are append-only and fn is pure, so a hit replays the exact value fn
-// would return. A query element outside the dictionary has no ID to key
-// on and is always computed directly.
+// snapshot.
 func (f *DynamicFunc) Neighbors(q string, alpha float64) []Neighbor {
 	return sortedScan(func(buf []Neighbor) []Neighbor { return f.scan(q, alpha, buf) })
 }
@@ -145,26 +81,8 @@ func (f *DynamicFunc) NeighborCursor(q string, alpha float64) NeighborCursor {
 	return newLazyScan(f.scan(q, alpha, nil))
 }
 
-// PairSim implements CompleteScorer: the similarity function itself,
-// memoized by dictionary-ID pair when both tokens are interned and a cache
-// is attached — bit-identical to the value retrieval would carry. PairSim
-// probes bypass the cache's hit/miss telemetry: they arrive one pair at a
-// time from concurrent edge completions, and a per-pair counter RMW is
-// exactly the contention the scan paths batch away (see AddLookups).
-func (f *DynamicFunc) PairSim(a, b string) float64 {
-	if cache := f.cache; cache != nil {
-		aid, bid := f.dict.Lookup(a), f.dict.Lookup(b)
-		if aid >= 0 && bid >= 0 {
-			if s, ok := cache.Lookup(aid, bid); ok {
-				return s
-			}
-			s := f.fn.Sim(a, b)
-			cache.Put(aid, bid, s)
-			return s
-		}
-	}
-	return f.fn.Sim(a, b)
-}
+// PairSim implements CompleteScorer: the similarity function itself.
+func (f *DynamicFunc) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
 
 // Sync implements Syncer; scanning the live dictionary needs no
 // materialized state, so it is a no-op.
@@ -173,20 +91,23 @@ func (f *DynamicFunc) Sync() {}
 // DynamicExact is the dynamic counterpart of Exact: brute-force cosine
 // retrieval over embedding vectors that extends itself as the shared
 // dictionary grows. Vectors of newly interned tokens are fetched and
-// normalized by Sync (or lazily on retrieval); all internal arrays are
-// append-only, so retrieval copies slice headers under a short read lock
-// and scans outside it. Safe for concurrent use.
+// normalized by Sync (or lazily on retrieval). Readers take no lock: Sync
+// appends to the append-only rows under the writer lock and then publishes
+// an immutable view through one atomic pointer, and a scan runs to the end
+// on the view it loaded. Safe for concurrent use.
 type DynamicExact struct {
-	dict  *sets.Dictionary
-	vec   func(string) ([]float32, bool)
-	cache *sim.PairCache
+	dict *sets.Dictionary
+	vec  func(string) ([]float32, bool)
 
-	mu      sync.RWMutex
-	synced  int // dictionary prefix length already consumed
-	tokens  []string
-	ids     []int32 // dictionary ID of each indexed (covered) token
-	vecs    [][]float32
-	byToken map[string]int
+	mu   sync.Mutex // serializes Sync; never taken by readers
+	view atomic.Pointer[vecView]
+}
+
+// vecView is one published state of a DynamicExact: the vector rows of the
+// covered tokens among the first len(rowOf) dictionary tokens.
+type vecView struct {
+	vecRows
+	rowOf []int32 // dictionary ID -> row, -1 when the token has no vector
 }
 
 // NewDynamicExact builds a dynamic exact vector source over dict, covering
@@ -195,143 +116,88 @@ type DynamicExact struct {
 // vocabulary is embedded on first use, not on the (cold-start critical)
 // build path.
 func NewDynamicExact(dict *sets.Dictionary, vec func(string) ([]float32, bool)) *DynamicExact {
-	return &DynamicExact{dict: dict, vec: vec, byToken: make(map[string]int)}
+	e := &DynamicExact{dict: dict, vec: vec}
+	e.view.Store(&vecView{})
+	return e
 }
 
 // QueryVocabBound marks the index as requiring indexed query elements
 // (cosine retrieval needs the query element's vector).
 func (e *DynamicExact) QueryVocabBound() {}
 
-// SetSimCache implements SimCached: retrieval memoizes dot products by
-// dictionary-ID pair. Wire the cache before serving searches (the field is
-// read without synchronization on the scan path).
-func (e *DynamicExact) SetSimCache(c *sim.PairCache) { e.cache = c }
-
-// SimCacheAttached reports whether a shared pair cache is wired in —
-// scored edge completion (DESIGN.md §10) is only worthwhile when it is.
-func (e *DynamicExact) SimCacheAttached() bool { return e.cache != nil }
-
 // Sync implements Syncer: it indexes dictionary tokens interned since the
-// last call. Cheap when already current (one read-locked length check).
-func (e *DynamicExact) Sync() {
+// last call. Cheap when already current (one dictionary size check, no lock
+// of its own).
+func (e *DynamicExact) Sync() { e.current() }
+
+// current returns a view covering every token the dictionary held when it
+// was called.
+func (e *DynamicExact) current() *vecView {
 	n := e.dict.Size()
-	e.mu.RLock()
-	behind := e.synced < n
-	e.mu.RUnlock()
-	if !behind {
-		return
+	if v := e.view.Load(); len(v.rowOf) >= n {
+		return v
 	}
 	vocab := e.dict.Prefix(n)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.synced >= n {
-		return // another Sync got here first
+	old := e.view.Load()
+	if len(old.rowOf) >= n {
+		return old // another Sync got here first
 	}
-	for vi := e.synced; vi < n; vi++ {
+	next := *old // appends below never touch what old's readers can see
+	for vi := len(old.rowOf); vi < n; vi++ {
 		tok := vocab[vi]
-		v, ok := e.vec(tok)
-		if !ok {
-			continue
+		row := int32(-1)
+		if v, ok := e.vec(tok); ok {
+			row = int32(len(next.tokens))
+			next.add(tok, int32(vi), v)
 		}
-		e.byToken[tok] = len(e.tokens)
-		e.tokens = append(e.tokens, tok)
-		e.ids = append(e.ids, int32(vi))
-		e.vecs = append(e.vecs, normalizeCopy(v))
+		next.rowOf = append(next.rowOf, row)
 	}
-	e.synced = n
+	e.view.Store(&next)
+	return &next
+}
+
+// lookup returns q's row in v, -1 when q has no vector (out-of-vocabulary query
+// element: no semantic neighbors).
+func (e *DynamicExact) lookup(v *vecView, q string) int {
+	if id := e.dict.Lookup(q); id >= 0 && int(id) < len(v.rowOf) {
+		return int(v.rowOf[id])
+	}
+	return -1
 }
 
 // Len returns the number of indexed (covered) tokens.
-func (e *DynamicExact) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.tokens)
-}
+func (e *DynamicExact) Len() int { return len(e.view.Load().tokens) }
 
-// scan appends every indexed token (except the query itself) with
-// similarity ≥ alpha to buf, unsorted. The scan runs on an immutable prefix
-// view captured under the read lock, never blocking writers.
-func (e *DynamicExact) scan(q string, alpha float64, buf []Neighbor) ([]Neighbor, bool) {
-	e.Sync()
-	e.mu.RLock()
-	qi, ok := e.byToken[q]
-	tokens, ids, vecs := e.tokens, e.ids, e.vecs
-	e.mu.RUnlock()
-	if !ok {
-		return buf, false // out-of-vocabulary query element: no semantic neighbors
-	}
-	qv := vecs[qi]
-	qid := ids[qi]
-	cache := e.cache
-	var hits, misses int64
-	for i := range vecs {
-		if i == qi {
-			continue
-		}
-		var s float64
-		if cache != nil {
-			var ok bool
-			if s, ok = cache.Lookup(qid, ids[i]); ok {
-				hits++
-			} else {
-				misses++
-				s = sim.Dot(qv, vecs[i])
-				cache.Put(qid, ids[i], s)
-			}
-		} else {
-			s = sim.Dot(qv, vecs[i])
-		}
-		if s >= alpha {
-			buf = append(buf, Neighbor{Token: tokens[i], Sim: s, ID: ids[i]})
-		}
-	}
-	if cache != nil {
-		cache.AddLookups(hits, misses)
-	}
-	return buf, true
-}
-
-// Neighbors implements NeighborSource: one exhaustive linear scan (the
-// former fixed-size batching loop was a no-op wrapper around the same
-// scan), sorted descending.
+// Neighbors implements NeighborSource: one exhaustive linear scan of the
+// vector arena, sorted descending.
 func (e *DynamicExact) Neighbors(q string, alpha float64) []Neighbor {
-	return sortedScan(func(buf []Neighbor) []Neighbor {
-		buf, _ = e.scan(q, alpha, buf)
-		return buf
-	})
+	v := e.current()
+	qi := e.lookup(v, q)
+	if qi < 0 {
+		return nil
+	}
+	return sortedScan(func(buf []Neighbor) []Neighbor { return v.scan(qi, alpha, buf) })
 }
 
 // NeighborCursor implements LazySource.
 func (e *DynamicExact) NeighborCursor(q string, alpha float64) NeighborCursor {
-	cands, ok := e.scan(q, alpha, nil)
-	if !ok {
+	v := e.current()
+	qi := e.lookup(v, q)
+	if qi < 0 {
 		return &eagerCursor{}
 	}
-	return newLazyScan(cands)
+	return newLazyScan(v.scan(qi, alpha, nil))
 }
 
-// PairSim implements CompleteScorer: the exact dot product retrieval uses
-// (memoized by dictionary-ID pair when a cache is attached), 0 when either
-// token has no vector. Like DynamicFunc.PairSim it bypasses the cache's
-// hit/miss telemetry — per-pair counter RMWs from concurrent edge
-// completions are the contention the scan paths batch away.
+// PairSim implements CompleteScorer: the exact dot product retrieval uses,
+// 0 when either token has no vector.
 func (e *DynamicExact) PairSim(a, b string) float64 {
-	e.Sync()
-	e.mu.RLock()
-	ai, aok := e.byToken[a]
-	bi, bok := e.byToken[b]
-	ids, vecs := e.ids, e.vecs
-	e.mu.RUnlock()
-	if !aok || !bok {
+	v := e.current()
+	ai, bi := e.lookup(v, a), e.lookup(v, b)
+	if ai < 0 || bi < 0 {
 		return 0
 	}
-	if cache := e.cache; cache != nil {
-		if s, ok := cache.Lookup(ids[ai], ids[bi]); ok {
-			return s
-		}
-		s := sim.Dot(vecs[ai], vecs[bi])
-		cache.Put(ids[ai], ids[bi], s)
-		return s
-	}
-	return sim.Dot(vecs[ai], vecs[bi])
+	return sim.Dot(v.row(ai), v.row(bi))
 }

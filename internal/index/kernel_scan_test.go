@@ -76,11 +76,8 @@ func TestFuncIndexKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestDynamicFuncKernelEquivalence: the dynamic source's kernel scan must
-// match its plain scan with no cache, with a cold cache, and with a warm
-// cache — and admission-filtered pairs must never have been admitted to the
-// cache (a warm unfiltered rescan still matches the plain scan, which would
-// fail if the filter had cached a wrong value).
+// TestDynamicFuncKernelEquivalence: the dynamic source's kernel scan, with
+// and without admission filters, must match its plain scan.
 func TestDynamicFuncKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	vocab := kernelTestVocab(rng, 300)
@@ -91,25 +88,16 @@ func TestDynamicFuncKernelEquivalence(t *testing.T) {
 	for _, fn := range []sim.Func{sim.EditSimilarity{}, sim.JaccardQGrams{Q: 3}} {
 		plain := NewDynamicFunc(dict, plainFunc{fn})
 		kernel := NewDynamicFunc(dict, fn)
-		cached := NewDynamicFunc(dict, fn)
-		cached.SetSimCache(sim.NewPairCache(1 << 16))
+		unfiltered := NewDynamicFunc(dict, fn)
+		unfiltered.SetKernelFilters(false)
 		for trial := 0; trial < 20; trial++ {
 			q := vocab[rng.Intn(len(vocab))]
-			for _, alpha := range []float64{0.4, 0.7, 0.85} {
+			for _, alpha := range []float64{0.3, 0.4, 0.7, 0.85} {
 				label := fmt.Sprintf("%s q=%q α=%v", fn.Name(), q, alpha)
 				want := plain.Neighbors(q, alpha)
 				neighborsEqual(t, label, kernel.Neighbors(q, alpha), want)
-				neighborsEqual(t, label+" cold-cache", cached.Neighbors(q, alpha), want)
-				neighborsEqual(t, label+" warm-cache", cached.Neighbors(q, alpha), want)
+				neighborsEqual(t, label+" nofilters", unfiltered.Neighbors(q, alpha), want)
 			}
-		}
-		// Rescan the warm cache with filters off and a lower α: any value the
-		// filtered scans cached must still be the exact similarity.
-		cached.SetKernelFilters(false)
-		for trial := 0; trial < 20; trial++ {
-			q := vocab[rng.Intn(len(vocab))]
-			label := fmt.Sprintf("%s warm unfiltered q=%q", fn.Name(), q)
-			neighborsEqual(t, label, cached.Neighbors(q, 0.3), plain.Neighbors(q, 0.3))
 		}
 	}
 }

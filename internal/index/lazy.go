@@ -37,12 +37,11 @@ type LazySource interface {
 // CompleteScorer marks a NeighborSource whose retrieval is exhaustive with
 // respect to a pure pairwise similarity: Neighbors(q, α) returns every
 // vocabulary token t ≠ q with PairSim(q, t) ≥ α, and PairSim(q, t) is
-// exactly the similarity those neighbors carry. This is what lets a search
-// truncate the token stream and later complete a candidate's missing edges
-// on demand — the recomputed edge is bit-identical to the one the drained
-// stream would have cached. Approximate sources (IVF, LSH, HNSW) must not
-// implement it: their retrieval can miss neighbors, so completion would
-// invent edges the eager pipeline never saw.
+// exactly the similarity those neighbors carry, so a verification matrix
+// built from PairSim is the one the search built from the stream.
+// Approximate sources (IVF, LSH, HNSW) must not implement it: their
+// retrieval can miss neighbors, so PairSim would report edges the search
+// never saw.
 type CompleteScorer interface {
 	// PairSim scores two tokens exactly as retrieval would. Tokens the
 	// source cannot score (e.g. no embedding vector) yield 0.
@@ -135,9 +134,7 @@ func (c *eagerCursor) Rest() []Neighbor {
 
 // ScorerOf returns src's exhaustive pair scorer, looking through the Cached
 // memoization layer (a memoized exact source is still exhaustive; a wrapped
-// approximate one still is not). ok=false means the source cannot support
-// scored on-demand edge completion (the cut-off itself still works through
-// stream-drain completion).
+// approximate one still is not).
 func ScorerOf(src NeighborSource) (CompleteScorer, bool) {
 	if cs, ok := src.(CompleteScorer); ok {
 		return cs, true
@@ -146,35 +143,6 @@ func ScorerOf(src NeighborSource) (CompleteScorer, bool) {
 		return ScorerOf(c.src)
 	}
 	return nil, false
-}
-
-// simCacheAttached marks a source that can report whether a shared
-// cross-query sim.PairCache is wired in (DESIGN.md §9).
-type simCacheAttached interface {
-	SimCacheAttached() bool
-}
-
-// ScoredCompletion returns src's pair scorer when scored edge completion is
-// the cheap strategy: the source retrieves exhaustively w.r.t. PairSim AND
-// memoizes pair similarities in a shared cross-query cache, so completing a
-// survivor's edge list replays cache hits instead of recomputing
-// similarities. Sources without the cache (or without exhaustive
-// retrieval) report false and the search completes truncated edge lists by
-// draining the stream instead — the scan-style sources have already
-// computed every remaining neighbor anyway.
-func ScoredCompletion(src NeighborSource) (CompleteScorer, bool) {
-	if c, ok := src.(*Cached); ok {
-		return ScoredCompletion(c.src)
-	}
-	cs, ok := src.(CompleteScorer)
-	if !ok {
-		return nil, false
-	}
-	sc, ok := src.(simCacheAttached)
-	if !ok || !sc.SimCacheAttached() {
-		return nil, false
-	}
-	return cs, true
 }
 
 // cursorFor returns src's incremental probe when it has one and the eager

@@ -8,8 +8,7 @@ import (
 )
 
 // batchQueries builds a mixed query load over the live records: several
-// live sets plus a repeated query (the repeat is what the sim cache feeds
-// on).
+// live sets plus a repeated query.
 func batchQueries(recs []SetRecord, n int) [][]string {
 	var qs [][]string
 	for i := 0; i < n; i++ {

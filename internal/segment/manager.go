@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/sets"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -84,13 +83,6 @@ type Config struct {
 	// process crashes are always covered; surviving power loss of the
 	// last few operations costs an fsync per write.
 	SyncWAL bool
-	// SimCacheSize bounds the cross-query similarity cache (entries)
-	// wired into sources that support it (index.SimCached): repeated
-	// (query token, vocabulary token) evaluations across queries become
-	// map probes (DESIGN.md §9). 0 selects sim.DefaultPairCacheSize;
-	// negative disables the cache. Cached values cannot change results:
-	// dictionary IDs are append-only and similarity functions are pure.
-	SimCacheSize int
 	// FS overrides the filesystem the durable layer writes through (nil
 	// uses the real one). Tests inject store.FaultFS here to exercise
 	// short writes, ENOSPC, fsync failures, and crash points (DESIGN.md
@@ -226,13 +218,10 @@ type Manager struct {
 	probeLiveOnly bool
 	opts          core.Options
 	cfg           Config
-	// simCache is the cross-query similarity cache shared by every search
-	// (nil when the source cannot consume one or SimCacheSize < 0).
-	simCache *sim.PairCache
 
 	mu         sync.Mutex // writer lock; never held by Search
 	sealed     []*seg     // oldest first
-	mem        []sets.Set // memtable rows, insertion order
+	mem        []sets.Set // memtable rows (sets.InternSet output), insertion order
 	memHandles []int64
 	memSeg     *seg // searchable view of mem, rebuilt on every mutation
 	where      map[string]loc
@@ -326,22 +315,13 @@ func NewManager(seed []sets.Set, build SourceBuilder, opts core.Options, cfg Con
 	return m
 }
 
-// wireSource builds the similarity source over the shared dictionary and
-// attaches the cross-query similarity cache when the source supports it.
+// wireSource builds the similarity source over the shared dictionary.
 // Runs single-threaded during construction/recovery, before any search.
 func (m *Manager) wireSource(build SourceBuilder) {
 	m.src = build(m.dict)
 	m.dyn, _ = m.src.(index.Syncer)
 	_, m.probeLiveOnly = m.src.(index.QueryVocabBound)
-	if sc, ok := m.src.(index.SimCached); ok && m.cfg.SimCacheSize >= 0 {
-		m.simCache = sim.NewPairCache(m.cfg.SimCacheSize)
-		sc.SetSimCache(m.simCache)
-	}
 }
-
-// SimCacheStats snapshots the cross-query similarity cache counters
-// (zeros when no cache is wired).
-func (m *Manager) SimCacheStats() sim.CacheStats { return m.simCache.Stats() }
 
 // Mutable reports whether Insert is supported (the similarity index can
 // follow the growing dictionary). Delete works either way.
@@ -489,12 +469,15 @@ func (m *Manager) applyInsertLocked(handle int64, name string, elements []string
 	if old, ok := m.where[name]; ok {
 		m.removeLocked(name, old)
 	}
+	// The row is de-duplicated and interned here, once; every later rebuild
+	// of the memtable view shares it.
+	row := sets.InternSet(m.dict, name, elements)
 	m.where[name] = loc{mem: true, idx: len(m.mem)}
-	m.mem = append(m.mem, sets.Set{Name: name, Elements: elements})
+	m.mem = append(m.mem, row)
 	m.memHandles = append(m.memHandles, handle)
 	m.live++
 	m.rebuildMemLocked()
-	m.retainLocked(m.memSeg.repo.Set(len(m.mem) - 1).ElemIDs)
+	m.retainLocked(row.ElemIDs)
 	sealed := m.maybeSealLocked()
 	m.publishLocked()
 	m.maybeCompactLocked()
@@ -557,10 +540,7 @@ func (m *Manager) applyDeleteLocked(name string, l loc) {
 // sealed rows tombstoned. The caller owns m.where bookkeeping for name.
 func (m *Manager) removeLocked(name string, l loc) {
 	if l.mem {
-		// The memtable view (pre-splice) holds the row's interned IDs.
-		if m.memSeg != nil {
-			m.releaseLocked(m.memSeg.repo.Set(l.idx).ElemIDs)
-		}
+		m.releaseLocked(m.mem[l.idx].ElemIDs)
 		m.mem = slices.Delete(m.mem, l.idx, l.idx+1)
 		m.memHandles = slices.Delete(m.memHandles, l.idx, l.idx+1)
 		// Reindex the shifted rows' locations.
@@ -601,17 +581,17 @@ func (m *Manager) releaseLocked(ids []int32) {
 	}
 }
 
-// rebuildMemLocked rebuilds the memtable's searchable segment view. The
-// memtable is bounded by SealThreshold, so the rebuild is O(threshold)
-// work per mutation; sealed segments are never rebuilt. New tokens are
-// interned into the shared dictionary and the source is synced before the
+// rebuildMemLocked rebuilds the memtable's searchable segment view over
+// the already-interned rows. The memtable is bounded by SealThreshold, so
+// the rebuild is O(threshold) work per mutation; sealed segments are never
+// rebuilt. The source is synced to the tokens the rows interned before the
 // view can be published, so every published snapshot is fully covered.
 func (m *Manager) rebuildMemLocked() {
 	if len(m.mem) == 0 {
 		m.memSeg = nil
 		return
 	}
-	repo := sets.NewSegment(m.dict, m.mem)
+	repo := sets.NewSegmentOfInterned(m.dict, m.mem)
 	if m.dyn != nil {
 		m.dyn.Sync()
 	}

@@ -51,7 +51,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/sched"
 	"repro/internal/segment"
-	"repro/internal/sim"
 )
 
 // Config parameterizes the served engine.
@@ -789,8 +788,8 @@ type InfoResponse struct {
 	// occupancy and queue depth, totals, per-query timeout hits, and
 	// latency percentiles over the most recent queries.
 	Throughput ThroughputInfo `json:"throughput"`
-	// SimCache reports the cross-query similarity cache (all zeros when
-	// the cache is disabled).
+	// SimCache is always zero: retrieval has no pair cache (DESIGN.md §9).
+	// The section stays until the repository benchmark stops reading it.
 	SimCache SimCacheInfo `json:"sim_cache"`
 	// LazyStream aggregates the lazy token stream's cut-off savings across
 	// all served queries (DESIGN.md §10).
@@ -852,14 +851,14 @@ type ThroughputInfo struct {
 
 // SimCacheInfo is the similarity-cache section of /v1/info.
 type SimCacheInfo struct {
-	sim.CacheStats
-	HitRate float64 `json:"hit_rate"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	sealed, memSets, tombstones := s.mgr.Segments()
 	p50, p95, p99 := s.pool.percentiles()
-	cs := s.mgr.SimCacheStats()
 	var schedStats *sched.Stats
 	if sc := s.reg.Scheduler(); sc != nil {
 		st := sc.Stats()
@@ -888,7 +887,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			LatencyP95US:   p95.Microseconds(),
 			LatencyP99US:   p99.Microseconds(),
 		},
-		SimCache:    SimCacheInfo{CacheStats: cs, HitRate: cs.HitRate()},
 		LazyStream:  s.lazyStreamInfo(),
 		Resilience:  s.resilienceInfo(),
 		Collections: s.collectionsInfo(),

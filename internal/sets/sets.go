@@ -52,21 +52,44 @@ func NewRepository(raw []Set) *Repository {
 // becomes the segment's vocabulary horizon VocabSize. Set IDs are
 // segment-local positions.
 func NewSegment(dict *Dictionary, raw []Set) *Repository {
-	r := &Repository{sets: make([]Set, len(raw)), dict: dict}
+	rows := make([]Set, len(raw))
 	for i, s := range raw {
-		elems := dedup(s.Elements)
-		name := s.Name
-		if name == "" {
-			name = fmt.Sprintf("set-%d", i)
-		}
-		ids := make([]int32, len(elems))
-		for j, e := range elems {
-			ids[j] = dict.Intern(e)
-		}
-		r.sets[i] = Set{ID: i, Name: name, Elements: elems, ElemIDs: ids}
+		rows[i] = InternSet(dict, s.Name, s.Elements)
 	}
-	r.vocabN = dict.Size()
-	return r
+	return segmentOf(dict, rows)
+}
+
+// InternSet returns the repository row of a raw set: elements de-duplicated
+// (preserving first occurrence) and interned into dict. The row's slices are
+// never written again, so any number of segments may share them.
+func InternSet(dict *Dictionary, name string, elements []string) Set {
+	elems := dedup(elements)
+	ids := make([]int32, len(elems))
+	for j, e := range elems {
+		ids[j] = dict.Intern(e)
+	}
+	return Set{Name: name, Elements: elems, ElemIDs: ids}
+}
+
+// NewSegmentOfInterned is NewSegment over rows InternSet already produced
+// against dict: nothing is de-duplicated or interned again, and the rows'
+// element slices are shared, not copied. The segment manager's memtable
+// interns a row once on insert and rebuilds its searchable view with this
+// on every mutation.
+func NewSegmentOfInterned(dict *Dictionary, rows []Set) *Repository {
+	return segmentOf(dict, append([]Set(nil), rows...))
+}
+
+// segmentOf takes ownership of interned rows, assigning positions as IDs
+// and default names.
+func segmentOf(dict *Dictionary, rows []Set) *Repository {
+	for i := range rows {
+		rows[i].ID = i
+		if rows[i].Name == "" {
+			rows[i].Name = fmt.Sprintf("set-%d", i)
+		}
+	}
+	return &Repository{sets: rows, dict: dict, vocabN: dict.Size()}
 }
 
 // NewInternedSegment rebuilds a segment from persisted, already-interned

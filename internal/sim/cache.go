@@ -6,48 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// PairCache is a bounded, lock-free cross-query cache of token-pair
-// similarities, keyed by interned token IDs (DESIGN.md §9). The hot cost of
-// a Koios query is the similarity evaluations performed during retrieval;
-// across queries the same (query token, vocabulary token) pairs recur
-// constantly — a served workload draws queries from the same vocabulary the
-// collection indexes — so memoizing by ID pair turns repeated evaluations
-// into a couple of atomic loads.
+// PairCache is a bounded, lock-free direct-mapped table of token-pair
+// similarities keyed by interned token IDs. Nothing in the search path uses
+// it any more (DESIGN.md §9 records why); the type survives only because the
+// repository benchmark times a probe into it (sim.cache_lookup_ns) and that
+// benchmark cannot change in the same PR as the code it measures.
 //
-// A cached value can never change a search result: the shared dictionary is
-// append-only (an ID, once assigned, names the same token string forever)
-// and similarity functions are pure, so a hit returns bit-for-bit the value
-// the function would recompute. That makes the cache safe to share across
-// concurrent searches and across dictionary growth with no invalidation
-// protocol at all.
-//
-// The structure is a direct-mapped table of double-word slots in the
-// lockless-transposition-table style: a slot stores the value bits and a
-// check word (key XOR value bits). A reader reconstructs the key from the
-// two words; a torn read — the words belong to different writes — fails the
-// check and reads as a miss, so no lock is ever needed and a hit costs two
-// atomic loads. Collisions simply overwrite (random replacement by hash),
-// which bounds the cache at its slot count with zero bookkeeping; the skew
-// of real query workloads keeps the hot pairs resident. Keys are
-// order-normalized (similarity is symmetric, Def. 1), so (a,b) and (b,a)
-// share a slot.
+// A slot stores the value bits and a check word (key XOR value bits) in the
+// lockless-transposition-table style: a torn read fails the check and reads
+// as a miss, so no lock is needed. Collisions overwrite. Keys are
+// order-normalized, so (a,b) and (b,a) share a slot.
 type PairCache struct {
-	// The slot table is allocated lazily, on the first Put: a manager wires
-	// the cache at construction/recovery time, and zeroing the default
-	// 16 MiB table dominated an otherwise O(manifest) cold start. Readers
-	// load the pointer once per call — nil reads as an all-miss table.
+	// The slot table is allocated on the first Put; a nil table reads as
+	// all misses.
 	slots atomic.Pointer[[]pairSlot]
 	n     int
 	mask  uint64
 	init  sync.Mutex
-	// Counters are plain shared atomics; the hot retrieval loops keep local
-	// tallies and publish them in one AddLookups per scan (see Lookup), so
-	// the contended-RMW rate is per scan, not per probe. Put's fill/evict
-	// updates run at the miss rate, which the same reasoning covers.
-	hits   atomic.Int64
-	misses atomic.Int64
-	evicts atomic.Int64
-	fills  atomic.Int64
 }
 
 // pairSlot holds value bits and key^value. The zero slot reconstructs key
@@ -108,10 +83,7 @@ func (c *PairCache) slotIndex(key uint64) uint64 {
 }
 
 // Lookup returns the cached similarity of the token pair (a, b) and whether
-// it was present, without touching the hit/miss counters. Scan loops use it
-// with local tallies published once per scan via AddLookups — a per-probe
-// counter RMW would serialize every core on the same cache line exactly for
-// the hot pairs the cache exists to serve.
+// it was present.
 func (c *PairCache) Lookup(a, b int32) (float64, bool) {
 	t := c.slots.Load()
 	if t == nil {
@@ -127,77 +99,12 @@ func (c *PairCache) Lookup(a, b int32) (float64, bool) {
 	return math.Float64frombits(val), true
 }
 
-// AddLookups folds a scan's local hit/miss tallies into the counters.
-func (c *PairCache) AddLookups(hits, misses int64) {
-	if hits != 0 {
-		c.hits.Add(hits)
-	}
-	if misses != 0 {
-		c.misses.Add(misses)
-	}
-}
-
-// Get is Lookup with immediate hit/miss accounting — convenient for
-// low-frequency callers and tests.
-func (c *PairCache) Get(a, b int32) (float64, bool) {
-	v, ok := c.Lookup(a, b)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
 // Put stores the similarity of the token pair (a, b), overwriting whatever
-// pair hashed to the same slot (counted as an eviction).
+// pair hashed to the same slot.
 func (c *PairCache) Put(a, b int32, v float64) {
 	key := pairKey(a, b)
 	sl := &(*c.table())[c.slotIndex(key)]
-	oldCheck := sl.check.Load()
-	oldVal := sl.val.Load()
-	switch old := oldCheck ^ oldVal; {
-	case old == 0:
-		c.fills.Add(1)
-	case old != key:
-		c.evicts.Add(1)
-	}
 	bits := math.Float64bits(v)
 	sl.val.Store(bits)
 	sl.check.Store(key ^ bits)
-}
-
-// CacheStats is a point-in-time snapshot of a PairCache's counters.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	Capacity  int64 `json:"capacity"`
-}
-
-// HitRate returns hits / (hits + misses), 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Stats snapshots the counters. Entries is approximate under concurrent
-// writes (fills and evictions race the snapshot); the counters themselves
-// are exact. nil receivers (no cache configured) report zeros, so callers
-// can expose stats unconditionally.
-func (c *PairCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evicts.Load(),
-		Entries:   c.fills.Load(),
-		Capacity:  int64(c.n),
-	}
 }

@@ -8,76 +8,46 @@ import (
 
 func TestPairCacheRoundTrip(t *testing.T) {
 	c := NewPairCache(1024)
-	if _, ok := c.Get(1, 2); ok {
+	if _, ok := c.Lookup(1, 2); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	c.Put(1, 2, 0.75)
-	got, ok := c.Get(1, 2)
+	got, ok := c.Lookup(1, 2)
 	if !ok || got != 0.75 {
-		t.Fatalf("Get(1,2) = %v, %v; want 0.75, true", got, ok)
+		t.Fatalf("Lookup(1,2) = %v, %v; want 0.75, true", got, ok)
 	}
 	// Symmetric keys share the entry (Def. 1 similarity is symmetric).
-	got, ok = c.Get(2, 1)
+	got, ok = c.Lookup(2, 1)
 	if !ok || got != 0.75 {
-		t.Fatalf("Get(2,1) = %v, %v; want 0.75, true", got, ok)
+		t.Fatalf("Lookup(2,1) = %v, %v; want 0.75, true", got, ok)
 	}
 	// Values round-trip bit-for-bit, including 0 and subnormal corners.
 	for _, v := range []float64{0, 1, 0.1 + 0.2, math.SmallestNonzeroFloat64} {
 		c.Put(3, 4, v)
-		if got, ok := c.Get(3, 4); !ok || math.Float64bits(got) != math.Float64bits(v) {
+		if got, ok := c.Lookup(3, 4); !ok || math.Float64bits(got) != math.Float64bits(v) {
 			t.Fatalf("value %v did not round-trip bit-identically (got %v)", v, got)
 		}
 	}
 }
 
-func TestPairCacheStats(t *testing.T) {
-	c := NewPairCache(64)
-	c.Get(5, 6) // miss
-	c.Put(5, 6, 0.5)
-	c.Get(5, 6) // hit
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 entry", st)
-	}
-	if r := st.HitRate(); r != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", r)
-	}
-	if st.Capacity < 64 {
-		t.Fatalf("capacity %d below requested 64", st.Capacity)
-	}
-	// A nil cache (feature disabled) reports zeros instead of panicking.
-	var nilCache *PairCache
-	if s := nilCache.Stats(); s != (CacheStats{}) {
-		t.Fatalf("nil cache stats = %+v, want zeros", s)
-	}
-}
-
 func TestPairCacheBoundedEviction(t *testing.T) {
 	// A tiny cache overwritten with many distinct pairs must stay at its
-	// slot budget and count evictions.
+	// slot budget, and whatever survives must still read back correctly.
 	c := NewPairCache(16)
 	for i := int32(0); i < 1000; i++ {
 		c.Put(i, i+1, float64(i))
 	}
-	st := c.Stats()
-	if st.Entries > st.Capacity {
-		t.Fatalf("entries %d exceed capacity %d", st.Entries, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("1000 inserts into 16 slots recorded no evictions")
-	}
-	// Whatever survives must still read back correctly.
 	hits := 0
 	for i := int32(0); i < 1000; i++ {
-		if v, ok := c.Get(i, i+1); ok {
+		if v, ok := c.Lookup(i, i+1); ok {
 			hits++
 			if v != float64(i) {
 				t.Fatalf("pair (%d,%d) read back %v, want %v", i, i+1, v, float64(i))
 			}
 		}
 	}
-	if hits == 0 {
-		t.Fatal("no surviving entries after eviction churn")
+	if hits == 0 || hits > 16 {
+		t.Fatalf("%d surviving entries after eviction churn, want 1..16", hits)
 	}
 }
 
@@ -95,7 +65,7 @@ func TestPairCacheConcurrent(t *testing.T) {
 			for round := 0; round < 2000; round++ {
 				a := int32((g*31 + round) % 97)
 				b := a + 1 + int32(round%13)
-				if v, ok := c.Get(a, b); ok && v != value(a, b) {
+				if v, ok := c.Lookup(a, b); ok && v != value(a, b) {
 					panic("cache returned a value from a different key")
 				}
 				c.Put(a, b, value(a, b))

@@ -89,13 +89,6 @@ type Config struct {
 	// Close and process crashes are always covered; SyncWAL additionally
 	// covers power loss at one fsync per write.
 	SyncWAL bool
-	// SimCache bounds the cross-query similarity cache in entries: token
-	// pairs whose similarity was computed for one query are reused by every
-	// later query (DESIGN.md §9). 0 selects the default size (~1M entries);
-	// negative disables caching. Cached values cannot change scores — token
-	// IDs are append-only and similarity functions are pure, so a hit
-	// replays exactly the value a recomputation would produce.
-	SimCache int
 	// BatchWorkers bounds concurrent queries inside one SearchBatch call
 	// (default 1: queries run sequentially against the shared snapshot).
 	BatchWorkers int
@@ -137,10 +130,6 @@ type Result struct {
 // field documentation in the internal core package. It feeds the benchmark
 // tables of EXPERIMENTS.md.
 type Stats = core.Stats
-
-// CacheStats snapshots the cross-query similarity cache: hit/miss/eviction
-// counters and current size. All zeros when the cache is disabled.
-type CacheStats = sim.CacheStats
 
 // Engine answers top-k semantic overlap queries over a mutable collection
 // served from immutable segments (DESIGN.md §4). Engines are safe for
@@ -197,7 +186,6 @@ func newEngine(collection []Set, cfg Config, build segment.SourceBuilder) *Engin
 	mgr := segment.NewManager(raw, build, opts, segment.Config{
 		SealThreshold: cfg.SealThreshold,
 		MaxSegments:   cfg.MaxSegments,
-		SimCacheSize:  cfg.SimCache,
 	})
 	return &Engine{mgr: mgr, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}
 }
@@ -234,7 +222,6 @@ func openEngine(dir string, collection []Set, cfg Config, build segment.SourceBu
 		SealThreshold: cfg.SealThreshold,
 		MaxSegments:   cfg.MaxSegments,
 		SyncWAL:       cfg.SyncWAL,
-		SimCacheSize:  cfg.SimCache,
 	})
 	if err != nil {
 		return nil, err
@@ -285,10 +272,6 @@ func (e *Engine) SearchBatch(ctx context.Context, queries [][]string) ([][]Resul
 	}
 	return out, stats, nil
 }
-
-// SimCacheStats snapshots the cross-query similarity cache counters
-// (all zeros when the cache is disabled via Config.SimCache < 0).
-func (e *Engine) SimCacheStats() CacheStats { return e.mgr.SimCacheStats() }
 
 // Insert adds a set to the collection and returns its SetID (a stable
 // handle: seed sets keep their construction index, inserted sets get the

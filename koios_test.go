@@ -422,7 +422,7 @@ func TestSearchBatchPublicAPI(t *testing.T) {
 	queries := [][]string{
 		ds.Collection[0].Elements,
 		ds.Collection[3].Elements,
-		ds.Collection[0].Elements, // repeated: the sim cache's hit source
+		ds.Collection[0].Elements, // repeated
 		ds.Collection[7].Elements,
 	}
 	batch, stats, err := eng.SearchBatch(context.Background(), queries)
@@ -443,22 +443,10 @@ func TestSearchBatchPublicAPI(t *testing.T) {
 			}
 		}
 	}
-	// The repeated query means the shared similarity cache must have hits.
-	if cs := eng.SimCacheStats(); cs.Hits == 0 {
-		t.Fatalf("sim cache stats report zero hits after repeated queries: %+v", cs)
-	}
 	// Canceled batches surface the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := eng.SearchBatch(ctx, queries); err == nil {
 		t.Fatal("canceled SearchBatch returned nil error")
-	}
-}
-
-func TestSimCacheDisabled(t *testing.T) {
-	eng := New(demoCollection(), newFigure1Sim(), Config{K: 2, Alpha: 0.7, SimCache: -1})
-	eng.Search(figure1Query)
-	if cs := eng.SimCacheStats(); cs != (CacheStats{}) {
-		t.Fatalf("disabled sim cache reports non-zero stats: %+v", cs)
 	}
 }

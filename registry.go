@@ -70,7 +70,7 @@ func NewRegistry(seed []Set, fn Similarity, cfg Config) *Registry {
 			return index.NewDynamicFunc(dict, fn)
 		},
 		Opts:        opts,
-		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments, SimCacheSize: cfg.SimCache},
+		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments},
 		Maintenance: cfg.Maintenance,
 	})
 	return &Registry{reg: reg, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}
@@ -88,7 +88,7 @@ func OpenRegistry(dir string, seed []Set, fn Similarity, cfg Config) (*Registry,
 			return index.NewDynamicFunc(dict, fn)
 		},
 		Opts:        opts,
-		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments, SyncWAL: cfg.SyncWAL, SimCacheSize: cfg.SimCache},
+		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments, SyncWAL: cfg.SyncWAL},
 		Maintenance: cfg.Maintenance,
 	})
 	if err != nil {
