@@ -15,15 +15,15 @@
 // to set similarity even when they share no characters. A top-k search
 // returns the k sets with the largest semantic overlap.
 //
-// Computing one semantic overlap requires an O(n³) assignment-problem
-// solve, so scanning a repository is infeasible. Koios is a
-// filter–verification framework: a refinement phase streams vocabulary
+// Computing one semantic overlap requires an assignment-problem solve
+// (O(n³) on a dense matrix), so scanning a repository is infeasible. Koios
+// is a filter–verification framework: a refinement phase streams vocabulary
 // tokens in descending similarity to the query and maintains cheap,
 // incrementally tightening lower and upper bounds per candidate, pruning
 // the vast majority without any matching; a post-processing phase orders
 // the survivors by upper bound, skips matchings whose outcome is already
-// decided (No-EM filter), and aborts matchings whose Hungarian label sum —
-// itself an upper bound — falls below the running top-k threshold. The
+// decided (No-EM filter), and aborts matchings whose dual sum — itself an
+// upper bound — falls below the running top-k threshold. The
 // result is exact.
 //
 // # Quick start

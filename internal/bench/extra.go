@@ -116,7 +116,6 @@ func (r *Runner) Ablation() {
 		{"no-filters", func(o *core.Options) {
 			o.DisableIUB, o.DisableNoEM, o.DisableEarlyTerm = true, true, true
 		}},
-		{"ssp-verifier", func(o *core.Options) { o.Verifier = core.VerifierSSP }},
 	}
 	r.printf("%-14s %14s %10s %10s %10s %10s\n", "Variant", "AvgResponse", "Cand", "iUBPruned", "EMFull", "EMEarly")
 	for _, v := range variants {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/matching"
 	"repro/internal/sets"
 )
 
@@ -49,6 +50,10 @@ type Engine struct {
 	// bitset, edge-cache offsets) so per-query allocation scales with the
 	// stream, not with the vocabulary.
 	scratch sync.Pool
+	// verifyHook, when set (tests only), observes every verification: the
+	// α-graph, the live bound (nil when early termination is off) and the
+	// verdict.
+	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
 }
 
 // queryScratch holds the vocabulary-sized buffers one Search needs.

@@ -132,8 +132,8 @@ func TestSearchAblationsAgree(t *testing.T) {
 			{K: 5, Alpha: 0.7, ExactScores: true, DisableNoEM: true},
 			{K: 5, Alpha: 0.7, ExactScores: true, DisableEarlyTerm: true},
 			{K: 5, Alpha: 0.7, ExactScores: true, DisableIUB: true, DisableNoEM: true, DisableEarlyTerm: true},
-			{K: 5, Alpha: 0.7, ExactScores: true, Verifier: VerifierSSP},
-			{K: 5, Alpha: 0.7, ExactScores: true, Verifier: VerifierSSP, DisableIUB: true, DisableNoEM: true},
+			{K: 5, Alpha: 0.7, ExactScores: true, DisableSandwich: true},
+			{K: 5, Alpha: 0.7, ExactScores: true, DisableIUB: true, DisableNoEM: true},
 		}
 		var want []float64
 		for vi, opt := range variants {

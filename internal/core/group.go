@@ -302,7 +302,8 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		llb.Update(sv.setID, sv.lb)
 	}
 	theta.Update(llb.Bottom())
-	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base)
+	scratch := make([]verifyScratch, opts.Workers)
+	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, scratch)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -314,9 +315,9 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			}
 			// A result set is a proven top-k member, so its score is at
 			// least θlb ≤ θ*k and the bounded verification can never
-			// terminate early (the label sum never drops below the score).
+			// terminate early (the dual sum never drops below the score).
 			eng, _, local := g.locate(r.SetID, base)
-			res := eng.verify(len(query), cache, eng.repo.Set(local), theta)
+			res := eng.verify(len(query), cache, eng.repo.Set(local), theta, &scratch[0])
 			stats.HungarianIterations += res.Iterations
 			stats.VerifyCalls++
 			if res.Skipped {

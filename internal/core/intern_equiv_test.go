@@ -385,23 +385,14 @@ func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, c s
 	for i, q := range rows {
 		rowOf[q] = i
 	}
-	if e.opts.Verifier == VerifierSSP {
-		adj := make([][]matching.SparseEdge, len(rows))
-		for j, ce := range cols {
-			for _, ed := range ce.edges {
-				r := rowOf[ed.qIdx]
-				adj[r] = append(adj[r], matching.SparseEdge{Col: j, W: ed.sim})
-			}
-		}
-		return matching.SparseMatch(adj, len(cols))
-	}
 	var bound func() float64
 	if theta != nil && !e.opts.DisableEarlyTerm {
 		bound = theta.Load
 	}
 	// Mirror of the engine's verification sandwich (verify.go): same maxima,
-	// same prune and shortcut decisions, so EMEarly/EMFull accounting stays
-	// comparable bit for bit.
+	// same prune decisions, so EMEarly/EMFull accounting stays comparable
+	// bit for bit. The solver below is the dense reference, not the engine's
+	// sparse one.
 	var rowMax, colMax []float64
 	if !e.opts.DisableSandwich {
 		rowMax = make([]float64, len(rows))
@@ -432,11 +423,6 @@ func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, c s
 	for j, ce := range cols {
 		for _, ed := range ce.edges {
 			w[rowOf[ed.qIdx]][j] = ed.sim
-		}
-	}
-	if !e.opts.DisableSandwich {
-		if res, ok := matching.TightMatch(w, rowMax); ok {
-			return res
 		}
 	}
 	return matching.HungarianBounded(w, bound)

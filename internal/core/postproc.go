@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/matching"
 	"repro/internal/pqueue"
@@ -39,12 +38,16 @@ func ubMore(a, b ubEntry) bool {
 //
 // ctx is polled once per round of the outer loop; on cancellation postproc
 // returns ctx's error (in-flight verifications of the current round finish
-// first — they are bounded by the label-sum filter).
-func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int) ([]Result, error) {
+// first — they are bounded by the dual-sum filter).
+//
+// scratch holds one verifyScratch per verification worker (opts.Workers of
+// them): the i-th verification of a round runs on scratch[i], and a round is
+// fully collected before the next starts, so no scratch is ever shared.
+func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int, scratch []verifyScratch) ([]Result, error) {
 	opts := g.Engines[0].opts
-	verifyGid := func(gid int) matching.Result {
+	verifyGid := func(gid int, vs *verifyScratch) matching.Result {
 		eng, _, local := g.locate(gid, base)
-		return eng.verify(qN, cache, eng.repo.Set(local), theta)
+		return eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
 	}
 	k := opts.K
 	ub := make(map[int]float64, len(survivors))
@@ -104,6 +107,17 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		qub.Push(ubEntry{ub: so, sid: sid})
 	}
 
+	// Parallel verification with a shared, live θlb: results are applied as
+	// they complete, so a finished matching can raise θlb and early-terminate
+	// its in-flight peers (§VI). Each round sends exactly len(pending) ≤
+	// Workers results, so the channel never blocks a sender.
+	type vres struct {
+		sid int
+		res matching.Result
+	}
+	ch := make(chan vres, opts.Workers)
+	pending := make([]int, 0, k)
+
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -136,7 +150,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		if mutated {
 			continue
 		}
-		pending := make([]int, 0, k)
+		pending = pending[:0]
 		for _, key := range lub.Keys() {
 			if !checked[key] {
 				pending = append(pending, key)
@@ -158,27 +172,16 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 		if len(pending) == 1 {
 			sid := pending[0]
-			apply(sid, verifyGid(sid))
+			apply(sid, verifyGid(sid, &scratch[0]))
 			continue
 		}
-		// Parallel verification with a shared, live θlb: results are applied
-		// as they complete, so a finished matching can raise θlb and
-		// early-terminate its in-flight peers (§VI).
-		type vres struct {
-			sid int
-			res matching.Result
+		for i, sid := range pending {
+			go func(sid int, vs *verifyScratch) {
+				ch <- vres{sid: sid, res: verifyGid(sid, vs)}
+			}(sid, &scratch[i])
 		}
-		ch := make(chan vres, len(pending))
-		var wg sync.WaitGroup
-		for _, sid := range pending {
-			wg.Add(1)
-			go func(sid int) {
-				defer wg.Done()
-				ch <- vres{sid: sid, res: verifyGid(sid)}
-			}(sid)
-		}
-		go func() { wg.Wait(); close(ch) }()
-		for v := range ch {
+		for range pending {
+			v := <-ch
 			apply(v.sid, v.res)
 		}
 	}

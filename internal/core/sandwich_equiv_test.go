@@ -128,21 +128,29 @@ func TestKernelScanEngineEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifySandwich measures the verification sandwich's effect on the
-// dblp-shaped workload (large cardinalities, Hungarian-dominated).
-func BenchmarkVerifySandwich(b *testing.B) {
-	ds := datagen.GenerateDefault(datagen.DBLP, 0.05)
+// BenchmarkVerifyLarge measures whole searches in the regime where
+// verification carries the most weight: the opendata shape at scale 0.1,
+// every set of 100–400 elements as a query (the benchmark's search_large
+// workload), with the sandwich on and off.
+func BenchmarkVerifyLarge(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.OpenData, 0.1)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
-	queries := datagen.NewBenchmark(ds, 17).Queries
+	var queries [][]string
+	for _, s := range ds.Repo.Sets() {
+		if n := len(s.Elements); n >= 100 && n < 400 {
+			queries = append(queries, s.Elements)
+		}
+	}
 	for _, cfg := range []struct {
 		name    string
 		disable bool
-	}{{"sandwich", false}, {"hungarian", true}} {
+	}{{"sandwich", false}, {"solver-only", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, DisableSandwich: cfg.disable})
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Search(queries[i%len(queries)].Elements)
+				eng.Search(queries[i%len(queries)])
 			}
 		})
 	}

@@ -48,8 +48,6 @@ type Options struct {
 	// PruneEvery is the bucket-prune cadence in stream tuples; pruning also
 	// always runs when θlb improves. Default 32.
 	PruneEvery int
-	// Verifier selects the exact-matching algorithm for post-processing.
-	Verifier Verifier
 	// DisableLazy turns off the lazy token-stream cut-off (DESIGN.md §10)
 	// and restores the eager materialize-everything pipeline. The cut-off
 	// needs the first-sight UB filter, so DisableIUB implies it. Results
@@ -64,33 +62,10 @@ type Options struct {
 	// prefixes.
 	LazyBlock int
 	// DisableSandwich turns off the verification sandwich (DESIGN.md §12):
-	// the row/column-maximum UB prune and the tight-matching shortcut that
-	// decide many candidates without running the O(n³) Hungarian solver.
-	// Results are byte-identical either way; the knob is the A/B axis for
-	// benchmarks and equivalence tests.
+	// the row/column-maximum UB prune that rejects many candidates without
+	// running the matching solver. Results are byte-identical either way;
+	// the knob is the A/B axis for benchmarks and equivalence tests.
 	DisableSandwich bool
-}
-
-// Verifier names an exact maximum-matching algorithm.
-type Verifier int
-
-// The available verifiers.
-const (
-	// VerifierHungarian is the dense O(n³) Kuhn–Munkres solver with the
-	// label-sum early-termination filter (the paper's configuration).
-	VerifierHungarian Verifier = iota
-	// VerifierSSP is the sparse successive-shortest-paths solver
-	// (Jonker–Volgenant style). It runs over the α-edges only, which wins
-	// on sparse matching graphs, but has no early-termination filter, so
-	// EM-Early-Terminated pruning is unavailable under it.
-	VerifierSSP
-)
-
-func (v Verifier) String() string {
-	if v == VerifierSSP {
-		return "ssp"
-	}
-	return "hungarian"
 }
 
 // WithDefaults returns the options with zero values replaced by the
@@ -169,12 +144,14 @@ type Stats struct {
 	// cut (every unseen tuple had sim ≤ s).
 	StreamCut      bool
 	StreamCutLevel float64
-	// HungarianIterations sums augmentation phases across all matchings.
+	// HungarianIterations sums the sparse solver's augmentations (one
+	// shortest-path search per query element with an α-edge) across all
+	// matchings; the name predates the sparse verifier.
 	HungarianIterations int
 	// VerifyCalls counts exact-verification calls (post-processing plus
-	// finalization), and HungarianSkipped how many of them the verification
-	// sandwich decided without running the O(n³) solver (DESIGN.md §12).
-	// Their ratio is the hungarian_skipped_frac of the perf harness.
+	// finalization), and HungarianSkipped how many of them the sandwich's
+	// UB prune rejected without running the solver (DESIGN.md §12). Their
+	// ratio is the hungarian_skipped_frac of the perf harness.
 	VerifyCalls      int
 	HungarianSkipped int
 	// Segments is the number of repository segments the search snapshot

@@ -5,113 +5,88 @@ import (
 	"repro/internal/sets"
 )
 
+// verifyScratch is the reusable state of one verification worker: the sparse
+// solver with its CSR and Dijkstra buffers, the edge list handed to it, and
+// the sandwich's maxima and column adjacency. Post-processing owns one per
+// worker for the length of a search; it is never shared between in-flight
+// verifications.
+type verifyScratch struct {
+	solver  matching.SparseSolver
+	edges   []matching.Edge
+	rowMax  []float64
+	colMax  []float64
+	colRows [][]int32
+	flatAdj []int32
+}
+
 // verify computes the exact semantic overlap of the query and candidate c by
 // maximum-weight bipartite matching over the cached α-edges. When theta is
-// non-nil and early termination is enabled, the Hungarian solver aborts as
-// soon as its label sum — an upper bound on the final score — drops below
-// the current global θlb (Lemma 8), certifying that c cannot reach the
-// top-k.
+// non-nil and early termination is enabled, the solver aborts as soon as its
+// dual sum — an upper bound on the final score — drops below the current
+// global θlb (Lemma 8), certifying that c cannot reach the top-k.
 //
-// The matrix is restricted to query elements and candidate tokens that have
-// at least one α-edge; all other elements can only contribute zero-weight
-// pairs, which the optional matching never needs. This keeps the O(n³)
-// matching at the size of the connected subgraph rather than the full sets.
-// Edges are fetched by interned token ID straight from the ID-indexed cache
+// The graph is the α-edges themselves: rows are query element indices,
+// columns the candidate tokens with at least one α-edge in candidate order,
+// edges fetched by interned token ID straight from the ID-indexed cache
 // (c.ElemIDs is always in-vocabulary: repository sets define the
-// vocabulary), and rows are numbered in ascending query-element order via a
-// dense qN-sized table — no maps, no sorting.
-func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax) matching.Result {
-	cols := make([][]qEdge, 0, len(c.ElemIDs))
-	rowOf := make([]int32, qN) // qIdx -> row+1; 0 = absent
-	rows := 0
+// vocabulary). Nothing is densified — the solver's cost follows the edge
+// count, not |Q|·|C|.
+func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, vs *verifyScratch) matching.Result {
+	vs.edges = vs.edges[:0]
+	cols := 0
 	for _, tid := range c.ElemIDs {
 		edges := cache.edges(tid)
 		if len(edges) == 0 {
 			continue
 		}
-		cols = append(cols, edges)
 		for _, ed := range edges {
-			if rowOf[ed.qIdx] == 0 {
-				rowOf[ed.qIdx] = 1
-				rows++
-			}
+			vs.edges = append(vs.edges, matching.Edge{Q: int(ed.qIdx), C: cols, W: ed.sim})
 		}
+		cols++
 	}
-	if len(cols) == 0 {
+	if cols == 0 {
 		return matching.Result{}
-	}
-	// Deterministic row order: ascending query element index.
-	r := int32(0)
-	for qi := range rowOf {
-		if rowOf[qi] != 0 {
-			r++
-			rowOf[qi] = r
-		}
-	}
-	if e.opts.Verifier == VerifierSSP {
-		adj := make([][]matching.SparseEdge, rows)
-		for j, edges := range cols {
-			for _, ed := range edges {
-				r := rowOf[ed.qIdx] - 1
-				adj[r] = append(adj[r], matching.SparseEdge{Col: j, W: ed.sim})
-			}
-		}
-		return matching.SparseMatch(adj, len(cols))
 	}
 	var bound func() float64
 	if theta != nil && !e.opts.DisableEarlyTerm {
 		bound = theta.Load
 	}
 	// Verification sandwich (DESIGN.md §12): row/column maxima, read straight
-	// off the edge lists, bracket the Hungarian optimum from above. Σ rowMax
-	// is bit-identical to the solver's initial label sum, so the UB prune is
-	// a superset of its entry check; a tight row-perfect matching replays the
-	// solver's exact result. Both pre-solvers are conclusive-or-silent —
+	// off the edge list, bracket the optimum from above. Σ rowMax is
+	// bit-identical to the solver's initial dual sum, so the UB prune is a
+	// superset of its entry check. The pre-solver is conclusive-or-silent —
 	// results are byte-identical with the sandwich disabled.
-	var rowMax, colMax []float64
-	if !e.opts.DisableSandwich {
-		rowMax = make([]float64, rows)
-		colMax = make([]float64, len(cols))
-		colRows := make([][]int32, len(cols))
-		nEdges := 0
-		for _, edges := range cols {
-			nEdges += len(edges)
+	res := matching.Result{Pruned: true, Skipped: true}
+	if bound == nil || e.opts.DisableSandwich || !vs.sandwichPrune(qN, cols, bound) {
+		res = vs.solver.Solve(qN, cols, vs.edges, bound)
+	}
+	if e.verifyHook != nil {
+		e.verifyHook(qN, cols, vs.edges, bound, res)
+	}
+	return res
+}
+
+// sandwichPrune derives SandwichPrune's inputs from vs.edges, which verify
+// filled column by column: maxima per row and column, and each column's row
+// adjacency as a slice of one flat array.
+func (vs *verifyScratch) sandwichPrune(rows, cols int, bound func() float64) bool {
+	vs.rowMax = append(vs.rowMax[:0], make([]float64, rows)...)
+	vs.colMax = append(vs.colMax[:0], make([]float64, cols)...)
+	vs.colRows = append(vs.colRows[:0], make([][]int32, cols)...)
+	vs.flatAdj = append(vs.flatAdj[:0], make([]int32, len(vs.edges))...)
+	start := 0
+	for i, ed := range vs.edges {
+		vs.flatAdj[i] = int32(ed.Q)
+		if ed.W > vs.rowMax[ed.Q] {
+			vs.rowMax[ed.Q] = ed.W
 		}
-		flatAdj := make([]int32, 0, nEdges)
-		for j, edges := range cols {
-			base := len(flatAdj)
-			for _, ed := range edges {
-				r := rowOf[ed.qIdx] - 1
-				flatAdj = append(flatAdj, r)
-				if ed.sim > rowMax[r] {
-					rowMax[r] = ed.sim
-				}
-				if ed.sim > colMax[j] {
-					colMax[j] = ed.sim
-				}
-			}
-			colRows[j] = flatAdj[base:]
+		if ed.W > vs.colMax[ed.C] {
+			vs.colMax[ed.C] = ed.W
 		}
-		if matching.SandwichPrune(rowMax, colMax, colRows, bound) {
-			return matching.Result{Pruned: true, Skipped: true}
+		if i+1 == len(vs.edges) || vs.edges[i+1].C != ed.C {
+			vs.colRows[ed.C] = vs.flatAdj[start : i+1]
+			start = i + 1
 		}
 	}
-	// One flat backing array for the similarity matrix: rows+1 allocations
-	// become two.
-	flat := make([]float64, rows*len(cols))
-	w := make([][]float64, rows)
-	for i := range w {
-		w[i] = flat[i*len(cols) : (i+1)*len(cols)]
-	}
-	for j, edges := range cols {
-		for _, ed := range edges {
-			w[rowOf[ed.qIdx]-1][j] = ed.sim
-		}
-	}
-	if !e.opts.DisableSandwich {
-		if res, ok := matching.TightMatch(w, rowMax); ok {
-			return res
-		}
-	}
-	return matching.HungarianBounded(w, bound)
+	return matching.SandwichPrune(vs.rowMax, vs.colMax, vs.colRows, bound)
 }

@@ -140,31 +140,27 @@ func MappingBetween(src index.NeighborSource, alpha float64, query, target []str
 	for j, e := range target {
 		inTarget[e] = j
 	}
-	w := make([][]float64, len(query))
-	any := false
+	var edges []matching.Edge
 	for i, q := range query {
-		w[i] = make([]float64, len(target))
 		if j, ok := inTarget[q]; ok {
-			w[i][j] = 1
-			any = true
+			edges = append(edges, matching.Edge{Q: i, C: j, W: 1})
 		}
 		for _, n := range src.Neighbors(q, alpha) {
 			if j, ok := inTarget[n.Token]; ok && n.Token != q {
-				w[i][j] = n.Sim
-				any = true
+				edges = append(edges, matching.Edge{Q: i, C: j, W: n.Sim})
 			}
 		}
 	}
-	if !any {
+	if len(edges) == 0 {
 		return nil
 	}
-	res := matching.Hungarian(w)
+	var solver matching.SparseSolver
+	match := solver.Solve(len(query), len(target), edges, nil).Match
 	var pairs []Pair
-	for i, j := range res.Match {
-		if j == -1 {
-			continue
+	for _, e := range edges {
+		if match[e.Q] == e.C {
+			pairs = append(pairs, Pair{QueryElement: query[e.Q], SetElement: target[e.C], Sim: e.W})
 		}
-		pairs = append(pairs, Pair{QueryElement: query[i], SetElement: target[j], Sim: w[i][j]})
 	}
 	sort.Slice(pairs, func(a, b int) bool {
 		if pairs[a].Sim != pairs[b].Sim {

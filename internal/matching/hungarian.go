@@ -1,9 +1,10 @@
 // Package matching implements the bipartite graph machinery behind the
-// semantic overlap measure: an O(n³) Kuhn–Munkres (Hungarian) solver for
-// maximum-weight matchings, a label-sum early-termination variant that
-// realizes the paper's EM-Early-Terminated filter (Lemma 8), the ½-approximate
-// greedy matching used by the LB filter, and an exponential brute-force
-// reference used in tests.
+// semantic overlap measure: a sparse successive-shortest-paths solver over
+// the α-edges whose dual sum realizes the paper's EM-Early-Terminated filter
+// (Lemma 8) — the verifier the engine runs — the dense O(n³) Kuhn–Munkres
+// (Hungarian) solver with the same filter kept as the reference, the
+// ½-approximate greedy matching used by the LB filter, and an exponential
+// brute-force reference used in tests.
 //
 // All solvers compute *optional* one-to-one matchings (Def. 1 of the paper):
 // elements may stay unmatched, which for non-negative weights is equivalent
@@ -21,17 +22,15 @@ type Result struct {
 	// the row is effectively unmatched (unassigned or assigned a zero-weight
 	// padding edge).
 	Match []int
-	// Pruned reports that the solver aborted early because the Hungarian
-	// label sum — an upper bound on the final score — fell below the bound
+	// Pruned reports that the solver aborted early because its dual (label)
+	// sum — an upper bound on the final score — fell below the bound
 	// supplied by the caller. Score and Match are meaningless when set.
 	Pruned bool
 	// Iterations counts augmentation phases, exposed for the bench harness
 	// to quantify how much work early termination saves.
 	Iterations int
-	// Skipped reports that the result was produced by the pre-solver
-	// sandwich (SandwichPrune / TightMatch) without running the O(n³)
-	// solver. The values carried are identical to what the solver would
-	// have returned.
+	// Skipped reports that the verdict came from SandwichPrune without
+	// running a solver; it is the verdict the solver would have returned.
 	Skipped bool
 }
 

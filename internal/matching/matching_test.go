@@ -137,7 +137,7 @@ func TestSolversAgreeQuick(t *testing.T) {
 		if math.Abs(Hungarian(w).Score-opt) > 1e-9 {
 			return false
 		}
-		if math.Abs(SparseMatchDense(w).Score-opt) > 1e-9 {
+		if math.Abs(solveSparse(w, nil).Score-opt) > 1e-9 {
 			return false
 		}
 		g := Greedy(edgesOf(w)).Score

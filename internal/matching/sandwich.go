@@ -2,14 +2,12 @@ package matching
 
 import "sort"
 
-// The verification sandwich: two O(n²)-or-better pre-solvers that bracket the
-// Hungarian optimum from above and decide many candidates without running the
-// O(n³) solver. SandwichPrune certifies the optimum below the caller's bound
-// from row/column maxima alone; TightMatch recognizes matrices whose optimum
-// is achieved entirely by row-maximum ("tight") edges and returns the exact
-// Hungarian result directly. Both are conclusive-or-silent: when they cannot
-// decide, the caller falls through to HungarianBounded and nothing has
-// changed. DESIGN.md §12 gives the byte-identity argument.
+// The verification sandwich: a pre-solver that brackets the matching optimum
+// from above and decides many candidates without running a solver.
+// SandwichPrune certifies the optimum below the caller's bound from
+// row/column maxima alone. It is conclusive-or-silent: when it cannot decide,
+// the caller falls through to the bounded solver and nothing has changed.
+// DESIGN.md §12 gives the byte-identity argument.
 
 // SandwichPrune reports whether the matching optimum of a weight matrix with
 // the given row and column maxima is certifiably below bound()−BoundEps.
@@ -38,10 +36,10 @@ import "sort"
 // be nil to skip the cardinality refinement.
 //
 // A true return certifies optimum < bound−BoundEps, which is precisely the
-// condition under which HungarianBounded(w, bound) returns Pruned (its label
-// sum decreases monotonically to the optimum with a bound check at every
-// step), so pruning here changes no result and no EM accounting — only the
-// iteration count spent reaching the same verdict.
+// condition under which the bounded solvers (SparseSolver.Solve,
+// HungarianBounded) return Pruned — their dual sum decreases monotonically to
+// the optimum with a bound check at every step — so pruning here changes no
+// result and no EM accounting, only the work spent reaching the same verdict.
 func SandwichPrune(rowMax, colMax []float64, colRows [][]int32, bound func() float64) bool {
 	if bound == nil {
 		return false
@@ -122,79 +120,4 @@ func matchCardinality(colRows [][]int32, rows, limit int) int {
 		}
 	}
 	return nu
-}
-
-// TightMatch attempts to solve the matching without the Hungarian machinery:
-// it searches for a matching that assigns every row a distinct column whose
-// weight equals that row's maximum exactly (a "tight" edge, float equality).
-// When one exists, the Hungarian solver provably performs zero label updates
-// — with initial labels lx[i]=rowMax[i], ly[j]=0 an augmenting path inside
-// the equality graph always exists (symmetric difference with the tight
-// matching), so every delta is exactly 0.0 — and scores each row at exactly
-// rowMax[i]. The returned Result replays that outcome byte for byte: Score
-// sums rowMax in ascending row order (the solver's final summation order),
-// Iterations is one per root of the padded square matrix, and Skipped records
-// that the solver never ran. The second return is false when no tight
-// row-perfect matching exists or the shape rules one out (more rows than
-// columns, or a zero row maximum); callers must then run HungarianBounded.
-func TightMatch(w [][]float64, rowMax []float64) (Result, bool) {
-	nr := len(w)
-	nc := 0
-	for _, row := range w {
-		if len(row) > nc {
-			nc = len(row)
-		}
-	}
-	if nr > nc {
-		return Result{}, false // some row would be forced onto a padding column
-	}
-	for _, v := range rowMax {
-		if v <= 0 {
-			return Result{}, false // degenerate row: let the solver handle it
-		}
-	}
-
-	// Kuhn's augmenting-path matching restricted to tight cells. The matching
-	// found may differ from the solver's, but every tight matching yields the
-	// same per-row scores, and Match is not consumed by the engine's
-	// accounting — only Score, Pruned, and Iterations are.
-	colRow := make([]int, nc)
-	for j := range colRow {
-		colRow[j] = -1
-	}
-	match := make([]int, nr)
-	visited := make([]bool, nc)
-	var augment func(i int) bool
-	augment = func(i int) bool {
-		for j := 0; j < len(w[i]); j++ {
-			if visited[j] || w[i][j] != rowMax[i] {
-				continue
-			}
-			visited[j] = true
-			if colRow[j] == -1 || augment(colRow[j]) {
-				colRow[j] = i
-				match[i] = j
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; i < nr; i++ {
-		for j := range visited {
-			visited[j] = false
-		}
-		if !augment(i) {
-			return Result{}, false
-		}
-	}
-
-	score := 0.0
-	for i := 0; i < nr; i++ {
-		score += rowMax[i]
-	}
-	n := nc
-	if nr > n {
-		n = nr
-	}
-	return Result{Score: score, Match: match, Iterations: n, Skipped: true}, true
 }

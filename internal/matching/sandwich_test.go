@@ -26,53 +26,6 @@ func maxima(w [][]float64, cols int) (rowMax, colMax []float64, colRows [][]int3
 	return rowMax, colMax, colRows
 }
 
-// TestTightMatchEqualsHungarian: whenever TightMatch claims a result, it must
-// be byte-identical (Score and Iterations) to the full solver's.
-func TestTightMatchEqualsHungarian(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	claimed := 0
-	for trial := 0; trial < 4000; trial++ {
-		rows, cols := 1+rng.Intn(6), 1+rng.Intn(6)
-		density := 0.3 + 0.7*rng.Float64()
-		w := randMatrix(rng, rows, cols, density)
-		if trial%2 == 0 {
-			// Plant a tight diagonal so the shortcut actually fires often:
-			// make each row's maximum sit on a distinct column when possible.
-			for i := range w {
-				if i < cols {
-					w[i][i] = 0.9 + 0.1*rng.Float64()
-				}
-			}
-		}
-		rowMax, _, _ := maxima(w, cols)
-		res, ok := TightMatch(w, rowMax)
-		if !ok {
-			continue
-		}
-		claimed++
-		if !res.Skipped {
-			t.Fatal("TightMatch result not marked Skipped")
-		}
-		ref := Hungarian(w)
-		if res.Score != ref.Score {
-			t.Fatalf("trial %d: TightMatch score %v, Hungarian %v (w=%v)", trial, res.Score, ref.Score, w)
-		}
-		if res.Iterations != ref.Iterations {
-			t.Fatalf("trial %d: TightMatch iterations %d, Hungarian %d", trial, res.Iterations, ref.Iterations)
-		}
-		usedCols := map[int]bool{}
-		for i, j := range res.Match {
-			if j < 0 || j >= cols || usedCols[j] || w[i][j] != rowMax[i] {
-				t.Fatalf("trial %d: invalid tight match %v", trial, res.Match)
-			}
-			usedCols[j] = true
-		}
-	}
-	if claimed < 500 {
-		t.Fatalf("shortcut fired only %d times; test not exercising it", claimed)
-	}
-}
-
 // TestSandwichPruneSound: a true SandwichPrune certifies the true optimum is
 // below the bound, exactly like a Pruned HungarianBounded result.
 func TestSandwichPruneSound(t *testing.T) {

@@ -741,6 +741,9 @@ func (s *Server) serveOverlap(w http.ResponseWriter, r *http.Request, col *colle
 }
 
 // pairwise computes the three measures from the neighbor source's edges.
+// Memory follows the number of α-edges, never |A|·|B|: both set sizes are
+// bounded only by MaxQueryElements, and a dense matrix at that limit would be
+// tens of gigabytes.
 func pairwise(a, b []string, src index.NeighborSource, alpha float64) (sem, greedy float64, vanilla int) {
 	a, b = dedup(a), dedup(b)
 	inB := make(map[string]int, len(b))
@@ -748,17 +751,13 @@ func pairwise(a, b []string, src index.NeighborSource, alpha float64) (sem, gree
 		inB[y] = j
 	}
 	var edges []matching.Edge
-	w := make([][]float64, len(a))
 	for i, x := range a {
-		w[i] = make([]float64, len(b))
 		if j, ok := inB[x]; ok {
 			vanilla++
-			w[i][j] = 1
 			edges = append(edges, matching.Edge{Q: i, C: j, W: 1})
 		}
 		for _, n := range src.Neighbors(x, alpha) {
 			if j, ok := inB[n.Token]; ok && n.Token != x {
-				w[i][j] = n.Sim
 				edges = append(edges, matching.Edge{Q: i, C: j, W: n.Sim})
 			}
 		}
@@ -766,7 +765,8 @@ func pairwise(a, b []string, src index.NeighborSource, alpha float64) (sem, gree
 	if len(edges) == 0 {
 		return 0, 0, 0
 	}
-	return matching.Hungarian(w).Score, matching.Greedy(edges).Score, vanilla
+	var solver matching.SparseSolver
+	return solver.Solve(len(a), len(b), edges, nil).Score, matching.Greedy(edges).Score, vanilla
 }
 
 // InfoResponse is the body of GET /v1/info.

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -486,6 +488,51 @@ func TestPairwiseNoEdges(t *testing.T) {
 	sem, greedy, vanilla := pairwise([]string{"a"}, []string{"b"}, src, 0.8)
 	if sem != 0 || greedy != 0 || vanilla != 0 {
 		t.Fatalf("disjoint OOV sets scored %v/%v/%d", sem, greedy, vanilla)
+	}
+}
+
+// chainSource is a synthetic neighbor source over tokens "a<i>"/"b<i>":
+// a<i> is similar to b<i> at 0.9 and to b<i+1> at 0.95, nothing else.
+type chainSource struct{}
+
+func (chainSource) Neighbors(q string, alpha float64) []index.Neighbor {
+	var i int
+	if _, err := fmt.Sscanf(q, "a%d", &i); err != nil {
+		return nil
+	}
+	return []index.Neighbor{
+		{Token: fmt.Sprintf("b%d", i+1), Sim: 0.95},
+		{Token: fmt.Sprintf("b%d", i), Sim: 0.9},
+	}
+}
+
+// TestPairwiseLargeSetsBoundedMemory: /v1/overlap accepts up to
+// MaxQueryElements per side, so pairwise must cost memory in the α-edges,
+// not |A|·|B| — a dense float64 matrix of this pair is 7 GB. Half of A
+// occurs in B verbatim; the other half chains onto B's b-tokens, where the
+// optimum shifts every row onto its 0.95 edge and leaves the last row out.
+func TestPairwiseLargeSetsBoundedMemory(t *testing.T) {
+	const n = 30000
+	a, b := make([]string, n), make([]string, n)
+	for i := 0; i < n; i++ {
+		a[i] = fmt.Sprintf("a%d", i)
+		b[i] = a[i]
+		if i >= n/2 {
+			b[i] = fmt.Sprintf("b%d", i)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sem, greedy, vanilla := pairwise(a, b, chainSource{}, 0.8)
+	runtime.ReadMemStats(&after)
+	if want := float64(n/2) + 0.95*float64(n/2-1); math.Abs(sem-want) > 1e-6 {
+		t.Fatalf("semantic = %v, want %v", sem, want)
+	}
+	if vanilla != n/2 || greedy > sem+1e-9 || greedy < sem/2 {
+		t.Fatalf("vanilla %d, greedy %v (semantic %v)", vanilla, greedy, sem)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("pairwise of two %d-element sets allocated %d MB, want < 64", n, grew>>20)
 	}
 }
 
