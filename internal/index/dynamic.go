@@ -144,7 +144,7 @@ func (e *DynamicExact) current() *vecView {
 	if len(old.rowOf) >= n {
 		return old // another Sync got here first
 	}
-	next := *old // appends below never touch what old's readers can see
+	next := *old // add writes only lanes no row of old owns: its readers never see them
 	for vi := len(old.rowOf); vi < n; vi++ {
 		tok := vocab[vi]
 		row := int32(-1)
@@ -199,5 +199,5 @@ func (e *DynamicExact) PairSim(a, b string) float64 {
 	if ai < 0 || bi < 0 {
 		return 0
 	}
-	return sim.Dot(v.row(ai), v.row(bi))
+	return v.dot(ai, bi)
 }

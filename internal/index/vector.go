@@ -32,87 +32,158 @@ type NeighborSource interface {
 	Neighbors(q string, alpha float64) []Neighbor
 }
 
-// vecRows is the vector storage Exact and DynamicExact share: one
-// contiguous row-major arena of L2-normalized vectors with a fixed stride
-// (the length of the first vector added), plus each row's token and
-// vocabulary ID. It is append-only — add never writes below the current
-// length — so a copy of the struct is an immutable view of the rows it was
-// taken over, however the original grows afterwards.
+// vecRows is the vector storage Exact and DynamicExact share: one arena of
+// L2-normalized vectors with a fixed stride (the length of the first vector
+// added), plus each row's token and vocabulary ID. The arena is
+// block-interleaved: rows 4b…4b+3 form block b, and element j of the four
+// rows is contiguous, so one 16-byte load feeds four per-row accumulators —
+// one row in each vector lane (DESIGN.md §12).
+//
+// It is append-only: add writes only the lanes of the row it appends, never
+// a float32 that an earlier row owns, so a copy of the struct is an
+// immutable view of the rows it was taken over, however the original grows
+// afterwards. A view reads the ⌊n/4⌋ full blocks whole and the ≤ 3 rows of
+// its partial last block lane by lane; the remaining lanes of that block
+// belong to rows the view does not have.
 //
 // Scores are bit-identical to sim.Dot over normalizeCopy vectors: the same
-// float64(a[i])*float64(b[i]) products summed in index order with the same
-// clamps (DESIGN.md §12). A vector whose length differs from the stride is
-// stored as a zero row and scores 0 against everything, as sim.Dot's length
-// check made it do against every stride-length vector.
+// float64(a[j])*float64(b[j]) products summed in index order into one
+// accumulator per row, with the same clamps. A vector whose length differs
+// from the stride is stored as a zero row and scores 0 against everything,
+// as sim.Dot's length check made it do against every stride-length vector.
 type vecRows struct {
 	tokens []string
 	ids    []int32 // vocabulary position of each row's token
 	dim    int
-	data   []float32 // row i is data[i*dim : (i+1)*dim]
+	data   []float32 // element j of row i is data[(i/4*dim+j)*4+i%4]
 }
 
-// add appends one row: v copied and normalized exactly as normalizeCopy
-// does it.
+// useAVX routes dotBlocks to the AVX kernel. Set once at init, on amd64,
+// from CPUID (dot_amd64.go); tests clear it to run the portable loop.
+var useAVX bool
+
+// lane returns the arena offset of element 0 of row i; element j is 4j
+// further on.
+func (r *vecRows) lane(i int) int { return (i&^3)*r.dim + i&3 }
+
+// add appends one row: v normalized with normalize32's arithmetic, written
+// straight into the row's lane.
 func (r *vecRows) add(tok string, id int32, v []float32) {
-	if len(r.tokens) == 0 {
+	i := len(r.tokens)
+	if i == 0 {
 		r.dim = len(v)
 	}
 	r.tokens = append(r.tokens, tok)
 	r.ids = append(r.ids, id)
-	at := len(r.data)
+	if i%4 == 0 {
+		r.data = append(r.data, make([]float32, 4*r.dim)...) // a new zero block
+	}
 	if len(v) != r.dim {
-		r.data = append(r.data, make([]float32, r.dim)...)
 		return
 	}
-	r.data = append(r.data, v...)
-	normalize32(r.data[at:])
+	var n float64
+	for _, x := range v {
+		n += float64(x) * float64(x)
+	}
+	n = math.Sqrt(n)
+	at := r.lane(i)
+	for j, x := range v {
+		if n != 0 {
+			x = float32(float64(x) / n)
+		}
+		r.data[at+4*j] = x
+	}
 }
 
-// row returns row i of the arena.
-func (r *vecRows) row(i int) []float32 { return r.data[i*r.dim : (i+1)*r.dim] }
+// dot returns the similarity of rows a and b: sim.Dot's arithmetic over the
+// two lanes.
+func (r *vecRows) dot(a, b int) float64 {
+	pa, pb := r.lane(a), r.lane(b)
+	var d float64
+	for j := 0; j < 4*r.dim; j += 4 {
+		d += float64(r.data[pa+j]) * float64(r.data[pb+j])
+	}
+	return clamp01(d)
+}
+
+// clamp01 is sim.Dot's clamp of a raw dot product to [0, 1]; NaN passes
+// through.
+func clamp01(s float64) float64 {
+	if s < 0 {
+		return 0
+	}
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// dotBlocksGo is the scan's inner loop in portable Go, and the reference
+// the AVX kernel is tested against: out[4b+l] = Σ_j q[j]·float64(element j
+// of row 4b+l), unclamped, for the len(out)/4 blocks data starts with.
+func dotBlocksGo(q []float64, data []float32, out []float64) {
+	for b := 0; 4*b+4 <= len(out); b++ {
+		blk := data[4*b*len(q):][:4*len(q)]
+		var d0, d1, d2, d3 float64
+		// Both slices shrink as the loop advances, so its condition is
+		// the only bounds check.
+		for qs := q; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
+			d0 += qs[0] * float64(blk[0])
+			d1 += qs[0] * float64(blk[1])
+			d2 += qs[0] * float64(blk[2])
+			d3 += qs[0] * float64(blk[3])
+		}
+		o := out[4*b:][:4]
+		o[0], o[1], o[2], o[3] = d0, d1, d2, d3
+	}
+}
+
+// scanChunk is how many blocks one dotBlocks call covers: its dots stay in
+// L1 until the emit pass reads them, and the assembly kernel, which cannot
+// be preempted, returns to Go every 256 rows.
+const scanChunk = 64
 
 // scan appends every row except qi with similarity ≥ alpha to buf,
-// unsorted. The query row is widened to float64 once, and four rows advance
-// together, sharing each q[j] load and the loop overhead: a quarter more
-// search throughput than one row at a time on the repository benchmark.
-// Every row still has its own accumulator summed in index order, so each
-// score is sim.Dot's.
+// unsorted. The query row is widened to float64 once; the full blocks go
+// through dotBlocks a chunk at a time and the rows of a partial last block
+// through dot.
 func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 	q := make([]float64, r.dim)
-	for j, x := range r.row(qi) {
-		q[j] = float64(x)
+	for j, at := 0, r.lane(qi); j < len(q); j++ {
+		q[j] = float64(r.data[at+4*j])
 	}
-	emit := func(i int, s float64) {
-		if s < 0 { // sim.Dot's clamps
-			s = 0
-		} else if s > 1 {
-			s = 1
-		}
-		if s >= alpha && i != qi {
-			buf = append(buf, Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
-		}
+	n := len(r.tokens)
+	full := n &^ 3
+	var dots [4 * scanChunk]float64
+	for i := 0; i < full; i += len(dots) {
+		out := dots[:min(len(dots), full-i)]
+		dotBlocks(q, r.data[i*r.dim:], out)
+		buf = r.appendMatches(buf, i, out, qi, alpha)
 	}
-	dim, n := r.dim, len(r.tokens)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		rows := r.data[i*dim : (i+4)*dim]
-		r0, r1, r2, r3 := rows[:dim], rows[dim:2*dim], rows[2*dim:3*dim], rows[3*dim:]
-		// Resliced to len(q) so the inner loop carries no bounds checks.
-		r0, r1, r2, r3 = r0[:len(q)], r1[:len(q)], r2[:len(q)], r3[:len(q)]
-		var d0, d1, d2, d3 float64
-		for j, x := range q {
-			d0 += x * float64(r0[j])
-			d1 += x * float64(r1[j])
-			d2 += x * float64(r2[j])
-			d3 += x * float64(r3[j])
-		}
-		emit(i, d0)
-		emit(i+1, d1)
-		emit(i+2, d2)
-		emit(i+3, d3)
+	for i := full; i < n; i++ {
+		dots[i-full] = r.dot(qi, i)
 	}
-	for ; i < n; i++ {
-		emit(i, sim.Dot(r.row(qi), r.row(i)))
+	return r.appendMatches(buf, full, dots[:n-full], qi, alpha)
+}
+
+// appendMatches appends rows first, first+1, … whose raw dots clamp to a
+// similarity ≥ alpha, except row qi. For α in (0, 1] a raw dot below α
+// stays below it once clamped, so nearly every row leaves on the first
+// compare; α ≤ 0 admits what the lower clamp raises to 0, so there every
+// row takes the full test. NaN (as score or α) matches nothing, as in
+// clamp-then-compare.
+func (r *vecRows) appendMatches(buf []Neighbor, first int, dots []float64, qi int, alpha float64) []Neighbor {
+	cut := alpha
+	if alpha <= 0 {
+		cut = math.Inf(-1)
+	}
+	for k, s := range dots {
+		if s < cut {
+			continue
+		}
+		if s = clamp01(s); s >= alpha && first+k != qi {
+			buf = append(buf, Neighbor{Token: r.tokens[first+k], Sim: s, ID: r.ids[first+k]})
+		}
 	}
 	return buf
 }
@@ -176,7 +247,7 @@ func (e *Exact) PairSim(a, b string) float64 {
 	if !ok {
 		return 0
 	}
-	return sim.Dot(e.rows.row(ai), e.rows.row(bi))
+	return e.rows.dot(ai, bi)
 }
 
 // IVF is an inverted-file approximate vector index in the style of Faiss

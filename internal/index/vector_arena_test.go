@@ -77,81 +77,321 @@ func sameNeighborBits(got, want []Neighbor) error {
 	return nil
 }
 
-// scorer is what Exact and DynamicExact both offer.
-type scorer interface {
-	NeighborSource
-	CompleteScorer
+// scanModes runs f on the scan this CPU selected and, where that is the AVX
+// kernel, once more on the portable loop.
+func scanModes(f func(mode string)) {
+	f("selected")
+	if useAVX {
+		useAVX = false
+		defer func() { useAVX = true }()
+		f("portable")
+	}
 }
 
-// TestVectorArenaBitIdentical: the arena scan (four rows at a time, query
-// row widened once) must reproduce sim.Dot over normalizeCopy vectors bit
-// for bit, on Exact and DynamicExact alike — the repository benchmark's
-// output check compares served scores with an index.NewExact reference for
-// equality, and every equivalence test in core compares scores across
-// sources the same way.
+// drain empties a cursor in chunks of seven.
+func drain(c NeighborCursor) []Neighbor {
+	var out []Neighbor
+	for chunk := c.Next(7); len(chunk) > 0; chunk = c.Next(7) {
+		out = append(out, chunk...)
+	}
+	return out
+}
+
+// TestVectorArenaBitIdentical: the arena scan (one row per vector lane,
+// query row widened once) must reproduce sim.Dot over normalizeCopy vectors
+// bit for bit — AVX kernel, portable loop and strided PairSim alike, on
+// Exact and DynamicExact — because the repository benchmark's output check
+// compares served scores with an index.NewExact reference for equality, and
+// every equivalence test in core compares scores across sources the same
+// way. The sizes sit on the scan's seams: no full block, the kernel's
+// one-block remainder loop, its eight-block loop, a whole 64-block chunk,
+// each with and without tail rows.
 func TestVectorArenaBitIdentical(t *testing.T) {
 	t.Run("growth", testVectorArenaGrowth)
-	rng := rand.New(rand.NewSource(91))
-	for _, dim := range []int{1, 3, 32, 33} {
-		for _, n := range []int{3, 8, 61} {
-			f := newArenaFixture(rng, n, dim)
-			dict, err := sets.NewDictionaryFromTokens(f.tokens)
-			if err != nil {
-				t.Fatal(err)
+	scanModes(func(mode string) {
+		rng := rand.New(rand.NewSource(91))
+		for _, dim := range []int{1, 3, 32, 33, 300} {
+			for _, n := range []int{0, 1, 3, 4, 5, 31, 32, 33, 35, 36, 61, 255, 256, 257, 260} {
+				testArenaSeam(t, mode, newArenaFixture(rng, n, dim), dim)
 			}
-			sources := map[string]scorer{
-				"Exact":        NewExact(f.tokens, f.vec),
-				"DynamicExact": NewDynamicExact(dict, f.vec),
+		}
+	})
+}
+
+func testArenaSeam(t *testing.T, mode string, f *arenaFixture, dim int) {
+	n := len(f.tokens)
+	dict, err := sets.NewDictionaryFromTokens(f.tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]interface {
+		NeighborSource
+		LazySource
+		CompleteScorer
+	}{
+		"Exact":        NewExact(f.tokens, f.vec),
+		"DynamicExact": NewDynamicExact(dict, f.vec),
+	}
+	// Small fixtures query every row; large ones the first row, the zero
+	// and the off-stride row, a row in a full block, the first row after
+	// the full blocks and the last row.
+	var queries []int
+	for qi := 0; qi < n; qi++ {
+		if n <= 36 || qi == 0 || qi == 2 || qi == 5 || qi == n/2 || qi == n&^3 || qi == n-1 {
+			queries = append(queries, qi)
+		}
+	}
+	// One threshold is a similarity that occurs, so the s == α boundary is
+	// exercised: that pair must be retrieved.
+	edge := -1.0
+	for j := 1; j < n && edge <= 0; j++ {
+		edge = sim.Dot(f.ref[0], f.ref[j])
+	}
+	for name, src := range sources {
+		label := fmt.Sprintf("%s scan, %s dim=%d n=%d", mode, name, dim, n)
+		if got := src.Neighbors("never-indexed", 0); got != nil {
+			t.Fatalf("%s: neighbors of an unindexed token: %v", label, got)
+		}
+		for _, alpha := range []float64{0, 0.3, 0.8, edge} {
+			for _, qi := range queries {
+				want := f.want(qi, n, alpha)
+				if err := sameNeighborBits(src.Neighbors(f.tokens[qi], alpha), want); err != nil {
+					t.Fatalf("%s q=%d α=%v: Neighbors: %v", label, qi, alpha, err)
+				}
+				if err := sameNeighborBits(drain(src.NeighborCursor(f.tokens[qi], alpha)), want); err != nil {
+					t.Fatalf("%s q=%d α=%v: NeighborCursor: %v", label, qi, alpha, err)
+				}
 			}
-			// One threshold is a similarity that occurs, so the s == α
-			// boundary is exercised: that pair must be retrieved.
-			edge := -1.0
-			for j := 1; j < n && edge <= 0; j++ {
-				edge = sim.Dot(f.ref[0], f.ref[j])
+		}
+		if edge > 0 {
+			found := false
+			for _, nb := range src.Neighbors(f.tokens[0], edge) {
+				found = found || nb.Sim == edge
 			}
-			for name, src := range sources {
-				label := fmt.Sprintf("%s dim=%d n=%d", name, dim, n)
-				for _, alpha := range []float64{0, 0.3, 0.8, edge} {
-					for qi, q := range f.tokens {
-						if err := sameNeighborBits(src.Neighbors(q, alpha), f.want(qi, n, alpha)); err != nil {
-							t.Fatalf("%s q=%s α=%v: %v", label, q, alpha, err)
+			if !found {
+				t.Fatalf("%s: the pair with s == α = %v was not retrieved", label, edge)
+			}
+		}
+		for _, a := range queries {
+			for b := range f.tokens {
+				if a == b && len(f.ref[a]) != dim {
+					continue // an off-stride vector scores 0 even against itself
+				}
+				got, want := src.PairSim(f.tokens[a], f.tokens[b]), sim.Dot(f.ref[a], f.ref[b])
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: PairSim(%d,%d) = %v, want %v", label, a, b, got, want)
+				}
+			}
+		}
+		if n > 0 {
+			if got := src.PairSim(f.tokens[0], "never-indexed"); got != 0 {
+				t.Fatalf("%s: PairSim with an unindexed token = %v, want 0", label, got)
+			}
+		}
+	}
+}
+
+// TestArenaDegenerateShapes: the shapes the assembly kernel cannot take —
+// its loops count down from dim and from the block count — go through the
+// portable loop and still score as sim.Dot does.
+func TestArenaDegenerateShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vecs [][]float32 // vecs[0] sets the stride
+	}{
+		{"dim 0, no full block", [][]float32{{}, {}, {1}}},
+		{"dim 0, full blocks", [][]float32{{}, {}, {1, 2}, {}, {}, {}, {}, {}, {3}}},
+		{"no full block", [][]float32{{1, 0}, {1, 1}, {0, 1}}},
+		{"one row", [][]float32{{1, 0}}},
+	} {
+		scanModes(func(mode string) {
+			var r vecRows
+			for i, v := range tc.vecs {
+				r.add(fmt.Sprint(i), int32(i), v)
+			}
+			for qi := range tc.vecs {
+				for _, alpha := range []float64{0, 0.5} {
+					var want []Neighbor
+					for i, v := range tc.vecs {
+						s := 0.0
+						if len(v) == r.dim {
+							s = sim.Dot(normalizeCopy(tc.vecs[qi]), normalizeCopy(v))
+						}
+						if i != qi && s >= alpha {
+							want = append(want, Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
 						}
 					}
-				}
-				if edge > 0 {
-					found := false
-					for _, nb := range src.Neighbors(f.tokens[0], edge) {
-						found = found || nb.Sim == edge
+					if err := sameNeighborBits(r.scan(qi, alpha, nil), want); err != nil {
+						t.Fatalf("%s, %s scan: q=%d α=%v: %v", tc.name, mode, qi, alpha, err)
 					}
-					if !found {
-						t.Fatalf("%s: the pair with s == α = %v was not retrieved", label, edge)
-					}
-				}
-				for a := range f.tokens {
-					for b := range f.tokens {
-						if a == b && len(f.ref[a]) != dim {
-							continue // an off-stride vector scores 0 even against itself
-						}
-						got, want := src.PairSim(f.tokens[a], f.tokens[b]), sim.Dot(f.ref[a], f.ref[b])
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s: PairSim(%d,%d) = %v, want %v", label, a, b, got, want)
-						}
-					}
-				}
-				if got := src.PairSim(f.tokens[0], "never-indexed"); got != 0 {
-					t.Fatalf("%s: PairSim with an unindexed token = %v, want 0", label, got)
 				}
 			}
+		})
+	}
+	dotBlocks(nil, nil, nil)                // no rows at all
+	dotBlocks([]float64{1}, nil, nil)       // no full block
+	dotBlocks(nil, nil, make([]float64, 8)) // dim 0
+}
+
+// TestArenaEmitThresholds: the emit pass drops a row on one raw s < α
+// compare; it must emit exactly what clamp-then-compare emits, for every
+// α including those outside (0, 1] and NaN.
+func TestArenaEmitThresholds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	dots := []float64{nan, -inf, -0.5, math.Copysign(0, -1), 0, 5e-324, 0.5, 1 - 1e-16, 1, 1 + 3e-16, 7, inf}
+	var r vecRows
+	for i := range dots {
+		r.add(fmt.Sprint(i), int32(i), []float32{1})
+	}
+	for _, alpha := range []float64{nan, -inf, -1, math.Copysign(0, -1), 0, 5e-324, 0.5, 1, 1 + 1e-16, 1 + 3e-16, 2, inf} {
+		for _, qi := range []int{-1, 3, 8} {
+			var want []Neighbor
+			for i, s := range dots {
+				if s < 0 { // sim.Dot's clamps
+					s = 0
+				} else if s > 1 {
+					s = 1
+				}
+				if s >= alpha && i != qi {
+					want = append(want, Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
+				}
+			}
+			if err := sameNeighborBits(r.appendMatches(nil, 0, dots, qi, alpha), want); err != nil {
+				t.Fatalf("α=%v q=%d: %v", alpha, qi, err)
+			}
+		}
+	}
+}
+
+// FuzzArenaScan: bytes → stride, rows (zero, off-stride, denormal, huge and
+// infinite components among ordinary ones), α and query row; the scan, on
+// the selected kernel and on the portable loop, and PairSim must equal
+// per-pair sim.Dot over normalizeCopy vectors.
+func FuzzArenaScan(f *testing.F) {
+	f.Add([]byte{3, 128, 0, 2, 0x91, 0x92, 0x93, 2, 0x94, 0x95, 0x96, 0, 1, 0x90, 2, 0x21, 0x41, 0x9f})
+	f.Add([]byte{0, 0, 1, 2, 2, 1, 0x90, 2, 2, 2, 2, 2, 2, 2})
+	big := []byte{32, 200, 70} // 40 rows of 32 ordinary components: the eight-block loop
+	for i := 0; i < 40*33; i++ {
+		big = append(big, byte(130+i*37%120))
+	}
+	f.Add(big)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		dim := int(data[0]) % 36
+		alpha := float64(data[1]) / 250
+		if special := []float64{0, -1, math.NaN(), 1, 1.5}; int(data[1]) < len(special) {
+			alpha = special[data[1]]
+		}
+		pick, data := int(data[2]), data[3:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		var r vecRows
+		var ref [][]float32
+		for len(data) > 0 && len(ref) < 300 {
+			v := make([]float32, dim)
+			switch next() & 7 {
+			case 0: // zero vector
+			case 1: // off-stride (or, as the first row, the stride setter)
+				v = append(v, 1)
+				fallthrough
+			default:
+				for j := range v {
+					switch b := next(); b >> 5 {
+					case 0:
+						v[j] = 0
+					case 1:
+						v[j] = math.Float32frombits(uint32(b&31) + 1) // denormal
+					case 2:
+						v[j] = float32(int(b&31)-16) * 2e37 // huge
+					case 3:
+						v[j] = float32(math.Inf(int(b&1) - 1)) // normalizes to NaN
+					default:
+						v[j] = float32(int(b&63)-32) / 8
+					}
+				}
+			}
+			r.add(fmt.Sprint(len(ref)), int32(len(ref)), v)
+			if len(v) != r.dim {
+				v = make([]float32, r.dim) // off-stride: stored as a zero row
+			}
+			ref = append(ref, normalizeCopy(v))
+		}
+		if len(ref) == 0 {
+			return
+		}
+		qi := pick % len(ref)
+		var want []Neighbor
+		for i, v := range ref {
+			s := sim.Dot(ref[qi], v)
+			if got := r.dot(qi, i); math.Float64bits(got) != math.Float64bits(s) && !(got != got && s != s) {
+				t.Fatalf("dot(%d,%d) = %v, want %v", qi, i, got, s)
+			}
+			if i != qi && s >= alpha {
+				want = append(want, Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
+			}
+		}
+		scanModes(func(mode string) {
+			if err := sameNeighborBits(r.scan(qi, alpha, nil), want); err != nil {
+				t.Fatalf("%s scan, dim=%d n=%d q=%d α=%v: %v", mode, r.dim, len(ref), qi, alpha, err)
+			}
+		})
+	})
+}
+
+// BenchmarkArenaScan measures one probe of the arena — every row scored,
+// α-matches appended — at the benchmark's search_small size (≈ 11k tokens,
+// 32 dimensions), at a size that fits L2 and at one that does not (40k
+// rows, 5 MB: what the kernel's prefetch is for), on the AVX kernel and on
+// the portable loop.
+func BenchmarkArenaScan(b *testing.B) {
+	for _, n := range []int{11000, 2000, 40000} {
+		const dim = 32
+		rng := rand.New(rand.NewSource(93))
+		var r vecRows
+		v := make([]float32, dim)
+		for i := 0; i < n; i++ {
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			r.add(fmt.Sprint(i), int32(i), v)
+		}
+		for _, mode := range []struct {
+			name string
+			avx  bool
+		}{{"kernel", true}, {"portable", false}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", n, dim, mode.name), func(b *testing.B) {
+				if mode.avx && !useAVX {
+					b.Skip("no AVX on this CPU")
+				}
+				defer func(was bool) { useAVX = was }(useAVX)
+				useAVX = mode.avx
+				var buf []Neighbor
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = r.scan(i%n, 0.8, buf[:0])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
 		}
 	}
 }
 
 // testVectorArenaGrowth: a scan that loaded a view keeps reading exactly
 // that view while Sync appends rows (and reallocates the arena) behind it.
-// The second half does the same from concurrent goroutines, for -race.
+// The first view ends in a partial block (42 rows), so the rows Sync adds
+// next land in lanes of a block the old view still reads. The second half
+// does the same from concurrent goroutines, one row per Sync, for -race.
 func testVectorArenaGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	const n0, n1, dim = 40, 400, 16
+	const n0, n1, dim = 42, 400, 16
 	f := newArenaFixture(rng, n1, dim)
 	dict, err := sets.NewDictionaryFromTokens(f.tokens[:n0])
 	if err != nil {
