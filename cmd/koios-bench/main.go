@@ -42,7 +42,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 120*time.Second, "per-query baseline timeout")
 		chaosIt   = flag.Int("chaos-iters", 100, "randomized injections for -exp chaos")
 		chaosSeed = flag.Int64("chaos-seed", 1, "reproducibility seed for -exp chaos")
-		noKernel  = flag.Bool("no-kernel-filters", false, "disable the kernel speed layer (scan admission filters and the verification sandwich); results are identical, only slower")
+		noKernel  = flag.Bool("no-kernel-filters", false, "disable the verification sandwich (core.Options.DisableSandwich); results are identical, only slower. Scan admission is not affected: index SetKernelFilters(false) is a test axis")
 	)
 	flag.Parse()
 

@@ -41,10 +41,12 @@ type Config struct {
 	// the reproducibility seed (default 1).
 	ChaosIters int
 	ChaosSeed  int64
-	// NoKernelFilters turns off the kernel speed layer (DESIGN.md §12): the
-	// scan admission filters on function sources and the verification
-	// sandwich. Results are byte-identical; the escape hatch exists for A/B
-	// measurement and as a safety valve.
+	// NoKernelFilters turns off the verification sandwich (DESIGN.md §12) —
+	// it sets core.Options.DisableSandwich and nothing else. Results are
+	// byte-identical; the escape hatch exists for A/B measurement. The scan
+	// admission filters of function sources stay on: their off switch,
+	// index SetKernelFilters(false), is an axis of the equivalence tests
+	// that no command reaches.
 	NoKernelFilters bool
 }
 

@@ -46,9 +46,14 @@ type Engine struct {
 	// sorted by descending cardinality — the lazy cut-off walks it to bound
 	// the largest still-unseen set (DESIGN.md §10).
 	cardOrder [][]int32
-	// scratch pools the vocabulary-sized per-query buffers (first-arrival
-	// bitset, edge-cache offsets) so per-query allocation scales with the
-	// stream, not with the vocabulary.
+	// cWords is the total length, in words, of the partitions' token-mask
+	// arenas: cOffs[p][len(parts[p])] summed over p.
+	cWords int
+	// scratch pools the per-query buffers whose size follows the collection
+	// — the vocabulary-sized first-arrival bitset and edge-cache offsets,
+	// and the set-indexed refinement arena — so per-query allocation scales
+	// with the stream, not with the vocabulary or the repository. A search
+	// over a Group draws one from its lead engine.
 	scratch sync.Pool
 	// verifyHook, when set (tests only), observes every verification: the
 	// α-graph, the live bound (nil when early termination is off) and the
@@ -56,21 +61,80 @@ type Engine struct {
 	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
 }
 
-// queryScratch holds the vocabulary-sized buffers one Search needs.
+// queryScratch holds the collection-sized buffers one Search needs.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
+	refine  refineArena
 }
 
 func (e *Engine) getScratch() *queryScratch {
-	if s, ok := e.scratch.Get().(*queryScratch); ok {
-		clear(s.seen)
-		clear(s.offsets)
-		return s
+	s, ok := e.scratch.Get().(*queryScratch)
+	if !ok {
+		s = &queryScratch{}
 	}
-	return &queryScratch{
-		seen:    make([]uint64, (e.vocabN+63)/64),
-		offsets: make([]int32, e.vocabN),
+	s.seen = zeroed(s.seen, (e.vocabN+63)/64)
+	s.offsets = zeroed(s.offsets, e.vocabN)
+	return s
+}
+
+// sized returns n elements of unspecified content, in buf's backing array
+// when it is large enough.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is sized with every element zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = sized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// refineArena is one search's candidate-indexed refinement state: per set
+// of every partition searched, a candState, the iubBuckets' index and score
+// and one query-mask word, plus the token masks. carve hands it out
+// partition by partition. Its size follows the collection searched, never
+// the query: the query masks of a query past 64 elements are allocated per
+// search.
+type refineArena struct {
+	states []candState
+	pos    []int32
+	score  []float64
+	qBits  []uint64
+	cBits  []uint64
+	// sets and words count what carve has handed out.
+	sets, words int
+}
+
+// reset readies the arena for partitions holding sets sets in total, whose
+// token masks take words words in total.
+func (a *refineArena) reset(sets, words int) {
+	a.states = zeroed(a.states, sets)
+	a.pos = sized(a.pos, sets) // the buckets write before they read
+	a.score = sized(a.score, sets)
+	a.qBits = zeroed(a.qBits, sets)
+	a.cBits = zeroed(a.cBits, words)
+	a.sets, a.words = 0, 0
+}
+
+// carve points r at the next partition's share: nCand candidates with
+// r.qWords query-mask words each and cWords token-mask words together,
+// filed under at most maxM open slots.
+func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
+	lo, hi := a.sets, a.sets+nCand
+	wlo, whi := a.words, a.words+cWords
+	a.sets, a.words = hi, whi
+	r.states = a.states[lo:hi:hi]
+	r.buckets = newIUBBuckets(maxM, a.pos[lo:hi:hi], a.score[lo:hi:hi])
+	r.cBits = a.cBits[wlo:whi:whi]
+	if r.qWords == 1 {
+		r.qBits = a.qBits[lo:hi:hi]
+	} else {
+		r.qBits = make([]uint64, nCand*r.qWords)
 	}
 }
 
@@ -107,6 +171,7 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 			return e.card[part[order[i]]] > e.card[part[order[j]]]
 		})
 		e.cOffs[p] = offs
+		e.cWords += int(offs[len(part)])
 		e.cardOrder[p] = order
 	}
 	return e

@@ -154,8 +154,10 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// base turns (segment, local set ID) into one dense group-wide ID space
 	// ordered by segment age then local position — insertion order.
 	base := make([]int, len(g.Engines)+1)
+	cWords := 0
 	for i, e := range g.Engines {
 		base[i+1] = base[i] + e.repo.Len()
+		cWords += e.cWords
 	}
 
 	// Every partition of every segment refines the same shared tuple arena;
@@ -172,6 +174,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	}
 	chunks := make([][]chunk, len(g.Engines))
 	refiners := make([][]*partRefiner, len(g.Engines))
+	sc.refine.reset(base[len(g.Engines)], cWords)
 	for si, e := range g.Engines {
 		chunks[si] = make([]chunk, len(e.parts))
 		refiners[si] = make([]*partRefiner, len(e.parts))
@@ -181,7 +184,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		}
 		for p := range e.parts {
 			c := &chunks[si][p]
-			c.r = e.newPartRefiner(len(query), p, theta, &c.stats, dead)
+			c.r = e.newPartRefiner(len(query), p, theta, &c.stats, dead, &sc.refine)
 			refiners[si][p] = c.r
 		}
 	}

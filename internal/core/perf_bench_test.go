@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/sim"
 )
 
 // The allocation-focused stage microbenchmarks behind the token-interning
@@ -60,5 +61,28 @@ func BenchmarkRefinePartition(b *testing.B) {
 				f.eng.refinePartition(context.Background(), len(f.query), f.tuples, 0, theta, &stats, nil)
 			}
 		})
+	}
+}
+
+// BenchmarkEditSearch runs whole searches the way the benchmark's
+// search_edit workload does — datagen twitter at scale 1.0, edit similarity
+// through a DynamicFunc over the repository's dictionary, serving options —
+// cycling through 150 of the corpus's sets as queries. With -benchmem its
+// B/op is the garbage one search leaves behind, which at a fixed heap goal
+// is what a higher request rate turns into resident memory.
+func BenchmarkEditSearch(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
+	src := index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{})
+	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: true})
+	all := ds.Repo.Sets()
+	queries := make([][]string, 150)
+	for i := range queries {
+		queries[i] = all[i*len(all)/len(queries)].Elements
+	}
+	eng.Search(queries[0]) // first use builds the source's lazy state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Search(queries[i%len(queries)])
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"unsafe"
 
 	"repro/internal/pqueue"
 )
@@ -22,8 +23,9 @@ const ctxCheckEvery = 1024
 // lower bound (iLB, Lemma 5) and the corrected incremental upper bound
 // (DESIGN.md §2). States live in one dense slice per partition, indexed by
 // the candidate's partition-local position; the greedy matching masks
-// (query elements and candidate-local token positions) live in a shared bit
-// arena, so a whole partition's refinement state costs two allocations.
+// (query elements and candidate-local token positions) live in bit arenas.
+// All of it is carved from the search's pooled refineArena, so a warmed
+// engine allocates none of it per search.
 type candState struct {
 	// ubSum is the sum of the first-seen (= maximum) similarities of the
 	// candidate's distinct streamed tokens, capped at min(|Q|,|C|) terms.
@@ -73,10 +75,9 @@ type partRefiner struct {
 	dead  []uint64
 
 	states         []candState
-	bits           []uint64
 	qBits, cBits   []uint64
 	qWords         int
-	buckets        *iubBuckets
+	buckets        iubBuckets
 	llb            *pqueue.TopK
 	lastPruneTheta float64
 	// alive is the number of seen, unpruned candidates — the pool size the
@@ -89,27 +90,17 @@ type partRefiner struct {
 	cardPtr int
 }
 
-// newPartRefiner prepares partition p's refinement state.
-func (e *Engine) newPartRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
-	part := e.parts[p]
-	cOff := e.cOffs[p]
-	qWords := (qN + 63) / 64
+// newPartRefiner prepares partition p's refinement state in its share of
+// arena.
+func (e *Engine) newPartRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena) *partRefiner {
 	r := &partRefiner{
 		e: e, p: p, qN: qN, theta: theta, stats: stats, dead: dead,
-		states: make([]candState, len(part)),
-		qWords: qWords,
+		qWords: (qN + 63) / 64,
 	}
-	// One bit arena for both greedy matching masks: candidate L's query mask
-	// occupies words [L·qWords, (L+1)·qWords) of qBits and its token mask
-	// words [cOff[L], cOff[L+1]) of cBits.
-	r.bits = make([]uint64, len(part)*qWords+int(cOff[len(part)]))
-	r.qBits = r.bits[:len(part)*qWords]
-	r.cBits = r.bits[len(part)*qWords:]
-	maxM := qN
-	if mc := int(e.maxCard[p]); mc < maxM {
-		maxM = mc
-	}
-	r.buckets = newIUBBuckets(maxM, len(part))
+	// Candidate L's query mask occupies words [L·qWords, (L+1)·qWords) of
+	// qBits and its token mask words [cOff[L], cOff[L+1]) of cBits.
+	nCand := len(e.parts[p])
+	arena.carve(r, nCand, min(qN, int(e.maxCard[p])), int(e.cOffs[p][nCand]))
 	r.llb = pqueue.NewTopK(e.opts.K)
 	return r
 }
@@ -122,7 +113,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 	inv := e.invs[r.p]
 	cOff := e.cOffs[r.p]
 	states, qBits, cBits, qWords := r.states, r.qBits, r.cBits, r.qWords
-	buckets, llb, theta, stats, dead := r.buckets, r.llb, r.theta, r.stats, r.dead
+	buckets, llb, theta, stats, dead := &r.buckets, r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
 
 	markPruned := func(local int32) {
@@ -183,7 +174,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 					st.ubSum += s
 					st.mRem--
 					if !opts.DisableIUB {
-						buckets.move(local, int(st.mRem), st.ubSum)
+						buckets.move(local, int(st.mRem)+1, int(st.mRem), st.ubSum)
 					}
 				}
 			}
@@ -316,7 +307,8 @@ func (r *partRefiner) maxUnseenCard() int32 {
 }
 
 func (r *partRefiner) accountMem() {
-	r.stats.MemCandBytes += int64(len(r.states))*24 + int64(len(r.bits))*8
+	r.stats.MemCandBytes += int64(len(r.states))*int64(unsafe.Sizeof(candState{})) +
+		int64(len(r.qBits)+len(r.cBits))*8 + r.buckets.footprintBytes()
 }
 
 // refinePartition runs Algorithm 1 over partition p's CSR inverted index
@@ -337,7 +329,9 @@ func (r *partRefiner) accountMem() {
 // candidate-local element position (carried by the posting entry) in the
 // cBits arena.
 func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTuple, p int, theta *atomicMax, stats *Stats, dead []uint64) []survivor {
-	r := e.newPartRefiner(qN, p, theta, stats, dead)
+	var arena refineArena
+	arena.reset(len(e.parts[p]), int(e.cOffs[p][len(e.parts[p])]))
+	r := e.newPartRefiner(qN, p, theta, stats, dead, &arena)
 	if !r.consume(ctx, tuples, 0) {
 		return nil
 	}

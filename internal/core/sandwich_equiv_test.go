@@ -90,7 +90,7 @@ func TestSandwichRandomInstances(t *testing.T) {
 	}
 }
 
-// hiddenKernelFunc hides the Bounded/Batcher capabilities of a similarity
+// hiddenKernelFunc hides the Batcher capability of a similarity
 // function, forcing the index scan paths onto the plain per-pair loop.
 type hiddenKernelFunc struct{ fn sim.Func }
 

@@ -1,0 +1,140 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/index"
+)
+
+// searchCounters is a search's outcome without its wall-clock fields.
+func searchCounters(res []Result, st Stats) string {
+	st.RefineTime, st.PostprocTime = 0, 0
+	return fmt.Sprintf("%v %+v", res, st)
+}
+
+// TestRefinerScratchReuse: an engine that has served any sequence of
+// searches — small and past-64-element queries interleaved, back to back
+// and concurrently — answers each one exactly as a fresh engine does,
+// results and every Stats counter, and what its scratch pool hands out
+// afterwards is no larger than the collection requires.
+func TestRefinerScratchReuse(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	all := ds.Repo.Sets()
+	var queries [][]string
+	for i := 0; i < 12; i++ {
+		queries = append(queries, all[i*len(all)/12].Elements)
+	}
+	var big []string // > 64 distinct elements: query masks of several words
+	for i := 0; len(dedupStrings(big)) <= 130; i++ {
+		big = append(big, all[i].Elements...)
+	}
+	queries = append(queries, big[:70], all[0].Elements[:1], big, nil)
+
+	for _, k := range []int{1, 5, 20} {
+		opts := Options{K: k, Alpha: 0.8, ExactScores: true}
+		want := make([]string, len(queries))
+		for i, q := range queries {
+			res, st := NewEngine(ds.Repo, src, opts).Search(q)
+			want[i] = searchCounters(res, st)
+		}
+		eng := NewEngine(ds.Repo, src, opts)
+		rng := rand.New(rand.NewSource(int64(k)))
+		for round := 0; round < 3; round++ {
+			for _, i := range rng.Perm(len(queries)) {
+				res, st := eng.Search(queries[i])
+				if got := searchCounters(res, st); got != want[i] {
+					t.Fatalf("k=%d round %d query %d (|Q|=%d): reused engine diverges\n got %s\nwant %s", k, round, i, len(queries[i]), got, want[i])
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := 0; n < 2*len(queries); n++ {
+					i := (n*7 + g*3) % len(queries)
+					res, st := eng.Search(queries[i])
+					if got := searchCounters(res, st); got != want[i] {
+						t.Errorf("k=%d goroutine %d query %d: concurrent search diverges\n got %s\nwant %s", k, g, i, got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		// Whatever the pool retained is sized by the collection alone.
+		for n := 0; n < 8; n++ {
+			sc := eng.getScratch()
+			a := &sc.refine
+			if cap(a.states) > ds.Repo.Len() || cap(a.pos) > ds.Repo.Len() || cap(a.score) > ds.Repo.Len() ||
+				cap(a.qBits) > ds.Repo.Len() || cap(a.cBits) > eng.cWords ||
+				cap(sc.offsets) > eng.vocabN || cap(sc.seen) > (eng.vocabN+63)/64 {
+				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d pos, %d scores, %d+%d mask words for %d sets, %d mask words",
+					k, cap(a.states), cap(a.pos), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), eng.cWords)
+			}
+		}
+	}
+}
+
+// TestIUBBucketsMatchModel drives the position-indexed buckets and a plain
+// map with the same random inserts, moves and prunes: every prune must
+// remove exactly the candidates whose bound is below the threshold, each
+// once, and nothing the filter holds may outlive its removal.
+func TestIUBBucketsMatchModel(t *testing.T) {
+	type entry struct {
+		m     int
+		score float64
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nCand, maxM := 1+rng.Intn(200), 1+rng.Intn(12)
+		b := newIUBBuckets(maxM, make([]int32, nCand), make([]float64, nCand))
+		model := map[int32]entry{}
+		for step := 0; step < 2000; step++ {
+			local := int32(rng.Intn(nCand))
+			e, live := model[local]
+			switch {
+			case !live:
+				e = entry{m: rng.Intn(maxM + 1), score: float64(rng.Intn(4))}
+				b.insert(local, e.m, e.score)
+				model[local] = e
+			case e.m > 0:
+				next := entry{m: e.m - 1, score: e.score + rng.Float64()}
+				b.move(local, e.m, next.m, next.score)
+				model[local] = next
+			}
+			if step%17 != 0 {
+				continue
+			}
+			s, theta := rng.Float64(), 6*rng.Float64()
+			var want, got []int
+			for local, e := range model {
+				if e.score+float64(e.m)*s < theta {
+					want = append(want, int(local))
+					delete(model, local)
+				}
+			}
+			b.prune(s, theta, func(local int32) { got = append(got, int(local)) })
+			sort.Ints(want)
+			sort.Ints(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d step %d: pruned %v, want %v", seed, step, got, want)
+			}
+			held := 0
+			for _, h := range b.heaps {
+				held += len(h)
+			}
+			if held != len(model) {
+				t.Fatalf("seed %d step %d: buckets hold %d entries for %d live candidates", seed, step, held, len(model))
+			}
+		}
+	}
+}

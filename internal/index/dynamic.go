@@ -35,58 +35,37 @@ type QueryVocabBound interface {
 // tokens are retrievable immediately; neighbor IDs are global dictionary
 // IDs. Safe for concurrent use.
 type DynamicFunc struct {
-	dict      *sets.Dictionary
-	fn        sim.Func
-	noFilters bool
+	dict *sets.Dictionary
+	funcScan
 }
 
 // NewDynamicFunc builds a dynamic threshold-scan source over dict.
+// Construction is O(1): the sketch column is built by the first Sync or
+// scan, not on the (cold-start critical) build path.
 func NewDynamicFunc(dict *sets.Dictionary, fn sim.Func) *DynamicFunc {
-	return &DynamicFunc{dict: dict, fn: fn}
-}
-
-// SetKernelFilters toggles the admission filters of the kernel scan path
-// (on by default). Off retains the batched kernel but evaluates every pair —
-// the A/B axis behind koios-bench -no-kernel-filters.
-func (f *DynamicFunc) SetKernelFilters(on bool) { f.noFilters = !on }
-
-// scan appends every dictionary token (except the query itself) with
-// similarity ≥ alpha to buf, unsorted. Functions exposing a prepared kernel
-// run the batched kernel scan.
-func (f *DynamicFunc) scan(q string, alpha float64, buf []Neighbor) []Neighbor {
-	snapshot := f.dict.Snapshot()
-	if k := sim.NewKernel(f.fn, q); k != nil {
-		return kernelScan(k, snapshot, q, alpha, f.noFilters, buf)
-	}
-	for vi, tok := range snapshot {
-		if tok == q {
-			continue
-		}
-		if s := f.fn.Sim(q, tok); s >= alpha {
-			buf = append(buf, Neighbor{Token: tok, Sim: s, ID: int32(vi)})
-		}
-	}
-	return buf
+	return &DynamicFunc{dict: dict, funcScan: funcScan{fn: fn}}
 }
 
 // Neighbors implements NeighborSource over the dictionary's current
 // snapshot.
 func (f *DynamicFunc) Neighbors(q string, alpha float64) []Neighbor {
-	return sortedScan(func(buf []Neighbor) []Neighbor { return f.scan(q, alpha, buf) })
+	return sorted(f.scan(f.dict.Snapshot(), q, alpha, nil))
 }
 
 // NeighborCursor implements LazySource: same exhaustive scan, neighbors
 // ordered only as they are consumed.
 func (f *DynamicFunc) NeighborCursor(q string, alpha float64) NeighborCursor {
-	return newLazyScan(f.scan(q, alpha, nil))
+	return newLazyScan(f.scan(f.dict.Snapshot(), q, alpha, nil))
 }
 
-// PairSim implements CompleteScorer: the similarity function itself.
-func (f *DynamicFunc) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
-
-// Sync implements Syncer; scanning the live dictionary needs no
-// materialized state, so it is a no-op.
-func (f *DynamicFunc) Sync() {}
+// Sync implements Syncer: it sketches the dictionary tokens interned since
+// the last call, so searches find the column already covering them. Cheap
+// when current (one snapshot, no lock of its own).
+func (f *DynamicFunc) Sync() {
+	if b, ok := f.fn.(sim.Batcher); ok && !f.noFilters {
+		f.col.cover(b, f.dict.Snapshot())
+	}
+}
 
 // DynamicExact is the dynamic counterpart of Exact: brute-force cosine
 // retrieval over embedding vectors that extends itself as the shared
@@ -178,7 +157,7 @@ func (e *DynamicExact) Neighbors(q string, alpha float64) []Neighbor {
 	if qi < 0 {
 		return nil
 	}
-	return sortedScan(func(buf []Neighbor) []Neighbor { return v.scan(qi, alpha, buf) })
+	return sorted(v.scan(qi, alpha, nil))
 }
 
 // NeighborCursor implements LazySource.

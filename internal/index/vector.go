@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -191,8 +190,7 @@ func (r *vecRows) appendMatches(buf []Neighbor, first int, dots []float64, qi in
 // Exact is a brute-force NeighborSource over normalized embedding vectors.
 // It plays the role of the paper's Faiss index but returns exact results, so
 // the overall search stays exact. Retrieval is one linear scan of the vector
-// arena; α-matches are collected into a pooled scratch buffer so a probe
-// allocates only its exact-size result.
+// arena.
 type Exact struct {
 	rows    vecRows
 	byToken map[string]int
@@ -222,7 +220,7 @@ func (e *Exact) Neighbors(q string, alpha float64) []Neighbor {
 	if !ok {
 		return nil // out-of-vocabulary query element: no semantic neighbors
 	}
-	return sortedScan(func(buf []Neighbor) []Neighbor { return e.rows.scan(qi, alpha, buf) })
+	return sorted(e.rows.scan(qi, alpha, nil))
 }
 
 // NeighborCursor implements LazySource: the scan still computes every
@@ -387,119 +385,10 @@ func (ix *IVF) Neighbors(q string, alpha float64) []Neighbor {
 	return out
 }
 
-// FuncIndex is a brute-force NeighborSource for an arbitrary similarity
-// function — the fallback that keeps Koios independent of the choice of sim.
-// Functions exposing a prepared kernel (sim.Batcher) are scanned through it:
-// the query's precomputed state stays hot across the vocabulary, admission
-// bounds skip pairs provably below α, and blocks of survivors are evaluated
-// per batch. Both are pure accelerations — results are byte-identical to the
-// plain per-pair scan (DESIGN.md §12).
-type FuncIndex struct {
-	vocab     []string
-	fn        sim.Func
-	noFilters bool
-}
-
-// NewFuncIndex indexes vocab under fn.
-func NewFuncIndex(vocab []string, fn sim.Func) *FuncIndex {
-	return &FuncIndex{vocab: vocab, fn: fn}
-}
-
-// SetKernelFilters toggles the admission filters of the kernel scan path
-// (on by default). Off retains the batched kernel but evaluates every pair —
-// the A/B axis behind koios-bench -no-kernel-filters.
-func (f *FuncIndex) SetKernelFilters(on bool) { f.noFilters = !on }
-
-// kernelBlock is the batch granularity of the kernel scan paths: enough to
-// amortize the per-block interface call, small enough that the candidate
-// block stays in cache.
-const kernelBlock = 128
-
-// kernelScan is the shared batched scan loop: tokens surviving the admission
-// bound (when filters are on) are collected into blocks and evaluated per
-// SimBatch call; a token's position in tokens is its ID. On return buf holds
-// exactly the α-matches of the plain scan.
-func kernelScan(k sim.Kernel, tokens []string, q string, alpha float64, noFilters bool, buf []Neighbor) []Neighbor {
-	var cands [kernelBlock]string
-	var ids [kernelBlock]int32
-	var sims [kernelBlock]float64
-	n := 0
-	flush := func() {
-		k.SimBatch(cands[:n], sims[:n])
-		for i := 0; i < n; i++ {
-			if sims[i] >= alpha {
-				buf = append(buf, Neighbor{Token: cands[i], Sim: sims[i], ID: ids[i]})
-			}
-		}
-		n = 0
-	}
-	for vi, tok := range tokens {
-		if tok == q {
-			continue
-		}
-		if !noFilters && k.Bound(tok) < alpha {
-			continue // provably < α: never evaluated
-		}
-		cands[n], ids[n] = tok, int32(vi)
-		n++
-		if n == kernelBlock {
-			flush()
-		}
-	}
-	flush()
-	return buf
-}
-
-// scan appends every vocabulary token (except the query itself) with
-// similarity ≥ alpha to buf, unsorted.
-func (f *FuncIndex) scan(q string, alpha float64, buf []Neighbor) []Neighbor {
-	if k := sim.NewKernel(f.fn, q); k != nil {
-		return kernelScan(k, f.vocab, q, alpha, f.noFilters, buf)
-	}
-	for vi, tok := range f.vocab {
-		if tok == q {
-			continue
-		}
-		if s := f.fn.Sim(q, tok); s >= alpha {
-			buf = append(buf, Neighbor{Token: tok, Sim: s, ID: int32(vi)})
-		}
-	}
-	return buf
-}
-
-// Neighbors implements NeighborSource.
-func (f *FuncIndex) Neighbors(q string, alpha float64) []Neighbor {
-	return sortedScan(func(buf []Neighbor) []Neighbor { return f.scan(q, alpha, buf) })
-}
-
-// NeighborCursor implements LazySource.
-func (f *FuncIndex) NeighborCursor(q string, alpha float64) NeighborCursor {
-	return newLazyScan(f.scan(q, alpha, nil))
-}
-
-// PairSim implements CompleteScorer: the similarity function itself.
-func (f *FuncIndex) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
-
-// scanScratch pools the unsorted match buffers of the brute-force scans so
-// an eager probe performs one exact-size result allocation instead of
-// growing a fresh slice append by append.
-var scanScratch = sync.Pool{
-	New: func() any { b := make([]Neighbor, 0, 256); return &b },
-}
-
-// sortedScan runs scan into a pooled scratch buffer, sorts the matches, and
-// returns them as an exact-size copy (nil when there are none).
-func sortedScan(scan func(buf []Neighbor) []Neighbor) []Neighbor {
-	bp := scanScratch.Get().(*[]Neighbor)
-	buf := scan((*bp)[:0])
-	var out []Neighbor
-	if len(buf) > 0 {
-		sortNeighbors(buf)
-		out = slices.Clone(buf)
-	}
-	*bp = buf[:0]
-	scanScratch.Put(bp)
-	return out
+// sorted orders a scan's matches in place and returns them.
+func sorted(ns []Neighbor) []Neighbor {
+	sortNeighbors(ns)
+	return ns
 }
 
 func sortNeighbors(ns []Neighbor) {

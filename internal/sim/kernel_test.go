@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,16 +102,22 @@ func FuzzEditKernel(f *testing.F) {
 		if got, want := k.Sim(b), fn.Sim(a, b); got != want {
 			t.Fatalf("kernel Sim(%q,%q) = %v, Func.Sim = %v", a, b, got, want)
 		}
-		if bound := k.Bound(b); bound < fn.Sim(a, b) {
-			t.Fatalf("bound %v below true sim %v for (%q,%q)", bound, fn.Sim(a, b), a, b)
+		if want := fn.Sim(a, b); !admitted(fn, k, b, want) {
+			t.Fatalf("(%q,%q) refused at its own sim %v", a, b, want)
 		}
 	})
 }
 
+// admitted reports whether k's Admit lets cand's sketch through at alpha.
+func admitted(fn Batcher, k Kernel, cand string, alpha float64) bool {
+	return len(k.Admit([]uint64{fn.Sketch(cand)}, alpha, nil)) == 1
+}
+
 // TestKernelsMatchFunc: for every Batcher function, the prepared kernel's
-// Sim and SimBatch return exactly Func.Sim, and Bound/SimBound dominate it.
+// Sim and SimBatch return exactly Func.Sim, and Admit lets every candidate
+// through at its own similarity.
 func TestKernelsMatchFunc(t *testing.T) {
-	funcs := []Func{
+	funcs := []Batcher{
 		EditSimilarity{},
 		JaccardQGrams{Q: 3},
 		JaccardQGrams{Q: 2},
@@ -120,7 +127,6 @@ func TestKernelsMatchFunc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(72))
 	for _, fn := range funcs {
-		b, bounded := fn.(Bounded)
 		cands := make([]string, 64)
 		out := make([]float64, len(cands))
 		for trial := 0; trial < 40; trial++ {
@@ -145,13 +151,8 @@ func TestKernelsMatchFunc(t *testing.T) {
 				if out[i] != want {
 					t.Fatalf("%s SimBatch[%d] (%q,%q) = %v, want %v", fn.Name(), i, q, c, out[i], want)
 				}
-				if bd := k.Bound(c); bd < want {
-					t.Fatalf("%s kernel bound %v < sim %v on (%q,%q)", fn.Name(), bd, want, q, c)
-				}
-				if bounded {
-					if bd := b.SimBound(q, c); bd < want {
-						t.Fatalf("%s SimBound %v < sim %v on (%q,%q)", fn.Name(), bd, want, q, c)
-					}
+				if !admitted(fn, k, c, want) {
+					t.Fatalf("%s refused (%q,%q) at its own sim %v", fn.Name(), q, c, want)
 				}
 			}
 		}
@@ -159,10 +160,10 @@ func TestKernelsMatchFunc(t *testing.T) {
 }
 
 // TestFilterSoundness is the admission-filter property the scan paths rely
-// on: whenever Bound(cand) < α the true similarity is < α too, so skipping
-// the pair cannot change any α-edge.
+// on: whenever Admit refuses a candidate its true similarity is < α, so
+// skipping the pair cannot change any α-edge.
 func TestFilterSoundness(t *testing.T) {
-	funcs := []Func{EditSimilarity{}, JaccardQGrams{Q: 3}, JaccardWords{}}
+	funcs := []Batcher{EditSimilarity{}, JaccardQGrams{Q: 3}, JaccardWords{}}
 	alphas := []float64{0.3, 0.5, 0.8, 0.95}
 	rng := rand.New(rand.NewSource(73))
 	for _, fn := range funcs {
@@ -171,7 +172,7 @@ func TestFilterSoundness(t *testing.T) {
 			c := randomUnicode(rng, 20)
 			k := NewKernel(fn, q)
 			for _, alpha := range alphas {
-				if k.Bound(c) < alpha && fn.Sim(q, c) >= alpha {
+				if !admitted(fn, k, c, alpha) && fn.Sim(q, c) >= alpha {
 					t.Fatalf("%s filtered (%q,%q) at α=%v but sim=%v",
 						fn.Name(), q, c, alpha, fn.Sim(q, c))
 				}
@@ -229,4 +230,69 @@ func BenchmarkEditKernel(b *testing.B) {
 			k.SimBatch(vocab, out)
 		}
 	})
+}
+
+// TestEditCuts checks the admission table against its definition, length by
+// length: a stored length is refused exactly when no distance from the
+// length difference up gives editRatio ≥ α, and otherwise admits signature
+// distances up to twice the largest distance that does — over query lengths
+// on both sides of the 255-byte saturation and α on, off and between the
+// representable ratios.
+func TestEditCuts(t *testing.T) {
+	alphas := []float64{math.Inf(-1), -1, 0, 0.3, 0.5, 0.75, 0.8, math.Nextafter(0.8, 1), 0.875,
+		math.Nextafter(0.875, 0), 1, math.Nextafter(1, 2), 1.5, math.Inf(1), math.NaN()}
+	for _, la := range []int{0, 1, 4, 5, 8, 63, 64, 65, 200, 254, 255, 256, 300, 2000} {
+		k := EditSimilarity{}.NewKernel(strings.Repeat("q", la)).(*editKernel)
+		for _, alpha := range alphas {
+			var cut [editLenMax + 1]int32
+			k.cuts(alpha, &cut)
+			for lb := 0; lb < editLenMax; lb++ {
+				m, delta := max(la, lb), max(la-lb, lb-la)
+				dmax := -1
+				for d := 0; d <= m; d++ {
+					if r := editRatio(d, m); r >= alpha || (m == 0 && 1 >= alpha) {
+						dmax = d
+					}
+				}
+				want := int32(-1)
+				if dmax >= delta {
+					want = int32(min(2*dmax, sigBits))
+				}
+				if cut[lb] != want {
+					t.Fatalf("|q|=%d α=%v: cut[%d] = %d, want %d (dmax %d)", la, alpha, lb, cut[lb], want, dmax)
+				}
+			}
+			// The saturated length stands for 255 and everything longer: it
+			// may be refused only if every such length would be.
+			if cut[editLenMax] != -1 && cut[editLenMax] != sigBits {
+				t.Fatalf("|q|=%d α=%v: saturated cut %d is a distance cut", la, alpha, cut[editLenMax])
+			}
+			for _, lb := range []int{255, 256, 300, 1000, 5000} {
+				m, delta := max(la, lb), max(la-lb, lb-la)
+				if editRatio(delta, m) >= alpha && cut[editLenMax] < 0 {
+					t.Fatalf("|q|=%d α=%v: saturated length refused although length %d can reach α", la, alpha, lb)
+				}
+			}
+		}
+	}
+}
+
+// TestEditSketchSaturation: tokens past 255 bytes are scanned correctly —
+// near-identical long strings stay neighbours, and a short query refuses
+// them only when no length ≥ 255 could reach α.
+func TestEditSketchSaturation(t *testing.T) {
+	var fn EditSimilarity
+	long := strings.Repeat("lorem ipsum ", 30) // 360 bytes
+	near := long[:200] + "X" + long[201:]
+	for _, c := range [][2]string{{long, near}, {long[:255], long[:256]}, {long[:254], long[:300]}, {"abcd", long}} {
+		for _, alpha := range []float64{0.1, 0.5, 0.8, 0.99, 1} {
+			k := fn.NewKernel(c[0])
+			if s := fn.Sim(c[0], c[1]); s >= alpha && !admitted(fn, k, c[1], alpha) {
+				t.Fatalf("(%d bytes, %d bytes) refused at α=%v with sim %v", len(c[0]), len(c[1]), alpha, s)
+			}
+		}
+	}
+	if admitted(fn, fn.NewKernel("abcd"), long, 0.8) {
+		t.Fatal("a 4-byte query admits a saturated length at α=0.8")
+	}
 }
