@@ -26,7 +26,11 @@ type Engine struct {
 	src   index.NeighborSource
 	opts  Options
 	parts [][]int
-	invs  []*index.Inverted
+	// invs holds one CSR inverted index per partition. A memtable engine
+	// (Growing.Engine) has one partition and no CSR: its entry is nil and the
+	// postings are mem's chains.
+	invs []*index.Inverted
+	mem  index.MemView
 
 	vocabN int
 	// card is each set's distinct-element count, indexed by set ID.
@@ -53,8 +57,10 @@ type Engine struct {
 	// — the vocabulary-sized first-arrival bitset and edge-cache offsets,
 	// and the set-indexed refinement arena — so per-query allocation scales
 	// with the stream, not with the vocabulary or the repository. A search
-	// over a Group draws one from its lead engine.
-	scratch sync.Pool
+	// over a Group draws one from its lead engine. The engines a Growing hands
+	// out share one pool: they differ by a row, and getScratch sizes whatever
+	// it is handed.
+	scratch *sync.Pool
 	// verifyHook, when set (tests only), observes every verification: the
 	// α-graph, the live bound (nil when early termination is off) and the
 	// verdict.
@@ -142,7 +148,7 @@ func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
 // partition, and the dense-state addressing tables.
 func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{repo: repo, src: src, opts: opts, vocabN: repo.VocabSize()}
+	e := &Engine{repo: repo, src: src, opts: opts, vocabN: repo.VocabSize(), scratch: new(sync.Pool)}
 	e.parts = repo.Partition(opts.Partitions, opts.PartitionSeed)
 	e.invs = make([]*index.Inverted, len(e.parts))
 	e.card = make([]int32, repo.Len())
@@ -179,6 +185,9 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
+
+// Repo returns the repository the engine searches.
+func (e *Engine) Repo() *sets.Repository { return e.repo }
 
 // streamTuple is one materialized token-stream tuple. first marks the
 // global first arrival of the token, i.e. the tuple carrying the token's

@@ -88,6 +88,9 @@ type partRefiner struct {
 	// that have streamed (or are tombstoned), so maxUnseenCard is the
 	// cardinality bound for sets the stream has not touched yet.
 	cardPtr int
+	// memSids and memPoss receive a memtable engine's posting lists, which
+	// are gathered from chains where a CSR index returns slices of its arena.
+	memSids, memPoss []int32
 }
 
 // newPartRefiner prepares partition p's refinement state in its share of
@@ -129,7 +132,13 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 		}
 		tup := &tuples[i]
 		s := tup.sim
-		sids, poss := inv.Postings(tup.tokenID)
+		var sids, poss []int32
+		if inv != nil {
+			sids, poss = inv.Postings(tup.tokenID)
+		} else {
+			r.memSids, r.memPoss = e.mem.Postings(tup.tokenID, r.memSids, r.memPoss)
+			sids, poss = r.memSids, r.memPoss
+		}
 		for pi, sid := range sids {
 			local := e.localOf[sid]
 			st := &states[local]

@@ -372,7 +372,7 @@ func (m *Manager) loadSegment(ms store.ManifestSegment) (*seg, error) {
 	s := &seg{
 		repo:       repo,
 		handles:    handles,
-		deadMaster: dead,
+		tombstones: tombstones{deadMaster: dead},
 		// file stays empty: the v1 snapshot is still referenced by the
 		// manifest (removeOrphans keys on the manifest, not seg.file), but
 		// the next checkpoint sees an unpersisted segment and writes it in
@@ -418,7 +418,7 @@ func (m *Manager) loadMappedSegment(ms store.ManifestSegment, mseg *store.Mapped
 	s := &seg{
 		repo:       repo,
 		handles:    mseg.Handles,
-		deadMaster: dead,
+		tombstones: tombstones{deadMaster: dead},
 		file:       ms.File,
 		mseg:       mseg,
 	}
@@ -467,7 +467,7 @@ func (m *Manager) checkpointLocked() error {
 	if m.dir == "" || m.replaying || m.closed {
 		return nil
 	}
-	if len(m.mem) > 0 {
+	if m.mem != nil {
 		m.sealLocked()
 		m.publishLocked()
 	}
@@ -706,9 +706,10 @@ func (m *Manager) dropSegmentLocked(s *seg, reason string) {
 	}
 	clear(m.tokenRefs)
 	clear(m.liveBits)
+	m.liveDirty = true
 	for _, l := range m.where {
 		if l.mem {
-			m.retainLocked(m.memSeg.repo.Set(l.idx).ElemIDs)
+			m.retainLocked(m.mem.grow.Row(l.local).ElemIDs)
 		} else {
 			m.retainLocked(l.seg.repo.Set(l.local).ElemIDs)
 		}

@@ -1,18 +1,21 @@
 // Package segment turns the build-once Koios engine into a mutable
 // collection served from immutable segments (DESIGN.md §4): an LSM-style
-// manager owns a shared append-only token dictionary, a small mutable
-// memtable of recently written sets, a list of sealed immutable segments
-// (each a sets.Repository + core.Engine with its own CSR postings), and
-// per-segment tombstone bitsets for deletes. Writes go through one writer
+// manager owns a shared append-only token dictionary, a small memtable of
+// recently written sets, a list of sealed immutable segments (each a
+// sets.Repository + core.Engine with its own CSR postings), and a tombstone
+// bitset per segment and for the memtable. Writes go through one writer
 // mutex; reads never take it — every mutation publishes a fresh immutable
 // snapshot through an atomic pointer, and Search runs the whole
 // stream/refinement/post-processing pipeline against the snapshot it
 // loaded, so searches are wait-free with respect to writers and observe a
 // consistent collection state.
 //
-// The memtable seals into a segment once it reaches SealThreshold sets;
-// background compaction merges all sealed segments into one big CSR (and
-// drops tombstoned rows) once more than MaxSegments have accumulated.
+// The memtable is appended to in place (core.Growing): an insert costs its
+// own size, and a snapshot sees the rows that existed when it was published.
+// Once it holds SealThreshold rows, dead ones included, its live rows are
+// built into a CSR segment; background compaction merges all sealed segments
+// into one big CSR (and drops tombstoned rows) once more than MaxSegments
+// have accumulated.
 // Set names are the external keys: inserting an existing name replaces the
 // old version (a tombstone shadows it), exactly like an LSM overwrite.
 //
@@ -136,21 +139,50 @@ type Result struct {
 	Verified bool
 }
 
+// tombstones is the writer's record of a segment's or the memtable's dead
+// rows, guarded by Manager.mu. Searches never read deadMaster: they see the
+// clone a snapshot carries, and successive snapshots share one clone until
+// the next row dies.
+type tombstones struct {
+	deadMaster []uint64
+	deadN      int // set bits of deadMaster
+	deadPub    []uint64
+}
+
+func (t *tombstones) dead(local int) bool {
+	return t.deadMaster[local>>6]&(1<<(uint(local)&63)) != 0
+}
+
+func (t *tombstones) markDead(local int) {
+	t.deadMaster[local>>6] |= 1 << (uint(local) & 63)
+	t.deadN++
+	t.deadPub = nil
+}
+
+// published returns the bitset for the next snapshot, nil when no row is
+// dead.
+func (t *tombstones) published() []uint64 {
+	if t.deadN == 0 {
+		return nil
+	}
+	if t.deadPub == nil {
+		t.deadPub = slices.Clone(t.deadMaster)
+	}
+	return t.deadPub
+}
+
 // seg is one immutable segment: a repository slice with its search engine
-// and the stable handle of each local row. deadMaster is the writer-owned
-// tombstone bitset (guarded by Manager.mu, never read by searches — they
-// see the clones published in snapshots); deadN counts its set bits.
+// and the stable handle of each local row, plus the writer's tombstones.
 // file is the segment's on-disk snapshot name inside the manager's data
 // directory, empty while the segment exists only in memory (non-durable
 // managers, or a durable segment awaiting its first checkpoint). A file
 // that was loaded as v1 also clears file so the next checkpoint rewrites
 // it in the v2 layout (the transparent upgrade, DESIGN.md §13).
 type seg struct {
-	repo       *sets.Repository
-	handles    []int64
-	deadMaster []uint64
-	deadN      int
-	file       string
+	repo    *sets.Repository
+	handles []int64
+	tombstones
+	file string
 
 	// eng is the segment's search engine. Segments built from live data
 	// (seed, seal, compaction) set it eagerly; recovery-loaded segments set
@@ -178,31 +210,55 @@ func (s *seg) engine() *core.Engine {
 	return s.eng
 }
 
-func (s *seg) dead(local int) bool {
-	return s.deadMaster[local>>6]&(1<<(uint(local)&63)) != 0
+// newSeg wraps an engine built from live data, none of its rows dead.
+func newSeg(eng *core.Engine, handles []int64) *seg {
+	return &seg{repo: eng.Repo(), eng: eng, handles: handles,
+		tombstones: tombstones{deadMaster: make([]uint64, (eng.Repo().Len()+63)/64)}}
 }
 
-func (s *seg) markDead(local int) {
-	s.deadMaster[local>>6] |= 1 << (uint(local) & 63)
-	s.deadN++
+// memtable is the writer's side of the segment still being written
+// (guarded by Manager.mu): rows are appended to grow and handles in place
+// and never moved, so a row index is stable until the seal; a deleted or
+// replaced row is tombstoned like a sealed one. A memtable always has a live
+// row — the manager drops it whole when the last one dies.
+type memtable struct {
+	grow    *core.Growing
+	handles []int64
+	tombstones
+	// view is what snapshots publish: grow's engine over the rows appended
+	// so far with the matching prefix of handles. An append clears it;
+	// tombstones do not change it (they travel beside it, in snapshot.dead).
+	view *seg
 }
+
+func (mt *memtable) append(row sets.Set, handle int64) {
+	if mt.grow.Len()&63 == 0 {
+		mt.deadMaster = append(mt.deadMaster, 0)
+		mt.deadPub = nil // too short for the next snapshot
+	}
+	mt.grow.Append(row)
+	mt.handles = append(mt.handles, handle)
+	mt.view = nil
+}
+
+// liveRows returns the number of rows not tombstoned.
+func (mt *memtable) liveRows() int { return mt.grow.Len() - mt.deadN }
 
 // snapshot is the immutable state one search runs against: the sealed
-// segments (oldest first), the memtable's segment view (last, when the
-// memtable is non-empty), a tombstone bitset clone per segment, and the
-// live-token bitset clone (tokens occurring in ≥ 1 live set — the search's
-// effective retrieval vocabulary).
+// segments (oldest first), the memtable's view (last, when there is a
+// memtable), a tombstone bitset per segment, and the live-token bitset
+// (tokens occurring in ≥ 1 live set — the search's effective retrieval
+// vocabulary). Consecutive snapshots share every bitset the mutation between
+// them left alone.
 type snapshot struct {
 	segs []*seg
 	dead [][]uint64
 	live []uint64
 }
 
-// loc addresses a live set: a memtable row index, or a (segment, local)
-// pair.
+// loc addresses a live set: row local of the memtable, or of seg.
 type loc struct {
 	mem   bool
-	idx   int // memtable row when mem
 	seg   *seg
 	local int
 }
@@ -221,9 +277,7 @@ type Manager struct {
 
 	mu         sync.Mutex // writer lock; never held by Search
 	sealed     []*seg     // oldest first
-	mem        []sets.Set // memtable rows (sets.InternSet output), insertion order
-	memHandles []int64
-	memSeg     *seg // searchable view of mem, rebuilt on every mutation
+	mem        *memtable  // nil while no unsealed row is live
 	where      map[string]loc
 	nextHandle int64
 	live       int
@@ -235,6 +289,7 @@ type Manager struct {
 	// retrieval, as if the indexes had been rebuilt without it.
 	tokenRefs []int32
 	liveBits  []uint64
+	liveDirty bool // a bit of liveBits flipped since the last snapshot
 
 	// Durable state (zero-valued on in-memory managers): the data
 	// directory, the open WAL of the current checkpoint generation, the
@@ -289,12 +344,7 @@ func NewManager(seed []sets.Set, build SourceBuilder, opts core.Options, cfg Con
 	}
 	m.wireSource(build)
 	if repo != nil {
-		s := &seg{
-			repo:       repo,
-			eng:        core.NewEngine(repo, m.src, m.opts),
-			handles:    make([]int64, repo.Len()),
-			deadMaster: make([]uint64, (repo.Len()+63)/64),
-		}
+		s := newSeg(core.NewEngine(repo, m.src, m.opts), make([]int64, repo.Len()))
 		for i := 0; i < repo.Len(); i++ {
 			s.handles[i] = int64(i)
 			row := repo.Set(i)
@@ -346,15 +396,12 @@ func (m *Manager) Len() int {
 // space).
 func (m *Manager) VocabSize() int { return m.dict.Size() }
 
-// Segments reports the current layout: sealed segment count, memtable
-// rows, and tombstoned (dead but not yet compacted) rows.
+// Segments reports the current layout: sealed segment count, live memtable
+// rows, and tombstoned rows of sealed segments (dead but not yet compacted;
+// the memtable's own dead rows are Debt.MemtableTombstones).
 func (m *Manager) Segments() (sealedSegs, memtableSets, tombstones int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.sealed {
-		tombstones += s.deadN
-	}
-	return len(m.sealed), len(m.mem), tombstones
+	d := m.MaintenanceDebt()
+	return d.SealedSegments, d.MemtableSets, d.Tombstones
 }
 
 // Debt quantifies the maintenance backlog a manager has accumulated — the
@@ -365,9 +412,15 @@ type Debt struct {
 	// SealedSegments is the sealed immutable segment count; compaction
 	// merges them back down to one.
 	SealedSegments int `json:"sealed_segments"`
-	// MemtableSets counts buffered writes not yet sealed into a segment.
+	// MemtableSets counts buffered live sets not yet sealed into a segment.
 	MemtableSets int `json:"memtable_sets"`
-	// Tombstones counts deleted rows whose storage compaction reclaims.
+	// MemtableTombstones counts rows deleted or replaced while still in the
+	// memtable. They are not compaction's to reclaim: the seal leaves them
+	// out of the segment it builds, and the memtable is dropped whole when
+	// its last live row dies, so they only ever accompany MemtableSets > 0.
+	MemtableTombstones int `json:"memtable_tombstones"`
+	// Tombstones counts deleted rows of sealed segments, whose storage
+	// compaction reclaims.
 	Tombstones int `json:"tombstones"`
 	// WALBytes is the write-ahead-log volume since the last checkpoint —
 	// exactly the replay a crash would pay. Zero on in-memory managers.
@@ -379,15 +432,18 @@ type Debt struct {
 
 // String renders the debt for error messages and logs.
 func (d Debt) String() string {
-	return fmt.Sprintf("%d sealed (%d unpersisted), %d memtable sets, %d tombstones, %d WAL bytes",
-		d.SealedSegments, d.UnpersistedSegments, d.MemtableSets, d.Tombstones, d.WALBytes)
+	return fmt.Sprintf("%d sealed (%d unpersisted), %d memtable sets (+%d dead), %d tombstones, %d WAL bytes",
+		d.SealedSegments, d.UnpersistedSegments, d.MemtableSets, d.MemtableTombstones, d.Tombstones, d.WALBytes)
 }
 
 // MaintenanceDebt snapshots the manager's current maintenance backlog.
 func (m *Manager) MaintenanceDebt() Debt {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d := Debt{SealedSegments: len(m.sealed), MemtableSets: len(m.mem)}
+	d := Debt{SealedSegments: len(m.sealed)}
+	if m.mem != nil {
+		d.MemtableSets, d.MemtableTombstones = m.mem.liveRows(), m.mem.deadN
+	}
 	for _, s := range m.sealed {
 		d.Tombstones += s.deadN
 		if m.dir != "" && s.file == "" {
@@ -469,14 +525,16 @@ func (m *Manager) applyInsertLocked(handle int64, name string, elements []string
 	if old, ok := m.where[name]; ok {
 		m.removeLocked(name, old)
 	}
-	// The row is de-duplicated and interned here, once; every later rebuild
-	// of the memtable view shares it.
+	// The row is de-duplicated and interned here, once, and the source
+	// synced to the tokens it brought before any snapshot can show it.
 	row := sets.InternSet(m.dict, name, elements)
-	m.where[name] = loc{mem: true, idx: len(m.mem)}
-	m.mem = append(m.mem, row)
-	m.memHandles = append(m.memHandles, handle)
+	m.dyn.Sync()
+	if m.mem == nil {
+		m.mem = &memtable{grow: core.NewGrowing(m.dict, m.src, m.opts)}
+	}
+	m.where[name] = loc{mem: true, local: m.mem.grow.Len()}
+	m.mem.append(row, handle)
 	m.live++
-	m.rebuildMemLocked()
 	m.retainLocked(row.ElemIDs)
 	sealed := m.maybeSealLocked()
 	m.publishLocked()
@@ -527,25 +585,22 @@ func (m *Manager) Delete(name string) (bool, error) {
 func (m *Manager) applyDeleteLocked(name string, l loc) {
 	m.removeLocked(name, l)
 	delete(m.where, name)
-	if l.mem {
-		m.rebuildMemLocked()
-	}
 	m.publishLocked()
 	if m.cfg.ExternalMaintenance {
 		m.notifyMaintenanceLocked()
 	}
 }
 
-// removeLocked detaches the set at l: memtable rows are spliced out,
-// sealed rows tombstoned. The caller owns m.where bookkeeping for name.
+// removeLocked tombstones the set at l. The caller owns m.where bookkeeping
+// for name.
 func (m *Manager) removeLocked(name string, l loc) {
 	if l.mem {
-		m.releaseLocked(m.mem[l.idx].ElemIDs)
-		m.mem = slices.Delete(m.mem, l.idx, l.idx+1)
-		m.memHandles = slices.Delete(m.memHandles, l.idx, l.idx+1)
-		// Reindex the shifted rows' locations.
-		for i := l.idx; i < len(m.mem); i++ {
-			m.where[m.mem[i].Name] = loc{mem: true, idx: i}
+		m.releaseLocked(m.mem.grow.Row(l.local).ElemIDs)
+		m.mem.markDead(l.local)
+		if m.mem.liveRows() == 0 {
+			// Nothing left to seal or to search: the next insert starts a
+			// new memtable, and snapshots still holding this one keep it.
+			m.mem = nil
 		}
 	} else {
 		l.seg.markDead(l.local)
@@ -566,6 +621,7 @@ func (m *Manager) retainLocked(ids []int32) {
 		m.tokenRefs[id]++
 		if m.tokenRefs[id] == 1 {
 			m.liveBits[id>>6] |= 1 << (uint(id) & 63)
+			m.liveDirty = true
 		}
 	}
 }
@@ -577,62 +633,56 @@ func (m *Manager) releaseLocked(ids []int32) {
 		m.tokenRefs[id]--
 		if m.tokenRefs[id] == 0 {
 			m.liveBits[id>>6] &^= 1 << (uint(id) & 63)
+			m.liveDirty = true
 		}
 	}
 }
 
-// rebuildMemLocked rebuilds the memtable's searchable segment view over
-// the already-interned rows. The memtable is bounded by SealThreshold, so
-// the rebuild is O(threshold) work per mutation; sealed segments are never
-// rebuilt. The source is synced to the tokens the rows interned before the
-// view can be published, so every published snapshot is fully covered.
-func (m *Manager) rebuildMemLocked() {
-	if len(m.mem) == 0 {
-		m.memSeg = nil
-		return
-	}
-	repo := sets.NewSegmentOfInterned(m.dict, m.mem)
-	if m.dyn != nil {
-		m.dyn.Sync()
-	}
-	memOpts := m.opts
-	memOpts.Partitions = 1 // the memtable is small; partitioning it is pure overhead
-	m.memSeg = &seg{
-		repo:       repo,
-		eng:        core.NewEngine(repo, m.src, memOpts),
-		handles:    slices.Clone(m.memHandles),
-		deadMaster: make([]uint64, (repo.Len()+63)/64),
-	}
-}
-
-// maybeSealLocked freezes the memtable into a sealed segment once it
-// reaches the seal threshold, reporting whether it did (a durable caller
-// follows a seal with a checkpoint).
+// maybeSealLocked freezes the memtable into a sealed segment once it holds
+// SealThreshold rows, reporting whether it did (a durable caller follows a
+// seal with a checkpoint). Dead rows count: they take a slot of every search
+// until the seal drops them.
 func (m *Manager) maybeSealLocked() bool {
-	if len(m.mem) < m.cfg.SealThreshold || m.memSeg == nil {
+	if m.mem == nil || m.mem.grow.Len() < m.cfg.SealThreshold {
 		return false
 	}
 	m.sealLocked()
 	return true
 }
 
-// sealLocked unconditionally freezes the non-empty memtable. The
-// just-rebuilt memtable view simply becomes the sealed segment — its
-// repository and engine are already immutable.
+// sealLocked unconditionally freezes the memtable: its live rows become an
+// ordinary CSR segment — the one engine build a memtable ever costs — and
+// its tombstoned rows go no further.
 func (m *Manager) sealLocked() {
-	s := m.memSeg
-	for i, row := range m.mem {
+	mt := m.mem
+	rows := make([]sets.Set, 0, mt.liveRows())
+	handles := make([]int64, 0, mt.liveRows())
+	for i := 0; i < mt.grow.Len(); i++ {
+		if mt.dead(i) {
+			continue
+		}
+		row := mt.grow.Row(i)
+		row.ID = len(rows)
+		rows = append(rows, row)
+		handles = append(handles, mt.handles[i])
+	}
+	repo := sets.SegmentOver(m.dict, rows)
+	sealOpts := m.opts
+	sealOpts.Partitions = 1 // a memtable's worth of rows; compaction repartitions
+	s := newSeg(core.NewEngine(repo, m.src, sealOpts), handles)
+	for i, row := range rows {
 		m.where[row.Name] = loc{seg: s, local: i}
 	}
 	m.sealed = append(m.sealed, s)
 	m.mem = nil
-	m.memHandles = nil
-	m.memSeg = nil
 }
 
-// publishLocked installs a fresh immutable snapshot: the segment list plus
-// a clone of every tombstone bitset (copy-on-write per mutation), so
-// in-flight searches keep the exact state they loaded.
+// publishLocked installs a fresh immutable snapshot, so in-flight searches
+// keep the exact state they loaded. It costs the segment list plus whatever
+// the mutation changed: a tombstone bitset is cloned once after a row of its
+// segment died, the live-token bitset once after a token's live bit flipped,
+// and the memtable's view is rebuilt (a few hundred bytes and one int32 per
+// row, core.Growing) once after an append.
 func (m *Manager) publishLocked() {
 	sp := &snapshot{
 		segs: make([]*seg, 0, len(m.sealed)+1),
@@ -640,17 +690,22 @@ func (m *Manager) publishLocked() {
 	}
 	for _, s := range m.sealed {
 		sp.segs = append(sp.segs, s)
-		if s.deadN > 0 {
-			sp.dead = append(sp.dead, slices.Clone(s.deadMaster))
-		} else {
-			sp.dead = append(sp.dead, nil)
+		sp.dead = append(sp.dead, s.published())
+	}
+	if mt := m.mem; mt != nil {
+		if mt.view == nil {
+			eng := mt.grow.Engine()
+			mt.view = &seg{repo: eng.Repo(), eng: eng, handles: mt.handles}
 		}
+		sp.segs = append(sp.segs, mt.view)
+		sp.dead = append(sp.dead, mt.published())
 	}
-	if m.memSeg != nil {
-		sp.segs = append(sp.segs, m.memSeg)
-		sp.dead = append(sp.dead, nil)
+	if prev := m.snap.Load(); prev != nil && !m.liveDirty {
+		sp.live = prev.live
+	} else {
+		sp.live = slices.Clone(m.liveBits)
+		m.liveDirty = false
 	}
-	sp.live = slices.Clone(m.liveBits)
 	m.snap.Store(sp)
 }
 
@@ -757,12 +812,7 @@ func (m *Manager) buildMerged(plan []planEntry, rows []sets.Set) *seg {
 		return nil
 	}
 	repo := sets.NewSegment(m.dict, rows)
-	merged := &seg{
-		repo:       repo,
-		eng:        core.NewEngine(repo, m.src, m.opts),
-		handles:    make([]int64, len(plan)),
-		deadMaster: make([]uint64, (len(plan)+63)/64),
-	}
+	merged := newSeg(core.NewEngine(repo, m.src, m.opts), make([]int64, len(plan)))
 	for i, en := range plan {
 		merged.handles[i] = en.handle
 	}
@@ -809,7 +859,7 @@ func (m *Manager) Flush() error {
 	if m.closed {
 		return ErrClosed
 	}
-	if len(m.mem) > 0 {
+	if m.mem != nil {
 		m.sealLocked()
 		m.publishLocked()
 	}
@@ -1032,7 +1082,7 @@ func (m *Manager) SetByName(name string) (SetRecord, bool) {
 		return SetRecord{}, false
 	}
 	if l.mem {
-		return SetRecord{ID: m.memHandles[l.idx], Name: name, Elements: m.mem[l.idx].Elements}, true
+		return SetRecord{ID: m.mem.handles[l.local], Name: name, Elements: m.mem.grow.Row(l.local).Elements}, true
 	}
 	row := l.seg.repo.Set(l.local)
 	return SetRecord{ID: l.seg.handles[l.local], Name: row.Name, Elements: l.seg.repo.Elements(l.local)}, true

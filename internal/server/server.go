@@ -777,8 +777,9 @@ type InfoResponse struct {
 	Alpha      float64 `json:"alpha"`
 	Partitions int     `json:"partitions"`
 	// Segments/MemtableSets/Tombstones describe the segment layout: sealed
-	// immutable segments, buffered writes not yet sealed, and deleted rows
-	// awaiting compaction.
+	// immutable segments, live sets buffered in the memtable, and deleted
+	// rows of sealed segments awaiting compaction (rows that died in the
+	// memtable are in the collection's debt.memtable_tombstones).
 	Segments     int     `json:"segments"`
 	MemtableSets int     `json:"memtable_sets"`
 	Tombstones   int     `json:"tombstones"`

@@ -368,6 +368,43 @@ func TestDeleteSeedSet(t *testing.T) {
 	}
 }
 
+// TestInfoCountsMemtableTombstones: a set deleted while still in the
+// memtable leaves memtable_sets (live rows) and tombstones (sealed rows
+// awaiting compaction) alone and shows up as the collection's
+// debt.memtable_tombstones, until the memtable's last live row goes too.
+func TestInfoCountsMemtableTombstones(t *testing.T) {
+	ts, _ := testServer(t)
+	c := NewClient(ts.URL, nil)
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.Insert(name, []string{"tok-" + name, "tok-shared"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, memSets, memDead int) {
+		t.Helper()
+		info, err := c.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := info.Collections[0]
+		if info.MemtableSets != memSets || info.Tombstones != 0 ||
+			col.MemtableSets != memSets || col.Tombstones != 0 ||
+			col.Debt.MemtableSets != memSets || col.Debt.MemtableTombstones != memDead || col.Debt.Tombstones != 0 {
+			t.Fatalf("%s: info %+v, collection %+v; want %d live and %d dead memtable rows, no sealed tombstones",
+				label, info, col, memSets, memDead)
+		}
+	}
+	check("two inserts", 2, 0)
+	if _, err := c.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	check("one deleted in the memtable", 1, 1)
+	if _, err := c.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("memtable dropped", 0, 0)
+}
+
 func TestGetSetEndpoint(t *testing.T) {
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)

@@ -71,13 +71,14 @@ func InternSet(dict *Dictionary, name string, elements []string) Set {
 	return Set{Name: name, Elements: elems, ElemIDs: ids}
 }
 
-// NewSegmentOfInterned is NewSegment over rows InternSet already produced
-// against dict: nothing is de-duplicated or interned again, and the rows'
-// element slices are shared, not copied. The segment manager's memtable
-// interns a row once on insert and rebuilds its searchable view with this
-// on every mutation.
-func NewSegmentOfInterned(dict *Dictionary, rows []Set) *Repository {
-	return segmentOf(dict, append([]Set(nil), rows...))
+// SegmentOver wraps rows InternSet produced against dict as a segment,
+// without copying them: rows[i].ID must already be i and every name set, and
+// the rows must never be written again. The caller may keep appending to the
+// slice's backing array past len(rows) — the segment manager's memtable hands
+// each snapshot a longer prefix of one growing slice (DESIGN.md §4). The
+// dictionary size at the call is the segment's vocabulary horizon.
+func SegmentOver(dict *Dictionary, rows []Set) *Repository {
+	return &Repository{sets: rows, dict: dict, vocabN: dict.Size()}
 }
 
 // segmentOf takes ownership of interned rows, assigning positions as IDs

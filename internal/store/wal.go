@@ -47,6 +47,8 @@ type WAL struct {
 	// recovered one. It feeds AppendedBytes — the maintenance-debt measure
 	// "WAL bytes since the last checkpoint" — without a Stat call.
 	written int64
+	// frame is Append's encoding buffer, reused from record to record.
+	frame []byte
 }
 
 // walHeaderLen is magic(5) + generation(8).
@@ -221,14 +223,15 @@ func scanWAL(f FSFile, gen uint64) ([]WALRecord, int64, error) {
 	return recs, end, nil
 }
 
-// Append logs one record. The record is written in a single Write call;
-// durability against power loss additionally needs Sync.
+// Append logs one record. The frame — length and CRC32 of the payload, then
+// the payload — is encoded into the log's own buffer and written in a
+// single Write call; durability against power loss additionally needs Sync.
 func (w *WAL) Append(rec WALRecord) error {
-	payload := encodeWALRecord(rec)
-	buf := make([]byte, 8+len(payload))
+	buf := appendWALRecord(append(w.frame[:0], make([]byte, 8)...), rec)
+	w.frame = buf
+	payload := buf[8:]
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
 	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
@@ -257,23 +260,26 @@ func (w *WAL) Close() error { return w.f.Close() }
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-func encodeWALRecord(rec WALRecord) []byte {
-	var buf bytes.Buffer
-	bw := newBinWriter(&buf)
-	bw.raw([]byte{byte(rec.Op)})
+// appendWALRecord appends rec's payload encoding to buf: the op byte, then
+// uvarint-framed fields, the layout decodeWALRecord reads.
+func appendWALRecord(buf []byte, rec WALRecord) []byte {
+	str := func(s string) {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = append(buf, byte(rec.Op))
 	switch rec.Op {
 	case WALInsert:
-		bw.uvarint(uint64(rec.Handle))
-		bw.str(rec.Name)
-		bw.uvarint(uint64(len(rec.Elements)))
+		buf = binary.AppendUvarint(buf, uint64(rec.Handle))
+		str(rec.Name)
+		buf = binary.AppendUvarint(buf, uint64(len(rec.Elements)))
 		for _, e := range rec.Elements {
-			bw.str(e)
+			str(e)
 		}
 	case WALDelete:
-		bw.str(rec.Name)
+		str(rec.Name)
 	}
-	bw.w.Flush()
-	return buf.Bytes()
+	return buf
 }
 
 func decodeWALRecord(payload []byte) (WALRecord, error) {

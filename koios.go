@@ -333,7 +333,8 @@ func (e *Engine) Collection() int { return e.mgr.Len() }
 func (e *Engine) Vocabulary() int { return e.mgr.VocabSize() }
 
 // Segments reports the engine's segment layout: sealed immutable segments,
-// buffered (memtable) sets, and tombstoned rows awaiting compaction.
+// live sets buffered in the memtable, and tombstoned rows of sealed segments
+// awaiting compaction.
 func (e *Engine) Segments() (sealed, memtable, tombstones int) {
 	return e.mgr.Segments()
 }
