@@ -65,13 +65,23 @@ type Engine struct {
 	// α-graph, the live bound (nil when early termination is off) and the
 	// verdict.
 	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
+	// survivorHook, when set on a group's lead engine (tests only), observes
+	// what refinement hands to post-processing, and how many comparisons of
+	// the search's cut replay had to read token strings.
+	survivorHook func(survivors []survivor, replayTies int)
 }
 
-// queryScratch holds the collection-sized buffers one Search needs.
+// queryScratch holds the buffers one Search needs and the next can reuse:
+// the collection-sized ones, and the working memory of the pump, the cut
+// replay (one per partition refiner) and verification (one per worker),
+// which grows to what the largest search so far needed.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
 	refine  refineArena
+	raw     []index.Tuple
+	replay  []replayScratch
+	verify  []verifyScratch
 }
 
 func (e *Engine) getScratch() *queryScratch {
@@ -89,6 +99,15 @@ func (e *Engine) getScratch() *queryScratch {
 func sized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// regrown returns n elements in which those buf held keep their content —
+// the scratch they own — and the rest are zero.
+func regrown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
 	}
 	return buf[:n]
 }

@@ -154,10 +154,11 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// base turns (segment, local set ID) into one dense group-wide ID space
 	// ordered by segment age then local position — insertion order.
 	base := make([]int, len(g.Engines)+1)
-	cWords := 0
+	cWords, nParts := 0, 0
 	for i, e := range g.Engines {
 		base[i+1] = base[i] + e.repo.Len()
 		cWords += e.cWords
+		nParts += len(e.parts)
 	}
 
 	// Every partition of every segment refines the same shared tuple arena;
@@ -170,11 +171,15 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	type chunk struct {
 		stats Stats
 		r     *partRefiner
+		rs    *replayScratch
 		surv  []survivor
 	}
 	chunks := make([][]chunk, len(g.Engines))
 	refiners := make([][]*partRefiner, len(g.Engines))
 	sc.refine.reset(base[len(g.Engines)], cWords)
+	sc.replay = regrown(sc.replay, nParts)
+	sc.verify = regrown(sc.verify, opts.Workers)
+	nref := 0
 	for si, e := range g.Engines {
 		chunks[si] = make([]chunk, len(e.parts))
 		refiners[si] = make([]*partRefiner, len(e.parts))
@@ -185,6 +190,9 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		for p := range e.parts {
 			c := &chunks[si][p]
 			c.r = e.newPartRefiner(len(query), p, theta, &c.stats, dead, &sc.refine)
+			c.rs = &sc.replay[nref]
+			c.rs.kept, c.rs.ties = 0, 0
+			nref++
 			refiners[si][p] = c.r
 		}
 	}
@@ -235,7 +243,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 					wg.Add(1)
 					go func(c *chunk) {
 						defer wg.Done()
-						c.surv = c.r.replayPool(cache.edges, qids, len(query), cutLevel, thetaCut, at)
+						c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at, c.rs)
 					}(c)
 				}
 			}
@@ -283,6 +291,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		return nil, stats, err
 	}
 	var survivors []survivor
+	replayTies := 0
 	for si := range chunks {
 		for p := range chunks[si] {
 			stats.add(&chunks[si][p].stats)
@@ -290,7 +299,11 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 				sv.setID += base[si]
 				survivors = append(survivors, sv)
 			}
+			replayTies += chunks[si][p].rs.ties
 		}
+	}
+	if lead.survivorHook != nil {
+		lead.survivorHook(survivors, replayTies)
 	}
 	stats.RefineTime = time.Since(refineStart)
 
@@ -305,8 +318,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		llb.Update(sv.setID, sv.lb)
 	}
 	theta.Update(llb.Bottom())
-	scratch := make([]verifyScratch, opts.Workers)
-	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, scratch)
+	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc.verify)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -320,7 +332,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
 			eng, _, local := g.locate(r.SetID, base)
-			res := eng.verify(len(query), cache, eng.repo.Set(local), theta, &scratch[0])
+			res := eng.verify(len(query), cache, eng.repo.Set(local), theta, &sc.verify[0])
 			stats.HungarianIterations += res.Iterations
 			stats.VerifyCalls++
 			if res.Skipped {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/sets"
 )
 
 // This file implements the lazy token stream of DESIGN.md §10: the pump
@@ -16,62 +17,29 @@ import (
 // pool that keeps a truncated search byte-identical to the eager pipeline
 // (the edge cache is completed by draining the stream; see SearchContext).
 
-// replayEv is one candidate edge event, carrying its global-stream-order
-// sort key: the identity phase (all identity tuples, in query order)
+// replayEv is one tail edge event of a candidate. Events replay in global
+// stream order: the identity phase (all identity tuples, in query order)
 // precedes every probed tuple, which stream in (similarity desc, token asc,
-// query index asc) order — exactly index.Stream's merge order. The key is
-// packed into two machine words so the sort never compares token strings:
-// k1 is -Inf for identity events (they precede everything) and -sim
-// otherwise; k2 breaks ties with the candidate-local token STRING ordinal
-// (precomputed once per candidate) and the query element index.
+// query index asc) order — exactly index.Stream's merge order. k1 is -Inf for
+// identity events (they precede everything) and -sim otherwise, so one float
+// compare orders nearly every pair; token strings are read only between two
+// probed events of equal similarity at different candidate positions.
 type replayEv struct {
 	k1   float64
-	k2   uint64
 	sim  float64
 	qIdx int32
 	pos  int32 // candidate-local element position
 }
 
-func replayKeyLess(a1 float64, a2 uint64, b1 float64, b2 uint64) int {
-	switch {
-	case a1 < b1:
-		return -1
-	case a1 > b1:
-		return 1
-	case a2 < b2:
-		return -1
-	case a2 > b2:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// tokFirst is one distinct candidate token's first stream arrival: its
-// maximum similarity to any query element, at the position the merge order
-// assigns it (k1/k2 as in replayEv, with k2 = token ordinal alone). mRem
-// decrements exactly at these events.
-type tokFirst struct {
-	k1  float64
-	k2  uint64
-	sim float64
-}
-
-// tokOrder is a candidate token with its string, for the per-candidate
-// ordinal assignment.
-type tokOrder struct {
-	tok string
-	at  int32 // index into the candidate's token-entry slice
-}
-
-// replayScratch reuses one partition's replay buffers across candidates.
+// replayScratch reuses the replay buffers across candidates and searches.
+// kept counts the tail events the mask filter let through and ties the
+// event comparisons that had to read token strings, for the tests and the
+// benchmark that watch them.
 type replayScratch struct {
-	events  []replayEv
-	firsts  []tokFirst
-	order   []tokOrder
-	ord     []uint64 // token-entry index -> string ordinal
-	qMask   []uint64
-	posMask []uint64
+	events []replayEv
+	firsts []float64
+	kept   int
+	ties   int
 }
 
 // cutPoint is the stream-order position of the last tuple refinement
@@ -87,22 +55,23 @@ type cutPoint struct {
 	qIdx   int32
 }
 
-// consumed reports whether the edge (identity?, qIdx, sim, tok) was
+// consumedIdentity reports whether query element qIdx's identity tuple was
 // emitted at or before the cut point.
-func (at cutPoint) consumed(identity bool, qIdx int32, sim float64, tok string) bool {
-	if identity {
-		if at.phase1 {
-			return qIdx <= at.qIdx
-		}
-		return true
-	}
+func (at cutPoint) consumedIdentity(qIdx int32) bool {
+	return !at.phase1 || qIdx <= at.qIdx
+}
+
+// consumed reports whether the probed edge (qIdx, sim) of token tid was
+// emitted at or before the cut point. The token's string is read only when
+// sim ties with the cut's.
+func (at cutPoint) consumed(qIdx int32, sim float64, tid int32, repo *sets.Repository) bool {
 	if at.phase1 {
 		return false
 	}
 	if sim != at.sim {
 		return sim > at.sim
 	}
-	if tok != at.token {
+	if tok := repo.Token(tid); tok != at.token {
 		return tok < at.token
 	}
 	return qIdx <= at.qIdx
@@ -111,69 +80,53 @@ func (at cutPoint) consumed(identity bool, qIdx int32, sim float64, tok string) 
 // tailBounds completes one surviving candidate's refinement bounds (iLB
 // greedy lower bound and drained ubSum upper bound) to their full-stream
 // values: starting from the refiner's cut state — lbScore, ubSum, mRem and
-// the candidate's greedy matching masks — it applies exactly the edge
-// events the eager tail would have delivered for this candidate, in the
-// same order, accumulating the same float additions in the same sequence.
-// The values are therefore bit-identical to what the eager pipeline's
-// refiner hands to post-processing, and the work is proportional to the
-// candidate's TAIL edges, not its full edge lists. edgesOf is the drained
-// CSR cache; qids are the (post-demotion) query element token IDs, which
-// identify identity edges.
+// the candidate's greedy matching masks — it applies the edge events the
+// eager tail would have delivered for this candidate, in the same order,
+// accumulating the same float additions in the same sequence. The values are
+// therefore bit-identical to what the eager pipeline's refiner hands to
+// post-processing. edgesOf is the drained CSR cache; qids are the
+// (post-demotion) query element token IDs, which identify identity edges.
+//
+// Only tail events whose query element and candidate position are both
+// unmatched in the cut-time masks are kept: the greedy continuation takes an
+// edge iff both endpoints are free and the masks only grow, so a dropped
+// event is one the loop would have skipped, and the kept events in the same
+// relative order add the same floats in the same sequence. The work is
+// proportional to the edges the cut left open, not to the candidate's tail.
 //
 // Past the cut no tuple can affect any other candidate (DESIGN.md §10), so
 // per-candidate continuation is exact.
-func (r *partRefiner) tailBounds(local int32, qN int, edgesOf func(int32) []qEdge, qids []int32, at cutPoint, rs *replayScratch) (lb, ub float64) {
+func (r *partRefiner) tailBounds(local int32, edgesOf func(int32) []qEdge, qids []int32, at cutPoint, rs *replayScratch) (lb, ub float64) {
 	e := r.e
 	st := &r.states[local]
-	sid := e.parts[r.p][local]
-	set := e.repo.Set(sid)
+	set := e.repo.Set(e.parts[r.p][local])
 	lb, ub = st.lbScore, st.ubSum
 	mRem := st.mRem
 	negInf := math.Inf(-1)
+	qm := r.qBits[int(local)*r.qWords : (int(local)+1)*r.qWords]
+	cOff := e.cOffs[r.p]
+	cm := r.cBits[cOff[local]:cOff[local+1]]
 
-	// Pass 1: the candidate's streamed tokens ordered by string, so the
-	// tail-event sort compares integers only (stream ties break on the
-	// token string; distinct tokens have distinct strings).
-	rs.order = rs.order[:0]
-	for pos, tid := range set.ElemIDs {
-		if len(edgesOf(tid)) == 0 {
-			continue // never streamed: contributes to neither bound
-		}
-		rs.order = append(rs.order, tokOrder{tok: e.repo.Token(tid), at: int32(pos)})
-	}
-	if len(rs.order) == 0 {
-		return lb, ub
-	}
-	slices.SortFunc(rs.order, func(a, b tokOrder) int { return strings.Compare(a.tok, b.tok) })
-	if cap(rs.ord) < len(set.ElemIDs) {
-		rs.ord = make([]uint64, len(set.ElemIDs))
-	}
-	ord := rs.ord[:len(set.ElemIDs)]
-	for rank, to := range rs.order {
-		ord[to.at] = uint64(rank)
-	}
-
-	// Pass 2: tail edge events, and the tokens whose global first arrival
-	// is still ahead of the cut (those are where ubSum still grows).
 	rs.events = rs.events[:0]
 	rs.firsts = rs.firsts[:0]
-	for _, to := range rs.order {
-		pos := int(to.at)
-		tid := set.ElemIDs[pos]
+	identFirsts := int32(0)
+	for pos, tid := range set.ElemIDs {
+		posFree := cm[pos>>6]&(1<<(uint(pos)&63)) == 0
+		if !posFree && mRem == 0 {
+			continue // no edge of a matched token can be taken, and ubSum is full
+		}
 		edges := edgesOf(tid)
 		if len(edges) == 0 {
-			continue
+			continue // never streamed: contributes to neither bound
 		}
-		tok := to.tok
 		identQ := int32(-1)
 		maxSim, maxQ := negInf, int32(-1)
 		for _, ed := range edges {
+			open := posFree && qm[ed.qIdx>>6]&(1<<(uint(ed.qIdx)&63)) == 0
 			if qids[ed.qIdx] == tid {
 				identQ = ed.qIdx
-				if !at.consumed(true, ed.qIdx, ed.sim, tok) {
-					rs.events = append(rs.events, replayEv{
-						k1: negInf, k2: uint64(ed.qIdx), sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos),
-					})
+				if open && !at.consumedIdentity(ed.qIdx) {
+					rs.events = append(rs.events, replayEv{k1: negInf, sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos)})
 				}
 				continue
 			}
@@ -182,11 +135,12 @@ func (r *partRefiner) tailBounds(local int32, qN int, edgesOf func(int32) []qEdg
 			} else if ed.sim == maxSim && ed.qIdx < maxQ {
 				maxQ = ed.qIdx
 			}
-			if !at.consumed(false, ed.qIdx, ed.sim, tok) {
-				rs.events = append(rs.events, replayEv{
-					k1: -ed.sim, k2: ord[pos]<<32 | uint64(ed.qIdx), sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos),
-				})
+			if open && !at.consumed(ed.qIdx, ed.sim, tid, e.repo) {
+				rs.events = append(rs.events, replayEv{k1: -ed.sim, sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos)})
 			}
+		}
+		if mRem == 0 {
+			continue
 		}
 		// The token's global first arrival: its identity tuple when it is a
 		// query element, else its maximum-similarity edge (lowest query
@@ -194,24 +148,34 @@ func (r *partRefiner) tailBounds(local int32, qN int, edgesOf func(int32) []qEdg
 		// still contribute to ubSum.
 		switch {
 		case identQ >= 0:
-			if !at.consumed(true, identQ, 1, tok) {
-				rs.firsts = append(rs.firsts, tokFirst{k1: negInf, k2: uint64(identQ), sim: 1})
+			if !at.consumedIdentity(identQ) {
+				identFirsts++
 			}
 		case maxQ >= 0:
-			if !at.consumed(false, maxQ, maxSim, tok) {
-				rs.firsts = append(rs.firsts, tokFirst{k1: -maxSim, k2: ord[pos], sim: maxSim})
+			if !at.consumed(maxQ, maxSim, tid, e.repo) {
+				rs.firsts = append(rs.firsts, maxSim)
 			}
 		}
 	}
 
-	// iLB continuation: greedy matching over the tail events in stream
+	rs.kept += len(rs.events)
+
+	// iLB continuation: greedy matching over the open tail events in stream
 	// order (Lemma 5) on the candidate's existing masks — take an edge iff
-	// both endpoints are unmatched.
-	slices.SortFunc(rs.events, func(a, b replayEv) int { return replayKeyLess(a.k1, a.k2, b.k1, b.k2) })
-	qWords := r.qWords
-	qm := r.qBits[int(local)*qWords : (int(local)+1)*qWords]
-	cOff := e.cOffs[r.p]
-	cm := r.cBits[cOff[local]:cOff[local+1]]
+	// both endpoints are still unmatched.
+	slices.SortFunc(rs.events, func(a, b replayEv) int {
+		switch {
+		case a.k1 < b.k1:
+			return -1
+		case a.k1 > b.k1:
+			return 1
+		}
+		if a.pos != b.pos && a.k1 != negInf {
+			rs.ties++
+			return strings.Compare(e.repo.Token(set.ElemIDs[a.pos]), e.repo.Token(set.ElemIDs[b.pos]))
+		}
+		return int(a.qIdx - b.qIdx)
+	})
 	for _, ev := range rs.events {
 		qw, qb := ev.qIdx>>6, uint64(1)<<(uint(ev.qIdx)&63)
 		pw, pb := ev.pos>>6, uint64(1)<<(uint(ev.pos)&63)
@@ -222,12 +186,17 @@ func (r *partRefiner) tailBounds(local int32, qN int, edgesOf func(int32) []qEdg
 		}
 	}
 
-	// ubSum continuation: the remaining first arrivals in stream order fill
-	// the remaining min(|Q|,|C|) slots.
-	slices.SortFunc(rs.firsts, func(a, b tokFirst) int { return replayKeyLess(a.k1, a.k2, b.k1, b.k2) })
-	for i := 0; i < len(rs.firsts) && mRem > 0; i++ {
-		ub += rs.firsts[i].sim
-		mRem--
+	// ubSum continuation: the remaining first arrivals, in stream order, fill
+	// the remaining min(|Q|,|C|) slots — identity tuples, then the probed
+	// maxima descending. Entries the stream orders by token carry equal
+	// floats, so the sorted values alone give the same additions in the same
+	// sequence.
+	for ; identFirsts > 0 && mRem > 0; identFirsts, mRem = identFirsts-1, mRem-1 {
+		ub++
+	}
+	slices.Sort(rs.firsts)
+	for i := len(rs.firsts) - 1; i >= 0 && mRem > 0; i, mRem = i-1, mRem-1 {
+		ub += rs.firsts[i]
 	}
 	return lb, ub
 }
@@ -267,7 +236,11 @@ func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*pa
 		nref += len(rs)
 	}
 	blockSize := lead.opts.LazyBlock
-	raw := make([]index.Tuple, 0, blockSize)
+	raw := sc.raw
+	defer func() {
+		clear(raw[:cap(raw)]) // a pooled buffer must not pin a request's strings
+		sc.raw = raw
+	}()
 	var last index.Tuple
 	more := true
 	for more {

@@ -243,7 +243,7 @@ func (r *partRefiner) drain() []survivor {
 
 // replayPool is phase one of a cut-off search's survivor reconstruction:
 // every alive candidate's refinement bounds are replayed to their
-// full-stream values (replayBounds) and the full lower bounds are offered
+// full-stream values (tailBounds) and the full lower bounds are offered
 // to the partition's Llb exactly as the eager tail would have — after every
 // partition has done this, the global θlb holds its eager final value
 // (DESIGN.md §10 spells out why frozen and tail candidates cannot move it).
@@ -254,10 +254,9 @@ func (r *partRefiner) drain() []survivor {
 // replay: their full upper bound cannot reach the final θlb either, and
 // their full lower bound sits below it, so skipping their Llb offer cannot
 // move the reconstructed θlb (same frozen-offer argument).
-func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, qN int, level, thetaCut float64, at cutPoint) []survivor {
+func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint, rs *replayScratch) []survivor {
 	part := r.e.parts[r.p]
 	var out []survivor
-	var rs replayScratch
 	for local := range r.states {
 		st := &r.states[local]
 		if !st.seen || st.pruned {
@@ -268,7 +267,7 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, qN i
 			continue
 		}
 		sid := part[local]
-		lb, ub := r.tailBounds(int32(local), qN, edgesOf, qids, at, &rs)
+		lb, ub := r.tailBounds(int32(local), edgesOf, qids, at, rs)
 		out = append(out, survivor{setID: sid, lb: lb, ub: ub})
 		if r.llb.Update(sid, lb) {
 			r.theta.Update(r.llb.Bottom())

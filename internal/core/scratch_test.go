@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -17,11 +18,38 @@ func searchCounters(res []Result, st Stats) string {
 	return fmt.Sprintf("%v %+v", res, st)
 }
 
+// scratchFootprint lists every slice reachable from v through structs and
+// slices of structs — unexported fields included — as path, backing array
+// and capacity: two equal footprints mean nothing in between regrew.
+func scratchFootprint(path string, v reflect.Value, out []string) []string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = scratchFootprint(path, v.Elem(), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = scratchFootprint(path+"."+v.Type().Field(i).Name, v.Field(i), out)
+		}
+	case reflect.Slice:
+		out = append(out, fmt.Sprintf("%s %x cap %d", path, v.Pointer(), v.Cap()))
+		if v.Type().Elem().Kind() == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				out = scratchFootprint(fmt.Sprintf("%s[%d]", path, i), v.Index(i), out)
+			}
+		}
+	}
+	return out
+}
+
 // TestRefinerScratchReuse: an engine that has served any sequence of
 // searches — small and past-64-element queries interleaved, back to back
 // and concurrently — answers each one exactly as a fresh engine does,
 // results and every Stats counter, and what its scratch pool hands out
-// afterwards is no larger than the collection requires.
+// afterwards is no larger than the collection requires. And a cut search
+// repeated on a warm engine finds all of its pooled working memory — the
+// pump's block, the replay's events, the verification workers' graphs and
+// solver arrays — already large enough: nothing in the scratch regrows.
 func TestRefinerScratchReuse(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
@@ -69,6 +97,43 @@ func TestRefinerScratchReuse(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+
+		// The same cut search twice on its own engine. The pool may drop a
+		// scratch between the two (a GC, and the race detector makes it drop
+		// some at random), so the comparison waits for a round in which the
+		// second search demonstrably ran on the scratch that was measured.
+		warm := NewEngine(ds.Repo, src, opts)
+		cutQuery := -1
+		for i, q := range queries {
+			if _, st := warm.Search(q); st.StreamCut && st.VerifyCalls > 0 {
+				cutQuery = i
+				break
+			}
+		}
+		if cutQuery < 0 {
+			t.Fatalf("k=%d: no query cuts the stream and verifies", k)
+		}
+		for round := 0; ; round++ {
+			if round == 100 {
+				t.Fatalf("k=%d: the pool never handed the scratch of the search before back", k)
+			}
+			warm.Search(queries[cutQuery])
+			sc := warm.getScratch()
+			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
+			used := cap(sc.raw) > 0 && len(sc.replay) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
+			warm.scratch.Put(sc)
+			warm.Search(queries[cutQuery])
+			again := warm.getScratch()
+			after := scratchFootprint("scratch", reflect.ValueOf(again), nil)
+			warm.scratch.Put(again)
+			if !used || again != sc {
+				continue
+			}
+			if fmt.Sprint(before) != fmt.Sprint(after) {
+				t.Fatalf("k=%d: a repeated cut search regrew its scratch\nbefore: %v\nafter:  %v", k, before, after)
+			}
+			break
+		}
 
 		// Whatever the pool retained is sized by the collection alone.
 		for n := 0; n < 8; n++ {

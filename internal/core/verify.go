@@ -7,11 +7,12 @@ import (
 
 // verifyScratch is the reusable state of one verification worker: the sparse
 // solver with its CSR and Dijkstra buffers, the edge list handed to it, and
-// the sandwich's maxima and column adjacency. Post-processing owns one per
-// worker for the length of a search; it is never shared between in-flight
-// verifications.
+// the sandwich's maxima, column adjacency and working arrays. It lives in the
+// pooled queryScratch; post-processing owns one per worker for the length of
+// a search, and it is never shared between in-flight verifications.
 type verifyScratch struct {
 	solver  matching.SparseSolver
+	sand    matching.SandwichScratch
 	edges   []matching.Edge
 	rowMax  []float64
 	colMax  []float64
@@ -66,7 +67,7 @@ func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, 
 	return res
 }
 
-// sandwichPrune derives SandwichPrune's inputs from vs.edges, which verify
+// sandwichPrune derives matching.SandwichPrune's inputs from vs.edges, which verify
 // filled column by column: maxima per row and column, and each column's row
 // adjacency as a slice of one flat array.
 func (vs *verifyScratch) sandwichPrune(rows, cols int, bound func() float64) bool {
@@ -88,5 +89,5 @@ func (vs *verifyScratch) sandwichPrune(rows, cols int, bound func() float64) boo
 			start = i + 1
 		}
 	}
-	return matching.SandwichPrune(vs.rowMax, vs.colMax, vs.colRows, bound)
+	return vs.sand.Prune(vs.rowMax, vs.colMax, vs.colRows, bound)
 }

@@ -52,10 +52,10 @@ func (f *DynamicFunc) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(f.scan(f.dict.Snapshot(), q, alpha, nil))
 }
 
-// NeighborCursor implements LazySource: same exhaustive scan, neighbors
-// ordered only as they are consumed.
-func (f *DynamicFunc) NeighborCursor(q string, alpha float64) NeighborCursor {
-	return newLazyScan(f.scan(f.dict.Snapshot(), q, alpha, nil))
+// NeighborCursors implements LazySource: same exhaustive scan, over one
+// snapshot for all the elements, neighbors ordered only as they are consumed.
+func (f *DynamicFunc) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
+	return f.cursors(f.dict.Snapshot(), qs, alpha)
 }
 
 // Sync implements Syncer: it sketches the dictionary tokens interned since
@@ -160,14 +160,11 @@ func (e *DynamicExact) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(v.scan(qi, alpha, nil))
 }
 
-// NeighborCursor implements LazySource.
-func (e *DynamicExact) NeighborCursor(q string, alpha float64) NeighborCursor {
+// NeighborCursors implements LazySource: all the elements against one view,
+// in one pass of its arena.
+func (e *DynamicExact) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
 	v := e.current()
-	qi := e.lookup(v, q)
-	if qi < 0 {
-		return &eagerCursor{}
-	}
-	return newLazyScan(v.scan(qi, alpha, nil))
+	return v.cursors(qs, alpha, func(q string) int { return e.lookup(v, q) })
 }
 
 // PairSim implements CompleteScorer: the exact dot product retrieval uses,

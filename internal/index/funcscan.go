@@ -58,6 +58,17 @@ func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor
 	}
 }
 
+// cursors is the LazySource probe of the sources over a funcScan: one scan
+// of tokens per query element (a kernel is prepared for one query string, so
+// there is nothing for the elements to share).
+func (f *funcScan) cursors(tokens []string, qs []string, alpha float64) []NeighborCursor {
+	out := make([]NeighborCursor, len(qs))
+	for i, q := range qs {
+		out[i] = newLazyScan(f.scan(tokens, q, alpha, nil))
+	}
+	return out
+}
+
 // sketchColumn keeps a similarity function's sketch of every token of an
 // append-only token list. Readers take no lock: cover extends the column
 // under the writer mutex and then publishes an immutable view through one
@@ -165,7 +176,7 @@ func (f *FuncIndex) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(f.scan(f.vocab, q, alpha, nil))
 }
 
-// NeighborCursor implements LazySource.
-func (f *FuncIndex) NeighborCursor(q string, alpha float64) NeighborCursor {
-	return newLazyScan(f.scan(f.vocab, q, alpha, nil))
+// NeighborCursors implements LazySource.
+func (f *FuncIndex) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
+	return f.cursors(f.vocab, qs, alpha)
 }

@@ -31,7 +31,9 @@ type NeighborCursor interface {
 // still needs. Sources without it are adapted by eagerCursor — the stream
 // works either way, the lazy probe just avoids the full per-probe sort.
 type LazySource interface {
-	NeighborCursor(q string, alpha float64) NeighborCursor
+	// NeighborCursors probes all of a search's query elements at once:
+	// cursor i is qs[i]'s. A source that scans shares the pass between them.
+	NeighborCursors(qs []string, alpha float64) []NeighborCursor
 }
 
 // CompleteScorer marks a NeighborSource whose retrieval is exhaustive with
@@ -77,8 +79,8 @@ func (c *lazyScan) Next(max int) []Neighbor {
 	if max <= 0 || c.h.Len() == 0 {
 		return nil
 	}
-	if cap(c.out) < max {
-		c.out = make([]Neighbor, 0, max)
+	if n := min(max, c.h.Len()); cap(c.out) < n {
+		c.out = make([]Neighbor, 0, n)
 	}
 	c.out = c.out[:0]
 	for len(c.out) < max && c.h.Len() > 0 {
@@ -145,11 +147,15 @@ func ScorerOf(src NeighborSource) (CompleteScorer, bool) {
 	return nil, false
 }
 
-// cursorFor returns src's incremental probe when it has one and the eager
-// fallback otherwise.
-func cursorFor(src NeighborSource, q string, alpha float64) NeighborCursor {
-	if ls, ok := src.(LazySource); ok {
-		return ls.NeighborCursor(q, alpha)
+// cursorsFor probes src once per element of qs: through its incremental
+// probe when lazy is set and it has one, by a full sorted fetch otherwise.
+func cursorsFor(src NeighborSource, qs []string, alpha float64, lazy bool) []NeighborCursor {
+	if ls, ok := src.(LazySource); ok && lazy {
+		return ls.NeighborCursors(qs, alpha)
 	}
-	return &eagerCursor{list: src.Neighbors(q, alpha)}
+	out := make([]NeighborCursor, len(qs))
+	for i, q := range qs {
+		out[i] = &eagerCursor{list: src.Neighbors(q, alpha)}
+	}
+	return out
 }

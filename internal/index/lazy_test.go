@@ -54,7 +54,7 @@ func TestCursorMatchesNeighbors(t *testing.T) {
 				}
 				want := src.Neighbors(q, alpha)
 				for _, chunk := range []int{1, 3, 1000} {
-					got := drainCursor(ls.NeighborCursor(q, alpha), chunk)
+					got := drainCursor(ls.NeighborCursors([]string{q}, alpha)[0], chunk)
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("%s α=%.2f q=%q chunk=%d: cursor diverges from Neighbors\ncursor:    %v\nneighbors: %v",
 							name, alpha, q, chunk, got, want)

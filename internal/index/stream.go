@@ -115,15 +115,23 @@ func newStream(query []string, qids []int32, src NeighborSource, alpha float64, 
 		elems: make([]elemCursor, len(query)),
 		heap:  pqueue.NewHeap[streamHead](headLess),
 	}
-	for i, q := range query {
-		if skip != nil && skip[i] {
-			continue
+	// The probed elements: all of them, or those the mask leaves, at[j] being
+	// the query index of the j-th.
+	probe, at := query, []int(nil)
+	if skip != nil {
+		probe = nil
+		for i, q := range query {
+			if !skip[i] {
+				probe, at = append(probe, q), append(at, i)
+			}
 		}
-		if lazy {
-			s.elems[i].cur = cursorFor(src, q, alpha)
-		} else {
-			s.elems[i].cur = &eagerCursor{list: src.Neighbors(q, alpha)}
+	}
+	for j, cur := range cursorsFor(src, probe, alpha, lazy) {
+		i := j
+		if at != nil {
+			i = at[j]
 		}
+		s.elems[i].cur = cur
 		s.refill(i)
 	}
 	s.pending = len(query)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -57,9 +58,10 @@ type vecRows struct {
 	data   []float32 // element j of row i is data[(i/4*dim+j)*4+i%4]
 }
 
-// useAVX routes dotBlocks to the AVX kernel. Set once at init, on amd64,
-// from CPUID (dot_amd64.go); tests clear it to run the portable loop.
-var useAVX bool
+// useAVX routes dotBlocks to an assembly kernel and useFMA picks the fused
+// one. Both are set once at init, on amd64, from CPUID (dot_amd64.go); tests
+// clear them to run the unfused kernel and the portable loop.
+var useAVX, useFMA bool
 
 // lane returns the arena offset of element 0 of row i; element j is 4j
 // further on.
@@ -118,51 +120,124 @@ func clamp01(s float64) float64 {
 }
 
 // dotBlocksGo is the scan's inner loop in portable Go, and the reference
-// the AVX kernel is tested against: out[4b+l] = Σ_j q[j]·float64(element j
-// of row 4b+l), unclamped, for the len(out)/4 blocks data starts with.
-func dotBlocksGo(q []float64, data []float32, out []float64) {
-	for b := 0; 4*b+4 <= len(out); b++ {
-		blk := data[4*b*len(q):][:4*len(q)]
-		var d0, d1, d2, d3 float64
-		// Both slices shrink as the loop advances, so its condition is
-		// the only bounds check.
-		for qs := q; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
-			d0 += qs[0] * float64(blk[0])
-			d1 += qs[0] * float64(blk[1])
-			d2 += qs[0] * float64(blk[2])
-			d3 += qs[0] * float64(blk[3])
+// the assembly kernels are tested against: for each of the nq ∈ {1, 2} query
+// rows in q, out[g·4·nblk+4b+l] = Σ_j q[g·dim+j]·float64(element j of row
+// 4b+l), unclamped, for the nblk = len(out)/(4·nq) blocks data starts with.
+// Two rows share each block element's load and widening.
+func dotBlocksGo(q []float64, nq int, data []float32, out []float64) {
+	dim, nblk := len(q)/nq, len(out)/(4*nq)
+	q0, q1 := q[:dim], q[len(q)-dim:]
+	for b := 0; b < nblk; b++ {
+		blk := data[4*b*dim:][:4*dim]
+		var d0, d1, d2, d3, e0, e1, e2, e3 float64
+		// The slices shrink as a loop advances, so its condition is the
+		// only bounds check.
+		if nq == 1 {
+			for qs := q0; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
+				d0 += qs[0] * float64(blk[0])
+				d1 += qs[0] * float64(blk[1])
+				d2 += qs[0] * float64(blk[2])
+				d3 += qs[0] * float64(blk[3])
+			}
+		} else {
+			for qs, rs := q0, q1; len(qs) >= 1 && len(rs) >= 1 && len(blk) >= 4; qs, rs, blk = qs[1:], rs[1:], blk[4:] {
+				f0, f1, f2, f3 := float64(blk[0]), float64(blk[1]), float64(blk[2]), float64(blk[3])
+				d0 += qs[0] * f0
+				d1 += qs[0] * f1
+				d2 += qs[0] * f2
+				d3 += qs[0] * f3
+				e0 += rs[0] * f0
+				e1 += rs[0] * f1
+				e2 += rs[0] * f2
+				e3 += rs[0] * f3
+			}
+			o := out[4*(nblk+b):][:4]
+			o[0], o[1], o[2], o[3] = e0, e1, e2, e3
 		}
 		o := out[4*b:][:4]
 		o[0], o[1], o[2], o[3] = d0, d1, d2, d3
 	}
 }
 
-// scanChunk is how many blocks one dotBlocks call covers: its dots stay in
-// L1 until the emit pass reads them, and the assembly kernel, which cannot
-// be preempted, returns to Go every 256 rows.
+// scanChunk is how many blocks of the arena the scan scores every query row
+// against before it moves on: the chunk stays in cache for all of a search's
+// rows, the dots stay in L1 until the emit pass reads them, and the
+// assembly kernels, which cannot be preempted, return to Go every 256 rows.
 const scanChunk = 64
 
+// scanGroup is how many query rows one dotBlocks call scores against each
+// block element it loads.
+const scanGroup = 2
+
+// widened pools the float64 copies of a scan's query rows.
+var widened = sync.Pool{New: func() any { return new([]float64) }}
+
 // scan appends every row except qi with similarity ≥ alpha to buf,
-// unsorted. The query row is widened to float64 once; the full blocks go
-// through dotBlocks a chunk at a time and the rows of a partial last block
-// through dot.
+// unsorted: scanAll for a group of one.
 func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
-	q := make([]float64, r.dim)
-	for j, at := 0, r.lane(qi); j < len(q); j++ {
-		q[j] = float64(r.data[at+4*j])
+	bufs := [1][]Neighbor{buf}
+	r.scanAll([]int{qi}, alpha, bufs[:])
+	return bufs[0]
+}
+
+// scanAll appends to bufs[g] every row except qis[g] with similarity ≥ alpha
+// to row qis[g], unsorted, in one pass of the arena. The query rows are
+// widened to float64 once; the full blocks go through dotBlocks a chunk at
+// a time, scanGroup query rows per call, and the rows of a partial last
+// block through dot.
+func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
+	wp := widened.Get().(*[]float64)
+	defer widened.Put(wp)
+	if cap(*wp) < len(qis)*r.dim {
+		*wp = make([]float64, len(qis)*r.dim)
+	}
+	q := (*wp)[:len(qis)*r.dim]
+	for g, qi := range qis {
+		for j, at := 0, r.lane(qi); j < r.dim; j++ {
+			q[g*r.dim+j] = float64(r.data[at+4*j])
+		}
 	}
 	n := len(r.tokens)
 	full := n &^ 3
-	var dots [4 * scanChunk]float64
-	for i := 0; i < full; i += len(dots) {
-		out := dots[:min(len(dots), full-i)]
-		dotBlocks(q, r.data[i*r.dim:], out)
-		buf = r.appendMatches(buf, i, out, qi, alpha)
+	var dots [scanGroup * 4 * scanChunk]float64
+	for i := 0; i < full; i += 4 * scanChunk {
+		rows := min(4*scanChunk, full-i)
+		for g := 0; g < len(qis); g += scanGroup {
+			ng := min(scanGroup, len(qis)-g)
+			dotBlocks(q[g*r.dim:(g+ng)*r.dim], ng, r.data[i*r.dim:], dots[:ng*rows])
+			for k := 0; k < ng; k++ {
+				bufs[g+k] = r.appendMatches(bufs[g+k], i, dots[k*rows:(k+1)*rows], qis[g+k], alpha)
+			}
+		}
 	}
-	for i := full; i < n; i++ {
-		dots[i-full] = r.dot(qi, i)
+	for g, qi := range qis {
+		for i := full; i < n; i++ {
+			dots[i-full] = r.dot(qi, i)
+		}
+		bufs[g] = r.appendMatches(bufs[g], full, dots[:n-full], qi, alpha)
 	}
-	return r.appendMatches(buf, full, dots[:n-full], qi, alpha)
+}
+
+// cursors is the LazySource probe of the sources over a vecRows: one cursor
+// per query element, the elements rowOf finds a row for (≥ 0) scanned
+// together. An element without a row has no vector to search with, so no
+// semantic neighbors: its cursor is empty.
+func (r *vecRows) cursors(qs []string, alpha float64, rowOf func(string) int) []NeighborCursor {
+	out := make([]NeighborCursor, len(qs))
+	qis, at := make([]int, 0, len(qs)), make([]int, 0, len(qs))
+	for i, q := range qs {
+		if qi := rowOf(q); qi >= 0 {
+			qis, at = append(qis, qi), append(at, i)
+		} else {
+			out[i] = &eagerCursor{}
+		}
+	}
+	bufs := make([][]Neighbor, len(qis))
+	r.scanAll(qis, alpha, bufs)
+	for g, i := range at {
+		out[i] = newLazyScan(bufs[g])
+	}
+	return out
 }
 
 // appendMatches appends rows first, first+1, … whose raw dots clamp to a
@@ -223,15 +298,16 @@ func (e *Exact) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(e.rows.scan(qi, alpha, nil))
 }
 
-// NeighborCursor implements LazySource: the scan still computes every
-// similarity (that is what keeps Exact exact) but neighbors are only
-// ordered as they are consumed.
-func (e *Exact) NeighborCursor(q string, alpha float64) NeighborCursor {
-	qi, ok := e.byToken[q]
-	if !ok {
-		return &eagerCursor{}
-	}
-	return newLazyScan(e.rows.scan(qi, alpha, nil))
+// NeighborCursors implements LazySource: the scan still computes every
+// similarity (that is what keeps Exact exact), for all the elements in one
+// pass of the arena, but neighbors are only ordered as they are consumed.
+func (e *Exact) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
+	return e.rows.cursors(qs, alpha, func(q string) int {
+		if qi, ok := e.byToken[q]; ok {
+			return qi
+		}
+		return -1
+	})
 }
 
 // PairSim implements CompleteScorer: the exact dot product retrieval uses,

@@ -77,13 +77,18 @@ func sameNeighborBits(got, want []Neighbor) error {
 	return nil
 }
 
-// scanModes runs f on the scan this CPU selected and, where that is the AVX
-// kernel, once more on the portable loop.
+// scanModes runs f on the scan this CPU selected and on every slower one it
+// can also run: the unfused AVX kernel where the selected one is FMA, and
+// the portable loop where there is a kernel at all.
 func scanModes(f func(mode string)) {
+	defer func(avx, fma bool) { useAVX, useFMA = avx, fma }(useAVX, useFMA)
 	f("selected")
+	if useAVX && useFMA {
+		useFMA = false
+		f("unfused")
+	}
 	if useAVX {
 		useAVX = false
-		defer func() { useAVX = true }()
 		f("portable")
 	}
 }
@@ -158,8 +163,25 @@ func testArenaSeam(t *testing.T, mode string, f *arenaFixture, dim int) {
 				if err := sameNeighborBits(src.Neighbors(f.tokens[qi], alpha), want); err != nil {
 					t.Fatalf("%s q=%d α=%v: Neighbors: %v", label, qi, alpha, err)
 				}
-				if err := sameNeighborBits(drain(src.NeighborCursor(f.tokens[qi], alpha)), want); err != nil {
-					t.Fatalf("%s q=%d α=%v: NeighborCursor: %v", label, qi, alpha, err)
+				if err := sameNeighborBits(drain(src.NeighborCursors([]string{f.tokens[qi]}, alpha)[0]), want); err != nil {
+					t.Fatalf("%s q=%d α=%v: NeighborCursors: %v", label, qi, alpha, err)
+				}
+			}
+		}
+		// All the queries and an unindexed token as one search's elements:
+		// one pass of the arena, each cursor its own element's neighbors.
+		batch := []string{"never-indexed"}
+		for _, qi := range queries {
+			batch = append(batch, f.tokens[qi])
+		}
+		for _, alpha := range []float64{0.3, edge} {
+			curs := src.NeighborCursors(batch, alpha)
+			if got := drain(curs[0]); len(got) != 0 {
+				t.Fatalf("%s α=%v: cursor of an unindexed token: %v", label, alpha, got)
+			}
+			for g, qi := range queries {
+				if err := sameNeighborBits(drain(curs[g+1]), f.want(qi, n, alpha)); err != nil {
+					t.Fatalf("%s q=%d α=%v: NeighborCursors, element %d of %d: %v", label, qi, alpha, g+1, len(batch), err)
 				}
 			}
 		}
@@ -228,9 +250,10 @@ func TestArenaDegenerateShapes(t *testing.T) {
 			}
 		})
 	}
-	dotBlocks(nil, nil, nil)                // no rows at all
-	dotBlocks([]float64{1}, nil, nil)       // no full block
-	dotBlocks(nil, nil, make([]float64, 8)) // dim 0
+	dotBlocks(nil, 1, nil, nil)                 // no rows at all
+	dotBlocks([]float64{1}, 1, nil, nil)        // no full block
+	dotBlocks(nil, 1, nil, make([]float64, 8))  // dim 0
+	dotBlocks(nil, 2, nil, make([]float64, 16)) // dim 0, two query rows
 }
 
 // TestArenaEmitThresholds: the emit pass drops a row on one raw s < α
@@ -263,14 +286,138 @@ func TestArenaEmitThresholds(t *testing.T) {
 	}
 }
 
+// arenaFromBytes builds an arena of at most maxRows rows of stride dim (the
+// first row may set another: r.dim is what counts) from data — zero,
+// off-stride, denormal, huge and infinite components among ordinary ones —
+// and the reference vectors sim.Dot scores: normalizeCopy of what each row
+// stores.
+func arenaFromBytes(dim int, data []byte, maxRows int) (r vecRows, ref [][]float32) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	for len(data) > 0 && len(ref) < maxRows {
+		v := make([]float32, dim)
+		switch next() & 7 {
+		case 0: // zero vector
+		case 1: // off-stride (or, as the first row, the stride setter)
+			v = append(v, 1)
+			fallthrough
+		default:
+			for j := range v {
+				switch b := next(); b >> 5 {
+				case 0:
+					v[j] = 0
+				case 1:
+					v[j] = math.Float32frombits(uint32(b&31) + 1) // denormal
+				case 2:
+					v[j] = float32(int(b&31)-16) * 2e37 // huge
+				case 3:
+					v[j] = float32(math.Inf(int(b&1) - 1)) // normalizes to NaN
+				default:
+					v[j] = float32(int(b&63)-32) / 8
+				}
+			}
+		}
+		r.add(fmt.Sprint(len(ref)), int32(len(ref)), v)
+		if len(v) != r.dim {
+			v = make([]float32, r.dim) // off-stride: stored as a zero row
+		}
+		ref = append(ref, normalizeCopy(v))
+	}
+	return r, ref
+}
+
+// checkArenaBatch scores the query rows qis in one scanAll, and each in a
+// scan of its own, on every kernel this CPU runs: both must return, for
+// every element, exactly the rows whose per-pair sim.Dot reaches alpha,
+// with that score, in row order. PairSim's strided dot is held to the same
+// reference.
+func checkArenaBatch(t *testing.T, r *vecRows, ref [][]float32, qis []int, alpha float64) {
+	t.Helper()
+	want := make([][]Neighbor, len(qis))
+	for g, qi := range qis {
+		for i, v := range ref {
+			s := sim.Dot(ref[qi], v)
+			if got := r.dot(qi, i); math.Float64bits(got) != math.Float64bits(s) && !(got != got && s != s) {
+				t.Fatalf("dot(%d,%d) = %v, want %v", qi, i, got, s)
+			}
+			if i != qi && s >= alpha {
+				want[g] = append(want[g], Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
+			}
+		}
+	}
+	scanModes(func(mode string) {
+		bufs := make([][]Neighbor, len(qis))
+		r.scanAll(qis, alpha, bufs)
+		for g, qi := range qis {
+			if err := sameNeighborBits(bufs[g], want[g]); err != nil {
+				t.Fatalf("%s scanAll, dim=%d n=%d α=%v, element %d of %v: %v", mode, r.dim, len(ref), alpha, g, qis, err)
+			}
+			if err := sameNeighborBits(r.scan(qi, alpha, nil), want[g]); err != nil {
+				t.Fatalf("%s scan, dim=%d n=%d q=%d α=%v: %v", mode, r.dim, len(ref), qi, alpha, err)
+			}
+		}
+	})
+}
+
+// TestArenaGroupKernel walks the group pass over its seams: every stride
+// from 1 to 40, block counts that end in each of the kernels' loops (none,
+// the one-block loops, the four- and eight-block loops with and without a
+// remainder), 0–3 rows in the partial last block, searches of one element
+// up to two full groups and a remainder with one row repeated inside a
+// group, and every class of α — over rows that hold zero, off-stride,
+// denormal, huge, infinite and NaN components.
+func TestArenaGroupKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	for dim := 1; dim <= 40; dim++ {
+		for _, nblk := range []int{0, 1, 3, 4, 5, 8, 9, 13} {
+			for tail := 0; tail < 4; tail++ {
+				n := 4*nblk + tail
+				if n == 0 {
+					continue
+				}
+				data := make([]byte, n*(dim+2)) // a row reads at most dim+2 bytes
+				rng.Read(data)
+				data[0] |= 2 // the first row sets the stride: not zero, not off-stride
+				r, ref := arenaFromBytes(dim, data, n)
+				if len(ref) != n || r.dim != dim {
+					t.Fatalf("fixture has %d rows of stride %d, want %d of %d", len(ref), r.dim, n, dim)
+				}
+				alphas := []float64{0.3, 0.8}
+				if (dim+nblk+tail)%5 == 0 {
+					alphas = []float64{math.NaN(), -1, 0, 5e-324, 0.3, 0.8, 1, 1.5}
+				}
+				for size := 1; size <= 2*scanGroup+1; size++ {
+					qis := make([]int, size)
+					for g := range qis {
+						qis[g] = rng.Intn(len(ref))
+					}
+					if size >= 2 {
+						qis[1] = qis[0] // one row twice in the first group
+					}
+					for _, alpha := range alphas {
+						checkArenaBatch(t, &r, ref, qis, alpha)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzArenaScan: bytes → stride, rows (zero, off-stride, denormal, huge and
-// infinite components among ordinary ones), α and query row; the scan, on
-// the selected kernel and on the portable loop, and PairSim must equal
-// per-pair sim.Dot over normalizeCopy vectors.
+// infinite components among ordinary ones), α and a search's query rows —
+// one to eight, one of them possibly twice; the group pass and the single
+// scan, on every kernel this CPU runs, and PairSim must equal per-pair
+// sim.Dot over normalizeCopy vectors.
 func FuzzArenaScan(f *testing.F) {
 	f.Add([]byte{3, 128, 0, 2, 0x91, 0x92, 0x93, 2, 0x94, 0x95, 0x96, 0, 1, 0x90, 2, 0x21, 0x41, 0x9f})
 	f.Add([]byte{0, 0, 1, 2, 2, 1, 0x90, 2, 2, 2, 2, 2, 2, 2})
-	big := []byte{32, 200, 70} // 40 rows of 32 ordinary components: the eight-block loop
+	big := []byte{32, 200, 70} // 40 rows of 32 ordinary components: the multi-block loops, three query rows
 	for i := 0; i < 40*33; i++ {
 		big = append(big, byte(130+i*37%120))
 	}
@@ -279,78 +426,33 @@ func FuzzArenaScan(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		dim := int(data[0]) % 36
+		dim := int(data[0]) % 41
 		alpha := float64(data[1]) / 250
 		if special := []float64{0, -1, math.NaN(), 1, 1.5}; int(data[1]) < len(special) {
 			alpha = special[data[1]]
 		}
-		pick, data := int(data[2]), data[3:]
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
-		}
-		var r vecRows
-		var ref [][]float32
-		for len(data) > 0 && len(ref) < 300 {
-			v := make([]float32, dim)
-			switch next() & 7 {
-			case 0: // zero vector
-			case 1: // off-stride (or, as the first row, the stride setter)
-				v = append(v, 1)
-				fallthrough
-			default:
-				for j := range v {
-					switch b := next(); b >> 5 {
-					case 0:
-						v[j] = 0
-					case 1:
-						v[j] = math.Float32frombits(uint32(b&31) + 1) // denormal
-					case 2:
-						v[j] = float32(int(b&31)-16) * 2e37 // huge
-					case 3:
-						v[j] = float32(math.Inf(int(b&1) - 1)) // normalizes to NaN
-					default:
-						v[j] = float32(int(b&63)-32) / 8
-					}
-				}
-			}
-			r.add(fmt.Sprint(len(ref)), int32(len(ref)), v)
-			if len(v) != r.dim {
-				v = make([]float32, r.dim) // off-stride: stored as a zero row
-			}
-			ref = append(ref, normalizeCopy(v))
-		}
+		pick := int(data[2])
+		r, ref := arenaFromBytes(dim, data[3:], 300)
 		if len(ref) == 0 {
 			return
 		}
-		qi := pick % len(ref)
-		var want []Neighbor
-		for i, v := range ref {
-			s := sim.Dot(ref[qi], v)
-			if got := r.dot(qi, i); math.Float64bits(got) != math.Float64bits(s) && !(got != got && s != s) {
-				t.Fatalf("dot(%d,%d) = %v, want %v", qi, i, got, s)
-			}
-			if i != qi && s >= alpha {
-				want = append(want, Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
-			}
+		qis := make([]int, 1+pick>>5)
+		for g := range qis {
+			qis[g] = (pick + g*(1+pick%3)) % len(ref)
 		}
-		scanModes(func(mode string) {
-			if err := sameNeighborBits(r.scan(qi, alpha, nil), want); err != nil {
-				t.Fatalf("%s scan, dim=%d n=%d q=%d α=%v: %v", mode, r.dim, len(ref), qi, alpha, err)
-			}
-		})
+		if pick&16 != 0 {
+			qis[len(qis)-1] = qis[0]
+		}
+		checkArenaBatch(t, &r, ref, qis, alpha)
 	})
 }
 
-// BenchmarkArenaScan measures one probe of the arena — every row scored,
-// α-matches appended — at the benchmark's search_small size (≈ 11k tokens,
-// 32 dimensions), at a size that fits L2 and at one that does not (40k
-// rows, 5 MB: what the kernel's prefetch is for), on the AVX kernel and on
-// the portable loop.
+// BenchmarkArenaScan measures the arena scan — every row scored, α-matches
+// appended — per row and query element, at the benchmark's search_small
+// size (≈ 11k tokens, 32 dimensions), at a size that fits L2 and at one
+// that does not (40k rows, 5 MB: what the kernel's prefetch is for): one
+// probe at a time on the selected kernel, the unfused one and the portable
+// loop, and the 168 elements of a search_large query in one group pass.
 func BenchmarkArenaScan(b *testing.B) {
 	for _, n := range []int{11000, 2000, 40000} {
 		const dim = 32
@@ -364,21 +466,27 @@ func BenchmarkArenaScan(b *testing.B) {
 			r.add(fmt.Sprint(i), int32(i), v)
 		}
 		for _, mode := range []struct {
-			name string
-			avx  bool
-		}{{"kernel", true}, {"portable", false}} {
+			name     string
+			avx, fma bool
+			elems    int
+		}{{"kernel", true, true, 1}, {"unfused", true, false, 1}, {"portable", false, false, 1},
+			{"kernel-grouped", true, true, 168}, {"unfused-grouped", true, false, 168}, {"portable-grouped", false, false, 168}} {
 			b.Run(fmt.Sprintf("%dx%d/%s", n, dim, mode.name), func(b *testing.B) {
-				if mode.avx && !useAVX {
-					b.Skip("no AVX on this CPU")
+				if mode.avx && !useAVX || mode.fma && !useFMA {
+					b.Skip("not on this CPU")
 				}
-				defer func(was bool) { useAVX = was }(useAVX)
-				useAVX = mode.avx
-				var buf []Neighbor
+				defer func(avx, fma bool) { useAVX, useFMA = avx, fma }(useAVX, useFMA)
+				useAVX, useFMA = mode.avx, mode.fma
+				qis := make([]int, mode.elems)
+				bufs := make([][]Neighbor, mode.elems)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					buf = r.scan(i%n, 0.8, buf[:0])
+					for g := range qis {
+						qis[g], bufs[g] = (i*len(qis)+g)%n, bufs[g][:0]
+					}
+					r.scanAll(qis, 0.8, bufs)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n)/float64(mode.elems), "ns/row")
 			})
 		}
 	}

@@ -1,6 +1,6 @@
 package matching
 
-import "sort"
+import "slices"
 
 // The verification sandwich: a pre-solver that brackets the matching optimum
 // from above and decides many candidates without running a solver.
@@ -41,6 +41,21 @@ import "sort"
 // the optimum with a bound check at every step — so pruning here changes no
 // result and no EM accounting, only the work spent reaching the same verdict.
 func SandwichPrune(rowMax, colMax []float64, colRows [][]int32, bound func() float64) bool {
+	var s SandwichScratch
+	return s.Prune(rowMax, colMax, colRows, bound)
+}
+
+// SandwichScratch is the working memory of SandwichPrune — the sorted copies
+// of the maxima and the cardinality matching's arrays — kept between calls by
+// a caller that prunes many candidates. The zero value is ready.
+type SandwichScratch struct {
+	rows, cols []float64
+	rowTo      []int32 // column matched to each row, or -1
+	visited    []bool
+}
+
+// Prune is SandwichPrune on s's arrays.
+func (s *SandwichScratch) Prune(rowMax, colMax []float64, colRows [][]int32, bound func() float64) bool {
 	if bound == nil {
 		return false
 	}
@@ -65,16 +80,18 @@ func SandwichPrune(rowMax, colMax []float64, colRows [][]int32, bound func() flo
 		n = len(colMax)
 	}
 	if colRows != nil {
-		if nu := matchCardinality(colRows, len(rowMax), n); nu < n {
+		if nu := s.matchCardinality(colRows, len(rowMax), n); nu < n {
 			n = nu
 		}
 	}
-	r := append([]float64(nil), rowMax...)
-	c := append([]float64(nil), colMax...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(r)))
-	sort.Sort(sort.Reverse(sort.Float64Slice(c)))
+	// Sorted ascending and read from the top: the k-th largest of each.
+	s.rows = append(s.rows[:0], rowMax...)
+	s.cols = append(s.cols[:0], colMax...)
+	slices.Sort(s.rows)
+	slices.Sort(s.cols)
+	r, c := s.rows[len(s.rows)-n:], s.cols[len(s.cols)-n:]
 	paired := 0.0
-	for k := 0; k < n; k++ {
+	for k := n - 1; k >= 0; k-- {
 		if r[k] < c[k] {
 			paired += r[k]
 		} else {
@@ -87,32 +104,16 @@ func SandwichPrune(rowMax, colMax []float64, colRows [][]int32, bound func() flo
 // matchCardinality returns the maximum matching cardinality of the bipartite
 // graph given as per-column row adjacency, stopping early once it reaches
 // limit (the bound cannot improve past min(rows, cols)).
-func matchCardinality(colRows [][]int32, rows, limit int) int {
-	rowTo := make([]int32, rows) // column matched to each row, or -1
-	for i := range rowTo {
-		rowTo[i] = -1
+func (s *SandwichScratch) matchCardinality(colRows [][]int32, rows, limit int) int {
+	s.rowTo = append(s.rowTo[:0], make([]int32, rows)...)
+	for i := range s.rowTo {
+		s.rowTo[i] = -1
 	}
-	visited := make([]bool, rows)
-	var augment func(j int32) bool
-	augment = func(j int32) bool {
-		for _, r := range colRows[j] {
-			if visited[r] {
-				continue
-			}
-			visited[r] = true
-			if rowTo[r] == -1 || augment(rowTo[r]) {
-				rowTo[r] = j
-				return true
-			}
-		}
-		return false
-	}
+	s.visited = append(s.visited[:0], make([]bool, rows)...)
 	nu := 0
 	for j := range colRows {
-		for i := range visited {
-			visited[i] = false
-		}
-		if augment(int32(j)) {
+		clear(s.visited)
+		if s.augment(colRows, int32(j)) {
 			nu++
 			if nu >= limit {
 				break
@@ -120,4 +121,19 @@ func matchCardinality(colRows [][]int32, rows, limit int) int {
 		}
 	}
 	return nu
+}
+
+// augment looks for an augmenting path from column j (Kuhn's algorithm).
+func (s *SandwichScratch) augment(colRows [][]int32, j int32) bool {
+	for _, r := range colRows[j] {
+		if s.visited[r] {
+			continue
+		}
+		s.visited[r] = true
+		if s.rowTo[r] == -1 || s.augment(colRows, s.rowTo[r]) {
+			s.rowTo[r] = j
+			return true
+		}
+	}
+	return false
 }
