@@ -93,8 +93,8 @@ func main() {
 		k        = flag.Int("k", 10, "default result size")
 		alpha    = flag.Float64("alpha", 0.8, "element similarity threshold")
 		parts    = flag.Int("partitions", 4, "repository partitions")
-		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS). NOTE: before the throughput subsystem this flag meant per-partition verification workers — that setting is now -verify-workers")
-		verifyW  = flag.Int("verify-workers", 4, "verification workers per partition inside one search (formerly -workers)")
+		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
+		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search runs concurrently during post-processing")
 		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
 		seal     = flag.Int("seal", 256, "memtable sets buffered before sealing a segment")
 		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before compaction")

@@ -5,28 +5,33 @@ package core
 // identified by their partition-local index, buckets are a flat slice
 // indexed by m (open matching slots) instead of a map, and each bucket is a
 // score-ascending min-heap of candidate indices stored in a plain slice.
-// The heaps are position indexed — pos records where each live candidate
-// sits in its bucket — so a move takes the candidate out of its old bucket
-// instead of leaving a stale entry behind: a live candidate is in exactly
-// one heap, and all heaps together never hold more entries than the
-// partition has candidates.
+//
+// A candidate is filed on demand, not on every change of its bound: it stays
+// under the (m, score) it was last filed with while refinement advances its
+// candState. The stream is descending, so every similarity added to ubSum
+// since the filing is at least the current level s, and the filed bound
+// score + m·s can only under-state the true ubSum + mRem·s. prune therefore
+// pops whatever the filed bound puts below the threshold, decides on the true
+// bound, and files the survivors again where they now belong. A live
+// candidate is in exactly one heap, and entries leave only from the top.
 type iubBuckets struct {
 	heaps [][]int32 // bucket per m; min-heap on score
-	// pos and score hold, per local candidate, its index in its bucket and
-	// its current score. Both are the search's pooled memory and carry
-	// garbage for candidates not in any bucket.
-	pos   []int32
+	// score holds, per local candidate, the ubSum it was filed with. It is
+	// the search's pooled memory and carries garbage for candidates not in
+	// any bucket.
 	score []float64
+	// refile collects, during one bucket's scan, the survivors it popped.
+	refile []int32
 }
 
 // newIUBBuckets sizes the filter for candidates with at most maxM open
-// slots; pos and score have one element per partition-local candidate and
-// need no initial value.
-func newIUBBuckets(maxM int, pos []int32, score []float64) iubBuckets {
-	return iubBuckets{heaps: make([][]int32, maxM+1), pos: pos, score: score}
+// slots; score has one element per partition-local candidate and needs no
+// initial value.
+func newIUBBuckets(maxM int, score []float64) iubBuckets {
+	return iubBuckets{heaps: make([][]int32, maxM+1), score: score}
 }
 
-// insert adds a new candidate with m open slots and an initial score.
+// insert files a candidate under m open slots and the given score.
 func (b *iubBuckets) insert(local int32, m int, score float64) {
 	b.score[local] = score
 	h := append(b.heaps[m], local)
@@ -34,62 +39,62 @@ func (b *iubBuckets) insert(local int32, m int, score float64) {
 	b.up(h, len(h)-1)
 }
 
-// move relocates a live candidate from bucket from to bucket m with an
-// updated score.
-func (b *iubBuckets) move(local int32, from, m int, score float64) {
-	b.remove(from, int(b.pos[local]))
-	b.insert(local, m, score)
-}
-
-// prune scans every bucket and removes candidates whose upper bound
-// score + m·s falls strictly below theta, invoking onPrune for each.
-// Because entries are score-ordered, the scan of a bucket stops at the
-// first survivor.
-func (b *iubBuckets) prune(s, theta float64, onPrune func(local int32)) {
+// prune removes every candidate whose upper bound ubSum + mRem·s, read from
+// states, falls strictly below theta, invoking onPrune for each. A bucket's
+// scan pops while the filed bound is below theta+pruneEps: the filed bound
+// under-states the true one up to the rounding of the at most m+4 float
+// operations that separate them, each off by less than 2⁻⁵³·m, which the
+// slack covers while m = min(|Q|,|C|) stays below about 3,000 (DESIGN.md
+// §3). Every popped candidate is tested with the true bound — the decision
+// is the one an always-current filter would take — and the survivors are
+// filed again once the scan is over, so none is popped twice.
+func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(local int32)) {
 	for m := range b.heaps {
 		for {
 			h := b.heaps[m]
-			if len(h) == 0 || b.score[h[0]]+float64(m)*s >= theta {
+			if len(h) == 0 || b.score[h[0]]+float64(m)*s >= theta+pruneEps {
 				break // survivors only from here on
 			}
 			local := h[0]
-			b.remove(m, 0)
-			onPrune(local)
+			b.pop(m)
+			if st := &states[local]; st.ubSum+float64(st.mRem)*s < theta {
+				onPrune(local)
+			} else {
+				b.refile = append(b.refile, local)
+			}
 		}
+		for _, local := range b.refile {
+			st := &states[local]
+			b.insert(local, int(st.mRem), st.ubSum)
+		}
+		b.refile = b.refile[:0]
 	}
 }
 
-// footprintBytes is the filter's memory: the two per-candidate arrays and
-// the heaps' backing arrays.
+// footprintBytes is the filter's memory: the per-candidate scores and the
+// heaps' backing arrays.
 func (b *iubBuckets) footprintBytes() int64 {
-	n := int64(len(b.pos))*(4+8) + int64(len(b.heaps))*24
+	n := int64(len(b.score))*8 + int64(len(b.heaps))*24 + int64(cap(b.refile))*4
 	for _, h := range b.heaps {
 		n += int64(cap(h)) * 4
 	}
 	return n
 }
 
-// remove takes the candidate at index i out of bucket m: the bucket's last
-// candidate fills the hole and sifts to its place.
-func (b *iubBuckets) remove(m, i int) {
+// pop takes the top candidate out of bucket m: the bucket's last candidate
+// fills the hole and sifts to its place.
+func (b *iubBuckets) pop(m int) {
 	h := b.heaps[m]
 	n := len(h) - 1
-	last := h[n]
+	h[0] = h[n]
 	h = h[:n]
 	b.heaps[m] = h
-	if i == n {
-		return
-	}
-	h[i] = last
-	if i > 0 && b.score[h[(i-1)/2]] > b.score[last] {
-		b.up(h, i)
-	} else {
-		b.down(h, i)
+	if n > 1 {
+		b.down(h, 0)
 	}
 }
 
-// up sifts the candidate at index i of h toward the root and records where
-// it lands.
+// up sifts the candidate at index i of h toward the root.
 func (b *iubBuckets) up(h []int32, i int) {
 	c := h[i]
 	for i > 0 {
@@ -98,15 +103,12 @@ func (b *iubBuckets) up(h []int32, i int) {
 			break
 		}
 		h[i] = h[parent]
-		b.pos[h[i]] = int32(i)
 		i = parent
 	}
 	h[i] = c
-	b.pos[c] = int32(i)
 }
 
-// down sifts the candidate at index i of h toward the leaves and records
-// where it lands.
+// down sifts the candidate at index i of h toward the leaves.
 func (b *iubBuckets) down(h []int32, i int) {
 	c := h[i]
 	for {
@@ -121,9 +123,7 @@ func (b *iubBuckets) down(h []int32, i int) {
 			break
 		}
 		h[i] = h[least]
-		b.pos[h[i]] = int32(i)
 		i = least
 	}
 	h[i] = c
-	b.pos[c] = int32(i)
 }

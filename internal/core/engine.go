@@ -73,14 +73,15 @@ type Engine struct {
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
 // the collection-sized ones, and the working memory of the pump, the cut
-// replay (one per partition refiner) and verification (one per worker),
-// which grows to what the largest search so far needed.
+// replay (one per partition refiner), post-processing and verification (one
+// per worker), which grows to what the largest search so far needed.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
 	refine  refineArena
 	raw     []index.Tuple
 	replay  []replayScratch
+	post    postScratch
 	verify  []verifyScratch
 }
 
@@ -120,14 +121,13 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // refineArena is one search's candidate-indexed refinement state: per set
-// of every partition searched, a candState, the iubBuckets' index and score
-// and one query-mask word, plus the token masks. carve hands it out
+// of every partition searched, a candState, the iubBuckets' filed score and
+// one query-mask word, plus the token masks. carve hands it out
 // partition by partition. Its size follows the collection searched, never
 // the query: the query masks of a query past 64 elements are allocated per
 // search.
 type refineArena struct {
 	states []candState
-	pos    []int32
 	score  []float64
 	qBits  []uint64
 	cBits  []uint64
@@ -139,8 +139,7 @@ type refineArena struct {
 // token masks take words words in total.
 func (a *refineArena) reset(sets, words int) {
 	a.states = zeroed(a.states, sets)
-	a.pos = sized(a.pos, sets) // the buckets write before they read
-	a.score = sized(a.score, sets)
+	a.score = sized(a.score, sets) // the buckets write before they read
 	a.qBits = zeroed(a.qBits, sets)
 	a.cBits = zeroed(a.cBits, words)
 	a.sets, a.words = 0, 0
@@ -154,7 +153,7 @@ func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
 	wlo, whi := a.words, a.words+cWords
 	a.sets, a.words = hi, whi
 	r.states = a.states[lo:hi:hi]
-	r.buckets = newIUBBuckets(maxM, a.pos[lo:hi:hi], a.score[lo:hi:hi])
+	r.buckets = newIUBBuckets(maxM, a.score[lo:hi:hi])
 	r.cBits = a.cBits[wlo:whi:whi]
 	if r.qWords == 1 {
 		r.qBits = a.qBits[lo:hi:hi]

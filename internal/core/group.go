@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -290,7 +289,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	var survivors []survivor
+	survivors := sc.post.survivors[:0]
 	replayTies := 0
 	for si := range chunks {
 		for p := range chunks[si] {
@@ -302,6 +301,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			replayTies += chunks[si][p].rs.ties
 		}
 	}
+	sc.post.survivors = survivors
 	if lead.survivorHook != nil {
 		lead.survivorHook(survivors, replayTies)
 	}
@@ -318,7 +318,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		llb.Update(sv.setID, sv.lb)
 	}
 	theta.Update(llb.Bottom())
-	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc.verify)
+	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -331,8 +331,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			// A result set is a proven top-k member, so its score is at
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
-			eng, _, local := g.locate(r.SetID, base)
-			res := eng.verify(len(query), cache, eng.repo.Set(local), theta, &sc.verify[0])
+			res := g.verifyGid(r.SetID, len(query), cache, theta, base, &sc.verify[0])
 			stats.HungarianIterations += res.Iterations
 			stats.VerifyCalls++
 			if res.Skipped {
@@ -342,12 +341,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			results[i].Score = res.Score
 			results[i].Verified = true
 		}
-		sort.Slice(results, func(i, j int) bool {
-			if results[i].Score != results[j].Score {
-				return results[i].Score > results[j].Score
-			}
-			return results[i].SetID < results[j].SetID
-		})
+		sortResults(results)
 	}
 	stats.PostprocTime = time.Since(postStart)
 

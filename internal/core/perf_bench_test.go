@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/pqueue"
 	"repro/internal/sim"
 )
 
@@ -62,6 +64,54 @@ func BenchmarkRefinePartition(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPostproc runs Algorithm 2 alone over what a real refinement hands
+// it: the benchmark's search_small collection (datagen twitter at scale 1.0,
+// exact vector source, k = 10), a query of median cardinality, eager
+// refinement's survivors and edge cache. Each iteration starts from the same
+// survivors, θlb and Llb; resetting them is outside the timer. With
+// -benchmem a warm iteration allocates nothing: post-processing's lists and
+// the verifier's graphs are the search's pooled scratch.
+func BenchmarkPostproc(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
+	byCard := append([]int(nil), eng.parts[0]...)
+	sort.SliceStable(byCard, func(i, j int) bool { return eng.card[byCard[i]] < eng.card[byCard[j]] })
+	query := dedupStrings(ds.Repo.Set(byCard[len(byCard)/2]).Elements)
+
+	ctx := context.Background()
+	sc := eng.getScratch()
+	tuples, cache, _, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), sc, nil, nil)
+	theta, stats := &atomicMax{}, Stats{}
+	refined := eng.refinePartition(ctx, len(query), tuples, 0, theta, &stats, nil)
+	refinedTheta := theta.Load()
+	g := &Group{Engines: []*Engine{eng}}
+	base := []int{0, ds.Repo.Len()}
+	sc.verify = regrown(sc.verify, eng.opts.Workers)
+	survivors := make([]survivor, len(refined))
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(survivors, refined)
+		theta.bits.Store(0)
+		theta.Update(refinedTheta)
+		llb := pqueue.NewTopK(eng.opts.K)
+		for _, sv := range survivors {
+			llb.Update(sv.setID, sv.lb)
+		}
+		theta.Update(llb.Bottom())
+		stats = Stats{}
+		b.StartTimer()
+		if _, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(refined)), "survivors")
+	b.ReportMetric(float64(stats.VerifyCalls), "verifications")
 }
 
 // BenchmarkEditSearch runs whole searches the way the benchmark's

@@ -2,13 +2,15 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/matching"
 	"repro/internal/pqueue"
 )
 
 // ubEntry orders the post-processing priority queue Qub by upper bound.
+// sid is a set ID to the string-keyed oracle of the tests; postproc files a
+// survivor under its index in set-ID order, which breaks ties the same way.
 type ubEntry struct {
 	ub  float64
 	sid int
@@ -21,90 +23,134 @@ func ubMore(a, b ubEntry) bool {
 	return a.sid < b.sid
 }
 
+// A survivor's post-processing flags.
+const (
+	postChecked  uint8 = 1 << iota // its place in the result is settled: verified, or admitted by No-EM
+	postDropped                    // out of the result, certified by ub < θlb or by Lemma 8
+	postVerified                   // lb holds its exact semantic overlap
+)
+
+// postScratch is the pooled memory of one search's post-processing: the
+// merged survivors and Algorithm 2's state over them, addressed by a
+// survivor's index in set-ID order.
+type postScratch struct {
+	survivors []survivor
+	ub, lb    []float64
+	flags     []uint8
+	qub       []ubEntry
+	lub       []int32
+	pending   []int32
+	results   []Result
+}
+
+// verifyGid runs the exact verification of the set with group-wide ID gid.
+func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) matching.Result {
+	eng, _, local := g.locate(gid, base)
+	return eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
+}
+
+// sortResults orders results by descending score, ascending set ID.
+func sortResults(results []Result) {
+	slices.SortFunc(results, func(a, b Result) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return a.SetID - b.SetID
+	})
+}
+
 // postproc runs Algorithm 2 over the refinement survivors (merged across
 // all partitions and segments — they already share the global θlb).
 // Survivor set IDs are group-wide dense IDs (base[seg]+local); locate
-// resolves them back to a segment engine for verification. It maintains
+// resolves them back to a segment engine for verification. It sorts the
+// survivors by set ID and keeps everything it knows about one — bounds,
+// flags — in arrays under its index, so that "lowest set ID first" is
+// "lowest index first" and no step hashes a set ID. It maintains
 //
-//   - Lub, the running top-k list by upper bound (its bottom is θub);
+//   - Lub, the running top-k list by upper bound (its bottom is θub): the
+//     members' indices in ascending order, each scored by its current ub;
 //   - Qub, a priority queue of the remaining sets by upper bound;
 //   - Llb (rebuilt from survivor lower bounds), whose bottom feeds the
 //     global θlb as verifications complete.
 //
 // Invariant: every alive set outside Lub has an upper bound no larger than
-// any score stored in Lub. Lub.Bottom() therefore equals the k-th largest
-// upper bound over all alive sets, which is what Lemma 7's No-EM test
-// requires.
+// any upper bound in Lub. Lub's least upper bound therefore equals the k-th
+// largest upper bound over all alive sets, which is what Lemma 7's No-EM
+// test requires.
 //
 // ctx is polled once per round of the outer loop; on cancellation postproc
 // returns ctx's error (in-flight verifications of the current round finish
 // first — they are bounded by the dual-sum filter).
 //
-// scratch holds one verifyScratch per verification worker (opts.Workers of
-// them): the i-th verification of a round runs on scratch[i], and a round is
-// fully collected before the next starts, so no scratch is ever shared.
-func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int, scratch []verifyScratch) ([]Result, error) {
+// sc.verify holds one verifyScratch per verification worker (opts.Workers
+// of them): the i-th verification of a round runs on sc.verify[i], and a
+// round is fully collected before the next starts, so no scratch is ever
+// shared. The results live in sc as well, like all of postproc's working
+// memory: they are the caller's until it releases sc.
+func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int, sc *queryScratch) ([]Result, error) {
 	opts := g.Engines[0].opts
-	verifyGid := func(gid int, vs *verifyScratch) matching.Result {
-		eng, _, local := g.locate(gid, base)
-		return eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
-	}
-	k := opts.K
-	ub := make(map[int]float64, len(survivors))
-	lb := make(map[int]float64, len(survivors))
-	verified := make(map[int]float64)
-	checked := make(map[int]bool)
-	dropped := make(map[int]bool)
+	k, n := opts.K, len(survivors)
+	slots := min(k, n)
+	slices.SortFunc(survivors, func(a, b survivor) int { return a.setID - b.setID })
 
-	lub := pqueue.NewTopK(k)
-	qub := pqueue.NewHeap[ubEntry](ubMore)
-	for _, sv := range survivors {
-		ub[sv.setID] = sv.ub
-		lb[sv.setID] = sv.lb
-		qub.Push(ubEntry{ub: sv.ub, sid: sv.setID})
+	p := &sc.post
+	p.ub, p.lb, p.flags = sized(p.ub, n), sized(p.lb, n), zeroed(p.flags, n)
+	p.qub, p.lub, p.pending = sized(p.qub, n), sized(p.lub, slots), sized(p.pending, slots)
+	ub, lb, flags := p.ub, p.lb, p.flags
+	for i, sv := range survivors {
+		ub[i], lb[i] = sv.ub, sv.lb
+		p.qub[i] = ubEntry{ub: sv.ub, sid: i}
 	}
-	stats.MemPostprocBytes += int64(len(survivors))*96 + int64(k)*48
+	// Verification re-queues a survivor only after its entry was popped into
+	// Lub, so the queue never outgrows the n entries it starts with.
+	qub := pqueue.NewHeapFrom(p.qub, ubMore)
+	lub, pending := p.lub[:0], p.pending[:0]
+	stats.MemPostprocBytes += int64(n)*(8+8+1+16) + int64(slots)*(4+4)
 
 	refill := func() {
-		for lub.Len() < k && qub.Len() > 0 {
+		for len(lub) < k && qub.Len() > 0 {
 			top := qub.Pop()
-			if dropped[top.sid] || lub.Contains(top.sid) || top.ub != ub[top.sid] {
+			i := int32(top.sid)
+			j, inLub := slices.BinarySearch(lub, i)
+			if inLub || flags[i]&postDropped != 0 || top.ub != ub[i] {
 				continue // dropped or stale entry
 			}
 			if t := theta.Load(); top.ub < t-pruneEps {
-				dropped[top.sid] = true // lazy UB prune, certified by ub < θlb
+				flags[i] |= postDropped // lazy UB prune, certified by ub < θlb
 				continue
 			}
-			lub.Update(top.sid, top.ub)
+			lub = slices.Insert(lub, j, i)
 		}
 	}
 
-	apply := func(sid int, res matching.Result) {
+	apply := func(i int32, res matching.Result) {
 		stats.HungarianIterations += res.Iterations
 		stats.VerifyCalls++
 		if res.Skipped {
 			stats.HungarianSkipped++
 		}
+		// A verified set leaves Lub: for good, or until refill finds that its
+		// exact score still belongs there (Alg. 2 lines 10–15).
+		j, _ := slices.BinarySearch(lub, i)
+		lub = slices.Delete(lub, j, j+1)
 		if res.Pruned {
 			// Label sum fell below θlb: SO(sid) < θlb ≤ θ*k (Lemma 8).
 			stats.EMEarly++
-			lub.Remove(sid)
-			dropped[sid] = true
+			flags[i] |= postDropped
 			return
 		}
 		stats.EMFull++
 		so := res.Score
-		verified[sid] = so
-		checked[sid] = true
-		lb[sid] = so
-		if llb.Update(sid, so) {
+		flags[i] |= postVerified | postChecked
+		lb[i] = so
+		if llb.Update(survivors[i].setID, so) {
 			theta.Update(llb.Bottom())
 		}
-		// Re-queue with the exact score; refill decides whether it still
-		// belongs to Lub (Alg. 2 lines 10–15).
-		lub.Remove(sid)
-		ub[sid] = so
-		qub.Push(ubEntry{ub: so, sid: sid})
+		ub[i] = so
+		qub.Push(ubEntry{ub: so, sid: int(i)})
 	}
 
 	// Parallel verification with a shared, live θlb: results are applied as
@@ -112,11 +158,10 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	// its in-flight peers (§VI). Each round sends exactly len(pending) ≤
 	// Workers results, so the channel never blocks a sender.
 	type vres struct {
-		sid int
+		i   int32
 		res matching.Result
 	}
-	ch := make(chan vres, opts.Workers)
-	pending := make([]int, 0, k)
+	var ch chan vres
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -124,26 +169,35 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 		refill()
 		// Cheap passes first: lazy UB pruning of Lub members and the No-EM
-		// admission test (Lemma 7). Restart the scan after any mutation so
-		// θub is re-read consistently.
+		// admission test (Lemma 7), lowest set ID first. Restart the scan
+		// after any mutation so θub is re-read consistently.
 		mutated := false
-		keys := lub.Keys()
-		sort.Ints(keys)
 		t := theta.Load()
-		for _, key := range keys {
-			if ub[key] < t-pruneEps {
-				lub.Remove(key)
-				dropped[key] = true
-				mutated = true
+		// θub is Lub's least upper bound while Lub is full. A scan that takes
+		// a member out leaves it short until the next refill.
+		full, thetaUB := len(lub) == k, 0.0
+		if full {
+			thetaUB = ub[lub[0]]
+			for _, i := range lub[1:] {
+				thetaUB = min(thetaUB, ub[i])
+			}
+		}
+		for j := 0; j < len(lub); {
+			i := lub[j]
+			if ub[i] < t-pruneEps {
+				lub = slices.Delete(lub, j, j+1)
+				flags[i] |= postDropped
+				mutated, full = true, false
 				continue
 			}
-			if checked[key] {
+			j++
+			if flags[i]&postChecked != 0 {
 				continue
 			}
 			// When Lub is not full after refill, Qub is empty: every alive
 			// candidate is already in Lub and is part of the result.
-			if !lub.Full() || (!opts.DisableNoEM && lb[key] >= lub.Bottom()) {
-				checked[key] = true
+			if !full || (!opts.DisableNoEM && lb[i] >= thetaUB) {
+				flags[i] |= postChecked
 				mutated = true
 			}
 		}
@@ -151,61 +205,59 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			continue
 		}
 		pending = pending[:0]
-		for _, key := range lub.Keys() {
-			if !checked[key] {
-				pending = append(pending, key)
+		for _, i := range lub {
+			if flags[i]&postChecked == 0 {
+				pending = append(pending, i)
 			}
 		}
 		if len(pending) == 0 {
 			break
 		}
 		// Verify the highest-upper-bound sets first ("sets with high upper
-		// bounds have the potential for high semantic overlaps", §VI).
-		sort.Slice(pending, func(i, j int) bool {
-			if ub[pending[i]] != ub[pending[j]] {
-				return ub[pending[i]] > ub[pending[j]]
+		// bounds have the potential for high semantic overlaps", §VI): the
+		// best min(Workers, len) by (ub desc, set ID asc), in that order.
+		round := min(opts.Workers, len(pending))
+		for w := 0; w < round; w++ {
+			best := w
+			for j := w + 1; j < len(pending); j++ {
+				a, b := pending[j], pending[best]
+				if ub[a] > ub[b] || (ub[a] == ub[b] && a < b) {
+					best = j
+				}
 			}
-			return pending[i] < pending[j]
-		})
-		if len(pending) > opts.Workers {
-			pending = pending[:opts.Workers]
+			pending[w], pending[best] = pending[best], pending[w]
 		}
-		if len(pending) == 1 {
-			sid := pending[0]
-			apply(sid, verifyGid(sid, &scratch[0]))
+		pending = pending[:round]
+		if round == 1 {
+			i := pending[0]
+			apply(i, g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0]))
 			continue
 		}
-		for i, sid := range pending {
-			go func(sid int, vs *verifyScratch) {
-				ch <- vres{sid: sid, res: verifyGid(sid, vs)}
-			}(sid, &scratch[i])
+		if ch == nil {
+			ch = make(chan vres, opts.Workers)
+		}
+		for w, i := range pending {
+			go func(ch chan<- vres, i int32, vs *verifyScratch) {
+				ch <- vres{i: i, res: g.verifyGid(survivors[i].setID, qN, cache, theta, base, vs)}
+			}(ch, i, &sc.verify[w])
 		}
 		for range pending {
 			v := <-ch
-			apply(v.sid, v.res)
+			apply(v.i, v.res)
 		}
 	}
 
 	// Every survivor that never entered a graph matching was handled by the
 	// No-EM side of post-processing (admitted by Lemma 7 or pruned by the
 	// lazy UB check).
-	stats.NoEM += len(survivors) - stats.EMFull - stats.EMEarly
+	stats.NoEM += n - stats.EMFull - stats.EMEarly
 
-	keys := lub.Keys()
-	sort.Ints(keys)
-	out := make([]Result, 0, len(keys))
-	for _, key := range keys {
-		if so, ok := verified[key]; ok {
-			out = append(out, Result{SetID: key, Score: so, Verified: true})
-		} else {
-			out = append(out, Result{SetID: key, Score: lb[key], Verified: false})
-		}
+	out := sized(p.results, len(lub))
+	for j, i := range lub {
+		// A verified set's lb is its exact score.
+		out[j] = Result{SetID: survivors[i].setID, Score: lb[i], Verified: flags[i]&postVerified != 0}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].SetID < out[j].SetID
-	})
+	p.results = out
+	sortResults(out)
 	return out, nil
 }

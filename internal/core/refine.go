@@ -182,9 +182,6 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 				if st.mRem > 0 {
 					st.ubSum += s
 					st.mRem--
-					if !opts.DisableIUB {
-						buckets.move(local, int(st.mRem)+1, int(st.mRem), st.ubSum)
-					}
 				}
 			}
 			// Incremental greedy lower bound (iLB): take the edge iff both
@@ -211,7 +208,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			t := theta.Load()
 			if t > r.lastPruneTheta || ti%opts.PruneEvery == opts.PruneEvery-1 {
 				r.lastPruneTheta = t
-				buckets.prune(s, t-pruneEps, markPruned)
+				buckets.prune(s, t-pruneEps, states, markPruned)
 			}
 		}
 	}

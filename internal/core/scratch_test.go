@@ -48,8 +48,9 @@ func scratchFootprint(path string, v reflect.Value, out []string) []string {
 // results and every Stats counter, and what its scratch pool hands out
 // afterwards is no larger than the collection requires. And a cut search
 // repeated on a warm engine finds all of its pooled working memory — the
-// pump's block, the replay's events, the verification workers' graphs and
-// solver arrays — already large enough: nothing in the scratch regrows.
+// pump's block, the replay's events, post-processing's survivors, bounds,
+// flags and lists, the verification workers' graphs and solver arrays —
+// already large enough: nothing in the scratch regrows.
 func TestRefinerScratchReuse(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
@@ -120,7 +121,7 @@ func TestRefinerScratchReuse(t *testing.T) {
 			warm.Search(queries[cutQuery])
 			sc := warm.getScratch()
 			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
-			used := cap(sc.raw) > 0 && len(sc.replay) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
+			used := cap(sc.raw) > 0 && len(sc.replay) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
 			warm.scratch.Put(sc)
 			warm.Search(queries[cutQuery])
 			again := warm.getScratch()
@@ -139,67 +140,95 @@ func TestRefinerScratchReuse(t *testing.T) {
 		for n := 0; n < 8; n++ {
 			sc := eng.getScratch()
 			a := &sc.refine
-			if cap(a.states) > ds.Repo.Len() || cap(a.pos) > ds.Repo.Len() || cap(a.score) > ds.Repo.Len() ||
+			if cap(a.states) > ds.Repo.Len() || cap(a.score) > ds.Repo.Len() ||
 				cap(a.qBits) > ds.Repo.Len() || cap(a.cBits) > eng.cWords ||
+				cap(sc.post.qub) > ds.Repo.Len() ||
 				cap(sc.offsets) > eng.vocabN || cap(sc.seen) > (eng.vocabN+63)/64 {
-				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d pos, %d scores, %d+%d mask words for %d sets, %d mask words",
-					k, cap(a.states), cap(a.pos), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), eng.cWords)
+				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d scores, %d+%d mask words for %d sets, %d mask words",
+					k, cap(a.states), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), eng.cWords)
 			}
 		}
 	}
 }
 
-// TestIUBBucketsMatchModel drives the position-indexed buckets and a plain
-// map with the same random inserts, moves and prunes: every prune must
-// remove exactly the candidates whose bound is below the threshold, each
-// once, and nothing the filter holds may outlive its removal.
+// TestIUBBucketsMatchModel files random candidates and then advances their
+// true (mRem, ubSum) in states the way a descending stream does — each step
+// adds the current level and closes a slot — without telling the buckets.
+// Every prune must remove exactly the candidates whose true bound is below
+// the threshold, each once, and the heaps together must hold one entry per
+// live candidate.
 func TestIUBBucketsMatchModel(t *testing.T) {
-	type entry struct {
-		m     int
-		score float64
-	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nCand, maxM := 1+rng.Intn(200), 1+rng.Intn(12)
-		b := newIUBBuckets(maxM, make([]int32, nCand), make([]float64, nCand))
-		model := map[int32]entry{}
+		states := make([]candState, nCand)
+		b := newIUBBuckets(maxM, make([]float64, nCand))
+		live := map[int32]bool{}
+		level := 1.0
 		for step := 0; step < 2000; step++ {
+			if rng.Intn(8) == 0 {
+				level *= 1 - 0.02*rng.Float64()
+			}
 			local := int32(rng.Intn(nCand))
-			e, live := model[local]
+			st := &states[local]
 			switch {
-			case !live:
-				e = entry{m: rng.Intn(maxM + 1), score: float64(rng.Intn(4))}
-				b.insert(local, e.m, e.score)
-				model[local] = e
-			case e.m > 0:
-				next := entry{m: e.m - 1, score: e.score + rng.Float64()}
-				b.move(local, e.m, next.m, next.score)
-				model[local] = next
+			case !live[local]:
+				st.mRem, st.ubSum = int32(rng.Intn(maxM+1)), float64(rng.Intn(4))
+				b.insert(local, int(st.mRem), st.ubSum)
+				live[local] = true
+			case st.mRem > 0:
+				st.mRem--
+				st.ubSum += level
 			}
 			if step%17 != 0 {
 				continue
 			}
-			s, theta := rng.Float64(), 6*rng.Float64()
+			theta := float64(maxM+3) * level * rng.Float64()
 			var want, got []int
-			for local, e := range model {
-				if e.score+float64(e.m)*s < theta {
+			for local := range live {
+				if st := &states[local]; st.ubSum+float64(st.mRem)*level < theta {
 					want = append(want, int(local))
-					delete(model, local)
+					delete(live, local)
 				}
 			}
-			b.prune(s, theta, func(local int32) { got = append(got, int(local)) })
+			b.prune(level, theta, states, func(local int32) { got = append(got, int(local)) })
 			sort.Ints(want)
 			sort.Ints(got)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("seed %d step %d: pruned %v, want %v", seed, step, got, want)
 			}
-			held := 0
+			held := map[int32]bool{}
 			for _, h := range b.heaps {
-				held += len(h)
+				for _, local := range h {
+					if held[local] || !live[local] {
+						t.Fatalf("seed %d step %d: candidate %d is filed twice or after its removal", seed, step, local)
+					}
+					held[local] = true
+				}
 			}
-			if held != len(model) {
-				t.Fatalf("seed %d step %d: buckets hold %d entries for %d live candidates", seed, step, held, len(model))
+			if len(held) != len(live) {
+				t.Fatalf("seed %d step %d: buckets hold %d entries for %d live candidates", seed, step, len(held), len(live))
 			}
 		}
+	}
+
+	// Rounding: filed with ten open slots and nothing summed, a candidate's
+	// bound at level 0.8 is fl(10·0.8) = 8; ten additions of 0.8 later its
+	// true bound is an ulp below 8. At a threshold of 8 an always-current
+	// filter prunes it, so this one must — the filed bound alone does not
+	// say so.
+	states := make([]candState, 1)
+	b := newIUBBuckets(10, make([]float64, 1))
+	b.insert(0, 10, 0)
+	for i := 0; i < 10; i++ {
+		states[0].ubSum += 0.8
+	}
+	if filed := 0 + 10*0.8; !(states[0].ubSum < 8 && filed >= 8) {
+		t.Fatalf("the rounding case does not straddle: true bound %v, filed bound %v", states[0].ubSum, filed)
+	}
+	pruned := 0
+	b.prune(0.8, 8, states, func(int32) { pruned++ })
+	if pruned != 1 {
+		t.Fatalf("a candidate an ulp below the threshold was pruned %d times, filed an ulp above it", pruned)
 	}
 }

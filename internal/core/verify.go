@@ -62,7 +62,13 @@ func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, 
 		res = vs.solver.Solve(qN, cols, vs.edges, bound)
 	}
 	if e.verifyHook != nil {
-		e.verifyHook(qN, cols, vs.edges, bound, res)
+		// The hook keeps what it is given; handing it bound itself would
+		// move every verification's method value to the heap.
+		var hookBound func() float64
+		if bound != nil {
+			hookBound = theta.Load
+		}
+		e.verifyHook(qN, cols, vs.edges, hookBound, res)
 	}
 	return res
 }

@@ -68,6 +68,12 @@ func (t *TopK) Score(key int) (float64, bool) {
 // bottom when the list is full and the new score is strictly greater.
 // It returns true when the list changed.
 func (t *TopK) Update(key int, score float64) bool {
+	// A full list changes only for a score above its bottom, whether or not
+	// key is retained (a retained score is at least the bottom): nearly every
+	// offer of a search ends here, before the map is read.
+	if len(t.heap) == t.k && score <= t.heap[0].score {
+		return false
+	}
 	if i, ok := t.index[key]; ok {
 		if score <= t.heap[i].score {
 			return false
@@ -81,9 +87,6 @@ func (t *TopK) Update(key int, score float64) bool {
 		t.index[key] = len(t.heap) - 1
 		t.up(len(t.heap) - 1)
 		return true
-	}
-	if score <= t.heap[0].score {
-		return false
 	}
 	delete(t.index, t.heap[0].key)
 	t.heap[0] = topkEntry{key, score}

@@ -176,3 +176,96 @@ func TestNewTopKPanicsOnZero(t *testing.T) {
 	}()
 	NewTopK(0)
 }
+
+// TestTopKMatchesModel drives TopK and a plain slice with the same random
+// offers — keys that repeat, scores from a coarse grid so that offers equal
+// to the bottom and ties among retained scores are common — and removals.
+// After every step the return value, Bottom, and every key's Contains and
+// Score must agree. Which of several entries tied at the bottom an eviction
+// drops is the heap's business: the model requires that exactly one of them
+// is gone and follows it.
+func TestTopKMatchesModel(t *testing.T) {
+	type entry struct {
+		key   int
+		score float64
+	}
+	const nKeys = 16
+	for _, k := range []int{1, 3, 10} {
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tk := NewTopK(k)
+			var model []entry
+			find := func(key int) int {
+				for i, e := range model {
+					if e.key == key {
+						return i
+					}
+				}
+				return -1
+			}
+			bottom := func() float64 {
+				least := model[0].score
+				for _, e := range model[1:] {
+					least = min(least, e.score)
+				}
+				return least
+			}
+			for step := 0; step < 600; step++ {
+				key := rng.Intn(nKeys)
+				at := find(key)
+				if rng.Intn(6) == 0 {
+					if got := tk.Remove(key); got != (at >= 0) {
+						t.Fatalf("k=%d seed %d step %d: Remove(%d) = %v, model holds it: %v", k, seed, step, key, got, at >= 0)
+					}
+					if at >= 0 {
+						model = append(model[:at], model[at+1:]...)
+					}
+				} else {
+					score := float64(rng.Intn(9)) / 8
+					got := tk.Update(key, score)
+					want := false
+					switch {
+					case at >= 0:
+						if score > model[at].score {
+							model[at].score, want = score, true
+						}
+					case len(model) < k:
+						model, want = append(model, entry{key, score}), true
+					case score > bottom():
+						want = true
+						least, gone := bottom(), -1
+						for i, e := range model {
+							if e.score == least && !tk.Contains(e.key) {
+								if gone >= 0 {
+									t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted both %d and %d", k, seed, step, key, score, model[gone].key, e.key)
+								}
+								gone = i
+							}
+						}
+						if gone < 0 {
+							t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted no entry at the bottom %v", k, seed, step, key, score, least)
+						}
+						model[gone] = entry{key, score}
+					}
+					if got != want {
+						t.Fatalf("k=%d seed %d step %d: Update(%d, %v) = %v, want %v", k, seed, step, key, score, got, want)
+					}
+				}
+				wantBottom := 0.0
+				if len(model) == k {
+					wantBottom = bottom()
+				}
+				if tk.Len() != len(model) || tk.Bottom() != wantBottom {
+					t.Fatalf("k=%d seed %d step %d: Len %d Bottom %v, model %d and %v", k, seed, step, tk.Len(), tk.Bottom(), len(model), wantBottom)
+				}
+				for key := 0; key < nKeys; key++ {
+					score, ok := tk.Score(key)
+					i := find(key)
+					if ok != (i >= 0) || tk.Contains(key) != ok || (ok && score != model[i].score) {
+						t.Fatalf("k=%d seed %d step %d: key %d held=%v score %v, model index %d", k, seed, step, key, ok, score, i)
+					}
+				}
+			}
+		}
+	}
+}
