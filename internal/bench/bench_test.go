@@ -59,6 +59,17 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+func TestKnownExperiments(t *testing.T) {
+	for _, e := range Experiments() {
+		if !Known(e) {
+			t.Fatalf("listed experiment %q not Known", e)
+		}
+	}
+	if Known("bogus") || Known("all") {
+		t.Fatal("Known accepted a non-experiment name")
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Scale != 1 || cfg.K != 10 || cfg.Alpha != 0.8 || cfg.Partitions != 10 {

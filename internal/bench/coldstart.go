@@ -4,11 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -18,55 +13,32 @@ import (
 	"repro/internal/store"
 )
 
-// ColdStartEntry is one dataset kind's measured restart profile: the wall
-// time and allocator traffic of segment.Open on a checkpoint-covered
-// directory, for the mmap-served v2 layout versus the legacy v1 decode of
-// the exact same data. RSS is informational (resident pages depend on what
-// the kernel keeps cached); the ns/alloc pair is what ComparePerf gates.
-type ColdStartEntry struct {
-	Kind             string `json:"kind"`
-	Sets             int    `json:"sets"`
-	Segments         int    `json:"segments"`
-	OpenNs           int64  `json:"open_ns"`
-	OpenAllocBytes   int64  `json:"open_alloc_bytes"`
-	OpenV1Ns         int64  `json:"open_v1_ns"`
-	OpenV1AllocBytes int64  `json:"open_v1_alloc_bytes"`
-	RSSBytes         int64  `json:"open_rss_bytes"`
-}
-
-// coldStartReps is the best-of repetition count for each reopen variant.
+// coldStartReps is how many times each checkpointed directory is reopened.
 const coldStartReps = 5
 
-// ColdStart measures the zero-copy cold-start path (DESIGN.md §13) per
-// dataset kind and reports the v2-vs-v1 A/B. Every reopen, both variants,
-// must answer the probe query byte-identically to the manager that wrote
-// the directory, and the v2 open must beat the v1 decode of the same data
-// — the experiment exits nonzero on any divergence or lost win.
+// ColdStart is the restart smoke of the mmap-served snapshots (DESIGN.md
+// §13): per dataset kind it checkpoints a multi-segment directory and
+// reopens it repeatedly; every reopen must answer the probe query
+// byte-identically to the manager that wrote the directory — the experiment
+// exits nonzero on any divergence. Open time is measured by
+// benchmark/run.sh (setup.open_s, segment.reopen_ms).
 func (r *Runner) ColdStart() error {
-	r.header("Cold start: mmap-served v2 snapshots vs legacy v1 decode")
+	r.header("Cold start: reopen from mmap-served snapshots")
 	for _, kind := range datagen.Kinds() {
-		e, err := r.measureColdStart(kind)
+		nSets, nSegs, err := r.coldStart(kind)
 		if err != nil {
 			return fmt.Errorf("coldstart %s: %w", kind, err)
 		}
-		if e.OpenNs >= e.OpenV1Ns {
-			return fmt.Errorf("coldstart %s: v2 open %s is not faster than v1 %s",
-				kind, fmtNs(e.OpenNs), fmtNs(e.OpenV1Ns))
-		}
-		r.printf("  %-8s %5d sets / %d segments: open v2 %9s + %8.2f MiB alloc   v1 %9s + %8.2f MiB alloc   %5.1f× faster %5.1f× leaner  rss %.1f MiB  results identical ✓\n",
-			e.Kind, e.Sets, e.Segments,
-			fmtNs(e.OpenNs), mb(e.OpenAllocBytes),
-			fmtNs(e.OpenV1Ns), mb(e.OpenV1AllocBytes),
-			ratio(e.OpenV1Ns, e.OpenNs), ratio(e.OpenV1AllocBytes, e.OpenAllocBytes),
-			mb(e.RSSBytes))
+		r.printf("  %-8s %5d sets / %d segments: %d reopens, results identical ✓\n",
+			kind, nSets, nSegs, coldStartReps)
 	}
 	return nil
 }
 
-// measureColdStart builds one checkpoint-covered durable directory for
-// kind, clones a v1 twin of it, and measures both reopen paths.
-func (r *Runner) measureColdStart(kind datagen.Kind) (ColdStartEntry, error) {
-	entry := ColdStartEntry{Kind: string(kind)}
+// coldStart builds one checkpoint-covered durable directory for kind and
+// checks every reopen against the writer's answer, returning the set and
+// segment counts.
+func (r *Runner) coldStart(kind datagen.Kind) (nSets, nSegs int, err error) {
 	b := r.bundleFor(kind)
 	all := b.ds.Repo.Sets()
 	opts := core.Options{
@@ -80,168 +52,49 @@ func (r *Runner) measureColdStart(kind datagen.Kind) (ColdStartEntry, error) {
 	}
 	dir, err := os.MkdirTemp("", "koios-bench-coldstart-*")
 	if err != nil {
-		return entry, err
+		return 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 
 	// Seed a multi-segment directory: a small seal threshold spreads the
 	// collection across several snapshots, and Close checkpoints the tail,
-	// so the reopens below replay nothing — they measure pure segment load.
+	// so the reopens below replay nothing — they are pure segment loads.
 	m, err := segment.Open(dir, nil, build, opts,
 		segment.Config{SealThreshold: len(all)/4 + 1, MaxSegments: 64})
 	if err != nil {
-		return entry, err
+		return 0, 0, err
 	}
 	for _, s := range all {
 		if _, err := m.Insert(s.Name, s.Elements); err != nil {
-			return entry, err
+			return 0, 0, err
 		}
 	}
 	ctx := context.Background()
 	query := b.bench.Queries[0].Elements
 	want, _, err := m.Search(ctx, query, 0)
 	if err != nil {
-		return entry, err
+		return 0, 0, err
 	}
 	if err := m.Close(); err != nil {
-		return entry, err
+		return 0, 0, err
 	}
 	man, err := store.LoadManifest(store.OS, dir)
 	if err != nil || man == nil {
-		return entry, fmt.Errorf("manifest after seed: %v", err)
+		return 0, 0, fmt.Errorf("manifest after seed: %v", err)
 	}
-	entry.Sets = len(all)
-	entry.Segments = len(man.Segments)
-
-	// The v1 twin: same manifest and filenames, every snapshot rewritten in
-	// the legacy layout. Its reopens are never Closed — Close checkpoints,
-	// which would transparently upgrade the twin to v2 mid-measurement.
-	v1dir, err := cloneDirV1(dir)
-	if err != nil {
-		return entry, err
-	}
-	defer os.RemoveAll(v1dir)
 
 	reopenCfg := segment.Config{SealThreshold: 1 << 20, MaxSegments: 64}
-	measure := func(dir string, closeAfter bool) (int64, int64, error) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
+	for rep := 0; rep < coldStartReps; rep++ {
 		m, err := segment.Open(dir, nil, build, opts, reopenCfg)
-		ns := time.Since(start).Nanoseconds()
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, fmt.Errorf("reopen: %w", err)
 		}
-		runtime.ReadMemStats(&after)
 		if err := verifySame(ctx, m, query, want); err != nil {
 			return 0, 0, fmt.Errorf("reopened results diverge: %w", err)
 		}
-		if closeAfter {
-			if err := m.Close(); err != nil {
-				return 0, 0, err
-			}
-		}
-		return ns, int64(after.TotalAlloc - before.TotalAlloc), nil
-	}
-	for rep := 0; rep < coldStartReps; rep++ {
-		ns, alloc, err := measure(dir, true)
-		if err != nil {
-			return entry, fmt.Errorf("v2 reopen: %w", err)
-		}
-		if rep == 0 || ns < entry.OpenNs {
-			entry.OpenNs = ns
-			entry.RSSBytes = processRSS()
-		}
-		if rep == 0 || alloc < entry.OpenAllocBytes {
-			entry.OpenAllocBytes = alloc
+		if err := m.Close(); err != nil {
+			return 0, 0, err
 		}
 	}
-	for rep := 0; rep < coldStartReps; rep++ {
-		ns, alloc, err := measure(v1dir, false)
-		if err != nil {
-			return entry, fmt.Errorf("v1 reopen: %w", err)
-		}
-		if rep == 0 || ns < entry.OpenV1Ns {
-			entry.OpenV1Ns = ns
-		}
-		if rep == 0 || alloc < entry.OpenV1AllocBytes {
-			entry.OpenV1AllocBytes = alloc
-		}
-	}
-	return entry, nil
-}
-
-// cloneDirV1 copies a checkpoint-covered data directory and rewrites every
-// manifest snapshot in the legacy v1 layout, keeping filenames (and so the
-// manifest) intact.
-func cloneDirV1(src string) (string, error) {
-	dst, err := os.MkdirTemp("", "koios-bench-coldstart-v1-*")
-	if err != nil {
-		return "", err
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return dst, err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return dst, err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return dst, err
-		}
-	}
-	man, err := store.LoadManifest(store.OS, dst)
-	if err != nil || man == nil {
-		return dst, fmt.Errorf("clone manifest: %v", err)
-	}
-	for _, ms := range man.Segments {
-		path := filepath.Join(dst, ms.File)
-		snap, err := store.LoadSegment(store.OS, path)
-		if err != nil {
-			return dst, err
-		}
-		if err := store.SaveSegment(store.OS, path, snap); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
-// processRSS reads the resident set size from /proc/self/status, falling
-// back to the Go heap's in-use bytes where procfs is unavailable.
-func processRSS() int64 {
-	if data, err := os.ReadFile("/proc/self/status"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			v, ok := strings.CutPrefix(line, "VmRSS:")
-			if !ok {
-				continue
-			}
-			f := strings.Fields(v)
-			if len(f) >= 1 {
-				if kb, err := strconv.ParseInt(f[0], 10, 64); err == nil {
-					return kb << 10
-				}
-			}
-		}
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapInuse)
-}
-
-func fmtNs(ns int64) string {
-	return time.Duration(ns).Round(10 * time.Microsecond).String()
-}
-
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
+	return len(all), len(man.Segments), nil
 }

@@ -2,38 +2,30 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 )
 
-// LazyStream measures the lazy token stream's cut-off (DESIGN.md §10)
-// against the eager pipeline on every dataset kind: per-kind cut rates,
-// stream tuples consumed vs. retrieved, and wall time — while asserting
+// LazyStream checks the lazy token stream's cut-off (DESIGN.md §10) against
+// the same search with the cut disabled on every dataset kind: per-kind cut
+// rates and stream tuples consumed vs. retrieved — while asserting
 // byte-identical results query for query. Returns an error (nonzero exit
 // in koios-bench) on any divergence or if the cut-off never fires at all,
 // so CI can run it as the lazy-stream smoke.
 func (r *Runner) LazyStream() error {
-	r.header("Lazy token stream: θlb cut-off vs eager drain")
-	r.printf("%-10s %8s %6s %12s %12s %12s %10s %10s\n",
-		"kind", "queries", "cuts", "lazy-tuples", "eager-tuple", "retrieved", "lazy-avg", "eager-avg")
+	r.header("Lazy token stream: θlb cut-off vs whole stream")
+	r.printf("%-10s %8s %6s %12s %12s %12s\n",
+		"kind", "queries", "cuts", "lazy-tuples", "eager-tuple", "retrieved")
 	totalCuts := 0
 	for _, kind := range datagen.Kinds() {
 		b := r.bundleFor(kind)
 		lazyEng := r.engineFor(b, nil)
 		eagerEng := r.engineFor(b, func(o *core.Options) { o.DisableLazy = true })
-		var (
-			cuts, lazyTuples, eagerTuples, retrieved int
-			lazyTime, eagerTime                      time.Duration
-		)
+		var cuts, lazyTuples, eagerTuples, retrieved int
 		for qi, q := range b.bench.Queries {
-			lt := time.Now()
 			lres, lst := lazyEng.Search(q.Elements)
-			lazyTime += time.Since(lt)
-			et := time.Now()
 			eres, est := eagerEng.Search(q.Elements)
-			eagerTime += time.Since(et)
 			if fmt.Sprint(lres) != fmt.Sprint(eres) {
 				return fmt.Errorf("lazystream: %s query %d: lazy results diverge from eager\nlazy:  %v\neager: %v",
 					kind, qi, lres, eres)
@@ -50,11 +42,8 @@ func (r *Runner) LazyStream() error {
 			retrieved += lst.StreamRetrieved
 		}
 		totalCuts += cuts
-		n := len(b.bench.Queries)
-		r.printf("%-10s %8d %6d %12d %12d %12d %10s %10s\n",
-			kind, n, cuts, lazyTuples, eagerTuples, retrieved,
-			avgDuration([]time.Duration{lazyTime / time.Duration(max(n, 1))}),
-			avgDuration([]time.Duration{eagerTime / time.Duration(max(n, 1))}))
+		r.printf("%-10s %8d %6d %12d %12d %12d\n",
+			kind, len(b.bench.Queries), cuts, lazyTuples, eagerTuples, retrieved)
 		if cuts > 0 && lazyTuples >= eagerTuples {
 			return fmt.Errorf("lazystream: %s: cuts fired but consumed %d tuples vs eager %d — no savings",
 				kind, lazyTuples, eagerTuples)

@@ -589,8 +589,12 @@ func cloneOracle(o *oracle) *oracle {
 // liveRows decodes one checkpointed segment's live rows (manifest
 // tombstones win) back to string elements, in row order.
 func liveRows(dir string, ms store.ManifestSegment, tokens []string) ([]sets.Set, error) {
-	snap, err := store.LoadSegment(store.OS, filepath.Join(dir, ms.File))
+	mseg, err := store.OpenMappedSegment(store.OS, filepath.Join(dir, ms.File))
 	if err != nil {
+		return nil, err
+	}
+	snap := mseg.Snapshot()
+	if err := mseg.Release(); err != nil {
 		return nil, err
 	}
 	dead, err := ms.Dead()

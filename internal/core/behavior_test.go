@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/sets"
 )
@@ -180,6 +181,42 @@ func TestEngineConcurrentSearches(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if r := <-done; len(r) == 0 {
 			t.Fatal("concurrent search returned nothing for a self query")
+		}
+	}
+}
+
+// TestNoCutConsumesWholeStream: with the cut-off disabled — directly, or
+// through the iUB filter it rests on — the pump hands every refiner the
+// whole stream and never cuts, at one partition and at several, on queries
+// the default options do cut.
+func TestNoCutConsumesWholeStream(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	queries := datagen.NewBenchmark(ds, 17).Queries[:10]
+	for _, parts := range []int{1, 4} {
+		cutting := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8})
+		cuts := 0
+		for _, q := range queries {
+			if _, st := cutting.Search(q.Elements); st.StreamCut {
+				cuts++
+			}
+		}
+		if cuts == 0 {
+			t.Fatalf("partitions=%d: the default options cut none of the queries, so the case below proves nothing", parts)
+		}
+		for name, opts := range map[string]Options{
+			"DisableLazy": {K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8, DisableLazy: true},
+			"DisableIUB":  {K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8, DisableIUB: true},
+		} {
+			eng := NewEngine(ds.Repo, src, opts)
+			for qi, q := range queries {
+				_, st := eng.Search(q.Elements)
+				qN := len(dedupStrings(q.Elements))
+				if st.StreamCut || st.StreamCutLevel != 0 || st.StreamTuples != st.StreamRetrieved+qN {
+					t.Fatalf("partitions=%d %s query %d: cut=%v level=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
+						parts, name, qi, st.StreamCut, st.StreamCutLevel, st.StreamTuples, st.StreamRetrieved, qN)
+				}
+			}
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestRefinementBoundsSound(t *testing.T) {
 		alpha := 0.55 + float64(seed%4)*0.1
 		eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
 
-		tuples, _, _, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch(), nil, nil)
+		tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 		theta := &atomicMax{}
 		var stats Stats
 		survivors := eng.refinePartition(context.Background(), len(query), tuples, 0, theta, &stats, nil)
@@ -73,7 +73,7 @@ func TestLemma6Counterexample(t *testing.T) {
 	eng := NewEngine(repo, src, Options{K: 1, Alpha: 0.5, DisableIUB: true})
 
 	query := []string{"q1", "q2"}
-	tuples, _, _, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch(), nil, nil)
+	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 	theta := &atomicMax{}
 	var stats Stats
 	survivors := eng.refinePartition(context.Background(), len(query), tuples, 0, theta, &stats, nil)
@@ -110,7 +110,7 @@ func TestStreamFirstFlags(t *testing.T) {
 	query = dedupStrings(query)
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	eng := NewEngine(repo, src, Options{K: 3, Alpha: 0.6})
-	tuples, cache, _, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch(), nil, nil)
+	tuples, cache := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 	seen := map[int32]bool{}
 	inVocab := 0
 	for i, tup := range tuples {

@@ -274,39 +274,6 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 	return results, stats, nil
 }
 
-// materializeStream drains the token stream once, recording first-arrival
-// flags, then builds the similarity edge cache shared by all partitions in
-// CSR form with a counting pass over the materialized tuples — the eager
-// pipeline (the lazy pipeline pumps the stream incrementally instead; see
-// lazy.go). The tuple slice is preallocated from the stream's known size
-// bound (retrieved α-neighbors plus one identity tuple per query element),
-// first arrivals are tracked with a token-ID bitset, and the
-// vocabulary-sized buffers come zeroed from the engine's scratch pool, so
-// materialization performs no map operations and a constant number of
-// stream-sized allocations. It also returns the α-neighbor retrieval count
-// and the stream-side memory estimate. The returned cache aliases
-// sc.offsets; the caller owns sc until it is done with the cache.
-//
-// live and skip implement the segmented engine's live-token semantics
-// (both may be nil): tuples whose token occurs in no live set are demoted
-// to out-of-vocabulary, and skip-masked query elements are never probed —
-// together they make the stream identical to one an engine built only on
-// the live sets would produce.
-func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratch, live []uint64, skip []bool) ([]streamTuple, *edgeCache, int, int64) {
-	st := index.NewStreamMasked(query, qids, e.src, e.opts.Alpha, skip)
-	tuples := make([]streamTuple, 0, st.Retrieved()+len(query))
-	for {
-		tup, ok := st.Next()
-		if !ok {
-			break
-		}
-		tuples = append(tuples, e.noteTuple(tup, sc, live))
-	}
-	cache := e.buildEdgeCache(tuples, sc)
-	mem := int64(cap(tuples))*24 + int64(len(cache.arena))*16 + int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
-	return tuples, cache, st.Retrieved(), mem
-}
-
 // drainStream finishes a cut stream into the tuple arena for edge-cache
 // building only — the appended tail never reaches the refiners, and the
 // cache's consumers (verification matrices, the bound replay) are
@@ -315,7 +282,7 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 // Annotation continues through the same scratch; the first-arrival flags of
 // tail tuples are meaningless, but nothing reads them (only refinement
 // does, and it never sees the tail). The cache CONTENT is bit-identical to
-// a full eager materialization.
+// that of a search that consumed the whole stream.
 func (e *Engine) drainStream(st *index.Stream, tuples []streamTuple, sc *queryScratch, live []uint64) []streamTuple {
 	st.DrainRest(func(tup index.Tuple) {
 		tuples = append(tuples, e.noteTuple(tup, sc, live))
@@ -325,8 +292,9 @@ func (e *Engine) drainStream(st *index.Stream, tuples []streamTuple, sc *querySc
 
 // noteTuple annotates one raw stream tuple: vocabulary demotion, global
 // first-arrival tracking (through sc.seen), and per-token edge counting
-// (through sc.offsets). Shared by the eager drain above and the lazy block
-// pump, so both consume bit-identical tuple sequences.
+// (through sc.offsets). Shared by the block pump and the cut drain above,
+// so the edge cache counts every tuple exactly once. live (nil on a static
+// engine) is the segmented engine's live-token bitset.
 func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) streamTuple {
 	id := tup.TokenID
 	if int(id) >= e.vocabN {

@@ -162,10 +162,10 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 
 	// Every partition of every segment refines the same shared tuple arena;
 	// the global θlb is shared across all of them (§VI, extended across
-	// segments). The lazy pipeline (DESIGN.md §10) pumps the stream into the
-	// arena block by block and cuts it once the termination condition holds;
-	// the eager pipeline — searches that disabled the cut-off or the iUB
-	// filter it builds on — materializes everything first.
+	// segments). The pump (DESIGN.md §10) feeds the stream into the arena
+	// block by block and cuts it once the termination condition holds; a
+	// search that disabled the cut-off, or the iUB filter it builds on,
+	// gets the whole stream as one block and no cut.
 	theta := &atomicMax{}
 	type chunk struct {
 		stats Stats
@@ -196,95 +196,59 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		}
 	}
 
-	var (
-		tuples []streamTuple
-		cache  *edgeCache
-		cut    bool
-	)
-	// The cut-off's "no unseen set survives" argument is the Lemma 2
-	// first-sight filter, so disabling the iUB disables it too.
-	if !opts.DisableLazy && !opts.DisableIUB {
-		st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
-		var cutLevel float64
-		var at cutPoint
-		var ok bool
-		tuples, cut, cutLevel, at, ok = g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query), opts.K)
-		stats.StreamTuples = len(tuples)
-		stats.StreamCut = cut
-		stats.StreamCutLevel = cutLevel
-		if !ok {
-			return nil, stats, ctx.Err()
-		}
+	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
+	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query), opts.K)
+	stats.StreamTuples = len(tuples)
+	stats.StreamCut = cut
+	stats.StreamCutLevel = cutLevel
+	if !ok {
+		return nil, stats, ctx.Err()
+	}
+	if cut {
+		// Edge completion: finish the stream into the arena for cache
+		// building only — the refiners never see the tail, and it arrives
+		// unordered. Every lazy source computes its whole scan when the
+		// cursor is created, so this costs appends, not similarity
+		// evaluations or sorting.
+		tuples = lead.drainStream(st, tuples, sc, g.LiveTokens)
+	}
+	stats.StreamRetrieved = st.Retrieved()
+	cache := lead.buildEdgeCache(tuples, sc)
+	stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*16 +
+		int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
+	// Survivors: on a cut, reconstruct the whole-stream outcome — phase one
+	// replays every alive candidate's full-stream bounds and rebuilds the
+	// final global θlb through the per-partition Llb lists; phase two
+	// applies the drain filter under that final θlb. Without a cut the
+	// refiners consumed the whole stream, so the drain is all there is.
+	if cut {
 		thetaCut := theta.Load()
-		if cut {
-			// Edge completion: finish the stream into the arena for cache
-			// building only — the refiners never see the tail, and it
-			// arrives unordered. Every lazy source computes its whole scan
-			// when the cursor is created, so this costs appends, not
-			// similarity evaluations or sorting.
-			tuples = lead.drainStream(st, tuples, sc, g.LiveTokens)
-		}
-		stats.StreamRetrieved = st.Retrieved()
-		cache = lead.buildEdgeCache(tuples, sc)
-		stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*16 +
-			int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
-		// Survivors: on a cut, reconstruct the eager outcome — phase one
-		// replays every alive candidate's full-stream bounds and rebuilds
-		// the final global θlb through the per-partition Llb lists; phase
-		// two applies the eager drain filter under that final θlb.
-		// Without a cut the stream was exhausted, so the normal drain IS
-		// the eager path.
-		if cut {
-			var wg sync.WaitGroup
-			for si := range g.Engines {
-				for p := range chunks[si] {
-					c := &chunks[si][p]
-					wg.Add(1)
-					go func(c *chunk) {
-						defer wg.Done()
-						c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at, c.rs)
-					}(c)
-				}
-			}
-			wg.Wait()
-			finalTheta := theta.Load()
-			for si := range g.Engines {
-				for p := range chunks[si] {
-					c := &chunks[si][p]
-					c.surv = c.r.filterPool(c.surv, finalTheta)
-				}
-			}
-		} else {
-			for si := range g.Engines {
-				for p := range chunks[si] {
-					c := &chunks[si][p]
-					c.surv = c.r.drain()
-				}
-			}
-		}
-	} else {
-		var streamMem int64
-		var retrieved int
-		tuples, cache, retrieved, streamMem = lead.materializeStream(query, qids, sc, g.LiveTokens, skip)
-		stats.StreamTuples = len(tuples)
-		stats.StreamRetrieved = retrieved
-		stats.MemStreamBytes = streamMem
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
 		var wg sync.WaitGroup
 		for si := range g.Engines {
 			for p := range chunks[si] {
+				c := &chunks[si][p]
 				wg.Add(1)
 				go func(c *chunk) {
 					defer wg.Done()
-					if c.r.consume(ctx, tuples, 0) {
-						c.surv = c.r.drain()
-					}
-				}(&chunks[si][p])
+					c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at, c.rs)
+				}(c)
 			}
 		}
 		wg.Wait()
+		finalTheta := theta.Load()
+		for si := range g.Engines {
+			for p := range chunks[si] {
+				c := &chunks[si][p]
+				c.surv = c.r.filterPool(c.surv, finalTheta)
+			}
+		}
+	} else {
+		for si := range g.Engines {
+			for p := range chunks[si] {
+				c := &chunks[si][p]
+				c.surv = c.r.drain()
+			}
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err

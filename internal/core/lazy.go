@@ -14,8 +14,9 @@ import (
 // This file implements the lazy token stream of DESIGN.md §10: the pump
 // that feeds the partition refiners block by block, the θlb-driven cut-off
 // condition, and the full-stream bound replay for the surviving candidate
-// pool that keeps a truncated search byte-identical to the eager pipeline
-// (the edge cache is completed by draining the stream; see SearchContext).
+// pool that keeps a truncated search byte-identical to one that consumed
+// the whole stream (the edge cache is completed by draining the stream; see
+// SearchContext).
 
 // replayEv is one tail edge event of a candidate. Events replay in global
 // stream order: the identity phase (all identity tuples, in query order)
@@ -226,16 +227,23 @@ func lazyPoolCap(k int) int {
 // upper bound min(|Q|,|C|)·level is already below θlb and it would be
 // pruned on arrival. From that point the unseen tail can influence nothing
 // except the alive candidates' own bounds, which the cut reconstruction
-// completes exactly (DESIGN.md §10). It returns the consumed tuple prefix,
-// whether (and at what level) the stream was cut, the stream-order position
-// of the last consumed tuple (the tail replay's split point), and false
-// when ctx was canceled.
+// completes exactly (DESIGN.md §10). With the cut-off disabled
+// (DisableLazy, or DisableIUB: the cut's "no unseen set survives" argument
+// is the Lemma 2 first-sight filter) the whole stream is one block, so the
+// condition is never evaluated and every refiner consumes the arena in a
+// single call — the reference the cut searches are held to. It returns the
+// consumed tuple prefix, whether (and at what level) the stream was cut, the
+// stream-order position of the last consumed tuple (the tail replay's split
+// point), and false when ctx was canceled.
 func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*partRefiner, theta *atomicMax, lead *Engine, sc *queryScratch, qN, k int) (tuples []streamTuple, cut bool, cutLevel float64, at cutPoint, ok bool) {
 	nref := 0
 	for _, rs := range refiners {
 		nref += len(rs)
 	}
 	blockSize := lead.opts.LazyBlock
+	if lead.opts.DisableLazy || lead.opts.DisableIUB {
+		blockSize = math.MaxInt
+	}
 	raw := sc.raw
 	defer func() {
 		clear(raw[:cap(raw)]) // a pooled buffer must not pin a request's strings

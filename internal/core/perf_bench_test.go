@@ -15,7 +15,7 @@ import (
 // refactor: one per hot stage of Search, per dataset kind. The neighbor
 // source is prewarmed through index.Cached so retrieval cost (which the
 // paper excludes from its response-time protocol) does not drown the stage
-// under measurement. Recorded baselines live in BENCH_tokenintern.json.
+// under measurement.
 
 type perfFixture struct {
 	eng    *Engine
@@ -32,23 +32,8 @@ func newPerfFixture(b *testing.B, kind datagen.Kind) *perfFixture {
 	query := dedupStrings(datagen.NewBenchmark(ds, 1).Queries[0].Elements)
 	cached.Prewarm([][]string{query}, eng.Options().Alpha)
 	f := &perfFixture{eng: eng, query: query, qids: ds.Repo.TokenIDs(query)}
-	f.tuples, _, _, _ = eng.materializeStream(query, f.qids, eng.getScratch(), nil, nil)
+	f.tuples, _ = eng.materializeStream(query, f.qids, eng.getScratch())
 	return f
-}
-
-func BenchmarkMaterializeStream(b *testing.B) {
-	for _, kind := range datagen.Kinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			f := newPerfFixture(b, kind)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc := f.eng.getScratch()
-				f.eng.materializeStream(f.query, f.qids, sc, nil, nil)
-				f.eng.scratch.Put(sc)
-			}
-		})
-	}
 }
 
 func BenchmarkRefinePartition(b *testing.B) {
@@ -83,7 +68,7 @@ func BenchmarkPostproc(b *testing.B) {
 
 	ctx := context.Background()
 	sc := eng.getScratch()
-	tuples, cache, _, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), sc, nil, nil)
+	tuples, cache := eng.materializeStream(query, ds.Repo.TokenIDs(query), sc)
 	theta, stats := &atomicMax{}, Stats{}
 	refined := eng.refinePartition(ctx, len(query), tuples, 0, theta, &stats, nil)
 	refinedTheta := theta.Load()

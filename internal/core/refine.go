@@ -60,12 +60,25 @@ type survivor struct {
 
 // partRefiner runs Algorithm 1 over one partition's CSR inverted index,
 // consuming the token stream in one or more consecutive slices of the
-// shared tuple arena. Eager searches feed it the fully materialized stream
-// in a single consume call; the lazy pump feeds it block by block and reads
-// alive between blocks to evaluate the cut-off condition. Everything —
+// shared tuple arena: the pump feeds it block by block and reads alive
+// between blocks to evaluate the cut-off condition, and a search without a
+// cut-off feeds it the whole stream in a single consume call. Everything —
 // candidate creation, bound accumulation, bucket-prune cadence — depends
 // only on the global tuple index, so the two feeding disciplines produce
-// bit-identical state for the same consumed prefix.
+// bit-identical state for the same consumed prefix. All partitions consume
+// the same tuples and share the global θlb through theta — across segments
+// too, when the engine is one segment of a Group.
+//
+// dead is the segment's optional tombstone bitset, indexed by the engine's
+// repository-local set IDs: a tombstoned set is discarded at first sight,
+// before it is counted as a candidate or contributes any bound.
+//
+// The per-tuple/per-posting inner loop is free of map lookups and string
+// comparisons: postings are flat int32 arenas, candidate state is a dense
+// slice addressed through localOf, matched query elements are one bit per
+// element in the qBits arena, and matched candidate tokens are one bit per
+// candidate-local element position (carried by the posting entry) in the
+// cBits arena.
 type partRefiner struct {
 	e     *Engine
 	p     int
@@ -109,8 +122,9 @@ func (e *Engine) newPartRefiner(qN, p int, theta *atomicMax, stats *Stats, dead 
 }
 
 // consume processes tuples, whose first element sits at global stream
-// position base. It returns false when ctx was canceled mid-slice (the
-// refiner's state is then partial and must be discarded).
+// position base. The loop polls ctx every ctxCheckEvery tuples and returns
+// false once it is canceled (the refiner's state is then partial and must
+// be discarded).
 func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base int) bool {
 	e, opts := r.e, r.e.opts
 	inv := e.invs[r.p]
@@ -314,31 +328,4 @@ func (r *partRefiner) maxUnseenCard() int32 {
 func (r *partRefiner) accountMem() {
 	r.stats.MemCandBytes += int64(len(r.states))*int64(unsafe.Sizeof(candState{})) +
 		int64(len(r.qBits)+len(r.cBits))*8 + r.buckets.footprintBytes()
-}
-
-// refinePartition runs Algorithm 1 over partition p's CSR inverted index
-// against a fully materialized tuple slice — the eager path. All partitions
-// consume the same tuples and share the global θlb through theta — across
-// segments too, when the engine is one segment of a Group.
-//
-// dead is the segment's optional tombstone bitset, indexed by the engine's
-// repository-local set IDs: a tombstoned set is discarded at first sight,
-// before it is counted as a candidate or contributes any bound. The loop
-// polls ctx every ctxCheckEvery tuples and returns early (with partial,
-// discarded state) once the search is canceled.
-//
-// The per-tuple/per-posting inner loop is free of map lookups and string
-// comparisons: postings are flat int32 arenas, candidate state is a dense
-// slice addressed through localOf, matched query elements are one bit per
-// element in the qBits arena, and matched candidate tokens are one bit per
-// candidate-local element position (carried by the posting entry) in the
-// cBits arena.
-func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTuple, p int, theta *atomicMax, stats *Stats, dead []uint64) []survivor {
-	var arena refineArena
-	arena.reset(len(e.parts[p]), int(e.cOffs[p][len(e.parts[p])]))
-	r := e.newPartRefiner(qN, p, theta, stats, dead, &arena)
-	if !r.consume(ctx, tuples, 0) {
-		return nil
-	}
-	return r.drain()
 }

@@ -48,12 +48,12 @@ type Options struct {
 	// PruneEvery is the bucket-prune cadence in stream tuples; pruning also
 	// always runs when θlb improves. Default 32.
 	PruneEvery int
-	// DisableLazy turns off the lazy token-stream cut-off (DESIGN.md §10)
-	// and restores the eager materialize-everything pipeline. The cut-off
-	// needs the first-sight UB filter, so DisableIUB implies it. Results
-	// are byte-identical either way, for exact and approximate sources
-	// alike: a cut search completes its edge cache by draining the stream,
-	// which re-emits the source's own retrieval.
+	// DisableLazy turns off the lazy token-stream cut-off (DESIGN.md §10):
+	// the pump pulls the whole stream as one block and never evaluates the
+	// cut. The cut-off needs the first-sight UB filter, so DisableIUB
+	// implies it. Results are byte-identical either way, for exact and
+	// approximate sources alike: a cut search completes its edge cache by
+	// draining the stream, which re-emits the source's own retrieval.
 	DisableLazy bool
 	// LazyBlock is the lazy pump's block size in stream tuples — the
 	// granularity at which the cut-off condition is evaluated. Smaller
@@ -130,8 +130,8 @@ type Stats struct {
 	// are bookkeeping, not part of the paper's filter accounting.
 	FinalizeEM int
 	// StreamTuples is the number of token-stream tuples consumed by
-	// refinement. Under the lazy pipeline this stops at the cut-off; the
-	// eager pipeline consumes the whole stream.
+	// refinement: it stops at the cut-off, and is the whole stream
+	// (StreamRetrieved + |Q|) when no cut was taken.
 	StreamTuples int
 	// StreamRetrieved is the number of α-neighbors the similarity index
 	// actually materialized for the query — the retrieval-side cost. The
@@ -151,7 +151,7 @@ type Stats struct {
 	// VerifyCalls counts exact-verification calls (post-processing plus
 	// finalization), and HungarianSkipped how many of them the sandwich's
 	// UB prune rejected without running the solver (DESIGN.md §12). Their
-	// ratio is the hungarian_skipped_frac of the perf harness.
+	// ratio is matching.hungarian_skipped_frac in a traced benchmark run.
 	VerifyCalls      int
 	HungarianSkipped int
 	// Segments is the number of repository segments the search snapshot

@@ -60,6 +60,10 @@ var Logf = log.Printf
 // directory) that damaged files are moved to.
 const QuarantineDirName = "quarantine"
 
+// lastV1Build is the last commit whose segment.Open decodes v1 segment
+// files (and rewrites them as v2 at its next checkpoint).
+const lastV1Build = "70baba7"
+
 // QuarantinedFile records one damaged file set aside during recovery.
 type QuarantinedFile struct {
 	// File is the file's name inside the data directory (now found under
@@ -188,6 +192,13 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 			continue
 		}
 		s, err := m.loadSegment(ms)
+		if errors.Is(err, store.ErrSegmentV1) {
+			// An old directory, not a damaged one: refuse it whole and leave
+			// every file where it is.
+			return nil, fmt.Errorf("segment: open %s: %w; commit %s is the last build that reads it — "+
+				"open and close the directory with that build once and it is rewritten in the current layout",
+				dir, err, lastV1Build)
+		}
 		if err != nil {
 			m.quarantine(ms.File, err.Error())
 			continue
@@ -322,75 +333,20 @@ func readFile(fsys store.FS, path string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// loadSegment materializes one manifest segment. v2 snapshots are mapped
-// and served zero-copy (heap-decoded when the FS cannot map); v1 snapshots
-// take the legacy decode path and clear seg.file so the next checkpoint
-// rewrites them as v2 — the transparent upgrade (DESIGN.md §13). Both
-// paths defer the engine build to first search, keeping Open O(manifest
-// metadata + names) instead of O(data).
-func (m *Manager) loadSegment(ms store.ManifestSegment) (*seg, error) {
-	path := filepath.Join(m.dir, ms.File)
-	// One open per segment: try the v2 mapped path directly and fall back
-	// to the v1 decoder only on the magic-mismatch sentinel (any other
-	// error — corruption, I/O — is final).
-	mseg, err := store.OpenMappedSegment(m.fs, path)
-	if err == nil {
-		return m.loadMappedSegment(ms, mseg)
-	}
-	if !errors.Is(err, store.ErrNotSegmentV2) {
-		return nil, err
-	}
-	snap, err := store.LoadSegment(m.fs, path)
-	if err != nil {
-		return nil, err
-	}
-	if len(snap.Rows) != ms.Rows {
-		return nil, fmt.Errorf("segment: %s has %d rows, manifest says %d", ms.File, len(snap.Rows), ms.Rows)
-	}
-	dead, err := ms.Dead()
-	if err != nil {
-		return nil, err
-	}
-	// The manifest bitset is authoritative (it folds in deletes since the
-	// snapshot was written); OR-ing the write-time bits is defensive — the
-	// manifest can only ever add tombstones on top of them.
-	for i := range dead {
-		if i < len(snap.Dead) {
-			dead[i] |= snap.Dead[i]
-		}
-	}
-	rows := make([]sets.Set, len(snap.Rows))
-	handles := make([]int64, len(snap.Rows))
-	for i, row := range snap.Rows {
-		rows[i] = sets.Set{Name: row.Name, ElemIDs: row.ElemIDs}
-		handles[i] = row.Handle
-	}
-	repo, err := sets.NewInternedSegment(m.dict, rows, snap.VocabN)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %s: %w", ms.File, err)
-	}
-	s := &seg{
-		repo:       repo,
-		handles:    handles,
-		tombstones: tombstones{deadMaster: dead},
-		// file stays empty: the v1 snapshot is still referenced by the
-		// manifest (removeOrphans keys on the manifest, not seg.file), but
-		// the next checkpoint sees an unpersisted segment and writes it in
-		// the v2 layout, after which the old file is swept.
-	}
-	s.mkEng = func() *core.Engine { return core.NewEngine(repo, m.src, m.opts) }
-	m.registerRowsLocked(s)
-	return s, nil
-}
-
-// loadMappedSegment builds a segment over a mapped (or heap-fallback) v2
-// snapshot: row names are materialized as heap strings (they outlive the
+// loadSegment builds a segment over one manifest snapshot: the file is
+// mapped and served zero-copy (read into an aligned heap buffer when the FS
+// cannot map), row names are materialized as heap strings (they outlive the
 // mapping in map keys and compaction outputs), the CSR arrays are borrowed
 // straight from the mapping, and the unmap is tied to the repository's
 // unreachability — once no snapshot, view, or in-flight search can reach
 // the repo, the cleanup drops the load-time reference and the mapping goes
-// away (DESIGN.md §13).
-func (m *Manager) loadMappedSegment(ms store.ManifestSegment, mseg *store.MappedSegment) (*seg, error) {
+// away (DESIGN.md §13). The engine build is deferred to first search,
+// keeping Open O(manifest metadata + names) instead of O(data).
+func (m *Manager) loadSegment(ms store.ManifestSegment) (*seg, error) {
+	mseg, err := store.OpenMappedSegment(m.fs, filepath.Join(m.dir, ms.File))
+	if err != nil {
+		return nil, err
+	}
 	fail := func(err error) (*seg, error) {
 		mseg.Release()
 		return nil, err
@@ -630,8 +586,8 @@ func (m *Manager) scrubLocked() ScrubReport {
 }
 
 // Repair re-verifies every live engine file and re-persists the collection
-// when anything is damaged on disk. For heap-decoded segments (v1 loads,
-// FS fallback loads, segments built from live data) the in-memory state is
+// when anything is damaged on disk. For heap-held segments (loads through
+// an FS that cannot map, segments built from live data) the in-memory state is
 // an independent intact copy — it was loaded before the damage or built
 // after it — so the corrupt file is detached and a fresh checkpoint
 // rewrites it. A *zero-copy mapped* segment offers no such copy: the

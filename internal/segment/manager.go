@@ -175,9 +175,7 @@ func (t *tombstones) published() []uint64 {
 // and the stable handle of each local row, plus the writer's tombstones.
 // file is the segment's on-disk snapshot name inside the manager's data
 // directory, empty while the segment exists only in memory (non-durable
-// managers, or a durable segment awaiting its first checkpoint). A file
-// that was loaded as v1 also clears file so the next checkpoint rewrites
-// it in the v2 layout (the transparent upgrade, DESIGN.md §13).
+// managers, or a durable segment awaiting its first checkpoint).
 type seg struct {
 	repo    *sets.Repository
 	handles []int64
@@ -193,8 +191,8 @@ type seg struct {
 	engOnce sync.Once
 	mkEng   func() *core.Engine
 
-	// mseg is the mapped v2 snapshot backing repo, nil for decoded or
-	// eagerly built segments. Repair consults it: a heap-loaded segment is
+	// mseg is the mapped snapshot backing repo, nil for segments built from
+	// live data. Repair consults it: a heap-loaded segment is
 	// an independent intact copy of its file and can be re-persisted over
 	// disk rot, while a zero-copy segment aliases the rotted bytes and must
 	// be withdrawn visibly instead (durable.go).

@@ -2,9 +2,14 @@ package segment
 
 import (
 	"context"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +25,8 @@ import (
 func TestReopenServesMappedV2(t *testing.T) {
 	f := newResilienceFixture(t)
 	for _, ms := range f.man.Segments {
-		if ok, err := store.IsSegmentV2(store.OS, filepath.Join(f.dir, ms.File)); err != nil || !ok {
-			t.Fatalf("checkpoint wrote %s as v2 = %v, %v", ms.File, ok, err)
+		if err := store.VerifySegment(store.OS, filepath.Join(f.dir, ms.File)); err != nil {
+			t.Fatalf("checkpoint wrote %s: %v", ms.File, err)
 		}
 	}
 	m2 := f.reopen(t, copyDir(t, f.dir))
@@ -44,56 +49,57 @@ func TestReopenServesMappedV2(t *testing.T) {
 	f.check(t, "mapped reopen", m2, f.all[:9])
 }
 
-// TestV1DirectoryTransparentlyUpgrades: a directory whose snapshots are in
-// the legacy v1 format serves correctly on reopen and is rewritten in the
-// v2 layout by the next checkpoint, after which it is served zero-copy.
-func TestV1DirectoryTransparentlyUpgrades(t *testing.T) {
+// TestOpenRefusesV1ByName: a manifest entry whose file carries the v1
+// segment magic is an old directory, not a damaged one — Open fails with an
+// error naming the file, the layout and the last build that reads it, and
+// leaves the directory byte for byte as it found it (the generic rot path
+// would quarantine the file and serve the rest "degraded").
+func TestOpenRefusesV1ByName(t *testing.T) {
 	f := newResilienceFixture(t)
 	dir := copyDir(t, f.dir)
-	// Downgrade every checkpointed snapshot to v1 in place.
-	for _, ms := range f.man.Segments {
-		path := filepath.Join(dir, ms.File)
-		snap, err := store.LoadSegment(store.OS, path)
+	victim := f.man.Segments[1].File
+	if err := os.WriteFile(filepath.Join(dir, victim), []byte("KSEG\x01rows of an older build"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	m, err := Open(dir, nil, dynamicBuilder(f.ds.Model.Vector), f.opts, f.cfg)
+	if err == nil {
+		m.Close()
+		t.Fatal("Open accepted a directory holding a v1 segment file")
+	}
+	if !errors.Is(err, store.ErrSegmentV1) {
+		t.Fatalf("Open error %q does not wrap store.ErrSegmentV1", err)
+	}
+	for _, want := range []string{victim, "v1 segment layout", lastV1Build} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open error %q does not name %q", err, want)
+		}
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+	}
+}
+
+// dirContents reads every entry of dir (subdirectories as a nil value).
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			out[e.Name()+"/"] = nil
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.SaveSegment(store.OS, path, snap); err != nil {
-			t.Fatal(err)
-		}
-		if ok, _ := store.IsSegmentV2(store.OS, path); ok {
-			t.Fatalf("downgrade of %s did not produce v1", ms.File)
-		}
+		out[e.Name()] = raw
 	}
-	m2 := f.reopen(t, dir)
-	f.check(t, "v1 reopen", m2, f.all[:9])
-	if err := m2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := store.LoadManifest(store.OS, dir)
-	if err != nil || man == nil {
-		t.Fatalf("manifest after upgrade: %v, %v", man, err)
-	}
-	for _, ms := range man.Segments {
-		if ok, err := store.IsSegmentV2(store.OS, filepath.Join(dir, ms.File)); err != nil || !ok {
-			t.Fatalf("%s not upgraded to v2 (%v, %v)", ms.File, ok, err)
-		}
-	}
-	for _, old := range f.man.Segments {
-		if _, err := os.Stat(filepath.Join(dir, old.File)); err == nil {
-			t.Fatalf("superseded v1 snapshot %s not swept", old.File)
-		}
-	}
-	f.check(t, "post-upgrade", m2, f.all[:9])
-	m3 := f.reopen(t, dir)
-	m3.mu.Lock()
-	for _, s := range m3.sealed {
-		if s.mseg == nil || !s.mseg.ZeroCopy() {
-			m3.mu.Unlock()
-			t.Fatalf("upgraded segment %s not served zero-copy", s.file)
-		}
-	}
-	m3.mu.Unlock()
-	f.check(t, "upgraded reopen", m3, f.all[:9])
+	return out
 }
 
 // TestZeroCopyRotRepairWithdraws: when the backing file of a live

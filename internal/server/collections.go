@@ -102,14 +102,21 @@ func (s *Server) resolveCollection(w http.ResponseWriter, r *http.Request) (*col
 	name := r.PathValue("collection")
 	col, ok := s.reg.Get(name)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{
-			Error:      fmt.Sprintf("no collection named %q", name),
-			Code:       "collection_not_found",
-			Collection: name,
-		})
+		collectionNotFound(w, name)
 		return nil, false
 	}
 	return col, true
+}
+
+// collectionNotFound writes the 404 envelope for a collection that does not
+// exist — or no longer does: a search that was queued when its collection
+// was dropped answers the same.
+func collectionNotFound(w http.ResponseWriter, name string) {
+	writeJSON(w, http.StatusNotFound, errorBody{
+		Error:      fmt.Sprintf("no collection named %q", name),
+		Code:       "collection_not_found",
+		Collection: name,
+	})
 }
 
 // writeAdmissionError maps the typed per-tenant refusals to their HTTP
@@ -236,69 +243,4 @@ func (s *Server) handleDropCollection(w http.ResponseWriter, r *http.Request) {
 	default:
 		httpError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-// Scoped aliases: resolve the collection, then run the exact handler body
-// the legacy route uses.
-
-func (s *Server) handleScopedSearch(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveSearch(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedSearchBatch(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveSearchBatch(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedInsert(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveInsert(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedGetSet(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveGetSet(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedDelete(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveDelete(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedOverlap(w http.ResponseWriter, r *http.Request) {
-	if col, ok := s.resolveCollection(w, r); ok {
-		s.serveOverlap(w, r, col)
-	}
-}
-
-func (s *Server) handleScopedScrub(w http.ResponseWriter, r *http.Request) {
-	col, ok := s.resolveCollection(w, r)
-	if !ok {
-		return
-	}
-	rep := col.Manager().Scrub()
-	writeJSON(w, http.StatusOK, ScrubResponse{
-		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: col.Manager().Health().Degraded,
-	})
-}
-
-func (s *Server) handleScopedRepair(w http.ResponseWriter, r *http.Request) {
-	col, ok := s.resolveCollection(w, r)
-	if !ok {
-		return
-	}
-	rep, err := col.Manager().Repair()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "repair failed: "+err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ScrubResponse{
-		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: col.Manager().Health().Degraded,
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -140,25 +141,162 @@ func TestCollectionCRUDOverHTTP(t *testing.T) {
 	}
 }
 
+// TestScopedDefaultMatchesLegacy ranges over the route table: every
+// per-collection endpoint must be registered under both prefixes and answer
+// the same for the default collection through either. A route added to the
+// table without a sample request here fails the test.
 func TestScopedDefaultMatchesLegacy(t *testing.T) {
-	_, ts, ds := testRegistryServer(t, nil)
-	c := NewClient(ts.URL, nil)
-	scoped := c.Collection("default")
-	for i := 0; i < 5; i++ {
-		q := ds.Repo.Set(i).Elements
-		legacy, err := c.Search(q, 0)
-		if err != nil {
-			t.Fatal(err)
+	srv, ts, ds := testRegistryServer(t, nil)
+	query, err := json.Marshal(ds.Repo.Set(0).Elements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// %d is 0 for the un-scoped request and 1 for the scoped one, so the
+	// mutating routes (in table order: insert, get, delete) never collide.
+	samples := map[string]struct{ path, body string }{
+		"POST /search":        {"/search", `{"query":` + string(query) + `}`},
+		"POST /search/batch":  {"/search/batch", `{"queries":[` + string(query) + `,["x"]]}`},
+		"POST /overlap":       {"/overlap", `{"a":["x","y"],"b":["y","z"]}`},
+		"POST /sets":          {"/sets", `{"name":"probe-%d","elements":["x","y"]}`},
+		"GET /sets/{name}":    {"/sets/probe-%d", ""},
+		"DELETE /sets/{name}": {"/sets/probe-%d", ""},
+		"POST /scrub":         {"/scrub", ""},
+		"POST /repair":        {"/repair", ""},
+	}
+	// Wall-clock phase timings, the IDs an insert hands out and the probe's
+	// own name differ between the two requests; everything else must match.
+	var strip func(v any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for _, k := range []string{"stats", "set_id", "sets", "name"} {
+				delete(v, k)
+			}
+			for _, child := range v {
+				strip(child)
+			}
+		case []any:
+			for _, child := range v {
+				strip(child)
+			}
 		}
-		got, err := scoped.Search(q, 0)
-		if err != nil {
-			t.Fatal(err)
+	}
+	for _, rt := range srv.collectionRoutes() {
+		key := rt.method + " " + rt.path
+		sample, ok := samples[key]
+		if !ok {
+			t.Fatalf("route %q has no sample request in this test", key)
 		}
-		// Stats carry wall-clock phase timings; the results must match
-		// exactly.
-		if !reflect.DeepEqual(legacy.Results, got.Results) {
-			t.Fatalf("query %d: legacy %+v != scoped %+v", i, legacy.Results, got.Results)
+		var codes [2]int
+		var bodies [2]any
+		for i, prefix := range []string{"/v1", "/v1/collections/default"} {
+			url := ts.URL + prefix + strings.ReplaceAll(sample.path, "%d", strconv.Itoa(i))
+			body := strings.ReplaceAll(sample.body, "%d", strconv.Itoa(i))
+			req, err := http.NewRequest(rt.method, url, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&bodies[i]); err != nil {
+				t.Fatalf("%s %s: decoding response: %v", rt.method, url, err)
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+			strip(bodies[i])
 		}
+		if codes[0]/100 != 2 || codes[1] != codes[0] {
+			t.Fatalf("%s: un-scoped answered %d, scoped %d; want the same 2xx", key, codes[0], codes[1])
+		}
+		if !reflect.DeepEqual(bodies[0], bodies[1]) {
+			t.Fatalf("%s: un-scoped %v != scoped %v", key, bodies[0], bodies[1])
+		}
+	}
+}
+
+// TestDropCollectionFailsQueuedSearches: searches waiting for a worker when
+// their collection is dropped answer 404 collection_not_found at once — the
+// dispatcher can no longer reach them, and without a QueryTimeout (the
+// default) nothing else would ever wake them.
+func TestDropCollectionFailsQueuedSearches(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
+	cfg := Config{K: 5, Alpha: 0.8, Partitions: 1, Workers: 1, SearchWorkers: 1}
+	srv := NewRegistry(registryFor(ds, cfg, nil), cfg)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	if code, _, m := postJSON(t, ts.URL+"/v1/collections", `{"name":"b"}`); code != http.StatusCreated {
+		t.Fatalf("create = %d %v", code, m)
+	}
+
+	srv.pool.sem <- struct{}{} // the only worker is busy
+	// The client gives up after 5 s, so a stranded search fails the test
+	// instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type answer struct {
+		code int
+		body map[string]any
+		err  error
+	}
+	answers := make(chan answer, 2)
+	for path, body := range map[string]string{
+		"/search":       `{"query":["x"]}`,
+		"/search/batch": `{"queries":[["x"],["y"]]}`,
+	} {
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/collections/b"+path, strings.NewReader(body))
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			a := answer{code: resp.StatusCode}
+			a.err = json.NewDecoder(resp.Body).Decode(&a.body)
+			answers <- a
+		}()
+	}
+	for srv.pool.queued.Load() != 3 { // one search + two batch entries
+		if ctx.Err() != nil {
+			t.Fatalf("%d searches queued, want 3", srv.pool.queued.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	req, err := http.NewRequest("DELETE", ts.URL+"/v1/collections/b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("drop = %d, want 200", resp.StatusCode)
+	}
+	for i := 0; i < 2; i++ {
+		a := <-answers
+		if a.err != nil {
+			t.Fatalf("queued search stranded by the drop: %v", a.err)
+		}
+		if a.code != http.StatusNotFound || a.body["code"] != "collection_not_found" || a.body["collection"] != "b" {
+			t.Fatalf("queued search answered %d %v, want 404 collection_not_found", a.code, a.body)
+		}
+	}
+	if q := srv.pool.queued.Load(); q != 0 {
+		t.Fatalf("%d searches still counted as queued after the drop", q)
+	}
+	// The worker was busy throughout; once free it serves the next search.
+	<-srv.pool.sem
+	if code, _, m := postJSON(t, ts.URL+"/v1/search", `{"query":["x"]}`); code != http.StatusOK {
+		t.Fatalf("search after the drop = %d %v, want 200", code, m)
 	}
 }
 

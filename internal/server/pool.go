@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -72,13 +73,17 @@ type tenantQ struct {
 	pos atomic.Int64
 }
 
-// waiter is one queued query. granted transitions under workerPool.mu,
-// together with the close of ready — so a canceling waiter can tell
-// "still queued" from "slot already granted" without racing dispatch.
+// waiter is one queued query. ready is closed, under workerPool.mu, when
+// the wait is over: with granted set, a slot is the waiter's; without, its
+// tenant was removed. A canceling waiter can so tell "still queued" from
+// "slot already granted" without racing dispatch.
 type waiter struct {
 	ready   chan struct{}
 	granted bool
 }
+
+// errTenantRemoved fails the queries a tenant had queued when it was removed.
+var errTenantRemoved = errors.New("server: collection dropped while the query was queued")
 
 func newWorkerPool(workers, maxQueue int) *workerPool {
 	if workers <= 0 {
@@ -112,15 +117,21 @@ func (p *workerPool) tenantLocked(name string, weight int) *tenantQ {
 	return t
 }
 
-// removeTenant drops a tenant's queue state (its collection was dropped).
-// Any still-queued waiters stay valid — they were already counted and will
-// be canceled by their own contexts — but no new grants reach them.
+// removeTenant drops a tenant's queue state (its collection was dropped)
+// and fails its queued waiters at once with errTenantRemoved: dispatch can
+// no longer reach them, and under the default QueryTimeout of 0 nothing
+// else would ever wake them.
 func (p *workerPool) removeTenant(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.tenants[name]; !ok {
+	t, ok := p.tenants[name]
+	if !ok {
 		return
 	}
+	for _, w := range t.q {
+		close(w.ready)
+	}
+	t.q = nil
 	delete(p.tenants, name)
 	idx := -1
 	for i, n := range p.order {
@@ -158,7 +169,8 @@ func (p *workerPool) admit(tenant string, weight int) bool {
 }
 
 // acquire blocks until a worker slot is granted to this tenant by the DRR
-// dispatcher or ctx is done, accounting the queue wait either way.
+// dispatcher, the tenant is removed (errTenantRemoved) or ctx is done,
+// accounting the queue wait either way.
 func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) error {
 	p.queued.Add(1)
 	start := time.Now()
@@ -174,6 +186,9 @@ func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) err
 	p.dispatch()
 	select {
 	case <-w.ready:
+		if !w.granted {
+			return errTenantRemoved
+		}
 		p.active.Add(1)
 		return nil
 	case <-ctx.Done():

@@ -17,9 +17,10 @@
 //	GET    /healthz                                             → liveness
 //
 // Multi-tenant surface (DESIGN.md §14): one process serves N named
-// collections through a collection.Registry. The un-scoped routes above are
-// aliases for the default collection — same handler bodies, byte-identical
-// responses — while named collections are reached via:
+// collections through a collection.Registry. Every per-collection endpoint
+// is one row of a table (collectionRoutes) registered under two prefixes:
+// the un-scoped routes above (plus POST /v1/scrub and /v1/repair) serve the
+// default collection, and named collections are reached via:
 //
 //	GET    /v1/collections                              → list collections with quotas + counters
 //	POST   /v1/collections  {"name": "...", "quota": …} → create a collection
@@ -195,14 +196,6 @@ func NewRegistry(reg *collection.Registry, cfg Config) *Server {
 			return p99 > bound
 		})
 	}
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("POST /v1/search/batch", s.handleSearchBatch)
-	s.mux.HandleFunc("POST /v1/overlap", s.handleOverlap)
-	s.mux.HandleFunc("POST /v1/sets", s.handleInsert)
-	s.mux.HandleFunc("GET /v1/sets/{name}", s.handleGetSet)
-	s.mux.HandleFunc("DELETE /v1/sets/{name}", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/scrub", s.handleScrub)
-	s.mux.HandleFunc("POST /v1/repair", s.handleRepair)
 	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -210,15 +203,40 @@ func NewRegistry(reg *collection.Registry, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/collections", s.handleCreateCollection)
 	s.mux.HandleFunc("GET /v1/collections/{collection}", s.handleGetCollection)
 	s.mux.HandleFunc("DELETE /v1/collections/{collection}", s.handleDropCollection)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/search", s.handleScopedSearch)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/search/batch", s.handleScopedSearchBatch)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/overlap", s.handleScopedOverlap)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/sets", s.handleScopedInsert)
-	s.mux.HandleFunc("GET /v1/collections/{collection}/sets/{name}", s.handleScopedGetSet)
-	s.mux.HandleFunc("DELETE /v1/collections/{collection}/sets/{name}", s.handleScopedDelete)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/scrub", s.handleScopedScrub)
-	s.mux.HandleFunc("POST /v1/collections/{collection}/repair", s.handleScopedRepair)
+	// Every per-collection route is registered twice from the one table:
+	// scoped to a named collection, and un-scoped for the default one.
+	for _, rt := range s.collectionRoutes() {
+		s.mux.HandleFunc(rt.method+" /v1"+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			rt.serve(w, r, s.def)
+		})
+		s.mux.HandleFunc(rt.method+" /v1/collections/{collection}"+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			if col, ok := s.resolveCollection(w, r); ok {
+				rt.serve(w, r, col)
+			}
+		})
+	}
 	return s
+}
+
+// collectionRoute is one endpoint that acts on a single collection.
+type collectionRoute struct {
+	method, path string
+	serve        func(http.ResponseWriter, *http.Request, *collection.Collection)
+}
+
+// collectionRoutes is the table of per-collection endpoints; path is what
+// follows /v1 (default collection) or /v1/collections/{collection}.
+func (s *Server) collectionRoutes() []collectionRoute {
+	return []collectionRoute{
+		{"POST", "/search", s.serveSearch},
+		{"POST", "/search/batch", s.serveSearchBatch},
+		{"POST", "/overlap", s.serveOverlap},
+		{"POST", "/sets", s.serveInsert},
+		{"GET", "/sets/{name}", s.serveGetSet},
+		{"DELETE", "/sets/{name}", s.serveDelete},
+		{"POST", "/scrub", s.serveScrub},
+		{"POST", "/repair", s.serveRepair},
+	}
 }
 
 // Registry returns the server's collection registry.
@@ -401,16 +419,20 @@ func (s *Server) queryContext(parent context.Context) (context.Context, context.
 	return context.WithTimeout(parent, s.cfg.QueryTimeout)
 }
 
-// searchFailed writes the response for a failed search: 504 when the
-// per-query timeout expired, otherwise the client is gone — 499 in the
-// nginx tradition, for any middleware that still logs the status.
-func (s *Server) searchFailed(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// searchFailed writes the response for a failed search on col: 504 when the
+// per-query timeout expired, 404 when col was dropped while the query was
+// queued, otherwise the client is gone — 499 in the nginx tradition, for
+// any middleware that still logs the status.
+func (s *Server) searchFailed(w http.ResponseWriter, col *collection.Collection, err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		s.pool.timeouts.Add(1)
 		httpError(w, http.StatusGatewayTimeout, fmt.Sprintf("query exceeded the %v per-query timeout", s.cfg.QueryTimeout))
-		return
+	case errors.Is(err, errTenantRemoved):
+		collectionNotFound(w, col.Name())
+	default:
+		w.WriteHeader(499)
 	}
-	w.WriteHeader(499)
 }
 
 // buildSearchResponse converts engine results and stats to the wire form.
@@ -444,10 +466,6 @@ func buildSearchResponse(results []segment.Result, stats *core.Stats) SearchResp
 	return resp
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.serveSearch(w, r, s.def)
-}
-
 func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
 	var req SearchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -479,14 +497,14 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 	qctx, cancel := s.queryContext(r.Context())
 	defer cancel()
 	if err := s.pool.acquire(qctx, col.Name(), col.Weight()); err != nil {
-		s.searchFailed(w, err)
+		s.searchFailed(w, col, err)
 		return
 	}
 	start := time.Now()
 	results, stats, err := col.Manager().Search(qctx, req.Query, k)
 	s.pool.release(col.Name(), time.Since(start))
 	if err != nil {
-		s.searchFailed(w, err)
+		s.searchFailed(w, col, err)
 		return
 	}
 	s.recordStreamStats(&stats)
@@ -512,10 +530,6 @@ type BatchSearchEntry struct {
 // BatchSearchResponse carries one entry per batch query, in request order.
 type BatchSearchResponse struct {
 	Results []BatchSearchEntry `json:"results"`
-}
-
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	s.serveSearchBatch(w, r, s.def)
 }
 
 func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
@@ -562,6 +576,7 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	// the whole batch.
 	v := col.Manager().AcquireView(k)
 	resps := make([]BatchSearchEntry, len(req.Queries))
+	var dropped atomic.Bool // col was dropped with entries of this batch queued
 	var wg sync.WaitGroup
 	for i := range req.Queries {
 		wg.Add(1)
@@ -571,9 +586,12 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 			qctx, qcancel := s.queryContext(r.Context())
 			defer qcancel()
 			if err := s.pool.acquire(qctx, col.Name(), col.Weight()); err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
+				switch {
+				case errors.Is(err, context.DeadlineExceeded):
 					s.pool.timeouts.Add(1)
 					resps[i] = BatchSearchEntry{Error: fmt.Sprintf("query exceeded the %v per-query timeout waiting for a worker", s.cfg.QueryTimeout)}
+				case errors.Is(err, errTenantRemoved):
+					dropped.Store(true)
 				}
 				return // otherwise the client is gone; the response will never be read
 			}
@@ -595,6 +613,10 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 		w.WriteHeader(499)
 		return
 	}
+	if dropped.Load() {
+		collectionNotFound(w, col.Name())
+		return
+	}
 	s.pool.batches.Add(1)
 	writeJSON(w, http.StatusOK, BatchSearchResponse{Results: resps})
 }
@@ -611,10 +633,6 @@ type InsertRequest struct {
 type InsertResponse struct {
 	SetID int `json:"set_id"`
 	Sets  int `json:"sets"`
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	s.serveInsert(w, r, s.def)
 }
 
 func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
@@ -657,10 +675,6 @@ type SetResponse struct {
 	Elements []string `json:"elements"`
 }
 
-func (s *Server) handleGetSet(w http.ResponseWriter, r *http.Request) {
-	s.serveGetSet(w, r, s.def)
-}
-
 func (s *Server) serveGetSet(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
 	name := r.PathValue("name")
 	if name == "" {
@@ -680,10 +694,6 @@ func (s *Server) serveGetSet(w http.ResponseWriter, r *http.Request, col *collec
 type DeleteResponse struct {
 	Deleted bool `json:"deleted"`
 	Sets    int  `json:"sets"`
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	s.serveDelete(w, r, s.def)
 }
 
 func (s *Server) serveDelete(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
@@ -717,10 +727,6 @@ type OverlapResponse struct {
 	Semantic float64 `json:"semantic"`
 	Vanilla  int     `json:"vanilla"`
 	Greedy   float64 `json:"greedy"`
-}
-
-func (s *Server) handleOverlap(w http.ResponseWriter, r *http.Request) {
-	s.serveOverlap(w, r, s.def)
 }
 
 func (s *Server) serveOverlap(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
@@ -923,21 +929,21 @@ type ScrubResponse struct {
 	Degraded bool     `json:"degraded"`
 }
 
-func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
-	rep := s.mgr.Scrub()
+func (s *Server) serveScrub(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
+	rep := col.Manager().Scrub()
 	writeJSON(w, http.StatusOK, ScrubResponse{
-		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: s.mgr.Health().Degraded,
+		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: col.Manager().Health().Degraded,
 	})
 }
 
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.mgr.Repair()
+func (s *Server) serveRepair(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
+	rep, err := col.Manager().Repair()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "repair failed: "+err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ScrubResponse{
-		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: s.mgr.Health().Degraded,
+		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: col.Manager().Health().Degraded,
 	})
 }
 

@@ -93,36 +93,6 @@ func segmentOf(dict *Dictionary, rows []Set) *Repository {
 	return &Repository{sets: rows, dict: dict, vocabN: dict.Size()}
 }
 
-// NewInternedSegment rebuilds a segment from persisted, already-interned
-// rows: each row carries its Name and ElemIDs (as written by a segment
-// snapshot), and vocabN is the segment's recorded vocabulary horizon.
-// Element strings are resolved through the shared dictionary, which must
-// already contain at least vocabN tokens (the dictionary snapshot is loaded
-// before any segment). Rows are not re-deduplicated — they were deduplicated
-// when first interned — but every ID is bounds-checked against the horizon
-// so a corrupt snapshot fails loudly instead of panicking deep in a search.
-func NewInternedSegment(dict *Dictionary, rows []Set, vocabN int) (*Repository, error) {
-	if vocabN < 0 || vocabN > dict.Size() {
-		return nil, fmt.Errorf("sets: segment horizon %d outside dictionary of %d tokens", vocabN, dict.Size())
-	}
-	r := &Repository{sets: make([]Set, len(rows)), dict: dict, vocabN: vocabN}
-	for i, row := range rows {
-		name := row.Name
-		if name == "" {
-			name = fmt.Sprintf("set-%d", i)
-		}
-		elems := make([]string, len(row.ElemIDs))
-		for j, id := range row.ElemIDs {
-			if id < 0 || int(id) >= vocabN {
-				return nil, fmt.Errorf("sets: segment row %d (%q): token ID %d outside horizon %d", i, name, id, vocabN)
-			}
-			elems[j] = dict.Token(id)
-		}
-		r.sets[i] = Set{ID: i, Name: name, Elements: elems, ElemIDs: append([]int32(nil), row.ElemIDs...)}
-	}
-	return r, nil
-}
-
 // NewMappedSegment rebuilds a segment over borrowed CSR storage: rowOffs
 // and elemIDs come straight from a mapped v2 segment snapshot (DESIGN.md
 // §13) and are aliased, not copied — each set's ElemIDs is a subslice of

@@ -199,20 +199,21 @@ func TestDictionaryFromTokens(t *testing.T) {
 	}
 }
 
-func TestNewInternedSegment(t *testing.T) {
+func TestNewMappedSegment(t *testing.T) {
 	dict := NewDictionary()
 	seg1 := NewSegment(dict, []Set{{Name: "s1", Elements: []string{"a", "b"}}})
-	rows := []Set{
-		{Name: "r1", ElemIDs: []int32{1, 0}},
-		{Name: "", ElemIDs: []int32{0}},
-	}
-	repo, err := NewInternedSegment(dict, rows, seg1.VocabSize())
+	// Two rows over one borrowed CSR: r1 = {b, a}, unnamed = {a}.
+	elemIDs := []int32{1, 0, 0}
+	repo, err := NewMappedSegment(dict, []string{"r1", ""}, []int64{0, 2, 3}, elemIDs, seg1.VocabSize())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := repo.Set(0)
-	if got.Elements[0] != "b" || got.Elements[1] != "a" || got.ElemIDs[0] != 1 {
-		t.Fatalf("row 0 = %+v", got)
+	if got.Elements != nil || len(got.ElemIDs) != 2 || &got.ElemIDs[0] != &elemIDs[0] {
+		t.Fatalf("row 0 = %+v, want a view of the borrowed IDs and no strings", got)
+	}
+	if el := repo.Elements(0); len(el) != 2 || el[0] != "b" || el[1] != "a" {
+		t.Fatalf("row 0 elements = %v", el)
 	}
 	if repo.Set(1).Name != "set-1" {
 		t.Fatalf("empty name not defaulted: %q", repo.Set(1).Name)
@@ -220,11 +221,12 @@ func TestNewInternedSegment(t *testing.T) {
 	if repo.VocabSize() != seg1.VocabSize() {
 		t.Fatalf("horizon %d, want %d", repo.VocabSize(), seg1.VocabSize())
 	}
-	// IDs at/above the horizon and horizons beyond the dictionary fail.
-	if _, err := NewInternedSegment(dict, []Set{{Name: "bad", ElemIDs: []int32{2}}}, 2); err == nil {
-		t.Fatal("out-of-horizon ID accepted")
-	}
-	if _, err := NewInternedSegment(dict, nil, dict.Size()+1); err == nil {
+	// Horizons beyond the dictionary and offsets that do not fit the names
+	// fail.
+	if _, err := NewMappedSegment(dict, nil, []int64{0}, nil, dict.Size()+1); err == nil {
 		t.Fatal("horizon beyond dictionary accepted")
+	}
+	if _, err := NewMappedSegment(dict, []string{"x"}, []int64{0}, nil, dict.Size()); err == nil {
+		t.Fatal("one offset for one name accepted")
 	}
 }

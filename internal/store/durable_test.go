@@ -80,35 +80,6 @@ func TestDictRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestSegmentRoundTripRandom: random segments (rows, handles, IDs,
-// tombstones) survive write/read exactly.
-func TestSegmentRoundTripRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		s := randSegment(rng, 500+rng.Intn(500))
-		var buf bytes.Buffer
-		if err := WriteSegment(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSegment(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got.VocabN != s.VocabN || len(got.Rows) != len(s.Rows) {
-			t.Fatalf("trial %d: structure lost", trial)
-		}
-		for i := range s.Rows {
-			if got.Rows[i].Handle != s.Rows[i].Handle || got.Rows[i].Name != s.Rows[i].Name ||
-				!reflect.DeepEqual(got.Rows[i].ElemIDs, s.Rows[i].ElemIDs) {
-				t.Fatalf("trial %d: row %d differs: %+v vs %+v", trial, i, got.Rows[i], s.Rows[i])
-			}
-		}
-		if len(s.Rows) > 0 && !reflect.DeepEqual(got.Dead, s.Dead) {
-			t.Fatalf("trial %d: tombstones differ", trial)
-		}
-	}
-}
-
 // TestWALRoundTripRandom: random operation logs replay exactly, through
 // both a single open and append-reopen-append cycles.
 func TestWALRoundTripRandom(t *testing.T) {
@@ -184,60 +155,39 @@ func walEqual(a, b []WALRecord) bool {
 	return true
 }
 
-// TestDictSegmentRejectTruncation: every proper prefix of a dictionary or
-// segment file must produce an error — never a panic, never silent data.
+// TestDictSegmentRejectTruncation: every proper prefix of a dictionary
+// file must produce an error — never a panic, never silent data. (Segment
+// files: TestSegmentV2RejectTruncation.)
 func TestDictSegmentRejectTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var dict bytes.Buffer
 	if err := WriteDict(&dict, randTokens(rng, 30)); err != nil {
 		t.Fatal(err)
 	}
-	var segb bytes.Buffer
-	if err := WriteSegment(&segb, randSegment(rng, 100)); err != nil {
-		t.Fatal(err)
-	}
-	for name, full := range map[string][]byte{"dict": dict.Bytes(), "segment": segb.Bytes()} {
-		for cut := 0; cut < len(full); cut++ {
-			trunc := full[:cut]
-			var err error
-			if name == "dict" {
-				_, err = ReadDict(bytes.NewReader(trunc))
-			} else {
-				_, err = ReadSegment(bytes.NewReader(trunc))
-			}
-			if err == nil {
-				t.Fatalf("%s truncated at %d/%d bytes accepted", name, cut, len(full))
-			}
+	full := dict.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ReadDict(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("dict truncated at %d/%d bytes accepted", cut, len(full))
 		}
 	}
 }
 
-// TestDictSegmentRejectCorruption: single-byte flips anywhere in the file
-// are caught (CRC, magic, or structural validation) — never a panic.
+// TestDictSegmentRejectCorruption: single-byte flips anywhere in a
+// dictionary file are caught (CRC, magic, or structural validation) —
+// never a panic. (Segment files: TestSegmentV2RejectCorruption.)
 func TestDictSegmentRejectCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var dict bytes.Buffer
 	if err := WriteDict(&dict, randTokens(rng, 30)); err != nil {
 		t.Fatal(err)
 	}
-	var segb bytes.Buffer
-	if err := WriteSegment(&segb, randSegment(rng, 100)); err != nil {
-		t.Fatal(err)
-	}
-	for name, full := range map[string][]byte{"dict": dict.Bytes(), "segment": segb.Bytes()} {
-		for trial := 0; trial < 200; trial++ {
-			pos := rng.Intn(len(full))
-			mut := append([]byte(nil), full...)
-			mut[pos] ^= 1 << uint(rng.Intn(8))
-			var err error
-			if name == "dict" {
-				_, err = ReadDict(bytes.NewReader(mut))
-			} else {
-				_, err = ReadSegment(bytes.NewReader(mut))
-			}
-			if err == nil {
-				t.Fatalf("%s with byte %d flipped accepted", name, pos)
-			}
+	full := dict.Bytes()
+	for trial := 0; trial < 200; trial++ {
+		pos := rng.Intn(len(full))
+		mut := append([]byte(nil), full...)
+		mut[pos] ^= 1 << uint(rng.Intn(8))
+		if _, err := ReadDict(bytes.NewReader(mut)); err == nil {
+			t.Fatalf("dict with byte %d flipped accepted", pos)
 		}
 	}
 }
@@ -372,22 +322,5 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 	bad := ManifestSegment{File: "f", Rows: 200, DeadB64: seg.DeadB64}
 	if _, err := bad.Dead(); err == nil {
 		t.Fatal("mis-sized tombstone bitset accepted")
-	}
-}
-
-// TestSegmentRejectsOutOfHorizonIDs: structurally valid frames with IDs
-// beyond the recorded vocabulary horizon are rejected on read.
-func TestSegmentRejectsOutOfHorizonIDs(t *testing.T) {
-	s := &SegmentSnapshot{
-		VocabN: 3,
-		Rows:   []SegmentRow{{Handle: 0, Name: "bad", ElemIDs: []int32{0, 7}}},
-		Dead:   []uint64{0},
-	}
-	var buf bytes.Buffer
-	if err := WriteSegment(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSegment(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("out-of-horizon token ID accepted")
 	}
 }

@@ -9,7 +9,6 @@ package store
 // are interned int32 IDs and the dictionary is the decoder ring.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -17,11 +16,13 @@ import (
 )
 
 // File magics. A wrong magic means "not this kind of file" — the most
-// useful error when a path points somewhere unexpected.
+// useful error when a path points somewhere unexpected. segMagicV1 heads
+// the segment layout this package no longer decodes; the bytes stay so that
+// such a file is named for what it is (ErrSegmentV1), not taken for rot.
 var (
-	dictMagic = [5]byte{'K', 'D', 'I', 'C', 1}
-	segMagic  = [5]byte{'K', 'S', 'E', 'G', 1}
-	walMagic  = [5]byte{'K', 'W', 'A', 'L', 1}
+	dictMagic  = [5]byte{'K', 'D', 'I', 'C', 1}
+	segMagicV1 = [5]byte{'K', 'S', 'E', 'G', 1}
+	walMagic   = [5]byte{'K', 'W', 'A', 'L', 1}
 )
 
 func writeMagic(w *binWriter, magic [5]byte) { w.raw(magic[:]) }
@@ -84,7 +85,8 @@ type SegmentRow struct {
 	ElemIDs []int32
 }
 
-// SegmentSnapshot is the on-disk form of one sealed segment: the interned
+// SegmentSnapshot is the owned, row-shaped form of one sealed segment — what
+// WriteSegmentV2 takes and MappedSegment.Snapshot returns: the interned
 // rows, the dictionary horizon they were interned under, and the tombstone
 // bitset at write time (rows born dead, e.g. deleted mid-compaction). The
 // CSR postings and engine are rebuilt on load, exactly as compaction
@@ -94,93 +96,6 @@ type SegmentSnapshot struct {
 	VocabN int
 	Rows   []SegmentRow
 	Dead   []uint64
-}
-
-// WriteSegment serializes a segment snapshot.
-func WriteSegment(w io.Writer, s *SegmentSnapshot) error {
-	bw := newBinWriter(w)
-	writeMagic(bw, segMagic)
-	bw.uvarint(uint64(s.VocabN))
-	bw.uvarint(uint64(len(s.Rows)))
-	for _, row := range s.Rows {
-		bw.uvarint(uint64(row.Handle))
-		bw.str(row.Name)
-		bw.uvarint(uint64(len(row.ElemIDs)))
-		for _, id := range row.ElemIDs {
-			bw.uvarint(uint64(uint32(id)))
-		}
-	}
-	bw.uvarint(uint64(len(s.Dead)))
-	for _, word := range s.Dead {
-		bw.u64(word)
-	}
-	if err := bw.finish(); err != nil {
-		return fmt.Errorf("store: write segment: %w", err)
-	}
-	return nil
-}
-
-// ReadSegment deserializes a segment snapshot in either format, verifying
-// checksums and structural sanity (IDs within the horizon, bitset sized to
-// the rows). v2 files (segfile_v2.go) are parsed and materialized into the
-// same owned SegmentSnapshot shape — callers that need zero-copy serving
-// use OpenMappedSegment instead.
-func ReadSegment(r io.Reader) (*SegmentSnapshot, error) {
-	buf := bufio.NewReader(r)
-	if magic, err := buf.Peek(5); err == nil && [5]byte(magic) == segMagicV2 {
-		data, err := io.ReadAll(buf)
-		if err != nil {
-			return nil, fmt.Errorf("store: read segment: %w", err)
-		}
-		ms := &MappedSegment{data: alignedBytes(data)}
-		ms.refs.Store(1)
-		if err := ms.parse(); err != nil {
-			return nil, fmt.Errorf("store: corrupt segment: %w", err)
-		}
-		return ms.Snapshot(), nil
-	}
-	br := newBinReader(buf)
-	if err := checkMagic(br, segMagic, "segment"); err != nil {
-		return nil, err
-	}
-	s := &SegmentSnapshot{VocabN: br.count("segment vocabulary")}
-	nRows := br.count("segment row")
-	s.Rows = make([]SegmentRow, 0, min(nRows, 1<<20))
-	// Every loop checks the sticky error: a corrupt count field can claim
-	// up to maxBinCount entries, and grinding through them after the reader
-	// has already failed turns one flipped bit into a recovery stall.
-	for i := 0; i < nRows && br.err == nil; i++ {
-		row := SegmentRow{Handle: int64(br.uvarint()), Name: br.str("set name")}
-		nElem := br.count("set element")
-		row.ElemIDs = make([]int32, 0, min(nElem, 1<<20))
-		for j := 0; j < nElem; j++ {
-			// Validate inside the decode loop: one pass over the data, and a
-			// bad ID fails on first sight instead of after decoding the rest
-			// of a possibly multi-GB file. The raw uvarint is checked before
-			// the int32 narrowing so oversized garbage can't wrap into range.
-			id := br.uvarint()
-			if br.err != nil {
-				break
-			}
-			if id >= uint64(s.VocabN) {
-				return nil, fmt.Errorf("store: corrupt segment: row %d token ID %d outside horizon %d", i, id, s.VocabN)
-			}
-			row.ElemIDs = append(row.ElemIDs, int32(id))
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	nDead := br.count("tombstone word")
-	s.Dead = make([]uint64, 0, min(nDead, 1<<20))
-	for i := 0; i < nDead && br.err == nil; i++ {
-		s.Dead = append(s.Dead, br.u64())
-	}
-	if err := br.checkCRC(); err != nil {
-		return nil, fmt.Errorf("store: corrupt segment: %w", err)
-	}
-	if want := (len(s.Rows) + 63) / 64; len(s.Dead) != want && !(len(s.Rows) == 0 && len(s.Dead) == 0) {
-		return nil, fmt.Errorf("store: corrupt segment: %d tombstone words for %d rows (want %d)", len(s.Dead), len(s.Rows), want)
-	}
-	return s, nil
 }
 
 // SaveDict writes the vocabulary to path and syncs it to stable storage.
@@ -243,21 +158,6 @@ func parseDict(data []byte) ([]string, error) {
 		return nil, fmt.Errorf("store: corrupt dictionary: %d trailing payload bytes", len(rest)-pos)
 	}
 	return tokens, nil
-}
-
-// SaveSegment writes the snapshot to path and syncs it to stable storage.
-func SaveSegment(fsys FS, path string, s *SegmentSnapshot) error {
-	return saveSynced(fsys, path, func(w io.Writer) error { return WriteSegment(w, s) })
-}
-
-// LoadSegment reads the snapshot at path.
-func LoadSegment(fsys FS, path string) (*SegmentSnapshot, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return ReadSegment(f)
 }
 
 // saveSynced creates (or truncates) path, writes through fn, and fsyncs

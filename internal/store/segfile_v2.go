@@ -1,11 +1,10 @@
 package store
 
-// Segment snapshot format v2: a flat, sectioned, page-aligned layout whose
-// payload bytes ARE the in-memory CSR arrays sets.Repository serves from
-// (DESIGN.md §13). Where v1 (segfile.go) uvarint-packs rows and is decoded
-// into freshly allocated slices, a v2 file is mmapped and served in place:
-// opening a segment costs a handful of page faults, not O(data) decode time
-// and heap.
+// Segment snapshot format v2, the only one read or written: a flat,
+// sectioned, page-aligned layout whose payload bytes ARE the in-memory CSR
+// arrays sets.Repository serves from (DESIGN.md §13). The file is mmapped
+// and served in place: opening a segment costs a handful of page faults,
+// not O(data) decode time and heap.
 //
 // Layout (all integers little-endian):
 //
@@ -154,8 +153,8 @@ func (ms *MappedSegment) Release() error {
 // any) has been released — observability for lifetime tests.
 func (ms *MappedSegment) Closed() bool { return ms.closed.Load() }
 
-// Snapshot materializes the mapped arrays into an owned v1-shaped
-// SegmentSnapshot (scrub/repair and the legacy load path).
+// Snapshot materializes the mapped arrays into an owned, row-shaped
+// SegmentSnapshot (tests and the chaos harness's reference states).
 func (ms *MappedSegment) Snapshot() *SegmentSnapshot {
 	n := ms.Rows()
 	s := &SegmentSnapshot{VocabN: ms.VocabN}
@@ -269,10 +268,11 @@ func SaveSegmentV2(fsys FS, path string, s *SegmentSnapshot) error {
 	return saveSynced(fsys, path, func(w io.Writer) error { return WriteSegmentV2(w, s) })
 }
 
-// ErrNotSegmentV2 reports that a file's magic is not the v2 segment magic.
-// Callers that dispatch on format (loadSegment) match it with errors.Is to
-// fall back to the v1 decoder without a second open of the same file.
-var ErrNotSegmentV2 = errors.New("not a koios segment v2 file")
+// ErrSegmentV1 reports a file in the v1 segment layout (magic KSEG\x01):
+// intact as far as anyone can tell, but written by a build older than this
+// package's decoder. segment.Open matches it with errors.Is to refuse the
+// directory by name instead of quarantining the file as damaged.
+var ErrSegmentV1 = errors.New("v1 segment layout (magic KSEG\\x01), which this build does not decode")
 
 // OpenMappedSegment opens the v2 segment at path for zero-copy serving.
 // When fsys supports mmap (the production osFS on unix) the file is
@@ -300,7 +300,7 @@ func OpenMappedSegment(fsys FS, path string) (*MappedSegment, error) {
 	ms.refs.Store(1)
 	if err := ms.parse(); err != nil {
 		ms.Release()
-		if errors.Is(err, ErrNotSegmentV2) {
+		if errors.Is(err, ErrSegmentV1) {
 			return nil, fmt.Errorf("store: %s: %w", path, err)
 		}
 		return nil, fmt.Errorf("store: corrupt segment %s: %w", path, err)
@@ -314,8 +314,11 @@ func OpenMappedSegment(fsys FS, path string) (*MappedSegment, error) {
 // a v2 file either parses completely or is rejected completely.
 func (ms *MappedSegment) parse() error {
 	data := ms.data
-	if len(data) < 5 || !bytes.Equal(data[:5], segMagicV2[:]) {
-		return ErrNotSegmentV2
+	if len(data) >= 5 && [5]byte(data[:5]) == segMagicV1 {
+		return ErrSegmentV1
+	}
+	if len(data) < 5 || [5]byte(data[:5]) != segMagicV2 {
+		return fmt.Errorf("not a koios segment file (magic %q)", data[:min(len(data), 5)])
 	}
 	if len(data) < segV2Page {
 		return fmt.Errorf("file shorter than header page (%d bytes)", len(data))
@@ -520,51 +523,10 @@ func encU64(v []uint64) []byte {
 	return out
 }
 
-// IsSegmentV2 sniffs path's magic through fsys without reading the body.
-func IsSegmentV2(fsys FS, path string) (bool, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	var magic [5]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		// Too short to hold any magic: not v2 (the v1 reader will produce
-		// the canonical truncation error).
-		return false, nil
-	}
-	return magic == segMagicV2, nil
-}
-
-// OpenSegment opens the snapshot at path in whichever format it was
-// written: v2 comes back as a zero-copy MappedSegment (snap nil), v1 as a
-// decoded SegmentSnapshot (mapped nil). The recovery path uses this to
-// keep old collections readable while new checkpoints write v2.
-func OpenSegment(fsys FS, path string) (mapped *MappedSegment, snap *SegmentSnapshot, err error) {
-	v2, err := IsSegmentV2(fsys, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v2 {
-		ms, err := OpenMappedSegment(fsys, path)
-		return ms, nil, err
-	}
-	s, err := LoadSegment(fsys, path)
-	return nil, s, err
-}
-
 // VerifySegment re-validates the snapshot at path — checksums, structure,
-// horizon — without keeping anything: the scrub primitive. v2 files are
-// parsed in place (no row materialization); v1 files are decoded.
+// horizon — without keeping anything: the scrub primitive. The file is
+// parsed in place; no row is materialized.
 func VerifySegment(fsys FS, path string) error {
-	v2, err := IsSegmentV2(fsys, path)
-	if err != nil {
-		return err
-	}
-	if !v2 {
-		_, err := LoadSegment(fsys, path)
-		return err
-	}
 	ms, err := OpenMappedSegment(fsys, path)
 	if err != nil {
 		return err

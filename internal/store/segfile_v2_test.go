@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -193,64 +194,33 @@ func TestSegmentV2EmptyAndTinySegments(t *testing.T) {
 	}
 }
 
-// TestSegmentV2ReadSegmentSniffs: the legacy entry point transparently
-// decodes v2 bytes, so every v1-era caller (chaos reference states, the
-// dataset tooling) reads both formats.
-func TestSegmentV2ReadSegmentSniffs(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	s := randSegment(rng, 200)
-	got, err := ReadSegment(bytes.NewReader(encodeV2(t, s)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSnapshotsEqual(t, "sniffed", got, s)
-}
-
-// TestOpenSegmentDispatch: OpenSegment and VerifySegment handle both
-// formats at the same path type.
-func TestOpenSegmentDispatch(t *testing.T) {
+// TestVerifySegment: the scrub primitive accepts an intact file, rejects
+// a damaged one, and names a v1-layout file for what it is.
+func TestVerifySegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	s := randSegment(rng, 150)
-	dir := t.TempDir()
-	v1, v2 := filepath.Join(dir, "v1.kseg"), filepath.Join(dir, "v2.kseg")
-	if err := SaveSegment(OS, v1, s); err != nil {
+	path := filepath.Join(t.TempDir(), "s.kseg")
+	if err := SaveSegmentV2(OS, path, randSegment(rng, 150)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSegmentV2(OS, v2, s); err != nil {
-		t.Fatal(err)
+	if err := VerifySegment(OS, path); err != nil {
+		t.Fatalf("VerifySegment(intact): %v", err)
 	}
-	if ok, err := IsSegmentV2(OS, v1); err != nil || ok {
-		t.Fatalf("IsSegmentV2(v1) = %v, %v", ok, err)
-	}
-	if ok, err := IsSegmentV2(OS, v2); err != nil || !ok {
-		t.Fatalf("IsSegmentV2(v2) = %v, %v", ok, err)
-	}
-	mapped, snap, err := OpenSegment(OS, v1)
-	if err != nil || mapped != nil || snap == nil {
-		t.Fatalf("OpenSegment(v1) = %v, %v, %v", mapped, snap, err)
-	}
-	assertSnapshotsEqual(t, "dispatch v1", snap, s)
-	mapped, snap, err = OpenSegment(OS, v2)
-	if err != nil || mapped == nil || snap != nil {
-		t.Fatalf("OpenSegment(v2) = %v, %v, %v", mapped, snap, err)
-	}
-	assertSnapshotsEqual(t, "dispatch v2", mapped.Snapshot(), s)
-	mapped.Release()
-	for _, p := range []string{v1, v2} {
-		if err := VerifySegment(OS, p); err != nil {
-			t.Fatalf("VerifySegment(%s): %v", p, err)
-		}
-	}
-	raw, err := os.ReadFile(v2)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0x10
-	if err := os.WriteFile(v2, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySegment(OS, v2); err == nil {
-		t.Fatal("VerifySegment accepted a damaged v2 file")
+	if err := VerifySegment(OS, path); err == nil || errors.Is(err, ErrSegmentV1) {
+		t.Fatalf("VerifySegment(damaged) = %v, want a corruption error", err)
+	}
+	if err := os.WriteFile(path, append(segMagicV1[:], "anything"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySegment(OS, path); !errors.Is(err, ErrSegmentV1) {
+		t.Fatalf("VerifySegment(v1 magic) = %v, want ErrSegmentV1", err)
 	}
 }
 

@@ -74,8 +74,9 @@ type Config struct {
 	// once the top-k is decided (DESIGN.md §10). Results are byte-identical
 	// either way — for any index, the approximate NewWithSource ones
 	// included (a cut search completes truncated edge lists from the
-	// source's own retrieval, so it reproduces exactly what that source's
-	// eager pipeline would return). The flag exists for ablation studies.
+	// source's own retrieval, so it reproduces exactly what consuming that
+	// source's whole stream would return). The flag exists for ablation
+	// studies.
 	DisableLazy bool
 	// SealThreshold is the number of inserted sets buffered in the mutable
 	// memtable before it seals into an immutable segment (default 256);
