@@ -1,34 +1,28 @@
 // The body of dotBlocksAVX and dotBlocksFMA (dot_amd64.s defines MAC and
-// loads the arguments): AX = q, SI = nq (1 or 2), CX = dim ≥ 1, BX = data,
-// DX = nblk ≥ 1, R8 = out.
+// loads the arguments): AX = q, CX = dim ≥ 1, BX = data, DX = nblk ≥ 1,
+// R8 = out.
 //
-// One query row: eight blocks per outer iteration — eight independent
-// accumulators keep both FP ports busy across the add latency and share
-// each q[j] broadcast — then one block at a time. Two query rows: four
-// blocks per outer iteration, each block element loaded and widened once
-// and multiplied into both rows' accumulators (Y0–Y3 and Y4–Y7, Y8/Y9 the
-// broadcasts, Y10–Y13 the widened elements, Y14/Y15 product temporaries of
-// the non-FMA step: all sixteen registers), then one block at a time; the
-// second row's dots start 4·nblk floats into out.
+// Eight blocks per outer iteration — eight independent accumulators keep
+// both FP ports busy across the add latency and share each q[j] broadcast —
+// then one block at a time. The scan hands it runs of blocks the screen
+// flagged (screen_amd64.h), so the eight-block loop is what a scan with
+// every block flagged runs on.
 //
-// Each step of a multi-block loop also prefetches the cache lines of the
+// Each step of the eight-block loop also prefetches the cache lines of the
 // blocks the next outer iteration reads (16·dim bytes per block: 128 bytes
-// a step for eight blocks, 64 for four). The short per-block streams are a
-// pattern the hardware prefetcher does not follow, and without this the
-// kernel runs at half speed whenever the arena comes from L3 instead of L2.
-// A prefetch past the end of the arena is dropped, never a fault.
+// a step). The short per-block streams are a pattern the hardware
+// prefetcher does not follow, and without this the kernel runs at half
+// speed whenever the arena comes from L3 instead of L2. A prefetch past the
+// end of the arena is dropped, never a fault.
 //
 // Pointers are not reloaded between outer iterations: a j loop leaves AX
 // one row further (R13 bytes, subtracted again) and BX one block further
-// (R9 bytes), so the next group of G blocks starts (G-1)·R9 after it.
+// (R9 bytes), so the next group of eight blocks starts 7·R9 after it.
 	MOVQ CX, R9
 	SHLQ $4, R9            // bytes per block
 	LEAQ (R9)(R9*2), R10   // three blocks
 	MOVQ CX, R13
 	SHLQ $3, R13           // bytes per query row
-	CMPQ SI, $2
-	JEQ  pair
-
 	CMPQ DX, $8
 	JLT  single
 
@@ -108,87 +102,6 @@ singleElem:
 	SUBQ    R13, AX
 	DECQ    DX
 	JNZ     single
-	JMP     done
-
-pair:
-	MOVQ DX, SI
-	SHLQ $5, SI            // bytes from a first-row dot to the second row's
-	CMPQ DX, $4
-	JLT  pairSingle
-
-pairFour:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	LEAQ   (BX)(R9*4), R11 // the next four blocks
-	MOVQ   CX, R12
-
-pairFourElem:
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R13*1), Y9
-	VCVTPS2PD    (BX), Y10
-	MAC(Y10, Y8, Y0, Y14)
-	MAC(Y10, Y9, Y4, Y10)
-	VCVTPS2PD    (BX)(R9*1), Y11
-	MAC(Y11, Y8, Y1, Y15)
-	MAC(Y11, Y9, Y5, Y11)
-	VCVTPS2PD    (BX)(R9*2), Y12
-	MAC(Y12, Y8, Y2, Y14)
-	MAC(Y12, Y9, Y6, Y12)
-	VCVTPS2PD    (BX)(R10*1), Y13
-	MAC(Y13, Y8, Y3, Y15)
-	MAC(Y13, Y9, Y7, Y13)
-	ADDQ         $8, AX
-	ADDQ         $16, BX
-	PREFETCHT0   (R11)
-	ADDQ         $64, R11
-	DECQ         R12
-	JNZ          pairFourElem
-
-	VMOVUPD Y0, (R8)
-	VMOVUPD Y1, 32(R8)
-	VMOVUPD Y2, 64(R8)
-	VMOVUPD Y3, 96(R8)
-	VMOVUPD Y4, (R8)(SI*1)
-	VMOVUPD Y5, 32(R8)(SI*1)
-	VMOVUPD Y6, 64(R8)(SI*1)
-	VMOVUPD Y7, 96(R8)(SI*1)
-	ADDQ    $128, R8
-	SUBQ    R13, AX
-	ADDQ    R10, BX
-	SUBQ    $4, DX
-	CMPQ    DX, $4
-	JGE     pairFour
-	TESTQ   DX, DX
-	JZ      done
-
-pairSingle:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y4, Y4, Y4
-	MOVQ   CX, R12
-
-pairSingleElem:
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R13*1), Y9
-	VCVTPS2PD    (BX), Y10
-	MAC(Y10, Y8, Y0, Y14)
-	MAC(Y10, Y9, Y4, Y10)
-	ADDQ         $8, AX
-	ADDQ         $16, BX
-	DECQ         R12
-	JNZ          pairSingleElem
-
-	VMOVUPD Y0, (R8)
-	VMOVUPD Y4, (R8)(SI*1)
-	ADDQ    $32, R8
-	SUBQ    R13, AX
-	DECQ    DX
-	JNZ     pairSingle
 
 done:
 	VZEROUPPER

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -58,9 +59,10 @@ type vecRows struct {
 	data   []float32 // element j of row i is data[(i/4*dim+j)*4+i%4]
 }
 
-// useAVX routes dotBlocks to an assembly kernel and useFMA picks the fused
-// one. Both are set once at init, on amd64, from CPUID (dot_amd64.go); tests
-// clear them to run the unfused kernel and the portable loop.
+// useAVX routes dotBlocks and screenBlocks to their assembly kernels and
+// useFMA picks the fused ones. Both are set once at init, on amd64, from
+// CPUID (dot_amd64.go); tests clear them to run the unfused kernels and the
+// portable loops.
 var useAVX, useFMA bool
 
 // lane returns the arena offset of element 0 of row i; element j is 4j
@@ -119,58 +121,125 @@ func clamp01(s float64) float64 {
 	return s
 }
 
-// dotBlocksGo is the scan's inner loop in portable Go, and the reference
-// the assembly kernels are tested against: for each of the nq ∈ {1, 2} query
-// rows in q, out[g·4·nblk+4b+l] = Σ_j q[g·dim+j]·float64(element j of row
-// 4b+l), unclamped, for the nblk = len(out)/(4·nq) blocks data starts with.
-// Two rows share each block element's load and widening.
-func dotBlocksGo(q []float64, nq int, data []float32, out []float64) {
-	dim, nblk := len(q)/nq, len(out)/(4*nq)
-	q0, q1 := q[:dim], q[len(q)-dim:]
-	for b := 0; b < nblk; b++ {
+// dotBlocksGo is the exact kernel in portable Go, and the reference the
+// assembly kernels are tested against: out[4b+l] = Σ_j q[j]·float64(element j
+// of row 4b+l), unclamped, for the len(out)/4 blocks data starts with.
+func dotBlocksGo(q []float64, data []float32, out []float64) {
+	dim := len(q)
+	for b := 0; b < len(out)/4; b++ {
 		blk := data[4*b*dim:][:4*dim]
-		var d0, d1, d2, d3, e0, e1, e2, e3 float64
-		// The slices shrink as a loop advances, so its condition is the
+		var d0, d1, d2, d3 float64
+		// The slices shrink as the loop advances, so its condition is the
 		// only bounds check.
-		if nq == 1 {
-			for qs := q0; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
-				d0 += qs[0] * float64(blk[0])
-				d1 += qs[0] * float64(blk[1])
-				d2 += qs[0] * float64(blk[2])
-				d3 += qs[0] * float64(blk[3])
-			}
-		} else {
-			for qs, rs := q0, q1; len(qs) >= 1 && len(rs) >= 1 && len(blk) >= 4; qs, rs, blk = qs[1:], rs[1:], blk[4:] {
-				f0, f1, f2, f3 := float64(blk[0]), float64(blk[1]), float64(blk[2]), float64(blk[3])
-				d0 += qs[0] * f0
-				d1 += qs[0] * f1
-				d2 += qs[0] * f2
-				d3 += qs[0] * f3
-				e0 += rs[0] * f0
-				e1 += rs[0] * f1
-				e2 += rs[0] * f2
-				e3 += rs[0] * f3
-			}
-			o := out[4*(nblk+b):][:4]
-			o[0], o[1], o[2], o[3] = e0, e1, e2, e3
+		for qs := q; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
+			d0 += qs[0] * float64(blk[0])
+			d1 += qs[0] * float64(blk[1])
+			d2 += qs[0] * float64(blk[2])
+			d3 += qs[0] * float64(blk[3])
 		}
 		o := out[4*b:][:4]
 		o[0], o[1], o[2], o[3] = d0, d1, d2, d3
 	}
 }
 
-// scanChunk is how many blocks of the arena the scan scores every query row
-// against before it moves on: the chunk stays in cache for all of a search's
-// rows, the dots stay in L1 until the emit pass reads them, and the
-// assembly kernels, which cannot be preempted, return to Go every 256 rows.
+// screenCut is the float32 threshold of the screen for α and a stride: the
+// largest float32 not above α − ε, ε = (dim+4)·2⁻²³. ε is a bound, not a
+// tuning value (DESIGN.md §12 derives it): a float32 sum of a row's products
+// in which no product passes through more than ⌈dim/2⌉+1 roundings — fused
+// or not, as in all three screens — and the float64 sum dotBlocks emits are
+// less than ε/3 apart when both rows were written by add, so a row that
+// scores α or more sums to cut or more. The derivation wants (dim/2+1)·2⁻²⁴
+// below 1/8; a stride of 2²² or more gets the cut nothing is below.
+func screenCut(alpha float64, dim int) float32 {
+	if dim >= 1<<22 {
+		return float32(math.Inf(-1))
+	}
+	c := alpha - float64(dim+4)*0x1p-23
+	cut := float32(c)
+	if float64(cut) > c {
+		cut = math.Nextafter32(cut, float32(math.Inf(-1)))
+	}
+	return cut
+}
+
+// expand writes the screen's form of the query rows qis to xq, 4·dim floats
+// a row: element j four times over, so that a step of an expanded row lines
+// up with the same step of a block, lane for lane.
+func (r *vecRows) expand(qis []int, xq []float32) {
+	for g, qi := range qis {
+		x := xq[g*4*r.dim:][:4*r.dim]
+		for j, at := 0, r.lane(qi); j < len(x); j += 4 {
+			v := r.data[at+j]
+			x[j], x[j+1], x[j+2], x[j+3] = v, v, v, v
+		}
+	}
+}
+
+// screenBlocksGo is the screen in portable Go: for each of the nq expanded
+// query rows in xq and each of the first nblk blocks at data, bit l of
+// mask[g·scanChunk+b] is set unless the float32 dot of query row g and row
+// 4b+l is less than cut — so a NaN sum, which proves nothing, flags. The
+// sums are the assembly's: even and odd elements apart, the two added, then
+// a lone last element.
+func screenBlocksGo(xq []float32, nq, dim int, data []float32, nblk int, cut float32, mask []byte) {
+	for g := 0; g < nq; g++ {
+		for b := 0; b < nblk; b++ {
+			qs, blk := xq[g*4*dim:][:4*dim], data[4*b*dim:][:4*dim]
+			var e0, e1, e2, e3, o0, o1, o2, o3 float32
+			// The slices shrink as the loop advances, so its condition is the
+			// only bounds check.
+			for ; len(qs) >= 8 && len(blk) >= 8; qs, blk = qs[8:], blk[8:] {
+				e0 += qs[0] * blk[0]
+				e1 += qs[1] * blk[1]
+				e2 += qs[2] * blk[2]
+				e3 += qs[3] * blk[3]
+				o0 += qs[4] * blk[4]
+				o1 += qs[5] * blk[5]
+				o2 += qs[6] * blk[6]
+				o3 += qs[7] * blk[7]
+			}
+			e0, e1, e2, e3 = e0+o0, e1+o1, e2+o2, e3+o3
+			if len(qs) >= 4 && len(blk) >= 4 {
+				e0 += qs[0] * blk[0]
+				e1 += qs[1] * blk[1]
+				e2 += qs[2] * blk[2]
+				e3 += qs[3] * blk[3]
+			}
+			var m byte
+			if !(e0 < cut) {
+				m = 1
+			}
+			if !(e1 < cut) {
+				m |= 2
+			}
+			if !(e2 < cut) {
+				m |= 4
+			}
+			if !(e3 < cut) {
+				m |= 8
+			}
+			mask[g*scanChunk+b] = m
+		}
+	}
+}
+
+// scanChunk is how many blocks of the arena the scan screens and scores
+// every query row against before it moves on: the chunk stays in cache for
+// all of a search's rows, and the assembly kernels, which cannot be
+// preempted, return to Go every 256 rows. The screen kernels know it as
+// maskRow (dot_amd64.s).
 const scanChunk = 64
 
-// scanGroup is how many query rows one dotBlocks call scores against each
-// block element it loads.
-const scanGroup = 2
+// scanScratch is what one scan needs beside its output: the query rows
+// expanded for screenBlocks, one mask byte per query row and block of a
+// chunk, and one query row widened to float64 for dotBlocks.
+type scanScratch struct {
+	lanes []float32
+	mask  []byte
+	wide  []float64
+}
 
-// widened pools the float64 copies of a scan's query rows.
-var widened = sync.Pool{New: func() any { return new([]float64) }}
+var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // scan appends every row except qi with similarity ≥ alpha to buf,
 // unsorted: scanAll for a group of one.
@@ -181,32 +250,78 @@ func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 }
 
 // scanAll appends to bufs[g] every row except qis[g] with similarity ≥ alpha
-// to row qis[g], unsorted, in one pass of the arena. The query rows are
-// widened to float64 once; the full blocks go through dotBlocks a chunk at
-// a time, scanGroup query rows per call, and the rows of a partial last
-// block through dot.
+// to row qis[g], unsorted, in one pass of the arena. A chunk at a time, the
+// float32 screen marks for every query row the blocks that may hold a match
+// and dotBlocks → appendMatches score those, in maximal runs: every score
+// that leaves is the exact kernel's, the screen only decides where it need
+// not run. The rows of a partial last block go through dot.
+//
+// Two classes of α have nothing to screen. α ≤ 0 admits every row once the
+// lower clamp has lifted it to 0, so every block is flagged without looking;
+// α > 1 and NaN admit none, whatever the arena holds.
 func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
-	wp := widened.Get().(*[]float64)
-	defer widened.Put(wp)
-	if cap(*wp) < len(qis)*r.dim {
-		*wp = make([]float64, len(qis)*r.dim)
+	if !(alpha <= 1) {
+		return
 	}
-	q := (*wp)[:len(qis)*r.dim]
-	for g, qi := range qis {
-		for j, at := 0, r.lane(qi); j < r.dim; j++ {
-			q[g*r.dim+j] = float64(r.data[at+4*j])
+	s := scanScratches.Get().(*scanScratch)
+	defer scanScratches.Put(s)
+	nq := len(qis)
+	even := nq + nq&1 // the screen takes query rows in pairs: an odd one out rides beside a zero row
+	if cap(s.mask) < even*scanChunk {
+		s.mask = make([]byte, even*scanChunk)
+	}
+	if cap(s.wide) < r.dim {
+		s.wide = make([]float64, r.dim)
+	}
+	mask, q := s.mask[:even*scanChunk], s.wide[:r.dim]
+	screen, cut := alpha > 0, screenCut(alpha, r.dim)
+	var xq []float32
+	if screen {
+		if cap(s.lanes) < even*4*r.dim {
+			s.lanes = make([]float32, even*4*r.dim)
+		}
+		xq = s.lanes[:even*4*r.dim]
+		r.expand(qis, xq)
+		clear(xq[nq*4*r.dim:])
+	} else {
+		for i := range mask {
+			mask[i] = 15
 		}
 	}
 	n := len(r.tokens)
 	full := n &^ 3
-	var dots [scanGroup * 4 * scanChunk]float64
+	var dots [4 * scanChunk]float64
 	for i := 0; i < full; i += 4 * scanChunk {
-		rows := min(4*scanChunk, full-i)
-		for g := 0; g < len(qis); g += scanGroup {
-			ng := min(scanGroup, len(qis)-g)
-			dotBlocks(q[g*r.dim:(g+ng)*r.dim], ng, r.data[i*r.dim:], dots[:ng*rows])
-			for k := 0; k < ng; k++ {
-				bufs[g+k] = r.appendMatches(bufs[g+k], i, dots[k*rows:(k+1)*rows], qis[g+k], alpha)
+		chunk, nblk := r.data[i*r.dim:], min(scanChunk, (full-i)/4)
+		if screen {
+			screenBlocks(xq, nq, r.dim, chunk, nblk, cut, mask)
+		}
+		for g, qi := range qis {
+			m := mask[g*scanChunk:][:nblk]
+			widened := false // q holds row qi
+			for b := 0; b < nblk; {
+				if b+8 <= nblk && binary.LittleEndian.Uint64(m[b:]) == 0 {
+					b += 8
+					continue
+				}
+				if m[b] == 0 {
+					b++
+					continue
+				}
+				end := b + 1
+				for end < nblk && m[end] != 0 {
+					end++
+				}
+				if !widened {
+					for j, at := 0, r.lane(qi); j < r.dim; j++ {
+						q[j] = float64(r.data[at+4*j])
+					}
+					widened = true
+				}
+				d := dots[:4*(end-b)]
+				dotBlocks(q, chunk[4*b*r.dim:], d)
+				bufs[g] = r.appendMatches(bufs[g], i+4*b, d, qi, alpha)
+				b = end
 			}
 		}
 	}
@@ -242,8 +357,8 @@ func (r *vecRows) cursors(qs []string, alpha float64, rowOf func(string) int) []
 
 // appendMatches appends rows first, first+1, … whose raw dots clamp to a
 // similarity ≥ alpha, except row qi. For α in (0, 1] a raw dot below α
-// stays below it once clamped, so nearly every row leaves on the first
-// compare; α ≤ 0 admits what the lower clamp raises to 0, so there every
+// stays below it once clamped, so the other rows of a flagged block leave
+// on the first compare; α ≤ 0 admits what the lower clamp raises to 0, so there every
 // row takes the full test. NaN (as score or α) matches nothing, as in
 // clamp-then-compare.
 func (r *vecRows) appendMatches(buf []Neighbor, first int, dots []float64, qi int, alpha float64) []Neighbor {

@@ -1,12 +1,15 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/embedding"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -250,10 +253,12 @@ func TestArenaDegenerateShapes(t *testing.T) {
 			}
 		})
 	}
-	dotBlocks(nil, 1, nil, nil)                 // no rows at all
-	dotBlocks([]float64{1}, 1, nil, nil)        // no full block
-	dotBlocks(nil, 1, nil, make([]float64, 8))  // dim 0
-	dotBlocks(nil, 2, nil, make([]float64, 16)) // dim 0, two query rows
+	dotBlocks(nil, nil, nil)                                                       // no rows at all
+	dotBlocks([]float64{1}, nil, nil)                                              // no full block
+	dotBlocks(nil, nil, make([]float64, 8))                                        // dim 0
+	screenBlocks(nil, 0, 3, nil, 0, 0.5, nil)                                      // no query rows
+	screenBlocks(make([]float32, 8), 1, 1, nil, 0, 0.5, make([]byte, 2*scanChunk)) // no full block
+	screenBlocks(nil, 1, 0, nil, 2, 0.5, make([]byte, 2*scanChunk))                // dim 0
 }
 
 // TestArenaEmitThresholds: the emit pass drops a row on one raw s < α
@@ -332,20 +337,58 @@ func arenaFromBytes(dim int, data []byte, maxRows int) (r vecRows, ref [][]float
 	return r, ref
 }
 
+// screenFlags screens the full blocks of r for the query rows qis on the
+// selected kernel, a chunk at a time as scanAll does, and returns each query
+// row's mask bytes, one per block.
+func screenFlags(r *vecRows, qis []int, alpha float64) [][]byte {
+	nq := len(qis)
+	even := nq + nq&1
+	xq, mask := make([]float32, even*4*r.dim), make([]byte, even*scanChunk)
+	r.expand(qis, xq)
+	cut, flags := screenCut(alpha, r.dim), make([][]byte, nq)
+	for b, blocks := 0, len(r.tokens)/4; b < blocks; b += scanChunk {
+		nblk := min(scanChunk, blocks-b)
+		screenBlocks(xq, nq, r.dim, r.data[4*b*r.dim:], nblk, cut, mask)
+		for g := range flags {
+			flags[g] = append(flags[g], mask[g*scanChunk:][:nblk]...)
+		}
+	}
+	return flags
+}
+
+// checkScreen holds the selected screen to its contract for an α it is
+// used at: a clear bit means the row cannot reach α. So every row of a full
+// block whose score[g][i] — the pair's sim.Dot — is not below α has its bit
+// set for query row g, and that includes a NaN score, which is not below
+// anything: the screen rules only on sums it can order.
+func checkScreen(t *testing.T, mode string, r *vecRows, qis []int, score [][]float64, alpha float64) {
+	t.Helper()
+	for g, m := range screenFlags(r, qis, alpha) {
+		for i := range 4 * len(m) {
+			if s := score[g][i]; !(s < alpha) && m[i/4]>>(i%4)&1 == 0 {
+				t.Fatalf("%s screen, dim=%d n=%d α=%v, element %d of %v: row %d scores %v (%v below α) in block %d, flagged %04b",
+					mode, r.dim, len(r.tokens), alpha, g, qis, i, s, alpha-s, i/4, m[i/4])
+			}
+		}
+	}
+}
+
 // checkArenaBatch scores the query rows qis in one scanAll, and each in a
 // scan of its own, on every kernel this CPU runs: both must return, for
 // every element, exactly the rows whose per-pair sim.Dot reaches alpha,
-// with that score, in row order. PairSim's strided dot is held to the same
-// reference.
+// with that score, in row order, and where the scan screens — α in (0, 1] —
+// the screen must have flagged them (checkScreen). PairSim's strided dot is
+// held to the same reference.
 func checkArenaBatch(t *testing.T, r *vecRows, ref [][]float32, qis []int, alpha float64) {
 	t.Helper()
-	want := make([][]Neighbor, len(qis))
+	want, score := make([][]Neighbor, len(qis)), make([][]float64, len(qis))
 	for g, qi := range qis {
 		for i, v := range ref {
 			s := sim.Dot(ref[qi], v)
 			if got := r.dot(qi, i); math.Float64bits(got) != math.Float64bits(s) && !(got != got && s != s) {
 				t.Fatalf("dot(%d,%d) = %v, want %v", qi, i, got, s)
 			}
+			score[g] = append(score[g], s)
 			if i != qi && s >= alpha {
 				want[g] = append(want[g], Neighbor{Token: r.tokens[i], Sim: s, ID: r.ids[i]})
 			}
@@ -362,16 +405,162 @@ func checkArenaBatch(t *testing.T, r *vecRows, ref [][]float32, qis []int, alpha
 				t.Fatalf("%s scan, dim=%d n=%d q=%d α=%v: %v", mode, r.dim, len(ref), qi, alpha, err)
 			}
 		}
+		if alpha > 0 && alpha <= 1 {
+			checkScreen(t, mode, r, qis, score, alpha)
+		}
 	})
 }
 
+// TestScreenIsABound: the float32 screen may clear a row's bit only if the
+// row cannot reach α, on the fused, unfused and portable screens alike. The
+// rows that could catch it out are the ones whose exact score sits within a
+// few float32 ulps of α, where the float32 sum lands on either side: for
+// every stride 1–40 and 300 the fixture scales one component of a copy of
+// the query row until the pair scores 0.8, then steps that component ulp by
+// ulp, and screens at 0.8 and at the middle row's own score. Around them:
+// zero, off-stride, denormal, huge, ±Inf and NaN rows (the last three are
+// NaN rows once normalized, and as query rows score NaN against everything)
+// and a block of −q, which any screen worth running leaves unflagged.
+func TestScreenIsABound(t *testing.T) {
+	// The cut itself: the float32 next below α − ε, never the one above.
+	for _, dim := range []int{0, 1, 32, 300, 1<<22 - 1} {
+		for _, alpha := range []float64{5e-324, 0.3, 0.8, 1} {
+			cut, c := screenCut(alpha, dim), alpha-float64(dim+4)/(1<<23)
+			if up := math.Nextafter32(cut, 2); !(float64(cut) <= c && float64(up) > c) {
+				t.Fatalf("screenCut(%v, %d) = %v, next float32 %v, want them around %v", alpha, dim, cut, up, c)
+			}
+		}
+	}
+	if cut := screenCut(0.8, 1<<22); !math.IsInf(float64(cut), -1) {
+		t.Fatalf("screenCut at a stride the bound is not derived for = %v, want -Inf", cut)
+	}
+	rng := rand.New(rand.NewSource(95))
+	const target, steps = 0.8, 8
+	ulp := float64(math.Nextafter32(target, 1)) - float64(float32(target))
+	for _, dim := range append(seq(1, 40), 300) {
+		q := make([]float32, dim)
+		c := 0 // the component to scale: the largest, so that scaling it down crosses any α
+		for j := range q {
+			q[j] = float32(rng.NormFloat64())
+			if math.Abs(float64(q[j])) > math.Abs(float64(q[c])) {
+				c = j
+			}
+		}
+		with := func(x float32) []float32 {
+			v := slices.Clone(q)
+			v[c] = x
+			return v
+		}
+		refQ := normalizeCopy(q)
+		// The pair's score rises with the scale t up to t = 1: bisect.
+		lo, hi := -1e3, 1.0
+		for range 64 {
+			if mid := (lo + hi) / 2; sim.Dot(refQ, normalizeCopy(with(float32(mid)*q[c]))) < target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		random := func() []float32 {
+			v := make([]float32, dim)
+			for j := range v {
+				v[j] = float32(rng.NormFloat64())
+			}
+			return v
+		}
+		fill := func(x float32) []float32 {
+			v := make([]float32, dim)
+			for j := range v {
+				v[j] = x
+			}
+			return v
+		}
+		inf := float32(math.Inf(1))
+		denormal := with(math.Float32frombits(3)) // normalizes to a row that keeps a denormal
+		vecs := [][]float32{q, random(), make([]float32, dim), append(random(), 1), fill(math.Float32frombits(7)), denormal,
+			fill(-3e38), with(inf), with(-inf), with(float32(math.NaN()))}
+		queries := []int{0, 1, 2, 4, 5, 7, 9}
+		for len(vecs)%4 != 0 {
+			vecs = append(vecs, random())
+		}
+		opposite, minusQ := len(vecs)/4, make([]float32, dim)
+		for j := range q {
+			minusQ[j] = -q[j]
+		}
+		vecs = append(vecs, minusQ, minusQ, minusQ, minusQ)
+		near := len(vecs)
+		if dim > 1 {
+			at := math.Float32bits(float32(hi) * q[c])
+			for k := -steps; k <= steps; k++ {
+				vecs = append(vecs, with(math.Float32frombits(uint32(int(at)+k))))
+			}
+		}
+		for len(vecs) < near+40 {
+			vecs = append(vecs, random())
+		}
+		var r vecRows
+		var ref [][]float32
+		for i, v := range vecs {
+			r.add(fmt.Sprint(i), int32(i), v)
+			if len(v) != dim {
+				v = make([]float32, dim)
+			}
+			ref = append(ref, normalizeCopy(v))
+		}
+		score := make([][]float64, len(queries))
+		for g, qi := range queries {
+			for _, v := range ref {
+				score[g] = append(score[g], sim.Dot(ref[qi], v))
+			}
+		}
+		alphas := []float64{target, 1}
+		if dim > 1 {
+			// The fixture must do what it is for: a row a few float32 ulps
+			// below the target and one as close at or above it.
+			mid := score[0][near+steps]
+			alphas = append(alphas, mid)
+			below, above := math.Inf(1), math.Inf(1)
+			for _, s := range score[0][near : near+2*steps+1] {
+				if s < target {
+					below = min(below, target-s)
+				} else {
+					above = min(above, s-target)
+				}
+			}
+			if below > 4*ulp || above > 4*ulp {
+				t.Fatalf("dim=%d: nearest rows %.3g below and %.3g above α, want both within %.3g", dim, below, above, 4*ulp)
+			}
+		}
+		scanModes(func(mode string) {
+			for _, alpha := range alphas {
+				checkScreen(t, mode, &r, queries, score, alpha)
+			}
+			if m := screenFlags(&r, queries[:1], target)[0][opposite]; m != 0 {
+				t.Fatalf("%s screen, dim=%d: the block of −q is flagged %04b at α=%v", mode, dim, m, target)
+			}
+		})
+	}
+}
+
+// seq returns lo, lo+1, …, hi.
+func seq(lo, hi int) []int {
+	var out []int
+	for i := lo; i <= hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
 // TestArenaGroupKernel walks the group pass over its seams: every stride
-// from 1 to 40, block counts that end in each of the kernels' loops (none,
+// from 1 to 40 (the odd ones end in the screen's 128-bit half step), block
+// counts that end in each of the screen's and the exact kernel's loops (none,
 // the one-block loops, the four- and eight-block loops with and without a
 // remainder), 0–3 rows in the partial last block, searches of one element
-// up to two full groups and a remainder with one row repeated inside a
-// group, and every class of α — over rows that hold zero, off-stride,
-// denormal, huge, infinite and NaN components.
+// (beside the screen's zero row) up to two pairs and an odd row out, with
+// one row twice in the first pair, and every class of α — over rows that
+// hold zero, off-stride, denormal, huge, infinite and NaN components. The
+// screen's pair loops are held to checkScreen: a step that multiplies the
+// wrong expanded row into an accumulator clears bits it may not clear.
 func TestArenaGroupKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for dim := 1; dim <= 40; dim++ {
@@ -392,13 +581,13 @@ func TestArenaGroupKernel(t *testing.T) {
 				if (dim+nblk+tail)%5 == 0 {
 					alphas = []float64{math.NaN(), -1, 0, 5e-324, 0.3, 0.8, 1, 1.5}
 				}
-				for size := 1; size <= 2*scanGroup+1; size++ {
+				for size := 1; size <= 5; size++ {
 					qis := make([]int, size)
 					for g := range qis {
 						qis[g] = rng.Intn(len(ref))
 					}
 					if size >= 2 {
-						qis[1] = qis[0] // one row twice in the first group
+						qis[1] = qis[0] // one row twice in the first pair
 					}
 					for _, alpha := range alphas {
 						checkArenaBatch(t, &r, ref, qis, alpha)
@@ -447,31 +636,53 @@ func FuzzArenaScan(f *testing.F) {
 	})
 }
 
-// BenchmarkArenaScan measures the arena scan — every row scored, α-matches
-// appended — per row and query element, at the benchmark's search_small
-// size (≈ 11k tokens, 32 dimensions), at a size that fits L2 and at one
-// that does not (40k rows, 5 MB: what the kernel's prefetch is for): one
-// probe at a time on the selected kernel, the unfused one and the portable
-// loop, and the 168 elements of a search_large query in one group pass.
+// BenchmarkArenaScan measures the arena scan — every block screened, the
+// flagged ones scored, α-matches appended — per row and query element, at
+// the benchmark's search_small size (≈ 11k tokens, 32 dimensions), at a size
+// that fits L2 and at one that does not (40k rows, 5 MB: what the kernels'
+// prefetch is for): one probe at a time on the selected kernels, the unfused
+// ones and the portable loops, and the 168 elements of a search_large query
+// in one group pass. Among Gaussian rows no pair reaches 0.8, so those
+// arenas time the screen and an emit pass that finds each query row's own
+// block; the model arena has search_small's vocabulary shape — clusters of
+// 2–6 tokens, noise 0.07, in no particular order — and so the matches a
+// search retrieves. flagged/blk is the share of (query row, block) pairs the
+// screen hands to the exact kernel.
 func BenchmarkArenaScan(b *testing.B) {
+	const dim = 32
+	type arena struct {
+		name string
+		rows *vecRows
+	}
+	var arenas []arena
 	for _, n := range []int{11000, 2000, 40000} {
-		const dim = 32
 		rng := rand.New(rand.NewSource(93))
-		var r vecRows
-		v := make([]float32, dim)
+		r, v := new(vecRows), make([]float32, dim)
 		for i := 0; i < n; i++ {
 			for j := range v {
 				v[j] = float32(rng.NormFloat64())
 			}
 			r.add(fmt.Sprint(i), int32(i), v)
 		}
+		arenas = append(arenas, arena{fmt.Sprintf("%dx%d", n, dim), r})
+	}
+	model := embedding.NewModel(embedding.Config{Dim: dim, Clusters: 2750, Seed: 93})
+	clustered, toks := new(vecRows), slices.Clone(model.Tokens())
+	rand.New(rand.NewSource(93)).Shuffle(len(toks), func(i, j int) { toks[i], toks[j] = toks[j], toks[i] })
+	for i, tok := range toks {
+		v, _ := model.Vector(tok)
+		clustered.add(tok, int32(i), v)
+	}
+	for _, a := range append(arenas, arena{"model", clustered}) {
+		name, r := a.name, a.rows
+		n := len(r.tokens)
 		for _, mode := range []struct {
 			name     string
 			avx, fma bool
 			elems    int
 		}{{"kernel", true, true, 1}, {"unfused", true, false, 1}, {"portable", false, false, 1},
 			{"kernel-grouped", true, true, 168}, {"unfused-grouped", true, false, 168}, {"portable-grouped", false, false, 168}} {
-			b.Run(fmt.Sprintf("%dx%d/%s", n, dim, mode.name), func(b *testing.B) {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				if mode.avx && !useAVX || mode.fma && !useFMA {
 					b.Skip("not on this CPU")
 				}
@@ -486,7 +697,14 @@ func BenchmarkArenaScan(b *testing.B) {
 					}
 					r.scanAll(qis, 0.8, bufs)
 				}
+				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n)/float64(mode.elems), "ns/row")
+				flagged, blocks := 0, 0
+				for _, m := range screenFlags(r, qis, 0.8) {
+					blocks += len(m)
+					flagged += len(m) - bytes.Count(m, []byte{0})
+				}
+				b.ReportMetric(float64(flagged)/float64(blocks), "flagged/blk")
 			})
 		}
 	}
