@@ -90,11 +90,11 @@ func main() {
 		scale    = flag.Float64("scale", 0.1, "synthetic dataset scale")
 		dir      = flag.String("dir", "", "data directory for durable storage (WAL + segment snapshots); empty = in-memory")
 		sync     = flag.Bool("sync", false, "fsync the WAL after every insert/delete (durable mode only)")
-		k        = flag.Int("k", 10, "default result size")
-		alpha    = flag.Float64("alpha", 0.8, "element similarity threshold")
-		parts    = flag.Int("partitions", 4, "repository partitions")
+		k        = flag.Int("k", 10, "result size of a search that names no k (every collection's default_k in /v1/info)")
+		alpha    = flag.Float64("alpha", 0.8, "element similarity threshold of every collection, for /v1/search and /v1/overlap alike")
+		parts    = flag.Int("partitions", 4, "partitions a seed or compacted segment is built with and refined in parallel")
 		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
-		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search runs concurrently during post-processing")
+		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
 		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
 		seal     = flag.Int("seal", 256, "memtable sets buffered before sealing a segment")
 		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before compaction")
@@ -157,10 +157,6 @@ func main() {
 		os.Exit(1)
 	}
 	sw.Swap(server.NewRegistry(reg, server.Config{
-		K:              *k,
-		Alpha:          *alpha,
-		Partitions:     *parts,
-		Workers:        *verifyW,
 		SearchWorkers:  *workers,
 		QueryTimeout:   *qTimeout,
 		MaxQueueDepth:  *maxQueue,
@@ -243,7 +239,7 @@ func loadRegistry(path, kind string, scale float64, dir string, opts core.Option
 	}
 	regCfg := collection.Config{
 		Build:        build,
-		Opts:         opts.WithDefaults(),
+		Opts:         opts,
 		SegCfg:       segCfg,
 		DefaultQuota: defQuota,
 		Maintenance:  maint,

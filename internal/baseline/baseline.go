@@ -95,7 +95,7 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 		deadline = start.Add(opts.Timeout)
 	}
 	var stats Stats
-	query = dedup(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 {
 		return nil, stats, false
 	}
@@ -266,16 +266,4 @@ func verify(c sets.Set, query []string, cache map[string][]edge) matching.Result
 		}
 	}
 	return matching.Hungarian(w)
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

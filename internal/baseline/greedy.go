@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/matching"
 	"repro/internal/sets"
 )
 
@@ -14,7 +13,7 @@ import (
 // shows it ranking C1 above C2 — and it exists to quantify that gap in the
 // ablation benches.
 func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource, query []string, k int, alpha float64) []Result {
-	query = dedup(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 {
 		return nil
 	}
@@ -67,18 +66,11 @@ func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSo
 	return out
 }
 
-// GreedyScore computes the greedy matching score of one query/set pair from
-// an explicit edge list; exposed for tests and examples that contrast
-// greedy with exact semantic overlap.
-func GreedyScore(edges []matching.Edge) float64 {
-	return matching.Greedy(edges).Score
-}
-
 // ExactSO verifies one query/set pair with the Hungarian algorithm over an
 // arbitrary neighbor source — a convenience for examples and the quality
 // experiment, not used in the search loop.
 func ExactSO(c sets.Set, query []string, src index.NeighborSource, alpha float64) float64 {
-	query = dedup(query)
+	query = sets.Dedup(query)
 	stream := index.NewStream(query, src, alpha)
 	cache := make(map[string][]edge)
 	for {

@@ -13,7 +13,7 @@ import (
 // and the special case of semantic overlap with the equality similarity
 // (§II).
 func VanillaTopK(repo *sets.Repository, inv *index.Inverted, query []string, k int) []Result {
-	query = dedup(query)
+	query = sets.Dedup(query)
 	counts := make(map[int32]int)
 	for _, q := range query {
 		for _, sid := range inv.Sets(q) {

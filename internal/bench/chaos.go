@@ -122,7 +122,7 @@ func (r *Runner) chaosServingSmoke() error {
 	}
 	defer m.Close()
 
-	scfgSrv := server.Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, SearchWorkers: 1, MaxQueueDepth: 1}
+	scfgSrv := server.Config{SearchWorkers: 1, MaxQueueDepth: 1}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

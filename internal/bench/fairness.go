@@ -74,7 +74,6 @@ func (r *Runner) fairnessQueryFlood(b *bundle) error {
 		SegCfg: segment.Config{ForegroundCompaction: true},
 	})
 	srv := server.NewRegistry(reg, server.Config{
-		K: r.cfg.K, Alpha: r.cfg.Alpha,
 		SearchWorkers: 2,
 		QueryTimeout:  30 * time.Second,
 		MaxQueueDepth: 4, // per-tenant: the flooder fills its own queue and sheds
@@ -183,7 +182,7 @@ func (r *Runner) fairnessWriteStall(b *bundle) error {
 	})
 	defer reg.Close()
 	srv := server.NewRegistry(reg, server.Config{
-		K: r.cfg.K, Alpha: r.cfg.Alpha, SearchWorkers: 2, MaxQueueDepth: 1 << 20,
+		SearchWorkers: 2, MaxQueueDepth: 1 << 20,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -43,8 +43,6 @@ func (r *Runner) MultiTenant() error {
 		SegCfg: segment.Config{ForegroundCompaction: true},
 	})
 	srv := server.NewRegistry(reg, server.Config{
-		K:             r.cfg.K,
-		Alpha:         r.cfg.Alpha,
 		SearchWorkers: 2,
 		QueryTimeout:  30 * time.Second,
 		// Keep global queue-depth shedding out of the way: this experiment

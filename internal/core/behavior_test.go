@@ -162,7 +162,7 @@ func TestEngineReuseAcrossQueries(t *testing.T) {
 			t.Fatalf("query 1 result changed after an interleaved query: %+v vs %+v", r1a[i], r1b[i])
 		}
 	}
-	checkTopK(t, repo, model, dedupStrings(q2), 0.7, 3, r2)
+	checkTopK(t, repo, model, sets.Dedup(q2), 0.7, 3, r2)
 }
 
 // TestEngineConcurrentSearches: Search must be safe for concurrent use.
@@ -211,7 +211,7 @@ func TestNoCutConsumesWholeStream(t *testing.T) {
 			eng := NewEngine(ds.Repo, src, opts)
 			for qi, q := range queries {
 				_, st := eng.Search(q.Elements)
-				qN := len(dedupStrings(q.Elements))
+				qN := len(sets.Dedup(q.Elements))
 				if st.StreamCut || st.StreamCutLevel != 0 || st.StreamTuples != st.StreamRetrieved+qN {
 					t.Fatalf("partitions=%d %s query %d: cut=%v level=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
 						parts, name, qi, st.StreamCut, st.StreamCutLevel, st.StreamTuples, st.StreamRetrieved, qN)

@@ -24,7 +24,7 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 func TestRefinementBoundsSound(t *testing.T) {
 	for seed := int64(200); seed < 260; seed++ {
 		repo, model, query := randomInstance(seed)
-		query = dedupStrings(query)
+		query = sets.Dedup(query)
 		src := index.NewFuncIndex(repo.Vocabulary(), model)
 		alpha := 0.55 + float64(seed%4)*0.1
 		eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
@@ -107,7 +107,7 @@ func TestLemma6Counterexample(t *testing.T) {
 // arrival of each token, which the UB accounting depends on.
 func TestStreamFirstFlags(t *testing.T) {
 	repo, model, query := randomInstance(77)
-	query = dedupStrings(query)
+	query = sets.Dedup(query)
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	eng := NewEngine(repo, src, Options{K: 3, Alpha: 0.6})
 	tuples, cache := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())

@@ -162,12 +162,15 @@ func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
 	}
 }
 
+// partitionSeed fixes the random partitioning.
+const partitionSeed = 0
+
 // NewEngine builds the partition layout, one CSR inverted index per
 // partition, and the dense-state addressing tables.
 func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{repo: repo, src: src, opts: opts, vocabN: repo.VocabSize(), scratch: new(sync.Pool)}
-	e.parts = repo.Partition(opts.Partitions, opts.PartitionSeed)
+	e.parts = repo.Partition(opts.Partitions, partitionSeed)
 	e.invs = make([]*index.Inverted, len(e.parts))
 	e.card = make([]int32, repo.Len())
 	for i := 0; i < repo.Len(); i++ {
@@ -262,8 +265,7 @@ func (e *Engine) Search(query []string) ([]Result, Stats) {
 // burning CPU. The search itself runs over the engine as a single-segment
 // Group; multi-segment collections build the Group themselves.
 func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, Stats, error) {
-	g := &Group{Engines: []*Engine{e}}
-	gres, stats, err := g.SearchContext(ctx, query)
+	gres, stats, err := e.group().SearchContext(ctx, query)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -273,6 +275,10 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 	}
 	return results, stats, nil
 }
+
+// group returns the engine alone as a Group, searched under the options the
+// engine was built with.
+func (e *Engine) group() *Group { return &Group{Engines: []*Engine{e}, Opts: e.opts} }
 
 // drainStream finishes a cut stream into the tuple arena for edge-cache
 // building only — the appended tail never reaches the refiners, and the
@@ -341,16 +347,4 @@ func (e *Engine) buildEdgeCache(tuples []streamTuple, sc *queryScratch) *edgeCac
 		offsets[tup.tokenID] = at + 1
 	}
 	return &edgeCache{offsets: offsets, arena: arena}
-}
-
-func dedupStrings(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

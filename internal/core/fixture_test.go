@@ -29,7 +29,7 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTuple, p int, theta *atomicMax, stats *Stats, dead []uint64) []survivor {
 	var arena refineArena
 	arena.reset(len(e.parts[p]), int(e.cOffs[p][len(e.parts[p])]))
-	r := e.newPartRefiner(qN, p, theta, stats, dead, &arena)
+	r := e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &arena)
 	if !r.consume(ctx, tuples, 0) {
 		return nil
 	}

@@ -7,16 +7,17 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/pqueue"
+	"repro/internal/sets"
 )
 
 // Group is a consistent snapshot of one or more engine segments searched as
 // a single logical collection (DESIGN.md §4). The segments must share one
 // token-ID space (their repositories intern into the same dictionary, or
-// there is exactly one segment) and uniform search options; the newest
-// segment — the one with the largest vocabulary horizon — supplies the
-// token stream, every segment's partitions refine the same materialized
-// tuples against their own CSR postings under one shared global θlb, and a
-// single post-processing pass runs over the union of all survivors.
+// there is exactly one segment); the newest segment — the one with the
+// largest vocabulary horizon — supplies the token stream, every segment's
+// partitions refine the same materialized tuples against their own CSR
+// postings under one shared global θlb, and a single post-processing pass
+// runs over the union of all survivors.
 //
 // Dead carries one optional tombstone bitset per segment, indexed by
 // segment-local set ID: tombstoned sets are skipped at candidate creation,
@@ -28,6 +29,11 @@ type Group struct {
 	// break toward older segments (then lower local IDs), which preserves
 	// insertion order across the whole group.
 	Engines []*Engine
+	// Opts are the options every search of the group runs under, k included
+	// — effective values, as Options.WithDefaults returns them. The engines'
+	// own options are not consulted, and Partitions is not read here: each
+	// engine keeps the partitions it was built with.
+	Opts Options
 	// Dead[i] is segment i's tombstone bitset (nil when segment i has no
 	// tombstones). A shorter slice than Engines means the missing tails
 	// have none.
@@ -54,30 +60,6 @@ type GroupResult struct {
 	Local    int
 	Score    float64
 	Verified bool
-}
-
-// SearchBatch answers a slice of queries against this one immutable
-// snapshot, returning per-query results and statistics in input order. A
-// Group is a fixed collection state, so the batch is exactly equivalent to
-// calling SearchContext once per query — same results, same scores, byte
-// for byte — while amortizing the snapshot across the whole batch (a caller
-// holding a Group for the batch observes no concurrent mutations between
-// queries). Queries run sequentially; concurrency across queries belongs to
-// the caller (the segment manager's SearchBatch and the server worker pool
-// fan out above this level). On cancellation the batch stops at the current
-// query and returns ctx's error.
-func (g *Group) SearchBatch(ctx context.Context, queries [][]string) ([][]GroupResult, []Stats, error) {
-	results := make([][]GroupResult, len(queries))
-	stats := make([]Stats, len(queries))
-	for i, q := range queries {
-		res, st, err := g.SearchContext(ctx, q)
-		stats[i] = st
-		if err != nil {
-			return nil, stats, err
-		}
-		results[i] = res
-	}
-	return results, stats, nil
 }
 
 // lead returns the engine with the largest vocabulary horizon — the newest
@@ -112,12 +94,12 @@ func (g *Group) locate(gid int, base []int) (*Engine, int, int) {
 func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResult, Stats, error) {
 	var stats Stats
 	stats.Segments = len(g.Engines)
-	query = dedupStrings(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 || len(g.Engines) == 0 {
 		return nil, stats, ctx.Err()
 	}
 	lead := g.lead()
-	opts := g.Engines[0].opts
+	opts := &g.Opts
 	qids := lead.repo.TokenIDs(query)
 	var skip []bool
 	if g.LiveTokens != nil {
@@ -188,7 +170,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		}
 		for p := range e.parts {
 			c := &chunks[si][p]
-			c.r = e.newPartRefiner(len(query), p, theta, &c.stats, dead, &sc.refine)
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &sc.refine)
 			c.rs = &sc.replay[nref]
 			c.rs.kept, c.rs.ties = 0, 0
 			nref++
@@ -197,7 +179,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	}
 
 	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
-	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query), opts.K)
+	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query))
 	stats.StreamTuples = len(tuples)
 	stats.StreamCut = cut
 	stats.StreamCutLevel = cutLevel

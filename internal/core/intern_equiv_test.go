@@ -53,7 +53,7 @@ type oracleEngine struct {
 func newOracleEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *oracleEngine {
 	opts = opts.withDefaults()
 	e := &oracleEngine{repo: repo, src: src, opts: opts}
-	e.parts = repo.Partition(opts.Partitions, opts.PartitionSeed)
+	e.parts = repo.Partition(opts.Partitions, partitionSeed)
 	e.invs = make([]*index.Inverted, len(e.parts))
 	for i, p := range e.parts {
 		e.invs[i] = index.NewInvertedSubset(repo, p)
@@ -63,7 +63,7 @@ func newOracleEngine(repo *sets.Repository, src index.NeighborSource, opts Optio
 
 func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 	var stats Stats
-	query = dedupStrings(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 {
 		return nil, stats
 	}
@@ -197,7 +197,7 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 		}
 		if !opts.DisableIUB {
 			t := theta.Load()
-			if t > lastPruneTheta || ti%opts.PruneEvery == opts.PruneEvery-1 {
+			if t > lastPruneTheta || ti%pruneEvery == pruneEvery-1 {
 				lastPruneTheta = t
 				buckets.Prune(s, t-pruneEps, markPruned)
 			}

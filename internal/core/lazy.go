@@ -235,13 +235,13 @@ func lazyPoolCap(k int) int {
 // consumed tuple prefix, whether (and at what level) the stream was cut, the
 // stream-order position of the last consumed tuple (the tail replay's split
 // point), and false when ctx was canceled.
-func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*partRefiner, theta *atomicMax, lead *Engine, sc *queryScratch, qN, k int) (tuples []streamTuple, cut bool, cutLevel float64, at cutPoint, ok bool) {
+func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*partRefiner, theta *atomicMax, lead *Engine, sc *queryScratch, qN int) (tuples []streamTuple, cut bool, cutLevel float64, at cutPoint, ok bool) {
 	nref := 0
 	for _, rs := range refiners {
 		nref += len(rs)
 	}
-	blockSize := lead.opts.LazyBlock
-	if lead.opts.DisableLazy || lead.opts.DisableIUB {
+	blockSize := g.Opts.LazyBlock
+	if g.Opts.DisableLazy || g.Opts.DisableIUB {
 		blockSize = math.MaxInt
 	}
 	raw := sc.raw
@@ -294,7 +294,7 @@ func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*pa
 				alive += r.alive
 			}
 		}
-		if alive <= lazyPoolCap(k) {
+		if alive <= lazyPoolCap(g.Opts.K) {
 			bound := 0
 			for _, rs := range refiners {
 				for _, r := range rs {

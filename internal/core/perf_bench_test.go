@@ -8,6 +8,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/pqueue"
+	"repro/internal/sets"
 	"repro/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func newPerfFixture(b *testing.B, kind datagen.Kind) *perfFixture {
 	ds := datagen.GenerateDefault(kind, 0.05)
 	cached := index.NewCached(index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector))
 	eng := NewEngine(ds.Repo, cached, Options{K: 10, Alpha: 0.8})
-	query := dedupStrings(datagen.NewBenchmark(ds, 1).Queries[0].Elements)
+	query := sets.Dedup(datagen.NewBenchmark(ds, 1).Queries[0].Elements)
 	cached.Prewarm([][]string{query}, eng.Options().Alpha)
 	f := &perfFixture{eng: eng, query: query, qids: ds.Repo.TokenIDs(query)}
 	f.tuples, _ = eng.materializeStream(query, f.qids, eng.getScratch())
@@ -64,7 +65,7 @@ func BenchmarkPostproc(b *testing.B) {
 	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
 	byCard := append([]int(nil), eng.parts[0]...)
 	sort.SliceStable(byCard, func(i, j int) bool { return eng.card[byCard[i]] < eng.card[byCard[j]] })
-	query := dedupStrings(ds.Repo.Set(byCard[len(byCard)/2]).Elements)
+	query := sets.Dedup(ds.Repo.Set(byCard[len(byCard)/2]).Elements)
 
 	ctx := context.Background()
 	sc := eng.getScratch()
@@ -72,7 +73,7 @@ func BenchmarkPostproc(b *testing.B) {
 	theta, stats := &atomicMax{}, Stats{}
 	refined := eng.refinePartition(ctx, len(query), tuples, 0, theta, &stats, nil)
 	refinedTheta := theta.Load()
-	g := &Group{Engines: []*Engine{eng}}
+	g := eng.group()
 	base := []int{0, ds.Repo.Len()}
 	sc.verify = regrown(sc.verify, eng.opts.Workers)
 	survivors := make([]survivor, len(refined))

@@ -46,7 +46,7 @@ type postScratch struct {
 // verifyGid runs the exact verification of the set with group-wide ID gid.
 func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) matching.Result {
 	eng, _, local := g.locate(gid, base)
-	return eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
+	return eng.verify(&g.Opts, qN, cache, eng.repo.Set(local), theta, vs)
 }
 
 // sortResults orders results by descending score, ascending set ID.
@@ -91,7 +91,7 @@ func sortResults(results []Result) {
 // shared. The results live in sc as well, like all of postproc's working
 // memory: they are the caller's until it releases sc.
 func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int, sc *queryScratch) ([]Result, error) {
-	opts := g.Engines[0].opts
+	opts := &g.Opts
 	k, n := opts.K, len(survivors)
 	slots := min(k, n)
 	slices.SortFunc(survivors, func(a, b survivor) int { return a.setID - b.setID })

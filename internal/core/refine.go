@@ -15,6 +15,10 @@ import (
 // Hungarian solver).
 const pruneEps = 1e-9
 
+// pruneEvery is the bucket-prune cadence in stream tuples; pruning also
+// always runs when θlb improves.
+const pruneEvery = 32
+
 // ctxCheckEvery is the refinement loop's cancellation poll cadence in
 // stream tuples (a power of two; the check is one atomic-ish ctx.Err call).
 const ctxCheckEvery = 1024
@@ -81,6 +85,7 @@ type survivor struct {
 // cBits arena.
 type partRefiner struct {
 	e     *Engine
+	opts  *Options // the search's: Group.Opts
 	p     int
 	qN    int
 	theta *atomicMax
@@ -108,16 +113,16 @@ type partRefiner struct {
 
 // newPartRefiner prepares partition p's refinement state in its share of
 // arena.
-func (e *Engine) newPartRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena) *partRefiner {
+func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena) *partRefiner {
 	r := &partRefiner{
-		e: e, p: p, qN: qN, theta: theta, stats: stats, dead: dead,
+		e: e, opts: opts, p: p, qN: qN, theta: theta, stats: stats, dead: dead,
 		qWords: (qN + 63) / 64,
 	}
 	// Candidate L's query mask occupies words [L·qWords, (L+1)·qWords) of
 	// qBits and its token mask words [cOff[L], cOff[L+1]) of cBits.
 	nCand := len(e.parts[p])
 	arena.carve(r, nCand, min(qN, int(e.maxCard[p])), int(e.cOffs[p][nCand]))
-	r.llb = pqueue.NewTopK(e.opts.K)
+	r.llb = pqueue.NewTopK(opts.K)
 	return r
 }
 
@@ -126,7 +131,7 @@ func (e *Engine) newPartRefiner(qN, p int, theta *atomicMax, stats *Stats, dead 
 // false once it is canceled (the refiner's state is then partial and must
 // be discarded).
 func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base int) bool {
-	e, opts := r.e, r.e.opts
+	e, opts := r.e, r.opts
 	inv := e.invs[r.p]
 	cOff := e.cOffs[r.p]
 	states, qBits, cBits, qWords := r.states, r.qBits, r.cBits, r.qWords
@@ -220,7 +225,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			// (pruning is an optimization — correctness never depends on
 			// when it runs, and the final drain re-checks every survivor).
 			t := theta.Load()
-			if t > r.lastPruneTheta || ti%opts.PruneEvery == opts.PruneEvery-1 {
+			if t > r.lastPruneTheta || ti%pruneEvery == pruneEvery-1 {
 				r.lastPruneTheta = t
 				buckets.prune(s, t-pruneEps, states, markPruned)
 			}
@@ -242,7 +247,7 @@ func (r *partRefiner) drain() []survivor {
 		if !st.seen || st.pruned {
 			continue
 		}
-		if !r.e.opts.DisableIUB && finalTheta > 0 && st.ubSum < finalTheta-pruneEps {
+		if !r.opts.DisableIUB && finalTheta > 0 && st.ubSum < finalTheta-pruneEps {
 			r.stats.IUBPruned++
 			continue
 		}

@@ -38,7 +38,8 @@ func searchOutcome(t testing.TB, repo *sets.Repository, src index.NeighborSource
 	eng.survivorHook = func(svs []survivor, ties int) {
 		out.survivors, out.ties = append([]survivor(nil), svs...), ties
 	}
-	g := &Group{Engines: []*Engine{eng}, Dead: [][]uint64{dead}}
+	g := eng.group()
+	g.Dead = [][]uint64{dead}
 	res, st, err := g.SearchContext(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
@@ -278,21 +279,21 @@ func BenchmarkCutReplay(b *testing.B) {
 			queries = append(queries, s.Elements)
 		}
 	}
-	g := &Group{Engines: []*Engine{eng}}
+	g := eng.group()
 	ctx := context.Background()
 	var rs replayScratch
 	events, replayed := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		query := dedupStrings(queries[i%len(queries)])
+		query := sets.Dedup(queries[i%len(queries)])
 		qids := ds.Repo.TokenIDs(query)
 		sc := eng.getScratch()
 		sc.refine.reset(ds.Repo.Len(), eng.cWords)
 		theta, stats := &atomicMax{}, Stats{}
-		r := eng.newPartRefiner(len(query), 0, theta, &stats, nil, &sc.refine)
+		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &sc.refine)
 		st := index.NewLazyStream(query, qids, src, eng.opts.Alpha, nil)
-		tuples, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query), eng.opts.K)
+		tuples, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query))
 		if !cut {
 			b.Fatalf("query %d does not cut the stream", i%len(queries))
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/sets"
 )
 
 // searchCounters is a search's outcome without its wall-clock fields.
@@ -60,7 +61,7 @@ func TestRefinerScratchReuse(t *testing.T) {
 		queries = append(queries, all[i*len(all)/12].Elements)
 	}
 	var big []string // > 64 distinct elements: query masks of several words
-	for i := 0; len(dedupStrings(big)) <= 130; i++ {
+	for i := 0; len(sets.Dedup(big)) <= 130; i++ {
 		big = append(big, all[i].Elements...)
 	}
 	queries = append(queries, big[:70], all[0].Elements[:1], big, nil)

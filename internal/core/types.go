@@ -19,7 +19,9 @@ import (
 )
 
 // Options configure a search. The zero value is completed by withDefaults:
-// k=10, α=0.8, one partition, one verification worker.
+// k=10, α=0.8, one partition, one verification worker. NewEngine builds from
+// Partitions alone; every other field is read when a search runs, from the
+// Group searched (Group.Opts).
 type Options struct {
 	// K is the number of result sets.
 	K int
@@ -28,8 +30,6 @@ type Options struct {
 	// Partitions splits the repository into random partitions searched in
 	// parallel with a shared global θlb (§VI).
 	Partitions int
-	// PartitionSeed fixes the random partitioning.
-	PartitionSeed int64
 	// Workers bounds concurrent exact-match verifications per partition
 	// during post-processing. 1 gives a fully deterministic run.
 	Workers int
@@ -45,9 +45,6 @@ type Options struct {
 	DisableNoEM bool
 	// DisableEarlyTerm turns the EM early-termination filter (Lemma 8) off.
 	DisableEarlyTerm bool
-	// PruneEvery is the bucket-prune cadence in stream tuples; pruning also
-	// always runs when θlb improves. Default 32.
-	PruneEvery int
 	// DisableLazy turns off the lazy token-stream cut-off (DESIGN.md §10):
 	// the pump pulls the whole stream as one block and never evaluates the
 	// cut. The cut-off needs the first-sight UB filter, so DisableIUB
@@ -85,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.PruneEvery <= 0 {
-		o.PruneEvery = 32
 	}
 	if o.LazyBlock <= 0 {
 		o.LazyBlock = 256

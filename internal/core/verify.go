@@ -32,7 +32,7 @@ type verifyScratch struct {
 // (c.ElemIDs is always in-vocabulary: repository sets define the
 // vocabulary). Nothing is densified — the solver's cost follows the edge
 // count, not |Q|·|C|.
-func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, vs *verifyScratch) matching.Result {
+func (e *Engine) verify(opts *Options, qN int, cache *edgeCache, c sets.Set, theta *atomicMax, vs *verifyScratch) matching.Result {
 	vs.edges = vs.edges[:0]
 	cols := 0
 	for _, tid := range c.ElemIDs {
@@ -49,7 +49,7 @@ func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, 
 		return matching.Result{}
 	}
 	var bound func() float64
-	if theta != nil && !e.opts.DisableEarlyTerm {
+	if theta != nil && !opts.DisableEarlyTerm {
 		bound = theta.Load
 	}
 	// Verification sandwich (DESIGN.md §12): row/column maxima, read straight
@@ -58,7 +58,7 @@ func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, 
 	// superset of its entry check. The pre-solver is conclusive-or-silent —
 	// results are byte-identical with the sandwich disabled.
 	res := matching.Result{Pruned: true, Skipped: true}
-	if bound == nil || e.opts.DisableSandwich || !vs.sandwichPrune(qN, cols, bound) {
+	if bound == nil || opts.DisableSandwich || !vs.sandwichPrune(qN, cols, bound) {
 		res = vs.solver.Solve(qN, cols, vs.edges, bound)
 	}
 	if e.verifyHook != nil {

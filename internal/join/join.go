@@ -133,7 +133,7 @@ func (d *Discovery) Mapping(query []string, setID int) ([]Pair, error) {
 // Mapping, usable without a Discovery (the segmented public engine resolves
 // its sets by handle and calls this directly).
 func MappingBetween(src index.NeighborSource, alpha float64, query, target []string) []Pair {
-	query = dedup(query)
+	query = sets.Dedup(query)
 
 	// Edges from the shared neighbor source plus identity matches.
 	inTarget := make(map[string]int, len(target))
@@ -169,16 +169,4 @@ func MappingBetween(src index.NeighborSource, alpha float64, query, target []str
 		return pairs[a].QueryElement < pairs[b].QueryElement
 	})
 	return pairs
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -53,7 +53,7 @@ func TestRunWorkload(t *testing.T) {
 		if !found {
 			t.Fatalf("query %d: source set %d not among top-5", qi, src)
 		}
-		if matches[0].Score < float64(len(dedup(workload[qi])))-1e-9 {
+		if matches[0].Score < float64(len(sets.Dedup(workload[qi])))-1e-9 {
 			t.Fatalf("query %d: top score %v below self overlap", qi, matches[0].Score)
 		}
 		_ = ds
@@ -67,8 +67,8 @@ func TestMappingSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != len(dedup(q.Elements)) {
-		t.Fatalf("self join mapped %d of %d elements", len(pairs), len(dedup(q.Elements)))
+	if len(pairs) != len(sets.Dedup(q.Elements)) {
+		t.Fatalf("self join mapped %d of %d elements", len(pairs), len(sets.Dedup(q.Elements)))
 	}
 	for _, p := range pairs {
 		if p.QueryElement != p.SetElement || p.Sim != 1 {

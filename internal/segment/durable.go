@@ -149,7 +149,7 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 		rows += ms.Rows
 	}
 	m := &Manager{
-		opts:     opts,
+		opts:     opts.WithDefaults(),
 		cfg:      cfg.withDefaults(),
 		where:    make(map[string]loc, rows),
 		dir:      dir,

@@ -13,22 +13,12 @@ import (
 )
 
 // searchEagerView reruns a query against the exact same immutable snapshot
-// a View pinned, but through the eager (cut-off-disabled) pipeline: each
-// segment engine is rebuilt with its own options plus DisableLazy, sharing
-// the immutable repositories and the manager's source.
-func searchEagerView(m *Manager, v *View, ctx context.Context, query []string) ([]Result, core.Stats, error) {
-	engines := make([]*core.Engine, len(v.segs))
-	for i, s := range v.segs {
-		opts := s.engine().Options()
-		opts.DisableLazy = true
-		engines[i] = core.NewEngine(s.repo, m.src, opts)
-	}
-	g := &core.Group{
-		Engines:       engines,
-		Dead:          v.group.Dead,
-		LiveTokens:    v.group.LiveTokens,
-		ProbeLiveOnly: v.group.ProbeLiveOnly,
-	}
+// a View pinned, but through the eager (cut-off-disabled) pipeline: the
+// View's own group — its engines, tombstones and live tokens — searched
+// with DisableLazy.
+func searchEagerView(v *View, ctx context.Context, query []string) ([]Result, core.Stats, error) {
+	g := *v.group
+	g.Opts.DisableLazy = true
 	gres, stats, err := g.SearchContext(ctx, query)
 	if err != nil {
 		return nil, stats, err
@@ -94,7 +84,7 @@ func TestLazyPumpUnderMutation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				eres, _, err := searchEagerView(m, v, context.Background(), q)
+				eres, _, err := searchEagerView(v, context.Background(), q)
 				if err != nil {
 					t.Error(err)
 					return

@@ -328,7 +328,7 @@ type Manager struct {
 func NewManager(seed []sets.Set, build SourceBuilder, opts core.Options, cfg Config) *Manager {
 	m := &Manager{
 		dict:  sets.NewDictionary(),
-		opts:  opts,
+		opts:  opts.WithDefaults(),
 		cfg:   cfg.withDefaults(),
 		where: make(map[string]loc),
 		fs:    cfg.FS,
@@ -378,7 +378,9 @@ func (m *Manager) Mutable() bool { return m.dyn != nil }
 // Source returns the shared similarity index.
 func (m *Manager) Source() index.NeighborSource { return m.src }
 
-// Options returns the manager's effective engine options.
+// Options returns the options the collection is searched under, defaults
+// applied: the k of a search that names none, α, and what its segments are
+// built with.
 func (m *Manager) Options() core.Options { return m.opts }
 
 // Len returns the number of live sets.
@@ -900,36 +902,30 @@ func (m *Manager) Close() error {
 // View is a consistent, immutable read handle on the collection: every
 // search through one View observes the exact same segment/tombstone state,
 // no matter how many mutations commit in the meantime. Acquiring a View is
-// an atomic snapshot load (plus per-k engine rebuilds when k differs from
-// the manager default); it holds no locks and pins no writer resources, so
-// a View may be kept for the duration of a batch and discarded by letting
-// it go out of scope.
+// an atomic snapshot load and costs the same at every k: the View searches
+// the snapshot's own engines and k travels with the search. It holds no
+// locks and pins no writer resources, so a View may be kept for the duration
+// of a batch and discarded by letting it go out of scope.
 type View struct {
 	segs  []*seg
 	group *core.Group
 }
 
 // AcquireView captures the current collection snapshot for one or more
-// searches at result size k (k ≤ 0 uses the manager's default; a different
-// k rebuilds the snapshot's engines for that k once, amortized across all
-// searches through the View).
+// searches at result size k (k ≤ 0 uses the manager's default).
 func (m *Manager) AcquireView(k int) *View {
 	sp := m.snap.Load()
-	engines := make([]*core.Engine, len(sp.segs))
-	if k > 0 && k != m.opts.K {
-		opts := m.opts
+	opts := m.opts
+	if k > 0 {
 		opts.K = k
-		for i, s := range sp.segs {
-			engines[i] = core.NewEngine(s.repo, m.src, opts)
-		}
-	} else {
-		for i, s := range sp.segs {
-			engines[i] = s.engine()
-		}
+	}
+	engines := make([]*core.Engine, len(sp.segs))
+	for i, s := range sp.segs {
+		engines[i] = s.engine()
 	}
 	return &View{
 		segs:  sp.segs,
-		group: &core.Group{Engines: engines, Dead: sp.dead, LiveTokens: sp.live, ProbeLiveOnly: m.probeLiveOnly},
+		group: &core.Group{Engines: engines, Opts: opts, Dead: sp.dead, LiveTokens: sp.live, ProbeLiveOnly: m.probeLiveOnly},
 	}
 }
 
@@ -959,10 +955,8 @@ func (v *View) resolve(gres []core.GroupResult) []Result {
 }
 
 // Search runs the top-k semantic overlap search against the current
-// snapshot. k ≤ 0 uses the manager's default; a different k rebuilds the
-// snapshot's engines for that k (k shapes pruning thresholds), sharing the
-// immutable repositories and source. Search never blocks on writers and
-// holds no locks: mutations committed after the snapshot load are simply
+// snapshot; k ≤ 0 uses the manager's default. Search never blocks on writers
+// and holds no locks: mutations committed after the snapshot load are simply
 // not observed.
 func (m *Manager) Search(ctx context.Context, query []string, k int) ([]Result, core.Stats, error) {
 	return m.AcquireView(k).Search(ctx, query)
@@ -973,26 +967,12 @@ func (m *Manager) Search(ctx context.Context, query []string, k int) ([]Result, 
 // sees the same collection state — mutations committed mid-batch are not
 // observed by any of them — and each query's results are byte-identical to
 // a Search against that state (queries are independent and deterministic
-// per snapshot, so execution order cannot change them). workers > 1 runs up
-// to that many queries concurrently; ≤ 1 runs them sequentially through
-// core.Group's batch path. On cancellation the batch returns ctx's error.
+// per snapshot, so execution order cannot change them). Up to workers
+// queries run concurrently, one at a time when workers ≤ 1. On cancellation
+// the batch returns ctx's error.
 func (m *Manager) SearchBatch(ctx context.Context, queries [][]string, k, workers int) ([][]Result, []core.Stats, error) {
 	v := m.AcquireView(k)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		gres, stats, err := v.group.SearchBatch(ctx, queries)
-		if err != nil {
-			return nil, stats, err
-		}
-		out := make([][]Result, len(gres))
-		for i, g := range gres {
-			out[i] = v.resolve(g)
-		}
-		return out, stats, nil
-	}
-
+	workers = max(1, min(workers, len(queries)))
 	out := make([][]Result, len(queries))
 	stats := make([]core.Stats, len(queries))
 	bctx, cancel := context.WithCancel(ctx)

@@ -77,9 +77,19 @@ func (o *oracle) sets() []sets.Set {
 // (name, score, verified) top-k lists.
 func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string) {
 	t.Helper()
-	got, _, err := m.Search(context.Background(), query, 0)
+	assertEquivalentAtK(t, label, m, rows, vec, opts, query, 0)
+}
+
+// assertEquivalentAtK is assertEquivalent for a search that names its k
+// (0: the manager's own): the reference is an engine built for that k.
+func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string, k int) {
+	t.Helper()
+	got, _, err := m.Search(context.Background(), query, k)
 	if err != nil {
 		t.Fatalf("%s: manager search: %v", label, err)
+	}
+	if k > 0 {
+		opts.K = k
 	}
 	eng, repo := scratchEngine(rows, vec, opts)
 	raw, _ := eng.Search(query)
@@ -90,6 +100,9 @@ func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, v
 		wantName := repo.Set(raw[i].SetID).Name
 		if got[i].Name != wantName {
 			t.Fatalf("%s: rank %d name %q, want %q", label, i, got[i].Name, wantName)
+		}
+		if rec, ok := m.SetByName(wantName); !ok || got[i].ID != rec.ID {
+			t.Fatalf("%s: rank %d (%s) id %d, want the live set's handle %d", label, i, wantName, got[i].ID, rec.ID)
 		}
 		if got[i].Score != raw[i].Score {
 			t.Fatalf("%s: rank %d (%s) score %v, want %v (diff %g)",
@@ -413,30 +426,47 @@ func TestSearchContextCancel(t *testing.T) {
 	}
 }
 
+// TestPerRequestK holds a search that names its k to an engine built from
+// scratch for that k — over sealed segments, tombstones and a live memtable
+// — and the view it runs on to the snapshot's own engines: k is an argument
+// of the search, and nothing is built for it.
 func TestPerRequestK(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
-	m := NewManager(ds.Repo.Sets(), dynamicBuilder(ds.Model.Vector), testOpts(), Config{SealThreshold: 4})
-	for i := 0; i < 6; i++ {
-		s := ds.Repo.Set(i)
-		if _, err := m.Insert(s.Name+"-copy", s.Elements); err != nil {
+	all := ds.Repo.Sets()
+	nSeed := len(all) / 2
+	opts := testOpts()
+	m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 4, MaxSegments: 99})
+	o := newOracle()
+	for _, s := range all[:nSeed] {
+		o.insert(s.Name, s.Elements)
+	}
+	for i, s := range all[nSeed : nSeed+10] {
+		if _, err := m.Insert(s.Name, s.Elements); err != nil {
 			t.Fatal(err)
 		}
+		o.insert(s.Name, s.Elements)
+		if i%3 == 2 { // a seed row and an earlier insert die
+			for _, name := range []string{all[i].Name, all[nSeed+i-2].Name} {
+				if _, err := m.Delete(name); err != nil {
+					t.Fatal(err)
+				}
+				o.delete(name)
+			}
+		}
 	}
-	q := ds.Repo.Set(0).Elements
-	r2, _, err := m.Search(context.Background(), q, 2)
-	if err != nil {
-		t.Fatal(err)
+	if sealed, mem, dead := m.Segments(); sealed < 2 || mem == 0 || dead == 0 {
+		t.Fatalf("layout: %d sealed segments, %d memtable sets, %d tombstones; want ≥ 2, > 0, > 0", sealed, mem, dead)
 	}
-	r8, _, err := m.Search(context.Background(), q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2) > 2 || len(r8) < len(r2) {
-		t.Fatalf("k override broken: %d and %d results", len(r2), len(r8))
-	}
-	for i := range r2 {
-		if r2[i].Score != r8[i].Score || r2[i].Name != r8[i].Name {
-			t.Fatalf("rank %d differs between k=2 and k=8", i)
+	rows := o.sets()
+	for _, k := range []int{1, 3, 0, opts.K, 2 * opts.K, len(rows) + 7} {
+		for qi, q := range [][]string{all[1].Elements, all[nSeed+1].Elements, all[len(all)-1].Elements} {
+			assertEquivalentAtK(t, fmt.Sprintf("k=%d query %d", k, qi), m, rows, ds.Model.Vector, opts, q, k)
+		}
+		v := m.AcquireView(k)
+		for i, s := range v.segs {
+			if v.group.Engines[i] != s.engine() {
+				t.Fatalf("k=%d: the view searches an engine of its own for segment %d, not the snapshot's", k, i)
+			}
 		}
 	}
 }

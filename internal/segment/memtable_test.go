@@ -428,3 +428,28 @@ func BenchmarkMemtableInsert(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSearchNonDefaultK times Manager.Search over twitter at scale 1.0
+// under the benchmark harness's serving options, every hundredth set in turn
+// as the query, at the manager's own k and at one less: k is an argument of the
+// search, so the two should read alike in time and in bytes.
+func BenchmarkSearchNonDefaultK(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
+	opts := core.Options{K: 10, Alpha: 0.8, Partitions: 1, Workers: 1, ExactScores: true}
+	m := NewManager(ds.Repo.Sets(), dynamicBuilder(ds.Model.Vector), opts, Config{})
+	var queries [][]string
+	for i := 0; i < ds.Repo.Len(); i += 100 {
+		queries = append(queries, ds.Repo.Set(i).Elements)
+	}
+	ctx := context.Background()
+	for _, k := range []int{opts.K, opts.K - 1} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.Search(ctx, queries[i%len(queries)], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

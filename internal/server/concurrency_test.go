@@ -27,17 +27,10 @@ func TestConcurrentServingUnderMutation(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
 	all := ds.Repo.Sets()
 	nSeed := len(all) * 3 / 4
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, SearchWorkers: 4}
 	mgr := segment.NewManager(all[:nSeed], func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
-	}, core.Options{
-		K:           cfg.K,
-		Alpha:       cfg.Alpha,
-		Partitions:  cfg.Partitions,
-		Workers:     cfg.Workers,
-		ExactScores: true,
-	}.WithDefaults(), segment.Config{SealThreshold: 16, MaxSegments: 2})
-	ts := httptest.NewServer(New(mgr, cfg))
+	}, testOpts, segment.Config{SealThreshold: 16, MaxSegments: 2})
+	ts := httptest.NewServer(New(mgr, Config{SearchWorkers: 4}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 

@@ -21,19 +21,12 @@ import (
 
 // registryFor builds a collection registry seeded with ds in the default
 // collection, mirroring managerFor but through the multi-tenant layer.
-func registryFor(ds *datagen.Dataset, cfg Config, now func() time.Time) *collection.Registry {
-	cfg = cfg.withDefaults()
+func registryFor(ds *datagen.Dataset, opts core.Options, now func() time.Time) *collection.Registry {
 	return collection.NewRegistry(ds.Repo.Sets(), collection.Config{
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicExact(dict, ds.Model.Vector)
 		},
-		Opts: core.Options{
-			K:           cfg.K,
-			Alpha:       cfg.Alpha,
-			Partitions:  cfg.Partitions,
-			Workers:     cfg.Workers,
-			ExactScores: true,
-		}.WithDefaults(),
+		Opts:   opts,
 		SegCfg: segment.Config{ForegroundCompaction: true},
 		Now:    now,
 	})
@@ -42,8 +35,7 @@ func registryFor(ds *datagen.Dataset, cfg Config, now func() time.Time) *collect
 func testRegistryServer(t *testing.T, now func() time.Time) (*Server, *httptest.Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	srv := NewRegistry(registryFor(ds, cfg, now), cfg)
+	srv := NewRegistry(registryFor(ds, testOpts, now), Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, ds
@@ -222,8 +214,7 @@ func TestScopedDefaultMatchesLegacy(t *testing.T) {
 // default) nothing else would ever wake them.
 func TestDropCollectionFailsQueuedSearches(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 1, Workers: 1, SearchWorkers: 1}
-	srv := NewRegistry(registryFor(ds, cfg, nil), cfg)
+	srv := NewRegistry(registryFor(ds, core.Options{K: 5, ExactScores: true}, nil), Config{SearchWorkers: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	if code, _, m := postJSON(t, ts.URL+"/v1/collections", `{"name":"b"}`); code != http.StatusCreated {
@@ -385,8 +376,7 @@ func TestTenantBusyOverHTTP(t *testing.T) {
 
 func TestLatencyShedDeterministic(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, ShedLatencyP99: 10 * time.Millisecond}
-	srv := NewRegistry(registryFor(ds, cfg, nil), cfg)
+	srv := NewRegistry(registryFor(ds, testOpts, nil), Config{ShedLatencyP99: 10 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

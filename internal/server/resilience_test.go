@@ -42,8 +42,7 @@ func getInfo(t *testing.T, ts *httptest.Server) InfoResponse {
 
 func TestPanicRecoveryAnswers500(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	srv := New(managerFor(ds, cfg), cfg)
+	srv := New(managerFor(ds, testOpts), Config{})
 	// A handler bug, planted: the recovery middleware must contain it to
 	// this one request.
 	srv.mux.HandleFunc("GET /v1/boom", func(w http.ResponseWriter, r *http.Request) {
@@ -78,8 +77,8 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 
 func TestLoadSheddingAnswers429WithRetryAfter(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, SearchWorkers: 1, MaxQueueDepth: 1}
-	srv := New(managerFor(ds, cfg), cfg)
+	cfg := Config{SearchWorkers: 1, MaxQueueDepth: 1}
+	srv := New(managerFor(ds, testOpts), cfg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -261,8 +260,7 @@ func TestSwapperBootProtocol(t *testing.T) {
 
 	// Recovery done: swap in the real server, readiness flips.
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	sw.Swap(New(managerFor(ds, cfg), cfg))
+	sw.Swap(New(managerFor(ds, testOpts), Config{}))
 	if !c.Ready() {
 		t.Fatal("swapped server must be ready")
 	}
@@ -334,8 +332,7 @@ func TestDegradedServingScrubRepair(t *testing.T) {
 		t.Fatalf("reopen over corruption must degrade, not fail: %v", err)
 	}
 	defer m.Close()
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	ts := httptest.NewServer(New(m, cfg))
+	ts := httptest.NewServer(New(m, Config{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 

@@ -52,21 +52,17 @@ import (
 	"repro/internal/matching"
 	"repro/internal/sched"
 	"repro/internal/segment"
+	"repro/internal/sets"
 )
 
-// Config parameterizes the served engine.
+// Config parameterizes the serving layer: request limits, the worker pool
+// and admission control. What a search computes — the default k, α, the
+// partitions and verification workers — is the served collection's
+// (segment.Manager.Options); the server reads it there.
 type Config struct {
-	// K is the default result size; requests may lower or raise it up to
-	// MaxK.
-	K int
 	// MaxK caps per-request k (guards against a request allocating huge
 	// top-k structures). Default 1000.
 	MaxK int
-	// Alpha is the element similarity threshold; fixed per server because
-	// the token index retrieval threshold is part of engine construction.
-	Alpha float64
-	// Partitions and Workers mirror core.Options.
-	Partitions, Workers int
 	// MaxQueryElements rejects oversized queries and inserted sets.
 	// Default 100000.
 	MaxQueryElements int
@@ -98,14 +94,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 10
-	}
 	if c.MaxK <= 0 {
 		c.MaxK = 1000
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.8
 	}
 	if c.MaxQueryElements <= 0 {
 		c.MaxQueryElements = 100000
@@ -155,9 +145,8 @@ func (s *Server) recordStreamStats(stats *core.Stats) {
 // NewManager in the segment package for constructing one from a seed
 // collection and source builder) — it wraps the manager in an in-memory
 // registry as the unlimited default collection, so every pre-multi-tenant
-// caller keeps working unchanged. The manager's options should carry the
-// same K/Alpha as cfg; requests with a non-default k get per-request
-// engines over the shared immutable snapshot.
+// caller keeps working unchanged. The manager's options supply the default
+// k and α; a request's own k is an argument of its search.
 func New(mgr *segment.Manager, cfg Config) *Server {
 	return NewRegistry(collection.Wrap(mgr), cfg)
 }
@@ -341,7 +330,7 @@ func (s *Server) admitGlobal(w http.ResponseWriter, col *collection.Collection) 
 // SearchRequest is the body of POST /v1/search.
 type SearchRequest struct {
 	Query []string `json:"query"`
-	// K overrides the server default when in [1, MaxK].
+	// K overrides the collection's default when in [1, MaxK].
 	K int `json:"k,omitempty"`
 }
 
@@ -380,17 +369,15 @@ type SearchStats struct {
 	MemoryBytes     int64   `json:"memory_bytes"`
 }
 
-// validateK resolves the request's k against the server default and cap,
-// reporting whether it is acceptable (the error is already written if not).
-func (s *Server) validateK(w http.ResponseWriter, k int) (int, bool) {
-	switch {
-	case k == 0:
-		return s.cfg.K, true
-	case k < 0 || k > s.cfg.MaxK:
+// validateK reports whether the request's k is acceptable: 0, which asks
+// for the collection's default, or a value up to the cap (the error is
+// already written if not).
+func (s *Server) validateK(w http.ResponseWriter, k int) bool {
+	if k < 0 || k > s.cfg.MaxK {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("k=%d outside [1,%d]", k, s.cfg.MaxK))
-		return 0, false
+		return false
 	}
-	return k, true
+	return true
 }
 
 // validateQuery checks one query's shape (the error is already written when
@@ -474,8 +461,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 	if !s.validateQuery(w, req.Query, "query") {
 		return
 	}
-	k, ok := s.validateK(w, req.K)
-	if !ok {
+	if !s.validateK(w, req.K) {
 		return
 	}
 
@@ -501,7 +487,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 		return
 	}
 	start := time.Now()
-	results, stats, err := col.Manager().Search(qctx, req.Query, k)
+	results, stats, err := col.Manager().Search(qctx, req.Query, req.K)
 	s.pool.release(col.Name(), time.Since(start))
 	if err != nil {
 		s.searchFailed(w, col, err)
@@ -515,7 +501,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 // queries answered against one consistent collection snapshot.
 type BatchSearchRequest struct {
 	Queries [][]string `json:"queries"`
-	// K overrides the server default for every query in the batch.
+	// K overrides the collection's default for every query in the batch.
 	K int `json:"k,omitempty"`
 }
 
@@ -550,8 +536,7 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 			return
 		}
 	}
-	k, ok := s.validateK(w, req.K)
-	if !ok {
+	if !s.validateK(w, req.K) {
 		return
 	}
 	// Admission control sheds the whole batch up front — admitting a batch
@@ -574,7 +559,7 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	// entry individually: an expired entry reports its error in place and
 	// the rest of the batch completes; only the client hanging up abandons
 	// the whole batch.
-	v := col.Manager().AcquireView(k)
+	v := col.Manager().AcquireView(req.K)
 	resps := make([]BatchSearchEntry, len(req.Queries))
 	var dropped atomic.Bool // col was dropped with entries of this batch queued
 	var wg sync.WaitGroup
@@ -742,7 +727,7 @@ func (s *Server) serveOverlap(w http.ResponseWriter, r *http.Request, col *colle
 		httpError(w, http.StatusBadRequest, "set too large")
 		return
 	}
-	sem, greedy, vanilla := pairwise(req.A, req.B, col.Manager().Source(), s.cfg.Alpha)
+	sem, greedy, vanilla := pairwise(req.A, req.B, col.Manager().Source(), col.Manager().Options().Alpha)
 	writeJSON(w, http.StatusOK, OverlapResponse{Semantic: sem, Vanilla: vanilla, Greedy: greedy})
 }
 
@@ -751,7 +736,7 @@ func (s *Server) serveOverlap(w http.ResponseWriter, r *http.Request, col *colle
 // bounded only by MaxQueryElements, and a dense matrix at that limit would be
 // tens of gigabytes.
 func pairwise(a, b []string, src index.NeighborSource, alpha float64) (sem, greedy float64, vanilla int) {
-	a, b = dedup(a), dedup(b)
+	a, b = sets.Dedup(a), sets.Dedup(b)
 	inB := make(map[string]int, len(b))
 	for j, y := range b {
 		inB[y] = j
@@ -865,6 +850,7 @@ type SimCacheInfo struct {
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	sealed, memSets, tombstones := s.mgr.Segments()
+	opts := s.mgr.Options()
 	p50, p95, p99 := s.pool.percentiles()
 	var schedStats *sched.Stats
 	if sc := s.reg.Scheduler(); sc != nil {
@@ -874,9 +860,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, InfoResponse{
 		Sets:         s.mgr.Len(),
 		Vocabulary:   s.mgr.VocabSize(),
-		K:            s.cfg.K,
-		Alpha:        s.cfg.Alpha,
-		Partitions:   s.cfg.Partitions,
+		K:            opts.K,
+		Alpha:        opts.Alpha,
+		Partitions:   opts.Partitions,
 		Segments:     sealed,
 		MemtableSets: memSets,
 		Tombstones:   tombstones,
@@ -1027,16 +1013,4 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

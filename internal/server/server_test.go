@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -19,24 +20,20 @@ import (
 	"repro/internal/sets"
 )
 
-func managerFor(ds *datagen.Dataset, cfg Config) *segment.Manager {
-	cfg = cfg.withDefaults()
+// testOpts are the options most tests build their collection with — and so
+// the default k, α and partitions their server reports.
+var testOpts = core.Options{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, ExactScores: true}
+
+func managerFor(ds *datagen.Dataset, opts core.Options) *segment.Manager {
 	return segment.NewManager(ds.Repo.Sets(), func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
-	}, core.Options{
-		K:           cfg.K,
-		Alpha:       cfg.Alpha,
-		Partitions:  cfg.Partitions,
-		Workers:     cfg.Workers,
-		ExactScores: true,
-	}.WithDefaults(), segment.Config{})
+	}, opts, segment.Config{})
 }
 
 func testServer(t *testing.T) (*httptest.Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	srv := New(managerFor(ds, cfg), cfg)
+	srv := New(managerFor(ds, testOpts), Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, ds
@@ -193,6 +190,72 @@ func TestInfoAndHealth(t *testing.T) {
 	}
 }
 
+// TestDefaultsComeFromCollection: the server keeps no k, α or partition
+// count of its own. Built with Config{} over a collection whose options are
+// none of the defaults, it reports the collection's in /v1/info, answers a
+// search that names no k as the manager does, and scores /v1/overlap at the
+// collection's α.
+func TestDefaultsComeFromCollection(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
+	mgr := managerFor(ds, core.Options{K: 7, Alpha: 0.7, Partitions: 2, ExactScores: true})
+	ts := httptest.NewServer(New(mgr, Config{}))
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.K != 7 || info.Alpha != 0.7 || info.Partitions != 2 {
+		t.Fatalf("info: default_k %d, alpha %v, partitions %d; want the collection's 7, 0.7, 2", info.K, info.Alpha, info.Partitions)
+	}
+
+	for i := 0; i < 5; i++ {
+		q := ds.Repo.Set(i).Elements
+		want, _, err := mgr.Search(context.Background(), q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Search(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(want) {
+			t.Fatalf("query %d: %d results over HTTP, %d from the manager", i, len(got.Results), len(want))
+		}
+		for r, w := range want {
+			g := got.Results[r]
+			if int64(g.SetID) != w.ID || g.SetName != w.Name || g.Score != w.Score {
+				t.Fatalf("query %d rank %d: %+v over HTTP, %+v from the manager", i, r, g, w)
+			}
+		}
+	}
+
+	// A pair that α = 0.7 and the server's former 0.8 score differently.
+	var a, b []string
+	var want float64
+	for i := 0; i < ds.Repo.Len() && a == nil; i++ {
+		for j := i + 1; j < ds.Repo.Len(); j++ {
+			x, y := ds.Repo.Set(i).Elements, ds.Repo.Set(j).Elements
+			at7, _, _ := pairwise(x, y, mgr.Source(), 0.7)
+			if at8, _, _ := pairwise(x, y, mgr.Source(), 0.8); at7 != at8 {
+				a, b, want = x, y, at7
+				break
+			}
+		}
+	}
+	if a == nil {
+		t.Fatal("no pair of sets separates α = 0.7 from 0.8")
+	}
+	resp, err := c.Overlap(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Semantic != want {
+		t.Fatalf("/v1/overlap = %v, want the pairwise score at the collection's α: %v", resp.Semantic, want)
+	}
+}
+
 func TestMethodRouting(t *testing.T) {
 	ts, _ := testServer(t)
 	resp, err := http.Get(ts.URL + "/v1/search")
@@ -250,8 +313,7 @@ func TestClientAgainstDeadServer(t *testing.T) {
 
 func TestMaxQueryElements(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 3, Alpha: 0.8, MaxQueryElements: 4}
-	srv := New(managerFor(ds, cfg), cfg)
+	srv := New(managerFor(ds, core.Options{K: 3, ExactScores: true}), Config{MaxQueryElements: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
@@ -452,11 +514,7 @@ func TestGetSetEndpoint(t *testing.T) {
 // serve byte-identical /v1/search responses.
 func TestDurableRestartServesIdenticalResults(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	cfg := Config{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2}
-	opts := core.Options{
-		K: cfg.K, Alpha: cfg.Alpha, Partitions: cfg.Partitions, Workers: cfg.Workers,
-		ExactScores: true,
-	}.WithDefaults()
+	opts := testOpts
 	build := func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
 	}
@@ -465,7 +523,7 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(mgr, cfg))
+	ts := httptest.NewServer(New(mgr, Config{}))
 	c := NewClient(ts.URL, nil)
 
 	extra := append([]string{"zz-durable-1"}, ds.Repo.Set(0).Elements...)
@@ -491,7 +549,7 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(New(mgr2, cfg))
+	ts2 := httptest.NewServer(New(mgr2, Config{}))
 	defer ts2.Close()
 	c2 := NewClient(ts2.URL, nil)
 	for i, q := range queries {

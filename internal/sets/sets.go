@@ -63,7 +63,7 @@ func NewSegment(dict *Dictionary, raw []Set) *Repository {
 // (preserving first occurrence) and interned into dict. The row's slices are
 // never written again, so any number of segments may share them.
 func InternSet(dict *Dictionary, name string, elements []string) Set {
-	elems := dedup(elements)
+	elems := Dedup(elements)
 	ids := make([]int32, len(elems))
 	for j, e := range elems {
 		ids[j] = dict.Intern(e)
@@ -144,7 +144,8 @@ func (r *Repository) Elements(id int) []string {
 	return out
 }
 
-func dedup(elems []string) []string {
+// Dedup returns elems without repeats, each element where it first occurs.
+func Dedup(elems []string) []string {
 	seen := make(map[string]bool, len(elems))
 	out := make([]string, 0, len(elems))
 	for _, e := range elems {

@@ -77,7 +77,7 @@ type Stats struct {
 func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource, query []string, opts Options) ([]Result, Stats) {
 	start := time.Now()
 	var stats Stats
-	query = dedup(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 || opts.K <= 0 {
 		return nil, stats
 	}
@@ -247,16 +247,4 @@ func ceil(f float64) float64 {
 		return i + 1
 	}
 	return i
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -122,8 +122,8 @@ func TestSyntacticSignatureShrinks(t *testing.T) {
 	if syn.SignatureSize >= sem.SignatureSize {
 		t.Fatalf("signature %d not smaller than semantic %d at θ=3", syn.SignatureSize, sem.SignatureSize)
 	}
-	if sem.SignatureSize != len(dedup(query)) {
-		t.Fatalf("semantic variant must probe all %d elements, got %d", len(dedup(query)), sem.SignatureSize)
+	if sem.SignatureSize != len(sets.Dedup(query)) {
+		t.Fatalf("semantic variant must probe all %d elements, got %d", len(sets.Dedup(query)), sem.SignatureSize)
 	}
 	if syn.Candidates > sem.Candidates {
 		t.Fatalf("signature produced more candidates (%d) than full probing (%d)", syn.Candidates, sem.Candidates)

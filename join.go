@@ -52,7 +52,7 @@ func (e *Engine) JoinMapping(query []string, setID int) ([]JoinPair, error) {
 	if !ok {
 		return nil, fmt.Errorf("koios: set %d is not in the live collection", setID)
 	}
-	pairs := join.MappingBetween(e.mgr.Source(), e.alpha, query, rec.Elements)
+	pairs := join.MappingBetween(e.mgr.Source(), e.mgr.Options().Alpha, query, rec.Elements)
 	out := make([]JoinPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = JoinPair{QueryElement: p.QueryElement, SetElement: p.SetElement, Sim: p.Sim}

@@ -143,7 +143,6 @@ type Engine struct {
 	// through the collection so its quota accounting stays consistent.
 	// Standalone engines (New/Open) leave it nil.
 	col          *collection.Collection
-	alpha        float64
 	batchWorkers int
 }
 
@@ -183,12 +182,11 @@ func newEngine(collection []Set, cfg Config, build segment.SourceBuilder) *Engin
 	for i, s := range collection {
 		raw[i] = sets.Set{Name: s.Name, Elements: s.Elements}
 	}
-	opts := cfg.coreOptions().WithDefaults()
-	mgr := segment.NewManager(raw, build, opts, segment.Config{
+	mgr := segment.NewManager(raw, build, cfg.coreOptions(), segment.Config{
 		SealThreshold: cfg.SealThreshold,
 		MaxSegments:   cfg.MaxSegments,
 	})
-	return &Engine{mgr: mgr, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}
+	return &Engine{mgr: mgr, batchWorkers: cfg.BatchWorkers}
 }
 
 // Open builds a durable engine rooted at dir with a threshold-scan token
@@ -218,8 +216,7 @@ func openEngine(dir string, collection []Set, cfg Config, build segment.SourceBu
 	for i, s := range collection {
 		raw[i] = sets.Set{Name: s.Name, Elements: s.Elements}
 	}
-	opts := cfg.coreOptions().WithDefaults()
-	mgr, err := segment.Open(dir, raw, build, opts, segment.Config{
+	mgr, err := segment.Open(dir, raw, build, cfg.coreOptions(), segment.Config{
 		SealThreshold: cfg.SealThreshold,
 		MaxSegments:   cfg.MaxSegments,
 		SyncWAL:       cfg.SyncWAL,
@@ -227,7 +224,7 @@ func openEngine(dir string, collection []Set, cfg Config, build segment.SourceBu
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{mgr: mgr, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}, nil
+	return &Engine{mgr: mgr, batchWorkers: cfg.BatchWorkers}, nil
 }
 
 // Search returns the top-k sets by semantic overlap with query, best first,

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sets"
 )
 
 const tol = 1e-9
@@ -167,7 +169,7 @@ func TestGenerateDatasetPublic(t *testing.T) {
 	}
 	// The query is a set of the collection: top-1 must reach at least its
 	// own cardinality (self-similarity).
-	if results[0].Score < float64(len(dedup(ds.Queries[0].Elements)))-tol {
+	if results[0].Score < float64(len(sets.Dedup(ds.Queries[0].Elements)))-tol {
 		t.Fatalf("top-1 score %v below self overlap %d", results[0].Score, len(ds.Queries[0].Elements))
 	}
 }
@@ -408,7 +410,7 @@ func TestApproximateSources(t *testing.T) {
 	}
 	// The self set must surface despite approximate retrieval (identity
 	// tuples bypass the index entirely).
-	if rh[0].Score < float64(len(dedup(q)))-tol {
+	if rh[0].Score < float64(len(sets.Dedup(q)))-tol {
 		t.Fatalf("HNSW top-1 %v below self overlap", rh[0].Score)
 	}
 }

@@ -3,6 +3,8 @@ package koios
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/sets"
 )
 
 // ManyToOneOverlap implements the measure the paper sketches as future work
@@ -20,7 +22,7 @@ import (
 // (one-to-one) SemanticOverlap and is *not* symmetric — both properties are
 // verified in tests.
 func ManyToOneOverlap(a, b []string, fn Similarity, alpha float64) float64 {
-	a, b = dedup(a), dedup(b)
+	a, b = sets.Dedup(a), sets.Dedup(b)
 	total := 0.0
 	for _, x := range a {
 		best := 0.0
@@ -38,7 +40,7 @@ func ManyToOneOverlap(a, b []string, fn Similarity, alpha float64) float64 {
 // element of a with at least one α-edge, its best match in b. Ties pick the
 // lexicographically smallest target for determinism.
 func ManyToOneMapping(a, b []string, fn Similarity, alpha float64) map[string]string {
-	a, b = dedup(a), dedup(b)
+	a, b = sets.Dedup(a), sets.Dedup(b)
 	sorted := append([]string(nil), b...)
 	sort.Strings(sorted)
 	out := make(map[string]string)
@@ -61,7 +63,7 @@ func ManyToOneMapping(a, b []string, fn Similarity, alpha float64) map[string]st
 // exists to experiment with the future-work semantics, not as a replacement
 // for Search (the measures rank differently — see the tests).
 func (e *Engine) SearchManyToOne(query []string, fn Similarity, alpha float64, k int) []Result {
-	query = dedup(query)
+	query = sets.Dedup(query)
 	if len(query) == 0 || k <= 0 {
 		return nil
 	}

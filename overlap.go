@@ -2,6 +2,7 @@ package koios
 
 import (
 	"repro/internal/matching"
+	"repro/internal/sets"
 )
 
 // SemanticOverlap computes the exact semantic overlap SO(a, b) of two sets
@@ -10,7 +11,7 @@ import (
 // engine ranks by, exposed for one-off comparisons, joins of small
 // collections, and tests.
 func SemanticOverlap(a, b []string, fn Similarity, alpha float64) float64 {
-	a, b = dedup(a), dedup(b)
+	a, b = sets.Dedup(a), sets.Dedup(b)
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
@@ -54,7 +55,7 @@ func VanillaOverlap(a, b []string) int {
 // graph — at least half the semantic overlap, and not suitable for exact
 // ranking (Example 2 of the paper); exposed for comparisons.
 func GreedyOverlap(a, b []string, fn Similarity, alpha float64) float64 {
-	a, b = dedup(a), dedup(b)
+	a, b = sets.Dedup(a), sets.Dedup(b)
 	var edges []matching.Edge
 	for i, x := range a {
 		for j, y := range b {
@@ -64,16 +65,4 @@ func GreedyOverlap(a, b []string, fn Similarity, alpha float64) float64 {
 		}
 	}
 	return matching.Greedy(edges).Score
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

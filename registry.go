@@ -56,7 +56,6 @@ const DefaultCollection = collection.DefaultName
 // quotas. Registries are safe for concurrent use.
 type Registry struct {
 	reg          *collection.Registry
-	alpha        float64
 	batchWorkers int
 }
 
@@ -64,16 +63,15 @@ type Registry struct {
 // index under fn (the New construction) for every collection. The default
 // collection is seeded with seed; collections created later start empty.
 func NewRegistry(seed []Set, fn Similarity, cfg Config) *Registry {
-	opts := cfg.coreOptions().WithDefaults()
 	reg := collection.NewRegistry(rawSets(seed), collection.Config{
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicFunc(dict, fn)
 		},
-		Opts:        opts,
+		Opts:        cfg.coreOptions(),
 		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments},
 		Maintenance: cfg.Maintenance,
 	})
-	return &Registry{reg: reg, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}
+	return &Registry{reg: reg, batchWorkers: cfg.BatchWorkers}
 }
 
 // OpenRegistry builds a durable registry rooted at dir. The default
@@ -82,19 +80,18 @@ func NewRegistry(seed []Set, fn Similarity, cfg Config) *Registry {
 // dir/collections/<name> is recovered through the same checkpoint + WAL
 // machinery. A fresh directory seeds the default collection from seed.
 func OpenRegistry(dir string, seed []Set, fn Similarity, cfg Config) (*Registry, error) {
-	opts := cfg.coreOptions().WithDefaults()
 	reg, err := collection.OpenRegistry(dir, rawSets(seed), collection.Config{
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicFunc(dict, fn)
 		},
-		Opts:        opts,
+		Opts:        cfg.coreOptions(),
 		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments, SyncWAL: cfg.SyncWAL},
 		Maintenance: cfg.Maintenance,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{reg: reg, alpha: opts.Alpha, batchWorkers: cfg.BatchWorkers}, nil
+	return &Registry{reg: reg, batchWorkers: cfg.BatchWorkers}, nil
 }
 
 func rawSets(seed []Set) []sets.Set {
@@ -108,7 +105,7 @@ func rawSets(seed []Set) []sets.Set {
 // engineOf wraps a collection as an Engine whose Insert/Delete go through
 // the collection's quota accounting.
 func (r *Registry) engineOf(c *collection.Collection) *Engine {
-	return &Engine{mgr: c.Manager(), col: c, alpha: r.alpha, batchWorkers: r.batchWorkers}
+	return &Engine{mgr: c.Manager(), col: c, batchWorkers: r.batchWorkers}
 }
 
 // Default returns the always-present default collection's engine.
