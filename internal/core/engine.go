@@ -122,10 +122,10 @@ func zeroed[T any](buf []T, n int) []T {
 
 // refineArena is one search's candidate-indexed refinement state: per set
 // of every partition searched, a candState, the iubBuckets' filed score and
-// one qWord — the matched and the arrived query elements, two mask words —
-// plus the token masks. carve hands it out partition by partition. Its size
-// follows the collection searched, never the query: the query masks of a
-// query past 64 elements are allocated per search.
+// one qWord per 64 query elements — the matched and the arrived query
+// elements, two mask words each — plus the token masks. carve hands it out
+// partition by partition. Its size follows the collection searched and the
+// query's mask words.
 type refineArena struct {
 	states []candState
 	score  []float64
@@ -135,12 +135,12 @@ type refineArena struct {
 	sets, words int
 }
 
-// reset readies the arena for partitions holding sets sets in total, whose
-// token masks take words words in total.
-func (a *refineArena) reset(sets, words int) {
+// reset readies the arena for partitions holding sets sets in total with
+// qWords query-mask words each, whose token masks take words words in total.
+func (a *refineArena) reset(sets, qWords, words int) {
 	a.states = zeroed(a.states, sets)
 	a.score = sized(a.score, sets) // the buckets write before they read
-	a.qBits = zeroed(a.qBits, sets)
+	a.qBits = zeroed(a.qBits, sets*qWords)
 	a.cBits = zeroed(a.cBits, words)
 	a.sets, a.words = 0, 0
 }
@@ -155,11 +155,8 @@ func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
 	r.states = a.states[lo:hi:hi]
 	r.buckets = newIUBBuckets(maxM, a.score[lo:hi:hi])
 	r.cBits = a.cBits[wlo:whi:whi]
-	if r.qWords == 1 {
-		r.qBits = a.qBits[lo:hi:hi]
-	} else {
-		r.qBits = make([]qWord, nCand*r.qWords)
-	}
+	qlo, qhi := lo*r.qWords, hi*r.qWords
+	r.qBits = a.qBits[qlo:qhi:qhi]
 }
 
 // partitionSeed fixes the random partitioning.

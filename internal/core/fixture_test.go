@@ -28,7 +28,7 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 // options, on an arena of its own.
 func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
 	var arena refineArena
-	arena.reset(len(e.parts[p]), int(e.cOffs[p][len(e.parts[p])]))
+	arena.reset(len(e.parts[p]), (qN+63)/64, int(e.cOffs[p][len(e.parts[p])]))
 	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &arena)
 }
 

@@ -157,7 +157,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	}
 	chunks := make([][]chunk, len(g.Engines))
 	refiners := make([][]*partRefiner, len(g.Engines))
-	sc.refine.reset(base[len(g.Engines)], cWords)
+	sc.refine.reset(base[len(g.Engines)], (len(query)+63)/64, cWords)
 	sc.replay = regrown(sc.replay, nParts)
 	sc.verify = regrown(sc.verify, opts.Workers)
 	nref := 0

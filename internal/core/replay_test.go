@@ -289,7 +289,7 @@ func BenchmarkCutReplay(b *testing.B) {
 		query := sets.Dedup(queries[i%len(queries)])
 		qids := ds.Repo.TokenIDs(query)
 		sc := eng.getScratch()
-		sc.refine.reset(ds.Repo.Len(), eng.cWords)
+		sc.refine.reset(ds.Repo.Len(), (len(query)+63)/64, eng.cWords)
 		theta, stats := &atomicMax{}, Stats{}
 		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &sc.refine)
 		st := index.NewLazyStream(query, qids, src, eng.opts.Alpha, nil)

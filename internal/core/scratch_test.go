@@ -137,16 +137,49 @@ func TestRefinerScratchReuse(t *testing.T) {
 			break
 		}
 
-		// Whatever the pool retained is sized by the collection alone.
+		// A warm search of 100 elements carves its two words of query masks
+		// per set from the pooled arena as well: nothing regrows, and the
+		// masks are there, in the scratch.
+		wide := sets.Dedup(big)[:100]
+		for round := 0; ; round++ {
+			if round == 100 {
+				t.Fatalf("k=%d: the pool never handed the scratch of the 100-element search back", k)
+			}
+			warm.Search(wide)
+			sc := warm.getScratch()
+			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
+			warm.scratch.Put(sc)
+			warm.Search(wide)
+			again := warm.getScratch()
+			after := scratchFootprint("scratch", reflect.ValueOf(again), nil)
+			warm.scratch.Put(again)
+			if again != sc {
+				continue
+			}
+			if n := len(again.refine.qBits); n != 2*ds.Repo.Len() {
+				t.Fatalf("k=%d: the 100-element search carved %d query mask words, want %d", k, n, 2*ds.Repo.Len())
+			}
+			if fmt.Sprint(before) != fmt.Sprint(after) {
+				t.Fatalf("k=%d: a repeated 100-element search regrew its scratch\nbefore: %v\nafter:  %v", k, before, after)
+			}
+			break
+		}
+
+		// Whatever the pool retained is sized by the collection and the
+		// widest query's mask words alone.
+		qWords := 0
+		for _, q := range queries {
+			qWords = max(qWords, (len(sets.Dedup(q))+63)/64)
+		}
 		for n := 0; n < 8; n++ {
 			sc := eng.getScratch()
 			a := &sc.refine
 			if cap(a.states) > ds.Repo.Len() || cap(a.score) > ds.Repo.Len() ||
-				cap(a.qBits) > ds.Repo.Len() || cap(a.cBits) > eng.cWords ||
+				cap(a.qBits) > ds.Repo.Len()*qWords || cap(a.cBits) > eng.cWords ||
 				cap(sc.post.qub) > ds.Repo.Len() ||
 				cap(sc.offsets) > eng.vocabN || cap(sc.seen) > (eng.vocabN+63)/64 {
-				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d scores, %d+%d mask words for %d sets, %d mask words",
-					k, cap(a.states), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), eng.cWords)
+				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d scores, %d+%d mask words for %d sets × %d query words, %d mask words",
+					k, cap(a.states), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), qWords, eng.cWords)
 			}
 		}
 	}

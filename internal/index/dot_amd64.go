@@ -1,10 +1,28 @@
 package index
 
-func init() { useAVX, useFMA = cpuFeatures() }
+func init() {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	if c1&(1<<27) == 0 { // OSXSAVE: XGETBV is there to ask which state the OS saves
+		return
+	}
+	xcr0 := xgetbv()
+	useAVX = c1&(1<<28) != 0 && xcr0&6 == 6 // AVX, and the OS saves XMM and YMM
+	useFMA = useAVX && c1&(1<<12) != 0
+	if maxLeaf < 7 {
+		return
+	}
+	_, b7, c7, _ := cpuid(7, 0)
+	useAVX2 = useAVX && b7&(1<<5) != 0 && b7&(1<<8) != 0 // AVX2 and BMI2 (PDEP)
+	// AVX-512F and AVX512_VNNI, and the OS saves the opmask and ZMM state.
+	useVNNI = useAVX2 && b7&(1<<16) != 0 && c7&(1<<11) != 0 && xcr0&0xe0 == 0xe0
+}
 
-// cpuFeatures reports whether the CPU has AVX and the OS saves the YMM
-// state, and whether it has FMA as well.
-func cpuFeatures() (avx, fma bool)
+// cpuid executes CPUID with EAX = leaf and ECX = sub.
+func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+
+// xgetbv returns the low half of XCR0: the register state the OS saves.
+func xgetbv() uint32
 
 // dotBlocksAVX is dotBlocksGo for dim ≥ 1 widened float32 components at q
 // and nblk ≥ 1 blocks at data: one arena row per vector lane, products and
@@ -20,20 +38,23 @@ func dotBlocksAVX(q *float64, dim int, data *float32, nblk int, out *float64)
 //go:noescape
 func dotBlocksFMA(q *float64, dim int, data *float32, nblk int, out *float64)
 
-// screenBlocksAVX is screenBlocksGo for 2·npair ≥ 2 expanded query rows at
-// q, dim ≥ 1 and nblk ≥ 1 blocks at data: eight float32 lanes, two
-// elements of a block's four rows, per instruction (dot_amd64.s). It reads
-// 8·dim·npair floats at q and 4·dim·nblk at data, and writes nblk bytes at
-// mask+g·scanChunk for each of the 2·npair rows g.
+// screenBlocksVNNI is screenBlocksGo for nquad ≥ 1 quads of query rows,
+// groups ≥ 1 and nblk ≥ 1 16-row blocks: one VPDPBUSD adds four products
+// to each of sixteen rows (screen_amd64.s). It reads 16·groups·nquad bytes
+// at q, 64·groups·nblk at data and 4·nquad thresholds, and writes 4·nblk
+// bytes at mask+g·scanChunk for each of the 4·nquad rows g.
 //
 //go:noescape
-func screenBlocksAVX(q *float32, npair, dim int, data *float32, nblk int, cut float32, mask *byte)
+func screenBlocksVNNI(q *int8, nquad, groups int, data *byte, nblk int, thr *int32, mask *byte)
 
-// screenBlocksFMA is screenBlocksAVX with multiply and add fused: other
-// sums, inside the same bound.
+// screenBlocksAVX2 is screenBlocksVNNI in AVX2 for npair ≥ 1 pairs of
+// query rows in pairWords' form: the bytes split into int16 words and
+// multiplied in pairs (VPMADDWD); the same sums, so the same masks. It
+// reads 16·groups·npair bytes at q and 2·npair thresholds, and writes the
+// masks of the 2·npair rows.
 //
 //go:noescape
-func screenBlocksFMA(q *float32, npair, dim int, data *float32, nblk int, cut float32, mask *byte)
+func screenBlocksAVX2(q *int16, npair, groups int, data *byte, nblk int, thr *int32, mask *byte)
 
 // dotBlocks computes the raw dots of the query row q against the len(out)/4
 // blocks data starts with: an assembly kernel when the CPU has AVX and the
@@ -53,21 +74,25 @@ func dotBlocks(q []float64, data []float32, out []float64) {
 	}
 }
 
-// screenBlocks flags, for each of the nq expanded query rows in xq, the
-// blocks among the first nblk at data that may hold a row scoring cut or
-// more: the same choice of kernel as dotBlocks. The kernels take the rows in
-// pairs, so xq and mask hold nq+nq&1 rows, the odd one out beside a zero row.
-func screenBlocks(xq []float32, nq, dim int, data []float32, nblk int, cut float32, mask []byte) {
-	if !useAVX || dim == 0 || nblk == 0 || nq == 0 {
-		screenBlocksGo(xq, nq, dim, data, nblk, cut, mask)
+// screenBlocks writes s.mask for the first nq query rows of s against the
+// first nblk 16-row blocks at data: the VNNI kernel, else the AVX2 one,
+// else — and for the shapes the kernels' count-down loops cannot take —
+// screenBlocksGo. The kernels take the rows four or two at a time and may
+// write the masks of the zero rows that fill the last quad or pair.
+func screenBlocks(s *scanScratch, nq, groups int, data []byte, nblk int) {
+	if !useAVX2 || nq == 0 || groups == 0 || nblk == 0 {
+		screenBlocksGo(s.q8, nq, groups, data, nblk, s.thr, s.mask)
 		return
 	}
-	npair := (nq + 1) / 2
 	// The kernels read and write this far, unchecked.
-	_, _, _ = xq[8*dim*npair-1], data[4*dim*nblk-1], mask[(2*npair-1)*scanChunk+nblk-1]
-	if useFMA {
-		screenBlocksFMA(&xq[0], npair, dim, &data[0], nblk, cut, &mask[0])
+	_ = data[64*groups*nblk-1]
+	if useVNNI {
+		quads := (nq + 3) / 4
+		_, _, _ = s.q8[16*groups*quads-1], s.thr[4*quads-1], s.mask[(4*quads-1)*scanChunk+4*nblk-1]
+		screenBlocksVNNI(&s.q8[0], quads, groups, &data[0], nblk, &s.thr[0], &s.mask[0])
 	} else {
-		screenBlocksAVX(&xq[0], npair, dim, &data[0], nblk, cut, &mask[0])
+		pairs := (nq + 1) / 2
+		_, _, _ = s.q16[8*groups*pairs-1], s.thr[2*pairs-1], s.mask[(2*pairs-1)*scanChunk+4*nblk-1]
+		screenBlocksAVX2(&s.q16[0], pairs, groups, &data[0], nblk, &s.thr[0], &s.mask[0])
 	}
 }

@@ -5,7 +5,7 @@
 // Eight blocks per outer iteration — eight independent accumulators keep
 // both FP ports busy across the add latency and share each q[j] broadcast —
 // then one block at a time. The scan hands it runs of blocks the screen
-// flagged (screen_amd64.h), so the eight-block loop is what a scan with
+// flagged (screen.go), so the eight-block loop is what a scan with
 // every block flagged runs on.
 //
 // Each step of the eight-block loop also prefetches the cache lines of the

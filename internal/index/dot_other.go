@@ -6,9 +6,8 @@ package index
 // blocks data starts with.
 func dotBlocks(q []float64, data []float32, out []float64) { dotBlocksGo(q, data, out) }
 
-// screenBlocks flags, for each of the nq expanded query rows in xq, the
-// blocks among the first nblk at data that may hold a row scoring cut or
-// more.
-func screenBlocks(xq []float32, nq, dim int, data []float32, nblk int, cut float32, mask []byte) {
-	screenBlocksGo(xq, nq, dim, data, nblk, cut, mask)
+// screenBlocks writes s.mask for the first nq query rows of s against the
+// first nblk 16-row blocks at data.
+func screenBlocks(s *scanScratch, nq, groups int, data []byte, nblk int) {
+	screenBlocksGo(s.q8, nq, groups, data, nblk, s.thr, s.mask)
 }

@@ -38,14 +38,17 @@ type NeighborSource interface {
 // added), plus each row's token and vocabulary ID. The arena is
 // block-interleaved: rows 4b…4b+3 form block b, and element j of the four
 // rows is contiguous, so one 16-byte load feeds four per-row accumulators —
-// one row in each vector lane (DESIGN.md §12).
+// one row in each vector lane (DESIGN.md §12). Beside it, u8 holds every
+// row quantised for the screen (screen.go): 16-row blocks of 64-byte
+// groups, dword l of group k holding elements 4k…4k+3 of row 16B+l.
 //
-// It is append-only: add writes only the lanes of the row it appends, never
-// a float32 that an earlier row owns, so a copy of the struct is an
+// It is append-only: add writes only the lanes and bytes of the row it
+// appends, never one an earlier row owns, so a copy of the struct is an
 // immutable view of the rows it was taken over, however the original grows
 // afterwards. A view reads the ⌊n/4⌋ full blocks whole and the ≤ 3 rows of
-// its partial last block lane by lane; the remaining lanes of that block
-// belong to rows the view does not have.
+// its partial last block lane by lane, and screens its ⌊n/16⌋ full 16-row
+// blocks whole and the rest row by row; the remaining lanes and bytes of a
+// partial block belong to rows the view does not have.
 //
 // Scores are bit-identical to sim.Dot over normalizeCopy vectors: the same
 // float64(a[j])*float64(b[j]) products summed in index order into one
@@ -57,20 +60,23 @@ type vecRows struct {
 	ids    []int32 // vocabulary position of each row's token
 	dim    int
 	data   []float32 // element j of row i is data[(i/4*dim+j)*4+i%4]
+	u8     []byte    // round(127·element j of row i) + 128 at lane8(i) + 64·(j/4) + j%4
+	nan    []int32   // the rows holding a NaN, ascending
 }
 
-// useAVX routes dotBlocks and screenBlocks to their assembly kernels and
-// useFMA picks the fused ones. Both are set once at init, on amd64, from
-// CPUID (dot_amd64.go); tests clear them to run the unfused kernels and the
+// useAVX routes dotBlocks to its assembly kernels and useFMA picks the
+// fused ones; useAVX2 routes screenBlocks to its AVX2 kernel and useVNNI to
+// its AVX-512 VNNI one. All are set once at init, on amd64, from CPUID
+// (dot_amd64.go); tests clear them to run the slower kernels and the
 // portable loops.
-var useAVX, useFMA bool
+var useAVX, useFMA, useAVX2, useVNNI bool
 
 // lane returns the arena offset of element 0 of row i; element j is 4j
 // further on.
 func (r *vecRows) lane(i int) int { return (i&^3)*r.dim + i&3 }
 
 // add appends one row: v normalized with normalize32's arithmetic, written
-// straight into the row's lane.
+// straight into the row's lane, then quantised into its bytes of u8.
 func (r *vecRows) add(tok string, id int32, v []float32) {
 	i := len(r.tokens)
 	if i == 0 {
@@ -81,20 +87,25 @@ func (r *vecRows) add(tok string, id int32, v []float32) {
 	if i%4 == 0 {
 		r.data = append(r.data, make([]float32, 4*r.dim)...) // a new zero block
 	}
-	if len(v) != r.dim {
-		return
+	if i%16 == 0 {
+		r.u8 = append(r.u8, make([]byte, 64*r.groups())...)
 	}
-	var n float64
-	for _, x := range v {
-		n += float64(x) * float64(x)
-	}
-	n = math.Sqrt(n)
 	at := r.lane(i)
-	for j, x := range v {
-		if n != 0 {
-			x = float32(float64(x) / n)
+	if len(v) == r.dim {
+		var n float64
+		for _, x := range v {
+			n += float64(x) * float64(x)
 		}
-		r.data[at+4*j] = x
+		n = math.Sqrt(n)
+		for j, x := range v {
+			if n != 0 {
+				x = float32(float64(x) / n)
+			}
+			r.data[at+4*j] = x
+		}
+	}
+	if r.quantise(i) {
+		r.nan = append(r.nan, int32(i))
 	}
 }
 
@@ -142,101 +153,23 @@ func dotBlocksGo(q []float64, data []float32, out []float64) {
 	}
 }
 
-// screenCut is the float32 threshold of the screen for α and a stride: the
-// largest float32 not above α − ε, ε = (dim+4)·2⁻²³. ε is a bound, not a
-// tuning value (DESIGN.md §12 derives it): a float32 sum of a row's products
-// in which no product passes through more than ⌈dim/2⌉+1 roundings — fused
-// or not, as in all three screens — and the float64 sum dotBlocks emits are
-// less than ε/3 apart when both rows were written by add, so a row that
-// scores α or more sums to cut or more. The derivation wants (dim/2+1)·2⁻²⁴
-// below 1/8; a stride of 2²² or more gets the cut nothing is below.
-func screenCut(alpha float64, dim int) float32 {
-	if dim >= 1<<22 {
-		return float32(math.Inf(-1))
-	}
-	c := alpha - float64(dim+4)*0x1p-23
-	cut := float32(c)
-	if float64(cut) > c {
-		cut = math.Nextafter32(cut, float32(math.Inf(-1)))
-	}
-	return cut
-}
-
-// expand writes the screen's form of the query rows qis to xq, 4·dim floats
-// a row: element j four times over, so that a step of an expanded row lines
-// up with the same step of a block, lane for lane.
-func (r *vecRows) expand(qis []int, xq []float32) {
-	for g, qi := range qis {
-		x := xq[g*4*r.dim:][:4*r.dim]
-		for j, at := 0, r.lane(qi); j < len(x); j += 4 {
-			v := r.data[at+j]
-			x[j], x[j+1], x[j+2], x[j+3] = v, v, v, v
-		}
-	}
-}
-
-// screenBlocksGo is the screen in portable Go: for each of the nq expanded
-// query rows in xq and each of the first nblk blocks at data, bit l of
-// mask[g·scanChunk+b] is set unless the float32 dot of query row g and row
-// 4b+l is less than cut — so a NaN sum, which proves nothing, flags. The
-// sums are the assembly's: even and odd elements apart, the two added, then
-// a lone last element.
-func screenBlocksGo(xq []float32, nq, dim int, data []float32, nblk int, cut float32, mask []byte) {
-	for g := 0; g < nq; g++ {
-		for b := 0; b < nblk; b++ {
-			qs, blk := xq[g*4*dim:][:4*dim], data[4*b*dim:][:4*dim]
-			var e0, e1, e2, e3, o0, o1, o2, o3 float32
-			// The slices shrink as the loop advances, so its condition is the
-			// only bounds check.
-			for ; len(qs) >= 8 && len(blk) >= 8; qs, blk = qs[8:], blk[8:] {
-				e0 += qs[0] * blk[0]
-				e1 += qs[1] * blk[1]
-				e2 += qs[2] * blk[2]
-				e3 += qs[3] * blk[3]
-				o0 += qs[4] * blk[4]
-				o1 += qs[5] * blk[5]
-				o2 += qs[6] * blk[6]
-				o3 += qs[7] * blk[7]
-			}
-			e0, e1, e2, e3 = e0+o0, e1+o1, e2+o2, e3+o3
-			if len(qs) >= 4 && len(blk) >= 4 {
-				e0 += qs[0] * blk[0]
-				e1 += qs[1] * blk[1]
-				e2 += qs[2] * blk[2]
-				e3 += qs[3] * blk[3]
-			}
-			var m byte
-			if !(e0 < cut) {
-				m = 1
-			}
-			if !(e1 < cut) {
-				m |= 2
-			}
-			if !(e2 < cut) {
-				m |= 4
-			}
-			if !(e3 < cut) {
-				m |= 8
-			}
-			mask[g*scanChunk+b] = m
-		}
-	}
-}
-
-// scanChunk is how many blocks of the arena the scan screens and scores
-// every query row against before it moves on: the chunk stays in cache for
-// all of a search's rows, and the assembly kernels, which cannot be
-// preempted, return to Go every 256 rows. The screen kernels know it as
-// maskRow (dot_amd64.s).
+// scanChunk is how many 4-row blocks of the arena the scan screens and
+// scores every query row against before it moves on: the chunk stays in
+// cache for all of a search's rows, and the assembly kernels, which cannot
+// be preempted, return to Go every 256 rows. The screen kernels know it as
+// maskRow (screen_amd64.s).
 const scanChunk = 64
 
 // scanScratch is what one scan needs beside its output: the query rows
-// expanded for screenBlocks, one mask byte per query row and block of a
+// quantised for screenBlocks with their thresholds (and, for the AVX2
+// kernel, split into words), one mask byte per query row and block of a
 // chunk, and one query row widened to float64 for dotBlocks.
 type scanScratch struct {
-	lanes []float32
-	mask  []byte
-	wide  []float64
+	q8   []int8
+	q16  []int16
+	thr  []int32
+	mask []byte
+	wide []float64
 }
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -251,14 +184,15 @@ func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 
 // scanAll appends to bufs[g] every row except qis[g] with similarity ≥ alpha
 // to row qis[g], unsorted, in one pass of the arena. A chunk at a time, the
-// float32 screen marks for every query row the blocks that may hold a match
+// int8 screen marks for every query row the blocks that may hold a match
 // and dotBlocks → appendMatches score those, in maximal runs: every score
 // that leaves is the exact kernel's, the screen only decides where it need
 // not run. The rows of a partial last block go through dot.
 //
 // Two classes of α have nothing to screen. α ≤ 0 admits every row once the
-// lower clamp has lifted it to 0, so every block is flagged without looking;
-// α > 1 and NaN admit none, whatever the arena holds.
+// lower clamp has lifted it to 0, so every block is flagged without looking
+// (as it is at a stride whose sums an int32 cannot hold); α > 1 and NaN
+// admit none, whatever the arena holds.
 func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
 	if !(alpha <= 1) {
 		return
@@ -266,23 +200,13 @@ func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
 	s := scanScratches.Get().(*scanScratch)
 	defer scanScratches.Put(s)
 	nq := len(qis)
-	even := nq + nq&1 // the screen takes query rows in pairs: an odd one out rides beside a zero row
-	if cap(s.mask) < even*scanChunk {
-		s.mask = make([]byte, even*scanChunk)
-	}
-	if cap(s.wide) < r.dim {
-		s.wide = make([]float64, r.dim)
-	}
-	mask, q := s.mask[:even*scanChunk], s.wide[:r.dim]
-	screen, cut := alpha > 0, screenCut(alpha, r.dim)
-	var xq []float32
+	quads := (nq + 3) / 4 // the screen takes query rows four at a time: the last quad is filled with zero rows
+	s.mask = sized(s.mask, 4*quads*scanChunk)
+	s.wide = sized(s.wide, r.dim)
+	mask, q := s.mask, s.wide
+	floor, screen := screenFloor(alpha, r.dim)
 	if screen {
-		if cap(s.lanes) < even*4*r.dim {
-			s.lanes = make([]float32, even*4*r.dim)
-		}
-		xq = s.lanes[:even*4*r.dim]
-		r.expand(qis, xq)
-		clear(xq[nq*4*r.dim:])
+		r.prepareScreen(s, qis, floor)
 	} else {
 		for i := range mask {
 			mask[i] = 15
@@ -294,7 +218,7 @@ func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
 	for i := 0; i < full; i += 4 * scanChunk {
 		chunk, nblk := r.data[i*r.dim:], min(scanChunk, (full-i)/4)
 		if screen {
-			screenBlocks(xq, nq, r.dim, chunk, nblk, cut, mask)
+			r.screenChunk(s, nq, i, nblk)
 		}
 		for g, qi := range qis {
 			m := mask[g*scanChunk:][:nblk]
@@ -331,6 +255,15 @@ func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
 		}
 		bufs[g] = r.appendMatches(bufs[g], full, dots[:n-full], qi, alpha)
 	}
+}
+
+// sized returns buf with length n, reallocated only when its capacity is
+// short; what it holds is not preserved.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // cursors is the LazySource probe of the sources over a vecRows: one cursor

@@ -81,19 +81,42 @@ func sameNeighborBits(got, want []Neighbor) error {
 }
 
 // scanModes runs f on the scan this CPU selected and on every slower one it
-// can also run: the unfused AVX kernel where the selected one is FMA, and
-// the portable loop where there is a kernel at all.
+// can also run: the AVX2 screen where the selected one is VNNI, the unfused
+// exact kernel where the selected one is FMA, and the portable loops where
+// there is a kernel at all. mode names the screen and the exact kernel.
 func scanModes(f func(mode string)) {
-	defer func(avx, fma bool) { useAVX, useFMA = avx, fma }(useAVX, useFMA)
-	f("selected")
-	if useAVX && useFMA {
+	defer func(avx, fma, avx2, vnni bool) { useAVX, useFMA, useAVX2, useVNNI = avx, fma, avx2, vnni }(useAVX, useFMA, useAVX2, useVNNI)
+	f("selected " + kernelNames())
+	if useVNNI {
+		useVNNI = false
+		f(kernelNames())
+	}
+	if useFMA {
 		useFMA = false
-		f("unfused")
+		f(kernelNames())
 	}
-	if useAVX {
-		useAVX = false
-		f("portable")
+	if useAVX || useAVX2 {
+		useAVX, useAVX2 = false, false
+		f(kernelNames())
 	}
+}
+
+// kernelNames names the screen and the exact kernel scanAll runs now.
+func kernelNames() string {
+	screen, exact := "go", "go"
+	switch {
+	case useVNNI:
+		screen = "vnni"
+	case useAVX2:
+		screen = "avx2"
+	}
+	switch {
+	case useFMA:
+		exact = "fma"
+	case useAVX:
+		exact = "avx"
+	}
+	return "screen=" + screen + " exact=" + exact
 }
 
 // drain empties a cursor in chunks of seven.
@@ -253,12 +276,15 @@ func TestArenaDegenerateShapes(t *testing.T) {
 			}
 		})
 	}
-	dotBlocks(nil, nil, nil)                                                       // no rows at all
-	dotBlocks([]float64{1}, nil, nil)                                              // no full block
-	dotBlocks(nil, nil, make([]float64, 8))                                        // dim 0
-	screenBlocks(nil, 0, 3, nil, 0, 0.5, nil)                                      // no query rows
-	screenBlocks(make([]float32, 8), 1, 1, nil, 0, 0.5, make([]byte, 2*scanChunk)) // no full block
-	screenBlocks(nil, 1, 0, nil, 2, 0.5, make([]byte, 2*scanChunk))                // dim 0
+	dotBlocks(nil, nil, nil)                // no rows at all
+	dotBlocks([]float64{1}, nil, nil)       // no full block
+	dotBlocks(nil, nil, make([]float64, 8)) // dim 0
+	s := &scanScratch{q8: make([]int8, 16), q16: make([]int16, 8), thr: make([]int32, 4), mask: make([]byte, 4*scanChunk)}
+	screenBlocks(new(scanScratch), 0, 3, nil, 0) // no query rows
+	screenBlocks(s, 1, 1, nil, 0)                // no full block
+	screenBlocks(s, 1, 0, nil, 2)                // dim 0
+	// dim 0 as prepareScreen leaves it: no query bytes at all, two rows.
+	screenBlocks(&scanScratch{thr: make([]int32, 4), mask: make([]byte, 4*scanChunk)}, 2, 0, nil, 2)
 }
 
 // TestArenaEmitThresholds: the emit pass drops a row on one raw s < α
@@ -341,16 +367,22 @@ func arenaFromBytes(dim int, data []byte, maxRows int) (r vecRows, ref [][]float
 // selected kernel, a chunk at a time as scanAll does, and returns each query
 // row's mask bytes, one per block.
 func screenFlags(r *vecRows, qis []int, alpha float64) [][]byte {
-	nq := len(qis)
-	even := nq + nq&1
-	xq, mask := make([]float32, even*4*r.dim), make([]byte, even*scanChunk)
-	r.expand(qis, xq)
-	cut, flags := screenCut(alpha, r.dim), make([][]byte, nq)
-	for b, blocks := 0, len(r.tokens)/4; b < blocks; b += scanChunk {
-		nblk := min(scanChunk, blocks-b)
-		screenBlocks(xq, nq, r.dim, r.data[4*b*r.dim:], nblk, cut, mask)
+	nq, blocks := len(qis), len(r.tokens)/4
+	flags := make([][]byte, nq)
+	floor, ok := screenFloor(alpha, r.dim)
+	if !ok { // nothing is screened: every block is flagged
 		for g := range flags {
-			flags[g] = append(flags[g], mask[g*scanChunk:][:nblk]...)
+			flags[g] = bytes.Repeat([]byte{15}, blocks)
+		}
+		return flags
+	}
+	s := &scanScratch{mask: make([]byte, 4*((nq+3)/4)*scanChunk)}
+	r.prepareScreen(s, qis, floor)
+	for b := 0; b < blocks; b += scanChunk {
+		nblk := min(scanChunk, blocks-b)
+		r.screenChunk(s, nq, 4*b, nblk)
+		for g := range flags {
+			flags[g] = append(flags[g], s.mask[g*scanChunk:][:nblk]...)
 		}
 	}
 	return flags
@@ -411,28 +443,39 @@ func checkArenaBatch(t *testing.T, r *vecRows, ref [][]float32, qis []int, alpha
 	})
 }
 
-// TestScreenIsABound: the float32 screen may clear a row's bit only if the
-// row cannot reach α, on the fused, unfused and portable screens alike. The
-// rows that could catch it out are the ones whose exact score sits within a
-// few float32 ulps of α, where the float32 sum lands on either side: for
-// every stride 1–40 and 300 the fixture scales one component of a copy of
-// the query row until the pair scores 0.8, then steps that component ulp by
-// ulp, and screens at 0.8 and at the middle row's own score. Around them:
-// zero, off-stride, denormal, huge, ±Inf and NaN rows (the last three are
-// NaN rows once normalized, and as query rows score NaN against everything)
-// and a block of −q, which any screen worth running leaves unflagged.
+// TestScreenIsABound: the int8 screen may clear a row's bit only if the row
+// cannot reach α, on every screen kernel. The rows that could catch it out
+// are the ones whose exact score sits within a quantisation step (1/127) of
+// α, where the integer sum lands on either side of the threshold: for every
+// stride 1–40 and 300 the fixture scales one component of a copy of the
+// query row until the pair scores 0.8 + k/1016 for k = −8…8, steps that
+// component ulp by ulp around 0.8 itself, and screens at 0.8, at 1 and at
+// the middle row's own score. Around them: zero, off-stride, denormal, huge,
+// ±Inf and NaN rows (the last three are NaN rows once normalized, and as
+// query rows score NaN against everything) and a block of −q, which any
+// screen worth running leaves unflagged. Setting the slack to 0 fails it,
+// and so does leaving the +128·Σq̃ term out of the thresholds.
 func TestScreenIsABound(t *testing.T) {
-	// The cut itself: the float32 next below α − ε, never the one above.
-	for _, dim := range []int{0, 1, 32, 300, 1<<22 - 1} {
-		for _, alpha := range []float64{5e-324, 0.3, 0.8, 1} {
-			cut, c := screenCut(alpha, dim), alpha-float64(dim+4)/(1<<23)
-			if up := math.Nextafter32(cut, 2); !(float64(cut) <= c && float64(up) > c) {
-				t.Fatalf("screenCut(%v, %d) = %v, next float32 %v, want them around %v", alpha, dim, cut, up, c)
-			}
+	// The screen runs for α in (0, 1] at a stride whose sums fit int32.
+	for _, tc := range []struct {
+		alpha float64
+		dim   int
+		ok    bool
+	}{{0.8, 0, true}, {5e-324, 32, true}, {1, 66311, true}, {0.8, 66312, false}, {0, 32, false}, {-1, 32, false}, {math.NaN(), 32, false}} {
+		if _, ok := screenFloor(tc.alpha, tc.dim); ok != tc.ok {
+			t.Fatalf("screenFloor(%v, %d) runs the screen: %v, want %v", tc.alpha, tc.dim, ok, tc.ok)
 		}
 	}
-	if cut := screenCut(0.8, 1<<22); !math.IsInf(float64(cut), -1) {
-		t.Fatalf("screenCut at a stride the bound is not derived for = %v, want -Inf", cut)
+	// The slack of one global scale: 0.045 at dim 32, 0.141 at dim 300.
+	for _, tc := range []struct {
+		dim       int
+		slackLow  float64
+		slackHigh float64
+	}{{32, 0.045, 0.046}, {300, 0.141, 0.142}} {
+		floor, _ := screenFloor(1, tc.dim)
+		if slack := float64(127*127-floor) / (127 * 127); slack < tc.slackLow || slack > tc.slackHigh {
+			t.Fatalf("dim %d: slack %v, want it in [%v, %v]", tc.dim, slack, tc.slackLow, tc.slackHigh)
+		}
 	}
 	rng := rand.New(rand.NewSource(95))
 	const target, steps = 0.8, 8
@@ -453,13 +496,16 @@ func TestScreenIsABound(t *testing.T) {
 		}
 		refQ := normalizeCopy(q)
 		// The pair's score rises with the scale t up to t = 1: bisect.
-		lo, hi := -1e3, 1.0
-		for range 64 {
-			if mid := (lo + hi) / 2; sim.Dot(refQ, normalizeCopy(with(float32(mid)*q[c]))) < target {
-				lo = mid
-			} else {
-				hi = mid
+		scaleFor := func(score float64) float64 {
+			lo, hi := -1e3, 1.0
+			for range 64 {
+				if mid := (lo + hi) / 2; sim.Dot(refQ, normalizeCopy(with(float32(mid)*q[c]))) < score {
+					lo = mid
+				} else {
+					hi = mid
+				}
 			}
+			return hi
 		}
 		random := func() []float32 {
 			v := make([]float32, dim)
@@ -488,14 +534,18 @@ func TestScreenIsABound(t *testing.T) {
 			minusQ[j] = -q[j]
 		}
 		vecs = append(vecs, minusQ, minusQ, minusQ, minusQ)
-		near := len(vecs)
+		near, coarse := len(vecs), len(vecs)
 		if dim > 1 {
-			at := math.Float32bits(float32(hi) * q[c])
+			at := math.Float32bits(float32(scaleFor(target)) * q[c])
 			for k := -steps; k <= steps; k++ {
 				vecs = append(vecs, with(math.Float32frombits(uint32(int(at)+k))))
 			}
+			coarse = len(vecs)
+			for k := -steps; k <= steps; k++ {
+				vecs = append(vecs, with(float32(scaleFor(target+float64(k)/(8*127)))*q[c]))
+			}
 		}
-		for len(vecs) < near+40 {
+		for len(vecs) < coarse+2*steps+1+40 {
 			vecs = append(vecs, random())
 		}
 		var r vecRows
@@ -516,11 +566,12 @@ func TestScreenIsABound(t *testing.T) {
 		alphas := []float64{target, 1}
 		if dim > 1 {
 			// The fixture must do what it is for: a row a few float32 ulps
-			// below the target and one as close at or above it.
+			// below the target and one as close at or above it, and rows
+			// across a quantisation step on both sides.
 			mid := score[0][near+steps]
 			alphas = append(alphas, mid)
 			below, above := math.Inf(1), math.Inf(1)
-			for _, s := range score[0][near : near+2*steps+1] {
+			for _, s := range score[0][near:coarse] {
 				if s < target {
 					below = min(below, target-s)
 				} else {
@@ -529,6 +580,11 @@ func TestScreenIsABound(t *testing.T) {
 			}
 			if below > 4*ulp || above > 4*ulp {
 				t.Fatalf("dim=%d: nearest rows %.3g below and %.3g above α, want both within %.3g", dim, below, above, 4*ulp)
+			}
+			for k := -steps; k <= steps; k++ {
+				if s, want := score[0][coarse+k+steps], target+float64(k)/(8*127); math.Abs(s-want) > 1e-6 {
+					t.Fatalf("dim=%d: row %d scores %v, want %v", dim, k, s, want)
+				}
 			}
 		}
 		scanModes(func(mode string) {
@@ -542,6 +598,113 @@ func TestScreenIsABound(t *testing.T) {
 	}
 }
 
+// TestScreenKernelsAgree: the screen's sums are exact integers, so the VNNI
+// kernel, the AVX2 kernel and the portable loop must write the same mask
+// bytes — on random bytes and thresholds drawn around the true sums, so that
+// about half the bits are set, for 1–9 query rows (one to three quads, the
+// last one part filled), strides from one group to 75 (dim 300) and block
+// counts at every seam of the kernels' loops — and those bytes must be the
+// ones a per-row sum of the arena's bytes gives. Then, through screenChunk
+// on arenas of 0–15 rows past their last full 16-row block, every kernel
+// must flag exactly the rows whose per-row sum reaches the threshold, or
+// which hold a NaN.
+func TestScreenKernelsAgree(t *testing.T) {
+	type kernel struct {
+		name       string
+		avx2, vnni bool
+	}
+	kernels, names := []kernel{{"go", false, false}}, "go"
+	if useAVX2 {
+		kernels, names = append(kernels, kernel{"avx2", true, false}), names+" avx2"
+	}
+	if useVNNI {
+		kernels, names = append(kernels, kernel{"vnni", true, true}), names+" vnni"
+	}
+	t.Logf("screen kernels on this CPU: %s; scanAll runs %s", names, kernels[len(kernels)-1].name)
+	defer func(avx2, vnni bool) { useAVX2, useVNNI = avx2, vnni }(useAVX2, useVNNI)
+	rng := rand.New(rand.NewSource(96))
+	for _, groups := range []int{1, 2, 3, 8, 9, 75} {
+		for _, nblk := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16} {
+			for _, nq := range []int{1, 3, 4, 5, 9} {
+				quads := (nq + 3) / 4
+				q8, data := make([]int8, 16*groups*quads), make([]byte, 64*groups*nblk)
+				for i := range q8 {
+					if g := i % 16 / 4; g+4*(i/(16*groups)) < nq {
+						q8[i] = int8(rng.Intn(255) - 127)
+					}
+				}
+				rng.Read(data)
+				// The reference: each row's sum from its own bytes.
+				sum := func(g, row int) int32 {
+					var s int32
+					for k := 0; k < groups; k++ {
+						for e := 0; e < 4; e++ {
+							s += int32(data[64*groups*(row/16)+64*k+4*(row%16)+e]) * int32(q8[(g/4*groups+k)*16+4*(g%4)+e])
+						}
+					}
+					return s
+				}
+				thr := make([]int32, 4*quads)
+				for g := range thr {
+					thr[g] = math.MaxInt32
+					if g < nq && nblk > 0 {
+						thr[g] = sum(g, rng.Intn(16*nblk)) + int32(rng.Intn(3)) - 1
+					}
+				}
+				want := make([]byte, 4*quads*scanChunk)
+				for g := 0; g < 4*quads; g++ {
+					for row := 0; row < 16*nblk; row++ {
+						if sum(g, row) >= thr[g] {
+							want[g*scanChunk+row/4] |= 1 << (row % 4)
+						}
+					}
+				}
+				for _, k := range kernels {
+					useAVX2, useVNNI = k.avx2, k.vnni
+					s := &scanScratch{q8: q8, thr: thr, mask: make([]byte, 4*quads*scanChunk)}
+					s.pairWords(nq, groups)
+					screenBlocks(s, nq, groups, data, nblk)
+					if got := s.mask[:nq*scanChunk]; !bytes.Equal(got, want[:nq*scanChunk]) {
+						t.Fatalf("%s kernel, %d groups, %d blocks, %d query rows: masks\n%x\nwant\n%x", k.name, groups, nblk, nq, got, want[:nq*scanChunk])
+					}
+				}
+			}
+		}
+	}
+	for _, dim := range []int{1, 5, 32, 300} {
+		for _, nblk := range []int{0, 1, 4, 5, 16, 17} {
+			for tail := 0; tail < 16; tail++ {
+				n := 16*nblk + tail
+				if n == 0 {
+					continue
+				}
+				data := make([]byte, n*(dim+2))
+				rng.Read(data)
+				data[0] |= 2 // the first row sets the stride
+				r, _ := arenaFromBytes(dim, data, n)
+				qis := []int{rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n)}
+				for _, alpha := range []float64{0.01, 0.3, 0.8} {
+					floor, _ := screenFloor(alpha, dim)
+					s := &scanScratch{}
+					r.prepareScreen(s, qis, floor)
+					for _, k := range kernels {
+						useAVX2, useVNNI = k.avx2, k.vnni
+						for g, m := range screenFlags(&r, qis, alpha) {
+							for i := range 4 * len(m) {
+								_, nan := slices.BinarySearch(r.nan, int32(i))
+								flag := nan || r.rowSum(s.q8, g, i) >= s.thr[g]
+								if got := m[i/4]>>(i%4)&1 == 1; got != flag {
+									t.Fatalf("%s kernel, dim=%d n=%d α=%v: row %d against query row %d flagged %v, want %v", k.name, dim, n, alpha, i, g, got, flag)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // seq returns lo, lo+1, …, hi.
 func seq(lo, hi int) []int {
 	var out []int
@@ -552,19 +715,21 @@ func seq(lo, hi int) []int {
 }
 
 // TestArenaGroupKernel walks the group pass over its seams: every stride
-// from 1 to 40 (the odd ones end in the screen's 128-bit half step), block
-// counts that end in each of the screen's and the exact kernel's loops (none,
-// the one-block loops, the four- and eight-block loops with and without a
-// remainder), 0–3 rows in the partial last block, searches of one element
-// (beside the screen's zero row) up to two pairs and an odd row out, with
-// one row twice in the first pair, and every class of α — over rows that
-// hold zero, off-stride, denormal, huge, infinite and NaN components. The
-// screen's pair loops are held to checkScreen: a step that multiplies the
-// wrong expanded row into an accumulator clears bits it may not clear.
+// from 1 to 40 (those not a multiple of four end in a padded group of the
+// screen), block counts that end in each of the screen's and the exact
+// kernel's loops (none, the one-block loops, the four- and eight-block loops
+// with and without a remainder, and the 4-row blocks the screen takes row by
+// row after its last full 16-row block), 0–3 rows in the partial last
+// block, searches of one element up to a quad and an odd row out, with one
+// row twice in the first pair, and every class of α — over rows that hold
+// zero, off-stride, denormal, huge, infinite and NaN components. The
+// screen's quad and pair loops are held to checkScreen: a step that
+// multiplies the wrong query row into an accumulator clears bits it may not
+// clear.
 func TestArenaGroupKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for dim := 1; dim <= 40; dim++ {
-		for _, nblk := range []int{0, 1, 3, 4, 5, 8, 9, 13} {
+		for _, nblk := range []int{0, 1, 3, 4, 5, 8, 9, 13, 16, 21} {
 			for tail := 0; tail < 4; tail++ {
 				n := 4*nblk + tail
 				if n == 0 {
@@ -601,8 +766,10 @@ func TestArenaGroupKernel(t *testing.T) {
 // FuzzArenaScan: bytes → stride, rows (zero, off-stride, denormal, huge and
 // infinite components among ordinary ones), α and a search's query rows —
 // one to eight, one of them possibly twice; the group pass and the single
-// scan, on every kernel this CPU runs, and PairSim must equal per-pair
-// sim.Dot over normalizeCopy vectors.
+// scan, on every screen and exact kernel this CPU runs (scanModes: VNNI,
+// AVX2 and the portable screen; FMA, AVX and the portable exact loop), and
+// PairSim must equal per-pair sim.Dot over normalizeCopy vectors, with no
+// α-match behind a clear screen bit.
 func FuzzArenaScan(f *testing.F) {
 	f.Add([]byte{3, 128, 0, 2, 0x91, 0x92, 0x93, 2, 0x94, 0x95, 0x96, 0, 1, 0x90, 2, 0x21, 0x41, 0x9f})
 	f.Add([]byte{0, 0, 1, 2, 2, 1, 0x90, 2, 2, 2, 2, 2, 2, 2})
@@ -639,15 +806,16 @@ func FuzzArenaScan(f *testing.F) {
 // BenchmarkArenaScan measures the arena scan — every block screened, the
 // flagged ones scored, α-matches appended — per row and query element, at
 // the benchmark's search_small size (≈ 11k tokens, 32 dimensions), at a size
-// that fits L2 and at one that does not (40k rows, 5 MB: what the kernels'
-// prefetch is for): one probe at a time on the selected kernels, the unfused
-// ones and the portable loops, and the 168 elements of a search_large query
-// in one group pass. Among Gaussian rows no pair reaches 0.8, so those
-// arenas time the screen and an emit pass that finds each query row's own
-// block; the model arena has search_small's vocabulary shape — clusters of
-// 2–6 tokens, noise 0.07, in no particular order — and so the matches a
-// search retrieves. flagged/blk is the share of (query row, block) pairs the
-// screen hands to the exact kernel.
+// that fits L2 and at one that does not (40k rows, 5 MB: what the exact
+// kernels' prefetch is for): one probe at a time and the 168 elements of a
+// search_large query in one group pass, on each screen kernel this CPU has,
+// named after it, beside the exact kernel the CPU selected (the portable
+// screen beside the portable exact loop); -v logs both. Among Gaussian rows
+// no pair reaches 0.8, so those arenas time the screen and an emit pass
+// that finds each query row's own block; the model arena has search_small's
+// vocabulary shape — clusters of 2–6 tokens, noise 0.07, in no particular
+// order — and so the matches a search retrieves. flagged/blk is the share
+// of (query row, 4-row block) pairs the screen hands to the exact kernel.
 func BenchmarkArenaScan(b *testing.B) {
 	const dim = 32
 	type arena struct {
@@ -677,17 +845,18 @@ func BenchmarkArenaScan(b *testing.B) {
 		name, r := a.name, a.rows
 		n := len(r.tokens)
 		for _, mode := range []struct {
-			name     string
-			avx, fma bool
-			elems    int
-		}{{"kernel", true, true, 1}, {"unfused", true, false, 1}, {"portable", false, false, 1},
-			{"kernel-grouped", true, true, 168}, {"unfused-grouped", true, false, 168}, {"portable-grouped", false, false, 168}} {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				if mode.avx && !useAVX || mode.fma && !useFMA {
+			screen          string
+			vnni, avx2, avx bool
+			elems           int
+		}{{"vnni", true, true, true, 1}, {"avx2", false, true, true, 1}, {"portable", false, false, false, 1},
+			{"vnni-grouped", true, true, true, 168}, {"avx2-grouped", false, true, true, 168}, {"portable-grouped", false, false, false, 168}} {
+			b.Run(name+"/"+mode.screen, func(b *testing.B) {
+				if mode.vnni && !useVNNI || mode.avx2 && !useAVX2 || mode.avx && !useAVX {
 					b.Skip("not on this CPU")
 				}
-				defer func(avx, fma bool) { useAVX, useFMA = avx, fma }(useAVX, useFMA)
-				useAVX, useFMA = mode.avx, mode.fma
+				defer func(avx, avx2, vnni bool) { useAVX, useAVX2, useVNNI = avx, avx2, vnni }(useAVX, useAVX2, useVNNI)
+				useAVX, useAVX2, useVNNI = mode.avx, mode.avx2, mode.vnni
+				b.Log(kernelNames())
 				qis := make([]int, mode.elems)
 				bufs := make([][]Neighbor, mode.elems)
 				b.ResetTimer()
@@ -712,9 +881,11 @@ func BenchmarkArenaScan(b *testing.B) {
 
 // testVectorArenaGrowth: a scan that loaded a view keeps reading exactly
 // that view while Sync appends rows (and reallocates the arena) behind it.
-// The first view ends in a partial block (42 rows), so the rows Sync adds
-// next land in lanes of a block the old view still reads. The second half
-// does the same from concurrent goroutines, one row per Sync, for -race.
+// The first view ends in a partial 4-row block and a partial 16-row one (42
+// rows), so the rows Sync adds next land in lanes of a block the old view
+// still reads and in bytes of a screen block it screens row by row. The
+// second half does the same from concurrent goroutines, one row per Sync,
+// for -race.
 func testVectorArenaGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const n0, n1, dim = 42, 400, 16
