@@ -41,13 +41,6 @@ type Config struct {
 	// the reproducibility seed (default 1).
 	ChaosIters int
 	ChaosSeed  int64
-	// NoKernelFilters turns off the verification sandwich (DESIGN.md §12) —
-	// it sets core.Options.DisableSandwich and nothing else. Results are
-	// byte-identical; the escape hatch exists for A/B measurement. The scan
-	// admission filters of function sources stay on: their off switch,
-	// index SetKernelFilters(false), is an axis of the equivalence tests
-	// that no command reaches.
-	NoKernelFilters bool
 }
 
 func (c Config) withDefaults() Config {
@@ -199,11 +192,10 @@ func (r *Runner) bundleFor(kind datagen.Kind) *bundle {
 // optionally overridden.
 func (r *Runner) engineFor(b *bundle, override func(*core.Options)) *core.Engine {
 	opts := core.Options{
-		K:               r.cfg.K,
-		Alpha:           r.cfg.Alpha,
-		Partitions:      r.cfg.Partitions,
-		Workers:         r.cfg.Workers,
-		DisableSandwich: r.cfg.NoKernelFilters,
+		K:          r.cfg.K,
+		Alpha:      r.cfg.Alpha,
+		Partitions: r.cfg.Partitions,
+		Workers:    r.cfg.Workers,
 	}
 	if override != nil {
 		override(&opts)

@@ -278,11 +278,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
 			res := g.verifyGid(r.SetID, len(query), cache, theta, base, &sc.verify[0])
-			stats.HungarianIterations += res.Iterations
-			stats.VerifyCalls++
-			if res.Skipped {
-				stats.HungarianSkipped++
-			}
+			stats.countVerify(res)
 			stats.FinalizeEM++
 			results[i].Score = res.Score
 			results[i].Verified = true

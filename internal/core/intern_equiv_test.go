@@ -113,6 +113,7 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 			}
 			res := e.verify(query, cache, e.repo.Set(r.SetID), theta)
 			stats.HungarianIterations += res.Iterations
+			stats.VerifyCalls++
 			stats.FinalizeEM++
 			results[i].Score = res.Score
 			results[i].Verified = true
@@ -268,6 +269,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 
 	apply := func(sid int, res matching.Result) {
 		stats.HungarianIterations += res.Iterations
+		stats.VerifyCalls++
 		if res.Pruned {
 			stats.EMEarly++
 			lub.Remove(sid)
@@ -405,33 +407,9 @@ func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, c s
 	if theta != nil && !e.opts.DisableEarlyTerm {
 		bound = theta.Load
 	}
-	// Mirror of the engine's verification sandwich (verify.go): same maxima,
-	// same prune decisions, so EMEarly/EMFull accounting stays comparable
-	// bit for bit. The solver below is the dense reference, not the engine's
-	// sparse one.
-	var rowMax, colMax []float64
-	if !e.opts.DisableSandwich {
-		rowMax = make([]float64, len(rows))
-		colMax = make([]float64, len(cols))
-		colRows := make([][]int32, len(cols))
-		for j, ce := range cols {
-			adj := make([]int32, len(ce.edges))
-			for k, ed := range ce.edges {
-				r := rowOf[ed.qIdx]
-				adj[k] = int32(r)
-				if ed.sim > rowMax[r] {
-					rowMax[r] = ed.sim
-				}
-				if ed.sim > colMax[j] {
-					colMax[j] = ed.sim
-				}
-			}
-			colRows[j] = adj
-		}
-		if matching.SandwichPrune(rowMax, colMax, colRows, bound) {
-			return matching.Result{Pruned: true, Skipped: true}
-		}
-	}
+	// The dense reference decides every verification on its own: it shares
+	// no code with the engine's sparse solver, and both prune iff the
+	// optimum is below the bound, so EMEarly/EMFull must agree.
 	w := make([][]float64, len(rows))
 	for i := range w {
 		w[i] = make([]float64, len(cols))
@@ -477,7 +455,7 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 							qi, withExact, got, want)
 					}
 					if gs.Candidates != ws.Candidates || gs.IUBPruned != ws.IUBPruned ||
-						gs.EMEarly != ws.EMEarly || gs.EMFull != ws.EMFull ||
+						gs.EMEarly != ws.EMEarly || gs.EMFull != ws.EMFull || gs.VerifyCalls != ws.VerifyCalls ||
 						gs.NoEM != ws.NoEM || gs.StreamTuples != ws.StreamTuples {
 						t.Fatalf("query %d (exact=%v): stats diverge\ninterned: %+v\noracle:   %+v",
 							qi, withExact, gs, ws)

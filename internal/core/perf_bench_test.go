@@ -122,3 +122,24 @@ func BenchmarkEditSearch(b *testing.B) {
 		eng.Search(queries[i%len(queries)])
 	}
 }
+
+// BenchmarkVerifyLarge measures whole searches in the regime where
+// verification carries the most weight: the opendata shape at scale 0.1,
+// every set of 100–400 elements as a query (the benchmark's search_large
+// workload).
+func BenchmarkVerifyLarge(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.OpenData, 0.1)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	var queries [][]string
+	for _, s := range ds.Repo.Sets() {
+		if n := len(s.Elements); n >= 100 && n < 400 {
+			queries = append(queries, s.Elements)
+		}
+	}
+	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Search(queries[i%len(queries)])
+	}
+}

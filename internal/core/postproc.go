@@ -127,11 +127,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	}
 
 	apply := func(i int32, res matching.Result) {
-		stats.HungarianIterations += res.Iterations
-		stats.VerifyCalls++
-		if res.Skipped {
-			stats.HungarianSkipped++
-		}
+		stats.countVerify(res)
 		// A verified set leaves Lub: for good, or until refill finds that its
 		// exact score still belongs there (Alg. 2 lines 10–15).
 		j, _ := slices.BinarySearch(lub, i)

@@ -139,7 +139,8 @@ func TestRefinerScratchReuse(t *testing.T) {
 
 		// A warm search of 100 elements carves its two words of query masks
 		// per set from the pooled arena as well: nothing regrows, and the
-		// masks are there, in the scratch.
+		// masks are there, in the scratch. As above, a round counts only if
+		// the scratch measured had already served a 100-element search.
 		wide := sets.Dedup(big)[:100]
 		for round := 0; ; round++ {
 			if round == 100 {
@@ -148,12 +149,13 @@ func TestRefinerScratchReuse(t *testing.T) {
 			warm.Search(wide)
 			sc := warm.getScratch()
 			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
+			used := cap(sc.refine.qBits) >= 2*ds.Repo.Len()
 			warm.scratch.Put(sc)
 			warm.Search(wide)
 			again := warm.getScratch()
 			after := scratchFootprint("scratch", reflect.ValueOf(again), nil)
 			warm.scratch.Put(again)
-			if again != sc {
+			if !used || again != sc {
 				continue
 			}
 			if n := len(again.refine.qBits); n != 2*ds.Repo.Len() {

@@ -16,6 +16,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/matching"
 )
 
 // Options configure a search. The zero value is completed by withDefaults:
@@ -58,11 +60,6 @@ type Options struct {
 	// Default 256. Tests randomize it to force cuts at arbitrary stream
 	// prefixes.
 	LazyBlock int
-	// DisableSandwich turns off the verification sandwich (DESIGN.md §12):
-	// the row/column-maximum UB prune that rejects many candidates without
-	// running the matching solver. Results are byte-identical either way;
-	// the knob is the A/B axis for benchmarks and equivalence tests.
-	DisableSandwich bool
 }
 
 // WithDefaults returns the options with zero values replaced by the
@@ -147,9 +144,14 @@ type Stats struct {
 	// matchings; the name predates the sparse verifier.
 	HungarianIterations int
 	// VerifyCalls counts exact-verification calls (post-processing plus
-	// finalization), and HungarianSkipped how many of them the sandwich's
-	// UB prune rejected without running the solver (DESIGN.md §12). Their
-	// ratio is matching.hungarian_skipped_frac in a traced benchmark run.
+	// finalization), and HungarianSkipped how many of them the solver
+	// settled at its entry check, before any augmentation: Σ rowMax was
+	// already below θlb. The iUB filter prunes on a bound no larger than
+	// that sum (DESIGN.md §2), so the entry check fires only when θlb rose
+	// after a survivor left refinement. The ratio of the two,
+	// matching.hungarian_skipped_frac in a traced benchmark run, reads
+	// about 0 (0 entry prunes on each of the four workloads), and the
+	// probe may be dropped (ROADMAP 1(a)).
 	VerifyCalls      int
 	HungarianSkipped int
 	// Segments is the number of repository segments the search snapshot
@@ -176,6 +178,15 @@ func (s *Stats) TotalBytes() int64 {
 
 // ResponseTime is the total query wall time across phases.
 func (s *Stats) ResponseTime() time.Duration { return s.RefineTime + s.PostprocTime }
+
+// countVerify accounts one exact verification.
+func (s *Stats) countVerify(res matching.Result) {
+	s.VerifyCalls++
+	s.HungarianIterations += res.Iterations
+	if res.Pruned && res.Iterations == 0 {
+		s.HungarianSkipped++
+	}
+}
 
 func (s *Stats) add(o *Stats) {
 	s.Candidates += o.Candidates

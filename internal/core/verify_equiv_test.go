@@ -11,8 +11,9 @@ import (
 )
 
 // TestVerifyMatchesDenseReference intercepts every verification the engine
-// runs and re-solves it with the dense Hungarian on the densified α-graph
-// under the bound as it stands when the engine's solver returns. With one
+// runs — each one a SparseSolver verdict, the engine's only verifier — and
+// re-solves it with the dense Hungarian on the densified α-graph under the
+// bound as it stands when the engine's solver returns. With one
 // worker the bound cannot move during a verification, so the verdicts must
 // be equal; with several it can only rise, so an engine prune must still be
 // a dense prune (the converse may lag a concurrent θlb update). A completed

@@ -27,11 +27,10 @@ type Result struct {
 	// supplied by the caller. Score and Match are meaningless when set.
 	Pruned bool
 	// Iterations counts augmentation phases, exposed for the bench harness
-	// to quantify how much work early termination saves.
+	// to quantify how much work early termination saves. A Pruned result
+	// with Iterations == 0 was settled at the entry check: the initial dual
+	// sum, Σ rowMax, was already below the bound.
 	Iterations int
-	// Skipped reports that the verdict came from SandwichPrune without
-	// running a solver; it is the verdict the solver would have returned.
-	Skipped bool
 }
 
 // Hungarian computes a maximum-weight optional matching of the dense weight

@@ -225,6 +225,42 @@ func TestSparseAgainstHungarian(t *testing.T) {
 	}
 }
 
+// TestSparseEntryPrune pins the entry check, the verdict the engine counts
+// as Stats.HungarianSkipped: a bound just above Σ rowMax + BoundEps prunes
+// before any augmentation (Pruned, Iterations == 0), one just below it does
+// not prune there, and a nil bound never prunes.
+func TestSparseEntryPrune(t *testing.T) {
+	// Far above the rounding of Σ rowMax ± BoundEps at these sizes (a few
+	// ulps of 80), far below BoundEps.
+	const margin = 1e-12
+	rng := rand.New(rand.NewSource(71))
+	var s SparseSolver
+	for trial := 0; trial < 400; trial++ {
+		w := sparseInstance(rng, 8+72*(trial%2))
+		rows, cols, edges := len(w), width(w), edgesOf(w)
+		rowMaxSum := 0.0
+		for _, row := range w {
+			best := 0.0
+			for _, v := range row {
+				best = max(best, v)
+			}
+			rowMaxSum += best
+		}
+		above := rowMaxSum + BoundEps + margin
+		if res := s.Solve(rows, cols, edges, func() float64 { return above }); !res.Pruned || res.Iterations != 0 {
+			t.Fatalf("trial %d: bound %v above Σ rowMax %v + BoundEps: Pruned=%v after %d iterations, want an entry prune",
+				trial, above, rowMaxSum, res.Pruned, res.Iterations)
+		}
+		below := rowMaxSum + BoundEps - margin
+		if res := s.Solve(rows, cols, edges, func() float64 { return below }); res.Pruned && res.Iterations == 0 {
+			t.Fatalf("trial %d: bound %v below Σ rowMax %v + BoundEps pruned at entry", trial, below, rowMaxSum)
+		}
+		if res := s.Solve(rows, cols, edges, nil); res.Pruned {
+			t.Fatalf("trial %d: pruned without a bound", trial)
+		}
+	}
+}
+
 // FuzzSparseBounded decodes bytes into a sparse instance and a bound and
 // holds it to checkSparse. Layout: rows, cols, bound (in 1/16ths), then one
 // byte per cell — low two bits 0 means no edge, the rest picks one of 16
