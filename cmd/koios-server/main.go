@@ -26,18 +26,16 @@
 // flags set the quota applied to collections created without one
 // (0 = unlimited); -shed-p99 adds latency-driven load shedding.
 //
-// Background scheduling & fairness (DESIGN.md §15): -bg-workers > 0 moves
-// every collection's compactions and checkpoints into one coordinated
-// scheduler — at most that many background ops run at once across the
-// whole process, shared by weighted fair scheduling (collection quota
-// weights, -default-weight for the rest), with retry-with-backoff on
-// failures and deferral while search latency is blown. Search admission
-// then also runs deficit-round-robin weighted fair queueing across
-// collections, and a collection whose maintenance backlog crosses the
-// -slowdown-sealed / -stall-sealed (or WAL-volume) thresholds has inserts
-// refused with a typed 503 maintenance_backlog + Retry-After instead of
-// silently slowing down. With -bg-workers 0 (the default) nothing
-// changes: collections self-maintain and writes never stall.
+// Background scheduling & fairness (DESIGN.md §15): every collection's
+// compactions and checkpoints run in one coordinated scheduler — at most
+// -bg-workers background ops at once across the whole process, shared by
+// weighted fair scheduling (collection quota weights, -default-weight for
+// the rest), with retry-with-backoff on failures and deferral while search
+// latency is blown. Search admission runs deficit-round-robin weighted fair
+// queueing across collections, and a collection whose maintenance backlog
+// crosses the -slowdown-sealed / -stall-sealed (or WAL-volume) thresholds
+// has inserts refused with a typed 503 maintenance_backlog + Retry-After
+// instead of silently slowing down.
 //
 //	koios-server -dataset opendata -scale 0.1 -addr :7411
 //	koios-server -data wdc.koios.gz -addr :7411
@@ -97,7 +95,7 @@ func main() {
 		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
 		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
 		seal     = flag.Int("seal", 256, "memtable sets buffered before sealing a segment")
-		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before compaction")
+		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before the scheduler compacts a collection")
 		maxQueue = flag.Int("max-queue", 0, "worker-pool queue depth beyond which searches are shed with 429 (0 = 8 × search workers)")
 		shedP99  = flag.Duration("shed-p99", 0, "shed new searches with 429 while the recent p99 latency exceeds this and queries are queueing (0 = disabled)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
@@ -109,10 +107,10 @@ func main() {
 		defMaxInFlight = flag.Int64("default-max-inflight", 0, "default per-collection concurrent-search cap (0 = unlimited)")
 		defWeight      = flag.Int("default-weight", 0, "default per-collection fair-share weight for search scheduling and background maintenance (0 = 1)")
 
-		bgWorkers     = flag.Int("bg-workers", 0, "background maintenance workers shared across ALL collections: compactions and checkpoints run through one coordinated scheduler with weighted fair sharing and write stalls (0 = legacy per-collection self-maintenance, writes never stall)")
-		checkpointWAL = flag.Int64("checkpoint-wal", 0, "un-checkpointed WAL bytes at which the scheduler checkpoints a collection (0 = 1 MiB; needs -bg-workers)")
-		slowSealed    = flag.Int("slowdown-sealed", 0, "sealed segments at which a collection's inserts start being refused with 503 maintenance_backlog (0 = 4 × -max-segments; needs -bg-workers)")
-		stallSealed   = flag.Int("stall-sealed", 0, "sealed segments at which a collection's inserts are fully stalled until maintenance drains (0 = 8 × -max-segments; needs -bg-workers)")
+		bgWorkers     = flag.Int("bg-workers", 0, "background maintenance workers shared across ALL collections: the one scheduler that runs every compaction and checkpoint, with weighted fair sharing and write stalls (0 = the scheduler's default, 2)")
+		checkpointWAL = flag.Int64("checkpoint-wal", 0, "un-checkpointed WAL bytes at which the scheduler checkpoints a collection (0 = 1 MiB)")
+		slowSealed    = flag.Int("slowdown-sealed", 0, "sealed segments at which a collection's inserts start being refused with 503 maintenance_backlog (0 = 4 × -max-segments)")
+		stallSealed   = flag.Int("stall-sealed", 0, "sealed segments at which a collection's inserts are fully stalled until maintenance drains (0 = 8 × -max-segments)")
 	)
 	flag.Parse()
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -74,7 +75,7 @@ func (r *Runner) chaosServingSmoke() error {
 	build := func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
 	}
-	scfg := segment.Config{SealThreshold: 100, MaxSegments: 99, ForegroundCompaction: true, SyncWAL: true}
+	scfg := segment.Config{SealThreshold: 100, MaxSegments: 99, SyncWAL: true}
 
 	// Checkpoint half the rows into a segment file, keep the rest in the
 	// WAL, then flip a bit in the segment: the reopened manager must serve
@@ -116,18 +117,18 @@ func (r *Runner) chaosServingSmoke() error {
 		return err
 	}
 
-	m, err = segment.Open(dir, nil, build, opts, scfg)
+	reg, err := collection.OpenRegistry(dir, nil, collection.Config{Build: build, Opts: opts, SegCfg: scfg})
 	if err != nil {
 		return fmt.Errorf("reopen over corruption must degrade, not fail: %w", err)
 	}
-	defer m.Close()
+	defer reg.Close()
 
 	scfgSrv := server.Config{SearchWorkers: 1, MaxQueueDepth: 1}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: server.New(m, scfgSrv)}
+	hs := &http.Server{Handler: server.NewRegistry(reg, scfgSrv)}
 	go hs.Serve(ln)
 	defer hs.Close()
 	c := server.NewClient("http://"+ln.Addr().String(), nil)

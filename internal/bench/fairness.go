@@ -71,8 +71,8 @@ func (r *Runner) fairnessOpts() core.Options {
 func (r *Runner) fairnessQueryFlood(b *bundle) error {
 	reg := collection.NewRegistry(nil, collection.Config{
 		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
-		SegCfg: segment.Config{ForegroundCompaction: true},
 	})
+	defer reg.Close()
 	srv := server.NewRegistry(reg, server.Config{
 		SearchWorkers: 2,
 		QueryTimeout:  30 * time.Second,
@@ -171,13 +171,12 @@ func (r *Runner) fairnessQueryFlood(b *bundle) error {
 func (r *Runner) fairnessWriteStall(b *bundle) error {
 	reg := collection.NewRegistry(nil, collection.Config{
 		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
-		SegCfg: segment.Config{SealThreshold: 1},
+		SegCfg: segment.Config{SealThreshold: 1, MaxSegments: 2},
 		Maintenance: collection.MaintenanceConfig{
-			Workers:         1,
-			CompactSegments: 2,
-			SlowdownSealed:  3,
-			StallSealed:     6,
-			Poll:            250 * time.Millisecond,
+			Workers:        1,
+			SlowdownSealed: 3,
+			StallSealed:    6,
+			Poll:           250 * time.Millisecond,
 		},
 	})
 	defer reg.Close()
@@ -263,13 +262,12 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 	ffs := store.NewFaultFS(nil)
 	reg, err := collection.OpenRegistry(dir, nil, collection.Config{
 		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
-		SegCfg: segment.Config{SealThreshold: 1, FS: ffs},
+		SegCfg: segment.Config{SealThreshold: 1, MaxSegments: 2, FS: ffs},
 		Maintenance: collection.MaintenanceConfig{
-			Workers:         1,
-			CompactSegments: 2,
-			Poll:            10 * time.Millisecond,
-			BaseBackoff:     5 * time.Millisecond,
-			MaxBackoff:      50 * time.Millisecond,
+			Workers:     1,
+			Poll:        10 * time.Millisecond,
+			BaseBackoff: 5 * time.Millisecond,
+			MaxBackoff:  50 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -22,27 +23,34 @@ import (
 // latencies, then with concurrent readers against one writer for wall-clock
 // throughput under contention. Segment layout (seals, compactions,
 // tombstones) is reported alongside, since it is what the mutation path
-// pays for read amplification.
+// pays for read amplification. Compactions are the maintenance scheduler's,
+// as in a served collection.
 func (r *Runner) MixedWorkload() {
 	r.header("Mixed read/write workload (segmented engine)")
 	for _, kind := range []datagen.Kind{datagen.Twitter, datagen.OpenData} {
 		b := r.bundleFor(kind)
 		all := b.ds.Repo.Sets()
 		nSeed := len(all) * 7 / 10
-		mk := func() *segment.Manager {
-			return segment.NewManager(all[:nSeed], func(dict *sets.Dictionary) index.NeighborSource {
-				return index.NewDynamicExact(dict, b.ds.Model.Vector)
-			}, core.Options{
-				K:          r.cfg.K,
-				Alpha:      r.cfg.Alpha,
-				Partitions: r.cfg.Partitions,
-				Workers:    r.cfg.Workers,
-			}.WithDefaults(), segment.Config{SealThreshold: 64, MaxSegments: 4, ForegroundCompaction: true})
+		mk := func() (*collection.Registry, *segment.Manager) {
+			reg := collection.NewRegistry(all[:nSeed], collection.Config{
+				Build: func(dict *sets.Dictionary) index.NeighborSource {
+					return index.NewDynamicExact(dict, b.ds.Model.Vector)
+				},
+				Opts: core.Options{
+					K:          r.cfg.K,
+					Alpha:      r.cfg.Alpha,
+					Partitions: r.cfg.Partitions,
+					Workers:    r.cfg.Workers,
+				}.WithDefaults(),
+				SegCfg: segment.Config{SealThreshold: 64, MaxSegments: 4},
+			})
+			return reg, reg.Default().Manager()
 		}
 
 		// Phase 1: sequential op mix — 70% search, 15% insert, 10%
 		// replace, 5% delete, fully deterministic.
-		m := mk()
+		reg, m := mk()
+		defer reg.Close()
 		queries := b.bench.Queries
 		ops := 4 * len(queries)
 		if ops > 400 {
@@ -97,7 +105,8 @@ func (r *Runner) MixedWorkload() {
 
 		// Phase 2: concurrent — 4 readers spin against 1 writer replaying
 		// the same mutation mix; throughput is wall-clock ops/s.
-		m = mk()
+		reg, m = mk()
+		defer reg.Close()
 		var stop atomic.Bool
 		var reads atomic.Int64
 		var wg sync.WaitGroup

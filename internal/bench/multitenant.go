@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/segment"
 	"repro/internal/server"
 	"repro/internal/sets"
 )
@@ -39,9 +38,9 @@ func (r *Runner) MultiTenant() error {
 		},
 		// Serving configuration (see managerFor): concurrency comes from
 		// the pool, and the HTTP layer requires exact scores.
-		Opts:   core.Options{K: r.cfg.K, Alpha: r.cfg.Alpha, Partitions: 1, Workers: 1, ExactScores: true}.WithDefaults(),
-		SegCfg: segment.Config{ForegroundCompaction: true},
+		Opts: core.Options{K: r.cfg.K, Alpha: r.cfg.Alpha, Partitions: 1, Workers: 1, ExactScores: true}.WithDefaults(),
 	})
+	defer reg.Close()
 	srv := server.NewRegistry(reg, server.Config{
 		SearchWorkers: 2,
 		QueryTimeout:  30 * time.Second,

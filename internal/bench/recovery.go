@@ -54,7 +54,7 @@ func (r *Runner) RecoveryWorkload() {
 		// initial checkpoint (segment snapshot + dictionary + manifest).
 		start := time.Now()
 		m, err := segment.Open(dir, all[:nSeed], build, opts,
-			segment.Config{SealThreshold: 64, MaxSegments: 4, ForegroundCompaction: true})
+			segment.Config{SealThreshold: 64, MaxSegments: 4})
 		if fail("seed open", err) {
 			return
 		}
@@ -92,7 +92,7 @@ func (r *Runner) RecoveryWorkload() {
 		}
 		start = time.Now()
 		m, err = segment.Open(dir, nil, build, opts,
-			segment.Config{SealThreshold: 1 << 20, MaxSegments: 4, ForegroundCompaction: true})
+			segment.Config{SealThreshold: 1 << 20, MaxSegments: 4})
 		if fail("clean reopen", err) {
 			return
 		}
@@ -117,7 +117,7 @@ func (r *Runner) RecoveryWorkload() {
 		}
 		start = time.Now()
 		m2, err := segment.Open(dir, nil, build, opts,
-			segment.Config{SealThreshold: 64, MaxSegments: 4, ForegroundCompaction: true})
+			segment.Config{SealThreshold: 64, MaxSegments: 4})
 		if fail("crash reopen", err) {
 			return
 		}

@@ -57,7 +57,7 @@ func (r *Runner) managerFor(b *bundle) *segment.Manager {
 		Alpha:      r.cfg.Alpha,
 		Partitions: 1,
 		Workers:    1,
-	}.WithDefaults(), segment.Config{ForegroundCompaction: true})
+	}.WithDefaults(), segment.Config{})
 }
 
 // benchQueries extracts the element slices of the bundle's benchmark.

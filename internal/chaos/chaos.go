@@ -254,11 +254,10 @@ func (h *harness) script(rng *rand.Rand) []op {
 
 func (h *harness) config(rng *rand.Rand, fsys store.FS) segment.Config {
 	return segment.Config{
-		SealThreshold:        3 + rng.Intn(6),
-		MaxSegments:          2,
-		ForegroundCompaction: true, // deterministic op counts; no goroutines to abandon
-		SyncWAL:              rng.Intn(2) == 0,
-		FS:                   fsys,
+		SealThreshold: 3 + rng.Intn(6),
+		MaxSegments:   2,
+		SyncWAL:       rng.Intn(2) == 0,
+		FS:            fsys,
 	}
 }
 
@@ -357,8 +356,8 @@ func (h *harness) crashIteration(rng *rand.Rand) error {
 	var acked []op
 	if m, err := segment.Open(dir, nil, h.builder(), h.opts, cfg); err == nil {
 		acked = runScript(m, ops)
-		// No Close: the process just died. (Foreground compaction means no
-		// goroutines are left behind.)
+		// No Close: the process just died. (A bare manager runs nothing in
+		// the background, so nothing is left behind.)
 	}
 
 	want := newOracle()
@@ -441,8 +440,8 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 	if rng.Intn(2) == 0 {
 		m.Close() // clean shutdown: checkpointed state, empty WAL
 	}
-	// else: abandon with records still in the WAL (foreground compaction —
-	// no goroutines behind).
+	// else: abandon with records still in the WAL (nothing runs in the
+	// background).
 
 	man, err := store.LoadManifest(store.OS, dir)
 	if err != nil || man == nil {

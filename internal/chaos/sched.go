@@ -1,14 +1,14 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"syscall"
 	"time"
 
-	"syscall"
-
+	"repro/internal/collection"
 	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/store"
@@ -18,14 +18,16 @@ import (
 // momentarily full disk.
 var errNoSpace error = syscall.ENOSPC
 
-// Scheduler-fault mode (ISSUE 10 satellite): maintenance moved out of the
-// write path and into the coordinated scheduler, so the scheduler's
-// retry-with-backoff loop is now load-bearing for durability — a compaction
-// or checkpoint that fails transiently (ENOSPC, a flaky write) must be
-// retried until the backlog drains, and the drained state must be
-// byte-identical to the acknowledged operations. schedIteration injects
-// one-shot faults that fire only during scheduler-driven background ops
-// (the foreground script runs before any fault is armed) and asserts:
+// Scheduler-fault mode: the coordinated scheduler is the only thing that
+// compacts or checkpoints a collection, so its retry-with-backoff loop is
+// load-bearing for durability — a compaction or checkpoint that fails
+// transiently (ENOSPC, a flaky write) must be retried until the backlog
+// drains, and the drained state must be byte-identical to the acknowledged
+// operations. schedIteration drives a registry — the collection layer's own
+// maintenance policy, not a copy of it — and injects one-shot faults that
+// fire only during scheduler-driven background ops (the foreground script
+// runs while the scheduler is paused and before any fault is armed). It
+// asserts:
 //
 //   - the scheduler observed at least one failure and retried it
 //     (Stats().RetriesTotal > 0),
@@ -33,37 +35,6 @@ var errNoSpace error = syscall.ENOSPC
 //   - the converged state and a subsequent clean reopen both match the
 //     oracle exactly, with no degraded flag — transient background
 //     failures must never corrupt or silently lose acknowledged writes.
-
-// schedTarget adapts one manager to sched.Target with a minimal policy:
-// compact past a sealed-segment bound, otherwise checkpoint any WAL bytes,
-// memtable rows, or unpersisted segments. Score is zero exactly when Run
-// has nothing to do, so a drained backlog quiesces the scheduler.
-type schedTarget struct {
-	m         *segment.Manager
-	compactAt int
-}
-
-func (t *schedTarget) Score() float64 {
-	d := t.m.MaintenanceDebt()
-	var s float64
-	if d.SealedSegments > t.compactAt {
-		s += float64(d.SealedSegments - t.compactAt)
-	}
-	if d.WALBytes > 0 || d.MemtableSets > 0 || d.UnpersistedSegments > 0 {
-		s++
-	}
-	return s
-}
-
-func (t *schedTarget) Run(context.Context) error {
-	d := t.m.MaintenanceDebt()
-	if d.SealedSegments > t.compactAt {
-		return t.m.Compact()
-	}
-	return t.m.Checkpoint()
-}
-
-func (t *schedTarget) drained() bool { return t.Score() == 0 }
 
 // schedIteration runs one scheduler-fault injection round.
 func (h *harness) schedIteration(rng *rand.Rand) error {
@@ -75,24 +46,48 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 
 	ffs := store.NewFaultFS(nil)
 	cfg := h.config(rng, ffs)
-	cfg.ExternalMaintenance = true // debt accrues for the scheduler, not the write path
-	m, err := segment.Open(dir, nil, h.builder(), h.opts, cfg)
+	reg, err := collection.OpenRegistry(dir, nil, collection.Config{
+		Build:  h.builder(),
+		Opts:   h.opts,
+		SegCfg: cfg,
+		Maintenance: collection.MaintenanceConfig{
+			Workers: 1 + rng.Intn(2),
+			// Every logged byte is debt, so a drained backlog is a fully
+			// persisted collection.
+			CheckpointWALBytes: 1,
+			// No write stalls and no urgency: while the load probe below
+			// pauses the scheduler, nothing it owns may run.
+			SlowdownSealed:   1 << 30,
+			SlowdownWALBytes: 1 << 50,
+			UrgentScore:      math.Inf(1),
+			BaseBackoff:      time.Millisecond,
+			MaxBackoff:       10 * time.Millisecond,
+			Poll:             2 * time.Millisecond,
+			Seed:             rng.Int63(),
+		},
+	})
 	if err != nil {
 		return fmt.Errorf("clean open: %w", err)
 	}
+	defer reg.Close()
+	s := reg.Scheduler()
+	s.SetLoadProbe(func() bool { return true })
+	c := reg.Default()
+	m := c.Manager()
 
-	// Foreground phase, fault-free: only inserts and deletes — maintenance
-	// is the scheduler's job now. Everything is acked.
+	// Foreground phase, fault-free and with the scheduler paused: only
+	// inserts and deletes — maintenance is the scheduler's job. Everything
+	// is acked.
 	want := newOracle()
 	for _, p := range h.script(rng) {
 		switch p.kind {
 		case opInsert:
-			if _, err := m.Insert(p.name, p.elems); err != nil {
+			if _, err := c.Insert(p.name, p.elems); err != nil {
 				return fmt.Errorf("foreground insert: %w", err)
 			}
 			want.apply(p)
 		case opDelete:
-			if _, err := m.Delete(p.name); err != nil {
+			if _, err := c.Delete(p.name); err != nil {
 				return fmt.Errorf("foreground delete: %w", err)
 			}
 			want.apply(p)
@@ -115,28 +110,17 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 		}
 		ffs.Inject(f)
 	}
-
-	target := &schedTarget{m: m, compactAt: 1 + rng.Intn(3)}
-	s := sched.New(sched.Config{
-		Workers:     1 + rng.Intn(2),
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Poll:        2 * time.Millisecond,
-		Seed:        rng.Int63(),
-	})
-	s.Register("chaos", 1, target)
+	s.SetLoadProbe(nil)
 	s.Notify()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for !target.drained() {
+	for !drained(s.Stats()) {
 		if time.Now().After(deadline) {
-			s.Stop()
 			return fmt.Errorf("scheduler never drained the backlog (debt %+v, stats %+v)",
 				m.MaintenanceDebt(), s.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s.Stop()
 
 	st := s.Stats()
 	if ffs.Fired() == 0 {
@@ -155,7 +139,7 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	}
 	// Close may trip a still-armed fault; recovery below must absorb that
 	// exactly like a crash mid-checkpoint.
-	_ = m.Close()
+	_ = reg.Close()
 
 	// Clean reopen: the converged state must survive restart byte-identically.
 	cleanCfg := cfg
@@ -176,4 +160,10 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	}
 	h.rep.FullRecoveries++
 	return nil
+}
+
+// drained reports whether the one tenant owes no maintenance by the
+// registry's policy and none is running.
+func drained(st sched.Stats) bool {
+	return st.Running == 0 && len(st.Tenants) == 1 && st.Tenants[0].Score == 0
 }

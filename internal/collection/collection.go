@@ -148,10 +148,9 @@ type Collection struct {
 	slowed      atomic.Int64
 	stalls      atomic.Int64
 
-	// maint points at the registry's resolved maintenance policy (nil on
-	// registries without coordinated maintenance); slowCredit is the
-	// slowdown band's deterministic admission accumulator, guarded by
-	// writeMu like the rest of the write-path state.
+	// maint points at the registry's resolved maintenance policy;
+	// slowCredit is the slowdown band's deterministic admission
+	// accumulator, guarded by writeMu like the rest of the write-path state.
 	maint      *MaintenanceConfig
 	slowCredit float64
 

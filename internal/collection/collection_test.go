@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/segment"
 	"repro/internal/sets"
 )
 
@@ -18,8 +17,7 @@ func testConfig() Config {
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicFunc(dict, eqSim{})
 		},
-		Opts:   core.Options{K: 5, Alpha: 0.8, ExactScores: true}.WithDefaults(),
-		SegCfg: segment.Config{ForegroundCompaction: true},
+		Opts: core.Options{K: 5, Alpha: 0.8, ExactScores: true}.WithDefaults(),
 	}
 }
 

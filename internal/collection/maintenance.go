@@ -9,20 +9,17 @@ import (
 
 // MaintenanceConfig is the registry-wide maintenance policy (DESIGN.md
 // §15): when the coordinated scheduler runs a tenant's compactions and
-// checkpoints, and at what backlog the write path degrades. Workers == 0
-// disables the scheduler entirely — every collection keeps the legacy
-// self-driven maintenance of its segment.Config, and writes never slow or
-// stall. That zero value is the compatibility lever: nothing changes for
-// existing callers unless they opt in.
+// checkpoints, and at what backlog the write path degrades. Every registry
+// runs the scheduler (managers never maintain themselves), so the zero
+// value is a working policy: sched.Config's default worker count, a
+// compaction once more than segment.Config.MaxSegments segments are sealed,
+// and the bounds below at their defaults.
 type MaintenanceConfig struct {
 	// Workers is the global cap on concurrently running background ops
-	// across ALL collections (the scheduler's K). 0 disables coordinated
-	// maintenance.
+	// across ALL collections (the scheduler's K). 0 = sched.Config's
+	// default.
 	Workers int
 
-	// CompactSegments is the sealed-segment count above which a tenant's
-	// maintenance round compacts. Default: SegCfg.MaxSegments, else 4.
-	CompactSegments int
 	// CheckpointWALBytes is the un-checkpointed WAL volume at which a
 	// maintenance round checkpoints. Checkpoints seal the memtable, so this
 	// must be coarse enough not to shatter the store into one-set segments.
@@ -35,7 +32,7 @@ type MaintenanceConfig struct {
 	// is invisible latency, a 503 with Retry-After is an honest signal the
 	// client can act on); at the stall bound every insert is refused until
 	// maintenance drains the backlog. Defaults: slowdown at 4× / stall at
-	// 8× CompactSegments, and 8× / 16× CheckpointWALBytes.
+	// 8× segment.Config.MaxSegments, and 8× / 16× CheckpointWALBytes.
 	SlowdownSealed   int
 	StallSealed      int
 	SlowdownWALBytes int64
@@ -49,27 +46,23 @@ type MaintenanceConfig struct {
 	Poll        time.Duration
 	UrgentScore float64
 	Seed        int64
-}
 
-// Enabled reports whether coordinated maintenance is on.
-func (mc MaintenanceConfig) Enabled() bool { return mc.Workers > 0 }
+	// maxSegments is the compaction bound, segment.Config.MaxSegments with
+	// its default applied.
+	maxSegments int
+}
 
 // withDefaults resolves the policy against the registry's segment config.
 func (mc MaintenanceConfig) withDefaults(segCfg segment.Config) MaintenanceConfig {
-	if mc.CompactSegments <= 0 {
-		mc.CompactSegments = segCfg.MaxSegments
-	}
-	if mc.CompactSegments <= 0 {
-		mc.CompactSegments = 4
-	}
+	mc.maxSegments = segCfg.WithDefaults().MaxSegments
 	if mc.CheckpointWALBytes <= 0 {
 		mc.CheckpointWALBytes = 1 << 20
 	}
 	if mc.SlowdownSealed <= 0 {
-		mc.SlowdownSealed = 4 * mc.CompactSegments
+		mc.SlowdownSealed = 4 * mc.maxSegments
 	}
 	if mc.StallSealed <= 0 {
-		mc.StallSealed = 8 * mc.CompactSegments
+		mc.StallSealed = 8 * mc.maxSegments
 	}
 	if mc.StallSealed <= mc.SlowdownSealed {
 		mc.StallSealed = mc.SlowdownSealed + 1
@@ -105,8 +98,8 @@ type maintTarget struct {
 func (t *maintTarget) Score() float64 {
 	d := t.col.mgr.MaintenanceDebt()
 	var s float64
-	if d.SealedSegments > t.cfg.CompactSegments {
-		s += float64(d.SealedSegments - t.cfg.CompactSegments)
+	if d.SealedSegments > t.cfg.maxSegments {
+		s += float64(d.SealedSegments - t.cfg.maxSegments)
 	}
 	if d.WALBytes >= t.cfg.CheckpointWALBytes {
 		s += float64(d.WALBytes) / float64(t.cfg.CheckpointWALBytes)
@@ -125,7 +118,7 @@ func (t *maintTarget) Score() float64 {
 }
 
 // Run performs one maintenance round: a compaction when sealed segments
-// passed the policy bound (Compact also checkpoints on durable managers,
+// passed MaxSegments (Compact also checkpoints on durable managers,
 // clearing WAL debt in the same round), else a checkpoint for WAL volume.
 // Errors propagate to the scheduler's retry-with-backoff path; the debt
 // that triggered the round survives the failure, so the retry has the
@@ -136,7 +129,7 @@ func (t *maintTarget) Run(_ context.Context) error {
 	// The slowdown bounds are actionable on their own: even under a policy
 	// where they sit below the compact/checkpoint bounds, a positive Score
 	// must always have work behind it or the scheduler would spin.
-	case d.SealedSegments > t.cfg.CompactSegments || d.SealedSegments >= t.cfg.SlowdownSealed:
+	case d.SealedSegments > t.cfg.maxSegments || d.SealedSegments >= t.cfg.SlowdownSealed:
 		return t.col.mgr.Compact()
 	case d.WALBytes >= t.cfg.CheckpointWALBytes || d.WALBytes >= t.cfg.SlowdownWALBytes || d.UnpersistedSegments > 0:
 		return t.col.mgr.Checkpoint()
@@ -177,9 +170,6 @@ func (e *MaintenanceBacklogError) Error() string {
 // then everything is refused until maintenance drains the debt.
 func (c *Collection) admitWrite() error {
 	mc := c.maint
-	if mc == nil || !mc.Enabled() {
-		return nil
-	}
 	d := c.mgr.MaintenanceDebt()
 	if d.SealedSegments >= mc.StallSealed || d.WALBytes >= mc.StallWALBytes {
 		c.stalls.Add(1)

@@ -60,8 +60,8 @@ type Registry struct {
 	now      func() time.Time // injectable clock for rate limiters (tests)
 
 	// maint is the resolved maintenance policy and sched the coordinated
-	// scheduler driving it — nil when Maintenance.Workers == 0, in which
-	// case every collection self-maintains exactly as before.
+	// scheduler driving it: the only thing that compacts or checkpoints a
+	// collection besides explicit calls and Close.
 	maint MaintenanceConfig
 	sched *sched.Scheduler
 
@@ -83,9 +83,9 @@ type Config struct {
 	// created without an explicit quota. The zero value is unlimited —
 	// the pre-multi-tenant behavior.
 	DefaultQuota Quota
-	// Maintenance opts into coordinated background scheduling and write
-	// degradation (DESIGN.md §15). The zero value (Workers == 0) keeps the
-	// legacy per-manager self-maintenance.
+	// Maintenance is the policy of the scheduler that compacts and
+	// checkpoints every collection, and of write degradation (DESIGN.md
+	// §15). The zero value is the default policy.
 	Maintenance MaintenanceConfig
 	// Now overrides the rate limiters' clock (tests); nil = time.Now.
 	Now func() time.Time
@@ -98,16 +98,6 @@ func NewRegistry(seed []sets.Set, cfg Config) *Registry {
 	mgr := segment.NewManager(seed, r.build, r.opts, r.segCfg)
 	r.cols[DefaultName] = newCollection(DefaultName, mgr, r.defaults, r.now)
 	r.attachMaintenance(r.cols[DefaultName])
-	return r
-}
-
-// Wrap builds an in-memory registry around an existing manager as the
-// default collection with an unlimited quota — the adapter that lets the
-// single-collection constructors (and every pre-multi-tenant test and
-// caller) keep working unchanged.
-func Wrap(mgr *segment.Manager) *Registry {
-	r := newRegistry("", Config{Opts: mgr.Options()})
-	r.cols[DefaultName] = newCollection(DefaultName, mgr, Quota{}, r.now)
 	return r
 }
 
@@ -124,7 +114,7 @@ func OpenRegistry(dir string, seed []sets.Set, cfg Config) (*Registry, error) {
 	r := newRegistry(dir, cfg)
 	mgr, err := segment.Open(dir, seed, r.build, r.opts, r.segCfg)
 	if err != nil {
-		r.stopSched()
+		r.sched.Stop()
 		return nil, err
 	}
 	r.cols[DefaultName] = newCollection(DefaultName, mgr, r.defaults, r.now)
@@ -136,7 +126,7 @@ func OpenRegistry(dir string, seed []sets.Set, cfg Config) (*Registry, error) {
 		if os.IsNotExist(err) {
 			return r, nil
 		}
-		r.stopSched()
+		r.sched.Stop()
 		return nil, fmt.Errorf("collection: scan %s: %w", sub, err)
 	}
 	names := make([]string, 0, len(entries))
@@ -149,26 +139,18 @@ func OpenRegistry(dir string, seed []sets.Set, cfg Config) (*Registry, error) {
 	for _, name := range names {
 		q, err := readTenantFile(filepath.Join(sub, name))
 		if err != nil {
-			r.stopSched()
+			r.sched.Stop()
 			return nil, fmt.Errorf("collection: recover %q: %w", name, err)
 		}
 		m, err := segment.Open(filepath.Join(sub, name), nil, r.build, r.opts, r.segCfg)
 		if err != nil {
-			r.stopSched()
+			r.sched.Stop()
 			return nil, fmt.Errorf("collection: recover %q: %w", name, err)
 		}
 		r.cols[name] = newCollection(name, m, q, r.now)
 		r.attachMaintenance(r.cols[name])
 	}
 	return r, nil
-}
-
-// stopSched halts the scheduler (no-op when disabled) — the failure-path
-// cleanup for constructors that abort after newRegistry started it.
-func (r *Registry) stopSched() {
-	if r.sched != nil {
-		r.sched.Stop()
-	}
 }
 
 func newRegistry(dir string, cfg Config) *Registry {
@@ -183,40 +165,34 @@ func newRegistry(dir string, cfg Config) *Registry {
 		segCfg:   cfg.SegCfg,
 		defaults: cfg.DefaultQuota,
 		now:      now,
+		maint:    cfg.Maintenance.withDefaults(cfg.SegCfg),
 		cols:     make(map[string]*Collection),
 	}
-	if cfg.Maintenance.Enabled() {
-		r.maint = cfg.Maintenance.withDefaults(cfg.SegCfg)
-		r.sched = sched.New(sched.Config{
-			Workers:     r.maint.Workers,
-			BaseBackoff: r.maint.BaseBackoff,
-			MaxBackoff:  r.maint.MaxBackoff,
-			Poll:        r.maint.Poll,
-			UrgentScore: r.maint.UrgentScore,
-			Seed:        r.maint.Seed,
-		})
-		// Every manager this registry builds hands its compaction and
-		// seal-checkpoint decisions to the scheduler; the notify hook is
-		// lock-free, as the Manager calls it under its writer lock.
-		r.segCfg.ExternalMaintenance = true
-		r.segCfg.OnMaintenance = r.sched.Notify
-	}
+	r.sched = sched.New(sched.Config{
+		Workers:     r.maint.Workers,
+		BaseBackoff: r.maint.BaseBackoff,
+		MaxBackoff:  r.maint.MaxBackoff,
+		Poll:        r.maint.Poll,
+		UrgentScore: r.maint.UrgentScore,
+		Seed:        r.maint.Seed,
+	})
+	// Every manager this registry builds reports debt growth to the
+	// scheduler; the notify hook is lock-free, as the Manager calls it under
+	// its writer lock.
+	r.segCfg.OnMaintenance = r.sched.Notify
 	return r
 }
 
 // attachMaintenance wires a freshly built collection into the coordinated
-// scheduler (no-op when disabled).
+// scheduler.
 func (r *Registry) attachMaintenance(c *Collection) {
-	if r.sched == nil {
-		return
-	}
 	c.maint = &r.maint
 	r.sched.Register(c.name, c.Weight(), &maintTarget{col: c, cfg: r.maint})
 }
 
-// Scheduler returns the coordinated maintenance scheduler, nil when
-// disabled. The serving layer uses it to install the load probe and to
-// export scheduler state on /v1/info.
+// Scheduler returns the coordinated maintenance scheduler. The serving
+// layer uses it to install the load probe and to export scheduler state on
+// /v1/info.
 func (r *Registry) Scheduler() *sched.Scheduler { return r.sched }
 
 // Dir returns the registry's root directory, empty for in-memory.
@@ -318,11 +294,10 @@ func (r *Registry) Drop(name string) error {
 	r.mu.Unlock()
 
 	// Deschedule first so no new maintenance round starts against the
-	// closing manager (one already in flight finishes — Compact and Close
-	// serialize on the manager's own locks).
-	if r.sched != nil {
-		r.sched.Unregister(name)
-	}
+	// closing manager (one already in flight finishes or, once Close has
+	// run, returns ErrClosed — Compact and Close serialize on the manager's
+	// own locks).
+	r.sched.Unregister(name)
 	// Close and delete outside the lock: neither blocks serving traffic on
 	// other collections, and searches already running against the dropped
 	// collection's snapshot complete safely (segments are immutable and,
@@ -345,7 +320,7 @@ func (r *Registry) Close() error {
 	// runs, so no compaction races a closing manager. Outside r.mu — runs
 	// never take the registry lock, but there is no reason to serialize
 	// serving reads behind the wait either.
-	r.stopSched()
+	r.sched.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/segment"
 	"repro/internal/sets"
 )
 
@@ -278,4 +281,71 @@ func TestConcurrentCreateDropVsSearch(t *testing.T) {
 	if got := stable.Counters().SearchesTotal; got != 4*64 {
 		t.Fatalf("searches_total = %d, want %d", got, 4*64)
 	}
+}
+
+// TestNoGoroutineOutlivesClose: the scheduler every registry runs stops
+// with it — dispatch loop and in-flight maintenance alike.
+func TestNoGoroutineOutlivesClose(t *testing.T) {
+	base := settledGoroutines()
+	cfg := testConfig()
+	cfg.SegCfg = segment.Config{SealThreshold: 1, MaxSegments: 1}
+	cfg.Maintenance = MaintenanceConfig{Poll: time.Millisecond}
+	reg, err := OpenRegistry(t.TempDir(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Create("t", Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		// Every insert seals, so compactions and checkpoints are queued or
+		// running when Close lands; backlog refusals are expected.
+		var mbe *MaintenanceBacklogError
+		if _, err := c.Insert(fmt.Sprintf("s%d", i), []string{"x", fmt.Sprint(i)}); err != nil && !errors.As(err, &mbe) {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for projectGoroutines() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlived Close (baseline %d):\n%s", projectGoroutines(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// projectGoroutines counts the goroutines running this module's code — the
+// runtime's own come and go on their own schedule.
+func projectGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "\nrepro") {
+			n++
+		}
+	}
+	return n
+}
+
+// settledGoroutines is projectGoroutines once what earlier tests left
+// behind has finished exiting: their goroutines past their last wait, and
+// the cleanups (unmaps, a dropped engine's scheduler stop) a collection
+// queues.
+func settledGoroutines() int {
+	runtime.GC()
+	n := projectGoroutines()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := projectGoroutines()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -23,23 +24,22 @@ func testOptions() core.Options {
 }
 
 // TestWriteSlowdownAndStall pins the graceful-degradation contract from
-// DESIGN.md §15 with no scheduler in the loop: as maintenance debt crosses
-// the slowdown bound, Insert refuses a deterministic, growing fraction of
-// writes with a typed *MaintenanceBacklogError; at the stall bound it
-// refuses everything; and the moment maintenance drains the debt, writes
-// are admitted again. SealThreshold 1 makes every admitted insert one
-// sealed segment, so debt is exactly the admitted-write count.
+// DESIGN.md §15 with no scheduler in the loop (a collection built outside
+// any registry): as maintenance debt crosses the slowdown bound, Insert
+// refuses a deterministic, growing fraction of writes with a typed
+// *MaintenanceBacklogError; at the stall bound it refuses everything; and
+// the moment maintenance drains the debt, writes are admitted again.
+// SealThreshold 1 makes every admitted insert one sealed segment, so debt
+// is exactly the admitted-write count.
 func TestWriteSlowdownAndStall(t *testing.T) {
-	mgr := segment.NewManager(nil, testBuilder(), testOptions(),
-		segment.Config{SealThreshold: 1, ExternalMaintenance: true})
-	r := Wrap(mgr)
-	c := r.Default()
+	segCfg := segment.Config{SealThreshold: 1, MaxSegments: 4}
+	mgr := segment.NewManager(nil, testBuilder(), testOptions(), segCfg)
+	c := newCollection(DefaultName, mgr, Quota{}, time.Now)
 	mc := MaintenanceConfig{
-		Workers:         1,
-		SlowdownSealed:  4,
-		StallSealed:     8,
-		CompactSegments: 4,
-	}.withDefaults(segment.Config{})
+		Workers:        1,
+		SlowdownSealed: 4,
+		StallSealed:    8,
+	}.withDefaults(segCfg)
 	c.maint = &mc
 
 	var admitted, slowed int
@@ -96,19 +96,5 @@ func TestWriteSlowdownAndStall(t *testing.T) {
 	// Refused inserts must not count as applied.
 	if ctr.InsertsTotal != int64(admitted)+1 {
 		t.Fatalf("inserts_total = %d, want %d admitted + 1 post-recovery", ctr.InsertsTotal, admitted)
-	}
-}
-
-// TestMaintenanceDisabledNeverStalls pins the compatibility lever: with
-// Workers == 0 (the zero value) the write path is untouched no matter how
-// much debt piles up.
-func TestMaintenanceDisabledNeverStalls(t *testing.T) {
-	mgr := segment.NewManager(nil, testBuilder(), testOptions(),
-		segment.Config{SealThreshold: 1, ExternalMaintenance: true})
-	c := Wrap(mgr).Default()
-	for i := 0; i < 30; i++ {
-		if _, err := c.Insert(fmt.Sprintf("s%d", i), []string{"x"}); err != nil {
-			t.Fatalf("insert %d refused with maintenance disabled: %v", i, err)
-		}
 	}
 }

@@ -29,13 +29,14 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 			all := ds.Repo.Sets()
 			nSeed := len(all) * 3 / 5
 			m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), testOpts(),
-				Config{SealThreshold: 7, MaxSegments: 2, ForegroundCompaction: true})
+				Config{SealThreshold: 7, MaxSegments: 2})
 			// Mutate so the snapshot spans memtable + sealed segments with
 			// tombstones — the layout batch consistency must cope with.
 			for _, s := range all[nSeed:] {
 				if _, err := m.Insert(s.Name, s.Elements); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 			}
 			if _, err := m.Delete(all[2].Name); err != nil {
 				t.Fatal(err)
@@ -87,7 +88,7 @@ func TestViewIsolation(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
 	m := NewManager(all[:len(all)-1], dynamicBuilder(ds.Model.Vector), testOpts(),
-		Config{SealThreshold: 7, MaxSegments: 2, ForegroundCompaction: true})
+		Config{SealThreshold: 7, MaxSegments: 2})
 	query := all[0].Elements
 	ctx := context.Background()
 

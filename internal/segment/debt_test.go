@@ -1,14 +1,16 @@
 package segment
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/store"
 )
 
-// White-box coverage for MaintenanceDebt (DESIGN.md §15): debt grows as an
-// externally-maintained manager defers its compactions and checkpoints,
-// drains to zero after Compact+Checkpoint, and is rebuilt exactly on a
+// White-box coverage for MaintenanceDebt (DESIGN.md §15): debt grows as a
+// manager leaves its compactions and checkpoints to its driver, drains to
+// zero after Compact+Checkpoint, and is rebuilt exactly on a
 // crash-reopen (WAL bytes and sealed segments come back from the manifest
 // and log, not from in-memory counters).
 
@@ -20,10 +22,9 @@ func TestMaintenanceDebtLifecycle(t *testing.T) {
 	}
 	notified := 0
 	cfg := Config{
-		SealThreshold:       3,
-		MaxSegments:         2,
-		ExternalMaintenance: true,
-		OnMaintenance:       func() { notified++ },
+		SealThreshold: 3,
+		MaxSegments:   2,
+		OnMaintenance: func() { notified++ },
 	}
 	dir := t.TempDir()
 	m, err := Open(dir, nil, dynamicBuilder(ds.Model.Vector), testOpts(), cfg)
@@ -44,9 +45,8 @@ func TestMaintenanceDebtLifecycle(t *testing.T) {
 	}
 
 	d := m.MaintenanceDebt()
-	// 10 inserts at threshold 3 seal three segments; under external
-	// maintenance none of them checkpointed (MaxSegments 2 would also have
-	// forced a self-compaction — deferred too).
+	// 10 inserts at threshold 3 seal three segments; none of them
+	// checkpointed, and none compacted although MaxSegments is 2.
 	if d.SealedSegments != 3 || d.MemtableSets != 1 {
 		t.Fatalf("debt layout = %+v, want 3 sealed + 1 memtable", d)
 	}
@@ -108,13 +108,13 @@ func TestMaintenanceDebtLifecycle(t *testing.T) {
 	}
 }
 
-// TestExternalMaintenanceDefersCompaction pins the hook contract: with
-// ExternalMaintenance set the manager never compacts or checkpoints on its
-// own, no matter how many segments pile up — the scheduler owns that work.
-func TestExternalMaintenanceDefersCompaction(t *testing.T) {
+// TestManagerDefersMaintenance pins the hook contract: a manager never
+// compacts or checkpoints on its own, no matter how many segments pile up —
+// its driver owns that work and calls Compact.
+func TestManagerDefersMaintenance(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
-	cfg := Config{SealThreshold: 2, MaxSegments: 1, ExternalMaintenance: true}
+	cfg := Config{SealThreshold: 2, MaxSegments: 1}
 	m := NewManager(nil, dynamicBuilder(ds.Model.Vector), testOpts(), cfg)
 	n := 12
 	if n > len(all) {
@@ -134,5 +134,43 @@ func TestExternalMaintenanceDefersCompaction(t *testing.T) {
 	}
 	if sealed, _, _ = m.Segments(); sealed != 1 {
 		t.Fatalf("sealed after explicit Compact = %d, want 1", sealed)
+	}
+}
+
+// TestCompactAfterClose: a compaction that starts after Close — the race a
+// scheduled run loses against a collection drop — is refused with ErrClosed
+// like Flush and Checkpoint, and neither the layout nor the directory moves.
+func TestCompactAfterClose(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
+	all := ds.Repo.Sets()
+	dir := t.TempDir()
+	m, err := Open(dir, all[:4], dynamicBuilder(ds.Model.Vector), testOpts(), Config{SealThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range all[4:8] {
+		if _, err := m.Insert(s.Name, s.Elements); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Delete(all[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := m.MaintenanceDebt()
+	man, err := store.LoadManifest(store.OS, dir)
+	if err != nil || before.SealedSegments < 2 {
+		t.Fatalf("closed layout: %+v, manifest err %v; want several sealed segments to merge", before, err)
+	}
+	if err := m.Compact(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Compact after Close = %v, want ErrClosed", err)
+	}
+	if after := m.MaintenanceDebt(); after != before {
+		t.Fatalf("Compact after Close moved the layout: %+v, was %+v", after, before)
+	}
+	if man2, err := store.LoadManifest(store.OS, dir); err != nil || man2.Gen != man.Gen {
+		t.Fatalf("Compact after Close committed a manifest: gen %d → %d (%v)", man.Gen, man2.Gen, err)
 	}
 }

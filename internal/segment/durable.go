@@ -150,7 +150,7 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 	}
 	m := &Manager{
 		opts:     opts.WithDefaults(),
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		where:    make(map[string]loc, rows),
 		dir:      dir,
 		fs:       cfg.FS,
@@ -211,9 +211,7 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 	}
 
 	// Sweep leftovers of a checkpoint that crashed before its manifest
-	// committed. This must precede WAL replay: replay can arm a background
-	// compaction whose own checkpoint commits a newer generation, and a
-	// sweep keyed on this (then stale) manifest would delete its files.
+	// committed.
 	m.removeOrphans(man)
 
 	// The WAL is scanned read-only first so mid-log corruption (intact
@@ -247,10 +245,8 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 		recs = r
 	}
 
-	// Replay under the writer lock: applying an insert can trigger a seal,
-	// and a seal can spawn a background compaction that contends for mu.
+	// Replay through the live apply paths, which expect the writer lock.
 	m.mu.Lock()
-	m.replaying = true
 	for _, rec := range recs {
 		switch rec.Op {
 		case store.WALInsert:
@@ -266,7 +262,6 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 			}
 		}
 	}
-	m.replaying = false
 	m.publishLocked()
 	m.mu.Unlock()
 	return m, nil
@@ -416,11 +411,11 @@ func (m *Manager) registerRowsLocked(s *seg) {
 // every sealed segment that has no file yet, persist the dictionary if it
 // grew, start the next WAL generation, commit the manifest atomically, and
 // only then drop the previous generation's files. No-op on in-memory
-// managers and during replay. Any failure before the manifest commit
-// leaves the previous manifest + WAL authoritative — still a correct
-// recovery point covering every operation.
+// managers. Any failure before the manifest commit leaves the previous
+// manifest + WAL authoritative — still a correct recovery point covering
+// every operation.
 func (m *Manager) checkpointLocked() error {
-	if m.dir == "" || m.replaying || m.closed {
+	if m.dir == "" || m.closed {
 		return nil
 	}
 	if m.mem != nil {

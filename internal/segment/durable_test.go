@@ -53,7 +53,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 			}
 			nSeed := len(all) * 3 / 5
 			opts := testOpts()
-			cfg := Config{SealThreshold: 7, MaxSegments: 2, ForegroundCompaction: true}
+			cfg := Config{SealThreshold: 7, MaxSegments: 2}
 			dir := t.TempDir()
 			m, err := Open(dir, all[:nSeed], dynamicBuilder(ds.Model.Vector), opts, cfg)
 			if err != nil {
@@ -103,6 +103,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 				if _, err := m.Insert(s.Name, s.Elements); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 				o.insert(s.Name, s.Elements)
 			}
 			check("after inserts")
@@ -122,6 +123,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 				if _, err := m.Insert(all[i].Name, elems); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 				o.insert(all[i].Name, elems)
 			}
 			check("after replacements")
@@ -309,16 +311,17 @@ func TestKillAtAnyWALPrefix(t *testing.T) {
 }
 
 // TestDurableLifecycleAndLayout pins down the file-level contract: fresh
-// directories are checkpointed at open; seals and compactions write
-// snapshots and truncate the WAL; orphans are swept; Close makes mutations
-// fail and a reopened manager picks up where the old one stopped.
+// directories are checkpointed at open; a seal leaves its segment to the
+// next checkpoint, which writes the snapshot and truncates the WAL; orphans
+// are swept; Close makes mutations fail and a reopened manager picks up
+// where the old one stopped.
 func TestDurableLifecycleAndLayout(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
 	opts := testOpts()
 	dir := t.TempDir()
 	m, err := Open(dir, all[:4], dynamicBuilder(ds.Model.Vector), opts,
-		Config{SealThreshold: 4, MaxSegments: 2, ForegroundCompaction: true})
+		Config{SealThreshold: 4, MaxSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,25 +334,29 @@ func TestDurableLifecycleAndLayout(t *testing.T) {
 		t.Fatalf("fresh manifest = %+v", man)
 	}
 
-	// Three inserts stay in the WAL; the fourth seals and checkpoints.
-	for i := 4; i < 7; i++ {
+	// The fourth insert seals, but nothing is written until a checkpoint:
+	// the WAL keeps covering the sealed rows.
+	for i := 4; i < 8; i++ {
 		if _, err := m.Insert(all[i].Name, all[i].Elements); err != nil {
 			t.Fatal(err)
 		}
 	}
 	man, _ = store.LoadManifest(store.OS, dir)
-	if _, recs, err := openScan(t, dir, man); err != nil || len(recs) != 3 {
-		t.Fatalf("pre-seal WAL: %d records, %v", len(recs), err)
+	if _, recs, err := openScan(t, dir, man); err != nil || len(recs) != 4 {
+		t.Fatalf("sealed WAL: %d records, %v", len(recs), err)
 	}
-	if _, err := m.Insert(all[7].Name, all[7].Elements); err != nil {
+	if d := m.MaintenanceDebt(); len(man.Segments) != 1 || d.SealedSegments != 2 || d.UnpersistedSegments != 1 {
+		t.Fatalf("seal persisted on its own: manifest %d segments, debt %+v", len(man.Segments), d)
+	}
+	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	man, _ = store.LoadManifest(store.OS, dir)
 	if _, recs, err := openScan(t, dir, man); err != nil || len(recs) != 0 {
-		t.Fatalf("seal did not truncate WAL: %d records, %v", len(recs), err)
+		t.Fatalf("checkpoint did not truncate WAL: %d records, %v", len(recs), err)
 	}
 	if len(man.Segments) != 2 {
-		t.Fatalf("seal checkpoint published %d segments", len(man.Segments))
+		t.Fatalf("checkpoint published %d segments", len(man.Segments))
 	}
 
 	// A delete is WAL-only until the next checkpoint folds it into the
@@ -397,7 +404,7 @@ func TestDurableLifecycleAndLayout(t *testing.T) {
 		t.Fatalf("delete after close: %v", err)
 	}
 
-	m2, err := Open(dir, nil, dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 4, MaxSegments: 2, ForegroundCompaction: true})
+	m2, err := Open(dir, nil, dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 4, MaxSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

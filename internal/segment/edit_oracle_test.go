@@ -127,7 +127,7 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 			}
 			m := NewManager(seed, func(dict *sets.Dictionary) index.NeighborSource {
 				return index.NewDynamicFunc(dict, sim.EditSimilarity{})
-			}, opts, Config{SealThreshold: 6, MaxSegments: 2, ForegroundCompaction: true})
+			}, opts, Config{SealThreshold: 6, MaxSegments: 2})
 
 			check := func(label string) {
 				t.Helper()
@@ -166,6 +166,7 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 				if _, err := m.Insert(name, elems); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 				o.insert(name, elems)
 			}
 			check("after inserts")

@@ -13,15 +13,17 @@
 // The memtable is appended to in place (core.Growing): an insert costs its
 // own size, and a snapshot sees the rows that existed when it was published.
 // Once it holds SealThreshold rows, dead ones included, its live rows are
-// built into a CSR segment; background compaction merges all sealed segments
-// into one big CSR (and drops tombstoned rows) once more than MaxSegments
-// have accumulated.
+// built into a CSR segment. A manager never maintains itself beyond that
+// seal: Compact merges all sealed segments into one big CSR (and drops
+// tombstoned rows), and whoever drives maintenance — the collection layer's
+// scheduler (DESIGN.md §15) — calls it once more than MaxSegments have
+// accumulated.
 // Set names are the external keys: inserting an existing name replaces the
 // old version (a tombstone shadows it), exactly like an LSM overwrite.
 //
 // A manager opened with Open is additionally durable (DESIGN.md §8): every
 // Insert/Delete appends to a write-ahead log before it is applied, sealed
-// segments are snapshotted to disk at seal/compaction time, and a versioned
+// segments are snapshotted to disk at checkpoints, and a versioned
 // manifest committed by atomic rename names the live files — so reopening
 // the directory after a crash recovers the exact collection (checkpointed
 // segments + WAL replay).
@@ -48,13 +50,14 @@ var ErrImmutable = errors.New("segment: similarity index is static; engine does 
 // ErrClosed is returned by mutations on a closed manager.
 var ErrClosed = errors.New("segment: manager is closed")
 
-// A DurabilityError reports a mutation that WAS applied and WAL-logged
-// but whose follow-on durability step (WAL fsync under SyncWAL, or a
-// checkpoint the mutation triggered) failed. The collection includes the
-// operation and the previous manifest + WAL pair still recovers it; only
-// the extra durability the step would have bought is missing. Callers
-// distinguish it with errors.As from errors that mean the mutation did
-// not happen.
+// A DurabilityError reports an operation that WAS applied but whose last
+// durability step failed: a mutation WAL-logged whose fsync under SyncWAL
+// failed, or a checkpoint whose manifest rename landed but could not be
+// synced. No mutation checkpoints, so a mutation's DurabilityError is
+// always the fsync. The collection includes the operation and the previous
+// manifest + WAL pair still recovers it; only the extra durability the step
+// would have bought is missing. Callers distinguish it with errors.As from
+// errors that mean the operation did not happen.
 type DurabilityError struct{ Err error }
 
 func (e *DurabilityError) Error() string {
@@ -74,13 +77,9 @@ type Config struct {
 	// SealThreshold is the memtable size (in sets) at which it seals into
 	// an immutable segment. Default 256.
 	SealThreshold int
-	// MaxSegments is the number of sealed segments tolerated before a
-	// compaction merges them into one. Default 4.
+	// MaxSegments is the number of sealed segments tolerated before
+	// maintenance compacts them into one. Default 4.
 	MaxSegments int
-	// ForegroundCompaction runs compactions synchronously inside the
-	// mutating call instead of on a background goroutine — deterministic
-	// segment layouts for tests and benchmarks.
-	ForegroundCompaction bool
 	// SyncWAL fsyncs the write-ahead log after every logged operation
 	// (durable managers only). Off by default: graceful shutdown and
 	// process crashes are always covered; surviving power loss of the
@@ -91,23 +90,20 @@ type Config struct {
 	// short writes, ENOSPC, fsync failures, and crash points (DESIGN.md
 	// §11).
 	FS store.FS
-	// ExternalMaintenance hands compaction and seal-triggered checkpoints
-	// to an external scheduler (DESIGN.md §15): the manager stops
-	// self-compacting and stops checkpointing inline when the memtable
-	// seals, and instead accumulates MaintenanceDebt until someone calls
-	// Compact/Checkpoint. Seals still happen inline (the memtable stays
-	// bounded either way); only the durability/merge work is deferred —
-	// which is correctness-safe, because the previous manifest + a longer
-	// WAL replay is always a legal recovery point.
-	ExternalMaintenance bool
-	// OnMaintenance, when set with ExternalMaintenance, is called after a
-	// mutation grows the maintenance debt. It MUST be non-blocking: it
-	// runs under the writer lock (sched.Scheduler.Notify qualifies — an
-	// atomic wake-up mark, never a lock).
+	// OnMaintenance, when set, is called after a mutation grows the
+	// maintenance debt — the only way a manager asks for maintenance. Seals
+	// happen inline (the memtable stays bounded); compactions and
+	// checkpoints run only when someone calls Compact/Checkpoint/Flush/
+	// Close, which is correctness-safe because the previous manifest + a
+	// longer WAL replay is always a legal recovery point (DESIGN.md §15).
+	// It MUST be non-blocking: it runs under the writer lock
+	// (sched.Scheduler.Notify qualifies — an atomic wake-up mark, never a
+	// lock).
 	OnMaintenance func()
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills in the documented defaults of unset fields.
+func (c Config) WithDefaults() Config {
 	if c.SealThreshold <= 0 {
 		c.SealThreshold = 256
 	}
@@ -292,9 +288,8 @@ type Manager struct {
 	// Durable state (zero-valued on in-memory managers): the data
 	// directory, the open WAL of the current checkpoint generation, the
 	// generation counter, the next segment snapshot file number, and the
-	// name/coverage of the persisted dictionary file. replaying suppresses
-	// WAL appends and checkpoints while recovery re-applies logged
-	// operations; closed fails further mutations.
+	// name/coverage of the persisted dictionary file; closed fails further
+	// mutations.
 	dir       string
 	fs        store.FS
 	wal       *store.WAL
@@ -302,7 +297,6 @@ type Manager struct {
 	nextSegID uint64
 	dictFile  string
 	dictN     int
-	replaying bool
 	closed    bool
 
 	// Resilience state (DESIGN.md §11): degraded reports that recovery
@@ -315,9 +309,8 @@ type Manager struct {
 	quarantined []QuarantinedFile
 	keep        map[string]bool
 
-	compactMu  sync.Mutex // serializes whole compactions (never held by Search)
-	compacting atomic.Bool
-	snap       atomic.Pointer[snapshot]
+	compactMu sync.Mutex // serializes whole compactions (never held by Search)
+	snap      atomic.Pointer[snapshot]
 }
 
 // NewManager builds a manager over the seed collection. Seed sets keep
@@ -329,7 +322,7 @@ func NewManager(seed []sets.Set, build SourceBuilder, opts core.Options, cfg Con
 	m := &Manager{
 		dict:  sets.NewDictionary(),
 		opts:  opts.WithDefaults(),
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg.WithDefaults(),
 		where: make(map[string]loc),
 		fs:    cfg.FS,
 	}
@@ -456,11 +449,10 @@ func (m *Manager) MaintenanceDebt() Debt {
 	return d
 }
 
-// notifyMaintenanceLocked nudges the external scheduler (if wired) that
-// debt grew. Replay suppresses it: recovery re-applies the whole WAL under
-// the lock before the manager is even returned to a caller.
+// notifyMaintenanceLocked nudges whoever drives maintenance (if wired) that
+// debt grew.
 func (m *Manager) notifyMaintenanceLocked() {
-	if m.cfg.OnMaintenance != nil && !m.replaying {
+	if m.cfg.OnMaintenance != nil {
 		m.cfg.OnMaintenance()
 	}
 }
@@ -470,8 +462,8 @@ func (m *Manager) notifyMaintenanceLocked() {
 // The new set is searchable as soon as Insert returns. On a durable
 // manager the operation is logged to the WAL before it is applied; an
 // error of type *DurabilityError means the insert itself is applied and
-// logged but a follow-on durability step (fsync, or a checkpoint a seal
-// triggered) failed — any other error means it was not applied.
+// logged but the SyncWAL fsync failed — any other error means it was not
+// applied.
 func (m *Manager) Insert(name string, elements []string) (int64, error) {
 	if m.dyn == nil {
 		return 0, ErrImmutable
@@ -508,17 +500,14 @@ func (m *Manager) Insert(name string, elements []string) (int64, error) {
 			}
 		}
 	}
-	if err := m.applyInsertLocked(handle, name, elements); err != nil {
-		return handle, &DurabilityError{Err: err}
-	}
+	m.applyInsertLocked(handle, name, elements)
 	return handle, walErr
 }
 
 // applyInsertLocked is the insert body shared by Insert and WAL replay:
 // the handle and name are already resolved (and, on durable managers,
-// logged). Returns the error of a checkpoint triggered by a seal; the
-// insert itself always applies.
-func (m *Manager) applyInsertLocked(handle int64, name string, elements []string) error {
+// logged).
+func (m *Manager) applyInsertLocked(handle int64, name string, elements []string) {
 	if handle >= m.nextHandle {
 		m.nextHandle = handle + 1
 	}
@@ -536,19 +525,13 @@ func (m *Manager) applyInsertLocked(handle int64, name string, elements []string
 	m.mem.append(row, handle)
 	m.live++
 	m.retainLocked(row.ElemIDs)
-	sealed := m.maybeSealLocked()
+	if m.mem.grow.Len() >= m.cfg.SealThreshold {
+		// Dead rows count: they take a slot of every search until the seal
+		// drops them.
+		m.sealLocked()
+	}
 	m.publishLocked()
-	m.maybeCompactLocked()
-	if m.cfg.ExternalMaintenance {
-		// Deferred durability: the seal's checkpoint (and any compaction)
-		// become scheduler work; the WAL already covers the mutation.
-		m.notifyMaintenanceLocked()
-		return nil
-	}
-	if sealed {
-		return m.checkpointLocked()
-	}
-	return nil
+	m.notifyMaintenanceLocked()
 }
 
 // Delete tombstones the live set with the given name, reporting whether it
@@ -586,9 +569,7 @@ func (m *Manager) applyDeleteLocked(name string, l loc) {
 	m.removeLocked(name, l)
 	delete(m.where, name)
 	m.publishLocked()
-	if m.cfg.ExternalMaintenance {
-		m.notifyMaintenanceLocked()
-	}
+	m.notifyMaintenanceLocked()
 }
 
 // removeLocked tombstones the set at l. The caller owns m.where bookkeeping
@@ -636,18 +617,6 @@ func (m *Manager) releaseLocked(ids []int32) {
 			m.liveDirty = true
 		}
 	}
-}
-
-// maybeSealLocked freezes the memtable into a sealed segment once it holds
-// SealThreshold rows, reporting whether it did (a durable caller follows a
-// seal with a checkpoint). Dead rows count: they take a slot of every search
-// until the seal drops them.
-func (m *Manager) maybeSealLocked() bool {
-	if m.mem == nil || m.mem.grow.Len() < m.cfg.SealThreshold {
-		return false
-	}
-	m.sealLocked()
-	return true
 }
 
 // sealLocked unconditionally freezes the memtable: its live rows become an
@@ -709,31 +678,6 @@ func (m *Manager) publishLocked() {
 	m.snap.Store(sp)
 }
 
-// maybeCompactLocked triggers a compaction when sealed segments piled up:
-// synchronously in foreground mode, else on a single background goroutine
-// (at most one runs at a time; a seal during compaction re-arms the check
-// on the next mutation).
-func (m *Manager) maybeCompactLocked() {
-	if len(m.sealed) <= m.cfg.MaxSegments {
-		return
-	}
-	if m.cfg.ExternalMaintenance {
-		return // the scheduler compacts; the caller notifies it
-	}
-	if m.cfg.ForegroundCompaction {
-		m.compactLocked()
-		return
-	}
-	if m.compacting.CompareAndSwap(false, true) {
-		go func() {
-			defer m.compacting.Store(false)
-			// A failed background checkpoint leaves the previous
-			// manifest + WAL authoritative; the next checkpoint retries.
-			m.Compact()
-		}()
-	}
-}
-
 // planEntry is one live row captured for compaction, remembered with its
 // source position so the install step can detect rows that were deleted or
 // replaced while the merged segment was being built.
@@ -753,11 +697,17 @@ type planEntry struct {
 // serialized by compactMu. On durable managers a successful install is
 // followed by a checkpoint persisting the merged segment; a checkpoint
 // failure leaves the previous manifest + WAL authoritative (still a
-// correct recovery point) and is returned.
+// correct recovery point) and is returned. A closed manager returns
+// ErrClosed, also when Close lands while the merge is being built: the
+// layout Close checkpointed stays.
 func (m *Manager) Compact() error {
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return ErrClosed
+	}
 	srcs, plan, rows := m.captureLocked()
 	m.mu.Unlock()
 	if srcs == nil {
@@ -766,19 +716,11 @@ func (m *Manager) Compact() error {
 	merged := m.buildMerged(plan, rows)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed {
+		return ErrClosed
+	}
 	m.installLocked(srcs, plan, merged)
 	return m.checkpointLocked()
-}
-
-// compactLocked is Compact for callers already holding m.mu (foreground
-// mode): the whole merge runs under the writer lock, blocking writers but
-// never searches.
-func (m *Manager) compactLocked() {
-	srcs, plan, rows := m.captureLocked()
-	if srcs == nil {
-		return
-	}
-	m.installLocked(srcs, plan, m.buildMerged(plan, rows))
 }
 
 // captureLocked snapshots the sealed segments and their live rows; nil

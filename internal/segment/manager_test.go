@@ -73,6 +73,21 @@ func (o *oracle) sets() []sets.Set {
 	return out
 }
 
+// maintain stands in for the maintenance driver in tests that pin segment
+// layouts: called after each insert, it merges the sealed segments in line
+// once more than MaxSegments have piled up. It does not checkpoint, so a
+// durable manager's memtable stays where it is.
+func maintain(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.sealed) <= m.cfg.MaxSegments {
+		return
+	}
+	if srcs, plan, rows := m.captureLocked(); srcs != nil {
+		m.installLocked(srcs, plan, m.buildMerged(plan, rows))
+	}
+}
+
 // assertEquivalent searches both engines and requires byte-identical
 // (name, score, verified) top-k lists.
 func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string) {
@@ -130,7 +145,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 			nSeed := len(all) * 3 / 5
 			opts := testOpts()
 			m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), opts,
-				Config{SealThreshold: 7, MaxSegments: 2, ForegroundCompaction: true})
+				Config{SealThreshold: 7, MaxSegments: 2})
 			o := newOracle()
 			for _, s := range all[:nSeed] {
 				o.insert(s.Name, s.Elements)
@@ -165,6 +180,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 				if _, err := m.Insert(s.Name, s.Elements); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 				o.insert(s.Name, s.Elements)
 			}
 			check("after inserts")
@@ -183,6 +199,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 				if _, err := m.Insert(all[i].Name, elems); err != nil {
 					t.Fatal(err)
 				}
+				maintain(m)
 				o.insert(all[i].Name, elems)
 			}
 			check("after replacements")
@@ -203,11 +220,12 @@ func TestSealAndCompactionLayout(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
 	m := NewManager(nil, dynamicBuilder(ds.Model.Vector), testOpts(),
-		Config{SealThreshold: 4, MaxSegments: 3, ForegroundCompaction: true})
+		Config{SealThreshold: 4, MaxSegments: 3})
 	for i, s := range all {
 		if _, err := m.Insert(s.Name, s.Elements); err != nil {
 			t.Fatal(err)
 		}
+		maintain(m)
 		sealed, memSets, _ := m.Segments()
 		if memSets >= 4 {
 			t.Fatalf("memtable reached %d rows past the threshold", memSets)
@@ -335,14 +353,14 @@ func TestStaticSourceRejectsInsert(t *testing.T) {
 
 // TestConcurrentSearchMutateCompact is the -race exercise of the
 // acceptance criteria: searches run wait-free while a writer inserts,
-// deletes, and compactions run in the background. Every search must see a
+// deletes, and compacts. Every search must see a
 // consistent snapshot — results sorted, scores exact, no panics, no races.
 func TestConcurrentSearchMutateCompact(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
 	nSeed := len(all) / 2
 	m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), testOpts(),
-		Config{SealThreshold: 5, MaxSegments: 2}) // background compaction
+		Config{SealThreshold: 5, MaxSegments: 2}) // the writer compacts
 	var stop atomic.Bool
 	var searches atomic.Int64
 	errs := make(chan error, 16)

@@ -120,7 +120,7 @@ func TestMemtableTombstoneAccounting(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	all := ds.Repo.Sets()
 	opts := testOpts()
-	m := NewManager(all[:3], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 8, ExternalMaintenance: true})
+	m := NewManager(all[:3], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 8})
 	o := newOracle()
 	for _, s := range all[:3] {
 		o.insert(s.Name, s.Elements)
@@ -248,7 +248,7 @@ func TestSnapshotIsolationAcrossMemtableGrowth(t *testing.T) {
 	// refiner, so the filter counters are deterministic.
 	opts := core.Options{K: 5, Alpha: 0.8, Partitions: 1, Workers: 1, ExactScores: true}.WithDefaults()
 	const threshold = 16
-	m := NewManager(nil, dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: threshold, ExternalMaintenance: true})
+	m := NewManager(nil, dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: threshold})
 	for _, s := range all[:6] {
 		mustInsert(t, m, s.Name, s.Elements)
 	}
@@ -358,7 +358,7 @@ func TestReplaceChurnLeavesNoDebt(t *testing.T) {
 	all := ds.Repo.Sets()
 	opts := testOpts()
 	const threshold = 8
-	m := NewManager(all[:6], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: threshold, ExternalMaintenance: true})
+	m := NewManager(all[:6], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: threshold})
 	o := newOracle()
 	for _, s := range all[:6] {
 		o.insert(s.Name, s.Elements)
@@ -415,7 +415,7 @@ func BenchmarkMemtableInsert(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%len(held) == 0 {
 					b.StopTimer()
-					m = NewManager(seed, dynamicBuilder(ds.Model.Vector), opts, Config{ExternalMaintenance: true})
+					m = NewManager(seed, dynamicBuilder(ds.Model.Vector), opts, Config{})
 					m.Source().(index.Syncer).Sync() // embed the seed vocabulary now, not in the first insert
 					b.StartTimer()
 				}

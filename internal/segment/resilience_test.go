@@ -38,7 +38,7 @@ func newResilienceFixture(t *testing.T) *resilienceFixture {
 		ds:   ds,
 		all:  all,
 		opts: testOpts(),
-		cfg:  Config{SealThreshold: 100, MaxSegments: 99, ForegroundCompaction: true, SyncWAL: true},
+		cfg:  Config{SealThreshold: 100, MaxSegments: 99, SyncWAL: true},
 		dir:  t.TempDir(),
 	}
 	m, err := Open(f.dir, nil, dynamicBuilder(ds.Model.Vector), f.opts, f.cfg)

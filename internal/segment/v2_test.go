@@ -177,7 +177,7 @@ func TestMappedUnmapAfterCompaction(t *testing.T) {
 		t.Fatalf("dataset too small: %d sets", len(all))
 	}
 	dir := t.TempDir()
-	cfg := Config{SealThreshold: 8, MaxSegments: 2, ForegroundCompaction: true}
+	cfg := Config{SealThreshold: 8, MaxSegments: 2}
 	m, err := Open(dir, nil, dynamicBuilder(ds.Model.Vector), testOpts(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +186,7 @@ func TestMappedUnmapAfterCompaction(t *testing.T) {
 		if _, err := m.Insert(s.Name, s.Elements); err != nil {
 			t.Fatal(err)
 		}
+		maintain(m)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -233,6 +234,7 @@ func TestMappedUnmapAfterCompaction(t *testing.T) {
 			cancel()
 			t.Fatal(err)
 		}
+		maintain(m)
 	}
 	cancel()
 	wg.Wait()

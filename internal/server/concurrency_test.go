@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -27,10 +28,16 @@ func TestConcurrentServingUnderMutation(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
 	all := ds.Repo.Sets()
 	nSeed := len(all) * 3 / 4
-	mgr := segment.NewManager(all[:nSeed], func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, ds.Model.Vector)
-	}, testOpts, segment.Config{SealThreshold: 16, MaxSegments: 2})
-	ts := httptest.NewServer(New(mgr, Config{SearchWorkers: 4}))
+	reg := collection.NewRegistry(all[:nSeed], collection.Config{
+		Build: func(dict *sets.Dictionary) index.NeighborSource {
+			return index.NewDynamicExact(dict, ds.Model.Vector)
+		},
+		Opts:   testOpts,
+		SegCfg: segment.Config{SealThreshold: 16, MaxSegments: 2},
+	})
+	defer reg.Close()
+	mgr := reg.Default().Manager()
+	ts := httptest.NewServer(NewRegistry(reg, Config{SearchWorkers: 4}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 

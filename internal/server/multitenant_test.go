@@ -15,27 +15,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/segment"
 	"repro/internal/sets"
 )
 
 // registryFor builds a collection registry seeded with ds in the default
-// collection, mirroring managerFor but through the multi-tenant layer.
-func registryFor(ds *datagen.Dataset, opts core.Options, now func() time.Time) *collection.Registry {
-	return collection.NewRegistry(ds.Repo.Sets(), collection.Config{
+// collection, closed when the test ends.
+func registryFor(t *testing.T, ds *datagen.Dataset, opts core.Options, now func() time.Time) *collection.Registry {
+	reg := collection.NewRegistry(ds.Repo.Sets(), collection.Config{
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicExact(dict, ds.Model.Vector)
 		},
-		Opts:   opts,
-		SegCfg: segment.Config{ForegroundCompaction: true},
-		Now:    now,
+		Opts: opts,
+		Now:  now,
 	})
+	t.Cleanup(func() { reg.Close() })
+	return reg
 }
 
 func testRegistryServer(t *testing.T, now func() time.Time) (*Server, *httptest.Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := NewRegistry(registryFor(ds, testOpts, now), Config{})
+	srv := NewRegistry(registryFor(t, ds, testOpts, now), Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, ds
@@ -214,7 +214,7 @@ func TestScopedDefaultMatchesLegacy(t *testing.T) {
 // default) nothing else would ever wake them.
 func TestDropCollectionFailsQueuedSearches(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := NewRegistry(registryFor(ds, core.Options{K: 5, ExactScores: true}, nil), Config{SearchWorkers: 1})
+	srv := NewRegistry(registryFor(t, ds, core.Options{K: 5, ExactScores: true}, nil), Config{SearchWorkers: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	if code, _, m := postJSON(t, ts.URL+"/v1/collections", `{"name":"b"}`); code != http.StatusCreated {
@@ -376,7 +376,7 @@ func TestTenantBusyOverHTTP(t *testing.T) {
 
 func TestLatencyShedDeterministic(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := NewRegistry(registryFor(ds, testOpts, nil), Config{ShedLatencyP99: 10 * time.Millisecond})
+	srv := NewRegistry(registryFor(t, ds, testOpts, nil), Config{ShedLatencyP99: 10 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -42,7 +42,7 @@ func getInfo(t *testing.T, ts *httptest.Server) InfoResponse {
 
 func TestPanicRecoveryAnswers500(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := New(managerFor(ds, testOpts), Config{})
+	srv := NewRegistry(registryFor(t, ds, testOpts, nil), Config{})
 	// A handler bug, planted: the recovery middleware must contain it to
 	// this one request.
 	srv.mux.HandleFunc("GET /v1/boom", func(w http.ResponseWriter, r *http.Request) {
@@ -78,7 +78,7 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 func TestLoadSheddingAnswers429WithRetryAfter(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
 	cfg := Config{SearchWorkers: 1, MaxQueueDepth: 1}
-	srv := New(managerFor(ds, testOpts), cfg)
+	srv := NewRegistry(registryFor(t, ds, testOpts, nil), cfg)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -260,7 +260,7 @@ func TestSwapperBootProtocol(t *testing.T) {
 
 	// Recovery done: swap in the real server, readiness flips.
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	sw.Swap(New(managerFor(ds, testOpts), Config{}))
+	sw.Swap(NewRegistry(registryFor(t, ds, testOpts, nil), Config{}))
 	if !c.Ready() {
 		t.Fatal("swapped server must be ready")
 	}
@@ -289,7 +289,7 @@ func TestDegradedServingScrubRepair(t *testing.T) {
 	build := func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
 	}
-	scfg := segment.Config{SealThreshold: 100, MaxSegments: 99, ForegroundCompaction: true, SyncWAL: true}
+	scfg := segment.Config{SealThreshold: 100, MaxSegments: 99, SyncWAL: true}
 
 	m, err := segment.Open(dir, nil, build, opts, scfg)
 	if err != nil {
@@ -327,12 +327,12 @@ func TestDegradedServingScrubRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err = segment.Open(dir, nil, build, opts, scfg)
+	reg, err := collection.OpenRegistry(dir, nil, collection.Config{Build: build, Opts: opts, SegCfg: scfg})
 	if err != nil {
 		t.Fatalf("reopen over corruption must degrade, not fail: %v", err)
 	}
-	defer m.Close()
-	ts := httptest.NewServer(New(m, Config{}))
+	defer reg.Close()
+	ts := httptest.NewServer(NewRegistry(reg, Config{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 

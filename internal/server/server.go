@@ -141,16 +141,6 @@ func (s *Server) recordStreamStats(stats *core.Stats) {
 	s.streamRetrieved.Add(int64(stats.StreamRetrieved))
 }
 
-// New builds a single-collection server around a segment manager (see
-// NewManager in the segment package for constructing one from a seed
-// collection and source builder) — it wraps the manager in an in-memory
-// registry as the unlimited default collection, so every pre-multi-tenant
-// caller keeps working unchanged. The manager's options supply the default
-// k and α; a request's own k is an argument of its search.
-func New(mgr *segment.Manager, cfg Config) *Server {
-	return NewRegistry(collection.Wrap(mgr), cfg)
-}
-
 // NewRegistry builds a server over a collection registry. The HTTP API
 // guarantees exact scores, so the registry's collections must be built
 // with core.Options.ExactScores — NewRegistry panics otherwise (a
@@ -175,9 +165,9 @@ func NewRegistry(reg *collection.Registry, cfg Config) *Server {
 	// non-urgent background work; the scheduler's urgency override still
 	// drains tenants whose writers are degrading. Requires ShedLatencyP99 —
 	// without a latency target there is no "blown p99" to defer for.
-	if sc := reg.Scheduler(); sc != nil && cfg.ShedLatencyP99 > 0 {
+	if cfg.ShedLatencyP99 > 0 {
 		pool, bound := s.pool, cfg.ShedLatencyP99
-		sc.SetLoadProbe(func() bool {
+		reg.Scheduler().SetLoadProbe(func() bool {
 			if pool.queued.Load() == 0 {
 				return false // stale ring samples must not pause an idle server
 			}
@@ -796,8 +786,8 @@ type InfoResponse struct {
 	Collections []CollectionInfo `json:"collections"`
 	// Scheduler reports the coordinated maintenance scheduler (DESIGN.md
 	// §15): worker occupancy, pause state, retry totals, and per-tenant
-	// backlog scores. Absent when coordinated maintenance is disabled.
-	Scheduler *sched.Stats `json:"scheduler,omitempty"`
+	// backlog scores.
+	Scheduler *sched.Stats `json:"scheduler"`
 }
 
 // ResilienceInfo is the failure-handling section of /v1/info.
@@ -852,11 +842,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	sealed, memSets, tombstones := s.mgr.Segments()
 	opts := s.mgr.Options()
 	p50, p95, p99 := s.pool.percentiles()
-	var schedStats *sched.Stats
-	if sc := s.reg.Scheduler(); sc != nil {
-		st := sc.Stats()
-		schedStats = &st
-	}
+	schedStats := s.reg.Scheduler().Stats()
 	writeJSON(w, http.StatusOK, InfoResponse{
 		Sets:         s.mgr.Len(),
 		Vocabulary:   s.mgr.VocabSize(),
@@ -883,7 +869,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		LazyStream:  s.lazyStreamInfo(),
 		Resilience:  s.resilienceInfo(),
 		Collections: s.collectionsInfo(),
-		Scheduler:   schedStats,
+		Scheduler:   &schedStats,
 	})
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -24,16 +25,10 @@ import (
 // the default k, α and partitions their server reports.
 var testOpts = core.Options{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, ExactScores: true}
 
-func managerFor(ds *datagen.Dataset, opts core.Options) *segment.Manager {
-	return segment.NewManager(ds.Repo.Sets(), func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, ds.Model.Vector)
-	}, opts, segment.Config{})
-}
-
 func testServer(t *testing.T) (*httptest.Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := New(managerFor(ds, testOpts), Config{})
+	srv := NewRegistry(registryFor(t, ds, testOpts, nil), Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, ds
@@ -197,8 +192,9 @@ func TestInfoAndHealth(t *testing.T) {
 // collection's α.
 func TestDefaultsComeFromCollection(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	mgr := managerFor(ds, core.Options{K: 7, Alpha: 0.7, Partitions: 2, ExactScores: true})
-	ts := httptest.NewServer(New(mgr, Config{}))
+	reg := registryFor(t, ds, core.Options{K: 7, Alpha: 0.7, Partitions: 2, ExactScores: true}, nil)
+	mgr := reg.Default().Manager()
+	ts := httptest.NewServer(NewRegistry(reg, Config{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 
@@ -313,7 +309,7 @@ func TestClientAgainstDeadServer(t *testing.T) {
 
 func TestMaxQueryElements(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := New(managerFor(ds, core.Options{K: 3, ExactScores: true}), Config{MaxQueryElements: 4})
+	srv := NewRegistry(registryFor(t, ds, core.Options{K: 3, ExactScores: true}, nil), Config{MaxQueryElements: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
@@ -519,11 +515,12 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 		return index.NewDynamicExact(dict, ds.Model.Vector)
 	}
 	dir := t.TempDir()
-	mgr, err := segment.Open(dir, ds.Repo.Sets(), build, opts, segment.Config{SealThreshold: 8})
+	regCfg := collection.Config{Build: build, Opts: opts, SegCfg: segment.Config{SealThreshold: 8}}
+	reg, err := collection.OpenRegistry(dir, ds.Repo.Sets(), regCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(mgr, Config{}))
+	ts := httptest.NewServer(NewRegistry(reg, Config{}))
 	c := NewClient(ts.URL, nil)
 
 	extra := append([]string{"zz-durable-1"}, ds.Repo.Set(0).Elements...)
@@ -541,15 +538,16 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 		}
 	}
 	ts.Close()
-	if err := mgr.Close(); err != nil {
+	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	mgr2, err := segment.Open(dir, nil, build, opts, segment.Config{SealThreshold: 8})
+	reg2, err := collection.OpenRegistry(dir, nil, regCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(New(mgr2, Config{}))
+	defer reg2.Close()
+	ts2 := httptest.NewServer(NewRegistry(reg2, Config{}))
 	defer ts2.Close()
 	c2 := NewClient(ts2.URL, nil)
 	for i, q := range queries {

@@ -2,10 +2,12 @@ package koios
 
 import (
 	"context"
+	"runtime"
 
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/sets"
 	"repro/internal/sim"
@@ -21,10 +23,9 @@ var ErrImmutable = segment.ErrImmutable
 var ErrClosed = segment.ErrClosed
 
 // DurabilityError reports a mutation on a durable engine that WAS applied
-// and WAL-logged but whose follow-on durability step (WAL fsync under
-// SyncWAL, or a checkpoint a segment seal triggered) failed. Distinguish
-// it with errors.As; any other Insert/Delete error means the mutation did
-// not happen.
+// and WAL-logged but whose WAL fsync under SyncWAL failed (no mutation
+// triggers a checkpoint). Distinguish it with errors.As; any other
+// Insert/Delete error means the mutation did not happen.
 type DurabilityError = segment.DurabilityError
 
 // Set is a named set of string elements. Elements are de-duplicated on
@@ -80,8 +81,8 @@ type Config struct {
 	DisableLazy bool
 	// SealThreshold is the number of inserted sets buffered in the mutable
 	// memtable before it seals into an immutable segment (default 256);
-	// MaxSegments bounds how many sealed segments accumulate before
-	// background compaction merges them (default 4). They only matter once
+	// MaxSegments bounds how many sealed segments accumulate before the
+	// maintenance scheduler compacts them (default 4). They only matter once
 	// Insert/Delete are used.
 	SealThreshold int
 	MaxSegments   int
@@ -93,11 +94,22 @@ type Config struct {
 	// BatchWorkers bounds concurrent queries inside one SearchBatch call
 	// (default 1: queries run sequentially against the shared snapshot).
 	BatchWorkers int
-	// Maintenance opts registries (NewRegistry/OpenRegistry) into
-	// coordinated background scheduling and graceful write degradation
-	// (DESIGN.md §15). Standalone engines (New/Open) ignore it — they keep
-	// the legacy self-driven maintenance regardless.
+	// Maintenance is the policy of the background scheduler that compacts
+	// and checkpoints every engine — a standalone one (New/Open) is a
+	// one-collection registry's — and of graceful write degradation
+	// (DESIGN.md §15). The zero value is the default policy.
 	Maintenance MaintenanceConfig
+}
+
+// registryConfig is the configuration every construction — standalone
+// engine or registry — builds its collections with.
+func (c Config) registryConfig(build segment.SourceBuilder) collection.Config {
+	return collection.Config{
+		Build:       build,
+		Opts:        c.coreOptions(),
+		SegCfg:      segment.Config{SealThreshold: c.SealThreshold, MaxSegments: c.MaxSegments, SyncWAL: c.SyncWAL},
+		Maintenance: c.Maintenance,
+	}
 }
 
 func (c Config) coreOptions() core.Options {
@@ -139,10 +151,13 @@ type Stats = core.Stats
 // against a consistent snapshot and never blocks on writers.
 type Engine struct {
 	mgr *segment.Manager
-	// col is set on engines handed out by a Registry: mutations route
-	// through the collection so its quota accounting stays consistent.
-	// Standalone engines (New/Open) leave it nil.
-	col          *collection.Collection
+	// col is the collection the engine serves: mutations route through it so
+	// its quota and write-stall accounting stay consistent.
+	col *collection.Collection
+	// reg is set on standalone engines (New/Open), which own the
+	// one-collection registry whose scheduler maintains them; engines handed
+	// out by a Registry leave it nil.
+	reg          *collection.Registry
 	batchWorkers int
 }
 
@@ -177,16 +192,21 @@ func NewWithSource(collection []Set, source Source, cfg Config) *Engine {
 	})
 }
 
-func newEngine(collection []Set, cfg Config, build segment.SourceBuilder) *Engine {
-	raw := make([]sets.Set, len(collection))
-	for i, s := range collection {
-		raw[i] = sets.Set{Name: s.Name, Elements: s.Elements}
-	}
-	mgr := segment.NewManager(raw, build, cfg.coreOptions(), segment.Config{
-		SealThreshold: cfg.SealThreshold,
-		MaxSegments:   cfg.MaxSegments,
-	})
-	return &Engine{mgr: mgr, batchWorkers: cfg.BatchWorkers}
+func newEngine(seed []Set, cfg Config, build segment.SourceBuilder) *Engine {
+	return standalone(collection.NewRegistry(rawSets(seed), cfg.registryConfig(build)), cfg)
+}
+
+// standalone makes reg's default collection an engine that owns reg. The
+// scheduler's goroutine must not keep an unreachable engine's collection
+// alive, so dropping the engine stops it, as dropping a mapped segment
+// unmaps it (DESIGN.md §13); Close stops it deterministically.
+func standalone(reg *collection.Registry, cfg Config) *Engine {
+	c := reg.Default()
+	e := &Engine{mgr: c.Manager(), col: c, reg: reg, batchWorkers: cfg.BatchWorkers}
+	// Stop waits out an in-flight maintenance round, too long to block the
+	// cleanup goroutine.
+	runtime.AddCleanup(e, func(s *sched.Scheduler) { go s.Stop() }, reg.Scheduler())
+	return e
 }
 
 // Open builds a durable engine rooted at dir with a threshold-scan token
@@ -211,20 +231,12 @@ func OpenWithVectors(dir string, collection []Set, vec VectorFunc, cfg Config) (
 	})
 }
 
-func openEngine(dir string, collection []Set, cfg Config, build segment.SourceBuilder) (*Engine, error) {
-	raw := make([]sets.Set, len(collection))
-	for i, s := range collection {
-		raw[i] = sets.Set{Name: s.Name, Elements: s.Elements}
-	}
-	mgr, err := segment.Open(dir, raw, build, cfg.coreOptions(), segment.Config{
-		SealThreshold: cfg.SealThreshold,
-		MaxSegments:   cfg.MaxSegments,
-		SyncWAL:       cfg.SyncWAL,
-	})
+func openEngine(dir string, seed []Set, cfg Config, build segment.SourceBuilder) (*Engine, error) {
+	reg, err := collection.OpenRegistry(dir, rawSets(seed), cfg.registryConfig(build))
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{mgr: mgr, batchWorkers: cfg.BatchWorkers}, nil
+	return standalone(reg, cfg), nil
 }
 
 // Search returns the top-k sets by semantic overlap with query, best first,
@@ -276,16 +288,13 @@ func (e *Engine) SearchBatch(ctx context.Context, queries [][]string) ([][]Resul
 // next integer). Inserting a name that is already live replaces the old
 // set. The set is searchable as soon as Insert returns; concurrent
 // searches keep their snapshot. Engines built with NewWithSource return
-// ErrImmutable; engines from a Registry additionally enforce their
-// collection's quota (*QuotaError, nothing applied) and — when the
-// registry runs coordinated maintenance — the write-stall policy
-// (*MaintenanceBacklogError, nothing applied, retry after RetryAfter).
+// ErrImmutable. Every engine enforces the write-stall policy: past the
+// slowdown bound of Config.Maintenance an insert may be refused with
+// *MaintenanceBacklogError (nothing applied, retry after RetryAfter).
+// Engines from a Registry also enforce their collection's quota
+// (*QuotaError, nothing applied).
 func (e *Engine) Insert(s Set) (int, error) {
-	if e.col != nil {
-		id, err := e.col.Insert(s.Name, s.Elements)
-		return int(id), err
-	}
-	id, err := e.mgr.Insert(s.Name, s.Elements)
+	id, err := e.col.Insert(s.Name, s.Elements)
 	return int(id), err
 }
 
@@ -295,10 +304,7 @@ func (e *Engine) Insert(s Set) (int, error) {
 // On durable engines the delete is WAL-logged before it is applied; an
 // error other than *DurabilityError means it was not applied.
 func (e *Engine) Delete(name string) (bool, error) {
-	if e.col != nil {
-		return e.col.Delete(name)
-	}
-	return e.mgr.Delete(name)
+	return e.col.Delete(name)
 }
 
 // Compact synchronously merges all sealed segments, reclaiming tombstoned
@@ -317,10 +323,16 @@ func (e *Engine) Flush() error { return e.mgr.Flush() }
 // engines return nil.
 func (e *Engine) Checkpoint() error { return e.mgr.Checkpoint() }
 
-// Close checkpoints a durable engine and closes its write-ahead log.
-// Further mutations fail with ErrClosed; searches keep answering from the
-// last snapshot. Closing an in-memory engine only stops mutations.
-func (e *Engine) Close() error { return e.mgr.Close() }
+// Close checkpoints a durable engine and closes its write-ahead log; a
+// standalone engine's maintenance scheduler stops first. Further mutations
+// fail with ErrClosed; searches keep answering from the last snapshot.
+// Closing an in-memory engine only stops mutations (and maintenance).
+func (e *Engine) Close() error {
+	if e.reg != nil {
+		return e.reg.Close()
+	}
+	return e.mgr.Close()
+}
 
 // Collection returns the engine's number of live sets.
 func (e *Engine) Collection() int { return e.mgr.Len() }

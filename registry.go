@@ -3,7 +3,6 @@ package koios
 import (
 	"repro/internal/collection"
 	"repro/internal/index"
-	"repro/internal/segment"
 	"repro/internal/sets"
 )
 
@@ -18,22 +17,22 @@ type Quota = collection.Quota
 // with errors.As.
 type QuotaError = collection.QuotaError
 
-// MaintenanceConfig opts a Registry into coordinated background
-// maintenance (DESIGN.md §15): one scheduler owns every collection's
-// compactions and checkpoints under a global concurrency cap
-// (Workers), with weighted fair sharing across collections, retry with
-// backoff on failures, and RocksDB-style write degradation — inserts on
-// a collection whose backlog crosses the slowdown/stall thresholds are
-// refused with *MaintenanceBacklogError instead of silently slowing
-// down. The zero value (Workers == 0) keeps the legacy behavior: each
-// collection maintains itself inline and writes never stall.
+// MaintenanceConfig is the policy of background maintenance (DESIGN.md
+// §15): one scheduler per Registry — and per standalone engine — owns
+// every collection's compactions and checkpoints under a global
+// concurrency cap (Workers), with weighted fair sharing across
+// collections, retry with backoff on failures, and RocksDB-style write
+// degradation — inserts on a collection whose backlog crosses the
+// slowdown/stall thresholds are refused with *MaintenanceBacklogError
+// instead of silently slowing down. The zero value is the default policy:
+// the scheduler's default worker count and thresholds derived from
+// MaxSegments.
 type MaintenanceConfig = collection.MaintenanceConfig
 
 // MaintenanceBacklogError reports an Insert refused because the
 // collection's maintenance debt crossed the slowdown or stall
 // threshold; nothing was applied, and RetryAfter suggests a client
-// backoff. Distinguish it with errors.As. Only registries with
-// coordinated maintenance enabled return it.
+// backoff. Distinguish it with errors.As.
 type MaintenanceBacklogError = collection.MaintenanceBacklogError
 
 // ErrCollectionExists is returned by Registry.Create for a taken name.
@@ -63,14 +62,9 @@ type Registry struct {
 // index under fn (the New construction) for every collection. The default
 // collection is seeded with seed; collections created later start empty.
 func NewRegistry(seed []Set, fn Similarity, cfg Config) *Registry {
-	reg := collection.NewRegistry(rawSets(seed), collection.Config{
-		Build: func(dict *sets.Dictionary) index.NeighborSource {
-			return index.NewDynamicFunc(dict, fn)
-		},
-		Opts:        cfg.coreOptions(),
-		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments},
-		Maintenance: cfg.Maintenance,
-	})
+	reg := collection.NewRegistry(rawSets(seed), cfg.registryConfig(func(dict *sets.Dictionary) index.NeighborSource {
+		return index.NewDynamicFunc(dict, fn)
+	}))
 	return &Registry{reg: reg, batchWorkers: cfg.BatchWorkers}
 }
 
@@ -80,14 +74,9 @@ func NewRegistry(seed []Set, fn Similarity, cfg Config) *Registry {
 // dir/collections/<name> is recovered through the same checkpoint + WAL
 // machinery. A fresh directory seeds the default collection from seed.
 func OpenRegistry(dir string, seed []Set, fn Similarity, cfg Config) (*Registry, error) {
-	reg, err := collection.OpenRegistry(dir, rawSets(seed), collection.Config{
-		Build: func(dict *sets.Dictionary) index.NeighborSource {
-			return index.NewDynamicFunc(dict, fn)
-		},
-		Opts:        cfg.coreOptions(),
-		SegCfg:      segment.Config{SealThreshold: cfg.SealThreshold, MaxSegments: cfg.MaxSegments, SyncWAL: cfg.SyncWAL},
-		Maintenance: cfg.Maintenance,
-	})
+	reg, err := collection.OpenRegistry(dir, rawSets(seed), cfg.registryConfig(func(dict *sets.Dictionary) index.NeighborSource {
+		return index.NewDynamicFunc(dict, fn)
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +137,9 @@ func (r *Registry) Collections() []string {
 	return names
 }
 
-// Close closes every collection (checkpointing durable ones). Mutations
-// fail afterwards; searches keep answering from the last snapshots.
+// Close stops the maintenance scheduler and closes every collection
+// (checkpointing durable ones). Mutations fail afterwards; searches keep
+// answering from the last snapshots.
 func (r *Registry) Close() error { return r.reg.Close() }
 
 // CollectionUsage reports one collection's quota accounting.

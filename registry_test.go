@@ -1,8 +1,12 @@
 package koios
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,14 +18,14 @@ import (
 func TestRegistryMaintenancePassthrough(t *testing.T) {
 	reg := NewRegistry(nil, Exact(), Config{
 		SealThreshold: 1, // every insert seals: debt accrues per write
+		MaxSegments:   2,
 		Maintenance: MaintenanceConfig{
-			Workers:         1,
-			CompactSegments: 2,
-			SlowdownSealed:  3,
-			StallSealed:     6,
-			Poll:            5 * time.Millisecond,
-			BaseBackoff:     time.Millisecond,
-			MaxBackoff:      10 * time.Millisecond,
+			Workers:        1,
+			SlowdownSealed: 3,
+			StallSealed:    6,
+			Poll:           5 * time.Millisecond,
+			BaseBackoff:    time.Millisecond,
+			MaxBackoff:     10 * time.Millisecond,
 		},
 	})
 	defer reg.Close()
@@ -73,4 +77,137 @@ func TestRegistryMaintenancePassthrough(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestStandaloneEngineIsMaintained: a standalone engine is a one-collection
+// registry's, so its scheduler compacts it back under MaxSegments with no
+// explicit Compact.
+func TestStandaloneEngineIsMaintained(t *testing.T) {
+	eng := New(nil, Exact(), Config{
+		SealThreshold: 1, // every insert seals
+		MaxSegments:   2,
+		Maintenance:   MaintenanceConfig{Poll: time.Millisecond},
+	})
+	defer eng.Close()
+	for i := 0; i < 6; i++ { // below the slowdown bound, 4 × MaxSegments
+		if _, err := eng.Insert(Set{Name: fmt.Sprintf("s%d", i), Elements: []string{"x", fmt.Sprint(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sealed, _, _ := eng.Segments()
+		if sealed <= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sealed segments, MaxSegments 2: the scheduler never compacted", sealed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if runs := eng.reg.Scheduler().Stats().RunsTotal; runs == 0 {
+		t.Fatal("segments merged without a scheduled run")
+	}
+	if eng.Collection() != 6 {
+		t.Fatalf("Collection = %d, want 6", eng.Collection())
+	}
+}
+
+// TestNoGoroutineOutlivesEngineClose: Close stops a standalone engine's
+// scheduler, maintenance in flight included.
+func TestNoGoroutineOutlivesEngineClose(t *testing.T) {
+	base := settledGoroutines()
+	eng, err := Open(t.TempDir(), demoCollection(), newFigure1Sim(), Config{
+		SealThreshold: 1,
+		MaxSegments:   1,
+		Maintenance:   MaintenanceConfig{Poll: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var mbe *MaintenanceBacklogError
+		if _, err := eng.Insert(Set{Name: fmt.Sprintf("s%d", i), Elements: []string{"LA", fmt.Sprint(i)}}); err != nil && !errors.As(err, &mbe) {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for projectGoroutines() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlived Close (baseline %d):\n%s", projectGoroutines(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(eng) // Close, not the collector, must have stopped it
+}
+
+// scoreProbe is a scheduler tenant that counts the dispatch rounds that
+// consult it.
+type scoreProbe struct{ rounds atomic.Int64 }
+
+func (p *scoreProbe) Score() float64            { p.rounds.Add(1); return 0 }
+func (p *scoreProbe) Run(context.Context) error { return nil }
+
+// TestUnreachableEngineStopsScheduler: the scheduler of a standalone engine
+// nobody references any more stops once the engine is collected, instead of
+// polling — and pinning the collection — forever.
+func TestUnreachableEngineStopsScheduler(t *testing.T) {
+	probe := &scoreProbe{}
+	func() {
+		eng := New(demoCollection(), newFigure1Sim(), Config{Maintenance: MaintenanceConfig{Poll: time.Millisecond}})
+		eng.reg.Scheduler().Register("probe", 1, probe)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for probe.rounds.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe was never dispatched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		runtime.GC()
+		before := probe.rounds.Load()
+		time.Sleep(50 * time.Millisecond) // 50 poll intervals
+		if probe.rounds.Load() == before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the scheduler of an unreachable engine kept dispatching")
+		}
+	}
+}
+
+// projectGoroutines counts the goroutines running this module's code — the
+// runtime's own come and go on their own schedule.
+func projectGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "\nrepro") {
+			n++
+		}
+	}
+	return n
+}
+
+// settledGoroutines is projectGoroutines once what earlier tests left
+// behind has finished exiting: their goroutines past their last wait, and
+// the cleanups (unmaps, a dropped engine's scheduler stop) a collection
+// queues.
+func settledGoroutines() int {
+	runtime.GC()
+	n := projectGoroutines()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := projectGoroutines()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
