@@ -15,6 +15,25 @@ type hiddenKernelFunc struct{ fn sim.Func }
 func (p hiddenKernelFunc) Sim(a, b string) float64 { return p.fn.Sim(a, b) }
 func (p hiddenKernelFunc) Name() string            { return p.fn.Name() }
 
+// admitAllFunc is edit similarity with sketch admission off: every token's
+// sketch is 0 and its kernels admit every class whole, so the kernel scan
+// evaluates every pair.
+type admitAllFunc struct{ sim.EditSimilarity }
+
+func (admitAllFunc) Sketch(string) uint64 { return 0 }
+func (f admitAllFunc) NewKernel(q string) sim.Kernel {
+	return admitAllKernel{f.EditSimilarity.NewKernel(q)}
+}
+
+type admitAllKernel struct{ sim.Kernel }
+
+func (admitAllKernel) Cuts(_ float64, cut *[sim.SketchClasses]int32) uint64 {
+	for c := range cut {
+		cut[c] = sim.SignatureBits
+	}
+	return 0
+}
+
 // TestKernelScanEngineEquivalence: a full search through the kernel scan path
 // (admission filters on and off) must be indistinguishable — results and all
 // stats — from one through the plain per-pair scan.
@@ -24,8 +43,7 @@ func TestKernelScanEngineEquivalence(t *testing.T) {
 		repo, _, query := randomInstance(seed)
 		fn := sim.EditSimilarity{}
 		kernelSrc := index.NewFuncIndex(repo.Vocabulary(), fn)
-		unfilteredSrc := index.NewFuncIndex(repo.Vocabulary(), fn)
-		unfilteredSrc.SetKernelFilters(false)
+		unfilteredSrc := index.NewFuncIndex(repo.Vocabulary(), admitAllFunc{fn})
 		plainSrc := index.NewFuncIndex(repo.Vocabulary(), hiddenKernelFunc{fn})
 		opts := Options{K: 5, Alpha: 0.5}
 		pres, pst := NewEngine(repo, plainSrc, opts).Search(query)

@@ -16,6 +16,8 @@ func init() {
 	useAVX2 = useAVX && b7&(1<<5) != 0 && b7&(1<<8) != 0 // AVX2 and BMI2 (PDEP)
 	// AVX-512F and AVX512_VNNI, and the OS saves the opmask and ZMM state.
 	useVNNI = useAVX2 && b7&(1<<16) != 0 && c7&(1<<11) != 0 && xcr0&0xe0 == 0xe0
+	// AVX-512F and AVX512_VPOPCNTDQ, the same OS state.
+	useVPOPCNT = useAVX && b7&(1<<16) != 0 && c7&(1<<14) != 0 && xcr0&0xe0 == 0xe0
 }
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
@@ -56,6 +58,13 @@ func screenBlocksVNNI(q *int8, nquad, groups int, data *byte, nblk int, thr *int
 //go:noescape
 func screenBlocksAVX2(q *int16, npair, groups int, data *byte, nblk int, thr *int32, mask *byte)
 
+// classMasksVPOPCNT is classMasksGo for n ≥ 1 sketches at sk, eight to a
+// VPOPCNTQ (classscan_amd64.s). It reads n words at sk and writes ⌈n/8⌉
+// bytes at mask.
+//
+//go:noescape
+func classMasksVPOPCNT(sk *uint64, n int, q uint64, cut int64, mask *byte)
+
 // dotBlocks computes the raw dots of the query row q against the len(out)/4
 // blocks data starts with: an assembly kernel when the CPU has AVX and the
 // shape is one the kernels take (their loops count down from dim and nblk),
@@ -95,4 +104,15 @@ func screenBlocks(s *scanScratch, nq, groups int, data []byte, nblk int) {
 		_, _, _ = s.q16[8*groups*pairs-1], s.thr[2*pairs-1], s.mask[(2*pairs-1)*scanChunk+4*nblk-1]
 		screenBlocksAVX2(&s.q16[0], pairs, groups, &data[0], nblk, &s.thr[0], &s.mask[0])
 	}
+}
+
+// classMasks writes the class test's mask bytes for sk: the VPOPCNTDQ
+// kernel, else classMasksGo.
+func classMasks(sk []uint64, q uint64, cut int32, mask []byte) {
+	if !useVPOPCNT || len(sk) == 0 {
+		classMasksGo(sk, q, cut, mask)
+		return
+	}
+	_ = mask[(len(sk)-1)/8] // the kernel writes this far, unchecked
+	classMasksVPOPCNT(&sk[0], len(sk), q, int64(cut), &mask[0])
 }

@@ -11,3 +11,6 @@ func dotBlocks(q []float64, data []float32, out []float64) { dotBlocksGo(q, data
 func screenBlocks(s *scanScratch, nq, groups int, data []byte, nblk int) {
 	screenBlocksGo(s.q8, nq, groups, data, nblk, s.thr, s.mask)
 }
+
+// classMasks writes the class test's mask bytes for sk.
+func classMasks(sk []uint64, q uint64, cut int32, mask []byte) { classMasksGo(sk, q, cut, mask) }

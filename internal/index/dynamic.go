@@ -62,7 +62,7 @@ func (f *DynamicFunc) NeighborCursors(qs []string, alpha float64) []NeighborCurs
 // the last call, so searches find the column already covering them. Cheap
 // when current (one snapshot, no lock of its own).
 func (f *DynamicFunc) Sync() {
-	if b, ok := f.fn.(sim.Batcher); ok && !f.noFilters {
+	if b, ok := f.fn.(sim.Batcher); ok {
 		f.col.cover(b, f.dict.Snapshot())
 	}
 }

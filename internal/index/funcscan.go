@@ -1,6 +1,9 @@
 package index
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,22 +13,16 @@ import (
 // funcScan is the exhaustive scan FuncIndex and DynamicFunc share: every
 // token of a list scored against the query element under an arbitrary
 // similarity function. Functions exposing prepared kernels (sim.Batcher)
-// are scanned through them: the kernel's Admit reads the function's sketch
-// of every token — one word each, kept beside the list — and passes on only
-// the positions it cannot prove below α, and blocks of those are evaluated
-// per SimBatch call with the query's precomputed state hot. Both are pure
-// accelerations — results are byte-identical to the plain per-pair scan
-// (DESIGN.md §12).
+// are scanned through them: the kernel's cuts are tested against the
+// function's sketch of every token — one word each, kept by class beside
+// the list — and only the positions they cannot prove below α are
+// evaluated, in blocks per SimBatch call with the query's precomputed state
+// hot. Both are pure accelerations — results are byte-identical to the
+// plain per-pair scan (DESIGN.md §12).
 type funcScan struct {
-	fn        sim.Func
-	noFilters bool
-	col       sketchColumn
+	fn  sim.Func
+	col sketchColumn
 }
-
-// SetKernelFilters toggles sketch admission in the kernel scan (on by
-// default). Off retains the batched kernel but evaluates every pair — the
-// axis the equivalence tests compare against.
-func (f *funcScan) SetKernelFilters(on bool) { f.noFilters = !on }
 
 // PairSim implements CompleteScorer: the similarity function itself.
 func (f *funcScan) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
@@ -39,8 +36,7 @@ func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor
 	if b != nil {
 		k = b.NewKernel(q)
 	}
-	switch {
-	case k == nil:
+	if k == nil {
 		for vi, tok := range tokens {
 			if tok == q {
 				continue
@@ -50,13 +46,27 @@ func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor
 			}
 		}
 		return buf
-	case f.noFilters:
-		return kernelScan(k, tokens, nil, q, alpha, buf)
-	default:
-		v := f.col.cover(b, tokens)
-		return kernelScan(k, v.tokens, v.sketches, q, alpha, buf)
 	}
+	v := f.col.cover(b, tokens)
+	s := funcScratches.Get().(*funcScratch)
+	buf = s.kernelScan(k, v.tokens, v.admit(k, alpha, s), q, alpha, buf)
+	funcScratches.Put(s)
+	return buf
 }
+
+// funcScratch is what one kernel scan needs beside its output: the cut
+// table and the admitted positions, and the block of candidates SimBatch
+// scores. The kernel interface takes pointers into all of them, so on the
+// stack they would escape: pooled, a scan allocates only its neighbours.
+type funcScratch struct {
+	cut   [sim.SketchClasses]int32
+	pos   []int32
+	cands [kernelBlock]string
+	sims  [kernelBlock]float64
+	ids   [kernelBlock]int32
+}
+
+var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
 
 // cursors is the LazySource probe of the sources over a funcScan: one scan
 // of tokens per query element (a kernel is prepared for one query string, so
@@ -70,21 +80,28 @@ func (f *funcScan) cursors(tokens []string, qs []string, alpha float64) []Neighb
 }
 
 // sketchColumn keeps a similarity function's sketch of every token of an
-// append-only token list. Readers take no lock: cover extends the column
-// under the writer mutex and then publishes an immutable view through one
-// atomic pointer, and a scan runs to the end on the view it loaded (the
-// discipline of DynamicExact's vector arena). The zero value is an empty
-// column, so the first scan — or the first Sync — builds it.
+// append-only token list, split by class. Readers take no lock: cover
+// extends the column under the writer mutex and then publishes an immutable
+// view through one atomic pointer, and a scan runs to the end on the view it
+// loaded (the discipline of DynamicExact's vector arena). The zero value is
+// an empty column, so the first scan — or the first Sync — builds it.
 type sketchColumn struct {
 	mu   sync.Mutex // serializes cover's slow path; never taken by a covered reader
 	view atomic.Pointer[sketchView]
 }
 
-// sketchView is one published state of a sketchColumn:
-// sketches[i] = Sketch(tokens[i]).
+// sketchView is one published state of a sketchColumn: every position i of
+// tokens sits in classes[uint8(s)] with s = Sketch(tokens[i]).
 type sketchView struct {
-	tokens   []string
-	sketches []uint64
+	tokens  []string
+	classes [sim.SketchClasses]sketchClass
+}
+
+// sketchClass is the tokens of one class: their positions, ascending, and
+// their sketches, sk[j] the sketch of tokens[pos[j]].
+type sketchClass struct {
+	pos []int32
+	sk  []uint64
 }
 
 // cover returns a view over at least tokens, which must extend the list
@@ -95,19 +112,72 @@ func (c *sketchColumn) cover(b sim.Batcher, tokens []string) *sketchView {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	next := &sketchView{tokens: tokens}
+	next := new(sketchView)
 	if old := c.view.Load(); old != nil {
 		if len(old.tokens) >= len(tokens) {
 			return old // another cover got here first
 		}
-		// append writes only past old's length: its readers never see it
-		next.sketches = old.sketches
+		// append writes only past old's lengths: its readers never see it
+		*next = *old
 	}
-	for _, tok := range tokens[len(next.sketches):] {
-		next.sketches = append(next.sketches, b.Sketch(tok))
+	from := len(next.tokens)
+	next.tokens = tokens
+	for i, tok := range tokens[from:] {
+		s := b.Sketch(tok)
+		cl := &next.classes[uint8(s)]
+		cl.pos = append(cl.pos, int32(from+i))
+		cl.sk = append(cl.sk, s)
 	}
 	c.view.Store(next)
 	return next
+}
+
+// classChunk is how many sketches of a class one classMasks call tests: the
+// mask stays on the stack.
+const classChunk = 2048
+
+// admit returns, in ascending order, the position of every token whose
+// sketch passes k's cuts at alpha, in s.pos. A class cut at −1 is never
+// read, a class cut at SignatureBits or more is taken whole (no signature
+// has more bits to differ in), and the rest go through classMasks at their
+// class's constant cut. The survivors come out class by class; they are
+// sorted back into position order, the order the plain loop emits.
+func (v *sketchView) admit(k sim.Kernel, alpha float64, s *funcScratch) []int32 {
+	cut := &s.cut
+	q := k.Cuts(alpha, cut)
+	out := s.pos[:0]
+	var mask [classChunk / 8]byte
+	for c := range v.classes {
+		cl := &v.classes[c]
+		switch {
+		case cut[c] < 0 || len(cl.pos) == 0: // refused whole, or empty
+		case cut[c] >= sim.SignatureBits:
+			out = append(out, cl.pos...)
+		default:
+			for base := 0; base < len(cl.sk); base += classChunk {
+				sk := cl.sk[base:min(base+classChunk, len(cl.sk))]
+				classMasks(sk, q, cut[c], mask[:])
+				n := (len(sk) + 7) / 8
+				clear(mask[n : (n+7)&^7]) // the last word's bytes past the class
+				out = appendMasked(out, cl.pos[base:], mask[:(n+7)&^7])
+			}
+		}
+	}
+	slices.Sort(out)
+	s.pos = out
+	return out
+}
+
+// appendMasked appends pos[i] to out for every set bit i of mask, whose
+// length is a multiple of 8, in ascending order, a mask word at a time: at
+// α = 0.8 on a dictionary nearly every word is zero.
+func appendMasked(out, pos []int32, mask []byte) []int32 {
+	for w := 0; w < len(mask); w += 8 {
+		for m := binary.LittleEndian.Uint64(mask[w:]); m != 0; m &= m - 1 {
+			out = append(out, pos[8*w+bits.TrailingZeros64(m)])
+		}
+	}
+	return out
 }
 
 // kernelBlock is the batch granularity of the kernel scan: enough to
@@ -115,42 +185,29 @@ func (c *sketchColumn) cover(b sim.Batcher, tokens []string) *sketchView {
 // block stays in cache.
 const kernelBlock = 128
 
-// kernelScan is the batched scan loop: the positions Admit lets through
-// (every position when sketches is nil), minus the query itself, are
-// gathered into blocks and evaluated per SimBatch call. On return buf holds
-// exactly the α-matches of the plain scan, in the same ascending order.
-func kernelScan(k sim.Kernel, tokens []string, sketches []uint64, q string, alpha float64, buf []Neighbor) []Neighbor {
-	var blk struct {
-		cands [kernelBlock]string
-		sims  [kernelBlock]float64
-		ids   [kernelBlock]int32
-	}
+// kernelScan is the batched scan loop: the tokens at pos, ascending, minus
+// the query itself, are gathered into blocks and evaluated per SimBatch
+// call. When pos holds every position admit lets through, buf holds on
+// return exactly the α-matches of the plain scan, in the same ascending
+// order.
+func (s *funcScratch) kernelScan(k sim.Kernel, tokens []string, pos []int32, q string, alpha float64, buf []Neighbor) []Neighbor {
 	n := 0
 	flush := func() {
-		k.SimBatch(blk.cands[:n], blk.sims[:n])
-		for i, s := range blk.sims[:n] {
-			if s >= alpha {
-				buf = append(buf, Neighbor{Token: blk.cands[i], Sim: s, ID: blk.ids[i]})
+		k.SimBatch(s.cands[:n], s.sims[:n])
+		for i, score := range s.sims[:n] {
+			if score >= alpha {
+				buf = append(buf, Neighbor{Token: s.cands[i], Sim: score, ID: s.ids[i]})
 			}
 		}
 		n = 0
 	}
-	gather := func(vi int) {
+	for _, vi := range pos {
 		if tokens[vi] == q {
-			return
+			continue
 		}
-		blk.cands[n], blk.ids[n] = tokens[vi], int32(vi)
+		s.cands[n], s.ids[n] = tokens[vi], vi
 		if n++; n == kernelBlock {
 			flush()
-		}
-	}
-	if sketches == nil {
-		for vi := range tokens {
-			gather(vi)
-		}
-	} else {
-		for _, vi := range k.Admit(sketches, alpha, nil) {
-			gather(int(vi))
 		}
 	}
 	flush()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"strings"
-)
+import "strings"
 
 // This file defines the optional kernel capability of a similarity function:
 // a one-word sketch per token, computed once when the token enters a source,
@@ -14,18 +11,30 @@ import (
 // is provably below α, and a kernel returns exactly Func.Sim — so consulting
 // them never changes a result byte (DESIGN.md §12).
 
+// A sketch's low byte is its class, a count saturated at classMax (the edit
+// sketch's byte length, the Jaccard sketches' item count); the SignatureBits
+// above it are a signature that only the edit sketch fills. Every kernel
+// admits by one rule (Kernel.Cuts), so a source can keep its sketches by
+// class and skip whole classes.
+const (
+	SketchClasses = 256
+	classMax      = SketchClasses - 1
+	SignatureBits = 56
+)
+
 // Kernel is a prepared evaluator for one fixed query element: Sim and
-// SimBatch return exactly what Func.Sim(q, cand) would, Admit is the sound
+// SimBatch return exactly what Func.Sim(q, cand) would, Cuts is the sound
 // pre-filter over the candidates' sketches. A Kernel is not safe for
 // concurrent use (it owns per-query scratch); prepare one per goroutine.
 type Kernel interface {
 	// Sim returns exactly Func.Sim(q, cand).
 	Sim(cand string) float64
-	// Admit appends to out, in ascending order, every position i for which
-	// sketches[i] does not prove Func.Sim(q, cand) < alpha, where cand is
-	// the token sketches[i] was computed from by the function's Sketch. One
-	// call covers a source's whole column.
-	Admit(sketches []uint64, alpha float64, out []int32) []int32
+	// Cuts fills cut with the admission table at alpha and returns the
+	// query's sketch q. A candidate whose sketch s has class c = uint8(s)
+	// is admitted iff cut[c] ≥ 0 and popcount((s⊕q)>>8) ≤ cut[c], so a cut
+	// of −1 refuses a whole class and a cut of SignatureBits admits one.
+	// A refused candidate's Func.Sim(q, cand) is below alpha.
+	Cuts(alpha float64, cut *[SketchClasses]int32) (q uint64)
 	// SimBatch sets out[i] = Sim(cands[i]) for every candidate; len(out)
 	// must be at least len(cands). One interface call evaluates a whole
 	// block with the query's prepared state hot.
@@ -39,7 +48,7 @@ type Batcher interface {
 	// NewKernel prepares a kernel for query element q, or returns nil when
 	// the function cannot accelerate it (callers fall back to plain Sim).
 	NewKernel(q string) Kernel
-	// Sketch condenses tok into the word the kernels' Admit tests. It is a
+	// Sketch condenses tok into the word the kernels' Cuts test. It is a
 	// pure function of tok.
 	Sketch(tok string) uint64
 }
@@ -55,25 +64,21 @@ func NewKernel(fn Func, q string) Kernel {
 
 // --- EditSimilarity ---------------------------------------------------------
 
-// An edit-similarity sketch packs the token's byte length, saturated at
-// editLenMax, into its low byte and a presence signature of its bytes into
-// the sigBits above: byte value c sets signature bit c mod sigBits. Both
-// bound the byte-level edit distance from below: lev(a,b) ≥ ||a|−|b||, and
-// one insertion, deletion or substitution removes at most one byte value
-// from the token's byte set and adds at most one, flipping at most two
-// signature bits under any byte → bit map, so
-// lev(a,b) ≥ ⌈popcount(sig(a)⊕sig(b))/2⌉ (the frequency-distance bound of
-// Kahveci & Singh, VLDB 2001, reduced to presence bits).
-const (
-	sigBits    = 56
-	editLenMax = 255
-)
+// An edit-similarity sketch's class is the token's byte length, saturated
+// at classMax, and its signature records the presence of its bytes: byte
+// value c sets signature bit c mod SignatureBits. Both bound the byte-level
+// edit distance from below: lev(a,b) ≥ ||a|−|b||, and one insertion,
+// deletion or substitution removes at most one byte value from the token's
+// byte set and adds at most one, flipping at most two signature bits under
+// any byte → bit map, so lev(a,b) ≥ ⌈popcount(sig(a)⊕sig(b))/2⌉ (the
+// frequency-distance bound of Kahveci & Singh, VLDB 2001, reduced to
+// presence bits).
 
 // Sketch implements Batcher.
 func (EditSimilarity) Sketch(tok string) uint64 {
-	s := uint64(min(len(tok), editLenMax))
+	s := uint64(min(len(tok), classMax))
 	for i := 0; i < len(tok); i++ {
-		s |= 1 << (8 + tok[i]%sigBits)
+		s |= 1 << (8 + tok[i]%SignatureBits)
 	}
 	return s
 }
@@ -157,77 +162,40 @@ func (k *editKernel) Sim(cand string) float64 {
 	return editRatio(d, max(la, lb))
 }
 
-// cuts fills cut[l], for every stored candidate length l, with the largest
-// signature distance a candidate of that length may show and still reach
-// alpha — twice dmax, the largest edit distance with editRatio ≥ alpha at
-// that pair of lengths — or −1 when the length difference alone exceeds
-// dmax. Admission is then the single test cut[l] − popcount ≥ 0.
-func (k *editKernel) cuts(alpha float64, cut *[editLenMax + 1]int32) {
+// Cuts implements Kernel: cut[l], for every stored candidate length l, is
+// the largest signature distance a candidate of that length may show and
+// still reach alpha — twice dmax, the largest edit distance with
+// editRatio ≥ alpha at that pair of lengths — or −1 when the length
+// difference alone exceeds dmax.
+func (k *editKernel) Cuts(alpha float64, cut *[SketchClasses]int32) uint64 {
 	for l := range cut {
 		cut[l] = -1
 	}
 	if !(alpha <= 1) {
-		return // α > 1 or NaN: not even an equal string reaches it
+		return k.sketch // α > 1 or NaN: not even an equal string reaches it
 	}
 	la := len(k.q)
 	// Candidates no longer than q share m = |q| and so one dmax.
 	d := editDmax(la, alpha)
-	for l := max(la-d, 0); l <= min(la, editLenMax-1); l++ {
-		cut[l] = int32(min(2*d, sigBits))
+	for l := max(la-d, 0); l <= min(la, classMax-1); l++ {
+		cut[l] = int32(min(2*d, SignatureBits))
 	}
 	// Longer candidates: 1 − (l−|q|)/l only falls as l grows (rounding is
 	// monotone), so the first length refused refuses every longer one.
-	for l := la + 1; l <= editLenMax; l++ {
+	for l := la + 1; l <= classMax; l++ {
 		d := editDmax(l, alpha)
 		if d < l-la {
 			break
 		}
-		cut[l] = int32(min(2*d, sigBits))
+		cut[l] = int32(min(2*d, SignatureBits))
 	}
-	// A stored editLenMax stands for every length from there up, and no
+	// A stored classMax stands for every length from there up, and no
 	// distance cut holds for all of them: admit, unless q is shorter and
-	// editLenMax, the nearest such length, is already too far.
-	if la >= editLenMax || cut[editLenMax] >= 0 {
-		cut[editLenMax] = sigBits
+	// classMax, the nearest such length, is already too far.
+	if la >= classMax || cut[classMax] >= 0 {
+		cut[classMax] = SignatureBits
 	}
-}
-
-// admitChunk is how many candidates Admit tests before it appends their
-// survivors: the position buffer stays on the stack and out grows only by
-// what was admitted.
-const admitChunk = 256
-
-// Admit implements Kernel. The loop carries no data-dependent branch —
-// token lengths are interleaved in a dictionary, so a branch on the test
-// mispredicts: every position is written and the cursor advances by the
-// test's sign bit.
-func (k *editKernel) Admit(sketches []uint64, alpha float64, out []int32) []int32 {
-	var cut [editLenMax + 1]int32
-	k.cuts(alpha, &cut)
-	var pos [admitChunk]int32
-	for base := 0; base < len(sketches); base += admitChunk {
-		n := admitEdit(sketches[base:min(base+admitChunk, len(sketches))], k.sketch, &cut, int32(base), &pos)
-		out = append(out, pos[:n]...)
-	}
-	return out
-}
-
-// admitEdit writes base+i to pos, in ascending order, for every sketches[i]
-// that passes cut against the query sketch q, and returns how many it wrote.
-// len(sketches) must not exceed admitChunk. It stays out of line: inlined,
-// the cold call to the software popcount makes the compiler reload the
-// loop's state from the stack on every iteration (2.4 against 1.8 ns a
-// pair in BenchmarkFuncScan).
-//
-//go:noinline
-func admitEdit(sketches []uint64, q uint64, cut *[editLenMax + 1]int32, base int32, pos *[admitChunk]int32) uint {
-	n := uint(0)
-	for i, s := range sketches {
-		slack := cut[uint8(s)] - int32(bits.OnesCount64((s^q)>>8))
-		pos[n%admitChunk] = base + int32(i)
-		n += uint(^slack) >> 63
-	}
-	return n
+	return k.sketch
 }
 
 func (k *editKernel) SimBatch(cands []string, out []float64) {
@@ -239,12 +207,14 @@ func (k *editKernel) SimBatch(cands []string, out []float64) {
 // --- JaccardQGrams ----------------------------------------------------------
 
 // Sketch implements Batcher: the token's gram-position count t, an upper
-// bound on its distinct gram count. With A the query's distinct grams,
-// |A∩B| ≤ min(|A|, t) and |A∪B| ≥ |A|, so J ≤ min(1, t/|A|). Length bounds
-// alone are NOT sound for q-gram Jaccard (repeated grams:
-// J("aaaa","aaaaaa") = 1 at any length ratio), which is why the test needs
-// the query-side distinct count.
-func (j JaccardQGrams) Sketch(tok string) uint64 { return uint64(gramPositions(tok, j.q())) }
+// bound on its distinct gram count, saturated at classMax; the signature is
+// empty. With A the query's distinct grams, |A∩B| ≤ min(|A|, t) and
+// |A∪B| ≥ |A|, so J ≤ min(1, t/|A|). Length bounds alone are NOT sound for
+// q-gram Jaccard (repeated grams: J("aaaa","aaaaaa") = 1 at any length
+// ratio), which is why the test needs the query-side distinct count.
+func (j JaccardQGrams) Sketch(tok string) uint64 {
+	return uint64(min(gramPositions(tok, j.q()), classMax))
+}
 
 // gramPositions is the number of gram positions of s — an upper bound on its
 // distinct gram count, costing O(1).
@@ -258,24 +228,27 @@ func gramPositions(s string, q int) int {
 	return len(s) - q + 1
 }
 
-// admitCounts is Admit for the Jaccard kernels: sketches are upper bounds t
-// on each candidate's distinct item count and nA is the query's distinct
-// item count, so J ≤ min(1, t/nA) — which grows with t, making admission
-// one comparison against the least count that reaches alpha.
-func admitCounts(sketches []uint64, nA int, alpha float64, out []int32) []int32 {
-	if !(alpha <= 1) {
-		return out // α > 1 or NaN: nothing reaches it
+// countCuts is Cuts for the Jaccard kernels, whose sketches are classes
+// alone: a class is an upper bound t on a candidate's distinct item count
+// and nA is the query's distinct item count, so J ≤ min(1, t/nA) — which
+// grows with t, so every class from the least count that reaches alpha up
+// is admitted whole. So is classMax, whatever that least count: it stands
+// for every count from there up, and J grows with them.
+func countCuts(nA int, alpha float64, cut *[SketchClasses]int32) uint64 {
+	for c := range cut {
+		cut[c] = -1
 	}
-	least := uint64(0)
-	for least < uint64(nA) && float64(least)/float64(nA) < alpha {
+	if !(alpha <= 1) {
+		return 0 // α > 1 or NaN: nothing reaches it
+	}
+	least := 0
+	for least < nA && float64(least)/float64(nA) < alpha {
 		least++
 	}
-	for i, t := range sketches {
-		if t >= least {
-			out = append(out, int32(i))
-		}
+	for c := min(least, classMax); c < SketchClasses; c++ {
+		cut[c] = SignatureBits
 	}
-	return out
+	return 0
 }
 
 // NewKernel implements Batcher: the kernel interns q's distinct gram set
@@ -331,8 +304,8 @@ func (k *qgramKernel) Sim(cand string) float64 {
 	return float64(inter) / float64(union)
 }
 
-func (k *qgramKernel) Admit(sketches []uint64, alpha float64, out []int32) []int32 {
-	return admitCounts(sketches, len(k.grams), alpha, out)
+func (k *qgramKernel) Cuts(alpha float64, cut *[SketchClasses]int32) uint64 {
+	return countCuts(len(k.grams), alpha, cut)
 }
 
 func (k *qgramKernel) SimBatch(cands []string, out []float64) {
@@ -344,8 +317,8 @@ func (k *qgramKernel) SimBatch(cands []string, out []float64) {
 // --- JaccardWords -----------------------------------------------------------
 
 // Sketch implements Batcher: the word-set analogue of the q-gram sketch,
-// the token's field count.
-func (JaccardWords) Sketch(tok string) uint64 { return uint64(fieldCount(tok)) }
+// the token's field count, saturated at classMax.
+func (JaccardWords) Sketch(tok string) uint64 { return uint64(min(fieldCount(tok), classMax)) }
 
 // fieldCount counts white-space separated fields without allocating — an
 // upper bound on the distinct word count.
@@ -396,8 +369,8 @@ func (k *wordsKernel) Sim(cand string) float64 {
 	return float64(inter) / float64(union)
 }
 
-func (k *wordsKernel) Admit(sketches []uint64, alpha float64, out []int32) []int32 {
-	return admitCounts(sketches, len(k.words), alpha, out)
+func (k *wordsKernel) Cuts(alpha float64, cut *[SketchClasses]int32) uint64 {
+	return countCuts(len(k.words), alpha, cut)
 }
 
 func (k *wordsKernel) SimBatch(cands []string, out []float64) {
@@ -440,9 +413,9 @@ func (k *thresholdedKernel) Sim(cand string) float64 {
 	return s
 }
 
-// Admit delegates: the α-collapsed similarity never exceeds the raw one.
-func (k *thresholdedKernel) Admit(sketches []uint64, alpha float64, out []int32) []int32 {
-	return k.inner.Admit(sketches, alpha, out)
+// Cuts delegates: the α-collapsed similarity never exceeds the raw one.
+func (k *thresholdedKernel) Cuts(alpha float64, cut *[SketchClasses]int32) uint64 {
+	return k.inner.Cuts(alpha, cut)
 }
 
 func (k *thresholdedKernel) SimBatch(cands []string, out []float64) {

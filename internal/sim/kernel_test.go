@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,14 +109,18 @@ func FuzzEditKernel(f *testing.F) {
 	})
 }
 
-// admitted reports whether k's Admit lets cand's sketch through at alpha.
+// admitted reports whether k's cuts at alpha let cand's sketch through,
+// by the rule Kernel.Cuts states.
 func admitted(fn Batcher, k Kernel, cand string, alpha float64) bool {
-	return len(k.Admit([]uint64{fn.Sketch(cand)}, alpha, nil)) == 1
+	var cut [SketchClasses]int32
+	q := k.Cuts(alpha, &cut)
+	s := fn.Sketch(cand)
+	return cut[uint8(s)] >= 0 && bits.OnesCount64((s^q)>>8) <= int(cut[uint8(s)])
 }
 
 // TestKernelsMatchFunc: for every Batcher function, the prepared kernel's
-// Sim and SimBatch return exactly Func.Sim, and Admit lets every candidate
-// through at its own similarity.
+// Sim and SimBatch return exactly Func.Sim, and its cuts let every
+// candidate through at its own similarity.
 func TestKernelsMatchFunc(t *testing.T) {
 	funcs := []Batcher{
 		EditSimilarity{},
@@ -160,7 +165,7 @@ func TestKernelsMatchFunc(t *testing.T) {
 }
 
 // TestFilterSoundness is the admission-filter property the scan paths rely
-// on: whenever Admit refuses a candidate its true similarity is < α, so
+// on: whenever the cuts refuse a candidate its true similarity is < α, so
 // skipping the pair cannot change any α-edge.
 func TestFilterSoundness(t *testing.T) {
 	funcs := []Batcher{EditSimilarity{}, JaccardQGrams{Q: 3}, JaccardWords{}}
@@ -244,9 +249,11 @@ func TestEditCuts(t *testing.T) {
 	for _, la := range []int{0, 1, 4, 5, 8, 63, 64, 65, 200, 254, 255, 256, 300, 2000} {
 		k := EditSimilarity{}.NewKernel(strings.Repeat("q", la)).(*editKernel)
 		for _, alpha := range alphas {
-			var cut [editLenMax + 1]int32
-			k.cuts(alpha, &cut)
-			for lb := 0; lb < editLenMax; lb++ {
+			var cut [SketchClasses]int32
+			if q := k.Cuts(alpha, &cut); q != (EditSimilarity{}).Sketch(k.q) {
+				t.Fatalf("|q|=%d α=%v: Cuts returned sketch %x, want q's", la, alpha, q)
+			}
+			for lb := 0; lb < classMax; lb++ {
 				m, delta := max(la, lb), max(la-lb, lb-la)
 				dmax := -1
 				for d := 0; d <= m; d++ {
@@ -256,7 +263,7 @@ func TestEditCuts(t *testing.T) {
 				}
 				want := int32(-1)
 				if dmax >= delta {
-					want = int32(min(2*dmax, sigBits))
+					want = int32(min(2*dmax, SignatureBits))
 				}
 				if cut[lb] != want {
 					t.Fatalf("|q|=%d α=%v: cut[%d] = %d, want %d (dmax %d)", la, alpha, lb, cut[lb], want, dmax)
@@ -264,12 +271,12 @@ func TestEditCuts(t *testing.T) {
 			}
 			// The saturated length stands for 255 and everything longer: it
 			// may be refused only if every such length would be.
-			if cut[editLenMax] != -1 && cut[editLenMax] != sigBits {
-				t.Fatalf("|q|=%d α=%v: saturated cut %d is a distance cut", la, alpha, cut[editLenMax])
+			if cut[classMax] != -1 && cut[classMax] != SignatureBits {
+				t.Fatalf("|q|=%d α=%v: saturated cut %d is a distance cut", la, alpha, cut[classMax])
 			}
 			for _, lb := range []int{255, 256, 300, 1000, 5000} {
 				m, delta := max(la, lb), max(la-lb, lb-la)
-				if editRatio(delta, m) >= alpha && cut[editLenMax] < 0 {
+				if editRatio(delta, m) >= alpha && cut[classMax] < 0 {
 					t.Fatalf("|q|=%d α=%v: saturated length refused although length %d can reach α", la, alpha, lb)
 				}
 			}
@@ -294,5 +301,30 @@ func TestEditSketchSaturation(t *testing.T) {
 	}
 	if admitted(fn, fn.NewKernel("abcd"), long, 0.8) {
 		t.Fatal("a 4-byte query admits a saturated length at α=0.8")
+	}
+}
+
+// TestCountCuts checks the Jaccard kernels' table against its definition:
+// class c is admitted whole iff c/|A| can reach α — and the saturated class
+// whenever α ≤ 1, since it stands for counts without limit — for query
+// distinct counts on both sides of the saturation.
+func TestCountCuts(t *testing.T) {
+	for _, nA := range []int{0, 1, 3, 200, 254, 255, 256, 400} {
+		for _, alpha := range []float64{math.Inf(-1), 0, 0.3, 0.5, 0.7, 1, math.Nextafter(1, 2), math.NaN()} {
+			var cut [SketchClasses]int32
+			if q := countCuts(nA, alpha, &cut); q != 0 {
+				t.Fatalf("|A|=%d α=%v: query sketch %x, want 0", nA, alpha, q)
+			}
+			for c := range cut {
+				reach := alpha <= 1 && (c >= nA || float64(c)/float64(nA) >= alpha)
+				want := int32(-1)
+				if reach || c == classMax && alpha <= 1 {
+					want = SignatureBits
+				}
+				if cut[c] != want {
+					t.Fatalf("|A|=%d α=%v: cut[%d] = %d, want %d", nA, alpha, c, cut[c], want)
+				}
+			}
+		}
 	}
 }
