@@ -293,8 +293,8 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 			if err == nil {
 				break
 			}
-			var mbe *collection.MaintenanceBacklogError
-			if !errors.As(err, &mbe) {
+			var mbe *collection.Refusal
+			if !errors.As(err, &mbe) || mbe.Code != collection.CodeMaintenanceBacklog {
 				return fmt.Errorf("insert %d: %w", i, err)
 			}
 			if time.Now().After(wrDeadline) {

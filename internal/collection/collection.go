@@ -63,45 +63,67 @@ type Quota struct {
 // IsZero reports whether q is the all-unlimited zero value.
 func (q Quota) IsZero() bool { return q == Quota{} }
 
-// A QuotaError reports an insert refused because it would exceed the
-// collection's quota. The serving layer maps it to HTTP 413.
-type QuotaError struct {
-	Collection string
-	// Resource is "sets" or "bytes".
-	Resource string
-	// Limit is the configured bound, Used the current accounting, and
-	// Requested what the refused operation would have added.
-	Limit, Used, Requested int64
-}
+// The refusal codes: why a request was declined, stable and
+// machine-readable — the "code" of the serving layer's error body, which
+// maps each to one HTTP status.
+const (
+	CodeQuotaExceeded      = "quota_exceeded"       // 413: an insert past the sets/bytes quota
+	CodeMaintenanceBacklog = "maintenance_backlog"  // 503: an insert while maintenance debt is past the slowdown bound
+	CodeRateLimited        = "rate_limited"         // 429: a search past the rate limit
+	CodeTenantBusy         = "tenant_busy"          // 429: a search past the in-flight cap
+	CodeOverloaded         = "overloaded"           // 429: a search into a full tenant queue or a blown p99
+	CodeRecovering         = "recovering"           // 503: any request while the process still recovers
+	CodeNotFound           = "collection_not_found" // 404: an unknown or dropped collection
+)
 
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("collection %q: %s quota exceeded: %d used + %d requested > limit %d",
-		e.Collection, e.Resource, e.Used, e.Requested, e.Limit)
-}
-
-// A RateLimitError reports a search refused by the collection's rate
-// limit. The serving layer maps it to HTTP 429 with RetryAfter.
-type RateLimitError struct {
+// A Refusal reports a request declined before it did anything: which gate
+// said no (Code), for which collection, and when asking again may succeed.
+// It is the one error type of admission — the collection's gates (quota,
+// maintenance backlog, rate limit, in-flight cap) return it, and so do the
+// serving layer's (overload, recovery, an unknown collection).
+type Refusal struct {
+	Code       string
 	Collection string
-	// RetryAfter is how long until the token bucket refills enough to
-	// admit the refused request.
+	// RetryAfter is how long until the gate may admit the request; zero for
+	// a refusal that waiting cannot cure (quota_exceeded).
 	RetryAfter time.Duration
+	// Resource ("sets" or "bytes") names the quota an insert would exceed:
+	// Limit is its bound, Used the current accounting and Requested what the
+	// insert would have added. Limit is also the cap a tenant_busy refusal
+	// hit; an overloaded one carries the queued queries in Used and the
+	// workers in Limit.
+	Resource               string
+	Limit, Used, Requested int64
+	// Stalled and Debt detail a maintenance_backlog refusal: past the hard
+	// stall bound (every write refused) or in the slowdown band (a
+	// deterministic fraction refused), and the debt that triggered it.
+	Stalled bool
+	Debt    segment.Debt
 }
 
-func (e *RateLimitError) Error() string {
-	return fmt.Sprintf("collection %q: rate limit exceeded, retry in %v", e.Collection, e.RetryAfter)
-}
-
-// A BusyError reports a search refused because the collection is at its
-// in-flight cap — the fair-share refusal on the shared worker pool. The
-// serving layer maps it to HTTP 429.
-type BusyError struct {
-	Collection string
-	Limit      int64
-}
-
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("collection %q: %d searches already in flight (the configured cap)", e.Collection, e.Limit)
+func (r *Refusal) Error() string {
+	switch r.Code {
+	case CodeQuotaExceeded:
+		return fmt.Sprintf("collection %q: %s quota exceeded: %d used + %d requested > limit %d",
+			r.Collection, r.Resource, r.Used, r.Requested, r.Limit)
+	case CodeMaintenanceBacklog:
+		state := "slowed"
+		if r.Stalled {
+			state = "stalled"
+		}
+		return fmt.Sprintf("collection %q: writes %s by maintenance backlog (%s), retry shortly", r.Collection, state, r.Debt.String())
+	case CodeRateLimited:
+		return fmt.Sprintf("collection %q: rate limit exceeded, retry in %v", r.Collection, r.RetryAfter)
+	case CodeTenantBusy:
+		return fmt.Sprintf("collection %q: %d searches already in flight (the configured cap)", r.Collection, r.Limit)
+	case CodeOverloaded:
+		return fmt.Sprintf("overloaded: %d queries queued on %d workers", r.Used, r.Limit)
+	case CodeRecovering:
+		return "recovering: not ready to serve"
+	case CodeNotFound:
+		return fmt.Sprintf("no collection named %q", r.Collection)
+	}
+	return "refused: " + r.Code
 }
 
 // Counters is a snapshot of one collection's admission accounting.
@@ -223,17 +245,17 @@ func (c *Collection) Counters() Counters {
 func (c *Collection) InFlight() int64 { return c.inflight.Load() }
 
 // Insert adds (or replaces) a set, enforcing the maintenance-backlog
-// policy and the sets/bytes quota first: a refused insert returns
-// *MaintenanceBacklogError or *QuotaError and mutates nothing. Replacement
-// is quota-neutral on sets and charged by the size delta on bytes. The
+// policy and the sets/bytes quota first: a refused insert returns a
+// *Refusal (maintenance_backlog or quota_exceeded) and mutates nothing.
+// Replacement is quota-neutral on sets and charged by the size delta on bytes. The
 // check-then-apply pair is serialized against other quota-checked writes,
 // so concurrent inserts cannot both squeeze through the last quota slot.
 func (c *Collection) Insert(name string, elements []string) (int64, error) {
 	c.writeMu <- struct{}{}
 	defer func() { <-c.writeMu }()
 
-	if err := c.admitWrite(); err != nil {
-		return 0, err
+	if ref := c.admitWrite(); ref != nil {
+		return 0, ref
 	}
 	add := setBytes(elements)
 	var oldBytes, oldSets int64
@@ -243,19 +265,9 @@ func (c *Collection) Insert(name string, elements []string) (int64, error) {
 			oldSets = 1
 		}
 	}
-	if c.quota.MaxSets > 0 {
-		used := int64(c.mgr.Len())
-		if used-oldSets+1 > c.quota.MaxSets {
-			c.quotaRej.Add(1)
-			return 0, &QuotaError{Collection: c.name, Resource: "sets", Limit: c.quota.MaxSets, Used: used, Requested: 1 - oldSets}
-		}
-	}
-	if c.quota.MaxBytes > 0 {
-		used := c.bytes.Load()
-		if used-oldBytes+add > c.quota.MaxBytes {
-			c.quotaRej.Add(1)
-			return 0, &QuotaError{Collection: c.name, Resource: "bytes", Limit: c.quota.MaxBytes, Used: used, Requested: add - oldBytes}
-		}
+	if ref := c.quotaRefusal(1-oldSets, add-oldBytes); ref != nil {
+		c.quotaRej.Add(1)
+		return 0, ref
 	}
 	id, err := c.mgr.Insert(name, elements)
 	var durErr *segment.DurabilityError
@@ -285,24 +297,47 @@ func (c *Collection) Delete(name string) (bool, error) {
 	return deleted, err
 }
 
+// quotaRefusal is the sets/bytes gate: the refusal an insert adding sets
+// and bytes (net of the set it replaces) draws, or nil.
+func (c *Collection) quotaRefusal(sets, bytes int64) *Refusal {
+	q := c.quota
+	if q.MaxSets > 0 {
+		if used := int64(c.mgr.Len()); used+sets > q.MaxSets {
+			return &Refusal{Code: CodeQuotaExceeded, Collection: c.name, Resource: "sets", Limit: q.MaxSets, Used: used, Requested: sets}
+		}
+	}
+	if q.MaxBytes > 0 {
+		if used := c.bytes.Load(); used+bytes > q.MaxBytes {
+			return &Refusal{Code: CodeQuotaExceeded, Collection: c.name, Resource: "bytes", Limit: q.MaxBytes, Used: used, Requested: bytes}
+		}
+	}
+	return nil
+}
+
 // AdmitSearch runs the per-tenant admission checks for n searches (a batch
 // admits all its entries at once): the rate limit first, then the
 // in-flight cap. nil means admitted — the caller must pair it with
-// ReleaseSearch(n). A refusal returns *RateLimitError or *BusyError and
-// admits nothing.
+// ReleaseSearch(n). A refusal is a *Refusal (rate_limited or tenant_busy)
+// and admits nothing: a search refused at the cap gives back the rate
+// tokens it took.
 func (c *Collection) AdmitSearch(n int) error {
 	if c.limiter != nil {
 		if wait, ok := c.limiter.take(n); !ok {
 			c.rateLimited.Add(int64(n))
-			return &RateLimitError{Collection: c.name, RetryAfter: wait}
+			return &Refusal{Code: CodeRateLimited, Collection: c.name, RetryAfter: wait}
 		}
 	}
 	if c.quota.MaxInFlight > 0 {
 		for {
 			cur := c.inflight.Load()
 			if cur+int64(n) > c.quota.MaxInFlight {
+				if c.limiter != nil {
+					c.limiter.refund(n)
+				}
 				c.sheds.Add(int64(n))
-				return &BusyError{Collection: c.name, Limit: c.quota.MaxInFlight}
+				// The tenant's own searches drain on query-latency
+				// timescales, so a short fixed wait suffices.
+				return &Refusal{Code: CodeTenantBusy, Collection: c.name, Limit: c.quota.MaxInFlight, RetryAfter: time.Second}
 			}
 			if c.inflight.CompareAndSwap(cur, cur+int64(n)) {
 				return nil

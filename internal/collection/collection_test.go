@@ -44,9 +44,9 @@ func TestSetQuotaExactThreshold(t *testing.T) {
 		}
 	}
 	_, err = c.Insert("c", []string{"x"})
-	var qe *QuotaError
+	var qe *Refusal
 	if !errors.As(err, &qe) {
-		t.Fatalf("insert past MaxSets: got %v, want *QuotaError", err)
+		t.Fatalf("insert past MaxSets: got %v, want *Refusal", err)
 	}
 	if qe.Resource != "sets" || qe.Limit != 2 || qe.Used != 2 {
 		t.Fatalf("quota error %+v, want sets limit=2 used=2", qe)
@@ -87,9 +87,9 @@ func TestByteQuotaExactThreshold(t *testing.T) {
 	}
 	// One more byte is refused.
 	_, err = c.Insert("b", []string{"i"})
-	var qe *QuotaError
+	var qe *Refusal
 	if !errors.As(err, &qe) || qe.Resource != "bytes" {
-		t.Fatalf("insert past MaxBytes: got %v, want *QuotaError{bytes}", err)
+		t.Fatalf("insert past MaxBytes: got %v, want *Refusal{bytes}", err)
 	}
 	// Replacement is charged by delta: shrinking "a" to 4 bytes frees room.
 	if _, err := c.Insert("a", []string{"wxyz"}); err != nil {
@@ -162,9 +162,9 @@ func TestRateLimitAdmission(t *testing.T) {
 	}
 	c.ReleaseSearch(2)
 	err = c.AdmitSearch(1)
-	var re *RateLimitError
+	var re *Refusal
 	if !errors.As(err, &re) {
-		t.Fatalf("got %v, want *RateLimitError", err)
+		t.Fatalf("got %v, want *Refusal", err)
 	}
 	if re.RetryAfter != time.Second {
 		t.Fatalf("RetryAfter %v, want 1s", re.RetryAfter)
@@ -176,6 +176,35 @@ func TestRateLimitAdmission(t *testing.T) {
 	c.ReleaseSearch(1)
 	if got := c.Counters().RateLimitedTotal; got != 1 {
 		t.Fatalf("rate_limited_total = %d, want 1", got)
+	}
+}
+
+// TestBusyRefusalRefundsRateTokens: a search refused at the in-flight cap
+// admits nothing, rate budget included, so the tenant's next admissible
+// search is not rate-limited for searches that never ran.
+func TestBusyRefusalRefundsRateTokens(t *testing.T) {
+	clock := time.Unix(0, 0)
+	cfg := testConfig()
+	cfg.Now = func() time.Time { return clock }
+	reg := NewRegistry(nil, cfg)
+	c, err := reg.Create("t", Quota{RatePerSec: 1, Burst: 2, MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AdmitSearch(1); err != nil {
+		t.Fatal(err)
+	}
+	var ref *Refusal
+	if err := c.AdmitSearch(1); !errors.As(err, &ref) || ref.Code != CodeTenantBusy {
+		t.Fatalf("second search at cap 1 = %v, want tenant_busy", err)
+	}
+	c.ReleaseSearch(1)
+	if err := c.AdmitSearch(1); err != nil {
+		t.Fatalf("search after the busy refusal = %v, want admitted: the refusal spent a rate token", err)
+	}
+	c.ReleaseSearch(1)
+	if ctr := c.Counters(); ctr.ShedTotal != 1 || ctr.RateLimitedTotal != 0 {
+		t.Fatalf("counters %+v, want 1 shed and 0 rate-limited", ctr)
 	}
 }
 
@@ -192,11 +221,11 @@ func TestInFlightCapExactThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly at the cap: the next admission (and any over-cap batch) is a
-	// BusyError that admits nothing.
+	// Refusal that admits nothing.
 	err = c.AdmitSearch(1)
-	var be *BusyError
+	var be *Refusal
 	if !errors.As(err, &be) || be.Limit != 2 {
-		t.Fatalf("got %v, want *BusyError{Limit: 2}", err)
+		t.Fatalf("got %v, want *Refusal{Limit: 2}", err)
 	}
 	if got := c.InFlight(); got != 2 {
 		t.Fatalf("refused admission changed in-flight to %d", got)

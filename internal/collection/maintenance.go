@@ -137,30 +137,6 @@ func (t *maintTarget) Run(_ context.Context) error {
 	return nil
 }
 
-// A MaintenanceBacklogError reports an insert refused because the
-// collection's maintenance debt crossed the slowdown or stall threshold.
-// The serving layer maps it to HTTP 503 maintenance_backlog with
-// Retry-After — the degradation is always visible, never silent latency.
-type MaintenanceBacklogError struct {
-	Collection string
-	// Stalled is true past the hard stall bound (every write refused);
-	// false in the slowdown band (a deterministic fraction refused).
-	Stalled bool
-	// Debt is the backlog snapshot that triggered the refusal.
-	Debt segment.Debt
-	// RetryAfter is the suggested client backoff.
-	RetryAfter time.Duration
-}
-
-func (e *MaintenanceBacklogError) Error() string {
-	state := "slowed"
-	if e.Stalled {
-		state = "stalled"
-	}
-	return "collection \"" + e.Collection + "\": writes " + state +
-		" by maintenance backlog (" + e.Debt.String() + "), retry shortly"
-}
-
 // admitWrite applies the slowdown→stall policy to one insert. Callers hold
 // writeMu, which makes the slowdown credit a plain field and the decision
 // deterministic: in the slowdown band each write earns admitRatio credit
@@ -168,14 +144,12 @@ func (e *MaintenanceBacklogError) Error() string {
 // write stream is admitted — no randomness, no sleeping. The ratio falls
 // linearly from 1 at the slowdown bound to a 0.1 floor at the stall bound,
 // then everything is refused until maintenance drains the debt.
-func (c *Collection) admitWrite() error {
+func (c *Collection) admitWrite() *Refusal {
 	mc := c.maint
 	d := c.mgr.MaintenanceDebt()
 	if d.SealedSegments >= mc.StallSealed || d.WALBytes >= mc.StallWALBytes {
 		c.stalls.Add(1)
-		return &MaintenanceBacklogError{
-			Collection: c.name, Stalled: true, Debt: d, RetryAfter: 2 * time.Second,
-		}
+		return &Refusal{Code: CodeMaintenanceBacklog, Collection: c.name, Stalled: true, Debt: d, RetryAfter: 2 * time.Second}
 	}
 	ratio := 1.0
 	if f := band(d.SealedSegments, mc.SlowdownSealed, mc.StallSealed); f < ratio {
@@ -193,9 +167,7 @@ func (c *Collection) admitWrite() error {
 		return nil
 	}
 	c.slowed.Add(1)
-	return &MaintenanceBacklogError{
-		Collection: c.name, Stalled: false, Debt: d, RetryAfter: time.Second,
-	}
+	return &Refusal{Code: CodeMaintenanceBacklog, Collection: c.name, Debt: d, RetryAfter: time.Second}
 }
 
 // band maps a debt measure to an admission ratio: 1 below the slowdown

@@ -49,3 +49,10 @@ func (b *tokenBucket) take(n int) (wait time.Duration, ok bool) {
 	}
 	return time.Duration((need - b.tokens) / b.rate * float64(time.Second)), false
 }
+
+// refund gives back n tokens taken by an admission a later gate refused.
+func (b *tokenBucket) refund(n int) {
+	b.mu.Lock()
+	b.tokens = math.Min(b.burst, b.tokens+float64(n))
+	b.mu.Unlock()
+}

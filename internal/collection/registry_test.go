@@ -301,7 +301,7 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Every insert seals, so compactions and checkpoints are queued or
 		// running when Close lands; backlog refusals are expected.
-		var mbe *MaintenanceBacklogError
+		var mbe *Refusal
 		if _, err := c.Insert(fmt.Sprintf("s%d", i), []string{"x", fmt.Sprint(i)}); err != nil && !errors.As(err, &mbe) {
 			t.Fatal(err)
 		}

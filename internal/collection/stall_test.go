@@ -27,7 +27,7 @@ func testOptions() core.Options {
 // DESIGN.md §15 with no scheduler in the loop (a collection built outside
 // any registry): as maintenance debt crosses the slowdown bound, Insert
 // refuses a deterministic, growing fraction of writes with a typed
-// *MaintenanceBacklogError; at the stall bound it refuses everything; and
+// *Refusal; at the stall bound it refuses everything; and
 // the moment maintenance drains the debt, writes are admitted again.
 // SealThreshold 1 makes every admitted insert one sealed segment, so debt
 // is exactly the admitted-write count.
@@ -43,10 +43,10 @@ func TestWriteSlowdownAndStall(t *testing.T) {
 	c.maint = &mc
 
 	var admitted, slowed int
-	var stallErr *MaintenanceBacklogError
+	var stallErr *Refusal
 	for i := 0; i < 50 && stallErr == nil; i++ {
 		_, err := c.Insert(fmt.Sprintf("s%d", i), []string{"x"})
-		var mbe *MaintenanceBacklogError
+		var mbe *Refusal
 		switch {
 		case err == nil:
 			admitted++

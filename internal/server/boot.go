@@ -3,14 +3,17 @@ package server
 import (
 	"net/http"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/collection"
 )
 
 // Recovery of a large data directory (segment loading + WAL replay) can
 // take a while, and an orchestrator probing a dead port cannot tell "still
 // recovering" from "crashed". The boot protocol splits liveness from
 // readiness: the process binds its port immediately and serves BootHandler
-// — /healthz answers 200 (the process is alive), /readyz answers 503 (not
-// ready), and every other route answers 503 with a Retry-After — then
+// — /healthz answers 200 (the process is alive), /readyz and every other
+// route answer 503 recovering with a Retry-After (not ready) — then
 // swaps in the real Server once segment.Open returns. /readyz therefore
 // flips to 200 exactly when recovery and replay have completed.
 
@@ -39,20 +42,13 @@ func (s *Swapper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // BootHandler is what a server serves while recovery is still running:
-// alive but not ready.
+// alive but not ready — every route but /healthz, /readyz included, is
+// refused with 503 recovering.
 func BootHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, ReadyResponse{Ready: false})
-	})
+	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "recovering: not ready to serve")
+		writeError(w, &collection.Refusal{Code: collection.CodeRecovering, RetryAfter: time.Second})
 	})
 	return mux
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/collection"
@@ -44,9 +43,11 @@ type CollectionInfo struct {
 	LatencyP95US int64 `json:"latency_p95_us"`
 	LatencyP99US int64 `json:"latency_p99_us"`
 	// Quota is the configured bound (zero fields = unlimited); Counters
-	// are the admission totals — quota_rejected_total counts 413s,
-	// rate_limited_total and shed_total count the two flavors of 429, and
-	// slowed_total/stalled_total count the maintenance-backlog 503s.
+	// are the tenant's admission totals — quota_rejected_total counts 413s,
+	// rate_limited_total and shed_total the rate_limited and tenant_busy
+	// 429s, and slowed_total/stalled_total the maintenance-backlog 503s. The
+	// other two 429s (the tenant queue and latency gates, code overloaded)
+	// are the pool's, counted in /v1/info's resilience.shed_total.
 	Quota    collection.Quota    `json:"quota"`
 	Counters collection.Counters `json:"counters"`
 }
@@ -102,87 +103,10 @@ func (s *Server) resolveCollection(w http.ResponseWriter, r *http.Request) (*col
 	name := r.PathValue("collection")
 	col, ok := s.reg.Get(name)
 	if !ok {
-		collectionNotFound(w, name)
+		writeError(w, &collection.Refusal{Code: collection.CodeNotFound, Collection: name})
 		return nil, false
 	}
 	return col, true
-}
-
-// collectionNotFound writes the 404 envelope for a collection that does not
-// exist — or no longer does: a search that was queued when its collection
-// was dropped answers the same.
-func collectionNotFound(w http.ResponseWriter, name string) {
-	writeJSON(w, http.StatusNotFound, errorBody{
-		Error:      fmt.Sprintf("no collection named %q", name),
-		Code:       "collection_not_found",
-		Collection: name,
-	})
-}
-
-// writeAdmissionError maps the typed per-tenant refusals to their HTTP
-// forms: quota → 413, rate limit → 429 with the bucket's refill time as
-// Retry-After, in-flight cap → 429 with a short fixed Retry-After (the
-// tenant's own queries drain on query-latency timescales), maintenance
-// backlog → 503 maintenance_backlog with Retry-After (the write-stall
-// degradation of DESIGN.md §15 — visible refusal, never silent latency).
-// Returns false for any other error so callers fall through to their
-// generic handling.
-func writeAdmissionError(w http.ResponseWriter, err error) bool {
-	var qe *collection.QuotaError
-	var re *collection.RateLimitError
-	var be *collection.BusyError
-	var me *collection.MaintenanceBacklogError
-	switch {
-	case errors.As(err, &qe):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-			Error:      qe.Error(),
-			Code:       "quota_exceeded",
-			Collection: qe.Collection,
-			Resource:   qe.Resource,
-			Limit:      qe.Limit,
-			Used:       qe.Used,
-		})
-	case errors.As(err, &re):
-		secs := int64(re.RetryAfter.Seconds()) + 1
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
-			Error:      re.Error(),
-			Code:       "rate_limited",
-			Collection: re.Collection,
-		})
-	case errors.As(err, &be):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{
-			Error:      be.Error(),
-			Code:       "tenant_busy",
-			Collection: be.Collection,
-		})
-	case errors.As(err, &me):
-		secs := int64(me.RetryAfter.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
-			Error:      me.Error(),
-			Code:       "maintenance_backlog",
-			Collection: me.Collection,
-		})
-	default:
-		return false
-	}
-	return true
-}
-
-// admitTenant runs the per-tenant admission checks (rate limit, in-flight
-// cap) for n searches, writing the 429 itself on refusal. A true return
-// must be paired with col.ReleaseSearch(n).
-func (s *Server) admitTenant(w http.ResponseWriter, col *collection.Collection, n int) bool {
-	if err := col.AdmitSearch(n); err != nil {
-		writeAdmissionError(w, err)
-		return false
-	}
-	return true
 }
 
 func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +161,7 @@ func (s *Server) handleDropCollection(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, collection.ErrDefault):
 		httpError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, collection.ErrNotFound):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error(), Code: "collection_not_found", Collection: name})
+		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error(), Code: collection.CodeNotFound, Collection: name})
 	case errors.Is(err, collection.ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 	default:

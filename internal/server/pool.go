@@ -2,12 +2,13 @@ package server
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/collection"
 )
 
 // workerPool bounds the number of searches executing concurrently across
@@ -25,8 +26,9 @@ import (
 // backlogged tenants complete queries in proportion to their weights
 // (weights 1:1:4 → shares 1/6:1/6:4/6) and a flooding tenant fills only
 // its own queue. Shedding remains the backstop: a query arriving to a full
-// tenant queue is refused (429) rather than enqueued, so the flooder's own
-// tail is bounded too, and no one else's queue ever absorbs its overflow.
+// tenant queue, or while the latency bound is blown, is refused (429)
+// rather than enqueued, so the flooder's own tail is bounded too, and no
+// one else's queue ever absorbs its overflow.
 //
 // The pool also owns the serving telemetry: queue depth and cumulative
 // queue wait, queries completed and timed out, and fixed rings of recent
@@ -34,7 +36,8 @@ import (
 // derives p50/p95/p99.
 type workerPool struct {
 	sem      chan struct{}
-	maxQueue int // per-tenant queue depth beyond which new queries are shed
+	maxQueue int           // per-tenant queue depth beyond which new queries are shed
+	shedP99  time.Duration // p99 beyond which new queries are shed while others queue; 0 = no bound
 
 	mu      sync.Mutex
 	tenants map[string]*tenantQ
@@ -82,9 +85,6 @@ type waiter struct {
 	granted bool
 }
 
-// errTenantRemoved fails the queries a tenant had queued when it was removed.
-var errTenantRemoved = errors.New("server: collection dropped while the query was queued")
-
 func newWorkerPool(workers, maxQueue int) *workerPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -118,7 +118,7 @@ func (p *workerPool) tenantLocked(name string, weight int) *tenantQ {
 }
 
 // removeTenant drops a tenant's queue state (its collection was dropped)
-// and fails its queued waiters at once with errTenantRemoved: dispatch can
+// and fails its queued waiters at once with collection_not_found: dispatch can
 // no longer reach them, and under the default QueryTimeout of 0 nothing
 // else would ever wake them.
 func (p *workerPool) removeTenant(name string) {
@@ -151,26 +151,39 @@ func (p *workerPool) removeTenant(name string) {
 	}
 }
 
-// admit decides whether a new query may join its tenant's queue; false
-// sheds it (the caller answers 429). The bound is per tenant: a flooding
-// tenant exhausts its own queue and gets shed while its siblings' queues
-// — and their latency — are untouched. The check-then-enqueue pair is not
-// atomic, so the bound is approximate under racing admissions — load
-// shedding needs a level, not an exact count.
+// admit is the pool's two gates: it decides whether a new query may join
+// its tenant's queue, and false sheds it (counted here; the caller answers
+// 429 overloaded). The queue bound is per tenant: a flooding tenant
+// exhausts its own queue and gets shed while its siblings' queues — and
+// their latency — are untouched. The latency bound sheds every tenant's
+// arrivals while latencyBlown. The check-then-enqueue pair is not atomic,
+// so the bound is approximate under racing admissions — load shedding
+// needs a level, not an exact count.
 func (p *workerPool) admit(tenant string, weight int) bool {
 	p.mu.Lock()
 	depth := len(p.tenantLocked(tenant, weight).q)
 	p.mu.Unlock()
-	if depth >= p.maxQueue {
+	if depth >= p.maxQueue || p.latencyBlown() {
 		p.sheds.Add(1)
 		return false
 	}
 	return true
 }
 
+// latencyBlown reports whether queries are queueing while the recent p99
+// is past shedP99: new arrivals would only deepen the tail. An idle pool
+// is never blown, whatever its stale ring samples say.
+func (p *workerPool) latencyBlown() bool {
+	if p.shedP99 <= 0 || p.queued.Load() == 0 {
+		return false
+	}
+	_, _, p99 := p.percentiles()
+	return p99 > p.shedP99
+}
+
 // acquire blocks until a worker slot is granted to this tenant by the DRR
-// dispatcher, the tenant is removed (errTenantRemoved) or ctx is done,
-// accounting the queue wait either way.
+// dispatcher, the tenant is removed (a collection_not_found refusal) or ctx
+// is done, accounting the queue wait either way.
 func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) error {
 	p.queued.Add(1)
 	start := time.Now()
@@ -187,7 +200,7 @@ func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) err
 	select {
 	case <-w.ready:
 		if !w.granted {
-			return errTenantRemoved
+			return &collection.Refusal{Code: collection.CodeNotFound, Collection: tenant}
 		}
 		p.active.Add(1)
 		return nil

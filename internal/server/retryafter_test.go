@@ -34,3 +34,22 @@ func TestRetryAfterSecs(t *testing.T) {
 		}
 	}
 }
+
+// TestRetrySecsRounding pins the one Retry-After rounding every refusal
+// shares: up to whole seconds, at least 1.
+func TestRetrySecsRounding(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want int64
+	}{
+		{0, 1},
+		{300 * time.Millisecond, 1},
+		{time.Second, 1},
+		{1500 * time.Millisecond, 2},
+		{2 * time.Second, 2},
+	} {
+		if got := retrySecs(tc.d); got != tc.want {
+			t.Errorf("retrySecs(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,23 +161,17 @@ func NewRegistry(reg *collection.Registry, cfg Config) *Server {
 		pool:  newWorkerPool(cfg.SearchWorkers, cfg.MaxQueueDepth),
 		start: time.Now(),
 	}
-	// Load-aware maintenance pausing (DESIGN.md §15): while queries are
-	// queueing and the pool's recent p99 is past the shed bound, defer
-	// non-urgent background work; the scheduler's urgency override still
-	// drains tenants whose writers are degrading. Requires ShedLatencyP99 —
-	// without a latency target there is no "blown p99" to defer for.
+	s.pool.shedP99 = cfg.ShedLatencyP99
+	// Load-aware maintenance pausing (DESIGN.md §15): while the latency gate
+	// would shed, defer non-urgent background work; the scheduler's urgency
+	// override still drains tenants whose writers are degrading. Requires
+	// ShedLatencyP99 — without a latency target there is no "blown p99" to
+	// defer for.
 	if cfg.ShedLatencyP99 > 0 {
-		pool, bound := s.pool, cfg.ShedLatencyP99
-		reg.Scheduler().SetLoadProbe(func() bool {
-			if pool.queued.Load() == 0 {
-				return false // stale ring samples must not pause an idle server
-			}
-			_, _, p99 := pool.percentiles()
-			return p99 > bound
-		})
+		reg.Scheduler().SetLoadProbe(s.pool.latencyBlown)
 	}
 	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /v1/collections", s.handleListCollections)
 	s.mux.HandleFunc("POST /v1/collections", s.handleCreateCollection)
@@ -261,12 +256,10 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	return sr.ResponseWriter.Write(p)
 }
 
-// retryAfterSecs derives a Retry-After hint from the backlog: queue depth
-// over pool size, scaled by the recent median latency, clamped to [1, 30]
-// seconds. The floor matters: before the first query completes the p50
-// sample window is empty, and an unclamped computation would emit
-// Retry-After: 0 — an instruction to hammer the overloaded server
-// immediately. An empty window substitutes a nominal median instead.
+// retryAfterSecs derives an overload refusal's Retry-After from the
+// backlog: queue depth over pool size, scaled by the recent median latency,
+// clamped to 30 seconds and rounded by retrySecs. Before the first query
+// completes the p50 sample window is empty; a nominal median stands in.
 func retryAfterSecs(queued, workers int64, p50 time.Duration) int64 {
 	if p50 <= 0 {
 		p50 = 50 * time.Millisecond
@@ -274,48 +267,71 @@ func retryAfterSecs(queued, workers int64, p50 time.Duration) int64 {
 	if workers <= 0 {
 		workers = 1
 	}
-	backlog := (queued/workers + 1) * int64(p50)
-	secs := int64(time.Duration(backlog).Seconds() + 1)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	return retrySecs(min(time.Duration(queued/workers+1)*p50, 30*time.Second))
 }
 
-// shed answers a search the admission control refused: 429 with a
-// Retry-After derived from the current backlog, so well-behaved clients
-// back off proportionally to the overload instead of hammering a fixed
-// beat.
-func (s *Server) shed(w http.ResponseWriter) {
-	p50, _, _ := s.pool.percentiles()
-	secs := retryAfterSecs(s.pool.queued.Load(), int64(s.pool.size()), p50)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	httpError(w, http.StatusTooManyRequests,
-		fmt.Sprintf("overloaded: %d queries queued on %d workers", s.pool.queued.Load(), s.pool.size()))
+// retrySecs is the one Retry-After rounding: d up to whole seconds, at
+// least 1 — a 0 would tell clients to retry at once, into the very
+// condition that refused them.
+func retrySecs(d time.Duration) int64 {
+	return max(1, int64((d+time.Second-1)/time.Second))
 }
 
-// admitGlobal runs the pool-wide admission checks for one request from
-// col: the tenant's fair-queue bound, then (when configured) the
-// latency-percentile bound — if queries are already queueing and the
-// recent p99 exceeds Config.ShedLatencyP99, new arrivals are shed before
-// they deepen the tail. Writes the 429 itself on refusal.
-func (s *Server) admitGlobal(w http.ResponseWriter, col *collection.Collection) bool {
+// admit is the gate chain a search request runs before it may queue, in
+// order: its tenant's queue bound and the pool's latency bound
+// (workerPool.admit), then the collection's rate limit and in-flight cap
+// (Collection.AdmitSearch), for all n entries of a batch at once. Each gate
+// counts its own refusals; admit writes nothing and returns the
+// *collection.Refusal for writeError. nil must be paired with
+// col.ReleaseSearch(n).
+func (s *Server) admit(col *collection.Collection, n int) error {
 	if !s.pool.admit(col.Name(), col.Weight()) {
-		s.shed(w)
-		return false
-	}
-	if s.cfg.ShedLatencyP99 > 0 && s.pool.queued.Load() > 0 {
-		if _, _, p99 := s.pool.percentiles(); p99 > s.cfg.ShedLatencyP99 {
-			s.pool.sheds.Add(1)
-			s.shed(w)
-			return false
+		queued, workers := s.pool.queued.Load(), int64(s.pool.size())
+		p50, _, _ := s.pool.percentiles()
+		return &collection.Refusal{
+			Code: collection.CodeOverloaded, Used: queued, Limit: workers,
+			RetryAfter: time.Duration(retryAfterSecs(queued, workers, p50)) * time.Second,
 		}
 	}
-	return true
+	return col.AdmitSearch(n)
 }
+
+// execute runs one admitted query of col, a single search or a batch entry
+// alike: a worker slot granted in col's fair-queue turn, the search, the
+// slot's release with its latency, and the stream aggregates. The deadline
+// spans the queue wait and the search — under overload the queue is where
+// the time goes — and a query past it is counted here and returned as a
+// timeoutError.
+func (s *Server) execute(ctx context.Context, col *collection.Collection, search func(context.Context) ([]segment.Result, core.Stats, error)) (SearchResponse, error) {
+	qctx, cancel := s.queryContext(ctx)
+	defer cancel()
+	err := s.pool.acquire(qctx, col.Name(), col.Weight())
+	if err == nil {
+		start := time.Now()
+		var results []segment.Result
+		var stats core.Stats
+		results, stats, err = search(qctx)
+		s.pool.release(col.Name(), time.Since(start))
+		if err == nil {
+			s.recordStreamStats(&stats)
+			return buildSearchResponse(results, &stats), nil
+		}
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.pool.timeouts.Add(1)
+		err = timeoutError(s.cfg.QueryTimeout)
+	}
+	return SearchResponse{}, err
+}
+
+// timeoutError is a query that ran past Config.QueryTimeout.
+type timeoutError time.Duration
+
+func (e timeoutError) Error() string {
+	return fmt.Sprintf("query exceeded the %v per-query timeout", time.Duration(e))
+}
+
+func (timeoutError) Unwrap() error { return context.DeadlineExceeded }
 
 // SearchRequest is the body of POST /v1/search.
 type SearchRequest struct {
@@ -385,31 +401,12 @@ func (s *Server) validateQuery(w http.ResponseWriter, query []string, label stri
 }
 
 // queryContext derives one query's context: the request context (client
-// hang-ups cancel the search) plus the per-query timeout. The deadline is
-// taken before the worker-pool acquire so it covers queue wait too — under
-// overload the queue is exactly where the time goes, and a queued request
-// must still answer 504 rather than wait unboundedly.
+// hang-ups cancel the search) plus the per-query timeout.
 func (s *Server) queryContext(parent context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.QueryTimeout <= 0 {
 		return context.WithCancel(parent)
 	}
 	return context.WithTimeout(parent, s.cfg.QueryTimeout)
-}
-
-// searchFailed writes the response for a failed search on col: 504 when the
-// per-query timeout expired, 404 when col was dropped while the query was
-// queued, otherwise the client is gone — 499 in the nginx tradition, for
-// any middleware that still logs the status.
-func (s *Server) searchFailed(w http.ResponseWriter, col *collection.Collection, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.pool.timeouts.Add(1)
-		httpError(w, http.StatusGatewayTimeout, fmt.Sprintf("query exceeded the %v per-query timeout", s.cfg.QueryTimeout))
-	case errors.Is(err, errTenantRemoved):
-		collectionNotFound(w, col.Name())
-	default:
-		w.WriteHeader(499)
-	}
 }
 
 // buildSearchResponse converts engine results and stats to the wire form.
@@ -455,36 +452,23 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 		return
 	}
 
-	// Admission control first: a full queue (or a blown latency target)
-	// sheds the query now (429 + Retry-After) rather than queueing it into
-	// a timeout, and a tenant over its rate limit or in-flight cap is
-	// refused before it can touch the shared pool.
-	if !s.admitGlobal(w, col) {
-		return
-	}
-	if !s.admitTenant(w, col, 1) {
+	// Admission first: a full queue or a blown latency target sheds the
+	// query now rather than queueing it into a timeout, and a tenant over
+	// its rate limit or in-flight cap is refused before it can touch the
+	// shared pool.
+	if err := s.admit(col, 1); err != nil {
+		writeError(w, err)
 		return
 	}
 	defer col.ReleaseSearch(1)
-	// One pool slot per query, granted in weighted-fair order across
-	// tenants: concurrent requests beyond the pool size queue in their
-	// tenant's own queue instead of oversubscribing the CPU. The per-query
-	// deadline spans the queue wait and the search.
-	qctx, cancel := s.queryContext(r.Context())
-	defer cancel()
-	if err := s.pool.acquire(qctx, col.Name(), col.Weight()); err != nil {
-		s.searchFailed(w, col, err)
-		return
-	}
-	start := time.Now()
-	results, stats, err := col.Manager().Search(qctx, req.Query, req.K)
-	s.pool.release(col.Name(), time.Since(start))
+	resp, err := s.execute(r.Context(), col, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
+		return col.Manager().Search(ctx, req.Query, req.K)
+	})
 	if err != nil {
-		s.searchFailed(w, col, err)
+		writeError(w, err)
 		return
 	}
-	s.recordStreamStats(&stats)
-	writeJSON(w, http.StatusOK, buildSearchResponse(results, &stats))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // BatchSearchRequest is the body of POST /v1/search/batch: a slice of
@@ -529,14 +513,11 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	if !s.validateK(w, req.K) {
 		return
 	}
-	// Admission control sheds the whole batch up front — admitting a batch
-	// the queue cannot absorb would just spread the overload across its
-	// entries as timeouts. The tenant checks charge the batch all its
-	// entries at once for the same reason.
-	if !s.admitGlobal(w, col) {
-		return
-	}
-	if !s.admitTenant(w, col, len(req.Queries)) {
+	// The gates refuse the whole batch up front, charging the tenant all
+	// its entries at once — admitting a batch the queue cannot absorb would
+	// just spread the overload across its entries as timeouts.
+	if err := s.admit(col, len(req.Queries)); err != nil {
+		writeError(w, err)
 		return
 	}
 	defer col.ReleaseSearch(len(req.Queries))
@@ -547,50 +528,31 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	// a batch soaks up idle slots but cannot starve single queries beyond
 	// its fair share of the queue. The per-query timeout applies to each
 	// entry individually: an expired entry reports its error in place and
-	// the rest of the batch completes; only the client hanging up abandons
-	// the whole batch.
+	// the rest of the batch completes.
 	v := col.Manager().AcquireView(req.K)
 	resps := make([]BatchSearchEntry, len(req.Queries))
-	var dropped atomic.Bool // col was dropped with entries of this batch queued
+	errs := make([]error, len(req.Queries))
 	var wg sync.WaitGroup
 	for i := range req.Queries {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The entry's deadline spans its queue wait and its search.
-			qctx, qcancel := s.queryContext(r.Context())
-			defer qcancel()
-			if err := s.pool.acquire(qctx, col.Name(), col.Weight()); err != nil {
-				switch {
-				case errors.Is(err, context.DeadlineExceeded):
-					s.pool.timeouts.Add(1)
-					resps[i] = BatchSearchEntry{Error: fmt.Sprintf("query exceeded the %v per-query timeout waiting for a worker", s.cfg.QueryTimeout)}
-				case errors.Is(err, errTenantRemoved):
-					dropped.Store(true)
-				}
-				return // otherwise the client is gone; the response will never be read
-			}
-			start := time.Now()
-			results, stats, err := v.Search(qctx, req.Queries[i])
-			s.pool.release(col.Name(), time.Since(start))
-			switch {
-			case err == nil:
-				s.recordStreamStats(&stats)
-				resps[i] = BatchSearchEntry{SearchResponse: buildSearchResponse(results, &stats)}
-			case errors.Is(err, context.DeadlineExceeded):
-				s.pool.timeouts.Add(1)
-				resps[i] = BatchSearchEntry{Error: fmt.Sprintf("query exceeded the %v per-query timeout", s.cfg.QueryTimeout)}
+			resps[i].SearchResponse, errs[i] = s.execute(r.Context(), col, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
+				return v.Search(ctx, req.Queries[i])
+			})
+			if errs[i] != nil {
+				resps[i].Error = errs[i].Error()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if r.Context().Err() != nil {
-		w.WriteHeader(499)
-		return
-	}
-	if dropped.Load() {
-		collectionNotFound(w, col.Name())
-		return
+	for _, err := range errs {
+		// Any failure but a timeout fails the batch whole: the client hung up
+		// (499), or col was dropped with entries still queued (404).
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			writeError(w, err)
+			return
+		}
 	}
 	s.pool.batches.Add(1)
 	writeJSON(w, http.StatusOK, BatchSearchResponse{Results: resps})
@@ -626,16 +588,7 @@ func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request, col *collec
 	id, err := col.Insert(req.Name, req.Elements)
 	var durErr *segment.DurabilityError
 	if err != nil && !errors.As(err, &durErr) {
-		// An insert over the collection's sets/bytes quota answers 413 with
-		// the structured error body; nothing was applied.
-		if writeAdmissionError(w, err) {
-			return
-		}
-		if errors.Is(err, segment.ErrImmutable) {
-			httpError(w, http.StatusConflict, err.Error())
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, err) // a refusal (quota, backlog) or a failure: nothing was applied
 		return
 	}
 	// A DurabilityError means the insert IS applied and WAL-logged (only a
@@ -681,7 +634,7 @@ func (s *Server) serveDelete(w http.ResponseWriter, r *http.Request, col *collec
 	var durErr *segment.DurabilityError
 	if err != nil && !errors.As(err, &durErr) {
 		// The delete was not applied (WAL append failed or engine closed).
-		httpError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, err)
 		return
 	}
 	if !deleted {
@@ -931,7 +884,7 @@ func (s *Server) lazyStreamInfo() LazyStreamInfo {
 	return info
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ok\n"))
 }
@@ -964,14 +917,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // errorBody is the JSON error envelope. The structured fields are only set
-// by the multi-tenant admission errors (quota, rate limit, in-flight cap,
-// unknown collection); with all of them empty the envelope marshals to the
-// pre-multi-tenant {"error": "..."} byte-identically, which is what keeps
-// the legacy routes' error responses unchanged.
+// for a refusal (and collection_exists); with all of them empty the
+// envelope marshals to the pre-multi-tenant {"error": "..."}
+// byte-identically, which is what keeps the legacy routes' error responses
+// unchanged.
 type errorBody struct {
 	Error string `json:"error"`
-	// Code is a stable machine-readable discriminator: quota_exceeded,
-	// rate_limited, tenant_busy, collection_not_found, collection_exists.
+	// Code is a stable machine-readable discriminator: a
+	// collection.Refusal's code, or collection_exists.
 	Code       string `json:"code,omitempty"`
 	Collection string `json:"collection,omitempty"`
 	// Resource ("sets" or "bytes"), Limit and Used detail a quota_exceeded
@@ -999,4 +952,48 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
+}
+
+// refusalStatus is the HTTP status of each refusal code.
+var refusalStatus = map[string]int{
+	collection.CodeQuotaExceeded:      http.StatusRequestEntityTooLarge,
+	collection.CodeMaintenanceBacklog: http.StatusServiceUnavailable,
+	collection.CodeRateLimited:        http.StatusTooManyRequests,
+	collection.CodeTenantBusy:         http.StatusTooManyRequests,
+	collection.CodeOverloaded:         http.StatusTooManyRequests,
+	collection.CodeRecovering:         http.StatusServiceUnavailable,
+	collection.CodeNotFound:           http.StatusNotFound,
+}
+
+// writeError is the one writer of a failed request's response. A
+// *collection.Refusal answers its code's status with its Retry-After
+// (rounded by retrySecs) and the structured body; past that, a query past
+// its deadline answers 504, a client gone 499, an insert into a static
+// index 409 and anything else 500. A batch entry's error text is the one
+// this writes.
+func writeError(w http.ResponseWriter, err error) {
+	body := errorBody{Error: err.Error()}
+	status := http.StatusInternalServerError
+	var ref *collection.Refusal
+	switch {
+	case errors.As(err, &ref):
+		status = refusalStatus[ref.Code]
+		body.Code, body.Collection = ref.Code, ref.Collection
+		if ref.Resource != "" {
+			body.Resource, body.Limit, body.Used = ref.Resource, ref.Limit, ref.Used
+		}
+		if ref.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.FormatInt(retrySecs(ref.RetryAfter), 10))
+		}
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client hung up: 499 in the nginx tradition, for any middleware
+		// that still logs the status, and no body: nobody is left to read it.
+		w.WriteHeader(499)
+		return
+	case errors.Is(err, segment.ErrImmutable):
+		status = http.StatusConflict
+	}
+	writeJSON(w, status, body)
 }

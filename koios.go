@@ -64,21 +64,6 @@ type Config struct {
 	// semantic overlap (single-partition searches may otherwise return
 	// proven lower bounds for sets whose membership needed no matching).
 	ExactScores bool
-	// DisableIUB, DisableNoEM and DisableEarlyTerm switch off individual
-	// filters; searching stays exact but slower. They exist for ablation
-	// studies.
-	DisableIUB       bool
-	DisableNoEM      bool
-	DisableEarlyTerm bool
-	// DisableLazy switches the lazy token stream off: the search retrieves,
-	// sorts, and consumes every α-neighbor instead of cutting the stream
-	// once the top-k is decided (DESIGN.md §10). Results are byte-identical
-	// either way — for any index, the approximate NewWithSource ones
-	// included (a cut search completes truncated edge lists from the
-	// source's own retrieval, so it reproduces exactly what consuming that
-	// source's whole stream would return). The flag exists for ablation
-	// studies.
-	DisableLazy bool
 	// SealThreshold is the number of inserted sets buffered in the mutable
 	// memtable before it seals into an immutable segment (default 256);
 	// MaxSegments bounds how many sealed segments accumulate before the
@@ -114,15 +99,11 @@ func (c Config) registryConfig(build segment.SourceBuilder) collection.Config {
 
 func (c Config) coreOptions() core.Options {
 	return core.Options{
-		K:                c.K,
-		Alpha:            c.Alpha,
-		Partitions:       c.Partitions,
-		Workers:          c.Workers,
-		ExactScores:      c.ExactScores,
-		DisableIUB:       c.DisableIUB,
-		DisableNoEM:      c.DisableNoEM,
-		DisableEarlyTerm: c.DisableEarlyTerm,
-		DisableLazy:      c.DisableLazy,
+		K:           c.K,
+		Alpha:       c.Alpha,
+		Partitions:  c.Partitions,
+		Workers:     c.Workers,
+		ExactScores: c.ExactScores,
 	}
 }
 
@@ -289,10 +270,10 @@ func (e *Engine) SearchBatch(ctx context.Context, queries [][]string) ([][]Resul
 // set. The set is searchable as soon as Insert returns; concurrent
 // searches keep their snapshot. Engines built with NewWithSource return
 // ErrImmutable. Every engine enforces the write-stall policy: past the
-// slowdown bound of Config.Maintenance an insert may be refused with
-// *MaintenanceBacklogError (nothing applied, retry after RetryAfter).
-// Engines from a Registry also enforce their collection's quota
-// (*QuotaError, nothing applied).
+// slowdown bound of Config.Maintenance an insert may be refused with a
+// maintenance_backlog *Refusal (nothing applied, retry after RetryAfter).
+// Engines from a Registry also enforce their collection's quota (a
+// quota_exceeded *Refusal, nothing applied).
 func (e *Engine) Insert(s Set) (int, error) {
 	id, err := e.col.Insert(s.Name, s.Elements)
 	return int(id), err

@@ -12,10 +12,13 @@ import (
 // zero value is unlimited everything.
 type Quota = collection.Quota
 
-// QuotaError reports an Insert refused because it would exceed the
-// collection's sets or bytes quota; nothing was applied. Distinguish it
-// with errors.As.
-type QuotaError = collection.QuotaError
+// Refusal reports an Insert refused before it applied anything; distinguish
+// it with errors.As and read its Code. "quota_exceeded": the insert would
+// exceed the collection's sets or bytes quota (Resource, Limit, Used and
+// Requested say which and by how much). "maintenance_backlog": the
+// collection's maintenance debt crossed the slowdown or stall threshold
+// (Stalled and Debt say which), and RetryAfter suggests a client backoff.
+type Refusal = collection.Refusal
 
 // MaintenanceConfig is the policy of background maintenance (DESIGN.md
 // §15): one scheduler per Registry — and per standalone engine — owns
@@ -23,17 +26,11 @@ type QuotaError = collection.QuotaError
 // concurrency cap (Workers), with weighted fair sharing across
 // collections, retry with backoff on failures, and RocksDB-style write
 // degradation — inserts on a collection whose backlog crosses the
-// slowdown/stall thresholds are refused with *MaintenanceBacklogError
-// instead of silently slowing down. The zero value is the default policy:
+// slowdown/stall thresholds are refused with a maintenance_backlog
+// *Refusal instead of silently slowing down. The zero value is the default policy:
 // the scheduler's default worker count and thresholds derived from
 // MaxSegments.
 type MaintenanceConfig = collection.MaintenanceConfig
-
-// MaintenanceBacklogError reports an Insert refused because the
-// collection's maintenance debt crossed the slowdown or stall
-// threshold; nothing was applied, and RetryAfter suggests a client
-// backoff. Distinguish it with errors.As.
-type MaintenanceBacklogError = collection.MaintenanceBacklogError
 
 // ErrCollectionExists is returned by Registry.Create for a taken name.
 var ErrCollectionExists = collection.ErrExists

@@ -13,7 +13,7 @@ import (
 
 // TestRegistryMaintenancePassthrough drives the public Config.Maintenance
 // plumbing end to end: a registry with coordinated maintenance enabled must
-// surface write pressure as a typed *MaintenanceBacklogError (never silent
+// surface write pressure as a typed *Refusal (never silent
 // latency) and admit writes again once the scheduler drains the backlog.
 func TestRegistryMaintenancePassthrough(t *testing.T) {
 	reg := NewRegistry(nil, Exact(), Config{
@@ -41,7 +41,7 @@ func TestRegistryMaintenancePassthrough(t *testing.T) {
 		}
 		return out
 	}
-	var mbe *MaintenanceBacklogError
+	var mbe *Refusal
 	refused := -1
 	for i := 0; i < 5000; i++ {
 		_, err := eng.Insert(Set{Name: fmt.Sprintf("s%d", i), Elements: elems(i)})
@@ -126,7 +126,7 @@ func TestNoGoroutineOutlivesEngineClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		var mbe *MaintenanceBacklogError
+		var mbe *Refusal
 		if _, err := eng.Insert(Set{Name: fmt.Sprintf("s%d", i), Elements: []string{"LA", fmt.Sprint(i)}}); err != nil && !errors.As(err, &mbe) {
 			t.Fatal(err)
 		}
