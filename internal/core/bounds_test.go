@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/matching"
 	"repro/internal/sets"
@@ -21,25 +24,40 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 	return sets.NewRepository(raw)
 }
 
-// checkBoundsEveryPrefix is the white-box test of the corrected iUB bound
-// (DESIGN.md §2) and the iLB greedy bound. It consumes query's stream one
-// tuple at a time with the filters disabled, so every candidate stays alive,
-// and after each tuple, at its level s, holds every candidate's exact
-// semantic overlap to lb ≤ SO, to the column side SO ≤ ubSum + mRem·s and to
-// the query side SO ≤ rowSum + rRem·s, each on its own. After the drain the
-// survivors' [lb, ub] must contain SO, with lb at least half of it.
+// checkBoundsEveryPrefix is the white-box test of the corrected iUB bound,
+// the iLB greedy bound and the stream-wide set bound (DESIGN.md §2). It
+// consumes query's stream one tuple at a time with the filters disabled, so
+// every candidate stays alive, and after each tuple, at its level s, holds
+// every candidate's exact semantic overlap to lb ≤ SO, to the column side
+// SO ≤ ubSum + mRem·s and to the query side SO ≤ rowSum + rRem·s, each on
+// its own, and its set bound to at least ubSum. Once the stream is
+// exhausted every set's bound must be its column side's sum bit for bit, and
+// at least SO − matching.BoundEps. After the drain the survivors' [lb, ub]
+// must contain SO, with lb at least half of it. Last, searches with the
+// filters on, one pump block per tuple and one per 256, must hand
+// post-processing no set the bound settled.
 func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, fn sim.Func, alpha float64, query []string) {
 	t.Helper()
 	query = sets.Dedup(query)
-	eng := NewEngine(repo, index.NewFuncIndex(repo.Vocabulary(), fn), Options{K: 3, Alpha: alpha, DisableIUB: true})
+	src := index.NewFuncIndex(repo.Vocabulary(), fn)
+	eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
 	so := make([]float64, repo.Len())
 	for sid := range so {
 		so[sid] = exactSO(query, repo.Set(sid), fn, alpha)
 	}
-	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
+	qids := repo.TokenIDs(query)
+	tuples, _ := eng.materializeStream(query, qids, eng.getScratch())
 	part := eng.parts[0]
 	var stats Stats
 	r := eng.newRefiner(len(query), 0, &atomicMax{}, &stats, nil)
+	rb := eng.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, nil)
+	rb.addBounds(eng.streamMaxima(index.NewStreamInterned(query, qids, src, alpha).PeekRest, qids, eng.getScratch(), nil))
+	bound := rb.bound
+	for sid, b := range bound {
+		if b < so[sid]-matching.BoundEps {
+			t.Fatalf("%s: set %d: bound %v below exact SO %v", label, sid, b, so[sid])
+		}
+	}
 	for i := range tuples {
 		r.consume(context.Background(), tuples[i:i+1], i)
 		s := tuples[i].sim // no later tuple is more similar
@@ -54,7 +72,26 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 				t.Fatalf("%s: set %d after tuple %d (level %v): lb %v, exact SO %v, column side %v, query side %v",
 					label, part[local], i, s, st.lbScore, exact, col, row)
 			}
+			if b := bound[part[local]]; b < st.ubSum {
+				t.Fatalf("%s: set %d after tuple %d: bound %v below ubSum %v", label, part[local], i, b, st.ubSum)
+			}
 		}
+	}
+	for local := range r.states {
+		if b, col := bound[part[local]], r.states[local].ubSum; math.Float64bits(b) != math.Float64bits(col) {
+			t.Fatalf("%s: set %d: bound %v, final column side %v", label, part[local], b, col)
+		}
+	}
+	for _, block := range []int{1, 256} {
+		live := NewEngine(repo, src, Options{K: 3, Alpha: alpha, LazyBlock: block})
+		live.survivorHook = func(svs []survivor, _ int, bounds []float64) {
+			for _, sv := range svs {
+				if bounds[sv.setID] == settledBound {
+					t.Errorf("%s, block %d: set %d, settled, handed to post-processing", label, block, sv.setID)
+				}
+			}
+		}
+		live.Search(query)
 	}
 	survivors := r.drain()
 	if len(survivors) != stats.Candidates {
@@ -134,6 +171,73 @@ func FuzzRefinementBounds(f *testing.F) {
 		}
 		checkBoundsEveryPrefix(t, fmt.Sprintf("α=%.2f", alpha), sets.NewRepository(coll), fn, alpha, raw[0])
 	})
+}
+
+// TestPostingSkipShare logs, per datagen shape, the share of the postings
+// refinement met that the stream-wide set bound (DESIGN.md §2) let it skip,
+// over ten benchmark queries at scale 0.05 under the serving options, and
+// requires some skipped on every shape. CI prints its line.
+func TestPostingSkipShare(t *testing.T) {
+	var shares []string
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.05)
+		src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+		eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: true})
+		queries := datagen.NewBenchmark(ds, 17).Queries
+		walked, skipped := 0, 0
+		for _, q := range queries[:min(10, len(queries))] {
+			_, st := eng.Search(q.Elements)
+			walked, skipped = walked+st.Postings, skipped+st.PostingsSkipped
+		}
+		if skipped == 0 {
+			t.Errorf("%s: none of %d postings skipped", kind, walked)
+		}
+		shares = append(shares, fmt.Sprintf("%s %.2f", kind, float64(skipped)/float64(max(walked, 1))))
+	}
+	t.Logf("posting skip share: %s", strings.Join(shares, ", "))
+}
+
+// TestTombstonedSetsCountNothing: with every fourth set of a collection
+// tombstoned, a search counts as candidates exactly the live sets its
+// stream's postings reach, and as iUB prunes those it does not hand to
+// post-processing — a tombstoned set is discarded uncounted whether the walk
+// meets it first or the stream-wide bound settles it (DESIGN.md §2) — and
+// the bound settles some sets on the way.
+func TestTombstonedSetsCountNothing(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
+	eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, DisableLazy: true})
+	dead := make([]uint64, (ds.Repo.Len()+63)/64)
+	for sid := 0; sid < ds.Repo.Len(); sid += 4 {
+		dead[sid>>6] |= 1 << (uint(sid) & 63)
+	}
+	g := eng.group()
+	g.Dead = [][]uint64{dead}
+	survivors, settled := 0, 0
+	eng.survivorHook = func(svs []survivor, _ int, _ []float64) { survivors = len(svs) }
+	for qi, q := range datagen.NewBenchmark(ds, 17).Queries {
+		query := sets.Dedup(q.Elements)
+		tuples, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), eng.getScratch())
+		reached := map[int32]bool{}
+		for _, tup := range tuples {
+			sids, _ := eng.invs[0].Postings(tup.tokenID)
+			for _, sid := range sids {
+				if dead[sid>>6]&(1<<(uint(sid)&63)) == 0 {
+					reached[sid] = true
+				}
+			}
+		}
+		_, st, err := g.SearchContext(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Candidates != len(reached) || st.IUBPruned != st.Candidates-survivors {
+			t.Fatalf("query %d: %d candidates, %d pruned; the stream reaches %d live sets and %d survive", qi, st.Candidates, st.IUBPruned, len(reached), survivors)
+		}
+		settled += st.BoundSettled
+	}
+	if settled == 0 {
+		t.Fatal("the stream-wide bound settled no set")
+	}
 }
 
 // TestQuerySideBoundDecides: every token of candidate C = {c1, c2, c3}

@@ -62,6 +62,9 @@ func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(lo
 			}
 			local := h[0]
 			b.pop(m)
+			if states[local].pruned {
+				continue // settled by the stream-wide bound, and counted then
+			}
 			if iub, col := states[local].bound(s); iub < theta {
 				onPrune(local, col >= theta)
 			} else {

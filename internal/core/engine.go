@@ -66,23 +66,27 @@ type Engine struct {
 	// verdict.
 	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
 	// survivorHook, when set on a group's lead engine (tests only), observes
-	// what refinement hands to post-processing, and how many comparisons of
-	// the search's cut replay had to read token strings.
-	survivorHook func(survivors []survivor, replayTies int)
+	// what refinement hands to post-processing, how many comparisons of the
+	// search's cut replay had to read token strings, and the stream-wide set
+	// bounds by group-wide set ID.
+	survivorHook func(survivors []survivor, replayTies int, bound []float64)
 }
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
-// the collection-sized ones, and the working memory of the pump, the cut
-// replay (one per partition refiner), post-processing and verification (one
-// per worker), which grows to what the largest search so far needed.
+// the collection-sized ones, and the working memory of the pump, the
+// partition refiners (one each: their walk and their cut replay),
+// post-processing and verification (one per worker), which grows to what the
+// largest search so far needed.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
-	refine  refineArena
-	raw     []index.Tuple
-	replay  []replayScratch
-	post    postScratch
-	verify  []verifyScratch
+	// maxima is the stream-wide bound pass's list of streamed tokens.
+	maxima   []tokenMax
+	refine   refineArena
+	raw      []index.Tuple
+	refiners []refinerScratch
+	post     postScratch
+	verify   []verifyScratch
 }
 
 func (e *Engine) getScratch() *queryScratch {
@@ -121,14 +125,17 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // refineArena is one search's candidate-indexed refinement state: per set
-// of every partition searched, a candState, the iubBuckets' filed score and
-// one qWord per 64 query elements — the matched and the arrived query
-// elements, two mask words each — plus the token masks. carve hands it out
-// partition by partition. Its size follows the collection searched and the
-// query's mask words.
+// of every partition searched, a candState, the iubBuckets' filed score,
+// the stream-wide bound and the count of its terms, and one qWord per 64
+// query elements — the matched and the arrived query elements, two mask
+// words each — plus the token masks. carve hands it out partition by
+// partition. Its size follows the collection searched and the query's mask
+// words.
 type refineArena struct {
 	states []candState
 	score  []float64
+	bound  []float64
+	terms  []int32
 	qBits  []qWord
 	cBits  []uint64
 	// sets and words count what carve has handed out.
@@ -140,6 +147,8 @@ type refineArena struct {
 func (a *refineArena) reset(sets, qWords, words int) {
 	a.states = zeroed(a.states, sets)
 	a.score = sized(a.score, sets) // the buckets write before they read
+	a.bound = zeroed(a.bound, sets)
+	a.terms = zeroed(a.terms, sets)
 	a.qBits = zeroed(a.qBits, sets*qWords)
 	a.cBits = zeroed(a.cBits, words)
 	a.sets, a.words = 0, 0
@@ -299,19 +308,7 @@ func (e *Engine) drainStream(st *index.Stream, tuples []streamTuple, sc *querySc
 // so the edge cache counts every tuple exactly once. live (nil on a static
 // engine) is the segmented engine's live-token bitset.
 func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) streamTuple {
-	id := tup.TokenID
-	if int(id) >= e.vocabN {
-		// A source built over a superset of the repository vocabulary
-		// (e.g. a shared discovery source) annotates IDs past the
-		// dictionary; such tokens occur in no set, so they are
-		// out-of-vocabulary here.
-		id = -1
-	}
-	if id >= 0 && live != nil && live[id>>6]&(1<<(uint(id)&63)) == 0 {
-		// The token survives only in deleted sets: out of vocabulary,
-		// exactly as if the index had been rebuilt without them.
-		id = -1
-	}
+	id := e.liveID(tup.TokenID, live)
 	first := true
 	if id >= 0 {
 		w, bit := id>>6, uint64(1)<<(uint(id)&63)
@@ -320,6 +317,25 @@ func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) str
 		sc.offsets[id]++
 	}
 	return streamTuple{tokenID: id, qIdx: int32(tup.QIdx), sim: tup.Sim, first: first}
+}
+
+// liveID resolves a stream tuple's token ID against the engine's vocabulary
+// and the live-token bitset live (nil on a static engine): -1 for a token
+// that occurs in no live set.
+func (e *Engine) liveID(id int32, live []uint64) int32 {
+	if int(id) >= e.vocabN {
+		// A source built over a superset of the repository vocabulary
+		// (e.g. a shared discovery source) annotates IDs past the
+		// dictionary; such tokens occur in no set, so they are
+		// out-of-vocabulary here.
+		return -1
+	}
+	if id >= 0 && live != nil && live[id>>6]&(1<<(uint(id)&63)) == 0 {
+		// The token survives only in deleted sets: out of vocabulary,
+		// exactly as if the index had been rebuilt without them.
+		return -1
+	}
+	return id
 }
 
 // buildEdgeCache turns the consumed tuple prefix into the CSR edge cache:

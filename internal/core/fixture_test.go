@@ -28,8 +28,10 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 // options, on an arena of its own.
 func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
 	var arena refineArena
-	arena.reset(len(e.parts[p]), (qN+63)/64, int(e.cOffs[p][len(e.parts[p])]))
-	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &arena)
+	arena.reset(len(e.localOf), (qN+63)/64, int(e.cOffs[p][len(e.parts[p])]))
+	r := e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &arena, 0)
+	r.rs = new(refinerScratch)
+	return r
 }
 
 // refinePartition runs Algorithm 1 over partition p against a fully

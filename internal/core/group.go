@@ -152,13 +152,12 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	type chunk struct {
 		stats Stats
 		r     *partRefiner
-		rs    *replayScratch
 		surv  []survivor
 	}
 	chunks := make([][]chunk, len(g.Engines))
 	refiners := make([][]*partRefiner, len(g.Engines))
 	sc.refine.reset(base[len(g.Engines)], (len(query)+63)/64, cWords)
-	sc.replay = regrown(sc.replay, nParts)
+	sc.refiners = regrown(sc.refiners, nParts)
 	sc.verify = regrown(sc.verify, opts.Workers)
 	nref := 0
 	for si, e := range g.Engines {
@@ -170,15 +169,25 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		}
 		for p := range e.parts {
 			c := &chunks[si][p]
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &sc.refine)
-			c.rs = &sc.replay[nref]
-			c.rs.kept, c.rs.ties = 0, 0
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &sc.refine, base[si])
+			c.r.rs = &sc.refiners[nref]
+			c.r.rs.kept, c.r.rs.ties = 0, 0
 			nref++
 			refiners[si][p] = c.r
 		}
 	}
 
 	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
+	if !opts.DisableIUB {
+		// Before the first block: bound every set by the maxima the whole
+		// stream will bring (DESIGN.md §2).
+		maxima := lead.streamMaxima(st.PeekRest, qids, sc, g.LiveTokens)
+		for _, rs := range refiners {
+			for _, r := range rs {
+				r.addBounds(maxima)
+			}
+		}
+	}
 	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query))
 	stats.StreamTuples = len(tuples)
 	stats.StreamCut = cut
@@ -212,7 +221,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 				wg.Add(1)
 				go func(c *chunk) {
 					defer wg.Done()
-					c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at, c.rs)
+					c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at)
 				}(c)
 			}
 		}
@@ -221,7 +230,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		for si := range g.Engines {
 			for p := range chunks[si] {
 				c := &chunks[si][p]
-				c.surv = c.r.filterPool(c.surv, c.rs, finalTheta)
+				c.surv = c.r.filterPool(c.surv, finalTheta)
 			}
 		}
 	} else {
@@ -244,12 +253,12 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 				sv.setID += base[si]
 				survivors = append(survivors, sv)
 			}
-			replayTies += chunks[si][p].rs.ties
+			replayTies += chunks[si][p].r.rs.ties
 		}
 	}
 	sc.post.survivors = survivors
 	if lead.survivorHook != nil {
-		lead.survivorHook(survivors, replayTies)
+		lead.survivorHook(survivors, replayTies, sc.refine.bound)
 	}
 	stats.RefineTime = time.Since(refineStart)
 

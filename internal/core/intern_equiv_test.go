@@ -426,8 +426,11 @@ func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, c s
 // token-interning refactor: on every dataset kind, the interned engine must
 // return byte-identical results and identical pruning statistics to the
 // string-path oracle above. Partitions=1 and Workers=1 keep both pipelines
-// fully deterministic, so equality is exact, not approximate.
+// fully deterministic, so equality is exact, not approximate. The oracle
+// walks every posting; the engine must have skipped some on the stream-wide
+// bound (DESIGN.md §2), or the comparison says nothing about the skip.
 func TestInternedEngineMatchesStringOracle(t *testing.T) {
+	skipped := 0
 	for _, kind := range datagen.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
@@ -460,9 +463,13 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 						t.Fatalf("query %d (exact=%v): stats diverge\ninterned: %+v\noracle:   %+v",
 							qi, withExact, gs, ws)
 					}
+					skipped += gs.PostingsSkipped
 				}
 			}
 		})
+	}
+	if skipped == 0 {
+		t.Fatal("no posting was skipped: the stream-wide bound went unexercised")
 	}
 }
 
@@ -507,7 +514,7 @@ func TestInternedEngineMatchesOracleRandom(t *testing.T) {
 			}
 		}
 	}
-	tieVerifications := 0
+	tieVerifications, skipped := 0, 0
 	for _, in := range table {
 		got, gs := NewEngine(in.repo, in.src, in.opts).Search(in.query)
 		want, ws := newOracleEngine(in.repo, in.src, in.opts).Search(in.query)
@@ -527,6 +534,10 @@ func TestInternedEngineMatchesOracleRandom(t *testing.T) {
 		if in.opts.Partitions > 1 {
 			tieVerifications += gs.EMEarly + gs.EMFull
 		}
+		skipped += gs.PostingsSkipped
+	}
+	if skipped == 0 {
+		t.Fatal("no posting was skipped: the stream-wide bound went unexercised")
 	}
 	if tieVerifications == 0 {
 		t.Fatal("no quantised instance over several partitions verified a set: post-processing's order went untested")

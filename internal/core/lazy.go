@@ -32,13 +32,18 @@ type replayEv struct {
 	pos  int32 // candidate-local element position
 }
 
-// replayScratch reuses the replay buffers across candidates and searches:
-// the tail events, the first arrivals still to add, the query side's best
-// edge per row and the rows holding one, and beside each replayed survivor
-// its full column side. kept counts the tail events the mask filter let
-// through and ties the event comparisons that had to read token strings,
-// for the tests and the benchmark that watch them.
-type replayScratch struct {
+// refinerScratch is one partition refiner's working memory, reused across
+// tuples, candidates and searches. The walk's per-tuple postings: a memtable
+// engine's gathered lists, those keepBounded keeps and the sets it settles.
+// The cut replay's buffers: the tail events, the first arrivals still to
+// add, the query side's best edge per row and the rows holding one, and
+// beside each replayed survivor its full column side. kept counts the tail
+// events the mask filter let through and ties the event comparisons that had
+// to read token strings, for the tests and the benchmark that watch them.
+type refinerScratch struct {
+	memSids, memPoss             []int32
+	keptSids, keptPoss, settling []int32
+
 	events  []replayEv
 	firsts  []float64
 	rowBest []float64
@@ -103,8 +108,8 @@ func (at cutPoint) consumed(qIdx int32, sim float64, tid int32, repo *sets.Repos
 //
 // Past the cut no tuple can affect any other candidate (DESIGN.md §10), so
 // per-candidate continuation is exact.
-func (r *partRefiner) tailBounds(local int32, edgesOf func(int32) []qEdge, qids []int32, at cutPoint, rs *replayScratch) (lb, ub, col float64) {
-	e := r.e
+func (r *partRefiner) tailBounds(local int32, edgesOf func(int32) []qEdge, qids []int32, at cutPoint) (lb, ub, col float64) {
+	e, rs := r.e, r.rs
 	st := &r.states[local]
 	set := e.repo.Set(e.parts[r.p][local])
 	lb, col = st.lbScore, st.ubSum

@@ -43,9 +43,13 @@ func searchBoth(t *testing.T, lazyEng, eagerEng *Engine, query []string, label s
 // TestLazyMatchesEagerAllKinds compares the two pipelines over every
 // synthetic dataset kind, with and without ExactScores, and requires that
 // the cut-off actually fires somewhere — a lazy pipeline that never cuts
-// would pass equivalence vacuously.
+// would pass equivalence vacuously — and that the stream-wide bound
+// (DESIGN.md §2) both skipped postings and certified a cut survivor
+// without its replay. The lazy engines pump the default 256-tuple blocks
+// and 8-tuple ones: the earlier cuts of the latter leave candidates whose
+// postings are all in the tail, which is what the certification settles.
 func TestLazyMatchesEagerAllKinds(t *testing.T) {
-	totalCuts := 0
+	totalCuts, skipped, certified := 0, 0, 0
 	for _, kind := range datagen.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
@@ -56,19 +60,23 @@ func TestLazyMatchesEagerAllKinds(t *testing.T) {
 				queries = queries[:10]
 			}
 			for _, withExact := range []bool{false, true} {
-				lazyEng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: withExact})
 				eagerEng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: withExact, DisableLazy: true})
-				for qi, q := range queries {
-					lst, est := searchBoth(t, lazyEng, eagerEng, q.Elements,
-						fmt.Sprintf("%s exact=%v query %d", kind, withExact, qi))
-					if lst.StreamCut {
-						totalCuts++
-						if lst.StreamCutLevel <= 0 {
-							t.Fatalf("query %d: cut without a level", qi)
-						}
-						if lst.StreamTuples >= est.StreamTuples {
-							t.Fatalf("query %d: cut fired but no tuple savings (%d vs %d)",
-								qi, lst.StreamTuples, est.StreamTuples)
+				for _, block := range []int{256, 8} {
+					lazyEng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: withExact, LazyBlock: block})
+					for qi, q := range queries {
+						lst, est := searchBoth(t, lazyEng, eagerEng, q.Elements,
+							fmt.Sprintf("%s exact=%v block %d query %d", kind, withExact, block, qi))
+						skipped += lst.PostingsSkipped
+						certified += lst.BoundCertified
+						if lst.StreamCut {
+							totalCuts++
+							if lst.StreamCutLevel <= 0 {
+								t.Fatalf("query %d: cut without a level", qi)
+							}
+							if lst.StreamTuples >= est.StreamTuples {
+								t.Fatalf("query %d: cut fired but no tuple savings (%d vs %d)",
+									qi, lst.StreamTuples, est.StreamTuples)
+							}
 						}
 					}
 				}
@@ -77,6 +85,9 @@ func TestLazyMatchesEagerAllKinds(t *testing.T) {
 	}
 	if totalCuts == 0 {
 		t.Fatal("the cut-off never fired on any kind — the lazy pipeline is untested and useless")
+	}
+	if skipped == 0 || certified == 0 {
+		t.Fatalf("the stream-wide bound skipped %d postings and certified %d cut survivors; want some of each", skipped, certified)
 	}
 }
 

@@ -12,44 +12,72 @@ import (
 	"repro/internal/sim"
 )
 
-// The allocation-focused stage microbenchmarks behind the token-interning
-// refactor: one per hot stage of Search, per dataset kind. The neighbor
-// source is prewarmed through index.Cached so retrieval cost (which the
-// paper excludes from its response-time protocol) does not drown the stage
-// under measurement.
+// byCardinality returns the engine's set IDs in ascending cardinality.
+func byCardinality(eng *Engine) []int {
+	ids := append([]int(nil), eng.parts[0]...)
+	sort.SliceStable(ids, func(i, j int) bool { return eng.card[ids[i]] < eng.card[ids[j]] })
+	return ids
+}
 
-type perfFixture struct {
-	eng    *Engine
-	query  []string
+// refineCase is one query of BenchmarkRefinePartition: its stream as the
+// source emits it and as the pump annotates it.
+type refineCase struct {
 	qids   []int32
+	raw    []index.Tuple
 	tuples []streamTuple
 }
 
-func newPerfFixture(b *testing.B, kind datagen.Kind) *perfFixture {
-	b.Helper()
-	ds := datagen.GenerateDefault(kind, 0.05)
-	cached := index.NewCached(index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector))
-	eng := NewEngine(ds.Repo, cached, Options{K: 10, Alpha: 0.8})
-	query := sets.Dedup(datagen.NewBenchmark(ds, 1).Queries[0].Elements)
-	cached.Prewarm([][]string{query}, eng.Options().Alpha)
-	f := &perfFixture{eng: eng, query: query, qids: ds.Repo.TokenIDs(query)}
-	f.tuples, _ = eng.materializeStream(query, f.qids, eng.getScratch())
-	return f
-}
-
+// BenchmarkRefinePartition times refinement alone — the stream-wide bound
+// pass, the postings walk and the drain — in search_small's serving shape:
+// datagen twitter at scale 1.0, exact vector source, k = 10, one partition,
+// over 60 queries stratified by cardinality (the middle set of each
+// sixtieth of the corpus sorted by cardinality). Streams are drawn and
+// annotated before the timer; an iteration refines one query on the pooled
+// arena, as a search does. Besides ns/op it reports the postings the walk
+// met and those it skipped per op (DESIGN.md §2).
 func BenchmarkRefinePartition(b *testing.B) {
-	for _, kind := range datagen.Kinds() {
-		b.Run(string(kind), func(b *testing.B) {
-			f := newPerfFixture(b, kind)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				theta := &atomicMax{}
-				var stats Stats
-				f.eng.refinePartition(context.Background(), len(f.query), f.tuples, 0, theta, &stats, nil)
-			}
-		})
+	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
+	byCard := byCardinality(eng)
+	cases := make([]refineCase, 60)
+	for i := range cases {
+		c := &cases[i]
+		query := sets.Dedup(ds.Repo.Set(byCard[(2*i+1)*len(byCard)/(2*len(cases))]).Elements)
+		c.qids = ds.Repo.TokenIDs(query)
+		st := index.NewStreamInterned(query, c.qids, src, eng.opts.Alpha)
+		sc := eng.getScratch()
+		for t, ok := st.Next(); ok; t, ok = st.Next() {
+			c.raw = append(c.raw, t)
+			c.tuples = append(c.tuples, eng.noteTuple(t, sc, nil))
+		}
+		eng.scratch.Put(sc)
 	}
+	ctx := context.Background()
+	sc := eng.getScratch()
+	var rs refinerScratch
+	walked, skipped := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := &cases[i%len(cases)]
+		qN := len(c.qids)
+		theta, stats := &atomicMax{}, Stats{}
+		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords)
+		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &sc.refine, 0)
+		r.rs = &rs
+		r.addBounds(eng.streamMaxima(func(emit func(index.Tuple)) {
+			for _, t := range c.raw {
+				emit(t)
+			}
+		}, c.qids, sc, nil))
+		r.consume(ctx, c.tuples, 0)
+		r.drain()
+		walked += stats.Postings
+		skipped += stats.PostingsSkipped
+	}
+	b.ReportMetric(float64(walked)/float64(b.N), "postings/op")
+	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
 }
 
 // BenchmarkPostproc runs Algorithm 2 alone over what a real refinement hands
@@ -63,8 +91,7 @@ func BenchmarkPostproc(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
-	byCard := append([]int(nil), eng.parts[0]...)
-	sort.SliceStable(byCard, func(i, j int) bool { return eng.card[byCard[i]] < eng.card[byCard[j]] })
+	byCard := byCardinality(eng)
 	query := sets.Dedup(ds.Repo.Set(byCard[len(byCard)/2]).Elements)
 
 	ctx := context.Background()

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"slices"
 	"unsafe"
 
+	"repro/internal/index"
 	"repro/internal/pqueue"
 )
 
@@ -113,26 +117,184 @@ type partRefiner struct {
 	buckets        iubBuckets
 	llb            *pqueue.TopK
 	lastPruneTheta float64
-	// alive is the number of seen, unpruned candidates — the pool size the
-	// lazy cut-off condition watches. Only valid between consume calls (the
-	// pump reads it at block barriers).
+	// alive is the number of candidates admitted at first sight and not
+	// pruned by the buckets — the pool size the lazy cut-off condition
+	// watches. A candidate the stream-wide bound settles stays in it, as it
+	// would without the bound until the buckets pruned it, so the bound
+	// never lets the cut fire earlier (DESIGN.md §2). Only valid between
+	// consume calls (the pump reads it at block barriers).
 	alive int
 	// cardPtr walks the partition's descending-cardinality order past sets
 	// that have streamed (or are tombstoned), so maxUnseenCard is the
 	// cardinality bound for sets the stream has not touched yet.
 	cardPtr int
-	// memSids and memPoss receive a memtable engine's posting lists, which
-	// are gathered from chains where a CSR index returns slices of its arena.
-	memSids, memPoss []int32
+	// rs is the refiner's pooled working memory.
+	rs *refinerScratch
+	// bound is the engine's stream-wide set bound and terms the number of
+	// maxima in it, both indexed by the engine's set ID and shared by its
+	// partitions (a set sits in one); a set the bound has settled holds
+	// settledBound. skip reports that addBounds filled them, which turns the
+	// posting skip on (DESIGN.md §2).
+	bound []float64
+	terms []int32
+	skip  bool
+}
+
+// settledBound marks a set refinement has pruned, whether the bound or the
+// walk decided it: below every θlb, so consume skips its postings without
+// another look.
+const settledBound = -1
+
+// tokenMax is a streamed token and its maximum similarity into the query,
+// which its first arrival carries.
+type tokenMax struct {
+	id  int32
+	sim float64
+}
+
+// streamMaxima reads every tuple a stream will emit — peek hands them over
+// in any order, as Stream.PeekRest does before the first block — and returns
+// the maximum similarity of each token it streams, in the order in which the
+// stream's first arrivals add them to ubSum: the query elements' own tokens
+// (their identity tuples, at 1) first, then the rest by descending maximum.
+// Tokens resolve as noteTuple resolves them; qids are the identity tuples'.
+//
+// It runs before the pump and borrows sc.offsets, all zero until noteTuple
+// counts edges into it, to hold 1 + each token's place in the list, and
+// zeroes what it wrote.
+func (e *Engine) streamMaxima(peek func(emit func(index.Tuple)), qids []int32, sc *queryScratch, live []uint64) []tokenMax {
+	at, maxima := sc.offsets, sc.maxima[:0]
+	note := func(id int32, sim float64) {
+		if i := at[id]; i > 0 {
+			maxima[i-1].sim = max(maxima[i-1].sim, sim)
+			return
+		}
+		maxima = append(maxima, tokenMax{id: id, sim: sim})
+		at[id] = int32(len(maxima))
+	}
+	identity := math.Inf(1) // sorts above every probed similarity
+	for _, id := range qids {
+		if id = e.liveID(id, live); id >= 0 {
+			note(id, identity)
+		}
+	}
+	peek(func(t index.Tuple) {
+		if id := e.liveID(t.TokenID, live); id >= 0 {
+			note(id, t.Sim)
+		}
+	})
+	for _, tm := range maxima {
+		at[tm.id] = 0
+	}
+	slices.SortFunc(maxima, func(a, b tokenMax) int { return cmp.Compare(b.sim, a.sim) })
+	for i := range maxima {
+		if maxima[i].sim == identity {
+			maxima[i].sim = 1
+		}
+	}
+	sc.maxima = maxima
+	return maxima
+}
+
+// addBounds adds each token's maximum, in the order of maxima, to the bound
+// of every set of the partition holding it, while the set has fewer than |Q|
+// terms — and it has at most |C|, one posting per distinct token — so a
+// set's bound is its column side ubSum once the whole stream has gone by,
+// formed from the same floats in the same order (DESIGN.md §2).
+func (r *partRefiner) addBounds(maxima []tokenMax) {
+	e, inv := r.e, r.e.invs[r.p]
+	bound, terms, qN := r.bound, r.terms, int32(r.qN)
+	rs := r.rs
+	for _, tm := range maxima {
+		var sids []int32
+		if inv != nil {
+			sids, _ = inv.Postings(tm.id)
+		} else {
+			rs.memSids, rs.memPoss = e.mem.Postings(tm.id, rs.memSids, rs.memPoss)
+			sids = rs.memSids
+		}
+		for _, sid := range sids {
+			if terms[sid] < qN {
+				bound[sid] += tm.sim
+				terms[sid]++
+			}
+		}
+	}
+	r.skip = true
+}
+
+// keepBounded returns the postings of sids/poss whose set's bound reaches
+// below = θlb − pruneEps, in their order, and settles every set it drops for
+// the first time; s is the tuple's level. A set whose stream-wide bound is
+// below θlb can no longer matter, so its postings are passed over before its
+// state is read. The keep test is a conditional move and the settle test is
+// taken once per set, so neither costs a mispredicted branch per posting.
+func (r *partRefiner) keepBounded(sids, poss []int32, below, s float64) ([]int32, []int32) {
+	rs := r.rs
+	ks, kp, fs := sized(rs.keptSids, len(sids)), sized(rs.keptPoss, len(sids)), sized(rs.settling, len(sids))
+	rs.keptSids, rs.keptPoss, rs.settling = ks, kp, fs
+	n, f := partitionPostings(sids, poss, r.bound, below, ks, kp, fs)
+	for _, sid := range fs[:f] {
+		r.settle(sid, s, below)
+		r.bound[sid] = settledBound
+	}
+	return ks[:n], kp[:n]
+}
+
+// partitionPostings copies to ks/kp, in order, the postings whose set's
+// bound is at least below, and to fs the sets of the others whose bound is
+// not yet settledBound; it returns how many of each it wrote. ks, kp and fs
+// hold len(sids) elements. Every store is unconditional and the counts move
+// by conditional moves, so the loop has no branch that depends on the data.
+func partitionPostings(sids, poss []int32, bound []float64, below float64, ks, kp, fs []int32) (n, f int) {
+	poss, ks, kp, fs = poss[:len(sids)], ks[:len(sids)], kp[:len(sids)], fs[:len(sids)]
+	fresh := math.Float64bits(below) // a bound in [0, below) has smaller bits
+	for i, sid := range sids {
+		b := bound[sid]
+		ks[n], kp[n], fs[f] = sid, poss[i], sid
+		if b >= below {
+			n++
+		}
+		if math.Float64bits(b) < fresh {
+			f++
+		}
+	}
+	return n, f
+}
+
+// settle prunes set sid at the first posting consume skips for it, met at
+// level s under below = θlb − pruneEps: its bound is below θlb, so it can
+// reach neither the top-k nor θlb. It is counted as the walk would have
+// counted it in the end — a first sight as a candidate pruned by the iUB, a
+// live candidate as an iUB prune on the column side, a tombstoned set not at
+// all — and a first sight the Lemma 2 filter would have admitted joins alive.
+func (r *partRefiner) settle(sid int32, s, below float64) {
+	st := &r.states[r.e.localOf[sid]]
+	if !st.seen {
+		st.seen = true
+		if r.dead != nil && r.dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
+			st.pruned = true
+			return
+		}
+		r.stats.Candidates++
+		if slots := min(int32(r.qN), r.e.card[sid]); float64(slots)*s >= below {
+			r.alive++
+		}
+	}
+	st.pruned = true // the walk has settledBound on every set it prunes
+	r.stats.IUBPruned++
+	r.stats.BoundSettled++
 }
 
 // newPartRefiner prepares partition p's refinement state in its share of
-// arena.
-func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena) *partRefiner {
+// arena; the engine's set bounds start at lo.
+func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena, lo int) *partRefiner {
 	r := &partRefiner{
 		e: e, opts: opts, p: p, qN: qN, theta: theta, stats: stats, dead: dead,
 		qWords: (qN + 63) / 64,
 	}
+	hi := lo + len(e.localOf)
+	r.bound, r.terms = arena.bound[lo:hi:hi], arena.terms[lo:hi:hi]
 	// Candidate L's query masks occupy words [L·qWords, (L+1)·qWords) of
 	// qBits and its token mask words [cOff[L], cOff[L+1]) of cBits.
 	nCand := len(e.parts[p])
@@ -152,9 +314,14 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 	states, qBits, cBits, qWords := r.states, r.qBits, r.cBits, r.qWords
 	buckets, llb, theta, stats, dead := &r.buckets, r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
+	bound, part := r.bound, e.parts[r.p]
+	walked, skipped := 0, 0
 
+	// Every set the walk prunes is settled as well, so keepBounded passes
+	// over its later postings.
 	markPruned := func(local int32, byQuery bool) {
 		states[local].pruned = true
+		bound[part[local]] = settledBound
 		stats.IUBPruned++
 		if byQuery {
 			stats.IUBQueryPruned++
@@ -173,8 +340,15 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 		if inv != nil {
 			sids, poss = inv.Postings(tup.tokenID)
 		} else {
-			r.memSids, r.memPoss = e.mem.Postings(tup.tokenID, r.memSids, r.memPoss)
-			sids, poss = r.memSids, r.memPoss
+			rs := r.rs
+			rs.memSids, rs.memPoss = e.mem.Postings(tup.tokenID, rs.memSids, rs.memPoss)
+			sids, poss = rs.memSids, rs.memPoss
+		}
+		walked += len(sids)
+		if below := theta.Load() - pruneEps; r.skip && below > 0 {
+			n := len(sids)
+			sids, poss = r.keepBounded(sids, poss, below, s)
+			skipped += n - len(sids)
 		}
 		for pi, sid := range sids {
 			local := e.localOf[sid]
@@ -186,6 +360,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 				// top-k structure.
 				if dead != nil && dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
 					st.pruned = true
+					bound[sid] = settledBound
 					continue
 				}
 				stats.Candidates++
@@ -200,6 +375,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 				if !opts.DisableIUB {
 					if t := theta.Load(); t > 0 && float64(slots)*s < t-pruneEps {
 						st.pruned = true
+						bound[sid] = settledBound
 						stats.IUBPruned++
 						continue
 					}
@@ -253,6 +429,8 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			}
 		}
 	}
+	stats.Postings += walked
+	stats.PostingsSkipped += skipped
 	return true
 }
 
@@ -300,14 +478,16 @@ func (r *partRefiner) pruneAtEnd(ub, col, theta float64) bool {
 // (DESIGN.md §10 spells out why frozen and tail candidates cannot move it).
 // filterPool then applies the eager drain check under that final θlb.
 //
-// Candidates whose bound at the cut level already falls below the cut-time
-// θlb are certified eager-pruned without a replay: their full upper bound
-// cannot reach the final θlb either, and their full lower bound sits below
-// it, so skipping their Llb offer cannot move the reconstructed θlb (same
-// frozen-offer argument). rs.colUB keeps, beside each survivor, the full
-// column side filterPool attributes its prunes by.
-func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint, rs *replayScratch) []survivor {
-	part := r.e.parts[r.p]
+// Candidates whose stream-wide bound (DESIGN.md §2), or else whose bound at
+// the cut level, already falls below the cut-time θlb are certified
+// eager-pruned without a replay: their full upper bound cannot reach the
+// final θlb either, and their full lower bound sits below it, so skipping
+// their Llb offer cannot move the reconstructed θlb (same frozen-offer
+// argument). The stream-wide bound is the full column side, so its prunes
+// count on that side. rs.colUB keeps, beside each survivor, the full column
+// side filterPool attributes its prunes by.
+func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint) []survivor {
+	part, rs := r.e.parts[r.p], r.rs
 	var out []survivor
 	rs.colUB = rs.colUB[:0]
 	for local := range r.states {
@@ -315,11 +495,16 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, leve
 		if !st.seen || st.pruned {
 			continue
 		}
+		sid := part[local]
+		if b := r.bound[sid]; r.skip && r.pruneAtEnd(b, b, thetaCut) {
+			r.stats.BoundCertified++
+			r.bound[sid] = settledBound
+			continue
+		}
 		if iub, col := st.bound(level); r.pruneAtEnd(iub, col, thetaCut) {
 			continue
 		}
-		sid := part[local]
-		lb, ub, colFull := r.tailBounds(int32(local), edgesOf, qids, at, rs)
+		lb, ub, colFull := r.tailBounds(int32(local), edgesOf, qids, at)
 		out = append(out, survivor{setID: sid, lb: lb, ub: ub})
 		rs.colUB = append(rs.colUB, colFull)
 		if r.llb.Update(sid, lb) {
@@ -334,10 +519,10 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, leve
 // replayed pool: candidates whose full-stream bound falls below the final
 // θlb are exactly the ones the eager tail would have pruned (mid-stream or
 // at drain — the timing cannot matter, only the final values do).
-func (r *partRefiner) filterPool(pool []survivor, rs *replayScratch, finalTheta float64) []survivor {
+func (r *partRefiner) filterPool(pool []survivor, finalTheta float64) []survivor {
 	out := pool[:0]
 	for i, sv := range pool {
-		if r.pruneAtEnd(sv.ub, rs.colUB[i], finalTheta) {
+		if r.pruneAtEnd(sv.ub, r.rs.colUB[i], finalTheta) {
 			continue
 		}
 		out = append(out, sv)
@@ -367,6 +552,6 @@ func (r *partRefiner) maxUnseenCard() int32 {
 }
 
 func (r *partRefiner) accountMem() {
-	r.stats.MemCandBytes += int64(len(r.states))*int64(unsafe.Sizeof(candState{})) +
+	r.stats.MemCandBytes += int64(len(r.states))*int64(unsafe.Sizeof(candState{})+8+4) +
 		int64(len(r.qBits))*int64(unsafe.Sizeof(qWord{})) + int64(len(r.cBits))*8 + r.buckets.footprintBytes()
 }

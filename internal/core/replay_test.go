@@ -35,7 +35,7 @@ func searchOutcome(t testing.TB, repo *sets.Repository, src index.NeighborSource
 	t.Helper()
 	var out refineOutcome
 	eng := NewEngine(repo, src, opts)
-	eng.survivorHook = func(svs []survivor, ties int) {
+	eng.survivorHook = func(svs []survivor, ties int, _ []float64) {
 		out.survivors, out.ties = append([]survivor(nil), svs...), ties
 	}
 	g := eng.group()
@@ -281,7 +281,7 @@ func BenchmarkCutReplay(b *testing.B) {
 	}
 	g := eng.group()
 	ctx := context.Background()
-	var rs replayScratch
+	var rs refinerScratch
 	events, replayed := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -291,8 +291,10 @@ func BenchmarkCutReplay(b *testing.B) {
 		sc := eng.getScratch()
 		sc.refine.reset(ds.Repo.Len(), (len(query)+63)/64, eng.cWords)
 		theta, stats := &atomicMax{}, Stats{}
-		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &sc.refine)
+		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &sc.refine, 0)
+		r.rs = &rs
 		st := index.NewLazyStream(query, qids, src, eng.opts.Alpha, nil)
+		r.addBounds(eng.streamMaxima(st.PeekRest, qids, sc, nil))
 		tuples, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query))
 		if !cut {
 			b.Fatalf("query %d does not cut the stream", i%len(queries))
@@ -301,7 +303,7 @@ func BenchmarkCutReplay(b *testing.B) {
 		cache := eng.buildEdgeCache(eng.drainStream(st, tuples, sc, nil), sc)
 		rs.kept = 0
 		b.StartTimer()
-		pool := r.replayPool(cache.edges, qids, level, thetaCut, at, &rs)
+		pool := r.replayPool(cache.edges, qids, level, thetaCut, at)
 		b.StopTimer()
 		replayed += len(pool)
 		events += rs.kept

@@ -122,7 +122,7 @@ func TestRefinerScratchReuse(t *testing.T) {
 			warm.Search(queries[cutQuery])
 			sc := warm.getScratch()
 			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
-			used := cap(sc.raw) > 0 && len(sc.replay) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
+			used := cap(sc.raw) > 0 && len(sc.refiners) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
 			warm.scratch.Put(sc)
 			warm.Search(queries[cutQuery])
 			again := warm.getScratch()

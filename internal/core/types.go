@@ -113,6 +113,12 @@ type Stats struct {
 	// decided (DESIGN.md §2): candidates its column side alone would have
 	// kept.
 	IUBQueryPruned int
+	// BoundSettled and BoundCertified are the parts of IUBPruned the
+	// stream-wide set bound decided (DESIGN.md §2): candidates settled at a
+	// skipped posting during the walk, and cut survivors certified without
+	// a replay.
+	BoundSettled   int
+	BoundCertified int
 	// NoEM counts post-processing sets never exact-matched: admitted to the
 	// result by Lemma 7 or pruned by the lazy UB check.
 	NoEM int
@@ -139,6 +145,11 @@ type Stats struct {
 	// cut (every unseen tuple had sim ≤ s).
 	StreamCut      bool
 	StreamCutLevel float64
+	// Postings is the number of posting entries of the consumed tuples
+	// refinement met, and PostingsSkipped how many of them it passed over
+	// because their set's stream-wide bound was already below θlb.
+	Postings        int
+	PostingsSkipped int
 	// HungarianIterations sums the sparse solver's augmentations (one
 	// shortest-path search per query element with an α-edge) across all
 	// matchings; the name predates the sparse verifier.
@@ -192,12 +203,16 @@ func (s *Stats) add(o *Stats) {
 	s.Candidates += o.Candidates
 	s.IUBPruned += o.IUBPruned
 	s.IUBQueryPruned += o.IUBQueryPruned
+	s.BoundSettled += o.BoundSettled
+	s.BoundCertified += o.BoundCertified
 	s.NoEM += o.NoEM
 	s.EMEarly += o.EMEarly
 	s.EMFull += o.EMFull
 	s.FinalizeEM += o.FinalizeEM
 	s.StreamTuples += o.StreamTuples
 	s.StreamRetrieved += o.StreamRetrieved
+	s.Postings += o.Postings
+	s.PostingsSkipped += o.PostingsSkipped
 	s.HungarianIterations += o.HungarianIterations
 	s.VerifyCalls += o.VerifyCalls
 	s.HungarianSkipped += o.HungarianSkipped

@@ -19,6 +19,10 @@ type NeighborCursor interface {
 	// search's edge-cache completion). The returned slice is only valid
 	// until the cursor is dropped.
 	Rest() []Neighbor
+	// Peek is Rest without exhausting the cursor: every remaining neighbor
+	// in arbitrary order, the cursor left as it was. The returned slice is
+	// only valid until the next call on the cursor.
+	Peek() []Neighbor
 	// Retrieved reports how many neighbors the source has delivered so far
 	// — the lazy counterpart of len(Neighbors(q, alpha)). Cursors over an
 	// up-front fetch report the full fetch immediately.
@@ -102,6 +106,9 @@ func (c *lazyScan) Rest() []Neighbor {
 	return rest
 }
 
+// Peek reads the heap's backing slice in place.
+func (c *lazyScan) Peek() []Neighbor { return c.h.Items() }
+
 // eagerCursor adapts a fully materialized (already sorted) neighbor list to
 // the cursor interface — the fallback that keeps every NeighborSource
 // working with the chunked stream.
@@ -133,6 +140,9 @@ func (c *eagerCursor) Rest() []Neighbor {
 	c.at = len(c.list)
 	return rest
 }
+
+// Peek returns the undelivered tail without delivering it.
+func (c *eagerCursor) Peek() []Neighbor { return c.list[c.at:] }
 
 // ScorerOf returns src's exhaustive pair scorer, looking through the Cached
 // memoization layer (a memoized exact source is still exhaustive; a wrapped

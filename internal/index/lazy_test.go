@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/embedding"
@@ -206,5 +207,59 @@ func TestLazyStreamRetrievedGrows(t *testing.T) {
 	if st.Retrieved() >= full.Retrieved() {
 		t.Fatalf("abandoned lazy stream retrieved %d, full fetch %d — no laziness observable",
 			st.Retrieved(), full.Retrieved())
+	}
+}
+
+// TestPeekRestLeavesStream: PeekRest hands over, in some order, exactly the
+// tuples the stream has still to deliver — pending identities, merge heads,
+// chunk remainders and cursor remainders — and changes nothing: Emitted,
+// Retrieved and the sequence the stream then delivers are those of a stream
+// nobody peeked at. Long α-lists span several cursor chunks, and the peek
+// comes before the first pull and after part of one.
+func TestPeekRestLeavesStream(t *testing.T) {
+	vocab := make([]string, 0, 300)
+	for i := 0; i < 300; i++ {
+		vocab = append(vocab, fmt.Sprintf("shared-prefix-token-%03d", i))
+	}
+	src := NewFuncIndex(vocab, sim.JaccardQGrams{Q: 2})
+	query := []string{vocab[0], vocab[1], "out-of-vocab-token", vocab[150]}
+	qids := []int32{0, 1, -1, 150}
+	key := func(tup Tuple) string { return fmt.Sprint(tup) }
+	for _, lazy := range []bool{false, true} {
+		for _, pulled := range []int{0, 2, 9, 200} {
+			newSt := func() *Stream {
+				if lazy {
+					return NewLazyStream(query, qids, src, 0.1, nil)
+				}
+				return NewStreamMasked(query, qids, src, 0.1, nil)
+			}
+			ref, st := newSt(), newSt()
+			head, _ := ref.NextBlock(nil, pulled)
+			want, _ := ref.NextBlock(nil, 1<<30)
+			got, _ := st.NextBlock(nil, pulled)
+			if fmt.Sprint(got) != fmt.Sprint(head) {
+				t.Fatalf("lazy=%v: the first %d tuples differ", lazy, pulled)
+			}
+			emitted, retrieved := st.Emitted(), st.Retrieved()
+			var peeked []string
+			st.PeekRest(func(tup Tuple) { peeked = append(peeked, key(tup)) })
+			if st.Emitted() != emitted || st.Retrieved() != retrieved {
+				t.Fatalf("lazy=%v after %d: the peek moved Emitted %d → %d, Retrieved %d → %d",
+					lazy, pulled, emitted, st.Emitted(), retrieved, st.Retrieved())
+			}
+			rest, _ := st.NextBlock(nil, 1<<30)
+			if fmt.Sprint(rest) != fmt.Sprint(want) {
+				t.Fatalf("lazy=%v after %d: the peek changed what the stream delivers", lazy, pulled)
+			}
+			var wantKeys []string
+			for _, tup := range want {
+				wantKeys = append(wantKeys, key(tup))
+			}
+			slices.Sort(peeked)
+			slices.Sort(wantKeys)
+			if !slices.Equal(peeked, wantKeys) || len(want) == 0 {
+				t.Fatalf("lazy=%v after %d: peeked %d tuples, the stream delivered %d (or none)", lazy, pulled, len(peeked), len(want))
+			}
+		}
 	}
 }

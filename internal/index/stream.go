@@ -225,35 +225,56 @@ func (s *Stream) Level() float64 {
 // unordered remainder. A cut-off search uses it to complete the edge cache
 // — whose consumers are order-insensitive — without paying the merge
 // heap's and cursors' ordering costs for tuples refinement will never see.
-func (s *Stream) DrainRest(emit func(Tuple)) {
-	for s.pending > 0 {
-		i := len(s.query) - s.pending
-		s.pending--
-		s.emitted++
+func (s *Stream) DrainRest(emit func(Tuple)) { s.rest(emit, true) }
+
+// PeekRest is DrainRest's non-consuming twin: it emits the same tuples, in
+// ARBITRARY order, and leaves the stream as it was, so Next, NextBlock and
+// DrainRest still deliver every one of them. A search reads the whole
+// stream this way before its first block to bound every set by the maxima
+// the stream will bring (DESIGN.md §2).
+func (s *Stream) PeekRest(emit func(Tuple)) { s.rest(emit, false) }
+
+func (s *Stream) rest(emit func(Tuple), drain bool) {
+	n := 0
+	for i := len(s.query) - s.pending; i < len(s.query); i++ {
+		n++
 		emit(Tuple{QIdx: i, Token: s.query[i], TokenID: s.qid(i), Sim: 1})
 	}
 	for _, h := range s.heap.Items() {
-		s.emitted++
+		n++
 		emit(Tuple{QIdx: h.qIdx, Token: h.token, TokenID: h.id, Sim: h.sim})
 	}
-	s.heap.Reset()
 	for i := range s.elems {
 		ec := &s.elems[i]
-		for _, n := range ec.chunk[ec.pos:] {
-			s.emitted++
-			emit(Tuple{QIdx: i, Token: n.Token, TokenID: n.ID, Sim: n.Sim})
+		for _, nb := range ec.chunk[ec.pos:] {
+			n++
+			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
 		}
-		ec.chunk, ec.pos = nil, 0
+		if drain {
+			ec.chunk, ec.pos = nil, 0
+		}
 		if ec.cur == nil || ec.done {
 			continue
 		}
-		rest := ec.cur.Rest()
-		for _, n := range rest {
-			s.footprint += int64(len(n.Token)) + 16 + 8 + 4
-			s.emitted++
-			emit(Tuple{QIdx: i, Token: n.Token, TokenID: n.ID, Sim: n.Sim})
+		var rest []Neighbor
+		if drain {
+			rest = ec.cur.Rest()
+			ec.done = true
+		} else {
+			rest = ec.cur.Peek()
 		}
-		ec.done = true
+		for _, nb := range rest {
+			if drain {
+				s.footprint += int64(len(nb.Token)) + 16 + 8 + 4
+			}
+			n++
+			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
+		}
+	}
+	if drain {
+		s.pending = 0
+		s.heap.Reset()
+		s.emitted += n
 	}
 }
 

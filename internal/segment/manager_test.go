@@ -89,17 +89,18 @@ func maintain(m *Manager) {
 }
 
 // assertEquivalent searches both engines and requires byte-identical
-// (name, score, verified) top-k lists.
-func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string) {
+// (name, score, verified) top-k lists. It returns the manager search's
+// statistics.
+func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string) core.Stats {
 	t.Helper()
-	assertEquivalentAtK(t, label, m, rows, vec, opts, query, 0)
+	return assertEquivalentAtK(t, label, m, rows, vec, opts, query, 0)
 }
 
 // assertEquivalentAtK is assertEquivalent for a search that names its k
 // (0: the manager's own): the reference is an engine built for that k.
-func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string, k int) {
+func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string, k int) core.Stats {
 	t.Helper()
-	got, _, err := m.Search(context.Background(), query, k)
+	got, stats, err := m.Search(context.Background(), query, k)
 	if err != nil {
 		t.Fatalf("%s: manager search: %v", label, err)
 	}
@@ -127,14 +128,24 @@ func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set
 			t.Fatalf("%s: rank %d verified %v, want %v", label, i, got[i].Verified, raw[i].Verified)
 		}
 	}
+	return stats
 }
 
 // TestEquivalenceAcrossKinds is the acceptance test of the segmented
 // repository: on every dataset kind, a manager grown by inserts, deletes,
 // replacements, seals, and compaction returns byte-identical top-k results
 // and scores to an engine built from scratch on the surviving sets — at
-// every stage of the lifecycle.
+// every stage of the lifecycle. Over tombstones and memtable engines the
+// stream-wide set bound (DESIGN.md §2) must have skipped postings and
+// certified cut survivors without their replay, or the comparison says
+// nothing about either.
 func TestEquivalenceAcrossKinds(t *testing.T) {
+	skipped, certified := 0, 0
+	defer func() {
+		if !t.Failed() && (skipped == 0 || certified == 0) {
+			t.Fatalf("the stream-wide bound skipped %d postings and certified %d cut survivors; want some of each", skipped, certified)
+		}
+	}()
 	for _, kind := range datagen.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			ds := datagen.GenerateDefault(kind, 0.01)
@@ -168,7 +179,9 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 					t.Fatalf("%s: live %d, oracle %d", label, m.Len(), len(rows))
 				}
 				for _, q := range queries() {
-					assertEquivalent(t, label, m, rows, ds.Model.Vector, opts, q)
+					st := assertEquivalent(t, label, m, rows, ds.Model.Vector, opts, q)
+					skipped += st.PostingsSkipped
+					certified += st.BoundCertified
 				}
 			}
 
