@@ -34,7 +34,7 @@ func main() {
 		k       = flag.Int("k", 10, "result size")
 		alpha   = flag.Float64("alpha", 0.8, "element similarity threshold")
 		parts   = flag.Int("partitions", 4, "repository partitions")
-		workers = flag.Int("workers", 4, "verification workers per partition")
+		workers = flag.Int("workers", 4, "concurrent verifications per search")
 		remote  = flag.String("server", "", "query a running koios-server at this base URL (e.g. http://localhost:7411) instead of building a local engine")
 		timeout = flag.Duration("timeout", 30*time.Second, "overall remote query budget, retries included (with -server)")
 	)

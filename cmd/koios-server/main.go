@@ -90,7 +90,7 @@ func main() {
 		sync     = flag.Bool("sync", false, "fsync the WAL after every insert/delete (durable mode only)")
 		k        = flag.Int("k", 10, "result size of a search that names no k (every collection's default_k in /v1/info)")
 		alpha    = flag.Float64("alpha", 0.8, "element similarity threshold of every collection, for /v1/search and /v1/overlap alike")
-		parts    = flag.Int("partitions", 4, "partitions a seed or compacted segment is built with and refined in parallel")
+		parts    = flag.Int("partitions", 4, "contiguous set-ID ranges a seed or compacted segment is split into and refined in parallel")
 		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
 		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
 		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")

@@ -47,7 +47,6 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	}
 	qids := repo.TokenIDs(query)
 	tuples, _ := eng.materializeStream(query, qids, eng.getScratch())
-	part := eng.parts[0]
 	var stats Stats
 	r := eng.newRefiner(len(query), 0, &atomicMax{}, &stats, nil)
 	rb := eng.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, nil)
@@ -61,25 +60,25 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	for i := range tuples {
 		r.consume(context.Background(), tuples[i:i+1], i)
 		s := tuples[i].sim // no later tuple is more similar
-		for local := range r.states {
-			st := &r.states[local]
+		for sid := range r.states {
+			st := &r.states[sid]
 			if !st.seen {
 				continue
 			}
-			exact := so[part[local]]
+			exact := so[sid]
 			col, row := st.ubSum+float64(st.mRem)*s, st.rowSum+float64(st.rRem)*s
 			if st.lbScore > exact+1e-9 || exact > col+1e-9 || exact > row+1e-9 {
 				t.Fatalf("%s: set %d after tuple %d (level %v): lb %v, exact SO %v, column side %v, query side %v",
-					label, part[local], i, s, st.lbScore, exact, col, row)
+					label, sid, i, s, st.lbScore, exact, col, row)
 			}
-			if b := bound[part[local]]; b < st.ubSum {
-				t.Fatalf("%s: set %d after tuple %d: bound %v below ubSum %v", label, part[local], i, b, st.ubSum)
+			if b := bound[sid]; b < st.ubSum {
+				t.Fatalf("%s: set %d after tuple %d: bound %v below ubSum %v", label, sid, i, b, st.ubSum)
 			}
 		}
 	}
-	for local := range r.states {
-		if b, col := bound[part[local]], r.states[local].ubSum; math.Float64bits(b) != math.Float64bits(col) {
-			t.Fatalf("%s: set %d: bound %v, final column side %v", label, part[local], b, col)
+	for sid := range r.states {
+		if b, col := bound[sid], r.states[sid].ubSum; math.Float64bits(b) != math.Float64bits(col) {
+			t.Fatalf("%s: set %d: bound %v, final column side %v", label, sid, b, col)
 		}
 	}
 	for _, block := range []int{1, 256} {
@@ -219,7 +218,7 @@ func TestTombstonedSetsCountNothing(t *testing.T) {
 		tuples, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), eng.getScratch())
 		reached := map[int32]bool{}
 		for _, tup := range tuples {
-			sids, _ := eng.invs[0].Postings(tup.tokenID)
+			sids, _ := eng.parts[0].inv.Postings(tup.tokenID)
 			for _, sid := range sids {
 				if dead[sid>>6]&(1<<(uint(sid)&63)) == 0 {
 					reached[sid] = true
@@ -259,7 +258,7 @@ func TestQuerySideBoundDecides(t *testing.T) {
 	theta, stats := &atomicMax{}, Stats{}
 	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
 	r.consume(context.Background(), tuples, 0)
-	c := &r.states[eng.localOf[0]]
+	c := &r.states[0]
 	if c.pruned || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
 		t.Fatalf("C before the drain: pruned %v, ubSum %v, rowSum %v under θlb %v; want alive, 2.7, 0.9, 2", c.pruned, c.ubSum, c.rowSum, theta.Load())
 	}

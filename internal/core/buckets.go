@@ -2,9 +2,9 @@ package core
 
 // iubBuckets is the refinement-local realization of the paper's bucketized
 // iUB filter (§V), specialized to the dense candidate layout: candidates are
-// identified by their partition-local index, buckets are a flat slice
-// indexed by m (open matching slots) instead of a map, and each bucket is a
-// score-ascending min-heap of candidate indices stored in a plain slice.
+// identified by their set ID, buckets are a flat slice indexed by m (open
+// matching slots) instead of a map, and each bucket is a score-ascending
+// min-heap of set IDs stored in a plain slice.
 //
 // A candidate is filed on demand, not on every change of its bound: file
 // puts it under m = min(mRem, rRem) and score = min(ubSum, rowSum), and it
@@ -18,27 +18,27 @@ package core
 // entries leave only from the top.
 type iubBuckets struct {
 	heaps [][]int32 // bucket per m; min-heap on score
-	// score holds, per local candidate, the score it was filed with. It is
-	// the search's pooled memory and carries garbage for candidates not in
-	// any bucket.
+	// score holds, per set ID, the score the set was filed with. It is the
+	// search's pooled memory, shared with the engine's other partitions, and
+	// carries garbage for sets not in any bucket.
 	score []float64
 	// refile collects, during one bucket's scan, the survivors it popped.
 	refile []int32
 }
 
 // newIUBBuckets sizes the filter for candidates with at most maxM open
-// slots; score has one element per partition-local candidate and needs no
-// initial value.
+// slots; score has one element per set of the engine and needs no initial
+// value.
 func newIUBBuckets(maxM int, score []float64) iubBuckets {
 	return iubBuckets{heaps: make([][]int32, maxM+1), score: score}
 }
 
 // file puts a candidate under the smaller side of each of its counts: m =
 // min(mRem, rRem) open slots and score = min(ubSum, rowSum).
-func (b *iubBuckets) file(local int32, st *candState) {
-	b.score[local] = min(st.ubSum, st.rowSum)
+func (b *iubBuckets) file(sid int32, st *candState) {
+	b.score[sid] = min(st.ubSum, st.rowSum)
 	m := min(st.mRem, st.rRem)
-	h := append(b.heaps[m], local)
+	h := append(b.heaps[m], sid)
 	b.heaps[m] = h
 	b.up(h, len(h)-1)
 }
@@ -53,35 +53,35 @@ func (b *iubBuckets) file(local int32, st *candState) {
 // (DESIGN.md §3). Every popped candidate is tested with the true bound — the
 // decision is the one an always-current filter would take — and the
 // survivors are filed again once the scan is over, so none is popped twice.
-func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(local int32, byQuery bool)) {
+func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(sid int32, byQuery bool)) {
 	for m := range b.heaps {
 		for {
 			h := b.heaps[m]
 			if len(h) == 0 || b.score[h[0]]+float64(m)*s >= theta+pruneEps {
 				break // survivors only from here on
 			}
-			local := h[0]
+			sid := h[0]
 			b.pop(m)
-			if states[local].pruned {
+			if states[sid].pruned {
 				continue // settled by the stream-wide bound, and counted then
 			}
-			if iub, col := states[local].bound(s); iub < theta {
-				onPrune(local, col >= theta)
+			if iub, col := states[sid].bound(s); iub < theta {
+				onPrune(sid, col >= theta)
 			} else {
-				b.refile = append(b.refile, local)
+				b.refile = append(b.refile, sid)
 			}
 		}
-		for _, local := range b.refile {
-			b.file(local, &states[local])
+		for _, sid := range b.refile {
+			b.file(sid, &states[sid])
 		}
 		b.refile = b.refile[:0]
 	}
 }
 
-// footprintBytes is the filter's memory: the per-candidate scores and the
-// heaps' backing arrays.
+// footprintBytes is the memory of the filter's heaps; the filed scores are
+// the arena's, which the refiner counts.
 func (b *iubBuckets) footprintBytes() int64 {
-	n := int64(len(b.score))*8 + int64(len(b.heaps))*24 + int64(cap(b.refile))*4
+	n := int64(len(b.heaps))*24 + int64(cap(b.refile))*4
 	for _, h := range b.heaps {
 		n += int64(cap(h)) * 4
 	}

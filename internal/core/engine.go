@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/index"
@@ -18,41 +19,27 @@ import (
 //
 // Everything downstream of NewEngine runs on interned int32 token IDs
 // (DESIGN.md §3): postings are CSR arenas, the per-query edge cache is a
-// slice indexed by token ID, and refinement state is a dense arena over each
-// partition's sets — the refinement inner loop performs no string hashing
-// and no map lookups.
+// slice indexed by token ID, and refinement state is a dense arena indexed by
+// set ID — the refinement inner loop performs no string hashing and no map
+// lookups.
 type Engine struct {
-	repo  *sets.Repository
-	src   index.NeighborSource
-	opts  Options
-	parts [][]int
-	// invs holds one CSR inverted index per partition. A memtable engine
-	// (Growing.Engine) has one partition and no CSR: its entry is nil and the
-	// postings are mem's chains.
-	invs []*index.Inverted
-	mem  index.MemView
+	repo *sets.Repository
+	src  index.NeighborSource
+	opts Options
+	// parts are the partitions refined in parallel (§VI): contiguous ranges
+	// of set IDs, one partRefiner each.
+	parts []partition
+	// mem holds the postings of a memtable engine (Growing.Engine), whose
+	// one partition has no CSR.
+	mem index.MemView
 
 	vocabN int
 	// card is each set's distinct-element count, indexed by set ID.
 	card []int32
-	// localOf maps a set ID to its index within its (unique) partition, so
-	// refinement can address the dense candidate-state arena directly from a
-	// posting entry.
-	localOf []int32
-	// cOffs holds, per partition, the prefix word offsets of each
-	// candidate's matched-token bitset inside the partition's shared bit
-	// arena: candidate L owns words [cOffs[p][L], cOffs[p][L+1]).
-	cOffs [][]int32
-	// maxCard is the largest set cardinality per partition, which bounds
-	// the iUB bucket index space min(|Q|,|C|).
-	maxCard []int32
-	// cardOrder holds, per partition, the partition-local candidate indices
-	// sorted by descending cardinality — the lazy cut-off walks it to bound
-	// the largest still-unseen set (DESIGN.md §10).
-	cardOrder [][]int32
-	// cWords is the total length, in words, of the partitions' token-mask
-	// arenas: cOffs[p][len(parts[p])] summed over p.
-	cWords int
+	// cOff holds the prefix word offsets of each set's matched-token bitset
+	// inside the engine's share of the token-mask arena: set sid owns words
+	// [cOff[sid], cOff[sid+1]). It is one longer than the repository.
+	cOff []int32
 	// scratch pools the per-query buffers whose size follows the collection
 	// — the vocabulary-sized first-arrival bitset and edge-cache offsets,
 	// and the set-indexed refinement arena — so per-query allocation scales
@@ -70,6 +57,9 @@ type Engine struct {
 	// search's cut replay had to read token strings, and the stream-wide set
 	// bounds by group-wide set ID.
 	survivorHook func(survivors []survivor, replayTies int, bound []float64)
+	// refinerHook, when set (tests only), observes partition p's refiner
+	// counters as the search merges them.
+	refinerHook func(p int, st *Stats)
 }
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
@@ -124,25 +114,53 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// refineArena is one search's candidate-indexed refinement state: per set
-// of every partition searched, a candState, the iubBuckets' filed score,
-// the stream-wide bound and the count of its terms, and one qWord per 64
-// query elements — the matched and the arrived query elements, two mask
-// words each — plus the token masks. carve hands it out partition by
-// partition. Its size follows the collection searched and the query's mask
-// words.
+// partition is one range of the engine's set IDs, refined by its own
+// partRefiner over its own postings.
+type partition struct {
+	// lo and hi bound the partition's set IDs: [lo, hi).
+	lo, hi int32
+	// inv is the partition's CSR inverted index; nil on a memtable engine,
+	// whose postings are Engine.mem's chains.
+	inv *index.Inverted
+	// order holds the partition's set IDs by descending cardinality — the
+	// lazy cut-off walks it to bound the largest still-unseen set
+	// (DESIGN.md §10).
+	order []int32
+	// maxCard is the partition's largest set cardinality, which bounds the
+	// iUB bucket index space min(|Q|,|C|).
+	maxCard int32
+}
+
+// refineArena is one search's set-indexed refinement state: per set of every
+// engine searched, an arenaShare's tables and the iubBuckets' filed score.
+// carve hands it out engine by engine, and an engine's partition refiners
+// share its share, each writing the indices of its own sets. Its size
+// follows the collection searched and the query's mask words.
 type refineArena struct {
-	states []candState
-	score  []float64
-	bound  []float64
-	terms  []int32
-	qBits  []qWord
-	cBits  []uint64
+	arenaShare
+	score []float64
 	// sets and words count what carve has handed out.
 	sets, words int
 }
 
-// reset readies the arena for partitions holding sets sets in total with
+// arenaShare is the part of a refineArena a refiner reads, indexed by set
+// ID: a candState, the stream-wide bound and the count of its terms, and
+// one qWord per 64 query elements (the matched and the arrived ones, a mask
+// word each), plus the token masks.
+type arenaShare struct {
+	states []candState
+	// bound is a set's stream-wide bound and terms the number of maxima in
+	// it (DESIGN.md §2); a set refinement has pruned holds settledBound.
+	bound []float64
+	terms []int32
+	// Set sid's query masks are qBits[sid·qWords : (sid+1)·qWords] and its
+	// token mask cBits[cOff[sid] : cOff[sid+1]] (Engine.cOff).
+	qBits  []qWord
+	cBits  []uint64
+	qWords int
+}
+
+// reset readies the arena for engines holding sets sets in total with
 // qWords query-mask words each, whose token masks take words words in total.
 func (a *refineArena) reset(sets, qWords, words int) {
 	a.states = zeroed(a.states, sets)
@@ -151,64 +169,57 @@ func (a *refineArena) reset(sets, qWords, words int) {
 	a.terms = zeroed(a.terms, sets)
 	a.qBits = zeroed(a.qBits, sets*qWords)
 	a.cBits = zeroed(a.cBits, words)
+	a.qWords = qWords
 	a.sets, a.words = 0, 0
 }
 
-// carve points r at the next partition's share: nCand candidates with
-// r.qWords query-mask words each and cWords token-mask words together,
-// filed under at most maxM open slots.
-func (a *refineArena) carve(r *partRefiner, nCand, maxM, cWords int) {
-	lo, hi := a.sets, a.sets+nCand
-	wlo, whi := a.words, a.words+cWords
+// carve returns engine e's share of the arena, the next one, and its filed
+// scores: both are indexed by e's set IDs.
+func (a *refineArena) carve(e *Engine) (arenaShare, []float64) {
+	lo, hi := a.sets, a.sets+len(e.card)
+	wlo, whi := a.words, a.words+e.cWords()
 	a.sets, a.words = hi, whi
-	r.states = a.states[lo:hi:hi]
-	r.buckets = newIUBBuckets(maxM, a.score[lo:hi:hi])
-	r.cBits = a.cBits[wlo:whi:whi]
-	qlo, qhi := lo*r.qWords, hi*r.qWords
-	r.qBits = a.qBits[qlo:qhi:qhi]
+	qlo, qhi := lo*a.qWords, hi*a.qWords
+	return arenaShare{
+		states: a.states[lo:hi:hi],
+		bound:  a.bound[lo:hi:hi], terms: a.terms[lo:hi:hi],
+		qBits: a.qBits[qlo:qhi:qhi], cBits: a.cBits[wlo:whi:whi], qWords: a.qWords,
+	}, a.score[lo:hi:hi]
 }
 
-// partitionSeed fixes the random partitioning.
-const partitionSeed = 0
-
-// NewEngine builds the partition layout, one CSR inverted index per
-// partition, and the dense-state addressing tables.
+// NewEngine splits the repository's set IDs into Options.Partitions ranges
+// of near-equal size, at most one per set and at least one, and builds
+// each range's CSR inverted index and the mask offsets.
 func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{repo: repo, src: src, opts: opts, vocabN: repo.VocabSize(), scratch: new(sync.Pool)}
-	e.parts = repo.Partition(opts.Partitions, partitionSeed)
-	e.invs = make([]*index.Inverted, len(e.parts))
-	e.card = make([]int32, repo.Len())
-	for i := 0; i < repo.Len(); i++ {
+	n := repo.Len()
+	e := &Engine{
+		repo: repo, src: src, opts: opts, vocabN: repo.VocabSize(),
+		card: make([]int32, n), cOff: make([]int32, n+1), scratch: new(sync.Pool),
+	}
+	for sid := range n {
 		// ElemIDs, not Elements: mapped segments (DESIGN.md §13) carry only
 		// IDs, and the two are always the same length on eager repos.
-		e.card[i] = int32(len(repo.Set(i).ElemIDs))
+		e.card[sid] = int32(len(repo.Set(sid).ElemIDs))
+		e.cOff[sid+1] = e.cOff[sid] + (e.card[sid]+63)/64
 	}
-	e.localOf = make([]int32, repo.Len())
-	e.cOffs = make([][]int32, len(e.parts))
-	e.maxCard = make([]int32, len(e.parts))
-	e.cardOrder = make([][]int32, len(e.parts))
-	for p, part := range e.parts {
-		e.invs[p] = index.NewInvertedSubset(repo, part)
-		offs := make([]int32, len(part)+1)
-		order := make([]int32, len(part))
-		for l, sid := range part {
-			e.localOf[sid] = int32(l)
-			offs[l+1] = offs[l] + (e.card[sid]+63)/64
-			if e.card[sid] > e.maxCard[p] {
-				e.maxCard[p] = e.card[sid]
-			}
-			order[l] = int32(l)
+	np := max(min(opts.Partitions, n), 1)
+	e.parts = make([]partition, np)
+	for p := range e.parts {
+		lo, hi := p*n/np, (p+1)*n/np
+		part := partition{lo: int32(lo), hi: int32(hi), inv: index.NewInvertedSubset(repo, lo, hi), order: make([]int32, hi-lo)}
+		for i := range part.order {
+			part.order[i] = int32(lo + i)
+			part.maxCard = max(part.maxCard, e.card[lo+i])
 		}
-		sort.Slice(order, func(i, j int) bool {
-			return e.card[part[order[i]]] > e.card[part[order[j]]]
-		})
-		e.cOffs[p] = offs
-		e.cWords += int(offs[len(part)])
-		e.cardOrder[p] = order
+		slices.SortFunc(part.order, func(a, b int32) int { return cmp.Compare(e.card[b], e.card[a]) })
+		e.parts[p] = part
 	}
 	return e
 }
+
+// cWords is the length, in words, of the engine's token-mask arena.
+func (e *Engine) cWords() int { return int(e.cOff[len(e.cOff)-1]) }
 
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }

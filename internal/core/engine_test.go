@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/embedding"
 	"repro/internal/index"
 	"repro/internal/sets"
@@ -157,29 +160,166 @@ func TestSearchAblationsAgree(t *testing.T) {
 	}
 }
 
-// TestSearchPartitionsAgree: the same query must yield the same top-k scores
-// for any partition count.
+// TestSearchPartitionsAgree: the same query must yield the same top-k
+// scores, bit for bit, for any partition count — on a random instance and on
+// benchmark queries of the four datagen shapes, with blocks small enough
+// that the lazy cut fires. Without ExactScores a search verifies no result
+// set only to make its score exact, however many partitions it has.
 func TestSearchPartitionsAgree(t *testing.T) {
+	type input struct {
+		name    string
+		repo    *sets.Repository
+		src     index.NeighborSource
+		opts    Options
+		queries [][]string
+	}
 	repo, model, query := randomInstance(7)
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
-	var want []float64
-	for _, parts := range []int{1, 2, 3, 5, 9} {
-		results, _ := NewEngine(repo, src, Options{K: 6, Alpha: 0.7, Partitions: parts, ExactScores: true}).Search(query)
-		scores := make([]float64, len(results))
-		for i, r := range results {
-			scores[i] = r.Score
+	inputs := []input{{"random", repo, src, Options{K: 6, Alpha: 0.7, ExactScores: true}, [][]string{query}}}
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.02)
+		in := input{string(kind), ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector),
+			Options{K: 10, Alpha: 0.8, LazyBlock: 16, ExactScores: true}, nil}
+		for _, q := range datagen.NewBenchmark(ds, 17).Queries[:8] {
+			in.queries = append(in.queries, q.Elements)
 		}
-		if want == nil {
-			want = scores
-			continue
-		}
-		if len(scores) != len(want) {
-			t.Fatalf("partitions=%d: %d results, want %d", parts, len(scores), len(want))
-		}
-		for i := range scores {
-			if math.Abs(scores[i]-want[i]) > 1e-6 {
-				t.Fatalf("partitions=%d rank %d: %v, want %v", parts, i, scores[i], want[i])
+		inputs = append(inputs, in)
+	}
+	cuts, compared := 0, 0
+	for _, in := range inputs {
+		want := make([][]float64, len(in.queries))
+		for _, parts := range []int{1, 2, 3, 5, 9} {
+			opts := in.opts
+			opts.Partitions = parts
+			eng := NewEngine(in.repo, in.src, opts)
+			for qi, q := range in.queries {
+				results, st := eng.Search(q)
+				if st.StreamCut {
+					cuts++
+				}
+				scores := make([]float64, len(results))
+				for i, r := range results {
+					scores[i] = r.Score
+				}
+				if want[qi] == nil {
+					want[qi] = scores
+					continue
+				}
+				if len(scores) != len(want[qi]) {
+					t.Fatalf("%s query %d, partitions=%d: %d results, want %d", in.name, qi, parts, len(scores), len(want[qi]))
+				}
+				compared++
+				for i := range scores {
+					if math.Float64bits(scores[i]) != math.Float64bits(want[qi][i]) {
+						t.Fatalf("%s query %d, partitions=%d rank %d: %v, want %v", in.name, qi, parts, i, scores[i], want[qi][i])
+					}
+				}
 			}
+		}
+	}
+	t.Logf("%d comparisons, %d cut searches", compared, cuts)
+	if cuts == 0 {
+		t.Fatal("no search cut its stream, so the cut replay across partitions is untested")
+	}
+	if _, st := NewEngine(repo, src, Options{K: 6, Alpha: 0.7, Partitions: 3}).Search(query); st.FinalizeEM != 0 {
+		t.Fatalf("partitions=3 without ExactScores: %d finalizing verifications, want 0", st.FinalizeEM)
+	}
+}
+
+// TestPartitionRangesCoverAllSetsExactlyOnce: NewEngine splits the set IDs
+// into contiguous ranges that follow one another from 0 to the repository's
+// size, differ in size by at most one, and each index exactly their own
+// sets; a partition count above the number of sets gives one set each.
+func TestPartitionRangesCoverAllSetsExactlyOnce(t *testing.T) {
+	raw := make([]sets.Set, 103)
+	for i := range raw {
+		raw[i] = sets.Set{Elements: []string{"e"}}
+	}
+	repo := sets.NewRepository(raw)
+	for _, n := range []int{1, 2, 7, 10, 103, 500} {
+		eng := NewEngine(repo, nil, Options{Partitions: n})
+		if want := min(n, repo.Len()); len(eng.parts) != want {
+			t.Fatalf("n=%d: %d partitions, want %d", n, len(eng.parts), want)
+		}
+		next, smallest, largest := int32(0), int32(repo.Len()), int32(0)
+		for p, part := range eng.parts {
+			if part.lo != next {
+				t.Fatalf("n=%d: partition %d starts at %d, want %d", n, p, part.lo, next)
+			}
+			next = part.hi
+			smallest, largest = min(smallest, part.hi-part.lo), max(largest, part.hi-part.lo)
+			sids, _ := part.inv.Postings(0)
+			if len(sids) != int(part.hi-part.lo) || sids[0] != part.lo || sids[len(sids)-1] != part.hi-1 {
+				t.Fatalf("n=%d: partition %d of [%d, %d) indexes %v", n, p, part.lo, part.hi, sids)
+			}
+		}
+		if next != int32(repo.Len()) {
+			t.Fatalf("n=%d: the partitions end at %d, want %d", n, next, repo.Len())
+		}
+		if largest-smallest > 1 {
+			t.Fatalf("n=%d: partition sizes unbalanced (min=%d max=%d)", n, smallest, largest)
+		}
+	}
+}
+
+// TestPartitionRangesZeroAndNegative: a partition count of zero or less means
+// one partition holding every set, and a repository with no sets gets one
+// empty partition and searches to no results.
+func TestPartitionRangesZeroAndNegative(t *testing.T) {
+	repo, model, query := randomInstance(3)
+	for _, n := range []int{0, -3} {
+		eng := NewEngine(repo, nil, Options{Partitions: n})
+		if len(eng.parts) != 1 || eng.parts[0].lo != 0 || int(eng.parts[0].hi) != repo.Len() {
+			t.Fatalf("Partitions=%d: %+v, want one partition of [0, %d)", n, eng.parts, repo.Len())
+		}
+	}
+	empty := sets.NewRepository(nil)
+	eng := NewEngine(empty, index.NewFuncIndex(empty.Vocabulary(), model), Options{Partitions: 3})
+	if len(eng.parts) != 1 || eng.parts[0].hi != 0 {
+		t.Fatalf("empty repository: %+v, want one empty partition", eng.parts)
+	}
+	if results, _ := eng.Search(query); len(results) != 0 {
+		t.Fatalf("empty repository returned %v", results)
+	}
+}
+
+// TestPartitionPostingsBalance logs, at koios-server's default of four
+// partitions, how the postings a search's refiners meet spread over them:
+// the postings per search and the largest refiner's load over the mean
+// (max/mean; a parallel block waits for its largest refiner), on the four
+// datagen shapes as generated and with their sets stored by ascending
+// cardinality, where the range of the largest sets carries the most
+// (DESIGN.md §6). It logs and does not hold a bound: run it with -v.
+func TestPartitionPostingsBalance(t *testing.T) {
+	const parts = 4
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.1)
+		var queries [][]string
+		for _, q := range datagen.NewBenchmark(ds, 17).Queries[:20] {
+			queries = append(queries, q.Elements)
+		}
+		sorted := slices.Clone(ds.Repo.Sets())
+		sort.SliceStable(sorted, func(i, j int) bool { return len(sorted[i].Elements) < len(sorted[j].Elements) })
+		for _, in := range []struct {
+			name string
+			repo *sets.Repository
+		}{{string(kind), ds.Repo}, {string(kind) + " by cardinality", sets.NewRepository(sorted)}} {
+			eng := NewEngine(in.repo, index.NewExact(in.repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, Partitions: parts})
+			per := make([]int, parts)
+			eng.refinerHook = func(p int, st *Stats) { per[p] = st.Postings }
+			total, largest := 0, 0
+			for _, q := range queries {
+				eng.Search(q)
+				for _, n := range per {
+					total += n
+				}
+				largest += slices.Max(per)
+			}
+			if total == 0 {
+				t.Fatalf("%s: the refiners met no postings", in.name)
+			}
+			t.Logf("%-24s postings/search %8.0f  largest refiner %8.0f  max/mean %.2f", in.name,
+				float64(total)/float64(len(queries)), float64(largest)/float64(len(queries)), float64(largest)*parts/float64(total))
 		}
 	}
 }

@@ -28,8 +28,9 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 // options, on an arena of its own.
 func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
 	var arena refineArena
-	arena.reset(len(e.localOf), (qN+63)/64, int(e.cOffs[p][len(e.parts[p])]))
-	r := e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &arena, 0)
+	arena.reset(e.repo.Len(), (qN+63)/64, e.cWords())
+	share, score := arena.carve(e)
+	r := e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, score)
 	r.rs = new(refinerScratch)
 	return r
 }

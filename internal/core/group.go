@@ -138,7 +138,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	cWords, nParts := 0, 0
 	for i, e := range g.Engines {
 		base[i+1] = base[i] + e.repo.Len()
-		cWords += e.cWords
+		cWords += e.cWords()
 		nParts += len(e.parts)
 	}
 
@@ -167,9 +167,10 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		if si < len(g.Dead) {
 			dead = g.Dead[si]
 		}
+		share, score := sc.refine.carve(e)
 		for p := range e.parts {
 			c := &chunks[si][p]
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &sc.refine, base[si])
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score)
 			c.r.rs = &sc.refiners[nref]
 			c.r.rs.kept, c.r.rs.ties = 0, 0
 			nref++
@@ -249,6 +250,9 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	for si := range chunks {
 		for p := range chunks[si] {
 			stats.add(&chunks[si][p].stats)
+			if hook := g.Engines[si].refinerHook; hook != nil {
+				hook(p, &chunks[si][p].stats)
+			}
 			for _, sv := range chunks[si][p].surv {
 				sv.setID += base[si]
 				survivors = append(survivors, sv)
@@ -266,7 +270,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// partitions' survivors: they already share the global θlb, so a single
 	// Alg. 2 pass over the merged candidate pool is equivalent to per-part
 	// passes plus a merge — and avoids exact-matching up to k·parts
-	// partition-local winners that the global top-k never needs.
+	// per-partition winners that the global top-k never needs.
 	postStart := time.Now()
 	llb := pqueue.NewTopK(opts.K)
 	for _, sv := range survivors {

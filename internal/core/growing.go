@@ -19,9 +19,9 @@ import (
 // was taken, the writer writes at indices past every prefix handed out, and a
 // slice that outgrows its array moves on to a new one while the old array
 // stays with its readers. The postings are index.MemPostings' write-once
-// chains under the same rule. Only cardOrder is not a prefix of anything — a
-// new row lands in the middle of it — so each Append replaces it: one int32
-// per row.
+// chains under the same rule. Only the cardinality order is not a prefix of
+// anything — a new row lands in the middle of it — so each Append replaces
+// it: one int32 per row.
 //
 // Append and Engine are for one writer at a time; the Engines are as safe
 // for concurrent searches as any other.
@@ -30,14 +30,10 @@ type Growing struct {
 	src  index.NeighborSource
 	opts Options
 
-	rows []sets.Set
-	// ident and local both hold i at index i: the one partition as
-	// Engine.parts wants it, and Engine.localOf.
-	ident   []int
-	local   []int32
+	rows    []sets.Set
 	card    []int32
-	cOffs   []int32 // one longer than rows
-	order   []int32
+	cOff    []int32 // one longer than rows
+	order   []int32 // set IDs by descending cardinality
 	maxCard int32
 	post    *index.MemPostings
 	scratch *sync.Pool
@@ -51,7 +47,7 @@ func NewGrowing(dict *sets.Dictionary, src index.NeighborSource, opts Options) *
 	opts.Partitions = 1
 	return &Growing{
 		dict: dict, src: src, opts: opts,
-		cOffs:   []int32{0},
+		cOff:    []int32{0},
 		post:    index.NewMemPostings(dict.Size()),
 		scratch: new(sync.Pool),
 	}
@@ -70,10 +66,8 @@ func (g *Growing) Append(row sets.Set) {
 	row.ID = id
 	c := int32(len(row.ElemIDs))
 	g.rows = append(g.rows, row)
-	g.ident = append(g.ident, id)
-	g.local = append(g.local, int32(id))
 	g.card = append(g.card, c)
-	g.cOffs = append(g.cOffs, g.cOffs[id]+(c+63)/64)
+	g.cOff = append(g.cOff, g.cOff[id]+(c+63)/64)
 	g.maxCard = max(g.maxCard, c)
 	g.post.Append(int32(id), row.ElemIDs)
 
@@ -92,10 +86,10 @@ func (g *Growing) Engine() *Engine {
 	repo := sets.SegmentOver(g.dict, g.rows)
 	return &Engine{
 		repo: repo, src: g.src, opts: g.opts, vocabN: repo.VocabSize(),
-		parts: [][]int{g.ident}, invs: []*index.Inverted{nil}, mem: g.post.View(),
-		card: g.card, localOf: g.local,
-		cOffs: [][]int32{g.cOffs}, maxCard: []int32{g.maxCard}, cardOrder: [][]int32{g.order},
-		cWords:  int(g.cOffs[len(g.rows)]),
+		parts:   []partition{{hi: int32(len(g.rows)), order: g.order, maxCard: g.maxCard}},
+		mem:     g.post.View(),
+		card:    g.card,
+		cOff:    g.cOff,
 		scratch: g.scratch,
 	}
 }

@@ -51,20 +51,19 @@ func (c *oracleCand) bound(s float64) float64 {
 }
 
 type oracleEngine struct {
-	repo  *sets.Repository
-	src   index.NeighborSource
-	opts  Options
-	parts [][]int
-	invs  []*index.Inverted
+	repo *sets.Repository
+	src  index.NeighborSource
+	opts Options
+	invs []*index.Inverted
 }
 
 func newOracleEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *oracleEngine {
 	opts = opts.withDefaults()
 	e := &oracleEngine{repo: repo, src: src, opts: opts}
-	e.parts = repo.Partition(opts.Partitions, partitionSeed)
-	e.invs = make([]*index.Inverted, len(e.parts))
-	for i, p := range e.parts {
-		e.invs[i] = index.NewInvertedSubset(repo, p)
+	n := repo.Len()
+	np := max(min(opts.Partitions, n), 1)
+	for p := range np {
+		e.invs = append(e.invs, index.NewInvertedSubset(repo, p*n/np, (p+1)*n/np))
 	}
 	return e
 }
@@ -80,10 +79,10 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 	stats.StreamTuples = len(tuples)
 
 	theta := &atomicMax{}
-	partStats := make([]Stats, len(e.parts))
-	partSurv := make([][]survivor, len(e.parts))
+	partStats := make([]Stats, len(e.invs))
+	partSurv := make([][]survivor, len(e.invs))
 	var wg sync.WaitGroup
-	for i := range e.parts {
+	for i := range e.invs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

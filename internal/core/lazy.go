@@ -108,16 +108,15 @@ func (at cutPoint) consumed(qIdx int32, sim float64, tid int32, repo *sets.Repos
 //
 // Past the cut no tuple can affect any other candidate (DESIGN.md §10), so
 // per-candidate continuation is exact.
-func (r *partRefiner) tailBounds(local int32, edgesOf func(int32) []qEdge, qids []int32, at cutPoint) (lb, ub, col float64) {
+func (r *partRefiner) tailBounds(sid int32, edgesOf func(int32) []qEdge, qids []int32, at cutPoint) (lb, ub, col float64) {
 	e, rs := r.e, r.rs
-	st := &r.states[local]
-	set := e.repo.Set(e.parts[r.p][local])
+	st := &r.states[sid]
+	set := e.repo.Set(int(sid))
 	lb, col = st.lbScore, st.ubSum
 	mRem := st.mRem
 	negInf, identity := math.Inf(-1), math.Inf(1)
-	qm := r.qBits[int(local)*r.qWords : (int(local)+1)*r.qWords]
-	cOff := e.cOffs[r.p]
-	cm := r.cBits[cOff[local]:cOff[local+1]]
+	qm := r.qBits[int(sid)*r.qWords : (int(sid)+1)*r.qWords]
+	cm := r.cBits[e.cOff[sid]:e.cOff[sid+1]]
 	// While rowSum has slots left, the walk also gathers, per query element
 	// unseen at the cut, its best edge into the candidate — identity edges
 	// as +Inf, above every probed similarity — in best, and the rows it

@@ -14,7 +14,10 @@ import (
 
 // byCardinality returns the engine's set IDs in ascending cardinality.
 func byCardinality(eng *Engine) []int {
-	ids := append([]int(nil), eng.parts[0]...)
+	ids := make([]int, eng.repo.Len())
+	for i := range ids {
+		ids[i] = i
+	}
 	sort.SliceStable(ids, func(i, j int) bool { return eng.card[ids[i]] < eng.card[ids[j]] })
 	return ids
 }
@@ -34,7 +37,9 @@ type refineCase struct {
 // sixtieth of the corpus sorted by cardinality). Streams are drawn and
 // annotated before the timer; an iteration refines one query on the pooled
 // arena, as a search does. Besides ns/op it reports the postings the walk
-// met and those it skipped per op (DESIGN.md §2).
+// met and those it skipped per op (DESIGN.md §2), and ns/posting: ns/op per
+// posting met, so it covers the bound pass, the walk and the drain, not the
+// walk alone.
 func BenchmarkRefinePartition(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
@@ -63,8 +68,9 @@ func BenchmarkRefinePartition(b *testing.B) {
 		c := &cases[i%len(cases)]
 		qN := len(c.qids)
 		theta, stats := &atomicMax{}, Stats{}
-		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords)
-		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &sc.refine, 0)
+		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords())
+		share, score := sc.refine.carve(eng)
+		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, score)
 		r.rs = &rs
 		r.addBounds(eng.streamMaxima(func(emit func(index.Tuple)) {
 			for _, t := range c.raw {
@@ -78,6 +84,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 	}
 	b.ReportMetric(float64(walked)/float64(b.N), "postings/op")
 	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(walked), "ns/posting")
 }
 
 // BenchmarkPostproc runs Algorithm 2 alone over what a real refinement hands

@@ -29,11 +29,11 @@ const ctxCheckEvery = 1024
 
 // candState is the per-candidate refinement state: the incremental greedy
 // lower bound (iLB, Lemma 5) and the two sides of the corrected incremental
-// upper bound (DESIGN.md §2). States live in one dense slice per partition,
-// indexed by the candidate's partition-local position; the greedy matching
-// masks and the query elements' arrival marks live in bit arenas. All of it
-// is carved from the search's pooled refineArena, so a warmed engine
-// allocates none of it per search.
+// upper bound (DESIGN.md §2). States live in one dense slice per engine,
+// indexed by the set ID the posting carries; the greedy matching masks and
+// the query elements' arrival marks live in bit arenas. All of it is carved
+// from the search's pooled refineArena, so a warmed engine allocates none of
+// it per search.
 type candState struct {
 	// ubSum is the column side: the sum of the first-seen (= maximum)
 	// similarities of the candidate's distinct streamed tokens, capped at
@@ -97,23 +97,22 @@ type survivor struct {
 //
 // The per-tuple/per-posting inner loop is free of map lookups and string
 // comparisons: postings are flat int32 arenas, candidate state is a dense
-// slice addressed through localOf, matched and arrived query elements are
-// one bit each per element in the qBits arena, and matched candidate tokens
-// are one bit per candidate-local element position (carried by the posting
-// entry) in the cBits arena.
+// slice indexed by set ID, matched and arrived query elements are one bit
+// each per element in the qBits arena, and matched candidate tokens are one
+// bit per candidate-local element position (carried by the posting entry) in
+// the cBits arena. All of them are the engine's share of the search's
+// refineArena, shared with its other partitions' refiners: each reads and
+// writes only the indices of its own sets.
 type partRefiner struct {
 	e     *Engine
 	opts  *Options // the search's: Group.Opts
-	p     int
+	part  *partition
 	qN    int
 	theta *atomicMax
 	stats *Stats
 	dead  []uint64
 
-	states         []candState
-	qBits          []qWord
-	cBits          []uint64
-	qWords         int
+	arenaShare
 	buckets        iubBuckets
 	llb            *pqueue.TopK
 	lastPruneTheta float64
@@ -130,14 +129,9 @@ type partRefiner struct {
 	cardPtr int
 	// rs is the refiner's pooled working memory.
 	rs *refinerScratch
-	// bound is the engine's stream-wide set bound and terms the number of
-	// maxima in it, both indexed by the engine's set ID and shared by its
-	// partitions (a set sits in one); a set the bound has settled holds
-	// settledBound. skip reports that addBounds filled them, which turns the
-	// posting skip on (DESIGN.md §2).
-	bound []float64
-	terms []int32
-	skip  bool
+	// skip reports that addBounds filled the stream-wide set bounds, which
+	// turns the posting skip on (DESIGN.md §2).
+	skip bool
 }
 
 // settledBound marks a set refinement has pruned, whether the bound or the
@@ -202,7 +196,7 @@ func (e *Engine) streamMaxima(peek func(emit func(index.Tuple)), qids []int32, s
 // set's bound is its column side ubSum once the whole stream has gone by,
 // formed from the same floats in the same order (DESIGN.md §2).
 func (r *partRefiner) addBounds(maxima []tokenMax) {
-	e, inv := r.e, r.e.invs[r.p]
+	e, inv := r.e, r.part.inv
 	bound, terms, qN := r.bound, r.terms, int32(r.qN)
 	rs := r.rs
 	for _, tm := range maxima {
@@ -269,7 +263,7 @@ func partitionPostings(sids, poss []int32, bound []float64, below float64, ks, k
 // live candidate as an iUB prune on the column side, a tombstoned set not at
 // all — and a first sight the Lemma 2 filter would have admitted joins alive.
 func (r *partRefiner) settle(sid int32, s, below float64) {
-	st := &r.states[r.e.localOf[sid]]
+	st := &r.states[sid]
 	if !st.seen {
 		st.seen = true
 		if r.dead != nil && r.dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
@@ -286,21 +280,16 @@ func (r *partRefiner) settle(sid int32, s, below float64) {
 	r.stats.BoundSettled++
 }
 
-// newPartRefiner prepares partition p's refinement state in its share of
-// arena; the engine's set bounds start at lo.
-func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, arena *refineArena, lo int) *partRefiner {
-	r := &partRefiner{
-		e: e, opts: opts, p: p, qN: qN, theta: theta, stats: stats, dead: dead,
-		qWords: (qN + 63) / 64,
+// newPartRefiner prepares partition p's refinement state in share, the
+// engine's share of the search's arena, and its buckets in score.
+func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, score []float64) *partRefiner {
+	part := &e.parts[p]
+	return &partRefiner{
+		e: e, opts: opts, part: part, qN: qN, theta: theta, stats: stats, dead: dead,
+		arenaShare: *share,
+		buckets:    newIUBBuckets(min(qN, int(part.maxCard)), score),
+		llb:        pqueue.NewTopK(opts.K),
 	}
-	hi := lo + len(e.localOf)
-	r.bound, r.terms = arena.bound[lo:hi:hi], arena.terms[lo:hi:hi]
-	// Candidate L's query masks occupy words [L·qWords, (L+1)·qWords) of
-	// qBits and its token mask words [cOff[L], cOff[L+1]) of cBits.
-	nCand := len(e.parts[p])
-	arena.carve(r, nCand, min(qN, int(e.maxCard[p])), int(e.cOffs[p][nCand]))
-	r.llb = pqueue.NewTopK(opts.K)
-	return r
 }
 
 // consume processes tuples, whose first element sits at global stream
@@ -309,19 +298,18 @@ func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stat
 // be discarded).
 func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base int) bool {
 	e, opts := r.e, r.opts
-	inv := e.invs[r.p]
-	cOff := e.cOffs[r.p]
+	inv, cOff := r.part.inv, e.cOff
 	states, qBits, cBits, qWords := r.states, r.qBits, r.cBits, r.qWords
 	buckets, llb, theta, stats, dead := &r.buckets, r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
-	bound, part := r.bound, e.parts[r.p]
+	bound := r.bound
 	walked, skipped := 0, 0
 
 	// Every set the walk prunes is settled as well, so keepBounded passes
 	// over its later postings.
-	markPruned := func(local int32, byQuery bool) {
-		states[local].pruned = true
-		bound[part[local]] = settledBound
+	markPruned := func(sid int32, byQuery bool) {
+		states[sid].pruned = true
+		bound[sid] = settledBound
 		stats.IUBPruned++
 		if byQuery {
 			stats.IUBQueryPruned++
@@ -351,8 +339,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			skipped += n - len(sids)
 		}
 		for pi, sid := range sids {
-			local := e.localOf[sid]
-			st := &states[local]
+			st := &states[sid]
 			if !st.seen {
 				st.seen = true
 				// Tombstone-aware candidate creation: a deleted set is
@@ -379,7 +366,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 						stats.IUBPruned++
 						continue
 					}
-					buckets.file(local, st)
+					buckets.file(sid, st)
 				}
 				r.alive++
 			}
@@ -396,7 +383,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			// The query side: the query element's first arrival into the
 			// candidate is its best edge into it; count it while slots
 			// remain.
-			qw := &qBits[int(local)*qWords+int(tup.qIdx)>>6]
+			qw := &qBits[int(sid)*qWords+int(tup.qIdx)>>6]
 			qbit := uint64(1) << (uint(tup.qIdx) & 63)
 			if st.rRem > 0 && qw.seen&qbit == 0 {
 				qw.seen |= qbit
@@ -406,7 +393,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			// Incremental greedy lower bound (iLB): take the edge iff both
 			// endpoints are unmatched (Lemma 5).
 			if qw.matched&qbit == 0 {
-				cw := int(cOff[local]) + int(poss[pi])>>6
+				cw := int(cOff[sid]) + int(poss[pi])>>6
 				cbit := uint64(1) << (uint(poss[pi]) & 63)
 				if cBits[cw]&cbit == 0 {
 					qw.matched |= qbit
@@ -440,10 +427,9 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 // the final θlb.
 func (r *partRefiner) drain() []survivor {
 	finalTheta := r.theta.Load()
-	part := r.e.parts[r.p]
 	var out []survivor
-	for local := range r.states {
-		st := &r.states[local]
+	for sid := r.part.lo; sid < r.part.hi; sid++ {
+		st := &r.states[sid]
 		if !st.seen || st.pruned {
 			continue
 		}
@@ -451,7 +437,7 @@ func (r *partRefiner) drain() []survivor {
 		if !r.opts.DisableIUB && r.pruneAtEnd(ub, col, finalTheta) {
 			continue
 		}
-		out = append(out, survivor{setID: part[local], lb: st.lbScore, ub: ub})
+		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub})
 	}
 	r.accountMem()
 	return out
@@ -487,15 +473,14 @@ func (r *partRefiner) pruneAtEnd(ub, col, theta float64) bool {
 // count on that side. rs.colUB keeps, beside each survivor, the full column
 // side filterPool attributes its prunes by.
 func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint) []survivor {
-	part, rs := r.e.parts[r.p], r.rs
+	rs := r.rs
 	var out []survivor
 	rs.colUB = rs.colUB[:0]
-	for local := range r.states {
-		st := &r.states[local]
+	for sid := r.part.lo; sid < r.part.hi; sid++ {
+		st := &r.states[sid]
 		if !st.seen || st.pruned {
 			continue
 		}
-		sid := part[local]
 		if b := r.bound[sid]; r.skip && r.pruneAtEnd(b, b, thetaCut) {
 			r.stats.BoundCertified++
 			r.bound[sid] = settledBound
@@ -504,10 +489,10 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, leve
 		if iub, col := st.bound(level); r.pruneAtEnd(iub, col, thetaCut) {
 			continue
 		}
-		lb, ub, colFull := r.tailBounds(int32(local), edgesOf, qids, at)
-		out = append(out, survivor{setID: sid, lb: lb, ub: ub})
+		lb, ub, colFull := r.tailBounds(sid, edgesOf, qids, at)
+		out = append(out, survivor{setID: int(sid), lb: lb, ub: ub})
 		rs.colUB = append(rs.colUB, colFull)
-		if r.llb.Update(sid, lb) {
+		if r.llb.Update(int(sid), lb) {
 			r.theta.Update(r.llb.Bottom())
 		}
 	}
@@ -537,21 +522,23 @@ func (r *partRefiner) filterPool(pool []survivor, finalTheta float64) []survivor
 // pointer only advances (seen is permanent), costing amortized O(|part|)
 // per query. Tombstoned sets are skipped: they can never become candidates.
 func (r *partRefiner) maxUnseenCard() int32 {
-	e, part, order := r.e, r.e.parts[r.p], r.e.cardOrder[r.p]
+	order := r.part.order
 	for r.cardPtr < len(order) {
-		local := order[r.cardPtr]
-		if !r.states[local].seen {
-			sid := part[local]
-			if r.dead == nil || r.dead[sid>>6]&(1<<(uint(sid)&63)) == 0 {
-				return e.card[sid]
-			}
+		sid := order[r.cardPtr]
+		if !r.states[sid].seen && (r.dead == nil || r.dead[sid>>6]&(1<<(uint(sid)&63)) == 0) {
+			return r.e.card[sid]
 		}
 		r.cardPtr++
 	}
 	return 0
 }
 
+// accountMem counts the partition's part of the arena — per set its
+// candState, filed score, bound and terms, and its query and token masks —
+// and its bucket heaps.
 func (r *partRefiner) accountMem() {
-	r.stats.MemCandBytes += int64(len(r.states))*int64(unsafe.Sizeof(candState{})+8+4) +
-		int64(len(r.qBits))*int64(unsafe.Sizeof(qWord{})) + int64(len(r.cBits))*8 + r.buckets.footprintBytes()
+	lo, hi := r.part.lo, r.part.hi
+	n := int64(hi - lo)
+	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+8+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
+		int64(r.e.cOff[hi]-r.e.cOff[lo])*8 + r.buckets.footprintBytes()
 }

@@ -289,9 +289,10 @@ func BenchmarkCutReplay(b *testing.B) {
 		query := sets.Dedup(queries[i%len(queries)])
 		qids := ds.Repo.TokenIDs(query)
 		sc := eng.getScratch()
-		sc.refine.reset(ds.Repo.Len(), (len(query)+63)/64, eng.cWords)
+		sc.refine.reset(ds.Repo.Len(), (len(query)+63)/64, eng.cWords())
+		share, score := sc.refine.carve(eng)
 		theta, stats := &atomicMax{}, Stats{}
-		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &sc.refine, 0)
+		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &share, score)
 		r.rs = &rs
 		st := index.NewLazyStream(query, qids, src, eng.opts.Alpha, nil)
 		r.addBounds(eng.streamMaxima(st.PeekRest, qids, sc, nil))

@@ -177,11 +177,11 @@ func TestRefinerScratchReuse(t *testing.T) {
 			sc := eng.getScratch()
 			a := &sc.refine
 			if cap(a.states) > ds.Repo.Len() || cap(a.score) > ds.Repo.Len() ||
-				cap(a.qBits) > ds.Repo.Len()*qWords || cap(a.cBits) > eng.cWords ||
+				cap(a.qBits) > ds.Repo.Len()*qWords || cap(a.cBits) > eng.cWords() ||
 				cap(sc.post.qub) > ds.Repo.Len() ||
 				cap(sc.offsets) > eng.vocabN || cap(sc.seen) > (eng.vocabN+63)/64 {
 				t.Fatalf("k=%d: pooled scratch outgrew the collection: %d states, %d scores, %d+%d mask words for %d sets × %d query words, %d mask words",
-					k, cap(a.states), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), qWords, eng.cWords)
+					k, cap(a.states), cap(a.score), cap(a.qBits), cap(a.cBits), ds.Repo.Len(), qWords, eng.cWords())
 			}
 		}
 	}

@@ -29,16 +29,16 @@ type Options struct {
 	K int
 	// Alpha is the element similarity threshold α of Def. 1.
 	Alpha float64
-	// Partitions splits the repository into random partitions searched in
-	// parallel with a shared global θlb (§VI).
+	// Partitions is the number of refiners per engine, run in parallel with
+	// a shared global θlb (§VI): each refines one of that many contiguous
+	// ranges of the engine's set IDs, at most one per set.
 	Partitions int
-	// Workers bounds concurrent exact-match verifications per partition
+	// Workers bounds the concurrent exact-match verifications of one search
 	// during post-processing. 1 gives a fully deterministic run.
 	Workers int
 	// ExactScores forces exact verification of every result set, so scores
 	// in the result are exact semantic overlaps even for sets the No-EM
-	// filter admitted without matching. Multi-partition searches always
-	// verify result sets internally (the exact merge requires it).
+	// filter admitted without matching.
 	ExactScores bool
 	// DisableIUB turns the bucketized iUB filter off (the paper's Baseline+
 	// keeps it on; the plain Baseline has it off).
@@ -127,8 +127,8 @@ type Stats struct {
 	// EMFull counts completed exact graph matchings.
 	EMFull int
 	// FinalizeEM counts additional verifications performed only to make
-	// result scores exact (ExactScores or the multi-partition merge); they
-	// are bookkeeping, not part of the paper's filter accounting.
+	// result scores exact (ExactScores); they are bookkeeping, not part of
+	// the paper's filter accounting.
 	FinalizeEM int
 	// StreamTuples is the number of token-stream tuples consumed by
 	// refinement: it stops at the cut-off, and is the whole stream

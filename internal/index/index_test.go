@@ -39,7 +39,7 @@ func TestInvertedPostings(t *testing.T) {
 }
 
 func TestInvertedSubset(t *testing.T) {
-	inv := NewInvertedSubset(repo(), []int{1, 2})
+	inv := NewInvertedSubset(repo(), 1, 3)
 	if got := inv.Sets("b"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("subset postings for b = %v", got)
 	}

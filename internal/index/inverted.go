@@ -35,28 +35,20 @@ type Inverted struct {
 
 // NewInverted builds the inverted index over all sets of the repository.
 func NewInverted(r *sets.Repository) *Inverted {
-	return NewInvertedSubset(r, nil)
+	return NewInvertedSubset(r, 0, r.Len())
 }
 
-// NewInvertedSubset builds the inverted index over the given set IDs only
-// (used by the partitioned driver, §VI). A nil ids slice means all sets.
-// Construction is two-pass: count postings per token, prefix-sum into the
-// offset table, then fill the arena — no per-token allocations.
-func NewInvertedSubset(r *sets.Repository, ids []int) *Inverted {
+// NewInvertedSubset builds the inverted index over the sets with IDs in
+// [lo, hi) only (one partition, §VI); each posting list is in ascending set
+// ID. Construction is two-pass: count postings per token, prefix-sum into
+// the offset table, then fill the arena — no per-token allocations.
+func NewInvertedSubset(r *sets.Repository, lo, hi int) *Inverted {
 	vocab := r.VocabSize()
 	inv := &Inverted{repo: r, offsets: make([]int32, vocab+1)}
-	count := func(s sets.Set) {
+	rows := r.Sets()[lo:hi]
+	for _, s := range rows {
 		for _, id := range s.ElemIDs {
 			inv.offsets[id+1]++
-		}
-	}
-	if ids == nil {
-		for _, s := range r.Sets() {
-			count(s)
-		}
-	} else {
-		for _, id := range ids {
-			count(r.Set(id))
 		}
 	}
 	for t := 0; t < vocab; t++ {
@@ -70,21 +62,12 @@ func NewInvertedSubset(r *sets.Repository, ids []int) *Inverted {
 	inv.poss = make([]int32, total)
 	next := make([]int32, vocab)
 	copy(next, inv.offsets[:vocab])
-	fill := func(s sets.Set) {
+	for _, s := range rows {
 		for pos, id := range s.ElemIDs {
 			at := next[id]
 			inv.sids[at] = int32(s.ID)
 			inv.poss[at] = int32(pos)
 			next[id] = at + 1
-		}
-	}
-	if ids == nil {
-		for _, s := range r.Sets() {
-			fill(s)
-		}
-	} else {
-		for _, id := range ids {
-			fill(r.Set(id))
 		}
 	}
 	return inv

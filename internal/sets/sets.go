@@ -1,12 +1,10 @@
 // Package sets defines the set repository Koios searches over: set storage
-// with distinct string elements, vocabulary extraction, the cardinality
-// statistics reported in Table I of the paper, and the random partitioning
-// used by the scale-out driver (§VI).
+// with distinct string elements, vocabulary extraction and the cardinality
+// statistics reported in Table I of the paper.
 package sets
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -227,29 +225,6 @@ func (r *Repository) Stats() Stats {
 		st.AvgSize = float64(total) / float64(len(r.sets))
 	}
 	return st
-}
-
-// Partition splits the set IDs into n random partitions of near-equal size
-// (§VI: "we randomly partition the repository and run Koios on partitions in
-// parallel"). The same seed always yields the same partitioning.
-func (r *Repository) Partition(n int, seed int64) [][]int {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(r.sets) && len(r.sets) > 0 {
-		n = len(r.sets)
-	}
-	ids := make([]int, len(r.sets))
-	for i := range ids {
-		ids[i] = i
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	parts := make([][]int, n)
-	for i, id := range ids {
-		parts[i%n] = append(parts[i%n], id)
-	}
-	return parts
 }
 
 // CardinalityPercentiles returns the set-size values at the requested

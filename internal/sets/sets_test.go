@@ -62,68 +62,6 @@ func TestStatsEmptyRepository(t *testing.T) {
 	}
 }
 
-func TestPartitionCoversAllSetsExactlyOnce(t *testing.T) {
-	raw := make([]Set, 103)
-	for i := range raw {
-		raw[i] = Set{Elements: []string{"e"}}
-	}
-	r := NewRepository(raw)
-	for _, n := range []int{1, 2, 7, 10, 103, 500} {
-		parts := r.Partition(n, 42)
-		seen := map[int]bool{}
-		for _, p := range parts {
-			for _, id := range p {
-				if seen[id] {
-					t.Fatalf("n=%d: set %d in two partitions", n, id)
-				}
-				seen[id] = true
-			}
-		}
-		if len(seen) != 103 {
-			t.Fatalf("n=%d: %d sets covered, want 103", n, len(seen))
-		}
-		// Near-equal sizes: max-min ≤ 1.
-		min, max := 104, 0
-		for _, p := range parts {
-			if len(p) < min {
-				min = len(p)
-			}
-			if len(p) > max {
-				max = len(p)
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("n=%d: partition sizes unbalanced (min=%d max=%d)", n, min, max)
-		}
-	}
-}
-
-func TestPartitionDeterministic(t *testing.T) {
-	r := sample()
-	p1 := r.Partition(2, 9)
-	p2 := r.Partition(2, 9)
-	for i := range p1 {
-		if len(p1[i]) != len(p2[i]) {
-			t.Fatal("partitions differ across calls with same seed")
-		}
-		for j := range p1[i] {
-			if p1[i][j] != p2[i][j] {
-				t.Fatal("partitions differ across calls with same seed")
-			}
-		}
-	}
-}
-
-func TestPartitionZeroAndNegative(t *testing.T) {
-	r := sample()
-	if got := r.Partition(0, 1); len(got) != 1 {
-		t.Fatalf("Partition(0) produced %d partitions", len(got))
-	}
-	if got := r.Partition(-3, 1); len(got) != 1 {
-		t.Fatalf("Partition(-3) produced %d partitions", len(got))
-	}
-}
-
 func TestCardinalityPercentiles(t *testing.T) {
 	r := sample()
 	got := r.CardinalityPercentiles(0, 50, 100)

@@ -55,14 +55,16 @@ type Config struct {
 	K int
 	// Alpha is the element similarity threshold α ∈ (0,1].
 	Alpha float64
-	// Partitions > 1 splits the repository into random partitions searched
-	// in parallel with a shared pruning threshold.
+	// Partitions > 1 splits the repository into that many contiguous ranges
+	// of sets, refined in parallel under a shared pruning threshold. Ranges
+	// follow insertion order: sets inserted sorted by size load the last
+	// range most (DESIGN.md §6).
 	Partitions int
-	// Workers bounds concurrent verifications per partition.
+	// Workers bounds the concurrent verifications of one search.
 	Workers int
 	// ExactScores verifies every returned set so Result.Score is the exact
-	// semantic overlap (single-partition searches may otherwise return
-	// proven lower bounds for sets whose membership needed no matching).
+	// semantic overlap (searches may otherwise return proven lower bounds
+	// for sets whose membership needed no matching).
 	ExactScores bool
 	// SealThreshold is the number of inserted sets buffered in the mutable
 	// memtable before it seals into an immutable segment (default 256);
