@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,10 +34,11 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 // SO ≤ ubSum + mRem·s and to the query side SO ≤ rowSum + rRem·s, each on
 // its own, and its set bound to at least ubSum. Once the stream is
 // exhausted every set's bound must be its column side's sum bit for bit, and
-// at least SO − matching.BoundEps. After the drain the survivors' [lb, ub]
-// must contain SO, with lb at least half of it. Last, searches with the
-// filters on, one pump block per tuple and one per 256, must hand
-// post-processing no set the bound settled.
+// at least SO − matching.BoundEps, and the θlb seed drawn from the bounds
+// (Group.seedTheta) at most the k-th largest SO. After the drain the
+// survivors' [lb, ub] must contain SO, with lb at least half of it. Last,
+// searches with the filters on, one pump block per tuple and one per 256,
+// must hand post-processing no set the bound settled.
 func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, fn sim.Func, alpha float64, query []string) {
 	t.Helper()
 	query = sets.Dedup(query)
@@ -50,21 +53,29 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	var stats Stats
 	r := eng.newRefiner(len(query), 0, &atomicMax{}, &stats, nil)
 	rb := eng.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, nil)
-	rb.addBounds(eng.streamMaxima(index.NewStreamInterned(query, qids, src, alpha).PeekRest, qids, eng.getScratch(), nil))
+	sc := eng.getScratch()
+	cache, _ := eng.peekStream(index.NewStreamInterned(query, qids, src, alpha), sc, nil)
+	rb.addBounds(cache.maxima(qids, sc))
 	bound := rb.bound
 	for sid, b := range bound {
 		if b < so[sid]-matching.BoundEps {
 			t.Fatalf("%s: set %d: bound %v below exact SO %v", label, sid, b, so[sid])
 		}
 	}
+	seed := eng.group().seedTheta(cache, bound, len(query), []int{0, repo.Len()}, sc)
+	desc := slices.Clone(so)
+	slices.SortFunc(desc, func(a, b float64) int { return cmp.Compare(b, a) })
+	if k := eng.opts.K; seed > 0 && (len(desc) < k || seed > desc[k-1]+1e-9) {
+		t.Fatalf("%s: θlb seed %v above the k-th largest exact SO (k = %d, SOs %v)", label, seed, k, desc)
+	}
 	for i := range tuples {
 		r.consume(context.Background(), tuples[i:i+1], i)
 		s := tuples[i].sim // no later tuple is more similar
 		for sid := range r.states {
-			st := &r.states[sid]
-			if !st.seen {
+			if r.flags[sid] == setUnseen {
 				continue
 			}
+			st := &r.states[sid]
 			exact := so[sid]
 			col, row := st.ubSum+float64(st.mRem)*s, st.rowSum+float64(st.rRem)*s
 			if st.lbScore > exact+1e-9 || exact > col+1e-9 || exact > row+1e-9 {
@@ -174,8 +185,10 @@ func FuzzRefinementBounds(f *testing.F) {
 
 // TestPostingSkipShare logs, per datagen shape, the share of the postings
 // refinement met that the stream-wide set bound (DESIGN.md §2) let it skip,
-// over ten benchmark queries at scale 0.05 under the serving options, and
-// requires some skipped on every shape. CI prints its line.
+// the postings met and walked per query, and the queries whose θlb seed
+// raised θlb, over ten benchmark queries at scale 0.05 under the serving
+// options. It requires some postings skipped and some queries seeded on
+// every shape. CI prints its line.
 func TestPostingSkipShare(t *testing.T) {
 	var shares []string
 	for _, kind := range datagen.Kinds() {
@@ -183,17 +196,78 @@ func TestPostingSkipShare(t *testing.T) {
 		src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 		eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: true})
 		queries := datagen.NewBenchmark(ds, 17).Queries
-		walked, skipped := 0, 0
-		for _, q := range queries[:min(10, len(queries))] {
+		met, skipped, seeded := 0, 0, 0
+		queries = queries[:min(10, len(queries))]
+		for _, q := range queries {
 			_, st := eng.Search(q.Elements)
-			walked, skipped = walked+st.Postings, skipped+st.PostingsSkipped
+			met, skipped = met+st.Postings, skipped+st.PostingsSkipped
+			if seed, _, _, _ := eng.seedFor(q.Elements, nil); seed > 0 {
+				seeded++
+			}
 		}
 		if skipped == 0 {
-			t.Errorf("%s: none of %d postings skipped", kind, walked)
+			t.Errorf("%s: none of %d postings skipped", kind, met)
 		}
-		shares = append(shares, fmt.Sprintf("%s %.2f", kind, float64(skipped)/float64(max(walked, 1))))
+		if seeded == 0 {
+			t.Errorf("%s: the seed raised θlb on none of %d queries", kind, len(queries))
+		}
+		shares = append(shares, fmt.Sprintf("%s %.2f (%d postings met, %d walked per query; seeded %d of %d)", kind,
+			float64(skipped)/float64(max(met, 1)), met/len(queries), (met-skipped)/len(queries), seeded, len(queries)))
 	}
 	t.Logf("posting skip share: %s", strings.Join(shares, ", "))
+}
+
+// TestSeedBelowKthOverlap: on the four datagen shapes, with every fourth set
+// tombstoned and, per query, the set with the largest stream-wide bound as
+// well, the θlb seed (DESIGN.md §2) is at most the k-th largest exact
+// semantic overlap among the live sets, none of the sets it matched is
+// tombstoned, and it raises θlb on every shape.
+func TestSeedBelowKthOverlap(t *testing.T) {
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.05)
+		eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8})
+		n, k := ds.Repo.Len(), eng.opts.K
+		isDead := func(dead []uint64, sid int) bool { return dead[sid>>6]&(1<<(uint(sid)&63)) != 0 }
+		queries := datagen.NewBenchmark(ds, 17).Queries
+		seeded := 0
+		for qi, q := range queries[:min(10, len(queries))] {
+			dead := make([]uint64, (n+63)/64)
+			for sid := 0; sid < n; sid += 4 {
+				dead[sid>>6] |= 1 << (uint(sid) & 63)
+			}
+			_, _, bound, _ := eng.seedFor(q.Elements, dead)
+			top := 0
+			for sid, b := range bound {
+				if b > bound[top] {
+					top = sid
+				}
+			}
+			dead[top>>6] |= 1 << (uint(top) & 63)
+			seed, seeds, bound, cache := eng.seedFor(q.Elements, dead)
+			for _, s := range seeds {
+				if isDead(dead, s.gid) {
+					t.Fatalf("%s query %d: tombstoned set %d (bound %v) seeds θlb", kind, qi, s.gid, s.bound)
+				}
+			}
+			var so []float64
+			var vs verifyScratch
+			for sid, b := range bound {
+				if b > 0 && !isDead(dead, sid) {
+					so = append(so, eng.verify(&eng.opts, len(sets.Dedup(q.Elements)), cache, ds.Repo.Set(sid), nil, &vs).Score)
+				}
+			}
+			slices.SortFunc(so, func(a, b float64) int { return cmp.Compare(b, a) })
+			if len(so) < k && seed != 0 || len(so) >= k && seed > so[k-1]+1e-9 {
+				t.Fatalf("%s query %d: θlb seed %v, %d live sets reached, the k-th largest SO of them %v", kind, qi, seed, len(so), so[min(k, len(so))-1])
+			}
+			if seed > 0 {
+				seeded++
+			}
+		}
+		if seeded == 0 {
+			t.Errorf("%s: the seed raised θlb on no query", kind)
+		}
+	}
 }
 
 // TestTombstonedSetsCountNothing: with every fourth set of a collection
@@ -259,8 +333,8 @@ func TestQuerySideBoundDecides(t *testing.T) {
 	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
 	r.consume(context.Background(), tuples, 0)
 	c := &r.states[0]
-	if c.pruned || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
-		t.Fatalf("C before the drain: pruned %v, ubSum %v, rowSum %v under θlb %v; want alive, 2.7, 0.9, 2", c.pruned, c.ubSum, c.rowSum, theta.Load())
+	if r.flags[0] != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
+		t.Fatalf("C before the drain: status %d, ubSum %v, rowSum %v under θlb %v; want live, 2.7, 0.9, 2", r.flags[0], c.ubSum, c.rowSum, theta.Load())
 	}
 	for _, sv := range r.drain() {
 		if sv.setID == 0 {

@@ -16,6 +16,9 @@ package core
 // the threshold, decides on the true bound, and files the survivors again
 // where they now belong. A live candidate is in exactly one heap, and
 // entries leave only from the top.
+//
+// The heaps are a partition refiner's pooled memory (refinerScratch): reset
+// empties them for the next search and keeps their arrays.
 type iubBuckets struct {
 	heaps [][]int32 // bucket per m; min-heap on score
 	// score holds, per set ID, the score the set was filed with. It is the
@@ -24,13 +27,29 @@ type iubBuckets struct {
 	score []float64
 	// refile collects, during one bucket's scan, the survivors it popped.
 	refile []int32
+	// held counts the entries the heaps hold and peak the most they held at
+	// once this search — what footprintBytes reports, whatever capacity
+	// earlier searches left in the pooled heaps.
+	held, peak int
 }
 
-// newIUBBuckets sizes the filter for candidates with at most maxM open
+// newIUBBuckets returns a filter for candidates with at most maxM open
 // slots; score has one element per set of the engine and needs no initial
 // value.
 func newIUBBuckets(maxM int, score []float64) iubBuckets {
-	return iubBuckets{heaps: make([][]int32, maxM+1), score: score}
+	var b iubBuckets
+	b.reset(maxM, score)
+	return b
+}
+
+// reset readies the filter for a search with at most maxM open slots per
+// candidate, filing scores in score, on the heaps of the searches before.
+func (b *iubBuckets) reset(maxM int, score []float64) {
+	b.heaps = regrown(b.heaps, maxM+1)
+	for m := range b.heaps {
+		b.heaps[m] = b.heaps[m][:0]
+	}
+	b.score, b.held, b.peak = score, 0, 0
 }
 
 // file puts a candidate under the smaller side of each of its counts: m =
@@ -41,6 +60,8 @@ func (b *iubBuckets) file(sid int32, st *candState) {
 	h := append(b.heaps[m], sid)
 	b.heaps[m] = h
 	b.up(h, len(h)-1)
+	b.held++
+	b.peak = max(b.peak, b.held)
 }
 
 // prune removes every candidate whose upper bound min(ubSum + mRem·s,
@@ -53,7 +74,9 @@ func (b *iubBuckets) file(sid int32, st *candState) {
 // (DESIGN.md §3). Every popped candidate is tested with the true bound — the
 // decision is the one an always-current filter would take — and the
 // survivors are filed again once the scan is over, so none is popped twice.
-func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(sid int32, byQuery bool)) {
+// A popped candidate whose status in flags is no longer setLive was settled
+// by the stream-wide bound, and counted then.
+func (b *iubBuckets) prune(s, theta float64, states []candState, flags []uint8, onPrune func(sid int32, byQuery bool)) {
 	for m := range b.heaps {
 		for {
 			h := b.heaps[m]
@@ -62,8 +85,8 @@ func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(si
 			}
 			sid := h[0]
 			b.pop(m)
-			if states[sid].pruned {
-				continue // settled by the stream-wide bound, and counted then
+			if flags[sid] != setLive {
+				continue
 			}
 			if iub, col := states[sid].bound(s); iub < theta {
 				onPrune(sid, col >= theta)
@@ -78,14 +101,11 @@ func (b *iubBuckets) prune(s, theta float64, states []candState, onPrune func(si
 	}
 }
 
-// footprintBytes is the memory of the filter's heaps; the filed scores are
-// the arena's, which the refiner counts.
+// footprintBytes is the memory of the filter's heaps as this search used
+// them: a slice header per bucket and the most entries they held at once.
+// The filed scores are the arena's, which the refiner counts.
 func (b *iubBuckets) footprintBytes() int64 {
-	n := int64(len(b.heaps))*24 + int64(cap(b.refile))*4
-	for _, h := range b.heaps {
-		n += int64(cap(h)) * 4
-	}
-	return n
+	return int64(len(b.heaps))*24 + int64(b.peak)*4
 }
 
 // pop takes the top candidate out of bucket m: the bucket's last candidate
@@ -96,6 +116,7 @@ func (b *iubBuckets) pop(m int) {
 	h[0] = h[n]
 	h = h[:n]
 	b.heaps[m] = h
+	b.held--
 	if n > 1 {
 		b.down(h, 0)
 	}

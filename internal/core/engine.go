@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"slices"
 	"sync"
 
@@ -70,8 +71,16 @@ type Engine struct {
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
-	// maxima is the stream-wide bound pass's list of streamed tokens.
+	// peeked holds the stream's edges as the peek reads them, and edges
+	// and tokens the edge cache built from them (Engine.peekStream).
+	peeked []tokenEdge
+	edges  []qEdge
+	tokens []int32
+	// maxima is the stream-wide bound pass's list of streamed tokens, and
+	// seeds and seedUsed the θlb seed's sets and query mask.
 	maxima   []tokenMax
+	seeds    []seedSet
+	seedUsed []uint64
 	refine   refineArena
 	raw      []index.Tuple
 	refiners []refinerScratch
@@ -90,12 +99,18 @@ func (e *Engine) getScratch() *queryScratch {
 }
 
 // sized returns n elements of unspecified content, in buf's backing array
-// when it is large enough.
+// when it is large enough. A buffer that has to grow gets a quarter more
+// room than asked for, so one that follows a growing collection — a
+// memtable adds a set per insert — moves rarely; a first allocation is
+// exact.
 func sized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
+	switch {
+	case cap(buf) >= n:
+		return buf[:n]
+	case cap(buf) == 0:
 		return make([]T, n)
 	}
-	return buf[:n]
+	return make([]T, n, n+n/4)
 }
 
 // regrown returns n elements in which those buf held keep their content —
@@ -136,6 +151,10 @@ type partition struct {
 // carve hands it out engine by engine, and an engine's partition refiners
 // share its share, each writing the indices of its own sets. Its size
 // follows the collection searched and the query's mask words.
+//
+// reset zeroes only what is read before it is written: the status bytes,
+// and the bounds and term counts addBounds adds to. A set's candState and
+// masks are written when the walk admits it (partRefiner.consume).
 type refineArena struct {
 	arenaShare
 	score []float64
@@ -144,10 +163,11 @@ type refineArena struct {
 }
 
 // arenaShare is the part of a refineArena a refiner reads, indexed by set
-// ID: a candState, the stream-wide bound and the count of its terms, and
-// one qWord per 64 query elements (the matched and the arrived ones, a mask
-// word each), plus the token masks.
+// ID: a status byte and a candState, the stream-wide bound and the count of
+// its terms, and one qWord per 64 query elements (the matched and the
+// arrived ones, a mask word each), plus the token masks.
 type arenaShare struct {
+	flags  []uint8
 	states []candState
 	// bound is a set's stream-wide bound and terms the number of maxima in
 	// it (DESIGN.md §2); a set refinement has pruned holds settledBound.
@@ -163,12 +183,19 @@ type arenaShare struct {
 // reset readies the arena for engines holding sets sets in total with
 // qWords query-mask words each, whose token masks take words words in total.
 func (a *refineArena) reset(sets, qWords, words int) {
-	a.states = zeroed(a.states, sets)
+	a.flags = zeroed(a.flags, sets)
+	a.states = sized(a.states, sets)
 	a.score = sized(a.score, sets) // the buckets write before they read
 	a.bound = zeroed(a.bound, sets)
 	a.terms = zeroed(a.terms, sets)
-	a.qBits = zeroed(a.qBits, sets*qWords)
-	a.cBits = zeroed(a.cBits, words)
+	// The query masks have room for as many sets as the states: a wider
+	// query regrows them by its words alone, a grown collection as sized
+	// does.
+	if n := sets * qWords; cap(a.qBits) < n {
+		a.qBits = make([]qWord, n, cap(a.states)*qWords)
+	}
+	a.qBits = a.qBits[:sets*qWords]
+	a.cBits = sized(a.cBits, words)
 	a.qWords = qWords
 	a.sets, a.words = 0, 0
 }
@@ -181,8 +208,8 @@ func (a *refineArena) carve(e *Engine) (arenaShare, []float64) {
 	a.sets, a.words = hi, whi
 	qlo, qhi := lo*a.qWords, hi*a.qWords
 	return arenaShare{
-		states: a.states[lo:hi:hi],
-		bound:  a.bound[lo:hi:hi], terms: a.terms[lo:hi:hi],
+		flags: a.flags[lo:hi:hi], states: a.states[lo:hi:hi],
+		bound: a.bound[lo:hi:hi], terms: a.terms[lo:hi:hi],
 		qBits: a.qBits[qlo:qhi:qhi], cBits: a.cBits[wlo:whi:whi], qWords: a.qWords,
 	}, a.score[lo:hi:hi]
 }
@@ -250,13 +277,22 @@ type qEdge struct {
 
 // edgeCache is the per-query edge cache in CSR layout, indexed by interned
 // token ID: token t's edges occupy arena[offsets[t-1]:offsets[t]] (0-based
-// for t = 0). Built in two flat allocations from the materialized stream —
-// no per-token slices, no string keys. A search that cut the token stream
-// drains the unconsumed tail into the tuple arena first (DESIGN.md §10), so
-// the cache always holds every α-edge the source retrieved.
+// for t = 0), and tokens lists every token with at least one edge. Built
+// from the one read of the whole stream a search makes before its first
+// block (Engine.peekStream) into the search's pooled scratch — no per-token
+// slices, no string keys — so it holds every α-edge the source retrieved,
+// however early refinement cuts the stream (DESIGN.md §10).
 type edgeCache struct {
 	offsets []int32
 	arena   []qEdge
+	tokens  []int32
+}
+
+// tokenEdge is one α-edge of the stream as the peek reads it, before the
+// edge cache files it under its token.
+type tokenEdge struct {
+	tokenID, qIdx int32
+	sim           float64
 }
 
 // edges returns the α-edges of a token ID. Every repository token ID is a
@@ -297,27 +333,9 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 // engine was built with.
 func (e *Engine) group() *Group { return &Group{Engines: []*Engine{e}, Opts: e.opts} }
 
-// drainStream finishes a cut stream into the tuple arena for edge-cache
-// building only — the appended tail never reaches the refiners, and the
-// cache's consumers (verification matrices, the bound replay) are
-// order-insensitive within a token's edge list, so the tail is pulled in
-// arbitrary order (Stream.DrainRest) without paying any ordering cost.
-// Annotation continues through the same scratch; the first-arrival flags of
-// tail tuples are meaningless, but nothing reads them (only refinement
-// does, and it never sees the tail). The cache CONTENT is bit-identical to
-// that of a search that consumed the whole stream.
-func (e *Engine) drainStream(st *index.Stream, tuples []streamTuple, sc *queryScratch, live []uint64) []streamTuple {
-	st.DrainRest(func(tup index.Tuple) {
-		tuples = append(tuples, e.noteTuple(tup, sc, live))
-	})
-	return tuples
-}
-
-// noteTuple annotates one raw stream tuple: vocabulary demotion, global
-// first-arrival tracking (through sc.seen), and per-token edge counting
-// (through sc.offsets). Shared by the block pump and the cut drain above,
-// so the edge cache counts every tuple exactly once. live (nil on a static
-// engine) is the segmented engine's live-token bitset.
+// noteTuple annotates one raw stream tuple: vocabulary demotion and global
+// first-arrival tracking (through sc.seen). live (nil on a static engine) is
+// the segmented engine's live-token bitset.
 func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) streamTuple {
 	id := e.liveID(tup.TokenID, live)
 	first := true
@@ -325,7 +343,6 @@ func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) str
 		w, bit := id>>6, uint64(1)<<(uint(id)&63)
 		first = sc.seen[w]&bit == 0
 		sc.seen[w] |= bit
-		sc.offsets[id]++
 	}
 	return streamTuple{tokenID: id, qIdx: int32(tup.QIdx), sim: tup.Sim, first: first}
 }
@@ -349,26 +366,72 @@ func (e *Engine) liveID(id int32, live []uint64) int32 {
 	return id
 }
 
-// buildEdgeCache turns the consumed tuple prefix into the CSR edge cache:
-// prefix-sum the per-token counts in sc.offsets into fill cursors, fill the
-// arena, and let the cursors land on the end offsets the accessor expects.
-// The cache aliases sc.offsets; the caller owns sc until done with it.
-func (e *Engine) buildEdgeCache(tuples []streamTuple, sc *queryScratch) *edgeCache {
-	offsets := sc.offsets
+// peekStream reads every tuple st has still to emit — before the first
+// block, the whole stream — in the arbitrary order Stream.PeekRest hands
+// them over, and builds the search's edge cache from them: count each
+// token's edges in sc.offsets, prefix-sum the counts into fill cursors, fill
+// the arena, and let the cursors land on the end offsets the accessor
+// expects. Tokens resolve as noteTuple resolves them. It returns the cache,
+// which aliases sc, and the number of α-neighbors the stream holds.
+func (e *Engine) peekStream(st *index.Stream, sc *queryScratch, live []uint64) (*edgeCache, int) {
+	offsets, peeked, tokens := sc.offsets, sc.peeked[:0], sc.tokens[:0]
+	neighbors := st.PeekRest(func(t index.Tuple) {
+		if id := e.liveID(t.TokenID, live); id >= 0 {
+			if offsets[id] == 0 {
+				tokens = append(tokens, id)
+			}
+			offsets[id]++
+			peeked = append(peeked, tokenEdge{tokenID: id, qIdx: int32(t.QIdx), sim: t.Sim})
+		}
+	})
+	sc.peeked, sc.tokens = peeked, tokens
 	total := int32(0)
 	for t, n := range offsets {
 		offsets[t] = total
 		total += n
 	}
-	arena := make([]qEdge, total)
-	for i := range tuples {
-		tup := &tuples[i]
-		if tup.tokenID < 0 {
-			continue
-		}
-		at := offsets[tup.tokenID]
-		arena[at] = qEdge{qIdx: tup.qIdx, sim: tup.sim}
-		offsets[tup.tokenID] = at + 1
+	arena := sized(sc.edges, int(total))
+	for _, ed := range peeked {
+		at := offsets[ed.tokenID]
+		arena[at] = qEdge{qIdx: ed.qIdx, sim: ed.sim}
+		offsets[ed.tokenID] = at + 1
 	}
-	return &edgeCache{offsets: offsets, arena: arena}
+	sc.edges = arena
+	return &edgeCache{offsets: offsets, arena: arena, tokens: tokens}, neighbors
+}
+
+// tokenMax is a streamed token and its maximum similarity into the query,
+// which its first arrival carries.
+type tokenMax struct {
+	id  int32
+	sim float64
+}
+
+// maxima returns the maximum similarity of each token the cache holds, in
+// the order in which the stream's first arrivals add them to ubSum: the
+// query elements' own tokens (an identity edge, whose query element's token
+// is the token itself) first, then the rest by descending maximum. qids are
+// the identity tuples' token IDs. The list lives in sc.
+func (c *edgeCache) maxima(qids []int32, sc *queryScratch) []tokenMax {
+	identity := math.Inf(1) // sorts above every probed similarity
+	maxima := sc.maxima[:0]
+	for _, id := range c.tokens {
+		m := 0.0
+		for _, ed := range c.edges(id) {
+			if qids[ed.qIdx] == id {
+				m = identity
+				break
+			}
+			m = max(m, ed.sim)
+		}
+		maxima = append(maxima, tokenMax{id: id, sim: m})
+	}
+	slices.SortFunc(maxima, func(a, b tokenMax) int { return cmp.Compare(b.sim, a.sim) })
+	for i := range maxima {
+		if maxima[i].sim == identity {
+			maxima[i].sim = 1
+		}
+	}
+	sc.maxima = maxima
+	return maxima
 }

@@ -4,15 +4,17 @@ import (
 	"context"
 
 	"repro/internal/index"
+	"repro/internal/sets"
 )
 
-// materializeStream drains the whole token stream for query into annotated
-// tuples and builds the edge cache over them — what a search's pump and
-// buildEdgeCache produce when no cut is taken, in one call, for the tests
-// and benchmarks that drive a refiner or the post-processing phase directly.
-// The returned cache aliases sc.offsets.
+// materializeStream builds the edge cache for query from a peek at its whole
+// token stream and then drains the stream into annotated tuples — what a
+// search's peekStream and pump produce when no cut is taken, in one call,
+// for the tests and benchmarks that drive a refiner or the post-processing
+// phase directly. The returned cache aliases sc.
 func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratch) ([]streamTuple, *edgeCache) {
 	st := index.NewStreamInterned(query, qids, e.src, e.opts.Alpha)
+	cache, _ := e.peekStream(st, sc, nil)
 	var tuples []streamTuple
 	for {
 		tup, ok := st.Next()
@@ -21,7 +23,24 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 		}
 		tuples = append(tuples, e.noteTuple(tup, sc, nil))
 	}
-	return tuples, e.buildEdgeCache(tuples, sc)
+	return tuples, cache
+}
+
+// seedFor returns the θlb seed a search of query over e, an engine of one
+// partition whose tombstones are dead, starts from (Group.seedTheta), the
+// sets it matched, and the stream-wide bounds and edge cache it drew them
+// from.
+func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []float64, *edgeCache) {
+	query = sets.Dedup(query)
+	qids := e.repo.TokenIDs(query)
+	sc := e.getScratch()
+	cache, _ := e.peekStream(index.NewStreamInterned(query, qids, e.src, e.opts.Alpha), sc, nil)
+	r := e.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, dead)
+	r.addBounds(cache.maxima(qids, sc))
+	g := e.group()
+	g.Dead = [][]uint64{dead}
+	seed := g.seedTheta(cache, r.bound, len(query), []int{0, e.repo.Len()}, sc)
+	return seed, sc.seeds, r.bound, cache
 }
 
 // newRefiner prepares a refiner of partition p, under the engine's own
@@ -30,9 +49,7 @@ func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []ui
 	var arena refineArena
 	arena.reset(e.repo.Len(), (qN+63)/64, e.cWords())
 	share, score := arena.carve(e)
-	r := e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, score)
-	r.rs = new(refinerScratch)
-	return r
+	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, score, new(refinerScratch))
 }
 
 // refinePartition runs Algorithm 1 over partition p against a fully

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -170,24 +171,28 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		share, score := sc.refine.carve(e)
 		for p := range e.parts {
 			c := &chunks[si][p]
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score)
-			c.r.rs = &sc.refiners[nref]
-			c.r.rs.kept, c.r.rs.ties = 0, 0
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score, &sc.refiners[nref])
 			nref++
 			refiners[si][p] = c.r
 		}
 	}
 
+	// Before the first block, one read of the whole stream fills the edge
+	// cache: every lazy source computes its whole scan when the cursor is
+	// created, so this costs appends, not similarity evaluations or sorting.
 	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
+	cache, retrieved := lead.peekStream(st, sc, g.LiveTokens)
+	stats.StreamRetrieved = retrieved
 	if !opts.DisableIUB {
-		// Before the first block: bound every set by the maxima the whole
-		// stream will bring (DESIGN.md §2).
-		maxima := lead.streamMaxima(st.PeekRest, qids, sc, g.LiveTokens)
+		// Bound every set by the maxima the whole stream will bring, and
+		// seed θlb from the sets those bounds rank first (DESIGN.md §2).
+		maxima := cache.maxima(qids, sc)
 		for _, rs := range refiners {
 			for _, r := range rs {
 				r.addBounds(maxima)
 			}
 		}
+		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
 	}
 	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query))
 	stats.StreamTuples = len(tuples)
@@ -196,17 +201,9 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	if !ok {
 		return nil, stats, ctx.Err()
 	}
-	if cut {
-		// Edge completion: finish the stream into the arena for cache
-		// building only — the refiners never see the tail, and it arrives
-		// unordered. Every lazy source computes its whole scan when the
-		// cursor is created, so this costs appends, not similarity
-		// evaluations or sorting.
-		tuples = lead.drainStream(st, tuples, sc, g.LiveTokens)
-	}
-	stats.StreamRetrieved = st.Retrieved()
-	cache := lead.buildEdgeCache(tuples, sc)
-	stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*16 +
+	// The consumed tuples, and per edge its place in the cache and in the
+	// peek's buffer.
+	stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*(16+16) +
 		int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
 	// Survivors: on a cut, reconstruct the whole-stream outcome — phase one
 	// replays every alive candidate's full-stream bounds and rebuilds the
@@ -306,4 +303,78 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		out[i] = GroupResult{Seg: seg, Local: local, Score: r.Score, Verified: r.Verified}
 	}
 	return out, stats, nil
+}
+
+// seedSet is a candidate of the θlb seed: a group-wide set ID and its
+// stream-wide bound.
+type seedSet struct {
+	gid   int
+	bound float64
+}
+
+// seedTheta returns a lower bound on the k-th largest semantic overlap of
+// the group's live sets, formed before the first block (DESIGN.md §2): it
+// takes the k live sets the stream touches with the largest stream-wide
+// bounds (bound, by group-wide set ID, as addBounds filled it; the lowest
+// set ID first on ties) and matches each greedily over its cached α-edges,
+// element by element in set order, each element taking the most similar
+// query element still free. Each matching is a real one, so it weighs at
+// most its set's semantic overlap, and the smallest of k of them, over k
+// distinct live sets, is at most the k-th largest. With fewer than k such
+// sets it returns 0: no seed. The sets it matched stay in sc.seeds.
+func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch) float64 {
+	k := g.Opts.K
+	top := sc.seeds[:0]
+	for si := range g.Engines {
+		var dead []uint64
+		if si < len(g.Dead) {
+			dead = g.Dead[si]
+		}
+		for gid := base[si]; gid < base[si+1]; gid++ {
+			b := bound[gid]
+			if b == 0 || (len(top) == k && b <= top[k-1].bound) {
+				continue
+			}
+			if sid := gid - base[si]; dead != nil && dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
+				continue
+			}
+			// Insert into top, which is kept by descending bound.
+			at := len(top)
+			if at < k {
+				top = append(top, seedSet{})
+			} else {
+				at--
+			}
+			for ; at > 0 && top[at-1].bound < b; at-- {
+				top[at] = top[at-1]
+			}
+			top[at] = seedSet{gid: gid, bound: b}
+		}
+	}
+	sc.seeds = top
+	if len(top) < k {
+		return 0
+	}
+	used := sized(sc.seedUsed, (qN+63)/64)
+	sc.seedUsed = used
+	seed := math.Inf(1)
+	for _, c := range top {
+		e, _, local := g.locate(c.gid, base)
+		clear(used)
+		w := 0.0
+		for _, tid := range e.repo.Set(local).ElemIDs {
+			q, best := int32(-1), 0.0
+			for _, ed := range cache.edges(tid) {
+				if ed.sim > best && used[ed.qIdx>>6]&(1<<(uint(ed.qIdx)&63)) == 0 {
+					q, best = ed.qIdx, ed.sim
+				}
+			}
+			if q >= 0 {
+				used[q>>6] |= 1 << (uint(q) & 63)
+				w += best
+			}
+		}
+		seed = min(seed, w)
+	}
+	return seed
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -66,5 +67,55 @@ func TestGrowingMatchesNewEngine(t *testing.T) {
 	}
 	if cuts == 0 {
 		t.Fatal("no reference search cut its stream; the test wants some to")
+	}
+}
+
+// TestGrowingSearchReusesArena: a memtable gains a set per insert, so the
+// refinement arena a search draws from the shared pool is one set short for
+// the next one. sized regrows it with room to spare, so a search after one
+// more Append finds every set-indexed table of the arena, the query masks
+// and the token masks where the search before left them.
+func TestGrowingSearchReusesArena(t *testing.T) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
+	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+	all := ds.Repo.Sets()
+	g := NewGrowing(ds.Repo.Dict(), src, Options{K: 3, Alpha: 0.8})
+	next := 0
+	appendOne := func() {
+		g.Append(all[next])
+		next++
+	}
+	for next < 40 {
+		appendOne()
+	}
+	query := all[7].Elements
+	// arena reports where the pooled arena's tables are, the scratch holding
+	// them, and whether they have room for another set.
+	arena := func() (string, *queryScratch, bool) {
+		e := g.Engine()
+		sc := e.getScratch()
+		defer e.scratch.Put(sc)
+		a := &sc.refine
+		at := fmt.Sprintf("%p %p %p %p %p %p %p", a.flags, a.states, a.score, a.bound, a.terms, a.qBits, a.cBits)
+		return at, sc, cap(a.states) > len(a.states)
+	}
+	g.Engine().Search(query) // sizes the arena for 40 sets, exactly
+	for round := 0; ; round++ {
+		if round == 100 {
+			t.Fatal("the pool never handed the scratch of the search before back")
+		}
+		appendOne()
+		g.Engine().Search(query) // regrows the arena, with room
+		before, sc, roomy := arena()
+		appendOne()
+		g.Engine().Search(query)
+		after, again, _ := arena()
+		if !roomy || again != sc {
+			continue // the pool dropped a scratch (a GC) on the way
+		}
+		if after != before {
+			t.Fatalf("a search after one more Append regrew the arena: %s → %s", before, after)
+		}
+		break
 	}
 }

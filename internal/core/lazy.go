@@ -15,8 +15,8 @@ import (
 // that feeds the partition refiners block by block, the θlb-driven cut-off
 // condition, and the full-stream bound replay for the surviving candidate
 // pool that keeps a truncated search byte-identical to one that consumed
-// the whole stream (the edge cache is completed by draining the stream; see
-// SearchContext).
+// the whole stream (the edge cache holds the whole stream from before the
+// first block; see Engine.peekStream).
 
 // replayEv is one tail edge event of a candidate. Events replay in global
 // stream order: the identity phase (all identity tuples, in query order)
@@ -33,21 +33,22 @@ type replayEv struct {
 }
 
 // refinerScratch is one partition refiner's working memory, reused across
-// tuples, candidates and searches. The walk's per-tuple postings: a memtable
-// engine's gathered lists, those keepBounded keeps and the sets it settles.
-// The cut replay's buffers: the tail events, the first arrivals still to
-// add, the query side's best edge per row and the rows holding one, and
+// tuples, candidates and searches. The walk's: the iUB bucket heaps and, per
+// tuple, a memtable engine's gathered postings, those keepBounded keeps and
+// the sets it settles. The cut replay's: the tail events, the query side's
+// best edge per row, the rows holding one and their sorted values, and
 // beside each replayed survivor its full column side. kept counts the tail
 // events the mask filter let through and ties the event comparisons that had
 // to read token strings, for the tests and the benchmark that watch them.
 type refinerScratch struct {
+	buckets                      iubBuckets
 	memSids, memPoss             []int32
 	keptSids, keptPoss, settling []int32
 
 	events  []replayEv
-	firsts  []float64
 	rowBest []float64
 	rows    []int32
+	rowSims []float64
 	colUB   []float64
 	kept    int
 	ties    int
@@ -90,13 +91,14 @@ func (at cutPoint) consumed(qIdx int32, sim float64, tid int32, repo *sets.Repos
 
 // tailBounds completes one surviving candidate's refinement bounds (iLB
 // greedy lower bound and drained upper bound) to their full-stream values:
-// starting from the refiner's cut state — lbScore, ubSum, rowSum, mRem, rRem
-// and the candidate's masks — it applies the edge events the eager tail
-// would have delivered for this candidate, in the same order, accumulating
-// the same float additions in the same sequence. The values are therefore
+// starting from the refiner's cut state — lbScore, rowSum, rRem and the
+// candidate's masks — it applies the edge events the eager tail would have
+// delivered for this candidate, in the same order, accumulating the same
+// float additions in the same sequence. The values are therefore
 // bit-identical to what the eager pipeline's refiner hands to
 // post-processing: lb, ub = min(ubSum, rowSum), and col = ubSum, the column
-// side alone. edgesOf is the drained CSR cache; qids are the
+// side alone — which is the set's stream-wide bound, the full ubSum bit for
+// bit (DESIGN.md §2). edgesOf is the edge cache; qids are the
 // (post-demotion) query element token IDs, which identify identity edges.
 //
 // Only tail events whose query element and candidate position are both
@@ -112,8 +114,7 @@ func (r *partRefiner) tailBounds(sid int32, edgesOf func(int32) []qEdge, qids []
 	e, rs := r.e, r.rs
 	st := &r.states[sid]
 	set := e.repo.Set(int(sid))
-	lb, col = st.lbScore, st.ubSum
-	mRem := st.mRem
+	lb, col = st.lbScore, r.bound[sid]
 	negInf, identity := math.Inf(-1), math.Inf(1)
 	qm := r.qBits[int(sid)*r.qWords : (int(sid)+1)*r.qWords]
 	cm := r.cBits[e.cOff[sid]:e.cOff[sid+1]]
@@ -130,20 +131,12 @@ func (r *partRefiner) tailBounds(sid int32, edgesOf func(int32) []qEdge, qids []
 	rows := rs.rows[:0]
 
 	rs.events = rs.events[:0]
-	rs.firsts = rs.firsts[:0]
-	identFirsts := int32(0)
 	for pos, tid := range set.ElemIDs {
 		posFree := cm[pos>>6]&(1<<(uint(pos)&63)) == 0
-		if !posFree && mRem == 0 && !rowsOpen {
-			continue // no edge of a matched token can be taken, and both sums are full
+		if !posFree && !rowsOpen {
+			continue // no edge of a matched token can be taken, and rowSum is full
 		}
-		edges := edgesOf(tid)
-		if len(edges) == 0 {
-			continue // never streamed: contributes to no bound
-		}
-		identQ := int32(-1)
-		maxSim, maxQ := negInf, int32(-1)
-		for _, ed := range edges {
+		for _, ed := range edgesOf(tid) {
 			qw, qb := &qm[ed.qIdx>>6], uint64(1)<<(uint(ed.qIdx)&63)
 			open := posFree && qw.matched&qb == 0
 			ident := qids[ed.qIdx] == tid
@@ -159,37 +152,14 @@ func (r *partRefiner) tailBounds(sid int32, edgesOf func(int32) []qEdge, qids []
 					best[ed.qIdx] = v
 				}
 			}
-			if ident {
-				identQ = ed.qIdx
-				if open && !at.consumedIdentity(ed.qIdx) {
+			switch {
+			case !open:
+			case ident:
+				if !at.consumedIdentity(ed.qIdx) {
 					rs.events = append(rs.events, replayEv{k1: negInf, sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos)})
 				}
-				continue
-			}
-			if ed.sim > maxSim {
-				maxSim, maxQ = ed.sim, ed.qIdx
-			} else if ed.sim == maxSim && ed.qIdx < maxQ {
-				maxQ = ed.qIdx
-			}
-			if open && !at.consumed(ed.qIdx, ed.sim, tid, e.repo) {
+			case !at.consumed(ed.qIdx, ed.sim, tid, e.repo):
 				rs.events = append(rs.events, replayEv{k1: -ed.sim, sim: ed.sim, qIdx: ed.qIdx, pos: int32(pos)})
-			}
-		}
-		if mRem == 0 {
-			continue
-		}
-		// The token's global first arrival: its identity tuple when it is a
-		// query element, else its maximum-similarity edge (lowest query
-		// index on ties — the merge order). Only unconsumed first arrivals
-		// still contribute to ubSum.
-		switch {
-		case identQ >= 0:
-			if !at.consumedIdentity(identQ) {
-				identFirsts++
-			}
-		case maxQ >= 0:
-			if !at.consumed(maxQ, maxSim, tid, e.repo) {
-				rs.firsts = append(rs.firsts, maxSim)
 			}
 		}
 	}
@@ -222,44 +192,32 @@ func (r *partRefiner) tailBounds(sid int32, edgesOf func(int32) []qEdge, qids []
 		}
 	}
 
-	// ubSum continuation: the remaining first arrivals, in stream order, fill
-	// the remaining min(|Q|,|C|) slots — identity tuples, then the probed
-	// maxima descending. Entries the stream orders by token carry equal
-	// floats, so the sorted values alone give the same additions in the same
-	// sequence.
-	for ; identFirsts > 0 && mRem > 0; identFirsts, mRem = identFirsts-1, mRem-1 {
-		col++
-	}
-	slices.Sort(rs.firsts)
-	for i := len(rs.firsts) - 1; i >= 0 && mRem > 0; i, mRem = i-1, mRem-1 {
-		col += rs.firsts[i]
-	}
-
 	// rowSum continuation: every query element unseen at the cut arrives in
 	// the tail, first with its best edge into the candidate, and the first
 	// rRem of those arrivals in stream order are the identity edges, then the
-	// probed maxima descending — the same ordering argument as for ubSum.
-	// The sum is not formed when it cannot matter: rowSum only grows, so once
-	// it reaches the full ubSum the minimum is ubSum whatever the tail adds,
-	// and a candidate whose ubSum is already below θlb, which only rises,
-	// leaves in filterPool whatever its query side.
+	// probed maxima descending. Entries the stream orders by token carry
+	// equal floats, so the sorted values alone give the same additions in the
+	// same sequence. The sum is not formed when it cannot matter: rowSum only
+	// grows, so once it reaches the full ubSum the minimum is ubSum whatever
+	// the tail adds, and a candidate whose ubSum is already below θlb, which
+	// only rises, leaves in filterPool whatever its query side.
 	ub = min(col, st.rowSum)
 	if rowsOpen && st.rowSum < col && col >= r.theta.Load()-pruneEps {
-		firsts := rs.firsts[:0]
+		sims := rs.rowSims[:0]
 		for _, q := range rows {
-			firsts = append(firsts, best[q])
+			sims = append(sims, best[q])
 		}
-		slices.Sort(firsts)
+		slices.Sort(sims)
 		sum := st.rowSum
-		for i, rRem := len(firsts)-1, st.rRem; i >= 0 && rRem > 0; i, rRem = i-1, rRem-1 {
-			if firsts[i] == identity {
+		for i, rRem := len(sims)-1, st.rRem; i >= 0 && rRem > 0; i, rRem = i-1, rRem-1 {
+			if sims[i] == identity {
 				sum++
 			} else {
-				sum += firsts[i]
+				sum += sims[i]
 			}
 		}
 		ub = min(col, sum)
-		rs.firsts = firsts
+		rs.rowSims = sims
 	}
 	for _, q := range rows {
 		best[q] = 0

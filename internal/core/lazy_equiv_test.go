@@ -121,8 +121,8 @@ func TestLazyCutRandomPrefixes(t *testing.T) {
 }
 
 // TestLazyApproximateSourceEquivalence pins the cut-off's contract for
-// approximate sources: a cut search completes its edge cache by draining
-// the stream, which re-emits the IVF index's own retrieval (recomputing
+// approximate sources: a cut search's edge cache holds the whole stream,
+// read before the first block, which is the IVF index's own retrieval (recomputing
 // pairs would invent edges the index never retrieved) and therefore
 // reproduces that source's eager results byte for byte. The configuration
 // is chosen so cuts actually fire.

@@ -22,24 +22,24 @@ func byCardinality(eng *Engine) []int {
 	return ids
 }
 
-// refineCase is one query of BenchmarkRefinePartition: its stream as the
-// source emits it and as the pump annotates it.
+// refineCase is one query of BenchmarkRefinePartition: its edge cache, on a
+// scratch of its own, and its stream as the pump annotates it.
 type refineCase struct {
 	qids   []int32
-	raw    []index.Tuple
+	cache  *edgeCache
 	tuples []streamTuple
 }
 
 // BenchmarkRefinePartition times refinement alone — the stream-wide bound
-// pass, the postings walk and the drain — in search_small's serving shape:
-// datagen twitter at scale 1.0, exact vector source, k = 10, one partition,
-// over 60 queries stratified by cardinality (the middle set of each
-// sixtieth of the corpus sorted by cardinality). Streams are drawn and
-// annotated before the timer; an iteration refines one query on the pooled
-// arena, as a search does. Besides ns/op it reports the postings the walk
-// met and those it skipped per op (DESIGN.md §2), and ns/posting: ns/op per
-// posting met, so it covers the bound pass, the walk and the drain, not the
-// walk alone.
+// pass, the θlb seed, the postings walk and the drain — in search_small's
+// serving shape: datagen twitter at scale 1.0, exact vector source, k = 10,
+// one partition, over 60 queries stratified by cardinality (the middle set
+// of each sixtieth of the corpus sorted by cardinality). Edge caches are
+// built and streams annotated before the timer; an iteration refines one
+// query on the pooled arena, as a search does. Besides ns/op it reports the
+// postings the walk met and those it skipped per op (DESIGN.md §2), and
+// ns/posting: ns/op per posting met, so it covers the bound pass, the seed,
+// the walk and the drain, not the walk alone.
 func BenchmarkRefinePartition(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
@@ -50,15 +50,10 @@ func BenchmarkRefinePartition(b *testing.B) {
 		c := &cases[i]
 		query := sets.Dedup(ds.Repo.Set(byCard[(2*i+1)*len(byCard)/(2*len(cases))]).Elements)
 		c.qids = ds.Repo.TokenIDs(query)
-		st := index.NewStreamInterned(query, c.qids, src, eng.opts.Alpha)
-		sc := eng.getScratch()
-		for t, ok := st.Next(); ok; t, ok = st.Next() {
-			c.raw = append(c.raw, t)
-			c.tuples = append(c.tuples, eng.noteTuple(t, sc, nil))
-		}
-		eng.scratch.Put(sc)
+		c.tuples, c.cache = eng.materializeStream(query, c.qids, eng.getScratch())
 	}
 	ctx := context.Background()
+	g, base := eng.group(), []int{0, ds.Repo.Len()}
 	sc := eng.getScratch()
 	var rs refinerScratch
 	walked, skipped := 0, 0
@@ -70,13 +65,9 @@ func BenchmarkRefinePartition(b *testing.B) {
 		theta, stats := &atomicMax{}, Stats{}
 		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords())
 		share, score := sc.refine.carve(eng)
-		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, score)
-		r.rs = &rs
-		r.addBounds(eng.streamMaxima(func(emit func(index.Tuple)) {
-			for _, t := range c.raw {
-				emit(t)
-			}
-		}, c.qids, sc, nil))
+		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, score, &rs)
+		r.addBounds(c.cache.maxima(c.qids, sc))
+		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc))
 		r.consume(ctx, c.tuples, 0)
 		r.drain()
 		walked += stats.Postings

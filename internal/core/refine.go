@@ -1,13 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math"
-	"slices"
 	"unsafe"
 
-	"repro/internal/index"
 	"repro/internal/pqueue"
 )
 
@@ -31,9 +28,11 @@ const ctxCheckEvery = 1024
 // lower bound (iLB, Lemma 5) and the two sides of the corrected incremental
 // upper bound (DESIGN.md §2). States live in one dense slice per engine,
 // indexed by the set ID the posting carries; the greedy matching masks and
-// the query elements' arrival marks live in bit arenas. All of it is carved
-// from the search's pooled refineArena, so a warmed engine allocates none of
-// it per search.
+// the query elements' arrival marks live in bit arenas, and whether a set is
+// a candidate at all in one status byte per set (setUnseen, setLive,
+// setPruned). All of it is carved from the search's pooled refineArena, so a
+// warmed engine allocates none of it per search. Only the status bytes start
+// zeroed: a set's state and masks are written when the walk admits it.
 type candState struct {
 	// ubSum is the column side: the sum of the first-seen (= maximum)
 	// similarities of the candidate's distinct streamed tokens, capped at
@@ -50,12 +49,15 @@ type candState struct {
 	// mRem and rRem are the matching slots not yet covered by ubSum and by
 	// rowSum terms; iUB(C) = min(ubSum + mRem·s, rowSum + rRem·s).
 	mRem, rRem int32
-	// seen marks the state as initialized (the set has appeared in at least
-	// one posting list).
-	seen bool
-	// pruned marks the candidate as eliminated; later tuples skip it.
-	pruned bool
 }
+
+// A set's status byte. Partitions own disjoint set-ID ranges, so each
+// refiner writes only its own bytes.
+const (
+	setUnseen uint8 = iota // no posting of the set has been met yet
+	setLive                // a candidate: its candState and masks are written
+	setPruned              // pruned, settled or tombstoned; later postings skip it
+)
 
 // bound returns the corrected iUB at stream level s (DESIGN.md §2) and its
 // column side alone, which tells whether the query side decided a prune.
@@ -113,7 +115,7 @@ type partRefiner struct {
 	dead  []uint64
 
 	arenaShare
-	buckets        iubBuckets
+	buckets        *iubBuckets
 	llb            *pqueue.TopK
 	lastPruneTheta float64
 	// alive is the number of candidates admitted at first sight and not
@@ -138,57 +140,6 @@ type partRefiner struct {
 // walk decided it: below every θlb, so consume skips its postings without
 // another look.
 const settledBound = -1
-
-// tokenMax is a streamed token and its maximum similarity into the query,
-// which its first arrival carries.
-type tokenMax struct {
-	id  int32
-	sim float64
-}
-
-// streamMaxima reads every tuple a stream will emit — peek hands them over
-// in any order, as Stream.PeekRest does before the first block — and returns
-// the maximum similarity of each token it streams, in the order in which the
-// stream's first arrivals add them to ubSum: the query elements' own tokens
-// (their identity tuples, at 1) first, then the rest by descending maximum.
-// Tokens resolve as noteTuple resolves them; qids are the identity tuples'.
-//
-// It runs before the pump and borrows sc.offsets, all zero until noteTuple
-// counts edges into it, to hold 1 + each token's place in the list, and
-// zeroes what it wrote.
-func (e *Engine) streamMaxima(peek func(emit func(index.Tuple)), qids []int32, sc *queryScratch, live []uint64) []tokenMax {
-	at, maxima := sc.offsets, sc.maxima[:0]
-	note := func(id int32, sim float64) {
-		if i := at[id]; i > 0 {
-			maxima[i-1].sim = max(maxima[i-1].sim, sim)
-			return
-		}
-		maxima = append(maxima, tokenMax{id: id, sim: sim})
-		at[id] = int32(len(maxima))
-	}
-	identity := math.Inf(1) // sorts above every probed similarity
-	for _, id := range qids {
-		if id = e.liveID(id, live); id >= 0 {
-			note(id, identity)
-		}
-	}
-	peek(func(t index.Tuple) {
-		if id := e.liveID(t.TokenID, live); id >= 0 {
-			note(id, t.Sim)
-		}
-	})
-	for _, tm := range maxima {
-		at[tm.id] = 0
-	}
-	slices.SortFunc(maxima, func(a, b tokenMax) int { return cmp.Compare(b.sim, a.sim) })
-	for i := range maxima {
-		if maxima[i].sim == identity {
-			maxima[i].sim = 1
-		}
-	}
-	sc.maxima = maxima
-	return maxima
-}
 
 // addBounds adds each token's maximum, in the order of maxima, to the bound
 // of every set of the partition holding it, while the set has fewer than |Q|
@@ -262,12 +213,12 @@ func partitionPostings(sids, poss []int32, bound []float64, below float64, ks, k
 // counted it in the end — a first sight as a candidate pruned by the iUB, a
 // live candidate as an iUB prune on the column side, a tombstoned set not at
 // all — and a first sight the Lemma 2 filter would have admitted joins alive.
+// A set settled at first sight never has its state written.
 func (r *partRefiner) settle(sid int32, s, below float64) {
-	st := &r.states[sid]
-	if !st.seen {
-		st.seen = true
+	unseen := r.flags[sid] == setUnseen // else live: a pruned set holds settledBound
+	r.flags[sid] = setPruned
+	if unseen {
 		if r.dead != nil && r.dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
-			st.pruned = true
 			return
 		}
 		r.stats.Candidates++
@@ -275,20 +226,23 @@ func (r *partRefiner) settle(sid int32, s, below float64) {
 			r.alive++
 		}
 	}
-	st.pruned = true // the walk has settledBound on every set it prunes
 	r.stats.IUBPruned++
 	r.stats.BoundSettled++
 }
 
 // newPartRefiner prepares partition p's refinement state in share, the
-// engine's share of the search's arena, and its buckets in score.
-func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, score []float64) *partRefiner {
+// engine's share of the search's arena, and its buckets in score and rs's
+// pooled heaps; rs becomes the refiner's working memory.
+func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, score []float64, rs *refinerScratch) *partRefiner {
 	part := &e.parts[p]
+	rs.buckets.reset(min(qN, int(part.maxCard)), score)
+	rs.kept, rs.ties = 0, 0
 	return &partRefiner{
 		e: e, opts: opts, part: part, qN: qN, theta: theta, stats: stats, dead: dead,
 		arenaShare: *share,
-		buckets:    newIUBBuckets(min(qN, int(part.maxCard)), score),
+		buckets:    &rs.buckets,
 		llb:        pqueue.NewTopK(opts.K),
+		rs:         rs,
 	}
 }
 
@@ -299,8 +253,8 @@ func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stat
 func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base int) bool {
 	e, opts := r.e, r.opts
 	inv, cOff := r.part.inv, e.cOff
-	states, qBits, cBits, qWords := r.states, r.qBits, r.cBits, r.qWords
-	buckets, llb, theta, stats, dead := &r.buckets, r.llb, r.theta, r.stats, r.dead
+	states, flags, qBits, cBits, qWords := r.states, r.flags, r.qBits, r.cBits, r.qWords
+	buckets, llb, theta, stats, dead := r.buckets, r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
 	bound := r.bound
 	walked, skipped := 0, 0
@@ -308,7 +262,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 	// Every set the walk prunes is settled as well, so keepBounded passes
 	// over its later postings.
 	markPruned := func(sid int32, byQuery bool) {
-		states[sid].pruned = true
+		flags[sid] = setPruned
 		bound[sid] = settledBound
 		stats.IUBPruned++
 		if byQuery {
@@ -339,40 +293,40 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			skipped += n - len(sids)
 		}
 		for pi, sid := range sids {
-			st := &states[sid]
-			if !st.seen {
-				st.seen = true
+			switch flags[sid] {
+			case setPruned:
+				continue
+			case setUnseen:
 				// Tombstone-aware candidate creation: a deleted set is
 				// discarded before it counts as a candidate or touches any
 				// top-k structure.
 				if dead != nil && dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
-					st.pruned = true
-					bound[sid] = settledBound
+					flags[sid], bound[sid] = setPruned, settledBound
 					continue
 				}
 				stats.Candidates++
-				slots := int32(qN)
-				if c := e.card[sid]; c < slots {
-					slots = c
-				}
-				st.mRem, st.rRem = slots, slots
+				slots := min(int32(qN), e.card[sid])
 				// UB-Filter at first sight (Lemma 2): the first tuple for a
 				// set carries its maximum element similarity, so
 				// UB(C) = min(|Q|,|C|)·s.
 				if !opts.DisableIUB {
 					if t := theta.Load(); t > 0 && float64(slots)*s < t-pruneEps {
-						st.pruned = true
-						bound[sid] = settledBound
+						flags[sid], bound[sid] = setPruned, settledBound
 						stats.IUBPruned++
 						continue
 					}
-					buckets.file(sid, st)
+				}
+				// Admitted: its state and masks are written now, and only now.
+				flags[sid] = setLive
+				states[sid] = candState{mRem: slots, rRem: slots}
+				clear(qBits[int(sid)*qWords : (int(sid)+1)*qWords])
+				clear(cBits[cOff[sid]:cOff[sid+1]])
+				if !opts.DisableIUB {
+					buckets.file(sid, &states[sid])
 				}
 				r.alive++
 			}
-			if st.pruned {
-				continue
-			}
+			st := &states[sid]
 			// Incremental upper bound: count the token's maximum similarity
 			// once, while slots remain (the stream is descending, so the
 			// first min(|Q|,|C|) distinct tokens carry the largest sums).
@@ -412,7 +366,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 			t := theta.Load()
 			if t > r.lastPruneTheta || ti%pruneEvery == pruneEvery-1 {
 				r.lastPruneTheta = t
-				buckets.prune(s, t-pruneEps, states, markPruned)
+				buckets.prune(s, t-pruneEps, states, flags, markPruned)
 			}
 		}
 	}
@@ -429,10 +383,10 @@ func (r *partRefiner) drain() []survivor {
 	finalTheta := r.theta.Load()
 	var out []survivor
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
-		st := &r.states[sid]
-		if !st.seen || st.pruned {
+		if r.flags[sid] != setLive {
 			continue
 		}
+		st := &r.states[sid]
 		ub, col := st.bound(0)
 		if !r.opts.DisableIUB && r.pruneAtEnd(ub, col, finalTheta) {
 			continue
@@ -477,10 +431,10 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, leve
 	var out []survivor
 	rs.colUB = rs.colUB[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
-		st := &r.states[sid]
-		if !st.seen || st.pruned {
+		if r.flags[sid] != setLive {
 			continue
 		}
+		st := &r.states[sid]
 		if b := r.bound[sid]; r.skip && r.pruneAtEnd(b, b, thetaCut) {
 			r.stats.BoundCertified++
 			r.bound[sid] = settledBound
@@ -519,13 +473,14 @@ func (r *partRefiner) filterPool(pool []survivor, finalTheta float64) []survivor
 // the stream has not yet touched — the sharp version of the Lemma 2 bound
 // the cut-off condition uses: a set already seen is either a pool member or
 // pruned, so only unseen cardinalities can still spawn candidates. The
-// pointer only advances (seen is permanent), costing amortized O(|part|)
-// per query. Tombstoned sets are skipped: they can never become candidates.
+// pointer only advances (no set returns to setUnseen), costing amortized
+// O(|part|) per query. Tombstoned sets are skipped: they can never become
+// candidates.
 func (r *partRefiner) maxUnseenCard() int32 {
 	order := r.part.order
 	for r.cardPtr < len(order) {
 		sid := order[r.cardPtr]
-		if !r.states[sid].seen && (r.dead == nil || r.dead[sid>>6]&(1<<(uint(sid)&63)) == 0) {
+		if r.flags[sid] == setUnseen && (r.dead == nil || r.dead[sid>>6]&(1<<(uint(sid)&63)) == 0) {
 			return r.e.card[sid]
 		}
 		r.cardPtr++
@@ -534,11 +489,11 @@ func (r *partRefiner) maxUnseenCard() int32 {
 }
 
 // accountMem counts the partition's part of the arena — per set its
-// candState, filed score, bound and terms, and its query and token masks —
-// and its bucket heaps.
+// candState, status byte, filed score, bound and terms, and its query and
+// token masks — and what its bucket heaps held.
 func (r *partRefiner) accountMem() {
 	lo, hi := r.part.lo, r.part.hi
 	n := int64(hi - lo)
-	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+8+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
+	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+1+8+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
 		int64(r.e.cOff[hi]-r.e.cOff[lo])*8 + r.buckets.footprintBytes()
 }

@@ -280,6 +280,7 @@ func BenchmarkCutReplay(b *testing.B) {
 		}
 	}
 	g := eng.group()
+	base := []int{0, ds.Repo.Len()}
 	ctx := context.Background()
 	var rs refinerScratch
 	events, replayed := 0, 0
@@ -292,16 +293,16 @@ func BenchmarkCutReplay(b *testing.B) {
 		sc.refine.reset(ds.Repo.Len(), (len(query)+63)/64, eng.cWords())
 		share, score := sc.refine.carve(eng)
 		theta, stats := &atomicMax{}, Stats{}
-		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &share, score)
-		r.rs = &rs
+		r := eng.newPartRefiner(&eng.opts, len(query), 0, theta, &stats, nil, &share, score, &rs)
 		st := index.NewLazyStream(query, qids, src, eng.opts.Alpha, nil)
-		r.addBounds(eng.streamMaxima(st.PeekRest, qids, sc, nil))
-		tuples, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query))
+		cache, _ := eng.peekStream(st, sc, nil)
+		r.addBounds(cache.maxima(qids, sc))
+		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
+		_, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query))
 		if !cut {
 			b.Fatalf("query %d does not cut the stream", i%len(queries))
 		}
 		thetaCut := theta.Load()
-		cache := eng.buildEdgeCache(eng.drainStream(st, tuples, sc, nil), sc)
 		rs.kept = 0
 		b.StartTimer()
 		pool := r.replayPool(cache.edges, qids, level, thetaCut, at)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -200,6 +201,7 @@ func TestIUBBucketsMatchModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nCand, maxM := 1+rng.Intn(200), 1+rng.Intn(12)
 		states := make([]candState, nCand)
+		flags := slices.Repeat([]uint8{setLive}, nCand)
 		b := newIUBBuckets(maxM, make([]float64, nCand))
 		live := map[int32]bool{}
 		level := 1.0
@@ -236,7 +238,7 @@ func TestIUBBucketsMatchModel(t *testing.T) {
 					delete(live, local)
 				}
 			}
-			b.prune(level, theta, states, func(local int32, byQuery bool) { got = append(got, fmt.Sprint(local, byQuery)) })
+			b.prune(level, theta, states, flags, func(local int32, byQuery bool) { got = append(got, fmt.Sprint(local, byQuery)) })
 			sort.Strings(want)
 			sort.Strings(got)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -275,7 +277,7 @@ func TestIUBBucketsMatchModel(t *testing.T) {
 		t.Fatalf("the rounding case does not straddle: true bound %v, filed bound %v", states[0].ubSum, filed)
 	}
 	pruned := 0
-	b.prune(0.8, 8, states, func(int32, bool) { pruned++ })
+	b.prune(0.8, 8, states, []uint8{setLive}, func(int32, bool) { pruned++ })
 	if pruned != 1 {
 		t.Fatalf("a candidate an ulp below the threshold was pruned %d times, filed an ulp above it", pruned)
 	}

@@ -51,8 +51,9 @@ type Options struct {
 	// the pump pulls the whole stream as one block and never evaluates the
 	// cut. The cut-off needs the first-sight UB filter, so DisableIUB
 	// implies it. Results are byte-identical either way, for exact and
-	// approximate sources alike: a cut search completes its edge cache by
-	// draining the stream, which re-emits the source's own retrieval.
+	// approximate sources alike: every search builds its edge cache from
+	// one read of the whole stream before its first block, which holds the
+	// source's own retrieval, however early the cut comes.
 	DisableLazy bool
 	// LazyBlock is the lazy pump's block size in stream tuples — the
 	// granularity at which the cut-off condition is evaluated. Smaller
@@ -135,10 +136,10 @@ type Stats struct {
 	// (StreamRetrieved + |Q|) when no cut was taken.
 	StreamTuples int
 	// StreamRetrieved is the number of α-neighbors the similarity index
-	// actually materialized for the query — the retrieval-side cost. The
-	// cut-off's savings per query are StreamRetrieved vs. the full
-	// α-neighbor count (what an eager search reports here) and
-	// StreamTuples vs. StreamRetrieved on the consumption side.
+	// retrieved for the query — the retrieval-side cost: the whole stream,
+	// which the edge cache reads before the first block whether or not the
+	// cut-off stops refinement early. The cut-off's savings are
+	// StreamTuples vs. StreamRetrieved, on the consumption side.
 	StreamRetrieved int
 	// StreamCut reports that the lazy pipeline stopped the token stream
 	// before exhaustion; StreamCutLevel is the similarity level s at the

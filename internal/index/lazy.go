@@ -13,20 +13,11 @@ type NeighborCursor interface {
 	// empty result means the cursor is exhausted. The returned slice is
 	// only valid until the next call.
 	Next(max int) []Neighbor
-	// Rest returns every remaining neighbor in ARBITRARY order and
-	// exhausts the cursor — O(remaining) with no ordering work, for
-	// consumers that no longer need descending delivery (the cut-off
-	// search's edge-cache completion). The returned slice is only valid
-	// until the cursor is dropped.
-	Rest() []Neighbor
-	// Peek is Rest without exhausting the cursor: every remaining neighbor
-	// in arbitrary order, the cursor left as it was. The returned slice is
-	// only valid until the next call on the cursor.
+	// Peek returns every remaining neighbor in ARBITRARY order and leaves
+	// the cursor as it was — O(remaining) with no ordering work, for the
+	// search's one read of the whole stream before its first block. The
+	// returned slice is only valid until the next call on the cursor.
 	Peek() []Neighbor
-	// Retrieved reports how many neighbors the source has delivered so far
-	// — the lazy counterpart of len(Neighbors(q, alpha)). Cursors over an
-	// up-front fetch report the full fetch immediately.
-	Retrieved() int
 }
 
 // LazySource is an optional NeighborSource extension: a top-down,
@@ -61,9 +52,8 @@ type CompleteScorer interface {
 // A cut-off search that consumes m of n matches does O(n + m·log n) work
 // instead of O(n·log n).
 type lazyScan struct {
-	h         *pqueue.Heap[Neighbor]
-	out       []Neighbor
-	delivered int
+	h   *pqueue.Heap[Neighbor]
+	out []Neighbor
 }
 
 func neighborLess(a, b Neighbor) bool {
@@ -90,23 +80,11 @@ func (c *lazyScan) Next(max int) []Neighbor {
 	for len(c.out) < max && c.h.Len() > 0 {
 		c.out = append(c.out, c.h.Pop())
 	}
-	c.delivered += len(c.out)
 	return c.out
 }
 
-func (c *lazyScan) Retrieved() int { return c.delivered }
-
-// Rest hands out the heap's backing slice as-is — the whole point of the
-// lazy scan: neighbors nobody needs in order are never ordered. The heap
-// is replaced by an empty one, so the returned slice stays valid.
-func (c *lazyScan) Rest() []Neighbor {
-	rest := c.h.Items()
-	c.delivered += len(rest)
-	c.h = pqueue.NewHeap[Neighbor](neighborLess)
-	return rest
-}
-
-// Peek reads the heap's backing slice in place.
+// Peek reads the heap's backing slice in place — the whole point of the
+// lazy scan: neighbors nobody needs in order are never ordered.
 func (c *lazyScan) Peek() []Neighbor { return c.h.Items() }
 
 // eagerCursor adapts a fully materialized (already sorted) neighbor list to
@@ -128,17 +106,6 @@ func (c *eagerCursor) Next(max int) []Neighbor {
 	out := c.list[c.at:end]
 	c.at = end
 	return out
-}
-
-// Retrieved reports the full up-front fetch: the source already did the
-// work for every neighbor, delivered or not.
-func (c *eagerCursor) Retrieved() int { return len(c.list) }
-
-// Rest returns the undelivered tail of the fetched list.
-func (c *eagerCursor) Rest() []Neighbor {
-	rest := c.list[c.at:]
-	c.at = len(c.list)
-	return rest
 }
 
 // Peek returns the undelivered tail without delivering it.

@@ -44,8 +44,8 @@ type Stream struct {
 }
 
 // elemCursor is one query element's position in its neighbor sequence: the
-// cursor plus the chunk currently being consumed. The cursor is kept after
-// exhaustion (done) so Retrieved stays answerable.
+// cursor plus the chunk currently being consumed; done marks the cursor
+// exhausted.
 type elemCursor struct {
 	cur   NeighborCursor
 	chunk []Neighbor
@@ -94,8 +94,7 @@ func NewStreamInterned(query []string, qids []int32, src NeighborSource, alpha f
 //
 // All NewStream variants probe eagerly (one full, sorted fetch per element,
 // exactly the pre-lazy behavior) — right for consumers that drain the
-// stream completely, and it keeps Retrieved a total from construction.
-// Cut-off consumers use NewLazyStream.
+// stream completely. Cut-off consumers use NewLazyStream.
 func NewStreamMasked(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool) *Stream {
 	return newStream(query, qids, src, alpha, skip, false)
 }
@@ -219,85 +218,42 @@ func (s *Stream) Level() float64 {
 	return s.heap.Peek().sim
 }
 
-// DrainRest emits every not-yet-emitted tuple in ARBITRARY order and
-// exhausts the stream: pending identity tuples, the merge heap's current
-// heads, each element's partially consumed chunk, and each cursor's
-// unordered remainder. A cut-off search uses it to complete the edge cache
-// — whose consumers are order-insensitive — without paying the merge
-// heap's and cursors' ordering costs for tuples refinement will never see.
-func (s *Stream) DrainRest(emit func(Tuple)) { s.rest(emit, true) }
-
-// PeekRest is DrainRest's non-consuming twin: it emits the same tuples, in
-// ARBITRARY order, and leaves the stream as it was, so Next, NextBlock and
-// DrainRest still deliver every one of them. A search reads the whole
-// stream this way before its first block to bound every set by the maxima
-// the stream will bring (DESIGN.md §2).
-func (s *Stream) PeekRest(emit func(Tuple)) { s.rest(emit, false) }
-
-func (s *Stream) rest(emit func(Tuple), drain bool) {
-	n := 0
+// PeekRest emits every not-yet-emitted tuple in ARBITRARY order and leaves
+// the stream as it was, so Next and NextBlock still deliver every one of
+// them: pending identity tuples, the merge heap's current heads, each
+// element's partially consumed chunk, and each cursor's unordered
+// remainder. A search reads the whole stream this way before its first
+// block, to build its edge cache and bound every set by the maxima the
+// stream will bring (DESIGN.md §2, §10), without paying the merge heap's
+// and cursors' ordering costs for tuples refinement may never see. It
+// returns the number of α-neighbors it emitted.
+func (s *Stream) PeekRest(emit func(Tuple)) (neighbors int) {
 	for i := len(s.query) - s.pending; i < len(s.query); i++ {
-		n++
 		emit(Tuple{QIdx: i, Token: s.query[i], TokenID: s.qid(i), Sim: 1})
 	}
 	for _, h := range s.heap.Items() {
-		n++
+		neighbors++
 		emit(Tuple{QIdx: h.qIdx, Token: h.token, TokenID: h.id, Sim: h.sim})
 	}
 	for i := range s.elems {
 		ec := &s.elems[i]
 		for _, nb := range ec.chunk[ec.pos:] {
-			n++
+			neighbors++
 			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
-		}
-		if drain {
-			ec.chunk, ec.pos = nil, 0
 		}
 		if ec.cur == nil || ec.done {
 			continue
 		}
-		var rest []Neighbor
-		if drain {
-			rest = ec.cur.Rest()
-			ec.done = true
-		} else {
-			rest = ec.cur.Peek()
-		}
-		for _, nb := range rest {
-			if drain {
-				s.footprint += int64(len(nb.Token)) + 16 + 8 + 4
-			}
-			n++
+		for _, nb := range ec.cur.Peek() {
+			neighbors++
 			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
 		}
 	}
-	if drain {
-		s.pending = 0
-		s.heap.Reset()
-		s.emitted += n
-	}
+	return neighbors
 }
 
 // Emitted returns the number of tuples emitted so far.
 func (s *Stream) Emitted() int { return s.emitted }
-
-// Retrieved returns the number of α-neighbors the underlying index has
-// materialized for this stream SO FAR — not the total α-neighbor count.
-// Over eager sources every probe fetches its full list up front, so the
-// value is the stream's total size bound O(|D|·|Q|) (§VII-B) from
-// construction, as before the lazy refactor; over LazySource probes it
-// grows as chunks are pulled and a cut-off search reports only what it
-// actually fetched. Callers must not treat it as "total α-neighbors"
-// unless the stream is exhausted or the source is eager.
-func (s *Stream) Retrieved() int {
-	total := 0
-	for i := range s.elems {
-		if c := s.elems[i].cur; c != nil {
-			total += c.Retrieved()
-		}
-	}
-	return total
-}
 
 // FootprintBytes estimates the stream's in-memory size for the memory
 // experiments: neighbors actually delivered by the cursors (plus, for eager
