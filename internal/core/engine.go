@@ -49,6 +49,9 @@ type Engine struct {
 	// out share one pool: they differ by a row, and getScratch sizes whatever
 	// it is handed.
 	scratch *sync.Pool
+	// solo is the engine alone as a Group, searched under the options the
+	// engine was built with.
+	solo *Group
 	// verifyHook, when set (tests only), observes every verification: the
 	// α-graph, the live bound (nil when early termination is off) and the
 	// verdict.
@@ -64,18 +67,31 @@ type Engine struct {
 }
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
-// the collection-sized ones, and the working memory of the pump, the
-// partition refiners (one each: their walk and their cut replay),
-// post-processing and verification (one per worker), which grows to what the
-// largest search so far needed.
+// the collection-sized ones, and the working memory of the query's
+// deduplication, the pump, the partition refiners (one each: their walk and
+// their cut replay), post-processing and verification (one per worker),
+// which grows to what the largest search so far needed. Together with the
+// stream's and the source's pools it is everything a search allocates but
+// its answer (DESIGN.md §3). putScratch hands it back holding no string.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
-	// peeked holds the stream's edges as the peek reads them, and edges
-	// and tokens the edge cache built from them (Engine.peekStream).
+	// query and qids are the query's distinct elements and their token IDs
+	// (dedup), oov the elements outside the vocabulary seen so far, and
+	// skip the probe mask.
+	query []string
+	qids  []int32
+	oov   map[string]struct{}
+	skip  []bool
+	// base, theta and chunks are the search's group-wide set-ID offsets,
+	// θlb, and partition refiners.
+	base   []int
+	theta  atomicMax
+	chunks []chunk
+	// peeked holds the stream's edges as the peek reads them, and cache the
+	// edge cache built from them (Engine.peekStream).
 	peeked []tokenEdge
-	edges  []qEdge
-	tokens []int32
+	cache  edgeCache
 	// maxima is the stream-wide bound pass's list of streamed tokens, and
 	// seeds and seedUsed the θlb seed's sets and query mask.
 	maxima   []tokenMax
@@ -83,6 +99,7 @@ type queryScratch struct {
 	seedUsed []uint64
 	refine   refineArena
 	raw      []index.Tuple
+	tuples   []streamTuple
 	refiners []refinerScratch
 	post     postScratch
 	verify   []verifyScratch
@@ -96,6 +113,54 @@ func (e *Engine) getScratch() *queryScratch {
 	s.seen = zeroed(s.seen, (e.vocabN+63)/64)
 	s.offsets = zeroed(s.offsets, e.vocabN)
 	return s
+}
+
+// putScratch hands s back to e's pool once a search is done with it,
+// dropping what s holds of the search: the request's strings, and the
+// refiners, which point into the engines searched.
+func (e *Engine) putScratch(s *queryScratch) {
+	clear(s.query)
+	clear(s.chunks)
+	for i := range s.refiners {
+		s.refiners[i].r = partRefiner{}
+	}
+	e.scratch.Put(s)
+}
+
+// dedup sets s.query to the distinct elements of query, each at its first
+// occurrence, and s.qids to their token IDs in repo (-1 for one in no set),
+// and returns both. Elements in the vocabulary are told apart by their IDs,
+// through s.seen, which is zero again on return; only the others are
+// hashed again.
+func (s *queryScratch) dedup(query []string, repo *sets.Repository) ([]string, []int32) {
+	q, ids, seen := s.query[:0], s.qids[:0], s.seen
+	for _, tok := range query {
+		id := repo.TokenID(tok)
+		if id >= 0 {
+			w, bit := id>>6, uint64(1)<<(uint(id)&63)
+			if seen[w]&bit != 0 {
+				continue
+			}
+			seen[w] |= bit
+		} else {
+			if _, dup := s.oov[tok]; dup {
+				continue
+			}
+			if s.oov == nil {
+				s.oov = make(map[string]struct{})
+			}
+			s.oov[tok] = struct{}{}
+		}
+		q, ids = append(q, tok), append(ids, id)
+	}
+	for _, id := range ids {
+		if id >= 0 {
+			seen[id>>6] &^= 1 << (uint(id) & 63)
+		}
+	}
+	clear(s.oov)
+	s.query, s.qids = q, ids
+	return q, ids
 }
 
 // sized returns n elements of unspecified content, in buf's backing array
@@ -224,6 +289,7 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 		repo: repo, src: src, opts: opts, vocabN: repo.VocabSize(),
 		card: make([]int32, n), cOff: make([]int32, n+1), scratch: new(sync.Pool),
 	}
+	e.solo = &Group{Engines: []*Engine{e}, Opts: opts}
 	for sid := range n {
 		// ElemIDs, not Elements: mapped segments (DESIGN.md §13) carry only
 		// IDs, and the two are always the same length on eager repos.
@@ -316,22 +382,19 @@ func (e *Engine) Search(query []string) ([]Result, Stats) {
 // loops poll for cancellation and the search returns ctx's error (with no
 // results and partial statistics) once canceled, so abandoned queries stop
 // burning CPU. The search itself runs over the engine as a single-segment
-// Group; multi-segment collections build the Group themselves.
+// Group, whose group-wide set IDs are the engine's own; multi-segment
+// collections build the Group themselves.
 func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, Stats, error) {
-	gres, stats, err := e.group().SearchContext(ctx, query)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	results, stats, err := e.solo.search(ctx, query, e, sc)
 	if err != nil {
 		return nil, stats, err
 	}
-	results := make([]Result, len(gres))
-	for i, r := range gres {
-		results[i] = Result{SetID: r.Local, Score: r.Score, Verified: r.Verified}
-	}
-	return results, stats, nil
+	out := make([]Result, len(results))
+	copy(out, results)
+	return out, stats, nil
 }
-
-// group returns the engine alone as a Group, searched under the options the
-// engine was built with.
-func (e *Engine) group() *Group { return &Group{Engines: []*Engine{e}, Opts: e.opts} }
 
 // noteTuple annotates one raw stream tuple: vocabulary demotion and global
 // first-arrival tracking (through sc.seen). live (nil on a static engine) is
@@ -374,7 +437,7 @@ func (e *Engine) liveID(id int32, live []uint64) int32 {
 // expects. Tokens resolve as noteTuple resolves them. It returns the cache,
 // which aliases sc, and the number of α-neighbors the stream holds.
 func (e *Engine) peekStream(st *index.Stream, sc *queryScratch, live []uint64) (*edgeCache, int) {
-	offsets, peeked, tokens := sc.offsets, sc.peeked[:0], sc.tokens[:0]
+	offsets, peeked, tokens := sc.offsets, sc.peeked[:0], sc.cache.tokens[:0]
 	neighbors := st.PeekRest(func(t index.Tuple) {
 		if id := e.liveID(t.TokenID, live); id >= 0 {
 			if offsets[id] == 0 {
@@ -384,20 +447,20 @@ func (e *Engine) peekStream(st *index.Stream, sc *queryScratch, live []uint64) (
 			peeked = append(peeked, tokenEdge{tokenID: id, qIdx: int32(t.QIdx), sim: t.Sim})
 		}
 	})
-	sc.peeked, sc.tokens = peeked, tokens
+	sc.peeked = peeked
 	total := int32(0)
 	for t, n := range offsets {
 		offsets[t] = total
 		total += n
 	}
-	arena := sized(sc.edges, int(total))
+	arena := sized(sc.cache.arena, int(total))
 	for _, ed := range peeked {
 		at := offsets[ed.tokenID]
 		arena[at] = qEdge{qIdx: ed.qIdx, sim: ed.sim}
 		offsets[ed.tokenID] = at + 1
 	}
-	sc.edges = arena
-	return &edgeCache{offsets: offsets, arena: arena, tokens: tokens}, neighbors
+	sc.cache = edgeCache{offsets: offsets, arena: arena, tokens: tokens}
+	return &sc.cache, neighbors
 }
 
 // tokenMax is a streamed token and its maximum similarity into the query,

@@ -7,6 +7,10 @@ import (
 	"repro/internal/sets"
 )
 
+// group returns the engine alone as a Group of its own, which a test may
+// change (its Dead, say) without touching the engine's.
+func (e *Engine) group() *Group { return &Group{Engines: []*Engine{e}, Opts: e.opts} }
+
 // materializeStream builds the edge cache for query from a peek at its whole
 // token stream and then drains the stream into annotated tuples — what a
 // search's peekStream and pump produce when no cut is taken, in one call,

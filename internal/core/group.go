@@ -5,10 +5,9 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/index"
-	"repro/internal/pqueue"
-	"repro/internal/sets"
 )
 
 // Group is a consistent snapshot of one or more engine segments searched as
@@ -93,15 +92,48 @@ func (g *Group) locate(gid int, base []int) (*Engine, int, int) {
 // cancellation it returns ctx's error with partial statistics and no
 // results.
 func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResult, Stats, error) {
-	var stats Stats
-	stats.Segments = len(g.Engines)
-	query = sets.Dedup(query)
-	if len(query) == 0 || len(g.Engines) == 0 {
-		return nil, stats, ctx.Err()
+	if len(g.Engines) == 0 {
+		return nil, Stats{}, ctx.Err()
 	}
 	lead := g.lead()
+	sc := lead.getScratch()
+	defer lead.putScratch(sc)
+	results, stats, err := g.search(ctx, query, lead, sc)
+	if err != nil || len(query) == 0 {
+		return nil, stats, err
+	}
+	out := make([]GroupResult, len(results))
+	for i, r := range results {
+		_, seg, local := g.locate(r.SetID, sc.base)
+		out[i] = GroupResult{Seg: seg, Local: local, Score: r.Score, Verified: r.Verified}
+	}
+	return out, stats, nil
+}
+
+// chunk is one partition refiner of a search, with its counters and the
+// survivors it hands to post-processing; seg and p name its segment and
+// partition.
+type chunk struct {
+	stats Stats
+	r     *partRefiner
+	surv  []survivor
+	seg   int
+	p     int
+}
+
+// search is SearchContext on lead's scratch sc: every buffer it needs is
+// sc's, or pooled by the stream and the source, so a warmed search allocates
+// nothing (DESIGN.md §3). The results carry group-wide set IDs (sc.base
+// resolves them) and live in sc: they are the caller's until it releases
+// sc.
+func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *queryScratch) ([]Result, Stats, error) {
+	var stats Stats
+	stats.Segments = len(g.Engines)
+	query, qids := sc.dedup(query, lead.repo)
+	if len(query) == 0 {
+		return nil, stats, ctx.Err()
+	}
 	opts := &g.Opts
-	qids := lead.repo.TokenIDs(query)
 	var skip []bool
 	if g.LiveTokens != nil {
 		// Query elements whose token survives only in deleted sets are out
@@ -121,7 +153,8 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			// retrieve neighbors a from-scratch index could never produce.
 			if g.ProbeLiveOnly {
 				if skip == nil {
-					skip = make([]bool, len(query))
+					skip = zeroed(sc.skip, len(query))
+					sc.skip = skip
 				}
 				skip[i] = true
 			}
@@ -130,12 +163,11 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	}
 
 	refineStart := time.Now()
-	sc := lead.getScratch()
-	defer lead.scratch.Put(sc) // cache.offsets aliases sc; released on return
-
 	// base turns (segment, local set ID) into one dense group-wide ID space
 	// ordered by segment age then local position — insertion order.
-	base := make([]int, len(g.Engines)+1)
+	base := sized(sc.base, len(g.Engines)+1)
+	sc.base = base
+	base[0] = 0
 	cWords, nParts := 0, 0
 	for i, e := range g.Engines {
 		base[i+1] = base[i] + e.repo.Len()
@@ -149,52 +181,52 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// block by block and cuts it once the termination condition holds; a
 	// search that disabled the cut-off, or the iUB filter it builds on,
 	// gets the whole stream as one block and no cut.
-	theta := &atomicMax{}
-	type chunk struct {
-		stats Stats
-		r     *partRefiner
-		surv  []survivor
-	}
-	chunks := make([][]chunk, len(g.Engines))
-	refiners := make([][]*partRefiner, len(g.Engines))
+	theta := &sc.theta
+	theta.bits.Store(0)
+	chunks := zeroed(sc.chunks, nParts)
+	sc.chunks = chunks
 	sc.refine.reset(base[len(g.Engines)], (len(query)+63)/64, cWords)
 	sc.refiners = regrown(sc.refiners, nParts)
 	sc.verify = regrown(sc.verify, opts.Workers)
-	nref := 0
+	n := 0
 	for si, e := range g.Engines {
-		chunks[si] = make([]chunk, len(e.parts))
-		refiners[si] = make([]*partRefiner, len(e.parts))
 		var dead []uint64
 		if si < len(g.Dead) {
 			dead = g.Dead[si]
 		}
 		share, score := sc.refine.carve(e)
 		for p := range e.parts {
-			c := &chunks[si][p]
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score, &sc.refiners[nref])
-			nref++
-			refiners[si][p] = c.r
+			c := &chunks[n]
+			c.seg, c.p = si, p
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score, &sc.refiners[n])
+			n++
 		}
 	}
 
 	// Before the first block, one read of the whole stream fills the edge
-	// cache: every lazy source computes its whole scan when the cursor is
-	// created, so this costs appends, not similarity evaluations or sorting.
+	// cache: every lazy source computes its whole scan when the stream is
+	// opened, so this costs appends, not similarity evaluations or sorting.
+	streamStart := time.Now()
 	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
+	defer st.Release()
 	cache, retrieved := lead.peekStream(st, sc, g.LiveTokens)
 	stats.StreamRetrieved = retrieved
+	boundStart := time.Now()
+	stats.StreamTime = boundStart.Sub(streamStart)
 	if !opts.DisableIUB {
 		// Bound every set by the maxima the whole stream will bring, and
 		// seed θlb from the sets those bounds rank first (DESIGN.md §2).
 		maxima := cache.maxima(qids, sc)
-		for _, rs := range refiners {
-			for _, r := range rs {
-				r.addBounds(maxima)
-			}
+		for i := range chunks {
+			chunks[i].r.addBounds(maxima)
 		}
 		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
 	}
-	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, refiners, theta, lead, sc, len(query))
+	walkStart := time.Now()
+	stats.BoundTime = walkStart.Sub(boundStart)
+	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, chunks, theta, lead, sc, len(query))
+	replayStart := time.Now()
+	stats.WalkTime = replayStart.Sub(walkStart)
 	stats.StreamTuples = len(tuples)
 	stats.StreamCut = cut
 	stats.StreamCutLevel = cutLevel
@@ -203,7 +235,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	}
 	// The consumed tuples, and per edge its place in the cache and in the
 	// peek's buffer.
-	stats.MemStreamBytes = int64(cap(tuples))*24 + int64(len(cache.arena))*(16+16) +
+	stats.MemStreamBytes = int64(len(tuples))*int64(unsafe.Sizeof(streamTuple{})) + int64(len(cache.arena))*(16+16) +
 		int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
 	// Survivors: on a cut, reconstruct the whole-stream outcome — phase one
 	// replays every alive candidate's full-stream bounds and rebuilds the
@@ -212,50 +244,47 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// refiners consumed the whole stream, so the drain is all there is.
 	if cut {
 		thetaCut := theta.Load()
-		var wg sync.WaitGroup
-		for si := range g.Engines {
-			for p := range chunks[si] {
-				c := &chunks[si][p]
+		if len(chunks) == 1 {
+			chunks[0].surv = chunks[0].r.replayPool(cache.edges, qids, cutLevel, thetaCut, at)
+		} else {
+			var wg sync.WaitGroup
+			for i := range chunks {
 				wg.Add(1)
 				go func(c *chunk) {
 					defer wg.Done()
 					c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at)
-				}(c)
+				}(&chunks[i])
 			}
+			wg.Wait()
 		}
-		wg.Wait()
 		finalTheta := theta.Load()
-		for si := range g.Engines {
-			for p := range chunks[si] {
-				c := &chunks[si][p]
-				c.surv = c.r.filterPool(c.surv, finalTheta)
-			}
+		for i := range chunks {
+			c := &chunks[i]
+			c.surv = c.r.filterPool(c.surv, finalTheta)
 		}
 	} else {
-		for si := range g.Engines {
-			for p := range chunks[si] {
-				c := &chunks[si][p]
-				c.surv = c.r.drain()
-			}
+		for i := range chunks {
+			c := &chunks[i]
+			c.surv = c.r.drain()
 		}
 	}
+	stats.ReplayTime = time.Since(replayStart)
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
 	survivors := sc.post.survivors[:0]
 	replayTies := 0
-	for si := range chunks {
-		for p := range chunks[si] {
-			stats.add(&chunks[si][p].stats)
-			if hook := g.Engines[si].refinerHook; hook != nil {
-				hook(p, &chunks[si][p].stats)
-			}
-			for _, sv := range chunks[si][p].surv {
-				sv.setID += base[si]
-				survivors = append(survivors, sv)
-			}
-			replayTies += chunks[si][p].r.rs.ties
+	for i := range chunks {
+		c := &chunks[i]
+		stats.add(&c.stats)
+		if hook := g.Engines[c.seg].refinerHook; hook != nil {
+			hook(c.p, &c.stats)
 		}
+		for _, sv := range c.surv {
+			sv.setID += base[c.seg]
+			survivors = append(survivors, sv)
+		}
+		replayTies += c.r.rs.ties
 	}
 	sc.post.survivors = survivors
 	if lead.survivorHook != nil {
@@ -269,7 +298,8 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 	// passes plus a merge — and avoids exact-matching up to k·parts
 	// per-partition winners that the global top-k never needs.
 	postStart := time.Now()
-	llb := pqueue.NewTopK(opts.K)
+	llb := &sc.post.llb
+	llb.Reset(opts.K)
 	for _, sv := range survivors {
 		llb.Update(sv.setID, sv.lb)
 	}
@@ -287,7 +317,8 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 			// A result set is a proven top-k member, so its score is at
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
-			res := g.verifyGid(r.SetID, len(query), cache, theta, base, &sc.verify[0])
+			res, took := g.verifyGid(r.SetID, len(query), cache, theta, base, &sc.verify[0])
+			stats.VerifyTime += took
 			stats.countVerify(res)
 			stats.FinalizeEM++
 			results[i].Score = res.Score
@@ -296,13 +327,7 @@ func (g *Group) SearchContext(ctx context.Context, query []string) ([]GroupResul
 		sortResults(results)
 	}
 	stats.PostprocTime = time.Since(postStart)
-
-	out := make([]GroupResult, len(results))
-	for i, r := range results {
-		_, seg, local := g.locate(r.SetID, base)
-		out[i] = GroupResult{Seg: seg, Local: local, Score: r.Score, Verified: r.Verified}
-	}
-	return out, stats, nil
+	return results, stats, nil
 }
 
 // seedSet is a candidate of the θlb seed: a group-wide set ID and its
@@ -331,8 +356,10 @@ func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int,
 			dead = g.Dead[si]
 		}
 		for gid := base[si]; gid < base[si+1]; gid++ {
+			// The full-list test first: it is predictable once the list
+			// fills, and a third of the sets have bound 0 in no pattern.
 			b := bound[gid]
-			if b == 0 || (len(top) == k && b <= top[k-1].bound) {
+			if len(top) == k && b <= top[k-1].bound || b == 0 {
 				continue
 			}
 			if sid := gid - base[si]; dead != nil && dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {

@@ -84,7 +84,7 @@ func (g *Growing) Append(row sets.Set) {
 // horizon the dictionary's current size.
 func (g *Growing) Engine() *Engine {
 	repo := sets.SegmentOver(g.dict, g.rows)
-	return &Engine{
+	e := &Engine{
 		repo: repo, src: g.src, opts: g.opts, vocabN: repo.VocabSize(),
 		parts:   []partition{{hi: int32(len(g.rows)), order: g.order, maxCard: g.maxCard}},
 		mem:     g.post.View(),
@@ -92,4 +92,6 @@ func (g *Growing) Engine() *Engine {
 		cOff:    g.cOff,
 		scratch: g.scratch,
 	}
+	e.solo = &Group{Engines: []*Engine{e}, Opts: g.opts}
+	return e
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/index"
+	"repro/internal/pqueue"
 	"repro/internal/sets"
 )
 
@@ -33,15 +34,21 @@ type replayEv struct {
 }
 
 // refinerScratch is one partition refiner's working memory, reused across
-// tuples, candidates and searches. The walk's: the iUB bucket heaps and, per
-// tuple, a memtable engine's gathered postings, those keepBounded keeps and
-// the sets it settles. The cut replay's: the tail events, the query side's
-// best edge per row, the rows holding one and their sorted values, and
-// beside each replayed survivor its full column side. kept counts the tail
-// events the mask filter let through and ties the event comparisons that had
-// to read token strings, for the tests and the benchmark that watch them.
+// tuples, candidates and searches, and the refiner itself. The walk's: the
+// iUB bucket heaps, the Llb list and, per tuple, a memtable engine's
+// gathered postings, those keepBounded keeps and the sets it settles. The
+// cut replay's: the tail events, the query side's best edge per row, the
+// rows holding one and their sorted values, and beside each replayed
+// survivor its full column side. Both end in surv, the survivors handed to
+// post-processing. kept counts the tail events the mask filter let through
+// and ties the event comparisons that had to read token strings, for the
+// tests and the benchmark that watch them.
 type refinerScratch struct {
-	buckets                      iubBuckets
+	r       partRefiner
+	buckets iubBuckets
+	llb     pqueue.TopK
+	surv    []survivor
+
 	memSids, memPoss             []int32
 	keptSids, keptPoss, settling []int32
 
@@ -259,19 +266,16 @@ func lazyPoolCap(k int) int {
 // consumed tuple prefix, whether (and at what level) the stream was cut, the
 // stream-order position of the last consumed tuple (the tail replay's split
 // point), and false when ctx was canceled.
-func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*partRefiner, theta *atomicMax, lead *Engine, sc *queryScratch, qN int) (tuples []streamTuple, cut bool, cutLevel float64, at cutPoint, ok bool) {
-	nref := 0
-	for _, rs := range refiners {
-		nref += len(rs)
-	}
+func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, chunks []chunk, theta *atomicMax, lead *Engine, sc *queryScratch, qN int) (tuples []streamTuple, cut bool, cutLevel float64, at cutPoint, ok bool) {
 	blockSize := g.Opts.LazyBlock
 	if g.Opts.DisableLazy || g.Opts.DisableIUB {
 		blockSize = math.MaxInt
 	}
 	raw := sc.raw
+	tuples = sc.tuples[:0]
 	defer func() {
 		clear(raw[:cap(raw)]) // a pooled buffer must not pin a request's strings
-		sc.raw = raw
+		sc.raw, sc.tuples = raw, tuples
 	}()
 	var last index.Tuple
 	more := true
@@ -284,24 +288,22 @@ func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*pa
 				tuples = append(tuples, lead.noteTuple(t, sc, g.LiveTokens))
 			}
 			block := tuples[base:]
-			if nref == 1 {
-				if !refiners[0][0].consume(ctx, block, base) {
+			if len(chunks) == 1 {
+				if !chunks[0].r.consume(ctx, block, base) {
 					return tuples, false, 0, at, false
 				}
 			} else {
 				var wg sync.WaitGroup
 				var canceled sync.Once
 				stop := false
-				for _, rs := range refiners {
-					for _, r := range rs {
-						wg.Add(1)
-						go func(r *partRefiner) {
-							defer wg.Done()
-							if !r.consume(ctx, block, base) {
-								canceled.Do(func() { stop = true })
-							}
-						}(r)
-					}
+				for i := range chunks {
+					wg.Add(1)
+					go func(r *partRefiner) {
+						defer wg.Done()
+						if !r.consume(ctx, block, base) {
+							canceled.Do(func() { stop = true })
+						}
+					}(chunks[i].r)
 				}
 				wg.Wait()
 				if stop {
@@ -313,18 +315,14 @@ func (g *Group) pumpLazy(ctx context.Context, st *index.Stream, refiners [][]*pa
 			break
 		}
 		alive := 0
-		for _, rs := range refiners {
-			for _, r := range rs {
-				alive += r.alive
-			}
+		for i := range chunks {
+			alive += chunks[i].r.alive
 		}
 		if alive <= lazyPoolCap(g.Opts.K) {
 			bound := 0
-			for _, rs := range refiners {
-				for _, r := range rs {
-					if mc := int(r.maxUnseenCard()); mc > bound {
-						bound = mc
-					}
+			for i := range chunks {
+				if mc := int(chunks[i].r.maxUnseenCard()); mc > bound {
+					bound = mc
 				}
 			}
 			if qN < bound {

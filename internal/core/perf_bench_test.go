@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -130,10 +131,25 @@ func BenchmarkPostproc(b *testing.B) {
 // through a DynamicFunc over the repository's dictionary, serving options —
 // cycling through 150 of the corpus's sets as queries. With -benchmem its
 // B/op is the garbage one search leaves behind, which at a fixed heap goal
-// is what a higher request rate turns into resident memory.
+// is what a higher request rate turns into resident memory; a warm search
+// allocates only its answer (DESIGN.md §3).
 func BenchmarkEditSearch(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
-	src := index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{})
+	benchServing(b, ds, index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{}))
+}
+
+// BenchmarkVectorSearch is BenchmarkEditSearch in search_small's shape: the
+// same collection, queries and options over the embedding model's vectors
+// through a DynamicExact, the source the benchmark's vector workloads serve.
+func BenchmarkVectorSearch(b *testing.B) {
+	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
+	benchServing(b, ds, index.NewDynamicExact(ds.Repo.Dict(), ds.Model.Vector))
+}
+
+// benchServing times whole searches over src under serving options (k = 10,
+// α = 0.8, exact scores), cycling through 150 of the corpus's sets as
+// queries.
+func benchServing(b *testing.B, ds *datagen.Dataset, src index.NeighborSource) {
 	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, ExactScores: true})
 	all := ds.Repo.Sets()
 	queries := make([][]string, 150)
@@ -141,10 +157,28 @@ func BenchmarkEditSearch(b *testing.B) {
 		queries[i] = all[i*len(all)/len(queries)].Elements
 	}
 	eng.Search(queries[0]) // first use builds the source's lazy state
+	benchSearches(b, eng, queries)
+}
+
+// benchSearches runs b.N searches of eng cycling through queries, and
+// reports each stage timer of Stats as ns/op, so a change can name the
+// stage that moved.
+func benchSearches(b *testing.B, eng *Engine, queries [][]string) {
+	var total Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Search(queries[i%len(queries)])
+		_, st := eng.Search(queries[i%len(queries)])
+		total.add(&st)
+	}
+	for _, stage := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"stream", total.StreamTime}, {"bound", total.BoundTime}, {"walk", total.WalkTime},
+		{"replay", total.ReplayTime}, {"verify", total.VerifyTime},
+	} {
+		b.ReportMetric(float64(stage.d.Nanoseconds())/float64(b.N), stage.name+"-ns/op")
 	}
 }
 
@@ -161,10 +195,5 @@ func BenchmarkVerifyLarge(b *testing.B) {
 			queries = append(queries, s.Elements)
 		}
 	}
-	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Search(queries[i%len(queries)])
-	}
+	benchSearches(b, NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8}), queries)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"slices"
+	"time"
 
 	"repro/internal/matching"
 	"repro/internal/pqueue"
@@ -31,9 +32,10 @@ const (
 )
 
 // postScratch is the pooled memory of one search's post-processing: the
-// merged survivors and Algorithm 2's state over them, addressed by a
-// survivor's index in set-ID order.
+// Llb, the merged survivors and Algorithm 2's state over them, addressed by
+// a survivor's index in set-ID order.
 type postScratch struct {
+	llb       pqueue.TopK
 	survivors []survivor
 	ub, lb    []float64
 	flags     []uint8
@@ -43,10 +45,13 @@ type postScratch struct {
 	results   []Result
 }
 
-// verifyGid runs the exact verification of the set with group-wide ID gid.
-func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) matching.Result {
+// verifyGid runs the exact verification of the set with group-wide ID gid
+// and reports how long it took (Stats.VerifyTime).
+func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) (matching.Result, time.Duration) {
+	start := time.Now()
 	eng, _, local := g.locate(gid, base)
-	return eng.verify(&g.Opts, qN, cache, eng.repo.Set(local), theta, vs)
+	res := eng.verify(&g.Opts, qN, cache, eng.repo.Set(local), theta, vs)
+	return res, time.Since(start)
 }
 
 // sortResults orders results by descending score, ascending set ID.
@@ -126,8 +131,9 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 	}
 
-	apply := func(i int32, res matching.Result) {
+	apply := func(i int32, res matching.Result, took time.Duration) {
 		stats.countVerify(res)
+		stats.VerifyTime += took
 		// A verified set leaves Lub: for good, or until refill finds that its
 		// exact score still belongs there (Alg. 2 lines 10–15).
 		j, _ := slices.BinarySearch(lub, i)
@@ -154,8 +160,9 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	// its in-flight peers (§VI). Each round sends exactly len(pending) ≤
 	// Workers results, so the channel never blocks a sender.
 	type vres struct {
-		i   int32
-		res matching.Result
+		i    int32
+		res  matching.Result
+		took time.Duration
 	}
 	var ch chan vres
 
@@ -226,7 +233,8 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		pending = pending[:round]
 		if round == 1 {
 			i := pending[0]
-			apply(i, g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0]))
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
+			apply(i, res, took)
 			continue
 		}
 		if ch == nil {
@@ -234,12 +242,13 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 		for w, i := range pending {
 			go func(ch chan<- vres, i int32, vs *verifyScratch) {
-				ch <- vres{i: i, res: g.verifyGid(survivors[i].setID, qN, cache, theta, base, vs)}
+				res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, vs)
+				ch <- vres{i: i, res: res, took: took}
 			}(ch, i, &sc.verify[w])
 		}
 		for range pending {
 			v := <-ch
-			apply(v.i, v.res)
+			apply(v.i, v.res, v.took)
 		}
 	}
 

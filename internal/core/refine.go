@@ -231,19 +231,21 @@ func (r *partRefiner) settle(sid int32, s, below float64) {
 }
 
 // newPartRefiner prepares partition p's refinement state in share, the
-// engine's share of the search's arena, and its buckets in score and rs's
-// pooled heaps; rs becomes the refiner's working memory.
+// engine's share of the search's arena, its buckets in score and rs's
+// pooled heaps, and the refiner in rs, which becomes its working memory.
 func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, score []float64, rs *refinerScratch) *partRefiner {
 	part := &e.parts[p]
 	rs.buckets.reset(min(qN, int(part.maxCard)), score)
+	rs.llb.Reset(opts.K)
 	rs.kept, rs.ties = 0, 0
-	return &partRefiner{
+	rs.r = partRefiner{
 		e: e, opts: opts, part: part, qN: qN, theta: theta, stats: stats, dead: dead,
 		arenaShare: *share,
 		buckets:    &rs.buckets,
-		llb:        pqueue.NewTopK(opts.K),
+		llb:        &rs.llb,
 		rs:         rs,
 	}
+	return &rs.r
 }
 
 // consume processes tuples, whose first element sits at global stream
@@ -381,7 +383,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 // the final θlb.
 func (r *partRefiner) drain() []survivor {
 	finalTheta := r.theta.Load()
-	var out []survivor
+	out := r.rs.surv[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
 		if r.flags[sid] != setLive {
 			continue
@@ -393,6 +395,7 @@ func (r *partRefiner) drain() []survivor {
 		}
 		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub})
 	}
+	r.rs.surv = out
 	r.accountMem()
 	return out
 }
@@ -428,7 +431,7 @@ func (r *partRefiner) pruneAtEnd(ub, col, theta float64) bool {
 // side filterPool attributes its prunes by.
 func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint) []survivor {
 	rs := r.rs
-	var out []survivor
+	out := rs.surv[:0]
 	rs.colUB = rs.colUB[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
 		if r.flags[sid] != setLive {
@@ -450,6 +453,7 @@ func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, leve
 			r.theta.Update(r.llb.Bottom())
 		}
 	}
+	rs.surv = out
 	r.accountMem()
 	return out
 }

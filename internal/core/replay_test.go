@@ -298,7 +298,7 @@ func BenchmarkCutReplay(b *testing.B) {
 		cache, _ := eng.peekStream(st, sc, nil)
 		r.addBounds(cache.maxima(qids, sc))
 		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
-		_, cut, level, at, _ := g.pumpLazy(ctx, st, [][]*partRefiner{{r}}, theta, eng, sc, len(query))
+		_, cut, level, at, _ := g.pumpLazy(ctx, st, []chunk{{r: r}}, theta, eng, sc, len(query))
 		if !cut {
 			b.Fatalf("query %d does not cut the stream", i%len(queries))
 		}

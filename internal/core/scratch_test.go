@@ -17,6 +17,7 @@ import (
 // searchCounters is a search's outcome without its wall-clock fields.
 func searchCounters(res []Result, st Stats) string {
 	st.RefineTime, st.PostprocTime = 0, 0
+	st.StreamTime, st.BoundTime, st.WalkTime, st.ReplayTime, st.VerifyTime = 0, 0, 0, 0, 0
 	return fmt.Sprintf("%v %+v", res, st)
 }
 

@@ -174,6 +174,19 @@ type Stats struct {
 	// RefineTime and PostprocTime are wall-clock phase durations.
 	RefineTime   time.Duration
 	PostprocTime time.Duration
+	// The stage timers, each taken once at its stage's boundaries: the
+	// source's probe and the peek that fills the edge cache (StreamTime),
+	// the stream-wide bounds and the θlb seed (BoundTime), the pump's
+	// blocks (WalkTime), the survivors' reconstruction — the cut replay and
+	// its filter, or the drain (ReplayTime) — and the exact verifications,
+	// summed over every one post-processing and ExactScores ran, in
+	// parallel or not (VerifyTime). The first four lie inside RefineTime,
+	// the last inside PostprocTime.
+	StreamTime time.Duration
+	BoundTime  time.Duration
+	WalkTime   time.Duration
+	ReplayTime time.Duration
+	VerifyTime time.Duration
 
 	// Footprint estimates of the query-dependent data structures in bytes
 	// (Fig. 5d/6d): the token stream and edge cache, refinement candidate
@@ -217,6 +230,11 @@ func (s *Stats) add(o *Stats) {
 	s.HungarianIterations += o.HungarianIterations
 	s.VerifyCalls += o.VerifyCalls
 	s.HungarianSkipped += o.HungarianSkipped
+	s.StreamTime += o.StreamTime
+	s.BoundTime += o.BoundTime
+	s.WalkTime += o.WalkTime
+	s.ReplayTime += o.ReplayTime
+	s.VerifyTime += o.VerifyTime
 	s.MemStreamBytes += o.MemStreamBytes
 	s.MemCandBytes += o.MemCandBytes
 	s.MemPostprocBytes += o.MemPostprocBytes

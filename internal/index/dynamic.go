@@ -52,10 +52,10 @@ func (f *DynamicFunc) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(f.scan(f.dict.Snapshot(), q, alpha, nil))
 }
 
-// NeighborCursors implements LazySource: same exhaustive scan, over one
+// ScanNeighbors implements LazySource: same exhaustive scan, over one
 // snapshot for all the elements, neighbors ordered only as they are consumed.
-func (f *DynamicFunc) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
-	return f.cursors(f.dict.Snapshot(), qs, alpha)
+func (f *DynamicFunc) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
+	f.scanNeighbors(f.dict.Snapshot(), qs, alpha, bufs)
 }
 
 // Sync implements Syncer: it sketches the dictionary tokens interned since
@@ -160,11 +160,11 @@ func (e *DynamicExact) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(v.scan(qi, alpha, nil))
 }
 
-// NeighborCursors implements LazySource: all the elements against one view,
+// ScanNeighbors implements LazySource: all the elements against one view,
 // in one pass of its arena.
-func (e *DynamicExact) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
+func (e *DynamicExact) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
 	v := e.current()
-	return v.cursors(qs, alpha, func(q string) int { return e.lookup(v, q) })
+	v.scanNeighbors(qs, alpha, bufs, func(q string) int { return e.lookup(v, q) })
 }
 
 // PairSim implements CompleteScorer: the exact dot product retrieval uses,

@@ -22,6 +22,9 @@ import (
 type funcScan struct {
 	fn  sim.Func
 	col sketchColumn
+	// kernels pools fn's kernels, one per scan in flight: a scan resets
+	// one for each of its elements, and hands it back holding no element.
+	kernels sync.Pool
 }
 
 // PairSim implements CompleteScorer: the similarity function itself.
@@ -31,27 +34,45 @@ func (f *funcScan) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
 // alpha to buf in ascending position; a token's position in tokens is its
 // ID.
 func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor) []Neighbor {
+	bufs := [1][]Neighbor{buf}
+	f.scanNeighbors(tokens, []string{q}, alpha, bufs[:])
+	return bufs[0]
+}
+
+// scanNeighbors is the LazySource probe of the sources over a funcScan:
+// scan for each element of qs, into its list of bufs. The elements share
+// one kernel, reset from one to the next (a kernel is prepared for one
+// query string, so there is nothing else for them to share).
+func (f *funcScan) scanNeighbors(tokens []string, qs []string, alpha float64, bufs [][]Neighbor) {
 	b, _ := f.fn.(sim.Batcher)
 	var k sim.Kernel
 	if b != nil {
-		k = b.NewKernel(q)
+		if k, _ = f.kernels.Get().(sim.Kernel); k == nil {
+			k = b.NewKernel("")
+		}
 	}
 	if k == nil {
-		for vi, tok := range tokens {
-			if tok == q {
-				continue
-			}
-			if s := f.fn.Sim(q, tok); s >= alpha {
-				buf = append(buf, Neighbor{Token: tok, Sim: s, ID: int32(vi)})
+		for i, q := range qs {
+			for vi, tok := range tokens {
+				if tok == q {
+					continue
+				}
+				if s := f.fn.Sim(q, tok); s >= alpha {
+					bufs[i] = append(bufs[i], Neighbor{Token: tok, Sim: s, ID: int32(vi)})
+				}
 			}
 		}
-		return buf
+		return
 	}
 	v := f.col.cover(b, tokens)
 	s := funcScratches.Get().(*funcScratch)
-	buf = s.kernelScan(k, v.tokens, v.admit(k, alpha, s), q, alpha, buf)
+	for i, q := range qs {
+		k.Reset(q)
+		bufs[i] = s.kernelScan(k, v.tokens, v.admit(k, alpha, s), q, alpha, bufs[i])
+	}
 	funcScratches.Put(s)
-	return buf
+	k.Reset("")
+	f.kernels.Put(k)
 }
 
 // funcScratch is what one kernel scan needs beside its output: the cut
@@ -67,17 +88,6 @@ type funcScratch struct {
 }
 
 var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
-
-// cursors is the LazySource probe of the sources over a funcScan: one scan
-// of tokens per query element (a kernel is prepared for one query string, so
-// there is nothing for the elements to share).
-func (f *funcScan) cursors(tokens []string, qs []string, alpha float64) []NeighborCursor {
-	out := make([]NeighborCursor, len(qs))
-	for i, q := range qs {
-		out[i] = newLazyScan(f.scan(tokens, q, alpha, nil))
-	}
-	return out
-}
 
 // sketchColumn keeps a similarity function's sketch of every token of an
 // append-only token list, split by class. Readers take no lock: cover
@@ -233,7 +243,7 @@ func (f *FuncIndex) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(f.scan(f.vocab, q, alpha, nil))
 }
 
-// NeighborCursors implements LazySource.
-func (f *FuncIndex) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
-	return f.cursors(f.vocab, qs, alpha)
+// ScanNeighbors implements LazySource.
+func (f *FuncIndex) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
+	f.scanNeighbors(f.vocab, qs, alpha, bufs)
 }

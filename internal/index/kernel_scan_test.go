@@ -253,6 +253,7 @@ func (k *tableKernel) Cuts(_ float64, cut *[sim.SketchClasses]int32) uint64 {
 }
 func (k *tableKernel) Sim(string) float64                     { panic("tableKernel only admits") }
 func (k *tableKernel) SimBatch(cands []string, out []float64) { panic("tableKernel only admits") }
+func (k *tableKernel) Reset(string)                           { panic("tableKernel only admits") }
 
 // nearSketch returns a sketch of class c whose signature differs from q's in
 // a uniformly drawn number of bits, 0 to SignatureBits, so that every cut

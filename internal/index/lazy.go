@@ -20,15 +20,18 @@ type NeighborCursor interface {
 	Peek() []Neighbor
 }
 
-// LazySource is an optional NeighborSource extension: a top-down,
-// incremental probe that can stop ordering (and, for index structures that
-// support it, stop computing) neighbors below the level a cut-off search
-// still needs. Sources without it are adapted by eagerCursor — the stream
-// works either way, the lazy probe just avoids the full per-probe sort.
+// LazySource is an optional NeighborSource extension: a probe that hands
+// over every α-neighbor unordered, so the stream orders them only as a
+// cut-off search consumes them (lazyScan). Sources without it are adapted
+// by eagerCursor — the stream works either way, the lazy probe just avoids
+// the full per-probe sort.
 type LazySource interface {
-	// NeighborCursors probes all of a search's query elements at once:
-	// cursor i is qs[i]'s. A source that scans shares the pass between them.
-	NeighborCursors(qs []string, alpha float64) []NeighborCursor
+	// ScanNeighbors probes all of a search's query elements at once: it
+	// appends to bufs[i] every α-neighbor of qs[i] — what Neighbors(qs[i],
+	// alpha) returns — in arbitrary order. bufs has len(qs) elements; the
+	// caller owns their storage and reuses it from search to search. A
+	// source that scans shares the pass between the elements.
+	ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor)
 }
 
 // CompleteScorer marks a NeighborSource whose retrieval is exhaustive with
@@ -45,14 +48,15 @@ type CompleteScorer interface {
 	PairSim(a, b string) float64
 }
 
-// lazyScan is the NeighborCursor shared by the brute-force scan sources:
-// the scan still touches every vocabulary token (that is what makes those
-// sources exact), but instead of fully sorting the α-matches it heapifies
-// them once — O(n) — and pays O(log n) per neighbor actually delivered.
-// A cut-off search that consumes m of n matches does O(n + m·log n) work
-// instead of O(n·log n).
+// lazyScan is the NeighborCursor over a LazySource's probe: the scan still
+// touches every vocabulary token (that is what makes those sources exact),
+// but instead of fully sorting the α-matches it heapifies them once — O(n)
+// — and pays O(log n) per neighbor actually delivered. A cut-off search that
+// consumes m of n matches does O(n + m·log n) work instead of O(n·log n).
+// Its heap and its chunk are a pooled Stream's: reset hands it the next
+// search's matches, release drops what it holds.
 type lazyScan struct {
-	h   *pqueue.Heap[Neighbor]
+	h   pqueue.Heap[Neighbor]
 	out []Neighbor
 }
 
@@ -63,14 +67,27 @@ func neighborLess(a, b Neighbor) bool {
 	return a.Token < b.Token
 }
 
-// newLazyScan takes ownership of cands (unsorted α-matches) and serves them
+// reset takes ownership of cands (unsorted α-matches) and serves them
 // descending.
-func newLazyScan(cands []Neighbor) *lazyScan {
-	return &lazyScan{h: pqueue.NewHeapFrom(cands, neighborLess)}
+func (c *lazyScan) reset(cands []Neighbor) {
+	c.h = *pqueue.NewHeapFrom(cands, neighborLess)
+}
+
+// release drops every neighbor the cursor still holds, keeping the storage:
+// popped heap slots are zeroed as they are popped, and out is cleared
+// before each refill, so afterwards neither holds a token.
+func (c *lazyScan) release() {
+	c.h.Reset()
+	clear(c.out)
+	c.out = c.out[:0]
 }
 
 func (c *lazyScan) Next(max int) []Neighbor {
+	// The chunk handed out before has been consumed: clear it, so a pooled
+	// cursor holds no token past its last chunk.
+	clear(c.out)
 	if max <= 0 || c.h.Len() == 0 {
+		c.out = c.out[:0]
 		return nil
 	}
 	if n := min(max, c.h.Len()); cap(c.out) < n {
@@ -122,17 +139,4 @@ func ScorerOf(src NeighborSource) (CompleteScorer, bool) {
 		return ScorerOf(c.src)
 	}
 	return nil, false
-}
-
-// cursorsFor probes src once per element of qs: through its incremental
-// probe when lazy is set and it has one, by a full sorted fetch otherwise.
-func cursorsFor(src NeighborSource, qs []string, alpha float64, lazy bool) []NeighborCursor {
-	if ls, ok := src.(LazySource); ok && lazy {
-		return ls.NeighborCursors(qs, alpha)
-	}
-	out := make([]NeighborCursor, len(qs))
-	for i, q := range qs {
-		out[i] = &eagerCursor{list: src.Neighbors(q, alpha)}
-	}
-	return out
 }

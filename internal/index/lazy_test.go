@@ -28,6 +28,20 @@ func drainCursor(c NeighborCursor, max int) []Neighbor {
 	}
 }
 
+// neighborCursors probes ls for qs as a lazy stream does: cursor i serves
+// qs[i]'s neighbors.
+func neighborCursors(ls LazySource, qs []string, alpha float64) []NeighborCursor {
+	bufs := make([][]Neighbor, len(qs))
+	ls.ScanNeighbors(qs, alpha, bufs)
+	out := make([]NeighborCursor, len(qs))
+	for i, buf := range bufs {
+		c := new(lazyScan)
+		c.reset(buf)
+		out[i] = c
+	}
+	return out
+}
+
 // TestCursorMatchesNeighbors: every LazySource must deliver, through any
 // chunking, exactly the sequence Neighbors returns — same tokens, same
 // similarities, same order.
@@ -55,7 +69,7 @@ func TestCursorMatchesNeighbors(t *testing.T) {
 				}
 				want := src.Neighbors(q, alpha)
 				for _, chunk := range []int{1, 3, 1000} {
-					got := drainCursor(ls.NeighborCursors([]string{q}, alpha)[0], chunk)
+					got := drainCursor(neighborCursors(ls, []string{q}, alpha)[0], chunk)
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("%s α=%.2f q=%q chunk=%d: cursor diverges from Neighbors\ncursor:    %v\nneighbors: %v",
 							name, alpha, q, chunk, got, want)
@@ -238,4 +252,93 @@ func TestPeekRestLeavesStream(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReleasedStreamReuse: a stream released part way through — lazy
+// cursors, eager ones, a probe mask — keeps its buffers but no query element
+// and no token in them, up to their capacity, and the streams drawn from the
+// pool after it, over other queries, fewer elements and more, deliver
+// exactly what a stream nobody released before does.
+func TestReleasedStreamReuse(t *testing.T) {
+	vocab := make([]string, 0, 300)
+	for i := 0; i < 300; i++ {
+		vocab = append(vocab, fmt.Sprintf("shared-prefix-token-%03d", i))
+	}
+	src := NewFuncIndex(vocab, sim.JaccardQGrams{Q: 2})
+	queries := [][]string{
+		{vocab[0], vocab[1], "out-of-vocab-token", vocab[150]},
+		{vocab[7]},
+		{vocab[3], vocab[299], vocab[42], vocab[120], vocab[200], vocab[5]},
+	}
+	drain := func(st *Stream) []Tuple {
+		got, _ := st.NextBlock(nil, 1<<30)
+		return got
+	}
+	for round := 0; round < 3; round++ {
+		for qi, q := range queries {
+			lazy := (round+qi)%2 == 0
+			var skip []bool
+			if round == 2 {
+				skip = make([]bool, len(q))
+				skip[0] = true
+			}
+			open := func() *Stream {
+				if lazy {
+					return NewLazyStream(q, nil, src, 0.1, skip)
+				}
+				return NewStreamMasked(q, nil, src, 0.1, skip)
+			}
+			want := drain(open()) // never released
+			st := open()
+			if got := drain(st); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d query %d lazy=%v: a stream from the pool diverges\ngot:  %v\nwant: %v", round, qi, lazy, got, want)
+			}
+			half := open()
+			half.NextBlock(nil, len(want)/2)
+			half.Release()
+			if held := streamStrings(half); len(held) > 0 {
+				t.Fatalf("round %d query %d lazy=%v: a released stream holds %v", round, qi, lazy, held)
+			}
+			st.Release()
+		}
+	}
+}
+
+// streamStrings lists the non-empty strings s's buffers hold, to their
+// capacity.
+func streamStrings(s *Stream) []string {
+	var out []string
+	note := func(where, str string) {
+		if str != "" {
+			out = append(out, where+"="+str)
+		}
+	}
+	noteAll := func(where string, ns []Neighbor) {
+		for _, n := range ns[:cap(ns)] {
+			note(where, n.Token)
+		}
+	}
+	for _, q := range s.query[:cap(s.query)] {
+		note("query", q)
+	}
+	for _, q := range s.probe[:cap(s.probe)] {
+		note("probe", q)
+	}
+	for _, h := range s.heap.Items()[:cap(s.heap.Items())] {
+		note("heap", h.token)
+	}
+	for _, b := range s.bufs[:cap(s.bufs)] {
+		noteAll("bufs", b)
+	}
+	for i := range s.elems[:cap(s.elems)] {
+		ec := &s.elems[i]
+		noteAll("lazy heap", ec.lazy.h.Items())
+		noteAll("lazy chunk", ec.lazy.out)
+		noteAll("eager", ec.eager.list)
+		noteAll("chunk", ec.chunk)
+		if ec.cur != nil {
+			out = append(out, "a cursor")
+		}
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"sync"
+
 	"repro/internal/pqueue"
 )
 
@@ -33,25 +35,40 @@ const cursorChunk = 64
 // tuple (q, q, 1) for every query element — even for elements the index does
 // not cover — so identical elements always contribute to the overlap and the
 // lower bound of a candidate starts at its vanilla overlap.
+//
+// Streams are pooled: every constructor draws one whose buffers — the
+// cursors, the lazy probe's neighbor lists, the merge heap — earlier streams
+// grew, and Release hands it back, so a search that releases its stream
+// allocates none of them once the pool is warm.
 type Stream struct {
 	query     []string
 	qids      []int32 // interned ID per query element; nil when unresolved
 	elems     []elemCursor
-	heap      *pqueue.Heap[streamHead]
+	heap      pqueue.Heap[streamHead]
 	pending   int // identity tuples not yet emitted
 	emitted   int
 	footprint int64
+
+	// The probe's: the probed elements, at[j] the query index of probe[j]
+	// when a mask leaves out some, and the lists the source fills.
+	probe []string
+	at    []int
+	bufs  [][]Neighbor
 }
 
 // elemCursor is one query element's position in its neighbor sequence: the
-// cursor plus the chunk currently being consumed; done marks the cursor
-// exhausted.
+// cursor — its own lazy or eager one, nil when the element is not probed —
+// plus the chunk currently being consumed; done marks the cursor exhausted.
 type elemCursor struct {
 	cur   NeighborCursor
+	lazy  lazyScan
+	eager eagerCursor
 	chunk []Neighbor
 	pos   int
 	done  bool
 }
+
+var streams = sync.Pool{New: func() any { return new(Stream) }}
 
 type streamHead struct {
 	qIdx  int
@@ -108,33 +125,76 @@ func NewLazyStream(query []string, qids []int32, src NeighborSource, alpha float
 }
 
 func newStream(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool, lazy bool) *Stream {
-	s := &Stream{
-		query: query,
-		qids:  qids,
-		elems: make([]elemCursor, len(query)),
-		heap:  pqueue.NewHeap[streamHead](headLess),
+	s := streams.Get().(*Stream)
+	s.query, s.qids = query, qids
+	s.pending, s.emitted, s.footprint = len(query), 0, 0
+	s.heap = *pqueue.NewHeapFrom(s.heap.Items()[:0], headLess)
+	if cap(s.elems) < len(query) {
+		// Keep the cursors' storage, which the elements past the old
+		// length get when the stream grows.
+		s.elems = append(s.elems[:cap(s.elems)], make([]elemCursor, len(query)-cap(s.elems))...)
 	}
+	s.elems = s.elems[:len(query)]
 	// The probed elements: all of them, or those the mask leaves, at[j] being
 	// the query index of the j-th.
-	probe, at := query, []int(nil)
+	probe, at := query, s.at[:0]
 	if skip != nil {
-		probe = nil
+		probe = s.probe[:0]
 		for i, q := range query {
 			if !skip[i] {
 				probe, at = append(probe, q), append(at, i)
 			}
 		}
+		s.probe, s.at = probe, at
 	}
-	for j, cur := range cursorsFor(src, probe, alpha, lazy) {
-		i := j
-		if at != nil {
-			i = at[j]
+	elem := func(j int) *elemCursor {
+		if skip != nil {
+			return &s.elems[at[j]]
 		}
-		s.elems[i].cur = cur
-		s.refill(i)
+		return &s.elems[j]
 	}
-	s.pending = len(query)
+	if ls, ok := src.(LazySource); ok && lazy {
+		bufs := s.bufs[:0]
+		for j := range probe {
+			bufs = append(bufs, elem(j).lazy.h.Items()[:0])
+		}
+		ls.ScanNeighbors(probe, alpha, bufs)
+		for j := range probe {
+			ec := elem(j)
+			ec.lazy.reset(bufs[j])
+			ec.cur = &ec.lazy
+		}
+		clear(bufs) // the cursors own the lists now
+		s.bufs = bufs
+	} else {
+		for j, q := range probe {
+			ec := elem(j)
+			ec.eager = eagerCursor{list: src.Neighbors(q, alpha)}
+			ec.cur = &ec.eager
+		}
+	}
+	for i := range s.elems {
+		if s.elems[i].cur != nil {
+			s.refill(i)
+		}
+	}
 	return s
+}
+
+// Release hands the stream back to the pool its constructor drew it from,
+// for the next stream to reuse its buffers. Every reference they hold to a
+// query element or a token is dropped first, so a pooled stream pins no
+// request's strings. The stream must not be used afterwards.
+func (s *Stream) Release() {
+	for i := range s.elems {
+		ec := &s.elems[i]
+		ec.lazy.release()
+		*ec = elemCursor{lazy: ec.lazy}
+	}
+	s.heap.Reset()
+	clear(s.probe)
+	s.query, s.qids = nil, nil
+	streams.Put(s)
 }
 
 // refill pushes query element i's next neighbor onto the merge heap,

@@ -164,13 +164,17 @@ const scanChunk = 64
 // scanScratch is what one scan needs beside its output: the query rows
 // quantised for screenBlocks with their thresholds (and, for the AVX2
 // kernel, split into words), one mask byte per query row and block of a
-// chunk, and one query row widened to float64 for dotBlocks.
+// chunk, and one query row widened to float64 for dotBlocks; and, for a
+// search's probe, its elements' rows and output lists.
 type scanScratch struct {
 	q8   []int8
 	q16  []int16
 	thr  []int32
 	mask []byte
 	wide []float64
+	qis  []int
+	at   []int
+	bufs [][]Neighbor
 }
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -179,7 +183,9 @@ var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
 // unsorted: scanAll for a group of one.
 func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 	bufs := [1][]Neighbor{buf}
-	r.scanAll([]int{qi}, alpha, bufs[:])
+	s := scanScratches.Get().(*scanScratch)
+	r.scanAll(s, []int{qi}, alpha, bufs[:])
+	scanScratches.Put(s)
 	return bufs[0]
 }
 
@@ -188,18 +194,17 @@ func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 // int8 screen marks for every query row the blocks that may hold a match
 // and dotBlocks → appendMatches score those, in maximal runs: every score
 // that leaves is the exact kernel's, the screen only decides where it need
-// not run. The rows of a partial last block go through dot.
+// not run. The rows of a partial last block go through dot. s is the scan's
+// scratch.
 //
 // Two classes of α have nothing to screen. α ≤ 0 admits every row once the
 // lower clamp has lifted it to 0, so every block is flagged without looking
 // (as it is at a stride whose sums an int32 cannot hold); α > 1 and NaN
 // admit none, whatever the arena holds.
-func (r *vecRows) scanAll(qis []int, alpha float64, bufs [][]Neighbor) {
+func (r *vecRows) scanAll(s *scanScratch, qis []int, alpha float64, bufs [][]Neighbor) {
 	if !(alpha <= 1) {
 		return
 	}
-	s := scanScratches.Get().(*scanScratch)
-	defer scanScratches.Put(s)
 	nq := len(qis)
 	quads := (nq + 3) / 4 // the screen takes query rows four at a time: the last quad is filled with zero rows
 	s.mask = sized(s.mask, 4*quads*scanChunk)
@@ -267,26 +272,25 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// cursors is the LazySource probe of the sources over a vecRows: one cursor
-// per query element, the elements rowOf finds a row for (≥ 0) scanned
-// together. An element without a row has no vector to search with, so no
-// semantic neighbors: its cursor is empty.
-func (r *vecRows) cursors(qs []string, alpha float64, rowOf func(string) int) []NeighborCursor {
-	out := make([]NeighborCursor, len(qs))
-	qis, at := make([]int, 0, len(qs)), make([]int, 0, len(qs))
+// scanNeighbors is the LazySource probe of the sources over a vecRows: the
+// elements rowOf finds a row for (≥ 0) scanned together, each into its list
+// of bufs. An element without a row has no vector to search with, so no
+// semantic neighbors: its list stays empty.
+func (r *vecRows) scanNeighbors(qs []string, alpha float64, bufs [][]Neighbor, rowOf func(string) int) {
+	s := scanScratches.Get().(*scanScratch)
+	qis, at, group := s.qis[:0], s.at[:0], s.bufs[:0]
 	for i, q := range qs {
 		if qi := rowOf(q); qi >= 0 {
-			qis, at = append(qis, qi), append(at, i)
-		} else {
-			out[i] = &eagerCursor{}
+			qis, at, group = append(qis, qi), append(at, i), append(group, bufs[i])
 		}
 	}
-	bufs := make([][]Neighbor, len(qis))
-	r.scanAll(qis, alpha, bufs)
+	r.scanAll(s, qis, alpha, group)
 	for g, i := range at {
-		out[i] = newLazyScan(bufs[g])
+		bufs[i] = group[g]
 	}
-	return out
+	clear(group) // the caller owns the lists
+	s.qis, s.at, s.bufs = qis, at, group
+	scanScratches.Put(s)
 }
 
 // appendMatches appends rows first, first+1, … whose raw dots clamp to a
@@ -347,11 +351,11 @@ func (e *Exact) Neighbors(q string, alpha float64) []Neighbor {
 	return sorted(e.rows.scan(qi, alpha, nil))
 }
 
-// NeighborCursors implements LazySource: the scan still computes every
+// ScanNeighbors implements LazySource: the scan still computes every
 // similarity (that is what keeps Exact exact), for all the elements in one
 // pass of the arena, but neighbors are only ordered as they are consumed.
-func (e *Exact) NeighborCursors(qs []string, alpha float64) []NeighborCursor {
-	return e.rows.cursors(qs, alpha, func(q string) int {
+func (e *Exact) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
+	e.rows.scanNeighbors(qs, alpha, bufs, func(q string) int {
 		if qi, ok := e.byToken[q]; ok {
 			return qi
 		}

@@ -189,8 +189,8 @@ func testArenaSeam(t *testing.T, mode string, f *arenaFixture, dim int) {
 				if err := sameNeighborBits(src.Neighbors(f.tokens[qi], alpha), want); err != nil {
 					t.Fatalf("%s q=%d α=%v: Neighbors: %v", label, qi, alpha, err)
 				}
-				if err := sameNeighborBits(drain(src.NeighborCursors([]string{f.tokens[qi]}, alpha)[0]), want); err != nil {
-					t.Fatalf("%s q=%d α=%v: NeighborCursors: %v", label, qi, alpha, err)
+				if err := sameNeighborBits(drain(neighborCursors(src, []string{f.tokens[qi]}, alpha)[0]), want); err != nil {
+					t.Fatalf("%s q=%d α=%v: ScanNeighbors: %v", label, qi, alpha, err)
 				}
 			}
 		}
@@ -201,13 +201,13 @@ func testArenaSeam(t *testing.T, mode string, f *arenaFixture, dim int) {
 			batch = append(batch, f.tokens[qi])
 		}
 		for _, alpha := range []float64{0.3, edge} {
-			curs := src.NeighborCursors(batch, alpha)
+			curs := neighborCursors(src, batch, alpha)
 			if got := drain(curs[0]); len(got) != 0 {
 				t.Fatalf("%s α=%v: cursor of an unindexed token: %v", label, alpha, got)
 			}
 			for g, qi := range queries {
 				if err := sameNeighborBits(drain(curs[g+1]), f.want(qi, n, alpha)); err != nil {
-					t.Fatalf("%s q=%d α=%v: NeighborCursors, element %d of %d: %v", label, qi, alpha, g+1, len(batch), err)
+					t.Fatalf("%s q=%d α=%v: ScanNeighbors, element %d of %d: %v", label, qi, alpha, g+1, len(batch), err)
 				}
 			}
 		}
@@ -428,7 +428,7 @@ func checkArenaBatch(t *testing.T, r *vecRows, ref [][]float32, qis []int, alpha
 	}
 	scanModes(func(mode string) {
 		bufs := make([][]Neighbor, len(qis))
-		r.scanAll(qis, alpha, bufs)
+		r.scanAll(new(scanScratch), qis, alpha, bufs)
 		for g, qi := range qis {
 			if err := sameNeighborBits(bufs[g], want[g]); err != nil {
 				t.Fatalf("%s scanAll, dim=%d n=%d α=%v, element %d of %v: %v", mode, r.dim, len(ref), alpha, g, qis, err)
@@ -859,12 +859,13 @@ func BenchmarkArenaScan(b *testing.B) {
 				b.Log(kernelNames())
 				qis := make([]int, mode.elems)
 				bufs := make([][]Neighbor, mode.elems)
+				s := new(scanScratch)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for g := range qis {
 						qis[g], bufs[g] = (i*len(qis)+g)%n, bufs[g][:0]
 					}
-					r.scanAll(qis, 0.8, bufs)
+					r.scanAll(s, qis, 0.8, bufs)
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n)/float64(mode.elems), "ns/row")

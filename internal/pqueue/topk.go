@@ -28,6 +28,22 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, heap: make([]topkEntry, 0, k), index: make(map[int]int, k)}
 }
 
+// Reset empties the list and makes k its capacity, keeping its storage, so
+// a pooled list serves search after search without allocating. A zero TopK
+// is ready for use after a Reset. k must be positive.
+func (t *TopK) Reset(k int) {
+	if k <= 0 {
+		panic("pqueue: TopK.Reset requires k > 0")
+	}
+	t.k = k
+	t.heap = t.heap[:0]
+	if t.index == nil {
+		t.index = make(map[int]int, k)
+	} else {
+		clear(t.index)
+	}
+}
+
 // K returns the capacity of the list.
 func (t *TopK) K() int { return t.k }
 

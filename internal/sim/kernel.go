@@ -26,6 +26,8 @@ const (
 // SimBatch return exactly what Func.Sim(q, cand) would, Cuts is the sound
 // pre-filter over the candidates' sketches. A Kernel is not safe for
 // concurrent use (it owns per-query scratch); prepare one per goroutine.
+// Reset re-prepares one for another element in its own storage, so a scan
+// that keeps its kernels allocates none per element.
 type Kernel interface {
 	// Sim returns exactly Func.Sim(q, cand).
 	Sim(cand string) float64
@@ -39,6 +41,10 @@ type Kernel interface {
 	// must be at least len(cands). One interface call evaluates a whole
 	// block with the query's prepared state hot.
 	SimBatch(cands []string, out []float64)
+	// Reset prepares the kernel for query element q in the storage it
+	// already has: it then answers exactly as its function's NewKernel(q)
+	// would. Reset("") leaves it holding nothing of the element before.
+	Reset(q string)
 }
 
 // Batcher is an optional Func capability: token sketches and the prepared
@@ -112,17 +118,32 @@ func editDmax(m int, alpha float64) int {
 // first similarity evaluated, so a scan whose candidates all fail admission
 // never pays for them.
 func (EditSimilarity) NewKernel(q string) Kernel {
-	return &editKernel{q: q, sketch: EditSimilarity{}.Sketch(q)}
+	k := new(editKernel)
+	k.Reset(q)
+	return k
 }
 
 type editKernel struct {
 	q        string
 	sketch   uint64
 	prepared bool
-	peq      *[256]uint64 // single-word masks, valid when 0 < len(q) ≤ 64
-	words    int          // block count when len(q) > 64
+	// peq holds the single-word masks of q when prepared and 0 < len(q) ≤
+	// 64, and is zero otherwise: Reset clears the bytes of the element
+	// before, not the whole table.
+	peq      [256]uint64
+	words    int // block count when len(q) > 64
 	blockPeq []uint64
 	pv, mv   []uint64 // block scratch, reused across candidates
+}
+
+// Reset implements Kernel.
+func (k *editKernel) Reset(q string) {
+	if k.prepared && len(k.q) <= myersWordBits {
+		for i := 0; i < len(k.q); i++ {
+			k.peq[k.q[i]] = 0
+		}
+	}
+	k.q, k.sketch, k.prepared = q, EditSimilarity{}.Sketch(q), false
 }
 
 // prepare builds q's match masks; it runs once, before the first distance.
@@ -130,16 +151,15 @@ func (k *editKernel) prepare() {
 	k.prepared = true
 	q := k.q
 	if len(q) <= myersWordBits {
-		k.peq = new([256]uint64)
 		for i := 0; i < len(q); i++ {
 			k.peq[q[i]] |= 1 << uint(i)
 		}
 		return
 	}
 	k.words = (len(q) + myersWordBits - 1) / myersWordBits
-	k.blockPeq = buildBlockPeq(q, k.words)
-	k.pv = make([]uint64, k.words)
-	k.mv = make([]uint64, k.words)
+	k.blockPeq = buildBlockPeq(k.blockPeq, q, k.words)
+	k.pv = reuse(k.pv, k.words)
+	k.mv = reuse(k.mv, k.words)
 }
 
 func (k *editKernel) Sim(cand string) float64 {
@@ -155,7 +175,7 @@ func (k *editKernel) Sim(cand string) float64 {
 	}
 	var d int
 	if la <= myersWordBits {
-		d = myersShort(k.peq, la, cand)
+		d = myersShort(&k.peq, la, cand)
 	} else {
 		d = myersBlocks(k.blockPeq, la, k.words, cand, k.pv, k.mv)
 	}
@@ -254,12 +274,26 @@ func countCuts(nA int, alpha float64, cut *[SketchClasses]int32) uint64 {
 // NewKernel implements Batcher: the kernel interns q's distinct gram set
 // once; each candidate is then a single dedup-and-count pass against it.
 func (j JaccardQGrams) NewKernel(q string) Kernel {
-	k := &qgramKernel{q: q, g: j.q(), scratch: make(map[string]bool)}
-	k.grams = make(map[string]bool)
-	for _, g := range QGrams(q, k.g) {
-		k.grams[g] = true
-	}
+	k := &qgramKernel{g: j.q(), grams: make(map[string]bool), scratch: make(map[string]bool)}
+	k.Reset(q)
 	return k
+}
+
+// Reset implements Kernel. The grams are q's distinct QGrams, cut without
+// building their list.
+func (k *qgramKernel) Reset(q string) {
+	k.q = q
+	clear(k.grams)
+	clear(k.scratch)
+	switch {
+	case q == "":
+	case len(q) <= k.g:
+		k.grams[q] = true
+	default:
+		for i := 0; i+k.g <= len(q); i++ {
+			k.grams[q[i:i+k.g]] = true
+		}
+	}
 }
 
 type qgramKernel struct {
@@ -332,11 +366,19 @@ func fieldCount(s string) int {
 
 // NewKernel implements Batcher.
 func (JaccardWords) NewKernel(q string) Kernel {
-	k := &wordsKernel{q: q, words: make(map[string]bool), scratch: make(map[string]bool)}
+	k := &wordsKernel{words: make(map[string]bool), scratch: make(map[string]bool)}
+	k.Reset(q)
+	return k
+}
+
+// Reset implements Kernel.
+func (k *wordsKernel) Reset(q string) {
+	k.q = q
+	clear(k.words)
+	clear(k.scratch)
 	for w := range strings.FieldsSeq(q) {
 		k.words[w] = true
 	}
-	return k
 }
 
 type wordsKernel struct {
@@ -404,6 +446,9 @@ type thresholdedKernel struct {
 	inner Kernel
 	alpha float64
 }
+
+// Reset implements Kernel: α stays, the wrapped kernel takes q.
+func (k *thresholdedKernel) Reset(q string) { k.inner.Reset(q) }
 
 func (k *thresholdedKernel) Sim(cand string) float64 {
 	s := k.inner.Sim(cand)

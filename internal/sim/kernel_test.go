@@ -106,6 +106,13 @@ func FuzzEditKernel(f *testing.F) {
 		if want := fn.Sim(a, b); !admitted(fn, k, b, want) {
 			t.Fatalf("(%q,%q) refused at its own sim %v", a, b, want)
 		}
+		// The same kernel, prepared for b and then reset to a, answers alike.
+		k.Reset(b)
+		k.Sim(a)
+		k.Reset(a)
+		if got, want := k.Sim(b), fn.Sim(a, b); got != want {
+			t.Fatalf("reset kernel Sim(%q,%q) = %v, Func.Sim = %v", a, b, got, want)
+		}
 	})
 }
 
@@ -158,6 +165,52 @@ func TestKernelsMatchFunc(t *testing.T) {
 				}
 				if !admitted(fn, k, c, want) {
 					t.Fatalf("%s refused (%q,%q) at its own sim %v", fn.Name(), q, c, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelResetMatchesNewKernel: one kernel per function, reset from
+// element to element — short, past 64 bytes, empty, repeated — answers
+// every candidate exactly as a kernel NewKernel prepared for that element,
+// cuts included, whether or not its masks were built for the element before.
+func TestKernelResetMatchesNewKernel(t *testing.T) {
+	funcs := []Batcher{
+		EditSimilarity{},
+		JaccardQGrams{Q: 3},
+		JaccardWords{},
+		Thresholded{Fn: EditSimilarity{}, Alpha: 0.6},
+	}
+	rng := rand.New(rand.NewSource(74))
+	cands := make([]string, 32)
+	got, want := make([]float64, len(cands)), make([]float64, len(cands))
+	for _, fn := range funcs {
+		reused := fn.NewKernel("")
+		for trial := 0; trial < 60; trial++ {
+			maxRunes := []int{0, 8, 80, 8}[trial%4]
+			q := randomUnicode(rng, maxRunes)
+			for i := range cands {
+				cands[i] = randomUnicode(rng, 80)
+			}
+			if trial%3 == 0 {
+				cands[0] = q
+			}
+			reused.Reset(q)
+			fresh := fn.NewKernel(q)
+			if trial%5 != 4 { // sometimes the element before leaves no masks
+				reused.SimBatch(cands, got)
+				fresh.SimBatch(cands, want)
+				for i, c := range cands {
+					if got[i] != want[i] {
+						t.Fatalf("%s trial %d: reset kernel Sim(%q,%q) = %v, NewKernel's = %v", fn.Name(), trial, q, c, got[i], want[i])
+					}
+				}
+			}
+			var cr, cf [SketchClasses]int32
+			for _, alpha := range []float64{0.5, 0.8} {
+				if reused.Cuts(alpha, &cr) != fresh.Cuts(alpha, &cf) || cr != cf {
+					t.Fatalf("%s trial %d: reset kernel's cuts at α=%v differ from NewKernel's", fn.Name(), trial, alpha)
 				}
 			}
 		}

@@ -29,7 +29,7 @@ func levenshtein(a, b string) int {
 		return myersShort(&peq, len(a), b)
 	}
 	w := (len(a) + myersWordBits - 1) / myersWordBits
-	peq := buildBlockPeq(a, w)
+	peq := buildBlockPeq(nil, a, w)
 	pv := make([]uint64, w)
 	mv := make([]uint64, w)
 	return myersBlocks(peq, len(a), w, b, pv, mv)
@@ -63,10 +63,12 @@ func myersShort(peq *[256]uint64, m int, text string) int {
 	return score
 }
 
-// buildBlockPeq lays the pattern's match masks out word-major:
-// peq[c*w+b] holds byte value c's mask for pattern block b.
-func buildBlockPeq(pattern string, w int) []uint64 {
-	peq := make([]uint64, 256*w)
+// buildBlockPeq lays the pattern's match masks out word-major, in buf's
+// backing array when it is large enough: peq[c*w+b] holds byte value c's
+// mask for pattern block b.
+func buildBlockPeq(buf []uint64, pattern string, w int) []uint64 {
+	peq := reuse(buf, 256*w)
+	clear(peq)
 	for i := 0; i < len(pattern); i++ {
 		peq[int(pattern[i])*w+i/myersWordBits] |= 1 << uint(i%myersWordBits)
 	}
@@ -123,4 +125,13 @@ func myersBlocks(peq []uint64, m, w int, text string, pv, mv []uint64) int {
 		score += hin
 	}
 	return score
+}
+
+// reuse returns n elements of unspecified content, in buf's backing array
+// when it is large enough.
+func reuse(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
 }
