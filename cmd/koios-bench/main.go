@@ -1,7 +1,8 @@
 // Command koios-bench regenerates the paper's evaluation tables and figures
-// on the synthesized datasets and runs the correctness experiments CI greps
-// (batch ≡ serial, lazy ≡ eager, restart, chaos, fairness, multi-tenancy).
-// Performance is measured by benchmark/run.sh, through the real HTTP stack.
+// on the synthesized datasets, runs the correctness experiments CI greps
+// (batch ≡ serial, restart, chaos, fairness, multi-tenancy) and prints the
+// per-stage scale measurement. Performance is measured by benchmark/run.sh,
+// through the real HTTP stack.
 //
 // Usage:
 //

@@ -92,7 +92,7 @@ func Experiments() []string {
 		"fig5a", "fig5bc", "fig5d", "fig6a", "fig6bc", "fig6d",
 		"fig7a", "fig7b", "fig7c", "fig7d", "fig8",
 		"silkmoth", "ablation", "mixed", "recovery", "throughput",
-		"lazystream", "chaos", "coldstart", "multitenant", "fairness",
+		"scale", "chaos", "coldstart", "multitenant", "fairness",
 	}
 }
 
@@ -151,8 +151,8 @@ func (r *Runner) Run(exp string) error {
 		r.RecoveryWorkload()
 	case "throughput":
 		return r.Throughput()
-	case "lazystream":
-		return r.LazyStream()
+	case "scale":
+		r.Scale()
 	case "chaos":
 		return r.Chaos()
 	case "coldstart":
@@ -173,19 +173,25 @@ func (r *Runner) bundleFor(kind datagen.Kind) *bundle {
 	if b, ok := r.data[kind]; ok {
 		return b
 	}
-	spec := datagen.DefaultSpec(kind, r.cfg.Scale)
+	b := r.newBundle(kind, r.cfg.Scale)
+	r.data[kind] = b
+	return b
+}
+
+// newBundle generates the dataset, benchmark, token index, and inverted
+// index for kind at scale, uncached.
+func (r *Runner) newBundle(kind datagen.Kind, scale float64) *bundle {
+	spec := datagen.DefaultSpec(kind, scale)
 	if r.cfg.QueriesPerInterval > 0 {
 		spec.QueriesPerInterval = r.cfg.QueriesPerInterval
 	}
 	ds := datagen.Generate(spec)
-	b := &bundle{
+	return &bundle{
 		ds:    ds,
 		bench: datagen.NewBenchmark(ds, spec.Seed+1),
 		src:   index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector),
 		inv:   index.NewInverted(ds.Repo),
 	}
-	r.data[kind] = b
-	return b
 }
 
 // engineFor builds a Koios engine with the runner's default parameters,

@@ -24,7 +24,7 @@ const (
 )
 
 // TestWarmSearchAllocs: once the pools a search draws from are warm — the
-// engine's scratch, the stream's, the source's kernels and scan buffers — a
+// engine's scratch, the probe's, the source's kernels and scan buffers — a
 // search allocates nothing but its answer (DESIGN.md §3), for the edit
 // source on twitter and the vector source on the four datagen shapes, over
 // queries of every size the corpus has, a query with repeated elements and
@@ -48,8 +48,7 @@ func TestWarmSearchAllocs(t *testing.T) {
 		shapes = append(shapes, shape{"vector/" + string(kind), ds, index.NewDynamicExact(ds.Repo.Dict(), ds.Model.Vector)})
 	}
 	for _, sh := range shapes {
-		// Blocks of 16 tuples cut the streams of these small collections.
-		eng := NewEngine(sh.ds.Repo, sh.src, Options{K: 10, Alpha: 0.8, Partitions: 1, ExactScores: true, LazyBlock: 16})
+		eng := NewEngine(sh.ds.Repo, sh.src, Options{K: 10, Alpha: 0.8, Partitions: 1, ExactScores: true})
 		// Six sets from the smallest to the largest, the largest with its
 		// elements twice over, and a set's elements beside strings no set has.
 		byCard := byCardinality(eng)
@@ -63,13 +62,8 @@ func TestWarmSearchAllocs(t *testing.T) {
 		for _, q := range queries {
 			eng.Search(q)
 		}
-		cut := 0
 		for qi, q := range queries {
-			search := func() {
-				if _, st := eng.Search(q); st.StreamCut {
-					cut++
-				}
-			}
+			search := func() { eng.Search(q) }
 			var allocs float64
 			var bytes uint64
 			for try := 0; try < 40 && (try == 0 || allocs > warmSearchAllocs || bytes > warmSearchBytes); try++ {
@@ -79,9 +73,6 @@ func TestWarmSearchAllocs(t *testing.T) {
 				t.Errorf("%s query %d (%d elements): a warm search allocates %v times, %d bytes; want at most %d, %d",
 					sh.name, qi, len(q), allocs, bytes, warmSearchAllocs, warmSearchBytes)
 			}
-		}
-		if cut == 0 {
-			t.Errorf("%s: no search cut its stream; the cut replay's buffers went unmeasured", sh.name)
 		}
 		for n := 0; n < 4; n++ {
 			sc := eng.getScratch()
@@ -94,13 +85,13 @@ func TestWarmSearchAllocs(t *testing.T) {
 }
 
 // TestPooledEditSearchesConcurrently: searches running at once share the
-// edit source's kernel pool and the stream and scan pools, and each answers
+// edit source's kernel pool and the probe and scan pools, and each answers
 // as the same search run alone does — results and every counter. Run it
 // under -race.
 func TestPooledEditSearchesConcurrently(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
 	src := index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{})
-	eng := NewEngine(ds.Repo, src, Options{K: 5, Alpha: 0.8, ExactScores: true, LazyBlock: 16})
+	eng := NewEngine(ds.Repo, src, Options{K: 5, Alpha: 0.8, ExactScores: true})
 	all := ds.Repo.Sets()
 	queries := make([][]string, 16)
 	want := make([]string, len(queries))

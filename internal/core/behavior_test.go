@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -185,36 +186,35 @@ func TestEngineConcurrentSearches(t *testing.T) {
 	}
 }
 
-// TestNoCutConsumesWholeStream: with the cut-off disabled — directly, or
-// through the iUB filter it rests on — the pump hands every refiner the
-// whole stream and never cuts, at one partition and at several, on queries
-// the default options do cut.
+// TestNoCutConsumesWholeStream: every search consumes its whole stream —
+// it reports no cut, and StreamTuples is StreamRetrieved plus an identity
+// tuple per distinct query element, the tuples of tokens in no live set
+// included — under the default options and with the iUB filter off, at one
+// partition and at four, over the engine alone and as a group whose
+// tombstones demote the tokens only deleted sets hold.
 func TestNoCutConsumesWholeStream(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	queries := datagen.NewBenchmark(ds, 17).Queries[:10]
 	for _, parts := range []int{1, 4} {
-		cutting := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8})
-		cuts := 0
-		for _, q := range queries {
-			if _, st := cutting.Search(q.Elements); st.StreamCut {
-				cuts++
-			}
-		}
-		if cuts == 0 {
-			t.Fatalf("partitions=%d: the default options cut none of the queries, so the case below proves nothing", parts)
-		}
 		for name, opts := range map[string]Options{
-			"DisableLazy": {K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8, DisableLazy: true},
-			"DisableIUB":  {K: 10, Alpha: 0.8, Partitions: parts, LazyBlock: 8, DisableIUB: true},
+			"default":    {K: 10, Alpha: 0.8, Partitions: parts},
+			"DisableIUB": {K: 10, Alpha: 0.8, Partitions: parts, DisableIUB: true},
 		} {
 			eng := NewEngine(ds.Repo, src, opts)
+			dead := tombstoned(eng, 3)
 			for qi, q := range queries {
-				_, st := eng.Search(q.Elements)
 				qN := len(sets.Dedup(q.Elements))
-				if st.StreamCut || st.StreamCutLevel != 0 || st.StreamTuples != st.StreamRetrieved+qN {
-					t.Fatalf("partitions=%d %s query %d: cut=%v level=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
-						parts, name, qi, st.StreamCut, st.StreamCutLevel, st.StreamTuples, st.StreamRetrieved, qN)
+				_, st := eng.Search(q.Elements)
+				_, dst, err := dead.SearchContext(context.Background(), q.Elements)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for label, st := range map[string]Stats{"engine": st, "tombstoned group": dst} {
+					if st.StreamCut || st.StreamTuples != st.StreamRetrieved+qN {
+						t.Fatalf("partitions=%d %s query %d, %s: cut=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
+							parts, name, qi, label, st.StreamCut, st.StreamTuples, st.StreamRetrieved, qN)
+					}
 				}
 			}
 		}

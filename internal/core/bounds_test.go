@@ -37,8 +37,8 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 // at least SO − matching.BoundEps, and the θlb seed drawn from the bounds
 // (Group.seedTheta) at most the k-th largest SO. After the drain the
 // survivors' [lb, ub] must contain SO, with lb at least half of it. Last,
-// searches with the filters on, one pump block per tuple and one per 256,
-// must hand post-processing no set the bound settled.
+// a search with the filters on must hand post-processing no set the bound
+// settled.
 func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, fn sim.Func, alpha float64, query []string) {
 	t.Helper()
 	query = sets.Dedup(query)
@@ -54,8 +54,8 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	r := eng.newRefiner(len(query), 0, &atomicMax{}, &stats, nil)
 	rb := eng.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, nil)
 	sc := eng.getScratch()
-	cache, _ := eng.peekStream(index.NewStreamInterned(query, qids, src, alpha), sc, nil)
-	rb.addBounds(cache.maxima(qids, sc))
+	walk, cache, _ := eng.openStream(query, qids, nil, alpha, nil, sc)
+	rb.addBounds(walk)
 	bound := rb.bound
 	for sid, b := range bound {
 		if b < so[sid]-matching.BoundEps {
@@ -69,7 +69,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 		t.Fatalf("%s: θlb seed %v above the k-th largest exact SO (k = %d, SOs %v)", label, seed, k, desc)
 	}
 	for i := range tuples {
-		r.consume(context.Background(), tuples[i:i+1], i)
+		r.consume(context.Background(), tuples[i:i+1])
 		s := tuples[i].sim // no later tuple is more similar
 		for sid := range r.states {
 			if r.flags[sid] == setUnseen {
@@ -92,17 +92,15 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 			t.Fatalf("%s: set %d: bound %v, final column side %v", label, sid, b, col)
 		}
 	}
-	for _, block := range []int{1, 256} {
-		live := NewEngine(repo, src, Options{K: 3, Alpha: alpha, LazyBlock: block})
-		live.survivorHook = func(svs []survivor, _ int, bounds []float64) {
-			for _, sv := range svs {
-				if bounds[sv.setID] == settledBound {
-					t.Errorf("%s, block %d: set %d, settled, handed to post-processing", label, block, sv.setID)
-				}
+	live := NewEngine(repo, src, Options{K: 3, Alpha: alpha})
+	live.survivorHook = func(svs []survivor, bounds []float64) {
+		for _, sv := range svs {
+			if bounds[sv.setID] == settledBound {
+				t.Errorf("%s: set %d, settled, handed to post-processing", label, sv.setID)
 			}
 		}
-		live.Search(query)
 	}
+	live.Search(query)
 	survivors := r.drain()
 	if len(survivors) != stats.Candidates {
 		t.Fatalf("%s: %d survivors, %d candidates (filters disabled)", label, len(survivors), stats.Candidates)
@@ -278,7 +276,7 @@ func TestSeedBelowKthOverlap(t *testing.T) {
 // the bound settles some sets on the way.
 func TestTombstonedSetsCountNothing(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
-	eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, DisableLazy: true})
+	eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8})
 	dead := make([]uint64, (ds.Repo.Len()+63)/64)
 	for sid := 0; sid < ds.Repo.Len(); sid += 4 {
 		dead[sid>>6] |= 1 << (uint(sid) & 63)
@@ -286,7 +284,7 @@ func TestTombstonedSetsCountNothing(t *testing.T) {
 	g := eng.group()
 	g.Dead = [][]uint64{dead}
 	survivors, settled := 0, 0
-	eng.survivorHook = func(svs []survivor, _ int, _ []float64) { survivors = len(svs) }
+	eng.survivorHook = func(svs []survivor, _ []float64) { survivors = len(svs) }
 	for qi, q := range datagen.NewBenchmark(ds, 17).Queries {
 		query := sets.Dedup(q.Elements)
 		tuples, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), eng.getScratch())
@@ -331,7 +329,7 @@ func TestQuerySideBoundDecides(t *testing.T) {
 	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 	theta, stats := &atomicMax{}, Stats{}
 	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
-	r.consume(context.Background(), tuples, 0)
+	r.consume(context.Background(), tuples)
 	c := &r.states[0]
 	if r.flags[0] != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
 		t.Fatalf("C before the drain: status %d, ubSum %v, rowSum %v under θlb %v; want live, 2.7, 0.9, 2", r.flags[0], c.ubSum, c.rowSum, theta.Load())

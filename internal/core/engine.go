@@ -3,8 +3,8 @@ package core
 import (
 	"cmp"
 	"context"
-	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/index"
@@ -57,10 +57,9 @@ type Engine struct {
 	// verdict.
 	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
 	// survivorHook, when set on a group's lead engine (tests only), observes
-	// what refinement hands to post-processing, how many comparisons of the
-	// search's cut replay had to read token strings, and the stream-wide set
+	// what refinement hands to post-processing and the stream-wide set
 	// bounds by group-wide set ID.
-	survivorHook func(survivors []survivor, replayTies int, bound []float64)
+	survivorHook func(survivors []survivor, bound []float64)
 	// refinerHook, when set (tests only), observes partition p's refiner
 	// counters as the search merges them.
 	refinerHook func(p int, st *Stats)
@@ -68,11 +67,11 @@ type Engine struct {
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
 // the collection-sized ones, and the working memory of the query's
-// deduplication, the pump, the partition refiners (one each: their walk and
-// their cut replay), post-processing and verification (one per worker),
-// which grows to what the largest search so far needed. Together with the
-// stream's and the source's pools it is everything a search allocates but
-// its answer (DESIGN.md §3). putScratch hands it back holding no string.
+// deduplication, the stream, the partition refiners (one each),
+// post-processing and verification (one per worker), which grows to what
+// the largest search so far needed. Together with the probe's and the
+// source's pools it is everything a search allocates but its answer
+// (DESIGN.md §3). putScratch hands it back holding no string.
 type queryScratch struct {
 	seen    []uint64
 	offsets []int32
@@ -88,18 +87,15 @@ type queryScratch struct {
 	base   []int
 	theta  atomicMax
 	chunks []chunk
-	// peeked holds the stream's edges as the peek reads them, and cache the
-	// edge cache built from them (Engine.peekStream).
-	peeked []tokenEdge
+	// tuples holds the stream, first as the probe reads it and then in
+	// the walk's order, and cache the edge cache built from it
+	// (Engine.openStream).
+	tuples []streamTuple
 	cache  edgeCache
-	// maxima is the stream-wide bound pass's list of streamed tokens, and
-	// seeds and seedUsed the θlb seed's sets and query mask.
-	maxima   []tokenMax
+	// seeds and seedUsed are the θlb seed's sets and query mask.
 	seeds    []seedSet
 	seedUsed []uint64
 	refine   refineArena
-	raw      []index.Tuple
-	tuples   []streamTuple
 	refiners []refinerScratch
 	post     postScratch
 	verify   []verifyScratch
@@ -202,27 +198,19 @@ type partition struct {
 	// inv is the partition's CSR inverted index; nil on a memtable engine,
 	// whose postings are Engine.mem's chains.
 	inv *index.Inverted
-	// order holds the partition's set IDs by descending cardinality — the
-	// lazy cut-off walks it to bound the largest still-unseen set
-	// (DESIGN.md §10).
-	order []int32
-	// maxCard is the partition's largest set cardinality, which bounds the
-	// iUB bucket index space min(|Q|,|C|).
-	maxCard int32
 }
 
 // refineArena is one search's set-indexed refinement state: per set of every
-// engine searched, an arenaShare's tables and the iubBuckets' filed score.
-// carve hands it out engine by engine, and an engine's partition refiners
-// share its share, each writing the indices of its own sets. Its size
-// follows the collection searched and the query's mask words.
+// engine searched, an arenaShare's tables. carve hands it out engine by
+// engine, and an engine's partition refiners share its share, each writing
+// the indices of its own sets. Its size follows the collection searched and
+// the query's mask words.
 //
 // reset zeroes only what is read before it is written: the status bytes,
 // and the bounds and term counts addBounds adds to. A set's candState and
 // masks are written when the walk admits it (partRefiner.consume).
 type refineArena struct {
 	arenaShare
-	score []float64
 	// sets and words count what carve has handed out.
 	sets, words int
 }
@@ -250,7 +238,6 @@ type arenaShare struct {
 func (a *refineArena) reset(sets, qWords, words int) {
 	a.flags = zeroed(a.flags, sets)
 	a.states = sized(a.states, sets)
-	a.score = sized(a.score, sets) // the buckets write before they read
 	a.bound = zeroed(a.bound, sets)
 	a.terms = zeroed(a.terms, sets)
 	// The query masks have room for as many sets as the states: a wider
@@ -265,9 +252,9 @@ func (a *refineArena) reset(sets, qWords, words int) {
 	a.sets, a.words = 0, 0
 }
 
-// carve returns engine e's share of the arena, the next one, and its filed
-// scores: both are indexed by e's set IDs.
-func (a *refineArena) carve(e *Engine) (arenaShare, []float64) {
+// carve returns engine e's share of the arena, the next one, indexed by e's
+// set IDs.
+func (a *refineArena) carve(e *Engine) arenaShare {
 	lo, hi := a.sets, a.sets+len(e.card)
 	wlo, whi := a.words, a.words+e.cWords()
 	a.sets, a.words = hi, whi
@@ -276,7 +263,7 @@ func (a *refineArena) carve(e *Engine) (arenaShare, []float64) {
 		flags: a.flags[lo:hi:hi], states: a.states[lo:hi:hi],
 		bound: a.bound[lo:hi:hi], terms: a.terms[lo:hi:hi],
 		qBits: a.qBits[qlo:qhi:qhi], cBits: a.cBits[wlo:whi:whi], qWords: a.qWords,
-	}, a.score[lo:hi:hi]
+	}
 }
 
 // NewEngine splits the repository's set IDs into Options.Partitions ranges
@@ -300,13 +287,7 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 	e.parts = make([]partition, np)
 	for p := range e.parts {
 		lo, hi := p*n/np, (p+1)*n/np
-		part := partition{lo: int32(lo), hi: int32(hi), inv: index.NewInvertedSubset(repo, lo, hi), order: make([]int32, hi-lo)}
-		for i := range part.order {
-			part.order[i] = int32(lo + i)
-			part.maxCard = max(part.maxCard, e.card[lo+i])
-		}
-		slices.SortFunc(part.order, func(a, b int32) int { return cmp.Compare(e.card[b], e.card[a]) })
-		e.parts[p] = part
+		e.parts[p] = partition{lo: int32(lo), hi: int32(hi), inv: index.NewInvertedSubset(repo, lo, hi)}
 	}
 	return e
 }
@@ -320,10 +301,9 @@ func (e *Engine) Options() Options { return e.opts }
 // Repo returns the repository the engine searches.
 func (e *Engine) Repo() *sets.Repository { return e.repo }
 
-// streamTuple is one materialized token-stream tuple. first marks the
+// streamTuple is one tuple of the search's token stream. first marks the
 // global first arrival of the token, i.e. the tuple carrying the token's
-// maximum similarity to any query element. tokenID is -1 for the identity
-// tuple of a query element occurring in no repository set.
+// maximum similarity to any query element.
 type streamTuple struct {
 	tokenID int32
 	qIdx    int32
@@ -343,22 +323,13 @@ type qEdge struct {
 
 // edgeCache is the per-query edge cache in CSR layout, indexed by interned
 // token ID: token t's edges occupy arena[offsets[t-1]:offsets[t]] (0-based
-// for t = 0), and tokens lists every token with at least one edge. Built
-// from the one read of the whole stream a search makes before its first
-// block (Engine.peekStream) into the search's pooled scratch — no per-token
-// slices, no string keys — so it holds every α-edge the source retrieved,
-// however early refinement cuts the stream (DESIGN.md §10).
+// for t = 0). Built
+// from the search's one read of the whole stream (Engine.openStream) into
+// its pooled scratch — no per-token slices, no string keys — so it holds
+// every α-edge the source retrieved.
 type edgeCache struct {
 	offsets []int32
 	arena   []qEdge
-	tokens  []int32
-}
-
-// tokenEdge is one α-edge of the stream as the peek reads it, before the
-// edge cache files it under its token.
-type tokenEdge struct {
-	tokenID, qIdx int32
-	sim           float64
 }
 
 // edges returns the α-edges of a token ID. Every repository token ID is a
@@ -396,20 +367,6 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 	return out, stats, nil
 }
 
-// noteTuple annotates one raw stream tuple: vocabulary demotion and global
-// first-arrival tracking (through sc.seen). live (nil on a static engine) is
-// the segmented engine's live-token bitset.
-func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) streamTuple {
-	id := e.liveID(tup.TokenID, live)
-	first := true
-	if id >= 0 {
-		w, bit := id>>6, uint64(1)<<(uint(id)&63)
-		first = sc.seen[w]&bit == 0
-		sc.seen[w] |= bit
-	}
-	return streamTuple{tokenID: id, qIdx: int32(tup.QIdx), sim: tup.Sim, first: first}
-}
-
 // liveID resolves a stream tuple's token ID against the engine's vocabulary
 // and the live-token bitset live (nil on a static engine): -1 for a token
 // that occurs in no live set.
@@ -429,72 +386,75 @@ func (e *Engine) liveID(id int32, live []uint64) int32 {
 	return id
 }
 
-// peekStream reads every tuple st has still to emit — before the first
-// block, the whole stream — in the arbitrary order Stream.PeekRest hands
-// them over, and builds the search's edge cache from them: count each
-// token's edges in sc.offsets, prefix-sum the counts into fill cursors, fill
-// the arena, and let the cursors land on the end offsets the accessor
-// expects. Tokens resolve as noteTuple resolves them. It returns the cache,
-// which aliases sc, and the number of α-neighbors the stream holds.
-func (e *Engine) peekStream(st *index.Stream, sc *queryScratch, live []uint64) (*edgeCache, int) {
-	offsets, peeked, tokens := sc.offsets, sc.peeked[:0], sc.cache.tokens[:0]
-	neighbors := st.PeekRest(func(t index.Tuple) {
-		if id := e.liveID(t.TokenID, live); id >= 0 {
-			if offsets[id] == 0 {
-				tokens = append(tokens, id)
-			}
-			offsets[id]++
-			peeked = append(peeked, tokenEdge{tokenID: id, qIdx: int32(t.QIdx), sim: t.Sim})
+// openStream reads the search's whole token stream and returns it in the
+// order refinement walks it, with the edge cache built from it and the
+// number of α-neighbors the source retrieved. It probes the source once,
+// for every query element skip leaves (index.NewProbe), and reads the edges
+// unordered: the identity edge of each query element — the element's own
+// token, similarity 1 — then each element's neighbors. Tokens resolve
+// against the engine's vocabulary and the live-token bitset live
+// (Engine.liveID); an edge of a token in no live set reaches no set and is
+// dropped. From the rest it builds the cache — count each token's edges in
+// sc.offsets, prefix-sum the counts into fill cursors, fill the arena, and
+// let the cursors land on the end offsets the accessor expects — and then
+// sorts them once into index.Stream's order: the identity tuples by query
+// index, then the others by descending similarity, ascending token string
+// and ascending query index. first marks each token's first tuple in that
+// order, through sc.seen. What it returns aliases sc.
+func (e *Engine) openStream(query []string, qids []int32, skip []bool, alpha float64, live []uint64, sc *queryScratch) ([]streamTuple, *edgeCache, int) {
+	probe := index.NewProbe(query, e.src, alpha, skip)
+	defer probe.Release()
+	offsets, tuples := sc.offsets, sc.tuples[:0]
+	add := func(id int32, qIdx int, sim float64) {
+		offsets[id]++
+		tuples = append(tuples, streamTuple{tokenID: id, qIdx: int32(qIdx), sim: sim})
+	}
+	for i, id := range qids {
+		if id = e.liveID(id, live); id >= 0 {
+			add(id, i, 1)
 		}
-	})
-	sc.peeked = peeked
+	}
+	identities, retrieved := len(tuples), 0
+	for i := range query {
+		neighbors := probe.Neighbors(i)
+		retrieved += len(neighbors)
+		for _, nb := range neighbors {
+			if id := e.liveID(nb.ID, live); id >= 0 {
+				add(id, i, nb.Sim)
+			}
+		}
+	}
+
 	total := int32(0)
 	for t, n := range offsets {
 		offsets[t] = total
 		total += n
 	}
 	arena := sized(sc.cache.arena, int(total))
-	for _, ed := range peeked {
-		at := offsets[ed.tokenID]
-		arena[at] = qEdge{qIdx: ed.qIdx, sim: ed.sim}
-		offsets[ed.tokenID] = at + 1
+	for _, tup := range tuples {
+		at := offsets[tup.tokenID]
+		arena[at] = qEdge{qIdx: tup.qIdx, sim: tup.sim}
+		offsets[tup.tokenID] = at + 1
 	}
-	sc.cache = edgeCache{offsets: offsets, arena: arena, tokens: tokens}
-	return &sc.cache, neighbors
-}
+	sc.cache = edgeCache{offsets: offsets, arena: arena}
 
-// tokenMax is a streamed token and its maximum similarity into the query,
-// which its first arrival carries.
-type tokenMax struct {
-	id  int32
-	sim float64
-}
-
-// maxima returns the maximum similarity of each token the cache holds, in
-// the order in which the stream's first arrivals add them to ubSum: the
-// query elements' own tokens (an identity edge, whose query element's token
-// is the token itself) first, then the rest by descending maximum. qids are
-// the identity tuples' token IDs. The list lives in sc.
-func (c *edgeCache) maxima(qids []int32, sc *queryScratch) []tokenMax {
-	identity := math.Inf(1) // sorts above every probed similarity
-	maxima := sc.maxima[:0]
-	for _, id := range c.tokens {
-		m := 0.0
-		for _, ed := range c.edges(id) {
-			if qids[ed.qIdx] == id {
-				m = identity
-				break
-			}
-			m = max(m, ed.sim)
+	vocab := e.repo.Vocabulary()
+	slices.SortFunc(tuples[identities:], func(a, b streamTuple) int {
+		if c := cmp.Compare(b.sim, a.sim); c != 0 {
+			return c
 		}
-		maxima = append(maxima, tokenMax{id: id, sim: m})
-	}
-	slices.SortFunc(maxima, func(a, b tokenMax) int { return cmp.Compare(b.sim, a.sim) })
-	for i := range maxima {
-		if maxima[i].sim == identity {
-			maxima[i].sim = 1
+		if a.tokenID != b.tokenID {
+			return strings.Compare(vocab[a.tokenID], vocab[b.tokenID])
 		}
+		return cmp.Compare(a.qIdx, b.qIdx)
+	})
+	seen := sc.seen
+	for i := range tuples {
+		id := tuples[i].tokenID
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		tuples[i].first = seen[w]&bit == 0
+		seen[w] |= bit
 	}
-	sc.maxima = maxima
-	return maxima
+	sc.tuples = tuples
+	return tuples, &sc.cache, retrieved
 }

@@ -11,23 +11,66 @@ import (
 // change (its Dead, say) without touching the engine's.
 func (e *Engine) group() *Group { return &Group{Engines: []*Engine{e}, Opts: e.opts} }
 
-// materializeStream builds the edge cache for query from a peek at its whole
-// token stream and then drains the stream into annotated tuples — what a
-// search's peekStream and pump produce when no cut is taken, in one call,
-// for the tests and benchmarks that drive a refiner or the post-processing
-// phase directly. The returned cache aliases sc.
-func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratch) ([]streamTuple, *edgeCache) {
-	st := index.NewStreamInterned(query, qids, e.src, e.opts.Alpha)
-	cache, _ := e.peekStream(st, sc, nil)
+// tombstoned returns the engine alone as a Group in which every every-th set
+// is deleted: the sets are tombstoned in Dead, and LiveTokens holds the
+// tokens of the others, so the tokens only deleted sets hold are demoted.
+func tombstoned(e *Engine, every int) *Group {
+	g := e.group()
+	n := e.repo.Len()
+	dead := make([]uint64, (n+63)/64)
+	live := make([]uint64, (e.vocabN+63)/64)
+	for sid := range n {
+		if sid%every == 0 {
+			dead[sid>>6] |= 1 << (uint(sid) & 63)
+			continue
+		}
+		for _, id := range e.repo.Set(sid).ElemIDs {
+			live[id>>6] |= 1 << (uint(id) & 63)
+		}
+	}
+	g.Dead, g.LiveTokens = [][]uint64{dead}, live
+	return g
+}
+
+// noteTuple annotates one tuple of the eager index.Stream as a search's
+// walk carries it: its token resolved against the engine's vocabulary and
+// the live-token bitset live (-1 for a token in no live set), and its first
+// arrival marked through sc.seen.
+func (e *Engine) noteTuple(tup index.Tuple, sc *queryScratch, live []uint64) streamTuple {
+	id := e.liveID(tup.TokenID, live)
+	first := true
+	if id >= 0 {
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		first = sc.seen[w]&bit == 0
+		sc.seen[w] |= bit
+	}
+	return streamTuple{tokenID: id, qIdx: int32(tup.QIdx), sim: tup.Sim, first: first}
+}
+
+// eagerTuples drains the eager index.Stream over e's source — the merge
+// whose order a search's sorted walk is held to — through noteTuple, from a
+// clear sc.seen. Tuples of tokens in no live set stay in, as -1.
+func (e *Engine) eagerTuples(query []string, qids []int32, skip []bool, live []uint64, sc *queryScratch) []streamTuple {
+	clear(sc.seen)
+	st := index.NewStreamMasked(query, qids, e.src, e.opts.Alpha, skip)
+	defer st.Release()
 	var tuples []streamTuple
 	for {
 		tup, ok := st.Next()
 		if !ok {
-			break
+			return tuples
 		}
-		tuples = append(tuples, e.noteTuple(tup, sc, nil))
+		tuples = append(tuples, e.noteTuple(tup, sc, live))
 	}
-	return tuples, cache
+}
+
+// materializeStream builds the edge cache for query as a search does
+// (Engine.openStream) and returns it with the eager stream's tuples
+// (eagerTuples), for the tests and benchmarks that drive a refiner or the
+// post-processing phase directly. The cache aliases sc.
+func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratch) ([]streamTuple, *edgeCache) {
+	_, cache, _ := e.openStream(query, qids, nil, e.opts.Alpha, nil, sc)
+	return e.eagerTuples(query, qids, nil, nil, sc), cache
 }
 
 // seedFor returns the θlb seed a search of query over e, an engine of one
@@ -38,9 +81,9 @@ func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []f
 	query = sets.Dedup(query)
 	qids := e.repo.TokenIDs(query)
 	sc := e.getScratch()
-	cache, _ := e.peekStream(index.NewStreamInterned(query, qids, e.src, e.opts.Alpha), sc, nil)
+	tuples, cache, _ := e.openStream(query, qids, nil, e.opts.Alpha, nil, sc)
 	r := e.newRefiner(len(query), 0, &atomicMax{}, &Stats{}, dead)
-	r.addBounds(cache.maxima(qids, sc))
+	r.addBounds(tuples)
 	g := e.group()
 	g.Dead = [][]uint64{dead}
 	seed := g.seedTheta(cache, r.bound, len(query), []int{0, e.repo.Len()}, sc)
@@ -52,15 +95,15 @@ func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []f
 func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
 	var arena refineArena
 	arena.reset(e.repo.Len(), (qN+63)/64, e.cWords())
-	share, score := arena.carve(e)
-	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, score, new(refinerScratch))
+	share := arena.carve(e)
+	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, new(refinerScratch))
 }
 
 // refinePartition runs Algorithm 1 over partition p against a fully
 // materialized tuple slice: one refiner, one consume call, then the drain.
 func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTuple, p int, theta *atomicMax, stats *Stats, dead []uint64) []survivor {
 	r := e.newRefiner(qN, p, theta, stats, dead)
-	if !r.consume(ctx, tuples, 0) {
+	if !r.consume(ctx, tuples) {
 		return nil
 	}
 	return r.drain()

@@ -4,10 +4,9 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"repro/internal/index"
 )
 
 // Group is a consistent snapshot of one or more engine segments searched as
@@ -15,9 +14,9 @@ import (
 // token-ID space (their repositories intern into the same dictionary, or
 // there is exactly one segment); the newest segment — the one with the
 // largest vocabulary horizon — supplies the token stream, every segment's
-// partitions refine the same materialized tuples against their own CSR
-// postings under one shared global θlb, and a single post-processing pass
-// runs over the union of all survivors.
+// partitions refine the same tuples against their own CSR postings under
+// one shared global θlb, and a single post-processing pass runs over the
+// union of all survivors.
 //
 // Dead carries one optional tombstone bitset per segment, indexed by
 // segment-local set ID: tombstoned sets are skipped at candidate creation,
@@ -122,45 +121,18 @@ type chunk struct {
 }
 
 // search is SearchContext on lead's scratch sc: every buffer it needs is
-// sc's, or pooled by the stream and the source, so a warmed search allocates
+// sc's, or pooled by the probe and the source, so a warmed search allocates
 // nothing (DESIGN.md §3). The results carry group-wide set IDs (sc.base
 // resolves them) and live in sc: they are the caller's until it releases
 // sc.
 func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *queryScratch) ([]Result, Stats, error) {
 	var stats Stats
 	stats.Segments = len(g.Engines)
-	query, qids := sc.dedup(query, lead.repo)
+	query, qids, skip := g.queryIDs(query, lead, sc)
 	if len(query) == 0 {
 		return nil, stats, ctx.Err()
 	}
 	opts := &g.Opts
-	var skip []bool
-	if g.LiveTokens != nil {
-		// Query elements whose token survives only in deleted sets are out
-		// of vocabulary: identity tuple with an unresolved ID (and, on
-		// vocabulary-bound sources, no retrieval probe) — exactly what an
-		// engine that never saw those sets would do.
-		for i, id := range qids {
-			live := id >= 0 && g.LiveTokens[id>>6]&(1<<(uint(id)&63)) != 0
-			if live {
-				continue
-			}
-			// Not live: either dead (id ≥ 0, bit clear) or unresolvable in the
-			// lead repository (id -1). The latter still needs the probe gate —
-			// the shared dictionary can hold tokens beyond every live segment's
-			// vocabulary horizon (e.g. rows lost to a quarantined segment), and
-			// a vocabulary-bound source built over that dictionary would happily
-			// retrieve neighbors a from-scratch index could never produce.
-			if g.ProbeLiveOnly {
-				if skip == nil {
-					skip = zeroed(sc.skip, len(query))
-					sc.skip = skip
-				}
-				skip[i] = true
-			}
-			qids[i] = -1
-		}
-	}
 
 	refineStart := time.Now()
 	// base turns (segment, local set ID) into one dense group-wide ID space
@@ -175,12 +147,8 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 		nParts += len(e.parts)
 	}
 
-	// Every partition of every segment refines the same shared tuple arena;
-	// the global θlb is shared across all of them (§VI, extended across
-	// segments). The pump (DESIGN.md §10) feeds the stream into the arena
-	// block by block and cuts it once the termination condition holds; a
-	// search that disabled the cut-off, or the iUB filter it builds on,
-	// gets the whole stream as one block and no cut.
+	// Every partition of every segment walks the same tuples; the global
+	// θlb is shared across all of them (§VI, extended across segments).
 	theta := &sc.theta
 	theta.bits.Store(0)
 	chunks := zeroed(sc.chunks, nParts)
@@ -194,86 +162,45 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 		if si < len(g.Dead) {
 			dead = g.Dead[si]
 		}
-		share, score := sc.refine.carve(e)
+		share := sc.refine.carve(e)
 		for p := range e.parts {
 			c := &chunks[n]
 			c.seg, c.p = si, p
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, score, &sc.refiners[n])
+			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, &sc.refiners[n])
 			n++
 		}
 	}
 
-	// Before the first block, one read of the whole stream fills the edge
-	// cache: every lazy source computes its whole scan when the stream is
-	// opened, so this costs appends, not similarity evaluations or sorting.
 	streamStart := time.Now()
-	st := index.NewLazyStream(query, qids, lead.src, opts.Alpha, skip)
-	defer st.Release()
-	cache, retrieved := lead.peekStream(st, sc, g.LiveTokens)
+	tuples, cache, retrieved := lead.openStream(query, qids, skip, opts.Alpha, g.LiveTokens, sc)
 	stats.StreamRetrieved = retrieved
+	stats.StreamTuples = retrieved + len(query)
 	boundStart := time.Now()
 	stats.StreamTime = boundStart.Sub(streamStart)
 	if !opts.DisableIUB {
-		// Bound every set by the maxima the whole stream will bring, and
-		// seed θlb from the sets those bounds rank first (DESIGN.md §2).
-		maxima := cache.maxima(qids, sc)
+		// Bound every set by the maxima the stream brings, and seed θlb from
+		// the sets those bounds rank first (DESIGN.md §2).
 		for i := range chunks {
-			chunks[i].r.addBounds(maxima)
+			chunks[i].r.addBounds(tuples)
 		}
 		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
 	}
 	walkStart := time.Now()
 	stats.BoundTime = walkStart.Sub(boundStart)
-	tuples, cut, cutLevel, at, ok := g.pumpLazy(ctx, st, chunks, theta, lead, sc, len(query))
-	replayStart := time.Now()
-	stats.WalkTime = replayStart.Sub(walkStart)
-	stats.StreamTuples = len(tuples)
-	stats.StreamCut = cut
-	stats.StreamCutLevel = cutLevel
-	if !ok {
+	if !g.walk(ctx, chunks, tuples) {
 		return nil, stats, ctx.Err()
 	}
-	// The consumed tuples, and per edge its place in the cache and in the
-	// peek's buffer.
-	stats.MemStreamBytes = int64(len(tuples))*int64(unsafe.Sizeof(streamTuple{})) + int64(len(cache.arena))*(16+16) +
+	drainStart := time.Now()
+	stats.WalkTime = drainStart.Sub(walkStart)
+	// The stream, and per edge its place in the cache.
+	stats.MemStreamBytes = int64(len(tuples))*int64(unsafe.Sizeof(streamTuple{})) + int64(len(cache.arena))*int64(unsafe.Sizeof(qEdge{})) +
 		int64(len(sc.offsets))*4 + int64(len(sc.seen))*8
-	// Survivors: on a cut, reconstruct the whole-stream outcome — phase one
-	// replays every alive candidate's full-stream bounds and rebuilds the
-	// final global θlb through the per-partition Llb lists; phase two
-	// applies the drain filter under that final θlb. Without a cut the
-	// refiners consumed the whole stream, so the drain is all there is.
-	if cut {
-		thetaCut := theta.Load()
-		if len(chunks) == 1 {
-			chunks[0].surv = chunks[0].r.replayPool(cache.edges, qids, cutLevel, thetaCut, at)
-		} else {
-			var wg sync.WaitGroup
-			for i := range chunks {
-				wg.Add(1)
-				go func(c *chunk) {
-					defer wg.Done()
-					c.surv = c.r.replayPool(cache.edges, qids, cutLevel, thetaCut, at)
-				}(&chunks[i])
-			}
-			wg.Wait()
-		}
-		finalTheta := theta.Load()
-		for i := range chunks {
-			c := &chunks[i]
-			c.surv = c.r.filterPool(c.surv, finalTheta)
-		}
-	} else {
-		for i := range chunks {
-			c := &chunks[i]
-			c.surv = c.r.drain()
-		}
+	for i := range chunks {
+		c := &chunks[i]
+		c.surv = c.r.drain()
 	}
-	stats.ReplayTime = time.Since(replayStart)
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
+	stats.DrainTime = time.Since(drainStart)
 	survivors := sc.post.survivors[:0]
-	replayTies := 0
 	for i := range chunks {
 		c := &chunks[i]
 		stats.add(&c.stats)
@@ -284,11 +211,10 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 			sv.setID += base[c.seg]
 			survivors = append(survivors, sv)
 		}
-		replayTies += c.r.rs.ties
 	}
 	sc.post.survivors = survivors
 	if lead.survivorHook != nil {
-		lead.survivorHook(survivors, replayTies, sc.refine.bound)
+		lead.survivorHook(survivors, sc.refine.bound)
 	}
 	stats.RefineTime = time.Since(refineStart)
 
@@ -330,6 +256,61 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	return results, stats, nil
 }
 
+// queryIDs sets sc.query to the distinct elements of query and sc.qids to
+// their token IDs in lead's repository (Engine's dedup), and returns both
+// with the probe mask. Under LiveTokens, an element whose token survives
+// only in deleted sets is out of vocabulary: its ID becomes -1 and, on a
+// vocabulary-bound source (ProbeLiveOnly), the mask leaves it unprobed —
+// exactly what an engine that never saw those sets would do.
+func (g *Group) queryIDs(query []string, lead *Engine, sc *queryScratch) ([]string, []int32, []bool) {
+	query, qids := sc.dedup(query, lead.repo)
+	var skip []bool
+	if g.LiveTokens == nil {
+		return query, qids, nil
+	}
+	for i, id := range qids {
+		if id >= 0 && g.LiveTokens[id>>6]&(1<<(uint(id)&63)) != 0 {
+			continue
+		}
+		// Not live: either dead (id ≥ 0, bit clear) or unresolvable in the
+		// lead repository (id -1). The latter still needs the probe gate —
+		// the shared dictionary can hold tokens beyond every live segment's
+		// vocabulary horizon (e.g. rows lost to a quarantined segment), and
+		// a vocabulary-bound source built over that dictionary would happily
+		// retrieve neighbors a from-scratch index could never produce.
+		if g.ProbeLiveOnly {
+			if skip == nil {
+				skip = zeroed(sc.skip, len(query))
+				sc.skip = skip
+			}
+			skip[i] = true
+		}
+		qids[i] = -1
+	}
+	return query, qids, skip
+}
+
+// walk has every partition refiner consume the whole stream, in parallel
+// when there are several, and reports false when ctx was canceled.
+func (g *Group) walk(ctx context.Context, chunks []chunk, tuples []streamTuple) bool {
+	if len(chunks) == 1 {
+		return chunks[0].r.consume(ctx, tuples)
+	}
+	var wg sync.WaitGroup
+	var canceled atomic.Bool
+	for i := range chunks {
+		wg.Add(1)
+		go func(r *partRefiner) {
+			defer wg.Done()
+			if !r.consume(ctx, tuples) {
+				canceled.Store(true)
+			}
+		}(chunks[i].r)
+	}
+	wg.Wait()
+	return !canceled.Load()
+}
+
 // seedSet is a candidate of the θlb seed: a group-wide set ID and its
 // stream-wide bound.
 type seedSet struct {
@@ -338,7 +319,7 @@ type seedSet struct {
 }
 
 // seedTheta returns a lower bound on the k-th largest semantic overlap of
-// the group's live sets, formed before the first block (DESIGN.md §2): it
+// the group's live sets, formed before the walk (DESIGN.md §2): it
 // takes the k live sets the stream touches with the largest stream-wide
 // bounds (bound, by group-wide set ID, as addBounds filled it; the lowest
 // set ID first on ties) and matches each greedily over its cached α-edges,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/index"
@@ -19,9 +18,7 @@ import (
 // was taken, the writer writes at indices past every prefix handed out, and a
 // slice that outgrows its array moves on to a new one while the old array
 // stays with its readers. The postings are index.MemPostings' write-once
-// chains under the same rule. Only the cardinality order is not a prefix of
-// anything — a new row lands in the middle of it — so each Append replaces
-// it: one int32 per row.
+// chains under the same rule.
 //
 // Append and Engine are for one writer at a time; the Engines are as safe
 // for concurrent searches as any other.
@@ -33,8 +30,6 @@ type Growing struct {
 	rows    []sets.Set
 	card    []int32
 	cOff    []int32 // one longer than rows
-	order   []int32 // set IDs by descending cardinality
-	maxCard int32
 	post    *index.MemPostings
 	scratch *sync.Pool
 }
@@ -68,16 +63,7 @@ func (g *Growing) Append(row sets.Set) {
 	g.rows = append(g.rows, row)
 	g.card = append(g.card, c)
 	g.cOff = append(g.cOff, g.cOff[id]+(c+63)/64)
-	g.maxCard = max(g.maxCard, c)
 	g.post.Append(int32(id), row.ElemIDs)
-
-	// Descending cardinality, the new row after its equals.
-	at := sort.Search(id, func(i int) bool { return g.card[g.order[i]] < c })
-	order := make([]int32, id+1)
-	copy(order, g.order[:at])
-	order[at] = int32(id)
-	copy(order[at+1:], g.order[at:])
-	g.order = order
 }
 
 // Engine returns the engine over the rows appended so far, its vocabulary
@@ -86,7 +72,7 @@ func (g *Growing) Engine() *Engine {
 	repo := sets.SegmentOver(g.dict, g.rows)
 	e := &Engine{
 		repo: repo, src: g.src, opts: g.opts, vocabN: repo.VocabSize(),
-		parts:   []partition{{hi: int32(len(g.rows)), order: g.order, maxCard: g.maxCard}},
+		parts:   []partition{{hi: int32(len(g.rows))}},
 		mem:     g.post.View(),
 		card:    g.card,
 		cOff:    g.cOff,

@@ -11,19 +11,10 @@ import (
 
 // TestGrowingMatchesNewEngine: after every Append, the engine a Growing
 // hands out answers exactly as NewEngine over the same rows does — results
-// and Stats counters, on queries that cut the stream (the cut reads the
-// cardinality order) and on ones that do not — and the engines handed out
-// earlier still answer as they did, whatever was appended since.
-//
-// MemCandBytes is left out: a chain lists a token's sets in set order, the
-// CSR of an engine NewEngine partitioned in partition order, and the order
-// in which one tuple's candidates are visited shows in how full an iUB bucket
-// gets before the tuple's prune, which is what that estimate measures.
+// and Stats counters — and the engines handed out earlier still answer as
+// they did, whatever was appended since.
 func TestGrowingMatchesNewEngine(t *testing.T) {
-	counters := func(res []Result, st Stats) string {
-		st.MemCandBytes = 0
-		return searchCounters(res, st)
-	}
+	counters := searchCounters
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	all := ds.Repo.Sets()[:48]
@@ -35,7 +26,6 @@ func TestGrowingMatchesNewEngine(t *testing.T) {
 		want []string
 	}
 	var horizons []horizon
-	cuts := 0
 	g := NewGrowing(ds.Repo.Dict(), src, opts)
 	for n, row := range all {
 		g.Append(row)
@@ -47,9 +37,6 @@ func TestGrowingMatchesNewEngine(t *testing.T) {
 		h := horizon{eng: g.Engine()}
 		for _, q := range queries {
 			res, st := ref.Search(q)
-			if st.StreamCut {
-				cuts++
-			}
 			h.want = append(h.want, counters(res, st))
 		}
 		horizons = append(horizons, h)
@@ -64,9 +51,6 @@ func TestGrowingMatchesNewEngine(t *testing.T) {
 				}
 			}
 		}
-	}
-	if cuts == 0 {
-		t.Fatal("no reference search cut its stream; the test wants some to")
 	}
 }
 
@@ -96,7 +80,7 @@ func TestGrowingSearchReusesArena(t *testing.T) {
 		sc := e.getScratch()
 		defer e.scratch.Put(sc)
 		a := &sc.refine
-		at := fmt.Sprintf("%p %p %p %p %p %p %p", a.flags, a.states, a.score, a.bound, a.terms, a.qBits, a.cBits)
+		at := fmt.Sprintf("%p %p %p %p %p %p", a.flags, a.states, a.bound, a.terms, a.qBits, a.cBits)
 		return at, sc, cap(a.states) > len(a.states)
 	}
 	g.Engine().Search(query) // sizes the arena for 40 sets, exactly

@@ -19,7 +19,8 @@ import (
 // a map[int32]*state with a map[string]struct{} per candidate. The interned
 // engine (integer token IDs, CSR postings, dense candidate state) must
 // return byte-identical results and identical pruning statistics — the two
-// implementations differ only in data representation, never in algorithm.
+// implementations differ in data representation, and in when the iUB filter
+// prunes (oracleEngine.refinePartition), never in what it prunes.
 
 type oracleTuple struct {
 	qIdx  int32
@@ -49,6 +50,9 @@ type oracleCand struct {
 func (c *oracleCand) bound(s float64) float64 {
 	return min(c.ubSum+float64(c.mRem)*s, c.rowSum+float64(c.rRem)*s)
 }
+
+// oraclePruneEvery is the oracle's iUB-filter cadence in stream tuples.
+const oraclePruneEvery = 32
 
 type oracleEngine struct {
 	repo *sets.Repository
@@ -145,9 +149,11 @@ func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[str
 	return tuples, cache
 }
 
-// refinePartition is Algorithm 1 without the bucket structure: at every
-// point where the engine's filter prunes, it tests every live candidate with
-// its true bound.
+// refinePartition is Algorithm 1 with the paper's iUB filter in its plain
+// form: every oraclePruneEvery tuples, and whenever θlb rose, it tests every
+// live candidate with its true bound. The engine has no such pass — its
+// stream-wide bound and its drain prune the same candidates — so the counts
+// the two must agree on say that nothing the filter would prune escapes.
 func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv *index.Inverted, theta *atomicMax, stats *Stats) []survivor {
 	opts := e.opts
 	state := make(map[int32]*oracleCand)
@@ -207,7 +213,7 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 		}
 		if !opts.DisableIUB {
 			t := theta.Load()
-			if t > lastPruneTheta || ti%pruneEvery == pruneEvery-1 {
+			if t > lastPruneTheta || ti%oraclePruneEvery == oraclePruneEvery-1 {
 				lastPruneTheta = t
 				for _, st := range state {
 					if !st.pruned && st.bound(s) < t-pruneEps {
@@ -440,13 +446,7 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 				queries = queries[:4]
 			}
 			for _, withExact := range []bool{false, true} {
-				// DisableLazy pins the interned engine to the eager pipeline
-				// the oracle implements: this test compares data
-				// representations (strings vs interned IDs), so both sides
-				// must run the same algorithm tuple for tuple — stats
-				// included. Lazy-vs-eager equivalence has its own suite
-				// (lazy_equiv_test.go).
-				opts := Options{K: 10, Alpha: 0.8, ExactScores: withExact, DisableLazy: true}
+				opts := Options{K: 10, Alpha: 0.8, ExactScores: withExact}
 				eng := NewEngine(ds.Repo, src, opts)
 				oracle := newOracleEngine(ds.Repo, src, opts)
 				for qi, q := range queries {
@@ -487,8 +487,7 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 // comparable: the oracle's solver is the dense reference.)
 // How the rest splits into IUBPruned and NoEM is over one partition: a
 // partition of several drains under whatever θlb the others have reached by
-// then, and what it hands over late is pruned by post-processing instead
-// (replay_test.go's finalSurvivors).
+// then, and what it hands over late is pruned by post-processing instead.
 func TestInternedEngineMatchesOracleRandom(t *testing.T) {
 	type instance struct {
 		label string
@@ -500,7 +499,7 @@ func TestInternedEngineMatchesOracleRandom(t *testing.T) {
 	var table []instance
 	for seed := int64(300); seed < 330; seed++ {
 		repo, model, query := randomInstance(seed)
-		opts := Options{K: 1 + int(seed%7), Alpha: 0.55 + 0.1*float64(seed%4), DisableLazy: true}
+		opts := Options{K: 1 + int(seed%7), Alpha: 0.55 + 0.1*float64(seed%4)}
 		table = append(table, instance{fmt.Sprint("seed ", seed), repo, index.NewFuncIndex(repo.Vocabulary(), model), opts, query})
 		if seed%3 != 0 {
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/matching"
@@ -75,3 +76,31 @@ func (p *pairSim) Sim(a, b string) float64 {
 }
 
 func (p *pairSim) Name() string { return "pair-table" }
+
+// quantSim rounds a similarity down to a multiple of 0.05, so that equal
+// similarities — between two tokens of a candidate and between two query
+// elements — are common and tie-breaks decide bounds.
+type quantSim struct{ fn sim.Func }
+
+func (q quantSim) Sim(a, b string) float64 { return math.Floor(q.fn.Sim(a, b)*20) / 20 }
+func (q quantSim) Name() string            { return "quantised " + q.fn.Name() }
+
+// tableSim is a similarity read from a symmetric table over tokens "t0",
+// "t1", …: what FuzzRefinementBounds's bytes decide.
+type tableSim struct {
+	ids map[string]int
+	tab [][]float64
+}
+
+func (s tableSim) Sim(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	i, ok := s.ids[a]
+	j, ok2 := s.ids[b]
+	if !ok || !ok2 {
+		return 0
+	}
+	return s.tab[i][j]
+}
+func (s tableSim) Name() string { return "table" }

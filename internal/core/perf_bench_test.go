@@ -23,8 +23,8 @@ func byCardinality(eng *Engine) []int {
 	return ids
 }
 
-// refineCase is one query of BenchmarkRefinePartition: its edge cache, on a
-// scratch of its own, and its stream as the pump annotates it.
+// refineCase is one query of BenchmarkRefinePartition: its edge cache and
+// its stream as the search sorts it, on a scratch of its own.
 type refineCase struct {
 	qids   []int32
 	cache  *edgeCache
@@ -36,7 +36,7 @@ type refineCase struct {
 // serving shape: datagen twitter at scale 1.0, exact vector source, k = 10,
 // one partition, over 60 queries stratified by cardinality (the middle set
 // of each sixtieth of the corpus sorted by cardinality). Edge caches are
-// built and streams annotated before the timer; an iteration refines one
+// built and streams sorted before the timer; an iteration refines one
 // query on the pooled arena, as a search does. Besides ns/op it reports the
 // postings the walk met and those it skipped per op (DESIGN.md §2), and
 // ns/posting: ns/op per posting met, so it covers the bound pass, the seed,
@@ -51,7 +51,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 		c := &cases[i]
 		query := sets.Dedup(ds.Repo.Set(byCard[(2*i+1)*len(byCard)/(2*len(cases))]).Elements)
 		c.qids = ds.Repo.TokenIDs(query)
-		c.tuples, c.cache = eng.materializeStream(query, c.qids, eng.getScratch())
+		c.tuples, c.cache, _ = eng.openStream(query, c.qids, nil, eng.opts.Alpha, nil, eng.getScratch())
 	}
 	ctx := context.Background()
 	g, base := eng.group(), []int{0, ds.Repo.Len()}
@@ -65,11 +65,11 @@ func BenchmarkRefinePartition(b *testing.B) {
 		qN := len(c.qids)
 		theta, stats := &atomicMax{}, Stats{}
 		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords())
-		share, score := sc.refine.carve(eng)
-		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, score, &rs)
-		r.addBounds(c.cache.maxima(c.qids, sc))
+		share := sc.refine.carve(eng)
+		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, &rs)
+		r.addBounds(c.tuples)
 		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc))
-		r.consume(ctx, c.tuples, 0)
+		r.consume(ctx, c.tuples)
 		r.drain()
 		walked += stats.Postings
 		skipped += stats.PostingsSkipped
@@ -176,7 +176,7 @@ func benchSearches(b *testing.B, eng *Engine, queries [][]string) {
 		d    time.Duration
 	}{
 		{"stream", total.StreamTime}, {"bound", total.BoundTime}, {"walk", total.WalkTime},
-		{"replay", total.ReplayTime}, {"verify", total.VerifyTime},
+		{"drain", total.DrainTime}, {"verify", total.VerifyTime},
 	} {
 		b.ReportMetric(float64(stage.d.Nanoseconds())/float64(b.N), stage.name+"-ns/op")
 	}

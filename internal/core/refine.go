@@ -16,10 +16,6 @@ import (
 // Hungarian solver).
 const pruneEps = 1e-9
 
-// pruneEvery is the bucket-prune cadence in stream tuples; pruning also
-// always runs when θlb improves.
-const pruneEvery = 32
-
 // ctxCheckEvery is the refinement loop's cancellation poll cadence in
 // stream tuples (a power of two; the check is one atomic-ish ctx.Err call).
 const ctxCheckEvery = 1024
@@ -83,15 +79,10 @@ type survivor struct {
 }
 
 // partRefiner runs Algorithm 1 over one partition's CSR inverted index,
-// consuming the token stream in one or more consecutive slices of the
-// shared tuple arena: the pump feeds it block by block and reads alive
-// between blocks to evaluate the cut-off condition, and a search without a
-// cut-off feeds it the whole stream in a single consume call. Everything —
-// candidate creation, bound accumulation, bucket-prune cadence — depends
-// only on the global tuple index, so the two feeding disciplines produce
-// bit-identical state for the same consumed prefix. All partitions consume
-// the same tuples and share the global θlb through theta — across segments
-// too, when the engine is one segment of a Group.
+// consuming the search's whole token stream in a single consume call and
+// handing its survivors over in drain. All partitions consume the same
+// tuples and share the global θlb through theta — across segments too,
+// when the engine is one segment of a Group.
 //
 // dead is the segment's optional tombstone bitset, indexed by the engine's
 // repository-local set IDs: a tombstoned set is discarded at first sight,
@@ -115,20 +106,7 @@ type partRefiner struct {
 	dead  []uint64
 
 	arenaShare
-	buckets        *iubBuckets
-	llb            *pqueue.TopK
-	lastPruneTheta float64
-	// alive is the number of candidates admitted at first sight and not
-	// pruned by the buckets — the pool size the lazy cut-off condition
-	// watches. A candidate the stream-wide bound settles stays in it, as it
-	// would without the bound until the buckets pruned it, so the bound
-	// never lets the cut fire earlier (DESIGN.md §2). Only valid between
-	// consume calls (the pump reads it at block barriers).
-	alive int
-	// cardPtr walks the partition's descending-cardinality order past sets
-	// that have streamed (or are tombstoned), so maxUnseenCard is the
-	// cardinality bound for sets the stream has not touched yet.
-	cardPtr int
+	llb *pqueue.TopK
 	// rs is the refiner's pooled working memory.
 	rs *refinerScratch
 	// skip reports that addBounds filled the stream-wide set bounds, which
@@ -136,31 +114,49 @@ type partRefiner struct {
 	skip bool
 }
 
+// refinerScratch is one partition refiner's working memory, reused across
+// tuples, candidates and searches, and the refiner itself: the Llb list,
+// per tuple a memtable engine's gathered postings, those keepBounded keeps
+// and the sets it settles, and the survivors drain hands to
+// post-processing.
+type refinerScratch struct {
+	r    partRefiner
+	llb  pqueue.TopK
+	surv []survivor
+
+	memSids, memPoss             []int32
+	keptSids, keptPoss, settling []int32
+}
+
 // settledBound marks a set refinement has pruned, whether the bound or the
 // walk decided it: below every θlb, so consume skips its postings without
 // another look.
 const settledBound = -1
 
-// addBounds adds each token's maximum, in the order of maxima, to the bound
-// of every set of the partition holding it, while the set has fewer than |Q|
-// terms — and it has at most |C|, one posting per distinct token — so a
-// set's bound is its column side ubSum once the whole stream has gone by,
-// formed from the same floats in the same order (DESIGN.md §2).
-func (r *partRefiner) addBounds(maxima []tokenMax) {
+// addBounds adds each token's maximum — the similarity of its first tuple
+// in the stream — to the bound of every set of the partition holding it, in
+// stream order, while the set has fewer than |Q| terms — and it has at most
+// |C|, one posting per distinct token — so a set's bound is the column side
+// ubSum the walk will reach, formed from the same floats in the same order
+// (DESIGN.md §2).
+func (r *partRefiner) addBounds(tuples []streamTuple) {
 	e, inv := r.e, r.part.inv
 	bound, terms, qN := r.bound, r.terms, int32(r.qN)
 	rs := r.rs
-	for _, tm := range maxima {
+	for _, tup := range tuples {
+		if !tup.first {
+			continue
+		}
 		var sids []int32
 		if inv != nil {
-			sids, _ = inv.Postings(tm.id)
+			sids, _ = inv.Postings(tup.tokenID)
 		} else {
-			rs.memSids, rs.memPoss = e.mem.Postings(tm.id, rs.memSids, rs.memPoss)
+			rs.memSids, rs.memPoss = e.mem.Postings(tup.tokenID, rs.memSids, rs.memPoss)
 			sids = rs.memSids
 		}
 		for _, sid := range sids {
 			if terms[sid] < qN {
-				bound[sid] += tm.sim
+				bound[sid] += tup.sim
 				terms[sid]++
 			}
 		}
@@ -170,17 +166,17 @@ func (r *partRefiner) addBounds(maxima []tokenMax) {
 
 // keepBounded returns the postings of sids/poss whose set's bound reaches
 // below = θlb − pruneEps, in their order, and settles every set it drops for
-// the first time; s is the tuple's level. A set whose stream-wide bound is
-// below θlb can no longer matter, so its postings are passed over before its
-// state is read. The keep test is a conditional move and the settle test is
-// taken once per set, so neither costs a mispredicted branch per posting.
-func (r *partRefiner) keepBounded(sids, poss []int32, below, s float64) ([]int32, []int32) {
+// the first time. A set whose stream-wide bound is below θlb can no longer
+// matter, so its postings are passed over before its state is read. The
+// keep test is a conditional move and the settle test is taken once per
+// set, so neither costs a mispredicted branch per posting.
+func (r *partRefiner) keepBounded(sids, poss []int32, below float64) ([]int32, []int32) {
 	rs := r.rs
 	ks, kp, fs := sized(rs.keptSids, len(sids)), sized(rs.keptPoss, len(sids)), sized(rs.settling, len(sids))
 	rs.keptSids, rs.keptPoss, rs.settling = ks, kp, fs
 	n, f := partitionPostings(sids, poss, r.bound, below, ks, kp, fs)
 	for _, sid := range fs[:f] {
-		r.settle(sid, s, below)
+		r.settle(sid)
 		r.bound[sid] = settledBound
 	}
 	return ks[:n], kp[:n]
@@ -207,14 +203,13 @@ func partitionPostings(sids, poss []int32, bound []float64, below float64, ks, k
 	return n, f
 }
 
-// settle prunes set sid at the first posting consume skips for it, met at
-// level s under below = θlb − pruneEps: its bound is below θlb, so it can
-// reach neither the top-k nor θlb. It is counted as the walk would have
-// counted it in the end — a first sight as a candidate pruned by the iUB, a
-// live candidate as an iUB prune on the column side, a tombstoned set not at
-// all — and a first sight the Lemma 2 filter would have admitted joins alive.
-// A set settled at first sight never has its state written.
-func (r *partRefiner) settle(sid int32, s, below float64) {
+// settle prunes set sid at the first posting consume skips for it: its
+// bound is below θlb, so it can reach neither the top-k nor θlb. It is
+// counted as the walk would have counted it in the end — a first sight as a
+// candidate pruned by the iUB, a live candidate as an iUB prune on the
+// column side, a tombstoned set not at all. A set settled at first sight
+// never has its state written.
+func (r *partRefiner) settle(sid int32) {
 	unseen := r.flags[sid] == setUnseen // else live: a pruned set holds settledBound
 	r.flags[sid] = setPruned
 	if unseen {
@@ -222,60 +217,39 @@ func (r *partRefiner) settle(sid int32, s, below float64) {
 			return
 		}
 		r.stats.Candidates++
-		if slots := min(int32(r.qN), r.e.card[sid]); float64(slots)*s >= below {
-			r.alive++
-		}
 	}
 	r.stats.IUBPruned++
 	r.stats.BoundSettled++
 }
 
 // newPartRefiner prepares partition p's refinement state in share, the
-// engine's share of the search's arena, its buckets in score and rs's
-// pooled heaps, and the refiner in rs, which becomes its working memory.
-func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, score []float64, rs *refinerScratch) *partRefiner {
-	part := &e.parts[p]
-	rs.buckets.reset(min(qN, int(part.maxCard)), score)
+// engine's share of the search's arena, and the refiner in rs, which
+// becomes its working memory.
+func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, rs *refinerScratch) *partRefiner {
 	rs.llb.Reset(opts.K)
-	rs.kept, rs.ties = 0, 0
 	rs.r = partRefiner{
-		e: e, opts: opts, part: part, qN: qN, theta: theta, stats: stats, dead: dead,
+		e: e, opts: opts, part: &e.parts[p], qN: qN, theta: theta, stats: stats, dead: dead,
 		arenaShare: *share,
-		buckets:    &rs.buckets,
 		llb:        &rs.llb,
 		rs:         rs,
 	}
 	return &rs.r
 }
 
-// consume processes tuples, whose first element sits at global stream
-// position base. The loop polls ctx every ctxCheckEvery tuples and returns
-// false once it is canceled (the refiner's state is then partial and must
-// be discarded).
-func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base int) bool {
+// consume walks tuples, in order. The loop polls ctx every ctxCheckEvery
+// tuples and returns false once it is canceled (the refiner's state is then
+// partial and must be discarded).
+func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 	e, opts := r.e, r.opts
 	inv, cOff := r.part.inv, e.cOff
 	states, flags, qBits, cBits, qWords := r.states, r.flags, r.qBits, r.cBits, r.qWords
-	buckets, llb, theta, stats, dead := r.buckets, r.llb, r.theta, r.stats, r.dead
+	llb, theta, stats, dead := r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
 	bound := r.bound
 	walked, skipped := 0, 0
 
-	// Every set the walk prunes is settled as well, so keepBounded passes
-	// over its later postings.
-	markPruned := func(sid int32, byQuery bool) {
-		flags[sid] = setPruned
-		bound[sid] = settledBound
-		stats.IUBPruned++
-		if byQuery {
-			stats.IUBQueryPruned++
-		}
-		r.alive--
-	}
-
 	for i := range tuples {
-		ti := base + i
-		if ti&(ctxCheckEvery-1) == ctxCheckEvery-1 && ctx.Err() != nil {
+		if i&(ctxCheckEvery-1) == ctxCheckEvery-1 && ctx.Err() != nil {
 			return false
 		}
 		tup := &tuples[i]
@@ -291,7 +265,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 		walked += len(sids)
 		if below := theta.Load() - pruneEps; r.skip && below > 0 {
 			n := len(sids)
-			sids, poss = r.keepBounded(sids, poss, below, s)
+			sids, poss = r.keepBounded(sids, poss, below)
 			skipped += n - len(sids)
 		}
 		for pi, sid := range sids {
@@ -323,10 +297,6 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 				states[sid] = candState{mRem: slots, rRem: slots}
 				clear(qBits[int(sid)*qWords : (int(sid)+1)*qWords])
 				clear(cBits[cOff[sid]:cOff[sid+1]])
-				if !opts.DisableIUB {
-					buckets.file(sid, &states[sid])
-				}
-				r.alive++
 			}
 			st := &states[sid]
 			// Incremental upper bound: count the token's maximum similarity
@@ -361,16 +331,6 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 				}
 			}
 		}
-		if !opts.DisableIUB {
-			// Bucket prune: eager when θlb improved, periodic otherwise
-			// (pruning is an optimization — correctness never depends on
-			// when it runs, and the final drain re-checks every survivor).
-			t := theta.Load()
-			if t > r.lastPruneTheta || ti%pruneEvery == pruneEvery-1 {
-				r.lastPruneTheta = t
-				buckets.prune(s, t-pruneEps, states, flags, markPruned)
-			}
-		}
 	}
 	stats.Postings += walked
 	stats.PostingsSkipped += skipped
@@ -380,9 +340,11 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple, base in
 // drain emits the survivors after the stream is exhausted: every unseen
 // element contributes nothing (its similarities are all below α), so the
 // final upper bound tightens to min(ubSum, rowSum) and is re-checked against
-// the final θlb.
+// the final θlb. A candidate it prunes whose column side alone reaches θlb
+// is counted as the query side's prune.
 func (r *partRefiner) drain() []survivor {
-	finalTheta := r.theta.Load()
+	theta := r.theta.Load()
+	check, below := !r.opts.DisableIUB && theta > 0, theta-pruneEps
 	out := r.rs.surv[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
 		if r.flags[sid] != setLive {
@@ -390,7 +352,11 @@ func (r *partRefiner) drain() []survivor {
 		}
 		st := &r.states[sid]
 		ub, col := st.bound(0)
-		if !r.opts.DisableIUB && r.pruneAtEnd(ub, col, finalTheta) {
+		if check && ub < below {
+			r.stats.IUBPruned++
+			if col >= below {
+				r.stats.IUBQueryPruned++
+			}
 			continue
 		}
 		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub})
@@ -400,104 +366,11 @@ func (r *partRefiner) drain() []survivor {
 	return out
 }
 
-// pruneAtEnd counts and reports a candidate whose upper bound ub falls below
-// θlb; col is the bound's column side.
-func (r *partRefiner) pruneAtEnd(ub, col, theta float64) bool {
-	if theta <= 0 || ub >= theta-pruneEps {
-		return false
-	}
-	r.stats.IUBPruned++
-	if col >= theta-pruneEps {
-		r.stats.IUBQueryPruned++
-	}
-	return true
-}
-
-// replayPool is phase one of a cut-off search's survivor reconstruction:
-// every alive candidate's refinement bounds are replayed to their
-// full-stream values (tailBounds) and the full lower bounds are offered
-// to the partition's Llb exactly as the eager tail would have — after every
-// partition has done this, the global θlb holds its eager final value
-// (DESIGN.md §10 spells out why frozen and tail candidates cannot move it).
-// filterPool then applies the eager drain check under that final θlb.
-//
-// Candidates whose stream-wide bound (DESIGN.md §2), or else whose bound at
-// the cut level, already falls below the cut-time θlb are certified
-// eager-pruned without a replay: their full upper bound cannot reach the
-// final θlb either, and their full lower bound sits below it, so skipping
-// their Llb offer cannot move the reconstructed θlb (same frozen-offer
-// argument). The stream-wide bound is the full column side, so its prunes
-// count on that side. rs.colUB keeps, beside each survivor, the full column
-// side filterPool attributes its prunes by.
-func (r *partRefiner) replayPool(edgesOf func(int32) []qEdge, qids []int32, level, thetaCut float64, at cutPoint) []survivor {
-	rs := r.rs
-	out := rs.surv[:0]
-	rs.colUB = rs.colUB[:0]
-	for sid := r.part.lo; sid < r.part.hi; sid++ {
-		if r.flags[sid] != setLive {
-			continue
-		}
-		st := &r.states[sid]
-		if b := r.bound[sid]; r.skip && r.pruneAtEnd(b, b, thetaCut) {
-			r.stats.BoundCertified++
-			r.bound[sid] = settledBound
-			continue
-		}
-		if iub, col := st.bound(level); r.pruneAtEnd(iub, col, thetaCut) {
-			continue
-		}
-		lb, ub, colFull := r.tailBounds(sid, edgesOf, qids, at)
-		out = append(out, survivor{setID: int(sid), lb: lb, ub: ub})
-		rs.colUB = append(rs.colUB, colFull)
-		if r.llb.Update(int(sid), lb) {
-			r.theta.Update(r.llb.Bottom())
-		}
-	}
-	rs.surv = out
-	r.accountMem()
-	return out
-}
-
-// filterPool applies the eager drain's final upper-bound check to the
-// replayed pool: candidates whose full-stream bound falls below the final
-// θlb are exactly the ones the eager tail would have pruned (mid-stream or
-// at drain — the timing cannot matter, only the final values do).
-func (r *partRefiner) filterPool(pool []survivor, finalTheta float64) []survivor {
-	out := pool[:0]
-	for i, sv := range pool {
-		if r.pruneAtEnd(sv.ub, r.rs.colUB[i], finalTheta) {
-			continue
-		}
-		out = append(out, sv)
-	}
-	return out
-}
-
-// maxUnseenCard returns the largest cardinality among the partition's sets
-// the stream has not yet touched — the sharp version of the Lemma 2 bound
-// the cut-off condition uses: a set already seen is either a pool member or
-// pruned, so only unseen cardinalities can still spawn candidates. The
-// pointer only advances (no set returns to setUnseen), costing amortized
-// O(|part|) per query. Tombstoned sets are skipped: they can never become
-// candidates.
-func (r *partRefiner) maxUnseenCard() int32 {
-	order := r.part.order
-	for r.cardPtr < len(order) {
-		sid := order[r.cardPtr]
-		if r.flags[sid] == setUnseen && (r.dead == nil || r.dead[sid>>6]&(1<<(uint(sid)&63)) == 0) {
-			return r.e.card[sid]
-		}
-		r.cardPtr++
-	}
-	return 0
-}
-
-// accountMem counts the partition's part of the arena — per set its
-// candState, status byte, filed score, bound and terms, and its query and
-// token masks — and what its bucket heaps held.
+// accountMem counts the partition's part of the arena: per set its
+// candState, status byte, bound and terms, and its query and token masks.
 func (r *partRefiner) accountMem() {
 	lo, hi := r.part.lo, r.part.hi
 	n := int64(hi - lo)
-	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+1+8+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
-		int64(r.e.cOff[hi]-r.e.cOff[lo])*8 + r.buckets.footprintBytes()
+	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+1+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
+		int64(r.e.cOff[hi]-r.e.cOff[lo])*8
 }

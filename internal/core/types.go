@@ -1,10 +1,14 @@
 // Package core implements the Koios search engine: the filter–verification
-// framework of the paper with its refinement phase (Alg. 1 — UB/LB filters,
-// incremental iLB greedy lower bounds, the bucketized iUB filter of §V) and
-// its post-processing phase (Alg. 2 — Llb/Lub/Qub lists, the No-EM filter of
-// Lemma 7, parallel exact verification with the label-sum early-termination
-// filter of Lemma 8), plus the partitioned scale-out driver of §VI with a
-// shared global θlb.
+// framework of the paper with its refinement phase (Alg. 1 — UB/LB filters
+// and incremental iLB greedy lower bounds, in one walk over the whole token
+// stream, sorted once per search, with every set bounded by the maxima the
+// stream brings before the walk starts) and its post-processing phase
+// (Alg. 2 — Llb/Lub/Qub lists, the No-EM filter of Lemma 7, parallel exact
+// verification with the label-sum early-termination filter of Lemma 8), plus
+// the partitioned scale-out driver of §VI with a shared global θlb. The
+// stream-wide bound subsumes the paper's bucketized iUB filter (§V) and its
+// stream cut-off: the walk passes over every set it puts below θlb, and the
+// drain re-checks the rest (DESIGN.md §2).
 //
 // The iUB bound implemented here is the corrected, provably sound variant
 // described in DESIGN.md §2; the literal Lemma 6 can under-estimate the
@@ -40,27 +44,15 @@ type Options struct {
 	// in the result are exact semantic overlaps even for sets the No-EM
 	// filter admitted without matching.
 	ExactScores bool
-	// DisableIUB turns the bucketized iUB filter off (the paper's Baseline+
-	// keeps it on; the plain Baseline has it off).
+	// DisableIUB turns the iUB filter off: the first-sight UB filter
+	// (Lemma 2), the stream-wide set bounds with their posting skip and θlb
+	// seed, and the drain's final check (the paper's Baseline+ keeps it on;
+	// the plain Baseline has it off).
 	DisableIUB bool
 	// DisableNoEM turns the No-EM filter (Lemma 7) off.
 	DisableNoEM bool
 	// DisableEarlyTerm turns the EM early-termination filter (Lemma 8) off.
 	DisableEarlyTerm bool
-	// DisableLazy turns off the lazy token-stream cut-off (DESIGN.md §10):
-	// the pump pulls the whole stream as one block and never evaluates the
-	// cut. The cut-off needs the first-sight UB filter, so DisableIUB
-	// implies it. Results are byte-identical either way, for exact and
-	// approximate sources alike: every search builds its edge cache from
-	// one read of the whole stream before its first block, which holds the
-	// source's own retrieval, however early the cut comes.
-	DisableLazy bool
-	// LazyBlock is the lazy pump's block size in stream tuples — the
-	// granularity at which the cut-off condition is evaluated. Smaller
-	// blocks cut earlier but synchronize the partition refiners more often.
-	// Default 256. Tests randomize it to force cuts at arbitrary stream
-	// prefixes.
-	LazyBlock int
 }
 
 // WithDefaults returns the options with zero values replaced by the
@@ -80,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.LazyBlock <= 0 {
-		o.LazyBlock = 256
 	}
 	return o
 }
@@ -107,19 +96,18 @@ type Stats struct {
 	// Candidates is the number of distinct sets obtained from the inverted
 	// index (non-zero semantic overlap).
 	Candidates int
-	// IUBPruned counts candidates pruned during refinement (initial
-	// UB-filter plus the bucketized iUB filter).
+	// IUBPruned counts candidates pruned during refinement: by the UB
+	// filter at first sight (Lemma 2), by the stream-wide set bound at a
+	// skipped posting, or by the drain's final iUB check.
 	IUBPruned int
 	// IUBQueryPruned is the part of IUBPruned the query side of the bound
-	// decided (DESIGN.md §2): candidates its column side alone would have
-	// kept.
+	// decided at the drain (DESIGN.md §2): candidates its column side alone
+	// would have kept.
 	IUBQueryPruned int
-	// BoundSettled and BoundCertified are the parts of IUBPruned the
-	// stream-wide set bound decided (DESIGN.md §2): candidates settled at a
-	// skipped posting during the walk, and cut survivors certified without
-	// a replay.
-	BoundSettled   int
-	BoundCertified int
+	// BoundSettled is the part of IUBPruned the stream-wide set bound
+	// decided (DESIGN.md §2): candidates settled at a skipped posting
+	// during the walk.
+	BoundSettled int
 	// NoEM counts post-processing sets never exact-matched: admitted to the
 	// result by Lemma 7 or pruned by the lazy UB check.
 	NoEM int
@@ -131,21 +119,16 @@ type Stats struct {
 	// result scores exact (ExactScores); they are bookkeeping, not part of
 	// the paper's filter accounting.
 	FinalizeEM int
-	// StreamTuples is the number of token-stream tuples consumed by
-	// refinement: it stops at the cut-off, and is the whole stream
-	// (StreamRetrieved + |Q|) when no cut was taken.
+	// StreamTuples is the number of token-stream tuples refinement
+	// consumed: the whole stream, StreamRetrieved + |Q| (an identity tuple
+	// per query element), tuples of tokens in no live set included.
 	StreamTuples int
 	// StreamRetrieved is the number of α-neighbors the similarity index
-	// retrieved for the query — the retrieval-side cost: the whole stream,
-	// which the edge cache reads before the first block whether or not the
-	// cut-off stops refinement early. The cut-off's savings are
-	// StreamTuples vs. StreamRetrieved, on the consumption side.
+	// retrieved for the query — the retrieval-side cost.
 	StreamRetrieved int
-	// StreamCut reports that the lazy pipeline stopped the token stream
-	// before exhaustion; StreamCutLevel is the similarity level s at the
-	// cut (every unseen tuple had sim ≤ s).
-	StreamCut      bool
-	StreamCutLevel float64
+	// StreamCut is always false: refinement consumes the whole stream. It
+	// is kept for the benchmark harness and the wire.
+	StreamCut bool
 	// Postings is the number of posting entries of the consumed tuples
 	// refinement met, and PostingsSkipped how many of them it passed over
 	// because their set's stream-wide bound was already below θlb.
@@ -162,8 +145,7 @@ type Stats struct {
 	// that sum (DESIGN.md §2), so the entry check fires only when θlb rose
 	// after a survivor left refinement. The ratio of the two,
 	// matching.hungarian_skipped_frac in a traced benchmark run, reads
-	// about 0 (0 entry prunes on each of the four workloads), and the
-	// probe may be dropped (ROADMAP 1(a)).
+	// about 0 (0 entry prunes on each of the four workloads).
 	VerifyCalls      int
 	HungarianSkipped int
 	// Segments is the number of repository segments the search snapshot
@@ -175,22 +157,21 @@ type Stats struct {
 	RefineTime   time.Duration
 	PostprocTime time.Duration
 	// The stage timers, each taken once at its stage's boundaries: the
-	// source's probe and the peek that fills the edge cache (StreamTime),
-	// the stream-wide bounds and the θlb seed (BoundTime), the pump's
-	// blocks (WalkTime), the survivors' reconstruction — the cut replay and
-	// its filter, or the drain (ReplayTime) — and the exact verifications,
-	// summed over every one post-processing and ExactScores ran, in
-	// parallel or not (VerifyTime). The first four lie inside RefineTime,
-	// the last inside PostprocTime.
+	// source's probe, the edge cache and the sort of the stream
+	// (StreamTime), the stream-wide bounds and the θlb seed (BoundTime),
+	// the postings walk (WalkTime), the drain that hands the survivors over
+	// (DrainTime), and the exact verifications, summed over every one
+	// post-processing and ExactScores ran, in parallel or not (VerifyTime).
+	// The first four lie inside RefineTime, the last inside PostprocTime.
 	StreamTime time.Duration
 	BoundTime  time.Duration
 	WalkTime   time.Duration
-	ReplayTime time.Duration
+	DrainTime  time.Duration
 	VerifyTime time.Duration
 
 	// Footprint estimates of the query-dependent data structures in bytes
 	// (Fig. 5d/6d): the token stream and edge cache, refinement candidate
-	// state including buckets, and the post-processing lists.
+	// state, and the post-processing lists.
 	MemStreamBytes   int64
 	MemCandBytes     int64
 	MemPostprocBytes int64
@@ -218,7 +199,6 @@ func (s *Stats) add(o *Stats) {
 	s.IUBPruned += o.IUBPruned
 	s.IUBQueryPruned += o.IUBQueryPruned
 	s.BoundSettled += o.BoundSettled
-	s.BoundCertified += o.BoundCertified
 	s.NoEM += o.NoEM
 	s.EMEarly += o.EMEarly
 	s.EMFull += o.EMFull
@@ -233,7 +213,7 @@ func (s *Stats) add(o *Stats) {
 	s.StreamTime += o.StreamTime
 	s.BoundTime += o.BoundTime
 	s.WalkTime += o.WalkTime
-	s.ReplayTime += o.ReplayTime
+	s.DrainTime += o.DrainTime
 	s.VerifyTime += o.VerifyTime
 	s.MemStreamBytes += o.MemStreamBytes
 	s.MemCandBytes += o.MemCandBytes

@@ -296,10 +296,16 @@ func TestStreamCompleteness(t *testing.T) {
 			}
 		}
 	}
-	st := NewStream(query, ex, alpha)
-	if n := st.PeekRest(func(Tuple) {}); n != len(want) {
-		t.Fatalf("PeekRest counts %d neighbors, want %d", n, len(want))
+	p := NewProbe(query, ex, alpha, nil)
+	n := 0
+	for i := range query {
+		n += len(p.Neighbors(i))
 	}
+	p.Release()
+	if n != len(want) {
+		t.Fatalf("the probe holds %d neighbors, want %d", n, len(want))
+	}
+	st := NewStream(query, ex, alpha)
 	got := map[[2]string]float64{}
 	for {
 		tup, ok := st.Next()

@@ -18,18 +18,13 @@ type Tuple struct {
 	Sim     float64
 }
 
-// cursorChunk is the number of neighbors the stream pulls from a cursor per
-// refill. Small enough that a cut-off search never over-fetches by much,
-// large enough to amortize the per-chunk call.
-const cursorChunk = 64
-
-// Stream is the token stream Ie of §IV: for each query element it holds a
-// descending cursor of α-neighbors over a NeighborSource, and a priority
-// queue of size |Q| merges the per-element cursors into one globally
-// descending stream of tuples. Sources implementing LazySource are probed
-// incrementally — neighbors below the point where the consumer stops are
-// never ordered; other sources are fetched eagerly once and drained through
-// the same interface.
+// Stream is the token stream Ie of §IV: for each query element it holds its
+// descending list of α-neighbors from a NeighborSource, and a priority
+// queue of size |Q| merges the per-element lists into one globally
+// descending stream of tuples, ordered by similarity, then token, then
+// query index. The search does not pull tuples from it — it probes once and
+// sorts (core.Engine's openStream) — but the baselines and the benchmark
+// harness do, and the search's order is held to this one.
 //
 // Per the out-of-vocabulary rule of §V, the stream first emits the identity
 // tuple (q, q, 1) for every query element — even for elements the index does
@@ -37,9 +32,8 @@ const cursorChunk = 64
 // lower bound of a candidate starts at its vanilla overlap.
 //
 // Streams are pooled: every constructor draws one whose buffers — the
-// cursors, the lazy probe's neighbor lists, the merge heap — earlier streams
-// grew, and Release hands it back, so a search that releases its stream
-// allocates none of them once the pool is warm.
+// cursors and the merge heap — earlier streams grew, and Release hands it
+// back.
 type Stream struct {
 	query     []string
 	qids      []int32 // interned ID per query element; nil when unresolved
@@ -48,24 +42,13 @@ type Stream struct {
 	pending   int // identity tuples not yet emitted
 	emitted   int
 	footprint int64
-
-	// The probe's: the probed elements, at[j] the query index of probe[j]
-	// when a mask leaves out some, and the lists the source fills.
-	probe []string
-	at    []int
-	bufs  [][]Neighbor
 }
 
-// elemCursor is one query element's position in its neighbor sequence: the
-// cursor — its own lazy or eager one, nil when the element is not probed —
-// plus the chunk currently being consumed; done marks the cursor exhausted.
+// elemCursor is one query element's position in its sorted neighbor list,
+// which is empty when the element is not probed.
 type elemCursor struct {
-	cur   NeighborCursor
-	lazy  lazyScan
-	eager eagerCursor
-	chunk []Neighbor
-	pos   int
-	done  bool
+	list []Neighbor
+	pos  int
 }
 
 var streams = sync.Pool{New: func() any { return new(Stream) }}
@@ -108,75 +91,24 @@ func NewStreamInterned(query []string, qids []int32, src NeighborSource, alpha f
 // their identity tuple — how a segmented search treats query elements whose
 // token survives only in deleted sets, so results match an engine whose
 // index never saw those sets (DESIGN.md §4). A nil skip probes everything.
-//
-// All NewStream variants probe eagerly (one full, sorted fetch per element,
-// exactly the pre-lazy behavior) — right for consumers that drain the
-// stream completely. Cut-off consumers use NewLazyStream.
+// Every element is probed once, with Neighbors, which returns its list
+// sorted.
 func NewStreamMasked(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool) *Stream {
-	return newStream(query, qids, src, alpha, skip, false)
-}
-
-// NewLazyStream is NewStreamMasked preferring the source's incremental
-// probe (LazySource) when it has one: neighbors below the point where the
-// consumer stops are never ordered or delivered. Sources without an
-// incremental probe are adapted transparently.
-func NewLazyStream(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool) *Stream {
-	return newStream(query, qids, src, alpha, skip, true)
-}
-
-func newStream(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool, lazy bool) *Stream {
 	s := streams.Get().(*Stream)
 	s.query, s.qids = query, qids
 	s.pending, s.emitted, s.footprint = len(query), 0, 0
 	s.heap = *pqueue.NewHeapFrom(s.heap.Items()[:0], headLess)
 	if cap(s.elems) < len(query) {
-		// Keep the cursors' storage, which the elements past the old
-		// length get when the stream grows.
-		s.elems = append(s.elems[:cap(s.elems)], make([]elemCursor, len(query)-cap(s.elems))...)
+		s.elems = make([]elemCursor, len(query))
 	}
 	s.elems = s.elems[:len(query)]
-	// The probed elements: all of them, or those the mask leaves, at[j] being
-	// the query index of the j-th.
-	probe, at := query, s.at[:0]
-	if skip != nil {
-		probe = s.probe[:0]
-		for i, q := range query {
-			if !skip[i] {
-				probe, at = append(probe, q), append(at, i)
-			}
+	for i, q := range query {
+		var list []Neighbor
+		if skip == nil || !skip[i] {
+			list = src.Neighbors(q, alpha)
 		}
-		s.probe, s.at = probe, at
-	}
-	elem := func(j int) *elemCursor {
-		if skip != nil {
-			return &s.elems[at[j]]
-		}
-		return &s.elems[j]
-	}
-	if ls, ok := src.(LazySource); ok && lazy {
-		bufs := s.bufs[:0]
-		for j := range probe {
-			bufs = append(bufs, elem(j).lazy.h.Items()[:0])
-		}
-		ls.ScanNeighbors(probe, alpha, bufs)
-		for j := range probe {
-			ec := elem(j)
-			ec.lazy.reset(bufs[j])
-			ec.cur = &ec.lazy
-		}
-		clear(bufs) // the cursors own the lists now
-		s.bufs = bufs
-	} else {
-		for j, q := range probe {
-			ec := elem(j)
-			ec.eager = eagerCursor{list: src.Neighbors(q, alpha)}
-			ec.cur = &ec.eager
-		}
-	}
-	for i := range s.elems {
-		if s.elems[i].cur != nil {
-			s.refill(i)
-		}
+		s.elems[i] = elemCursor{list: list}
+		s.refill(i)
 	}
 	return s
 }
@@ -186,37 +118,21 @@ func newStream(query []string, qids []int32, src NeighborSource, alpha float64, 
 // query element or a token is dropped first, so a pooled stream pins no
 // request's strings. The stream must not be used afterwards.
 func (s *Stream) Release() {
-	for i := range s.elems {
-		ec := &s.elems[i]
-		ec.lazy.release()
-		*ec = elemCursor{lazy: ec.lazy}
-	}
+	clear(s.elems)
 	s.heap.Reset()
-	clear(s.probe)
 	s.query, s.qids = nil, nil
 	streams.Put(s)
 }
 
-// refill pushes query element i's next neighbor onto the merge heap,
-// pulling the next chunk from its cursor when the current one is consumed.
+// refill pushes query element i's next neighbor onto the merge heap.
 func (s *Stream) refill(i int) {
 	ec := &s.elems[i]
-	if ec.pos >= len(ec.chunk) {
-		if ec.cur == nil || ec.done {
-			return
-		}
-		ec.chunk = ec.cur.Next(cursorChunk)
-		ec.pos = 0
-		if len(ec.chunk) == 0 {
-			ec.done = true
-			return
-		}
-		for _, n := range ec.chunk {
-			s.footprint += int64(len(n.Token)) + 16 + 8 + 4
-		}
+	if ec.pos >= len(ec.list) {
+		return
 	}
-	n := ec.chunk[ec.pos]
+	n := ec.list[ec.pos]
 	ec.pos++
+	s.footprint += int64(len(n.Token)) + 16 + 8 + 4
 	s.heap.Push(streamHead{qIdx: i, token: n.Token, id: n.ID, sim: n.Sim})
 }
 
@@ -240,7 +156,7 @@ func (s *Stream) Next() (Tuple, bool) {
 		return Tuple{}, false
 	}
 	top := s.heap.Pop()
-	// Refill from the popped element's cursor, keeping the queue at one head
+	// Refill from the popped element's list, keeping the queue at one head
 	// per query element (§IV: "we only require to probe I with the query
 	// element corresponding to the popped element").
 	s.refill(top.qIdx)
@@ -248,77 +164,12 @@ func (s *Stream) Next() (Tuple, bool) {
 	return Tuple{QIdx: top.qIdx, Token: top.token, TokenID: top.id, Sim: top.sim}, true
 }
 
-// NextBlock appends up to max tuples to dst — the chunked pull a cut-off
-// consumer uses instead of draining tuple by tuple. The bool reports
-// whether the stream may still hold more tuples; call Level for the bound
-// on everything not yet emitted.
-func (s *Stream) NextBlock(dst []Tuple, max int) ([]Tuple, bool) {
-	for n := 0; n < max; n++ {
-		tup, ok := s.Next()
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst, tup)
-	}
-	return dst, s.pending > 0 || s.heap.Len() > 0
-}
-
-// Level returns an upper bound on the similarity of every tuple not yet
-// emitted: the merge heap's current top (cursors deliver descending, so no
-// unseen neighbor can beat a current head), 1 while identity tuples are
-// pending, and 0 once the stream is exhausted. This is the level s of the
-// paper's refinement termination condition.
-func (s *Stream) Level() float64 {
-	if s.pending > 0 {
-		return 1
-	}
-	if s.heap.Len() == 0 {
-		return 0
-	}
-	return s.heap.Peek().sim
-}
-
-// PeekRest emits every not-yet-emitted tuple in ARBITRARY order and leaves
-// the stream as it was, so Next and NextBlock still deliver every one of
-// them: pending identity tuples, the merge heap's current heads, each
-// element's partially consumed chunk, and each cursor's unordered
-// remainder. A search reads the whole stream this way before its first
-// block, to build its edge cache and bound every set by the maxima the
-// stream will bring (DESIGN.md §2, §10), without paying the merge heap's
-// and cursors' ordering costs for tuples refinement may never see. It
-// returns the number of α-neighbors it emitted.
-func (s *Stream) PeekRest(emit func(Tuple)) (neighbors int) {
-	for i := len(s.query) - s.pending; i < len(s.query); i++ {
-		emit(Tuple{QIdx: i, Token: s.query[i], TokenID: s.qid(i), Sim: 1})
-	}
-	for _, h := range s.heap.Items() {
-		neighbors++
-		emit(Tuple{QIdx: h.qIdx, Token: h.token, TokenID: h.id, Sim: h.sim})
-	}
-	for i := range s.elems {
-		ec := &s.elems[i]
-		for _, nb := range ec.chunk[ec.pos:] {
-			neighbors++
-			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
-		}
-		if ec.cur == nil || ec.done {
-			continue
-		}
-		for _, nb := range ec.cur.Peek() {
-			neighbors++
-			emit(Tuple{QIdx: i, Token: nb.Token, TokenID: nb.ID, Sim: nb.Sim})
-		}
-	}
-	return neighbors
-}
-
 // Emitted returns the number of tuples emitted so far.
 func (s *Stream) Emitted() int { return s.emitted }
 
 // FootprintBytes estimates the stream's in-memory size for the memory
-// experiments: neighbors actually delivered by the cursors (plus, for eager
-// sources, nothing extra — their full fetch is delivered chunk by chunk but
-// retained by the source, not the stream).
+// experiments: the neighbors that have entered the merge heap (the lists
+// themselves are retained by the source, not the stream) and the query.
 func (s *Stream) FootprintBytes() int64 {
 	return s.footprint + int64(len(s.query))*(8+24)
 }

@@ -119,15 +119,6 @@ func kernelNames() string {
 	return "screen=" + screen + " exact=" + exact
 }
 
-// drain empties a cursor in chunks of seven.
-func drain(c NeighborCursor) []Neighbor {
-	var out []Neighbor
-	for chunk := c.Next(7); len(chunk) > 0; chunk = c.Next(7) {
-		out = append(out, chunk...)
-	}
-	return out
-}
-
 // TestVectorArenaBitIdentical: the arena scan (one row per vector lane,
 // query row widened once) must reproduce sim.Dot over normalizeCopy vectors
 // bit for bit — AVX kernel, portable loop and strided PairSim alike, on
@@ -189,24 +180,24 @@ func testArenaSeam(t *testing.T, mode string, f *arenaFixture, dim int) {
 				if err := sameNeighborBits(src.Neighbors(f.tokens[qi], alpha), want); err != nil {
 					t.Fatalf("%s q=%d α=%v: Neighbors: %v", label, qi, alpha, err)
 				}
-				if err := sameNeighborBits(drain(neighborCursors(src, []string{f.tokens[qi]}, alpha)[0]), want); err != nil {
+				if err := sameNeighborBits(scanSorted(src, []string{f.tokens[qi]}, alpha)[0], want); err != nil {
 					t.Fatalf("%s q=%d α=%v: ScanNeighbors: %v", label, qi, alpha, err)
 				}
 			}
 		}
 		// All the queries and an unindexed token as one search's elements:
-		// one pass of the arena, each cursor its own element's neighbors.
+		// one pass of the arena, each list its own element's neighbors.
 		batch := []string{"never-indexed"}
 		for _, qi := range queries {
 			batch = append(batch, f.tokens[qi])
 		}
 		for _, alpha := range []float64{0.3, edge} {
-			curs := neighborCursors(src, batch, alpha)
-			if got := drain(curs[0]); len(got) != 0 {
-				t.Fatalf("%s α=%v: cursor of an unindexed token: %v", label, alpha, got)
+			lists := scanSorted(src, batch, alpha)
+			if got := lists[0]; len(got) != 0 {
+				t.Fatalf("%s α=%v: neighbors of an unindexed token: %v", label, alpha, got)
 			}
 			for g, qi := range queries {
-				if err := sameNeighborBits(drain(curs[g+1]), f.want(qi, n, alpha)); err != nil {
+				if err := sameNeighborBits(lists[g+1], f.want(qi, n, alpha)); err != nil {
 					t.Fatalf("%s q=%d α=%v: ScanNeighbors, element %d of %d: %v", label, qi, alpha, g+1, len(batch), err)
 				}
 			}

@@ -136,17 +136,13 @@ func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set
 // replacements, seals, and compaction returns byte-identical top-k results
 // and scores to an engine built from scratch on the surviving sets — at
 // every stage of the lifecycle. Over tombstones and memtable engines the
-// stream-wide set bound (DESIGN.md §2) must have skipped postings and
-// certified cut survivors without their replay, or the comparison says
-// nothing about either. The searches pump 32-tuple blocks: θlb is seeded
-// before the first block, so only a cut early in the stream leaves
-// candidates whose remaining postings are all in the tail, which is what
-// the certification settles (the default 256 cuts too late for any).
+// stream-wide set bound (DESIGN.md §2) must have skipped postings, or the
+// comparison says nothing about the skip.
 func TestEquivalenceAcrossKinds(t *testing.T) {
-	skipped, certified := 0, 0
+	skipped := 0
 	defer func() {
-		if !t.Failed() && (skipped == 0 || certified == 0) {
-			t.Fatalf("the stream-wide bound skipped %d postings and certified %d cut survivors; want some of each", skipped, certified)
+		if !t.Failed() && skipped == 0 {
+			t.Fatal("the stream-wide bound skipped no posting")
 		}
 	}()
 	for _, kind := range datagen.Kinds() {
@@ -158,7 +154,6 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 			}
 			nSeed := len(all) * 3 / 5
 			opts := testOpts()
-			opts.LazyBlock = 32
 			m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), opts,
 				Config{SealThreshold: 7, MaxSegments: 2})
 			o := newOracle()
@@ -185,7 +180,6 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 				for _, q := range queries() {
 					st := assertEquivalent(t, label, m, rows, ds.Model.Vector, opts, q)
 					skipped += st.PostingsSkipped
-					certified += st.BoundCertified
 				}
 			}
 

@@ -228,7 +228,7 @@ func TestMemtableTombstoneAccounting(t *testing.T) {
 // statsCounters is a search's statistics without its wall-clock times.
 func statsCounters(st core.Stats) core.Stats {
 	st.RefineTime, st.PostprocTime = 0, 0
-	st.StreamTime, st.BoundTime, st.WalkTime, st.ReplayTime, st.VerifyTime = 0, 0, 0, 0, 0
+	st.StreamTime, st.BoundTime, st.WalkTime, st.DrainTime, st.VerifyTime = 0, 0, 0, 0, 0
 	return st
 }
 

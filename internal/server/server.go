@@ -120,11 +120,8 @@ type Server struct {
 	mux   *http.ServeMux
 	pool  *workerPool
 	start time.Time
-	// Lazy-stream aggregates across all served queries (DESIGN.md §10):
-	// how many queries cut the token stream early, and the cumulative
-	// tuples consumed vs. α-neighbors retrieved — the serving-level view of
-	// the cut-off's savings, surfaced in /v1/info.
-	lazyCuts        atomic.Int64
+	// Stream aggregates across all served queries: the cumulative tuples
+	// consumed and α-neighbors retrieved, surfaced in /v1/info.
 	streamTuples    atomic.Int64
 	streamRetrieved atomic.Int64
 	// panics counts handler panics swallowed by the recovery middleware —
@@ -135,9 +132,6 @@ type Server struct {
 // recordStreamStats folds one query's stream counters into the /v1/info
 // aggregates.
 func (s *Server) recordStreamStats(stats *core.Stats) {
-	if stats.StreamCut {
-		s.lazyCuts.Add(1)
-	}
 	s.streamTuples.Add(int64(stats.StreamTuples))
 	s.streamRetrieved.Add(int64(stats.StreamRetrieved))
 }
@@ -363,16 +357,15 @@ type SearchStats struct {
 	EMFull       int `json:"em_full"`
 	StreamTuples int `json:"stream_tuples"`
 	// StreamRetrieved is the α-neighbor count the similarity index
-	// actually materialized; StreamCut/StreamCutLevel report whether (and
-	// at what similarity level) the lazy pipeline stopped the token stream
-	// early — the per-query observability of DESIGN.md §10.
-	StreamRetrieved int     `json:"stream_retrieved"`
-	StreamCut       bool    `json:"stream_cut"`
-	StreamCutLevel  float64 `json:"stream_cut_level,omitempty"`
-	Segments        int     `json:"segments"`
-	RefineUS        int64   `json:"refine_us"`
-	PostprocUS      int64   `json:"postproc_us"`
-	MemoryBytes     int64   `json:"memory_bytes"`
+	// retrieved; StreamTuples adds an identity tuple per query element.
+	// StreamCut is always false — refinement consumes the whole stream —
+	// and stays for the clients that read it.
+	StreamRetrieved int   `json:"stream_retrieved"`
+	StreamCut       bool  `json:"stream_cut"`
+	Segments        int   `json:"segments"`
+	RefineUS        int64 `json:"refine_us"`
+	PostprocUS      int64 `json:"postproc_us"`
+	MemoryBytes     int64 `json:"memory_bytes"`
 }
 
 // validateK reports whether the request's k is acceptable: 0, which asks
@@ -422,7 +415,6 @@ func buildSearchResponse(results []segment.Result, stats *core.Stats) SearchResp
 			StreamTuples:    stats.StreamTuples,
 			StreamRetrieved: stats.StreamRetrieved,
 			StreamCut:       stats.StreamCut,
-			StreamCutLevel:  stats.StreamCutLevel,
 			Segments:        stats.Segments,
 			RefineUS:        stats.RefineTime.Microseconds(),
 			PostprocUS:      stats.PostprocTime.Microseconds(),
@@ -726,8 +718,8 @@ type InfoResponse struct {
 	// SimCache is always zero: retrieval has no pair cache (DESIGN.md §9).
 	// The section stays until the repository benchmark stops reading it.
 	SimCache SimCacheInfo `json:"sim_cache"`
-	// LazyStream aggregates the lazy token stream's cut-off savings across
-	// all served queries (DESIGN.md §10).
+	// LazyStream aggregates the token stream's consumption and retrieval
+	// across all served queries.
 	LazyStream LazyStreamInfo `json:"lazy_stream"`
 	// Resilience reports degraded mode, quarantined files, and the shed/
 	// panic counters (DESIGN.md §11).
@@ -758,11 +750,11 @@ type ResilienceInfo struct {
 	PanicsTotal int64 `json:"panics_total"`
 }
 
-// LazyStreamInfo is the lazy-stream section of /v1/info: how many queries
-// cut the token stream before exhaustion and the cumulative consumption
-// vs. retrieval tuple counts. CutRate is CutQueries over the pool's total
-// query count; TuplesTotal < RetrievedTotal means the cut-off is saving
-// consumption work.
+// LazyStreamInfo is the stream section of /v1/info: the cumulative tuples
+// consumed and α-neighbors retrieved. Refinement consumes the whole stream
+// of every query, so CutQueries and CutRate are always 0; the section keeps
+// its name and shape for the clients and the benchmark harness that read
+// it.
 type LazyStreamInfo struct {
 	CutQueries     int64   `json:"cut_queries"`
 	CutRate        float64 `json:"cut_rate"`
@@ -873,15 +865,10 @@ func (s *Server) serveRepair(w http.ResponseWriter, r *http.Request, col *collec
 }
 
 func (s *Server) lazyStreamInfo() LazyStreamInfo {
-	info := LazyStreamInfo{
-		CutQueries:     s.lazyCuts.Load(),
+	return LazyStreamInfo{
 		TuplesTotal:    s.streamTuples.Load(),
 		RetrievedTotal: s.streamRetrieved.Load(),
 	}
-	if q := s.pool.queries.Load(); q > 0 {
-		info.CutRate = float64(info.CutQueries) / float64(q)
-	}
-	return info
 }
 
 func handleHealthz(w http.ResponseWriter, r *http.Request) {
