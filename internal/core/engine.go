@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -88,9 +90,10 @@ type queryScratch struct {
 	theta  atomicMax
 	chunks []chunk
 	// tuples holds the stream, first as the probe reads it and then in
-	// the walk's order, and cache the edge cache built from it
-	// (Engine.openStream).
+	// the walk's order, keys the sort keys that order it, and cache the
+	// edge cache built from it (Engine.openStream).
 	tuples []streamTuple
+	keys   []uint64
 	cache  edgeCache
 	// seeds and seedUsed are the θlb seed's sets and query mask.
 	seeds    []seedSet
@@ -399,8 +402,8 @@ func (e *Engine) liveID(id int32, live []uint64) int32 {
 // let the cursors land on the end offsets the accessor expects — and then
 // sorts them once into index.Stream's order: the identity tuples by query
 // index, then the others by descending similarity, ascending token string
-// and ascending query index. first marks each token's first tuple in that
-// order, through sc.seen. What it returns aliases sc.
+// and ascending query index (sortStream). first marks each token's first
+// tuple in that order, through sc.seen. What it returns aliases sc.
 func (e *Engine) openStream(query []string, qids []int32, skip []bool, alpha float64, live []uint64, sc *queryScratch) ([]streamTuple, *edgeCache, int) {
 	probe := index.NewProbe(query, e.src, alpha, skip)
 	defer probe.Release()
@@ -438,16 +441,7 @@ func (e *Engine) openStream(query []string, qids []int32, skip []bool, alpha flo
 	}
 	sc.cache = edgeCache{offsets: offsets, arena: arena}
 
-	vocab := e.repo.Vocabulary()
-	slices.SortFunc(tuples[identities:], func(a, b streamTuple) int {
-		if c := cmp.Compare(b.sim, a.sim); c != 0 {
-			return c
-		}
-		if a.tokenID != b.tokenID {
-			return strings.Compare(vocab[a.tokenID], vocab[b.tokenID])
-		}
-		return cmp.Compare(a.qIdx, b.qIdx)
-	})
+	sc.keys = sortStream(tuples[identities:], e.repo.Vocabulary(), sc.keys)
 	seen := sc.seen
 	for i := range tuples {
 		id := tuples[i].tokenID
@@ -457,4 +451,64 @@ func (e *Engine) openStream(query []string, qids []int32, skip []bool, alpha flo
 	}
 	sc.tuples = tuples
 	return tuples, &sc.cache, retrieved
+}
+
+// sortStream sorts tuples — similarities neither negative nor NaN — by
+// descending similarity, ascending token string and ascending query index,
+// with keys as scratch, and returns keys. The sort runs on integers: tuple
+// i's key is ^Float64bits(sim) with its low ⌈log₂ n⌉ bits replaced by i, so
+// ascending keys are descending similarities, and the index the key carries
+// says which tuple it stands for. The permutation is applied in place, one
+// cycle at a time. Tuples whose keys agree above the index bits — equal
+// similarities, or ones that differ only there — are then re-sorted with
+// the full comparison, so token strings are compared only between tuples
+// of equal similarity, as the comparison alone would.
+func sortStream(tuples []streamTuple, vocab []string, keys []uint64) []uint64 {
+	n := len(tuples)
+	low := uint64(1)<<bits.Len(uint(max(n-1, 0))) - 1
+	keys = sized(keys, n)
+	for i, t := range tuples {
+		k := ^math.Float64bits(t.sim)
+		if t.sim == 0 {
+			k = ^uint64(0) // −0 as +0: the comparison tells them not apart
+		}
+		keys[i] = k&^low | uint64(i)
+	}
+	slices.Sort(keys)
+	// Position i takes tuple keys[i]&low. A placed position's key gets its
+	// own index, which also marks the fixed points done.
+	for i := range keys {
+		if int(keys[i]&low) == i {
+			continue
+		}
+		t, j := tuples[i], i
+		for {
+			from := int(keys[j] & low)
+			keys[j] = keys[j]&^low | uint64(j)
+			if from == i {
+				tuples[j] = t
+				break
+			}
+			tuples[j], j = tuples[from], from
+		}
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j]&^low == keys[i]&^low {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(tuples[i:j], func(a, b streamTuple) int {
+				if c := cmp.Compare(b.sim, a.sim); c != 0 {
+					return c
+				}
+				if a.tokenID != b.tokenID {
+					return strings.Compare(vocab[a.tokenID], vocab[b.tokenID])
+				}
+				return cmp.Compare(a.qIdx, b.qIdx)
+			})
+		}
+		i = j
+	}
+	return keys
 }

@@ -26,19 +26,20 @@ func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 // xgetbv returns the low half of XCR0: the register state the OS saves.
 func xgetbv() uint32
 
-// dotBlocksAVX is dotBlocksGo for dim ≥ 1 widened float32 components at q
-// and nblk ≥ 1 blocks at data: one arena row per vector lane, products and
-// sums rounded as the scalar loop rounds them (dot_amd64.s). It reads
-// 4·dim·nblk floats at data and writes 4·nblk dots at out.
+// dotBlocksAVX is dotBlocksGo for dim ≥ 1 elements of the query row at q,
+// one every four floats, and nblk ≥ 1 blocks at data: one arena row per
+// vector lane, products and sums rounded as the scalar loop rounds them
+// (dot_amd64.s). It reads 4·dim·nblk floats at data and writes 4·nblk dots
+// at out.
 //
 //go:noescape
-func dotBlocksAVX(q *float64, dim int, data *float32, nblk int, out *float64)
+func dotBlocksAVX(q *float32, dim int, data *float32, nblk int, out *float64)
 
 // dotBlocksFMA is dotBlocksAVX with multiply and add fused; the same bits,
-// because q's components are widened float32 values.
+// because both factors are widened float32 values.
 //
 //go:noescape
-func dotBlocksFMA(q *float64, dim int, data *float32, nblk int, out *float64)
+func dotBlocksFMA(q *float32, dim int, data *float32, nblk int, out *float64)
 
 // screenBlocksVNNI is screenBlocksGo for nquad ≥ 1 quads of query rows,
 // groups ≥ 1 and nblk ≥ 1 16-row blocks: one VPDPBUSD adds four products
@@ -65,17 +66,18 @@ func screenBlocksAVX2(q *int16, npair, groups int, data *byte, nblk int, thr *in
 //go:noescape
 func classMasksVPOPCNT(sk *uint64, n int, q uint64, cut int64, mask *byte)
 
-// dotBlocks computes the raw dots of the query row q against the len(out)/4
-// blocks data starts with: an assembly kernel when the CPU has AVX and the
-// shape is one the kernels take (their loops count down from dim and nblk),
-// dotBlocksGo otherwise.
-func dotBlocks(q []float64, data []float32, out []float64) {
-	dim, nblk := len(q), len(out)/4
+// dotBlocks computes the raw dots of the query row q — element j at q[4j],
+// the row's lane in the arena — against the len(out)/4 blocks data starts
+// with: an assembly kernel when the CPU has AVX and the shape is one the
+// kernels take (their loops count down from dim and nblk), dotBlocksGo
+// otherwise.
+func dotBlocks(q []float32, dim int, data []float32, out []float64) {
+	nblk := len(out) / 4
 	if !useAVX || dim == 0 || nblk == 0 {
-		dotBlocksGo(q, data, out)
+		dotBlocksGo(q, dim, data, out)
 		return
 	}
-	_ = data[4*dim*nblk-1] // the kernels read this far, unchecked
+	_, _ = data[4*dim*nblk-1], q[4*(dim-1)] // the kernels read this far, unchecked
 	if useFMA {
 		dotBlocksFMA(&q[0], dim, &data[0], nblk, &out[0])
 	} else {

@@ -1,9 +1,12 @@
 // The body of dotBlocksAVX and dotBlocksFMA (dot_amd64.s defines MAC and
 // loads the arguments): AX = q, CX = dim ≥ 1, BX = data, DX = nblk ≥ 1,
-// R8 = out.
+// R8 = out. q is the query row's lane in the arena: element j is the
+// float32 at 16j, widened to float64 in all four lanes of Y8 by
+// VBROADCASTSS and VCVTPS2PD — exactly, so the products are the scalar
+// loop's.
 //
 // Eight blocks per outer iteration — eight independent accumulators keep
-// both FP ports busy across the add latency and share each q[j] broadcast —
+// both FP ports busy across the add latency and share each q[j] widening —
 // then one block at a time. The scan hands it runs of blocks the screen
 // flagged (screen.go), so the eight-block loop is what a scan with
 // every block flagged runs on.
@@ -16,13 +19,12 @@
 // end of the arena is dropped, never a fault.
 //
 // Pointers are not reloaded between outer iterations: a j loop leaves AX
-// one row further (R13 bytes, subtracted again) and BX one block further
-// (R9 bytes), so the next group of eight blocks starts 7·R9 after it.
+// one block further (R9 bytes: the query row's lane spans a block, and is
+// subtracted again) and BX one block further, so the next group of eight
+// blocks starts 7·R9 after it.
 	MOVQ CX, R9
 	SHLQ $4, R9            // bytes per block
 	LEAQ (R9)(R9*2), R10   // three blocks
-	MOVQ CX, R13
-	SHLQ $3, R13           // bytes per query row
 	CMPQ DX, $8
 	JLT  single
 
@@ -40,7 +42,8 @@ eight:
 	MOVQ   CX, R12
 
 eightElem:
-	VBROADCASTSD (AX), Y8
+	VBROADCASTSS (AX), X8
+	VCVTPS2PD    X8, Y8
 	VCVTPS2PD    (BX), Y9
 	MAC(Y9, Y8, Y0, Y9)
 	VCVTPS2PD    (BX)(R9*1), Y10
@@ -57,7 +60,7 @@ eightElem:
 	MAC(Y15, Y8, Y6, Y15)
 	VCVTPS2PD    (R11)(R10*1), Y9
 	MAC(Y9, Y8, Y7, Y9)
-	ADDQ         $8, AX
+	ADDQ         $16, AX
 	ADDQ         $16, BX
 	ADDQ         $16, R11
 	PREFETCHT0   (DI)
@@ -75,7 +78,7 @@ eightElem:
 	VMOVUPD Y6, 192(R8)
 	VMOVUPD Y7, 224(R8)
 	ADDQ    $256, R8
-	SUBQ    R13, AX
+	SUBQ    R9, AX
 	LEAQ    (BX)(R10*2), BX
 	ADDQ    R9, BX
 	SUBQ    $8, DX
@@ -89,17 +92,18 @@ single:
 	MOVQ   CX, R12
 
 singleElem:
-	VBROADCASTSD (AX), Y8
+	VBROADCASTSS (AX), X8
+	VCVTPS2PD    X8, Y8
 	VCVTPS2PD    (BX), Y9
 	MAC(Y9, Y8, Y0, Y9)
-	ADDQ         $8, AX
+	ADDQ         $16, AX
 	ADDQ         $16, BX
 	DECQ         R12
 	JNZ          singleElem
 
 	VMOVUPD Y0, (R8)
 	ADDQ    $32, R8
-	SUBQ    R13, AX
+	SUBQ    R9, AX
 	DECQ    DX
 	JNZ     single
 

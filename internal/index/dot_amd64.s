@@ -19,8 +19,9 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	RET
 
 // The two exact kernels are one body (dot_amd64.h) around one step, MAC: cvt
-// holds element j of a block's four rows widened to float64, bc holds q[j]
-// in all four lanes, and acc += cvt·bc in every lane. Without FMA that is
+// holds element j of a block's four rows widened to float64, bc holds the
+// query row's element j, widened, in all four lanes, and acc += cvt·bc in
+// every lane. Without FMA that is
 // VMULPD into tmp, then VADDPD: what the scalar loop's MULSD and ADDSD do
 // for each row, with the same roundings. With FMA it is one instruction that
 // rounds once — to the same bits, because the product of two widened
@@ -28,7 +29,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 // before the add either way (DESIGN.md §12). tmp may be cvt itself when
 // nothing reads cvt afterwards.
 
-// func dotBlocksAVX(q *float64, dim int, data *float32, nblk int, out *float64)
+// func dotBlocksAVX(q *float32, dim int, data *float32, nblk int, out *float64)
 #define MAC(cvt, bc, acc, tmp) \
 	VMULPD bc, cvt, tmp  \
 	VADDPD tmp, acc, acc
@@ -43,7 +44,7 @@ TEXT ·dotBlocksAVX(SB), NOSPLIT, $0-40
 
 #undef MAC
 
-// func dotBlocksFMA(q *float64, dim int, data *float32, nblk int, out *float64)
+// func dotBlocksFMA(q *float32, dim int, data *float32, nblk int, out *float64)
 #define MAC(cvt, bc, acc, tmp) \
 	VFMADD231PD bc, cvt, acc
 

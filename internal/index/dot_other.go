@@ -2,9 +2,10 @@
 
 package index
 
-// dotBlocks computes the raw dots of the query row q against the len(out)/4
-// blocks data starts with.
-func dotBlocks(q []float64, data []float32, out []float64) { dotBlocksGo(q, data, out) }
+// dotBlocks computes the raw dots of the query row q — element j at q[4j],
+// the row's lane in the arena — against the len(out)/4 blocks data starts
+// with.
+func dotBlocks(q []float32, dim int, data []float32, out []float64) { dotBlocksGo(q, dim, data, out) }
 
 // screenBlocks writes s.mask for the first nq query rows of s against the
 // first nblk 16-row blocks at data.

@@ -108,23 +108,29 @@ func (s *scanScratch) pairWords(nq, groups int) {
 
 // screenChunk writes s.mask for the nblk 4-row blocks that start at row
 // first and the nq query rows prepareScreen wrote: the chunk's full 16-row
-// blocks through screenBlocks, the ≤ 3 blocks after them row by row (they
-// may end the view, whose last 16-row block then holds bytes of rows it does
-// not have), and last a bit for every row holding a NaN, against every query
-// row: such a row scores NaN, and a NaN proves nothing.
+// blocks through screenBlocks in place, the ≤ 3 blocks after them through
+// screenBlocks on a zero-padded copy of their bytes (they may end the view,
+// whose last 16-row block then holds bytes of rows it does not have), and
+// last a bit for every row holding a NaN, against every query row: such a
+// row scores NaN, and a NaN proves nothing.
 func (r *vecRows) screenChunk(s *scanScratch, nq, first, nblk int) {
 	gs, full := r.groups(), nblk/4
 	screenBlocks(s, nq, gs, r.u8[first*4*gs:], full)
-	for b := 4 * full; b < nblk; b++ {
-		for g := 0; g < nq; g++ {
-			var m byte
-			for l := 0; l < 4; l++ {
-				if r.rowSum(s.q8, g, first+4*b+l) >= s.thr[g] {
-					m |= 1 << l
-				}
-			}
-			s.mask[g*scanChunk+b] = m
+	if rest := nblk - 4*full; rest > 0 {
+		// Bytes [64k, 64k+16·rest) of each group are the rest blocks' rows.
+		s.pad8 = sized(s.pad8, 64*gs)
+		clear(s.pad8)
+		part := r.u8[(first+16*full)*4*gs:]
+		for k := 0; k < 64*gs; k += 64 {
+			copy(s.pad8[k:k+16*rest], part[k:])
 		}
+		// The padded block's masks land at block 4·full of each query row:
+		// its first rest bytes are the ones that count, and those after
+		// them lie past the chunk's nblk blocks, where no one reads.
+		mask := s.mask
+		s.mask = mask[4*full:]
+		screenBlocks(s, nq, gs, s.pad8, 1)
+		s.mask = mask
 	}
 	lo, _ := slices.BinarySearch(r.nan, int32(first))
 	for _, i := range r.nan[lo:] {
@@ -136,18 +142,6 @@ func (r *vecRows) screenChunk(s *scanScratch, nq, first, nblk int) {
 			s.mask[g*scanChunk+b] |= bit
 		}
 	}
-}
-
-// rowSum is the screen's sum of query row g of q8 and arena row i, read
-// from row i's bytes alone.
-func (r *vecRows) rowSum(q8 []int8, g, i int) int32 {
-	gs, at8 := r.groups(), r.lane8(i)
-	var sum int32
-	for k := 0; k < gs; k++ {
-		d, q := r.u8[at8+64*k:][:4], q8[(g/4*gs+k)*16+4*(g%4):][:4]
-		sum += int32(d[0])*int32(q[0]) + int32(d[1])*int32(q[1]) + int32(d[2])*int32(q[2]) + int32(d[3])*int32(q[3])
-	}
-	return sum
 }
 
 // screenBlocksGo is the screen in portable Go, and the reference the

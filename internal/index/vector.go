@@ -45,10 +45,11 @@ type NeighborSource interface {
 // It is append-only: add writes only the lanes and bytes of the row it
 // appends, never one an earlier row owns, so a copy of the struct is an
 // immutable view of the rows it was taken over, however the original grows
-// afterwards. A view reads the ⌊n/4⌋ full blocks whole and the ≤ 3 rows of
-// its partial last block lane by lane, and screens its ⌊n/16⌋ full 16-row
-// blocks whole and the rest row by row; the remaining lanes and bytes of a
-// partial block belong to rows the view does not have.
+// afterwards. A view reads its ⌊n/4⌋ full blocks and ⌊n/16⌋ full 16-row
+// blocks in place, and copies the lanes and bytes of its own rows in a
+// partial block into a zeroed scratch block before a kernel reads them
+// (DESIGN.md §12): the remaining lanes and bytes of a partial block belong
+// to rows the view does not have, which a concurrent add may be writing.
 //
 // Scores are bit-identical to sim.Dot over normalizeCopy vectors: the same
 // float64(a[j])*float64(b[j]) products summed in index order into one
@@ -75,6 +76,15 @@ var useAVX, useFMA, useAVX2, useVNNI, useVPOPCNT bool
 // lane returns the arena offset of element 0 of row i; element j is 4j
 // further on.
 func (r *vecRows) lane(i int) int { return (i&^3)*r.dim + i&3 }
+
+// row returns the arena from row i's element 0 on: the row as dotBlocks
+// reads it, element j at [4j] (nothing at stride 0).
+func (r *vecRows) row(i int) []float32 {
+	if r.dim == 0 {
+		return nil
+	}
+	return r.data[r.lane(i):]
+}
 
 // add appends one row: v normalized with normalize32's arithmetic, written
 // straight into the row's lane, then quantised into its bytes of u8.
@@ -134,20 +144,20 @@ func clamp01(s float64) float64 {
 }
 
 // dotBlocksGo is the exact kernel in portable Go, and the reference the
-// assembly kernels are tested against: out[4b+l] = Σ_j q[j]·float64(element j
-// of row 4b+l), unclamped, for the len(out)/4 blocks data starts with.
-func dotBlocksGo(q []float64, data []float32, out []float64) {
-	dim := len(q)
+// assembly kernels are tested against: out[4b+l] = Σ_j float64(q[4j])·
+// float64(element j of row 4b+l), unclamped, for the len(out)/4 blocks data
+// starts with. q is a query row's lane in the arena: dim elements, one
+// every four floats.
+func dotBlocksGo(q []float32, dim int, data []float32, out []float64) {
 	for b := 0; b < len(out)/4; b++ {
 		blk := data[4*b*dim:][:4*dim]
 		var d0, d1, d2, d3 float64
-		// The slices shrink as the loop advances, so its condition is the
-		// only bounds check.
-		for qs := q; len(qs) >= 1 && len(blk) >= 4; qs, blk = qs[1:], blk[4:] {
-			d0 += qs[0] * float64(blk[0])
-			d1 += qs[0] * float64(blk[1])
-			d2 += qs[0] * float64(blk[2])
-			d3 += qs[0] * float64(blk[3])
+		for j := 0; j+3 < len(blk); j += 4 {
+			x := float64(q[j])
+			d0 += x * float64(blk[j])
+			d1 += x * float64(blk[j+1])
+			d2 += x * float64(blk[j+2])
+			d3 += x * float64(blk[j+3])
 		}
 		o := out[4*b:][:4]
 		o[0], o[1], o[2], o[3] = d0, d1, d2, d3
@@ -164,17 +174,20 @@ const scanChunk = 64
 // scanScratch is what one scan needs beside its output: the query rows
 // quantised for screenBlocks with their thresholds (and, for the AVX2
 // kernel, split into words), one mask byte per query row and block of a
-// chunk, and one query row widened to float64 for dotBlocks; and, for a
-// search's probe, its elements' rows and output lists.
+// chunk, and the zeroed copies of a partial 16-row block's bytes and a
+// partial 4-row block's lanes that the kernels read in their place; and,
+// for a search's probe, its elements' rows and output lists. dotBlocks
+// reads the query rows in place.
 type scanScratch struct {
-	q8   []int8
-	q16  []int16
-	thr  []int32
-	mask []byte
-	wide []float64
-	qis  []int
-	at   []int
-	bufs [][]Neighbor
+	q8    []int8
+	q16   []int16
+	thr   []int32
+	mask  []byte
+	pad8  []byte
+	pad32 []float32
+	qis   []int
+	at    []int
+	bufs  [][]Neighbor
 }
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -194,7 +207,8 @@ func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 // int8 screen marks for every query row the blocks that may hold a match
 // and dotBlocks → appendMatches score those, in maximal runs: every score
 // that leaves is the exact kernel's, the screen only decides where it need
-// not run. The rows of a partial last block go through dot. s is the scan's
+// not run. The ≤ 3 rows of a partial last block are scored by the same
+// kernel on a zero-padded copy of their lanes (tailBlock). s is the scan's
 // scratch.
 //
 // Two classes of α have nothing to screen. α ≤ 0 admits every row once the
@@ -205,12 +219,11 @@ func (r *vecRows) scanAll(s *scanScratch, qis []int, alpha float64, bufs [][]Nei
 	if !(alpha <= 1) {
 		return
 	}
-	nq := len(qis)
+	nq, dim := len(qis), r.dim
 	quads := (nq + 3) / 4 // the screen takes query rows four at a time: the last quad is filled with zero rows
 	s.mask = sized(s.mask, 4*quads*scanChunk)
-	s.wide = sized(s.wide, r.dim)
-	mask, q := s.mask, s.wide
-	floor, screen := screenFloor(alpha, r.dim)
+	mask := s.mask
+	floor, screen := screenFloor(alpha, dim)
 	if screen {
 		r.prepareScreen(s, qis, floor)
 	} else {
@@ -222,13 +235,12 @@ func (r *vecRows) scanAll(s *scanScratch, qis []int, alpha float64, bufs [][]Nei
 	full := n &^ 3
 	var dots [4 * scanChunk]float64
 	for i := 0; i < full; i += 4 * scanChunk {
-		chunk, nblk := r.data[i*r.dim:], min(scanChunk, (full-i)/4)
+		chunk, nblk := r.data[i*dim:], min(scanChunk, (full-i)/4)
 		if screen {
 			r.screenChunk(s, nq, i, nblk)
 		}
 		for g, qi := range qis {
-			m := mask[g*scanChunk:][:nblk]
-			widened := false // q holds row qi
+			m, q := mask[g*scanChunk:][:nblk], r.row(qi)
 			for b := 0; b < nblk; {
 				if b+8 <= nblk && binary.LittleEndian.Uint64(m[b:]) == 0 {
 					b += 8
@@ -242,25 +254,36 @@ func (r *vecRows) scanAll(s *scanScratch, qis []int, alpha float64, bufs [][]Nei
 				for end < nblk && m[end] != 0 {
 					end++
 				}
-				if !widened {
-					for j, at := 0, r.lane(qi); j < r.dim; j++ {
-						q[j] = float64(r.data[at+4*j])
-					}
-					widened = true
-				}
 				d := dots[:4*(end-b)]
-				dotBlocks(q, chunk[4*b*r.dim:], d)
+				dotBlocks(q, dim, chunk[4*b*dim:], d)
 				bufs[g] = r.appendMatches(bufs[g], i+4*b, d, qi, alpha)
 				b = end
 			}
 		}
 	}
-	for g, qi := range qis {
-		for i := full; i < n; i++ {
-			dots[i-full] = r.dot(qi, i)
-		}
-		bufs[g] = r.appendMatches(bufs[g], full, dots[:n-full], qi, alpha)
+	if full == n {
+		return
 	}
+	tail := r.tailBlock(s, full, n)
+	for g, qi := range qis {
+		d := dots[:4]
+		dotBlocks(r.row(qi), dim, tail, d)
+		bufs[g] = r.appendMatches(bufs[g], full, d[:n-full], qi, alpha)
+	}
+}
+
+// tailBlock returns a block holding the lanes of rows full…n−1, the ≤ 3
+// rows of the view's partial last block, and zeros in the other lanes: a
+// copy in s, read lane by lane from the arena, so the kernel never reads a
+// lane of a row the view does not have.
+func (r *vecRows) tailBlock(s *scanScratch, full, n int) []float32 {
+	s.pad32 = sized(s.pad32, 4*r.dim)
+	clear(s.pad32)
+	blk := r.data[full*r.dim:]
+	for j := 0; j < 4*r.dim; j += 4 {
+		copy(s.pad32[j:j+n-full], blk[j:])
+	}
+	return s.pad32
 }
 
 // sized returns buf with length n, reallocated only when its capacity is

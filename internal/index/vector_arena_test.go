@@ -120,7 +120,7 @@ func kernelNames() string {
 }
 
 // TestVectorArenaBitIdentical: the arena scan (one row per vector lane,
-// query row widened once) must reproduce sim.Dot over normalizeCopy vectors
+// query row read in place) must reproduce sim.Dot over normalizeCopy vectors
 // bit for bit — AVX kernel, portable loop and strided PairSim alike, on
 // Exact and DynamicExact — because the repository benchmark's output check
 // compares served scores with an index.NewExact reference for equality, and
@@ -267,9 +267,9 @@ func TestArenaDegenerateShapes(t *testing.T) {
 			}
 		})
 	}
-	dotBlocks(nil, nil, nil)                // no rows at all
-	dotBlocks([]float64{1}, nil, nil)       // no full block
-	dotBlocks(nil, nil, make([]float64, 8)) // dim 0
+	dotBlocks(nil, 0, nil, nil)                // no rows at all
+	dotBlocks([]float32{1}, 1, nil, nil)       // no full block
+	dotBlocks(nil, 0, nil, make([]float64, 8)) // dim 0
 	s := &scanScratch{q8: make([]int8, 16), q16: make([]int16, 8), thr: make([]int32, 4), mask: make([]byte, 4*scanChunk)}
 	screenBlocks(new(scanScratch), 0, 3, nil, 0) // no query rows
 	screenBlocks(s, 1, 1, nil, 0)                // no full block
@@ -696,6 +696,18 @@ func TestScreenKernelsAgree(t *testing.T) {
 	}
 }
 
+// rowSum is the reference for the screen kernels: the screen's sum of
+// query row g of q8 and arena row i, read from row i's bytes alone.
+func (r *vecRows) rowSum(q8 []int8, g, i int) int32 {
+	gs, at8 := r.groups(), r.lane8(i)
+	var sum int32
+	for k := 0; k < gs; k++ {
+		d, q := r.u8[at8+64*k:][:4], q8[(g/4*gs+k)*16+4*(g%4):][:4]
+		sum += int32(d[0])*int32(q[0]) + int32(d[1])*int32(q[1]) + int32(d[2])*int32(q[2]) + int32(d[3])*int32(q[3])
+	}
+	return sum
+}
+
 // seq returns lo, lo+1, …, hi.
 func seq(lo, hi int) []int {
 	var out []int
@@ -746,6 +758,45 @@ func TestArenaGroupKernel(t *testing.T) {
 						qis[1] = qis[0] // one row twice in the first pair
 					}
 					for _, alpha := range alphas {
+						checkArenaBatch(t, &r, ref, qis, alpha)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestArenaPartialBlocks: the 4-row blocks after a chunk's last full 16-row
+// block are screened, and the rows after the last full 4-row block scored,
+// by the kernels on zero-padded copies (screenChunk, tailBlock). On arenas
+// of every length mod 16, below one 16-row block, past a few and past a
+// whole chunk, scanned with 1–9 query rows (the last quad or pair part
+// filled), every screen and exact kernel this CPU runs must return
+// per-pair sim.Dot's matches bit for bit and flag every row of a full
+// block that reaches α (checkArenaBatch).
+func TestArenaPartialBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for _, dim := range []int{1, 5, 32} {
+		for _, blocks16 := range []int{0, 1, 3, 16} {
+			for tail := 0; tail < 16; tail++ {
+				n := 16*blocks16 + tail
+				if n == 0 {
+					continue
+				}
+				data := make([]byte, n*(dim+2))
+				rng.Read(data)
+				data[0] |= 2 // the first row sets the stride
+				r, ref := arenaFromBytes(dim, data, n)
+				if len(ref) != n {
+					t.Fatalf("fixture has %d rows, want %d", len(ref), n)
+				}
+				for nq := 1; nq <= 9; nq++ {
+					qis := make([]int, nq)
+					for g := range qis {
+						qis[g] = rng.Intn(n)
+					}
+					qis[nq-1] = n - 1 // a row of the partial blocks among the queries
+					for _, alpha := range []float64{0.3, 0.8} {
 						checkArenaBatch(t, &r, ref, qis, alpha)
 					}
 				}
@@ -875,9 +926,11 @@ func BenchmarkArenaScan(b *testing.B) {
 // that view while Sync appends rows (and reallocates the arena) behind it.
 // The first view ends in a partial 4-row block and a partial 16-row one (42
 // rows), so the rows Sync adds next land in lanes of a block the old view
-// still reads and in bytes of a screen block it screens row by row. The
-// second half does the same from concurrent goroutines, one row per Sync,
-// for -race.
+// still reads and in bytes of a screen block it screens through a padded
+// copy (screenChunk, tailBlock). The second half does the same from
+// concurrent goroutines, one row per Sync, for -race: a copy that read a
+// lane or byte of a row the view does not have — a whole group of the
+// screen block, a whole 4-row block — is a race with the append.
 func testVectorArenaGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const n0, n1, dim = 42, 400, 16

@@ -146,7 +146,21 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 		// The cheapest virtual column seen so far: row endRow at distance
 		// delta. A real free column popped at or below delta replaces it.
 		endRow, endEdge, delta := int32(root), int32(-1), -s.u[root]
-		s.relax(int32(root), 0)
+		// The search's first pop would be root's first edge of least
+		// clamped reduced cost (Heap.up lifts an entry only past a strictly
+		// greater one). When that pop would not happen (d > delta) or would
+		// end the search on a free column, do here what the search does,
+		// with the same checks, and leave the heap alone.
+		if e, d := s.cheapest(int32(root)); d > delta || s.colRow[s.col[e]] == -1 {
+			if d <= delta {
+				if bound != nil && dualSum-d < bound()-BoundEps {
+					return Result{Pruned: true, Iterations: iterations}
+				}
+				endEdge, delta = e, d
+			}
+		} else {
+			s.relax(int32(root), 0)
+		}
 		for s.heap.Len() > 0 && s.heap.Peek().d <= delta {
 			it := s.heap.Pop()
 			if s.state[it.j] == 2 {
@@ -216,6 +230,23 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 		}
 	}
 	return Result{Score: score, Match: s.match, Iterations: iterations}
+}
+
+// cheapest returns row i's first edge of least clamped reduced cost and
+// that cost: the distance relax(i, 0) gives its column.
+func (s *SparseSolver) cheapest(i int32) (int32, float64) {
+	lo, hi := s.rowStart[i], s.rowStart[i+1]
+	best, bestD := lo, 0.0
+	for e := lo; e < hi; e++ {
+		nd := 0.0
+		if rc := -s.w[e] - s.u[i] - s.v[s.col[e]]; rc > 0 {
+			nd += rc
+		}
+		if e == lo || nd < bestD {
+			best, bestD = e, nd
+		}
+	}
+	return best, bestD
 }
 
 // relax offers every unfinalized column adjacent to row i a path through i,

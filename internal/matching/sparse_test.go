@@ -3,6 +3,7 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -287,6 +288,204 @@ func FuzzSparseBounded(f *testing.F) {
 		}
 		checkSparse(t, w, bound)
 	})
+}
+
+// solveByHeap is Solve with every augmentation searched by Dijkstra over
+// the heap, the way Solve ran before its direct augmentations: the
+// reference TestSparseDirectAugmentation holds them to.
+func solveByHeap(s *SparseSolver, rows, cols int, edges []Edge, bound func() float64) Result {
+	s.load(rows, cols, edges)
+	dualSum := 0.0
+	for i := 0; i < rows; i++ {
+		best := 0.0
+		for _, w := range s.w[s.rowStart[i]:s.rowStart[i+1]] {
+			if w > best {
+				best = w
+			}
+		}
+		s.u[i] = -best
+		s.rowEdge[i] = -1
+		dualSum += best
+	}
+	if s.trace != nil {
+		s.trace(dualSum)
+	}
+	if bound != nil && dualSum < bound()-BoundEps {
+		return Result{Pruned: true}
+	}
+	iterations := 0
+	for root := 0; root < rows; root++ {
+		if s.rowStart[root] == s.rowStart[root+1] {
+			continue
+		}
+		iterations++
+		endRow, endEdge, delta := int32(root), int32(-1), -s.u[root]
+		s.relax(int32(root), 0)
+		for s.heap.Len() > 0 && s.heap.Peek().d <= delta {
+			it := s.heap.Pop()
+			if s.state[it.j] == 2 {
+				continue
+			}
+			if bound != nil && dualSum-it.d < bound()-BoundEps {
+				return Result{Pruned: true, Iterations: iterations}
+			}
+			s.state[it.j] = 2
+			i := s.colRow[it.j]
+			if i == -1 {
+				endRow, endEdge, delta = s.parentRow[it.j], s.parentEdge[it.j], it.d
+				break
+			}
+			if d := it.d - s.u[i]; d < delta {
+				endRow, endEdge, delta = i, -1, d
+			}
+			s.relax(i, it.d)
+		}
+		if bound != nil && dualSum-delta < bound()-BoundEps {
+			return Result{Pruned: true, Iterations: iterations}
+		}
+		s.u[root] += delta
+		for _, j := range s.touched {
+			if s.state[j] == 2 && s.colRow[j] != -1 {
+				s.v[j] += s.dist[j] - delta
+				s.u[s.colRow[j]] += delta - s.dist[j]
+			}
+		}
+		dualSum -= delta
+		for i, e := endRow, endEdge; ; {
+			prev := s.rowEdge[i]
+			s.rowEdge[i] = e
+			if e >= 0 {
+				s.colRow[s.col[e]] = i
+			}
+			if int(i) == root {
+				break
+			}
+			j := s.col[prev]
+			i, e = s.parentRow[j], s.parentEdge[j]
+		}
+		for _, j := range s.touched {
+			s.state[j] = 0
+		}
+		s.touched = s.touched[:0]
+		s.heap.Reset()
+		if s.trace != nil {
+			s.trace(dualSum)
+		}
+	}
+	score := 0.0
+	for i, e := range s.rowEdge {
+		s.match[i] = -1
+		if e >= 0 {
+			s.match[i] = int(s.col[e])
+			score += s.w[e]
+		}
+	}
+	return Result{Score: score, Match: s.match, Iterations: iterations}
+}
+
+// TestSparseDirectAugmentation: Solve's direct augmentations — the root's
+// cheapest edge taken without the heap when its column is free, or the
+// root's virtual column when that is cheaper — must leave everything as the
+// heap search leaves it: Match, Score bits, Iterations, the prune verdict,
+// the dual sum after every augmentation bit for bit and the number of
+// bound reads (a bound that rises with each read would tell a skipped or
+// extra check apart). The instances are the engine's random α-graphs, and
+// tie-heavy ones: every weight equal, weight-1.0 identity edges among
+// equal others, and parallel edges; each is solved unbounded, under fixed
+// bounds on both sides of the optimum and at it, and under a rising bound.
+func TestSparseDirectAugmentation(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	type run struct {
+		res    Result
+		match  []int
+		trace  []uint64
+		reads  int
+		direct bool
+	}
+	solve := func(heap bool, rows, cols int, edges []Edge, bound func(reads int) float64) run {
+		var s SparseSolver
+		var r run
+		s.trace = func(d float64) { r.trace = append(r.trace, math.Float64bits(d)) }
+		var b func() float64
+		if bound != nil {
+			b = func() float64 { r.reads++; return bound(r.reads) }
+		}
+		if heap {
+			r.res = solveByHeap(&s, rows, cols, edges, b)
+		} else {
+			r.res = s.Solve(rows, cols, edges, b)
+		}
+		r.match = append([]int(nil), r.res.Match...)
+		return r
+	}
+	instances := func(trial int) [][]float64 {
+		switch trial % 4 {
+		case 0:
+			return sparseInstance(rng, 8+72*(trial%8/4))
+		case 1: // every weight equal
+			w := sparseInstance(rng, 40)
+			for _, row := range w {
+				for j := range row {
+					if row[j] > 0 {
+						row[j] = 0.8
+					}
+				}
+			}
+			return w
+		case 2: // weight-1.0 identity edges among equal others
+			w := sparseInstance(rng, 40)
+			for i, row := range w {
+				for j := range row {
+					if row[j] > 0 {
+						row[j] = 0.9
+					}
+				}
+				if i < len(row) && rng.Intn(3) > 0 {
+					row[i] = 1
+				}
+			}
+			return w
+		}
+		return sparseInstance(rng, 24)
+	}
+	direct, searched := 0, 0
+	for trial := 0; trial < 800; trial++ {
+		w := instances(trial)
+		rows, cols, edges := len(w), width(w), edgesOf(w)
+		if trial%4 == 3 { // parallel edges: each a second time, lighter or equal
+			for _, e := range edgesOf(w) {
+				edges = append(edges, Edge{Q: e.Q, C: e.C, W: e.W * float64(rng.Intn(2))})
+			}
+			rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		}
+		opt := Hungarian(w).Score
+		bounds := []func(int) float64{nil}
+		for _, off := range []float64{-0.5, -BoundEps, -1e-12, 0, 1e-12, BoundEps, 0.5} {
+			b := opt + off
+			bounds = append(bounds, func(int) float64 { return b })
+		}
+		bounds = append(bounds, func(reads int) float64 { return opt * (1 - 1/float64(reads)) })
+		for bi, bound := range bounds {
+			want, got := solve(true, rows, cols, edges, bound), solve(false, rows, cols, edges, bound)
+			if got.res.Pruned != want.res.Pruned || got.res.Iterations != want.res.Iterations ||
+				math.Float64bits(got.res.Score) != math.Float64bits(want.res.Score) || got.reads != want.reads ||
+				!slices.Equal(got.match, want.match) || !slices.Equal(got.trace, want.trace) {
+				t.Fatalf("trial %d, bound %d: Solve %+v (match %v, %d reads, trace %x)\nheap search %+v (match %v, %d reads, trace %x)\nw=%v",
+					trial, bi, got.res, got.match, got.reads, got.trace, want.res, want.match, want.reads, want.trace, w)
+			}
+		}
+		// A fresh solver whose heap never grew took every augmentation
+		// directly; both kinds of instance must occur.
+		var s SparseSolver
+		if s.Solve(rows, cols, edges, nil); cap(s.heap.Items()) == 0 {
+			direct++
+		} else {
+			searched++
+		}
+	}
+	if direct == 0 || searched == 0 {
+		t.Fatalf("%d instances solved by direct augmentations alone, %d with a heap search: want both", direct, searched)
+	}
 }
 
 // TestSparseSolverReuseAllocatesNothing pins the scratch contract: once a
