@@ -195,9 +195,6 @@ func (r *Registry) attachMaintenance(c *Collection) {
 // /v1/info.
 func (r *Registry) Scheduler() *sched.Scheduler { return r.sched }
 
-// Dir returns the registry's root directory, empty for in-memory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Default returns the always-present default collection.
 func (r *Registry) Default() *Collection {
 	r.mu.RLock()

@@ -42,10 +42,10 @@ func TestWarmSearchAllocs(t *testing.T) {
 		src  index.NeighborSource
 	}
 	tw := datagen.GenerateDefault(datagen.Twitter, 0.05)
-	shapes := []shape{{"edit/twitter", tw, index.NewDynamicFunc(tw.Repo.Dict(), sim.EditSimilarity{})}}
+	shapes := []shape{{"edit/twitter", tw, index.NewDynamicFunc(dictOf(t, tw.Repo), sim.EditSimilarity{})}}
 	for _, kind := range datagen.Kinds() {
 		ds := datagen.GenerateDefault(kind, 0.05)
-		shapes = append(shapes, shape{"vector/" + string(kind), ds, index.NewDynamicExact(ds.Repo.Dict(), ds.Model.Vector)})
+		shapes = append(shapes, shape{"vector/" + string(kind), ds, index.NewDynamicExact(dictOf(t, ds.Repo), ds.Model.Vector)})
 	}
 	for _, sh := range shapes {
 		eng := NewEngine(sh.ds.Repo, sh.src, Options{K: 10, Alpha: 0.8, Partitions: 1, ExactScores: true})
@@ -90,7 +90,7 @@ func TestWarmSearchAllocs(t *testing.T) {
 // under -race.
 func TestPooledEditSearchesConcurrently(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
-	src := index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{})
+	src := index.NewDynamicFunc(dictOf(t, ds.Repo), sim.EditSimilarity{})
 	eng := NewEngine(ds.Repo, src, Options{K: 5, Alpha: 0.8, ExactScores: true})
 	all := ds.Repo.Sets()
 	queries := make([][]string, 16)

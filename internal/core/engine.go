@@ -298,9 +298,6 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 // cWords is the length, in words, of the engine's token-mask arena.
 func (e *Engine) cWords() int { return int(e.cOff[len(e.cOff)-1]) }
 
-// Options returns the engine's effective (defaulted) options.
-func (e *Engine) Options() Options { return e.opts }
-
 // Repo returns the repository the engine searches.
 func (e *Engine) Repo() *sets.Repository { return e.repo }
 

@@ -115,7 +115,7 @@ func TestSearchExactAgainstBruteForce(t *testing.T) {
 		}
 		eng := NewEngine(repo, src, opts)
 		results, stats := eng.Search(query)
-		checkTopK(t, repo, model, query, eng.Options().Alpha, eng.Options().K, results)
+		checkTopK(t, repo, model, query, opts.Alpha, opts.K, results)
 		if stats.Candidates != stats.IUBPruned+stats.NoEM+stats.EMEarly+stats.EMFull {
 			t.Fatalf("seed %d: filter accounting broken: %+v", seed, stats)
 		}

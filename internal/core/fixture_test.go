@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"testing"
 
 	"repro/internal/index"
 	"repro/internal/sets"
@@ -107,4 +108,15 @@ func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTup
 		return nil
 	}
 	return r.drain()
+}
+
+// dictOf rebuilds the dictionary a repository built by sets.NewRepository
+// interns into: its vocabulary, in token-ID order.
+func dictOf(tb testing.TB, r *sets.Repository) *sets.Dictionary {
+	tb.Helper()
+	d, err := sets.NewDictionaryFromTokens(r.Vocabulary())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }

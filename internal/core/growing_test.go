@@ -26,14 +26,15 @@ func TestGrowingMatchesNewEngine(t *testing.T) {
 		want []string
 	}
 	var horizons []horizon
-	g := NewGrowing(ds.Repo.Dict(), src, opts)
+	dict := dictOf(t, ds.Repo)
+	g := NewGrowing(dict, src, opts)
 	for n, row := range all {
 		g.Append(row)
 		if g.Len() != n+1 || g.Row(n).Name != row.Name {
 			t.Fatalf("after %d appends: Len %d, last row %q", n+1, g.Len(), g.Row(n).Name)
 		}
 		rows := append([]sets.Set(nil), all[:n+1]...)
-		ref := NewEngine(sets.SegmentOver(ds.Repo.Dict(), rows), src, opts)
+		ref := NewEngine(sets.SegmentOver(dict, rows), src, opts)
 		h := horizon{eng: g.Engine()}
 		for _, q := range queries {
 			res, st := ref.Search(q)
@@ -63,7 +64,7 @@ func TestGrowingSearchReusesArena(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	all := ds.Repo.Sets()
-	g := NewGrowing(ds.Repo.Dict(), src, Options{K: 3, Alpha: 0.8})
+	g := NewGrowing(dictOf(t, ds.Repo), src, Options{K: 3, Alpha: 0.8})
 	next := 0
 	appendOne := func() {
 		g.Append(all[next])

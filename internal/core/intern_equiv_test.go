@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -250,7 +253,17 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	checked := make(map[int]bool)
 	dropped := make(map[int]bool)
 
-	lub := pqueue.NewTopK(k)
+	// Lub holds set IDs only: a member's upper bound is ub's entry, which
+	// changes only after the member left.
+	lub := map[int]bool{}
+	lubKeys := func() []int { return slices.Sorted(maps.Keys(lub)) }
+	lubBottom := func() float64 {
+		least := math.Inf(1)
+		for key := range lub {
+			least = min(least, ub[key])
+		}
+		return least
+	}
 	qub := pqueue.NewHeap[ubEntry](ubMore)
 	for _, sv := range survivors {
 		ub[sv.setID] = sv.ub
@@ -259,16 +272,16 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	}
 
 	refill := func() {
-		for lub.Len() < k && qub.Len() > 0 {
+		for len(lub) < k && qub.Len() > 0 {
 			top := qub.Pop()
-			if dropped[top.sid] || lub.Contains(top.sid) || top.ub != ub[top.sid] {
+			if dropped[top.sid] || lub[top.sid] || top.ub != ub[top.sid] {
 				continue
 			}
 			if t := theta.Load(); top.ub < t-pruneEps {
 				dropped[top.sid] = true
 				continue
 			}
-			lub.Update(top.sid, top.ub)
+			lub[top.sid] = true
 		}
 	}
 
@@ -277,7 +290,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 		stats.VerifyCalls++
 		if res.Pruned {
 			stats.EMEarly++
-			lub.Remove(sid)
+			delete(lub, sid)
 			dropped[sid] = true
 			return
 		}
@@ -289,7 +302,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 		if llb.Update(sid, so) {
 			theta.Update(llb.Bottom())
 		}
-		lub.Remove(sid)
+		delete(lub, sid)
 		ub[sid] = so
 		qub.Push(ubEntry{ub: so, sid: sid})
 	}
@@ -297,12 +310,11 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	for {
 		refill()
 		mutated := false
-		keys := lub.Keys()
-		sort.Ints(keys)
+		keys := lubKeys()
 		t := theta.Load()
 		for _, key := range keys {
 			if ub[key] < t-pruneEps {
-				lub.Remove(key)
+				delete(lub, key)
 				dropped[key] = true
 				mutated = true
 				continue
@@ -310,7 +322,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 			if checked[key] {
 				continue
 			}
-			if !lub.Full() || (!opts.DisableNoEM && lb[key] >= lub.Bottom()) {
+			if len(lub) < k || (!opts.DisableNoEM && lb[key] >= lubBottom()) {
 				checked[key] = true
 				mutated = true
 			}
@@ -319,7 +331,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 			continue
 		}
 		pending := make([]int, 0, k)
-		for _, key := range lub.Keys() {
+		for _, key := range lubKeys() {
 			if !checked[key] {
 				pending = append(pending, key)
 			}
@@ -362,8 +374,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 
 	stats.NoEM += len(survivors) - stats.EMFull - stats.EMEarly
 
-	keys := lub.Keys()
-	sort.Ints(keys)
+	keys := lubKeys()
 	out := make([]Result, 0, len(keys))
 	for _, key := range keys {
 		if so, ok := verified[key]; ok {

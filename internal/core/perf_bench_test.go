@@ -135,7 +135,7 @@ func BenchmarkPostproc(b *testing.B) {
 // allocates only its answer (DESIGN.md §3).
 func BenchmarkEditSearch(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
-	benchServing(b, ds, index.NewDynamicFunc(ds.Repo.Dict(), sim.EditSimilarity{}))
+	benchServing(b, ds, index.NewDynamicFunc(dictOf(b, ds.Repo), sim.EditSimilarity{}))
 }
 
 // BenchmarkVectorSearch is BenchmarkEditSearch in search_small's shape: the
@@ -143,7 +143,7 @@ func BenchmarkEditSearch(b *testing.B) {
 // through a DynamicExact, the source the benchmark's vector workloads serve.
 func BenchmarkVectorSearch(b *testing.B) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 1.0)
-	benchServing(b, ds, index.NewDynamicExact(ds.Repo.Dict(), ds.Model.Vector))
+	benchServing(b, ds, index.NewDynamicExact(dictOf(b, ds.Repo), ds.Model.Vector))
 }
 
 // benchServing times whole searches over src under serving options,
@@ -201,6 +201,6 @@ func BenchmarkVerifyLarge(b *testing.B) {
 			queries = append(queries, s.Elements)
 		}
 	}
-	src := index.NewDynamicExact(ds.Repo.Dict(), ds.Model.Vector)
+	src := index.NewDynamicExact(dictOf(b, ds.Repo), ds.Model.Vector)
 	benchSearches(b, servingEngine(ds, src, queries[0]), queries)
 }

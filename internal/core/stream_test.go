@@ -44,8 +44,8 @@ func TestWalkStreamMatchesEagerStream(t *testing.T) {
 		return qs
 	}
 	opts := Options{K: 10, Alpha: 0.8}
-	vector := NewEngine(tw.Repo, index.NewDynamicExact(tw.Repo.Dict(), tw.Model.Vector), opts)
-	edit := NewEngine(tw.Repo, index.NewDynamicFunc(tw.Repo.Dict(), sim.EditSimilarity{}), opts)
+	vector := NewEngine(tw.Repo, index.NewDynamicExact(dictOf(t, tw.Repo), tw.Model.Vector), opts)
+	edit := NewEngine(tw.Repo, index.NewDynamicFunc(dictOf(t, tw.Repo), sim.EditSimilarity{}), opts)
 	exact := NewEngine(od.Repo, index.NewExact(od.Repo.Vocabulary(), od.Model.Vector), opts)
 	ivf := NewEngine(tw.Repo, index.NewIVF(tw.Repo.Vocabulary(), tw.Model.Vector, 8, 4, 1), Options{K: 10, Alpha: 0.6})
 	quantised := NewEngine(tw.Repo, index.NewFuncIndex(tw.Repo.Vocabulary(), quantSim{sim.EditSimilarity{}}), Options{K: 10, Alpha: 0.6})

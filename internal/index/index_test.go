@@ -20,21 +20,25 @@ func repo() *sets.Repository {
 }
 
 func TestInvertedPostings(t *testing.T) {
-	inv := NewInverted(repo())
+	r := repo()
+	inv := NewInverted(r)
 	if got := inv.Sets("b"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("postings for b = %v", got)
 	}
 	if got := inv.Sets("zzz"); got != nil {
 		t.Fatalf("postings for unknown token = %v", got)
 	}
-	if inv.Tokens() != 5 {
-		t.Fatalf("Tokens = %d, want 5", inv.Tokens())
+	// Five tokens have postings, seven in all (Σ|C|).
+	tokens, entries := 0, 0
+	for tid := int32(0); tid < int32(r.VocabSize()); tid++ {
+		sids, _ := inv.Postings(tid)
+		if len(sids) > 0 {
+			tokens++
+		}
+		entries += len(sids)
 	}
-	if inv.Entries() != 7 {
-		t.Fatalf("Entries = %d, want 7", inv.Entries())
-	}
-	if inv.FootprintBytes() <= 0 {
-		t.Fatal("FootprintBytes not positive")
+	if tokens != 5 || entries != 7 {
+		t.Fatalf("%d tokens with %d postings, want 5 and 7", tokens, entries)
 	}
 }
 
@@ -192,7 +196,7 @@ func TestMinHashLSHRecallAndPrecision(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", l.Len(), len(vocab))
 	}
 	queries := vocab[:40]
-	if recall := l.Recall(queries, 0.5); recall < 0.7 {
+	if recall := lshRecall(l, queries, 0.5); recall < 0.7 {
 		t.Fatalf("LSH recall %.2f < 0.7 at α=0.5 with 16 bands", recall)
 	}
 	// Precision is exact by construction: every returned neighbor verifies.
@@ -231,13 +235,11 @@ func TestStreamDescendingOrder(t *testing.T) {
 	st := NewStream(query, ex, 0.7)
 	prev := 2.0
 	identitySeen := map[string]bool{}
-	n := 0
 	for {
 		tup, ok := st.Next()
 		if !ok {
 			break
 		}
-		n++
 		if tup.Sim > prev+1e-9 {
 			t.Fatalf("stream not descending: %v after %v", tup.Sim, prev)
 		}
@@ -251,9 +253,6 @@ func TestStreamDescendingOrder(t *testing.T) {
 	}
 	if len(identitySeen) != len(query) {
 		t.Fatalf("identity tuples for %d/%d query elements", len(identitySeen), len(query))
-	}
-	if st.Emitted() != n {
-		t.Fatalf("Emitted = %d, want %d", st.Emitted(), n)
 	}
 }
 
@@ -331,9 +330,6 @@ func TestStreamCompleteness(t *testing.T) {
 			t.Fatalf("pair %v: got %v, want %v", k, got[k], s)
 		}
 	}
-	if st.FootprintBytes() <= 0 {
-		t.Fatal("FootprintBytes not positive")
-	}
 }
 
 func TestStreamEmptyQuery(t *testing.T) {
@@ -355,7 +351,7 @@ func TestInvertedPostingsPositions(t *testing.T) {
 		if len(sids) != len(poss) {
 			t.Fatalf("token %d: %d sids, %d positions", tid, len(sids), len(poss))
 		}
-		tok := r.Token(tid)
+		tok := r.Vocabulary()[tid]
 		for i, sid := range sids {
 			s := r.Set(int(sid))
 			if s.Elements[poss[i]] != tok {
@@ -395,4 +391,29 @@ func TestNeighborIDsMatchVocabPositions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lshRecall is the share of the α-neighbours of queries a brute-force scan
+// of l's vocabulary finds that l finds too.
+func lshRecall(l *MinHashLSH, queries []string, alpha float64) float64 {
+	exact := NewFuncIndex(l.tokens, l.fn)
+	found, want := 0, 0
+	for _, q := range queries {
+		truth := exact.Neighbors(q, alpha)
+		got := l.Neighbors(q, alpha)
+		gotSet := make(map[string]bool, len(got))
+		for _, n := range got {
+			gotSet[n.Token] = true
+		}
+		want += len(truth)
+		for _, n := range truth {
+			if gotSet[n.Token] {
+				found++
+			}
+		}
+	}
+	if want == 0 {
+		return 1
+	}
+	return float64(found) / float64(want)
 }

@@ -30,7 +30,6 @@ type Inverted struct {
 	offsets []int32 // len = vocab+1; postings of token t live in [offsets[t], offsets[t+1])
 	sids    []int32 // arena: global set IDs
 	poss    []int32 // arena: element position of the token inside the set
-	tokens  int     // distinct tokens with a non-empty posting list
 }
 
 // NewInverted builds the inverted index over all sets of the repository.
@@ -52,9 +51,6 @@ func NewInvertedSubset(r *sets.Repository, lo, hi int) *Inverted {
 		}
 	}
 	for t := 0; t < vocab; t++ {
-		if inv.offsets[t+1] > 0 {
-			inv.tokens++
-		}
 		inv.offsets[t+1] += inv.offsets[t]
 	}
 	total := inv.offsets[vocab]
@@ -95,18 +91,4 @@ func (inv *Inverted) Sets(token string) []int32 {
 		return nil
 	}
 	return sids
-}
-
-// Tokens returns the number of distinct tokens indexed.
-func (inv *Inverted) Tokens() int { return inv.tokens }
-
-// Entries returns the aggregate posting-list length Σ|C| (the D⁺ of the
-// paper's space analysis, §VII-B).
-func (inv *Inverted) Entries() int { return len(inv.sids) }
-
-// FootprintBytes estimates the in-memory size of the index for the memory
-// experiments (Fig. 5d/6d): the offset table plus the two arena slices.
-// Token strings live once in the repository dictionary, not in the index.
-func (inv *Inverted) FootprintBytes() int64 {
-	return int64(len(inv.offsets))*4 + int64(len(inv.sids))*8 + 3*24
 }

@@ -143,29 +143,3 @@ func fnv64(s string) uint64 {
 	h.Write([]byte(s))
 	return h.Sum64()
 }
-
-// Recall estimates the recall of the LSH configuration against a brute-force
-// scan for the given query tokens and threshold; used in tests and the index
-// ablation bench.
-func (l *MinHashLSH) Recall(queries []string, alpha float64) float64 {
-	exact := NewFuncIndex(l.tokens, l.fn)
-	found, want := 0, 0
-	for _, q := range queries {
-		truth := exact.Neighbors(q, alpha)
-		got := l.Neighbors(q, alpha)
-		gotSet := make(map[string]bool, len(got))
-		for _, n := range got {
-			gotSet[n.Token] = true
-		}
-		want += len(truth)
-		for _, n := range truth {
-			if gotSet[n.Token] {
-				found++
-			}
-		}
-	}
-	if want == 0 {
-		return 1
-	}
-	return float64(found) / float64(want)
-}

@@ -9,8 +9,9 @@ import (
 // Tuple is one element of the token stream Ie: query element qᵢ (by index
 // into the query slice), a vocabulary token, and their similarity. TokenID
 // is the token's interned repository ID when the stream was built with
-// NewStreamInterned (-1 for an identity tuple of a token occurring in no
-// set); streams built with NewStream leave identity tuples unresolved.
+// the query's IDs (NewStreamMasked; -1 for an identity tuple of a token
+// occurring in no set); streams built with NewStream leave identity tuples
+// unresolved.
 type Tuple struct {
 	QIdx    int
 	Token   string
@@ -35,13 +36,11 @@ type Tuple struct {
 // cursors and the merge heap — earlier streams grew, and Release hands it
 // back.
 type Stream struct {
-	query     []string
-	qids      []int32 // interned ID per query element; nil when unresolved
-	elems     []elemCursor
-	heap      pqueue.Heap[streamHead]
-	pending   int // identity tuples not yet emitted
-	emitted   int
-	footprint int64
+	query   []string
+	qids    []int32 // interned ID per query element; nil when unresolved
+	elems   []elemCursor
+	heap    pqueue.Heap[streamHead]
+	pending int // identity tuples not yet emitted
 }
 
 // elemCursor is one query element's position in its sorted neighbor list,
@@ -73,30 +72,26 @@ func headLess(a, b streamHead) bool {
 // NewStream probes src once per query element (threshold alpha) and prepares
 // the merged stream. The query slice must contain distinct elements.
 // Identity tuples carry TokenID -1; callers that consume token IDs use
-// NewStreamInterned instead.
+// NewStreamMasked instead.
 func NewStream(query []string, src NeighborSource, alpha float64) *Stream {
-	return NewStreamInterned(query, nil, src, alpha)
+	return NewStreamMasked(query, nil, src, alpha, nil)
 }
 
-// NewStreamInterned is NewStream with the query elements' interned token IDs
-// (qids[i] is the repository token ID of query[i], -1 for a token occurring
-// in no set), so every emitted tuple — identity tuples included — carries
-// its token ID. A nil qids marks all identity tuples unresolved (-1).
-func NewStreamInterned(query []string, qids []int32, src NeighborSource, alpha float64) *Stream {
-	return NewStreamMasked(query, qids, src, alpha, nil)
-}
-
-// NewStreamMasked is NewStreamInterned with a probe mask: query elements
-// with skip[i] set are never probed against the index and contribute only
-// their identity tuple — how a segmented search treats query elements whose
-// token survives only in deleted sets, so results match an engine whose
-// index never saw those sets (DESIGN.md §4). A nil skip probes everything.
+// NewStreamMasked is NewStream with the query elements' interned token IDs
+// and a probe mask. qids[i] is the repository token ID of query[i], -1 for a
+// token occurring in no set, so every emitted tuple — identity tuples
+// included — carries its token ID; a nil qids marks all identity tuples
+// unresolved (-1). Query elements with skip[i] set are never probed against
+// the index and contribute only their identity tuple — how a segmented
+// search treats query elements whose token survives only in deleted sets,
+// so results match an engine whose index never saw those sets (DESIGN.md
+// §4). A nil skip probes everything.
 // Every element is probed once, with Neighbors, which returns its list
 // sorted.
 func NewStreamMasked(query []string, qids []int32, src NeighborSource, alpha float64, skip []bool) *Stream {
 	s := streams.Get().(*Stream)
 	s.query, s.qids = query, qids
-	s.pending, s.emitted, s.footprint = len(query), 0, 0
+	s.pending = len(query)
 	s.heap = *pqueue.NewHeapFrom(s.heap.Items()[:0], headLess)
 	if cap(s.elems) < len(query) {
 		s.elems = make([]elemCursor, len(query))
@@ -132,7 +127,6 @@ func (s *Stream) refill(i int) {
 	}
 	n := ec.list[ec.pos]
 	ec.pos++
-	s.footprint += int64(len(n.Token)) + 16 + 8 + 4
 	s.heap.Push(streamHead{qIdx: i, token: n.Token, id: n.ID, sim: n.Sim})
 }
 
@@ -149,7 +143,6 @@ func (s *Stream) Next() (Tuple, bool) {
 	if s.pending > 0 {
 		i := len(s.query) - s.pending
 		s.pending--
-		s.emitted++
 		return Tuple{QIdx: i, Token: s.query[i], TokenID: s.qid(i), Sim: 1}, true
 	}
 	if s.heap.Len() == 0 {
@@ -160,16 +153,5 @@ func (s *Stream) Next() (Tuple, bool) {
 	// per query element (§IV: "we only require to probe I with the query
 	// element corresponding to the popped element").
 	s.refill(top.qIdx)
-	s.emitted++
 	return Tuple{QIdx: top.qIdx, Token: top.token, TokenID: top.id, Sim: top.sim}, true
-}
-
-// Emitted returns the number of tuples emitted so far.
-func (s *Stream) Emitted() int { return s.emitted }
-
-// FootprintBytes estimates the stream's in-memory size for the memory
-// experiments: the neighbors that have entered the merge heap (the lists
-// themselves are retained by the source, not the stream) and the query.
-func (s *Stream) FootprintBytes() int64 {
-	return s.footprint + int64(len(s.query))*(8+24)
 }

@@ -362,9 +362,6 @@ func NewExact(vocab []string, vec func(string) ([]float32, bool)) *Exact {
 	return e
 }
 
-// Len returns the number of indexed (covered) tokens.
-func (e *Exact) Len() int { return len(e.rows.tokens) }
-
 // Neighbors implements NeighborSource.
 func (e *Exact) Neighbors(q string, alpha float64) []Neighbor {
 	qi, ok := e.byToken[q]

@@ -62,15 +62,3 @@ func GreedyOrdered(edges []Edge) Result {
 	}
 	return Result{Score: score, Match: match, Iterations: iterations}
 }
-
-// MaxEdge returns the largest edge weight, the other half of the LB filter
-// (Lemma 3(a)). It returns 0 for an empty edge list.
-func MaxEdge(edges []Edge) float64 {
-	best := 0.0
-	for _, e := range edges {
-		if e.W > best {
-			best = e.W
-		}
-	}
-	return best
-}

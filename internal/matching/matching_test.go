@@ -186,16 +186,6 @@ func TestGreedyOrderedMatchesGreedy(t *testing.T) {
 	}
 }
 
-func TestMaxEdge(t *testing.T) {
-	if got := MaxEdge(nil); got != 0 {
-		t.Fatalf("MaxEdge(nil) = %v", got)
-	}
-	edges := []Edge{{0, 0, 0.3}, {1, 2, 0.9}, {2, 1, 0.5}}
-	if got := MaxEdge(edges); got != 0.9 {
-		t.Fatalf("MaxEdge = %v, want 0.9", got)
-	}
-}
-
 // TestEarlyTerminationSafety: with a bound at or below the true optimum the
 // solver must never prune and must return the exact score; with a bound
 // strictly above the optimum it must either prune or return a score below

@@ -2,12 +2,13 @@ package pqueue
 
 // TopK maintains the k largest items by score with O(log k) updates and O(1)
 // access to the smallest retained score (the list "bottom", which Koios uses
-// as θlb and θub). Items are identified by an integer key so that a later
-// update with a higher score replaces the earlier entry instead of occupying
-// a second slot.
+// as θlb). Items are identified by an integer key so that a later update
+// with a higher score replaces the earlier entry instead of occupying a
+// second slot.
 //
-// TopK is the concrete realization of the paper's running top-k lists Llb
-// and Lub (§IV, §VI). It is not safe for concurrent use; the partitioned
+// TopK is the concrete realization of the paper's running top-k list Llb
+// (§IV, §VI); post-processing keeps Lub, whose members only leave, in a
+// sorted slice of its own. It is not safe for concurrent use; the partitioned
 // driver wraps it in a mutex where needed.
 type TopK struct {
 	k     int
@@ -43,9 +44,6 @@ func (t *TopK) Reset(k int) {
 		clear(t.index)
 	}
 }
-
-// K returns the capacity of the list.
-func (t *TopK) K() int { return t.k }
 
 // Len returns the number of items currently retained.
 func (t *TopK) Len() int { return len(t.heap) }
@@ -111,38 +109,6 @@ func (t *TopK) Update(key int, score float64) bool {
 	return true
 }
 
-// Remove deletes key from the list if present, returning true on success.
-// Post-processing uses this when a verified set's exact score drops it out
-// of Lub.
-func (t *TopK) Remove(key int) bool {
-	i, ok := t.index[key]
-	if !ok {
-		return false
-	}
-	last := len(t.heap) - 1
-	delete(t.index, key)
-	if i != last {
-		t.heap[i] = t.heap[last]
-		t.index[t.heap[i].key] = i
-	}
-	t.heap = t.heap[:last]
-	if i < last {
-		if !t.down(i) {
-			t.up(i)
-		}
-	}
-	return true
-}
-
-// Keys returns the retained keys in unspecified order.
-func (t *TopK) Keys() []int {
-	out := make([]int, 0, len(t.heap))
-	for _, e := range t.heap {
-		out = append(out, e.key)
-	}
-	return out
-}
-
 // Entries returns (key, score) pairs sorted by descending score. Ties keep
 // heap order, which is arbitrary — consistent with the problem definition's
 // arbitrary tie-breaking.
@@ -179,24 +145,22 @@ func (t *TopK) up(i int) {
 	}
 }
 
-func (t *TopK) down(i int) bool {
-	moved := false
+func (t *TopK) down(i int) {
 	n := len(t.heap)
 	for {
 		left := 2*i + 1
 		if left >= n {
-			return moved
+			return
 		}
 		smallest := left
 		if right := left + 1; right < n && t.heap[right].score < t.heap[left].score {
 			smallest = right
 		}
 		if t.heap[smallest].score >= t.heap[i].score {
-			return moved
+			return
 		}
 		t.swap(i, smallest)
 		i = smallest
-		moved = true
 	}
 }
 

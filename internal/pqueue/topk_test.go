@@ -57,29 +57,6 @@ func TestTopKRaisesExistingKey(t *testing.T) {
 	}
 }
 
-func TestTopKRemove(t *testing.T) {
-	tk := NewTopK(3)
-	tk.Update(1, 0.1)
-	tk.Update(2, 0.2)
-	tk.Update(3, 0.3)
-	if !tk.Remove(2) {
-		t.Fatal("Remove(2) failed")
-	}
-	if tk.Remove(2) {
-		t.Fatal("second Remove(2) succeeded")
-	}
-	if tk.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tk.Len())
-	}
-	if tk.Bottom() != 0 {
-		t.Fatalf("Bottom with 2/3 entries = %v, want 0", tk.Bottom())
-	}
-	tk.Update(4, 0.4)
-	if got := tk.Bottom(); got != 0.1 {
-		t.Fatalf("Bottom = %v, want 0.1", got)
-	}
-}
-
 func TestTopKEntriesSorted(t *testing.T) {
 	tk := NewTopK(4)
 	scores := map[int]float64{1: 0.4, 2: 0.9, 3: 0.1, 4: 0.6}
@@ -179,9 +156,9 @@ func TestNewTopKPanicsOnZero(t *testing.T) {
 
 // TestTopKMatchesModel drives TopK and a plain slice with the same random
 // offers — keys that repeat, scores from a coarse grid so that offers equal
-// to the bottom and ties among retained scores are common — and removals.
-// After every step the return value, Bottom, and every key's Contains and
-// Score must agree. Which of several entries tied at the bottom an eviction
+// to the bottom and ties among retained scores are common. After every
+// step the return value, Bottom, and every key's Contains and Score must
+// agree. Which of several entries tied at the bottom an eviction
 // drops is the heap's business: the model requires that exactly one of them
 // is gone and follows it.
 func TestTopKMatchesModel(t *testing.T) {
@@ -213,43 +190,34 @@ func TestTopKMatchesModel(t *testing.T) {
 			for step := 0; step < 600; step++ {
 				key := rng.Intn(nKeys)
 				at := find(key)
-				if rng.Intn(6) == 0 {
-					if got := tk.Remove(key); got != (at >= 0) {
-						t.Fatalf("k=%d seed %d step %d: Remove(%d) = %v, model holds it: %v", k, seed, step, key, got, at >= 0)
+				score := float64(rng.Intn(9)) / 8
+				got := tk.Update(key, score)
+				want := false
+				switch {
+				case at >= 0:
+					if score > model[at].score {
+						model[at].score, want = score, true
 					}
-					if at >= 0 {
-						model = append(model[:at], model[at+1:]...)
-					}
-				} else {
-					score := float64(rng.Intn(9)) / 8
-					got := tk.Update(key, score)
-					want := false
-					switch {
-					case at >= 0:
-						if score > model[at].score {
-							model[at].score, want = score, true
-						}
-					case len(model) < k:
-						model, want = append(model, entry{key, score}), true
-					case score > bottom():
-						want = true
-						least, gone := bottom(), -1
-						for i, e := range model {
-							if e.score == least && !tk.Contains(e.key) {
-								if gone >= 0 {
-									t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted both %d and %d", k, seed, step, key, score, model[gone].key, e.key)
-								}
-								gone = i
+				case len(model) < k:
+					model, want = append(model, entry{key, score}), true
+				case score > bottom():
+					want = true
+					least, gone := bottom(), -1
+					for i, e := range model {
+						if e.score == least && !tk.Contains(e.key) {
+							if gone >= 0 {
+								t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted both %d and %d", k, seed, step, key, score, model[gone].key, e.key)
 							}
+							gone = i
 						}
-						if gone < 0 {
-							t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted no entry at the bottom %v", k, seed, step, key, score, least)
-						}
-						model[gone] = entry{key, score}
 					}
-					if got != want {
-						t.Fatalf("k=%d seed %d step %d: Update(%d, %v) = %v, want %v", k, seed, step, key, score, got, want)
+					if gone < 0 {
+						t.Fatalf("k=%d seed %d step %d: Update(%d, %v) evicted no entry at the bottom %v", k, seed, step, key, score, least)
 					}
+					model[gone] = entry{key, score}
+				}
+				if got != want {
+					t.Fatalf("k=%d seed %d step %d: Update(%d, %v) = %v, want %v", k, seed, step, key, score, got, want)
 				}
 				wantBottom := 0.0
 				if len(model) == k {

@@ -216,7 +216,7 @@ func recoverDir(dir string, man *store.Manifest, build SourceBuilder, opts core.
 
 	// The WAL is scanned read-only first so mid-log corruption (intact
 	// records beyond a corrupt frame) is detected — and the evidence copied
-	// to quarantine/ — before OpenWAL truncates the tail for appending. An
+	// to quarantine/ — before ResumeWAL truncates the tail for appending. An
 	// unreadable WAL (bad header, wrong generation, missing) is quarantined
 	// whole and replaced by an empty log of the same generation: the
 	// checkpointed state still serves, degraded.

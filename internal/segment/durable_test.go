@@ -148,7 +148,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 			if err != nil || man == nil {
 				t.Fatalf("manifest after churn: %v, %v", man, err)
 			}
-			if _, recs, err := openScan(t, dir, man); err != nil {
+			if recs, err := openScan(t, dir, man); err != nil {
 				t.Fatal(err)
 			} else if len(recs) != 0 {
 				t.Fatalf("%d WAL records survived a close checkpoint", len(recs))
@@ -160,15 +160,11 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 	}
 }
 
-// openScan reads the manifest's WAL without keeping it open.
-func openScan(t *testing.T, dir string, man *store.Manifest) (*store.WAL, []store.WALRecord, error) {
+// openScan reads the manifest's WAL read-only, as recovery's first step does.
+func openScan(t *testing.T, dir string, man *store.Manifest) ([]store.WALRecord, error) {
 	t.Helper()
-	w, recs, err := store.OpenWAL(store.OS, filepath.Join(dir, man.WAL), man.Gen)
-	if err != nil {
-		return nil, nil, err
-	}
-	w.Close()
-	return nil, recs, nil
+	recs, _, _, err := store.ScanWAL(store.OS, filepath.Join(dir, man.WAL), man.Gen)
+	return recs, err
 }
 
 // TestKillAtAnyWALPrefix is the crash half of the acceptance criteria: a
@@ -342,7 +338,7 @@ func TestDurableLifecycleAndLayout(t *testing.T) {
 		}
 	}
 	man, _ = store.LoadManifest(store.OS, dir)
-	if _, recs, err := openScan(t, dir, man); err != nil || len(recs) != 4 {
+	if recs, err := openScan(t, dir, man); err != nil || len(recs) != 4 {
 		t.Fatalf("sealed WAL: %d records, %v", len(recs), err)
 	}
 	if d := m.MaintenanceDebt(); len(man.Segments) != 1 || d.SealedSegments != 2 || d.UnpersistedSegments != 1 {
@@ -352,7 +348,7 @@ func TestDurableLifecycleAndLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	man, _ = store.LoadManifest(store.OS, dir)
-	if _, recs, err := openScan(t, dir, man); err != nil || len(recs) != 0 {
+	if recs, err := openScan(t, dir, man); err != nil || len(recs) != 0 {
 		t.Fatalf("checkpoint did not truncate WAL: %d records, %v", len(recs), err)
 	}
 	if len(man.Segments) != 2 {

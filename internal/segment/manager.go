@@ -1007,21 +1007,3 @@ func (m *Manager) SetByName(name string) (SetRecord, bool) {
 	row := l.seg.repo.Set(l.local)
 	return SetRecord{ID: l.seg.handles[l.local], Name: row.Name, Elements: l.seg.repo.Elements(l.local)}, true
 }
-
-// Stats aggregates sets.Stats over the live collection.
-func (m *Manager) Stats() sets.Stats {
-	recs := m.LiveSets()
-	st := sets.Stats{NumSets: len(recs), UniqueElems: m.dict.Size()}
-	total := 0
-	for _, r := range recs {
-		n := len(r.Elements)
-		total += n
-		if n > st.MaxSize {
-			st.MaxSize = n
-		}
-	}
-	if len(recs) > 0 {
-		st.AvgSize = float64(total) / float64(len(recs))
-	}
-	return st
-}

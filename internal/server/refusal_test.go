@@ -112,7 +112,7 @@ func TestEveryRefusalOverHTTP(t *testing.T) {
 			// never drains the debt: two inserts reach StallSealed.
 			name: "maintenance stall",
 			setup: func(t *testing.T, srv *Server, url string) {
-				srv.Registry().Scheduler().Stop()
+				srv.reg.Scheduler().Stop()
 				mustPost(t, url+"/v1/collections", `{"name":"w"}`, http.StatusCreated)
 				for _, name := range []string{"a", "b"} {
 					mustPost(t, url+"/v1/collections/w/sets", `{"name":"`+name+`","elements":["x"]}`, http.StatusCreated)

@@ -53,7 +53,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/sched"
 	"repro/internal/segment"
-	"repro/internal/sets"
 )
 
 // Config parameterizes the serving layer: request limits, the worker pool
@@ -206,9 +205,6 @@ func (s *Server) collectionRoutes() []collectionRoute {
 		{"POST", "/repair", s.serveRepair},
 	}
 }
-
-// Registry returns the server's collection registry.
-func (s *Server) Registry() *collection.Registry { return s.reg }
 
 // ServeHTTP implements http.Handler, wrapping every request in panic
 // recovery: one query tripping a bug answers 500 (and bumps the panic
@@ -379,8 +375,10 @@ func (s *Server) validateK(w http.ResponseWriter, k int) bool {
 	return true
 }
 
-// validateQuery checks one query's shape (the error is already written when
-// it returns false).
+// validateQuery checks the shape of one request's element list — a query,
+// an inserted set or a side of /v1/overlap: not empty and at most
+// MaxQueryElements long (the error is already written when it returns
+// false).
 func (s *Server) validateQuery(w http.ResponseWriter, query []string, label string) bool {
 	if len(query) == 0 {
 		httpError(w, http.StatusBadRequest, label+" must not be empty")
@@ -569,12 +567,7 @@ func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request, col *collec
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
 	}
-	if len(req.Elements) == 0 {
-		httpError(w, http.StatusBadRequest, "elements must not be empty")
-		return
-	}
-	if len(req.Elements) > s.cfg.MaxQueryElements {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("set has %d elements, limit %d", len(req.Elements), s.cfg.MaxQueryElements))
+	if !s.validateQuery(w, req.Elements, "elements") {
 		return
 	}
 	id, err := col.Insert(req.Name, req.Elements)
@@ -654,45 +647,12 @@ func (s *Server) serveOverlap(w http.ResponseWriter, r *http.Request, col *colle
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
 	}
-	if len(req.A) == 0 || len(req.B) == 0 {
-		httpError(w, http.StatusBadRequest, "both sets must be non-empty")
+	if !s.validateQuery(w, req.A, "a") || !s.validateQuery(w, req.B, "b") {
 		return
 	}
-	if len(req.A) > s.cfg.MaxQueryElements || len(req.B) > s.cfg.MaxQueryElements {
-		httpError(w, http.StatusBadRequest, "set too large")
-		return
-	}
-	sem, greedy, vanilla := pairwise(req.A, req.B, col.Manager().Source(), col.Manager().Options().Alpha)
-	writeJSON(w, http.StatusOK, OverlapResponse{Semantic: sem, Vanilla: vanilla, Greedy: greedy})
-}
-
-// pairwise computes the three measures from the neighbor source's edges.
-// Memory follows the number of α-edges, never |A|·|B|: both set sizes are
-// bounded only by MaxQueryElements, and a dense matrix at that limit would be
-// tens of gigabytes.
-func pairwise(a, b []string, src index.NeighborSource, alpha float64) (sem, greedy float64, vanilla int) {
-	a, b = sets.Dedup(a), sets.Dedup(b)
-	inB := make(map[string]int, len(b))
-	for j, y := range b {
-		inB[y] = j
-	}
-	var edges []matching.Edge
-	for i, x := range a {
-		if j, ok := inB[x]; ok {
-			vanilla++
-			edges = append(edges, matching.Edge{Q: i, C: j, W: 1})
-		}
-		for _, n := range src.Neighbors(x, alpha) {
-			if j, ok := inB[n.Token]; ok && n.Token != x {
-				edges = append(edges, matching.Edge{Q: i, C: j, W: n.Sim})
-			}
-		}
-	}
-	if len(edges) == 0 {
-		return 0, 0, 0
-	}
-	var solver matching.SparseSolver
-	return solver.Solve(len(a), len(b), edges, nil).Score, matching.Greedy(edges).Score, vanilla
+	mgr := col.Manager()
+	g := index.NewAlphaGraph(mgr.Source(), mgr.Options().Alpha, req.A, req.B)
+	writeJSON(w, http.StatusOK, OverlapResponse{Semantic: g.Match().Score, Vanilla: g.Vanilla, Greedy: matching.Greedy(g.Edges).Score})
 }
 
 // InfoResponse is the body of GET /v1/info.

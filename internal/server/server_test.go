@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/matching"
 	"repro/internal/segment"
 	"repro/internal/sets"
 )
@@ -141,8 +142,8 @@ func TestOverlapEndpoint(t *testing.T) {
 }
 
 func TestOverlapMatchesPublicMeasure(t *testing.T) {
-	// pairwise() uses index edges; it must agree with a direct matrix
-	// build on sets from the collection vocabulary.
+	// /v1/overlap scores the α-graph of the source's edges; its vanilla
+	// count must agree with a direct intersection of the two sets.
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
 	a := ds.Repo.Set(2).Elements
@@ -233,8 +234,8 @@ func TestDefaultsComeFromCollection(t *testing.T) {
 	for i := 0; i < ds.Repo.Len() && a == nil; i++ {
 		for j := i + 1; j < ds.Repo.Len(); j++ {
 			x, y := ds.Repo.Set(i).Elements, ds.Repo.Set(j).Elements
-			at7, _, _ := pairwise(x, y, mgr.Source(), 0.7)
-			if at8, _, _ := pairwise(x, y, mgr.Source(), 0.8); at7 != at8 {
+			at7, _, _ := overlapScores(x, y, mgr.Source(), 0.7)
+			if at8, _, _ := overlapScores(x, y, mgr.Source(), 0.8); at7 != at8 {
 				a, b, want = x, y, at7
 				break
 			}
@@ -318,6 +319,25 @@ func TestMaxQueryElements(t *testing.T) {
 	}
 	if _, err := c.Insert("big", []string{"a", "b", "c", "d", "e"}); err == nil {
 		t.Fatal("oversized insert accepted")
+	}
+	// Search, insert and overlap share one shape check and its messages.
+	for _, tc := range []struct{ path, body, msg string }{
+		{"/v1/search", `{"query":["a","b","c","d","e"]}`, "query has 5 elements, limit 4"},
+		{"/v1/sets", `{"name":"big","elements":["a","b","c","d","e"]}`, "elements has 5 elements, limit 4"},
+		{"/v1/sets", `{"name":"none","elements":[]}`, "elements must not be empty"},
+		{"/v1/overlap", `{"a":["a"],"b":["a","b","c","d","e"]}`, "b has 5 elements, limit 4"},
+		{"/v1/overlap", `{"a":[],"b":["a"]}`, "a must not be empty"},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || body.Error != tc.msg {
+			t.Fatalf("POST %s %s: %d %q (%v), want 400 %q", tc.path, tc.body, resp.StatusCode, body.Error, err, tc.msg)
+		}
 	}
 }
 
@@ -578,7 +598,7 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 func TestPairwiseNoEdges(t *testing.T) {
 	repo := sets.NewRepository([]sets.Set{{Elements: []string{"x"}}})
 	src := index.NewExact(repo.Vocabulary(), func(string) ([]float32, bool) { return nil, false })
-	sem, greedy, vanilla := pairwise([]string{"a"}, []string{"b"}, src, 0.8)
+	sem, greedy, vanilla := overlapScores([]string{"a"}, []string{"b"}, src, 0.8)
 	if sem != 0 || greedy != 0 || vanilla != 0 {
 		t.Fatalf("disjoint OOV sets scored %v/%v/%d", sem, greedy, vanilla)
 	}
@@ -600,7 +620,7 @@ func (chainSource) Neighbors(q string, alpha float64) []index.Neighbor {
 }
 
 // TestPairwiseLargeSetsBoundedMemory: /v1/overlap accepts up to
-// MaxQueryElements per side, so pairwise must cost memory in the α-edges,
+// MaxQueryElements per side, so its α-graph must cost memory in the edges,
 // not |A|·|B| — a dense float64 matrix of this pair is 7 GB. Half of A
 // occurs in B verbatim; the other half chains onto B's b-tokens, where the
 // optimum shifts every row onto its 0.95 edge and leaves the last row out.
@@ -616,7 +636,7 @@ func TestPairwiseLargeSetsBoundedMemory(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sem, greedy, vanilla := pairwise(a, b, chainSource{}, 0.8)
+	sem, greedy, vanilla := overlapScores(a, b, chainSource{}, 0.8)
 	runtime.ReadMemStats(&after)
 	if want := float64(n/2) + 0.95*float64(n/2-1); math.Abs(sem-want) > 1e-6 {
 		t.Fatalf("semantic = %v, want %v", sem, want)
@@ -625,8 +645,14 @@ func TestPairwiseLargeSetsBoundedMemory(t *testing.T) {
 		t.Fatalf("vanilla %d, greedy %v (semantic %v)", vanilla, greedy, sem)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
-		t.Fatalf("pairwise of two %d-element sets allocated %d MB, want < 64", n, grew>>20)
+		t.Fatalf("scoring two %d-element sets allocated %d MB, want < 64", n, grew>>20)
 	}
+}
+
+// overlapScores scores a and b as /v1/overlap does, over src at alpha.
+func overlapScores(a, b []string, src index.NeighborSource, alpha float64) (sem, greedy float64, vanilla int) {
+	g := index.NewAlphaGraph(src, alpha, a, b)
+	return g.Match().Score, matching.Greedy(g.Edges).Score, g.Vanilla
 }
 
 func dedupTest(in []string) []string {

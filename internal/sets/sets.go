@@ -5,7 +5,6 @@ package sets
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Set is a named collection of distinct string elements.
@@ -175,10 +174,6 @@ func (r *Repository) Vocabulary() []string { return r.dict.Prefix(r.vocabN) }
 // size at build time, i.e. the token ID space its indexes are sized for.
 func (r *Repository) VocabSize() int { return r.vocabN }
 
-// Dict returns the dictionary the repository interns into — shared when the
-// repository is a segment, private otherwise.
-func (r *Repository) Dict() *Dictionary { return r.dict }
-
 // TokenID returns the interned ID of token, or -1 when the token is beyond
 // the repository's vocabulary horizon (never interned, or interned by a
 // newer segment of a shared dictionary).
@@ -188,9 +183,6 @@ func (r *Repository) TokenID(token string) int32 {
 	}
 	return -1
 }
-
-// Token returns the token string for a valid token ID.
-func (r *Repository) Token(id int32) string { return r.dict.Token(id) }
 
 // TokenIDs interns a slice of tokens, mapping out-of-vocabulary tokens
 // (tokens occurring in no set) to -1.
@@ -225,24 +217,4 @@ func (r *Repository) Stats() Stats {
 		st.AvgSize = float64(total) / float64(len(r.sets))
 	}
 	return st
-}
-
-// CardinalityPercentiles returns the set-size values at the requested
-// percentiles (0–100), used by the bench harness to pick interval bounds on
-// skewed repositories.
-func (r *Repository) CardinalityPercentiles(pcts ...float64) []int {
-	sizes := make([]int, len(r.sets))
-	for i, s := range r.sets {
-		sizes[i] = len(s.ElemIDs)
-	}
-	sort.Ints(sizes)
-	out := make([]int, len(pcts))
-	for i, p := range pcts {
-		if len(sizes) == 0 {
-			continue
-		}
-		idx := int(p / 100 * float64(len(sizes)-1))
-		out[i] = sizes[idx]
-	}
-	return out
 }

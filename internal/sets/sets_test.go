@@ -62,26 +62,12 @@ func TestStatsEmptyRepository(t *testing.T) {
 	}
 }
 
-func TestCardinalityPercentiles(t *testing.T) {
-	r := sample()
-	got := r.CardinalityPercentiles(0, 50, 100)
-	if got[0] != 0 || got[2] != 5 {
-		t.Fatalf("percentiles = %v", got)
-	}
-	if got[1] < got[0] || got[1] > got[2] {
-		t.Fatalf("median %d outside range", got[1])
-	}
-}
-
 func TestTokenInterning(t *testing.T) {
 	r := sample()
 	// IDs are first-seen positions: Vocabulary()[id] inverts TokenID.
 	for i, tok := range r.Vocabulary() {
 		if got := r.TokenID(tok); got != int32(i) {
 			t.Fatalf("TokenID(%q) = %d, want %d", tok, got, i)
-		}
-		if got := r.Token(int32(i)); got != tok {
-			t.Fatalf("Token(%d) = %q, want %q", i, got, tok)
 		}
 	}
 	if r.VocabSize() != len(r.Vocabulary()) {

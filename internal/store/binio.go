@@ -8,11 +8,12 @@ import (
 	"io"
 )
 
-// Binary framing shared by the durable-engine files (dictionary, segment,
-// WAL): uvarint-framed fields accumulated into an IEEE CRC32 so every file
-// ends in a checksum over its payload, and every reader fails with a clear
-// error on truncation or corruption instead of panicking. Limits below are
-// sanity bounds against reading a corrupt length field as a huge
+// Uvarint-framed fields shared by the dictionary file and the WAL record
+// payload: binWriter accumulates an IEEE CRC32 so the dictionary file ends
+// in a checksum over its payload (parseDict checks it), and binReader
+// decodes a WAL record whose frame CRC already passed, failing with a clear
+// error on a truncated or corrupt field instead of panicking. Limits below
+// are sanity bounds against reading a corrupt length field as a huge
 // allocation, not engine limits.
 const (
 	maxBinString = 1 << 24 // longest single token / set name
@@ -41,12 +42,6 @@ func (b *binWriter) uvarint(v uint64) {
 	b.raw(buf[:binary.PutUvarint(buf[:], v)])
 }
 
-func (b *binWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.raw(buf[:])
-}
-
 func (b *binWriter) str(s string) {
 	b.uvarint(uint64(len(s)))
 	b.raw([]byte(s))
@@ -65,11 +60,10 @@ func (b *binWriter) finish() error {
 	return b.w.Flush()
 }
 
-// binReader mirrors binWriter: every read feeds the CRC, and any I/O
-// error (including io.ErrUnexpectedEOF on a truncated file) sticks.
+// binReader reads the fields binWriter writes; any I/O error (including
+// io.ErrUnexpectedEOF on a truncated payload) sticks.
 type binReader struct {
 	r   *bufio.Reader
-	crc uint32
 	err error
 }
 
@@ -87,7 +81,6 @@ func (b *binReader) raw(n int) []byte {
 		b.err = err
 		return nil
 	}
-	b.crc = crc32.Update(b.crc, crc32.IEEETable, p)
 	return p
 }
 
@@ -95,7 +88,7 @@ func (b *binReader) uvarint() uint64 {
 	if b.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(crcByteReader{b})
+	v, err := binary.ReadUvarint(b.r)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -114,50 +107,10 @@ func (b *binReader) count(what string) int {
 	return int(v)
 }
 
-func (b *binReader) u64() uint64 {
-	p := b.raw(8)
-	if b.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
 func (b *binReader) str(what string) string {
 	n := b.uvarint()
 	if b.err == nil && n > maxBinString {
 		b.err = fmt.Errorf("%s length %d exceeds sanity bound", what, n)
 	}
 	return string(b.raw(int(n)))
-}
-
-// checkCRC reads the trailing checksum and compares it against the
-// accumulated payload CRC.
-func (b *binReader) checkCRC() error {
-	if b.err != nil {
-		return b.err
-	}
-	want := b.crc // capture before the stored CRC bytes feed the hash
-	var buf [4]byte
-	if _, err := io.ReadFull(b.r, buf[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
-		return fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", got, want)
-	}
-	return nil
-}
-
-// crcByteReader lets binary.ReadUvarint pull single bytes through the CRC.
-type crcByteReader struct{ b *binReader }
-
-func (c crcByteReader) ReadByte() (byte, error) {
-	bt, err := c.b.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	c.b.crc = crc32.Update(c.b.crc, crc32.IEEETable, []byte{bt})
-	return bt, nil
 }

@@ -65,7 +65,7 @@ func TestDictRoundTripRandom(t *testing.T) {
 		if err := WriteDict(&buf, toks); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadDict(bytes.NewReader(buf.Bytes()))
+		got, err := parseDict(buf.Bytes())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -116,7 +116,7 @@ func TestWALRoundTripRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reopen, verify, append more, verify again.
-		w, got, err := OpenWAL(OS, path, uint64(trial))
+		w, got, err := resumeWAL(path, uint64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestWALRoundTripRandom(t *testing.T) {
 		}
 		appendSome(rng.Intn(10))
 		w.Close()
-		_, got, err = OpenWAL(OS, path, uint64(trial))
+		got, _, _, err = ScanWAL(OS, path, uint64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +133,22 @@ func TestWALRoundTripRandom(t *testing.T) {
 			t.Fatalf("trial %d: second reopen lost records", trial)
 		}
 	}
+}
+
+// resumeWAL recovers a log as segment.Open does: ScanWAL reads every
+// complete record, then ResumeWAL drops the torn tail and positions the log
+// for appends. A log with intact records past a corrupt frame is an error
+// here: truncation alone never produces one.
+func resumeWAL(path string, gen uint64) (*WAL, []WALRecord, error) {
+	recs, end, damaged, err := ScanWAL(OS, path, gen)
+	if err != nil {
+		return nil, nil, err
+	}
+	if damaged {
+		return nil, nil, fmt.Errorf("intact records past a corrupt frame in %s", path)
+	}
+	w, err := ResumeWAL(OS, path, end)
+	return w, recs, err
 }
 
 func walEqual(a, b []WALRecord) bool {
@@ -166,7 +182,7 @@ func TestDictSegmentRejectTruncation(t *testing.T) {
 	}
 	full := dict.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := ReadDict(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := parseDict(full[:cut]); err == nil {
 			t.Fatalf("dict truncated at %d/%d bytes accepted", cut, len(full))
 		}
 	}
@@ -186,7 +202,7 @@ func TestDictSegmentRejectCorruption(t *testing.T) {
 		pos := rng.Intn(len(full))
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 1 << uint(rng.Intn(8))
-		if _, err := ReadDict(bytes.NewReader(mut)); err == nil {
+		if _, err := parseDict(mut); err == nil {
 			t.Fatalf("dict with byte %d flipped accepted", pos)
 		}
 	}
@@ -231,7 +247,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, recs, err := OpenWAL(OS, path, 7)
+		w, recs, err := resumeWAL(path, 7)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -245,7 +261,7 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Close()
-		_, recs2, err := OpenWAL(OS, path, 7)
+		recs2, _, _, err := ScanWAL(OS, path, 7)
 		if err != nil {
 			t.Fatalf("cut %d reopen: %v", cut, err)
 		}
@@ -264,7 +280,7 @@ func TestWALRejectsMismatchedGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, _, err := OpenWAL(OS, path, 4); err == nil {
+	if _, _, _, err := ScanWAL(OS, path, 4); err == nil {
 		t.Fatal("mismatched generation accepted")
 	}
 }

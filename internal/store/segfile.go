@@ -25,26 +25,11 @@ var (
 	walMagic   = [5]byte{'K', 'W', 'A', 'L', 1}
 )
 
-func writeMagic(w *binWriter, magic [5]byte) { w.raw(magic[:]) }
-
-func checkMagic(r *binReader, magic [5]byte, kind string) error {
-	got := r.raw(5)
-	if r.err != nil {
-		return fmt.Errorf("store: %s: %w", kind, r.err)
-	}
-	for i := range magic {
-		if got[i] != magic[i] {
-			return fmt.Errorf("store: not a koios %s file (magic %q)", kind, got)
-		}
-	}
-	return nil
-}
-
 // WriteDict serializes a dictionary vocabulary: tokens in ID order, as
 // returned by sets.Dictionary.Snapshot.
 func WriteDict(w io.Writer, tokens []string) error {
 	bw := newBinWriter(w)
-	writeMagic(bw, dictMagic)
+	bw.raw(dictMagic[:])
 	bw.uvarint(uint64(len(tokens)))
 	for _, tok := range tokens {
 		bw.str(tok)
@@ -53,27 +38,6 @@ func WriteDict(w io.Writer, tokens []string) error {
 		return fmt.Errorf("store: write dictionary: %w", err)
 	}
 	return nil
-}
-
-// ReadDict deserializes a dictionary vocabulary, verifying the checksum.
-func ReadDict(r io.Reader) ([]string, error) {
-	br := newBinReader(r)
-	if err := checkMagic(br, dictMagic, "dictionary"); err != nil {
-		return nil, err
-	}
-	n := br.count("dictionary token")
-	tokens := make([]string, 0, min(n, 1<<20))
-	// Bail as soon as the reader's error sticks: a corrupt count field can
-	// claim up to maxBinCount entries, and looping through hundreds of
-	// millions of doomed reads turns one flipped bit into a multi-second,
-	// multi-gigabyte recovery stall.
-	for i := 0; i < n && br.err == nil; i++ {
-		tokens = append(tokens, br.str("dictionary token"))
-	}
-	if err := br.checkCRC(); err != nil {
-		return nil, fmt.Errorf("store: corrupt dictionary: %w", err)
-	}
-	return tokens, nil
 }
 
 // SegmentRow is one persisted set of a sealed segment: its stable handle,
@@ -116,9 +80,10 @@ func LoadDict(fsys FS, path string) ([]string, error) {
 	return parseDict(raw)
 }
 
-// parseDict decodes a whole dictionary file, enforcing exactly what
-// ReadDict enforces: magic, token count and length sanity bounds, and the
-// trailing payload CRC.
+// parseDict decodes a whole dictionary file as WriteDict lays it out — the
+// decoder recovery runs, through LoadDict. It enforces the magic, token
+// count and length sanity bounds, the trailing payload CRC, and that no
+// payload byte is left over.
 func parseDict(data []byte) ([]string, error) {
 	if len(data) < len(dictMagic)+4 {
 		return nil, fmt.Errorf("store: dictionary: %w", io.ErrUnexpectedEOF)

@@ -11,7 +11,8 @@ package store
 //	page 0        header: magic, counts, section table, header CRC32;
 //	              the rest of the page is zero.
 //	page 1..N     six sections, each starting on a 4 KiB page boundary,
-//	              each covered by its own CRC32 recorded in the table:
+//	              each covered by its own CRC32 recorded in the table
+//	              with its kind, which is its position (1-based):
 //	                1 rowOffs   int64 × (rows+1)   CSR row offsets into elems
 //	                2 elems     int32 × elems      concatenated element IDs
 //	                3 handles   int64 × rows       stable set handles
@@ -50,16 +51,6 @@ const (
 	segV2EntrySize = 24      // u64 offset, u64 length, u32 kind, u32 crc
 	segV2CRCOff    = segV2TableOff + segV2Sections*segV2EntrySize
 	segV2HeaderLen = segV2CRCOff + 4
-)
-
-// Section kinds, in file order.
-const (
-	secRowOffs = 1 + iota
-	secElems
-	secHandles
-	secNameOffs
-	secNames
-	secDead
 )
 
 // hostLittleEndian gates the zero-copy reinterpret casts: the on-disk

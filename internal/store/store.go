@@ -143,23 +143,6 @@ func Read(r io.Reader) (*File, error) {
 	return &f, nil
 }
 
-// Save writes the file to path through fsys, creating or truncating it,
-// and fsyncs before close. Routing through the FS seam (instead of raw os
-// calls, as before) gives dataset files the same fault-injection and
-// durability coverage as the engine's own state files.
-func Save(fsys FS, path string, f *File) error {
-	return saveSynced(fsys, path, func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		if err := Write(bw, f); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		return nil
-	})
-}
-
 // Load reads the file at path through fsys.
 func Load(fsys FS, path string) (*File, error) {
 	in, err := fsys.Open(path)

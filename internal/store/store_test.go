@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -108,7 +109,7 @@ func TestEncodeVectorsDimMismatch(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	f := sampleFile(t)
 	path := filepath.Join(t.TempDir(), "ds.koios.gz")
-	if err := Save(OS, path, f); err != nil {
+	if err := saveSynced(OS, path, func(w io.Writer) error { return Write(w, f) }); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(OS, path)
@@ -184,7 +185,7 @@ func TestDatasetEndToEnd(t *testing.T) {
 	f.Vectors = vecs
 
 	path := filepath.Join(t.TempDir(), "twitter.koios.gz")
-	if err := Save(OS, path, f); err != nil {
+	if err := saveSynced(OS, path, func(w io.Writer) error { return Write(w, f) }); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(OS, path)

@@ -14,8 +14,9 @@ import (
 // checkpoint starts a fresh (empty) log once the state it covered has been
 // persisted as segment snapshots. Records are individually framed —
 // little-endian length + CRC32 + payload — so a crash mid-append leaves a
-// torn tail that OpenWAL detects, truncates, and replays around: recovery
-// is always "manifest state + every complete record", never a panic.
+// torn tail that recovery detects (ScanWAL stops at it), replays around,
+// and truncates (ResumeWAL): recovery is always "manifest state + every
+// complete record", never a panic.
 
 // WALOp tags a WAL record.
 type WALOp byte
@@ -79,39 +80,13 @@ func CreateWAL(fsys FS, path string, gen uint64) (*WAL, error) {
 	return &WAL{f: f, path: path, written: walHeaderLen}, nil
 }
 
-// OpenWAL opens an existing log, verifies it belongs to generation gen,
-// reads every complete record, truncates any torn tail (a crash mid-append),
-// and returns the log positioned for further appends.
-func OpenWAL(fsys FS, path string, gen uint64) (*WAL, []WALRecord, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	recs, end, err := scanWAL(f, gen)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	// Drop the torn tail (if any) so appends resume at the last complete
-	// record — a torn record must never become a valid prefix of a new one.
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: truncate torn WAL tail: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	return &WAL{f: f, path: path, written: end}, recs, nil
-}
-
 // ResumeWAL opens an existing log for appending at end — the offset just
 // past the last complete record, as reported by a preceding ScanWAL —
 // truncating whatever lies beyond it (a torn tail, or gap debris the
-// caller has already copied to quarantine) and seeking there. It skips the
-// record re-scan OpenWAL would pay: on the recovery path the log was fully
-// scanned and validated moments earlier, and decoding every record twice
-// doubles the replay cost of a crash restart for nothing.
+// caller has already copied to quarantine) and seeking there. It does not
+// re-scan the records: on the recovery path the log was fully scanned and
+// validated moments earlier, and decoding every record twice would double
+// the replay cost of a crash restart for nothing.
 func ResumeWAL(fsys FS, path string, end int64) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

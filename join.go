@@ -1,10 +1,12 @@
 package koios
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sync"
+	"slices"
 
-	"repro/internal/join"
+	"repro/internal/index"
 )
 
 // JoinPair is one element correspondence of a join mapping: a query element
@@ -15,29 +17,16 @@ type JoinPair struct {
 	Sim          float64
 }
 
-// SearchWorkload runs one top-k search per workload query, sharing the
-// engine's indexes and running up to parallelism queries concurrently
-// (default 4 when ≤ 0). Result lists are indexed like the workload — the
-// joinable-dataset-discovery task of the paper's introduction at workload
-// scale. The workload runs against the engine's live collection; each
-// query observes a consistent snapshot.
+// SearchWorkload runs one top-k search per workload query against one
+// consistent snapshot of the collection, sharing the engine's indexes and
+// running up to parallelism queries concurrently (default 4 when ≤ 0).
+// Result lists are indexed like the workload — the joinable-dataset-
+// discovery task of the paper's introduction at workload scale.
 func (e *Engine) SearchWorkload(workload [][]string, parallelism int) [][]Result {
 	if parallelism <= 0 {
 		parallelism = 4
 	}
-	out := make([][]Result, len(workload))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for qi, q := range workload {
-		wg.Add(1)
-		go func(qi int, q []string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[qi], _ = e.Search(q)
-		}(qi, q)
-	}
-	wg.Wait()
+	out, _, _ := e.searchBatch(context.Background(), workload, parallelism)
 	return out
 }
 
@@ -52,10 +41,19 @@ func (e *Engine) JoinMapping(query []string, setID int) ([]JoinPair, error) {
 	if !ok {
 		return nil, fmt.Errorf("koios: set %d is not in the live collection", setID)
 	}
-	pairs := join.MappingBetween(e.mgr.Source(), e.mgr.Options().Alpha, query, rec.Elements)
-	out := make([]JoinPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = JoinPair{QueryElement: p.QueryElement, SetElement: p.SetElement, Sim: p.Sim}
+	g := index.NewAlphaGraph(e.mgr.Source(), e.mgr.Options().Alpha, query, rec.Elements)
+	match := g.Match().Match
+	pairs := []JoinPair{}
+	for _, ed := range g.Edges {
+		if match[ed.Q] == ed.C {
+			pairs = append(pairs, JoinPair{QueryElement: g.A[ed.Q], SetElement: g.B[ed.C], Sim: ed.W})
+		}
 	}
-	return out, nil
+	slices.SortFunc(pairs, func(a, b JoinPair) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.QueryElement, b.QueryElement)
+	})
+	return pairs, nil
 }

@@ -237,11 +237,16 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 	if err != nil {
 		return nil, stats, err
 	}
+	return results(raw), stats, nil
+}
+
+// results converts a segment search's answer into the public Result form.
+func results(raw []segment.Result) []Result {
 	out := make([]Result, len(raw))
 	for i, r := range raw {
 		out[i] = Result{SetID: int(r.ID), SetName: r.Name, Score: r.Score, Verified: r.Verified}
 	}
-	return out, stats, nil
+	return out
 }
 
 // SearchBatch answers a slice of queries against one consistent snapshot of
@@ -252,16 +257,18 @@ func (e *Engine) SearchContext(ctx context.Context, query []string) ([]Result, S
 // many queries concurrently; the default is sequential. On cancellation the
 // batch stops and returns ctx's error.
 func (e *Engine) SearchBatch(ctx context.Context, queries [][]string) ([][]Result, []Stats, error) {
-	raw, stats, err := e.mgr.SearchBatch(ctx, queries, 0, e.batchWorkers)
+	return e.searchBatch(ctx, queries, e.batchWorkers)
+}
+
+// searchBatch is SearchBatch with up to workers queries at a time.
+func (e *Engine) searchBatch(ctx context.Context, queries [][]string, workers int) ([][]Result, []Stats, error) {
+	raw, stats, err := e.mgr.SearchBatch(ctx, queries, 0, workers)
 	if err != nil {
 		return nil, stats, err
 	}
 	out := make([][]Result, len(raw))
-	for i, qres := range raw {
-		out[i] = make([]Result, len(qres))
-		for j, r := range qres {
-			out[i][j] = Result{SetID: int(r.ID), SetName: r.Name, Score: r.Score, Verified: r.Verified}
-		}
+	for i, r := range raw {
+		out[i] = results(r)
 	}
 	return out, stats, nil
 }

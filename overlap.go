@@ -11,26 +11,24 @@ import (
 // engine ranks by, exposed for one-off comparisons, joins of small
 // collections, and tests.
 func SemanticOverlap(a, b []string, fn Similarity, alpha float64) float64 {
+	rows, cols, edges := alphaEdges(a, b, fn, alpha)
+	var solver matching.SparseSolver
+	return solver.Solve(rows, cols, edges, nil).Score
+}
+
+// alphaEdges is the α-thresholded similarity graph of a and b under fn as
+// an edge list: one edge per pair of their distinct elements whose
+// similarity reaches α, with rows indexing a and columns b.
+func alphaEdges(a, b []string, fn Similarity, alpha float64) (rows, cols int, edges []matching.Edge) {
 	a, b = sets.Dedup(a), sets.Dedup(b)
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	w := make([][]float64, len(a))
-	any := false
 	for i, x := range a {
-		w[i] = make([]float64, len(b))
 		for j, y := range b {
-			s := fn.Sim(x, y)
-			if s >= alpha {
-				w[i][j] = s
-				any = true
+			if s := fn.Sim(x, y); s >= alpha {
+				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
 			}
 		}
 	}
-	if !any {
-		return 0
-	}
-	return matching.Hungarian(w).Score
+	return len(a), len(b), edges
 }
 
 // VanillaOverlap returns |a ∩ b|, the exact-match overlap — the special
@@ -55,14 +53,6 @@ func VanillaOverlap(a, b []string) int {
 // graph — at least half the semantic overlap, and not suitable for exact
 // ranking (Example 2 of the paper); exposed for comparisons.
 func GreedyOverlap(a, b []string, fn Similarity, alpha float64) float64 {
-	a, b = sets.Dedup(a), sets.Dedup(b)
-	var edges []matching.Edge
-	for i, x := range a {
-		for j, y := range b {
-			if s := fn.Sim(x, y); s >= alpha {
-				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
-			}
-		}
-	}
+	_, _, edges := alphaEdges(a, b, fn, alpha)
 	return matching.Greedy(edges).Score
 }
