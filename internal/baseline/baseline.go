@@ -103,6 +103,7 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 	// Candidate generation via the token stream (the baseline's refinement
 	// phase), caching every similarity for the matching matrices.
 	stream := index.NewStream(query, src, opts.Alpha)
+	defer stream.Release()
 	cache := make(map[string][]edge)
 	cands := make(map[int32]*candidate)
 	qWords := (len(query) + 63) / 64

@@ -3,6 +3,7 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,6 +75,53 @@ func TestBaselineMatchesKoios(t *testing.T) {
 			if useIUB && stats.IUBPruned+stats.EMs > stats.Candidates {
 				t.Fatalf("pruned %d + EM %d exceeds candidates %d", stats.IUBPruned, stats.EMs, stats.Candidates)
 			}
+		}
+	}
+}
+
+// listSource answers Neighbors from lists built beforehand, so a probe
+// allocates nothing.
+type listSource map[string][]index.Neighbor
+
+func (s listSource) Neighbors(q string, _ float64) []index.Neighbor { return s[q] }
+
+// TestBaselinesReleaseStreams: every baseline hands the stream it opened
+// back to the pool — Search also when it returns on its timeout — so a
+// stream opened right after a warm call reuses its buffers and allocates
+// nothing. The source answers from prebuilt lists, so the stream's own
+// buffers are all NewStream could allocate. A stream is measured again, up
+// to 40 times, while it allocates: sync.Pool may drop an item at any GC.
+func TestBaselinesReleaseStreams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const alpha = 0.7
+	repo, model, query := instance(11)
+	fn := index.NewFuncIndex(repo.Vocabulary(), model)
+	src := listSource{}
+	for _, tok := range append(repo.Vocabulary(), query...) {
+		src[tok] = fn.Neighbors(tok, alpha)
+	}
+	inv := index.NewInverted(repo)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Search", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, UseIUB: true}) }},
+		{"Search/timeout", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, Timeout: time.Nanosecond}) }},
+		{"GreedyTopK", func() { GreedyTopK(repo, inv, src, query, 3, alpha) }},
+		{"ExactSO", func() { ExactSO(repo.Set(0), query, src, alpha) }},
+	} {
+		var mallocs uint64
+		for try := 0; try < 40 && (try == 0 || mallocs > 0); try++ {
+			c.call()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st := index.NewStream(query, src, alpha)
+			runtime.ReadMemStats(&after)
+			st.Release()
+			mallocs = after.Mallocs - before.Mallocs
+		}
+		if mallocs > 0 {
+			t.Errorf("%s: a stream opened after it allocates %d times; the call kept its stream", c.name, mallocs)
 		}
 	}
 }

@@ -18,6 +18,7 @@ func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSo
 		return nil
 	}
 	stream := index.NewStream(query, src, alpha)
+	defer stream.Release()
 	// Per-candidate greedy state, exactly the iLB machinery of refinement:
 	// consuming the descending stream with both-endpoints-free admission IS
 	// the greedy matching, so the final lb of each candidate is its full
@@ -72,6 +73,7 @@ func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSo
 func ExactSO(c sets.Set, query []string, src index.NeighborSource, alpha float64) float64 {
 	query = sets.Dedup(query)
 	stream := index.NewStream(query, src, alpha)
+	defer stream.Release()
 	cache := make(map[string][]edge)
 	for {
 		tup, ok := stream.Next()

@@ -12,6 +12,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,6 +20,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/segment"
+	"repro/internal/sets"
 )
 
 // Config scales the experiments.
@@ -85,86 +88,79 @@ func NewRunner(cfg Config, out io.Writer) *Runner {
 	return &Runner{cfg: cfg.withDefaults(), out: out, data: make(map[datagen.Kind]*bundle)}
 }
 
+// experiment is one runnable experiment: the name -exp selects it by and
+// what it runs.
+type experiment struct {
+	name string
+	run  func(*Runner) error
+}
+
+// do adapts an experiment that reports through its output only.
+func do(f func(*Runner)) func(*Runner) error {
+	return func(r *Runner) error { f(r); return nil }
+}
+
+// experiments is every runnable experiment, in paper order: Experiments,
+// Known and Run all read it.
+var experiments = []experiment{
+	{"table1", do((*Runner).Table1)},
+	{"table2", do((*Runner).Table2)},
+	{"table3", do((*Runner).Table3)},
+	{"table4", do(func(r *Runner) { r.TableIntervals(datagen.OpenData, "Table IV (OpenData)") })},
+	{"table5", do(func(r *Runner) { r.TableIntervals(datagen.WDC, "Table V (WDC)") })},
+	{"fig5a", do(func(r *Runner) { r.FigureTime(datagen.OpenData, "Fig. 5a (OpenData response time)") })},
+	{"fig5bc", do(func(r *Runner) { r.FigurePhases(datagen.OpenData, "Fig. 5b,c (OpenData phase breakdown)") })},
+	{"fig5d", do(func(r *Runner) { r.FigureMemory(datagen.OpenData, "Fig. 5d (OpenData memory)") })},
+	{"fig6a", do(func(r *Runner) { r.FigureTime(datagen.WDC, "Fig. 6a (WDC response time)") })},
+	{"fig6bc", do(func(r *Runner) { r.FigurePhases(datagen.WDC, "Fig. 6b,c (WDC phase breakdown)") })},
+	{"fig6d", do(func(r *Runner) { r.FigureMemory(datagen.WDC, "Fig. 6d (WDC memory)") })},
+	{"fig7a", do((*Runner).Figure7Partitions)},
+	{"fig7b", do((*Runner).Figure7Alpha)},
+	{"fig7c", do((*Runner).Figure7K)},
+	{"fig7d", do((*Runner).Figure7MemAlpha)},
+	{"fig8", do((*Runner).Figure8Quality)},
+	{"silkmoth", do((*Runner).SilkMothComparison)},
+	{"ablation", do((*Runner).Ablation)},
+	{"mixed", do((*Runner).MixedWorkload)},
+	{"recovery", do((*Runner).RecoveryWorkload)},
+	{"throughput", (*Runner).Throughput},
+	{"scale", do((*Runner).Scale)},
+	{"chaos", (*Runner).Chaos},
+	{"coldstart", (*Runner).ColdStart},
+	{"multitenant", (*Runner).MultiTenant},
+	{"fairness", (*Runner).Fairness},
+}
+
 // Experiments lists the runnable experiment names in paper order.
 func Experiments() []string {
-	return []string{
-		"table1", "table2", "table3", "table4", "table5",
-		"fig5a", "fig5bc", "fig5d", "fig6a", "fig6bc", "fig6d",
-		"fig7a", "fig7b", "fig7c", "fig7d", "fig8",
-		"silkmoth", "ablation", "mixed", "recovery", "throughput",
-		"scale", "chaos", "coldstart", "multitenant", "fairness",
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return names
 }
 
 // Known reports whether exp names a runnable experiment.
 func Known(exp string) bool {
-	for _, e := range Experiments() {
-		if e == exp {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == exp })
 }
 
 // Run executes one experiment by name.
 func (r *Runner) Run(exp string) error {
-	switch exp {
-	case "table1":
-		r.Table1()
-	case "table2":
-		r.Table2()
-	case "table3":
-		r.Table3()
-	case "table4":
-		r.TableIntervals(datagen.OpenData, "Table IV (OpenData)")
-	case "table5":
-		r.TableIntervals(datagen.WDC, "Table V (WDC)")
-	case "fig5a":
-		r.FigureTime(datagen.OpenData, "Fig. 5a (OpenData response time)")
-	case "fig5bc":
-		r.FigurePhases(datagen.OpenData, "Fig. 5b,c (OpenData phase breakdown)")
-	case "fig5d":
-		r.FigureMemory(datagen.OpenData, "Fig. 5d (OpenData memory)")
-	case "fig6a":
-		r.FigureTime(datagen.WDC, "Fig. 6a (WDC response time)")
-	case "fig6bc":
-		r.FigurePhases(datagen.WDC, "Fig. 6b,c (WDC phase breakdown)")
-	case "fig6d":
-		r.FigureMemory(datagen.WDC, "Fig. 6d (WDC memory)")
-	case "fig7a":
-		r.Figure7Partitions()
-	case "fig7b":
-		r.Figure7Alpha()
-	case "fig7c":
-		r.Figure7K()
-	case "fig7d":
-		r.Figure7MemAlpha()
-	case "fig8":
-		r.Figure8Quality()
-	case "silkmoth":
-		r.SilkMothComparison()
-	case "ablation":
-		r.Ablation()
-	case "mixed":
-		r.MixedWorkload()
-	case "recovery":
-		r.RecoveryWorkload()
-	case "throughput":
-		return r.Throughput()
-	case "scale":
-		r.Scale()
-	case "chaos":
-		return r.Chaos()
-	case "coldstart":
-		return r.ColdStart()
-	case "multitenant":
-		return r.MultiTenant()
-	case "fairness":
-		return r.Fairness()
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (want one of %v)", exp, Experiments())
+	for _, e := range experiments {
+		if e.name == exp {
+			return e.run(r)
+		}
 	}
-	return nil
+	return fmt.Errorf("bench: unknown experiment %q (want one of %v)", exp, Experiments())
+}
+
+// vectorSource builds a collection's similarity source: exact search over
+// the dataset's embedding vectors, growing with the collection's dictionary.
+func vectorSource(ds *datagen.Dataset) segment.SourceBuilder {
+	return func(dict *sets.Dictionary) index.NeighborSource {
+		return index.NewDynamicExact(dict, ds.Model.Vector)
+	}
 }
 
 // bundleFor generates (once) the dataset, benchmark, token index, and

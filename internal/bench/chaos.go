@@ -13,10 +13,8 @@ import (
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
 	"repro/internal/server"
-	"repro/internal/sets"
 	"repro/internal/store"
 )
 
@@ -72,9 +70,7 @@ func (r *Runner) chaosServingSmoke() error {
 	defer os.RemoveAll(dir)
 
 	opts := core.Options{K: 5, Alpha: 0.8, Partitions: 2, Workers: 2, ExactScores: true}.WithDefaults()
-	build := func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, ds.Model.Vector)
-	}
+	build := vectorSource(ds)
 	scfg := segment.Config{SealThreshold: 100, MaxSegments: 99, SyncWAL: true}
 
 	// Checkpoint half the rows into a segment file, keep the rest in the

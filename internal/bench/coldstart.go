@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
-	"repro/internal/sets"
 	"repro/internal/store"
 )
 
@@ -47,9 +45,7 @@ func (r *Runner) coldStart(kind datagen.Kind) (nSets, nSegs int, err error) {
 		Partitions: r.cfg.Partitions,
 		Workers:    r.cfg.Workers,
 	}.WithDefaults()
-	build := func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, b.ds.Model.Vector)
-	}
+	build := vectorSource(b.ds)
 	dir, err := os.MkdirTemp("", "koios-bench-coldstart-*")
 	if err != nil {
 		return 0, 0, err

@@ -15,10 +15,8 @@ import (
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
 	"repro/internal/server"
-	"repro/internal/sets"
 	"repro/internal/store"
 )
 
@@ -56,12 +54,6 @@ func (r *Runner) Fairness() error {
 	return nil
 }
 
-func (r *Runner) fairnessBuild(b *bundle) segment.SourceBuilder {
-	return func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, b.ds.Model.Vector)
-	}
-}
-
 func (r *Runner) fairnessOpts() core.Options {
 	return core.Options{K: r.cfg.K, Alpha: r.cfg.Alpha, Partitions: 1, Workers: 1, ExactScores: true}.WithDefaults()
 }
@@ -70,7 +62,7 @@ func (r *Runner) fairnessOpts() core.Options {
 // under a weight-1 flood, and enforces the 2× isolation bound.
 func (r *Runner) fairnessQueryFlood(b *bundle) error {
 	reg := collection.NewRegistry(nil, collection.Config{
-		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
+		Build: vectorSource(b.ds), Opts: r.fairnessOpts(),
 	})
 	defer reg.Close()
 	srv := server.NewRegistry(reg, server.Config{
@@ -170,7 +162,7 @@ func (r *Runner) fairnessQueryFlood(b *bundle) error {
 // maintenance policy and requires the typed 503 plus post-drain recovery.
 func (r *Runner) fairnessWriteStall(b *bundle) error {
 	reg := collection.NewRegistry(nil, collection.Config{
-		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
+		Build: vectorSource(b.ds), Opts: r.fairnessOpts(),
 		SegCfg: segment.Config{SealThreshold: 1, MaxSegments: 2},
 		Maintenance: collection.MaintenanceConfig{
 			Workers:        1,
@@ -261,7 +253,7 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 
 	ffs := store.NewFaultFS(nil)
 	reg, err := collection.OpenRegistry(dir, nil, collection.Config{
-		Build: r.fairnessBuild(b), Opts: r.fairnessOpts(),
+		Build: vectorSource(b.ds), Opts: r.fairnessOpts(),
 		SegCfg: segment.Config{SealThreshold: 1, MaxSegments: 2, FS: ffs},
 		Maintenance: collection.MaintenanceConfig{
 			Workers:     1,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
 	"repro/internal/sets"
 )
@@ -33,9 +32,7 @@ func (r *Runner) MixedWorkload() {
 		nSeed := len(all) * 7 / 10
 		mk := func() (*collection.Registry, *segment.Manager) {
 			reg := collection.NewRegistry(all[:nSeed], collection.Config{
-				Build: func(dict *sets.Dictionary) index.NeighborSource {
-					return index.NewDynamicExact(dict, b.ds.Model.Vector)
-				},
+				Build: vectorSource(b.ds),
 				Opts: core.Options{
 					K:          r.cfg.K,
 					Alpha:      r.cfg.Alpha,

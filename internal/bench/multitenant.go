@@ -16,9 +16,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/server"
-	"repro/internal/sets"
 )
 
 // MultiTenant exercises the collection layer of DESIGN.md §14 end to end
@@ -33,9 +31,7 @@ func (r *Runner) MultiTenant() error {
 	b := r.bundleFor(datagen.Twitter)
 
 	reg := collection.NewRegistry(b.ds.Repo.Sets(), collection.Config{
-		Build: func(dict *sets.Dictionary) index.NeighborSource {
-			return index.NewDynamicExact(dict, b.ds.Model.Vector)
-		},
+		Build: vectorSource(b.ds),
 		// Serving configuration (see managerFor): concurrency comes from
 		// the pool, and the HTTP layer requires exact scores.
 		Opts: core.Options{K: r.cfg.K, Alpha: r.cfg.Alpha, Partitions: 1, Workers: 1, ExactScores: true}.WithDefaults(),

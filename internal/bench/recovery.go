@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
-	"repro/internal/sets"
 )
 
 // RecoveryWorkload measures the durable engine's restart path (DESIGN.md
@@ -33,9 +31,7 @@ func (r *Runner) RecoveryWorkload() {
 			Partitions: r.cfg.Partitions,
 			Workers:    r.cfg.Workers,
 		}.WithDefaults()
-		build := func(dict *sets.Dictionary) index.NeighborSource {
-			return index.NewDynamicExact(dict, b.ds.Model.Vector)
-		}
+		build := vectorSource(b.ds)
 		dir, err := os.MkdirTemp("", "koios-bench-recovery-*")
 		if err != nil {
 			r.printf("  %-8s tempdir error: %v\n", kind, err)

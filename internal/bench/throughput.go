@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/index"
 	"repro/internal/segment"
-	"repro/internal/sets"
 )
 
 // Throughput is the serving stack's correctness smoke (DESIGN.md §9): batch
@@ -50,9 +48,7 @@ func (r *Runner) Throughput() error {
 // query, because under a worker pool the parallelism comes from concurrent
 // queries.
 func (r *Runner) managerFor(b *bundle) *segment.Manager {
-	return segment.NewManager(b.ds.Repo.Sets(), func(dict *sets.Dictionary) index.NeighborSource {
-		return index.NewDynamicExact(dict, b.ds.Model.Vector)
-	}, core.Options{
+	return segment.NewManager(b.ds.Repo.Sets(), vectorSource(b.ds), core.Options{
 		K:          r.cfg.K,
 		Alpha:      r.cfg.Alpha,
 		Partitions: 1,

@@ -214,9 +214,11 @@ func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
 // Two classes of α have nothing to screen. α ≤ 0 admits every row once the
 // lower clamp has lifted it to 0, so every block is flagged without looking
 // (as it is at a stride whose sums an int32 cannot hold); α > 1 and NaN
-// admit none, whatever the arena holds.
+// admit none, whatever the arena holds. Nor does a scan without query rows
+// (a probe none of whose elements has a vector), which returns before the
+// screen sizes its masks for none.
 func (r *vecRows) scanAll(s *scanScratch, qis []int, alpha float64, bufs [][]Neighbor) {
-	if !(alpha <= 1) {
+	if !(alpha <= 1) || len(qis) == 0 {
 		return
 	}
 	nq, dim := len(qis), r.dim

@@ -766,6 +766,31 @@ func TestArenaGroupKernel(t *testing.T) {
 	}
 }
 
+// TestArenaScanNoQueryRows: a probe none of whose elements has a vector
+// scans with no query rows. It must come back empty, also over arenas whose
+// chunks end in 4-row blocks after their last full 16-row block, which the
+// screen would otherwise pad for query rows there are none of.
+func TestArenaScanNoQueryRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, n := range []int{1, 5, 16, 20, 16*3 + 7, 4*scanChunk + 21} {
+		f := newArenaFixture(rng, n, 8)
+		dict, err := sets.NewDictionaryFromTokens(f.tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewDynamicExact(dict, f.vec)
+		scanModes(func(mode string) {
+			for _, alpha := range []float64{0, 0.8} {
+				bufs := make([][]Neighbor, 2)
+				e.ScanNeighbors([]string{"no vector", "nor this"}, alpha, bufs)
+				if bufs[0] != nil || bufs[1] != nil {
+					t.Fatalf("%s, n=%d α=%v: elements without a vector have neighbours %v", mode, n, alpha, bufs)
+				}
+			}
+		})
+	}
+}
+
 // TestArenaPartialBlocks: the 4-row blocks after a chunk's last full 16-row
 // block are screened, and the rows after the last full 4-row block scored,
 // by the kernels on zero-padded copies (screenChunk, tailBlock). On arenas

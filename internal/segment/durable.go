@@ -3,7 +3,6 @@ package segment
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/bits"
 	"path/filepath"
@@ -297,7 +296,7 @@ func (m *Manager) quarantine(name, reason string) {
 func (m *Manager) copyToQuarantine(name, reason string) {
 	m.quarantined = append(m.quarantined, QuarantinedFile{File: name, Reason: reason})
 	m.degraded = true
-	raw, err := readFile(m.fs, filepath.Join(m.dir, name))
+	raw, err := store.ReadFile(m.fs, filepath.Join(m.dir, name))
 	if err != nil {
 		Logf("segment: quarantine copy %s (%s): %v", name, reason, err)
 		return
@@ -317,15 +316,6 @@ func (m *Manager) copyToQuarantine(name, reason string) {
 	}
 	f.Close()
 	Logf("segment: quarantined a copy of %s: %s", name, reason)
-}
-
-func readFile(fsys store.FS, path string) ([]byte, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
 
 // loadSegment builds a segment over one manifest snapshot: the file is

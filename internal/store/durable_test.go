@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -285,6 +288,87 @@ func TestWALRejectsMismatchedGeneration(t *testing.T) {
 	}
 }
 
+// walBody frames each payload as Append does: length, CRC32, payload.
+func walBody(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// FuzzWALFrame writes a valid header followed by arbitrary bytes and scans
+// the log. With framed set, the input is cut into payloads (each prefixed
+// by one length byte) and each is framed with its correct CRC, so the
+// record decoder sees bytes the frame check lets through. ScanWAL must not
+// panic, must not allocate more than a small multiple of the file (a
+// corrupt count or length is not an allocation size), must return records
+// that re-encode through appendWALRecord to exactly the frames they came
+// from, and must end on the boundary of the last of those frames, where no
+// further frame passes.
+func FuzzWALFrame(f *testing.F) {
+	ins := appendWALRecord(nil, WALRecord{Op: WALInsert, Handle: 5, Name: "s", Elements: []string{"a", "bc"}})
+	del := appendWALRecord(nil, WALRecord{Op: WALDelete, Name: "gone"})
+	f.Add(walBody(ins, del), false)
+	f.Add(append(append([]byte{byte(len(ins))}, ins...), append([]byte{byte(len(del))}, del...)...), true)
+	torn := walBody(ins, del)
+	torn[9] ^= 0xff // the first payload's op byte: its CRC fails, the next frame is a gap
+	f.Add(torn, false)
+	f.Add([]byte{}, false)
+	f.Add([]byte{2, 1, 0}, true)                            // an insert cut short
+	f.Add([]byte{3, 2, 0x80, 0x00}, true)                   // a delete whose name length is not in shortest form
+	f.Add([]byte{7, 1, 0, 0, 0xff, 0xff, 0xff, 0x7f}, true) // an insert of 2²⁸−1 elements in seven bytes
+
+	path := filepath.Join(f.TempDir(), "fuzz.kwal")
+	const gen = 3
+	f.Fuzz(func(t *testing.T, in []byte, framed bool) {
+		body := in
+		if framed {
+			var payloads [][]byte
+			for len(in) > 0 {
+				n := min(int(in[0]), len(in)-1)
+				payloads = append(payloads, in[1:1+n])
+				in = in[1+n:]
+			}
+			body = walBody(payloads...)
+		}
+		data := append([]byte(nil), walMagic[:]...)
+		data = binary.LittleEndian.AppendUint64(data, gen)
+		data = append(data, body...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, end, _, err := ScanWAL(OS, path, gen)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("valid header refused: %v", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("scanning %d bytes allocated %d", len(data), alloc)
+		}
+
+		off := int64(walHeaderLen)
+		for i, rec := range recs {
+			frame := walBody(appendWALRecord(nil, rec))
+			if int64(len(data))-off < int64(len(frame)) || !bytes.Equal(data[off:off+int64(len(frame))], frame) {
+				t.Fatalf("record %d (%+v) does not re-encode to its frame at %d", i, rec, off)
+			}
+			off += int64(len(frame))
+		}
+		if end != off {
+			t.Fatalf("end %d, but the records' frames end at %d", end, off)
+		}
+		if _, _, ok := walFrame(data, int(end)); ok {
+			t.Fatalf("the scan stopped at %d before a frame that passes", end)
+		}
+	})
+}
+
 // TestManifestRoundTripAndCorruption: commit/load round-trips including
 // tombstone bitsets; corrupt and version-skewed manifests are rejected.
 func TestManifestRoundTripAndCorruption(t *testing.T) {
@@ -338,5 +422,35 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 	bad := ManifestSegment{File: "f", Rows: 200, DeadB64: seg.DeadB64}
 	if _, err := bad.Dead(); err == nil {
 		t.Fatal("mis-sized tombstone bitset accepted")
+	}
+}
+
+// BenchmarkScanWAL times the recovery scan of a 5,000-record log of
+// inserts (ten elements each) with a delete after every fourth.
+func BenchmarkScanWAL(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.kwal")
+	w, err := CreateWAL(OS, path, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 5000; i++ {
+		rec := WALRecord{Op: WALInsert, Handle: int64(i), Name: fmt.Sprintf("set-%d", i), Elements: randTokens(rng, 10)}
+		if i%4 == 3 {
+			rec = WALRecord{Op: WALDelete, Name: fmt.Sprintf("set-%d", i-3)}
+		}
+		if err := w.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, _, damaged, err := ScanWAL(OS, path, 1); err != nil || damaged || len(recs) != 5000 {
+			b.Fatalf("%d records, damaged %v, %v", len(recs), damaged, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -79,13 +80,28 @@ func (osFS) SyncDir(dir string) error {
 	return nil
 }
 
-// readFileFS reads a whole file through an FS (os.ReadFile equivalent; the
-// returned error preserves os.IsNotExist detection).
-func readFileFS(fsys FS, path string) ([]byte, error) {
+// ReadFile reads a whole file through an FS — the os.ReadFile of the seam,
+// and the one way the durable layer reads a file whole. The returned error
+// preserves os.IsNotExist detection.
+func ReadFile(fsys FS, path string) ([]byte, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	// Size the buffer to the file, as os.ReadFile does: growing it read by
+	// read allocates several times the file on the way.
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

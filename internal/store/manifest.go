@@ -139,7 +139,7 @@ func CommitManifest(fsys FS, dir string, m *Manifest) error {
 // LoadManifest reads dir's manifest. A directory that has never been
 // checkpointed returns (nil, nil).
 func LoadManifest(fsys FS, dir string) (*Manifest, error) {
-	raw, err := readFileFS(fsys, filepath.Join(dir, ManifestName))
+	raw, err := ReadFile(fsys, filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}

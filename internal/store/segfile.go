@@ -6,7 +6,10 @@ package store
 // (wal.go) covers everything since the last checkpoint, and the manifest
 // (manifest.go) names which of these files are live. The gzip-JSON dataset
 // format stays for datasets; engine state is binary because segment rows
-// are interned int32 IDs and the dictionary is the decoder ring.
+// are interned int32 IDs and the dictionary is the decoder ring. The
+// dictionary shares the WAL's field encoding (codec.go) and is written from
+// one buffer and read back whole (ReadFile); the segment layout is
+// segfile_v2.go's.
 
 import (
 	"encoding/binary"
@@ -26,15 +29,21 @@ var (
 )
 
 // WriteDict serializes a dictionary vocabulary: tokens in ID order, as
-// returned by sets.Dictionary.Snapshot.
+// returned by sets.Dictionary.Snapshot. The file is the magic, the token
+// count, each token length-framed (codec.go), and an IEEE CRC32 of all of
+// that; it is built in one buffer and written with one Write.
 func WriteDict(w io.Writer, tokens []string) error {
-	bw := newBinWriter(w)
-	bw.raw(dictMagic[:])
-	bw.uvarint(uint64(len(tokens)))
+	size := len(dictMagic) + binary.MaxVarintLen64 + 4
 	for _, tok := range tokens {
-		bw.str(tok)
+		size += 2 + len(tok)
 	}
-	if err := bw.finish(); err != nil {
+	buf := append(make([]byte, 0, size), dictMagic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(tokens)))
+	for _, tok := range tokens {
+		buf = appendStr(buf, tok)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("store: write dictionary: %w", err)
 	}
 	return nil
@@ -73,7 +82,7 @@ func SaveDict(fsys FS, path string, tokens []string) error {
 // per token, which matters on the cold-start path where the dictionary
 // load is the decoder ring every reopen must pay for.
 func LoadDict(fsys FS, path string) ([]string, error) {
-	raw, err := readFileFS(fsys, path)
+	raw, err := ReadFile(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -97,30 +106,20 @@ func parseDict(data []byte) ([]string, error) {
 	}
 	rest := payload[len(dictMagic):]
 	blob := string(rest)
-	pos := 0
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
+	r := sliceReader{b: rest}
+	n := r.count("token")
+	// Every token takes at least its length byte, so the bytes left bound
+	// the count a corrupt file can make this allocate.
+	tokens := make([]string, 0, min(n, r.left()))
+	for i := 0; i < n && r.err == nil; i++ {
+		lo, hi := r.field("token")
+		tokens = append(tokens, blob[lo:hi])
 	}
-	n, ok := next()
-	if !ok || n > maxBinCount {
-		return nil, fmt.Errorf("store: corrupt dictionary: bad token count")
+	if r.err != nil {
+		return nil, fmt.Errorf("store: corrupt dictionary: %w", r.err)
 	}
-	tokens := make([]string, 0, min(int(n), 1<<20))
-	for i := 0; i < int(n); i++ {
-		l, ok := next()
-		if !ok || l > maxBinString || uint64(pos)+l > uint64(len(rest)) {
-			return nil, fmt.Errorf("store: corrupt dictionary: token %d truncated", i)
-		}
-		tokens = append(tokens, blob[pos:pos+int(l)])
-		pos += int(l)
-	}
-	if pos != len(rest) {
-		return nil, fmt.Errorf("store: corrupt dictionary: %d trailing payload bytes", len(rest)-pos)
+	if r.left() != 0 {
+		return nil, fmt.Errorf("store: corrupt dictionary: %d trailing payload bytes", r.left())
 	}
 	return tokens, nil
 }

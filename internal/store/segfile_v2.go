@@ -204,12 +204,12 @@ func WriteSegmentV2(w io.Writer, s *SegmentSnapshot) error {
 	}
 
 	sections := [segV2Sections][]byte{
-		encI64(rowOffs),
-		encI32(elems),
-		encI64(handles),
-		encI64(nameOffs),
+		enc(rowOffs),
+		enc(elems),
+		enc(handles),
+		enc(nameOffs),
 		blob.Bytes(),
-		encU64(dead),
+		enc(dead),
 	}
 
 	// Lay the sections out canonically and build the header.
@@ -282,7 +282,7 @@ func OpenMappedSegment(fsys FS, path string) (*MappedSegment, error) {
 		}
 	}
 	if ms.data == nil {
-		raw, err := readFileFS(fsys, path)
+		raw, err := ReadFile(fsys, path)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -379,12 +379,12 @@ func (ms *MappedSegment) parse() error {
 	alias := hostLittleEndian
 	ms.zero = ms.unmap != nil
 	ms.VocabN = int(vocabN)
-	ms.RowOffs = viewI64(secs[0], int(nRows)+1, alias)
-	ms.ElemIDs = viewI32(secs[1], int(nElems), alias)
-	ms.Handles = viewI64(secs[2], int(nRows), alias)
-	ms.nameOffs = viewI64(secs[3], int(nRows)+1, alias)
+	ms.RowOffs = view[int64](secs[0], int(nRows)+1, alias)
+	ms.ElemIDs = view[int32](secs[1], int(nElems), alias)
+	ms.Handles = view[int64](secs[2], int(nRows), alias)
+	ms.nameOffs = view[int64](secs[3], int(nRows)+1, alias)
 	ms.nameBlob = secs[4]
-	ms.Dead = viewU64(secs[5], int(deadWords), alias)
+	ms.Dead = view[uint64](secs[5], int(deadWords), alias)
 
 	// Semantic validation: CSR offsets monotone and closed over their
 	// arrays, every element ID inside the horizon (the v1 decoder's checks,
@@ -445,72 +445,30 @@ func alignedBytes(raw []byte) []byte {
 	return dst[:len(raw)]
 }
 
-// The view helpers reinterpret a section's bytes as the typed array when
-// zero-copy is possible, else decode element-wise into a fresh slice.
+// sectionElem is an element type of a v2 section: the typed arrays are
+// exactly these types, so binary.Append and binary.Decode take their fast
+// path for them.
+type sectionElem interface{ int32 | int64 | uint64 }
 
-func viewI64(b []byte, n int, zero bool) []int64 {
+// enc encodes a section's array as its little-endian bytes. binary.Append
+// fails only on a type without a fixed size, which sectionElem rules out.
+func enc[T sectionElem](v []T) []byte {
+	out, _ := binary.Append(make([]byte, 0, binary.Size(v)), binary.LittleEndian, v)
+	return out
+}
+
+// view returns a section's n elements: the section's own bytes
+// reinterpreted as the typed array when alias is set (a little-endian
+// host, 8-byte-aligned data), else a decoded copy.
+func view[T sectionElem](b []byte, n int, alias bool) []T {
 	if n == 0 {
 		return nil
 	}
-	if zero {
-		return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), n)
+	if alias {
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func viewI32(b []byte, n int, zero bool) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if zero {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func viewU64(b []byte, n int, zero bool) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	if zero {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func encI64(v []int64) []byte {
-	out := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(x))
-	}
-	return out
-}
-
-func encI32(v []int32) []byte {
-	out := make([]byte, len(v)*4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[i*4:], uint32(x))
-	}
-	return out
-}
-
-func encU64(v []uint64) []byte {
-	out := make([]byte, len(v)*8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[i*8:], x)
-	}
+	out := make([]T, n)
+	binary.Decode(b, binary.LittleEndian, out) // parse checked len(b) against n
 	return out
 }
 

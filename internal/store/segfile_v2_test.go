@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -269,6 +270,41 @@ func TestAlignedBytes(t *testing.T) {
 	copy(shifted[1:], raw)
 	if _, err := parseV2Bytes(shifted[1:]); err != nil {
 		t.Fatalf("misaligned buffer: %v", err)
+	}
+}
+
+// TestViewCopyPathMatchesAlias: the decoded copy a big-endian host reads
+// equals the reinterpreted section a little-endian host serves, for every
+// section element type, on values that set the sign and the high bytes.
+func TestViewCopyPathMatchesAlias(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the aliasing path reinterprets little-endian bytes")
+	}
+	rng := rand.New(rand.NewSource(20))
+	n := 37
+	i32 := make([]int32, n)
+	i64 := make([]int64, n)
+	u64 := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		i32[i] = int32(rng.Uint32())
+		i64[i] = int64(rng.Uint64())
+		u64[i] = rng.Uint64()
+	}
+	i32[0], i64[0], u64[0] = -1, math.MinInt64, math.MaxUint64
+	checkView(t, i32)
+	checkView(t, i64)
+	checkView(t, u64)
+}
+
+func checkView[T sectionElem](t *testing.T, want []T) {
+	t.Helper()
+	b := alignedBytes(enc(want))
+	aliased, copied := view[T](b, len(want), true), view[T](b, len(want), false)
+	if !reflect.DeepEqual(aliased, want) || !reflect.DeepEqual(copied, want) {
+		t.Fatalf("%T: aliased %v, copied %v, want %v", want, aliased, copied, want)
+	}
+	if len(want) > 0 && &copied[0] == &aliased[0] {
+		t.Fatalf("%T: the copy path aliases the section", want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,11 +11,14 @@ import (
 // The write-ahead log is the hot half of the durable engine: every Insert
 // and Delete appends one record before it is applied in memory, and a
 // checkpoint starts a fresh (empty) log once the state it covered has been
-// persisted as segment snapshots. Records are individually framed —
-// little-endian length + CRC32 + payload — so a crash mid-append leaves a
-// torn tail that recovery detects (ScanWAL stops at it), replays around,
-// and truncates (ResumeWAL): recovery is always "manifest state + every
-// complete record", never a panic.
+// persisted as segment snapshots. The file is the magic and the 8-byte
+// generation, then one frame per record — little-endian payload length,
+// CRC32 of the payload, payload — whose payload uses the field encoding of
+// codec.go. A crash mid-append leaves a torn tail that recovery detects
+// (ScanWAL, which reads the log whole and checks every frame with
+// walFrame, stops at it), replays around, and truncates (ResumeWAL):
+// recovery is always "manifest state + every complete record", never a
+// panic.
 
 // WALOp tags a WAL record.
 type WALOp byte
@@ -109,93 +111,70 @@ func ResumeWAL(fsys FS, path string, end int64) (*WAL, error) {
 // so damaged=true means mid-log corruption — replaying only the prefix
 // would silently lose the later records, and the caller must surface that
 // (quarantine + degraded) instead of pretending the recovery was complete.
+//
+// The log is read whole through the FS seam, and both scans run over that
+// one buffer through walFrame: the forward scan from the header to the
+// first frame that fails, then the gap scan over at most walResyncLimit
+// bytes after it. Records own their strings, so the buffer is garbage once
+// ScanWAL returns.
 func ScanWAL(fsys FS, path string, gen uint64) (recs []WALRecord, end int64, damaged bool, err error) {
-	f, err := fsys.Open(path)
+	data, err := ReadFile(fsys, path)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	recs, end, err = scanWAL(f, gen)
-	if err != nil {
-		return nil, 0, false, err
+	if len(data) < walHeaderLen {
+		return nil, 0, false, fmt.Errorf("store: WAL header: %w", io.ErrUnexpectedEOF)
 	}
-	return recs, end, scanForGap(f, end), nil
-}
-
-// scanForGap looks for a valid record frame strictly after the offset the
-// forward scan stopped at. A CRC-checked frame there cannot be torn-tail
-// debris — random bytes pass the size/CRC/decode gauntlet with probability
-// ~2⁻³². Bounded to walResyncLimit bytes; best-effort (read errors report
-// no gap).
-func scanForGap(f FSFile, end int64) bool {
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		return false
+	if [5]byte(data[:5]) != walMagic {
+		return nil, 0, false, fmt.Errorf("store: not a koios WAL file (magic %q)", data[:5])
 	}
-	buf, err := io.ReadAll(io.LimitReader(f, walResyncLimit))
-	if err != nil || len(buf) <= 8 {
-		return false
+	if g := binary.LittleEndian.Uint64(data[5:]); g != gen {
+		return nil, 0, false, fmt.Errorf("store: WAL generation %d, manifest expects %d", g, gen)
 	}
-	// Offset 0 is the frame the forward scan already rejected; anything
-	// valid strictly after it means records were skipped.
-	for o := 1; o+8 < len(buf); o++ {
-		size := binary.LittleEndian.Uint32(buf[o : o+4])
-		if size > maxBinCount || o+8+int(size) > len(buf) {
-			continue
-		}
-		payload := buf[o+8 : o+8+int(size)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[o+4:o+8]) {
-			continue
-		}
-		if _, err := decodeWALRecord(payload); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// scanWAL reads records until EOF or the first torn/corrupt frame,
-// returning the byte offset just past the last complete record.
-func scanWAL(f FSFile, gen uint64) ([]WALRecord, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("store: WAL header: %w", err)
-	}
-	if !bytes.Equal(hdr[:5], walMagic[:]) {
-		return nil, 0, fmt.Errorf("store: not a koios WAL file (magic %q)", hdr[:5])
-	}
-	if g := binary.LittleEndian.Uint64(hdr[5:]); g != gen {
-		return nil, 0, fmt.Errorf("store: WAL generation %d, manifest expects %d", g, gen)
-	}
-	var recs []WALRecord
-	end := int64(walHeaderLen)
-	var frame [8]byte
+	off := walHeaderLen
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			break // clean EOF or torn frame header
-		}
-		size := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if size > maxBinCount {
-			break // corrupt length — treat as torn tail
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // torn or corrupt record
-		}
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
-			break // framed but undecodable — stop, like any torn tail
+		rec, n, ok := walFrame(data, off)
+		if !ok {
+			break // clean end, or a torn or corrupt frame
 		}
 		recs = append(recs, rec)
-		end += int64(8 + size)
+		off += n
 	}
-	return recs, end, nil
+	// Anything valid strictly after the frame the forward scan rejected
+	// means records were skipped. A CRC-checked, decodable frame there
+	// cannot be torn-tail debris: random bytes pass the size/CRC/decode
+	// gauntlet with probability ~2⁻³².
+	window := data[:min(len(data), off+walResyncLimit)]
+	for o := off + 1; o+8 < len(window); o++ {
+		if _, _, ok := walFrame(window, o); ok {
+			damaged = true
+			break
+		}
+	}
+	return recs, int64(off), damaged, nil
+}
+
+// walFrame is the one frame check of the log: the frame at buf[off:] —
+// little-endian payload length, CRC32 of the payload, payload — must lie
+// within buf, stay under the sanity bound, match its CRC and decode. It
+// returns the record and the frame's length, or ok=false.
+func walFrame(buf []byte, off int) (rec WALRecord, n int, ok bool) {
+	if len(buf)-off < 8 {
+		return WALRecord{}, 0, false
+	}
+	size := binary.LittleEndian.Uint32(buf[off:])
+	if size > maxBinCount || uint64(size) > uint64(len(buf)-off-8) {
+		return WALRecord{}, 0, false
+	}
+	payload := buf[off+8 : off+8+int(size)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[off+4:]) {
+		return WALRecord{}, 0, false
+	}
+	rec, err := decodeWALRecord(payload)
+	if err != nil {
+		return WALRecord{}, 0, false
+	}
+	return rec, 8 + int(size), true
 }
 
 // Append logs one record. The frame — length and CRC32 of the payload, then
@@ -236,49 +215,53 @@ func (w *WAL) Close() error { return w.f.Close() }
 func (w *WAL) Path() string { return w.path }
 
 // appendWALRecord appends rec's payload encoding to buf: the op byte, then
-// uvarint-framed fields, the layout decodeWALRecord reads.
+// uvarint-framed fields (codec.go), the layout decodeWALRecord reads.
 func appendWALRecord(buf []byte, rec WALRecord) []byte {
-	str := func(s string) {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
 	buf = append(buf, byte(rec.Op))
 	switch rec.Op {
 	case WALInsert:
 		buf = binary.AppendUvarint(buf, uint64(rec.Handle))
-		str(rec.Name)
+		buf = appendStr(buf, rec.Name)
 		buf = binary.AppendUvarint(buf, uint64(len(rec.Elements)))
 		for _, e := range rec.Elements {
-			str(e)
+			buf = appendStr(buf, e)
 		}
 	case WALDelete:
-		str(rec.Name)
+		buf = appendStr(buf, rec.Name)
 	}
 	return buf
 }
 
+// decodeWALRecord decodes one payload whose frame CRC already passed. The
+// strings are copies: nothing in the record aliases the payload. A payload
+// with bytes left over is refused, since appendWALRecord never writes one.
 func decodeWALRecord(payload []byte) (WALRecord, error) {
-	br := newBinReader(bytes.NewReader(payload))
-	op := br.raw(1)
-	if br.err != nil {
-		return WALRecord{}, br.err
+	if len(payload) == 0 {
+		return WALRecord{}, io.ErrUnexpectedEOF
 	}
-	rec := WALRecord{Op: WALOp(op[0])}
+	rec := WALRecord{Op: WALOp(payload[0])}
+	r := sliceReader{b: payload, off: 1}
 	switch rec.Op {
 	case WALInsert:
-		rec.Handle = int64(br.uvarint())
-		rec.Name = br.str("set name")
-		n := br.count("set element")
-		rec.Elements = make([]string, 0, min(n, 1<<20))
-		// Bail on the sticky error: the frame's CRC already passed, but a
-		// count near maxBinCount in a hostile payload must not loop forever.
-		for i := 0; i < n && br.err == nil; i++ {
-			rec.Elements = append(rec.Elements, br.str("set element"))
+		rec.Handle = int64(r.uvarint())
+		rec.Name = r.str("set name")
+		n := r.count("set element")
+		// Every element takes at least its length byte, so the bytes left
+		// bound the count a hostile payload can make this allocate.
+		rec.Elements = make([]string, 0, min(n, r.left()))
+		for i := 0; i < n && r.err == nil; i++ {
+			rec.Elements = append(rec.Elements, r.str("set element"))
 		}
 	case WALDelete:
-		rec.Name = br.str("set name")
+		rec.Name = r.str("set name")
 	default:
 		return WALRecord{}, fmt.Errorf("unknown WAL op %d", rec.Op)
 	}
-	return rec, br.err
+	if r.err == nil && r.left() != 0 {
+		r.err = fmt.Errorf("%d trailing payload bytes", r.left())
+	}
+	if r.err != nil {
+		return WALRecord{}, r.err
+	}
+	return rec, nil
 }
