@@ -31,11 +31,11 @@
 // -bg-workers background ops at once across the whole process, shared by
 // weighted fair scheduling (collection quota weights, -default-weight for
 // the rest), with retry-with-backoff on failures and deferral while search
-// latency is blown. Search admission runs deficit-round-robin weighted fair
-// queueing across collections, and a collection whose maintenance backlog
-// crosses the -slowdown-sealed / -stall-sealed (or WAL-volume) thresholds
-// has inserts refused with a typed 503 maintenance_backlog + Retry-After
-// instead of silently slowing down.
+// latency is blown. Search admission queues per collection and grants
+// slots by the same weighted fair-share rule, and a collection whose
+// maintenance backlog crosses the -slowdown-sealed / -stall-sealed (or
+// WAL-volume) thresholds has inserts refused with a typed 503
+// maintenance_backlog + Retry-After instead of silently slowing down.
 //
 //	koios-server -dataset opendata -scale 0.1 -addr :7411
 //	koios-server -data wdc.koios.gz -addr :7411

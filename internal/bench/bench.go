@@ -275,26 +275,16 @@ func avgDuration(ds []time.Duration) time.Duration {
 	return sum / time.Duration(len(ds))
 }
 
-func avgInt(vals []int) float64 {
+// mean is the average of vals (0 for none).
+func mean[T int | float64](vals []T) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sum := 0
+	var sum T
 	for _, v := range vals {
 		sum += v
 	}
 	return float64(sum) / float64(len(vals))
-}
-
-func avgFloat(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }
 
 func mb(bytes int64) float64 { return float64(bytes) / (1024 * 1024) }

@@ -78,14 +78,14 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if avgInt(nil) != 0 || avgFloat(nil) != 0 || avgDuration(nil) != 0 {
+	if mean([]int(nil)) != 0 || mean([]float64(nil)) != 0 || avgDuration(nil) != 0 {
 		t.Fatal("empty averages not 0")
 	}
-	if avgInt([]int{1, 2, 3}) != 2 {
-		t.Fatal("avgInt wrong")
+	if mean([]int{1, 2, 3}) != 2 {
+		t.Fatal("mean of ints wrong")
 	}
-	if avgFloat([]float64{1, 3}) != 2 {
-		t.Fatal("avgFloat wrong")
+	if mean([]float64{1, 3}) != 2 {
+		t.Fatal("mean of floats wrong")
 	}
 	if avgDuration([]time.Duration{time.Second, 3 * time.Second}) != 2*time.Second {
 		t.Fatal("avgDuration wrong")

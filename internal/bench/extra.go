@@ -89,8 +89,8 @@ func (r *Runner) SilkMothComparison() {
 	r.printf("queries=%d  θ*k passed to SilkMoth=%.2f\n", len(queries), thetaK)
 	r.printf("%-22s %14s %12s %12s\n", "System", "AvgResponse", "AvgCand", "AvgVerified")
 	r.printf("%-22s %14v %12s %12s\n", "Koios", (koiosTime / n).Round(time.Microsecond), "-", "-")
-	r.printf("%-22s %14v %12.0f %12.0f\n", "SilkMoth-syntactic", (synTime / n).Round(time.Microsecond), avgInt(synCand), avgInt(synVerified))
-	r.printf("%-22s %14v %12.0f %12.0f\n", "SilkMoth-semantic", (semTime / n).Round(time.Microsecond), avgInt(semCand), avgInt(semVerified))
+	r.printf("%-22s %14v %12.0f %12.0f\n", "SilkMoth-syntactic", (synTime / n).Round(time.Microsecond), mean(synCand), mean(synVerified))
+	r.printf("%-22s %14v %12.0f %12.0f\n", "SilkMoth-semantic", (semTime / n).Round(time.Microsecond), mean(semCand), mean(semVerified))
 }
 
 // Ablation quantifies each design choice called out in DESIGN.md §7: the
@@ -131,7 +131,7 @@ func (r *Runner) Ablation() {
 		}
 		r.printf("%-14s %14v %10.0f %10.0f %10.0f %10.0f\n",
 			v.name, avgDuration(resp).Round(time.Microsecond),
-			avgInt(cand), avgInt(iub), avgInt(em), avgInt(early))
+			mean(cand), mean(iub), mean(em), mean(early))
 	}
 
 	// Greedy scoring: fraction of queries where the greedy top-1 disagrees

@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +26,9 @@ import (
 //  1. Query fairness — a weight-1 tenant flooding the shared search pool
 //     must not destroy a weight-4 sibling's tail latency: the sibling's
 //     p99 under flood stays within 2× its isolated baseline (plus a small
-//     absolute epsilon for scheduler noise), because DRR drains its queue
-//     at 4× the flooder's rate and the flooder's overflow is shed, never
-//     queued in front of the sibling.
+//     absolute epsilon for scheduler noise), because the pool's fair-share
+//     rule (sched.Pick) drains its queue at 4× the flooder's rate and the
+//     flooder's overflow is shed, never queued in front of the sibling.
 //  2. Write degradation — a tenant writing faster than the maintenance
 //     scheduler drains surfaces as typed 503 maintenance_backlog with
 //     Retry-After, and writes are admitted again once the backlog drains:
@@ -39,7 +39,7 @@ import (
 //
 // Any violation returns an error so CI can gate on the experiment.
 func (r *Runner) Fairness() error {
-	r.header("Tenant fairness under pressure: DRR, write stalls, retry")
+	r.header("Tenant fairness under pressure: fair shares, write stalls, retry")
 	b := r.bundleFor(datagen.Twitter)
 	if err := r.fairnessQueryFlood(b); err != nil {
 		return fmt.Errorf("bench: fairness: %w", err)
@@ -106,7 +106,7 @@ func (r *Runner) fairnessQueryFlood(b *bundle) error {
 			}
 			lats = append(lats, time.Since(t0))
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		slices.Sort(lats)
 		return lats[int(0.99*float64(len(lats)-1))], nil
 	}
 
@@ -168,7 +168,6 @@ func (r *Runner) fairnessWriteStall(b *bundle) error {
 			Workers:        1,
 			SlowdownSealed: 3,
 			StallSealed:    6,
-			Poll:           250 * time.Millisecond,
 		},
 	})
 	defer reg.Close()
@@ -221,20 +220,18 @@ func (r *Runner) fairnessWriteStall(b *bundle) error {
 
 	// Recovery: stop writing; the scheduler drains the backlog and inserts
 	// are admitted again.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		status, _, eb, err := rawPost(ts.URL+"/v1/collections/wr/sets",
-			server.InsertRequest{Name: "post-drain", Elements: elemsFor(0)})
-		if err != nil {
-			return fmt.Errorf("post-drain insert: %w", err)
-		}
-		if status == http.StatusOK || status == http.StatusCreated {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("writes still refused %d %v after the flood stopped — backlog never drained", status, eb)
-		}
-		time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := reg.Scheduler().WaitIdle(ctx); err != nil {
+		return fmt.Errorf("backlog never drained after the flood stopped: %w", err)
+	}
+	status, _, eb, err := rawPost(ts.URL+"/v1/collections/wr/sets",
+		server.InsertRequest{Name: "post-drain", Elements: elemsFor(0)})
+	if err != nil {
+		return fmt.Errorf("post-drain insert: %w", err)
+	}
+	if status != http.StatusOK && status != http.StatusCreated {
+		return fmt.Errorf("writes still refused %d %v after the backlog drained", status, eb)
 	}
 	r.printf("  write stall: %d admitted, %d typed 503s (Retry-After %ss), recovered after drain\n",
 		admitted, refusals, retryAfter)
@@ -254,13 +251,8 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 	ffs := store.NewFaultFS(nil)
 	reg, err := collection.OpenRegistry(dir, nil, collection.Config{
 		Build: vectorSource(b.ds), Opts: r.fairnessOpts(),
-		SegCfg: segment.Config{SealThreshold: 1, MaxSegments: 2, FS: ffs},
-		Maintenance: collection.MaintenanceConfig{
-			Workers:     1,
-			Poll:        10 * time.Millisecond,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-		},
+		SegCfg:      segment.Config{SealThreshold: 1, MaxSegments: 2, FS: ffs},
+		Maintenance: collection.MaintenanceConfig{Workers: 1},
 	})
 	if err != nil {
 		return fmt.Errorf("open durable registry: %w", err)
@@ -273,13 +265,15 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 	ffs.Inject(store.Fault{Op: store.OpCreate})
 
 	col := reg.Default()
+	sc := reg.Scheduler()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
 	seed := b.ds.Repo.Sets()
 	const writes = 10
 	for i := 0; i < writes; i++ {
 		// A slowdown refusal here is the degradation doing its job while the
-		// faulted background op is being retried — honor the Retry-After like
-		// a well-behaved writer instead of failing the experiment.
-		wrDeadline := time.Now().Add(15 * time.Second)
+		// faulted background op is being retried — wait out the drain like a
+		// well-behaved writer instead of failing the experiment.
 		for {
 			_, err := col.Insert(fmt.Sprintf("c%d", i), seed[i%len(seed)].Elements)
 			if err == nil {
@@ -289,25 +283,18 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 			if !errors.As(err, &mbe) || mbe.Code != collection.CodeMaintenanceBacklog {
 				return fmt.Errorf("insert %d: %w", i, err)
 			}
-			if time.Now().After(wrDeadline) {
-				return fmt.Errorf("insert %d refused past the deadline — the faulted background op never converged: %w", i, err)
+			if err := sc.WaitIdle(ctx); err != nil {
+				return fmt.Errorf("insert %d refused and the faulted background op never converged: %w", i, err)
 			}
-			time.Sleep(5 * time.Millisecond)
 		}
 	}
 
-	sc := reg.Scheduler()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := sc.Stats()
-		d := col.Manager().MaintenanceDebt()
-		if st.RetriesTotal >= 1 && d.SealedSegments <= 2 && d.UnpersistedSegments == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scheduler never converged past the injected fault (debt %+v, stats %+v)", d, st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := sc.WaitIdle(ctx); err != nil {
+		return fmt.Errorf("scheduler never converged past the injected fault: %w", err)
+	}
+	st, d := sc.Stats(), col.Manager().MaintenanceDebt()
+	if st.RetriesTotal < 1 || d.SealedSegments > 2 || d.UnpersistedSegments != 0 {
+		return fmt.Errorf("scheduler never converged past the injected fault (debt %+v, stats %+v)", d, st)
 	}
 
 	live := col.Manager().LiveSets()
@@ -320,15 +307,8 @@ func (r *Runner) fairnessRetryConvergence(b *bundle) error {
 	}
 	for i := 0; i < writes; i++ {
 		name := fmt.Sprintf("c%d", i)
-		want := seed[i%len(seed)].Elements
-		got, ok := byName[name]
-		if !ok || len(got) != len(want) {
+		if got, ok := byName[name]; !ok || !slices.Equal(got, seed[i%len(seed)].Elements) {
 			return fmt.Errorf("set %s diverged after retried maintenance", name)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				return fmt.Errorf("set %s element %d diverged after retried maintenance", name, j)
-			}
 		}
 	}
 	r.printf("  retry convergence: injected background fault, %d retries, %d/%d sets byte-identical\n",

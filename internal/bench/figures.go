@@ -53,7 +53,7 @@ func (r *Runner) FigurePhases(kind datagen.Kind, title string) {
 			rf = append(rf, 100*float64(st.RefineTime)/float64(total))
 			pp = append(pp, 100*float64(st.PostprocTime)/float64(total))
 		}
-		r.printf("%-12s %11.1f%% %11.1f%%\n", intervalLabel(b.bench, iv), avgFloat(rf), avgFloat(pp))
+		r.printf("%-12s %11.1f%% %11.1f%%\n", intervalLabel(b.bench, iv), mean(rf), mean(pp))
 	}
 }
 
@@ -76,7 +76,7 @@ func (r *Runner) FigureMemory(kind datagen.Kind, title string) {
 		for _, st := range bstats {
 			bm = append(bm, mb(st.MemBytes))
 		}
-		r.printf("%-12s %14.2f %14.2f\n", intervalLabel(b.bench, iv), avgFloat(km), avgFloat(bm))
+		r.printf("%-12s %14.2f %14.2f\n", intervalLabel(b.bench, iv), mean(km), mean(bm))
 	}
 }
 
@@ -105,7 +105,7 @@ func (r *Runner) Figure7Partitions() {
 			}
 		}
 		r.printf("%-12d %14v %11.1f%% %11.1f%%\n",
-			parts, avgDuration(resp).Round(time.Microsecond), avgFloat(rf), avgFloat(pp))
+			parts, avgDuration(resp).Round(time.Microsecond), mean(rf), mean(pp))
 	}
 }
 
@@ -127,7 +127,7 @@ func (r *Runner) Figure7Alpha() {
 			}
 		}
 		r.printf("%-8.2f %14v %11.1f%% %11.1f%%\n",
-			alpha, avgDuration(resp).Round(time.Microsecond), avgFloat(rf), avgFloat(pp))
+			alpha, avgDuration(resp).Round(time.Microsecond), mean(rf), mean(pp))
 	}
 }
 
@@ -148,7 +148,7 @@ func (r *Runner) Figure7K() {
 			}
 		}
 		r.printf("%-8d %14v %11.1f%% %11.1f%%\n",
-			k, avgDuration(resp).Round(time.Microsecond), avgFloat(rf), avgFloat(pp))
+			k, avgDuration(resp).Round(time.Microsecond), mean(rf), mean(pp))
 	}
 }
 
@@ -167,7 +167,7 @@ func (r *Runner) Figure7MemAlpha() {
 			post = append(post, mb(st.MemPostprocBytes))
 		}
 		r.printf("%-8.2f %14.2f %14.2f %14.2f %14.2f\n",
-			alpha, avgFloat(total), avgFloat(stream), avgFloat(cand), avgFloat(post))
+			alpha, mean(total), mean(stream), mean(cand), mean(post))
 	}
 }
 
@@ -218,7 +218,7 @@ func (r *Runner) Figure8Quality() {
 		}
 		r.printf("%-12s %12.2f %12.2f %12.2f %12.2f %12.2f\n",
 			intervalLabel(b.bench, iv),
-			avgFloat(vanVan), avgFloat(vanSem), avgFloat(semVan), avgFloat(semSem), avgFloat(inter))
+			mean(vanVan), mean(vanSem), mean(semVan), mean(semSem), mean(inter))
 	}
 	r.printf("Van@k = vanilla overlap of the k-th set, Sem@k = semantic overlap of the k-th set,\n")
 	r.printf("under the (van)illa and (sem)antic rankings; Overlap/k = result intersection ratio.\n")

@@ -38,7 +38,7 @@ func (r *Runner) Table2() {
 				noem = append(noem, 100*float64(st.NoEM)/float64(surv))
 			}
 		}
-		r.printf("%-10s %13.1f%% %21.1f%% %9.1f%%\n", kind, avgFloat(iub), avgFloat(early), avgFloat(noem))
+		r.printf("%-10s %13.1f%% %21.1f%% %9.1f%%\n", kind, mean(iub), mean(early), mean(noem))
 	}
 }
 
@@ -73,9 +73,9 @@ func (r *Runner) Table3() {
 			avgDuration(refine).Round(time.Microsecond),
 			avgDuration(post).Round(time.Microsecond),
 			avgDuration(resp).Round(time.Microsecond),
-			avgFloat(mem),
+			mean(mem),
 			avgDuration(bresp).Round(time.Microsecond),
-			avgFloat(bmem),
+			mean(bmem),
 			timeouts,
 		)
 	}
@@ -104,6 +104,6 @@ func (r *Runner) TableIntervals(kind datagen.Kind, title string) {
 			em = append(em, st.EMFull)
 		}
 		r.printf("%-12s %10.0f %14.0f %10.0f %8.0f %10.0f %8.0f\n",
-			intervalLabel(b.bench, iv), avgInt(cand), avgInt(iub), avgInt(iubQuery), avgInt(noem), avgInt(early), avgInt(em))
+			intervalLabel(b.bench, iv), mean(cand), mean(iub), mean(iubQuery), mean(noem), mean(early), mean(em))
 	}
 }

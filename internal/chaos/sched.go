@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/collection"
-	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/store"
 )
@@ -60,10 +60,6 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 			SlowdownSealed:   1 << 30,
 			SlowdownWALBytes: 1 << 50,
 			UrgentScore:      math.Inf(1),
-			BaseBackoff:      time.Millisecond,
-			MaxBackoff:       10 * time.Millisecond,
-			Poll:             2 * time.Millisecond,
-			Seed:             rng.Int63(),
 		},
 	})
 	if err != nil {
@@ -113,13 +109,11 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	s.SetLoadProbe(nil)
 	s.Notify()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for !drained(s.Stats()) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scheduler never drained the backlog (debt %+v, stats %+v)",
-				m.MaintenanceDebt(), s.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.WaitIdle(ctx); err != nil {
+		return fmt.Errorf("scheduler never drained the backlog (debt %+v, stats %+v): %w",
+			m.MaintenanceDebt(), s.Stats(), err)
 	}
 
 	st := s.Stats()
@@ -160,10 +154,4 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	}
 	h.rep.FullRecoveries++
 	return nil
-}
-
-// drained reports whether the one tenant owes no maintenance by the
-// registry's policy and none is running.
-func drained(st sched.Stats) bool {
-	return st.Running == 0 && len(st.Tenants) == 1 && st.Tenants[0].Score == 0
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/sched"
 	"repro/internal/sets"
 )
 
@@ -111,9 +112,8 @@ func TestByteQuotaExactThreshold(t *testing.T) {
 }
 
 func TestTokenBucketDeterministic(t *testing.T) {
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-	b := newTokenBucket(2, 2, now)
+	clock := sched.NewManual(time.Unix(0, 0))
+	b := newTokenBucket(2, 2, clock.Now)
 
 	// The bucket starts full: exactly burst tokens, no more.
 	for i := 0; i < 2; i++ {
@@ -130,26 +130,26 @@ func TestTokenBucketDeterministic(t *testing.T) {
 	}
 
 	// Refill is continuous: after 499ms still short, at 500ms admitted.
-	clock = clock.Add(499 * time.Millisecond)
+	clock.Advance(499 * time.Millisecond)
 	if _, ok := b.take(1); ok {
 		t.Fatal("admitted before the refill completed")
 	}
-	clock = clock.Add(1 * time.Millisecond)
+	clock.Advance(1 * time.Millisecond)
 	if _, ok := b.take(1); !ok {
 		t.Fatal("refused after the refill completed")
 	}
 
 	// Tokens cap at burst no matter how long the idle stretch.
-	clock = clock.Add(time.Hour)
+	clock.Advance(time.Hour)
 	if _, ok := b.take(3); ok {
 		t.Fatal("take(3) admitted from a burst-2 bucket")
 	}
 }
 
 func TestRateLimitAdmission(t *testing.T) {
-	clock := time.Unix(0, 0)
+	clock := sched.NewManual(time.Unix(0, 0))
 	cfg := testConfig()
-	cfg.Now = func() time.Time { return clock }
+	cfg.Clock = clock
 	reg := NewRegistry(nil, cfg)
 	c, err := reg.Create("t", Quota{RatePerSec: 1, Burst: 2})
 	if err != nil {
@@ -169,7 +169,7 @@ func TestRateLimitAdmission(t *testing.T) {
 	if re.RetryAfter != time.Second {
 		t.Fatalf("RetryAfter %v, want 1s", re.RetryAfter)
 	}
-	clock = clock.Add(time.Second)
+	clock.Advance(time.Second)
 	if err := c.AdmitSearch(1); err != nil {
 		t.Fatalf("after refill: %v", err)
 	}
@@ -183,9 +183,9 @@ func TestRateLimitAdmission(t *testing.T) {
 // admits nothing, rate budget included, so the tenant's next admissible
 // search is not rate-limited for searches that never ran.
 func TestBusyRefusalRefundsRateTokens(t *testing.T) {
-	clock := time.Unix(0, 0)
+	clock := sched.NewManual(time.Unix(0, 0))
 	cfg := testConfig()
-	cfg.Now = func() time.Time { return clock }
+	cfg.Clock = clock
 	reg := NewRegistry(nil, cfg)
 	c, err := reg.Create("t", Quota{RatePerSec: 1, Burst: 2, MaxInFlight: 1})
 	if err != nil {

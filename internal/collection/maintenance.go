@@ -38,14 +38,10 @@ type MaintenanceConfig struct {
 	SlowdownWALBytes int64
 	StallWALBytes    int64
 
-	// Scheduler tuning, passed through to sched.Config (zero = its
-	// defaults): retry backoff bounds, idle poll interval, the score at
-	// which a tenant runs even under load-probe pause, and the jitter seed.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	Poll        time.Duration
+	// UrgentScore is the backlog score at which a tenant runs even while
+	// the load probe pauses maintenance (sched.Config.UrgentScore).
+	// Default 16.
 	UrgentScore float64
-	Seed        int64
 
 	// maxSegments is the compaction bound, segment.Config.MaxSegments with
 	// its default applied.

@@ -9,8 +9,8 @@ import (
 // tokenBucket is the per-collection search rate limiter: tokens refill
 // continuously at rate per second up to burst, and each admitted search
 // takes one. It is deliberately tiny — no timers, no goroutines, one
-// mutex-guarded refill on each take — and the clock is injectable so
-// admission tests are deterministic.
+// mutex-guarded refill on each take — and it reads the registry's clock,
+// so admission tests are deterministic.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
@@ -20,12 +20,9 @@ type tokenBucket struct {
 	now    func() time.Time
 }
 
-// newTokenBucket builds a bucket that starts full. burst <= 0 defaults to
-// rate rounded up, at least 1; now == nil uses the wall clock.
+// newTokenBucket builds a bucket that starts full and refills on now.
+// burst <= 0 defaults to rate rounded up, at least 1.
 func newTokenBucket(rate float64, burst int, now func() time.Time) *tokenBucket {
-	if now == nil {
-		now = time.Now
-	}
 	b := float64(burst)
 	if burst <= 0 {
 		b = math.Max(1, math.Ceil(rate))

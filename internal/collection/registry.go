@@ -9,7 +9,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -56,8 +55,8 @@ type Registry struct {
 	build    segment.SourceBuilder
 	opts     core.Options
 	segCfg   segment.Config
-	defaults Quota            // quota applied to collections created without one
-	now      func() time.Time // injectable clock for rate limiters (tests)
+	defaults Quota       // quota applied to collections created without one
+	clock    sched.Clock // the rate limiters' and the scheduler's time
 
 	// maint is the resolved maintenance policy and sched the coordinated
 	// scheduler driving it: the only thing that compacts or checkpoints a
@@ -87,17 +86,16 @@ type Config struct {
 	// checkpoints every collection, and of write degradation (DESIGN.md
 	// §15). The zero value is the default policy.
 	Maintenance MaintenanceConfig
-	// Now overrides the rate limiters' clock (tests); nil = time.Now.
-	Now func() time.Time
+	// Clock times the rate limiters and the scheduler; nil = the wall
+	// clock. Tests pass a sched.Manual.
+	Clock sched.Clock
 }
 
 // NewRegistry builds an in-memory registry whose default collection is
 // seeded with seed.
 func NewRegistry(seed []sets.Set, cfg Config) *Registry {
 	r := newRegistry("", cfg)
-	mgr := segment.NewManager(seed, r.build, r.opts, r.segCfg)
-	r.cols[DefaultName] = newCollection(DefaultName, mgr, r.defaults, r.now)
-	r.attachMaintenance(r.cols[DefaultName])
+	r.add(DefaultName, segment.NewManager(seed, r.build, r.opts, r.segCfg), r.defaults)
 	return r
 }
 
@@ -110,53 +108,48 @@ func NewRegistry(seed []sets.Set, cfg Config) *Registry {
 // recovery: the registry never silently serves fewer tenants than were
 // created (file-level damage inside a collection is handled below this
 // layer by quarantine + degraded mode).
-func OpenRegistry(dir string, seed []sets.Set, cfg Config) (*Registry, error) {
+func OpenRegistry(dir string, seed []sets.Set, cfg Config) (_ *Registry, err error) {
 	r := newRegistry(dir, cfg)
-	mgr, err := segment.Open(dir, seed, r.build, r.opts, r.segCfg)
-	if err != nil {
-		r.sched.Stop()
-		return nil, err
-	}
-	r.cols[DefaultName] = newCollection(DefaultName, mgr, r.defaults, r.now)
-	r.attachMaintenance(r.cols[DefaultName])
-
-	sub := filepath.Join(dir, CollectionsDirName)
-	entries, err := os.ReadDir(sub)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return r, nil
-		}
-		r.sched.Stop()
-		return nil, fmt.Errorf("collection: scan %s: %w", sub, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() && ValidName(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		q, err := readTenantFile(filepath.Join(sub, name))
+	defer func() {
 		if err != nil {
 			r.sched.Stop()
+		}
+	}()
+	mgr, err := segment.Open(dir, seed, r.build, r.opts, r.segCfg)
+	if err != nil {
+		return nil, err
+	}
+	r.add(DefaultName, mgr, r.defaults)
+
+	sub := filepath.Join(dir, CollectionsDirName)
+	entries, err := os.ReadDir(sub) // sorted by name
+	if os.IsNotExist(err) {
+		return r, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("collection: scan %s: %w", sub, err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() || !ValidName(name) {
+			continue
+		}
+		q, err := readTenantFile(filepath.Join(sub, name))
+		if err != nil {
 			return nil, fmt.Errorf("collection: recover %q: %w", name, err)
 		}
 		m, err := segment.Open(filepath.Join(sub, name), nil, r.build, r.opts, r.segCfg)
 		if err != nil {
-			r.sched.Stop()
 			return nil, fmt.Errorf("collection: recover %q: %w", name, err)
 		}
-		r.cols[name] = newCollection(name, m, q, r.now)
-		r.attachMaintenance(r.cols[name])
+		r.add(name, m, q)
 	}
 	return r, nil
 }
 
 func newRegistry(dir string, cfg Config) *Registry {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
+	clock := cfg.Clock
+	if clock == nil {
+		clock = sched.WallClock{}
 	}
 	r := &Registry{
 		dir:      dir,
@@ -164,18 +157,11 @@ func newRegistry(dir string, cfg Config) *Registry {
 		opts:     cfg.Opts,
 		segCfg:   cfg.SegCfg,
 		defaults: cfg.DefaultQuota,
-		now:      now,
+		clock:    clock,
 		maint:    cfg.Maintenance.withDefaults(cfg.SegCfg),
 		cols:     make(map[string]*Collection),
 	}
-	r.sched = sched.New(sched.Config{
-		Workers:     r.maint.Workers,
-		BaseBackoff: r.maint.BaseBackoff,
-		MaxBackoff:  r.maint.MaxBackoff,
-		Poll:        r.maint.Poll,
-		UrgentScore: r.maint.UrgentScore,
-		Seed:        r.maint.Seed,
-	})
+	r.sched = sched.New(sched.Config{Workers: r.maint.Workers, UrgentScore: r.maint.UrgentScore, Clock: clock})
 	// Every manager this registry builds reports debt growth to the
 	// scheduler; the notify hook is lock-free, as the Manager calls it under
 	// its writer lock.
@@ -183,11 +169,14 @@ func newRegistry(dir string, cfg Config) *Registry {
 	return r
 }
 
-// attachMaintenance wires a freshly built collection into the coordinated
-// scheduler.
-func (r *Registry) attachMaintenance(c *Collection) {
+// add wraps a freshly built manager as the named collection and hands it
+// to the coordinated scheduler.
+func (r *Registry) add(name string, mgr *segment.Manager, q Quota) *Collection {
+	c := newCollection(name, mgr, q, r.clock.Now)
 	c.maint = &r.maint
-	r.sched.Register(c.name, c.Weight(), &maintTarget{col: c, cfg: r.maint})
+	r.cols[name] = c
+	r.sched.Register(name, c.Weight(), &maintTarget{col: c, cfg: r.maint})
+	return c
 }
 
 // Scheduler returns the coordinated maintenance scheduler. The serving
@@ -263,10 +252,7 @@ func (r *Registry) Create(name string, q Quota) (*Collection, error) {
 			return nil, fmt.Errorf("collection: create %q: %w", name, err)
 		}
 	}
-	c := newCollection(name, mgr, q, r.now)
-	r.cols[name] = c
-	r.attachMaintenance(c)
-	return c, nil
+	return r.add(name, mgr, q), nil
 }
 
 // Drop removes a named collection: it disappears from the registry, its

@@ -289,7 +289,6 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 	base := settledGoroutines()
 	cfg := testConfig()
 	cfg.SegCfg = segment.Config{SealThreshold: 1, MaxSegments: 1}
-	cfg.Maintenance = MaintenanceConfig{Poll: time.Millisecond}
 	reg, err := OpenRegistry(t.TempDir(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)

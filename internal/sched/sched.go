@@ -1,24 +1,12 @@
-// Package sched is the coordinated maintenance scheduler (DESIGN.md §15):
-// one process-wide owner for all background compaction/checkpoint work
-// across a registry of tenants. Each tenant registers a Target — "how
-// urgent is your backlog" plus "run one round of maintenance" — and the
-// scheduler decides who runs when:
-//
-//   - at most Config.Workers maintenance ops execute concurrently, so N
-//     busy tenants cannot multiply background I/O by N;
-//   - selection is weighted with priority aging: every dispatch round a
-//     pending tenant's credit grows by its weight, the highest credit runs
-//     and resets — heavy tenants get proportionally more rounds, but a
-//     weight-1 tenant's credit grows without bound while it waits, so no
-//     tenant starves;
-//   - failures retry with capped exponential backoff plus jitter, and the
-//     scheduler never gives up on a tenant: its debt keeps it pending, so a
-//     transient ENOSPC or fsync failure converges once the fault clears;
-//   - a load probe pauses maintenance while the serving path's tail
-//     latency is blown, resuming when it recovers — except for tenants
-//     whose backlog passed Config.UrgentScore (a stalled writer outranks a
-//     slow reader: deferring forever would turn a latency wobble into an
-//     availability loss).
+// Package sched is the coordinated maintenance scheduler (DESIGN.md §15)
+// and the serving layer's fair-share rule (Pick) and time (Clock). Each
+// tenant registers a Target — "how urgent is your backlog" plus "run one
+// round of maintenance" — and the scheduler runs at most Config.Workers
+// rounds at once, picks the next tenant by the rule, retries a failed
+// round after a capped, jittered exponential backoff (its debt keeps it
+// pending: a transient ENOSPC converges once the fault clears), and defers
+// rounds while the load probe reports a blown serving tail — except for
+// tenants past Config.UrgentScore, whose writers are being refused.
 //
 // Notify is the only producer-side call and is non-blocking by contract —
 // segment.Manager invokes it under its writer lock.
@@ -27,9 +15,22 @@ package sched
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+// The retry schedule after a failed run is baseBackoff·2^(failures−1),
+// capped at maxBackoff, plus up to 50% jitter drawn from a source seeded
+// with jitterSeed. poll is the idle re-scan interval: the safety net that
+// re-examines scores and the load probe when no Notify arrives.
+const (
+	baseBackoff = 50 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+	poll        = 250 * time.Millisecond
+	jitterSeed  = 1
 )
 
 // Target is one tenant's maintenance surface.
@@ -48,49 +49,30 @@ type Target interface {
 type Config struct {
 	// Workers bounds concurrently running maintenance ops. Default 2.
 	Workers int
-	// BaseBackoff/MaxBackoff shape the retry schedule after a failed run:
-	// base·2^failures, capped, plus up to 50% jitter. Defaults 50ms / 5s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Poll is the idle re-scan interval — the safety net that re-examines
-	// scores, expiring backoffs, and the load probe even when no Notify
-	// arrives. Default 250ms.
-	Poll time.Duration
 	// UrgentScore is the backlog score at which a tenant is dispatched
 	// even while the load probe pauses maintenance. Default 16.
 	UrgentScore float64
-	// Seed seeds the jitter source (deterministic tests). Default 1.
-	Seed int64
+	// Clock times the poll and the retries. nil = the wall clock.
+	Clock Clock
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.Poll <= 0 {
-		c.Poll = 250 * time.Millisecond
-	}
 	if c.UrgentScore <= 0 {
 		c.UrgentScore = 16
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.Clock == nil {
+		c.Clock = WallClock{}
 	}
 	return c
 }
 
 // tenant is the scheduler's per-tenant state, guarded by Scheduler.mu.
 type tenant struct {
-	name    string
-	weight  int
+	Share
 	target  Target
-	credit  float64 // aged priority: +weight per round waited, reset on dispatch
 	running bool
 	gone    bool // unregistered while running; drop on completion
 
@@ -104,19 +86,19 @@ type tenant struct {
 // Scheduler coordinates maintenance across registered tenants.
 type Scheduler struct {
 	cfg  Config
-	ctx  context.Context
+	ctx  context.Context // the runs' context; done once Stop is called
 	halt context.CancelFunc
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
 	running int
 	rng     *rand.Rand
+	settled chan struct{} // closed by the next dispatch round; nil until WaitIdle asks
 
 	probe atomic.Pointer[func() bool] // load probe; nil = never paused
 
-	wake    chan struct{}
-	stopped chan struct{}
-	wg      sync.WaitGroup // loop + in-flight runs
+	wake chan struct{}
+	wg   sync.WaitGroup // loop + in-flight runs
 
 	runsTotal    atomic.Int64
 	retriesTotal atomic.Int64
@@ -132,10 +114,10 @@ func New(cfg Config) *Scheduler {
 		ctx:     ctx,
 		halt:    halt,
 		tenants: make(map[string]*tenant),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(jitterSeed)),
 		wake:    make(chan struct{}, 1),
-		stopped: make(chan struct{}),
 	}
+	cfg.Clock.AfterFunc(poll, s.tick)
 	s.wg.Add(1)
 	go s.loop()
 	return s
@@ -144,26 +126,16 @@ func New(cfg Config) *Scheduler {
 // SetLoadProbe installs the pause predicate: true defers non-urgent
 // maintenance. Safe to call at any time (the serving layer wires it after
 // construction, once its latency telemetry exists).
-func (s *Scheduler) SetLoadProbe(f func() bool) {
-	if f == nil {
-		s.probe.Store(nil)
-		return
-	}
-	s.probe.Store(&f)
-}
+func (s *Scheduler) SetLoadProbe(f func() bool) { s.probe.Store(&f) }
 
 // Register adds (or re-weights) a tenant. Weight is clamped to ≥ 1.
 func (s *Scheduler) Register(name string, weight int, t Target) {
-	if weight < 1 {
-		weight = 1
-	}
+	weight = max(weight, 1)
 	s.mu.Lock()
 	if old, ok := s.tenants[name]; ok {
-		old.weight = weight
-		old.target = t
-		old.gone = false
+		old.Weight, old.target, old.gone = weight, t, false
 	} else {
-		s.tenants[name] = &tenant{name: name, weight: weight, target: t}
+		s.tenants[name] = &tenant{Share: Share{Name: name, Weight: weight}, target: t}
 	}
 	s.mu.Unlock()
 	s.Notify()
@@ -194,130 +166,156 @@ func (s *Scheduler) Notify() {
 }
 
 // Stop cancels the run context, waits for the loop and every in-flight
-// maintenance op to finish, and leaves the scheduler inert. Idempotent.
+// maintenance op to finish, and leaves the scheduler inert and without
+// tenants: a poll or retry timer still pending holds the scheduler, not
+// the collections. Idempotent.
 func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	select {
-	case <-s.stopped:
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	default:
-		close(s.stopped)
-	}
-	s.mu.Unlock()
+	s.mu.Lock() // no dispatch round starts a run after this
 	s.halt()
+	clear(s.tenants)
+	s.mu.Unlock()
 	s.wg.Wait()
+}
+
+// WaitIdle blocks until no maintenance run is in flight and no tenant has
+// work (every Score ≤ 0), or until ctx ends or the scheduler stops, whose
+// errors it returns. A tenant backing off after a failure is not idle:
+// WaitIdle waits through its retry.
+func (s *Scheduler) WaitIdle(ctx context.Context) error {
+	for {
+		s.mu.Lock()
+		idle := s.running == 0
+		for _, t := range s.tenants {
+			idle = idle && (t.gone || t.target.Score() <= 0)
+		}
+		if s.settled == nil {
+			s.settled = make(chan struct{})
+		}
+		settled := s.settled
+		s.mu.Unlock()
+		if idle {
+			return nil
+		}
+		select {
+		case <-settled:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		}
+	}
 }
 
 func (s *Scheduler) loop() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.Poll)
-	defer tick.Stop()
 	for {
-		s.dispatch()
 		select {
-		case <-s.stopped:
+		case <-s.ctx.Done():
 			return
 		case <-s.wake:
-		case <-tick.C:
+			s.kick()
 		}
 	}
 }
 
-// paused consults the load probe.
+// tick is the poll: a dispatch round, then the next tick until Stop.
+func (s *Scheduler) tick() {
+	s.kick()
+	if s.ctx.Err() == nil {
+		s.cfg.Clock.AfterFunc(poll, s.tick)
+	}
+}
+
+// kick runs one dispatch round. Clock timers call it directly, so a
+// manual clock's Advance returns with the round done.
+func (s *Scheduler) kick() {
+	paused := s.paused()
+	s.mu.Lock()
+	s.dispatchLocked(paused)
+	s.mu.Unlock()
+}
+
+// paused consults the load probe, outside the scheduler's lock.
 func (s *Scheduler) paused() bool {
 	p := s.probe.Load()
-	if p == nil {
-		return false
-	}
-	return (*p)()
+	return p != nil && *p != nil && (*p)()
 }
 
-// dispatch fills free worker slots with surplus-round-robin selection:
-// each round every eligible pending tenant's credit grows by its weight,
-// the richest runs, and the winner pays back the round's total eligible
-// weight. Over a cycle each tenant's net credit is zero, so run counts
-// settle at weight/Σweights exactly (4/6 for weights 1:1:4) — a plain
-// reset-to-zero would overtax the heavy tenant toward 1/2. A weight-1
-// tenant still gains +1 every round and must eventually hold the maximum:
-// priority ages, nobody starves. The credit of a tenant with nothing to
-// do decays to zero — idleness must not bank priority for later.
-func (s *Scheduler) dispatch() {
-	select {
-	case <-s.stopped:
-		return
-	default:
+// dispatchLocked fills free worker slots, one round of the fair-share
+// rule per slot.
+func (s *Scheduler) dispatchLocked(paused bool) {
+	if s.settled != nil {
+		close(s.settled)
+		s.settled = nil
 	}
-	paused := s.paused()
+	if s.ctx.Err() != nil {
+		return
+	}
 	s.pausedNow.Store(paused)
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	now := s.cfg.Clock.Now()
 	for s.running < s.cfg.Workers {
-		var best *tenant
-		var roundWeight float64
-		for _, t := range s.tenants {
-			if t.running || t.gone || now.Before(t.backoffUntil) {
-				continue
-			}
-			if t.target.Score() <= 0 {
-				t.credit = 0
-				continue
-			}
-			if paused && t.target.Score() < s.cfg.UrgentScore {
-				continue
-			}
-			t.credit += float64(t.weight)
-			roundWeight += float64(t.weight)
-			if best == nil || t.credit > best.credit ||
-				(t.credit == best.credit && t.name < best.name) {
-				best = t
-			}
-		}
-		if best == nil {
+		t := s.nextLocked(now, paused)
+		if t == nil {
 			return
 		}
-		best.credit -= roundWeight
-		best.running = true
+		t.running = true
 		s.running++
 		s.wg.Add(1)
-		go s.runOne(best)
+		go s.runOne(t)
 	}
+}
+
+// nextLocked is one round of the rule over the tenants: a tenant running,
+// backing off or deferred by the load probe holds its credit, one with no
+// backlog is idle.
+func (s *Scheduler) nextLocked(now time.Time, paused bool) *tenant {
+	return Pick(s.tenants, func(t *tenant) (*Share, Standing) {
+		if t.running || t.gone || now.Before(t.backoffUntil) {
+			return &t.Share, Hold
+		}
+		switch score := t.target.Score(); {
+		case score <= 0:
+			return &t.Share, Idle
+		case paused && score < s.cfg.UrgentScore:
+			return &t.Share, Hold
+		}
+		return &t.Share, Ready
+	})
 }
 
 // runOne executes one maintenance round and records the outcome: success
-// clears the failure streak; an error schedules a capped-exponential,
-// jittered retry. The tenant is never abandoned — its debt keeps it
-// pending past the backoff.
+// clears the failure streak; an error arms a capped-exponential, jittered
+// retry on the clock. The tenant is never abandoned — its debt keeps it
+// pending past the backoff. The outcome and the dispatch round after it
+// happen under one lock, so Stats never shows an outcome without its
+// consequences.
 func (s *Scheduler) runOne(t *tenant) {
 	defer s.wg.Done()
 	err := t.target.Run(s.ctx)
+	paused := s.paused()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	t.running = false
 	s.running--
 	t.runs++
+	s.runsTotal.Add(1)
 	if t.gone {
-		delete(s.tenants, t.name)
+		delete(s.tenants, t.Name)
 	}
 	if err != nil {
 		t.failures++
 		t.retries++
 		t.lastErr = err.Error()
-		backoff := s.cfg.BaseBackoff << (t.failures - 1)
-		if backoff > s.cfg.MaxBackoff || backoff <= 0 {
-			backoff = s.cfg.MaxBackoff
-		}
+		backoff := min(baseBackoff<<min(t.failures-1, 7), maxBackoff) // 50 ms·2^7 > 5 s
 		backoff += time.Duration(s.rng.Int63n(int64(backoff)/2 + 1))
-		t.backoffUntil = time.Now().Add(backoff)
+		t.backoffUntil = s.cfg.Clock.Now().Add(backoff)
+		s.cfg.Clock.AfterFunc(backoff, s.kick)
 		s.retriesTotal.Add(1)
 	} else {
 		t.failures = 0
 		t.lastErr = ""
 	}
-	s.mu.Unlock()
-	s.runsTotal.Add(1)
-	s.Notify()
+	s.dispatchLocked(paused)
 }
 
 // TenantStats is one tenant's row in Stats.
@@ -356,8 +354,8 @@ func (s *Scheduler) Stats() Stats {
 	st.Running = s.running
 	for _, t := range s.tenants {
 		st.Tenants = append(st.Tenants, TenantStats{
-			Name:      t.name,
-			Weight:    t.weight,
+			Name:      t.Name,
+			Weight:    t.Weight,
 			Score:     t.target.Score(),
 			Running:   t.running,
 			Runs:      t.runs,
@@ -367,10 +365,6 @@ func (s *Scheduler) Stats() Stats {
 		})
 	}
 	s.mu.Unlock()
-	for i := 1; i < len(st.Tenants); i++ {
-		for j := i; j > 0 && st.Tenants[j].Name < st.Tenants[j-1].Name; j-- {
-			st.Tenants[j], st.Tenants[j-1] = st.Tenants[j-1], st.Tenants[j]
-		}
-	}
+	slices.SortFunc(st.Tenants, func(a, b TenantStats) int { return strings.Compare(a.Name, b.Name) })
 	return st
 }

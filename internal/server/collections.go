@@ -31,7 +31,7 @@ type CollectionInfo struct {
 	Degraded     bool  `json:"degraded"`
 	InFlight     int64 `json:"in_flight"`
 	// Weight is the tenant's resolved fair-share weight (≥ 1) in the
-	// search pool's DRR and the maintenance scheduler.
+	// search pool and the maintenance scheduler.
 	Weight int `json:"weight"`
 	// Debt is the maintenance backlog the scheduler is draining; the
 	// slowdown/stall thresholds compare against it (DESIGN.md §15).
@@ -155,7 +155,7 @@ func (s *Server) handleDropCollection(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		// Forget the dropped tenant's fair-queue state too; a recreated
-		// collection of the same name starts with a fresh deficit.
+		// collection of the same name starts with zero credit.
 		s.pool.removeTenant(name)
 		writeJSON(w, http.StatusOK, DropCollectionResponse{Dropped: true, Name: name})
 	case errors.Is(err, collection.ErrDefault):

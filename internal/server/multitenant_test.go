@@ -15,27 +15,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/sched"
 	"repro/internal/sets"
 )
 
 // registryFor builds a collection registry seeded with ds in the default
 // collection, closed when the test ends.
-func registryFor(t *testing.T, ds *datagen.Dataset, opts core.Options, now func() time.Time) *collection.Registry {
+func registryFor(t *testing.T, ds *datagen.Dataset, opts core.Options, clock sched.Clock) *collection.Registry {
 	reg := collection.NewRegistry(ds.Repo.Sets(), collection.Config{
 		Build: func(dict *sets.Dictionary) index.NeighborSource {
 			return index.NewDynamicExact(dict, ds.Model.Vector)
 		},
-		Opts: opts,
-		Now:  now,
+		Opts:  opts,
+		Clock: clock,
 	})
 	t.Cleanup(func() { reg.Close() })
 	return reg
 }
 
-func testRegistryServer(t *testing.T, now func() time.Time) (*Server, *httptest.Server, *datagen.Dataset) {
+func testRegistryServer(t *testing.T, clock sched.Clock) (*Server, *httptest.Server, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.02)
-	srv := NewRegistry(registryFor(t, ds, testOpts, now), Config{})
+	srv := NewRegistry(registryFor(t, ds, testOpts, clock), Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, ds
@@ -320,8 +321,8 @@ func TestQuotaRejectionOverHTTP(t *testing.T) {
 }
 
 func TestRateLimitOverHTTPWithInjectedClock(t *testing.T) {
-	clock := time.Unix(0, 0)
-	_, ts, _ := testRegistryServer(t, func() time.Time { return clock })
+	clock := sched.NewManual(time.Unix(0, 0))
+	_, ts, _ := testRegistryServer(t, clock)
 	code, _, _ := postJSON(t, ts.URL+"/v1/collections", `{"name":"slow","quota":{"rate_per_sec":1,"burst":1}}`)
 	if code != http.StatusCreated {
 		t.Fatalf("create = %d", code)
@@ -339,7 +340,7 @@ func TestRateLimitOverHTTPWithInjectedClock(t *testing.T) {
 	}
 	// Advance the injected clock one refill period: admitted again, and the
 	// refusal stays counted.
-	clock = clock.Add(time.Second)
+	clock.Advance(time.Second)
 	if code, _, m := postJSON(t, url, `{"query":["x"]}`); code != http.StatusOK {
 		t.Fatalf("search after refill = %d %v, want 200", code, m)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/collection"
+	"repro/internal/sched"
 )
 
 // workerPool bounds the number of searches executing concurrently across
@@ -20,15 +21,14 @@ import (
 // with single queries when it is not.
 //
 // Waiting is organized as weighted fair queueing (DESIGN.md §15): each
-// tenant has its own bounded FIFO queue, and free slots are granted by
-// deficit round robin — every visit a tenant's deficit is topped up by its
-// weight and it drains one query per unit until the deficit is spent, so
-// backlogged tenants complete queries in proportion to their weights
-// (weights 1:1:4 → shares 1/6:1/6:4/6) and a flooding tenant fills only
-// its own queue. Shedding remains the backstop: a query arriving to a full
-// tenant queue, or while the latency bound is blown, is refused (429)
-// rather than enqueued, so the flooder's own tail is bounded too, and no
-// one else's queue ever absorbs its overflow.
+// tenant has its own bounded FIFO queue, and a free slot goes to the
+// tenant that sched.Pick's fair-share rule picks among the non-empty
+// queues, so backlogged tenants complete queries in proportion to their
+// weights (weights 1:1:4 → shares 1/6:1/6:4/6) and a flooding tenant
+// fills only its own queue. Shedding remains the backstop: a query
+// arriving to a full tenant queue, or while the latency bound is blown,
+// is refused (429) rather than enqueued, so the flooder's own tail is
+// bounded too, and no one else's queue ever absorbs its overflow.
 //
 // The pool also owns the serving telemetry: queue depth and cumulative
 // queue wait, queries completed and timed out, and fixed rings of recent
@@ -41,8 +41,6 @@ type workerPool struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenantQ
-	order   []string // DRR visit order (registration order)
-	cursor  int      // persistent position in order — fairness has memory
 
 	queued   atomic.Int64 // waiting for a slot right now (all tenants)
 	active   atomic.Int64 // holding a slot right now
@@ -63,14 +61,11 @@ const (
 	tenantLatRingSize = 256
 )
 
-// tenantQ is one tenant's wait queue plus its DRR state and latency ring,
-// all guarded by workerPool.mu except the ring (atomic slots).
+// tenantQ is one tenant's wait queue plus its fair share and latency
+// ring, all guarded by workerPool.mu except the ring (atomic slots).
 type tenantQ struct {
-	name    string
-	weight  int
-	deficit float64
-	topped  bool // deficit already topped up in the current DRR visit
-	q       []*waiter
+	sched.Share
+	q []*waiter
 
 	lat [tenantLatRingSize]atomic.Int64
 	pos atomic.Int64
@@ -104,16 +99,12 @@ func (p *workerPool) size() int { return cap(p.sem) }
 // tenantLocked returns the tenant's queue, creating it on first use and
 // keeping its weight current (quota updates arrive via the collection).
 func (p *workerPool) tenantLocked(name string, weight int) *tenantQ {
-	if weight < 1 {
-		weight = 1
-	}
 	t, ok := p.tenants[name]
 	if !ok {
-		t = &tenantQ{name: name}
+		t = &tenantQ{Share: sched.Share{Name: name}}
 		p.tenants[name] = t
-		p.order = append(p.order, name)
 	}
-	t.weight = weight
+	t.Weight = max(weight, 1)
 	return t
 }
 
@@ -124,30 +115,11 @@ func (p *workerPool) tenantLocked(name string, weight int) *tenantQ {
 func (p *workerPool) removeTenant(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t, ok := p.tenants[name]
-	if !ok {
-		return
-	}
-	for _, w := range t.q {
-		close(w.ready)
-	}
-	t.q = nil
-	delete(p.tenants, name)
-	idx := -1
-	for i, n := range p.order {
-		if n == name {
-			idx = i
-			break
+	if t := p.tenants[name]; t != nil {
+		for _, w := range t.q {
+			close(w.ready)
 		}
-	}
-	p.order = append(p.order[:idx], p.order[idx+1:]...)
-	if p.cursor > idx {
-		p.cursor--
-	}
-	if len(p.order) > 0 {
-		p.cursor %= len(p.order)
-	} else {
-		p.cursor = 0
+		delete(p.tenants, name)
 	}
 }
 
@@ -181,7 +153,7 @@ func (p *workerPool) latencyBlown() bool {
 	return p99 > p.shedP99
 }
 
-// acquire blocks until a worker slot is granted to this tenant by the DRR
+// acquire blocks until a worker slot is granted to this tenant by the
 // dispatcher, the tenant is removed (a collection_not_found refusal) or ctx
 // is done, accounting the queue wait either way.
 func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) error {
@@ -227,7 +199,7 @@ func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) err
 	}
 }
 
-// dispatch grants free worker slots to queued waiters in DRR order until
+// dispatch grants free worker slots to queued waiters in fair-share order until
 // either the slots or the waiters run out. Called after every enqueue and
 // every release; safe from any goroutine.
 func (p *workerPool) dispatch() {
@@ -250,45 +222,26 @@ func (p *workerPool) dispatch() {
 	}
 }
 
-// nextLocked pops the next waiter by deficit round robin: visiting a
-// backlogged tenant tops its deficit up by its weight (once per visit) and
-// the cursor stays on it until the deficit is spent — so over any busy
-// interval a tenant's grant share converges to weight/Σweights. An emptied
-// queue forfeits its remaining deficit: idleness must not bank priority.
+// nextLocked pops the next waiter of the tenant that one round of the
+// fair-share rule picks: a tenant with waiters is ready, one without is
+// idle.
 func (p *workerPool) nextLocked() *waiter {
-	n := len(p.order)
-	// 2n hops suffice: the first sweep serves at the first backlogged tenant
-	// that has not already been topped up this visit (topping up and serving
-	// happen in the same hop), and it clears the topped flag on every tenant
-	// it skips — so the second sweep must serve if any backlog exists.
-	for hops := 0; hops < 2*n; hops++ {
-		t := p.tenants[p.order[p.cursor]]
+	t := sched.Pick(p.tenants, func(t *tenantQ) (*sched.Share, sched.Standing) {
 		if len(t.q) == 0 {
-			t.deficit = 0
-			t.topped = false
-			p.cursor = (p.cursor + 1) % n
-			continue
+			return &t.Share, sched.Idle
 		}
-		if t.deficit < 1 {
-			if t.topped {
-				// Deficit spent for this visit — on to the next tenant.
-				t.topped = false
-				p.cursor = (p.cursor + 1) % n
-				continue
-			}
-			t.topped = true
-			t.deficit += float64(t.weight) // ≥ 1, so serve now
-		}
-		t.deficit--
-		w := t.q[0]
-		t.q = t.q[1:]
-		return w
+		return &t.Share, sched.Ready
+	})
+	if t == nil {
+		return nil
 	}
-	return nil
+	w := t.q[0]
+	t.q = t.q[1:]
+	return w
 }
 
 // release returns a slot, records the query's latency in the global and
-// per-tenant rings, and hands the freed slot to the next DRR waiter.
+// per-tenant rings, and hands the freed slot to the next waiter.
 func (p *workerPool) release(tenant string, latency time.Duration) {
 	p.active.Add(-1)
 	slot := (p.pos.Add(1) - 1) % latRingSize

@@ -6,65 +6,140 @@ import (
 	"time"
 )
 
-// White-box DRR tests (DESIGN.md §15): grant shares track weights exactly,
-// the per-tenant bound sheds without touching siblings, and canceled
-// waiters never receive a grant.
+// White-box tests of the pool's fair queueing (DESIGN.md §15): grants
+// follow sched.Pick's weights exactly, the per-tenant bound sheds without
+// touching siblings, and canceled or dropped waiters never receive a
+// grant. Most drive nextLocked or dispatch directly: no goroutines, no
+// clock.
 
-// TestDRRGrantSharesTrackWeights drives nextLocked directly over deep
-// backlogs for tenants weighted 1:1:4 and checks the grant stream: over any
-// window of completed rounds tenant c must hold 4/6 of the grants — the
-// fairness target the ISSUE states for the end-to-end flood too, pinned
-// here deterministically (no goroutines, no clock).
-func TestDRRGrantSharesTrackWeights(t *testing.T) {
-	p := newWorkerPool(1, 1<<20)
+// backlog queues depth waiters for tenant name at weight and returns them.
+func backlog(p *workerPool, name string, weight, depth int) []*waiter {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tq := p.tenantLocked(name, weight)
+	for i := 0; i < depth; i++ {
+		tq.q = append(tq.q, &waiter{ready: make(chan struct{})})
+	}
+	return tq.q
+}
+
+// grants pops n waiters through nextLocked and counts them by tenant.
+func grants(t *testing.T, p *workerPool, n int) map[string]int {
+	t.Helper()
 	owner := make(map[*waiter]string)
 	p.mu.Lock()
-	for _, tn := range []struct {
-		name   string
-		weight int
-		depth  int
-	}{{"a", 1, 200}, {"b", 1, 200}, {"c", 4, 500}} {
-		tq := p.tenantLocked(tn.name, tn.weight)
-		for i := 0; i < tn.depth; i++ {
-			w := &waiter{ready: make(chan struct{})}
-			owner[w] = tn.name
-			tq.q = append(tq.q, w)
+	defer p.mu.Unlock()
+	for name, tq := range p.tenants {
+		for _, w := range tq.q {
+			owner[w] = name
 		}
 	}
-
-	grants := make(map[string]int)
-	total := 600
-	for i := 0; i < total; i++ {
+	got := make(map[string]int)
+	for i := 0; i < n; i++ {
 		w := p.nextLocked()
 		if w == nil {
 			t.Fatalf("grant %d: nextLocked returned nil with backlog remaining", i)
 		}
-		grants[owner[w]]++
+		got[owner[w]]++
 	}
-	p.mu.Unlock()
+	return got
+}
 
-	// Weights 1:1:4 over 600 grants → exactly 100/100/400: the DRR cycle
-	// is a,b,c,c,c,c from the first round, so whole windows are exact.
-	if grants["a"] != 100 || grants["b"] != 100 || grants["c"] != 400 {
-		t.Fatalf("grant shares a=%d b=%d c=%d, want 100/100/400", grants["a"], grants["b"], grants["c"])
+// TestGrantSharesTrackWeights: over deep backlogs weighted 1:1:4 the pool
+// grants exactly 100/100/400 of 600 slots — the rule's cycle is six
+// grants long from the first round.
+func TestGrantSharesTrackWeights(t *testing.T) {
+	p := newWorkerPool(1, 1<<20)
+	backlog(p, "a", 1, 200)
+	backlog(p, "b", 1, 200)
+	backlog(p, "c", 4, 500)
+	if g := grants(t, p, 600); g["a"] != 100 || g["b"] != 100 || g["c"] != 400 {
+		t.Fatalf("grant shares a=%d b=%d c=%d, want 100/100/400", g["a"], g["b"], g["c"])
 	}
 }
 
-// TestDRRNoStarvationUnderStaleTopped pins the liveness bug class the 2n-hop
-// bound guards: a tenant left with topped=true and zero deficit from an
-// earlier dispatch must still be served on a later call, not skipped forever.
-func TestDRRNoStarvationUnderStaleTopped(t *testing.T) {
+// TestWeightedArrivalGrantedNext: a weight-4 tenant whose first query
+// arrives behind a weight-1 tenant's flood is granted the very next slot.
+func TestWeightedArrivalGrantedNext(t *testing.T) {
 	p := newWorkerPool(1, 1<<20)
+	backlog(p, "flood", 1, 100)
+	grants(t, p, 50)
+	w := backlog(p, "heavy", 4, 1)[0]
 	p.mu.Lock()
-	tq := p.tenantLocked("only", 1)
-	tq.topped = true // stale: visit state left over, deficit already spent
-	tq.deficit = 0
-	w := &waiter{ready: make(chan struct{})}
-	tq.q = append(tq.q, w)
 	got := p.nextLocked()
 	p.mu.Unlock()
 	if got != w {
-		t.Fatal("waiter with stale topped flag was not served")
+		t.Fatal("weight-4 arrival was not granted the next slot")
+	}
+}
+
+// TestEmptiedQueueCreditReturnsToZero: a tenant whose queue runs empty
+// keeps no credit, whatever it held while backlogged.
+func TestEmptiedQueueCreditReturnsToZero(t *testing.T) {
+	p := newWorkerPool(1, 1<<20)
+	backlog(p, "a", 1, 100)
+	backlog(p, "c", 4, 3)
+	grants(t, p, 4) // c, c, a, c: c's queue is empty, its credit is 1
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c := p.tenants["c"].Credit; c != 1 {
+		t.Fatalf("c's credit after its last grant = %d, want 1", c)
+	}
+	p.nextLocked()
+	if c := p.tenants["c"].Credit; c != 0 {
+		t.Fatalf("emptied queue kept credit %d, want 0", c)
+	}
+}
+
+// TestLoneTenantServedWhenSlotFrees: a lone backlogged tenant is granted
+// every slot that frees, whatever credit it holds, until its queue is
+// empty — and a free slot with no waiter goes back to the pool.
+func TestLoneTenantServedWhenSlotFrees(t *testing.T) {
+	p := newWorkerPool(1, 1<<20)
+	ws := append([]*waiter(nil), backlog(p, "only", 1, 5)...)
+	p.tenants["only"].Credit = -1000
+	p.dispatch()
+	for i, w := range ws {
+		select {
+		case <-w.ready:
+		default:
+			t.Fatalf("waiter %d not granted after its slot freed", i)
+		}
+		if !w.granted {
+			t.Fatalf("waiter %d woken without a grant", i)
+		}
+		<-p.sem // the holder releases
+		p.dispatch()
+	}
+	if n := len(p.sem); n != 0 {
+		t.Fatalf("%d slots held with no waiter", n)
+	}
+}
+
+// TestDropTenantFailsWaitersKeepsShares: removing a tenant wakes each of
+// its queued waiters without a grant (acquire answers collection_not_found)
+// and the surviving tenants go on sharing slots by weight.
+func TestDropTenantFailsWaitersKeepsShares(t *testing.T) {
+	p := newWorkerPool(1, 1<<20)
+	backlog(p, "a", 1, 300)
+	dropped := append([]*waiter(nil), backlog(p, "b", 1, 300)...)
+	backlog(p, "c", 4, 600)
+	before := grants(t, p, 63) // mid-cycle: credits are nonzero
+	p.removeTenant("b")
+	p.removeTenant("b") // idempotent
+	for i, w := range dropped[before["b"]:] {
+		select {
+		case <-w.ready:
+		default:
+			t.Fatalf("dropped tenant's waiter %d still queued", i)
+		}
+		if w.granted {
+			t.Fatalf("dropped tenant's waiter %d was granted a slot", i)
+		}
+	}
+	g := grants(t, p, 500)
+	if g["b"] != 0 || g["a"] < 99 || g["a"] > 101 || g["a"]+g["c"] != 500 {
+		t.Fatalf("grants after the drop a=%d b=%d c=%d, want 100/0/400 within one", g["a"], g["b"], g["c"])
 	}
 }
 
@@ -135,31 +210,4 @@ func TestAcquireCancelUnlinks(t *testing.T) {
 		t.Fatalf("acquire after cancel: %v", err)
 	}
 	p.release("t", time.Millisecond)
-}
-
-// TestRemoveTenantKeepsCursorValid: dropping tenants in every cursor
-// position leaves the DRR rotation serving the survivors.
-func TestRemoveTenantKeepsCursorValid(t *testing.T) {
-	p := newWorkerPool(1, 1<<20)
-	p.mu.Lock()
-	for _, n := range []string{"a", "b", "c"} {
-		p.tenantLocked(n, 1)
-	}
-	p.cursor = 2 // on "c"
-	p.mu.Unlock()
-
-	p.removeTenant("a") // before cursor → cursor shifts back to "c"
-	p.removeTenant("c") // at cursor → cursor wraps into range
-
-	p.mu.Lock()
-	tq := p.tenantLocked("b", 1)
-	w := &waiter{ready: make(chan struct{})}
-	tq.q = append(tq.q, w)
-	got := p.nextLocked()
-	p.mu.Unlock()
-	if got != w {
-		t.Fatal("survivor tenant not served after removals")
-	}
-	p.removeTenant("b")
-	p.removeTenant("b") // idempotent
 }

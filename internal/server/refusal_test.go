@@ -10,6 +10,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/sets"
 )
@@ -149,7 +150,7 @@ func TestEveryRefusalOverHTTP(t *testing.T) {
 					Opts:        testOpts,
 					SegCfg:      segment.Config{SealThreshold: 1, MaxSegments: 1},
 					Maintenance: collection.MaintenanceConfig{SlowdownSealed: 1, StallSealed: 2},
-					Now:         func() time.Time { return time.Unix(0, 0) },
+					Clock:       sched.NewManual(time.Unix(0, 0)),
 				})
 				t.Cleanup(func() { reg.Close() })
 				srv = NewRegistry(reg, row.cfg)

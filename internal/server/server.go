@@ -120,19 +120,12 @@ type Server struct {
 	pool  *workerPool
 	start time.Time
 	// Stream aggregates across all served queries: the cumulative tuples
-	// consumed and α-neighbors retrieved, surfaced in /v1/info.
+	// consumed and α-neighbors retrieved, /v1/info's throughput totals.
 	streamTuples    atomic.Int64
 	streamRetrieved atomic.Int64
 	// panics counts handler panics swallowed by the recovery middleware —
 	// each one answered 500 instead of killing the process (DESIGN.md §11).
 	panics atomic.Int64
-}
-
-// recordStreamStats folds one query's stream counters into the /v1/info
-// aggregates.
-func (s *Server) recordStreamStats(stats *core.Stats) {
-	s.streamTuples.Add(int64(stats.StreamTuples))
-	s.streamRetrieved.Add(int64(stats.StreamRetrieved))
 }
 
 // NewRegistry builds a server over a collection registry. The HTTP API
@@ -303,7 +296,8 @@ func (s *Server) execute(ctx context.Context, col *collection.Collection, search
 		results, stats, err = search(qctx)
 		s.pool.release(col.Name(), time.Since(start))
 		if err == nil {
-			s.recordStreamStats(&stats)
+			s.streamTuples.Add(int64(stats.StreamTuples))
+			s.streamRetrieved.Add(int64(stats.StreamRetrieved))
 			return buildSearchResponse(results, &stats), nil
 		}
 	}
@@ -678,9 +672,6 @@ type InfoResponse struct {
 	// SimCache is always zero: retrieval has no pair cache (DESIGN.md §9).
 	// The section stays until the repository benchmark stops reading it.
 	SimCache SimCacheInfo `json:"sim_cache"`
-	// LazyStream aggregates the token stream's consumption and retrieval
-	// across all served queries.
-	LazyStream LazyStreamInfo `json:"lazy_stream"`
 	// Resilience reports degraded mode, quarantined files, and the shed/
 	// panic counters (DESIGN.md §11).
 	Resilience ResilienceInfo `json:"resilience"`
@@ -710,18 +701,6 @@ type ResilienceInfo struct {
 	PanicsTotal int64 `json:"panics_total"`
 }
 
-// LazyStreamInfo is the stream section of /v1/info: the cumulative tuples
-// consumed and α-neighbors retrieved. Refinement consumes the whole stream
-// of every query, so CutQueries and CutRate are always 0; the section keeps
-// its name and shape for the clients and the benchmark harness that read
-// it.
-type LazyStreamInfo struct {
-	CutQueries     int64   `json:"cut_queries"`
-	CutRate        float64 `json:"cut_rate"`
-	TuplesTotal    int64   `json:"stream_tuples_total"`
-	RetrievedTotal int64   `json:"stream_retrieved_total"`
-}
-
 // ThroughputInfo is the worker-pool section of /v1/info.
 type ThroughputInfo struct {
 	SearchWorkers  int   `json:"search_workers"`
@@ -734,6 +713,11 @@ type ThroughputInfo struct {
 	LatencyP50US   int64 `json:"latency_p50_us"`
 	LatencyP95US   int64 `json:"latency_p95_us"`
 	LatencyP99US   int64 `json:"latency_p99_us"`
+	// StreamTuplesTotal and StreamRetrievedTotal sum every served query's
+	// stream: the tuples refinement consumed and the α-neighbors the
+	// similarity index retrieved.
+	StreamTuplesTotal    int64 `json:"stream_tuples_total"`
+	StreamRetrievedTotal int64 `json:"stream_retrieved_total"`
 }
 
 // SimCacheInfo is the similarity-cache section of /v1/info.
@@ -770,8 +754,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			LatencyP50US:   p50.Microseconds(),
 			LatencyP95US:   p95.Microseconds(),
 			LatencyP99US:   p99.Microseconds(),
+
+			StreamTuplesTotal:    s.streamTuples.Load(),
+			StreamRetrievedTotal: s.streamRetrieved.Load(),
 		},
-		LazyStream:  s.lazyStreamInfo(),
 		Resilience:  s.resilienceInfo(),
 		Collections: s.collectionsInfo(),
 		Scheduler:   &schedStats,
@@ -822,13 +808,6 @@ func (s *Server) serveRepair(w http.ResponseWriter, r *http.Request, col *collec
 	writeJSON(w, http.StatusOK, ScrubResponse{
 		Checked: rep.Checked, Corrupt: rep.Corrupt, Degraded: col.Manager().Health().Degraded,
 	})
-}
-
-func (s *Server) lazyStreamInfo() LazyStreamInfo {
-	return LazyStreamInfo{
-		TuplesTotal:    s.streamTuples.Load(),
-		RetrievedTotal: s.streamRetrieved.Load(),
-	}
 }
 
 func handleHealthz(w http.ResponseWriter, r *http.Request) {

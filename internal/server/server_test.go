@@ -184,6 +184,24 @@ func TestInfoAndHealth(t *testing.T) {
 	if !c.Healthy() {
 		t.Fatal("healthz failed")
 	}
+
+	// The throughput section sums each served query's stream counters.
+	var tuples, retrieved int64
+	for i := 0; i < 3; i++ {
+		resp, err := c.Search(ds.Repo.Set(i).Elements, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples += int64(resp.Stats.StreamTuples)
+		retrieved += int64(resp.Stats.StreamRetrieved)
+	}
+	if info, err = c.Info(); err != nil {
+		t.Fatal(err)
+	}
+	if tp := info.Throughput; tuples == 0 || tp.StreamTuplesTotal != tuples || tp.StreamRetrievedTotal != retrieved {
+		t.Fatalf("stream totals %d tuples, %d retrieved; the searches reported %d and %d",
+			tp.StreamTuplesTotal, tp.StreamRetrievedTotal, tuples, retrieved)
+	}
 }
 
 // TestDefaultsComeFromCollection: the server keeps no k, α or partition

@@ -23,13 +23,14 @@ type Refusal = collection.Refusal
 // MaintenanceConfig is the policy of background maintenance (DESIGN.md
 // §15): one scheduler per Registry — and per standalone engine — owns
 // every collection's compactions and checkpoints under a global
-// concurrency cap (Workers), with weighted fair sharing across
-// collections, retry with backoff on failures, and RocksDB-style write
-// degradation — inserts on a collection whose backlog crosses the
-// slowdown/stall thresholds are refused with a maintenance_backlog
-// *Refusal instead of silently slowing down. The zero value is the default policy:
-// the scheduler's default worker count and thresholds derived from
-// MaxSegments.
+// concurrency cap (Workers), picks the next collection by the same
+// weighted fair-share rule the HTTP server's search pool uses, retries a
+// failed round after a capped exponential backoff (50 ms doubling to 5 s),
+// and degrades writes RocksDB-style — inserts on a collection whose
+// backlog crosses the slowdown/stall thresholds are refused with a
+// maintenance_backlog *Refusal instead of silently slowing down. The zero
+// value is the default policy: the scheduler's default worker count and
+// thresholds derived from MaxSegments.
 type MaintenanceConfig = collection.MaintenanceConfig
 
 // ErrCollectionExists is returned by Registry.Create for a taken name.

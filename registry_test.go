@@ -9,6 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/collection"
+	"repro/internal/index"
+	"repro/internal/sched"
+	"repro/internal/sets"
 )
 
 // TestRegistryMaintenancePassthrough drives the public Config.Maintenance
@@ -23,9 +28,6 @@ func TestRegistryMaintenancePassthrough(t *testing.T) {
 			Workers:        1,
 			SlowdownSealed: 3,
 			StallSealed:    6,
-			Poll:           5 * time.Millisecond,
-			BaseBackoff:    time.Millisecond,
-			MaxBackoff:     10 * time.Millisecond,
 		},
 	})
 	defer reg.Close()
@@ -61,21 +63,15 @@ func TestRegistryMaintenancePassthrough(t *testing.T) {
 		t.Fatalf("backlog error = %+v, want default collection and positive RetryAfter", mbe)
 	}
 
-	// The refusal is transient by design: honoring Retry-After must succeed
-	// once maintenance catches up.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		_, err := eng.Insert(Set{Name: "post-drain", Elements: elems(refused)})
-		if err == nil {
-			break
-		}
-		if !errors.As(err, &mbe) {
-			t.Fatalf("post-drain insert: unexpected error %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog never drained: still %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The refusal is transient by design: once maintenance catches up,
+	// the insert is admitted.
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := reg.reg.Scheduler().WaitIdle(ctx); err != nil {
+		t.Fatalf("backlog never drained: %v", err)
+	}
+	if _, err := eng.Insert(Set{Name: "post-drain", Elements: elems(refused)}); err != nil {
+		t.Fatalf("post-drain insert: %v", err)
 	}
 }
 
@@ -86,7 +82,6 @@ func TestStandaloneEngineIsMaintained(t *testing.T) {
 	eng := New(nil, Exact(), Config{
 		SealThreshold: 1, // every insert seals
 		MaxSegments:   2,
-		Maintenance:   MaintenanceConfig{Poll: time.Millisecond},
 	})
 	defer eng.Close()
 	for i := 0; i < 6; i++ { // below the slowdown bound, 4 × MaxSegments
@@ -94,16 +89,13 @@ func TestStandaloneEngineIsMaintained(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sealed, _, _ := eng.Segments()
-		if sealed <= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sealed segments, MaxSegments 2: the scheduler never compacted", sealed)
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := eng.reg.Scheduler().WaitIdle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, _, _ := eng.Segments(); sealed > 2 {
+		t.Fatalf("%d sealed segments, MaxSegments 2: the scheduler never compacted", sealed)
 	}
 	if runs := eng.reg.Scheduler().Stats().RunsTotal; runs == 0 {
 		t.Fatal("segments merged without a scheduled run")
@@ -120,7 +112,6 @@ func TestNoGoroutineOutlivesEngineClose(t *testing.T) {
 	eng, err := Open(t.TempDir(), demoCollection(), newFigure1Sim(), Config{
 		SealThreshold: 1,
 		MaxSegments:   1,
-		Maintenance:   MaintenanceConfig{Poll: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,30 +145,36 @@ func (p *scoreProbe) Run(context.Context) error { return nil }
 
 // TestUnreachableEngineStopsScheduler: the scheduler of a standalone engine
 // nobody references any more stops once the engine is collected, instead of
-// polling — and pinning the collection — forever.
+// polling — and pinning the collection — forever. The engine's clock is a
+// manual one: a second of it holds four polls, each a dispatch round that
+// consults the probe while the scheduler runs.
 func TestUnreachableEngineStopsScheduler(t *testing.T) {
 	probe := &scoreProbe{}
+	clk := sched.NewManual(time.Unix(0, 0))
 	func() {
-		eng := New(demoCollection(), newFigure1Sim(), Config{Maintenance: MaintenanceConfig{Poll: time.Millisecond}})
+		rc := Config{}.registryConfig(func(dict *sets.Dictionary) index.NeighborSource {
+			return index.NewDynamicFunc(dict, newFigure1Sim())
+		})
+		rc.Clock = clk
+		eng := standalone(collection.NewRegistry(rawSets(demoCollection()), rc), Config{})
 		eng.reg.Scheduler().Register("probe", 1, probe)
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for probe.rounds.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the probe was never dispatched")
-		}
-		time.Sleep(time.Millisecond)
+	clk.Advance(time.Second)
+	if probe.rounds.Load() == 0 {
+		t.Fatal("the probe was never dispatched")
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		before := probe.rounds.Load()
-		time.Sleep(50 * time.Millisecond) // 50 poll intervals
+		clk.Advance(time.Second)
 		if probe.rounds.Load() == before {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("the scheduler of an unreachable engine kept dispatching")
 		}
+		runtime.Gosched() // let the cleanup's Stop run
 	}
 }
 
