@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/collection"
+	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/store"
 )
@@ -24,7 +25,8 @@ var errNoSpace error = syscall.ENOSPC
 // transiently (ENOSPC, a flaky write) must be retried until the backlog
 // drains, and the drained state must be byte-identical to the acknowledged
 // operations. schedIteration drives a registry — the collection layer's own
-// maintenance policy, not a copy of it — and injects one-shot faults that
+// maintenance policy, not a copy of it — on a manual clock that waitIdle
+// moves past each retry's backoff, and injects one-shot faults that
 // fire only during scheduler-driven background ops (the foreground script
 // runs while the scheduler is paused and before any fault is armed). It
 // asserts:
@@ -46,7 +48,9 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 
 	ffs := store.NewFaultFS(nil)
 	cfg := h.config(rng, ffs)
+	clk := sched.NewManual(time.Unix(0, 0))
 	reg, err := collection.OpenRegistry(dir, nil, collection.Config{
+		Clock:  clk,
 		Build:  h.builder(),
 		Opts:   h.opts,
 		SegCfg: cfg,
@@ -111,7 +115,7 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.WaitIdle(ctx); err != nil {
+	if err := waitIdle(ctx, s, clk); err != nil {
 		return fmt.Errorf("scheduler never drained the backlog (debt %+v, stats %+v): %w",
 			m.MaintenanceDebt(), s.Stats(), err)
 	}
@@ -154,4 +158,23 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	}
 	h.rep.FullRecoveries++
 	return nil
+}
+
+// waitIdle is Scheduler.WaitIdle on a manual clock: while the scheduler
+// has not drained, the clock moves a backoff cap further every
+// millisecond, so each failed round's retry timer fires as soon as the
+// round has ended instead of after a real 50 ms–5 s wait.
+func waitIdle(ctx context.Context, s *sched.Scheduler, clk *sched.Manual) error {
+	done := make(chan error, 1)
+	go func() { done <- s.WaitIdle(ctx) }()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case err := <-done:
+			return err
+		case <-tick.C:
+			clk.Advance(8 * time.Second) // past the 5 s cap and its 50% jitter
+		}
+	}
 }

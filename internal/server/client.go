@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -238,8 +237,10 @@ func (c *Client) probe(path string) bool {
 func (c *Client) do(ctx context.Context, method, path string, body, dst any) error {
 	var raw []byte
 	if body != nil {
+		// A fresh buffer, not a pooled one: the transport may still read
+		// the request body after Do has returned the response.
 		var err error
-		if raw, err = json.Marshal(body); err != nil {
+		if raw, err = appendBody(make([]byte, 0, 512), body); err != nil {
 			return err
 		}
 	}
@@ -331,13 +332,23 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// decodeResponse reads the response body into a pooled buffer and decodes
+// it into dst (decodeBody, lenient); a failure status returns the error
+// envelope's message.
 func decodeResponse(resp *http.Response, dst any) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := readBody(resp.Body, *buf, resp.ContentLength)
+	*buf = b
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var eb errorBody
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
+		if err == nil && decodeBody(b, &eb, false) == nil && eb.Error != "" {
 			return fmt.Errorf("server: %s (HTTP %d)", eb.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("server: HTTP %d", resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	if err != nil {
+		return err
+	}
+	return decodeBody(b, dst, false)
 }

@@ -30,8 +30,8 @@ import (
 // is refused (429) rather than enqueued, so the flooder's own tail is
 // bounded too, and no one else's queue ever absorbs its overflow.
 //
-// The pool also owns the serving telemetry: queue depth and cumulative
-// queue wait, queries completed and timed out, and fixed rings of recent
+// The pool also owns the serving telemetry: queue depth, queries
+// completed and timed out, and fixed rings of recent
 // query latencies — one global, one per tenant — from which /v1/info
 // derives p50/p95/p99.
 type workerPool struct {
@@ -48,7 +48,6 @@ type workerPool struct {
 	batches  atomic.Int64 // batch requests completed
 	timeouts atomic.Int64 // queries that hit the per-query timeout
 	sheds    atomic.Int64 // queries refused at admission (429)
-	waitNS   atomic.Int64 // cumulative time spent waiting for a slot
 
 	// lat is a lock-free ring of the most recent query latencies in
 	// nanoseconds; pos is the total number of recordings ever made.
@@ -155,14 +154,10 @@ func (p *workerPool) latencyBlown() bool {
 
 // acquire blocks until a worker slot is granted to this tenant by the
 // dispatcher, the tenant is removed (a collection_not_found refusal) or ctx
-// is done, accounting the queue wait either way.
+// is done.
 func (p *workerPool) acquire(ctx context.Context, tenant string, weight int) error {
 	p.queued.Add(1)
-	start := time.Now()
-	defer func() {
-		p.queued.Add(-1)
-		p.waitNS.Add(int64(time.Since(start)))
-	}()
+	defer p.queued.Add(-1)
 	w := &waiter{ready: make(chan struct{})}
 	p.mu.Lock()
 	t := p.tenantLocked(tenant, weight)

@@ -34,11 +34,17 @@
 // percentiles so operators can see the pool saturating before clients do.
 // Per-collection quotas and rate limits (413/429 with structured errors)
 // are enforced at admission, before a request can touch the shared pool.
+//
+// The hot bodies go through the package's own wire codec (wire.go, DESIGN.md
+// §9), on the server and in Client alike: SearchRequest, SearchResponse,
+// InsertRequest, InsertResponse, DeleteResponse and the error envelope
+// (encoded only). Their encoding is encoding/json's byte for byte, and a
+// body their scanner does not take is decoded by encoding/json. Every other
+// body, the batch search's included, is encoding/json's.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -126,6 +132,34 @@ type Server struct {
 	// panics counts handler panics swallowed by the recovery middleware —
 	// each one answered 500 instead of killing the process (DESIGN.md §11).
 	panics atomic.Int64
+	// stages sums search requests' time by stage, /v1/info's throughput
+	// *_us_sum.
+	stages stageSums
+}
+
+// stageSums is the time search requests (single and batch) spent in each
+// stage: reading, decoding and validating the body; the admission gates
+// and, per query, its deadline context; per query, the wait for a worker
+// slot (pool.acquire alone) and the search itself; encoding and writing the
+// answer.
+type stageSums struct {
+	decode, admit, wait, execute, encode atomic.Int64 // ns
+}
+
+// stageClock times one request's consecutive stages with one clock read
+// at each boundary between them.
+type stageClock time.Time
+
+func startStages() stageClock { return stageClock(time.Now()) }
+
+// lap ends the current stage, adding its time to sum and returning it; the
+// next stage starts now.
+func (c *stageClock) lap(sum *atomic.Int64) time.Duration {
+	now := time.Now()
+	d := now.Sub(time.Time(*c))
+	*c = stageClock(now)
+	sum.Add(int64(d))
+	return d
 }
 
 // NewRegistry builds a server over a collection registry. The HTTP API
@@ -281,20 +315,21 @@ func (s *Server) admit(col *collection.Collection, n int) error {
 
 // execute runs one admitted query of col, a single search or a batch entry
 // alike: a worker slot granted in col's fair-queue turn, the search, the
-// slot's release with its latency, and the stream aggregates. The deadline
-// spans the queue wait and the search — under overload the queue is where
-// the time goes — and a query past it is counted here and returned as a
-// timeoutError.
-func (s *Server) execute(ctx context.Context, col *collection.Collection, search func(context.Context) ([]segment.Result, core.Stats, error)) (SearchResponse, error) {
+// slot's release with its latency, and the stream aggregates. clk laps the
+// deadline context into admission, then the queue wait and the search. The deadline spans the queue wait and the
+// search — under overload the queue is where the time goes — and a query
+// past it is counted here and returned as a timeoutError.
+func (s *Server) execute(ctx context.Context, col *collection.Collection, clk *stageClock, search func(context.Context) ([]segment.Result, core.Stats, error)) (SearchResponse, error) {
 	qctx, cancel := s.queryContext(ctx)
 	defer cancel()
+	clk.lap(&s.stages.admit)
 	err := s.pool.acquire(qctx, col.Name(), col.Weight())
+	clk.lap(&s.stages.wait)
 	if err == nil {
-		start := time.Now()
 		var results []segment.Result
 		var stats core.Stats
 		results, stats, err = search(qctx)
-		s.pool.release(col.Name(), time.Since(start))
+		s.pool.release(col.Name(), clk.lap(&s.stages.execute))
 		if err == nil {
 			s.streamTuples.Add(int64(stats.StreamTuples))
 			s.streamRetrieved.Add(int64(stats.StreamRetrieved))
@@ -425,6 +460,7 @@ func buildSearchResponse(results []segment.Result, stats *core.Stats) SearchResp
 }
 
 func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
+	clk := startStages()
 	var req SearchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
@@ -435,17 +471,20 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 	if !s.validateK(w, req.K) {
 		return
 	}
+	clk.lap(&s.stages.decode)
 
 	// Admission first: a full queue or a blown latency target sheds the
 	// query now rather than queueing it into a timeout, and a tenant over
 	// its rate limit or in-flight cap is refused before it can touch the
 	// shared pool.
-	if err := s.admit(col, 1); err != nil {
+	err := s.admit(col, 1)
+	clk.lap(&s.stages.admit)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer col.ReleaseSearch(1)
-	resp, err := s.execute(r.Context(), col, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
+	resp, err := s.execute(r.Context(), col, &clk, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
 		return col.Manager().Search(ctx, req.Query, req.K)
 	})
 	if err != nil {
@@ -453,6 +492,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, col *collec
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+	clk.lap(&s.stages.encode)
 }
 
 // BatchSearchRequest is the body of POST /v1/search/batch: a slice of
@@ -477,6 +517,7 @@ type BatchSearchResponse struct {
 }
 
 func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *collection.Collection) {
+	clk := startStages()
 	var req BatchSearchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
@@ -497,10 +538,13 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	if !s.validateK(w, req.K) {
 		return
 	}
+	clk.lap(&s.stages.decode)
 	// The gates refuse the whole batch up front, charging the tenant all
 	// its entries at once — admitting a batch the queue cannot absorb would
 	// just spread the overload across its entries as timeouts.
-	if err := s.admit(col, len(req.Queries)); err != nil {
+	err := s.admit(col, len(req.Queries))
+	clk.lap(&s.stages.admit)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -521,7 +565,8 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i].SearchResponse, errs[i] = s.execute(r.Context(), col, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
+			entry := clk // each entry queues from the batch's admission
+			resps[i].SearchResponse, errs[i] = s.execute(r.Context(), col, &entry, func(ctx context.Context) ([]segment.Result, core.Stats, error) {
 				return v.Search(ctx, req.Queries[i])
 			})
 			if errs[i] != nil {
@@ -530,6 +575,7 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 		}(i)
 	}
 	wg.Wait()
+	clk = startStages()
 	for _, err := range errs {
 		// Any failure but a timeout fails the batch whole: the client hung up
 		// (499), or col was dropped with entries still queued (404).
@@ -540,6 +586,7 @@ func (s *Server) serveSearchBatch(w http.ResponseWriter, r *http.Request, col *c
 	}
 	s.pool.batches.Add(1)
 	writeJSON(w, http.StatusOK, BatchSearchResponse{Results: resps})
+	clk.lap(&s.stages.encode)
 }
 
 // InsertRequest is the body of POST /v1/sets.
@@ -703,13 +750,22 @@ type ResilienceInfo struct {
 
 // ThroughputInfo is the worker-pool section of /v1/info.
 type ThroughputInfo struct {
-	SearchWorkers  int   `json:"search_workers"`
-	InFlight       int64 `json:"in_flight"`
-	QueueDepth     int64 `json:"queue_depth"`
-	QueriesTotal   int64 `json:"queries_total"`
-	BatchesTotal   int64 `json:"batches_total"`
-	TimeoutsTotal  int64 `json:"timeouts_total"`
+	SearchWorkers int   `json:"search_workers"`
+	InFlight      int64 `json:"in_flight"`
+	QueueDepth    int64 `json:"queue_depth"`
+	QueriesTotal  int64 `json:"queries_total"`
+	BatchesTotal  int64 `json:"batches_total"`
+	TimeoutsTotal int64 `json:"timeouts_total"`
+	// The *_us_sum fields add up search requests' time by stage (single
+	// and batch; decode and encode once per request, queue wait and execute
+	// once per query): reading, decoding and validating the body, the
+	// admission gates and each query's deadline context, the wait for a
+	// worker slot, the search, and encoding and writing the answer.
+	DecodeUSSum    int64 `json:"decode_us_sum"`
+	AdmitUSSum     int64 `json:"admit_us_sum"`
 	QueueWaitUSSum int64 `json:"queue_wait_us_sum"`
+	ExecuteUSSum   int64 `json:"execute_us_sum"`
+	EncodeUSSum    int64 `json:"encode_us_sum"`
 	LatencyP50US   int64 `json:"latency_p50_us"`
 	LatencyP95US   int64 `json:"latency_p95_us"`
 	LatencyP99US   int64 `json:"latency_p99_us"`
@@ -750,7 +806,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			QueriesTotal:   s.pool.queries.Load(),
 			BatchesTotal:   s.pool.batches.Load(),
 			TimeoutsTotal:  s.pool.timeouts.Load(),
-			QueueWaitUSSum: s.pool.waitNS.Load() / 1e3,
+			DecodeUSSum:    s.stages.decode.Load() / 1e3,
+			AdmitUSSum:     s.stages.admit.Load() / 1e3,
+			QueueWaitUSSum: s.stages.wait.Load() / 1e3,
+			ExecuteUSSum:   s.stages.execute.Load() / 1e3,
+			EncodeUSSum:    s.stages.encode.Load() / 1e3,
 			LatencyP50US:   p50.Microseconds(),
 			LatencyP95US:   p95.Microseconds(),
 			LatencyP99US:   p99.Microseconds(),
@@ -860,20 +920,41 @@ type errorBody struct {
 	Used     int64  `json:"used,omitempty"`
 }
 
+// decodeJSON reads a request body of at most maxBody bytes into a pooled
+// buffer and decodes it into dst (decodeBody, strict), answering 400 when
+// either fails.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return err
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), *buf, r.ContentLength)
+	*buf = b
+	if err == nil {
+		err = decodeBody(b, dst, true)
 	}
-	return nil
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	}
+	return err
 }
 
+// writeJSON encodes body into a pooled buffer — through the wire codec for
+// a hot body — and sends it whole, with its Content-Length, in one Write.
+// A body that does not encode answers 500 with the error envelope instead.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := appendBody(*buf, body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = errorBody{Error: "encoding the response: " + err.Error()}.appendJSON((*buf)[:0])
+	}
+	b = append(b, '\n') // as json.Encoder ends a value
+	*buf = b
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+	w.Write(b)
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
