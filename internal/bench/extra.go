@@ -23,9 +23,9 @@ func (r *Runner) SilkMothComparison() {
 	// The paper precomputes the per-element similarity lists for this
 	// comparison ("it takes 8 seconds to compute the token stream for the
 	// benchmark") so timings reflect the search frameworks, not shared
-	// retrieval. A memoized source reproduces that: prewarm below, report
-	// the prewarm cost separately.
-	src := index.NewCached(index.NewFuncIndex(b.ds.Repo.Vocabulary(), fn))
+	// retrieval. The source's memo reproduces that: every query element is
+	// probed once below, and the cost is reported separately.
+	src := index.NewFuncIndex(b.ds.Repo.Vocabulary(), fn)
 	eng := core.NewEngine(b.ds.Repo, src, core.Options{
 		K: r.cfg.K, Alpha: 0.8, Partitions: r.cfg.Partitions, Workers: r.cfg.Workers, ExactScores: true,
 	})
@@ -43,13 +43,17 @@ func (r *Runner) SilkMothComparison() {
 		queries = sampled
 	}
 	prewarmStart := time.Now()
-	var queryElems [][]string
+	probed := make(map[string]bool)
 	for _, q := range queries {
-		queryElems = append(queryElems, q.Elements)
+		for _, el := range q.Elements {
+			if !probed[el] {
+				probed[el] = true
+				src.Neighbors(el, 0.8)
+			}
+		}
 	}
-	src.Prewarm(queryElems, 0.8)
 	r.printf("shared token-stream precompute: %v (%d elements)\n",
-		time.Since(prewarmStart).Round(time.Millisecond), src.Size())
+		time.Since(prewarmStart).Round(time.Millisecond), len(probed))
 
 	var koiosTime time.Duration
 	thetaK := -1.0

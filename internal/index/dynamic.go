@@ -31,7 +31,8 @@ type QueryVocabBound interface {
 
 // DynamicFunc is the dynamic counterpart of FuncIndex: threshold retrieval
 // for an arbitrary similarity function over a shared, growing dictionary.
-// Every call scans the dictionary's current snapshot, so freshly interned
+// Every call answers for the dictionary's current snapshot — from the memo
+// where it covers the snapshot, by a scan otherwise — so freshly interned
 // tokens are retrievable immediately; neighbor IDs are global dictionary
 // IDs. Safe for concurrent use.
 type DynamicFunc struct {
@@ -49,13 +50,15 @@ func NewDynamicFunc(dict *sets.Dictionary, fn sim.Func) *DynamicFunc {
 // Neighbors implements NeighborSource over the dictionary's current
 // snapshot.
 func (f *DynamicFunc) Neighbors(q string, alpha float64) []Neighbor {
-	return sorted(f.scan(f.dict.Snapshot(), q, alpha, nil))
+	return neighbors(f, q, alpha)
 }
 
 // ScanNeighbors implements LazySource: same exhaustive scan, over one
 // snapshot for all the elements, neighbors ordered only as they are consumed.
 func (f *DynamicFunc) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
-	f.scanNeighbors(f.dict.Snapshot(), qs, alpha, bufs)
+	tokens := f.dict.Snapshot()
+	f.growMemo(len(tokens))
+	f.probe(tokens, qs, alpha, bufs, func(q string) int { return int(f.dict.Lookup(q)) })
 }
 
 // Sync implements Syncer: it sketches the dictionary tokens interned since
@@ -71,9 +74,9 @@ func (f *DynamicFunc) Sync() {
 // retrieval over embedding vectors that extends itself as the shared
 // dictionary grows. Vectors of newly interned tokens are fetched and
 // normalized by Sync (or lazily on retrieval). Readers take no lock: Sync
-// appends to the append-only rows under the writer lock and then publishes
-// an immutable view through one atomic pointer, and a scan runs to the end
-// on the view it loaded. Safe for concurrent use.
+// appends to the append-only rows (and grows the memo) under the writer
+// lock and then publishes an immutable view through one atomic pointer, and
+// a probe runs to the end on the view it loaded. Safe for concurrent use.
 type DynamicExact struct {
 	dict *sets.Dictionary
 	vec  func(string) ([]float32, bool)
@@ -96,7 +99,7 @@ type vecView struct {
 // build path.
 func NewDynamicExact(dict *sets.Dictionary, vec func(string) ([]float32, bool)) *DynamicExact {
 	e := &DynamicExact{dict: dict, vec: vec}
-	e.view.Store(&vecView{})
+	e.view.Store(&vecView{vecRows: vecRows{memo: new(neighbourMemo)}})
 	return e
 }
 
@@ -133,6 +136,8 @@ func (e *DynamicExact) current() *vecView {
 		}
 		next.rowOf = append(next.rowOf, row)
 	}
+	next.vocab = vocab
+	next.memo.grow(len(next.tokens))
 	e.view.Store(&next)
 	return &next
 }
@@ -150,21 +155,16 @@ func (e *DynamicExact) lookup(v *vecView, q string) int {
 func (e *DynamicExact) Len() int { return len(e.view.Load().tokens) }
 
 // Neighbors implements NeighborSource: one exhaustive linear scan of the
-// vector arena, sorted descending.
+// vector arena, or the memo's copy of one, sorted descending.
 func (e *DynamicExact) Neighbors(q string, alpha float64) []Neighbor {
-	v := e.current()
-	qi := e.lookup(v, q)
-	if qi < 0 {
-		return nil
-	}
-	return sorted(v.scan(qi, alpha, nil))
+	return neighbors(e, q, alpha)
 }
 
 // ScanNeighbors implements LazySource: all the elements against one view,
-// in one pass of its arena.
+// those the memo cannot answer in one pass of its arena.
 func (e *DynamicExact) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
 	v := e.current()
-	v.scanNeighbors(qs, alpha, bufs, func(q string) int { return e.lookup(v, q) })
+	v.probe(qs, alpha, bufs, func(q string) int { return e.lookup(v, q) })
 }
 
 // PairSim implements CompleteScorer: the exact dot product retrieval uses,

@@ -18,32 +18,68 @@ import (
 // the list — and only the positions they cannot prove below α are
 // evaluated, in blocks per SimBatch call with the query's precomputed state
 // hot. Both are pure accelerations — results are byte-identical to the
-// plain per-pair scan (DESIGN.md §12).
+// plain per-pair scan (DESIGN.md §12). The memo keeps, by dictionary ID,
+// the neighbours each probed vocabulary token's scan found.
 type funcScan struct {
 	fn  sim.Func
 	col sketchColumn
 	// kernels pools fn's kernels, one per scan in flight: a scan resets
 	// one for each of its elements, and hands it back holding no element.
 	kernels sync.Pool
+	memo    neighbourMemo
 }
 
 // PairSim implements CompleteScorer: the similarity function itself.
 func (f *funcScan) PairSim(a, b string) float64 { return f.fn.Sim(a, b) }
 
-// scan appends every token (except the query itself) with similarity ≥
-// alpha to buf in ascending position; a token's position in tokens is its
-// ID.
-func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor) []Neighbor {
-	bufs := [1][]Neighbor{buf}
-	f.scanNeighbors(tokens, []string{q}, alpha, bufs[:])
-	return bufs[0]
+// growMemo gives the memo a slot for each of n tokens, under the sketch
+// column's writer lock.
+func (f *funcScan) growMemo(n int) {
+	if f.memo.size() >= n {
+		return
+	}
+	f.col.mu.Lock()
+	defer f.col.mu.Unlock()
+	f.memo.grow(n)
 }
 
-// scanNeighbors is the LazySource probe of the sources over a funcScan:
-// scan for each element of qs, into its list of bufs. The elements share
-// one kernel, reset from one to the next (a kernel is prepared for one
-// query string, so there is nothing else for them to share).
-func (f *funcScan) scanNeighbors(tokens []string, qs []string, alpha float64, bufs [][]Neighbor) {
+// probe is the LazySource probe of the sources over a funcScan: each
+// element is answered from the memo when the entry at its ID (idOf; -1
+// outside the vocabulary) covers tokens at alpha, and the rest are scanned
+// together, each into its list of bufs. What the scan finds for an element
+// the vocabulary holds is stored; a string outside it is scanned every
+// time.
+func (f *funcScan) probe(tokens []string, qs []string, alpha float64, bufs [][]Neighbor, idOf func(string) int) {
+	s := funcScratches.Get().(*funcScratch)
+	miss, at, ids, group := s.miss[:0], s.at[:0], s.qids[:0], s.bufs[:0]
+	for i, q := range qs {
+		id := idOf(q)
+		if e := f.memo.load(id, alpha, len(tokens)); e != nil {
+			bufs[i] = e.appendTo(bufs[i], tokens, int32(len(tokens)))
+			continue
+		}
+		miss, at, ids, group = append(miss, q), append(at, i), append(ids, id), append(group, bufs[i])
+	}
+	f.scanNeighbors(s, tokens, miss, alpha, group)
+	for g, i := range at {
+		f.memo.store(ids[g], alpha, len(tokens), group[g][len(bufs[i]):])
+		bufs[i] = group[g]
+	}
+	clear(miss) // a pooled scratch pins no request's strings
+	clear(group)
+	s.miss, s.at, s.qids, s.bufs = miss, at, ids, group
+	funcScratches.Put(s)
+}
+
+// scanNeighbors appends to bufs[i] every token of tokens except qs[i]
+// itself with similarity ≥ alpha to qs[i], in ascending position; a token's
+// position in tokens is its ID. The elements share one kernel, reset from
+// one to the next (a kernel is prepared for one query string, so there is
+// nothing else for them to share). s is the scan's scratch.
+func (f *funcScan) scanNeighbors(s *funcScratch, tokens []string, qs []string, alpha float64, bufs [][]Neighbor) {
+	if len(qs) == 0 {
+		return
+	}
 	b, _ := f.fn.(sim.Batcher)
 	var k sim.Kernel
 	if b != nil {
@@ -65,12 +101,10 @@ func (f *funcScan) scanNeighbors(tokens []string, qs []string, alpha float64, bu
 		return
 	}
 	v := f.col.cover(b, tokens)
-	s := funcScratches.Get().(*funcScratch)
 	for i, q := range qs {
 		k.Reset(q)
-		bufs[i] = s.kernelScan(k, v.tokens, v.admit(k, alpha, s), q, alpha, bufs[i])
+		bufs[i] = s.kernelScan(k, tokens, v.admit(k, alpha, s), q, alpha, bufs[i])
 	}
-	funcScratches.Put(s)
 	k.Reset("")
 	f.kernels.Put(k)
 }
@@ -79,12 +113,18 @@ func (f *funcScan) scanNeighbors(tokens []string, qs []string, alpha float64, bu
 // table and the admitted positions, and the block of candidates SimBatch
 // scores. The kernel interface takes pointers into all of them, so on the
 // stack they would escape: pooled, a scan allocates only its neighbours.
+// A probe adds the elements the memo did not answer: the strings, their
+// indexes in the probe, their IDs and their lists.
 type funcScratch struct {
 	cut   [sim.SketchClasses]int32
 	pos   []int32
 	cands [kernelBlock]string
 	sims  [kernelBlock]float64
 	ids   [kernelBlock]int32
+	miss  []string
+	at    []int
+	qids  []int
+	bufs  [][]Neighbor
 }
 
 var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
@@ -96,7 +136,7 @@ var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
 // loaded (the discipline of DynamicExact's vector arena). The zero value is
 // an empty column, so the first scan — or the first Sync — builds it.
 type sketchColumn struct {
-	mu   sync.Mutex // serializes cover's slow path; never taken by a covered reader
+	mu   sync.Mutex // serializes cover's slow path and the memo's growth; never taken by a covered reader
 	view atomic.Pointer[sketchView]
 }
 
@@ -197,9 +237,10 @@ const kernelBlock = 128
 
 // kernelScan is the batched scan loop: the tokens at pos, ascending, minus
 // the query itself, are gathered into blocks and evaluated per SimBatch
-// call. When pos holds every position admit lets through, buf holds on
-// return exactly the α-matches of the plain scan, in the same ascending
-// order.
+// call. Positions past tokens, which a column covering a later snapshot
+// admits, are not read. When pos holds every position admit lets through,
+// buf holds on return exactly the α-matches of the plain scan of tokens, in
+// the same ascending order.
 func (s *funcScratch) kernelScan(k sim.Kernel, tokens []string, pos []int32, q string, alpha float64, buf []Neighbor) []Neighbor {
 	n := 0
 	flush := func() {
@@ -212,6 +253,9 @@ func (s *funcScratch) kernelScan(k sim.Kernel, tokens []string, pos []int32, q s
 		n = 0
 	}
 	for _, vi := range pos {
+		if int(vi) >= len(tokens) {
+			break
+		}
 		if tokens[vi] == q {
 			continue
 		}
@@ -230,20 +274,31 @@ func (s *funcScratch) kernelScan(k sim.Kernel, tokens []string, pos []int32, q s
 // scan that reads it.
 type FuncIndex struct {
 	vocab []string
+	id    map[string]int32 // position in vocab
 	funcScan
 }
 
 // NewFuncIndex indexes vocab under fn.
 func NewFuncIndex(vocab []string, fn sim.Func) *FuncIndex {
-	return &FuncIndex{vocab: vocab, funcScan: funcScan{fn: fn}}
+	f := &FuncIndex{vocab: vocab, id: make(map[string]int32, len(vocab)), funcScan: funcScan{fn: fn}}
+	for i, tok := range vocab {
+		f.id[tok] = int32(i)
+	}
+	f.memo.grow(len(vocab))
+	return f
 }
 
 // Neighbors implements NeighborSource.
 func (f *FuncIndex) Neighbors(q string, alpha float64) []Neighbor {
-	return sorted(f.scan(f.vocab, q, alpha, nil))
+	return neighbors(f, q, alpha)
 }
 
 // ScanNeighbors implements LazySource.
 func (f *FuncIndex) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
-	f.scanNeighbors(f.vocab, qs, alpha, bufs)
+	f.probe(f.vocab, qs, alpha, bufs, func(q string) int {
+		if id, ok := f.id[q]; ok {
+			return int(id)
+		}
+		return -1
+	})
 }

@@ -12,6 +12,12 @@
 //   - IVF: an inverted-file approximate vector index mirroring Faiss IVF;
 //   - FuncIndex: threshold retrieval for an arbitrary sim.Func;
 //   - MinHashLSH: banding LSH over q-gram sets for Jaccard similarity [20].
+//
+// The exhaustive sources (Exact, DynamicExact, FuncIndex, DynamicFunc)
+// probe each vocabulary token once per α: a neighbour memo (memo.go) keeps
+// the α-neighbour list each scan found, by the token's arena row or
+// dictionary ID, and answers every later probe of that token from it, ID
+// for ID and bit for bit as a scan of the probe's view would (DESIGN.md §9).
 package index
 
 import (

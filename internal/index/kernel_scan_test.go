@@ -21,6 +21,17 @@ type plainFunc struct{ fn sim.Func }
 func (p plainFunc) Sim(a, b string) float64 { return p.fn.Sim(a, b) }
 func (p plainFunc) Name() string            { return p.fn.Name() }
 
+// scan appends every token (except the query itself) with similarity ≥
+// alpha to buf in ascending position, past the memo; a token's position in
+// tokens is its ID.
+func (f *funcScan) scan(tokens []string, q string, alpha float64, buf []Neighbor) []Neighbor {
+	bufs := [1][]Neighbor{buf}
+	s := funcScratches.Get().(*funcScratch)
+	f.scanNeighbors(s, tokens, []string{q}, alpha, bufs[:])
+	funcScratches.Put(s)
+	return bufs[0]
+}
+
 // unfilteredNeighbors is the kernel scan with admission off: every position
 // of tokens through kernelScan's block loop.
 func unfilteredNeighbors(fn sim.Func, tokens []string, q string, alpha float64) []Neighbor {

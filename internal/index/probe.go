@@ -113,15 +113,8 @@ func (p *Probe) Release() {
 	probes.Put(p)
 }
 
-// ScorerOf returns src's exhaustive pair scorer, looking through the Cached
-// memoization layer (a memoized exact source is still exhaustive; a wrapped
-// approximate one still is not).
+// ScorerOf returns src's exhaustive pair scorer, if it has one.
 func ScorerOf(src NeighborSource) (CompleteScorer, bool) {
-	if cs, ok := src.(CompleteScorer); ok {
-		return cs, true
-	}
-	if c, ok := src.(*Cached); ok {
-		return ScorerOf(c.src)
-	}
-	return nil, false
+	cs, ok := src.(CompleteScorer)
+	return cs, ok
 }

@@ -120,16 +120,10 @@ func TestPairSimExhaustive(t *testing.T) {
 	}
 }
 
-// TestScorerOfUnwrapsCached: the memoization layer is transparent for exact
-// sources and opaque for approximate ones.
-func TestScorerOfUnwrapsCached(t *testing.T) {
+// TestScorerOfApproximate: an approximate source has no exhaustive pair
+// scorer.
+func TestScorerOfApproximate(t *testing.T) {
 	model, vocab := lazyTestModel(t)
-	if _, ok := ScorerOf(NewCached(NewExact(vocab, model.Vector))); !ok {
-		t.Fatal("Cached over Exact should expose a CompleteScorer")
-	}
-	if _, ok := ScorerOf(NewCached(NewIVF(vocab, model.Vector, 4, 2, 1))); ok {
-		t.Fatal("Cached over IVF must not claim completeness")
-	}
 	if _, ok := ScorerOf(NewIVF(vocab, model.Vector, 4, 2, 1)); ok {
 		t.Fatal("IVF must not claim completeness")
 	}

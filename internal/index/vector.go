@@ -58,11 +58,16 @@ type NeighborSource interface {
 // as sim.Dot's length check made it do against every stride-length vector.
 type vecRows struct {
 	tokens []string
-	ids    []int32 // vocabulary position of each row's token
+	ids    []int32 // vocabulary position of each row's token, ascending
 	dim    int
 	data   []float32 // element j of row i is data[(i/4*dim+j)*4+i%4]
 	u8     []byte    // round(127·element j of row i) + 128 at lane8(i) + 64·(j/4) + j%4
 	nan    []int32   // the rows holding a NaN, ascending
+	// vocab is the vocabulary by ID, through the last row's ID at least,
+	// and memo the neighbour lists the source's probes scanned, by row;
+	// every view of the source shares the memo.
+	vocab []string
+	memo  *neighbourMemo
 }
 
 // useAVX routes dotBlocks to its assembly kernels and useFMA picks the
@@ -192,16 +197,6 @@ type scanScratch struct {
 
 var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// scan appends every row except qi with similarity ≥ alpha to buf,
-// unsorted: scanAll for a group of one.
-func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
-	bufs := [1][]Neighbor{buf}
-	s := scanScratches.Get().(*scanScratch)
-	r.scanAll(s, []int{qi}, alpha, bufs[:])
-	scanScratches.Put(s)
-	return bufs[0]
-}
-
 // scanAll appends to bufs[g] every row except qis[g] with similarity ≥ alpha
 // to row qis[g], unsorted, in one pass of the arena. A chunk at a time, the
 // int8 screen marks for every query row the blocks that may hold a match
@@ -297,20 +292,33 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// scanNeighbors is the LazySource probe of the sources over a vecRows: the
-// elements rowOf finds a row for (≥ 0) scanned together, each into its list
-// of bufs. An element without a row has no vector to search with, so no
-// semantic neighbors: its list stays empty.
-func (r *vecRows) scanNeighbors(qs []string, alpha float64, bufs [][]Neighbor, rowOf func(string) int) {
+// probe is the LazySource probe of the sources over a vecRows: each element
+// rowOf finds a row for (≥ 0) is answered from the memo when its entry
+// covers this view at alpha, and the rest are scanned together in one pass
+// of the arena, each into its list of bufs, and stored. An element without
+// a row has no vector to search with, so no semantic neighbors: its list
+// stays empty.
+func (r *vecRows) probe(qs []string, alpha float64, bufs [][]Neighbor, rowOf func(string) int) {
 	s := scanScratches.Get().(*scanScratch)
 	qis, at, group := s.qis[:0], s.at[:0], s.bufs[:0]
+	limit := int32(0) // the ID after the view's last row's
+	if n := len(r.ids); n > 0 {
+		limit = r.ids[n-1] + 1
+	}
 	for i, q := range qs {
-		if qi := rowOf(q); qi >= 0 {
-			qis, at, group = append(qis, qi), append(at, i), append(group, bufs[i])
+		qi := rowOf(q)
+		if qi < 0 {
+			continue
 		}
+		if e := r.memo.load(qi, alpha, len(r.tokens)); e != nil {
+			bufs[i] = e.appendTo(bufs[i], r.vocab, limit)
+			continue
+		}
+		qis, at, group = append(qis, qi), append(at, i), append(group, bufs[i])
 	}
 	r.scanAll(s, qis, alpha, group)
 	for g, i := range at {
+		r.memo.store(qis[g], alpha, len(r.tokens), group[g][len(bufs[i]):])
 		bufs[i] = group[g]
 	}
 	clear(group) // the caller owns the lists
@@ -343,7 +351,7 @@ func (r *vecRows) appendMatches(buf []Neighbor, first int, dots []float64, qi in
 // Exact is a brute-force NeighborSource over normalized embedding vectors.
 // It plays the role of the paper's Faiss index but returns exact results, so
 // the overall search stays exact. Retrieval is one linear scan of the vector
-// arena.
+// arena, once per vocabulary token and α: the memo keeps what it found.
 type Exact struct {
 	rows    vecRows
 	byToken map[string]int
@@ -361,23 +369,23 @@ func NewExact(vocab []string, vec func(string) ([]float32, bool)) *Exact {
 		e.byToken[tok] = len(e.rows.tokens)
 		e.rows.add(tok, int32(vi), v)
 	}
+	e.rows.vocab, e.rows.memo = vocab, new(neighbourMemo)
+	e.rows.memo.grow(len(e.rows.tokens))
 	return e
 }
 
-// Neighbors implements NeighborSource.
+// Neighbors implements NeighborSource: an out-of-vocabulary query element
+// has no semantic neighbors.
 func (e *Exact) Neighbors(q string, alpha float64) []Neighbor {
-	qi, ok := e.byToken[q]
-	if !ok {
-		return nil // out-of-vocabulary query element: no semantic neighbors
-	}
-	return sorted(e.rows.scan(qi, alpha, nil))
+	return neighbors(e, q, alpha)
 }
 
 // ScanNeighbors implements LazySource: the scan still computes every
-// similarity (that is what keeps Exact exact), for all the elements in one
-// pass of the arena, but neighbors are only ordered as they are consumed.
+// similarity (that is what keeps Exact exact), for all the elements the
+// memo cannot answer in one pass of the arena, but neighbors are only
+// ordered as they are consumed.
 func (e *Exact) ScanNeighbors(qs []string, alpha float64, bufs [][]Neighbor) {
-	e.rows.scanNeighbors(qs, alpha, bufs, func(q string) int {
+	e.rows.probe(qs, alpha, bufs, func(q string) int {
 		if qi, ok := e.byToken[q]; ok {
 			return qi
 		}
@@ -540,6 +548,14 @@ func (ix *IVF) Neighbors(q string, alpha float64) []Neighbor {
 func sorted(ns []Neighbor) []Neighbor {
 	sortNeighbors(ns)
 	return ns
+}
+
+// neighbors is Neighbors over a LazySource: q probed alone, its list
+// sorted.
+func neighbors(ls LazySource, q string, alpha float64) []Neighbor {
+	bufs := [1][]Neighbor{}
+	ls.ScanNeighbors([]string{q}, alpha, bufs[:])
+	return sorted(bufs[0])
 }
 
 func sortNeighbors(ns []Neighbor) {

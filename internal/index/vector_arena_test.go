@@ -101,6 +101,16 @@ func scanModes(f func(mode string)) {
 	}
 }
 
+// scan appends every row except qi with similarity ≥ alpha to buf,
+// unsorted: scanAll for a group of one, past the memo.
+func (r *vecRows) scan(qi int, alpha float64, buf []Neighbor) []Neighbor {
+	bufs := [1][]Neighbor{buf}
+	s := scanScratches.Get().(*scanScratch)
+	r.scanAll(s, []int{qi}, alpha, bufs[:])
+	scanScratches.Put(s)
+	return bufs[0]
+}
+
 // kernelNames names the screen and the exact kernel scanAll runs now.
 func kernelNames() string {
 	screen, exact := "go", "go"
