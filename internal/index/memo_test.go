@@ -337,11 +337,24 @@ func (c countingFunc) Sim(a, b string) float64 {
 
 func (c countingFunc) Name() string { return c.fn.Name() }
 
+// countingSources returns the two function sources over vocab, both
+// counting their similarity evaluations into calls.
+func countingSources(t *testing.T, vocab []string, calls *atomic.Int64) map[string]NeighborSource {
+	t.Helper()
+	dict, err := sets.NewDictionaryFromTokens(vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := countingFunc{sim.EditSimilarity{}, calls}
+	return map[string]NeighborSource{
+		"funcindex":   NewFuncIndex(vocab, fn),
+		"dynamicfunc": NewDynamicFunc(dict, fn),
+	}
+}
+
 // TestNeighbourMemoScansOnce: a source scans a vocabulary token once per α —
 // α is part of the key, so a second α scans and replaces the entry, and the
-// first scans again — and a string outside the vocabulary every time.
-// Probing every element of overlapping queries once scans each distinct
-// element once, after which every probe is answered without a scan. Under
+// first scans again — and a string outside the vocabulary every time. Under
 // the vector sources, the memo holds an entry per probed row at its α.
 func TestNeighbourMemoScansOnce(t *testing.T) {
 	model, vocab := lazyTestModel(t)
@@ -350,12 +363,8 @@ func TestNeighbourMemoScansOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := new(atomic.Int64)
-	fn := countingFunc{sim.EditSimilarity{}, calls}
 	perScan := int64(len(vocab) - 1)
-	for name, src := range map[string]NeighborSource{
-		"funcindex":   NewFuncIndex(vocab, fn),
-		"dynamicfunc": NewDynamicFunc(dict, fn),
-	} {
+	for name, src := range countingSources(t, vocab, calls) {
 		calls.Store(0)
 		scans := func(want int64, what string) {
 			t.Helper()
@@ -376,19 +385,6 @@ func TestNeighbourMemoScansOnce(t *testing.T) {
 		src.Neighbors("outside the vocabulary", 0.8)
 		src.Neighbors("outside the vocabulary", 0.8)
 		scans(2*perScan+2, "two probes of a string outside the vocabulary")
-
-		queries := [][]string{vocab[1:4], vocab[2:6], vocab[5:7]}
-		for _, q := range queries {
-			NewProbe(q, src, 0.8, nil).Release()
-		}
-		scans(6*perScan, "probing overlapping queries over 6 distinct elements")
-		for _, q := range queries {
-			NewProbe(q, src, 0.8, nil).Release()
-			for _, el := range q {
-				src.Neighbors(el, 0.8)
-			}
-		}
-		scans(0, "probing them again")
 	}
 
 	for name, src := range map[string]NeighborSource{
@@ -425,6 +421,34 @@ func TestNeighbourMemoScansOnce(t *testing.T) {
 		src.Neighbors(q, 0.7)
 		if rows.memo.load(rowOf(q), 0.8, len(rows.tokens)) != nil || rows.memo.load(rowOf(q), 0.7, len(rows.tokens)) == nil {
 			t.Fatalf("%s: a probe at another α did not replace the entry", name)
+		}
+	}
+}
+
+// TestNeighbourMemoOverlappingQueries: probing every element of overlapping
+// queries once scans each distinct element once, after which every probe of
+// them, through NewProbe or Neighbors, is answered without a scan.
+func TestNeighbourMemoOverlappingQueries(t *testing.T) {
+	_, vocab := lazyTestModel(t)
+	calls := new(atomic.Int64)
+	perScan := int64(len(vocab) - 1)
+	for name, src := range countingSources(t, vocab, calls) {
+		calls.Store(0)
+		queries := [][]string{vocab[1:4], vocab[2:6], vocab[5:7]}
+		for _, q := range queries {
+			NewProbe(q, src, 0.8, nil).Release()
+		}
+		if got := calls.Swap(0); got != 6*perScan {
+			t.Fatalf("%s: probing overlapping queries over 6 distinct elements made %d similarity calls, want %d", name, got, 6*perScan)
+		}
+		for _, q := range queries {
+			NewProbe(q, src, 0.8, nil).Release()
+			for _, el := range q {
+				src.Neighbors(el, 0.8)
+			}
+		}
+		if got := calls.Swap(0); got != 0 {
+			t.Fatalf("%s: probing them again made %d similarity calls, want 0", name, got)
 		}
 	}
 }
