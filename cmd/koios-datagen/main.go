@@ -12,106 +12,95 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
-
-	koios "repro"
 
 	"repro/internal/datagen"
 	"repro/internal/store"
 )
 
-type jsonDataset struct {
-	Name    string      `json:"name"`
-	Sets    []jsonSet   `json:"sets"`
-	Queries []jsonQuery `json:"queries"`
-}
-
-type jsonSet struct {
-	Name     string   `json:"name"`
-	Elements []string `json:"elements"`
-}
-
-type jsonQuery struct {
-	Interval  int      `json:"interval"`
-	SourceSet int      `json:"source_set"`
-	Elements  []string `json:"elements"`
-}
-
 func main() {
-	var (
-		dataset = flag.String("dataset", "opendata", "dataset kind: dblp, opendata, twitter, wdc")
-		scale   = flag.Float64("scale", 0.1, "dataset scale factor")
-		format  = flag.String("format", "json", "output format: json or tsv")
-		outPath = flag.String("o", "", "output file (default stdout)")
-	)
-	flag.Parse()
-
-	ds, err := koios.GenerateDataset(*dataset, *scale)
-	if err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+// run generates the dataset args name, once, and writes it in the -format
+// to the -o file, or to stdout when there is none.
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("koios-datagen", flag.ContinueOnError)
+	var (
+		dataset = fs.String("dataset", "opendata", "dataset kind: dblp, opendata, twitter, wdc")
+		scale   = fs.Float64("scale", 0.1, "dataset scale factor")
+		format  = fs.String("format", "json", "output format: json, tsv or store")
+		outPath = fs.String("o", "", "output file (default stdout)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		defer f.Close()
+		return err
+	}
+	kind, err := datagen.ParseKind(*dataset)
+	if err != nil {
+		return fmt.Errorf("koios-datagen: %w", err)
+	}
+	if !slices.Contains([]string{"json", "tsv", "store"}, *format) {
+		return fmt.Errorf("koios-datagen: unknown format %q (want json, tsv or store)", *format)
+	}
+
+	gen := datagen.GenerateDefault(kind, *scale)
+	bench := datagen.NewBenchmark(gen, gen.Spec.Seed+1)
+	doc := &store.File{Name: *dataset}
+	for _, s := range gen.Repo.Sets() {
+		doc.Sets = append(doc.Sets, store.Set{Name: s.Name, Elements: s.Elements})
+	}
+	for _, q := range bench.Queries {
+		doc.Queries = append(doc.Queries, store.Query{Interval: q.Interval, SourceSet: q.SourceSet, Elements: q.Elements})
+	}
+
+	var f *os.File
+	out := stdout
+	if *outPath != "" {
+		if f, err = os.Create(*outPath); err != nil {
+			return err
+		}
+		defer f.Close() // for the error paths; success checks Close below
 		out = f
 	}
 	w := bufio.NewWriter(out)
-	defer w.Flush()
-
 	switch *format {
 	case "store":
-		// The store format needs the embedding model, so regenerate through
-		// the internal generator (same spec and seed as GenerateDataset).
-		gen := datagen.GenerateDefault(datagen.Kind(*dataset), *scale)
-		bench := datagen.NewBenchmark(gen, gen.Spec.Seed+1)
-		vecs, err := store.EncodeVectors(gen.Model.Dim(), gen.Repo.Vocabulary(), gen.Model.Vector)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		doc := &store.File{Name: *dataset, Vectors: vecs}
-		for _, s := range gen.Repo.Sets() {
-			doc.Sets = append(doc.Sets, store.Set{Name: s.Name, Elements: s.Elements})
-		}
-		for _, q := range bench.Queries {
-			doc.Queries = append(doc.Queries, store.Query{Interval: q.Interval, SourceSet: q.SourceSet, Elements: q.Elements})
-		}
-		if err := store.Write(w, doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if doc.Vectors, err = store.EncodeVectors(gen.Model.Dim(), gen.Repo.Vocabulary(), gen.Model.Vector); err == nil {
+			err = store.Write(w, doc)
 		}
 	case "json":
-		doc := jsonDataset{Name: ds.Name}
-		for _, s := range ds.Collection {
-			doc.Sets = append(doc.Sets, jsonSet{Name: s.Name, Elements: s.Elements})
-		}
-		for _, q := range ds.Queries {
-			doc.Queries = append(doc.Queries, jsonQuery{Interval: q.Interval, SourceSet: q.SourceSet, Elements: q.Elements})
-		}
+		// The store document without its version and vectors.
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = enc.Encode(struct {
+			Name    string        `json:"name"`
+			Sets    []store.Set   `json:"sets"`
+			Queries []store.Query `json:"queries"`
+		}{doc.Name, doc.Sets, doc.Queries})
 	case "tsv":
-		for _, s := range ds.Collection {
+		for _, s := range doc.Sets {
 			fmt.Fprintf(w, "%s\t%s\n", s.Name, strings.Join(s.Elements, "\t"))
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		os.Exit(1)
 	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil && f != nil {
+		err = f.Close()
+	}
+	return err
 }

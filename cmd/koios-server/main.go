@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -81,38 +82,62 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the server: it parses args, binds the port, loads the collections
+// and serves until ctx is done, then drains for up to -drain and closes
+// every collection. Flag errors, help and the log go to logw.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	fs := flag.NewFlagSet("koios-server", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		addr     = flag.String("addr", ":7411", "listen address")
-		data     = flag.String("data", "", "dataset file written by koios-datagen -format store")
-		dataset  = flag.String("dataset", "opendata", "synthetic dataset kind when -data is empty")
-		scale    = flag.Float64("scale", 0.1, "synthetic dataset scale")
-		dir      = flag.String("dir", "", "data directory for durable storage (WAL + segment snapshots); empty = in-memory")
-		sync     = flag.Bool("sync", false, "fsync the WAL after every insert/delete (durable mode only)")
-		k        = flag.Int("k", 10, "result size of a search that names no k (every collection's default_k in /v1/info)")
-		alpha    = flag.Float64("alpha", 0.8, "element similarity threshold of every collection, for /v1/search and /v1/overlap alike")
-		parts    = flag.Int("partitions", 4, "contiguous set-ID ranges a seed or compacted segment is split into and refined in parallel")
-		workers  = flag.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
-		verifyW  = flag.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
-		qTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
-		seal     = flag.Int("seal", 256, "memtable sets buffered before sealing a segment")
-		maxSegs  = flag.Int("max-segments", 4, "sealed segments tolerated before the scheduler compacts a collection")
-		maxQueue = flag.Int("max-queue", 0, "worker-pool queue depth beyond which searches are shed with 429 (0 = 8 × search workers)")
-		shedP99  = flag.Duration("shed-p99", 0, "shed new searches with 429 while the recent p99 latency exceeds this and queries are queueing (0 = disabled)")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
+		addr     = fs.String("addr", ":7411", "listen address")
+		data     = fs.String("data", "", "dataset file written by koios-datagen -format store")
+		dataset  = fs.String("dataset", "opendata", "synthetic dataset kind when -data is empty")
+		scale    = fs.Float64("scale", 0.1, "synthetic dataset scale")
+		dir      = fs.String("dir", "", "data directory for durable storage (WAL + segment snapshots); empty = in-memory")
+		sync     = fs.Bool("sync", false, "fsync the WAL after every insert/delete (durable mode only)")
+		k        = fs.Int("k", 10, "result size of a search that names no k (every collection's default_k in /v1/info)")
+		alpha    = fs.Float64("alpha", 0.8, "element similarity threshold of every collection, for /v1/search and /v1/overlap alike")
+		parts    = fs.Int("partitions", 4, "contiguous set-ID ranges a seed or compacted segment is split into and refined in parallel")
+		workers  = fs.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
+		verifyW  = fs.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
+		qTimeout = fs.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
+		seal     = fs.Int("seal", 256, "memtable sets buffered before sealing a segment")
+		maxSegs  = fs.Int("max-segments", 4, "sealed segments tolerated before the scheduler compacts a collection")
+		maxQueue = fs.Int("max-queue", 0, "worker-pool queue depth beyond which searches are shed with 429 (0 = 8 × search workers)")
+		shedP99  = fs.Duration("shed-p99", 0, "shed new searches with 429 while the recent p99 latency exceeds this and queries are queueing (0 = disabled)")
+		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 
-		defMaxSets     = flag.Int64("default-max-sets", 0, "default per-collection live-set quota for collections created without one (0 = unlimited)")
-		defMaxBytes    = flag.Int64("default-max-bytes", 0, "default per-collection byte quota (summed element bytes; 0 = unlimited)")
-		defQPS         = flag.Float64("default-qps", 0, "default per-collection search rate limit in queries/sec (0 = unlimited)")
-		defBurst       = flag.Int("default-burst", 0, "default rate-limit burst (0 = qps rounded up)")
-		defMaxInFlight = flag.Int64("default-max-inflight", 0, "default per-collection concurrent-search cap (0 = unlimited)")
-		defWeight      = flag.Int("default-weight", 0, "default per-collection fair-share weight for search scheduling and background maintenance (0 = 1)")
+		defMaxSets     = fs.Int64("default-max-sets", 0, "default per-collection live-set quota for collections created without one (0 = unlimited)")
+		defMaxBytes    = fs.Int64("default-max-bytes", 0, "default per-collection byte quota (summed element bytes; 0 = unlimited)")
+		defQPS         = fs.Float64("default-qps", 0, "default per-collection search rate limit in queries/sec (0 = unlimited)")
+		defBurst       = fs.Int("default-burst", 0, "default rate-limit burst (0 = qps rounded up)")
+		defMaxInFlight = fs.Int64("default-max-inflight", 0, "default per-collection concurrent-search cap (0 = unlimited)")
+		defWeight      = fs.Int("default-weight", 0, "default per-collection fair-share weight for search scheduling and background maintenance (0 = 1)")
 
-		bgWorkers     = flag.Int("bg-workers", 0, "background maintenance workers shared across ALL collections: the one scheduler that runs every compaction and checkpoint, with weighted fair sharing and write stalls (0 = the scheduler's default, 2)")
-		checkpointWAL = flag.Int64("checkpoint-wal", 0, "un-checkpointed WAL bytes at which the scheduler checkpoints a collection (0 = 1 MiB)")
-		slowSealed    = flag.Int("slowdown-sealed", 0, "sealed segments at which a collection's inserts start being refused with 503 maintenance_backlog (0 = 4 × -max-segments)")
-		stallSealed   = flag.Int("stall-sealed", 0, "sealed segments at which a collection's inserts are fully stalled until maintenance drains (0 = 8 × -max-segments)")
+		bgWorkers     = fs.Int("bg-workers", 0, "background maintenance workers shared across ALL collections: the one scheduler that runs every compaction and checkpoint, with weighted fair sharing and write stalls (0 = the scheduler's default, 2)")
+		checkpointWAL = fs.Int64("checkpoint-wal", 0, "un-checkpointed WAL bytes at which the scheduler checkpoints a collection (0 = 1 MiB)")
+		slowSealed    = fs.Int("slowdown-sealed", 0, "sealed segments at which a collection's inserts start being refused with 503 maintenance_backlog (0 = 4 × -max-segments)")
+		stallSealed   = fs.Int("stall-sealed", 0, "sealed segments at which a collection's inserts are fully stalled until maintenance drains (0 = 8 × -max-segments)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	logger := log.New(logw, "", log.LstdFlags)
+	kind, err := datagen.ParseKind(*dataset)
+	if err != nil {
+		return fmt.Errorf("koios-server: %w", err)
+	}
 
 	// Boot protocol (DESIGN.md §11): bind the port and answer probes
 	// before recovery starts — /healthz says the process is alive while
@@ -120,23 +145,18 @@ func main() {
 	// orchestrator can tell "recovering a big directory" from "crashed".
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	sw := server.NewSwapper()
 	srv := &http.Server{Handler: sw}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("koios-server: listening on %s, loading collection (readyz 503 until recovery completes)", ln.Addr())
+	logger.Printf("koios-server: listening on %s, loading collection (readyz 503 until recovery completes)", ln.Addr())
 
-	reg, err := loadRegistry(*data, *dataset, *scale, *dir, core.Options{
-		K:           *k,
-		Alpha:       *alpha,
-		Partitions:  *parts,
-		Workers:     *verifyW,
-		ExactScores: true,
-	}, segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync},
-		collection.Quota{
+	reg, err := loadRegistry(logger, *data, kind, *scale, *dir, collection.Config{
+		Opts:   core.Options{K: *k, Alpha: *alpha, Partitions: *parts, Workers: *verifyW, ExactScores: true},
+		SegCfg: segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync},
+		DefaultQuota: collection.Quota{
 			MaxSets:     *defMaxSets,
 			MaxBytes:    *defMaxBytes,
 			RatePerSec:  *defQPS,
@@ -144,15 +164,16 @@ func main() {
 			MaxInFlight: *defMaxInFlight,
 			Weight:      *defWeight,
 		},
-		collection.MaintenanceConfig{
+		Maintenance: collection.MaintenanceConfig{
 			Workers:            *bgWorkers,
 			CheckpointWALBytes: *checkpointWAL,
 			SlowdownSealed:     *slowSealed,
 			StallSealed:        *stallSealed,
-		})
+		},
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		srv.Close()
+		return err
 	}
 	sw.Swap(server.NewRegistry(reg, server.Config{
 		SearchWorkers:  *workers,
@@ -166,9 +187,9 @@ func main() {
 		totalSets += m.Len()
 		totalTokens += m.VocabSize()
 		if h := m.Health(); h.Degraded {
-			log.Printf("koios-server: WARNING: collection %q recovery quarantined %d damaged file(s); serving the survivors degraded — POST /v1/collections/%s/repair to re-persist and clear", c.Name(), len(h.Quarantined), c.Name())
+			logger.Printf("koios-server: WARNING: collection %q recovery quarantined %d damaged file(s); serving the survivors degraded — POST /v1/collections/%s/repair to re-persist and clear", c.Name(), len(h.Quarantined), c.Name())
 			for _, q := range h.Quarantined {
-				log.Printf("koios-server:   quarantined %s: %s", q.File, q.Reason)
+				logger.Printf("koios-server:   quarantined %s: %s", q.File, q.Reason)
 			}
 		}
 	}
@@ -177,35 +198,36 @@ func main() {
 	if mgr.Dir() != "" {
 		durability = "durable in " + mgr.Dir()
 	}
-	log.Printf("koios-server: ready — %d collection(s), %d sets, %d tokens, %s", len(reg.List()), totalSets, totalTokens, durability)
+	logger.Printf("koios-server: ready — %d collection(s), %d sets, %d tokens, %s", len(reg.List()), totalSets, totalTokens, durability)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case err := <-errCh:
-		// Listener failed before any signal (port in use, …).
-		log.Fatal(err)
-	case sig := <-sigCh:
-		log.Printf("koios-server: %v, draining for up to %v", sig, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	case err = <-errCh:
+		// The listener failed (the port closed under it, …): the
+		// collections are still checkpointed and closed below.
+	case <-ctx.Done():
+		logger.Printf("koios-server: shutting down, draining for up to %v", *drain)
+		dctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("koios-server: forced shutdown: %v", err)
+		if err := srv.Shutdown(dctx); err != nil {
+			logger.Printf("koios-server: forced shutdown: %v", err)
 			srv.Close()
 		}
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("koios-server: %v", err)
+			logger.Printf("koios-server: %v", err)
 		}
-		// Checkpoint + close every collection's WAL so the next start
-		// replays nothing.
-		if err := reg.Close(); err != nil {
-			log.Printf("koios-server: close: %v", err)
-		}
-		log.Print("koios-server: bye")
 	}
+	// Checkpoint + close every collection's WAL so the next start
+	// replays nothing.
+	if err := reg.Close(); err != nil {
+		logger.Printf("koios-server: close: %v", err)
+	}
+	if err == nil {
+		logger.Print("koios-server: bye")
+	}
+	return err
 }
 
-func loadRegistry(path, kind string, scale float64, dir string, opts core.Options, segCfg segment.Config, defQuota collection.Quota, maint collection.MaintenanceConfig) (*collection.Registry, error) {
+func loadRegistry(logger *log.Logger, path string, kind datagen.Kind, scale float64, dir string, cfg collection.Config) (*collection.Registry, error) {
 	var (
 		seed []sets.Set
 		vec  func(string) ([]float32, bool)
@@ -228,25 +250,18 @@ func loadRegistry(path, kind string, scale float64, dir string, opts core.Option
 			return v, ok
 		}
 	} else {
-		ds := datagen.GenerateDefault(datagen.Kind(kind), scale)
+		ds := datagen.GenerateDefault(kind, scale)
 		seed = ds.Repo.Sets()
 		vec = ds.Model.Vector
 	}
-	build := func(dict *sets.Dictionary) index.NeighborSource {
+	cfg.Build = func(dict *sets.Dictionary) index.NeighborSource {
 		return index.NewDynamicExact(dict, vec)
 	}
-	regCfg := collection.Config{
-		Build:        build,
-		Opts:         opts,
-		SegCfg:       segCfg,
-		DefaultQuota: defQuota,
-		Maintenance:  maint,
-	}
 	if dir == "" {
-		return collection.NewRegistry(seed, regCfg), nil
+		return collection.NewRegistry(seed, cfg), nil
 	}
 	if segment.Initialized(dir) {
-		log.Printf("koios-server: recovering collections from %s (dataset flags seed fresh directories only)", dir)
+		logger.Printf("koios-server: recovering collections from %s (dataset flags seed fresh directories only)", dir)
 	}
-	return collection.OpenRegistry(dir, seed, regCfg)
+	return collection.OpenRegistry(dir, seed, cfg)
 }

@@ -35,18 +35,9 @@ type DatasetQuery struct {
 // default set count and vocabulary (1.0 is the documented benchmark scale;
 // use ~0.1 for quick experiments).
 func GenerateDataset(kind string, scale float64) (*Dataset, error) {
-	var k datagen.Kind
-	switch kind {
-	case "dblp":
-		k = datagen.DBLP
-	case "opendata":
-		k = datagen.OpenData
-	case "twitter":
-		k = datagen.Twitter
-	case "wdc":
-		k = datagen.WDC
-	default:
-		return nil, fmt.Errorf("koios: unknown dataset kind %q (want dblp, opendata, twitter, or wdc)", kind)
+	k, err := datagen.ParseKind(kind)
+	if err != nil {
+		return nil, fmt.Errorf("koios: %w", err)
 	}
 	ds := datagen.GenerateDefault(k, scale)
 	bench := datagen.NewBenchmark(ds, ds.Spec.Seed+1)

@@ -44,6 +44,16 @@ const (
 // Kinds lists all dataset kinds in the paper's order.
 func Kinds() []Kind { return []Kind{DBLP, OpenData, Twitter, WDC} }
 
+// ParseKind returns the dataset kind named s, or an error naming the four.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range Kinds() {
+		if string(k) == s {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("unknown dataset kind %q (want dblp, opendata, twitter, or wdc)", s)
+}
+
 // Spec describes the generated shape of a dataset. The fields are chosen so
 // that Stats() of the result approximates a scaled Table I.
 type Spec struct {

@@ -43,6 +43,17 @@ func TestGenerateAllKindsShape(t *testing.T) {
 	}
 }
 
+func TestParseKind(t *testing.T) {
+	for _, kind := range Kinds() {
+		if got, err := ParseKind(string(kind)); got != kind || err != nil {
+			t.Fatalf("ParseKind(%q) = %q, %v", kind, got, err)
+		}
+	}
+	if _, err := ParseKind("bogus"); err == nil || err.Error() != `unknown dataset kind "bogus" (want dblp, opendata, twitter, or wdc)` {
+		t.Fatalf("ParseKind(bogus) error = %v", err)
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	d1 := GenerateDefault(Twitter, testScale)
 	d2 := GenerateDefault(Twitter, testScale)
