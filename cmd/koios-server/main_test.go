@@ -249,38 +249,55 @@ func TestRestartServesSameAnswers(t *testing.T) {
 }
 
 // TestShutdownDuringScheduledCompaction holds what CI's fairness job's
-// smoke held: a server shut down while the scheduler has compactions
-// queued or running recovers byte-identically and owes no maintenance.
+// smoke held: a server shut down while the scheduler owes maintenance
+// recovers byte-identically and owes no maintenance. The shutdown must land
+// on owed maintenance — unpersisted sealed segments or WAL bytes — which the
+// scheduler may have caught up on by the time one burst has been searched,
+// so bursts go on until the collection owes some right before the shutdown.
 func TestShutdownDuringScheduledCompaction(t *testing.T) {
 	dir := t.TempDir()
 	args := append([]string{"-dir", dir, "-bg-workers", "2", "-seal", "4"}, twitter...)
 	const query = `{"query": ["fair-a", "fair-b", "fair-c"], "k": 5}`
+	const burst, minBursts, maxBursts = 20, 3, 50
 
 	p := start(t, args...)
-	// A burst of small inserts at -seal 4 keeps sealing segments. An insert
+	// Bursts of small inserts at -seal 4 keep sealing segments. An insert
 	// refused by the write-stall policy (503 maintenance_backlog) is retried:
 	// refusal is flow control, not failure.
-	for i := 1; i <= 60; i++ {
-		body := fmt.Sprintf(`{"name": "burst-%d", "elements": ["fair-a", "fair-%d", "fair-x%d"]}`, i, i, i)
-		for try := 1; ; try++ {
-			code, _, out := p.do(http.MethodPost, "/v1/sets", body)
-			if code/100 == 2 {
-				break
+	var before string
+	for n := 1; ; n++ {
+		for i := (n-1)*burst + 1; i <= n*burst; i++ {
+			body := fmt.Sprintf(`{"name": "burst-%d", "elements": ["fair-a", "fair-%d", "fair-x%d"]}`, i, i, i)
+			for try := 1; ; try++ {
+				code, _, out := p.do(http.MethodPost, "/v1/sets", body)
+				if code/100 == 2 {
+					break
+				}
+				if code != http.StatusServiceUnavailable || try == 5 {
+					t.Fatalf("insert burst-%d: HTTP %d: %s", i, code, out)
+				}
+				time.Sleep(500 * time.Millisecond)
 			}
-			if code != http.StatusServiceUnavailable || try == 5 {
-				t.Fatalf("insert burst-%d: HTTP %d: %s", i, code, out)
-			}
-			time.Sleep(500 * time.Millisecond)
 		}
-	}
-	var inf server.InfoResponse
-	p.get("/v1/info", &inf)
-	if inf.Scheduler == nil {
-		t.Fatal("/v1/info has no scheduler")
-	}
-	before := p.results("/v1/search", query)
-	if !strings.Contains(before, `"set_name":"burst-`) {
-		t.Fatalf("search finds no burst set: %s", before)
+		var inf server.InfoResponse
+		p.get("/v1/info", &inf)
+		if inf.Scheduler == nil {
+			t.Fatal("/v1/info has no scheduler")
+		}
+		before = p.results("/v1/search", query)
+		if !strings.Contains(before, `"set_name":"burst-`) {
+			t.Fatalf("search finds no burst set: %s", before)
+		}
+		if n < minBursts {
+			continue
+		}
+		if wal, unpersisted := p.debt("default"); wal > 0 || unpersisted > 0 {
+			t.Logf("shutting down after %d inserts owing wal_bytes = %d, unpersisted_segments = %d", n*burst, wal, unpersisted)
+			break
+		}
+		if n == maxBursts {
+			t.Fatalf("no maintenance owed after any of %d bursts of %d inserts: the shutdown cannot land on it", n, burst)
+		}
 	}
 	p.stop()
 

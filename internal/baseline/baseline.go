@@ -123,7 +123,7 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 			if c == nil {
 				c = &candidate{
 					id:    int(sid),
-					slots: min(len(query), len(repo.Set(int(sid)).Elements)),
+					slots: min(len(query), len(repo.Set(int(sid)).ElemIDs)),
 				}
 				if opts.UseIUB {
 					c.qMask = make([]uint64, qWords)
@@ -180,13 +180,14 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 	scores := make(map[int]float64)
 	timedOut := false
 	jobs := make(chan *candidate)
+	vocab := repo.Vocabulary()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for c := range jobs {
-				res := verify(repo.Set(c.id), query, cache)
+				res := verify(repo.Set(c.id), vocab, query, cache)
 				mu.Lock()
 				stats.EMs++
 				scores[c.id] = res.Score
@@ -232,13 +233,13 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 
 // verify builds the reduced similarity matrix from cached edges and solves
 // it exactly (no early termination: the baseline has no filters).
-func verify(c sets.Set, query []string, cache map[string][]edge) matching.Result {
+func verify(c sets.Set, vocab []string, query []string, cache map[string][]edge) matching.Result {
 	rowOf := make(map[int32]int)
 	var rows []int32
 	type col struct{ edges []edge }
 	var cols []col
-	for _, tok := range c.Elements {
-		edges := cache[tok]
+	for _, id := range c.ElemIDs {
+		edges := cache[vocab[id]]
 		if len(edges) == 0 {
 			continue
 		}

@@ -108,7 +108,7 @@ func TestBaselinesReleaseStreams(t *testing.T) {
 		{"Search", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, UseIUB: true}) }},
 		{"Search/timeout", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, Timeout: time.Nanosecond}) }},
 		{"GreedyTopK", func() { GreedyTopK(repo, inv, src, query, 3, alpha) }},
-		{"ExactSO", func() { ExactSO(repo.Set(0), query, src, alpha) }},
+		{"ExactSO", func() { ExactSO(repo, 0, query, src, alpha) }},
 	} {
 		var mallocs uint64
 		for try := 0; try < 40 && (try == 0 || mallocs > 0); try++ {
@@ -216,7 +216,7 @@ func TestGreedyTopKPaperExample(t *testing.T) {
 		t.Fatalf("greedy scores = %v / %v, want 4.09 / 3.74", greedy[0].Score, greedy[1].Score)
 	}
 	// Exact scoring flips the ranking.
-	if so := ExactSO(repo.Set(1), q, src, 0.7); math.Abs(so-4.49) > tol {
+	if so := ExactSO(repo, 1, q, src, 0.7); math.Abs(so-4.49) > tol {
 		t.Fatalf("ExactSO(C2) = %v, want 4.49", so)
 	}
 }

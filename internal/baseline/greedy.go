@@ -67,10 +67,10 @@ func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSo
 	return out
 }
 
-// ExactSO verifies one query/set pair with the Hungarian algorithm over an
-// arbitrary neighbor source — a convenience for examples and the quality
-// experiment, not used in the search loop.
-func ExactSO(c sets.Set, query []string, src index.NeighborSource, alpha float64) float64 {
+// ExactSO verifies the query against the set with the given ID with the
+// Hungarian algorithm over an arbitrary neighbor source — a convenience for
+// examples and the quality experiment, not used in the search loop.
+func ExactSO(repo *sets.Repository, id int, query []string, src index.NeighborSource, alpha float64) float64 {
 	query = sets.Dedup(query)
 	stream := index.NewStream(query, src, alpha)
 	defer stream.Release()
@@ -82,5 +82,5 @@ func ExactSO(c sets.Set, query []string, src index.NeighborSource, alpha float64
 		}
 		cache[tup.Token] = append(cache[tup.Token], edge{qIdx: int32(tup.QIdx), sim: tup.Sim})
 	}
-	return verify(c, query, cache).Score
+	return verify(repo.Set(id), repo.Vocabulary(), query, cache).Score
 }

@@ -202,7 +202,7 @@ func (r *Runner) Figure8Quality() {
 			vanSem = append(vanSem, float64(vanillaOverlap(q.Elements, b, sLast.SetID)))
 			// Semantic score of the k-th set of each list.
 			semSem = append(semSem, sLast.Score)
-			semVan = append(semVan, baseline.ExactSO(b.ds.Repo.Set(vLast.SetID), q.Elements, b.src, r.cfg.Alpha))
+			semVan = append(semVan, baseline.ExactSO(b.ds.Repo, vLast.SetID, q.Elements, b.src, r.cfg.Alpha))
 			// Result intersection.
 			inSem := map[int]bool{}
 			for _, s := range semantic {
@@ -230,7 +230,7 @@ func vanillaOverlap(query []string, b *bundle, setID int) int {
 		in[q] = true
 	}
 	n := 0
-	for _, e := range b.ds.Repo.Set(setID).Elements {
+	for _, e := range b.ds.Repo.Elements(setID) {
 		if in[e] {
 			n++
 		}

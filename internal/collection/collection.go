@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/segment"
+	"repro/internal/sets"
 )
 
 // DefaultName is the name of the always-present default collection — the
@@ -179,18 +180,14 @@ type Collection struct {
 	writeMu chan struct{} // 1-slot semaphore guarding quota check-then-insert
 }
 
-// newCollection wraps a manager. The initial byte accounting is computed
-// from the live sets (seed or recovered state).
+// newCollection wraps a manager. The initial byte accounting is the live
+// sets' (seed or recovered state), summed by token ID.
 func newCollection(name string, mgr *segment.Manager, q Quota, now func() time.Time) *Collection {
 	c := &Collection{name: name, mgr: mgr, quota: q, writeMu: make(chan struct{}, 1)}
 	if q.RatePerSec > 0 {
 		c.limiter = newTokenBucket(q.RatePerSec, q.Burst, now)
 	}
-	var total int64
-	for _, rec := range mgr.LiveSets() {
-		total += setBytes(rec.Elements)
-	}
-	c.bytes.Store(total)
+	c.bytes.Store(mgr.LiveBytes())
 	return c
 }
 
@@ -257,7 +254,7 @@ func (c *Collection) Insert(name string, elements []string) (int64, error) {
 	if ref := c.admitWrite(); ref != nil {
 		return 0, ref
 	}
-	add := setBytes(elements)
+	add := setBytes(sets.Dedup(elements)) // the set as stored, repeats once
 	var oldBytes, oldSets int64
 	if name != "" {
 		if rec, ok := c.mgr.SetByName(name); ok {

@@ -248,6 +248,69 @@ func TestInFlightCapExactThreshold(t *testing.T) {
 	}
 }
 
+// TestByteQuotaCountsDistinctElements: the byte quota charges a set as the
+// manager stores it, its repeated elements once, so inserting a set with
+// repeats, replacing it and deleting everything leaves 0 bytes, a set that
+// fits only without its repeats is admitted, and a durable reopen (which
+// sums the stored rows by token ID, a token once per set holding it) reads
+// the same bytes as before it.
+func TestByteQuotaCountsDistinctElements(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := OpenRegistry(dir, nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.Create("t", Quota{MaxBytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name  string
+		elems []string // nil: delete
+		bytes int64
+	}{
+		{"a", []string{"xx", "xx", "xx"}, 2},
+		{"a", nil, 0},
+		{"a", []string{"xx", "xx", "xx", "xx", "xx"}, 2}, // 10 bytes as sent
+		{"a", []string{"yyy", "zz", "yyy"}, 5},
+		{"b", []string{"q", "zz", "q"}, 8}, // "zz" is a's too
+	}
+	for i, st := range steps {
+		if st.elems == nil {
+			if ok, err := c.Delete(st.name); !ok || err != nil {
+				t.Fatalf("step %d: Delete(%q) = %v, %v", i, st.name, ok, err)
+			}
+		} else if _, err := c.Insert(st.name, st.elems); err != nil {
+			t.Fatalf("step %d: Insert(%q, %v): %v", i, st.name, st.elems, err)
+		}
+		if got := c.Bytes(); got != st.bytes {
+			t.Fatalf("step %d: Bytes() = %d, want %d", i, got, st.bytes)
+		}
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if reg, err = OpenRegistry(dir, nil, testConfig()); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	c, ok := reg.Get("t")
+	if !ok {
+		t.Fatal("collection t lost by the reopen")
+	}
+	if got := c.Bytes(); got != 8 {
+		t.Fatalf("Bytes() after reopen = %d, want 8", got)
+	}
+	for _, name := range []string{"a", "b"} {
+		if ok, err := c.Delete(name); !ok || err != nil {
+			t.Fatalf("Delete(%q) after reopen = %v, %v", name, ok, err)
+		}
+	}
+	if got := c.Bytes(); got != 0 {
+		t.Fatalf("Bytes() of the emptied collection = %d, want 0", got)
+	}
+}
+
 func TestDurableInsertAccounting(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := OpenRegistry(dir, nil, testConfig())

@@ -54,7 +54,7 @@ func TestWarmSearchAllocs(t *testing.T) {
 		byCard := byCardinality(eng)
 		var queries [][]string
 		for i := 0; i < 6; i++ {
-			queries = append(queries, sh.ds.Repo.Set(byCard[i*(len(byCard)-1)/5]).Elements)
+			queries = append(queries, sh.ds.Repo.Elements(byCard[i*(len(byCard)-1)/5]))
 		}
 		largest := queries[len(queries)-1]
 		queries = append(queries, append(append([]string(nil), largest...), largest...))

@@ -150,8 +150,8 @@ func TestEngineReuseAcrossQueries(t *testing.T) {
 	repo, model, _ := randomInstance(41)
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	eng := NewEngine(repo, src, Options{K: 3, Alpha: 0.7, ExactScores: true})
-	q1 := repo.Set(0).Elements
-	q2 := repo.Set(1).Elements
+	q1 := repo.Elements(0)
+	q2 := repo.Elements(1)
 	r1a, _ := eng.Search(q1)
 	r2, _ := eng.Search(q2)
 	r1b, _ := eng.Search(q1)
@@ -174,7 +174,7 @@ func TestEngineConcurrentSearches(t *testing.T) {
 	done := make(chan []Result, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			q := repo.Set(g % repo.Len()).Elements
+			q := repo.Elements(g % repo.Len())
 			r, _ := eng.Search(q)
 			done <- r
 		}(g)

@@ -46,7 +46,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
 	so := make([]float64, repo.Len())
 	for sid := range so {
-		so[sid] = exactSO(query, repo.Set(sid), fn, alpha)
+		so[sid] = exactSO(query, repo.Elements(sid), fn, alpha)
 	}
 	qids := repo.TokenIDs(query)
 	tuples, _ := eng.materializeStream(query, qids, eng.getScratch())
@@ -377,7 +377,7 @@ func TestLemma6Counterexample(t *testing.T) {
 	var stats Stats
 	survivors := eng.refinePartition(context.Background(), len(query), tuples, 0, theta, &stats, nil)
 
-	exact := exactSO(query, repo.Set(0), ps, 0.5) // 0.899 + 0.899
+	exact := exactSO(query, repo.Elements(0), ps, 0.5) // 0.899 + 0.899
 	if exact < 1.797 || exact > 1.799 {
 		t.Fatalf("exact SO = %v, want 1.798", exact)
 	}

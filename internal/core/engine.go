@@ -281,8 +281,6 @@ func NewEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *E
 	}
 	e.solo = &Group{Engines: []*Engine{e}, Opts: opts}
 	for sid := range n {
-		// ElemIDs, not Elements: mapped segments (DESIGN.md §13) carry only
-		// IDs, and the two are always the same length on eager repos.
 		e.card[sid] = int32(len(repo.Set(sid).ElemIDs))
 		e.cOff[sid+1] = e.cOff[sid] + (e.card[sid]+63)/64
 	}

@@ -77,7 +77,7 @@ func checkTopK(t *testing.T, repo *sets.Repository, model *embedding.Model, quer
 			t.Fatalf("duplicate result set %d", r.SetID)
 		}
 		seen[r.SetID] = true
-		exact := exactSO(query, repo.Set(r.SetID), model, alpha)
+		exact := exactSO(query, repo.Elements(r.SetID), model, alpha)
 		if exact < thetaK-tol {
 			t.Fatalf("result %d (set %d) has exact SO %v < θ*k %v", i, r.SetID, exact, thetaK)
 		}
@@ -398,7 +398,7 @@ func TestSearchSelfQueryRanksSourceFirst(t *testing.T) {
 	eng := NewEngine(repo, src, Options{K: 1, Alpha: 0.8, ExactScores: true})
 	// Query with the elements of set 0: vanilla overlap |C| is attainable
 	// only by supersets of it, and set 0 itself scores at least |C|.
-	target := repo.Set(0)
+	target := repo.Sets()[0]
 	results, _ := eng.Search(target.Elements)
 	if len(results) != 1 {
 		t.Fatal("no result for self query")
@@ -480,7 +480,7 @@ func TestFiltersActuallyPrune(t *testing.T) {
 	}
 	repo := sets.NewRepository(raw)
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
-	query := repo.Set(0).Elements
+	query := repo.Elements(0)
 	_, stats := NewEngine(repo, src, Options{K: 5, Alpha: 0.8}).Search(query)
 	if stats.Candidates < 50 {
 		t.Skipf("only %d candidates; instance too sparse", stats.Candidates)

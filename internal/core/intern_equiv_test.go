@@ -117,7 +117,7 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 			if r.Verified {
 				continue
 			}
-			res := e.verify(query, cache, e.repo.Set(r.SetID), theta)
+			res := e.verify(query, cache, e.repo.Elements(r.SetID), theta)
 			stats.HungarianIterations += res.Iterations
 			stats.VerifyCalls++
 			stats.FinalizeEM++
@@ -170,8 +170,7 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			st := state[sid]
 			if st == nil {
 				stats.Candidates++
-				c := e.repo.Set(int(sid))
-				slots := min(len(query), len(c.Elements))
+				slots := min(len(query), len(e.repo.Set(int(sid)).ElemIDs))
 				st = &oracleCand{
 					mRem:     int32(slots),
 					rRem:     int32(slots),
@@ -350,7 +349,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 		}
 		if len(pending) == 1 {
 			sid := pending[0]
-			apply(sid, e.verify(query, cache, e.repo.Set(sid), theta))
+			apply(sid, e.verify(query, cache, e.repo.Elements(sid), theta))
 			continue
 		}
 		type vres struct {
@@ -363,7 +362,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 			wg.Add(1)
 			go func(sid int) {
 				defer wg.Done()
-				ch <- vres{sid: sid, res: e.verify(query, cache, e.repo.Set(sid), theta)}
+				ch <- vres{sid: sid, res: e.verify(query, cache, e.repo.Elements(sid), theta)}
 			}(sid)
 		}
 		go func() { wg.Wait(); close(ch) }()
@@ -392,14 +391,14 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	return out
 }
 
-func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, c sets.Set, theta *atomicMax) matching.Result {
+func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, elems []string, theta *atomicMax) matching.Result {
 	rowOf := make(map[int32]int)
 	var rows []int32
 	type colEdges struct {
 		edges []oracleEdge
 	}
 	var cols []colEdges
-	for _, tok := range c.Elements {
+	for _, tok := range elems {
 		edges := cache[tok]
 		if len(edges) == 0 {
 			continue

@@ -15,15 +15,15 @@ type scoredSet struct {
 	score float64
 }
 
-// exactSO computes the semantic overlap of query and c by direct Hungarian
-// matching over the full α-thresholded similarity matrix — the test oracle
-// for the whole engine.
-func exactSO(query []string, c sets.Set, fn sim.Func, alpha float64) float64 {
+// exactSO computes the semantic overlap of query and a set's elements by
+// direct Hungarian matching over the full α-thresholded similarity matrix —
+// the test oracle for the whole engine.
+func exactSO(query, elems []string, fn sim.Func, alpha float64) float64 {
 	w := make([][]float64, len(query))
 	any := false
 	for i, q := range query {
-		w[i] = make([]float64, len(c.Elements))
-		for j, t := range c.Elements {
+		w[i] = make([]float64, len(elems))
+		for j, t := range elems {
 			s := fn.Sim(q, t)
 			if s >= alpha {
 				w[i][j] = s
@@ -42,7 +42,7 @@ func exactSO(query []string, c sets.Set, fn sim.Func, alpha float64) float64 {
 func bruteForceTopK(repo *sets.Repository, query []string, fn sim.Func, alpha float64) []scoredSet {
 	var out []scoredSet
 	for _, c := range repo.Sets() {
-		if so := exactSO(query, c, fn, alpha); so > 0 {
+		if so := exactSO(query, c.Elements, fn, alpha); so > 0 {
 			out = append(out, scoredSet{setID: c.ID, score: so})
 		}
 	}

@@ -49,7 +49,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 	cases := make([]refineCase, 60)
 	for i := range cases {
 		c := &cases[i]
-		query := sets.Dedup(ds.Repo.Set(byCard[(2*i+1)*len(byCard)/(2*len(cases))]).Elements)
+		query := sets.Dedup(ds.Repo.Elements(byCard[(2*i+1)*len(byCard)/(2*len(cases))]))
 		c.qids = ds.Repo.TokenIDs(query)
 		c.tuples, c.cache, _ = eng.openStream(query, c.qids, nil, eng.opts.Alpha, nil, eng.getScratch())
 	}
@@ -91,7 +91,7 @@ func BenchmarkPostproc(b *testing.B) {
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8})
 	byCard := byCardinality(eng)
-	query := sets.Dedup(ds.Repo.Set(byCard[len(byCard)/2]).Elements)
+	query := sets.Dedup(ds.Repo.Elements(byCard[len(byCard)/2]))
 
 	ctx := context.Background()
 	sc := eng.getScratch()

@@ -38,7 +38,7 @@ func TestWalkStreamMatchesEagerStream(t *testing.T) {
 		}
 		if g.Dead != nil {
 			for sid := 0; sid < ds.Repo.Len(); sid += 3 * (ds.Repo.Len()/30 + 1) {
-				qs = append(qs, ds.Repo.Set(sid).Elements)
+				qs = append(qs, ds.Repo.Elements(sid))
 			}
 		}
 		return qs

@@ -40,21 +40,20 @@ func NewBenchmark(ds *Dataset, seed int64) *Benchmark {
 			if count == 0 {
 				break
 			}
-			s := ds.Repo.Set(id)
-			if len(s.Elements) == 0 {
+			if len(ds.Repo.Set(id).ElemIDs) == 0 {
 				continue
 			}
-			b.Queries = append(b.Queries, Query{SourceSet: id, Interval: -1, Elements: s.Elements})
+			b.Queries = append(b.Queries, Query{SourceSet: id, Interval: -1, Elements: ds.Repo.Elements(id)})
 			count--
 		}
 		return b
 	}
 	byInterval := make([][]int, len(b.Intervals))
-	for _, s := range ds.Repo.Sets() {
-		card := len(s.Elements)
+	for id := 0; id < ds.Repo.Len(); id++ {
+		card := len(ds.Repo.Set(id).ElemIDs)
 		for i, iv := range b.Intervals {
 			if card >= iv[0] && card < iv[1] {
-				byInterval[i] = append(byInterval[i], s.ID)
+				byInterval[i] = append(byInterval[i], id)
 				break
 			}
 		}
@@ -66,7 +65,7 @@ func NewBenchmark(ds *Dataset, seed int64) *Benchmark {
 			n = len(pool)
 		}
 		for _, id := range pool[:n] {
-			b.Queries = append(b.Queries, Query{SourceSet: id, Interval: i, Elements: ds.Repo.Set(id).Elements})
+			b.Queries = append(b.Queries, Query{SourceSet: id, Interval: i, Elements: ds.Repo.Elements(id)})
 		}
 	}
 	return b

@@ -61,12 +61,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("set counts differ")
 	}
 	for i := 0; i < d1.Repo.Len(); i++ {
-		a, b := d1.Repo.Set(i), d2.Repo.Set(i)
-		if len(a.Elements) != len(b.Elements) {
+		a, b := d1.Repo.Elements(i), d2.Repo.Elements(i)
+		if len(a) != len(b) {
 			t.Fatalf("set %d cardinality differs", i)
 		}
-		for j := range a.Elements {
-			if a.Elements[j] != b.Elements[j] {
+		for j := range a {
+			if a[j] != b[j] {
 				t.Fatalf("set %d element %d differs", i, j)
 			}
 		}
@@ -184,7 +184,7 @@ func TestBenchmarkIntervals(t *testing.T) {
 		if len(q.Elements) < iv[0] || len(q.Elements) >= iv[1] {
 			t.Fatalf("query cardinality %d outside interval %v", len(q.Elements), iv)
 		}
-		if got := ds.Repo.Set(q.SourceSet).Elements; len(got) != len(q.Elements) {
+		if got := ds.Repo.Elements(q.SourceSet); len(got) != len(q.Elements) {
 			t.Fatal("query does not match its source set")
 		}
 		perInterval[q.Interval]++

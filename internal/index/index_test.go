@@ -353,10 +353,9 @@ func TestInvertedPostingsPositions(t *testing.T) {
 		}
 		tok := r.Vocabulary()[tid]
 		for i, sid := range sids {
-			s := r.Set(int(sid))
-			if s.Elements[poss[i]] != tok {
+			if got := r.Elements(int(sid))[poss[i]]; got != tok {
 				t.Fatalf("token %q posting %d: set %d position %d holds %q",
-					tok, i, sid, poss[i], s.Elements[poss[i]])
+					tok, i, sid, poss[i], got)
 			}
 		}
 		str := inv.Sets(tok)

@@ -50,9 +50,8 @@ func NewInverted(r *sets.Repository) *Inverted {
 func NewInvertedSubset(r *sets.Repository, lo, hi int) *Inverted {
 	vocab := r.VocabSize()
 	inv := &Inverted{repo: r, offsets: make([]int32, vocab+1)}
-	rows := r.Sets()[lo:hi]
-	for _, s := range rows {
-		for _, id := range s.ElemIDs {
+	for sid := lo; sid < hi; sid++ {
+		for _, id := range r.Set(sid).ElemIDs {
 			inv.offsets[id+1]++
 		}
 	}
@@ -64,10 +63,10 @@ func NewInvertedSubset(r *sets.Repository, lo, hi int) *Inverted {
 	inv.poss = make([]int32, total)
 	next := make([]int32, vocab)
 	copy(next, inv.offsets[:vocab])
-	for _, s := range rows {
-		for pos, id := range s.ElemIDs {
+	for sid := lo; sid < hi; sid++ {
+		for pos, id := range r.Set(sid).ElemIDs {
 			at := next[id]
-			inv.sids[at] = int32(s.ID)
+			inv.sids[at] = int32(sid)
 			inv.poss[at] = int32(pos)
 			next[id] = at + 1
 		}

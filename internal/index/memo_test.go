@@ -190,11 +190,11 @@ func FuzzNeighbourMemo(f *testing.F) {
 				if n == 0 {
 					continue
 				}
-				qs := []string{fx.dict.Token(int32(int(arg) % n))}
+				qs := []string{fx.dict.Snapshot()[int(arg)%n]}
 				if arg&64 != 0 {
 					qs = append(qs, memoToken(uint32(arg)*7)+"x") // outside the dictionary
 				}
-				if q := fx.dict.Token(int32(int(arg/3) % n)); arg&128 != 0 && q != qs[0] {
+				if q := fx.dict.Snapshot()[int(arg/3)%n]; arg&128 != 0 && q != qs[0] {
 					qs = append(qs, q)
 				}
 				alpha := alphas[op>>2&1]

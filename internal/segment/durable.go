@@ -368,9 +368,9 @@ func (m *Manager) loadSegment(ms store.ManifestSegment) (*seg, error) {
 	return s, nil
 }
 
-// registerRowsLocked finishes loading a recovered segment: count the
+// registerRowsLocked finishes loading a recovered or seed segment: count the
 // tombstones, register every live row in the location map and live-token
-// refcounts, and advance the handle allocator past everything persisted.
+// refcounts, and advance the handle allocator past every live row's handle.
 func (m *Manager) registerRowsLocked(s *seg) {
 	for _, word := range s.deadMaster {
 		s.deadN += bits.OnesCount64(word)
@@ -381,8 +381,8 @@ func (m *Manager) registerRowsLocked(s *seg) {
 		}
 		row := s.repo.Set(local)
 		if prev, ok := m.where[row.Name]; ok {
-			// Two live rows with one name should not survive a consistent
-			// checkpoint; recover like a seed duplicate — newer shadows.
+			// A later row shadows a live row of its name: a seed's duplicate
+			// name, or two live rows a consistent checkpoint never leaves.
 			prev.seg.markDead(prev.local)
 			m.releaseLocked(prev.seg.repo.Set(prev.local).ElemIDs)
 			m.live--

@@ -336,22 +336,12 @@ func NewManager(seed []sets.Set, build SourceBuilder, opts core.Options, cfg Con
 	m.wireSource(build)
 	if repo != nil {
 		s := newSeg(core.NewEngine(repo, m.src, m.opts), make([]int64, repo.Len()))
-		for i := 0; i < repo.Len(); i++ {
+		for i := range s.handles {
 			s.handles[i] = int64(i)
-			row := repo.Set(i)
-			if prev, ok := m.where[row.Name]; ok {
-				// Duplicate seed name: the later row shadows the earlier.
-				prev.seg.markDead(prev.local)
-				m.releaseLocked(prev.seg.repo.Set(prev.local).ElemIDs)
-				m.live--
-			}
-			m.where[row.Name] = loc{seg: s, local: i}
-			m.retainLocked(row.ElemIDs)
-			m.live++
 		}
+		m.registerRowsLocked(s) // advances nextHandle to len(seed)
 		m.sealed = append(m.sealed, s)
 	}
-	m.nextHandle = int64(len(seed))
 	m.publishLocked()
 	return m
 }
@@ -381,6 +371,19 @@ func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.live
+}
+
+// LiveBytes returns the summed byte lengths of the live sets' elements,
+// counted by token ID: a token's length once per live set holding it.
+func (m *Manager) LiveBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	vocab := m.dict.Snapshot()
+	var n int64
+	for id, refs := range m.tokenRefs {
+		n += int64(refs) * int64(len(vocab[id]))
+	}
+	return n
 }
 
 // VocabSize returns the dictionary size — the distinct tokens ever
@@ -678,16 +681,6 @@ func (m *Manager) publishLocked() {
 	m.snap.Store(sp)
 }
 
-// planEntry is one live row captured for compaction, remembered with its
-// source position so the install step can detect rows that were deleted or
-// replaced while the merged segment was being built.
-type planEntry struct {
-	name     string
-	handle   int64
-	srcSeg   *seg
-	srcLocal int
-}
-
 // Compact merges every sealed segment into one, dropping tombstoned rows
 // and preserving insertion order. Safe to call concurrently with searches
 // and mutations: the expensive CSR/engine build runs outside the writer
@@ -723,40 +716,45 @@ func (m *Manager) Compact() error {
 	return m.checkpointLocked()
 }
 
-// captureLocked snapshots the sealed segments and their live rows; nil
-// srcs means there is nothing to merge or reclaim.
-func (m *Manager) captureLocked() (srcs []*seg, plan []planEntry, rows []sets.Set) {
+// captureLocked snapshots the sealed segments and their live rows: plan[i]
+// is where merged row i lives now (the install step re-validates it) and
+// rows[i] its copy, token IDs copied into one fresh array so that the merge
+// aliases no mapping it outlives; no string is resolved and nothing is
+// interned again. Nil srcs means there is nothing to merge or reclaim.
+func (m *Manager) captureLocked() (srcs []*seg, plan []loc, rows []sets.Set) {
 	srcs = slices.Clone(m.sealed)
 	if len(srcs) == 0 || (len(srcs) == 1 && srcs[0].deadN == 0) {
 		return nil, nil, nil
 	}
+	var ids []int32
 	for _, s := range srcs {
 		for local := 0; local < s.repo.Len(); local++ {
 			if s.dead(local) {
 				continue
 			}
 			row := s.repo.Set(local)
-			plan = append(plan, planEntry{name: row.Name, handle: s.handles[local], srcSeg: s, srcLocal: local})
-			// Elements resolves through the dictionary for mapped segments,
-			// so compaction output never aliases a mapping it will outlive.
-			rows = append(rows, sets.Set{Name: row.Name, Elements: s.repo.Elements(local)})
+			plan = append(plan, loc{seg: s, local: local})
+			rows = append(rows, sets.Set{ID: len(rows), Name: row.Name, ElemIDs: row.ElemIDs})
+			ids = append(ids, row.ElemIDs...)
 		}
+	}
+	for i := range rows {
+		n := len(rows[i].ElemIDs)
+		rows[i].ElemIDs, ids = ids[:n:n], ids[n:]
 	}
 	return srcs, plan, rows
 }
 
-// buildMerged builds the merged segment — the slow part. Interning is
-// idempotent (all tokens are already in the dictionary) and the inputs are
-// immutable, so no lock is needed. Returns nil when every captured row was
-// already dead.
-func (m *Manager) buildMerged(plan []planEntry, rows []sets.Set) *seg {
+// buildMerged builds the merged segment over the captured rows — the slow
+// part. The inputs are immutable, so no lock is needed. Returns nil when
+// every captured row was already dead.
+func (m *Manager) buildMerged(plan []loc, rows []sets.Set) *seg {
 	if len(rows) == 0 {
 		return nil
 	}
-	repo := sets.NewSegment(m.dict, rows)
-	merged := newSeg(core.NewEngine(repo, m.src, m.opts), make([]int64, len(plan)))
-	for i, en := range plan {
-		merged.handles[i] = en.handle
+	merged := newSeg(core.NewEngine(sets.SegmentOver(m.dict, rows), m.src, m.opts), make([]int64, len(plan)))
+	for i, src := range plan {
+		merged.handles[i] = src.seg.handles[src.local]
 	}
 	return merged
 }
@@ -765,7 +763,7 @@ func (m *Manager) buildMerged(plan []planEntry, rows []sets.Set) *seg {
 // happened during the build only append to m.sealed, so srcs must still be
 // its prefix; when it is not (a concurrent compaction won the race), the
 // merge is abandoned — nothing was mutated yet, so dropping it is safe.
-func (m *Manager) installLocked(srcs []*seg, plan []planEntry, merged *seg) {
+func (m *Manager) installLocked(srcs []*seg, plan []loc, merged *seg) {
 	if len(m.sealed) < len(srcs) {
 		return
 	}
@@ -774,9 +772,10 @@ func (m *Manager) installLocked(srcs []*seg, plan []planEntry, merged *seg) {
 			return
 		}
 	}
-	for i, en := range plan {
-		if l, ok := m.where[en.name]; ok && !l.mem && l.seg == en.srcSeg && l.local == en.srcLocal {
-			m.where[en.name] = loc{seg: merged, local: i}
+	for i, src := range plan {
+		name := merged.repo.Set(i).Name
+		if l, ok := m.where[name]; ok && l == src {
+			m.where[name] = loc{seg: merged, local: i}
 		} else {
 			// Deleted or replaced while merging: born tombstoned.
 			merged.markDead(i)
@@ -951,21 +950,22 @@ func (m *Manager) SearchBatch(ctx context.Context, queries [][]string, k, worker
 	return out, stats, nil
 }
 
+// record returns row local of the segment as a SetRecord, its elements
+// resolved through the dictionary.
+func (s *seg) record(local int) SetRecord {
+	return SetRecord{ID: s.handles[local], Name: s.repo.Set(local).Name, Elements: s.repo.Elements(local)}
+}
+
 // LiveSets returns a snapshot of all live sets in insertion order.
 func (m *Manager) LiveSets() []SetRecord {
 	sp := m.snap.Load()
 	var out []SetRecord
 	for si, s := range sp.segs {
-		var dead []uint64
-		if si < len(sp.dead) {
-			dead = sp.dead[si]
-		}
+		dead := sp.dead[si]
 		for local := 0; local < s.repo.Len(); local++ {
-			if dead != nil && dead[local>>6]&(1<<(uint(local)&63)) != 0 {
-				continue
+			if dead == nil || dead[local>>6]&(1<<(uint(local)&63)) == 0 {
+				out = append(out, s.record(local))
 			}
-			row := s.repo.Set(local)
-			out = append(out, SetRecord{ID: s.handles[local], Name: row.Name, Elements: s.repo.Elements(local)})
 		}
 	}
 	return out
@@ -975,19 +975,9 @@ func (m *Manager) LiveSets() []SetRecord {
 func (m *Manager) SetByID(id int64) (SetRecord, bool) {
 	sp := m.snap.Load()
 	for si, s := range sp.segs {
-		var dead []uint64
-		if si < len(sp.dead) {
-			dead = sp.dead[si]
-		}
-		for local, h := range s.handles {
-			if h != id {
-				continue
-			}
-			if dead != nil && dead[local>>6]&(1<<(uint(local)&63)) != 0 {
-				return SetRecord{}, false
-			}
-			row := s.repo.Set(local)
-			return SetRecord{ID: h, Name: row.Name, Elements: s.repo.Elements(local)}, true
+		local, dead := slices.Index(s.handles, id), sp.dead[si]
+		if local >= 0 && (dead == nil || dead[local>>6]&(1<<(uint(local)&63)) == 0) {
+			return s.record(local), true
 		}
 	}
 	return SetRecord{}, false
@@ -1002,8 +992,7 @@ func (m *Manager) SetByName(name string) (SetRecord, bool) {
 		return SetRecord{}, false
 	}
 	if l.mem {
-		return SetRecord{ID: m.mem.handles[l.local], Name: name, Elements: m.mem.grow.Row(l.local).Elements}, true
+		return m.mem.view.record(l.local), true // publishLocked rebuilds the view after every append
 	}
-	row := l.seg.repo.Set(l.local)
-	return SetRecord{ID: l.seg.handles[l.local], Name: row.Name, Elements: l.seg.repo.Elements(l.local)}, true
+	return l.seg.record(l.local), true
 }

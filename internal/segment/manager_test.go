@@ -450,7 +450,7 @@ func TestSearchContextCancel(t *testing.T) {
 	m := NewManager(ds.Repo.Sets(), dynamicBuilder(ds.Model.Vector), testOpts(), Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.Search(ctx, ds.Repo.Set(0).Elements, 0); err != context.Canceled {
+	if _, _, err := m.Search(ctx, ds.Repo.Elements(0), 0); err != context.Canceled {
 		t.Fatalf("canceled search returned %v", err)
 	}
 }

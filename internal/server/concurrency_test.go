@@ -173,7 +173,7 @@ func TestWorkerPoolInfoStats(t *testing.T) {
 	c := NewClient(ts.URL, nil)
 	queries := make([][]string, 4)
 	for i := range queries {
-		queries[i] = ds.Repo.Set(i).Elements
+		queries[i] = ds.Repo.Elements(i)
 	}
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {

@@ -140,7 +140,7 @@ func TestCollectionCRUDOverHTTP(t *testing.T) {
 // table without a sample request here fails the test.
 func TestScopedDefaultMatchesLegacy(t *testing.T) {
 	srv, ts, ds := testRegistryServer(t, nil)
-	query, err := json.Marshal(ds.Repo.Set(0).Elements)
+	query, err := json.Marshal(ds.Repo.Elements(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 	// The process survived: normal queries still answer, and the panic is
 	// counted where operators look.
 	c := NewClient(ts.URL, nil)
-	if _, err := c.Search(ds.Repo.Set(0).Elements, 0); err != nil {
+	if _, err := c.Search(ds.Repo.Elements(0), 0); err != nil {
 		t.Fatalf("search after panic: %v", err)
 	}
 	if info := getInfo(t, ts); info.Resilience.PanicsTotal != 1 {
@@ -139,7 +139,7 @@ func TestLoadSheddingAnswers429WithRetryAfter(t *testing.T) {
 	<-srv.pool.sem
 	srv.pool.dispatch()
 	c := NewClient(ts.URL, nil)
-	if _, err := c.Search(ds.Repo.Set(0).Elements, 0); err != nil {
+	if _, err := c.Search(ds.Repo.Elements(0), 0); err != nil {
 		t.Fatalf("search after overload drained: %v", err)
 	}
 	if info := getInfo(t, ts); info.Resilience.ShedTotal != 2 {
@@ -264,7 +264,7 @@ func TestSwapperBootProtocol(t *testing.T) {
 	if !c.Ready() {
 		t.Fatal("swapped server must be ready")
 	}
-	if _, err := c.Search(ds.Repo.Set(0).Elements, 0); err != nil {
+	if _, err := c.Search(ds.Repo.Elements(0), 0); err != nil {
 		t.Fatalf("search after swap: %v", err)
 	}
 }

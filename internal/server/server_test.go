@@ -38,7 +38,7 @@ func testServer(t *testing.T) (*httptest.Server, *datagen.Dataset) {
 func TestSearchEndpoint(t *testing.T) {
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
-	query := ds.Repo.Set(0).Elements
+	query := ds.Repo.Elements(0)
 
 	resp, err := c.Search(query, 0)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestSearchEndpoint(t *testing.T) {
 func TestSearchCustomK(t *testing.T) {
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
-	query := ds.Repo.Set(1).Elements
+	query := ds.Repo.Elements(1)
 	r2, err := c.Search(query, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestSearchValidation(t *testing.T) {
 func TestOverlapEndpoint(t *testing.T) {
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
-	a := ds.Repo.Set(0).Elements
+	a := ds.Repo.Elements(0)
 	resp, err := c.Overlap(a, a)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +146,8 @@ func TestOverlapMatchesPublicMeasure(t *testing.T) {
 	// count must agree with a direct intersection of the two sets.
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
-	a := ds.Repo.Set(2).Elements
-	b := ds.Repo.Set(3).Elements
+	a := ds.Repo.Elements(2)
+	b := ds.Repo.Elements(3)
 	resp, err := c.Overlap(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestInfoAndHealth(t *testing.T) {
 	// The throughput section sums each served query's stream counters.
 	var tuples, retrieved int64
 	for i := 0; i < 3; i++ {
-		resp, err := c.Search(ds.Repo.Set(i).Elements, 0)
+		resp, err := c.Search(ds.Repo.Elements(i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestDefaultsComeFromCollection(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		q := ds.Repo.Set(i).Elements
+		q := ds.Repo.Elements(i)
 		want, _, err := mgr.Search(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +251,7 @@ func TestDefaultsComeFromCollection(t *testing.T) {
 	var want float64
 	for i := 0; i < ds.Repo.Len() && a == nil; i++ {
 		for j := i + 1; j < ds.Repo.Len(); j++ {
-			x, y := ds.Repo.Set(i).Elements, ds.Repo.Set(j).Elements
+			x, y := ds.Repo.Elements(i), ds.Repo.Elements(j)
 			at7, _, _ := overlapScores(x, y, mgr.Source(), 0.7)
 			if at8, _, _ := overlapScores(x, y, mgr.Source(), 0.8); at7 != at8 {
 				a, b, want = x, y, at7
@@ -300,7 +300,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := NewClient(ts.URL, nil)
-			q := ds.Repo.Set(g % ds.Repo.Len()).Elements
+			q := ds.Repo.Elements(g % ds.Repo.Len())
 			if len(q) == 0 {
 				return
 			}
@@ -365,7 +365,7 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// Insert a brand-new set built from existing vocabulary plus new
 	// tokens; it must be immediately searchable and win its self query.
-	elems := append([]string{"zz-brand-new-1", "zz-brand-new-2"}, ds.Repo.Set(0).Elements...)
+	elems := append([]string{"zz-brand-new-1", "zz-brand-new-2"}, ds.Repo.Elements(0)...)
 	ins, err := c.Insert("fresh", elems)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +442,7 @@ func TestDeleteSeedSet(t *testing.T) {
 	ts, ds := testServer(t)
 	c := NewClient(ts.URL, nil)
 	name := ds.Repo.Set(0).Name
-	query := ds.Repo.Set(0).Elements
+	query := ds.Repo.Elements(0)
 	if _, err := c.Delete(name); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestGetSetEndpoint(t *testing.T) {
 	c := NewClient(ts.URL, nil)
 
 	// A seed set is fetchable by name with its elements intact.
-	seed := ds.Repo.Set(0)
+	seed := ds.Repo.Sets()[0]
 	got, err := c.GetSet(seed.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -561,14 +561,14 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 	ts := httptest.NewServer(NewRegistry(reg, Config{}))
 	c := NewClient(ts.URL, nil)
 
-	extra := append([]string{"zz-durable-1"}, ds.Repo.Set(0).Elements...)
+	extra := append([]string{"zz-durable-1"}, ds.Repo.Elements(0)...)
 	if _, err := c.Insert("durable", extra); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Delete(ds.Repo.Set(1).Name); err != nil {
 		t.Fatal(err)
 	}
-	queries := [][]string{extra, ds.Repo.Set(1).Elements, ds.Repo.Set(2).Elements}
+	queries := [][]string{extra, ds.Repo.Elements(1), ds.Repo.Elements(2)}
 	before := make([]*SearchResponse, len(queries))
 	for i, q := range queries {
 		if before[i], err = c.Search(q, 0); err != nil {
@@ -610,6 +610,49 @@ func TestDurableRestartServesIdenticalResults(t *testing.T) {
 	}
 	if _, err := c2.GetSet(ds.Repo.Set(1).Name); err == nil {
 		t.Fatal("deleted set resurrected by restart")
+	}
+}
+
+// TestEmptySetReadsBackAcrossRestart: GET /v1/sets/{name} of an empty seed
+// set answers "elements":[] from the heap row it was seeded as and, byte for
+// byte, the same from the mapped segment a restart serves it from.
+func TestEmptySetReadsBackAcrossRestart(t *testing.T) {
+	build := func(dict *sets.Dictionary) index.NeighborSource {
+		return index.NewDynamicExact(dict, func(string) ([]float32, bool) { return nil, false })
+	}
+	dir := t.TempDir()
+	regCfg := collection.Config{Build: build, Opts: testOpts}
+	seed := []sets.Set{{Name: "empty"}, {Name: "full", Elements: []string{"a", "b"}}}
+	get := func(reg *collection.Registry) string {
+		t.Helper()
+		ts := httptest.NewServer(NewRegistry(reg, Config{}))
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/v1/sets/empty")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(body.String(), `"elements":[]`) {
+			t.Fatalf("GET /v1/sets/empty: %d %s", resp.StatusCode, body.String())
+		}
+		return body.String()
+	}
+	reg, err := collection.OpenRegistry(dir, seed, regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := get(reg)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if reg, err = collection.OpenRegistry(dir, nil, regCfg); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if after := get(reg); after != before {
+		t.Fatalf("GET /v1/sets/empty after restart: %s, before: %s", after, before)
 	}
 }
 

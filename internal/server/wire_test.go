@@ -330,7 +330,7 @@ func TestStageTimers(t *testing.T) {
 	const n = 20
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if _, err := c.Search(ds.Repo.Set(i).Elements, 0); err != nil {
+		if _, err := c.Search(ds.Repo.Elements(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // simply have IDs ≥ n, which that segment's CSR treats as out of
 // vocabulary.
 //
-// A Dictionary is safe for concurrent use. Reads (Lookup, Token, Prefix)
+// A Dictionary is safe for concurrent use. Reads (Lookup, Prefix, Snapshot)
 // take the read lock only long enough to copy a slice header or probe the
 // map; the returned views are immutable because the vocabulary's backing
 // array is append-only — a writer appends at positions ≥ n while readers
@@ -74,13 +74,6 @@ func (d *Dictionary) Size() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.vocab)
-}
-
-// Token returns the token string for a valid token ID.
-func (d *Dictionary) Token(id int32) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.vocab[id]
 }
 
 // Prefix returns the first n tokens in ID order — the immutable vocabulary

@@ -1,23 +1,28 @@
-// Package sets defines the set repository Koios searches over: set storage
-// with distinct string elements, vocabulary extraction and the cardinality
-// statistics reported in Table I of the paper.
+// Package sets defines the set repository Koios searches over: rows of
+// interned token IDs over a shared dictionary, vocabulary extraction and the
+// cardinality statistics reported in Table I of the paper.
 package sets
 
 import (
 	"fmt"
+	"slices"
 )
 
-// Set is a named collection of distinct string elements.
+// Set is a named collection of distinct elements. It has two uses: the raw
+// input of NewRepository, NewSegment and InternSet (Name and Elements,
+// repeats allowed), and a repository row (ID, Name and ElemIDs, no strings:
+// a token's string lives once, in the dictionary). Repository.Sets hands out
+// rows with Elements resolved as well.
 type Set struct {
 	// ID is the set's position in its repository; assigned by NewRepository.
 	ID int
 	// Name is an external identifier (e.g. "table:column" or a tweet id).
 	Name string
-	// Elements are the distinct tokens of the set.
+	// Elements are the set's tokens: raw input, or a row resolved by Sets.
 	Elements []string
-	// ElemIDs are the interned token IDs of Elements, position for position;
-	// assigned by NewRepository. The query hot path (CSR postings, edge
-	// cache, verification matrices) runs entirely on these IDs.
+	// ElemIDs are the interned token IDs of the set's distinct elements, each
+	// where it first occurs. The query hot path (CSR postings, edge cache,
+	// verification matrices) runs entirely on these IDs.
 	ElemIDs []int32
 }
 
@@ -47,46 +52,50 @@ func NewRepository(raw []Set) *Repository {
 // elements are interned into the shared dictionary (reusing IDs of tokens
 // other segments already interned), and the dictionary size after interning
 // becomes the segment's vocabulary horizon VocabSize. Set IDs are
-// segment-local positions.
+// segment-local positions; an empty name defaults to "set-<ID>".
 func NewSegment(dict *Dictionary, raw []Set) *Repository {
 	rows := make([]Set, len(raw))
 	for i, s := range raw {
 		rows[i] = InternSet(dict, s.Name, s.Elements)
-	}
-	return segmentOf(dict, rows)
-}
-
-// InternSet returns the repository row of a raw set: elements de-duplicated
-// (preserving first occurrence) and interned into dict. The row's slices are
-// never written again, so any number of segments may share them.
-func InternSet(dict *Dictionary, name string, elements []string) Set {
-	elems := Dedup(elements)
-	ids := make([]int32, len(elems))
-	for j, e := range elems {
-		ids[j] = dict.Intern(e)
-	}
-	return Set{Name: name, Elements: elems, ElemIDs: ids}
-}
-
-// SegmentOver wraps rows InternSet produced against dict as a segment,
-// without copying them: rows[i].ID must already be i and every name set, and
-// the rows must never be written again. The caller may keep appending to the
-// slice's backing array past len(rows) — the segment manager's memtable hands
-// each snapshot a longer prefix of one growing slice (DESIGN.md §4). The
-// dictionary size at the call is the segment's vocabulary horizon.
-func SegmentOver(dict *Dictionary, rows []Set) *Repository {
-	return &Repository{sets: rows, dict: dict, vocabN: dict.Size()}
-}
-
-// segmentOf takes ownership of interned rows, assigning positions as IDs
-// and default names.
-func segmentOf(dict *Dictionary, rows []Set) *Repository {
-	for i := range rows {
 		rows[i].ID = i
 		if rows[i].Name == "" {
 			rows[i].Name = fmt.Sprintf("set-%d", i)
 		}
 	}
+	return SegmentOver(dict, rows)
+}
+
+// InternSet returns the repository row of a raw set: its elements interned
+// into dict, then repeated IDs dropped, each ID where it first occurs. A
+// sorted copy finds the repeats, so a row without any (the common case)
+// costs one sort and no map. The row's slice is never written again, so any
+// number of segments may share it.
+func InternSet(dict *Dictionary, name string, elements []string) Set {
+	ids := make([]int32, len(elements))
+	for j, e := range elements {
+		ids[j] = dict.Intern(e)
+	}
+	uniq := slices.Clone(ids)
+	slices.Sort(uniq)
+	if uniq = slices.Compact(uniq); len(uniq) < len(ids) {
+		seen := make([]bool, len(uniq))
+		ids = slices.Clip(slices.DeleteFunc(ids, func(id int32) bool {
+			i, _ := slices.BinarySearch(uniq, id)
+			dup := seen[i]
+			seen[i] = true
+			return dup
+		}))
+	}
+	return Set{Name: name, ElemIDs: ids}
+}
+
+// SegmentOver wraps rows against dict as a segment, without copying them:
+// rows[i].ID must already be i and every name set, and the rows must never
+// be written again. The caller may keep appending to the slice's backing
+// array past len(rows) — the segment manager's memtable hands each snapshot a
+// longer prefix of one growing slice (DESIGN.md §4). The dictionary size at
+// the call is the segment's vocabulary horizon.
+func SegmentOver(dict *Dictionary, rows []Set) *Repository {
 	return &Repository{sets: rows, dict: dict, vocabN: dict.Size()}
 }
 
@@ -94,10 +103,8 @@ func segmentOf(dict *Dictionary, rows []Set) *Repository {
 // and elemIDs come straight from a mapped v2 segment snapshot (DESIGN.md
 // §13) and are aliased, not copied — each set's ElemIDs is a subslice of
 // elemIDs, so opening the segment allocates O(rows) set headers instead of
-// O(elements) decoded data. Element strings are NOT materialized; callers
-// needing them use Repository.Elements, which resolves lazily through the
-// shared dictionary. names must be heap-owned strings (the segment layer
-// materializes them from the mapping), because set names outlive the
+// O(elements) decoded data. names must be heap-owned strings (the segment
+// layer materializes them from the mapping), because set names outlive the
 // mapping in map keys and compaction outputs.
 //
 // The caller owns the mapped storage's lifetime and must guarantee it
@@ -125,18 +132,15 @@ func NewMappedSegment(dict *Dictionary, names []string, rowOffs []int64, elemIDs
 }
 
 // Elements returns the element strings of the set with the given ID,
-// resolving them through the dictionary on demand for mapped segments
-// (whose sets carry only ElemIDs). The returned strings are heap-owned
-// dictionary tokens, safe to retain past the segment's life. Eagerly
-// built repositories return their materialized slice unchanged.
+// resolved through the dictionary: a fresh slice, empty but never nil for an
+// empty set, of heap-owned dictionary tokens, safe to retain past the
+// segment's life.
 func (r *Repository) Elements(id int) []string {
-	s := &r.sets[id]
-	if s.Elements != nil || len(s.ElemIDs) == 0 {
-		return s.Elements
-	}
-	out := make([]string, len(s.ElemIDs))
-	for j, tid := range s.ElemIDs {
-		out[j] = r.dict.Token(tid)
+	vocab := r.Vocabulary()
+	ids := r.sets[id].ElemIDs
+	out := make([]string, len(ids))
+	for j, tid := range ids {
+		out[j] = vocab[tid]
 	}
 	return out
 }
@@ -157,11 +161,20 @@ func Dedup(elems []string) []string {
 // Len returns the number of sets.
 func (r *Repository) Len() int { return len(r.sets) }
 
-// Set returns the set with the given ID.
+// Set returns the row with the given ID: its name and token IDs, no
+// strings.
 func (r *Repository) Set(id int) Set { return r.sets[id] }
 
-// Sets returns all sets. Callers must not mutate the result.
-func (r *Repository) Sets() []Set { return r.sets }
+// Sets returns every row with its elements resolved (Elements) beside its
+// token IDs, in a fresh slice: for callers that read strings. Readers of IDs
+// use Set.
+func (r *Repository) Sets() []Set {
+	out := slices.Clone(r.sets)
+	for i := range out {
+		out[i].Elements = r.Elements(i)
+	}
+	return out
+}
 
 // Vocabulary returns the dictionary tokens below the repository's
 // vocabulary horizon in ID order; the position of a token in the slice is
@@ -207,7 +220,7 @@ func (r *Repository) Stats() Stats {
 	st := Stats{NumSets: len(r.sets), UniqueElems: r.vocabN}
 	total := 0
 	for _, s := range r.sets {
-		n := len(s.ElemIDs) // == len(s.Elements) eager, sole source mapped
+		n := len(s.ElemIDs)
 		total += n
 		if n > st.MaxSize {
 			st.MaxSize = n

@@ -1,6 +1,7 @@
 package sets
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestRepositoryBasics(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if got := r.Set(0).Elements; len(got) != 3 {
+	if got := r.Elements(0); len(got) != 3 {
 		t.Fatalf("duplicates not removed: %v", got)
 	}
 	if r.Set(2).Name != "set-2" {
@@ -82,9 +83,21 @@ func TestTokenInterning(t *testing.T) {
 	}
 }
 
+// TestSetElemIDs: a row holds token IDs and no strings; Sets resolves them
+// position for position, repeats dropped where they first occur, and an
+// empty set resolves to an empty slice, not nil.
 func TestSetElemIDs(t *testing.T) {
 	r := sample()
+	if got := r.Sets()[0].Elements; !slices.Equal(got, []string{"x", "y", "z"}) {
+		t.Fatalf("set 0 resolves to %v, want [x y z]", got)
+	}
+	if got := r.Elements(2); got == nil || len(got) != 0 {
+		t.Fatalf("empty set resolves to %#v, want []string{}", got)
+	}
 	for _, s := range r.Sets() {
+		if r.Set(s.ID).Elements != nil {
+			t.Fatalf("row %d stores its strings", s.ID)
+		}
 		if len(s.ElemIDs) != len(s.Elements) {
 			t.Fatalf("set %d: %d ElemIDs for %d elements", s.ID, len(s.ElemIDs), len(s.Elements))
 		}

@@ -142,27 +142,28 @@ func Search(repo *sets.Repository, inv *index.Inverted, src index.NeighborSource
 
 	top := pqueue.NewTopK(opts.K)
 	results := make(map[int]float64)
+	vocab := repo.Vocabulary()
 	for _, sid := range ids {
 		c := repo.Set(sid)
 		if opts.Variant == Syntactic {
 			// Check filter: Σ_q max-sim(q, C) is an upper bound for the
 			// matching score.
-			if checkBound(c, cache, len(query)) < opts.Theta-1e-9 {
+			if checkBound(c, vocab, cache, len(query)) < opts.Theta-1e-9 {
 				stats.CheckPruned++
 				continue
 			}
 		} else {
 			// Generic framework: only the trivial cardinality bound.
 			m := len(query)
-			if len(c.Elements) < m {
-				m = len(c.Elements)
+			if len(c.ElemIDs) < m {
+				m = len(c.ElemIDs)
 			}
 			if float64(m) < opts.Theta-1e-9 {
 				stats.CheckPruned++
 				continue
 			}
 		}
-		res := verify(c, cache, len(query), opts.Theta)
+		res := verify(c, vocab, cache, len(query), opts.Theta)
 		stats.Verified++
 		if res.Pruned || res.Score < opts.Theta-1e-9 {
 			continue
@@ -186,10 +187,10 @@ type edge struct {
 }
 
 // checkBound sums each query element's maximum similarity to the candidate.
-func checkBound(c sets.Set, cache map[string][]edge, nq int) float64 {
+func checkBound(c sets.Set, vocab []string, cache map[string][]edge, nq int) float64 {
 	maxSim := make([]float64, nq)
-	for _, tok := range c.Elements {
-		for _, ed := range cache[tok] {
+	for _, id := range c.ElemIDs {
+		for _, ed := range cache[vocab[id]] {
 			if ed.sim > maxSim[ed.qIdx] {
 				maxSim[ed.qIdx] = ed.sim
 			}
@@ -202,13 +203,13 @@ func checkBound(c sets.Set, cache map[string][]edge, nq int) float64 {
 	return sum
 }
 
-func verify(c sets.Set, cache map[string][]edge, nq int, theta float64) matching.Result {
+func verify(c sets.Set, vocab []string, cache map[string][]edge, nq int, theta float64) matching.Result {
 	rowOf := make(map[int32]int)
 	var rows []int32
 	type col struct{ edges []edge }
 	var cols []col
-	for _, tok := range c.Elements {
-		edges := cache[tok]
+	for _, id := range c.ElemIDs {
+		edges := cache[vocab[id]]
 		if len(edges) == 0 {
 			continue
 		}
