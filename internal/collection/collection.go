@@ -191,8 +191,8 @@ func newCollection(name string, mgr *segment.Manager, q Quota, now func() time.T
 	return c
 }
 
-// setBytes is the quota measure of one set: the summed element byte
-// lengths.
+// setBytes is the quota measure of an incoming set: the summed element
+// byte lengths. A stored row is measured by Manager.SetBytes.
 func setBytes(elements []string) int64 {
 	var n int64
 	for _, e := range elements {
@@ -257,9 +257,8 @@ func (c *Collection) Insert(name string, elements []string) (int64, error) {
 	add := setBytes(sets.Dedup(elements)) // the set as stored, repeats once
 	var oldBytes, oldSets int64
 	if name != "" {
-		if rec, ok := c.mgr.SetByName(name); ok {
-			oldBytes = setBytes(rec.Elements)
-			oldSets = 1
+		if n, ok := c.mgr.SetBytes(name); ok {
+			oldBytes, oldSets = n, 1
 		}
 	}
 	if ref := c.quotaRefusal(1-oldSets, add-oldBytes); ref != nil {
@@ -282,10 +281,7 @@ func (c *Collection) Delete(name string) (bool, error) {
 	c.writeMu <- struct{}{}
 	defer func() { <-c.writeMu }()
 
-	var old int64
-	if rec, ok := c.mgr.SetByName(name); ok {
-		old = setBytes(rec.Elements)
-	}
+	old, _ := c.mgr.SetBytes(name)
 	deleted, err := c.mgr.Delete(name)
 	var durErr *segment.DurabilityError
 	if deleted && (err == nil || errors.As(err, &durErr)) {

@@ -311,6 +311,61 @@ func TestByteQuotaCountsDistinctElements(t *testing.T) {
 	}
 }
 
+// TestReplaceAndDeleteRefundTheCharge: a row with repeated elements,
+// whether in the memtable or sealed, refunds on a replace and on a delete
+// exactly the bytes its insert charged, its distinct elements' lengths, so
+// the accounting returns to where it stood before the insert.
+func TestReplaceAndDeleteRefundTheCharge(t *testing.T) {
+	reg, err := OpenRegistry(t.TempDir(), nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	c, err := reg.Create("t", Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert("other", []string{"ab", "z"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sealed := range []bool{false, true} {
+		for _, replace := range []bool{false, true} {
+			before := c.Bytes()
+			if _, err := c.Insert("r", []string{"ab", "cde", "ab", "ab", "cde"}); err != nil {
+				t.Fatal(err)
+			}
+			if charged := c.Bytes() - before; charged != 5 {
+				t.Fatalf("sealed %v: insert charged %d bytes, want 5", sealed, charged)
+			}
+			if sealed {
+				if err := c.Manager().Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := before
+			if replace {
+				if _, err := c.Insert("r", []string{"f", "f"}); err != nil {
+					t.Fatal(err)
+				}
+				want++
+			} else if ok, err := c.Delete("r"); !ok || err != nil {
+				t.Fatalf("Delete = %v, %v", ok, err)
+			}
+			if got := c.Bytes(); got != want {
+				t.Fatalf("sealed %v, replace %v: %d bytes after, want %d", sealed, replace, got, want)
+			}
+			if replace {
+				if ok, err := c.Delete("r"); !ok || err != nil || c.Bytes() != before {
+					t.Fatalf("Delete after the replace = %v, %v, %d bytes, want %d", ok, err, c.Bytes(), before)
+				}
+			}
+		}
+	}
+	if got, want := c.Bytes(), c.Manager().LiveBytes(); got != want {
+		t.Fatalf("Bytes() = %d, the live rows hold %d", got, want)
+	}
+}
+
 func TestDurableInsertAccounting(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := OpenRegistry(dir, nil, testConfig())

@@ -134,51 +134,197 @@ func TestRefinementBoundsSound(t *testing.T) {
 // lb ≤ exact SO ≤ each side of the bound at every prefix
 // (checkBoundsEveryPrefix).
 func FuzzRefinementBounds(f *testing.F) {
-	f.Add([]byte{12, 3, 7, 0, 1, 2, 3, 0x80, 1, 2, 4, 0x80, 2, 3, 5, 6, 0x80, 7, 8, 1, 0x80, 3, 9, 10, 0x80, 1, 11})
-	f.Add([]byte{6, 0, 9, 0, 1, 0x80, 0, 2, 0x80, 1, 3, 0x80, 4, 5, 0, 0x80, 2, 3})
-	f.Add([]byte{23, 6, 3, 1, 3, 5, 7, 9, 11, 0x80, 2, 4, 6, 8, 0x80, 1, 2, 3, 0x80, 9, 10, 11, 12, 0x80, 20, 21, 22})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
+	for _, seed := range refinementBoundsSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(checkRefinementBoundsInput)
+}
+
+// refinementBoundsSeeds are FuzzRefinementBounds' seed inputs.
+var refinementBoundsSeeds = [][]byte{
+	{12, 3, 7, 0, 1, 2, 3, 0x80, 1, 2, 4, 0x80, 2, 3, 5, 6, 0x80, 7, 8, 1, 0x80, 3, 9, 10, 0x80, 1, 11},
+	{6, 0, 9, 0, 1, 0x80, 0, 2, 0x80, 1, 3, 0x80, 4, 5, 0, 0x80, 2, 3},
+	{23, 6, 3, 1, 3, 5, 7, 9, 11, 0x80, 2, 4, 6, 8, 0x80, 1, 2, 3, 0x80, 9, 10, 11, 12, 0x80, 20, 21, 22},
+}
+
+// checkRefinementBoundsInput is FuzzRefinementBounds on one input.
+func checkRefinementBoundsInput(t *testing.T, data []byte) {
+	if len(data) < 4 {
+		return
+	}
+	nTok := 4 + int(data[0])%20
+	alpha := 0.5 + 0.05*float64(data[1]%10)
+	rng := rand.New(rand.NewSource(int64(data[2])))
+	fn := tableSim{ids: make(map[string]int), tab: make([][]float64, nTok)}
+	for i := range fn.tab {
+		fn.ids[fmt.Sprint("t", i)] = i
+		fn.tab[i] = make([]float64, nTok)
+		for j := 0; j < i; j++ {
+			if rng.Intn(3) > 0 {
+				s := float64(9+rng.Intn(12)) / 20 // 0.45 … 1.00
+				fn.tab[i][j], fn.tab[j][i] = s, s
+			}
 		}
-		nTok := 4 + int(data[0])%20
-		alpha := 0.5 + 0.05*float64(data[1]%10)
-		rng := rand.New(rand.NewSource(int64(data[2])))
-		fn := tableSim{ids: make(map[string]int), tab: make([][]float64, nTok)}
-		for i := range fn.tab {
-			fn.ids[fmt.Sprint("t", i)] = i
-			fn.tab[i] = make([]float64, nTok)
-			for j := 0; j < i; j++ {
-				if rng.Intn(3) > 0 {
-					s := float64(9+rng.Intn(12)) / 20 // 0.45 … 1.00
-					fn.tab[i][j], fn.tab[j][i] = s, s
+	}
+	var raw [][]string
+	cur, in := []string(nil), map[byte]bool{}
+	for _, b := range data[3:] {
+		if b&0x80 != 0 {
+			raw, cur, in = append(raw, cur), nil, map[byte]bool{}
+			continue
+		}
+		if tok := b % byte(nTok); !in[tok] {
+			in[tok] = true
+			cur = append(cur, fmt.Sprint("t", tok))
+		}
+	}
+	raw = append(raw, cur)
+	var coll []sets.Set
+	for _, elems := range raw[1:] {
+		if len(elems) > 0 && len(coll) < 200 {
+			coll = append(coll, sets.Set{Elements: elems})
+		}
+	}
+	if len(raw[0]) == 0 || len(coll) == 0 {
+		return
+	}
+	checkBoundsEveryPrefix(t, fmt.Sprintf("α=%.2f", alpha), sets.NewRepository(coll), fn, alpha, raw[0])
+}
+
+// TestBoundFilterPortable runs TestSearchPartitionsAgree and
+// FuzzRefinementBounds' seeds with the walk's bound filter on its portable
+// loop, index.PartitionPostingsGo, and holds ten benchmark queries per
+// datagen shape, with every fourth set tombstoned, to the answers and
+// counters the dispatched filter gives (the AVX-512F kernel on a CPU that
+// has it): the same result IDs and score bits, and every Stats counter.
+func TestBoundFilterPortable(t *testing.T) {
+	untimed := func(s Stats) Stats {
+		s.RefineTime, s.PostprocTime, s.StreamTime, s.BoundTime, s.WalkTime, s.DrainTime, s.VerifyTime = 0, 0, 0, 0, 0, 0, 0
+		return s
+	}
+	type search struct {
+		g     *Group
+		query []string
+	}
+	var searches []search
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.05)
+		eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, ExactScores: true})
+		dead := make([]uint64, (ds.Repo.Len()+63)/64)
+		for sid := 0; sid < ds.Repo.Len(); sid += 4 {
+			dead[sid>>6] |= 1 << (uint(sid) & 63)
+		}
+		g := eng.group()
+		g.Dead = [][]uint64{dead}
+		queries := datagen.NewBenchmark(ds, 17).Queries
+		for _, q := range queries[:min(10, len(queries))] {
+			searches = append(searches, search{g, q.Elements})
+		}
+	}
+	run := func(s search) ([]GroupResult, Stats) {
+		res, st, err := s.g.SearchContext(context.Background(), s.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, untimed(st)
+	}
+	want := make([][]GroupResult, len(searches))
+	wantStats := make([]Stats, len(searches))
+	for i, s := range searches {
+		want[i], wantStats[i] = run(s)
+	}
+
+	dispatched := partitionPostings
+	defer func() { partitionPostings = dispatched }()
+	partitionPostings = index.PartitionPostingsGo
+	skipped := 0
+	for i, s := range searches {
+		got, st := run(s)
+		if !slices.EqualFunc(got, want[i], func(a, b GroupResult) bool {
+			return a.Seg == b.Seg && a.Local == b.Local && a.Verified == b.Verified && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+		}) {
+			t.Fatalf("search %d: portable filter answers %v, dispatched %v", i, got, want[i])
+		}
+		if st != wantStats[i] {
+			t.Fatalf("search %d: portable filter counts %+v, dispatched %+v", i, st, wantStats[i])
+		}
+		skipped += st.PostingsSkipped
+	}
+	if skipped == 0 {
+		t.Fatal("no posting skipped: the filter was never exercised")
+	}
+	t.Run("PartitionsAgree", TestSearchPartitionsAgree)
+	t.Run("RefinementBounds", func(t *testing.T) {
+		for _, seed := range refinementBoundsSeeds {
+			checkRefinementBoundsInput(t, seed)
+		}
+	})
+}
+
+// TestSeedPicksTopBounds: the θlb seed (Group.seedTheta) matches exactly
+// the sets a brute-force top-k picks — the k live sets of nonzero bound
+// with the largest bounds, by bound descending, then group-wide ID
+// ascending — over three segments, two with tombstones, under random
+// bounds drawn from a few values (zeros and exact ties everywhere), for k
+// from 1 to more than the live sets; and it seeds nothing (0) when fewer
+// than k such sets exist. (The bounds are not the stream's, so a seed
+// drawn from them need not bound anything.)
+func TestSeedPicksTopBounds(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		repo, model, query := randomInstance(seed)
+		query = sets.Dedup(query)
+		src := index.NewFuncIndex(repo.Vocabulary(), model)
+		n := repo.Len()
+		g := &Group{Opts: Options{Alpha: 0.7}}
+		base := []int{0}
+		for si := 0; si < 3; si++ {
+			g.Engines = append(g.Engines, NewEngine(repo, src, Options{K: 3, Alpha: 0.7}))
+			var dead []uint64
+			if si > 0 {
+				dead = make([]uint64, (n+63)/64)
+				for sid := 0; sid < n; sid++ {
+					if rng.Intn(4) == 0 {
+						dead[sid>>6] |= 1 << (uint(sid) & 63)
+					}
 				}
 			}
+			g.Dead = append(g.Dead, dead)
+			base = append(base, base[si]+n)
 		}
-		var raw [][]string
-		cur, in := []string(nil), map[byte]bool{}
-		for _, b := range data[3:] {
-			if b&0x80 != 0 {
-				raw, cur, in = append(raw, cur), nil, map[byte]bool{}
+		sc := g.Engines[0].getScratch()
+		_, cache, _ := g.Engines[0].openStream(query, repo.TokenIDs(query), nil, 0.7, nil, sc)
+		bound := make([]float64, base[3])
+		for gid := range bound {
+			if rng.Intn(3) > 0 {
+				bound[gid] = float64(rng.Intn(6)) / 2
+			}
+		}
+		var live []seedSet
+		for gid, b := range bound {
+			si, local := gid/n, gid%n
+			if b > 0 && (g.Dead[si] == nil || g.Dead[si][local>>6]&(1<<(uint(local)&63)) == 0) {
+				live = append(live, seedSet{gid: gid, bound: b})
+			}
+		}
+		slices.SortFunc(live, func(a, b seedSet) int {
+			return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.gid, b.gid))
+		})
+		for _, k := range []int{1, 2, 3, 10, len(live), len(live) + 1} {
+			if k == 0 {
 				continue
 			}
-			if tok := b % byte(nTok); !in[tok] {
-				in[tok] = true
-				cur = append(cur, fmt.Sprint("t", tok))
+			g.Opts.K = k
+			got := g.seedTheta(cache, bound, len(query), base, sc)
+			want := live[:min(k, len(live))]
+			if !slices.Equal(sc.seeds, want) {
+				t.Fatalf("seed %d, k = %d: seeds %v, want %v", seed, k, sc.seeds, want)
+			}
+			if len(live) < k && got != 0 {
+				t.Fatalf("seed %d, k = %d: θlb seed %v from %d live sets", seed, k, got, len(live))
 			}
 		}
-		raw = append(raw, cur)
-		var coll []sets.Set
-		for _, elems := range raw[1:] {
-			if len(elems) > 0 && len(coll) < 200 {
-				coll = append(coll, sets.Set{Elements: elems})
-			}
-		}
-		if len(raw[0]) == 0 || len(coll) == 0 {
-			return
-		}
-		checkBoundsEveryPrefix(t, fmt.Sprintf("α=%.2f", alpha), sets.NewRepository(coll), fn, alpha, raw[0])
-	})
+	}
 }
 
 // TestPostingSkipShare logs, per datagen shape, the share of the postings

@@ -331,16 +331,19 @@ type seedSet struct {
 func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch) float64 {
 	k := g.Opts.K
 	top := sc.seeds[:0]
+	// thr is the bound a set must beat to enter top: 0 until top holds k
+	// sets, then its last one's. No bound is negative before the walk, so
+	// one comparison passes over the sets of bound 0 and, once top is
+	// full, the sets that cannot enter it.
+	thr := 0.0
 	for si := range g.Engines {
 		var dead []uint64
 		if si < len(g.Dead) {
 			dead = g.Dead[si]
 		}
 		for gid := base[si]; gid < base[si+1]; gid++ {
-			// The full-list test first: it is predictable once the list
-			// fills, and a third of the sets have bound 0 in no pattern.
 			b := bound[gid]
-			if len(top) == k && b <= top[k-1].bound || b == 0 {
+			if b <= thr {
 				continue
 			}
 			if sid := gid - base[si]; dead != nil && dead[sid>>6]&(1<<(uint(sid)&63)) != 0 {
@@ -357,6 +360,9 @@ func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int,
 				top[at] = top[at-1]
 			}
 			top[at] = seedSet{gid: gid, bound: b}
+			if len(top) == k {
+				thr = top[k-1].bound
+			}
 		}
 	}
 	sc.seeds = top

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"math"
 	"unsafe"
 
+	"repro/internal/index"
 	"repro/internal/pqueue"
 )
 
@@ -164,12 +164,17 @@ func (r *partRefiner) addBounds(tuples []streamTuple) {
 	r.skip = true
 }
 
+// partitionPostings is the bound filter keepBounded runs,
+// index.PartitionPostings; a test swaps in the portable loop.
+var partitionPostings = index.PartitionPostings
+
 // keepBounded returns the postings of sids/poss whose set's bound reaches
 // below = θlb − pruneEps, in their order, and settles every set it drops for
 // the first time. A set whose stream-wide bound is below θlb can no longer
 // matter, so its postings are passed over before its state is read. The
-// keep test is a conditional move and the settle test is taken once per
-// set, so neither costs a mispredicted branch per posting.
+// filter has no branch that depends on the data (index.PartitionPostings)
+// and the settle test is taken once per set, so neither costs a
+// mispredicted branch per posting.
 func (r *partRefiner) keepBounded(sids, poss []int32, below float64) ([]int32, []int32) {
 	rs := r.rs
 	ks, kp, fs := sized(rs.keptSids, len(sids)), sized(rs.keptPoss, len(sids)), sized(rs.settling, len(sids))
@@ -180,27 +185,6 @@ func (r *partRefiner) keepBounded(sids, poss []int32, below float64) ([]int32, [
 		r.bound[sid] = settledBound
 	}
 	return ks[:n], kp[:n]
-}
-
-// partitionPostings copies to ks/kp, in order, the postings whose set's
-// bound is at least below, and to fs the sets of the others whose bound is
-// not yet settledBound; it returns how many of each it wrote. ks, kp and fs
-// hold len(sids) elements. Every store is unconditional and the counts move
-// by conditional moves, so the loop has no branch that depends on the data.
-func partitionPostings(sids, poss []int32, bound []float64, below float64, ks, kp, fs []int32) (n, f int) {
-	poss, ks, kp, fs = poss[:len(sids)], ks[:len(sids)], kp[:len(sids)], fs[:len(sids)]
-	fresh := math.Float64bits(below) // a bound in [0, below) has smaller bits
-	for i, sid := range sids {
-		b := bound[sid]
-		ks[n], kp[n], fs[f] = sid, poss[i], sid
-		if b >= below {
-			n++
-		}
-		if math.Float64bits(b) < fresh {
-			f++
-		}
-	}
-	return n, f
 }
 
 // settle prunes set sid at the first posting consume skips for it: its

@@ -1,5 +1,10 @@
 package index
 
+import (
+	"math"
+	"unsafe"
+)
+
 func init() {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, c1, _ := cpuid(1, 0)
@@ -18,6 +23,8 @@ func init() {
 	useVNNI = useAVX2 && b7&(1<<16) != 0 && c7&(1<<11) != 0 && xcr0&0xe0 == 0xe0
 	// AVX-512F and AVX512_VPOPCNTDQ, the same OS state.
 	useVPOPCNT = useAVX && b7&(1<<16) != 0 && c7&(1<<14) != 0 && xcr0&0xe0 == 0xe0
+	// AVX-512F and POPCNT, the same OS state.
+	useAVX512F = useAVX && b7&(1<<16) != 0 && c1&(1<<23) != 0 && xcr0&0xe0 == 0xe0
 }
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
@@ -65,6 +72,15 @@ func screenBlocksAVX2(q *int16, npair, groups int, data *byte, nblk int, thr *in
 //
 //go:noescape
 func classMasksVPOPCNT(sk *uint64, n int, q uint64, cut int64, mask *byte)
+
+// partitionPostingsAVX512 is PartitionPostingsGo for m ≥ 1 postings at
+// sids and poss and the nb bounds at bound, sixteen postings to a ZMM
+// (bound_amd64.s), up to the first block holding a set ID outside [0, nb):
+// done is the postings it filtered, n and f the entries it wrote. It reads
+// m set IDs and positions and writes at most m entries at ks, kp and fs.
+//
+//go:noescape
+func partitionPostingsAVX512(sids, poss *int32, m int, bound *float64, nb int, below float64, ks, kp, fs *int32) (done, n, f int)
 
 // dotBlocks computes the raw dots of the query row q — element j at q[4j],
 // the row's lane in the arena — against the len(out)/4 blocks data starts
@@ -117,4 +133,22 @@ func classMasks(sk []uint64, q uint64, cut int32, mask []byte) {
 	}
 	_ = mask[(len(sk)-1)/8] // the kernel writes this far, unchecked
 	classMasksVPOPCNT(&sk[0], len(sk), q, int64(cut), &mask[0])
+}
+
+// PartitionPostings runs the bound filter PartitionPostingsGo defines: the
+// AVX-512F kernel when the CPU has it; PartitionPostingsGo otherwise, and
+// from the first block holding a set ID outside bound on, whose index
+// check then panics as it always has.
+func PartitionPostings(sids, poss []int32, bound []float64, below float64, ks, kp, fs []int32) (n, f int) {
+	m := len(sids)
+	if !useAVX512F || m == 0 {
+		return PartitionPostingsGo(sids, poss, bound, below, ks, kp, fs)
+	}
+	_, _, _, _ = poss[m-1], ks[m-1], kp[m-1], fs[m-1] // the kernel reads and writes this far, unchecked
+	done, n, f := partitionPostingsAVX512(&sids[0], &poss[0], m, unsafe.SliceData(bound), min(len(bound), math.MaxInt32), below, &ks[0], &kp[0], &fs[0])
+	if done < m {
+		dn, df := PartitionPostingsGo(sids[done:], poss[done:], bound, below, ks[n:], kp[n:], fs[f:])
+		n, f = n+dn, f+df
+	}
+	return n, f
 }

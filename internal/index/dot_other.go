@@ -15,3 +15,8 @@ func screenBlocks(s *scanScratch, nq, groups int, data []byte, nblk int) {
 
 // classMasks writes the class test's mask bytes for sk.
 func classMasks(sk []uint64, q uint64, cut int32, mask []byte) { classMasksGo(sk, q, cut, mask) }
+
+// PartitionPostings is PartitionPostingsGo.
+func PartitionPostings(sids, poss []int32, bound []float64, below float64, ks, kp, fs []int32) (n, f int) {
+	return PartitionPostingsGo(sids, poss, bound, below, ks, kp, fs)
+}

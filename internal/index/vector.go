@@ -73,10 +73,11 @@ type vecRows struct {
 // useAVX routes dotBlocks to its assembly kernels and useFMA picks the
 // fused ones; useAVX2 routes screenBlocks to its AVX2 kernel and useVNNI to
 // its AVX-512 VNNI one; useVPOPCNT routes classMasks, the function scan's
-// sketch test, to its AVX-512 VPOPCNTDQ kernel. All are set once at init,
-// on amd64, from CPUID (dot_amd64.go); tests clear them to run the slower
-// kernels and the portable loops.
-var useAVX, useFMA, useAVX2, useVNNI, useVPOPCNT bool
+// sketch test, to its AVX-512 VPOPCNTDQ kernel, and useAVX512F routes
+// PartitionPostings, the walk's bound filter, to its AVX-512F kernel. All
+// are set once at init, on amd64, from CPUID (dot_amd64.go); tests clear
+// them to run the slower kernels and the portable loops.
+var useAVX, useFMA, useAVX2, useVNNI, useVPOPCNT, useAVX512F bool
 
 // lane returns the arena offset of element 0 of row i; element j is 4j
 // further on.

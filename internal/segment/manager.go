@@ -987,12 +987,40 @@ func (m *Manager) SetByID(id int64) (SetRecord, bool) {
 func (m *Manager) SetByName(name string) (SetRecord, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l, ok := m.where[name]
+	s, local, ok := m.rowLocked(name)
 	if !ok {
 		return SetRecord{}, false
 	}
-	if l.mem {
-		return m.mem.view.record(l.local), true // publishLocked rebuilds the view after every append
+	return s.record(local), true
+}
+
+// SetBytes returns the summed byte lengths of the live set name's
+// elements, counted by token ID as LiveBytes counts them, and whether the
+// set exists; it resolves no string.
+func (m *Manager) SetBytes(name string) (int64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, local, ok := m.rowLocked(name)
+	if !ok {
+		return 0, false
 	}
-	return l.seg.record(l.local), true
+	vocab := m.dict.Snapshot()
+	var n int64
+	for _, id := range s.repo.Set(local).ElemIDs {
+		n += int64(len(vocab[id]))
+	}
+	return n, true
+}
+
+// rowLocked returns the segment and local ID of the live set name. m.mu is
+// held.
+func (m *Manager) rowLocked(name string) (*seg, int, bool) {
+	l, ok := m.where[name]
+	if !ok {
+		return nil, 0, false
+	}
+	if l.mem {
+		return m.mem.view, l.local, true // publishLocked rebuilds the view after every append
+	}
+	return l.seg, l.local, true
 }
