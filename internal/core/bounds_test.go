@@ -46,7 +46,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
 	so := make([]float64, repo.Len())
 	for sid := range so {
-		so[sid] = exactSO(query, repo.Elements(sid), fn, alpha)
+		so[sid] = exactSO(t, query, repo.Elements(sid), fn, alpha)
 	}
 	qids := repo.TokenIDs(query)
 	tuples, _ := eng.materializeStream(query, qids, eng.getScratch())
@@ -130,9 +130,11 @@ func TestRefinementBoundsSound(t *testing.T) {
 }
 
 // FuzzRefinementBounds: bytes → vocabulary size, α, a similarity table in
-// steps of 0.05 (ties everywhere), a query and sets, as in FuzzCutReplay;
+// steps of 0.05 (ties everywhere), a query and sets under shuffled names;
 // lb ≤ exact SO ≤ each side of the bound at every prefix
-// (checkBoundsEveryPrefix).
+// (checkBoundsEveryPrefix), and the answer of a search — one partition and
+// worker, and three of each, with exact scores and without — is the
+// brute-force top-k under the rule (checkTopK).
 func FuzzRefinementBounds(f *testing.F) {
 	for _, seed := range refinementBoundsSeeds {
 		f.Add(seed)
@@ -145,6 +147,9 @@ var refinementBoundsSeeds = [][]byte{
 	{12, 3, 7, 0, 1, 2, 3, 0x80, 1, 2, 4, 0x80, 2, 3, 5, 6, 0x80, 7, 8, 1, 0x80, 3, 9, 10, 0x80, 1, 11},
 	{6, 0, 9, 0, 1, 0x80, 0, 2, 0x80, 1, 3, 0x80, 4, 5, 0, 0x80, 2, 3},
 	{23, 6, 3, 1, 3, 5, 7, 9, 11, 0x80, 2, 4, 6, 8, 0x80, 1, 2, 3, 0x80, 9, 10, 11, 12, 0x80, 20, 21, 22},
+	// Three sets tie at 2.65 for k = 1; one's bounds are sums that round an
+	// ulp above it. Taken as exact, they admit that set, not s0.
+	[]byte("0211\"711\xd3000\xbc2cA\xcfcX\"00000000\xcb000000000000000000000017000\x8000"),
 }
 
 // checkRefinementBoundsInput is FuzzRefinementBounds on one input.
@@ -188,12 +193,29 @@ func checkRefinementBoundsInput(t *testing.T, data []byte) {
 	if len(raw[0]) == 0 || len(coll) == 0 {
 		return
 	}
-	checkBoundsEveryPrefix(t, fmt.Sprintf("α=%.2f", alpha), sets.NewRepository(coll), fn, alpha, raw[0])
+	for i, name := range rng.Perm(len(coll)) {
+		coll[i].Name = fmt.Sprint("s", name)
+	}
+	repo := sets.NewRepository(coll)
+	label := fmt.Sprintf("α=%.2f", alpha)
+	checkBoundsEveryPrefix(t, label, repo, fn, alpha, raw[0])
+	src := index.NewFuncIndex(repo.Vocabulary(), fn)
+	k := 1 + int(data[1]/10)%5
+	for _, opts := range []Options{
+		{K: k, Alpha: alpha, ExactScores: true},
+		{K: k, Alpha: alpha},
+		{K: k, Alpha: alpha, Partitions: 3, Workers: 3, ExactScores: true},
+		{K: k, Alpha: alpha, Partitions: 3, Workers: 3},
+	} {
+		results, _ := NewEngine(repo, src, opts).Search(raw[0])
+		checkTopK(t, repo, fn, raw[0], alpha, k, results)
+	}
 }
 
-// TestBoundFilterPortable runs TestSearchPartitionsAgree and
-// FuzzRefinementBounds' seeds with the walk's bound filter on its portable
-// loop, index.PartitionPostingsGo, and holds ten benchmark queries per
+// TestBoundFilterPortable runs TestSearchPartitionsAgree's partition-count
+// comparisons (the workload-shape variants exercise the tie rule, which the
+// filter does not decide) and FuzzRefinementBounds' seeds with the walk's
+// bound filter on its portable loop, index.PartitionPostingsGo, and holds ten benchmark queries per
 // datagen shape, with every fourth set tombstoned, to the answers and
 // counters the dispatched filter gives (the AVX-512F kernel on a CPU that
 // has it): the same result IDs and score bits, and every Stats counter.
@@ -253,7 +275,7 @@ func TestBoundFilterPortable(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("no posting skipped: the filter was never exercised")
 	}
-	t.Run("PartitionsAgree", TestSearchPartitionsAgree)
+	t.Run("PartitionsAgree", checkPartitionCounts)
 	t.Run("RefinementBounds", func(t *testing.T) {
 		for _, seed := range refinementBoundsSeeds {
 			checkRefinementBoundsInput(t, seed)
@@ -477,7 +499,7 @@ func TestQuerySideBoundDecides(t *testing.T) {
 	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
 	r.consume(context.Background(), tuples)
 	c := &r.states[0]
-	if r.flags[0] != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
+	if r.flags[0]&setStatus != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
 		t.Fatalf("C before the drain: status %d, ubSum %v, rowSum %v under θlb %v; want live, 2.7, 0.9, 2", r.flags[0], c.ubSum, c.rowSum, theta.Load())
 	}
 	for _, sv := range r.drain() {
@@ -523,7 +545,7 @@ func TestLemma6Counterexample(t *testing.T) {
 	var stats Stats
 	survivors := eng.refinePartition(context.Background(), len(query), tuples, 0, theta, &stats, nil)
 
-	exact := exactSO(query, repo.Elements(0), ps, 0.5) // 0.899 + 0.899
+	exact := exactSO(t, query, repo.Elements(0), ps, 0.5) // 0.899 + 0.899
 	if exact < 1.797 || exact > 1.799 {
 		t.Fatalf("exact SO = %v, want 1.798", exact)
 	}

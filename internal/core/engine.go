@@ -78,10 +78,11 @@ type queryScratch struct {
 	seen    []uint64
 	offsets []int32
 	// query and qids are the query's distinct elements and their token IDs
-	// (dedup), oov the elements outside the vocabulary seen so far, and
-	// skip the probe mask.
+	// (dedup), elems dedup's room to sort them in, oov the elements outside
+	// the vocabulary seen so far, and skip the probe mask.
 	query []string
 	qids  []int32
+	elems []queryElem
 	oov   map[string]struct{}
 	skip  []bool
 	// base, theta and chunks are the search's group-wide set-ID offsets,
@@ -120,15 +121,19 @@ func (e *Engine) getScratch() *queryScratch {
 func (e *Engine) putScratch(s *queryScratch) {
 	clear(s.query)
 	clear(s.chunks)
+	s.post.g, s.post.base = nil, nil
 	for i := range s.refiners {
 		s.refiners[i].r = partRefiner{}
 	}
 	e.scratch.Put(s)
 }
 
-// dedup sets s.query to the distinct elements of query, each at its first
-// occurrence, and s.qids to their token IDs in repo (-1 for one in no set),
-// and returns both. Elements in the vocabulary are told apart by their IDs,
+// dedup sets s.query to the distinct elements of query in ascending order
+// and s.qids to their token IDs in repo (-1 for one in no set), and returns
+// both. The order makes a query element's index, and with it every tie the
+// stream, the greedy bounds and the verifier's rows break by it, a function
+// of the query as a set: a permuted query searches exactly as the query
+// (DESIGN.md §1). Elements in the vocabulary are told apart by their IDs,
 // through s.seen, which is zero again on return; only the others are
 // hashed again.
 func (s *queryScratch) dedup(query []string, repo *sets.Repository) ([]string, []int32) {
@@ -158,8 +163,23 @@ func (s *queryScratch) dedup(query []string, repo *sets.Repository) ([]string, [
 		}
 	}
 	clear(s.oov)
-	s.query, s.qids = q, ids
+	elems := sized(s.elems, len(q))
+	for i := range q {
+		elems[i] = queryElem{q[i], ids[i]}
+	}
+	slices.SortFunc(elems, func(a, b queryElem) int { return strings.Compare(a.tok, b.tok) })
+	for i, el := range elems {
+		q[i], ids[i] = el.tok, el.id
+	}
+	clear(elems)
+	s.query, s.qids, s.elems = q, ids, elems
 	return q, ids
+}
+
+// queryElem is a query element and its token ID, as dedup sorts them.
+type queryElem struct {
+	tok string
+	id  int32
 }
 
 // sized returns n elements of unspecified content, in buf's backing array

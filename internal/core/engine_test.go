@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/index"
 	"repro/internal/sets"
+	"repro/internal/sim"
 )
 
 const tol = 1e-9
@@ -54,38 +56,40 @@ func randomInstance(seed int64) (*sets.Repository, *embedding.Model, []string) {
 	return sets.NewRepository(raw), model, query
 }
 
-// checkTopK asserts that results form a valid top-k by exact semantic
-// overlap: correct size, descending order, and every result's exact score at
-// least the true k-th score (ties broken arbitrarily).
-func checkTopK(t *testing.T, repo *sets.Repository, model *embedding.Model, query []string, alpha float64, k int, results []Result) {
+// checkTopK asserts that results are the exact top-k under the rule
+// (DESIGN.md §1): the first k sets of a brute-force ranking by score, then
+// name, then set ID. A verified result must carry its set's exact score bit
+// for bit; one the No-EM filter admitted reports a lower bound on it. When
+// every result is verified they must come in the ranking's order.
+func checkTopK(t *testing.T, repo *sets.Repository, fn sim.Func, query []string, alpha float64, k int, results []Result) {
 	t.Helper()
-	truth := bruteForceTopK(repo, query, model, alpha)
-	wantLen := k
-	if len(truth) < k {
-		wantLen = len(truth)
-	}
+	truth := bruteForceTopK(t, repo, query, fn, alpha)
+	wantLen := min(k, len(truth))
 	if len(results) != wantLen {
 		t.Fatalf("got %d results, want %d (candidates=%d)", len(results), wantLen, len(truth))
 	}
-	if wantLen == 0 {
-		return
+	want := make(map[int]float64, wantLen)
+	for _, s := range truth[:wantLen] {
+		want[s.setID] = s.score
 	}
-	thetaK := truth[wantLen-1].score
-	seen := map[int]bool{}
+	verified := true
 	for i, r := range results {
-		if seen[r.SetID] {
-			t.Fatalf("duplicate result set %d", r.SetID)
+		exact, ok := want[r.SetID]
+		if !ok {
+			t.Fatalf("result %d: set %d (%s, score %v) is not in the top-%d %v", i, r.SetID, repo.Set(r.SetID).Name, r.Score, k, truth[:wantLen])
 		}
-		seen[r.SetID] = true
-		exact := exactSO(query, repo.Elements(r.SetID), model, alpha)
-		if exact < thetaK-tol {
-			t.Fatalf("result %d (set %d) has exact SO %v < θ*k %v", i, r.SetID, exact, thetaK)
-		}
-		if r.Verified && math.Abs(r.Score-exact) > 1e-6 {
+		delete(want, r.SetID)
+		verified = verified && r.Verified
+		if r.Verified && math.Float64bits(r.Score) != math.Float64bits(exact) {
 			t.Fatalf("verified score %v != exact %v for set %d", r.Score, exact, r.SetID)
 		}
 		if !r.Verified && r.Score > exact+1e-6 {
 			t.Fatalf("unverified score %v exceeds exact %v for set %d", r.Score, exact, r.SetID)
+		}
+	}
+	for i, r := range results {
+		if verified && r.SetID != truth[i].setID {
+			t.Fatalf("rank %d: set %d, the ranking has set %d (%v)", i, r.SetID, truth[i].setID, truth[:wantLen])
 		}
 	}
 }
@@ -160,12 +164,73 @@ func TestSearchAblationsAgree(t *testing.T) {
 	}
 }
 
-// TestSearchPartitionsAgree: the same query must yield the same top-k
-// scores, bit for bit, for any partition count — on a random instance and on
-// benchmark queries of the four datagen shapes. Without ExactScores a
-// search verifies no result set only to make its score exact, however many
-// partitions it has.
+// answer is a search's answer as the rule fixes it: names and score bits.
+type answer []struct {
+	name string
+	bits uint64
+}
+
+// answerOf searches g for query and returns its answer and statistics.
+func answerOf(t *testing.T, g *Group, query []string) (answer, Stats) {
+	t.Helper()
+	res, st, err := g.SearchContext(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(answer, len(res))
+	for i, r := range res {
+		out[i].name, out[i].bits = g.Engines[r.Seg].repo.Set(r.Local).Name, math.Float64bits(r.Score)
+	}
+	return out, st
+}
+
+// deadByName returns e alone as a Group in which the sets whose names dead
+// holds are deleted, tombstoned in Dead and their tokens out of LiveTokens
+// unless a live set holds them too.
+func deadByName(e *Engine, dead map[string]bool) *Group {
+	g := e.group()
+	if len(dead) == 0 {
+		return g
+	}
+	n := e.repo.Len()
+	mask := make([]uint64, (n+63)/64)
+	live := make([]uint64, (e.vocabN+63)/64)
+	for sid := range n {
+		if dead[e.repo.Set(sid).Name] {
+			mask[sid>>6] |= 1 << (uint(sid) & 63)
+			continue
+		}
+		for _, id := range e.repo.Set(sid).ElemIDs {
+			live[id>>6] |= 1 << (uint(id) & 63)
+		}
+	}
+	g.Dead, g.LiveTokens = [][]uint64{mask}, live
+	return g
+}
+
+// TestSearchPartitionsAgree: an answer depends on the data only (DESIGN.md
+// §1) — the same query must yield the same set names and score bits for
+// any partition count, any number of verification workers, each filter
+// switched off, and the sets numbered in another order. It compares
+// partition counts (checkPartitionCounts) and, on the benchmark's four
+// workload shapes, every variant (checkWorkloadShapes).
 func TestSearchPartitionsAgree(t *testing.T) {
+	checkPartitionCounts(t)
+	checkWorkloadShapes(t)
+}
+
+// checkPartitionCounts compares partition counts 1, 2, 3, 5 and 9 on a
+// random instance and on benchmark queries of the four datagen shapes.
+// Without ExactScores a search verifies no result set only to make its
+// score exact, however many partitions it has.
+func checkPartitionCounts(t *testing.T) {
+	named := func(raw []sets.Set) []sets.Set {
+		out := slices.Clone(raw)
+		for i := range out {
+			out[i].Name = fmt.Sprintf("r%03d", (i*37)%len(out))
+		}
+		return out
+	}
 	type input struct {
 		name    string
 		repo    *sets.Repository
@@ -174,6 +239,7 @@ func TestSearchPartitionsAgree(t *testing.T) {
 		queries [][]string
 	}
 	repo, model, query := randomInstance(7)
+	repo = sets.NewRepository(named(repo.Sets()))
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	inputs := []input{{"random", repo, src, Options{K: 6, Alpha: 0.7, ExactScores: true}, [][]string{query}}}
 	for _, kind := range datagen.Kinds() {
@@ -185,39 +251,117 @@ func TestSearchPartitionsAgree(t *testing.T) {
 		}
 		inputs = append(inputs, in)
 	}
-	compared := 0
 	for _, in := range inputs {
-		want := make([][]float64, len(in.queries))
+		want := make([]answer, len(in.queries))
 		for _, parts := range []int{1, 2, 3, 5, 9} {
 			opts := in.opts
 			opts.Partitions = parts
-			eng := NewEngine(in.repo, in.src, opts)
+			g := NewEngine(in.repo, in.src, opts).group()
 			for qi, q := range in.queries {
-				results, _ := eng.Search(q)
-				scores := make([]float64, len(results))
-				for i, r := range results {
-					scores[i] = r.Score
-				}
+				got, _ := answerOf(t, g, q)
 				if want[qi] == nil {
-					want[qi] = scores
+					want[qi] = got
 					continue
 				}
-				if len(scores) != len(want[qi]) {
-					t.Fatalf("%s query %d, partitions=%d: %d results, want %d", in.name, qi, parts, len(scores), len(want[qi]))
-				}
-				compared++
-				for i := range scores {
-					if math.Float64bits(scores[i]) != math.Float64bits(want[qi][i]) {
-						t.Fatalf("%s query %d, partitions=%d rank %d: %v, want %v", in.name, qi, parts, i, scores[i], want[qi][i])
-					}
+				if !slices.Equal(got, want[qi]) {
+					t.Fatalf("%s query %d, partitions=%d: %v, want %v", in.name, qi, parts, got, want[qi])
 				}
 			}
 		}
 	}
-	t.Logf("%d comparisons", compared)
 	if _, st := NewEngine(repo, src, Options{K: 6, Alpha: 0.7, Partitions: 3}).Search(query); st.FinalizeEM != 0 {
 		t.Fatalf("partitions=3 without ExactScores: %d finalizing verifications, want 0", st.FinalizeEM)
 	}
+}
+
+// checkWorkloadShapes compares 150 queries on each of the benchmark's four
+// workload shapes — twitter 1.0 over vectors and over edit similarity,
+// opendata 0.1 with queries of 100–400 elements, and twitter 0.5 with every
+// fourth set tombstoned — against one partition and one worker with every
+// filter on, over the sets in insertion order: each variant must give the
+// same names and score bits.
+func checkWorkloadShapes(t *testing.T) {
+	type shape struct {
+		name    string
+		ds      *datagen.Dataset
+		edit    bool
+		every   int // every every-th set is tombstoned (0: none)
+		lo, hi  int // query cardinalities (0: any)
+		queries [][]string
+	}
+	shapes := []*shape{
+		{name: "twitter 1.0 vector", ds: datagen.GenerateDefault(datagen.Twitter, 1.0)},
+		{name: "twitter 1.0 edit", ds: datagen.GenerateDefault(datagen.Twitter, 1.0), edit: true},
+		{name: "opendata 0.1", ds: datagen.GenerateDefault(datagen.OpenData, 0.1), lo: 100, hi: 400},
+		{name: "twitter 0.5 tombstoned", ds: datagen.GenerateDefault(datagen.Twitter, 0.5), every: 4},
+	}
+	base := Options{K: 10, Alpha: 0.8, ExactScores: true}
+	variants := []struct {
+		name string
+		opts func(o Options) Options
+	}{
+		{"partitions 4", func(o Options) Options { o.Partitions = 4; return o }},
+		{"workers 4", func(o Options) Options { o.Workers = 4; return o }},
+		{"DisableIUB", func(o Options) Options { o.DisableIUB = true; return o }},
+		{"DisableNoEM", func(o Options) Options { o.DisableNoEM = true; return o }},
+		{"DisableEarlyTerm", func(o Options) Options { o.DisableEarlyTerm = true; return o }},
+	}
+	compared := 0
+	for _, sh := range shapes {
+		all := sh.ds.Repo.Sets()
+		var eligible []sets.Set
+		for _, s := range all {
+			if n := len(s.Elements); (sh.lo == 0 || n >= sh.lo) && (sh.hi == 0 || n <= sh.hi) {
+				eligible = append(eligible, s)
+			}
+		}
+		for i := range 150 {
+			sh.queries = append(sh.queries, eligible[i*len(eligible)/150].Elements)
+		}
+		dead := make(map[string]bool)
+		for sid := 0; sh.every > 0 && sid < len(all); sid += sh.every {
+			dead[all[sid].Name] = true
+		}
+		group := func(raw []sets.Set, opts Options) *Group {
+			repo := sets.NewRepository(raw)
+			var src index.NeighborSource = index.NewExact(repo.Vocabulary(), sh.ds.Model.Vector)
+			if sh.edit {
+				src = index.NewFuncIndex(repo.Vocabulary(), sim.EditSimilarity{})
+			}
+			return deadByName(NewEngine(repo, src, opts), dead)
+		}
+		ref := group(all, base)
+		want := make([]answer, len(sh.queries))
+		verifications := 0
+		for qi, q := range sh.queries {
+			var st Stats
+			want[qi], st = answerOf(t, ref, q)
+			verifications += st.EMFull + st.EMEarly + st.FinalizeEM
+		}
+		check := func(label string, g *Group) {
+			for qi, q := range sh.queries {
+				compared++
+				if got, _ := answerOf(t, g, q); !slices.Equal(got, want[qi]) {
+					t.Fatalf("%s, %s, query %d: %v, want %v", sh.name, label, qi, got, want[qi])
+				}
+			}
+		}
+		for _, v := range variants {
+			// Partitions are built into an engine; everything else is the
+			// group's to set.
+			opts := v.opts(base)
+			if opts.Partitions != base.Partitions {
+				check(v.name, group(all, opts))
+				continue
+			}
+			check(v.name, &Group{Engines: ref.Engines, Opts: opts.withDefaults(), Dead: ref.Dead, LiveTokens: ref.LiveTokens})
+		}
+		shuffled := slices.Clone(all)
+		rand.New(rand.NewSource(int64(len(all)))).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		check("shuffled", group(shuffled, base))
+		t.Logf("%s: %.2f verifications per search", sh.name, float64(verifications)/float64(len(sh.queries)))
+	}
+	t.Logf("%d comparisons", compared)
 }
 
 // TestPartitionRangesCoverAllSetsExactlyOnce: NewEngine splits the set IDs
@@ -413,7 +557,7 @@ func TestSearchKLargerThanCandidates(t *testing.T) {
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	eng := NewEngine(repo, src, Options{K: 10_000, Alpha: 0.7, ExactScores: true})
 	results, _ := eng.Search(query)
-	truth := bruteForceTopK(repo, query, model, 0.7)
+	truth := bruteForceTopK(t, repo, query, model, 0.7)
 	if len(results) != len(truth) {
 		t.Fatalf("k>candidates: got %d results, want %d", len(results), len(truth))
 	}

@@ -24,9 +24,9 @@ import (
 // and is never verified. A Group is immutable; searching it takes no locks,
 // which is what keeps Search wait-free with respect to writers.
 type Group struct {
-	// Engines are the segment engines, oldest first. Result ordering ties
-	// break toward older segments (then lower local IDs), which preserves
-	// insertion order across the whole group.
+	// Engines are the segment engines, oldest first. A search's answer is
+	// the first k live sets by the rule (DESIGN.md §1): score, then name,
+	// so it does not depend on which segment holds a set.
 	Engines []*Engine
 	// Opts are the options every search of the group runs under, k included
 	// — effective values, as Options.WithDefaults returns them. The engines'
@@ -233,24 +233,6 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc)
 	if err != nil {
 		return nil, stats, err
-	}
-
-	if opts.ExactScores {
-		for i, r := range results {
-			if r.Verified {
-				continue
-			}
-			// A result set is a proven top-k member, so its score is at
-			// least θlb ≤ θ*k and the bounded verification can never
-			// terminate early (the dual sum never drops below the score).
-			res, took := g.verifyGid(r.SetID, len(query), cache, theta, base, &sc.verify[0])
-			stats.VerifyTime += took
-			stats.countVerify(res)
-			stats.FinalizeEM++
-			results[i].Score = res.Score
-			results[i].Verified = true
-		}
-		sortResults(results)
 	}
 	stats.PostprocTime = time.Since(postStart)
 	return results, stats, nil

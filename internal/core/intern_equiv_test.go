@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -41,6 +40,7 @@ type oracleCand struct {
 	ubSum    float64
 	rowSum   float64
 	lbScore  float64
+	inexact  uint8
 	mRem     int32
 	rRem     int32
 	pruned   bool
@@ -124,12 +124,7 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 			results[i].Score = res.Score
 			results[i].Verified = true
 		}
-		sort.Slice(results, func(i, j int) bool {
-			if results[i].Score != results[j].Score {
-				return results[i].Score > results[j].Score
-			}
-			return results[i].SetID < results[j].SetID
-		})
+		e.sortResults(results)
 	}
 	return results, stats
 }
@@ -190,14 +185,17 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			if st.pruned {
 				continue
 			}
+			var r uint8
 			if tup.first && st.mRem > 0 {
-				st.ubSum += s
+				st.ubSum, r = add(st.ubSum, s, inexactCol)
+				st.inexact |= r
 				st.mRem--
 			}
 			if !st.qSeen[tup.qIdx] {
 				st.qSeen[tup.qIdx] = true
 				if st.rRem > 0 {
-					st.rowSum += s
+					st.rowSum, r = add(st.rowSum, s, inexactRow)
+					st.inexact |= r
 					st.rRem--
 				}
 			}
@@ -206,7 +204,8 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 				if _, used := st.cMatched[tup.token]; !used {
 					st.qMask[w] |= bit
 					st.cMatched[tup.token] = struct{}{}
-					st.lbScore += s
+					st.lbScore, r = add(st.lbScore, s, inexactLB)
+					st.inexact |= r
 					if llb.Update(int(sid), st.lbScore) {
 						theta.Update(llb.Bottom())
 					}
@@ -238,9 +237,23 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			stats.IUBPruned++
 			continue
 		}
-		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub})
+		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub,
+			lo: st.lbScore - slack(st.inexact&inexactLB),
+			hi: min(st.ubSum+slack(st.inexact&inexactCol), st.rowSum+slack(st.inexact&inexactRow))})
 	}
 	return out
+}
+
+// before is the rule, on the oracle's own: a higher score first, then the
+// lower name, then the lower set ID.
+func (e *oracleEngine) before(x float64, a int, y float64, b int) bool {
+	if x != y {
+		return x > y
+	}
+	if na, nb := e.repo.Set(a).Name, e.repo.Set(b).Name; na != nb {
+		return na < nb
+	}
+	return a < b
 }
 
 func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats) []Result {
@@ -251,32 +264,33 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	verified := make(map[int]float64)
 	checked := make(map[int]bool)
 	dropped := make(map[int]bool)
+	// A set's exact score lies in [lo, hi]: its bounds, moved apart by
+	// pruneEps where their sums rounded, or the score itself once verified.
+	hi := make(map[int]float64, len(survivors))
+	lo := make(map[int]float64, len(survivors))
 
-	// Lub holds set IDs only: a member's upper bound is ub's entry, which
-	// changes only after the member left.
+	// Lub holds set IDs only: a member's hi changes only after it left.
 	lub := map[int]bool{}
 	lubKeys := func() []int { return slices.Sorted(maps.Keys(lub)) }
-	lubBottom := func() float64 {
-		least := math.Inf(1)
-		for key := range lub {
-			least = min(least, ub[key])
-		}
-		return least
+	type entry struct {
+		hi  float64
+		sid int
 	}
-	qub := pqueue.NewHeap[ubEntry](ubMore)
+	qub := pqueue.NewHeap(func(a, b entry) bool { return e.before(a.hi, a.sid, b.hi, b.sid) })
 	for _, sv := range survivors {
 		ub[sv.setID] = sv.ub
 		lb[sv.setID] = sv.lb
-		qub.Push(ubEntry{ub: sv.ub, sid: sv.setID})
+		hi[sv.setID], lo[sv.setID] = sv.hi, sv.lo
+		qub.Push(entry{hi: hi[sv.setID], sid: sv.setID})
 	}
 
 	refill := func() {
 		for len(lub) < k && qub.Len() > 0 {
 			top := qub.Pop()
-			if dropped[top.sid] || lub[top.sid] || top.ub != ub[top.sid] {
+			if dropped[top.sid] || lub[top.sid] || top.hi != hi[top.sid] {
 				continue
 			}
-			if t := theta.Load(); top.ub < t-pruneEps {
+			if t := theta.Load(); ub[top.sid] < t-pruneEps {
 				dropped[top.sid] = true
 				continue
 			}
@@ -287,9 +301,9 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	apply := func(sid int, res matching.Result) {
 		stats.HungarianIterations += res.Iterations
 		stats.VerifyCalls++
+		delete(lub, sid)
 		if res.Pruned {
 			stats.EMEarly++
-			delete(lub, sid)
 			dropped[sid] = true
 			return
 		}
@@ -297,52 +311,49 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 		so := res.Score
 		verified[sid] = so
 		checked[sid] = true
-		lb[sid] = so
+		ub[sid], lb[sid], hi[sid], lo[sid] = so, so, so, so
 		if llb.Update(sid, so) {
 			theta.Update(llb.Bottom())
 		}
-		delete(lub, sid)
-		ub[sid] = so
-		qub.Push(ubEntry{ub: so, sid: sid})
+		qub.Push(entry{hi: so, sid: sid})
 	}
 
 	for {
 		refill()
-		mutated := false
-		keys := lubKeys()
 		t := theta.Load()
-		for _, key := range keys {
+		pruned := false
+		for _, key := range lubKeys() {
 			if ub[key] < t-pruneEps {
 				delete(lub, key)
 				dropped[key] = true
-				mutated = true
-				continue
+				pruned = true
 			}
+		}
+		if pruned {
+			continue
+		}
+		last := -1
+		for _, key := range lubKeys() {
+			if last < 0 || e.before(hi[last], last, hi[key], key) {
+				last = key
+			}
+		}
+		var pending []int
+		for _, key := range lubKeys() {
 			if checked[key] {
 				continue
 			}
-			if len(lub) < k || (!opts.DisableNoEM && lb[key] >= lubBottom()) {
+			if len(lub) < k || (!opts.DisableNoEM && !e.before(hi[last], last, lo[key], key)) {
 				checked[key] = true
-				mutated = true
+				continue
 			}
-		}
-		if mutated {
-			continue
-		}
-		pending := make([]int, 0, k)
-		for _, key := range lubKeys() {
-			if !checked[key] {
-				pending = append(pending, key)
-			}
+			pending = append(pending, key)
 		}
 		if len(pending) == 0 {
 			break
 		}
 		sort.Slice(pending, func(i, j int) bool {
-			if ub[pending[i]] != ub[pending[j]] {
-				return ub[pending[i]] > ub[pending[j]]
-			}
-			return pending[i] < pending[j]
+			return e.before(hi[pending[i]], pending[i], hi[pending[j]], pending[j])
 		})
 		if len(pending) > opts.Workers {
 			pending = pending[:opts.Workers]
@@ -376,19 +387,16 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 	keys := lubKeys()
 	out := make([]Result, 0, len(keys))
 	for _, key := range keys {
-		if so, ok := verified[key]; ok {
-			out = append(out, Result{SetID: key, Score: so, Verified: true})
-		} else {
-			out = append(out, Result{SetID: key, Score: lb[key], Verified: false})
-		}
+		_, ok := verified[key]
+		out = append(out, Result{SetID: key, Score: lb[key], Verified: ok})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].SetID < out[j].SetID
-	})
+	e.sortResults(out)
 	return out
+}
+
+// sortResults orders results by the rule.
+func (e *oracleEngine) sortResults(out []Result) {
+	sort.Slice(out, func(i, j int) bool { return e.before(out[i].Score, out[i].SetID, out[j].Score, out[j].SetID) })
 }
 
 func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, elems []string, theta *atomicMax) matching.Result {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"testing"
 
 	"repro/internal/matching"
 	"repro/internal/sets"
@@ -16,41 +18,60 @@ type scoredSet struct {
 }
 
 // exactSO computes the semantic overlap of query and a set's elements by
-// direct Hungarian matching over the full α-thresholded similarity matrix —
-// the test oracle for the whole engine.
-func exactSO(query, elems []string, fn sim.Func, alpha float64) float64 {
+// an optimal matching over the full α-thresholded similarity matrix — the
+// test oracle for the whole engine. The matrix is the one a search's
+// verifier reads: rows are the query's distinct elements in ascending
+// order, columns the set's elements in set order. Where several matchings
+// are optimal up to rounding — similarities in steps of 0.05 make that
+// common — their weights can sum to different bits, and which one a solver
+// ends on is up to the solver, so the score bits are the verifier's
+// (matching.SparseSolver). The dense Hungarian solves the same matrix
+// independently of it, and the two must agree within 1e-9.
+func exactSO(t testing.TB, query, elems []string, fn sim.Func, alpha float64) float64 {
+	t.Helper()
+	query = sets.Dedup(query)
+	slices.Sort(query)
+	var edges []matching.Edge
 	w := make([][]float64, len(query))
-	any := false
 	for i, q := range query {
 		w[i] = make([]float64, len(elems))
-		for j, t := range elems {
-			s := fn.Sim(q, t)
-			if s >= alpha {
+		for j, e := range elems {
+			if s := fn.Sim(q, e); s >= alpha {
+				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
 				w[i][j] = s
-				any = true
 			}
 		}
 	}
-	if !any {
+	if len(edges) == 0 {
 		return 0
 	}
-	return matching.Hungarian(w).Score
+	var solver matching.SparseSolver
+	so := solver.Solve(len(query), len(elems), edges, nil).Score
+	if dense := matching.Hungarian(w).Score; math.Abs(so-dense) > 1e-9 {
+		t.Fatalf("oracle: sparse solver scores %v, dense Hungarian %v (query %v, set %v)", so, dense, query, elems)
+	}
+	return so
 }
 
-// bruteForceTopK returns every candidate (SO > 0) in descending score
-// order.
-func bruteForceTopK(repo *sets.Repository, query []string, fn sim.Func, alpha float64) []scoredSet {
+// bruteForceTopK returns every candidate (SO > 0) in the rule's order
+// (DESIGN.md §1): score descending, then name, then set ID.
+func bruteForceTopK(t testing.TB, repo *sets.Repository, query []string, fn sim.Func, alpha float64) []scoredSet {
+	t.Helper()
 	var out []scoredSet
 	for _, c := range repo.Sets() {
-		if so := exactSO(query, c.Elements, fn, alpha); so > 0 {
+		if so := exactSO(t, query, c.Elements, fn, alpha); so > 0 {
 			out = append(out, scoredSet{setID: c.ID, score: so})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
+		a, b := out[i], out[j]
+		if a.score != b.score {
+			return a.score > b.score
 		}
-		return out[i].setID < out[j].setID
+		if na, nb := repo.Set(a.setID).Name, repo.Set(b.setID).Name; na != nb {
+			return na < nb
+		}
+		return a.setID < b.setID
 	})
 	return out
 }

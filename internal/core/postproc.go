@@ -9,19 +9,12 @@ import (
 	"repro/internal/pqueue"
 )
 
-// ubEntry orders the post-processing priority queue Qub by upper bound.
-// sid is a set ID to the string-keyed oracle of the tests; postproc files a
-// survivor under its index in set-ID order, which breaks ties the same way.
+// ubEntry is an entry of the post-processing queue Qub: a survivor, by its
+// index in set-ID order, and the high end of its score (postScratch.hi) when
+// it was queued. Qub orders its entries by the rule on that value.
 type ubEntry struct {
-	ub  float64
-	sid int
-}
-
-func ubMore(a, b ubEntry) bool {
-	if a.ub != b.ub {
-		return a.ub > b.ub
-	}
-	return a.sid < b.sid
+	hi float64
+	i  int32
 }
 
 // A survivor's post-processing flags.
@@ -37,12 +30,43 @@ const (
 type postScratch struct {
 	llb       pqueue.TopK
 	survivors []survivor
-	ub, lb    []float64
-	flags     []uint8
-	qub       []ubEntry
-	lub       []int32
-	pending   []int32
-	results   []Result
+	// ub and lb are a survivor's refinement bounds, which the θlb prunes
+	// read, and hi and lo bound its exact score bit for bit (survivor). A
+	// verified survivor's four are its exact score.
+	ub, lb, hi, lo []float64
+	flags          []uint8
+	qub            []ubEntry
+	lub            []int32
+	pending        []int32
+	results        []Result
+	// g and base are the search's group and group-wide set-ID offsets, the
+	// rule's way to a survivor's name. qubLess orders Qub by the rule; it is
+	// made once per scratch.
+	g       *Group
+	base    []int
+	qubLess func(a, b ubEntry) bool
+}
+
+// before is the rule that decides every answer (DESIGN.md §1): survivor i
+// at score x sorts before survivor j at score y if x is the higher score,
+// or on equal scores if its name is the lower, or on equal names — an
+// engine built over duplicate names — if its group-wide set ID is the
+// lower, which is i < j: the survivors are in set-ID order. Names are read
+// only on equal scores.
+func (p *postScratch) before(x float64, i int32, y float64, j int32) bool {
+	if x != y {
+		return x > y
+	}
+	if a, b := p.name(i), p.name(j); a != b {
+		return a < b
+	}
+	return i < j
+}
+
+// name returns survivor i's name, read from its engine.
+func (p *postScratch) name(i int32) string {
+	e, _, local := p.g.locate(p.survivors[i].setID, p.base)
+	return e.repo.Set(local).Name
 }
 
 // verifyGid runs the exact verification of the set with group-wide ID gid
@@ -54,37 +78,28 @@ func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base 
 	return res, time.Since(start)
 }
 
-// sortResults orders results by descending score, ascending set ID.
-func sortResults(results []Result) {
-	slices.SortFunc(results, func(a, b Result) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		}
-		return a.SetID - b.SetID
-	})
-}
-
 // postproc runs Algorithm 2 over the refinement survivors (merged across
-// all partitions and segments — they already share the global θlb).
-// Survivor set IDs are group-wide dense IDs (base[seg]+local); locate
-// resolves them back to a segment engine for verification. It sorts the
-// survivors by set ID and keeps everything it knows about one — bounds,
-// flags — in arrays under its index, so that "lowest set ID first" is
-// "lowest index first" and no step hashes a set ID. It maintains
+// all partitions and segments — they already share the global θlb) and
+// returns the first k of them by the rule (postScratch.before), in its
+// order, their scores exact under ExactScores. Survivor set IDs are
+// group-wide dense IDs (base[seg]+local); locate resolves them back to a
+// segment engine for verification. It sorts the survivors by set ID and
+// keeps everything it knows about one — bounds and flags — in arrays
+// under its index, so that no step hashes a set ID. A survivor's exact
+// score lies in [lo, hi] (postScratch.hi), and every order below is the
+// rule on hi. It maintains
 //
-//   - Lub, the running top-k list by upper bound (its bottom is θub): the
-//     members' indices in ascending order, each scored by its current ub;
-//   - Qub, a priority queue of the remaining sets by upper bound;
+//   - Lub, the running top-k list (its last member under the rule is θub):
+//     the members' indices in ascending order;
+//   - Qub, a priority queue of the remaining sets;
 //   - Llb (rebuilt from survivor lower bounds), whose bottom feeds the
 //     global θlb as verifications complete.
 //
-// Invariant: every alive set outside Lub has an upper bound no larger than
-// any upper bound in Lub. Lub's least upper bound therefore equals the k-th
-// largest upper bound over all alive sets, which is what Lemma 7's No-EM
-// test requires.
+// Invariant: every alive set outside Lub sorts after every member. A hi
+// only falls, so θub only moves down the order; a member whose lo does not
+// sort after θub therefore sorts, at its exact score, before every set that
+// is or will be outside Lub, which is the No-EM test of Lemma 7 under the
+// rule (DESIGN.md §1).
 //
 // ctx is polled once per round of the outer loop; on cancellation postproc
 // returns ctx's error (in-flight verifications of the current round finish
@@ -102,28 +117,33 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	slices.SortFunc(survivors, func(a, b survivor) int { return a.setID - b.setID })
 
 	p := &sc.post
-	p.ub, p.lb, p.flags = sized(p.ub, n), sized(p.lb, n), zeroed(p.flags, n)
+	p.g, p.base, p.survivors = g, base, survivors
+	if p.qubLess == nil {
+		p.qubLess = func(a, b ubEntry) bool { return p.before(a.hi, a.i, b.hi, b.i) }
+	}
+	p.ub, p.lb, p.hi, p.lo = sized(p.ub, n), sized(p.lb, n), sized(p.hi, n), sized(p.lo, n)
+	p.flags = zeroed(p.flags, n)
 	p.qub, p.lub, p.pending = sized(p.qub, n), sized(p.lub, slots), sized(p.pending, slots)
-	ub, lb, flags := p.ub, p.lb, p.flags
+	ub, lb, hi, lo, flags := p.ub, p.lb, p.hi, p.lo, p.flags
 	for i, sv := range survivors {
-		ub[i], lb[i] = sv.ub, sv.lb
-		p.qub[i] = ubEntry{ub: sv.ub, sid: i}
+		ub[i], lb[i], hi[i], lo[i] = sv.ub, sv.lb, sv.hi, sv.lo
+		p.qub[i] = ubEntry{hi: hi[i], i: int32(i)}
 	}
 	// Verification re-queues a survivor only after its entry was popped into
 	// Lub, so the queue never outgrows the n entries it starts with.
-	qub := pqueue.NewHeapFrom(p.qub, ubMore)
+	qub := pqueue.NewHeapFrom(p.qub, p.qubLess)
 	lub, pending := p.lub[:0], p.pending[:0]
-	stats.MemPostprocBytes += int64(n)*(8+8+1+16) + int64(slots)*(4+4)
+	stats.MemPostprocBytes += int64(n)*(4*8+16+1+16) + int64(slots)*(4+4)
 
 	refill := func() {
 		for len(lub) < k && qub.Len() > 0 {
 			top := qub.Pop()
-			i := int32(top.sid)
+			i := top.i
 			j, inLub := slices.BinarySearch(lub, i)
-			if inLub || flags[i]&postDropped != 0 || top.ub != ub[i] {
+			if inLub || flags[i]&postDropped != 0 || top.hi != hi[i] {
 				continue // dropped or stale entry
 			}
-			if t := theta.Load(); top.ub < t-pruneEps {
+			if t := theta.Load(); ub[i] < t-pruneEps {
 				flags[i] |= postDropped // lazy UB prune, certified by ub < θlb
 				continue
 			}
@@ -147,12 +167,11 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		stats.EMFull++
 		so := res.Score
 		flags[i] |= postVerified | postChecked
-		lb[i] = so
+		ub[i], lb[i], hi[i], lo[i] = so, so, so, so
 		if llb.Update(survivors[i].setID, so) {
 			theta.Update(llb.Bottom())
 		}
-		ub[i] = so
-		qub.Push(ubEntry{ub: so, sid: int(i)})
+		qub.Push(ubEntry{hi: so, i: i})
 	}
 
 	// Parallel verification with a shared, live θlb: results are applied as
@@ -171,60 +190,52 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			return nil, err
 		}
 		refill()
-		// Cheap passes first: lazy UB pruning of Lub members and the No-EM
-		// admission test (Lemma 7), lowest set ID first. Restart the scan
-		// after any mutation so θub is re-read consistently.
-		mutated := false
+		// Cheap passes first: lazy UB pruning of Lub members, after which
+		// refill makes Lub whole again before anything is admitted.
 		t := theta.Load()
-		// θub is Lub's least upper bound while Lub is full. A scan that takes
-		// a member out leaves it short until the next refill.
-		full, thetaUB := len(lub) == k, 0.0
-		if full {
-			thetaUB = ub[lub[0]]
-			for _, i := range lub[1:] {
-				thetaUB = min(thetaUB, ub[i])
+		pruned := false
+		lub = slices.DeleteFunc(lub, func(i int32) bool {
+			if ub[i] >= t-pruneEps {
+				return false
 			}
-		}
-		for j := 0; j < len(lub); {
-			i := lub[j]
-			if ub[i] < t-pruneEps {
-				lub = slices.Delete(lub, j, j+1)
-				flags[i] |= postDropped
-				mutated, full = true, false
-				continue
-			}
-			j++
-			if flags[i]&postChecked != 0 {
-				continue
-			}
-			// When Lub is not full after refill, Qub is empty: every alive
-			// candidate is already in Lub and is part of the result.
-			if !full || (!opts.DisableNoEM && lb[i] >= thetaUB) {
-				flags[i] |= postChecked
-				mutated = true
-			}
-		}
-		if mutated {
+			flags[i] |= postDropped
+			pruned = true
+			return true
+		})
+		if pruned {
 			continue
+		}
+		// Then the No-EM admission test (Lemma 7) against θub, the member
+		// that sorts last. When Lub is not full after refill, Qub is empty:
+		// every alive candidate is a member and part of the result.
+		full, last := len(lub) == k, int32(-1)
+		for _, i := range lub {
+			if last < 0 || p.before(hi[last], last, hi[i], i) {
+				last = i
+			}
 		}
 		pending = pending[:0]
 		for _, i := range lub {
-			if flags[i]&postChecked == 0 {
-				pending = append(pending, i)
+			if flags[i]&postChecked != 0 {
+				continue
 			}
+			if !full || (!opts.DisableNoEM && !p.before(hi[last], last, lo[i], i)) {
+				flags[i] |= postChecked
+				continue
+			}
+			pending = append(pending, i)
 		}
 		if len(pending) == 0 {
 			break
 		}
-		// Verify the highest-upper-bound sets first ("sets with high upper
-		// bounds have the potential for high semantic overlaps", §VI): the
-		// best min(Workers, len) by (ub desc, set ID asc), in that order.
+		// Verify the highest sets first ("sets with high upper bounds have
+		// the potential for high semantic overlaps", §VI): the best
+		// min(Workers, len) by the rule on hi, in that order.
 		round := min(opts.Workers, len(pending))
 		for w := 0; w < round; w++ {
 			best := w
 			for j := w + 1; j < len(pending); j++ {
-				a, b := pending[j], pending[best]
-				if ub[a] > ub[b] || (ub[a] == ub[b] && a < b) {
+				if a, b := pending[j], pending[best]; p.before(hi[a], a, hi[b], b) {
 					best = j
 				}
 			}
@@ -257,12 +268,36 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	// lazy UB check).
 	stats.NoEM += n - stats.EMFull - stats.EMEarly
 
+	if opts.ExactScores {
+		for _, i := range lub {
+			if flags[i]&postVerified != 0 {
+				continue
+			}
+			// A result set is a proven top-k member, so its score is at
+			// least θlb ≤ θ*k and the bounded verification can never
+			// terminate early (the dual sum never drops below the score).
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
+			stats.VerifyTime += took
+			stats.countVerify(res)
+			stats.FinalizeEM++
+			lb[i] = res.Score
+			flags[i] |= postVerified
+		}
+	}
+	slices.SortFunc(lub, func(a, b int32) int {
+		switch {
+		case p.before(lb[a], a, lb[b], b):
+			return -1
+		case p.before(lb[b], b, lb[a], a):
+			return 1
+		}
+		return 0
+	})
 	out := sized(p.results, len(lub))
 	for j, i := range lub {
 		// A verified set's lb is its exact score.
 		out[j] = Result{SetID: survivors[i].setID, Score: lb[i], Verified: flags[i]&postVerified != 0}
 	}
 	p.results = out
-	sortResults(out)
 	return out, nil
 }

@@ -53,7 +53,28 @@ const (
 	setUnseen uint8 = iota // no posting of the set has been met yet
 	setLive                // a candidate: its candState and masks are written
 	setPruned              // pruned, settled or tombstoned; later postings skip it
+	setStatus uint8 = 3    // masks the status; a live set's byte holds the bits below too
 )
+
+// A live set's inexact bits: an addition to its ubSum, rowSum or lbScore
+// rounded. A sum none of whose additions rounded is the exact sum of its
+// terms, which post-processing then compares without pruneEps's slack
+// (DESIGN.md §1).
+const (
+	inexactCol uint8 = 4 << iota
+	inexactRow
+	inexactLB
+)
+
+// add returns a + b, and bit when the addition rounded: TwoSum's error term
+// (Knuth) is zero exactly when (a+b)−a = b and (a+b)−b = a.
+func add(a, b float64, bit uint8) (float64, uint8) {
+	s := a + b
+	if s-a == b && s-b == a {
+		return s, 0
+	}
+	return s, bit
+}
 
 // bound returns the corrected iUB at stream level s (DESIGN.md §2) and its
 // column side alone, which tells whether the query side decided a prune.
@@ -72,10 +93,12 @@ type qWord struct {
 }
 
 // survivor is a candidate that reached post-processing with its final
-// refinement bounds.
+// refinement bounds, lb and ub, and lo and hi, which hold its exactly rounded
+// score bit for bit: a bound itself where its sum is exact, else moved out by
+// pruneEps.
 type survivor struct {
-	setID  int
-	lb, ub float64
+	setID          int
+	lb, ub, lo, hi float64
 }
 
 // partRefiner runs Algorithm 1 over one partition's CSR inverted index,
@@ -253,7 +276,8 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 			skipped += n - len(sids)
 		}
 		for pi, sid := range sids {
-			switch flags[sid] {
+			f := flags[sid]
+			switch f {
 			case setPruned:
 				continue
 			case setUnseen:
@@ -277,7 +301,8 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 					}
 				}
 				// Admitted: its state and masks are written now, and only now.
-				flags[sid] = setLive
+				f = setLive
+				flags[sid] = f
 				states[sid] = candState{mRem: slots, rRem: slots}
 				clear(qBits[int(sid)*qWords : (int(sid)+1)*qWords])
 				clear(cBits[cOff[sid]:cOff[sid+1]])
@@ -286,8 +311,9 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 			// Incremental upper bound: count the token's maximum similarity
 			// once, while slots remain (the stream is descending, so the
 			// first min(|Q|,|C|) distinct tokens carry the largest sums).
+			var inexact uint8
 			if tup.first && st.mRem > 0 {
-				st.ubSum += s
+				st.ubSum, inexact = add(st.ubSum, s, inexactCol)
 				st.mRem--
 			}
 			// The query side: the query element's first arrival into the
@@ -297,7 +323,9 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 			qbit := uint64(1) << (uint(tup.qIdx) & 63)
 			if st.rRem > 0 && qw.seen&qbit == 0 {
 				qw.seen |= qbit
-				st.rowSum += s
+				var bit uint8
+				st.rowSum, bit = add(st.rowSum, s, inexactRow)
+				inexact |= bit
 				st.rRem--
 			}
 			// Incremental greedy lower bound (iLB): take the edge iff both
@@ -308,11 +336,16 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 				if cBits[cw]&cbit == 0 {
 					qw.matched |= qbit
 					cBits[cw] |= cbit
-					st.lbScore += s
+					var bit uint8
+					st.lbScore, bit = add(st.lbScore, s, inexactLB)
+					inexact |= bit
 					if llb.Update(int(sid), st.lbScore) {
 						theta.Update(llb.Bottom())
 					}
 				}
+			}
+			if f|inexact != f {
+				flags[sid] = f | inexact
 			}
 		}
 	}
@@ -331,7 +364,8 @@ func (r *partRefiner) drain() []survivor {
 	check, below := !r.opts.DisableIUB && theta > 0, theta-pruneEps
 	out := r.rs.surv[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
-		if r.flags[sid] != setLive {
+		f := r.flags[sid]
+		if f&setStatus != setLive {
 			continue
 		}
 		st := &r.states[sid]
@@ -343,11 +377,21 @@ func (r *partRefiner) drain() []survivor {
 			}
 			continue
 		}
-		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub})
+		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub,
+			lo: st.lbScore - slack(f&inexactLB),
+			hi: min(st.ubSum+slack(f&inexactCol), st.rowSum+slack(f&inexactRow))})
 	}
 	r.rs.surv = out
 	r.accountMem()
 	return out
+}
+
+// slack is pruneEps for an inexact sum's bit, 0 for an exact one's.
+func slack(inexact uint8) float64 {
+	if inexact != 0 {
+		return pruneEps
+	}
+	return 0
 }
 
 // accountMem counts the partition's part of the arena: per set its

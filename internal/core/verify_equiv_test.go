@@ -17,8 +17,9 @@ import (
 // worker the bound cannot move during a verification, so the verdicts must
 // be equal; with several it can only rise, so an engine prune must still be
 // a dense prune (the converse may lag a concurrent θlb update). A completed
-// matching must carry the dense solver's score bit for bit — the optimum
-// matching is unique on these corpora, and both solvers sum it in row order.
+// matching must carry the dense solver's score bit for bit — both solvers
+// report a matching's score as matching.Sum of its weights, and on these
+// corpora they end on optima whose weights sum to the same real number.
 // Each leg searches five queries, and more until one of its verifications
 // has completed: the refinement filters settle most searches of some corpora
 // without one.

@@ -33,7 +33,8 @@ func Greedy(edges []Edge) Result {
 
 // GreedyOrdered computes the greedy matching of edges that are already in
 // descending weight order — exactly the situation in Koios's refinement
-// phase, where the token stream emits edges in that order (Lemma 5).
+// phase, where the token stream emits edges in that order (Lemma 5). Its
+// score is the taken weights' Sum, as the exact solvers report theirs.
 func GreedyOrdered(edges []Edge) Result {
 	maxQ := -1
 	for _, e := range edges {
@@ -46,7 +47,7 @@ func GreedyOrdered(edges []Edge) Result {
 		match[i] = -1
 	}
 	usedC := make(map[int]bool, len(edges))
-	score := 0.0
+	var ws []float64
 	iterations := 0
 	for _, e := range edges {
 		iterations++
@@ -58,7 +59,7 @@ func GreedyOrdered(edges []Edge) Result {
 		}
 		match[e.Q] = e.C
 		usedC[e.C] = true
-		score += e.W
+		ws = append(ws, e.W)
 	}
-	return Result{Score: score, Match: match, Iterations: iterations}
+	return Result{Score: Sum(ws), Match: match, Iterations: iterations}
 }

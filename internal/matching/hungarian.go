@@ -16,7 +16,8 @@ import "math"
 // Result describes a solved matching.
 type Result struct {
 	// Score is the total weight of the matching (the semantic overlap when
-	// weights are α-thresholded similarities).
+	// weights are α-thresholded similarities), rounded once (Sum): it
+	// depends on the matched weights only.
 	Score float64
 	// Match maps each row (query element) to its matched column, or -1 when
 	// the row is effectively unmatched (unassigned or assigned a zero-weight
@@ -189,16 +190,16 @@ func HungarianBounded(w [][]float64, bound func() float64) Result {
 		}
 	}
 
-	score := 0.0
+	var ws []float64
 	match := make([]int, nr)
 	for i := 0; i < nr; i++ {
 		j := xy[i]
 		if j >= 0 && j < nc && at(i, j) > 0 {
 			match[i] = j
-			score += at(i, j)
+			ws = append(ws, at(i, j))
 		} else {
 			match[i] = -1
 		}
 	}
-	return Result{Score: score, Match: match, Iterations: iterations}
+	return Result{Score: Sum(ws), Match: match, Iterations: iterations}
 }

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,5 +305,46 @@ func sizeName(n int) string {
 		return "n=64"
 	default:
 		return "n=256"
+	}
+}
+
+// TestSumRoundsOnce: Sum is the exact sum of its weights rounded once to the
+// nearest float64 (math/big at 4096 bits is the reference), so every order
+// of the same weights gives the same bits — on α-graph weights, on values of
+// every magnitude, and on sums that land halfway between two floats.
+func TestSumRoundsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	exact := func(ws []float64) float64 {
+		acc := new(big.Float).SetPrec(4096)
+		for _, w := range ws {
+			acc.Add(acc, new(big.Float).SetPrec(4096).SetFloat64(w))
+		}
+		f, _ := acc.Float64()
+		return f
+	}
+	half := math.Nextafter(1, 2) - 1 // 2⁻⁵², so 1 + half/2 is a tie
+	cases := [][]float64{nil, {0.3}, {0.1, 0.2, 0.3}, {1, half / 2}, {1, half / 2, half / 2}, {1e300, 1, -1e300}, {1, half / 2, 1e-300}}
+	for trial := 0; trial < 500; trial++ {
+		ws := make([]float64, rng.Intn(40))
+		for i := range ws {
+			switch trial % 3 {
+			case 0:
+				ws[i] = 0.8 + 0.2*rng.Float64()
+			case 1:
+				ws[i] = math.Ldexp(rng.Float64(), rng.Intn(200)-100)
+			default:
+				ws[i] = float64(9+rng.Intn(12)) / 20
+			}
+		}
+		cases = append(cases, ws)
+	}
+	for ci, ws := range cases {
+		want := exact(ws)
+		for perm := 0; perm < 4; perm++ {
+			if got := Sum(ws); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d, order %d: %v (%x), exact %v (%x) of %v", ci, perm, got, math.Float64bits(got), want, math.Float64bits(want), ws)
+			}
+			rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+		}
 	}
 }

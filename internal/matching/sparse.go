@@ -40,6 +40,7 @@ type SparseSolver struct {
 	heap       *pqueue.Heap[colDist]
 
 	match []int
+	ws    []float64 // the matched weights, summed by Sum
 
 	// trace, when set (tests only), observes the solver and its dual sum on
 	// entry and after every augmentation.
@@ -110,8 +111,9 @@ func resize[T any](s []T, n int) []T {
 // tightens a running verification. The verdict equals HungarianBounded's on
 // the densified matrix: both prune iff the optimum is below the bound.
 //
-// Score sums the matched weights in ascending row order, as the dense solver
-// does. Result.Match aliases the solver's scratch and is valid until the
+// Score is the matched weights' Sum, as the dense solver reports it: the
+// same bits whichever optimal matching the search ends on and in whatever
+// order the rows come. Result.Match aliases the solver's scratch and is valid until the
 // next call; Iterations counts augmentations (rows with at least one edge).
 func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64) Result {
 	s.load(rows, cols, edges)
@@ -221,15 +223,15 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 		}
 	}
 
-	score := 0.0
+	s.ws = s.ws[:0]
 	for i, e := range s.rowEdge {
 		s.match[i] = -1
 		if e >= 0 {
 			s.match[i] = int(s.col[e])
-			score += s.w[e]
+			s.ws = append(s.ws, s.w[e])
 		}
 	}
-	return Result{Score: score, Match: s.match, Iterations: iterations}
+	return Result{Score: Sum(s.ws), Match: s.match, Iterations: iterations}
 }
 
 // cheapest returns row i's first edge of least clamped reduced cost and

@@ -172,7 +172,7 @@ func checkSparse(t *testing.T, w [][]float64, bound float64) {
 		t.Fatalf("final dual sum %v below Score %v", last, got.Score)
 	}
 	used := make(map[int]bool)
-	sum := 0.0
+	var ws []float64
 	for i, j := range got.Match {
 		if j == -1 {
 			continue
@@ -181,9 +181,9 @@ func checkSparse(t *testing.T, w [][]float64, bound float64) {
 			t.Fatalf("invalid match row %d -> col %d (Match=%v, w=%v)", i, j, got.Match, w)
 		}
 		used[j] = true
-		sum += w[i][j]
+		ws = append(ws, w[i][j])
 	}
-	if sum != got.Score {
+	if sum := Sum(ws); sum != got.Score {
 		t.Fatalf("Match sums to %v, Score %v", sum, got.Score)
 	}
 
@@ -372,15 +372,15 @@ func solveByHeap(s *SparseSolver, rows, cols int, edges []Edge, bound func() flo
 			s.trace(dualSum)
 		}
 	}
-	score := 0.0
+	var ws []float64
 	for i, e := range s.rowEdge {
 		s.match[i] = -1
 		if e >= 0 {
 			s.match[i] = int(s.col[e])
-			score += s.w[e]
+			ws = append(ws, s.w[e])
 		}
 	}
-	return Result{Score: score, Match: s.match, Iterations: iterations}
+	return Result{Score: Sum(ws), Match: s.match, Iterations: iterations}
 }
 
 // TestSparseDirectAugmentation: Solve's direct augmentations — the root's

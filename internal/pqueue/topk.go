@@ -110,8 +110,9 @@ func (t *TopK) Update(key int, score float64) bool {
 }
 
 // Entries returns (key, score) pairs sorted by descending score. Ties keep
-// heap order, which is arbitrary — consistent with the problem definition's
-// arbitrary tie-breaking.
+// heap order, which is arbitrary. Koios's Llb never hands them on: only its
+// bottom score feeds θlb, and an answer is ordered by the rule of
+// DESIGN.md §1, not by this list.
 func (t *TopK) Entries() ([]int, []float64) {
 	keys := make([]int, len(t.heap))
 	scores := make([]float64, len(t.heap))

@@ -122,7 +122,10 @@ type SetRecord struct {
 	Elements []string
 }
 
-// Result is one entry of a manager search, best first.
+// Result is one entry of a manager search, best first: by score
+// descending, then Name ascending — the rule that also picks which of
+// several tied sets fill the last places (DESIGN.md §1), so an answer does
+// not depend on the segment layout or the insertion order.
 type Result struct {
 	// ID is the set's stable handle: its position in the seed collection,
 	// or the value Insert returned.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,13 +14,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMetamorphicScores checks three properties of exact top-k answers that
-// need no rule for which of several tied sets fills a slot, so they compare
-// score sequences (within 1e-9), never set IDs. On the four datagen shapes
-// at scale 0.05, over the vector source and the edit-similarity source:
-//   - raising α never raises the i-th score, nor the number of results;
-//   - top-k's scores are the first k of top-(k+1)'s;
-//   - a permuted query returns the same scores.
+// TestMetamorphicScores checks three properties of exact top-k answers on
+// the four datagen shapes at scale 0.05, over the vector source and the
+// edit-similarity source:
+//   - raising α never raises the i-th score (within 1e-9), nor the number
+//     of results;
+//   - top-k is the first k of top-(k+1), names and score bits, which the
+//     rule (DESIGN.md §1) fixes among tied sets;
+//   - a permuted query returns the same names and score bits.
 func TestMetamorphicScores(t *testing.T) {
 	type source struct {
 		name       string
@@ -48,17 +50,13 @@ func TestMetamorphicScores(t *testing.T) {
 		}
 		for _, src := range sources {
 			t.Run(string(kind)+"/"+src.name, func(t *testing.T) {
-				search := func(m *Manager, q []string, k int) []float64 {
+				search := func(m *Manager, q []string, k int) []Result {
 					t.Helper()
 					res, _, err := m.Search(ctx, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					scores := make([]float64, len(res))
-					for i, r := range res {
-						scores[i] = r.Score
-					}
-					return scores
+					return res
 				}
 				open := func(alpha float64) *Manager {
 					m := NewManager(all, src.build(ds), core.Options{K: 5, Alpha: alpha, ExactScores: true}, Config{})
@@ -68,7 +66,7 @@ func TestMetamorphicScores(t *testing.T) {
 				lo, hi := open(src.alphaLo), open(src.alphaHi)
 				rng := rand.New(rand.NewSource(int64(len(all))))
 				for qi, q := range queries {
-					atLo, atHi := search(lo, q, 0), search(hi, q, 0)
+					atLo, atHi := scores(search(lo, q, 0)), scores(search(hi, q, 0))
 					if len(atHi) > len(atLo) {
 						t.Fatalf("query %d: %d results at α %v, %d at %v", qi, len(atHi), src.alphaHi, len(atLo), src.alphaLo)
 					}
@@ -82,16 +80,16 @@ func TestMetamorphicScores(t *testing.T) {
 					prev := search(lo, q, 1)
 					for k := 2; k <= 6; k++ {
 						next := search(lo, q, k)
-						if len(next) < len(prev) || !sameScores(prev, next[:len(prev)]) {
-							t.Fatalf("query %d: top-%d scores %v are not the first of top-%d's %v", qi, k-1, prev, k, next)
+						if len(next) < len(prev) || !sameAnswer(prev, next[:len(prev)]) {
+							t.Fatalf("query %d: top-%d %v is not the first of top-%d's %v", qi, k-1, prev, k, next)
 						}
 						prev = next
 					}
 
 					perm := append([]string(nil), q...)
 					rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-					if got := search(lo, perm, 0); !sameScores(got, atLo) {
-						t.Fatalf("query %d: permuted query scored %v, the query %v", qi, got, atLo)
+					if got, want := search(lo, perm, 0), search(lo, q, 0); !sameAnswer(got, want) {
+						t.Fatalf("query %d: permuted query answered %v, the query %v", qi, got, want)
 					}
 				}
 			})
@@ -104,15 +102,19 @@ func TestMetamorphicScores(t *testing.T) {
 	}
 }
 
-// sameScores reports whether two score sequences agree within 1e-9.
-func sameScores(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// scores returns the scores of an answer.
+func scores(res []Result) []float64 {
+	out := make([]float64, len(res))
+	for i, r := range res {
+		out[i] = r.Score
 	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			return false
-		}
-	}
-	return true
+	return out
+}
+
+// sameAnswer reports whether two answers name the same sets in the same
+// order with the same score bits.
+func sameAnswer(a, b []Result) bool {
+	return slices.EqualFunc(a, b, func(x, y Result) bool {
+		return x.Name == y.Name && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
 }

@@ -1,14 +1,19 @@
 package segment
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/matching"
 	"repro/internal/sets"
+	"repro/internal/sim"
 )
 
 // TestRowRoundTrip holds the one row shape (DESIGN.md §3): a repository row
@@ -20,7 +25,9 @@ import (
 // must equal the model — each set's distinct elements in first-occurrence
 // order, an empty set as [] and never nil — and searches must equal a
 // from-scratch engine's over the model's sets, in the memtable as after a
-// seal.
+// seal. The model answers each search itself as well (modelAnswer): the
+// manager, and a from-scratch engine over the model's sets in a shuffled
+// order, must return its names and score bits.
 func TestRowRoundTrip(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.Twitter, 0.01)
 	pool := ds.Repo.Sets()
@@ -86,9 +93,29 @@ func TestRowRoundTrip(t *testing.T) {
 					}
 				}
 				q := o.rows[liveName()]
+				shuffled := o.sets()
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				eng, repo := scratchEngine(shuffled, vec, opts)
 				for _, query := range [][]string{q, append(slices.Clone(q), q...), raw()} {
-					if len(query) > 0 {
-						assertEquivalent(t, label, m, o.sets(), vec, opts, query)
+					if len(query) == 0 {
+						continue
+					}
+					assertEquivalent(t, label, m, o.sets(), vec, opts, query)
+					want := modelAnswer(o, vec, opts, query)
+					got, _, err := m.Search(context.Background(), query, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameAnswer(got, want) {
+						t.Fatalf("%s: manager answered %v, the model %v (query %v)", label, got, want, query)
+					}
+					res, _ := eng.Search(query)
+					fromScratch := make([]Result, len(res))
+					for i, r := range res {
+						fromScratch[i] = Result{Name: repo.Set(r.SetID).Name, Score: r.Score}
+					}
+					if !sameAnswer(fromScratch, want) {
+						t.Fatalf("%s: a from-scratch engine over the sets shuffled answered %v, the model %v", label, fromScratch, want)
 					}
 				}
 			}
@@ -153,6 +180,59 @@ func TestRowRoundTrip(t *testing.T) {
 			t.Logf("ops: %v", ran)
 		})
 	}
+}
+
+// modelAnswer is the model's answer to query, computed from the strings and
+// the vectors alone: each live set is scored by the dense matching.Hungarian
+// over the α-thresholded similarities — 1 between equal elements, sim.Dot of
+// their vectors between others — and the first k sets (SO > 0) by the rule,
+// score descending and then name, are the answer. Rows are the query's
+// distinct elements in ascending order, as a search's are. An element that
+// no live set holds has no similarities: a from-scratch index over the live
+// sets has no vector for it.
+func modelAnswer(o *oracle, vec func(string) ([]float32, bool), opts core.Options, query []string) []Result {
+	live := make(map[string]bool)
+	for _, elems := range o.rows {
+		for _, e := range elems {
+			live[e] = true
+		}
+	}
+	query = sets.Dedup(query)
+	slices.Sort(query)
+	similarity := func(q, e string) float64 {
+		if q == e {
+			return 1
+		}
+		vq, ok := vec(q)
+		ve, ok2 := vec(e)
+		if !live[q] || !ok || !ok2 {
+			return 0
+		}
+		return sim.Dot(vq, ve)
+	}
+	var ranked []Result
+	for _, name := range o.order {
+		elems := sets.Dedup(o.rows[name])
+		w := make([][]float64, len(query))
+		for i, q := range query {
+			w[i] = make([]float64, len(elems))
+			for j, e := range elems {
+				if s := similarity(q, e); s >= opts.Alpha {
+					w[i][j] = s
+				}
+			}
+		}
+		if so := matching.Hungarian(w).Score; so > 0 {
+			ranked = append(ranked, Result{Name: name, Score: so})
+		}
+	}
+	slices.SortFunc(ranked, func(a, b Result) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	return ranked[:min(opts.K, len(ranked))]
 }
 
 // BenchmarkCompact times one merge of several sealed segments with

@@ -7,7 +7,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/search        {"query": [...], "k": 5}          → top-k results + stats
+//	POST   /v1/search        {"query": [...], "k": 5}          → top-k results (score desc, then name) + stats
 //	POST   /v1/search/batch  {"queries": [[...], ...], "k": 5} → per-query results (or per-entry errors) against one snapshot
 //	POST   /v1/overlap       {"a": [...], "b": [...]}          → pairwise measures
 //	POST   /v1/sets          {"name": "...", "elements": [..]} → insert/replace a set
@@ -367,7 +367,9 @@ type SearchResult struct {
 	Verified bool    `json:"verified"`
 }
 
-// SearchResponse is the body of a successful search.
+// SearchResponse is the body of a successful search. Results are the exact
+// top-k, best first: by score descending, then set name ascending, the rule
+// that also picks which of several sets tied at the k-th score are returned.
 type SearchResponse struct {
 	Results []SearchResult `json:"results"`
 	Stats   SearchStats    `json:"stats"`

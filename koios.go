@@ -109,7 +109,10 @@ func (c Config) coreOptions() core.Options {
 	}
 }
 
-// Result is one entry of the top-k result, best first.
+// Result is one entry of the top-k result, best first: by score
+// descending, then SetName ascending. The sets of an answer are the first k
+// in that order by exact score, so which of several tied sets an answer
+// holds depends on the collection alone (DESIGN.md §1).
 type Result struct {
 	// SetID is the set's index in the collection passed to New.
 	SetID int
