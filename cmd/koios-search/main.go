@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		k       = fs.Int("k", 10, "result size")
 		alpha   = fs.Float64("alpha", 0.8, "element similarity threshold")
 		parts   = fs.Int("partitions", 4, "repository partitions")
-		workers = fs.Int("workers", 4, "concurrent verifications per search")
+		workers = fs.Int("workers", 1, "concurrent verifications per search")
 		remote  = fs.String("server", "", "query a running koios-server at this base URL (e.g. http://localhost:7411) instead of building a local engine")
 		timeout = fs.Duration("timeout", 30*time.Second, "overall remote query budget, retries included (with -server)")
 	)

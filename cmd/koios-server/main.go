@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		alpha    = fs.Float64("alpha", 0.8, "element similarity threshold of every collection, for /v1/search and /v1/overlap alike")
 		parts    = fs.Int("partitions", 4, "contiguous set-ID ranges a seed or compacted segment is split into and refined in parallel")
 		workers  = fs.Int("workers", 0, "max concurrently executing searches (worker pool size; 0 = GOMAXPROCS)")
-		verifyW  = fs.Int("verify-workers", 4, "exact-matching verifications one search of any collection runs concurrently during post-processing")
+		verifyW  = fs.Int("verify-workers", 1, "exact-matching verifications one search of any collection runs concurrently during post-processing")
 		qTimeout = fs.Duration("query-timeout", 30*time.Second, "per-query execution timeout (0 = unlimited)")
 		seal     = fs.Int("seal", 256, "memtable sets buffered before sealing a segment")
 		maxSegs  = fs.Int("max-segments", 4, "sealed segments tolerated before the scheduler compacts a collection")

@@ -98,8 +98,9 @@ func (r *Runner) SilkMothComparison() {
 }
 
 // Ablation quantifies each design choice called out in DESIGN.md §7: the
-// full engine against single-filter-disabled variants, plus the greedy
-// scorer's result quality gap and the IVF index recall trade.
+// full engine's per-query filter funnel, which counts what each filter
+// decided, plus the greedy scorer's result quality gap and the IVF index
+// recall trade.
 func (r *Runner) Ablation() {
 	r.header("Ablation: filters, greedy scoring, index choice (OpenData)")
 	b := r.bundleFor(datagen.OpenData)
@@ -108,35 +109,21 @@ func (r *Runner) Ablation() {
 		queries = queries[:12]
 	}
 
-	type variant struct {
-		name     string
-		override func(*core.Options)
+	var resp []time.Duration
+	var cand, iub, settled, querySide, noEM, early, full []int
+	for _, st := range runKoios(r.engineFor(b, nil), queries) {
+		resp = append(resp, st.ResponseTime())
+		cand = append(cand, st.Candidates)
+		iub = append(iub, st.IUBPruned)
+		settled = append(settled, st.BoundSettled)
+		querySide = append(querySide, st.IUBQueryPruned)
+		noEM = append(noEM, st.NoEM)
+		early = append(early, st.EMEarly)
+		full = append(full, st.EMFull)
 	}
-	variants := []variant{
-		{"full", nil},
-		{"no-iUB", func(o *core.Options) { o.DisableIUB = true }},
-		{"no-NoEM", func(o *core.Options) { o.DisableNoEM = true }},
-		{"no-EarlyTerm", func(o *core.Options) { o.DisableEarlyTerm = true }},
-		{"no-filters", func(o *core.Options) {
-			o.DisableIUB, o.DisableNoEM, o.DisableEarlyTerm = true, true, true
-		}},
-	}
-	r.printf("%-14s %14s %10s %10s %10s %10s\n", "Variant", "AvgResponse", "Cand", "iUBPruned", "EMFull", "EMEarly")
-	for _, v := range variants {
-		eng := r.engineFor(b, v.override)
-		var resp []time.Duration
-		var cand, iub, em, early []int
-		for _, st := range runKoios(eng, queries) {
-			resp = append(resp, st.ResponseTime())
-			cand = append(cand, st.Candidates)
-			iub = append(iub, st.IUBPruned)
-			em = append(em, st.EMFull)
-			early = append(early, st.EMEarly)
-		}
-		r.printf("%-14s %14v %10.0f %10.0f %10.0f %10.0f\n",
-			v.name, avgDuration(resp).Round(time.Microsecond),
-			mean(cand), mean(iub), mean(em), mean(early))
-	}
+	r.printf("queries=%d  avg response %v\n", len(queries), avgDuration(resp).Round(time.Microsecond))
+	r.printf("funnel per query: candidates %.1f → iUB-pruned %.1f (bound-settled %.1f, query-side %.1f) → no-EM %.1f → EM-early %.1f → EM-full %.1f\n",
+		mean(cand), mean(iub), mean(settled), mean(querySide), mean(noEM), mean(early), mean(full))
 
 	// Greedy scoring: fraction of queries where the greedy top-1 disagrees
 	// with the exact top-1 (Example 2's failure mode, measured).

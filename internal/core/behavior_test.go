@@ -189,32 +189,26 @@ func TestEngineConcurrentSearches(t *testing.T) {
 // TestNoCutConsumesWholeStream: every search consumes its whole stream —
 // it reports no cut, and StreamTuples is StreamRetrieved plus an identity
 // tuple per distinct query element, the tuples of tokens in no live set
-// included — under the default options and with the iUB filter off, at one
-// partition and at four, over the engine alone and as a group whose
-// tombstones demote the tokens only deleted sets hold.
+// included — at one partition and at four, over the engine alone and as a
+// group whose tombstones demote the tokens only deleted sets hold.
 func TestNoCutConsumesWholeStream(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
 	queries := datagen.NewBenchmark(ds, 17).Queries[:10]
 	for _, parts := range []int{1, 4} {
-		for name, opts := range map[string]Options{
-			"default":    {K: 10, Alpha: 0.8, Partitions: parts},
-			"DisableIUB": {K: 10, Alpha: 0.8, Partitions: parts, DisableIUB: true},
-		} {
-			eng := NewEngine(ds.Repo, src, opts)
-			dead := tombstoned(eng, 3)
-			for qi, q := range queries {
-				qN := len(sets.Dedup(q.Elements))
-				_, st := eng.Search(q.Elements)
-				_, dst, err := dead.SearchContext(context.Background(), q.Elements)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for label, st := range map[string]Stats{"engine": st, "tombstoned group": dst} {
-					if st.StreamCut || st.StreamTuples != st.StreamRetrieved+qN {
-						t.Fatalf("partitions=%d %s query %d, %s: cut=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
-							parts, name, qi, label, st.StreamCut, st.StreamTuples, st.StreamRetrieved, qN)
-					}
+		eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, Partitions: parts})
+		dead := tombstoned(eng, 3)
+		for qi, q := range queries {
+			qN := len(sets.Dedup(q.Elements))
+			_, st := eng.Search(q.Elements)
+			_, dst, err := dead.SearchContext(context.Background(), q.Elements)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for label, st := range map[string]Stats{"engine": st, "tombstoned group": dst} {
+				if st.StreamCut || st.StreamTuples != st.StreamRetrieved+qN {
+					t.Fatalf("partitions=%d query %d, %s: cut=%v tuples=%d, want the whole stream of %d retrieved + %d identity",
+						parts, qi, label, st.StreamCut, st.StreamTuples, st.StreamRetrieved, qN)
 				}
 			}
 		}

@@ -28,22 +28,25 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 
 // checkBoundsEveryPrefix is the white-box test of the corrected iUB bound,
 // the iLB greedy bound and the stream-wide set bound (DESIGN.md §2). It
-// consumes query's stream one tuple at a time with the filters disabled, so
-// every candidate stays alive, and after each tuple, at its level s, holds
-// every candidate's exact semantic overlap to lb ≤ SO, to the column side
-// SO ≤ ubSum + mRem·s and to the query side SO ≤ rowSum + rRem·s, each on
-// its own, and its set bound to at least ubSum. Once the stream is
-// exhausted every set's bound must be its column side's sum bit for bit, and
-// at least SO − matching.BoundEps, and the θlb seed drawn from the bounds
-// (Group.seedTheta) at most the k-th largest SO. After the drain the
-// survivors' [lb, ub] must contain SO, with lb at least half of it. Last,
-// a search with the filters on must hand post-processing no set the bound
-// settled.
+// consumes query's stream one tuple at a time under a k larger than the
+// repository, so θlb stays 0 and every candidate stays alive, and after each
+// tuple, at its level s, holds every candidate's exact semantic overlap to
+// lb ≤ SO, to the column side SO ≤ ubSum + mRem·s and to the query side
+// SO ≤ rowSum + rRem·s, each on its own, and its set bound to at least
+// ubSum. At a set's first sight its bound must be at most Lemma 2's
+// min(|Q|,|C|)·s, up to a relative n·2⁻⁵² for the rounding of a sum of n
+// terms: the bound skip then decides every set Lemma 2's check would prune
+// there. Once the stream is exhausted every set's bound must be its column
+// side's sum bit for bit, and at least SO − matching.BoundEps, and the θlb
+// seed drawn from the bounds (Group.seedTheta) for k = 3 at most the third
+// largest SO. After the drain the survivors' [lb, ub] must contain SO, with
+// lb at least half of it. Last, a search for the top 3 must hand
+// post-processing no set the bound settled.
 func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, fn sim.Func, alpha float64, query []string) {
 	t.Helper()
 	query = sets.Dedup(query)
 	src := index.NewFuncIndex(repo.Vocabulary(), fn)
-	eng := NewEngine(repo, src, Options{K: 3, Alpha: alpha, DisableIUB: true})
+	eng := NewEngine(repo, src, Options{K: repo.Len() + 1, Alpha: alpha})
 	so := make([]float64, repo.Len())
 	for sid := range so {
 		so[sid] = exactSO(t, query, repo.Elements(sid), fn, alpha)
@@ -62,18 +65,29 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 			t.Fatalf("%s: set %d: bound %v below exact SO %v", label, sid, b, so[sid])
 		}
 	}
-	seed := eng.group().seedTheta(cache, bound, len(query), []int{0, repo.Len()}, sc)
+	const k = 3
+	g := eng.group()
+	g.Opts.K = k
+	seed := g.seedTheta(cache, bound, len(query), []int{0, repo.Len()}, sc)
 	desc := slices.Clone(so)
 	slices.SortFunc(desc, func(a, b float64) int { return cmp.Compare(b, a) })
-	if k := eng.opts.K; seed > 0 && (len(desc) < k || seed > desc[k-1]+1e-9) {
+	if seed > 0 && (len(desc) < k || seed > desc[k-1]+1e-9) {
 		t.Fatalf("%s: θlb seed %v above the k-th largest exact SO (k = %d, SOs %v)", label, seed, k, desc)
 	}
+	seen := make([]bool, repo.Len())
 	for i := range tuples {
 		r.consume(context.Background(), tuples[i:i+1])
 		s := tuples[i].sim // no later tuple is more similar
 		for sid := range r.states {
 			if r.flags[sid] == setUnseen {
 				continue
+			}
+			if !seen[sid] {
+				seen[sid] = true
+				n := float64(min(len(query), int(eng.card[sid])))
+				if lemma2 := n * s; bound[sid] > lemma2*(1+n*0x1p-52) {
+					t.Fatalf("%s: set %d first met at level %v: bound %v above Lemma 2's min(|Q|,|C|)·s = %v", label, sid, s, bound[sid], lemma2)
+				}
 			}
 			st := &r.states[sid]
 			exact := so[sid]
@@ -92,7 +106,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 			t.Fatalf("%s: set %d: bound %v, final column side %v", label, sid, b, col)
 		}
 	}
-	live := NewEngine(repo, src, Options{K: 3, Alpha: alpha})
+	live := NewEngine(repo, src, Options{K: k, Alpha: alpha})
 	live.survivorHook = func(svs []survivor, bounds []float64) {
 		for _, sv := range svs {
 			if bounds[sv.setID] == settledBound {
@@ -103,7 +117,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	live.Search(query)
 	survivors := r.drain()
 	if len(survivors) != stats.Candidates {
-		t.Fatalf("%s: %d survivors, %d candidates (filters disabled)", label, len(survivors), stats.Candidates)
+		t.Fatalf("%s: %d survivors, %d candidates (θlb 0)", label, len(survivors), stats.Candidates)
 	}
 	for _, sv := range survivors {
 		exact := so[sv.setID]
@@ -419,7 +433,7 @@ func TestSeedBelowKthOverlap(t *testing.T) {
 			var vs verifyScratch
 			for sid, b := range bound {
 				if b > 0 && !isDead(dead, sid) {
-					so = append(so, eng.verify(&eng.opts, len(sets.Dedup(q.Elements)), cache, ds.Repo.Set(sid), nil, &vs).Score)
+					so = append(so, eng.verify(len(sets.Dedup(q.Elements)), cache, ds.Repo.Set(sid), nil, &vs).Score)
 				}
 			}
 			slices.SortFunc(so, func(a, b float64) int { return cmp.Compare(b, a) })
@@ -497,6 +511,7 @@ func TestQuerySideBoundDecides(t *testing.T) {
 	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 	theta, stats := &atomicMax{}, Stats{}
 	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
+	r.addBounds(tuples)
 	r.consume(context.Background(), tuples)
 	c := &r.states[0]
 	if r.flags[0]&setStatus != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
@@ -537,7 +552,7 @@ func TestLemma6Counterexample(t *testing.T) {
 		{"pad"},
 	})
 	src := index.NewFuncIndex(repo.Vocabulary(), ps)
-	eng := NewEngine(repo, src, Options{K: 1, Alpha: 0.5, DisableIUB: true})
+	eng := NewEngine(repo, src, Options{K: 1, Alpha: 0.5})
 
 	query := []string{"q1", "q2"}
 	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())

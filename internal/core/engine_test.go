@@ -126,44 +126,6 @@ func TestSearchExactAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestSearchAblationsAgree: disabling any filter must never change the
-// result scores — filters are optimizations, not semantics.
-func TestSearchAblationsAgree(t *testing.T) {
-	for seed := int64(100); seed < 120; seed++ {
-		repo, model, query := randomInstance(seed)
-		src := index.NewFuncIndex(repo.Vocabulary(), model)
-		base := Options{K: 5, Alpha: 0.7, ExactScores: true}
-		variants := []Options{
-			base,
-			{K: 5, Alpha: 0.7, ExactScores: true, DisableIUB: true},
-			{K: 5, Alpha: 0.7, ExactScores: true, DisableNoEM: true},
-			{K: 5, Alpha: 0.7, ExactScores: true, DisableEarlyTerm: true},
-			{K: 5, Alpha: 0.7, ExactScores: true, DisableIUB: true, DisableNoEM: true, DisableEarlyTerm: true},
-			{K: 5, Alpha: 0.7, ExactScores: true, DisableIUB: true, DisableNoEM: true},
-		}
-		var want []float64
-		for vi, opt := range variants {
-			results, _ := NewEngine(repo, src, opt).Search(query)
-			scores := make([]float64, len(results))
-			for i, r := range results {
-				scores[i] = r.Score
-			}
-			if vi == 0 {
-				want = scores
-				continue
-			}
-			if len(scores) != len(want) {
-				t.Fatalf("seed %d variant %d: %d results, want %d", seed, vi, len(scores), len(want))
-			}
-			for i := range scores {
-				if math.Abs(scores[i]-want[i]) > 1e-6 {
-					t.Fatalf("seed %d variant %d rank %d: score %v, want %v", seed, vi, i, scores[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // answer is a search's answer as the rule fixes it: names and score bits.
 type answer []struct {
 	name string
@@ -210,10 +172,11 @@ func deadByName(e *Engine, dead map[string]bool) *Group {
 
 // TestSearchPartitionsAgree: an answer depends on the data only (DESIGN.md
 // §1) — the same query must yield the same set names and score bits for
-// any partition count, any number of verification workers, each filter
-// switched off, and the sets numbered in another order. It compares
-// partition counts (checkPartitionCounts) and, on the benchmark's four
-// workload shapes, every variant (checkWorkloadShapes).
+// any partition count, any number of verification workers and the sets
+// numbered in another order, and they must be the brute-force ranking's.
+// It compares partition counts (checkPartitionCounts) and, on the
+// benchmark's four workload shapes, every variant and a sample against
+// brute force (checkWorkloadShapes).
 func TestSearchPartitionsAgree(t *testing.T) {
 	checkPartitionCounts(t)
 	checkWorkloadShapes(t)
@@ -277,21 +240,27 @@ func checkPartitionCounts(t *testing.T) {
 // checkWorkloadShapes compares 150 queries on each of the benchmark's four
 // workload shapes — twitter 1.0 over vectors and over edit similarity,
 // opendata 0.1 with queries of 100–400 elements, and twitter 0.5 with every
-// fourth set tombstoned — against one partition and one worker with every
-// filter on, over the sets in insertion order: each variant must give the
-// same names and score bits.
+// fourth set tombstoned — against one partition and one worker, over the
+// sets in insertion order: each variant must give the same names and score
+// bits. On the two twitter 1.0 shapes every bruteEvery-th query's answer
+// must also be the first k of a brute-force ranking, which scores every set
+// of the repository without the engine's stream, bounds or filters (solveSO:
+// the dense cross-check of exactSO would cost seconds here, and the random
+// instances of TestSearchExactAgainstBruteForce hold the solver to it).
 func checkWorkloadShapes(t *testing.T) {
 	type shape struct {
-		name    string
-		ds      *datagen.Dataset
-		edit    bool
-		every   int // every every-th set is tombstoned (0: none)
-		lo, hi  int // query cardinalities (0: any)
-		queries [][]string
+		name       string
+		ds         *datagen.Dataset
+		edit       bool
+		every      int // every every-th set is tombstoned (0: none)
+		lo, hi     int // query cardinalities (0: any)
+		bruteEvery int // every bruteEvery-th query is held to brute force (0: none)
+		queries    [][]string
 	}
+	twitter := datagen.GenerateDefault(datagen.Twitter, 1.0)
 	shapes := []*shape{
-		{name: "twitter 1.0 vector", ds: datagen.GenerateDefault(datagen.Twitter, 1.0)},
-		{name: "twitter 1.0 edit", ds: datagen.GenerateDefault(datagen.Twitter, 1.0), edit: true},
+		{name: "twitter 1.0 vector", ds: twitter, bruteEvery: 25},
+		{name: "twitter 1.0 edit", ds: twitter, edit: true, bruteEvery: 25},
 		{name: "opendata 0.1", ds: datagen.GenerateDefault(datagen.OpenData, 0.1), lo: 100, hi: 400},
 		{name: "twitter 0.5 tombstoned", ds: datagen.GenerateDefault(datagen.Twitter, 0.5), every: 4},
 	}
@@ -302,9 +271,6 @@ func checkWorkloadShapes(t *testing.T) {
 	}{
 		{"partitions 4", func(o Options) Options { o.Partitions = 4; return o }},
 		{"workers 4", func(o Options) Options { o.Workers = 4; return o }},
-		{"DisableIUB", func(o Options) Options { o.DisableIUB = true; return o }},
-		{"DisableNoEM", func(o Options) Options { o.DisableNoEM = true; return o }},
-		{"DisableEarlyTerm", func(o Options) Options { o.DisableEarlyTerm = true; return o }},
 	}
 	compared := 0
 	for _, sh := range shapes {
@@ -322,13 +288,15 @@ func checkWorkloadShapes(t *testing.T) {
 		for sid := 0; sh.every > 0 && sid < len(all); sid += sh.every {
 			dead[all[sid].Name] = true
 		}
+		source := func(repo *sets.Repository) index.NeighborSource {
+			if sh.edit {
+				return index.NewFuncIndex(repo.Vocabulary(), sim.EditSimilarity{})
+			}
+			return index.NewExact(repo.Vocabulary(), sh.ds.Model.Vector)
+		}
 		group := func(raw []sets.Set, opts Options) *Group {
 			repo := sets.NewRepository(raw)
-			var src index.NeighborSource = index.NewExact(repo.Vocabulary(), sh.ds.Model.Vector)
-			if sh.edit {
-				src = index.NewFuncIndex(repo.Vocabulary(), sim.EditSimilarity{})
-			}
-			return deadByName(NewEngine(repo, src, opts), dead)
+			return deadByName(NewEngine(repo, source(repo), opts), dead)
 		}
 		ref := group(all, base)
 		want := make([]answer, len(sh.queries))
@@ -337,6 +305,22 @@ func checkWorkloadShapes(t *testing.T) {
 			var st Stats
 			want[qi], st = answerOf(t, ref, q)
 			verifications += st.EMFull + st.EMEarly + st.FinalizeEM
+		}
+		for qi := 0; sh.bruteEvery > 0 && qi < len(sh.queries); qi += sh.bruteEvery {
+			repo, q := ref.Engines[0].repo, sh.queries[qi]
+			fn := sourceSim{source(repo).(index.CompleteScorer)}
+			truth := rankByScore(repo, func(elems []string) float64 {
+				so, _ := solveSO(q, elems, fn, base.Alpha)
+				return so
+			})
+			brute := make(answer, min(base.K, len(truth)))
+			for i := range brute {
+				brute[i].name, brute[i].bits = repo.Set(truth[i].setID).Name, math.Float64bits(truth[i].score)
+			}
+			compared++
+			if !slices.Equal(want[qi], brute) {
+				t.Fatalf("%s, query %d: %v, brute force %v", sh.name, qi, want[qi], brute)
+			}
 		}
 		check := func(label string, g *Group) {
 			for qi, q := range sh.queries {

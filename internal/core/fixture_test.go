@@ -91,19 +91,22 @@ func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []f
 	return seed, sc.seeds, r.bound, cache
 }
 
-// newRefiner prepares a refiner of partition p, under the engine's own
-// options, on an arena of its own.
+// newRefiner prepares a refiner of partition p, for the engine's own k, on
+// an arena of its own. Its bounds are all 0 until addBounds runs, so a θlb
+// above 0 settles every set the walk meets.
 func (e *Engine) newRefiner(qN, p int, theta *atomicMax, stats *Stats, dead []uint64) *partRefiner {
 	var arena refineArena
 	arena.reset(e.repo.Len(), (qN+63)/64, e.cWords())
 	share := arena.carve(e)
-	return e.newPartRefiner(&e.opts, qN, p, theta, stats, dead, &share, new(refinerScratch))
+	return e.newPartRefiner(e.opts.K, qN, p, theta, stats, dead, &share, new(refinerScratch))
 }
 
 // refinePartition runs Algorithm 1 over partition p against a fully
-// materialized tuple slice: one refiner, one consume call, then the drain.
+// materialized tuple slice as a search does, without the θlb seed: one
+// refiner, its stream-wide bounds, one consume call, then the drain.
 func (e *Engine) refinePartition(ctx context.Context, qN int, tuples []streamTuple, p int, theta *atomicMax, stats *Stats, dead []uint64) []survivor {
 	r := e.newRefiner(qN, p, theta, stats, dead)
+	r.addBounds(tuples)
 	if !r.consume(ctx, tuples) {
 		return nil
 	}

@@ -166,7 +166,7 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 		for p := range e.parts {
 			c := &chunks[n]
 			c.seg, c.p = si, p
-			c.r = e.newPartRefiner(opts, len(query), p, theta, &c.stats, dead, &share, &sc.refiners[n])
+			c.r = e.newPartRefiner(opts.K, len(query), p, theta, &c.stats, dead, &share, &sc.refiners[n])
 			n++
 		}
 	}
@@ -177,14 +177,12 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	stats.StreamTuples = retrieved + len(query)
 	boundStart := time.Now()
 	stats.StreamTime = boundStart.Sub(streamStart)
-	if !opts.DisableIUB {
-		// Bound every set by the maxima the stream brings, and seed θlb from
-		// the sets those bounds rank first (DESIGN.md §2).
-		for i := range chunks {
-			chunks[i].r.addBounds(tuples)
-		}
-		theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
+	// Bound every set by the maxima the stream brings, and seed θlb from the
+	// sets those bounds rank first (DESIGN.md §2).
+	for i := range chunks {
+		chunks[i].r.addBounds(tuples)
 	}
+	theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
 	walkStart := time.Now()
 	stats.BoundTime = walkStart.Sub(boundStart)
 	if !g.walk(ctx, chunks, tuples) {

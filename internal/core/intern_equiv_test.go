@@ -147,11 +147,12 @@ func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[str
 	return tuples, cache
 }
 
-// refinePartition is Algorithm 1 with the paper's iUB filter in its plain
-// form: every oraclePruneEvery tuples, and whenever θlb rose, it tests every
-// live candidate with its true bound. The engine has no such pass — its
-// stream-wide bound and its drain prune the same candidates — so the counts
-// the two must agree on say that nothing the filter would prune escapes.
+// refinePartition is Algorithm 1 with the paper's filters in their plain
+// form: Lemma 2's UB filter at a set's first sight, and the iUB filter every
+// oraclePruneEvery tuples and whenever θlb rose, testing every live
+// candidate with its true bound. The engine has neither — its stream-wide
+// bound and its drain prune the same candidates — so the counts the two must
+// agree on say that nothing either filter would prune escapes.
 func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv *index.Inverted, theta *atomicMax, stats *Stats) []survivor {
 	opts := e.opts
 	state := make(map[int32]*oracleCand)
@@ -174,12 +175,13 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 					cMatched: make(map[string]struct{}, 4),
 				}
 				state[sid] = st
-				if !opts.DisableIUB {
-					if t := theta.Load(); t > 0 && float64(slots)*s < t-pruneEps {
-						st.pruned = true
-						stats.IUBPruned++
-						continue
-					}
+				// UB-Filter at first sight (Lemma 2): the first tuple for a
+				// set carries its maximum element similarity, so
+				// UB(C) = min(|Q|,|C|)·s.
+				if t := theta.Load(); t > 0 && float64(slots)*s < t-pruneEps {
+					st.pruned = true
+					stats.IUBPruned++
+					continue
 				}
 			}
 			if st.pruned {
@@ -212,15 +214,13 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 				}
 			}
 		}
-		if !opts.DisableIUB {
-			t := theta.Load()
-			if t > lastPruneTheta || ti%oraclePruneEvery == oraclePruneEvery-1 {
-				lastPruneTheta = t
-				for _, st := range state {
-					if !st.pruned && st.bound(s) < t-pruneEps {
-						st.pruned = true
-						stats.IUBPruned++
-					}
+		t := theta.Load()
+		if t > lastPruneTheta || ti%oraclePruneEvery == oraclePruneEvery-1 {
+			lastPruneTheta = t
+			for _, st := range state {
+				if !st.pruned && st.bound(s) < t-pruneEps {
+					st.pruned = true
+					stats.IUBPruned++
 				}
 			}
 		}
@@ -233,7 +233,7 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			continue
 		}
 		ub := st.bound(0)
-		if !opts.DisableIUB && finalTheta > 0 && ub < finalTheta-pruneEps {
+		if finalTheta > 0 && ub < finalTheta-pruneEps {
 			stats.IUBPruned++
 			continue
 		}
@@ -343,7 +343,7 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 			if checked[key] {
 				continue
 			}
-			if len(lub) < k || (!opts.DisableNoEM && !e.before(hi[last], last, lo[key], key)) {
+			if len(lub) < k || !e.before(hi[last], last, lo[key], key) {
 				checked[key] = true
 				continue
 			}
@@ -427,7 +427,7 @@ func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, ele
 		rowOf[q] = i
 	}
 	var bound func() float64
-	if theta != nil && !e.opts.DisableEarlyTerm {
+	if theta != nil {
 		bound = theta.Load
 	}
 	// The dense reference decides every verification on its own: it shares

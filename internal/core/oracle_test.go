@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/matching"
 	"repro/internal/sets"
 	"repro/internal/sim"
@@ -25,41 +26,60 @@ type scoredSet struct {
 // are optimal up to rounding — similarities in steps of 0.05 make that
 // common — their weights can sum to different bits, and which one a solver
 // ends on is up to the solver, so the score bits are the verifier's
-// (matching.SparseSolver). The dense Hungarian solves the same matrix
-// independently of it, and the two must agree within 1e-9.
+// (matching.SparseSolver, solveSO). The dense Hungarian solves the same
+// matrix independently of it, and the two must agree within 1e-9.
 func exactSO(t testing.TB, query, elems []string, fn sim.Func, alpha float64) float64 {
 	t.Helper()
-	query = sets.Dedup(query)
-	slices.Sort(query)
-	var edges []matching.Edge
-	w := make([][]float64, len(query))
-	for i, q := range query {
-		w[i] = make([]float64, len(elems))
-		for j, e := range elems {
-			if s := fn.Sim(q, e); s >= alpha {
-				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
-				w[i][j] = s
-			}
-		}
-	}
+	so, edges := solveSO(query, elems, fn, alpha)
 	if len(edges) == 0 {
 		return 0
 	}
-	var solver matching.SparseSolver
-	so := solver.Solve(len(query), len(elems), edges, nil).Score
+	w := make([][]float64, len(sets.Dedup(query)))
+	for i := range w {
+		w[i] = make([]float64, len(elems))
+	}
+	for _, ed := range edges {
+		w[ed.Q][ed.C] = ed.W
+	}
 	if dense := matching.Hungarian(w).Score; math.Abs(so-dense) > 1e-9 {
 		t.Fatalf("oracle: sparse solver scores %v, dense Hungarian %v (query %v, set %v)", so, dense, query, elems)
 	}
 	return so
 }
 
+// solveSO is exactSO's score without the dense cross-check, and the
+// α-edges it solved over.
+func solveSO(query, elems []string, fn sim.Func, alpha float64) (float64, []matching.Edge) {
+	query = sets.Dedup(query)
+	slices.Sort(query)
+	var edges []matching.Edge
+	for i, q := range query {
+		for j, e := range elems {
+			if s := fn.Sim(q, e); s >= alpha {
+				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
+			}
+		}
+	}
+	if len(edges) == 0 {
+		return 0, nil
+	}
+	var solver matching.SparseSolver
+	return solver.Solve(len(query), len(elems), edges, nil).Score, edges
+}
+
 // bruteForceTopK returns every candidate (SO > 0) in the rule's order
 // (DESIGN.md §1): score descending, then name, then set ID.
 func bruteForceTopK(t testing.TB, repo *sets.Repository, query []string, fn sim.Func, alpha float64) []scoredSet {
 	t.Helper()
+	return rankByScore(repo, func(elems []string) float64 { return exactSO(t, query, elems, fn, alpha) })
+}
+
+// rankByScore scores every set of repo and returns those above 0 in the
+// rule's order.
+func rankByScore(repo *sets.Repository, score func(elems []string) float64) []scoredSet {
 	var out []scoredSet
 	for _, c := range repo.Sets() {
-		if so := exactSO(t, query, c.Elements, fn, alpha); so > 0 {
+		if so := score(c.Elements); so > 0 {
 			out = append(out, scoredSet{setID: c.ID, score: so})
 		}
 	}
@@ -75,6 +95,18 @@ func bruteForceTopK(t testing.TB, repo *sets.Repository, query []string, fn sim.
 	})
 	return out
 }
+
+// sourceSim scores two tokens as a complete source's retrieval does, and a
+// token against itself 1, as the stream's identity tuples do.
+type sourceSim struct{ index.CompleteScorer }
+
+func (s sourceSim) Sim(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	return s.PairSim(a, b)
+}
+func (s sourceSim) Name() string { return "source" }
 
 // pairSim is a test similarity function defined by an explicit symmetric
 // pair table; unlisted pairs have similarity 0 and identical strings 1.

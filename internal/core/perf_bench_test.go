@@ -66,7 +66,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 		theta, stats := &atomicMax{}, Stats{}
 		sc.refine.reset(ds.Repo.Len(), (qN+63)/64, eng.cWords())
 		share := sc.refine.carve(eng)
-		r := eng.newPartRefiner(&eng.opts, qN, 0, theta, &stats, nil, &share, &rs)
+		r := eng.newPartRefiner(eng.opts.K, qN, 0, theta, &stats, nil, &share, &rs)
 		r.addBounds(c.tuples)
 		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc))
 		r.consume(ctx, c.tuples)

@@ -74,7 +74,7 @@ func (p *postScratch) name(i int32) string {
 func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) (matching.Result, time.Duration) {
 	start := time.Now()
 	eng, _, local := g.locate(gid, base)
-	res := eng.verify(&g.Opts, qN, cache, eng.repo.Set(local), theta, vs)
+	res := eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
 	return res, time.Since(start)
 }
 
@@ -219,7 +219,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			if flags[i]&postChecked != 0 {
 				continue
 			}
-			if !full || (!opts.DisableNoEM && !p.before(hi[last], last, lo[i], i)) {
+			if !full || !p.before(hi[last], last, lo[i], i) {
 				flags[i] |= postChecked
 				continue
 			}

@@ -121,7 +121,6 @@ type survivor struct {
 // writes only the indices of its own sets.
 type partRefiner struct {
 	e     *Engine
-	opts  *Options // the search's: Group.Opts
 	part  *partition
 	qN    int
 	theta *atomicMax
@@ -132,9 +131,6 @@ type partRefiner struct {
 	llb *pqueue.TopK
 	// rs is the refiner's pooled working memory.
 	rs *refinerScratch
-	// skip reports that addBounds filled the stream-wide set bounds, which
-	// turns the posting skip on (DESIGN.md §2).
-	skip bool
 }
 
 // refinerScratch is one partition refiner's working memory, reused across
@@ -184,7 +180,6 @@ func (r *partRefiner) addBounds(tuples []streamTuple) {
 			}
 		}
 	}
-	r.skip = true
 }
 
 // partitionPostings is the bound filter keepBounded runs,
@@ -229,13 +224,13 @@ func (r *partRefiner) settle(sid int32) {
 	r.stats.BoundSettled++
 }
 
-// newPartRefiner prepares partition p's refinement state in share, the
-// engine's share of the search's arena, and the refiner in rs, which
-// becomes its working memory.
-func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, rs *refinerScratch) *partRefiner {
-	rs.llb.Reset(opts.K)
+// newPartRefiner prepares partition p's refinement state for a top-k search
+// in share, the engine's share of the search's arena, and the refiner in rs,
+// which becomes its working memory. Its addBounds must run before consume.
+func (e *Engine) newPartRefiner(k, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, rs *refinerScratch) *partRefiner {
+	rs.llb.Reset(k)
 	rs.r = partRefiner{
-		e: e, opts: opts, part: &e.parts[p], qN: qN, theta: theta, stats: stats, dead: dead,
+		e: e, part: &e.parts[p], qN: qN, theta: theta, stats: stats, dead: dead,
 		arenaShare: *share,
 		llb:        &rs.llb,
 		rs:         rs,
@@ -247,7 +242,7 @@ func (e *Engine) newPartRefiner(opts *Options, qN, p int, theta *atomicMax, stat
 // tuples and returns false once it is canceled (the refiner's state is then
 // partial and must be discarded).
 func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
-	e, opts := r.e, r.opts
+	e := r.e
 	inv, cOff := r.part.inv, e.cOff
 	states, flags, qBits, cBits, qWords := r.states, r.flags, r.qBits, r.cBits, r.qWords
 	llb, theta, stats, dead := r.llb, r.theta, r.stats, r.dead
@@ -270,7 +265,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 			sids, poss = rs.memSids, rs.memPoss
 		}
 		walked += len(sids)
-		if below := theta.Load() - pruneEps; r.skip && below > 0 {
+		if below := theta.Load() - pruneEps; below > 0 {
 			n := len(sids)
 			sids, poss = r.keepBounded(sids, poss, below)
 			skipped += n - len(sids)
@@ -289,18 +284,11 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 					continue
 				}
 				stats.Candidates++
-				slots := min(int32(qN), e.card[sid])
-				// UB-Filter at first sight (Lemma 2): the first tuple for a
-				// set carries its maximum element similarity, so
-				// UB(C) = min(|Q|,|C|)·s.
-				if !opts.DisableIUB {
-					if t := theta.Load(); t > 0 && float64(slots)*s < t-pruneEps {
-						flags[sid], bound[sid] = setPruned, settledBound
-						stats.IUBPruned++
-						continue
-					}
-				}
 				// Admitted: its state and masks are written now, and only now.
+				// Lemma 2's filter has nothing left to prune here: keepBounded
+				// dropped every set whose bound is below θlb, and a set first
+				// met at level s has bound ≤ min(|Q|,|C|)·s (DESIGN.md §2).
+				slots := min(int32(qN), e.card[sid])
 				f = setLive
 				flags[sid] = f
 				states[sid] = candState{mRem: slots, rRem: slots}
@@ -361,7 +349,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 // is counted as the query side's prune.
 func (r *partRefiner) drain() []survivor {
 	theta := r.theta.Load()
-	check, below := !r.opts.DisableIUB && theta > 0, theta-pruneEps
+	check, below := theta > 0, theta-pruneEps
 	out := r.rs.surv[:0]
 	for sid := r.part.lo; sid < r.part.hi; sid++ {
 		f := r.flags[sid]

@@ -6,9 +6,10 @@
 // (Alg. 2 — Llb/Lub/Qub lists, the No-EM filter of Lemma 7, parallel exact
 // verification with the label-sum early-termination filter of Lemma 8), plus
 // the partitioned scale-out driver of §VI with a shared global θlb. The
-// stream-wide bound subsumes the paper's bucketized iUB filter (§V) and its
-// stream cut-off: the walk passes over every set it puts below θlb, and the
-// drain re-checks the rest (DESIGN.md §2).
+// stream-wide bound subsumes the paper's bucketized iUB filter (§V), its
+// stream cut-off and Lemma 2's check at a set's first sight: the walk passes
+// over every set it puts below θlb, and the drain re-checks the rest
+// (DESIGN.md §2). Every filter is always on; Stats counts what each decided.
 //
 // The iUB bound implemented here is the corrected, provably sound variant
 // described in DESIGN.md §2; the literal Lemma 6 can under-estimate the
@@ -44,15 +45,6 @@ type Options struct {
 	// in the result are exact semantic overlaps even for sets the No-EM
 	// filter admitted without matching.
 	ExactScores bool
-	// DisableIUB turns the iUB filter off: the first-sight UB filter
-	// (Lemma 2), the stream-wide set bounds with their posting skip and θlb
-	// seed, and the drain's final check (the paper's Baseline+ keeps it on;
-	// the plain Baseline has it off).
-	DisableIUB bool
-	// DisableNoEM turns the No-EM filter (Lemma 7) off.
-	DisableNoEM bool
-	// DisableEarlyTerm turns the EM early-termination filter (Lemma 8) off.
-	DisableEarlyTerm bool
 }
 
 // WithDefaults returns the options with zero values replaced by the
@@ -96,9 +88,10 @@ type Stats struct {
 	// Candidates is the number of distinct sets obtained from the inverted
 	// index (non-zero semantic overlap).
 	Candidates int
-	// IUBPruned counts candidates pruned during refinement: by the UB
-	// filter at first sight (Lemma 2), by the stream-wide set bound at a
-	// skipped posting, or by the drain's final iUB check.
+	// IUBPruned counts candidates pruned during refinement: by the
+	// stream-wide set bound at a skipped posting — which decides every set
+	// Lemma 2's UB filter would prune at first sight (DESIGN.md §2) — or by
+	// the drain's final iUB check.
 	IUBPruned int
 	// IUBQueryPruned is the part of IUBPruned the query side of the bound
 	// decided at the drain (DESIGN.md §2): candidates its column side alone

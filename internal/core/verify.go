@@ -17,9 +17,9 @@ type verifyScratch struct {
 
 // verify computes the exact semantic overlap of the query and candidate c by
 // maximum-weight bipartite matching over the cached α-edges. When theta is
-// non-nil and early termination is enabled, the solver aborts as soon as its
-// dual sum — an upper bound on the final score — drops below the current
-// global θlb (Lemma 8), certifying that c cannot reach the top-k.
+// non-nil, the solver aborts as soon as its dual sum — an upper bound on the
+// final score — drops below the current global θlb (Lemma 8), certifying
+// that c cannot reach the top-k.
 //
 // The graph is the α-edges themselves: rows are query element indices,
 // columns the candidate tokens with at least one α-edge in candidate order,
@@ -27,7 +27,7 @@ type verifyScratch struct {
 // (c.ElemIDs is always in-vocabulary: repository sets define the
 // vocabulary). Nothing is densified — the solver's cost follows the edge
 // count, not |Q|·|C|.
-func (e *Engine) verify(opts *Options, qN int, cache *edgeCache, c sets.Set, theta *atomicMax, vs *verifyScratch) matching.Result {
+func (e *Engine) verify(qN int, cache *edgeCache, c sets.Set, theta *atomicMax, vs *verifyScratch) matching.Result {
 	vs.edges = vs.edges[:0]
 	cols := 0
 	for _, tid := range c.ElemIDs {
@@ -44,7 +44,7 @@ func (e *Engine) verify(opts *Options, qN int, cache *edgeCache, c sets.Set, the
 		return matching.Result{}
 	}
 	var bound func() float64
-	if theta != nil && !opts.DisableEarlyTerm {
+	if theta != nil {
 		bound = theta.Load
 	}
 	res := vs.solver.Solve(qN, cols, vs.edges, bound)
