@@ -31,7 +31,7 @@ func main() {
 		k         = flag.Int("k", 10, "result size k")
 		alpha     = flag.Float64("alpha", 0.8, "element similarity threshold α")
 		parts     = flag.Int("partitions", 10, "number of repository partitions")
-		workers   = flag.Int("workers", 4, "concurrent verifications per search")
+		workers   = flag.Int("workers", 1, "concurrent verifications per search")
 		queries   = flag.Int("queries", 0, "override queries per benchmark interval (0 = dataset default)")
 		timeout   = flag.Duration("timeout", 120*time.Second, "per-query baseline timeout")
 		chaosIt   = flag.Int("chaos-iters", 100, "randomized injections for -exp chaos")

@@ -433,7 +433,8 @@ func TestSeedBelowKthOverlap(t *testing.T) {
 			var vs verifyScratch
 			for sid, b := range bound {
 				if b > 0 && !isDead(dead, sid) {
-					so = append(so, eng.verify(len(sets.Dedup(q.Elements)), cache, ds.Repo.Set(sid), nil, &vs).Score)
+					edges, cols := appendGraph(vs.edges[:0], cache, ds.Repo.Set(sid).ElemIDs)
+					so = append(so, eng.verify(len(sets.Dedup(q.Elements)), cols, edges, nil, &vs).Score)
 				}
 			}
 			slices.SortFunc(so, func(a, b float64) int { return cmp.Compare(b, a) })

@@ -96,13 +96,17 @@ type queryScratch struct {
 	tuples []streamTuple
 	keys   []uint64
 	cache  edgeCache
-	// seeds and seedUsed are the θlb seed's sets and query mask.
-	seeds    []seedSet
-	seedUsed []uint64
-	refine   refineArena
-	refiners []refinerScratch
-	post     postScratch
-	verify   []verifyScratch
+	// seeds and seedUsed are the θlb seed's sets and query mask, and
+	// seedEdges the α-graphs of those sets, which seedGraphs index by
+	// group-wide set ID for verification.
+	seeds      []seedSet
+	seedUsed   []uint64
+	seedEdges  []matching.Edge
+	seedGraphs []seedGraph
+	refine     refineArena
+	refiners   []refinerScratch
+	post       postScratch
+	verify     []verifyScratch
 }
 
 func (e *Engine) getScratch() *queryScratch {

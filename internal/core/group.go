@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"repro/internal/matching"
 )
 
 // Group is a consistent snapshot of one or more engine segments searched as
@@ -307,7 +310,10 @@ type seedSet struct {
 // query element still free. Each matching is a real one, so it weighs at
 // most its set's semantic overlap, and the smallest of k of them, over k
 // distinct live sets, is at most the k-th largest. With fewer than k such
-// sets it returns 0: no seed. The sets it matched stay in sc.seeds.
+// sets it returns 0: no seed. The sets it matched stay in sc.seeds; and as
+// it walks them it writes each one's α-graph, as appendGraph lays it out,
+// into sc.seedEdges, indexed by set ID in sc.seedGraphs, for verification
+// to solve.
 func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch) float64 {
 	k := g.Opts.K
 	top := sc.seeds[:0]
@@ -346,29 +352,42 @@ func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int,
 		}
 	}
 	sc.seeds = top
+	graphs, arena := sc.seedGraphs[:0], sc.seedEdges[:0]
+	sc.seedGraphs, sc.seedEdges = graphs, arena
 	if len(top) < k {
 		return 0
 	}
 	used := sized(sc.seedUsed, (qN+63)/64)
 	sc.seedUsed = used
 	seed := math.Inf(1)
+	// Each set's graph is appendGraph's, written in the greedy pass so that
+	// its edges are read once (TestSeedGraphReuse holds the two equal).
 	for _, c := range top {
 		e, _, local := g.locate(c.gid, base)
 		clear(used)
-		w := 0.0
+		lo, cols, w := len(arena), 0, 0.0
 		for _, tid := range e.repo.Set(local).ElemIDs {
+			edges := cache.edges(tid)
+			if len(edges) == 0 {
+				continue
+			}
 			q, best := int32(-1), 0.0
-			for _, ed := range cache.edges(tid) {
+			for _, ed := range edges {
+				arena = append(arena, matching.Edge{Q: int(ed.qIdx), C: cols, W: ed.sim})
 				if ed.sim > best && used[ed.qIdx>>6]&(1<<(uint(ed.qIdx)&63)) == 0 {
 					q, best = ed.qIdx, ed.sim
 				}
 			}
+			cols++
 			if q >= 0 {
 				used[q>>6] |= 1 << (uint(q) & 63)
 				w += best
 			}
 		}
+		graphs = append(graphs, seedGraph{gid: c.gid, lo: lo, hi: len(arena), cols: cols})
 		seed = min(seed, w)
 	}
+	slices.SortFunc(graphs, func(a, b seedGraph) int { return a.gid - b.gid })
+	sc.seedGraphs, sc.seedEdges = graphs, arena
 	return seed
 }

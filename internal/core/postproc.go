@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/matching"
 	"repro/internal/pqueue"
@@ -70,11 +71,18 @@ func (p *postScratch) name(i int32) string {
 }
 
 // verifyGid runs the exact verification of the set with group-wide ID gid
-// and reports how long it took (Stats.VerifyTime).
-func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) (matching.Result, time.Duration) {
+// and reports how long it took (Stats.VerifyTime). A set the θlb seed
+// matched is solved on the α-graph the seed gathered (sc.seedGraphOf); any
+// other set's graph is gathered into vs.
+func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, sc *queryScratch, vs *verifyScratch) (matching.Result, time.Duration) {
 	start := time.Now()
 	eng, _, local := g.locate(gid, base)
-	res := eng.verify(qN, cache, eng.repo.Set(local), theta, vs)
+	edges, cols, ok := sc.seedGraphOf(gid)
+	if !ok {
+		vs.edges, cols = appendGraph(vs.edges[:0], cache, eng.repo.Set(local).ElemIDs)
+		edges = vs.edges
+	}
+	res := eng.verify(qN, cols, edges, theta, vs)
 	return res, time.Since(start)
 }
 
@@ -133,7 +141,9 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	// Lub, so the queue never outgrows the n entries it starts with.
 	qub := pqueue.NewHeapFrom(p.qub, p.qubLess)
 	lub, pending := p.lub[:0], p.pending[:0]
-	stats.MemPostprocBytes += int64(n)*(4*8+16+1+16) + int64(slots)*(4+4)
+	// The lists, and the seed's graphs, which verification reads.
+	stats.MemPostprocBytes += int64(n)*(4*8+16+1+16) + int64(slots)*(4+4) +
+		int64(len(sc.seedEdges))*int64(unsafe.Sizeof(matching.Edge{})) + int64(len(sc.seedGraphs))*int64(unsafe.Sizeof(seedGraph{}))
 
 	refill := func() {
 		for len(lub) < k && qub.Len() > 0 {
@@ -244,7 +254,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		pending = pending[:round]
 		if round == 1 {
 			i := pending[0]
-			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, &sc.verify[0])
 			apply(i, res, took)
 			continue
 		}
@@ -253,7 +263,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 		for w, i := range pending {
 			go func(ch chan<- vres, i int32, vs *verifyScratch) {
-				res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, vs)
+				res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, vs)
 				ch <- vres{i: i, res: res, took: took}
 			}(ch, i, &sc.verify[w])
 		}
@@ -276,7 +286,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			// A result set is a proven top-k member, so its score is at
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
-			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, &sc.verify[0])
 			stats.VerifyTime += took
 			stats.countVerify(res)
 			stats.FinalizeEM++

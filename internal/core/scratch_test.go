@@ -50,8 +50,9 @@ func scratchFootprint(path string, v reflect.Value, out []string) []string {
 // afterwards is no larger than the collection requires. And a search that
 // verifies, repeated on a warm engine, finds all of its pooled working
 // memory — the stream, the refiners' buffers, post-processing's survivors,
-// bounds, flags and lists, the verification workers' graphs and solver
-// arrays — already large enough: nothing in the scratch regrows.
+// bounds, flags and lists, the θlb seed's graphs, the verification
+// workers' graphs and solver arrays — already large enough: nothing in the
+// scratch regrows.
 func TestRefinerScratchReuse(t *testing.T) {
 	ds := datagen.GenerateDefault(datagen.OpenData, 0.05)
 	src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
@@ -122,7 +123,7 @@ func TestRefinerScratchReuse(t *testing.T) {
 			warm.Search(queries[verifying])
 			sc := warm.getScratch()
 			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
-			used := cap(sc.tuples) > 0 && len(sc.refiners) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
+			used := cap(sc.tuples) > 0 && len(sc.refiners) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && (cap(sc.verify[0].edges) > 0 || cap(sc.seedEdges) > 0)
 			warm.scratch.Put(sc)
 			warm.Search(queries[verifying])
 			again := warm.getScratch()

@@ -1,6 +1,10 @@
 package matching
 
-import "repro/internal/pqueue"
+import (
+	"math"
+
+	"repro/internal/pqueue"
+)
 
 // SparseSolver computes exact maximum-weight optional matchings over an edge
 // list by successive shortest augmenting paths with Johnson potentials (the
@@ -55,31 +59,44 @@ type colDist struct {
 // load builds the CSR adjacency from edges by a counting sort on the row
 // (stable, so a row's edges keep their input order), dropping non-positive
 // weights — an optional matching never needs them — and resets the matching
-// state for a rows × cols instance.
+// state for a rows × cols instance. The fill also sets the initial row
+// potentials u[i] = −rowMax[i]: each starts at −0, which an edgeless row
+// keeps, and takes the least −w of its row's edges.
 func (s *SparseSolver) load(rows, cols int, edges []Edge) {
-	s.rowStart = resize(s.rowStart, rows+1)
-	clear(s.rowStart)
+	start := resize(s.rowStart, rows+1)
+	clear(start)
 	n := 0
 	for _, e := range edges {
 		if e.W > 0 {
-			s.rowStart[e.Q+1]++
+			start[e.Q+1]++
 			n++
 		}
 	}
-	for i := 0; i < rows; i++ {
-		s.rowStart[i+1] += s.rowStart[i]
+	for i, sum := 1, int32(0); i <= rows; i++ {
+		sum += start[i]
+		start[i] = sum
 	}
-	s.col, s.w = resize(s.col, n), resize(s.w, n)
-	s.rowEdge = resize(s.rowEdge, rows) // doubles as the fill cursor
-	copy(s.rowEdge, s.rowStart)
+	col, w := resize(s.col, n), resize(s.w, n)
+	u := resize(s.u, rows)
+	negZero := math.Copysign(0, -1)
+	for i := range u {
+		u[i] = negZero
+	}
+	fill := resize(s.rowEdge, rows) // rowEdge doubles as the fill cursor
+	copy(fill, start)
 	for _, e := range edges {
 		if e.W > 0 {
-			at := s.rowEdge[e.Q]
-			s.col[at], s.w[at] = int32(e.C), e.W
-			s.rowEdge[e.Q] = at + 1
+			at := fill[e.Q]
+			col[at], w[at] = int32(e.C), e.W
+			fill[e.Q] = at + 1
+			u[e.Q] = min(u[e.Q], -e.W)
 		}
 	}
-	s.u, s.v = resize(s.u, rows), resize(s.v, cols)
+	for i := range fill {
+		fill[i] = -1
+	}
+	s.rowStart, s.col, s.w, s.u, s.rowEdge = start, col, w, u, fill
+	s.v = resize(s.v, cols)
 	clear(s.v)
 	s.colRow = resize(s.colRow, cols)
 	s.dist, s.state = resize(s.dist, cols), resize(s.state, cols)
@@ -121,16 +138,8 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 	// −w − u[i] − v[j] non-negative, and the dual sum −(Σu+Σv) = Σ rowMax in
 	// index order — bit-identical to the Hungarian's initial label sum.
 	dualSum := 0.0
-	for i := 0; i < rows; i++ {
-		best := 0.0
-		for _, w := range s.w[s.rowStart[i]:s.rowStart[i+1]] {
-			if w > best {
-				best = w
-			}
-		}
-		s.u[i] = -best
-		s.rowEdge[i] = -1
-		dualSum += best
+	for _, u := range s.u {
+		dualSum -= u
 	}
 	if s.trace != nil {
 		s.trace(dualSum)
@@ -140,20 +149,21 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 	}
 
 	iterations := 0
+	start, u, col, colRow := s.rowStart, s.u, s.col, s.colRow
 	for root := 0; root < rows; root++ {
-		if s.rowStart[root] == s.rowStart[root+1] {
+		if start[root] == start[root+1] {
 			continue
 		}
 		iterations++
 		// The cheapest virtual column seen so far: row endRow at distance
 		// delta. A real free column popped at or below delta replaces it.
-		endRow, endEdge, delta := int32(root), int32(-1), -s.u[root]
+		endRow, endEdge, delta := int32(root), int32(-1), -u[root]
 		// The search's first pop would be root's first edge of least
 		// clamped reduced cost (Heap.up lifts an entry only past a strictly
 		// greater one). When that pop would not happen (d > delta) or would
 		// end the search on a free column, do here what the search does,
 		// with the same checks, and leave the heap alone.
-		if e, d := s.cheapest(int32(root)); d > delta || s.colRow[s.col[e]] == -1 {
+		if e, d := s.cheapest(int32(root)); d > delta || colRow[col[e]] == -1 {
 			if d <= delta {
 				if bound != nil && dualSum-d < bound()-BoundEps {
 					return Result{Pruned: true, Iterations: iterations}
@@ -174,13 +184,13 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 				return Result{Pruned: true, Iterations: iterations}
 			}
 			s.state[it.j] = 2
-			i := s.colRow[it.j]
+			i := colRow[it.j]
 			if i == -1 {
 				endRow, endEdge, delta = s.parentRow[it.j], s.parentEdge[it.j], it.d
 				break
 			}
 			// Cross the matched edge (reduced cost 0) back to its row.
-			if d := it.d - s.u[i]; d < delta {
+			if d := it.d - u[i]; d < delta {
 				endRow, endEdge, delta = i, -1, d
 			}
 			s.relax(i, it.d)
@@ -191,11 +201,11 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 		// Re-price the finalized part of the tree: Σu+Σv rises by exactly
 		// delta (every finalized column but the free one is matched, so the
 		// per-column terms cancel against their rows').
-		s.u[root] += delta
+		u[root] += delta
 		for _, j := range s.touched {
-			if s.state[j] == 2 && s.colRow[j] != -1 {
+			if s.state[j] == 2 && colRow[j] != -1 {
 				s.v[j] += s.dist[j] - delta
-				s.u[s.colRow[j]] += delta - s.dist[j]
+				u[colRow[j]] += delta - s.dist[j]
 			}
 		}
 		dualSum -= delta
@@ -205,12 +215,12 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 			prev := s.rowEdge[i]
 			s.rowEdge[i] = e
 			if e >= 0 {
-				s.colRow[s.col[e]] = i
+				colRow[col[e]] = i
 			}
 			if int(i) == root {
 				break
 			}
-			j := s.col[prev]
+			j := col[prev]
 			i, e = s.parentRow[j], s.parentEdge[j]
 		}
 		for _, j := range s.touched {
@@ -223,54 +233,60 @@ func (s *SparseSolver) Solve(rows, cols int, edges []Edge, bound func() float64)
 		}
 	}
 
-	s.ws = s.ws[:0]
+	ws, match := s.ws[:0], s.match[:len(s.rowEdge)]
 	for i, e := range s.rowEdge {
-		s.match[i] = -1
+		m := -1
 		if e >= 0 {
-			s.match[i] = int(s.col[e])
-			s.ws = append(s.ws, s.w[e])
+			m = int(s.col[e])
+			ws = append(ws, s.w[e])
 		}
+		match[i] = m
 	}
-	return Result{Score: Sum(s.ws), Match: s.match, Iterations: iterations}
+	s.ws = ws
+	return Result{Score: Sum(ws), Match: match, Iterations: iterations}
 }
 
 // cheapest returns row i's first edge of least clamped reduced cost and
 // that cost: the distance relax(i, 0) gives its column.
 func (s *SparseSolver) cheapest(i int32) (int32, float64) {
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
-	best, bestD := lo, 0.0
-	for e := lo; e < hi; e++ {
-		nd := 0.0
-		if rc := -s.w[e] - s.u[i] - s.v[s.col[e]]; rc > 0 {
-			nd += rc
+	col, v, ui := s.col[lo:hi], s.v, s.u[i]
+	w := s.w[lo:hi]
+	w = w[:len(col)] // tells the compiler w[k] is in range
+	// best moves by a conditional move and bestD by min, not by a branch
+	// on the comparison: its outcome is data, and a branch on it
+	// mispredicts often enough to dominate the scan of a short row.
+	best, bestD := 0, math.Inf(1)
+	for k, j := range col {
+		nd := max(-w[k]-ui-v[j], 0)
+		if nd < bestD {
+			best = k
 		}
-		if e == lo || nd < bestD {
-			best, bestD = e, nd
-		}
+		bestD = min(bestD, nd)
 	}
-	return best, bestD
+	return lo + int32(best), bestD
 }
 
 // relax offers every unfinalized column adjacent to row i a path through i,
 // which the search reached at distance base.
 func (s *SparseSolver) relax(i int32, base float64) {
-	for e := s.rowStart[i]; e < s.rowStart[i+1]; e++ {
-		j := s.col[e]
+	lo, hi := s.rowStart[i], s.rowStart[i+1]
+	col, v, ui := s.col[lo:hi], s.v, s.u[i]
+	w := s.w[lo:hi]
+	w = w[:len(col)]
+	for k, j := range col {
 		if s.state[j] == 2 {
 			continue
 		}
 		// Reduced costs are ≥ 0 up to rounding; clamp so pops stay monotone.
-		nd := base
-		if rc := -s.w[e] - s.u[i] - s.v[j]; rc > 0 {
-			nd += rc
-		}
+		nd := base + max(-w[k]-ui-v[j], 0)
 		if s.state[j] == 0 {
 			s.state[j] = 1
 			s.touched = append(s.touched, j)
 		} else if nd >= s.dist[j] {
 			continue
 		}
-		s.dist[j], s.parentRow[j], s.parentEdge[j] = nd, i, e
+		s.dist[j], s.parentRow[j], s.parentEdge[j] = nd, i, lo+int32(k)
 		s.heap.Push(colDist{d: nd, j: j})
 	}
 }
