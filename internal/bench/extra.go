@@ -110,7 +110,7 @@ func (r *Runner) Ablation() {
 	}
 
 	var resp []time.Duration
-	var cand, iub, settled, querySide, noEM, early, full []int
+	var cand, iub, settled, querySide, noEM, early, full, seedEM []int
 	for _, st := range runKoios(r.engineFor(b, nil), queries) {
 		resp = append(resp, st.ResponseTime())
 		cand = append(cand, st.Candidates)
@@ -120,10 +120,11 @@ func (r *Runner) Ablation() {
 		noEM = append(noEM, st.NoEM)
 		early = append(early, st.EMEarly)
 		full = append(full, st.EMFull)
+		seedEM = append(seedEM, st.SeedEM)
 	}
 	r.printf("queries=%d  avg response %v\n", len(queries), avgDuration(resp).Round(time.Microsecond))
-	r.printf("funnel per query: candidates %.1f → iUB-pruned %.1f (bound-settled %.1f, query-side %.1f) → no-EM %.1f → EM-early %.1f → EM-full %.1f\n",
-		mean(cand), mean(iub), mean(settled), mean(querySide), mean(noEM), mean(early), mean(full))
+	r.printf("funnel per query: candidates %.1f → iUB-pruned %.1f (bound-settled %.1f, query-side %.1f) → no-EM %.1f → EM-early %.1f → EM-full %.1f; seed-EM %.1f\n",
+		mean(cand), mean(iub), mean(settled), mean(querySide), mean(noEM), mean(early), mean(full), mean(seedEM))
 
 	// Greedy scoring: fraction of queries where the greedy top-1 disagrees
 	// with the exact top-1 (Example 2's failure mode, measured).

@@ -68,7 +68,7 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	const k = 3
 	g := eng.group()
 	g.Opts.K = k
-	seed := g.seedTheta(cache, bound, len(query), []int{0, repo.Len()}, sc)
+	seed := g.seedTheta(cache, bound, len(query), []int{0, repo.Len()}, sc, &verifyScratch{}, &Stats{})
 	desc := slices.Clone(so)
 	slices.SortFunc(desc, func(a, b float64) int { return cmp.Compare(b, a) })
 	if seed > 0 && (len(desc) < k || seed > desc[k-1]+1e-9) {
@@ -351,7 +351,7 @@ func TestSeedPicksTopBounds(t *testing.T) {
 				continue
 			}
 			g.Opts.K = k
-			got := g.seedTheta(cache, bound, len(query), base, sc)
+			got := g.seedTheta(cache, bound, len(query), base, sc, &verifyScratch{}, &Stats{})
 			want := live[:min(k, len(live))]
 			if !slices.Equal(sc.seeds, want) {
 				t.Fatalf("seed %d, k = %d: seeds %v, want %v", seed, k, sc.seeds, want)
@@ -381,7 +381,7 @@ func TestPostingSkipShare(t *testing.T) {
 		for _, q := range queries {
 			_, st := eng.Search(q.Elements)
 			met, skipped = met+st.Postings, skipped+st.PostingsSkipped
-			if seed, _, _, _ := eng.seedFor(q.Elements, nil); seed > 0 {
+			if seed, _, _ := eng.seedFor(q.Elements, nil); seed > 0 {
 				seeded++
 			}
 		}
@@ -400,53 +400,87 @@ func TestPostingSkipShare(t *testing.T) {
 // TestSeedBelowKthOverlap: on the four datagen shapes, with every fourth set
 // tombstoned and, per query, the set with the largest stream-wide bound as
 // well, the θlb seed (DESIGN.md §2) is at most the k-th largest exact
-// semantic overlap among the live sets, none of the sets it matched is
-// tombstoned, and it raises θlb on every shape.
+// semantic overlap among the live sets — under ExactScores bit for bit,
+// without it up to 1e-9, since an unsolved set's greedy weight is summed in
+// set order — none of the sets it took is tombstoned, and it raises θlb on
+// every shape. The seed is the least of its sets' scores: a solved set's
+// kept score, which must be the set's exact overlap bit for bit, and an
+// unsolved one's greedy weight, which must meet its bound.
 func TestSeedBelowKthOverlap(t *testing.T) {
 	for _, kind := range datagen.Kinds() {
 		ds := datagen.GenerateDefault(kind, 0.05)
-		eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8})
-		n, k := ds.Repo.Len(), eng.opts.K
-		isDead := func(dead []uint64, sid int) bool { return dead[sid>>6]&(1<<(uint(sid)&63)) != 0 }
-		queries := datagen.NewBenchmark(ds, 17).Queries
-		seeded := 0
-		for qi, q := range queries[:min(10, len(queries))] {
-			dead := make([]uint64, (n+63)/64)
-			for sid := 0; sid < n; sid += 4 {
-				dead[sid>>6] |= 1 << (uint(sid) & 63)
-			}
-			_, _, bound, _ := eng.seedFor(q.Elements, dead)
-			top := 0
-			for sid, b := range bound {
-				if b > bound[top] {
-					top = sid
+		for _, exact := range []bool{false, true} {
+			eng := NewEngine(ds.Repo, index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, ExactScores: exact})
+			n, k := ds.Repo.Len(), eng.opts.K
+			isDead := func(dead []uint64, sid int) bool { return dead[sid>>6]&(1<<(uint(sid)&63)) != 0 }
+			queries := datagen.NewBenchmark(ds, 17).Queries
+			seeded := 0
+			for qi, q := range queries[:min(10, len(queries))] {
+				label := fmt.Sprintf("%s exact=%v query %d", kind, exact, qi)
+				dead := make([]uint64, (n+63)/64)
+				for sid := 0; sid < n; sid += 4 {
+					dead[sid>>6] |= 1 << (uint(sid) & 63)
+				}
+				_, _, bound := eng.seedFor(q.Elements, dead)
+				top := 0
+				for sid, b := range bound {
+					if b > bound[top] {
+						top = sid
+					}
+				}
+				dead[top>>6] |= 1 << (uint(top) & 63)
+				seed, sc, bound := eng.seedFor(q.Elements, dead)
+				qN := len(sets.Dedup(q.Elements))
+				so := make(map[int]float64)
+				var vs verifyScratch
+				var desc []float64
+				for sid, b := range bound {
+					if b > 0 && !isDead(dead, sid) {
+						edges, cols := appendGraph(vs.edges[:0], &sc.cache, ds.Repo.Set(sid).ElemIDs)
+						so[sid] = eng.verify(qN, cols, edges, nil, &vs).Score
+						desc = append(desc, so[sid])
+					}
+				}
+				slices.SortFunc(desc, func(a, b float64) int { return cmp.Compare(b, a) })
+				slack := 1e-9
+				if exact {
+					slack = 0
+				}
+				if len(desc) < k && seed != 0 || len(desc) >= k && seed > desc[k-1]+slack {
+					t.Fatalf("%s: θlb seed %v, %d live sets reached, the k-th largest SO of them %v", label, seed, len(desc), desc[min(k, len(desc))-1])
+				}
+				if len(desc) < k {
+					continue
+				}
+				want := math.Inf(1)
+				for _, s := range sc.seeds {
+					if isDead(dead, s.gid) {
+						t.Fatalf("%s: tombstoned set %d (bound %v) seeds θlb", label, s.gid, s.bound)
+					}
+					i, solved := slices.BinarySearchFunc(sc.seedScores, s.gid, func(ss seedScore, gid int) int { return cmp.Compare(ss.gid, gid) })
+					if solved {
+						if kept := sc.seedScores[i].score; math.Float64bits(kept) != math.Float64bits(so[s.gid]) {
+							t.Fatalf("%s: set %d kept score %v, exact SO %v", label, s.gid, kept, so[s.gid])
+						}
+						want = min(want, so[s.gid])
+						continue
+					}
+					_, _, w := seedGreedy(nil, &sc.cache, ds.Repo.Set(s.gid).ElemIDs, make([]uint64, (qN+63)/64))
+					if exact || w < s.bound {
+						t.Fatalf("%s: set %d unsolved with greedy weight %v, bound %v", label, s.gid, w, s.bound)
+					}
+					want = min(want, w)
+				}
+				if math.Float64bits(seed) != math.Float64bits(want) {
+					t.Fatalf("%s: θlb seed %v, the least of its sets' scores %v", label, seed, want)
+				}
+				if seed > 0 {
+					seeded++
 				}
 			}
-			dead[top>>6] |= 1 << (uint(top) & 63)
-			seed, seeds, bound, cache := eng.seedFor(q.Elements, dead)
-			for _, s := range seeds {
-				if isDead(dead, s.gid) {
-					t.Fatalf("%s query %d: tombstoned set %d (bound %v) seeds θlb", kind, qi, s.gid, s.bound)
-				}
+			if seeded == 0 {
+				t.Errorf("%s exact=%v: the seed raised θlb on no query", kind, exact)
 			}
-			var so []float64
-			var vs verifyScratch
-			for sid, b := range bound {
-				if b > 0 && !isDead(dead, sid) {
-					edges, cols := appendGraph(vs.edges[:0], cache, ds.Repo.Set(sid).ElemIDs)
-					so = append(so, eng.verify(len(sets.Dedup(q.Elements)), cols, edges, nil, &vs).Score)
-				}
-			}
-			slices.SortFunc(so, func(a, b float64) int { return cmp.Compare(b, a) })
-			if len(so) < k && seed != 0 || len(so) >= k && seed > so[k-1]+1e-9 {
-				t.Fatalf("%s query %d: θlb seed %v, %d live sets reached, the k-th largest SO of them %v", kind, qi, seed, len(so), so[min(k, len(so))-1])
-			}
-			if seed > 0 {
-				seeded++
-			}
-		}
-		if seeded == 0 {
-			t.Errorf("%s: the seed raised θlb on no query", kind)
 		}
 	}
 }
@@ -499,7 +533,9 @@ func TestTombstonedSetsCountNothing(t *testing.T) {
 // at ubSum = 3·0.9 while its query side ends at rowSum = 0.9, its exact
 // overlap. D = {q1, q2} holds θlb at 2 for k = 1. The query side alone must
 // prune C in refinement — the column side keeps it — so C, whose column
-// side tops Lub, is never handed to verification.
+// side tops Lub, is never handed to post-processing's verification. (The
+// θlb seed solves C, the set of largest bound, once: its greedy weight 0.9
+// is below that bound. That solve has no bound to meet.)
 func TestQuerySideBoundDecides(t *testing.T) {
 	ps := newPairSim()
 	for _, c := range []string{"c1", "c2", "c3"} {
@@ -527,12 +563,15 @@ func TestQuerySideBoundDecides(t *testing.T) {
 		t.Fatalf("refinement pruned %d, %d by the query side; want C, by the query side", stats.IUBPruned, stats.IUBQueryPruned)
 	}
 
-	eng.verifyHook = func(rows, cols int, _ []matching.Edge, _ func() float64, _ matching.Result) {
-		t.Errorf("a %d×%d verification ran: C reached post-processing", rows, cols)
+	eng.verifyHook = func(rows, cols int, _ []matching.Edge, bound func() float64, _ matching.Result) {
+		if bound != nil {
+			t.Errorf("a bounded %d×%d verification ran: C reached post-processing", rows, cols)
+		}
 	}
 	res, st := eng.Search(query)
-	if fmt.Sprint(res) != "[{1 2 false}]" || st.IUBQueryPruned != 1 {
-		t.Fatalf("search returned %v with %d query-side prunes; want D at 2, C pruned by the query side", res, st.IUBQueryPruned)
+	if fmt.Sprint(res) != "[{1 2 false}]" || st.IUBQueryPruned != 1 || st.SeedEM != 1 || st.EMFull+st.EMEarly != 0 {
+		t.Fatalf("search returned %v with %d query-side prunes, %d seed solves, %d matchings in post-processing; want D at 2, C pruned by the query side after one seed solve",
+			res, st.IUBQueryPruned, st.SeedEM, st.EMFull+st.EMEarly)
 	}
 }
 

@@ -96,13 +96,11 @@ type queryScratch struct {
 	tuples []streamTuple
 	keys   []uint64
 	cache  edgeCache
-	// seeds and seedUsed are the θlb seed's sets and query mask, and
-	// seedEdges the α-graphs of those sets, which seedGraphs index by
-	// group-wide set ID for verification.
+	// seeds and seedUsed are the θlb seed's sets and greedy query mask, and
+	// seedScores the exact scores it solved, by group-wide set ID.
 	seeds      []seedSet
 	seedUsed   []uint64
-	seedEdges  []matching.Edge
-	seedGraphs []seedGraph
+	seedScores []seedScore
 	refine     refineArena
 	refiners   []refinerScratch
 	post       postScratch

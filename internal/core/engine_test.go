@@ -63,7 +63,7 @@ func randomInstance(seed int64) (*sets.Repository, *embedding.Model, []string) {
 // every result is verified they must come in the ranking's order.
 func checkTopK(t *testing.T, repo *sets.Repository, fn sim.Func, query []string, alpha float64, k int, results []Result) {
 	t.Helper()
-	truth := bruteForceTopK(t, repo, query, fn, alpha)
+	truth := bruteForceTopK(t, newPairTable(repo, fn, alpha), query, k, nil)
 	wantLen := min(k, len(truth))
 	if len(results) != wantLen {
 		t.Fatalf("got %d results, want %d (candidates=%d)", len(results), wantLen, len(truth))
@@ -175,7 +175,7 @@ func deadByName(e *Engine, dead map[string]bool) *Group {
 // any partition count, any number of verification workers and the sets
 // numbered in another order, and they must be the brute-force ranking's.
 // It compares partition counts (checkPartitionCounts) and, on the
-// benchmark's four workload shapes, every variant and a sample against
+// benchmark's four workload shapes, every variant and every query against
 // brute force (checkWorkloadShapes).
 func TestSearchPartitionsAgree(t *testing.T) {
 	checkPartitionCounts(t)
@@ -242,25 +242,22 @@ func checkPartitionCounts(t *testing.T) {
 // opendata 0.1 with queries of 100–400 elements, and twitter 0.5 with every
 // fourth set tombstoned — against one partition and one worker, over the
 // sets in insertion order: each variant must give the same names and score
-// bits. On the two twitter 1.0 shapes every bruteEvery-th query's answer
-// must also be the first k of a brute-force ranking, which scores every set
-// of the repository without the engine's stream, bounds or filters (solveSO:
-// the dense cross-check of exactSO would cost seconds here, and the random
-// instances of TestSearchExactAgainstBruteForce hold the solver to it).
+// bits. Every query's answer must also be the first k of a brute-force
+// ranking of the live sets (bruteForceTopK), which scores every set of the
+// repository without the engine's stream, bounds or filters.
 func checkWorkloadShapes(t *testing.T) {
 	type shape struct {
-		name       string
-		ds         *datagen.Dataset
-		edit       bool
-		every      int // every every-th set is tombstoned (0: none)
-		lo, hi     int // query cardinalities (0: any)
-		bruteEvery int // every bruteEvery-th query is held to brute force (0: none)
-		queries    [][]string
+		name    string
+		ds      *datagen.Dataset
+		edit    bool
+		every   int // every every-th set is tombstoned (0: none)
+		lo, hi  int // query cardinalities (0: any)
+		queries [][]string
 	}
 	twitter := datagen.GenerateDefault(datagen.Twitter, 1.0)
 	shapes := []*shape{
-		{name: "twitter 1.0 vector", ds: twitter, bruteEvery: 25},
-		{name: "twitter 1.0 edit", ds: twitter, edit: true, bruteEvery: 25},
+		{name: "twitter 1.0 vector", ds: twitter},
+		{name: "twitter 1.0 edit", ds: twitter, edit: true},
 		{name: "opendata 0.1", ds: datagen.GenerateDefault(datagen.OpenData, 0.1), lo: 100, hi: 400},
 		{name: "twitter 0.5 tombstoned", ds: datagen.GenerateDefault(datagen.Twitter, 0.5), every: 4},
 	}
@@ -304,15 +301,12 @@ func checkWorkloadShapes(t *testing.T) {
 		for qi, q := range sh.queries {
 			var st Stats
 			want[qi], st = answerOf(t, ref, q)
-			verifications += st.EMFull + st.EMEarly + st.FinalizeEM
+			verifications += st.VerifyCalls
 		}
-		for qi := 0; sh.bruteEvery > 0 && qi < len(sh.queries); qi += sh.bruteEvery {
-			repo, q := ref.Engines[0].repo, sh.queries[qi]
-			fn := sourceSim{source(repo).(index.CompleteScorer)}
-			truth := rankByScore(repo, func(elems []string) float64 {
-				so, _ := solveSO(q, elems, fn, base.Alpha)
-				return so
-			})
+		repo := ref.Engines[0].repo
+		tab := newPairTable(repo, sourceSim{source(repo).(index.CompleteScorer)}, base.Alpha)
+		for qi, q := range sh.queries {
+			truth := bruteForceTopK(t, tab, q, base.K, func(c sets.Set) bool { return dead[c.Name] })
 			brute := make(answer, min(base.K, len(truth)))
 			for i := range brute {
 				brute[i].name, brute[i].bits = repo.Set(truth[i].setID).Name, math.Float64bits(truth[i].score)
@@ -541,7 +535,7 @@ func TestSearchKLargerThanCandidates(t *testing.T) {
 	src := index.NewFuncIndex(repo.Vocabulary(), model)
 	eng := NewEngine(repo, src, Options{K: 10_000, Alpha: 0.7, ExactScores: true})
 	results, _ := eng.Search(query)
-	truth := bruteForceTopK(t, repo, query, model, 0.7)
+	truth := bruteForceTopK(t, newPairTable(repo, model, 0.7), query, 10_000, nil)
 	if len(results) != len(truth) {
 		t.Fatalf("k>candidates: got %d results, want %d", len(results), len(truth))
 	}

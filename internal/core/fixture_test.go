@@ -76,9 +76,10 @@ func (e *Engine) materializeStream(query []string, qids []int32, sc *queryScratc
 
 // seedFor returns the θlb seed a search of query over e, an engine of one
 // partition whose tombstones are dead, starts from (Group.seedTheta), the
-// sets it matched, and the stream-wide bounds and edge cache it drew them
-// from.
-func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []float64, *edgeCache) {
+// scratch that holds the sets it took (seeds), the scores it kept
+// (seedScores) and the edge cache, and the stream-wide bounds it drew the
+// sets from.
+func (e *Engine) seedFor(query []string, dead []uint64) (float64, *queryScratch, []float64) {
 	query = sets.Dedup(query)
 	qids := e.repo.TokenIDs(query)
 	sc := e.getScratch()
@@ -87,8 +88,8 @@ func (e *Engine) seedFor(query []string, dead []uint64) (float64, []seedSet, []f
 	r.addBounds(tuples)
 	g := e.group()
 	g.Dead = [][]uint64{dead}
-	seed := g.seedTheta(cache, r.bound, len(query), []int{0, e.repo.Len()}, sc)
-	return seed, sc.seeds, r.bound, cache
+	seed := g.seedTheta(cache, r.bound, len(query), []int{0, e.repo.Len()}, sc, &verifyScratch{}, &Stats{})
+	return seed, sc, r.bound
 }
 
 // newRefiner prepares a refiner of partition p, for the engine's own k, on

@@ -181,13 +181,14 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	boundStart := time.Now()
 	stats.StreamTime = boundStart.Sub(streamStart)
 	// Bound every set by the maxima the stream brings, and seed θlb from the
-	// sets those bounds rank first (DESIGN.md §2).
+	// sets those bounds rank first (DESIGN.md §2). The seed's solves are
+	// verifications: their time is VerifyTime's, not BoundTime's.
 	for i := range chunks {
 		chunks[i].r.addBounds(tuples)
 	}
-	theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc))
+	theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc, &sc.verify[0], &stats))
 	walkStart := time.Now()
-	stats.BoundTime = walkStart.Sub(boundStart)
+	stats.BoundTime = walkStart.Sub(boundStart) - stats.VerifyTime
 	if !g.walk(ctx, chunks, tuples) {
 		return nil, stats, ctx.Err()
 	}
@@ -225,13 +226,7 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	// passes plus a merge — and avoids exact-matching up to k·parts
 	// per-partition winners that the global top-k never needs.
 	postStart := time.Now()
-	llb := &sc.post.llb
-	llb.Reset(opts.K)
-	for _, sv := range survivors {
-		llb.Update(sv.setID, sv.lb)
-	}
-	theta.Update(llb.Bottom())
-	results, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc)
+	results, err := g.postproc(ctx, len(query), cache, survivors, theta, &stats, base, sc)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -302,19 +297,21 @@ type seedSet struct {
 }
 
 // seedTheta returns a lower bound on the k-th largest semantic overlap of
-// the group's live sets, formed before the walk (DESIGN.md §2): it
-// takes the k live sets the stream touches with the largest stream-wide
-// bounds (bound, by group-wide set ID, as addBounds filled it; the lowest
-// set ID first on ties) and matches each greedily over its cached α-edges,
-// element by element in set order, each element taking the most similar
-// query element still free. Each matching is a real one, so it weighs at
-// most its set's semantic overlap, and the smallest of k of them, over k
-// distinct live sets, is at most the k-th largest. With fewer than k such
-// sets it returns 0: no seed. The sets it matched stay in sc.seeds; and as
-// it walks them it writes each one's α-graph, as appendGraph lays it out,
-// into sc.seedEdges, indexed by set ID in sc.seedGraphs, for verification
-// to solve.
-func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch) float64 {
+// the group's live sets, formed before the walk (DESIGN.md §2): it takes
+// the k live sets the stream touches with the largest stream-wide bounds
+// (bound, by group-wide set ID, as addBounds filled it; the lowest set ID
+// first on ties), gathers each one's α-graph into vs as appendGraph lays it
+// out, and scores it. A set is scored by its exact semantic overlap,
+// solved through its engine's verify without a bound and kept in
+// sc.seedScores for post-processing — except, without ExactScores, a set
+// whose greedy matching (seedGreedy) already weighs its stream-wide bound:
+// its greedy weight is then its score and it is not solved. Each score is
+// a real matching's weight, so it is at most its set's semantic overlap,
+// and the smallest of k of them, over k distinct live sets, is at most the
+// k-th largest. With fewer than k such sets it returns 0: no seed. The
+// sets stay in sc.seeds. The solves are verifications, and stats counts
+// them so (SeedEM, VerifyCalls, HungarianIterations, VerifyTime).
+func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch, vs *verifyScratch, stats *Stats) float64 {
 	k := g.Opts.K
 	top := sc.seeds[:0]
 	// thr is the bound a set must beat to enter top: 0 until top holds k
@@ -352,42 +349,66 @@ func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int,
 		}
 	}
 	sc.seeds = top
-	graphs, arena := sc.seedGraphs[:0], sc.seedEdges[:0]
-	sc.seedGraphs, sc.seedEdges = graphs, arena
+	scores := sc.seedScores[:0]
+	sc.seedScores = scores
 	if len(top) < k {
 		return 0
 	}
-	used := sized(sc.seedUsed, (qN+63)/64)
-	sc.seedUsed = used
+	exact := g.Opts.ExactScores
+	if !exact {
+		sc.seedUsed = sized(sc.seedUsed, (qN+63)/64)
+	}
 	seed := math.Inf(1)
-	// Each set's graph is appendGraph's, written in the greedy pass so that
-	// its edges are read once (TestSeedGraphReuse holds the two equal).
 	for _, c := range top {
 		e, _, local := g.locate(c.gid, base)
-		clear(used)
-		lo, cols, w := len(arena), 0, 0.0
-		for _, tid := range e.repo.Set(local).ElemIDs {
-			edges := cache.edges(tid)
-			if len(edges) == 0 {
-				continue
-			}
-			q, best := int32(-1), 0.0
-			for _, ed := range edges {
-				arena = append(arena, matching.Edge{Q: int(ed.qIdx), C: cols, W: ed.sim})
-				if ed.sim > best && used[ed.qIdx>>6]&(1<<(uint(ed.qIdx)&63)) == 0 {
-					q, best = ed.qIdx, ed.sim
-				}
-			}
-			cols++
-			if q >= 0 {
-				used[q>>6] |= 1 << (uint(q) & 63)
-				w += best
-			}
+		elems := e.repo.Set(local).ElemIDs
+		cols, w := 0, 0.0
+		if exact {
+			vs.edges, cols = appendGraph(vs.edges[:0], cache, elems)
+		} else {
+			vs.edges, cols, w = seedGreedy(vs.edges[:0], cache, elems, sc.seedUsed)
 		}
-		graphs = append(graphs, seedGraph{gid: c.gid, lo: lo, hi: len(arena), cols: cols})
+		if exact || w < c.bound {
+			start := time.Now()
+			res := e.verify(qN, cols, vs.edges, nil, vs)
+			stats.VerifyTime += time.Since(start)
+			stats.countVerify(res)
+			stats.SeedEM++
+			scores = append(scores, seedScore{gid: c.gid, score: res.Score, iters: res.Iterations})
+			w = res.Score
+		}
 		seed = min(seed, w)
 	}
-	slices.SortFunc(graphs, func(a, b seedGraph) int { return a.gid - b.gid })
-	sc.seedGraphs, sc.seedEdges = graphs, arena
+	slices.SortFunc(scores, func(a, b seedScore) int { return a.gid - b.gid })
+	sc.seedScores = scores
 	return seed
+}
+
+// seedGreedy appends the α-graph of a set with element IDs elems to dst,
+// as appendGraph does, and returns it with its column count and the weight
+// of a greedy matching over it, formed in the same pass so that the edges
+// are read once: element by element in set order, each element takes the
+// most similar query element still free (in used, which it clears first).
+func seedGreedy(dst []matching.Edge, cache *edgeCache, elems []int32, used []uint64) ([]matching.Edge, int, float64) {
+	clear(used)
+	cols, w := 0, 0.0
+	for _, tid := range elems {
+		edges := cache.edges(tid)
+		if len(edges) == 0 {
+			continue
+		}
+		q, best := int32(-1), 0.0
+		for _, ed := range edges {
+			dst = append(dst, matching.Edge{Q: ed.qIdx, C: int32(cols), W: ed.sim})
+			if ed.sim > best && used[ed.qIdx>>6]&(1<<(uint(ed.qIdx)&63)) == 0 {
+				q, best = ed.qIdx, ed.sim
+			}
+		}
+		cols++
+		if q >= 0 {
+			used[q>>6] |= 1 << (uint(q) & 63)
+			w += best
+		}
+	}
+	return dst, cols, w
 }

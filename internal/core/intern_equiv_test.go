@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -22,7 +23,9 @@ import (
 // engine (integer token IDs, CSR postings, dense candidate state) must
 // return byte-identical results and identical pruning statistics — the two
 // implementations differ in data representation, and in when the iUB filter
-// prunes (oracleEngine.refinePartition), never in what it prunes.
+// prunes (oracleEngine.refinePartition), never in what it prunes. The θlb
+// seed is mirrored too (oracleEngine.seed): it decides which sets are
+// solved before the walk and keep their exact scores.
 
 type oracleTuple struct {
 	qIdx  int32
@@ -86,6 +89,8 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 	stats.StreamTuples = len(tuples)
 
 	theta := &atomicMax{}
+	seed, solved := e.seed(query, tuples, cache, &stats)
+	theta.Update(seed)
 	partStats := make([]Stats, len(e.invs))
 	partSurv := make([][]survivor, len(e.invs))
 	var wg sync.WaitGroup
@@ -105,12 +110,19 @@ func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
 	for i := range partSurv {
 		survivors = append(survivors, partSurv[i]...)
 	}
+	// A survivor the seed solved keeps its exact score as its bounds.
+	for i := range survivors {
+		if so, ok := solved[survivors[i].setID]; ok {
+			sv := &survivors[i]
+			sv.lb, sv.ub, sv.lo, sv.hi = so, so, so, so
+		}
+	}
 	llb := pqueue.NewTopK(e.opts.K)
 	for _, sv := range survivors {
 		llb.Update(sv.setID, sv.lb)
 	}
 	theta.Update(llb.Bottom())
-	results := e.postproc(query, cache, survivors, llb, theta, &stats)
+	results := e.postproc(query, cache, survivors, solved, llb, theta, &stats)
 
 	if e.opts.ExactScores {
 		for i, r := range results {
@@ -145,6 +157,72 @@ func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[str
 		cache[tup.Token] = append(cache[tup.Token], oracleEdge{qIdx: int32(tup.QIdx), sim: tup.Sim})
 	}
 	return tuples, cache
+}
+
+// seed is the θlb seed of Group.seedTheta on the oracle's own structures:
+// every set's bound is the sum of the first-arrival similarities of its
+// tokens in stream order, capped at |Q| terms; the k sets of largest bound
+// (the lower set ID first on ties) are scored, each by its exact score
+// under ExactScores or when its greedy weight — element by element in set
+// order, each taking its most similar free query element, the first in the
+// stream on ties — is below its bound, and otherwise by that weight. It
+// returns the least score (0 with fewer than k sets of nonzero bound) and
+// the exact scores it solved, counting each solve as a verification.
+func (e *oracleEngine) seed(query []string, tuples []oracleTuple, cache map[string][]oracleEdge, stats *Stats) (float64, map[int]float64) {
+	n, k := e.repo.Len(), e.opts.K
+	bound, terms := make([]float64, n), make([]int, n)
+	for _, tup := range tuples {
+		if !tup.first {
+			continue
+		}
+		for _, inv := range e.invs {
+			for _, sid := range inv.Sets(tup.token) {
+				if terms[sid] < len(query) {
+					bound[sid] += tup.sim
+					terms[sid]++
+				}
+			}
+		}
+	}
+	var top []int
+	for sid, b := range bound {
+		if b > 0 {
+			top = append(top, sid)
+		}
+	}
+	sort.SliceStable(top, func(i, j int) bool { return bound[top[i]] > bound[top[j]] })
+	if len(top) < k {
+		return 0, nil
+	}
+	solved := make(map[int]float64)
+	seed := math.Inf(1)
+	for _, sid := range top[:k] {
+		elems := e.repo.Elements(sid)
+		used := make(map[int32]bool)
+		w := 0.0
+		for _, tok := range elems {
+			q, best := int32(-1), 0.0
+			for _, ed := range cache[tok] {
+				if ed.sim > best && !used[ed.qIdx] {
+					q, best = ed.qIdx, ed.sim
+				}
+			}
+			if q >= 0 {
+				used[q] = true
+				w += best
+			}
+		}
+		if e.opts.ExactScores || w < bound[sid] {
+			res := e.verify(query, cache, elems, nil)
+			stats.HungarianIterations += res.Iterations
+			stats.VerifyCalls++
+			stats.SeedEM++
+			solved[sid] = res.Score
+			w = res.Score
+		}
+		seed = min(seed, w)
+	}
+	return seed, solved
 }
 
 // refinePartition is Algorithm 1 with the paper's filters in their plain
@@ -256,7 +334,7 @@ func (e *oracleEngine) before(x float64, a int, y float64, b int) bool {
 	return a < b
 }
 
-func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats) []Result {
+func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, survivors []survivor, solved map[int]float64, llb *pqueue.TopK, theta *atomicMax, stats *Stats) []Result {
 	opts := e.opts
 	k := opts.K
 	ub := make(map[int]float64, len(survivors))
@@ -281,6 +359,10 @@ func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, s
 		ub[sv.setID] = sv.ub
 		lb[sv.setID] = sv.lb
 		hi[sv.setID], lo[sv.setID] = sv.hi, sv.lo
+		if so, ok := solved[sv.setID]; ok {
+			verified[sv.setID], checked[sv.setID] = so, true
+			stats.EMFull++
+		}
 		qub.Push(entry{hi: hi[sv.setID], sid: sv.setID})
 	}
 

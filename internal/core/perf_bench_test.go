@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/pqueue"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -57,6 +56,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 	g, base := eng.group(), []int{0, ds.Repo.Len()}
 	sc := eng.getScratch()
 	var rs refinerScratch
+	var vs verifyScratch
 	walked, skipped := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 		share := sc.refine.carve(eng)
 		r := eng.newPartRefiner(eng.opts.K, qN, 0, theta, &stats, nil, &share, &rs)
 		r.addBounds(c.tuples)
-		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc))
+		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc, &vs, &stats))
 		r.consume(ctx, c.tuples)
 		r.drain()
 		walked += stats.Postings
@@ -82,8 +82,9 @@ func BenchmarkRefinePartition(b *testing.B) {
 // BenchmarkPostproc runs Algorithm 2 alone over what a real refinement hands
 // it: the benchmark's search_small collection (datagen twitter at scale 1.0,
 // exact vector source, k = 10), a query of median cardinality, eager
-// refinement's survivors and edge cache. Each iteration starts from the same
-// survivors, θlb and Llb; resetting them is outside the timer. With
+// refinement's survivors and edge cache, without a θlb seed. Each iteration
+// starts from the same survivors and θlb; resetting them is outside the
+// timer, and post-processing builds its Llb from the survivors. With
 // -benchmem a warm iteration allocates nothing: post-processing's lists and
 // the verifier's graphs are the search's pooled scratch.
 func BenchmarkPostproc(b *testing.B) {
@@ -111,14 +112,9 @@ func BenchmarkPostproc(b *testing.B) {
 		copy(survivors, refined)
 		theta.bits.Store(0)
 		theta.Update(refinedTheta)
-		llb := pqueue.NewTopK(eng.opts.K)
-		for _, sv := range survivors {
-			llb.Update(sv.setID, sv.lb)
-		}
-		theta.Update(llb.Bottom())
 		stats = Stats{}
 		b.StartTimer()
-		if _, err := g.postproc(ctx, len(query), cache, survivors, llb, theta, &stats, base, sc); err != nil {
+		if _, err := g.postproc(ctx, len(query), cache, survivors, theta, &stats, base, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,19 +70,15 @@ func (p *postScratch) name(i int32) string {
 	return e.repo.Set(local).Name
 }
 
-// verifyGid runs the exact verification of the set with group-wide ID gid
-// and reports how long it took (Stats.VerifyTime). A set the θlb seed
-// matched is solved on the α-graph the seed gathered (sc.seedGraphOf); any
-// other set's graph is gathered into vs.
-func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, sc *queryScratch, vs *verifyScratch) (matching.Result, time.Duration) {
+// verifyGid runs the exact verification of the set with group-wide ID gid,
+// its graph gathered into vs, and reports how long it took
+// (Stats.VerifyTime).
+func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base []int, vs *verifyScratch) (matching.Result, time.Duration) {
 	start := time.Now()
 	eng, _, local := g.locate(gid, base)
-	edges, cols, ok := sc.seedGraphOf(gid)
-	if !ok {
-		vs.edges, cols = appendGraph(vs.edges[:0], cache, eng.repo.Set(local).ElemIDs)
-		edges = vs.edges
-	}
-	res := eng.verify(qN, cols, edges, theta, vs)
+	var cols int
+	vs.edges, cols = appendGraph(vs.edges[:0], cache, eng.repo.Set(local).ElemIDs)
+	res := eng.verify(qN, cols, vs.edges, theta, vs)
 	return res, time.Since(start)
 }
 
@@ -118,7 +114,7 @@ func (g *Group) verifyGid(gid, qN int, cache *edgeCache, theta *atomicMax, base 
 // round is fully collected before the next starts, so no scratch is ever
 // shared. The results live in sc as well, like all of postproc's working
 // memory: they are the caller's until it releases sc.
-func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, llb *pqueue.TopK, theta *atomicMax, stats *Stats, base []int, sc *queryScratch) ([]Result, error) {
+func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivors []survivor, theta *atomicMax, stats *Stats, base []int, sc *queryScratch) ([]Result, error) {
 	opts := &g.Opts
 	k, n := opts.K, len(survivors)
 	slots := min(k, n)
@@ -133,17 +129,34 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	p.flags = zeroed(p.flags, n)
 	p.qub, p.lub, p.pending = sized(p.qub, n), sized(p.lub, slots), sized(p.pending, slots)
 	ub, lb, hi, lo, flags := p.ub, p.lb, p.hi, p.lo, p.flags
+	// A survivor the θlb seed solved enters with its kept score as all four
+	// bounds, verified: no round and no finalization solves it again. The
+	// kept scores are sorted by set ID, as the survivors now are.
+	llb := &p.llb
+	llb.Reset(k)
+	seeds := sc.seedScores
 	for i, sv := range survivors {
 		ub[i], lb[i], hi[i], lo[i] = sv.ub, sv.lb, sv.hi, sv.lo
+		for len(seeds) > 0 && seeds[0].gid < sv.setID {
+			seeds = seeds[1:]
+		}
+		if len(seeds) > 0 && seeds[0].gid == sv.setID {
+			so := seeds[0].score
+			ub[i], lb[i], hi[i], lo[i] = so, so, so, so
+			flags[i] = postVerified | postChecked
+			stats.EMFull++
+		}
+		llb.Update(sv.setID, lb[i])
 		p.qub[i] = ubEntry{hi: hi[i], i: int32(i)}
 	}
+	theta.Update(llb.Bottom())
 	// Verification re-queues a survivor only after its entry was popped into
 	// Lub, so the queue never outgrows the n entries it starts with.
 	qub := pqueue.NewHeapFrom(p.qub, p.qubLess)
 	lub, pending := p.lub[:0], p.pending[:0]
-	// The lists, and the seed's graphs, which verification reads.
+	// The lists, and the scores the seed kept.
 	stats.MemPostprocBytes += int64(n)*(4*8+16+1+16) + int64(slots)*(4+4) +
-		int64(len(sc.seedEdges))*int64(unsafe.Sizeof(matching.Edge{})) + int64(len(sc.seedGraphs))*int64(unsafe.Sizeof(seedGraph{}))
+		int64(len(sc.seedScores))*int64(unsafe.Sizeof(seedScore{}))
 
 	refill := func() {
 		for len(lub) < k && qub.Len() > 0 {
@@ -254,7 +267,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		pending = pending[:round]
 		if round == 1 {
 			i := pending[0]
-			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, &sc.verify[0])
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
 			apply(i, res, took)
 			continue
 		}
@@ -263,7 +276,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 		}
 		for w, i := range pending {
 			go func(ch chan<- vres, i int32, vs *verifyScratch) {
-				res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, vs)
+				res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, vs)
 				ch <- vres{i: i, res: res, took: took}
 			}(ch, i, &sc.verify[w])
 		}
@@ -286,7 +299,7 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			// A result set is a proven top-k member, so its score is at
 			// least θlb ≤ θ*k and the bounded verification can never
 			// terminate early (the dual sum never drops below the score).
-			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, sc, &sc.verify[0])
+			res, took := g.verifyGid(survivors[i].setID, qN, cache, theta, base, &sc.verify[0])
 			stats.VerifyTime += took
 			stats.countVerify(res)
 			stats.FinalizeEM++

@@ -136,12 +136,13 @@ type partRefiner struct {
 // refinerScratch is one partition refiner's working memory, reused across
 // tuples, candidates and searches, and the refiner itself: the Llb list,
 // per tuple a memtable engine's gathered postings, those keepBounded keeps
-// and the sets it settles, and the survivors drain hands to
-// post-processing.
+// and the sets it settles, the sets consume admitted, in the order it
+// admitted them, and the survivors drain hands to post-processing.
 type refinerScratch struct {
-	r    partRefiner
-	llb  pqueue.TopK
-	surv []survivor
+	r        partRefiner
+	llb      pqueue.TopK
+	admitted []int32
+	surv     []survivor
 
 	memSids, memPoss             []int32
 	keptSids, keptPoss, settling []int32
@@ -229,6 +230,8 @@ func (r *partRefiner) settle(sid int32) {
 // which becomes its working memory. Its addBounds must run before consume.
 func (e *Engine) newPartRefiner(k, qN, p int, theta *atomicMax, stats *Stats, dead []uint64, share *arenaShare, rs *refinerScratch) *partRefiner {
 	rs.llb.Reset(k)
+	// The admitted list spans every consume call of the search, not one.
+	rs.admitted = rs.admitted[:0]
 	rs.r = partRefiner{
 		e: e, part: &e.parts[p], qN: qN, theta: theta, stats: stats, dead: dead,
 		arenaShare: *share,
@@ -248,6 +251,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 	llb, theta, stats, dead := r.llb, r.theta, r.stats, r.dead
 	qN := r.qN
 	bound := r.bound
+	admitted := r.rs.admitted
 	walked, skipped := 0, 0
 
 	for i := range tuples {
@@ -284,6 +288,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 					continue
 				}
 				stats.Candidates++
+				admitted = append(admitted, sid)
 				// Admitted: its state and masks are written now, and only now.
 				// Lemma 2's filter has nothing left to prune here: keepBounded
 				// dropped every set whose bound is below θlb, and a set first
@@ -337,6 +342,7 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 			}
 		}
 	}
+	r.rs.admitted = admitted
 	stats.Postings += walked
 	stats.PostingsSkipped += skipped
 	return true
@@ -346,12 +352,14 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 // element contributes nothing (its similarities are all below α), so the
 // final upper bound tightens to min(ubSum, rowSum) and is re-checked against
 // the final θlb. A candidate it prunes whose column side alone reaches θlb
-// is counted as the query side's prune.
+// is counted as the query side's prune. It reads the sets consume admitted,
+// in that order, not the partition's whole range: its cost follows the
+// candidates.
 func (r *partRefiner) drain() []survivor {
 	theta := r.theta.Load()
 	check, below := theta > 0, theta-pruneEps
 	out := r.rs.surv[:0]
-	for sid := r.part.lo; sid < r.part.hi; sid++ {
+	for _, sid := range r.rs.admitted {
 		f := r.flags[sid]
 		if f&setStatus != setLive {
 			continue
@@ -383,10 +391,11 @@ func slack(inexact uint8) float64 {
 }
 
 // accountMem counts the partition's part of the arena: per set its
-// candState, status byte, bound and terms, and its query and token masks.
+// candState, status byte, bound and terms, and its query and token masks;
+// and per admitted set its entry in the admitted list.
 func (r *partRefiner) accountMem() {
 	lo, hi := r.part.lo, r.part.hi
 	n := int64(hi - lo)
 	r.stats.MemCandBytes += n*int64(unsafe.Sizeof(candState{})+1+8+4) + n*int64(r.qWords)*int64(unsafe.Sizeof(qWord{})) +
-		int64(r.e.cOff[hi]-r.e.cOff[lo])*8
+		int64(r.e.cOff[hi]-r.e.cOff[lo])*8 + int64(len(r.rs.admitted))*4
 }

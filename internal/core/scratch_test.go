@@ -123,7 +123,7 @@ func TestRefinerScratchReuse(t *testing.T) {
 			warm.Search(queries[verifying])
 			sc := warm.getScratch()
 			before := scratchFootprint("scratch", reflect.ValueOf(sc), nil)
-			used := cap(sc.tuples) > 0 && len(sc.refiners) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && (cap(sc.verify[0].edges) > 0 || cap(sc.seedEdges) > 0)
+			used := cap(sc.tuples) > 0 && len(sc.refiners) > 0 && cap(sc.post.qub) > 0 && len(sc.verify) > 0 && cap(sc.verify[0].edges) > 0
 			warm.scratch.Put(sc)
 			warm.Search(queries[verifying])
 			again := warm.getScratch()

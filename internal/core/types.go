@@ -75,7 +75,10 @@ type Result struct {
 	// Score is the semantic overlap SO(Q,C) when Verified, otherwise a
 	// lower bound that the No-EM filter proved sufficient for membership.
 	Score float64
-	// Verified reports whether Score is the exact semantic overlap.
+	// Verified reports whether Score is the exact semantic overlap. Without
+	// ExactScores a result the θlb seed solved (DESIGN.md §2) reports its
+	// exact score, verified, even where the No-EM filter alone would have
+	// admitted it.
 	Verified bool
 }
 
@@ -102,12 +105,20 @@ type Stats struct {
 	// during the walk.
 	BoundSettled int
 	// NoEM counts post-processing sets never exact-matched: admitted to the
-	// result by Lemma 7 or pruned by the lazy UB check.
+	// result by Lemma 7 or pruned by the lazy UB check. A survivor the θlb
+	// seed solved is not one of them: it counts in EMFull.
 	NoEM int
 	// EMEarly counts exact matches aborted by the label-sum filter.
 	EMEarly int
-	// EMFull counts completed exact graph matchings.
+	// EMFull counts completed exact graph matchings of survivors, a
+	// survivor the θlb seed solved included: post-processing keeps that
+	// score and does not match the set again.
 	EMFull int
+	// SeedEM counts the exact matchings the θlb seed solved (DESIGN.md §2):
+	// every seed set under ExactScores, otherwise those whose greedy
+	// weight is below their stream-wide bound. A seed set that refinement
+	// prunes counts here and in none of the four buckets' matchings.
+	SeedEM int
 	// FinalizeEM counts additional verifications performed only to make
 	// result scores exact (ExactScores); they are bookkeeping, not part of
 	// the paper's filter accounting.
@@ -129,10 +140,12 @@ type Stats struct {
 	PostingsSkipped int
 	// HungarianIterations sums the sparse solver's augmentations (one
 	// shortest-path search per query element with an α-edge) across all
-	// matchings; the name predates the sparse verifier.
+	// matchings, the θlb seed's included; the name predates the sparse
+	// verifier.
 	HungarianIterations int
-	// VerifyCalls counts exact-verification calls (post-processing plus
-	// finalization), and HungarianSkipped how many of them the solver
+	// VerifyCalls counts exact-verification calls (the θlb seed's solves,
+	// post-processing and finalization), and HungarianSkipped how many of
+	// them the solver
 	// settled at its entry check, before any augmentation: Σ rowMax was
 	// already below θlb. The iUB filter prunes on a bound no larger than
 	// that sum (DESIGN.md §2), so the entry check fires only when θlb rose
@@ -151,11 +164,13 @@ type Stats struct {
 	PostprocTime time.Duration
 	// The stage timers, each taken once at its stage's boundaries: the
 	// source's probe, the edge cache and the sort of the stream
-	// (StreamTime), the stream-wide bounds and the θlb seed (BoundTime),
-	// the postings walk (WalkTime), the drain that hands the survivors over
-	// (DrainTime), and the exact verifications, summed over every one
-	// post-processing and ExactScores ran, in parallel or not (VerifyTime).
-	// The first four lie inside RefineTime, the last inside PostprocTime.
+	// (StreamTime), the stream-wide bounds and the θlb seed but for its
+	// solves (BoundTime), the postings walk (WalkTime), the drain that hands
+	// the survivors over (DrainTime), and the exact verifications, summed
+	// over every one the θlb seed, post-processing and ExactScores ran, in
+	// parallel or not (VerifyTime). The first four lie inside RefineTime;
+	// VerifyTime's seed solves do too, and the rest of it lies inside
+	// PostprocTime.
 	StreamTime time.Duration
 	BoundTime  time.Duration
 	WalkTime   time.Duration
@@ -196,6 +211,7 @@ func (s *Stats) add(o *Stats) {
 	s.EMEarly += o.EMEarly
 	s.EMFull += o.EMFull
 	s.FinalizeEM += o.FinalizeEM
+	s.SeedEM += o.SeedEM
 	s.StreamTuples += o.StreamTuples
 	s.StreamRetrieved += o.StreamRetrieved
 	s.Postings += o.Postings

@@ -1,17 +1,12 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/matching"
-)
+import "repro/internal/matching"
 
 // verifyScratch is the reusable state of one verification worker: the sparse
 // solver with its CSR and Dijkstra buffers, and the edge list it gathers a
-// set's α-graph into when the θlb seed has not. It lives in the pooled
-// queryScratch; post-processing owns one per worker for the length of a
-// search, and it is never shared between in-flight verifications.
+// set's α-graph into. It lives in the pooled queryScratch, one per
+// post-processing worker for the length of a search (the θlb seed solves on
+// the first), and it is never shared between in-flight verifications.
 type verifyScratch struct {
 	solver matching.SparseSolver
 	edges  []matching.Edge
@@ -33,30 +28,21 @@ func appendGraph(dst []matching.Edge, cache *edgeCache, elems []int32) ([]matchi
 			continue
 		}
 		for _, ed := range edges {
-			dst = append(dst, matching.Edge{Q: int(ed.qIdx), C: cols, W: ed.sim})
+			dst = append(dst, matching.Edge{Q: ed.qIdx, C: int32(cols), W: ed.sim})
 		}
 		cols++
 	}
 	return dst, cols
 }
 
-// seedGraph is the α-graph of one θlb seed set, which Group.seedTheta
-// gathers into queryScratch.seedEdges: the set with group-wide ID gid has
-// edges seedEdges[lo:hi] over cols columns.
-type seedGraph struct {
-	gid, lo, hi, cols int
-}
-
-// seedGraphOf returns the α-graph the θlb seed gathered for the set with
-// group-wide ID gid, if it gathered one. The seed's graphs are read-only
-// once it is formed, so concurrent verifications share them.
-func (s *queryScratch) seedGraphOf(gid int) ([]matching.Edge, int, bool) {
-	i, ok := slices.BinarySearchFunc(s.seedGraphs, gid, func(g seedGraph, gid int) int { return cmp.Compare(g.gid, gid) })
-	if !ok {
-		return nil, 0, false
-	}
-	g := &s.seedGraphs[i]
-	return s.seedEdges[g.lo:g.hi], g.cols, true
+// seedScore is the exact semantic overlap of one θlb seed set, which
+// Group.seedTheta solved: the set with group-wide ID gid scores score, found
+// in iters augmentations (the solve's Score and Iterations). Post-processing
+// keeps it.
+type seedScore struct {
+	gid   int
+	score float64
+	iters int
 }
 
 // verify computes the exact semantic overlap of the query (qN elements) and

@@ -13,7 +13,8 @@ import (
 // TestVerifyMatchesDenseReference intercepts every verification the engine
 // runs — each one a SparseSolver verdict, the engine's only verifier — and
 // re-solves it with the dense Hungarian on the densified α-graph under the
-// bound as it stands when the engine's solver returns. With one
+// bound as it stands when the engine's solver returns, or without one for
+// the θlb seed's solves, which have none. With one
 // worker the bound cannot move during a verification, so the verdicts must
 // be equal; with several it can only rise, so an engine prune must still be
 // a dense prune (the converse may lag a concurrent θlb update). A completed
@@ -41,8 +42,13 @@ func TestVerifyMatchesDenseReference(t *testing.T) {
 					for _, ed := range edges {
 						w[ed.Q][ed.C] = ed.W
 					}
-					at := bound()
-					ref := matching.HungarianBounded(w, func() float64 { return at })
+					var at float64
+					var refBound func() float64
+					if bound != nil {
+						at = bound()
+						refBound = func() float64 { return at }
+					}
+					ref := matching.HungarianBounded(w, refBound)
 					if res.Pruned != ref.Pruned && (workers == 1 || res.Pruned) {
 						t.Errorf("%s: engine pruned=%v, dense pruned=%v at bound %v\nedges: %v",
 							label, res.Pruned, ref.Pruned, at, edges)

@@ -29,11 +29,11 @@ func NewAlphaGraph(src NeighborSource, alpha float64, a, b []string) AlphaGraph 
 	for i, x := range g.A {
 		if j, ok := inB[x]; ok {
 			g.Vanilla++
-			g.Edges = append(g.Edges, matching.Edge{Q: i, C: j, W: 1})
+			g.Edges = append(g.Edges, matching.Edge{Q: int32(i), C: int32(j), W: 1})
 		}
 		for _, n := range src.Neighbors(x, alpha) {
 			if j, ok := inB[n.Token]; ok && n.Token != x {
-				g.Edges = append(g.Edges, matching.Edge{Q: i, C: j, W: n.Sim})
+				g.Edges = append(g.Edges, matching.Edge{Q: int32(i), C: int32(j), W: n.Sim})
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func buildLargeGraphs() []largeGraph {
 					continue
 				}
 				for _, e := range es {
-					g.edges = append(g.edges, matching.Edge{Q: e.q, C: g.cols, W: e.w})
+					g.edges = append(g.edges, matching.Edge{Q: int32(e.q), C: int32(g.cols), W: e.w})
 				}
 				g.cols++
 			}

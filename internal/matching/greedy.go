@@ -3,9 +3,10 @@ package matching
 import "sort"
 
 // Edge is a weighted edge of a bipartite graph between a query element
-// (row Q) and a candidate element (column C).
+// (row Q) and a candidate element (column C). The indices are int32, so an
+// edge is 16 bytes: a search's verifier holds thousands of them.
 type Edge struct {
-	Q, C int
+	Q, C int32
 	W    float64
 }
 
@@ -36,7 +37,7 @@ func Greedy(edges []Edge) Result {
 // phase, where the token stream emits edges in that order (Lemma 5). Its
 // score is the taken weights' Sum, as the exact solvers report theirs.
 func GreedyOrdered(edges []Edge) Result {
-	maxQ := -1
+	maxQ := int32(-1)
 	for _, e := range edges {
 		if e.Q > maxQ {
 			maxQ = e.Q
@@ -46,7 +47,7 @@ func GreedyOrdered(edges []Edge) Result {
 	for i := range match {
 		match[i] = -1
 	}
-	usedC := make(map[int]bool, len(edges))
+	usedC := make(map[int32]bool, len(edges))
 	var ws []float64
 	iterations := 0
 	for _, e := range edges {
@@ -57,7 +58,7 @@ func GreedyOrdered(edges []Edge) Result {
 		if match[e.Q] != -1 || usedC[e.C] {
 			continue
 		}
-		match[e.Q] = e.C
+		match[e.Q] = int(e.C)
 		usedC[e.C] = true
 		ws = append(ws, e.W)
 	}

@@ -28,7 +28,7 @@ func edgesOf(w [][]float64) []Edge {
 	for i, row := range w {
 		for j, v := range row {
 			if v > 0 {
-				edges = append(edges, Edge{Q: i, C: j, W: v})
+				edges = append(edges, Edge{Q: int32(i), C: int32(j), W: v})
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func (s *SparseSolver) load(rows, cols int, edges []Edge) {
 	for _, e := range edges {
 		if e.W > 0 {
 			at := fill[e.Q]
-			col[at], w[at] = int32(e.C), e.W
+			col[at], w[at] = e.C, e.W
 			fill[e.Q] = at + 1
 			u[e.Q] = min(u[e.Q], -e.W)
 		}

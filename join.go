@@ -45,7 +45,7 @@ func (e *Engine) JoinMapping(query []string, setID int) ([]JoinPair, error) {
 	match := g.Match().Match
 	pairs := []JoinPair{}
 	for _, ed := range g.Edges {
-		if match[ed.Q] == ed.C {
+		if match[ed.Q] == int(ed.C) {
 			pairs = append(pairs, JoinPair{QueryElement: g.A[ed.Q], SetElement: g.B[ed.C], Sim: ed.W})
 		}
 	}

@@ -66,10 +66,10 @@ type Config struct {
 	// semantic overlap (searches may otherwise return proven lower bounds
 	// for sets whose membership needed no matching). It is off by default,
 	// as in the paper, and costs verifications: per search at k=10, α=0.8,
-	// exact vs inexact, 21.9 vs 14.6 on generated twitter sets (vectors),
-	// 11.0 vs 1.7 on the same sets under edit similarity, 13.7 vs 6.6 on
-	// opendata queries of 100–400 elements and 14.2 vs 6.1 on wdc
-	// (EXPERIMENTS.md).
+	// exact vs inexact, 25.3 vs 21.1 on generated twitter sets (vectors),
+	// 13.8 vs 7.5 on the same sets under edit similarity, 13.7 vs 12.7 on
+	// opendata queries of 100–400 elements and 16.9 vs 13.0 on wdc 0.25
+	// (EXPERIMENTS.md, "The θlb seed solves its sets").
 	ExactScores bool
 	// SealThreshold is the number of inserted sets buffered in the mutable
 	// memtable before it seals into an immutable segment (default 256);
@@ -126,7 +126,10 @@ type Result struct {
 	// Score is the semantic overlap SO(Q,C) when Verified, and otherwise a
 	// lower bound that sufficed to prove top-k membership.
 	Score float64
-	// Verified reports whether Score is exact.
+	// Verified reports whether Score is exact. Without exact scores
+	// (Config.ExactScores) a set the search solved before its walk, to
+	// raise its pruning threshold, reports its exact score, verified, even
+	// where a lower bound would have proved its membership.
 	Verified bool
 }
 

@@ -24,7 +24,7 @@ func alphaEdges(a, b []string, fn Similarity, alpha float64) (rows, cols int, ed
 	for i, x := range a {
 		for j, y := range b {
 			if s := fn.Sim(x, y); s >= alpha {
-				edges = append(edges, matching.Edge{Q: i, C: j, W: s})
+				edges = append(edges, matching.Edge{Q: int32(i), C: int32(j), W: s})
 			}
 		}
 	}
