@@ -90,9 +90,9 @@ func main() {
 	}
 }
 
-// run is the server: it parses args, binds the port, loads the collections
-// and serves until ctx is done, then drains for up to -drain and closes
-// every collection. Flag errors, help and the log go to logw.
+// run is the server: it parses args, binds the port, and serves the
+// collections it loads until ctx is done (serve). Flag errors, help and the
+// log go to logw.
 func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("koios-server", flag.ContinueOnError)
 	fs.SetOutput(logw)
@@ -147,40 +147,51 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	load := func() (*collection.Registry, error) {
+		return loadRegistry(logger, *data, kind, *scale, *dir, collection.Config{
+			Opts:   core.Options{K: *k, Alpha: *alpha, Partitions: *parts, Workers: *verifyW, ExactScores: true},
+			SegCfg: segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync},
+			DefaultQuota: collection.Quota{
+				MaxSets:     *defMaxSets,
+				MaxBytes:    *defMaxBytes,
+				RatePerSec:  *defQPS,
+				Burst:       *defBurst,
+				MaxInFlight: *defMaxInFlight,
+				Weight:      *defWeight,
+			},
+			Maintenance: collection.MaintenanceConfig{
+				Workers:            *bgWorkers,
+				CheckpointWALBytes: *checkpointWAL,
+				SlowdownSealed:     *slowSealed,
+				StallSealed:        *stallSealed,
+			},
+		})
+	}
+	return serve(ctx, ln, load, server.Config{
+		SearchWorkers:  *workers,
+		QueryTimeout:   *qTimeout,
+		MaxQueueDepth:  *maxQueue,
+		ShedLatencyP99: *shedP99,
+	}, *drain, logger)
+}
+
+// serve answers on ln at once, probes first, loads the collections, and
+// serves them until ctx is done or serving fails. Either way it then lets
+// the requests in flight finish, for up to drain, and only then closes
+// every collection.
+func serve(ctx context.Context, ln net.Listener, load func() (*collection.Registry, error), cfg server.Config, drain time.Duration, logger *log.Logger) error {
 	sw := server.NewSwapper()
 	srv := &http.Server{Handler: sw}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	logger.Printf("koios-server: listening on %s, loading collection (readyz 503 until recovery completes)", ln.Addr())
 
-	reg, err := loadRegistry(logger, *data, kind, *scale, *dir, collection.Config{
-		Opts:   core.Options{K: *k, Alpha: *alpha, Partitions: *parts, Workers: *verifyW, ExactScores: true},
-		SegCfg: segment.Config{SealThreshold: *seal, MaxSegments: *maxSegs, SyncWAL: *sync},
-		DefaultQuota: collection.Quota{
-			MaxSets:     *defMaxSets,
-			MaxBytes:    *defMaxBytes,
-			RatePerSec:  *defQPS,
-			Burst:       *defBurst,
-			MaxInFlight: *defMaxInFlight,
-			Weight:      *defWeight,
-		},
-		Maintenance: collection.MaintenanceConfig{
-			Workers:            *bgWorkers,
-			CheckpointWALBytes: *checkpointWAL,
-			SlowdownSealed:     *slowSealed,
-			StallSealed:        *stallSealed,
-		},
-	})
+	reg, err := load()
 	if err != nil {
 		srv.Close()
 		return err
 	}
-	sw.Swap(server.NewRegistry(reg, server.Config{
-		SearchWorkers:  *workers,
-		QueryTimeout:   *qTimeout,
-		MaxQueueDepth:  *maxQueue,
-		ShedLatencyP99: *shedP99,
-	}))
+	sw.Swap(server.NewRegistry(reg, cfg))
 	var totalSets, totalTokens int
 	for _, c := range reg.List() {
 		m := c.Manager()
@@ -200,18 +211,23 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 	logger.Printf("koios-server: ready — %d collection(s), %d sets, %d tokens, %s", len(reg.List()), totalSets, totalTokens, durability)
 
+	served := false
 	select {
 	case err = <-errCh:
-		// The listener failed (the port closed under it, …): the
-		// collections are still checkpointed and closed below.
+		// The listener failed (the port closed under it, …), but the
+		// connections it accepted may still be running handlers.
+		served = true
+		logger.Printf("koios-server: %v; draining for up to %v", err, drain)
 	case <-ctx.Done():
-		logger.Printf("koios-server: shutting down, draining for up to %v", *drain)
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			logger.Printf("koios-server: forced shutdown: %v", err)
-			srv.Close()
-		}
+		logger.Printf("koios-server: shutting down, draining for up to %v", drain)
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(dctx); err != nil {
+		logger.Printf("koios-server: forced shutdown: %v", err)
+		srv.Close()
+	}
+	if !served {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Printf("koios-server: %v", err)
 		}

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
@@ -19,6 +21,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collection"
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -524,5 +529,59 @@ func TestDataFileWithoutVectors(t *testing.T) {
 	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-data", path}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "has no vectors") {
 		t.Fatalf("run = %v, want the no-vectors error", err)
+	}
+}
+
+// TestServeFailureDrainsFirst: when serving fails while requests are in
+// flight — here the listener closes under the server — serve lets them
+// finish against open collections and returns the failure only then. The
+// request is a search whose body is half sent: its 100 Continue says that
+// its handler runs, reading the body, when the listener closes.
+func TestServeFailureDrainsFirst(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger := log.New(newLogWriter(), "", 0)
+	load := func() (*collection.Registry, error) {
+		return loadRegistry(logger, "", datagen.Twitter, 0.05, "", collection.Config{Opts: core.Options{K: 3, Alpha: 0.8, ExactScores: true}})
+	}
+	done := make(chan error, 1)
+	go func() { done <- serve(context.Background(), ln, load, server.Config{}, time.Minute, logger) }()
+	waitReady(t, "http://"+ln.Addr().String())
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	query, _ := json.Marshal(server.SearchRequest{Query: datagen.GenerateDefault(datagen.Twitter, 0.05).Repo.Elements(0)})
+	fmt.Fprintf(conn, "POST /v1/search HTTP/1.1\r\nHost: koios\r\nContent-Length: %d\r\nExpect: 100-continue\r\n\r\n", len(query))
+	br := bufio.NewReader(conn)
+	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "HTTP/1.1 100") {
+		t.Fatalf("no 100 Continue: %q, %v", line, err)
+	}
+	if _, err := br.ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	select {
+	case err := <-done:
+		t.Fatalf("serve returned (%v) with a request in flight", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if _, err := conn.Write(query); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Results []json.RawMessage }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusOK || len(body.Results) == 0 {
+		t.Fatalf("in-flight search: status %d, %d results, %v", resp.StatusCode, len(body.Results), err)
+	}
+	if err := <-done; err == nil || errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("serve returned %v, want the listener's failure", err)
 	}
 }

@@ -85,7 +85,7 @@ type listSource map[string][]index.Neighbor
 
 func (s listSource) Neighbors(q string, _ float64) []index.Neighbor { return s[q] }
 
-// TestBaselinesReleaseStreams: every baseline hands the stream it opened
+// TestBaselinesReleaseStreams: every baseline that opens a stream hands it
 // back to the pool — Search also when it returns on its timeout — so a
 // stream opened right after a warm call reuses its buffers and allocates
 // nothing. The source answers from prebuilt lists, so the stream's own
@@ -108,7 +108,6 @@ func TestBaselinesReleaseStreams(t *testing.T) {
 		{"Search", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, UseIUB: true}) }},
 		{"Search/timeout", func() { Search(repo, inv, src, query, Options{K: 3, Alpha: alpha, Timeout: time.Nanosecond}) }},
 		{"GreedyTopK", func() { GreedyTopK(repo, inv, src, query, 3, alpha) }},
-		{"ExactSO", func() { ExactSO(repo, 0, query, src, alpha) }},
 	} {
 		var mallocs uint64
 		for try := 0; try < 40 && (try == 0 || mallocs > 0); try++ {

@@ -1,9 +1,11 @@
 package baseline
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/sets"
 )
 
@@ -67,20 +69,27 @@ func GreedyTopK(repo *sets.Repository, inv *index.Inverted, src index.NeighborSo
 	return out
 }
 
-// ExactSO verifies the query against the set with the given ID with the
-// Hungarian algorithm over an arbitrary neighbor source — a convenience for
-// examples and the quality experiment, not used in the search loop.
-func ExactSO(repo *sets.Repository, id int, query []string, src index.NeighborSource, alpha float64) float64 {
-	query = sets.Dedup(query)
-	stream := index.NewStream(query, src, alpha)
-	defer stream.Release()
-	cache := make(map[string][]edge)
-	for {
-		tup, ok := stream.Next()
-		if !ok {
-			break
-		}
-		cache[tup.Token] = append(cache[tup.Token], edge{qIdx: int32(tup.QIdx), sim: tup.Sim})
+// ExactSO is the semantic overlap of the query and the set with the given
+// ID by the reference model (internal/model), over src's exhaustive pair
+// scorer — a convenience for examples and the quality experiment, not used
+// in the search loop. An approximate source's neighbour lists define no
+// exact overlap, so src must be exhaustive.
+func ExactSO(repo *sets.Repository, id int, query []string, src index.CompleteScorer, alpha float64) float64 {
+	so, err := model.Score(query, repo.Elements(id), scorerSim{src}, alpha)
+	if err != nil {
+		panic(fmt.Sprintf("baseline: ExactSO: %v", err))
 	}
-	return verify(repo.Set(id), repo.Vocabulary(), query, cache).Score
+	return so
 }
+
+// scorerSim is an exhaustive pair scorer as a similarity function: 1
+// between equal tokens, as the stream's identity tuples score them.
+type scorerSim struct{ index.CompleteScorer }
+
+func (s scorerSim) Sim(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	return s.PairSim(a, b)
+}
+func (scorerSim) Name() string { return "source" }

@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/segment"
 	"repro/internal/sets"
 	"repro/internal/store"
@@ -91,71 +92,33 @@ type op struct {
 	elems []string
 }
 
-// oracle mirrors manager_test's reference model: an ordered list of
-// (name, elements) with replace-on-reinsert moving the row to the end —
-// exactly the insertion-order semantics the segmented manager recovers.
-type oracle struct {
-	order []string
-	rows  map[string][]string
-}
-
-func newOracle() *oracle { return &oracle{rows: make(map[string][]string)} }
-
-func (o *oracle) insert(name string, elems []string) {
-	if _, ok := o.rows[name]; ok {
-		o.delete(name)
-	}
-	o.order = append(o.order, name)
-	o.rows[name] = elems
-}
-
-func (o *oracle) delete(name string) {
-	if _, ok := o.rows[name]; !ok {
-		return
-	}
-	delete(o.rows, name)
-	for i, n := range o.order {
-		if n == name {
-			o.order = append(o.order[:i], o.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (o *oracle) apply(p op) {
+// apply applies an acked op to the reference model (internal/model).
+func apply(c *model.Collection, p op) {
 	switch p.kind {
 	case opInsert:
-		o.insert(p.name, p.elems)
+		c.Insert(p.name, p.elems)
 	case opDelete:
-		o.delete(p.name)
+		c.Delete(p.name)
 	}
 }
 
-func (o *oracle) sets() []sets.Set {
-	out := make([]sets.Set, len(o.order))
-	for i, n := range o.order {
-		out[i] = sets.Set{Name: n, Elements: o.rows[n]}
-	}
-	return out
-}
-
-// key serializes the live state order-independently for state matching.
-func (o *oracle) key() string {
-	lines := make([]string, 0, len(o.order))
-	for n, elems := range o.rows {
-		lines = append(lines, n+"\x00"+strings.Join(elems, "\x01"))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\x02")
-}
-
-func stateKey(recs []segment.SetRecord) string {
-	lines := make([]string, 0, len(recs))
-	for _, r := range recs {
+// setsKey serializes a state order-independently for state matching.
+func setsKey(rows []sets.Set) string {
+	lines := make([]string, 0, len(rows))
+	for _, r := range rows {
 		lines = append(lines, r.Name+"\x00"+strings.Join(r.Elements, "\x01"))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\x02")
+}
+
+// stateKey is setsKey of a manager's live sets.
+func stateKey(recs []segment.SetRecord) string {
+	rows := make([]sets.Set, len(recs))
+	for i, r := range recs {
+		rows[i] = sets.Set{Name: r.Name, Elements: r.Elements}
+	}
+	return setsKey(rows)
 }
 
 // harness carries the per-run fixtures.
@@ -360,9 +323,9 @@ func (h *harness) crashIteration(rng *rand.Rand) error {
 		// the background, so nothing is left behind.)
 	}
 
-	want := newOracle()
+	want := model.NewCollection()
 	for _, p := range acked {
-		want.apply(p)
+		apply(want, p)
 	}
 
 	// Reopen on a healthy filesystem: recovery must be exact and clean.
@@ -377,11 +340,11 @@ func (h *harness) crashIteration(rng *rand.Rand) error {
 			m2.Close()
 			return fmt.Errorf("crash recovery round %d came up degraded (%+v) — crashes write no garbage", round, hlt.Quarantined)
 		}
-		if got, wantKey := stateKey(m2.LiveSets()), want.key(); got != wantKey {
+		if got, wantKey := stateKey(m2.LiveSets()), setsKey(want.Sets()); got != wantKey {
 			m2.Close()
 			return fmt.Errorf("crash recovery round %d diverged from the %d acked ops (fault %+v)", round, len(acked), fault)
 		}
-		if err := h.checkSearches(rng, m2, want.sets()); err != nil {
+		if err := h.checkSearches(rng, m2, want.Sets()); err != nil {
 			m2.Close()
 			return fmt.Errorf("crash recovery round %d: %w", round, err)
 		}
@@ -468,7 +431,7 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 
 	// Build the survivor base state: every checkpointed live row except the
 	// victim's (a corrupt dictionary dooms every interned snapshot with it).
-	base := newOracle()
+	base := model.NewCollection()
 	dictDoomed := victim == man.Dict
 	for _, ms := range man.Segments {
 		if dictDoomed || ms.File == victim {
@@ -479,7 +442,7 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 			return fmt.Errorf("read %s for reference: %w", ms.File, err)
 		}
 		for _, r := range rows {
-			base.insert(r.Name, r.Elements)
+			base.Insert(r.Name, r.Elements)
 		}
 	}
 
@@ -500,21 +463,21 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 	// base + a record prefix, where losing more than the final record
 	// demands the degraded flag (mid-log gap). Anything else is a silent
 	// divergence.
-	states := []*oracle{cloneOracle(base)}
+	states := []*model.Collection{base.Clone()}
 	for _, rec := range walRecs {
-		next := cloneOracle(states[len(states)-1])
+		next := states[len(states)-1].Clone()
 		switch rec.Op {
 		case store.WALInsert:
-			next.insert(rec.Name, rec.Elements)
+			next.Insert(rec.Name, rec.Elements)
 		case store.WALDelete:
-			next.delete(rec.Name)
+			next.Delete(rec.Name)
 		}
 		states = append(states, next)
 	}
 	n := len(walRecs)
 	matched := -1
 	for j := n; j >= 0; j-- { // prefer the fullest interpretation
-		if states[j].key() == gotKey {
+		if setsKey(states[j].Sets()) == gotKey {
 			matched = j
 			break
 		}
@@ -542,7 +505,7 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 	} else {
 		h.rep.FullRecoveries++
 	}
-	if err := h.checkSearches(rng, m2, states[matched].sets()); err != nil {
+	if err := h.checkSearches(rng, m2, states[matched].Sets()); err != nil {
 		return fmt.Errorf("after corrupting %s: %w", victim, err)
 	}
 
@@ -571,18 +534,10 @@ func (h *harness) corruptionIteration(rng *rand.Rand) error {
 	if hlt3 := m3.Health(); hlt3.Degraded {
 		return fmt.Errorf("reopen after repair degraded: %+v", hlt3.Quarantined)
 	}
-	if stateKey(m3.LiveSets()) != states[matched].key() {
+	if stateKey(m3.LiveSets()) != setsKey(states[matched].Sets()) {
 		return fmt.Errorf("reopen after repair diverged from the repaired state")
 	}
 	return nil
-}
-
-func cloneOracle(o *oracle) *oracle {
-	c := newOracle()
-	for _, n := range o.order {
-		c.insert(n, o.rows[n])
-	}
-	return c
 }
 
 // liveRows decodes one checkpointed segment's live rows (manifest

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/collection"
+	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/segment"
 	"repro/internal/store"
@@ -35,7 +36,7 @@ var errNoSpace error = syscall.ENOSPC
 //     (Stats().RetriesTotal > 0),
 //   - the backlog converges to zero despite the faults,
 //   - the converged state and a subsequent clean reopen both match the
-//     oracle exactly, with no degraded flag — transient background
+//     reference model exactly, with no degraded flag — transient background
 //     failures must never corrupt or silently lose acknowledged writes.
 
 // schedIteration runs one scheduler-fault injection round.
@@ -78,19 +79,19 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	// Foreground phase, fault-free and with the scheduler paused: only
 	// inserts and deletes — maintenance is the scheduler's job. Everything
 	// is acked.
-	want := newOracle()
+	want := model.NewCollection()
 	for _, p := range h.script(rng) {
 		switch p.kind {
 		case opInsert:
 			if _, err := c.Insert(p.name, p.elems); err != nil {
 				return fmt.Errorf("foreground insert: %w", err)
 			}
-			want.apply(p)
+			apply(want, p)
 		case opDelete:
 			if _, err := c.Delete(p.name); err != nil {
 				return fmt.Errorf("foreground delete: %w", err)
 			}
-			want.apply(p)
+			apply(want, p)
 		}
 	}
 
@@ -132,8 +133,8 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	if hlt := m.Health(); hlt.Degraded {
 		return fmt.Errorf("transient background faults left the manager degraded: %+v", hlt.Quarantined)
 	}
-	if stateKey(m.LiveSets()) != want.key() {
-		return fmt.Errorf("state diverged from the %d acked ops after scheduled maintenance converged", len(want.order))
+	if stateKey(m.LiveSets()) != setsKey(want.Sets()) {
+		return fmt.Errorf("state diverged from the %d acked ops after scheduled maintenance converged", want.Len())
 	}
 	// Close may trip a still-armed fault; recovery below must absorb that
 	// exactly like a crash mid-checkpoint.
@@ -150,10 +151,10 @@ func (h *harness) schedIteration(rng *rand.Rand) error {
 	if hlt := m2.Health(); hlt.Degraded {
 		return fmt.Errorf("reopen after scheduled maintenance degraded: %+v", hlt.Quarantined)
 	}
-	if stateKey(m2.LiveSets()) != want.key() {
+	if stateKey(m2.LiveSets()) != setsKey(want.Sets()) {
 		return fmt.Errorf("reopen after scheduled maintenance diverged from the acked ops")
 	}
-	if err := h.checkSearches(rng, m2, want.sets()); err != nil {
+	if err := h.checkSearches(rng, m2, want.Sets()); err != nil {
 		return fmt.Errorf("after scheduled maintenance: %w", err)
 	}
 	h.rep.FullRecoveries++

@@ -13,6 +13,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/matching"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -48,8 +49,9 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 	src := index.NewFuncIndex(repo.Vocabulary(), fn)
 	eng := NewEngine(repo, src, Options{K: repo.Len() + 1, Alpha: alpha})
 	so := make([]float64, repo.Len())
+	rk := model.NewRanker(repo.Sets(), fn, alpha)
 	for sid := range so {
-		so[sid] = exactSO(t, query, repo.Elements(sid), fn, alpha)
+		so[sid] = modelScore(t, rk, query, sid)
 	}
 	qids := repo.TokenIDs(query)
 	tuples, _ := eng.materializeStream(query, qids, eng.getScratch())
@@ -600,7 +602,7 @@ func TestLemma6Counterexample(t *testing.T) {
 	var stats Stats
 	survivors := eng.refinePartition(context.Background(), len(query), tuples, 0, theta, &stats, nil)
 
-	exact := exactSO(t, query, repo.Elements(0), ps, 0.5) // 0.899 + 0.899
+	exact := modelScore(t, model.NewRanker(repo.Sets(), ps, 0.5), query, 0) // 0.899 + 0.899
 	if exact < 1.797 || exact > 1.799 {
 		t.Fatalf("exact SO = %v, want 1.798", exact)
 	}

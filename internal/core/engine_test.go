@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/embedding"
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -57,26 +58,26 @@ func randomInstance(seed int64) (*sets.Repository, *embedding.Model, []string) {
 }
 
 // checkTopK asserts that results are the exact top-k under the rule
-// (DESIGN.md §1): the first k sets of a brute-force ranking by score, then
-// name, then set ID. A verified result must carry its set's exact score bit
+// (DESIGN.md §1): the first k sets of the reference model's brute-force
+// ranking (internal/model) by score, then name, then set ID. A verified
+// result must carry its set's exact score bit
 // for bit; one the No-EM filter admitted reports a lower bound on it. When
 // every result is verified they must come in the ranking's order.
 func checkTopK(t *testing.T, repo *sets.Repository, fn sim.Func, query []string, alpha float64, k int, results []Result) {
 	t.Helper()
-	truth := bruteForceTopK(t, newPairTable(repo, fn, alpha), query, k, nil)
-	wantLen := min(k, len(truth))
-	if len(results) != wantLen {
-		t.Fatalf("got %d results, want %d (candidates=%d)", len(results), wantLen, len(truth))
+	truth := modelTopK(t, model.NewRanker(repo.Sets(), fn, alpha), query, k)
+	if len(results) != len(truth) {
+		t.Fatalf("got %d results, want %d", len(results), len(truth))
 	}
-	want := make(map[int]float64, wantLen)
-	for _, s := range truth[:wantLen] {
-		want[s.setID] = s.score
+	want := make(map[int]float64, len(truth))
+	for _, s := range truth {
+		want[s.Index] = s.Score
 	}
 	verified := true
 	for i, r := range results {
 		exact, ok := want[r.SetID]
 		if !ok {
-			t.Fatalf("result %d: set %d (%s, score %v) is not in the top-%d %v", i, r.SetID, repo.Set(r.SetID).Name, r.Score, k, truth[:wantLen])
+			t.Fatalf("result %d: set %d (%s, score %v) is not in the top-%d %v", i, r.SetID, repo.Set(r.SetID).Name, r.Score, k, truth)
 		}
 		delete(want, r.SetID)
 		verified = verified && r.Verified
@@ -88,8 +89,8 @@ func checkTopK(t *testing.T, repo *sets.Repository, fn sim.Func, query []string,
 		}
 	}
 	for i, r := range results {
-		if verified && r.SetID != truth[i].setID {
-			t.Fatalf("rank %d: set %d, the ranking has set %d (%v)", i, r.SetID, truth[i].setID, truth[:wantLen])
+		if verified && r.SetID != truth[i].Index {
+			t.Fatalf("rank %d: set %d, the ranking has set %d (%v)", i, r.SetID, truth[i].Index, truth)
 		}
 	}
 }
@@ -243,8 +244,8 @@ func checkPartitionCounts(t *testing.T) {
 // fourth set tombstoned — against one partition and one worker, over the
 // sets in insertion order: each variant must give the same names and score
 // bits. Every query's answer must also be the first k of a brute-force
-// ranking of the live sets (bruteForceTopK), which scores every set of the
-// repository without the engine's stream, bounds or filters.
+// ranking of the live sets by the reference model (internal/model), which
+// scores every set without the engine's stream, bounds or filters.
 func checkWorkloadShapes(t *testing.T) {
 	type shape struct {
 		name    string
@@ -304,12 +305,13 @@ func checkWorkloadShapes(t *testing.T) {
 			verifications += st.VerifyCalls
 		}
 		repo := ref.Engines[0].repo
-		tab := newPairTable(repo, sourceSim{source(repo).(index.CompleteScorer)}, base.Alpha)
+		live := slices.DeleteFunc(repo.Sets(), func(s sets.Set) bool { return dead[s.Name] })
+		rk := model.NewRanker(live, sourceSim{source(repo).(index.CompleteScorer)}, base.Alpha)
 		for qi, q := range sh.queries {
-			truth := bruteForceTopK(t, tab, q, base.K, func(c sets.Set) bool { return dead[c.Name] })
-			brute := make(answer, min(base.K, len(truth)))
-			for i := range brute {
-				brute[i].name, brute[i].bits = repo.Set(truth[i].setID).Name, math.Float64bits(truth[i].score)
+			truth := modelTopK(t, rk, q, base.K)
+			brute := make(answer, len(truth))
+			for i, s := range truth {
+				brute[i].name, brute[i].bits = s.Name, math.Float64bits(s.Score)
 			}
 			compared++
 			if !slices.Equal(want[qi], brute) {
@@ -531,11 +533,11 @@ func TestSearchSelfQueryRanksSourceFirst(t *testing.T) {
 }
 
 func TestSearchKLargerThanCandidates(t *testing.T) {
-	repo, model, query := randomInstance(13)
-	src := index.NewFuncIndex(repo.Vocabulary(), model)
+	repo, fn, query := randomInstance(13)
+	src := index.NewFuncIndex(repo.Vocabulary(), fn)
 	eng := NewEngine(repo, src, Options{K: 10_000, Alpha: 0.7, ExactScores: true})
 	results, _ := eng.Search(query)
-	truth := bruteForceTopK(t, newPairTable(repo, model, 0.7), query, 10_000, nil)
+	truth := modelTopK(t, model.NewRanker(repo.Sets(), fn, 0.7), query, 10_000)
 	if len(results) != len(truth) {
 		t.Fatalf("k>candidates: got %d results, want %d", len(results), len(truth))
 	}

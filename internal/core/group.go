@@ -182,7 +182,8 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	stats.StreamTime = boundStart.Sub(streamStart)
 	// Bound every set by the maxima the stream brings, and seed θlb from the
 	// sets those bounds rank first (DESIGN.md §2). The seed's solves are
-	// verifications: their time is VerifyTime's, not BoundTime's.
+	// verifications: their time, their graphs' gathers included, is
+	// VerifyTime's, not BoundTime's.
 	for i := range chunks {
 		chunks[i].r.addBounds(tuples)
 	}
@@ -310,7 +311,8 @@ type seedSet struct {
 // and the smallest of k of them, over k distinct live sets, is at most the
 // k-th largest. With fewer than k such sets it returns 0: no seed. The
 // sets stay in sc.seeds. The solves are verifications, and stats counts
-// them so (SeedEM, VerifyCalls, HungarianIterations, VerifyTime).
+// them so (SeedEM, VerifyCalls, HungarianIterations, and VerifyTime from
+// the gather of each solved set's graph on).
 func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int, sc *queryScratch, vs *verifyScratch, stats *Stats) float64 {
 	k := g.Opts.K
 	top := sc.seeds[:0]
@@ -363,13 +365,14 @@ func (g *Group) seedTheta(cache *edgeCache, bound []float64, qN int, base []int,
 		e, _, local := g.locate(c.gid, base)
 		elems := e.repo.Set(local).ElemIDs
 		cols, w := 0, 0.0
+		// A solve is timed from its graph's gather, as verifyGid's is.
+		start := time.Now()
 		if exact {
 			vs.edges, cols = appendGraph(vs.edges[:0], cache, elems)
 		} else {
 			vs.edges, cols, w = seedGreedy(vs.edges[:0], cache, elems, sc.seedUsed)
 		}
 		if exact || w < c.bound {
-			start := time.Now()
 			res := e.verify(qN, cols, vs.edges, nil, vs)
 			stats.VerifyTime += time.Since(start)
 			stats.countVerify(res)

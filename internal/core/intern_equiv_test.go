@@ -2,30 +2,30 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/matching"
+	"repro/internal/model"
 	"repro/internal/pqueue"
 	"repro/internal/sets"
+	"repro/internal/sim"
 )
 
-// This file keeps the pre-interning, string-keyed implementation of the
-// whole query pipeline as an oracle: tokens are compared and hashed as
-// strings, the edge cache is a map[string][]qEdge, candidate state lives in
-// a map[int32]*state with a map[string]struct{} per candidate. The interned
-// engine (integer token IDs, CSR postings, dense candidate state) must
-// return byte-identical results and identical pruning statistics — the two
-// implementations differ in data representation, and in when the iUB filter
-// prunes (oracleEngine.refinePartition), never in what it prunes. The θlb
-// seed is mirrored too (oracleEngine.seed): it decides which sets are
-// solved before the walk and keep their exact scores.
+// This file keeps a string-keyed mirror of refinement as an oracle for
+// what the reference model cannot check: which sets a search meets and
+// which of them its filters prune. Tokens are compared and hashed as
+// strings, the edge cache is a map[string][]oracleEdge, and candidate state
+// lives in a map[int32]*oracleCand. The interned engine must count the same
+// Candidates and IUBPruned. The two differ in data representation, and in
+// when the iUB filter prunes (oracleEngine.refinePartition), never in what
+// it prunes. The θlb seed is mirrored too (oracleEngine.seed), with the
+// exact scores of the sets it solves taken from internal/model. Answers are
+// the model's; what post-processing does with the survivors is pinned only
+// by the identity NoEM + EMEarly + EMFull = Candidates − IUBPruned.
 
 type oracleTuple struct {
 	qIdx  int32
@@ -43,7 +43,6 @@ type oracleCand struct {
 	ubSum    float64
 	rowSum   float64
 	lbScore  float64
-	inexact  uint8
 	mRem     int32
 	rRem     int32
 	pruned   bool
@@ -63,13 +62,16 @@ const oraclePruneEvery = 32
 type oracleEngine struct {
 	repo *sets.Repository
 	src  index.NeighborSource
+	rk   *model.Ranker
 	opts Options
 	invs []*index.Inverted
 }
 
-func newOracleEngine(repo *sets.Repository, src index.NeighborSource, opts Options) *oracleEngine {
+// newOracleEngine mirrors an engine over repo and src; fn is src's
+// similarity, through which the model scores the sets the seed solves.
+func newOracleEngine(repo *sets.Repository, src index.NeighborSource, fn sim.Func, opts Options) *oracleEngine {
 	opts = opts.withDefaults()
-	e := &oracleEngine{repo: repo, src: src, opts: opts}
+	e := &oracleEngine{repo: repo, src: src, rk: model.NewRanker(repo.Sets(), fn, opts.Alpha), opts: opts}
 	n := repo.Len()
 	np := max(min(opts.Partitions, n), 1)
 	for p := range np {
@@ -78,71 +80,37 @@ func newOracleEngine(repo *sets.Repository, src index.NeighborSource, opts Optio
 	return e
 }
 
-func (e *oracleEngine) Search(query []string) ([]Result, Stats) {
+// walk returns the stream's length, the candidates the walk met and those
+// it pruned.
+func (e *oracleEngine) walk(t *testing.T, query []string) Stats {
 	var stats Stats
 	query = sets.Dedup(query)
 	if len(query) == 0 {
-		return nil, stats
+		return stats
 	}
-
 	tuples, cache := e.materializeStream(query)
 	stats.StreamTuples = len(tuples)
-
 	theta := &atomicMax{}
-	seed, solved := e.seed(query, tuples, cache, &stats)
-	theta.Update(seed)
+	theta.Update(e.seed(t, query, tuples, cache))
 	partStats := make([]Stats, len(e.invs))
-	partSurv := make([][]survivor, len(e.invs))
 	var wg sync.WaitGroup
 	for i := range e.invs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			partSurv[i] = e.refinePartition(query, tuples, e.invs[i], theta, &partStats[i])
+			e.refinePartition(query, tuples, e.invs[i], theta, &partStats[i])
 		}(i)
 	}
 	wg.Wait()
 	for i := range partStats {
 		stats.add(&partStats[i])
 	}
-
-	var survivors []survivor
-	for i := range partSurv {
-		survivors = append(survivors, partSurv[i]...)
-	}
-	// A survivor the seed solved keeps its exact score as its bounds.
-	for i := range survivors {
-		if so, ok := solved[survivors[i].setID]; ok {
-			sv := &survivors[i]
-			sv.lb, sv.ub, sv.lo, sv.hi = so, so, so, so
-		}
-	}
-	llb := pqueue.NewTopK(e.opts.K)
-	for _, sv := range survivors {
-		llb.Update(sv.setID, sv.lb)
-	}
-	theta.Update(llb.Bottom())
-	results := e.postproc(query, cache, survivors, solved, llb, theta, &stats)
-
-	if e.opts.ExactScores {
-		for i, r := range results {
-			if r.Verified {
-				continue
-			}
-			res := e.verify(query, cache, e.repo.Elements(r.SetID), theta)
-			stats.HungarianIterations += res.Iterations
-			stats.VerifyCalls++
-			stats.FinalizeEM++
-			results[i].Score = res.Score
-			results[i].Verified = true
-		}
-		e.sortResults(results)
-	}
-	return results, stats
+	return stats
 }
 
 func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[string][]oracleEdge) {
 	st := index.NewStream(query, e.src, e.opts.Alpha)
+	defer st.Release()
 	var tuples []oracleTuple
 	seen := make(map[string]bool)
 	cache := make(map[string][]oracleEdge)
@@ -166,9 +134,8 @@ func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[str
 // under ExactScores or when its greedy weight — element by element in set
 // order, each taking its most similar free query element, the first in the
 // stream on ties — is below its bound, and otherwise by that weight. It
-// returns the least score (0 with fewer than k sets of nonzero bound) and
-// the exact scores it solved, counting each solve as a verification.
-func (e *oracleEngine) seed(query []string, tuples []oracleTuple, cache map[string][]oracleEdge, stats *Stats) (float64, map[int]float64) {
+// returns the least score, 0 with fewer than k sets of nonzero bound.
+func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, cache map[string][]oracleEdge) float64 {
 	n, k := e.repo.Len(), e.opts.K
 	bound, terms := make([]float64, n), make([]int, n)
 	for _, tup := range tuples {
@@ -192,15 +159,13 @@ func (e *oracleEngine) seed(query []string, tuples []oracleTuple, cache map[stri
 	}
 	sort.SliceStable(top, func(i, j int) bool { return bound[top[i]] > bound[top[j]] })
 	if len(top) < k {
-		return 0, nil
+		return 0
 	}
-	solved := make(map[int]float64)
 	seed := math.Inf(1)
 	for _, sid := range top[:k] {
-		elems := e.repo.Elements(sid)
 		used := make(map[int32]bool)
 		w := 0.0
-		for _, tok := range elems {
+		for _, tok := range e.repo.Elements(sid) {
 			q, best := int32(-1), 0.0
 			for _, ed := range cache[tok] {
 				if ed.sim > best && !used[ed.qIdx] {
@@ -213,28 +178,24 @@ func (e *oracleEngine) seed(query []string, tuples []oracleTuple, cache map[stri
 			}
 		}
 		if e.opts.ExactScores || w < bound[sid] {
-			res := e.verify(query, cache, elems, nil)
-			stats.HungarianIterations += res.Iterations
-			stats.VerifyCalls++
-			stats.SeedEM++
-			solved[sid] = res.Score
-			w = res.Score
+			w = modelScore(t, e.rk, query, sid)
 		}
 		seed = min(seed, w)
 	}
-	return seed, solved
+	return seed
 }
 
 // refinePartition is Algorithm 1 with the paper's filters in their plain
 // form: Lemma 2's UB filter at a set's first sight, and the iUB filter every
 // oraclePruneEvery tuples and whenever θlb rose, testing every live
-// candidate with its true bound. The engine has neither — its stream-wide
-// bound and its drain prune the same candidates — so the counts the two must
-// agree on say that nothing either filter would prune escapes.
-func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv *index.Inverted, theta *atomicMax, stats *Stats) []survivor {
-	opts := e.opts
+// candidate with its true bound; the candidates left are tested once more
+// under the final θlb, as the drain does. The engine has neither plain
+// filter — its stream-wide bound and its drain prune the same candidates —
+// so the counts the two must agree on say that nothing either filter would
+// prune escapes.
+func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv *index.Inverted, theta *atomicMax, stats *Stats) {
 	state := make(map[int32]*oracleCand)
-	llb := pqueue.NewTopK(opts.K)
+	llb := pqueue.NewTopK(e.opts.K)
 	qWords := (len(query) + 63) / 64
 	lastPruneTheta := 0.0
 
@@ -265,17 +226,14 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			if st.pruned {
 				continue
 			}
-			var r uint8
 			if tup.first && st.mRem > 0 {
-				st.ubSum, r = add(st.ubSum, s, inexactCol)
-				st.inexact |= r
+				st.ubSum += s
 				st.mRem--
 			}
 			if !st.qSeen[tup.qIdx] {
 				st.qSeen[tup.qIdx] = true
 				if st.rRem > 0 {
-					st.rowSum, r = add(st.rowSum, s, inexactRow)
-					st.inexact |= r
+					st.rowSum += s
 					st.rRem--
 				}
 			}
@@ -284,8 +242,7 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 				if _, used := st.cMatched[tup.token]; !used {
 					st.qMask[w] |= bit
 					st.cMatched[tup.token] = struct{}{}
-					st.lbScore, r = add(st.lbScore, s, inexactLB)
-					st.inexact |= r
+					st.lbScore += s
 					if llb.Update(int(sid), st.lbScore) {
 						theta.Update(llb.Bottom())
 					}
@@ -303,244 +260,46 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 			}
 		}
 	}
-
-	finalTheta := theta.Load()
-	var out []survivor
-	for sid, st := range state {
-		if st.pruned {
-			continue
+	if t := theta.Load(); t > 0 {
+		for _, st := range state {
+			if !st.pruned && st.bound(0) < t-pruneEps {
+				stats.IUBPruned++
+			}
 		}
-		ub := st.bound(0)
-		if finalTheta > 0 && ub < finalTheta-pruneEps {
-			stats.IUBPruned++
-			continue
-		}
-		out = append(out, survivor{setID: int(sid), lb: st.lbScore, ub: ub,
-			lo: st.lbScore - slack(st.inexact&inexactLB),
-			hi: min(st.ubSum+slack(st.inexact&inexactCol), st.rowSum+slack(st.inexact&inexactRow))})
 	}
-	return out
 }
 
-// before is the rule, on the oracle's own: a higher score first, then the
-// lower name, then the lower set ID.
-func (e *oracleEngine) before(x float64, a int, y float64, b int) bool {
-	if x != y {
-		return x > y
+// checkFunnel holds the engine's statistics to the mirror's walk: equal
+// Candidates and stream length, and IUBPruned too where samePruned (one
+// partition: several drain under whatever θlb the others have reached, and
+// what one hands over late is pruned by post-processing instead). Every
+// candidate not pruned must then be counted once by post-processing.
+func checkFunnel(t *testing.T, label string, got, walk Stats, samePruned bool) {
+	t.Helper()
+	if got.Candidates != walk.Candidates || got.StreamTuples != walk.StreamTuples || samePruned && got.IUBPruned != walk.IUBPruned {
+		t.Fatalf("%s: stats diverge\ninterned: %+v\noracle:   %+v", label, got, walk)
 	}
-	if na, nb := e.repo.Set(a).Name, e.repo.Set(b).Name; na != nb {
-		return na < nb
+	if got.NoEM+got.EMEarly+got.EMFull != got.Candidates-got.IUBPruned {
+		t.Fatalf("%s: NoEM %d + EMEarly %d + EMFull %d != Candidates %d − IUBPruned %d",
+			label, got.NoEM, got.EMEarly, got.EMFull, got.Candidates, got.IUBPruned)
 	}
-	return a < b
-}
-
-func (e *oracleEngine) postproc(query []string, cache map[string][]oracleEdge, survivors []survivor, solved map[int]float64, llb *pqueue.TopK, theta *atomicMax, stats *Stats) []Result {
-	opts := e.opts
-	k := opts.K
-	ub := make(map[int]float64, len(survivors))
-	lb := make(map[int]float64, len(survivors))
-	verified := make(map[int]float64)
-	checked := make(map[int]bool)
-	dropped := make(map[int]bool)
-	// A set's exact score lies in [lo, hi]: its bounds, moved apart by
-	// pruneEps where their sums rounded, or the score itself once verified.
-	hi := make(map[int]float64, len(survivors))
-	lo := make(map[int]float64, len(survivors))
-
-	// Lub holds set IDs only: a member's hi changes only after it left.
-	lub := map[int]bool{}
-	lubKeys := func() []int { return slices.Sorted(maps.Keys(lub)) }
-	type entry struct {
-		hi  float64
-		sid int
-	}
-	qub := pqueue.NewHeap(func(a, b entry) bool { return e.before(a.hi, a.sid, b.hi, b.sid) })
-	for _, sv := range survivors {
-		ub[sv.setID] = sv.ub
-		lb[sv.setID] = sv.lb
-		hi[sv.setID], lo[sv.setID] = sv.hi, sv.lo
-		if so, ok := solved[sv.setID]; ok {
-			verified[sv.setID], checked[sv.setID] = so, true
-			stats.EMFull++
-		}
-		qub.Push(entry{hi: hi[sv.setID], sid: sv.setID})
-	}
-
-	refill := func() {
-		for len(lub) < k && qub.Len() > 0 {
-			top := qub.Pop()
-			if dropped[top.sid] || lub[top.sid] || top.hi != hi[top.sid] {
-				continue
-			}
-			if t := theta.Load(); ub[top.sid] < t-pruneEps {
-				dropped[top.sid] = true
-				continue
-			}
-			lub[top.sid] = true
-		}
-	}
-
-	apply := func(sid int, res matching.Result) {
-		stats.HungarianIterations += res.Iterations
-		stats.VerifyCalls++
-		delete(lub, sid)
-		if res.Pruned {
-			stats.EMEarly++
-			dropped[sid] = true
-			return
-		}
-		stats.EMFull++
-		so := res.Score
-		verified[sid] = so
-		checked[sid] = true
-		ub[sid], lb[sid], hi[sid], lo[sid] = so, so, so, so
-		if llb.Update(sid, so) {
-			theta.Update(llb.Bottom())
-		}
-		qub.Push(entry{hi: so, sid: sid})
-	}
-
-	for {
-		refill()
-		t := theta.Load()
-		pruned := false
-		for _, key := range lubKeys() {
-			if ub[key] < t-pruneEps {
-				delete(lub, key)
-				dropped[key] = true
-				pruned = true
-			}
-		}
-		if pruned {
-			continue
-		}
-		last := -1
-		for _, key := range lubKeys() {
-			if last < 0 || e.before(hi[last], last, hi[key], key) {
-				last = key
-			}
-		}
-		var pending []int
-		for _, key := range lubKeys() {
-			if checked[key] {
-				continue
-			}
-			if len(lub) < k || !e.before(hi[last], last, lo[key], key) {
-				checked[key] = true
-				continue
-			}
-			pending = append(pending, key)
-		}
-		if len(pending) == 0 {
-			break
-		}
-		sort.Slice(pending, func(i, j int) bool {
-			return e.before(hi[pending[i]], pending[i], hi[pending[j]], pending[j])
-		})
-		if len(pending) > opts.Workers {
-			pending = pending[:opts.Workers]
-		}
-		if len(pending) == 1 {
-			sid := pending[0]
-			apply(sid, e.verify(query, cache, e.repo.Elements(sid), theta))
-			continue
-		}
-		type vres struct {
-			sid int
-			res matching.Result
-		}
-		ch := make(chan vres, len(pending))
-		var wg sync.WaitGroup
-		for _, sid := range pending {
-			wg.Add(1)
-			go func(sid int) {
-				defer wg.Done()
-				ch <- vres{sid: sid, res: e.verify(query, cache, e.repo.Elements(sid), theta)}
-			}(sid)
-		}
-		go func() { wg.Wait(); close(ch) }()
-		for v := range ch {
-			apply(v.sid, v.res)
-		}
-	}
-
-	stats.NoEM += len(survivors) - stats.EMFull - stats.EMEarly
-
-	keys := lubKeys()
-	out := make([]Result, 0, len(keys))
-	for _, key := range keys {
-		_, ok := verified[key]
-		out = append(out, Result{SetID: key, Score: lb[key], Verified: ok})
-	}
-	e.sortResults(out)
-	return out
-}
-
-// sortResults orders results by the rule.
-func (e *oracleEngine) sortResults(out []Result) {
-	sort.Slice(out, func(i, j int) bool { return e.before(out[i].Score, out[i].SetID, out[j].Score, out[j].SetID) })
-}
-
-func (e *oracleEngine) verify(query []string, cache map[string][]oracleEdge, elems []string, theta *atomicMax) matching.Result {
-	rowOf := make(map[int32]int)
-	var rows []int32
-	type colEdges struct {
-		edges []oracleEdge
-	}
-	var cols []colEdges
-	for _, tok := range elems {
-		edges := cache[tok]
-		if len(edges) == 0 {
-			continue
-		}
-		cols = append(cols, colEdges{edges: edges})
-		for _, ed := range edges {
-			if _, ok := rowOf[ed.qIdx]; !ok {
-				rowOf[ed.qIdx] = 0
-				rows = append(rows, ed.qIdx)
-			}
-		}
-	}
-	if len(cols) == 0 {
-		return matching.Result{}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	for i, q := range rows {
-		rowOf[q] = i
-	}
-	var bound func() float64
-	if theta != nil {
-		bound = theta.Load
-	}
-	// The dense reference decides every verification on its own: it shares
-	// no code with the engine's sparse solver, and both prune iff the
-	// optimum is below the bound, so EMEarly/EMFull must agree.
-	w := make([][]float64, len(rows))
-	for i := range w {
-		w[i] = make([]float64, len(cols))
-	}
-	for j, ce := range cols {
-		for _, ed := range ce.edges {
-			w[rowOf[ed.qIdx]][j] = ed.sim
-		}
-	}
-	return matching.HungarianBounded(w, bound)
 }
 
 // TestInternedEngineMatchesStringOracle is the equivalence test for the
 // token-interning refactor: on every dataset kind, the interned engine must
-// return byte-identical results and identical pruning statistics to the
-// string-path oracle above. Partitions=1 and Workers=1 keep both pipelines
-// fully deterministic, so equality is exact, not approximate. The oracle
-// walks every posting; the engine must have skipped some on the stream-wide
-// bound (DESIGN.md §2), or the comparison says nothing about the skip.
+// return the reference model's answer and count the candidates and pruning
+// of the string-path mirror above. Partitions=1 and Workers=1 keep both
+// fully deterministic, so equality is exact, not approximate. The mirror
+// walks every posting; the engine must have skipped some on the
+// stream-wide bound (DESIGN.md §2), or the comparison says nothing about
+// the skip.
 func TestInternedEngineMatchesStringOracle(t *testing.T) {
 	skipped := 0
 	for _, kind := range datagen.Kinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			ds := datagen.GenerateDefault(kind, 0.02)
 			src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+			fn := sourceSim{src}
 			queries := datagen.NewBenchmark(ds, 17).Queries
 			if len(queries) > 4 {
 				queries = queries[:4]
@@ -548,20 +307,11 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 			for _, withExact := range []bool{false, true} {
 				opts := Options{K: 10, Alpha: 0.8, ExactScores: withExact}
 				eng := NewEngine(ds.Repo, src, opts)
-				oracle := newOracleEngine(ds.Repo, src, opts)
+				oracle := newOracleEngine(ds.Repo, src, fn, opts)
 				for qi, q := range queries {
 					got, gs := eng.Search(q.Elements)
-					want, ws := oracle.Search(q.Elements)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("query %d (exact=%v): results diverge\ninterned: %v\noracle:   %v",
-							qi, withExact, got, want)
-					}
-					if gs.Candidates != ws.Candidates || gs.IUBPruned != ws.IUBPruned ||
-						gs.EMEarly != ws.EMEarly || gs.EMFull != ws.EMFull || gs.VerifyCalls != ws.VerifyCalls ||
-						gs.NoEM != ws.NoEM || gs.StreamTuples != ws.StreamTuples {
-						t.Fatalf("query %d (exact=%v): stats diverge\ninterned: %+v\noracle:   %+v",
-							qi, withExact, gs, ws)
-					}
+					checkTopK(t, ds.Repo, fn, q.Elements, opts.Alpha, opts.K, got)
+					checkFunnel(t, fmt.Sprintf("query %d (exact=%v)", qi, withExact), gs, oracle.walk(t, q.Elements), true)
 					skipped += gs.PostingsSkipped
 				}
 			}
@@ -578,57 +328,37 @@ func TestInternedEngineMatchesStringOracle(t *testing.T) {
 // are then everywhere, and which of two equal candidates post-processing
 // takes first decides what is verified under which θlb. Those run over one
 // partition and over three, whose survivors reach post-processing out of
-// set-ID order, with one verification worker and with four.
-//
-// What must be equal is what does not depend on timing. Results, Candidates
-// and the number of verifications always are. How the verifications split
-// into early-terminated and completed is when one worker runs them: with
-// several a matching races its peers' θlb updates. (Iterations are not
-// comparable: the oracle's solver is the dense reference.)
-// How the rest splits into IUBPruned and NoEM is over one partition: a
-// partition of several drains under whatever θlb the others have reached by
-// then, and what it hands over late is pruned by post-processing instead.
+// set-ID order, with one verification worker and with four. The answer
+// must be the model's, and the funnel the mirror's (checkFunnel).
 func TestInternedEngineMatchesOracleRandom(t *testing.T) {
 	type instance struct {
 		label string
 		repo  *sets.Repository
-		src   index.NeighborSource
+		fn    sim.Func
 		opts  Options
 		query []string
 	}
 	var table []instance
 	for seed := int64(300); seed < 330; seed++ {
-		repo, model, query := randomInstance(seed)
+		repo, emb, query := randomInstance(seed)
 		opts := Options{K: 1 + int(seed%7), Alpha: 0.55 + 0.1*float64(seed%4)}
-		table = append(table, instance{fmt.Sprint("seed ", seed), repo, index.NewFuncIndex(repo.Vocabulary(), model), opts, query})
+		table = append(table, instance{fmt.Sprint("seed ", seed), repo, emb, opts, query})
 		if seed%3 != 0 {
 			continue
 		}
-		quantised := index.NewFuncIndex(repo.Vocabulary(), quantSim{model})
 		for _, parts := range []int{1, 3} {
 			for _, workers := range []int{1, 4} {
 				opts.Partitions, opts.Workers = parts, workers
-				table = append(table, instance{fmt.Sprintf("seed %d quantised, %d partitions, %d workers", seed, parts, workers), repo, quantised, opts, query})
+				table = append(table, instance{fmt.Sprintf("seed %d quantised, %d partitions, %d workers", seed, parts, workers), repo, quantSim{emb}, opts, query})
 			}
 		}
 	}
 	tieVerifications, skipped := 0, 0
 	for _, in := range table {
-		got, gs := NewEngine(in.repo, in.src, in.opts).Search(in.query)
-		want, ws := newOracleEngine(in.repo, in.src, in.opts).Search(in.query)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: results diverge\ninterned: %v\noracle:   %v", in.label, got, want)
-		}
-		equal := gs.Candidates == ws.Candidates && gs.EMEarly+gs.EMFull == ws.EMEarly+ws.EMFull
-		if in.opts.Workers <= 1 {
-			equal = equal && gs.EMEarly == ws.EMEarly && gs.EMFull == ws.EMFull
-		}
-		if in.opts.Partitions <= 1 {
-			equal = equal && gs.IUBPruned == ws.IUBPruned && gs.NoEM == ws.NoEM
-		}
-		if !equal {
-			t.Fatalf("%s: stats diverge\ninterned: %+v\noracle:   %+v", in.label, gs, ws)
-		}
+		src := index.NewFuncIndex(in.repo.Vocabulary(), in.fn)
+		got, gs := NewEngine(in.repo, src, in.opts).Search(in.query)
+		checkTopK(t, in.repo, in.fn, in.query, in.opts.Alpha, in.opts.K, got)
+		checkFunnel(t, in.label, gs, newOracleEngine(in.repo, src, in.fn, in.opts).walk(t, in.query), in.opts.Partitions <= 1)
 		if in.opts.Partitions > 1 {
 			tieVerifications += gs.EMEarly + gs.EMFull
 		}

@@ -166,11 +166,11 @@ type Stats struct {
 	// source's probe, the edge cache and the sort of the stream
 	// (StreamTime), the stream-wide bounds and the θlb seed but for its
 	// solves (BoundTime), the postings walk (WalkTime), the drain that hands
-	// the survivors over (DrainTime), and the exact verifications, summed
-	// over every one the θlb seed, post-processing and ExactScores ran, in
-	// parallel or not (VerifyTime). The first four lie inside RefineTime;
-	// VerifyTime's seed solves do too, and the rest of it lies inside
-	// PostprocTime.
+	// the survivors over (DrainTime), and the exact verifications, each from
+	// the gather of its set's graph on, summed over every one the θlb seed,
+	// post-processing and ExactScores ran, in parallel or not (VerifyTime).
+	// The first four lie inside RefineTime; VerifyTime's seed solves do too,
+	// and the rest of it lies inside PostprocTime.
 	StreamTime time.Duration
 	BoundTime  time.Duration
 	WalkTime   time.Duration

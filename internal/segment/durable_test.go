@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -59,22 +60,22 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := newOracle()
+			o := model.NewCollection()
 			for _, s := range all[:nSeed] {
-				o.insert(s.Name, s.Elements)
+				o.Insert(s.Name, s.Elements)
 			}
 
 			queries := func() [][]string {
 				var qs [][]string
-				for i := 0; i < 3 && i < len(o.order); i++ {
-					qs = append(qs, o.rows[o.order[(i*7)%len(o.order)]])
+				for i := 0; i < 3 && i < o.Len(); i++ {
+					qs = append(qs, o.Sets()[(i*7)%o.Len()].Elements)
 				}
 				qs = append(qs, all[1].Elements)
 				return qs
 			}
 			check := func(label string) {
 				t.Helper()
-				rows := o.sets()
+				rows := o.Sets()
 				if m.Len() != len(rows) {
 					t.Fatalf("%s: live %d, oracle %d", label, m.Len(), len(rows))
 				}
@@ -104,7 +105,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				maintain(m)
-				o.insert(s.Name, s.Elements)
+				o.Insert(s.Name, s.Elements)
 			}
 			check("after inserts")
 			reopen("after inserts")
@@ -113,7 +114,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 				if _, err := m.Delete(all[i].Name); err != nil {
 					t.Fatal(err)
 				}
-				o.delete(all[i].Name)
+				o.Delete(all[i].Name)
 			}
 			check("after deletes")
 			reopen("after deletes")
@@ -124,7 +125,7 @@ func TestDurableEquivalenceAcrossKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				maintain(m)
-				o.insert(all[i].Name, elems)
+				o.Insert(all[i].Name, elems)
 			}
 			check("after replacements")
 			reopen("after replacements")
@@ -190,9 +191,9 @@ func TestKillAtAnyWALPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	o := newOracle()
+	o := model.NewCollection()
 	for _, s := range all[:nSeed] {
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 	}
 
 	// Mid-run checkpoint: ops before it are only in segment snapshots +
@@ -207,7 +208,7 @@ func TestKillAtAnyWALPrefix(t *testing.T) {
 			if _, err := m.Insert(s.Name, s.Elements); err != nil {
 				t.Fatal(err)
 			}
-			o.insert(s.Name, s.Elements)
+			o.Insert(s.Name, s.Elements)
 		})
 	}
 	script = append(script,
@@ -215,32 +216,32 @@ func TestKillAtAnyWALPrefix(t *testing.T) {
 			if _, err := m.Delete(all[0].Name); err != nil {
 				t.Fatal(err)
 			}
-			o.delete(all[0].Name)
+			o.Delete(all[0].Name)
 		},
 		func(int) { // delete a WAL-only (memtable) row
 			if _, err := m.Delete(tail[0].Name); err != nil {
 				t.Fatal(err)
 			}
-			o.delete(tail[0].Name)
+			o.Delete(tail[0].Name)
 		},
 		func(int) { // replace a sealed row
 			if _, err := m.Insert(all[1].Name, all[3].Elements); err != nil {
 				t.Fatal(err)
 			}
-			o.insert(all[1].Name, all[3].Elements)
+			o.Insert(all[1].Name, all[3].Elements)
 		},
 		func(int) { // auto-named insert: replay must reuse the logged name
 			h, err := m.Insert("", all[5].Elements)
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.insert(fmt.Sprintf("set-%d", h), all[5].Elements)
+			o.Insert(fmt.Sprintf("set-%d", h), all[5].Elements)
 		},
 		func(int) { // re-insert a deleted name
 			if _, err := m.Insert(all[0].Name, all[0].Elements); err != nil {
 				t.Fatal(err)
 			}
-			o.insert(all[0].Name, all[0].Elements)
+			o.Insert(all[0].Name, all[0].Elements)
 		},
 	)
 
@@ -260,7 +261,7 @@ func TestKillAtAnyWALPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		walSizes = append(walSizes, fi.Size())
-		oracleAt = append(oracleAt, o.sets())
+		oracleAt = append(oracleAt, o.Sets())
 	}
 	for i, op := range script {
 		if i == ckptAt {

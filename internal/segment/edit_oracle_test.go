@@ -3,15 +3,13 @@ package segment
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/matching"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -56,53 +54,11 @@ func editOracleTokens(rng *rand.Rand) []string {
 	return pool
 }
 
-// bruteEditTopK answers a query with nothing the engine uses: every pair
-// scored by EditSimilarity.Sim, thresholded at alpha, one dense Hungarian
-// matching per live set. It returns each candidate's overlap by name and
-// the overlaps in descending order.
-func bruteEditTopK(rows []sets.Set, query []string, alpha float64) (map[string]float64, []float64) {
-	var fn sim.EditSimilarity
-	dedup := func(in []string) []string {
-		seen := map[string]bool{}
-		var out []string
-		for _, s := range in {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	q := dedup(query)
-	byName := map[string]float64{}
-	var scores []float64
-	for _, row := range rows {
-		c := dedup(row.Elements)
-		if len(q) == 0 || len(c) == 0 {
-			continue
-		}
-		w := make([][]float64, len(q))
-		for i := range w {
-			w[i] = make([]float64, len(c))
-			for j := range c {
-				if s := fn.Sim(q[i], c[j]); s >= alpha {
-					w[i][j] = s
-				}
-			}
-		}
-		if so := matching.Hungarian(w).Score; so > 0 {
-			byName[row.Name] = so
-			scores = append(scores, so)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	return byName, scores
-}
-
 // TestEditSearchMatchesBruteForce checks the whole edit-similarity search
 // path — sketch admission, kernel scan, stream, refinement, verification —
-// against an oracle that shares none of it, on a collection that is grown,
-// shrunk, sealed and compacted between checks.
+// against the reference model (internal/model), which shares none of it,
+// by names and score bits, on a collection that is grown, shrunk, sealed
+// and compacted between checks.
 func TestEditSearchMatchesBruteForce(t *testing.T) {
 	for _, alpha := range []float64{0.5, 0.8, 1} {
 		t.Run(fmt.Sprint("alpha=", alpha), func(t *testing.T) {
@@ -118,12 +74,12 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 			}
 			const k = 5
 			opts := core.Options{K: k, Alpha: alpha, Partitions: 2, Workers: 2, ExactScores: true}.WithDefaults()
-			o := newOracle()
+			o := model.NewCollection()
 			var seed []sets.Set
 			for i := 0; i < 30; i++ {
 				s := sets.Set{Name: fmt.Sprintf("seed-%d", i), Elements: randomSet()}
 				seed = append(seed, s)
-				o.insert(s.Name, s.Elements)
+				o.Insert(s.Name, s.Elements)
 			}
 			m := NewManager(seed, func(dict *sets.Dictionary) index.NeighborSource {
 				return index.NewDynamicFunc(dict, sim.EditSimilarity{})
@@ -131,31 +87,15 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 
 			check := func(label string) {
 				t.Helper()
-				rows := o.sets()
+				rows := o.Sets()
 				queries := [][]string{randomSet(), randomSet(), rows[rng.Intn(len(rows))].Elements, {"", "sinuda", "nowhere"}}
 				for _, q := range queries {
 					got, _, err := m.Search(context.Background(), q, 0)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					exact, ranked := bruteEditTopK(rows, q, alpha)
-					if want := min(k, len(ranked)); len(got) != want {
-						t.Fatalf("%s q=%.40q: %d results, want %d", label, q, len(got), want)
-					}
-					seen := map[string]bool{}
-					for i, r := range got {
-						so, live := exact[r.Name]
-						switch {
-						case !live:
-							t.Fatalf("%s q=%.40q: result %q is not a live candidate", label, q, r.Name)
-						case seen[r.Name]:
-							t.Fatalf("%s q=%.40q: %q returned twice", label, q, r.Name)
-						case math.Abs(r.Score-so) > 1e-9:
-							t.Fatalf("%s q=%.40q: %q scored %v, brute force %v", label, q, r.Name, r.Score, so)
-						case math.Abs(so-ranked[i]) > 1e-9:
-							t.Fatalf("%s q=%.40q: rank %d holds overlap %v, brute force has %v there", label, q, i, so, ranked[i])
-						}
-						seen[r.Name] = true
+					if want := modelTopK(t, rows, sim.EditSimilarity{}, alpha, q, k); !sameAnswer(got, want) {
+						t.Fatalf("%s q=%.40q: %v, the model %v", label, q, got, want)
 					}
 				}
 			}
@@ -167,7 +107,7 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				maintain(m)
-				o.insert(name, elems)
+				o.Insert(name, elems)
 			}
 			check("after inserts")
 			for i := 0; i < 30; i += 3 {
@@ -175,7 +115,7 @@ func TestEditSearchMatchesBruteForce(t *testing.T) {
 				if _, err := m.Delete(name); err != nil {
 					t.Fatal(err)
 				}
-				o.delete(name)
+				o.Delete(name)
 			}
 			check("after deletes")
 			if err := m.Flush(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -33,44 +34,6 @@ func scratchEngine(rows []sets.Set, vec func(string) ([]float32, bool), opts cor
 	repo := sets.NewRepository(rows)
 	src := index.NewExact(repo.Vocabulary(), vec)
 	return core.NewEngine(repo, src, opts), repo
-}
-
-// oracle tracks the live collection the way a user would: an ordered list
-// of (name, elements), replace-on-reinsert moving the row to the end.
-type oracle struct {
-	order []string
-	rows  map[string][]string
-}
-
-func newOracle() *oracle { return &oracle{rows: make(map[string][]string)} }
-
-func (o *oracle) insert(name string, elems []string) {
-	if _, ok := o.rows[name]; ok {
-		o.delete(name)
-	}
-	o.order = append(o.order, name)
-	o.rows[name] = elems
-}
-
-func (o *oracle) delete(name string) {
-	if _, ok := o.rows[name]; !ok {
-		return
-	}
-	delete(o.rows, name)
-	for i, n := range o.order {
-		if n == name {
-			o.order = append(o.order[:i], o.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (o *oracle) sets() []sets.Set {
-	out := make([]sets.Set, len(o.order))
-	for i, n := range o.order {
-		out[i] = sets.Set{Name: n, Elements: o.rows[n]}
-	}
-	return out
 }
 
 // maintain stands in for the maintenance driver in tests that pin segment
@@ -156,15 +119,15 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 			opts := testOpts()
 			m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), opts,
 				Config{SealThreshold: 7, MaxSegments: 2})
-			o := newOracle()
+			o := model.NewCollection()
 			for _, s := range all[:nSeed] {
-				o.insert(s.Name, s.Elements)
+				o.Insert(s.Name, s.Elements)
 			}
 
 			queries := func() [][]string {
 				var qs [][]string
-				for i := 0; i < 3 && i < len(o.order); i++ {
-					qs = append(qs, o.rows[o.order[(i*7)%len(o.order)]])
+				for i := 0; i < 3 && i < o.Len(); i++ {
+					qs = append(qs, o.Sets()[(i*7)%o.Len()].Elements)
 				}
 				// A query over a deleted set's elements must behave as if
 				// the engine never saw that set.
@@ -173,7 +136,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 			}
 			check := func(label string) {
 				t.Helper()
-				rows := o.sets()
+				rows := o.Sets()
 				if m.Len() != len(rows) {
 					t.Fatalf("%s: live %d, oracle %d", label, m.Len(), len(rows))
 				}
@@ -192,7 +155,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				maintain(m)
-				o.insert(s.Name, s.Elements)
+				o.Insert(s.Name, s.Elements)
 			}
 			check("after inserts")
 
@@ -200,7 +163,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 			// segments, and the memtable alike.
 			for i := 0; i < len(all); i += 3 {
 				m.Delete(all[i].Name)
-				o.delete(all[i].Name)
+				o.Delete(all[i].Name)
 			}
 			check("after deletes")
 
@@ -211,7 +174,7 @@ func TestEquivalenceAcrossKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				maintain(m)
-				o.insert(all[i].Name, elems)
+				o.Insert(all[i].Name, elems)
 			}
 			check("after replacements")
 
@@ -465,28 +428,28 @@ func TestPerRequestK(t *testing.T) {
 	nSeed := len(all) / 2
 	opts := testOpts()
 	m := NewManager(all[:nSeed], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 4, MaxSegments: 99})
-	o := newOracle()
+	o := model.NewCollection()
 	for _, s := range all[:nSeed] {
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 	}
 	for i, s := range all[nSeed : nSeed+10] {
 		if _, err := m.Insert(s.Name, s.Elements); err != nil {
 			t.Fatal(err)
 		}
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 		if i%3 == 2 { // a seed row and an earlier insert die
 			for _, name := range []string{all[i].Name, all[nSeed+i-2].Name} {
 				if _, err := m.Delete(name); err != nil {
 					t.Fatal(err)
 				}
-				o.delete(name)
+				o.Delete(name)
 			}
 		}
 	}
 	if sealed, mem, dead := m.Segments(); sealed < 2 || mem == 0 || dead == 0 {
 		t.Fatalf("layout: %d sealed segments, %d memtable sets, %d tombstones; want ≥ 2, > 0, > 0", sealed, mem, dead)
 	}
-	rows := o.sets()
+	rows := o.Sets()
 	for _, k := range []int{1, 3, 0, opts.K, 2 * opts.K, len(rows) + 7} {
 		for qi, q := range [][]string{all[1].Elements, all[nSeed+1].Elements, all[len(all)-1].Elements} {
 			assertEquivalentAtK(t, fmt.Sprintf("k=%d query %d", k, qi), m, rows, ds.Model.Vector, opts, q, k)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/model"
 	"repro/internal/sets"
 )
 
@@ -43,21 +44,21 @@ func TestMemtableTombstoneAccounting(t *testing.T) {
 	all := ds.Repo.Sets()
 	opts := testOpts()
 	m := NewManager(all[:3], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: 8})
-	o := newOracle()
+	o := model.NewCollection()
 	for _, s := range all[:3] {
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 	}
 	handles := map[string]int64{}
 	for _, s := range all[3:7] {
 		handles[s.Name] = mustInsert(t, m, s.Name, s.Elements)
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 	}
 	mustDelete(t, m, all[4].Name) // a memtable row
-	o.delete(all[4].Name)
+	o.Delete(all[4].Name)
 	replaced := mustInsert(t, m, all[5].Name, all[20].Elements) // another, replaced
-	o.insert(all[5].Name, all[20].Elements)
+	o.Insert(all[5].Name, all[20].Elements)
 	mustDelete(t, m, all[0].Name) // a sealed row
-	o.delete(all[0].Name)
+	o.Delete(all[0].Name)
 
 	check := func(label string, want Debt) {
 		t.Helper()
@@ -70,7 +71,7 @@ func TestMemtableTombstoneAccounting(t *testing.T) {
 		if sealed != want.SealedSegments || mem != want.MemtableSets || tomb != want.Tombstones {
 			t.Fatalf("%s: Segments() = %d, %d, %d; debt says %+v", label, sealed, mem, tomb, want)
 		}
-		rows := o.sets()
+		rows := o.Sets()
 		if m.Len() != len(rows) || len(m.LiveSets()) != len(rows) {
 			t.Fatalf("%s: Len %d, %d live sets, want %d", label, m.Len(), len(m.LiveSets()), len(rows))
 		}
@@ -137,10 +138,10 @@ func TestMemtableTombstoneAccounting(t *testing.T) {
 	// replace alike.
 	mustInsert(t, m, "x", all[21].Elements)
 	mustInsert(t, m, "x", all[22].Elements)
-	o.insert("x", all[22].Elements)
+	o.Insert("x", all[22].Elements)
 	check("one row, replaced", Debt{SealedSegments: 2, MemtableSets: 1})
 	mustDelete(t, m, "x")
-	o.delete("x")
+	o.Delete("x")
 	check("all rows dead", Debt{SealedSegments: 2})
 	if n := len(m.snap.Load().segs); n != 2 {
 		t.Fatalf("the snapshot still lists %d segments, want the 2 sealed ones", n)
@@ -282,21 +283,21 @@ func TestReplaceChurnLeavesNoDebt(t *testing.T) {
 	opts := testOpts()
 	const threshold = 8
 	m := NewManager(all[:6], dynamicBuilder(ds.Model.Vector), opts, Config{SealThreshold: threshold})
-	o := newOracle()
+	o := model.NewCollection()
 	for _, s := range all[:6] {
-		o.insert(s.Name, s.Elements)
+		o.Insert(s.Name, s.Elements)
 	}
 	churn := all[0].Name // lives in the seed segment at first
 	for i := 0; i < 10*threshold; i++ {
 		elems := all[6+i%40].Elements
 		mustInsert(t, m, churn, elems)
-		o.insert(churn, elems)
+		o.Insert(churn, elems)
 	}
 	if d := m.MaintenanceDebt(); d.SealedSegments != 1 || d.MemtableSets != 1 || d.MemtableTombstones != 0 || d.Tombstones != 1 {
 		t.Fatalf("after %d replaces of one name: %+v; want the seed segment with its one tombstone and a one-row memtable", 10*threshold, d)
 	}
 	mustDelete(t, m, churn)
-	o.delete(churn)
+	o.Delete(churn)
 	for i := 0; i < 10*threshold; i++ {
 		mustInsert(t, m, "cycle", all[6+i%40].Elements)
 		mustDelete(t, m, "cycle")
@@ -308,7 +309,7 @@ func TestReplaceChurnLeavesNoDebt(t *testing.T) {
 		t.Fatalf("after the churn and a compaction: %+v, want one sealed segment and nothing else", d)
 	}
 	for _, q := range [][]string{all[0].Elements, all[3].Elements, all[45].Elements} {
-		assertEquivalent(t, "after churn", m, o.sets(), ds.Model.Vector, opts, q)
+		assertEquivalent(t, "after churn", m, o.Sets(), ds.Model.Vector, opts, q)
 	}
 }
 

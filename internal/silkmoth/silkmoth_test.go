@@ -3,12 +3,11 @@ package silkmoth
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/embedding"
 	"repro/internal/index"
-	"repro/internal/matching"
+	"repro/internal/model"
 	"repro/internal/sets"
 	"repro/internal/sim"
 )
@@ -45,52 +44,24 @@ func instance(seed int64) (*sets.Repository, []string) {
 	return sets.NewRepository(raw), query
 }
 
-// bruteThreshold finds all sets with matching score ≥ theta under fn/alpha.
-func bruteThreshold(repo *sets.Repository, query []string, fn sim.Func, alpha, theta float64) []Result {
-	var out []Result
-	for _, c := range repo.Sets() {
-		w := make([][]float64, len(query))
-		any := false
-		for i, q := range query {
-			w[i] = make([]float64, len(c.Elements))
-			for j, t := range c.Elements {
-				if s := fn.Sim(q, t); s >= alpha {
-					w[i][j] = s
-					any = true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		if score := matching.Hungarian(w).Score; score >= theta-tol {
-			out = append(out, Result{SetID: c.ID, Score: score})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].SetID < out[j].SetID
-	})
-	return out
-}
-
 // TestSilkMothMatchesBruteForce: both variants must return exactly the
-// threshold result (top-k capped), on the 3-gram Jaccard similarity used in
-// the paper's comparison.
+// threshold result (top-k capped) of the reference model (internal/model),
+// on the 3-gram Jaccard similarity used in the paper's comparison.
 func TestSilkMothMatchesBruteForce(t *testing.T) {
 	fn := sim.JaccardQGrams{Q: 3}
 	for seed := int64(1); seed <= 10; seed++ {
 		repo, query := instance(seed)
 		src := index.NewFuncIndex(repo.Vocabulary(), fn)
 		inv := index.NewInverted(repo)
+		const k = 10
+		ranked, err := model.NewRanker(repo.Sets(), fn, 0.5).TopK(query, k)
+		if err != nil {
+			t.Fatalf("model: %v", err)
+		}
 		for _, theta := range []float64{1.0, 1.5, 2.0, 3.0} {
-			truth := bruteThreshold(repo, query, fn, 0.5, theta)
-			k := 10
-			want := truth
-			if len(want) > k {
-				want = want[:k]
+			want := ranked
+			for len(want) > 0 && want[len(want)-1].Score < theta-tol {
+				want = want[:len(want)-1]
 			}
 			for _, variant := range []Variant{Syntactic, Semantic} {
 				got, stats := Search(repo, inv, src, query, Options{
