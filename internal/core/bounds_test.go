@@ -42,7 +42,9 @@ func newTestRepo(t *testing.T, elems [][]string) *sets.Repository {
 // seed drawn from the bounds (Group.seedTheta) for k = 3 at most the third
 // largest SO. After the drain the survivors' [lb, ub] must contain SO, with
 // lb at least half of it. Last, a search for the top 3 must hand
-// post-processing no set the bound settled.
+// post-processing no set the bound settled, and a set the θlb seed took out
+// of the walk (seededBound) only if the seed solved it, at its kept score
+// as all four bounds, that score at most its stream-wide bound.
 func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, fn sim.Func, alpha float64, query []string) {
 	t.Helper()
 	query = sets.Dedup(query)
@@ -109,10 +111,24 @@ func checkBoundsEveryPrefix(t *testing.T, label string, repo *sets.Repository, f
 		}
 	}
 	live := NewEngine(repo, src, Options{K: k, Alpha: alpha})
-	live.survivorHook = func(svs []survivor, bounds []float64) {
+	live.survivorHook = func(svs []survivor, bounds []float64, seeds []seedScore) {
 		for _, sv := range svs {
-			if bounds[sv.setID] == settledBound {
-				t.Errorf("%s: set %d, settled, handed to post-processing", label, sv.setID)
+			switch b := bounds[sv.setID]; {
+			case b == seededBound:
+				i, solved := slices.BinarySearchFunc(seeds, sv.setID, func(s seedScore, gid int) int { return cmp.Compare(s.gid, gid) })
+				if !solved {
+					t.Errorf("%s: set %d handed over as a seed set the seed did not solve", label, sv.setID)
+					continue
+				}
+				kept := math.Float64bits(seeds[i].score)
+				if math.Float64bits(sv.lb) != kept || math.Float64bits(sv.ub) != kept || math.Float64bits(sv.lo) != kept || math.Float64bits(sv.hi) != kept {
+					t.Errorf("%s: seed set %d handed over at %+v, its kept score %v", label, sv.setID, sv, seeds[i].score)
+				}
+				if seeds[i].score > bound[sv.setID]+matching.BoundEps {
+					t.Errorf("%s: seed set %d: kept score %v above its stream-wide bound %v", label, sv.setID, seeds[i].score, bound[sv.setID])
+				}
+			case b < 0:
+				t.Errorf("%s: set %d, settled (bound %v), handed to post-processing", label, sv.setID, b)
 			}
 		}
 	}
@@ -503,7 +519,7 @@ func TestTombstonedSetsCountNothing(t *testing.T) {
 	g := eng.group()
 	g.Dead = [][]uint64{dead}
 	survivors, settled := 0, 0
-	eng.survivorHook = func(svs []survivor, _ []float64) { survivors = len(svs) }
+	eng.survivorHook = func(svs []survivor, _ []float64, _ []seedScore) { survivors = len(svs) }
 	for qi, q := range datagen.NewBenchmark(ds, 17).Queries {
 		query := sets.Dedup(q.Elements)
 		tuples, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), eng.getScratch())
@@ -533,36 +549,43 @@ func TestTombstonedSetsCountNothing(t *testing.T) {
 // TestQuerySideBoundDecides: every token of candidate C = {c1, c2, c3}
 // reaches it through one query element, q1, at 0.9, so its column side ends
 // at ubSum = 3·0.9 while its query side ends at rowSum = 0.9, its exact
-// overlap. D = {q1, q2} holds θlb at 2 for k = 1. The query side alone must
-// prune C in refinement — the column side keeps it — so C, whose column
-// side tops Lub, is never handed to post-processing's verification. (The
-// θlb seed solves C, the set of largest bound, once: its greedy weight 0.9
-// is below that bound. That solve has no bound to meet.)
+// overlap. D = {q1, q2} holds θlb at 2 for k = 1. S = {s1, s2, s3}, whose
+// tokens reach it through q1 at 0.95, has the largest bound, 3·0.95, so the
+// θlb seed takes S, not C, and solves it (its greedy weight 0.95 is below
+// that bound): the walk passes over S, and the drain prunes it at its kept
+// score. The query side alone must prune C in refinement — the column side
+// keeps it — so C, whose column side tops Lub, is never handed to
+// post-processing's verification. (The seed's solve of S has no bound to
+// meet.)
 func TestQuerySideBoundDecides(t *testing.T) {
 	ps := newPairSim()
 	for _, c := range []string{"c1", "c2", "c3"} {
 		ps.set("q1", c, 0.9)
 	}
-	repo := newTestRepo(t, [][]string{{"c1", "c2", "c3"}, {"q1", "q2"}})
+	for _, c := range []string{"s1", "s2", "s3"} {
+		ps.set("q1", c, 0.95)
+	}
+	repo := newTestRepo(t, [][]string{{"c1", "c2", "c3"}, {"q1", "q2"}, {"s1", "s2", "s3"}})
 	query := []string{"q1", "q2", "q3"}
 	eng := NewEngine(repo, index.NewFuncIndex(repo.Vocabulary(), ps), Options{K: 1, Alpha: 0.5})
 
-	tuples, _ := eng.materializeStream(query, repo.TokenIDs(query), eng.getScratch())
 	theta, stats := &atomicMax{}, Stats{}
-	r := eng.newRefiner(len(query), 0, theta, &stats, nil)
-	r.addBounds(tuples)
+	r, tuples := eng.seededRefiner(query, theta, &stats)
+	if len(r.seeds) != 1 || r.seeds[0].gid != 2 || r.bound[2] != seededBound {
+		t.Fatalf("the seed took %v out of the walk, S's bound %v; want S alone", r.seeds, r.bound[2])
+	}
 	r.consume(context.Background(), tuples)
 	c := &r.states[0]
 	if r.flags[0]&setStatus != setLive || c.ubSum < 2.7-1e-9 || c.rowSum > 0.9+1e-9 || theta.Load() != 2 {
 		t.Fatalf("C before the drain: status %d, ubSum %v, rowSum %v under θlb %v; want live, 2.7, 0.9, 2", r.flags[0], c.ubSum, c.rowSum, theta.Load())
 	}
 	for _, sv := range r.drain() {
-		if sv.setID == 0 {
-			t.Fatalf("C survives the drain with ub %v under θlb 2", sv.ub)
+		if sv.setID != 1 {
+			t.Fatalf("set %d survives the drain with ub %v under θlb 2", sv.setID, sv.ub)
 		}
 	}
-	if stats.IUBPruned != 1 || stats.IUBQueryPruned != 1 {
-		t.Fatalf("refinement pruned %d, %d by the query side; want C, by the query side", stats.IUBPruned, stats.IUBQueryPruned)
+	if stats.IUBPruned != 2 || stats.IUBQueryPruned != 1 {
+		t.Fatalf("refinement pruned %d, %d by the query side; want C, by the query side, and S", stats.IUBPruned, stats.IUBQueryPruned)
 	}
 
 	eng.verifyHook = func(rows, cols int, _ []matching.Edge, bound func() float64, _ matching.Result) {

@@ -59,12 +59,12 @@ type Engine struct {
 	// verdict.
 	verifyHook func(rows, cols int, edges []matching.Edge, bound func() float64, res matching.Result)
 	// survivorHook, when set on a group's lead engine (tests only), observes
-	// what refinement hands to post-processing and the stream-wide set
-	// bounds by group-wide set ID.
-	survivorHook func(survivors []survivor, bound []float64)
+	// what refinement hands to post-processing, the stream-wide set bounds by
+	// group-wide set ID and the scores the θlb seed kept.
+	survivorHook func(survivors []survivor, bound []float64, seeds []seedScore)
 	// refinerHook, when set (tests only), observes partition p's refiner
-	// counters as the search merges them.
-	refinerHook func(p int, st *Stats)
+	// after its drain, as the search merges its counters.
+	refinerHook func(p int, r *partRefiner)
 }
 
 // queryScratch holds the buffers one Search needs and the next can reuse:
@@ -135,13 +135,17 @@ func (e *Engine) putScratch(s *queryScratch) {
 // both. The order makes a query element's index, and with it every tie the
 // stream, the greedy bounds and the verifier's rows break by it, a function
 // of the query as a set: a permuted query searches exactly as the query
-// (DESIGN.md §1). Elements in the vocabulary are told apart by their IDs,
+// (DESIGN.md §1). Every element's ID is looked up in one batch, under one
+// read of the dictionary, into s.qids, which then keeps the distinct ones
+// in place. Elements in the vocabulary are told apart by their IDs,
 // through s.seen, which is zero again on return; only the others are
 // hashed again.
 func (s *queryScratch) dedup(query []string, repo *sets.Repository) ([]string, []int32) {
-	q, ids, seen := s.query[:0], s.qids[:0], s.seen
-	for _, tok := range query {
-		id := repo.TokenID(tok)
+	all := repo.AppendTokenIDs(s.qids[:0], query)
+	q, ids, seen := s.query[:0], all[:0], s.seen
+	for i, tok := range query {
+		// ids is a prefix of all no longer than i: all[i] is still unread.
+		id := all[i]
 		if id >= 0 {
 			w, bit := id>>6, uint64(1)<<(uint(id)&63)
 			if seen[w]&bit != 0 {

@@ -424,7 +424,7 @@ func TestPartitionPostingsBalance(t *testing.T) {
 		}{{string(kind), ds.Repo}, {string(kind) + " by cardinality", sets.NewRepository(sorted)}} {
 			eng := NewEngine(in.repo, index.NewExact(in.repo.Vocabulary(), ds.Model.Vector), Options{K: 10, Alpha: 0.8, Partitions: parts})
 			per := make([]int, parts)
-			eng.refinerHook = func(p int, st *Stats) { per[p] = st.Postings }
+			eng.refinerHook = func(p int, r *partRefiner) { per[p] = r.stats.Postings }
 			total, largest := 0, 0
 			for _, q := range queries {
 				eng.Search(q)

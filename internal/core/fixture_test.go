@@ -92,6 +92,22 @@ func (e *Engine) seedFor(query []string, dead []uint64) (float64, *queryScratch,
 	return seed, sc, r.bound
 }
 
+// seededRefiner readies partition 0's refiner for a search of query over
+// e, an engine of one partition, as Group.search does up to the walk: the
+// stream, its stream-wide bounds, the θlb seed raised into theta and the
+// seed's solved sets taken out of the walk (markSeeds). It returns the
+// refiner and the stream it is to consume.
+func (e *Engine) seededRefiner(query []string, theta *atomicMax, stats *Stats) (*partRefiner, []streamTuple) {
+	query = sets.Dedup(query)
+	sc := e.getScratch()
+	tuples, cache, _ := e.openStream(query, e.repo.TokenIDs(query), nil, e.opts.Alpha, nil, sc)
+	r := e.newRefiner(len(query), 0, theta, stats, nil)
+	r.addBounds(tuples)
+	theta.Update(e.group().seedTheta(cache, r.bound, len(query), []int{0, e.repo.Len()}, sc, &verifyScratch{}, stats))
+	r.markSeeds(sc.seedScores, 0)
+	return r, tuples
+}
+
 // newRefiner prepares a refiner of partition p, for the engine's own k, on
 // an arena of its own. Its bounds are all 0 until addBounds runs, so a θlb
 // above 0 settles every set the walk meets.

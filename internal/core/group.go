@@ -180,14 +180,18 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	stats.StreamTuples = retrieved + len(query)
 	boundStart := time.Now()
 	stats.StreamTime = boundStart.Sub(streamStart)
-	// Bound every set by the maxima the stream brings, and seed θlb from the
-	// sets those bounds rank first (DESIGN.md §2). The seed's solves are
-	// verifications: their time, their graphs' gathers included, is
-	// VerifyTime's, not BoundTime's.
+	// Bound every set by the maxima the stream brings, seed θlb from the sets
+	// those bounds rank first, and take the sets the seed solved out of the
+	// walk (DESIGN.md §2). The seed's solves are verifications: their time,
+	// their graphs' gathers included, is VerifyTime's, not BoundTime's.
 	for i := range chunks {
 		chunks[i].r.addBounds(tuples)
 	}
 	theta.Update(g.seedTheta(cache, sc.refine.bound, len(query), base, sc, &sc.verify[0], &stats))
+	for i := range chunks {
+		c := &chunks[i]
+		c.r.markSeeds(sc.seedScores, base[c.seg])
+	}
 	walkStart := time.Now()
 	stats.BoundTime = walkStart.Sub(boundStart) - stats.VerifyTime
 	if !g.walk(ctx, chunks, tuples) {
@@ -208,7 +212,7 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 		c := &chunks[i]
 		stats.add(&c.stats)
 		if hook := g.Engines[c.seg].refinerHook; hook != nil {
-			hook(c.p, &c.stats)
+			hook(c.p, c.r)
 		}
 		for _, sv := range c.surv {
 			sv.setID += base[c.seg]
@@ -217,7 +221,7 @@ func (g *Group) search(ctx context.Context, query []string, lead *Engine, sc *qu
 	}
 	sc.post.survivors = survivors
 	if lead.survivorHook != nil {
-		lead.survivorHook(survivors, sc.refine.bound)
+		lead.survivorHook(survivors, sc.refine.bound, sc.seedScores)
 	}
 	stats.RefineTime = time.Since(refineStart)
 

@@ -23,7 +23,9 @@ import (
 // Candidates and IUBPruned. The two differ in data representation, and in
 // when the iUB filter prunes (oracleEngine.refinePartition), never in what
 // it prunes. The θlb seed is mirrored too (oracleEngine.seed), with the
-// exact scores of the sets it solves taken from internal/model. Answers are
+// exact scores of the sets it solves taken from internal/model, and so is
+// what the walk does with those sets: it passes over them, their scores in
+// its Llb, and the drain checks them at those scores. Answers are
 // the model's; what post-processing does with the survivors is pinned only
 // by the identity NoEM + EMEarly + EMFull = Candidates − IUBPruned.
 
@@ -91,14 +93,15 @@ func (e *oracleEngine) walk(t *testing.T, query []string) Stats {
 	tuples, cache := e.materializeStream(query)
 	stats.StreamTuples = len(tuples)
 	theta := &atomicMax{}
-	theta.Update(e.seed(t, query, tuples, cache))
+	seed, solved := e.seed(t, query, tuples, cache)
+	theta.Update(seed)
 	partStats := make([]Stats, len(e.invs))
 	var wg sync.WaitGroup
 	for i := range e.invs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e.refinePartition(query, tuples, e.invs[i], theta, &partStats[i])
+			e.refinePartition(query, tuples, i, solved, theta, &partStats[i])
 		}(i)
 	}
 	wg.Wait()
@@ -134,8 +137,9 @@ func (e *oracleEngine) materializeStream(query []string) ([]oracleTuple, map[str
 // under ExactScores or when its greedy weight — element by element in set
 // order, each taking its most similar free query element, the first in the
 // stream on ties — is below its bound, and otherwise by that weight. It
-// returns the least score, 0 with fewer than k sets of nonzero bound.
-func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, cache map[string][]oracleEdge) float64 {
+// returns the least score, 0 with fewer than k sets of nonzero bound, and
+// the exact scores of the sets it solved.
+func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, cache map[string][]oracleEdge) (float64, map[int32]float64) {
 	n, k := e.repo.Len(), e.opts.K
 	bound, terms := make([]float64, n), make([]int, n)
 	for _, tup := range tuples {
@@ -159,9 +163,9 @@ func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, 
 	}
 	sort.SliceStable(top, func(i, j int) bool { return bound[top[i]] > bound[top[j]] })
 	if len(top) < k {
-		return 0
+		return 0, nil
 	}
-	seed := math.Inf(1)
+	seed, solved := math.Inf(1), make(map[int32]float64)
 	for _, sid := range top[:k] {
 		used := make(map[int32]bool)
 		w := 0.0
@@ -179,10 +183,11 @@ func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, 
 		}
 		if e.opts.ExactScores || w < bound[sid] {
 			w = modelScore(t, e.rk, query, sid)
+			solved[int32(sid)] = w
 		}
 		seed = min(seed, w)
 	}
-	return seed
+	return seed, solved
 }
 
 // refinePartition is Algorithm 1 with the paper's filters in their plain
@@ -192,12 +197,26 @@ func (e *oracleEngine) seed(t *testing.T, query []string, tuples []oracleTuple, 
 // under the final θlb, as the drain does. The engine has neither plain
 // filter — its stream-wide bound and its drain prune the same candidates —
 // so the counts the two must agree on say that nothing either filter would
-// prune escapes.
-func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv *index.Inverted, theta *atomicMax, stats *Stats) {
+// prune escapes. The sets of partition p the seed solved are candidates
+// before the walk starts, with their scores in the Llb; the walk passes
+// over them and the final test takes each at its score.
+func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, p int, solved map[int32]float64, theta *atomicMax, stats *Stats) {
+	inv := e.invs[p]
 	state := make(map[int32]*oracleCand)
 	llb := pqueue.NewTopK(e.opts.K)
 	qWords := (len(query) + 63) / 64
 	lastPruneTheta := 0.0
+	n, np := e.repo.Len(), len(e.invs)
+	for sid, score := range solved {
+		if int(sid) < p*n/np || int(sid) >= (p+1)*n/np {
+			continue
+		}
+		stats.Candidates++
+		state[sid] = &oracleCand{pruned: true}
+		if llb.Update(int(sid), score) {
+			theta.Update(llb.Bottom())
+		}
+	}
 
 	for ti, tup := range tuples {
 		s := tup.sim
@@ -261,8 +280,9 @@ func (e *oracleEngine) refinePartition(query []string, tuples []oracleTuple, inv
 		}
 	}
 	if t := theta.Load(); t > 0 {
-		for _, st := range state {
-			if !st.pruned && st.bound(0) < t-pruneEps {
+		for sid, st := range state {
+			score, seeded := solved[sid]
+			if seeded && score < t-pruneEps || !st.pruned && st.bound(0) < t-pruneEps {
 				stats.IUBPruned++
 			}
 		}

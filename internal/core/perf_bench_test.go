@@ -31,7 +31,8 @@ type refineCase struct {
 }
 
 // BenchmarkRefinePartition times refinement alone — the stream-wide bound
-// pass, the θlb seed, the postings walk and the drain — in search_small's
+// pass, the θlb seed and its sets taken out of the walk (markSeeds, as a
+// search does), the postings walk and the drain — in search_small's
 // serving shape: datagen twitter at scale 1.0, exact vector source, k = 10,
 // one partition, over 60 queries stratified by cardinality (the middle set
 // of each sixtieth of the corpus sorted by cardinality). Edge caches are
@@ -69,6 +70,7 @@ func BenchmarkRefinePartition(b *testing.B) {
 		r := eng.newPartRefiner(eng.opts.K, qN, 0, theta, &stats, nil, &share, &rs)
 		r.addBounds(c.tuples)
 		theta.Update(g.seedTheta(c.cache, sc.refine.bound, qN, base, sc, &vs, &stats))
+		r.markSeeds(sc.seedScores, 0)
 		r.consume(ctx, c.tuples)
 		r.drain()
 		walked += stats.Postings

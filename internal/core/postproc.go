@@ -129,9 +129,10 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 	p.flags = zeroed(p.flags, n)
 	p.qub, p.lub, p.pending = sized(p.qub, n), sized(p.lub, slots), sized(p.pending, slots)
 	ub, lb, hi, lo, flags := p.ub, p.lb, p.hi, p.lo, p.flags
-	// A survivor the θlb seed solved enters with its kept score as all four
-	// bounds, verified: no round and no finalization solves it again. The
-	// kept scores are sorted by set ID, as the survivors now are.
+	// A survivor the θlb seed solved enters verified, the drain having handed
+	// it over with its kept score as all four bounds: no round and no
+	// finalization solves it again. The kept scores are sorted by set ID, as
+	// the survivors now are.
 	llb := &p.llb
 	llb.Reset(k)
 	seeds := sc.seedScores
@@ -141,8 +142,6 @@ func (g *Group) postproc(ctx context.Context, qN int, cache *edgeCache, survivor
 			seeds = seeds[1:]
 		}
 		if len(seeds) > 0 && seeds[0].gid == sv.setID {
-			so := seeds[0].score
-			ub[i], lb[i], hi[i], lo[i] = so, so, so, so
 			flags[i] = postVerified | postChecked
 			stats.EMFull++
 		}

@@ -129,6 +129,11 @@ type partRefiner struct {
 
 	arenaShare
 	llb *pqueue.TopK
+	// seeds are the kept scores of the partition's sets the θlb seed solved,
+	// by group-wide set ID, and seedBase the group-wide ID of the engine's
+	// set 0 (markSeeds).
+	seeds    []seedScore
+	seedBase int
 	// rs is the refiner's pooled working memory.
 	rs *refinerScratch
 }
@@ -149,9 +154,14 @@ type refinerScratch struct {
 }
 
 // settledBound marks a set refinement has pruned, whether the bound or the
-// walk decided it: below every θlb, so consume skips its postings without
-// another look.
-const settledBound = -1
+// walk decided it, and seededBound a set the θlb seed solved (markSeeds):
+// both are below every θlb, so consume skips their postings without another
+// look, and neither is settled again — a negative bound is no first drop
+// (index.PartitionPostings).
+const (
+	settledBound = -1
+	seededBound  = -2
+)
 
 // addBounds adds each token's maximum — the similarity of its first tuple
 // in the stream — to the bound of every set of the partition holding it, in
@@ -239,6 +249,35 @@ func (e *Engine) newPartRefiner(k, qN, p int, theta *atomicMax, stats *Stats, de
 		rs:         rs,
 	}
 	return &rs.r
+}
+
+// markSeeds takes the sets of r's partition the θlb seed solved out of the
+// walk (DESIGN.md §2). scores are the seed's kept scores by group-wide set
+// ID, ascending (Group.seedTheta), and base is the group-wide ID of the
+// engine's set 0. It must run after addBounds and before consume. Each such
+// set counts as a candidate here, once; it is pruned to the walk, its bound
+// seededBound, so it never gets a candState and consume never offers it to
+// the Llb; and its kept score, a real matching's weight and so at least any
+// greedy bound the walk could offer for it, enters the Llb now. (The Llb's
+// bottom cannot rise above θlb here: the seed is the least of its k sets'
+// scores.) drain hands it over at that score.
+func (r *partRefiner) markSeeds(scores []seedScore, base int) {
+	lo, hi := base+int(r.part.lo), base+int(r.part.hi)
+	i := 0
+	for i < len(scores) && scores[i].gid < lo {
+		i++
+	}
+	j := i
+	for j < len(scores) && scores[j].gid < hi {
+		j++
+	}
+	r.seeds, r.seedBase = scores[i:j], base
+	for _, s := range r.seeds {
+		sid := s.gid - base
+		r.flags[sid], r.bound[sid] = setPruned, seededBound
+		r.stats.Candidates++
+		r.llb.Update(sid, s.score)
+	}
 }
 
 // consume walks tuples, in order. The loop polls ctx every ctxCheckEvery
@@ -352,13 +391,21 @@ func (r *partRefiner) consume(ctx context.Context, tuples []streamTuple) bool {
 // element contributes nothing (its similarities are all below α), so the
 // final upper bound tightens to min(ubSum, rowSum) and is re-checked against
 // the final θlb. A candidate it prunes whose column side alone reaches θlb
-// is counted as the query side's prune. It reads the sets consume admitted,
-// in that order, not the partition's whole range: its cost follows the
-// candidates.
+// is counted as the query side's prune. A solved seed set (markSeeds) is
+// checked at its kept score, and handed over with that score as all four
+// bounds. It reads the seed sets and the sets consume admitted, in that
+// order, not the partition's whole range: its cost follows the candidates.
 func (r *partRefiner) drain() []survivor {
 	theta := r.theta.Load()
 	check, below := theta > 0, theta-pruneEps
 	out := r.rs.surv[:0]
+	for _, s := range r.seeds {
+		if so := s.score; !check || so >= below {
+			out = append(out, survivor{setID: s.gid - r.seedBase, lb: so, ub: so, lo: so, hi: so})
+			continue
+		}
+		r.stats.IUBPruned++
+	}
 	for _, sid := range r.rs.admitted {
 		f := r.flags[sid]
 		if f&setStatus != setLive {

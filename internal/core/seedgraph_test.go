@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/matching"
+	"repro/internal/sets"
 )
 
 // TestSeedGraphReuse: what the θlb seed solves and keeps is what a fresh
@@ -159,4 +162,147 @@ func TestSeedGraphReuse(t *testing.T) {
 	if unsolved == 0 {
 		t.Fatal("without ExactScores every seed set was solved: the greedy weight never met a bound")
 	}
+}
+
+// TestSeedSetsSkipTheWalk: a set the θlb seed solved is taken out of the
+// walk (partRefiner.markSeeds, DESIGN.md §2). On the four datagen shapes,
+// with and without ExactScores, as generated and with every fourth set
+// tombstoned, over one partition and three: the walk's bound filter keeps
+// no posting of such a set and settles none (a wrapper around
+// partitionPostings sees every call); after the drain its status byte is
+// setPruned alone — the walk never admitted it, so it got no candState and
+// was never offered to the Llb — and its bound seededBound; it counts as
+// one candidate, in its own partition's stats, whose Candidates are the
+// live sets of the partition the stream reaches; and the drain hands it to
+// post-processing exactly once, with its kept score as all four bounds, if
+// that score reaches the final θlb − pruneEps, and otherwise counts it as an
+// iUB prune. Every search's funnel adds up: NoEM + EMEarly + EMFull =
+// Candidates − IUBPruned. It fails unless some seed sets were handed over
+// and some pruned at the drain.
+func TestSeedSetsSkipTheWalk(t *testing.T) {
+	var walkedSeed, settledSeed atomic.Int64
+	dispatched := partitionPostings
+	defer func() { partitionPostings = dispatched }()
+	partitionPostings = func(sids, poss []int32, bound []float64, below float64, ks, kp, fs []int32) (int, int) {
+		n, f := dispatched(sids, poss, bound, below, ks, kp, fs)
+		for _, sid := range ks[:n] {
+			if bound[sid] == seededBound {
+				walkedSeed.Add(1)
+			}
+		}
+		for _, sid := range fs[:f] {
+			if bound[sid] == seededBound {
+				settledSeed.Add(1)
+			}
+		}
+		return n, f
+	}
+	handed, pruned := 0, 0
+	for _, kind := range datagen.Kinds() {
+		ds := datagen.GenerateDefault(kind, 0.05)
+		src := index.NewExact(ds.Repo.Vocabulary(), ds.Model.Vector)
+		queries := datagen.NewBenchmark(ds, 17).Queries
+		queries = queries[:min(10, len(queries))]
+		for _, exact := range []bool{false, true} {
+			for _, parts := range []int{1, 3} {
+				for _, every := range []int{0, 4} {
+					label := fmt.Sprintf("%s exact=%v partitions=%d tombstones=%d", kind, exact, parts, every)
+					eng := NewEngine(ds.Repo, src, Options{K: 10, Alpha: 0.8, Partitions: parts, ExactScores: exact})
+					g := eng.group()
+					if every > 0 {
+						g = tombstoned(eng, every)
+					}
+					var dead []uint64
+					if len(g.Dead) > 0 {
+						dead = g.Dead[0]
+					}
+					for qi, q := range queries {
+						query := sets.Dedup(q.Elements)
+						// The live sets of each partition the stream reaches.
+						reached := make([]map[int32]bool, parts)
+						tuples, _ := eng.materializeStream(query, ds.Repo.TokenIDs(query), eng.getScratch())
+						for p := range reached {
+							reached[p] = map[int32]bool{}
+							for _, tup := range tuples {
+								if tup.tokenID < 0 || g.LiveTokens != nil && g.LiveTokens[tup.tokenID>>6]&(1<<(uint(tup.tokenID)&63)) == 0 {
+									continue
+								}
+								sids, _ := eng.parts[p].inv.Postings(tup.tokenID)
+								for _, sid := range sids {
+									if dead == nil || dead[sid>>6]&(1<<(uint(sid)&63)) == 0 {
+										reached[p][sid] = true
+									}
+								}
+							}
+						}
+						var seeds []seedScore
+						eng.survivorHook = func(_ []survivor, _ []float64, kept []seedScore) { seeds = slices.Clone(kept) }
+						type refined struct {
+							candidates int
+							handed     map[int]survivor
+							seeds      []seedScore
+							flags      []uint8
+							bound      []float64
+							below      float64
+						}
+						per := make([]refined, parts)
+						eng.refinerHook = func(p int, r *partRefiner) {
+							out := map[int]survivor{}
+							for _, sv := range r.rs.surv {
+								if _, twice := out[sv.setID]; twice {
+									t.Errorf("%s query %d: set %d handed over twice", label, qi, sv.setID)
+								}
+								out[sv.setID] = sv
+							}
+							per[p] = refined{r.stats.Candidates, out, r.seeds, slices.Clone(r.flags), slices.Clone(r.bound), r.theta.Load() - pruneEps}
+						}
+						_, st, err := g.SearchContext(context.Background(), query)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if st.NoEM+st.EMEarly+st.EMFull != st.Candidates-st.IUBPruned {
+							t.Fatalf("%s query %d: funnel %+v does not add up", label, qi, st)
+						}
+						marked := 0
+						for p, pr := range per {
+							lo, hi := int(eng.parts[p].lo), int(eng.parts[p].hi)
+							if pr.candidates != len(reached[p]) {
+								t.Fatalf("%s query %d partition %d: %d candidates, the stream reaches %d live sets", label, qi, p, pr.candidates, len(reached[p]))
+							}
+							for _, s := range pr.seeds {
+								marked++
+								if s.gid < lo || s.gid >= hi || !reached[p][int32(s.gid)] {
+									t.Fatalf("%s query %d partition %d [%d, %d): seed set %d marked", label, qi, p, lo, hi, s.gid)
+								}
+								if f, b := pr.flags[s.gid], pr.bound[s.gid]; f != setPruned || b != seededBound {
+									t.Fatalf("%s query %d: seed set %d left the walk with status %#x, bound %v", label, qi, s.gid, f, b)
+								}
+								sv, ok := pr.handed[s.gid]
+								switch {
+								case ok != (s.score >= pr.below):
+									t.Fatalf("%s query %d: seed set %d at %v under θlb − pruneEps %v: handed over %v", label, qi, s.gid, s.score, pr.below, ok)
+								case ok && (math.Float64bits(sv.lb) != math.Float64bits(s.score) || sv.ub != sv.lb || sv.lo != sv.lb || sv.hi != sv.lb):
+									t.Fatalf("%s query %d: seed set %d handed over as %+v, kept score %v", label, qi, s.gid, sv, s.score)
+								case ok:
+									handed++
+								default:
+									pruned++
+								}
+							}
+						}
+						if marked != len(seeds) {
+							t.Fatalf("%s query %d: %d seed sets marked, the seed kept %d scores", label, qi, marked, len(seeds))
+						}
+					}
+				}
+			}
+		}
+	}
+	if n, f := walkedSeed.Load(), settledSeed.Load(); n != 0 || f != 0 {
+		t.Fatalf("the walk kept %d postings of seed sets and settled %d of them", n, f)
+	}
+	if handed == 0 || pruned == 0 {
+		t.Fatalf("%d seed sets handed over, %d pruned at the drain: a branch went unexercised", handed, pruned)
+	}
+	t.Logf("seed sets: %d handed over at their kept scores, %d pruned at the drain", handed, pruned)
 }

@@ -9,7 +9,9 @@
 // stream-wide bound subsumes the paper's bucketized iUB filter (§V), its
 // stream cut-off and Lemma 2's check at a set's first sight: the walk passes
 // over every set it puts below θlb, and the drain re-checks the rest
-// (DESIGN.md §2). Every filter is always on; Stats counts what each decided.
+// (DESIGN.md §2). The k sets the θlb seed solves before the walk are passed
+// over too: they enter the Llb and the drain at their exact scores. Every
+// filter is always on; Stats counts what each decided.
 //
 // The iUB bound implemented here is the corrected, provably sound variant
 // described in DESIGN.md §2; the literal Lemma 6 can under-estimate the
@@ -94,7 +96,8 @@ type Stats struct {
 	// IUBPruned counts candidates pruned during refinement: by the
 	// stream-wide set bound at a skipped posting — which decides every set
 	// Lemma 2's UB filter would prune at first sight (DESIGN.md §2) — or by
-	// the drain's final iUB check.
+	// the drain's final check: a walked set's iUB, or a set the θlb seed
+	// solved at its kept score.
 	IUBPruned int
 	// IUBQueryPruned is the part of IUBPruned the query side of the bound
 	// decided at the drain (DESIGN.md §2): candidates its column side alone
@@ -102,7 +105,8 @@ type Stats struct {
 	IUBQueryPruned int
 	// BoundSettled is the part of IUBPruned the stream-wide set bound
 	// decided (DESIGN.md §2): candidates settled at a skipped posting
-	// during the walk.
+	// during the walk. A set the θlb seed solved is never settled: the walk
+	// passes over its postings, and the drain decides it.
 	BoundSettled int
 	// NoEM counts post-processing sets never exact-matched: admitted to the
 	// result by Lemma 7 or pruned by the lazy UB check. A survivor the θlb
@@ -111,8 +115,9 @@ type Stats struct {
 	// EMEarly counts exact matches aborted by the label-sum filter.
 	EMEarly int
 	// EMFull counts completed exact graph matchings of survivors, a
-	// survivor the θlb seed solved included: post-processing keeps that
-	// score and does not match the set again.
+	// survivor the θlb seed solved included: the drain hands it over at
+	// that score, and post-processing keeps it and does not match the set
+	// again.
 	EMFull int
 	// SeedEM counts the exact matchings the θlb seed solved (DESIGN.md §2):
 	// every seed set under ExactScores, otherwise those whose greedy
@@ -134,8 +139,9 @@ type Stats struct {
 	// is kept for the benchmark harness and the wire.
 	StreamCut bool
 	// Postings is the number of posting entries of the consumed tuples
-	// refinement met, and PostingsSkipped how many of them it passed over
-	// because their set's stream-wide bound was already below θlb.
+	// refinement met, and PostingsSkipped how many of them the bound filter
+	// passed over: their set's stream-wide bound was already below θlb, or
+	// the θlb seed had solved the set (DESIGN.md §2).
 	Postings        int
 	PostingsSkipped int
 	// HungarianIterations sums the sparse solver's augmentations (one

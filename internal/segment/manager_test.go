@@ -63,14 +63,22 @@ func assertEquivalent(t *testing.T, label string, m *Manager, rows []sets.Set, v
 // (0: the manager's own): the reference is an engine built for that k.
 func assertEquivalentAtK(t *testing.T, label string, m *Manager, rows []sets.Set, vec func(string) ([]float32, bool), opts core.Options, query []string, k int) core.Stats {
 	t.Helper()
-	got, stats, err := m.Search(context.Background(), query, k)
-	if err != nil {
-		t.Fatalf("%s: manager search: %v", label, err)
-	}
 	if k > 0 {
 		opts.K = k
 	}
 	eng, repo := scratchEngine(rows, vec, opts)
+	return assertEquivalentTo(t, label, m, eng, repo, query, k)
+}
+
+// assertEquivalentTo is assertEquivalentAtK against a reference engine
+// already built, eng over repo (scratchEngine), for k: one reference serves
+// every query of a check.
+func assertEquivalentTo(t *testing.T, label string, m *Manager, eng *core.Engine, repo *sets.Repository, query []string, k int) core.Stats {
+	t.Helper()
+	got, stats, err := m.Search(context.Background(), query, k)
+	if err != nil {
+		t.Fatalf("%s: manager search: %v", label, err)
+	}
 	raw, _ := eng.Search(query)
 	if len(got) != len(raw) {
 		t.Fatalf("%s: %d results vs %d from scratch (query %v)", label, len(got), len(raw), query)

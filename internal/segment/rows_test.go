@@ -65,11 +65,12 @@ var roundTripData = sync.OnceValue(func() *datagen.Dataset { return datagen.Gene
 // and SetByName must equal the model — each set's distinct elements in
 // first-occurrence order, an empty set as [] and never nil — and a fixed
 // query set, with a live set's elements and those twice over, must answer
-// as a from-scratch engine over the model's sets does (assertEquivalent),
+// as a from-scratch engine over the model's sets does (assertEquivalentTo),
 // in the memtable as after a seal. The reference model answers each search
-// as well (modelTopK, under liveDot): the manager, and a from-scratch
+// as well (rankerTopK, under liveDot): the manager, and a from-scratch
 // engine over the model's sets in a shuffled order, must return its names
-// and score bits.
+// and score bits. Each check builds the in-order engine, the shuffled one
+// and the model's ranker once, for all of its queries.
 // It returns how often each op ran.
 func runOps(t *testing.T, ops []byte) map[string]int {
 	ds := roundTripData()
@@ -139,18 +140,21 @@ func runOps(t *testing.T, ops []byte) map[string]int {
 		shuffled := o.Sets()
 		rand.New(rand.NewSource(int64(len(ops)))).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		eng, repo := scratchEngine(shuffled, vec, opts)
+		rows := o.Sets()
+		ref, refRepo := scratchEngine(rows, vec, opts)
 		held := make(map[string]bool)
 		for _, s := range shuffled {
 			for _, e := range s.Elements {
 				held[e] = true
 			}
 		}
+		rk := model.NewRanker(rows, liveDot{held, vec}, opts.Alpha)
 		for _, query := range append([][]string{q, append(slices.Clone(q), q...)}, fixed...) {
 			if len(query) == 0 {
 				continue
 			}
-			assertEquivalent(t, label, m, o.Sets(), vec, opts, query)
-			want := modelTopK(t, o.Sets(), liveDot{held, vec}, opts.Alpha, query, opts.K)
+			assertEquivalentTo(t, label, m, ref, refRepo, query, 0)
+			want := rankerTopK(t, rk, query, opts.K)
 			got, _, err := m.Search(context.Background(), query, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -255,7 +259,14 @@ func (liveDot) Name() string { return "live dot" }
 // fn at alpha, by name and score.
 func modelTopK(t testing.TB, rows []sets.Set, fn sim.Func, alpha float64, query []string, k int) []Result {
 	t.Helper()
-	res, err := model.NewRanker(rows, fn, alpha).TopK(query, k)
+	return rankerTopK(t, model.NewRanker(rows, fn, alpha), query, k)
+}
+
+// rankerTopK is modelTopK on a ranker already built: one ranker answers
+// every query over the same rows.
+func rankerTopK(t testing.TB, rk *model.Ranker, query []string, k int) []Result {
+	t.Helper()
+	res, err := rk.TopK(query, k)
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}

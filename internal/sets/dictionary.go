@@ -69,6 +69,23 @@ func (d *Dictionary) Lookup(tok string) int32 {
 	return -1
 }
 
+// AppendLookup appends to dst the ID of each of toks, in order, -1 for a
+// token never interned, and returns the extended slice: Lookup for a batch
+// under one read lock, so concurrent readers of one query's tokens do not
+// take the lock's reader count back and forth per token.
+func (d *Dictionary) AppendLookup(dst []int32, toks []string) []int32 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, tok := range toks {
+		id, ok := d.ids[tok]
+		if !ok {
+			id = -1
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
 // Size returns the number of interned tokens (the current token ID space).
 func (d *Dictionary) Size() int {
 	d.mu.RLock()

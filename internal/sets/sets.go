@@ -200,11 +200,21 @@ func (r *Repository) TokenID(token string) int32 {
 // TokenIDs interns a slice of tokens, mapping out-of-vocabulary tokens
 // (tokens occurring in no set) to -1.
 func (r *Repository) TokenIDs(tokens []string) []int32 {
-	out := make([]int32, len(tokens))
-	for i, tok := range tokens {
-		out[i] = r.TokenID(tok)
+	return r.AppendTokenIDs(make([]int32, 0, len(tokens)), tokens)
+}
+
+// AppendTokenIDs appends to dst the TokenID of each of tokens, in order, and
+// returns the extended slice; the dictionary is read once for the batch
+// (Dictionary.AppendLookup).
+func (r *Repository) AppendTokenIDs(dst []int32, tokens []string) []int32 {
+	n := len(dst)
+	dst = r.dict.AppendLookup(dst, tokens)
+	for i := n; i < len(dst); i++ {
+		if int(dst[i]) >= r.vocabN {
+			dst[i] = -1
+		}
 	}
-	return out
+	return dst
 }
 
 // Stats are the dataset characteristics of Table I.

@@ -83,6 +83,32 @@ func TestTokenInterning(t *testing.T) {
 	}
 }
 
+// TestAppendTokenIDs: the batch lookup appends, after what dst holds, what
+// TokenID answers element by element — on a shared dictionary whose later
+// tokens lie beyond an older segment's horizon, for repeated, unknown and
+// empty tokens alike.
+func TestAppendTokenIDs(t *testing.T) {
+	dict := NewDictionary()
+	old := NewSegment(dict, []Set{{Name: "a", Elements: []string{"x", "y"}}})
+	cur := NewSegment(dict, []Set{{Name: "b", Elements: []string{"y", "z", ""}}})
+	toks := []string{"z", "x", "no-such-token", "y", "z", "", "x"}
+	for _, r := range []*Repository{old, cur} {
+		want := []int32{7}
+		for _, tok := range toks {
+			want = append(want, r.TokenID(tok))
+		}
+		if got := r.AppendTokenIDs([]int32{7}, toks); !slices.Equal(got, want) {
+			t.Fatalf("horizon %d: AppendTokenIDs = %v, TokenID one by one %v", r.VocabSize(), got, want)
+		}
+		if got := r.TokenIDs(toks); !slices.Equal(got, want[1:]) {
+			t.Fatalf("horizon %d: TokenIDs = %v, want %v", r.VocabSize(), got, want[1:])
+		}
+	}
+	if got := old.TokenIDs([]string{"z"}); got[0] != -1 {
+		t.Fatalf("a token past the horizon resolves to %d, want -1", got[0])
+	}
+}
+
 // TestSetElemIDs: a row holds token IDs and no strings; Sets resolves them
 // position for position, repeats dropped where they first occur, and an
 // empty set resolves to an empty slice, not nil.
